@@ -1,17 +1,134 @@
 package automata
 
 import (
-	"sort"
+	"encoding/binary"
+	"errors"
+	"fmt"
 
 	"repro/internal/bitvec"
 	"repro/internal/charclass"
 )
 
-// This file implements capped subset construction, used for *analysis*
-// only: §2.1 notes that unfolding bounded repetitions "can produce a DFA
-// of size exponential in n", which is the reason AP-style hardware
-// executes NFAs directly. DFASize makes that blowup measurable per regex
-// (the rapc -analyze view), without ever being on the matching path.
+// This file holds the repo's one capped subset construction. Its three
+// consumers only derive their own report tables from the subset list:
+// DFASize (analysis: §2.1 notes that unfolding bounded repetitions "can
+// produce a DFA of size exponential in n", and rapc -analyze makes that
+// blowup measurable per regex), BuildDFA (the small-pattern software
+// fast path) and sfa.Build (the union machine of the parallel scan).
+
+// ErrStateCapExceeded is the typed cap-overflow failure of subset
+// construction: Determinize (and BuildDFA and sfa.Build layered on it)
+// return an error wrapping it when the reachable subset-state count
+// exceeds the configured cap, so fallback logic (refmatch engine choice,
+// sfa parallel-scan eligibility) can branch on errors.Is instead of
+// matching message text.
+var ErrStateCapExceeded = errors.New("automata: subset construction exceeds state cap")
+
+// Subsets is the outcome of a subset construction: a streaming DFA
+// without report tables. State 0 is the empty subset (nothing active
+// before the first byte).
+type Subsets struct {
+	// Partition maps each input byte to its alphabet-equivalence class:
+	// bytes no state's character class distinguishes share one.
+	Partition [256]uint16
+	// NumParts is the number of alphabet classes (the per-state fanout).
+	NumParts int
+	// Trans is the transition table: state*NumParts + class -> state.
+	Trans []int32
+	// Sets[s] is the set of NFA states active in DFA state s.
+	Sets []bitvec.Vector
+}
+
+// Determinize runs subset construction over the unanchored-matching
+// configuration space of a homogeneous automaton given as per-state
+// classes, follow masks and the initial set: initial states are
+// re-injected on every step (streaming semantics), so construction
+// starts from the empty subset. It fails with an error wrapping
+// ErrStateCapExceeded once more than cap subsets are reachable.
+func Determinize(classes []charclass.Class, follow []bitvec.Vector, initial bitvec.Vector, cap int) (*Subsets, error) {
+	d := &Subsets{}
+	var labels []bitvec.Vector
+	d.Partition, labels = alphabetPartitions(classes)
+	d.NumParts = len(labels)
+
+	// Subsets are built in scratch and looked up by their words as a map
+	// key; only a subset not seen before is copied and kept.
+	index := map[string]int32{}
+	var key []byte
+	intern := func(v bitvec.Vector) int32 {
+		key = appendKey(key[:0], v)
+		id, ok := index[string(key)]
+		if !ok {
+			id = int32(len(d.Sets))
+			index[string(key)] = id
+			d.Sets = append(d.Sets, v.Clone())
+		}
+		return id
+	}
+	succ, next := bitvec.New(len(classes)), bitvec.New(len(classes))
+	intern(next)
+	for head := 0; head < len(d.Sets); head++ {
+		cur := d.Sets[head]
+		succ.CopyFrom(initial)
+		for q := cur.NextSet(0); q >= 0; q = cur.NextSet(q + 1) {
+			succ.Or(follow[q])
+		}
+		for _, label := range labels {
+			next.CopyFrom(succ)
+			next.And(label)
+			d.Trans = append(d.Trans, intern(next))
+			if len(d.Sets) > cap {
+				return nil, fmt.Errorf("%w: >%d states", ErrStateCapExceeded, cap)
+			}
+		}
+	}
+	return d, nil
+}
+
+// alphabetPartitions partitions the alphabet under the given state
+// classes: the byte -> class map, and per class the label vector of the
+// states whose character class contains its bytes. Classes are numbered
+// by their smallest byte.
+func alphabetPartitions(classes []charclass.Class) (partition [256]uint16, labels []bitvec.Vector) {
+	ids := map[string]uint16{}
+	var key []byte
+	sig := bitvec.New(len(classes))
+	for c := 0; c < charclass.AlphabetSize; c++ {
+		sig.Reset()
+		for q, cl := range classes {
+			if cl.Contains(byte(c)) {
+				sig.Set(q)
+			}
+		}
+		key = appendKey(key[:0], sig)
+		id, ok := ids[string(key)]
+		if !ok {
+			id = uint16(len(labels))
+			ids[string(key)] = id
+			labels = append(labels, sig.Clone())
+		}
+		partition[c] = id
+	}
+	return partition, labels
+}
+
+// appendKey appends v's words to buf, the form subsets are hashed in.
+func appendKey(buf []byte, v bitvec.Vector) []byte {
+	for _, w := range v.Words() {
+		buf = binary.LittleEndian.AppendUint64(buf, w)
+	}
+	return buf
+}
+
+// classes returns the per-state character classes, the form Determinize
+// takes.
+func (n *NFA) classes() []charclass.Class {
+	out := make([]charclass.Class, len(n.States))
+	for q, s := range n.States {
+		out[q] = s.Class
+	}
+	return out
+}
 
 // DFAResult reports the outcome of a capped subset construction.
 type DFAResult struct {
@@ -21,104 +138,19 @@ type DFAResult struct {
 	// Capped is true when construction stopped at the cap; States is then
 	// a lower bound.
 	Capped bool
-	// Transitions is the number of distinct (state, class-partition)
-	// transitions explored.
-	Transitions int
 }
 
-// DFASize runs subset construction over the unanchored-matching
-// configuration space of the NFA (initial states re-injected every step,
-// matching the streaming semantics) and stops after visiting cap subset
-// states. Use cap <= 0 for a default of 100000.
-//
-// The alphabet is first partitioned into equivalence classes (bytes that
-// no state's character class distinguishes), so the per-state fanout is
-// the number of distinct class partitions rather than 256.
+// DFASize measures the streaming DFA of the NFA without keeping it,
+// stopping once cap subset states are reached. Use cap <= 0 for a
+// default of 100000.
 func DFASize(n *NFA, cap int) DFAResult {
 	if cap <= 0 {
 		cap = 100000
 	}
-	partitions := alphabetPartitions(n)
-	follow := n.FollowMasks()
-	initial := n.InitialSet()
-	labels := make([]bitvec.Vector, len(partitions))
-	for i, rep := range partitions {
-		v := bitvec.New(len(n.States))
-		for q, s := range n.States {
-			if s.Class.Contains(rep) {
-				v.Set(q)
-			}
-		}
-		labels[i] = v
+	// Reaching cap states counts as capped, so more than cap-1 is refused.
+	d, err := Determinize(n.classes(), n.FollowMasks(), n.InitialSet(), cap-1)
+	if err != nil {
+		return DFAResult{States: cap, Capped: true}
 	}
-
-	// The streaming start state: before any input, no state is active;
-	// initial states are injected on every transition (unanchored
-	// semantics), so construction begins from the empty set.
-	seen := map[string]bool{}
-	var queue []bitvec.Vector
-	empty := bitvec.New(len(n.States))
-	seen[vecKey(empty)] = true
-	queue = append(queue, empty)
-	res := DFAResult{States: 1}
-
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for pi := range partitions {
-			next := bitvec.New(len(n.States))
-			for q := cur.NextSet(0); q >= 0; q = cur.NextSet(q + 1) {
-				next.Or(follow[q])
-			}
-			next.Or(initial)
-			next.And(labels[pi])
-			res.Transitions++
-			key := vecKey(next)
-			if !seen[key] {
-				seen[key] = true
-				res.States++
-				if res.States >= cap {
-					res.Capped = true
-					return res
-				}
-				queue = append(queue, next)
-			}
-		}
-	}
-	return res
-}
-
-// alphabetPartitions returns one representative byte per equivalence
-// class of the alphabet under the NFA's character classes.
-func alphabetPartitions(n *NFA) []byte {
-	// Signature of byte b = the set of states whose class contains b.
-	sigs := map[string]byte{}
-	var reps []byte
-	for c := 0; c < charclass.AlphabetSize; c++ {
-		b := byte(c)
-		sig := make([]byte, (len(n.States)+7)/8)
-		for q, s := range n.States {
-			if s.Class.Contains(b) {
-				sig[q/8] |= 1 << (q % 8)
-			}
-		}
-		k := string(sig)
-		if _, ok := sigs[k]; !ok {
-			sigs[k] = b
-			reps = append(reps, b)
-		}
-	}
-	sort.Slice(reps, func(i, j int) bool { return reps[i] < reps[j] })
-	return reps
-}
-
-func vecKey(v bitvec.Vector) string {
-	words := v.Words()
-	b := make([]byte, len(words)*8)
-	for i, w := range words {
-		for j := 0; j < 8; j++ {
-			b[i*8+j] = byte(w >> (8 * j))
-		}
-	}
-	return string(b)
+	return DFAResult{States: len(d.Sets)}
 }

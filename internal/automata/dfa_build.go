@@ -1,11 +1,6 @@
 package automata
 
-import (
-	"errors"
-	"fmt"
-
-	"repro/internal/bitvec"
-)
+import "fmt"
 
 // DFA is a materialized deterministic automaton for streaming (unanchored)
 // matching, built by subset construction over an NFA. §2.1 explains why
@@ -24,18 +19,6 @@ type DFA struct {
 	numParts int
 }
 
-// ErrStateCapExceeded is the typed cap-overflow failure of subset
-// construction: BuildDFA (and the SFA union construction layered on it)
-// return an error wrapping it when the reachable subset-state count
-// exceeds the configured cap, so fallback logic (refmatch engine choice,
-// sfa parallel-scan eligibility) can branch on errors.Is instead of
-// matching message text.
-var ErrStateCapExceeded = errors.New("automata: subset construction exceeds state cap")
-
-// ErrDFATooLarge is the historical name for ErrStateCapExceeded, kept so
-// existing errors.Is call sites keep working.
-var ErrDFATooLarge = ErrStateCapExceeded
-
 // BuildDFA materializes the streaming DFA of the NFA, failing with an
 // error wrapping ErrStateCapExceeded beyond cap subset states (cap <= 0
 // means 4096).
@@ -48,76 +31,17 @@ func BuildDFA(n *NFA, cap int) (*DFA, error) {
 	if cap <= 0 {
 		cap = 4096
 	}
-	reps := alphabetPartitions(n)
-	d := &DFA{numParts: len(reps)}
-	for i, rep := range reps {
-		// Assign every byte with the same signature as rep to partition i.
-		for b := 0; b < 256; b++ {
-			if sameSignature(n, byte(b), rep) {
-				d.partition[b] = uint16(i)
-			}
-		}
+	sub, err := Determinize(n.classes(), n.FollowMasks(), n.InitialSet(), cap)
+	if err != nil {
+		return nil, err
 	}
-	follow := n.FollowMasks()
-	initial := n.InitialSet()
+	d := &DFA{partition: sub.Partition, numParts: sub.NumParts, trans: sub.Trans}
 	final := n.FinalSet()
-	labels := make([]bitvec.Vector, len(reps))
-	for i, rep := range reps {
-		v := bitvec.New(len(n.States))
-		for q, s := range n.States {
-			if s.Class.Contains(rep) {
-				v.Set(q)
-			}
-		}
-		labels[i] = v
-	}
-
-	index := map[string]int32{}
-	var subsets []bitvec.Vector
-	intern := func(v bitvec.Vector) (int32, bool) {
-		key := vecKey(v)
-		if id, ok := index[key]; ok {
-			return id, false
-		}
-		id := int32(len(subsets))
-		index[key] = id
-		subsets = append(subsets, v)
-		reporting := v.Clone()
-		reporting.And(final)
-		d.reports = append(d.reports, uint16(reporting.Count()))
-		return id, true
-	}
-	empty := bitvec.New(len(n.States))
-	intern(empty)
-	for head := 0; head < len(subsets); head++ {
-		cur := subsets[head]
-		for pi := range reps {
-			next := bitvec.New(len(n.States))
-			for q := cur.NextSet(0); q >= 0; q = cur.NextSet(q + 1) {
-				next.Or(follow[q])
-			}
-			next.Or(initial)
-			next.And(labels[pi])
-			id, fresh := intern(next)
-			if fresh && len(subsets) > cap {
-				return nil, fmt.Errorf("%w: >%d states", ErrStateCapExceeded, cap)
-			}
-			d.trans = append(d.trans, id)
-			_ = id
-		}
+	for _, set := range sub.Sets {
+		set.And(final)
+		d.reports = append(d.reports, uint16(set.Count()))
 	}
 	return d, nil
-}
-
-// sameSignature reports whether bytes a and b are indistinguishable by
-// every state class.
-func sameSignature(n *NFA, a, b byte) bool {
-	for _, s := range n.States {
-		if s.Class.Contains(a) != s.Class.Contains(b) {
-			return false
-		}
-	}
-	return true
 }
 
 // NumStates returns the DFA state count.

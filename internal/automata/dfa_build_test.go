@@ -42,8 +42,8 @@ func TestBuildDFAEquivalence(t *testing.T) {
 
 func TestBuildDFACapAndAnchors(t *testing.T) {
 	nfa := mustNFA(t, "a.{14}")
-	if _, err := BuildDFA(nfa, 64); !errors.Is(err, ErrDFATooLarge) {
-		t.Errorf("expected ErrDFATooLarge, got %v", err)
+	if _, err := BuildDFA(nfa, 64); !errors.Is(err, ErrStateCapExceeded) {
+		t.Errorf("expected ErrStateCapExceeded, got %v", err)
 	}
 	anchored := mustNFA(t, "^abc")
 	if _, err := BuildDFA(anchored, 0); err == nil {

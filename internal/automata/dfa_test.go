@@ -60,13 +60,13 @@ func TestDFASizeBoundedRepetitionGrowsLinearly(t *testing.T) {
 
 func TestAlphabetPartitions(t *testing.T) {
 	nfa := mustNFA(t, "a[bc]")
-	parts := alphabetPartitions(nfa)
+	partition, labels := alphabetPartitions(nfa.classes())
 	// Partitions: {a}, {b,c}, everything else = 3.
-	if len(parts) != 3 {
-		t.Errorf("partitions = %d (%v)", len(parts), parts)
+	if len(labels) != 3 || partition['b'] != partition['c'] || partition['a'] == partition['b'] {
+		t.Errorf("partitions = %d (a=%d b=%d c=%d)", len(labels), partition['a'], partition['b'], partition['c'])
 	}
 	anyNFA := mustNFA(t, "...")
-	if got := alphabetPartitions(anyNFA); len(got) != 1 {
+	if _, got := alphabetPartitions(anyNFA.classes()); len(got) != 1 {
 		t.Errorf("'.' partitions = %d", len(got))
 	}
 }

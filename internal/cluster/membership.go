@@ -52,7 +52,20 @@ type Membership struct {
 	suspectAfter time.Duration
 	deadAfter    time.Duration
 	m            map[string]*Member
+	// tombs remembers the last Seq of every member pruned as dead, so a
+	// peer that has not pruned it yet cannot relay the stale entry back
+	// in: only a higher Seq — the node itself announcing again —
+	// re-admits it. Entries age out after tombstoneLife × deadAfter, by
+	// when every peer has pruned the member too.
+	tombs map[string]tombstone
 }
+
+type tombstone struct {
+	seq  uint64
+	died time.Time
+}
+
+const tombstoneLife = 4
 
 // NewMembership returns a table for the given local node ID. A member
 // whose Seq has not advanced for suspectAfter is suspect (kept in the
@@ -64,11 +77,13 @@ func NewMembership(self string, suspectAfter, deadAfter time.Duration) *Membersh
 		suspectAfter: suspectAfter,
 		deadAfter:    deadAfter,
 		m:            map[string]*Member{},
+		tombs:        map[string]tombstone{},
 	}
 }
 
 // Merge folds a batch of announcements into the table, keeping each
-// member's highest-Seq entry. It returns the IDs whose Seq advanced
+// member's highest-Seq entry and ignoring entries at or below the Seq a
+// member was pruned at. It returns the IDs whose Seq advanced
 // (i.e. fresh information worth re-gossiping).
 func (ms *Membership) Merge(infos []MemberInfo, now time.Time) []string {
 	ms.mu.Lock()
@@ -80,6 +95,10 @@ func (ms *Membership) Merge(infos []MemberInfo, now time.Time) []string {
 		}
 		cur, ok := ms.m[in.ID]
 		if !ok {
+			if tomb, dead := ms.tombs[in.ID]; dead && in.Seq <= tomb.seq {
+				continue
+			}
+			delete(ms.tombs, in.ID)
 			ms.m[in.ID] = &Member{MemberInfo: in, State: StateAlive, LastSeen: now}
 			advanced = append(advanced, in.ID)
 			continue
@@ -109,10 +128,16 @@ func (ms *Membership) Prune(now time.Time) []string {
 		case age > ms.deadAfter:
 			dead = append(dead, id)
 			delete(ms.m, id)
+			ms.tombs[id] = tombstone{seq: m.Seq, died: now}
 		case age > ms.suspectAfter:
 			m.State = StateSuspect
 		default:
 			m.State = StateAlive
+		}
+	}
+	for id, tomb := range ms.tombs {
+		if now.Sub(tomb.died) > tombstoneLife*ms.deadAfter {
+			delete(ms.tombs, id)
 		}
 	}
 	sort.Strings(dead)

@@ -141,6 +141,16 @@ func (o *Options) setDefaults() {
 	}
 }
 
+// Canonical returns a stable serialization of the options with defaults
+// applied: two Options values that compile identically produce the same
+// canonical form. Parallelism never changes the output, so it is left
+// out.
+func (o Options) Canonical() string {
+	o.setDefaults()
+	return fmt.Sprintf("ut=%d|lbf=%d|mns=%d|mnu=%d|pol=%s",
+		o.UnfoldThreshold, o.LinearBudgetFactor, o.MaxNFAStates, o.MaxNBVAUnfolded, o.ModePolicy)
+}
+
 // DiagCode classifies one per-pattern compile outcome.
 type DiagCode string
 
@@ -202,6 +212,10 @@ type Compiled struct {
 	Index  int    // position in the input pattern list
 	Source string // original pattern text
 	Mode   Mode
+	// AST is the parsed pattern, for consumers that analyze the regex
+	// itself (refmatch's literal prefilter). Imported automata
+	// (FromNFAs) have none.
+	AST *regexast.Regex
 
 	NFA  *automata.NFA // ModeNFA
 	NBVA *nbva.Machine // ModeNBVA
@@ -309,7 +323,7 @@ func compilePattern(pattern string, opts Options) (*Compiled, DiagCode, error) {
 	if err != nil {
 		return nil, DiagParseError, err
 	}
-	c := &Compiled{Source: pattern}
+	c := &Compiled{Source: pattern, AST: re}
 	pol := opts.ModePolicy
 
 	// Route 1: NBVA.

@@ -147,3 +147,25 @@ func BenchmarkCompile(b *testing.B) {
 		})
 	}
 }
+
+// TestDatasetFingerprintsPinned pins the front-end's output on the seven
+// datasets (scale 1, seed 1): a refactor of parsing, rewriting, routing
+// or machine construction that changes any mode, size or decision trail
+// shows up here.
+func TestDatasetFingerprintsPinned(t *testing.T) {
+	want := map[string]string{
+		"RegexLib":     "3c023f6a7dc21d838cdad00c3a549e95536110b01e8ddd8ac1965eb205abda45",
+		"Prosite":      "ccc355162cb7480a4e9b9dbc711909c3feda7f192bb69da1940048c708bd5c4e",
+		"SpamAssassin": "0a00f4954233f620a870ca1274115d0ef7dc91623d91b646e204ef204ea0765f",
+		"Snort":        "f710f1c530fe9cfdd84782fd5fa1c1d9c782e15631659842c54f6cb021b06e02",
+		"Suricata":     "7c474f79e2e7524dcd401265aaadcb9bf1ee7e0718b46b8dfa0be65fcbc64a3c",
+		"Yara":         "c9e46025db1c8e56061a7a52d9291677dbb9b50a9520e6b85474699b1841dd30",
+		"ClamAV":       "541794755b34595c45f8f787b82bf3e67d58c958250c642810311bb216531d50",
+	}
+	for _, name := range workload.Names {
+		d := workload.MustGenerate(name, 1, 1)
+		if got := Compile(d.Patterns, Options{}).Fingerprint(); got != want[name] {
+			t.Errorf("%s: fingerprint %s, want %s", name, got, want[name])
+		}
+	}
+}

@@ -1,4 +1,4 @@
-package compile
+package compile_test
 
 import (
 	"context"
@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/automata"
+	"repro/internal/compile"
 	"repro/internal/refmatch"
 )
 
@@ -26,20 +27,20 @@ func countReports(nfa *automata.NFA, input []byte) int {
 }
 
 // shareAllNFA compiles everything as NFA and applies sharing.
-func shareAllNFA(t *testing.T, patterns []string) (*Result, *Result) {
+func shareAllNFA(t *testing.T, patterns []string) (*compile.Result, *compile.Result) {
 	t.Helper()
-	res := Compile(patterns, Options{ModePolicy: ForceNFA})
+	res := compile.Compile(patterns, compile.Options{ModePolicy: compile.ForceNFA})
 	if len(res.Errors) != 0 {
 		t.Fatal(res.Errors[0])
 	}
-	shared, err := ShareNFAPrefixes(res, Options{})
+	shared, err := compile.ShareNFAPrefixes(res, compile.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res, shared
 }
 
-func totalSTEs(res *Result) int {
+func totalSTEs(res *compile.Result) int {
 	n := 0
 	for i := range res.Regexes {
 		n += res.Regexes[i].STEs
@@ -105,8 +106,8 @@ func TestShareDuplicatePatternsReportTwice(t *testing.T) {
 }
 
 func TestShareAnchoredPassThrough(t *testing.T) {
-	res := Compile([]string{"^abc", "abd", "abe"}, Options{ModePolicy: ForceNFA})
-	shared, err := ShareNFAPrefixes(res, Options{})
+	res := compile.Compile([]string{"^abc", "abd", "abe"}, compile.Options{ModePolicy: compile.ForceNFA})
+	shared, err := compile.ShareNFAPrefixes(res, compile.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,16 +142,16 @@ func TestShareRespectsCapacity(t *testing.T) {
 }
 
 func TestShareMixedModesPassThrough(t *testing.T) {
-	res := Compile([]string{"abc", "x{100}", "a(b|c)*d"}, Options{})
-	shared, err := ShareNFAPrefixes(res, Options{})
+	res := compile.Compile([]string{"abc", "x{100}", "a(b|c)*d"}, compile.Options{})
+	shared, err := compile.ShareNFAPrefixes(res, compile.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	modes := map[Mode]int{}
+	modes := map[compile.Mode]int{}
 	for i := range shared.Regexes {
 		modes[shared.Regexes[i].Mode]++
 	}
-	if modes[ModeNBVA] != 1 || modes[ModeLNFA] != 1 || modes[ModeNFA] != 1 {
+	if modes[compile.ModeNBVA] != 1 || modes[compile.ModeLNFA] != 1 || modes[compile.ModeNFA] != 1 {
 		t.Errorf("modes = %v", modes)
 	}
 }

@@ -40,12 +40,6 @@ type Limits struct {
 	// CompileSlots is the compile-slot budget: the tenant's concurrently
 	// running ruleset compiles (POST/PUT programs). 0 = unlimited.
 	CompileSlots int `json:"compile_slots,omitempty"`
-	// Precompile opts the tenant into speculative pre-compilation: after
-	// a fresh compile, the service compiles the alternate ModePolicy
-	// variant of the same ruleset in the background (charged to this
-	// tenant), so a later policy switch is a cache hit — the lapidary
-	// "pre-compile all versions" question answered in the affirmative.
-	Precompile bool `json:"precompile,omitempty"`
 }
 
 // withDefaults normalizes a Limits value.
@@ -87,7 +81,7 @@ func (l Limits) validate() error {
 //	  "header": "X-RAP-Tenant",
 //	  "default": {"weight": 1, "scan_bytes_per_sec": 16777216},
 //	  "tenants": {
-//	    "gold":  {"weight": 4, "compile_slots": 4, "precompile": true},
+//	    "gold":  {"weight": 4, "compile_slots": 4},
 //	    "bronze": {"weight": 1, "scan_bytes_per_sec": 1048576, "max_sessions": 16}
 //	  }
 //	}

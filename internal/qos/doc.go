@@ -28,7 +28,7 @@
 // queues: under contention, scan bandwidth divides between backlogged
 // tenants in proportion to their weights (see internal/service/pool.go).
 //
-// Accounting (scans, bytes, matches, throttles, queue-wait latency,
-// speculative precompiles) is lock-free on the hot path and snapshotted
-// by /v1/stats and the rap_tenant_* series on /metrics.
+// Accounting (scans, bytes, matches, throttles, queue-wait latency) is
+// lock-free on the hot path and snapshotted by /v1/stats and the
+// rap_tenant_* series on /metrics.
 package qos

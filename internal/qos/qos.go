@@ -80,7 +80,6 @@ type Tenant struct {
 	scanBytes   metrics.Counter
 	scanMatches metrics.Counter
 	compileRuns metrics.Counter
-	precompiles metrics.Counter
 	cacheBytes  metrics.Gauge
 	queueWait   metrics.Histogram
 	shedRejects metrics.Counter             // admissions rejected while shed active
@@ -299,9 +298,6 @@ func (t *Tenant) AccountScan(nbytes, nmatches int) {
 	t.scanMatches.Add(int64(nmatches))
 }
 
-// AccountPrecompile counts one speculative background compile.
-func (t *Tenant) AccountPrecompile() { t.precompiles.Inc() }
-
 // ChargeCacheBytes adjusts the program-cache bytes charged to the
 // tenant (negative to uncharge on eviction).
 func (t *Tenant) ChargeCacheBytes(n int64) { t.cacheBytes.Add(n) }
@@ -326,7 +322,6 @@ type TenantSnapshot struct {
 	SessionsOpen      int                       `json:"sessions_open"`
 	CompilesInFlight  int                       `json:"compiles_in_flight"`
 	Compiles          int64                     `json:"compiles"`
-	Precompiles       int64                     `json:"precompiles"`
 	CacheBytes        int64                     `json:"cache_bytes"`
 	BucketLevelBytes  int64                     `json:"bucket_level_bytes"`
 	ShedScale         float64                   `json:"shed_scale"`
@@ -359,7 +354,6 @@ func (t *Tenant) Snapshot() TenantSnapshot {
 		SessionsOpen:      sessions,
 		CompilesInFlight:  compiles,
 		Compiles:          t.compileRuns.Value(),
-		Precompiles:       t.precompiles.Value(),
 		CacheBytes:        t.cacheBytes.Value(),
 		BucketLevelBytes:  level,
 		ShedScale:         shedScale,

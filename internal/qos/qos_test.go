@@ -205,7 +205,7 @@ func TestLoadFile(t *testing.T) {
 	if err := os.WriteFile(good, []byte(`{
 		"header": "X-Team",
 		"default": {"weight": 1, "scan_bytes_per_sec": 1048576},
-		"tenants": {"gold": {"weight": 4, "precompile": true}}
+		"tenants": {"gold": {"weight": 4, "compile_slots": 2}}
 	}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestLoadFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Header != "X-Team" || cfg.Tenants["gold"].Weight != 4 || !cfg.Tenants["gold"].Precompile {
+	if cfg.Header != "X-Team" || cfg.Tenants["gold"].Weight != 4 || cfg.Tenants["gold"].CompileSlots != 2 {
 		t.Errorf("cfg = %+v", cfg)
 	}
 

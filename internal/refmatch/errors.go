@@ -5,37 +5,6 @@ import (
 	"fmt"
 )
 
-// Stage names the compile phase a PatternError occurred in.
-type Stage string
-
-const (
-	// StageParse: the pattern is not valid regex syntax.
-	StageParse Stage = "parse"
-	// StageLinearize: the §4.2 rewriting failed for a Shift-And pattern.
-	StageLinearize Stage = "linearize"
-	// StageNBVA: bit-vector construction failed.
-	StageNBVA Stage = "nbva"
-	// StageNFA: Glushkov construction failed (typically the state cap).
-	StageNFA Stage = "nfa"
-)
-
-// PatternError is the typed per-pattern compile failure returned by
-// Compile. errors.As extracts it to recover the failing index and stage;
-// errors.Is sees through it to the root cause (regexast.ErrBudget,
-// regexast.ErrNotLinear, nbva.ErrNotCompilable, ...).
-type PatternError struct {
-	Index   int    // position in the compiled pattern list
-	Pattern string // original pattern text
-	Stage   Stage  // compile phase that failed
-	Err     error  // underlying cause
-}
-
-func (e *PatternError) Error() string {
-	return fmt.Sprintf("refmatch: pattern %d %q: %s: %v", e.Index, e.Pattern, e.Stage, e.Err)
-}
-
-func (e *PatternError) Unwrap() error { return e.Err }
-
 // ErrNotParallelizable reports that a pattern set cannot run on the
 // data-parallel (Simultaneous-FA) scan path and Session.ScanParallel
 // would not be byte-exact: the caller should fall back to the serial

@@ -1,0 +1,183 @@
+package refmatch
+
+import (
+	"context"
+	"math/rand"
+	"testing"
+
+	"repro/internal/automata"
+	"repro/internal/compile"
+	"repro/internal/regexast"
+	"repro/internal/workload"
+)
+
+// lowers reports whether engine e is the software lowering of Fig 9
+// mode m: LNFA -> Shift-And, NBVA -> NBVA, NFA -> NFA or its small-DFA
+// upgrade.
+func lowers(m compile.Mode, e Engine) bool {
+	switch m {
+	case compile.ModeLNFA:
+		return e == EngineShiftAnd
+	case compile.ModeNBVA:
+		return e == EngineNBVA
+	default:
+		return e == EngineNFA || e == EngineDFA
+	}
+}
+
+// TestEnginesLowerCompileModes: the matcher has no routing of its own —
+// every engine is the lowering of the mode internal/compile chose, on the
+// seven datasets and on the hand-written edges of the decision graph.
+func TestEnginesLowerCompileModes(t *testing.T) {
+	sets := map[string][]string{
+		"edges": {"^abc", "abc$", "a*", "ab{3}c", "ab{20}c", "a(bc|de){18}f", "(ab){20}c"},
+	}
+	for _, name := range workload.Names {
+		sets[name] = workload.MustGenerate(name, 1.0, 1).Patterns
+	}
+	for name, patterns := range sets {
+		opts := Options{}
+		res, err := compile.CompileContext(context.Background(), patterns, opts.FrontEnd())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := FromResult(res, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, e := range m.Engines() {
+			if mode := res.Regexes[i].Mode; !lowers(mode, e) {
+				t.Errorf("%s: %q compiled to mode %v but runs on engine %v", name, patterns[i], mode, e)
+			}
+		}
+	}
+	// The edges' routes, spelled out.
+	m, err := Compile(context.Background(), sets["edges"], Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Engine{EngineNFA, EngineNFA, EngineNFA, EngineShiftAnd, EngineNBVA, EngineDFA, EngineShiftAnd}
+	for i, e := range m.Engines() {
+		if e != want[i] {
+			t.Errorf("%q runs on %v, want %v", sets["edges"][i], e, want[i])
+		}
+	}
+}
+
+// TestFromResultImportedNFAs: compile.FromNFAs results carry no AST, so
+// lowering an NFA-mode entry must not look at one.
+func TestFromResultImportedNFAs(t *testing.T) {
+	nfa, err := automata.Glushkov(regexast.MustParse("a(b|c)*d"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := FromResult(compile.FromNFAs([]*automata.NFA{nfa}, nil), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Scan([]byte("xabcbdx")); len(got) != 1 || got[0] != (Match{Pattern: 0, End: 5}) {
+		t.Errorf("matches = %v", got)
+	}
+}
+
+// matchSet is a match list as a set: the engines report a pattern once
+// per final state (or packed sequence) that fires, the contract is about
+// which (pattern, end) pairs occur.
+func matchSet(ms []Match) map[Match]bool {
+	set := map[Match]bool{}
+	for _, m := range ms {
+		set[m] = true
+	}
+	return set
+}
+
+// FuzzModePolicyDifferential is the guard that a route choice can never
+// change the language: one pattern scanned by the all-routes matcher, by
+// the ForceNFA matcher and by the reference NFA simulator must yield the
+// same match set.
+func FuzzModePolicyDifferential(f *testing.F) {
+	seeds := []string{
+		"abc", "a|b", "a(b|c)d", "(a+)?b", "x(a|)y", "^abc$", "(?i)Ab[C-f]", "[^a-z]x",
+		"ab{10,48}c", "a{4,}b", "(ab)+c", "(ab){20}c", "a(bc|de){18}f", "ab{3}c", "a.{17}b",
+	}
+	for _, name := range []string{"Snort", "ClamAV", "Prosite", "SpamAssassin"} {
+		seeds = append(seeds, workload.MustGenerate(name, 0.1, 11).Patterns...)
+	}
+	r := rand.New(rand.NewSource(12))
+	for _, p := range seeds {
+		f.Add(p, string(workload.Exemplar(p, r))+"ab"+string(workload.Exemplar(p, r)))
+	}
+	f.Fuzz(func(t *testing.T, pattern, input string) {
+		if len(pattern) > 64 || len(input) > 1<<10 {
+			return
+		}
+		re, err := regexast.Parse(pattern)
+		if err != nil {
+			return
+		}
+		nfa, err := automata.Glushkov(re, 1024)
+		if err != nil {
+			return
+		}
+		data := []byte(input)
+		want := map[Match]bool{}
+		for _, end := range nfa.MatchEnds(data) {
+			if end >= 0 { // -1 is "matches before any input", never reported
+				want[Match{Pattern: 0, End: end}] = true
+			}
+		}
+		for _, policy := range []compile.ModePolicy{compile.PolicyDefault, compile.ForceNFA} {
+			m, err := Compile(context.Background(), []string{pattern}, Options{Options: compile.Options{ModePolicy: policy}})
+			if err != nil {
+				t.Fatalf("%q: reference NFA builds but policy %v does not compile: %v", pattern, policy, err)
+			}
+			got := matchSet(m.Scan(data))
+			if len(got) != len(want) {
+				t.Fatalf("%q on %q: policy %v (engine %v) reports %v, reference NFA %v",
+					pattern, input, policy, m.Engines()[0], got, want)
+			}
+			for k := range want {
+				if !got[k] {
+					t.Fatalf("%q on %q: policy %v (engine %v) reports %v, reference NFA %v",
+						pattern, input, policy, m.Engines()[0], got, want)
+				}
+			}
+		}
+	})
+}
+
+// TestCanonicalDistinguishesMachineOptions: every option that changes
+// the compiled machines changes the cache key; spelling out a default or
+// changing the worker count does not.
+func TestCanonicalDistinguishesMachineOptions(t *testing.T) {
+	base := Options{}.Canonical()
+	same := []Options{
+		{Options: compile.Options{UnfoldThreshold: 16, LinearBudgetFactor: 2, Parallelism: 3}},
+		{Options: compile.Options{MaxNFAStates: automata.DefaultMaxStates, ModePolicy: compile.AllowNBVA | compile.AllowLNFA}},
+		{DFAStateCap: 2048, SFAStateCap: 4096},
+	}
+	for _, o := range same {
+		if got := o.Canonical(); got != base {
+			t.Errorf("%+v: canonical %q, want the default %q", o, got, base)
+		}
+	}
+	seen := map[string]bool{base: true}
+	for _, o := range []Options{
+		{Options: compile.Options{UnfoldThreshold: 8}},
+		{Options: compile.Options{LinearBudgetFactor: 3}},
+		{Options: compile.Options{MaxNFAStates: 2048}},
+		{Options: compile.Options{MaxNBVAUnfolded: 1000}},
+		{Options: compile.Options{ModePolicy: compile.ForceNFA}},
+		{Options: compile.Options{ModePolicy: compile.AllowNBVA}},
+		{Options: compile.Options{ModePolicy: compile.AllowLNFA}},
+		{DFAStateCap: -1},
+		{DisablePrefilter: true},
+		{SFAStateCap: -1},
+	} {
+		key := o.Canonical()
+		if seen[key] {
+			t.Errorf("%+v: canonical %q collides with another option set", o, key)
+		}
+		seen[key] = true
+	}
+}

@@ -10,18 +10,20 @@
 //
 // Like Hyperscan, it is built around bit-parallel Shift-And for the linear
 // patterns (the majority in several benchmarks) and falls back to NBVA /
-// NFA bitset simulation for the rest.
+// NFA bitset simulation for the rest. It has no front-end of its own:
+// internal/compile parses, rewrites and routes every pattern through the
+// Fig 9 decision graph, and FromResult lowers each compiled mode onto its
+// software engine.
 //
 // # Typed errors
 //
 // Every failure the package returns is inspectable with errors.Is /
 // errors.As:
 //
-//   - Compile failures are *PatternError values naming the failing
-//     pattern index, its text and the compile Stage (StageParse,
-//     StageLinearize, StageNBVA, StageNFA); the underlying cause (for
-//     example regexast.ErrBudget) stays reachable through the Unwrap
-//     chain.
+//   - Compile failures are the front-end's *compile.Error values naming
+//     the failing pattern index, its text and a compile.DiagCode
+//     (DiagParseError, DiagCapacity); the underlying cause stays reachable
+//     through the Unwrap chain.
 //   - Session.ScanParallel ineligibility is a *ParallelizeError wrapping
 //     the ErrNotParallelizable sentinel and carrying a stable Reason
 //     token — one of ReasonDisabled, ReasonNBVAEngine, ReasonAnchored,
@@ -33,23 +35,18 @@
 //   - A ReasonStateCap failure additionally wraps
 //     automata.ErrStateCapExceeded, the typed subset-construction
 //     overflow also returned by automata.BuildDFA when a machine
-//     outgrows its DFA state cap. automata.ErrDFATooLarge is the
-//     historical alias for the same sentinel; errors.Is matches either
-//     name.
+//     outgrows its DFA state cap.
 package refmatch
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/automata"
+	"repro/internal/compile"
 	"repro/internal/nbva"
 	"repro/internal/prefilter"
-	"repro/internal/regexast"
 	"repro/internal/shiftand"
 )
 
@@ -81,17 +78,13 @@ func (e Engine) String() string {
 	}
 }
 
-// Options tunes compilation.
+// Options tunes compilation: the front-end options (Fig 9 routes,
+// thresholds, worker pool) plus the knobs of the software lowering.
 type Options struct {
-	// LinearBudgetFactor bounds LNFA rewriting blowup; patterns whose
-	// linearized form exceeds factor×states fall back to NFA/NBVA.
-	// Default 2 (Fig 9).
-	LinearBudgetFactor int
-	// UnfoldThreshold is the bound below which repetitions are unfolded
-	// instead of using bit vectors. Default 16.
-	UnfoldThreshold int
-	// MaxNFAStates caps NFA unfolding. Default automata.DefaultMaxStates.
-	MaxNFAStates int
+	// Options are handed to internal/compile, with one default of their
+	// own: a zero MaxNFAStates means automata.DefaultMaxStates, because a
+	// software NFA is not bound by the §3.3 per-array capacity.
+	compile.Options
 	// DFAStateCap bounds the materialized-DFA fast path for general
 	// patterns; patterns whose subset construction exceeds it run as
 	// NFAs. 0 means 2048; negative disables the DFA path.
@@ -107,25 +100,9 @@ type Options struct {
 	// fall back to the serial path with ErrNotParallelizable. 0 means
 	// 4096; negative disables parallel scanning for the matcher.
 	SFAStateCap int
-	// Parallelism bounds the per-pattern compile worker pool; 0 means
-	// runtime.GOMAXPROCS(0), 1 compiles serially. It never changes the
-	// compiled machines, so it is excluded from Canonical.
-	Parallelism int
-	// ForceNFA compiles every pattern on the NFA route (the paper's NFA
-	// mode): Shift-And linearization and NBVA bit vectors are skipped,
-	// so every machine is a Glushkov NFA (or its small-DFA fast path).
-	// The serving layer uses it as the alternate ruleset variant for
-	// speculative pre-compilation.
-	ForceNFA bool
 }
 
 func (o *Options) setDefaults() {
-	if o.LinearBudgetFactor == 0 {
-		o.LinearBudgetFactor = 2
-	}
-	if o.UnfoldThreshold == 0 {
-		o.UnfoldThreshold = 16
-	}
 	if o.MaxNFAStates == 0 {
 		o.MaxNFAStates = automata.DefaultMaxStates
 	}
@@ -137,6 +114,13 @@ func (o *Options) setDefaults() {
 	}
 }
 
+// FrontEnd returns the options Compile runs internal/compile with, for
+// callers that keep the compile.Result and lower it with FromResult.
+func (o Options) FrontEnd() compile.Options {
+	o.setDefaults()
+	return o.Options
+}
+
 // Canonical returns a stable serialization of the options with defaults
 // applied: two Options values that compile identically produce the same
 // canonical form. Program caches key on it together with the patterns.
@@ -146,12 +130,8 @@ func (o Options) Canonical() string {
 	if o.DisablePrefilter {
 		pf = 0
 	}
-	fn := 0
-	if o.ForceNFA {
-		fn = 1
-	}
-	return fmt.Sprintf("refmatch/v3|lbf=%d|ut=%d|mns=%d|dfa=%d|pf=%d|sfa=%d|fn=%d",
-		o.LinearBudgetFactor, o.UnfoldThreshold, o.MaxNFAStates, o.DFAStateCap, pf, o.SFAStateCap, fn)
+	return fmt.Sprintf("refmatch/v4|%s|dfa=%d|pf=%d|sfa=%d",
+		o.Options.Canonical(), o.DFAStateCap, pf, o.SFAStateCap)
 }
 
 // Match reports a pattern match ending at byte offset End of the scanned
@@ -163,8 +143,7 @@ type Match struct {
 
 // Matcher scans inputs against a compiled set of patterns.
 type Matcher struct {
-	patterns []string
-	engines  []Engine
+	engines []Engine
 
 	// Always-on Shift-And machine: linear patterns without a usable
 	// mandatory-literal set step every input byte.
@@ -205,99 +184,58 @@ type Matcher struct {
 	parErr  error
 }
 
-// built is the stage-1 output for one pattern: the chosen engine plus
-// its machines/analysis, ready for deterministic assembly. Each slot is
-// written by exactly one compile worker.
-type built struct {
-	engine  Engine
-	seqs    []shiftand.Pattern
-	lits    [][]byte // mandatory literal set; nil keeps the pattern always-on
-	verdict prefilter.Verdict
-	nbva    *nbva.Machine
-	nfa     *automata.NFA
-	dfa     *automata.DFA
-	err     error
+// Compile builds a matcher for the given patterns: the internal/compile
+// front-end followed by FromResult. The zero Options value means
+// defaults. A canceled ctx abandons the compile and returns ctx's error;
+// a pattern no open route can compile fails the whole set with its
+// *compile.Error.
+func Compile(ctx context.Context, patterns []string, opts Options) (*Matcher, error) {
+	res, err := compile.CompileContext(ctx, patterns, opts.FrontEnd())
+	if err != nil {
+		return nil, err
+	}
+	return FromResult(res, opts)
 }
 
-// Compile builds a matcher for the given patterns. The zero Options
-// value means defaults. Per-pattern work (parse → engine choice →
-// machine build → prefilter analysis) fans out across a bounded worker
-// pool (Options.Parallelism); the machines are then assembled serially
-// in pattern order, so the matcher is byte-identical at any parallelism.
-// A canceled ctx abandons the compile and returns ctx's error.
-//
-// Compile failures are typed: every one is a *PatternError naming the
-// pattern index and stage, with the underlying cause (for example
-// regexast.ErrBudget) reachable through errors.Is/errors.As.
-func Compile(ctx context.Context, patterns []string, opts Options) (*Matcher, error) {
+// FromResult lowers a compile.Result onto the software engines: LNFA
+// sequences pack into the Shift-And machines (behind the literal
+// prefilter when the pattern's AST has a mandatory literal set), NBVA
+// machines run as compiled, and NFAs run as bitset NFAs or — when small,
+// unanchored and ε-free — as a materialized DFA. The matcher is
+// all-or-nothing: the first per-pattern failure of res, in pattern
+// order, is returned as is.
+func FromResult(res *compile.Result, opts Options) (*Matcher, error) {
+	if len(res.Errors) > 0 {
+		return nil, res.Errors[0]
+	}
 	opts.setDefaults()
-	builds := make([]built, len(patterns))
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(patterns) {
-		workers = len(patterns)
-	}
-
-	// Stage 1: per-pattern builds, embarrassingly parallel.
-	if workers <= 1 {
-		for i, p := range patterns {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			builds[i] = buildPattern(p, i, opts)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for ctx.Err() == nil {
-					i := int(next.Add(1)) - 1
-					if i >= len(patterns) {
-						return
-					}
-					builds[i] = buildPattern(patterns[i], i, opts)
-				}
-			}()
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	// The matcher is all-or-nothing; report the first failure by pattern
-	// order (not worker completion order) so the error is deterministic.
-	for i := range builds {
-		if builds[i].err != nil {
-			return nil, builds[i].err
-		}
-	}
-
-	// Stage 2: serial assembly in pattern order.
 	m := &Matcher{
-		patterns: patterns,
-		engines:  make([]Engine, len(patterns)),
-		verdicts: make([]prefilter.Verdict, len(patterns)),
+		engines:  make([]Engine, len(res.Regexes)),
+		verdicts: make([]prefilter.Verdict, len(res.Regexes)),
 		opts:     opts,
 	}
 	var saPats, saFastPats []shiftand.Pattern
 	var pfLits [][]byte
 	pfWindow := 0
-	for i := range builds {
-		b := &builds[i]
-		m.engines[i] = b.engine
-		switch b.engine {
-		case EngineShiftAnd:
-			m.verdicts[i] = b.verdict
-			for _, s := range b.seqs {
+	for i := range res.Regexes {
+		c := &res.Regexes[i]
+		switch c.Mode {
+		case compile.ModeLNFA:
+			m.engines[i] = EngineShiftAnd
+			// Fast-path decision: a pattern with a mandatory literal set
+			// joins the prefiltered machine; the rest stay always-on.
+			var lits [][]byte
+			if opts.DisablePrefilter {
+				m.verdicts[i] = prefilter.Verdict{Reason: "prefilter disabled by options"}
+			} else {
+				lits, m.verdicts[i] = prefilter.Analyze(c.AST.Root)
+			}
+			for _, seq := range c.Seqs {
+				s := shiftand.Pattern(seq.Classes)
 				if len(s) > m.saMaxLen {
 					m.saMaxLen = len(s)
 				}
-				if b.lits != nil {
+				if lits != nil {
 					saFastPats = append(saFastPats, s)
 					m.saFastPattern = append(m.saFastPattern, i)
 					if len(s) > pfWindow {
@@ -308,23 +246,30 @@ func Compile(ctx context.Context, patterns []string, opts Options) (*Matcher, er
 					m.saPattern = append(m.saPattern, i)
 				}
 			}
-			pfLits = append(pfLits, b.lits...)
-		case EngineNBVA:
-			m.nbvas = append(m.nbvas, b.nbva)
+			pfLits = append(pfLits, lits...)
+		case compile.ModeNBVA:
+			m.engines[i] = EngineNBVA
+			m.nbvas = append(m.nbvas, c.NBVA)
 			m.nbvaIdx = append(m.nbvaIdx, i)
-		case EngineDFA:
-			m.dfas = append(m.dfas, b.dfa)
-			m.dfaIdx = append(m.dfaIdx, i)
-			m.dfaNFAs = append(m.dfaNFAs, b.nfa)
-		case EngineNFA:
-			m.nfas = append(m.nfas, b.nfa)
+		case compile.ModeNFA:
+			nfa := c.NFA
+			// Fast path: a small streaming DFA, when constructible and the
+			// pattern has no anchoring or empty-match subtleties.
+			if opts.DFAStateCap > 0 && !nfa.StartAnchored && !nfa.EndAnchored && !nfa.MatchesEmpty {
+				if dfa, err := automata.BuildDFA(nfa, opts.DFAStateCap); err == nil {
+					m.engines[i] = EngineDFA
+					m.dfas = append(m.dfas, dfa)
+					m.dfaIdx = append(m.dfaIdx, i)
+					m.dfaNFAs = append(m.dfaNFAs, nfa)
+					break
+				}
+			}
+			m.engines[i] = EngineNFA
+			m.nfas = append(m.nfas, nfa)
 			m.nfaIdx = append(m.nfaIdx, i)
 		}
-	}
-	// Non-Shift-And engines step every byte; record that as the verdict
-	// after the final engine decision (the NFA->DFA upgrade included).
-	for i, e := range m.engines {
-		if e != EngineShiftAnd {
+		// Non-Shift-And engines step every byte.
+		if e := m.engines[i]; e != EngineShiftAnd {
 			m.verdicts[i] = prefilter.Verdict{Reason: "engine " + e.String() + " is always-on"}
 		}
 	}
@@ -358,85 +303,6 @@ func Compile(ctx context.Context, patterns []string, opts Options) (*Matcher, er
 	return m, nil
 }
 
-// buildPattern runs the per-pattern half of compilation: parse, engine
-// choice, machine construction and prefilter analysis. It is pure, which
-// is what makes the stage-1 fan-out safe.
-func buildPattern(p string, i int, opts Options) built {
-	re, err := regexast.Parse(p)
-	if err != nil {
-		return built{err: &PatternError{Index: i, Pattern: p, Stage: StageParse, Err: err}}
-	}
-	b := built{engine: choose(re, opts)}
-	switch b.engine {
-	case EngineShiftAnd:
-		seqs, err := regexast.Linearize(re.Root, opts.LinearBudgetFactor*re.Root.States())
-		if err != nil {
-			return built{err: &PatternError{Index: i, Pattern: p, Stage: StageLinearize, Err: err}}
-		}
-		for _, s := range seqs {
-			b.seqs = append(b.seqs, shiftand.Pattern(s))
-		}
-		// Fast-path decision: a pattern with a mandatory literal set
-		// joins the prefiltered machine; the rest stay always-on.
-		if opts.DisablePrefilter {
-			b.verdict = prefilter.Verdict{Reason: "prefilter disabled by options"}
-		} else {
-			b.lits, b.verdict = prefilter.Analyze(re.Root)
-		}
-	case EngineNBVA:
-		root := regexast.SplitMinMax(regexast.UnfoldThreshold(re.Root, opts.UnfoldThreshold))
-		mach, err := nbva.ConstructFromNode(root)
-		if err != nil {
-			return built{err: &PatternError{Index: i, Pattern: p, Stage: StageNBVA, Err: err}}
-		}
-		mach.StartAnchored = re.StartAnchored
-		mach.EndAnchored = re.EndAnchored
-		b.nbva = mach
-	case EngineNFA, EngineDFA:
-		nfa, err := automata.Glushkov(re, opts.MaxNFAStates)
-		if err != nil {
-			return built{err: &PatternError{Index: i, Pattern: p, Stage: StageNFA, Err: err}}
-		}
-		// Fast path: a small streaming DFA, when constructible and the
-		// pattern has no anchoring or empty-match subtleties.
-		if opts.DFAStateCap > 0 && !re.StartAnchored && !re.EndAnchored && !nfa.MatchesEmpty {
-			if dfa, err := automata.BuildDFA(nfa, opts.DFAStateCap); err == nil {
-				b.engine = EngineDFA
-				b.dfa = dfa
-				b.nfa = nfa // the SFA union construction rebuilds from it
-				return b
-			}
-		}
-		b.engine = EngineNFA
-		b.nfa = nfa
-	}
-	return b
-}
-
-// choose mirrors the Fig 9 decision graph at the software level: linear
-// patterns (within budget, not anchored — anchoring is cheap in NFA form
-// but Shift-And here is unanchored) go to Shift-And; bounded repetitions
-// above the threshold go to NBVA; the rest to NFA.
-func choose(re *regexast.Regex, opts Options) Engine {
-	if opts.ForceNFA {
-		return EngineNFA
-	}
-	if !re.StartAnchored && !re.EndAnchored && !regexast.Nullable(re.Root) {
-		if _, err := regexast.Linearize(re.Root, opts.LinearBudgetFactor*re.Root.States()); err == nil {
-			return EngineShiftAnd
-		}
-	}
-	if regexast.MaxRepeatBound(re.Root) > opts.UnfoldThreshold {
-		// Only class-level repetitions compile to BVs; composite ones
-		// would fail construction, so verify cheaply.
-		root := regexast.SplitMinMax(regexast.UnfoldThreshold(re.Root, opts.UnfoldThreshold))
-		if _, err := nbva.ConstructFromNode(root); err == nil {
-			return EngineNBVA
-		}
-	}
-	return EngineNFA
-}
-
 // Engines returns the engine chosen for each pattern.
 func (m *Matcher) Engines() []Engine { return m.engines }
 
@@ -459,7 +325,7 @@ func (m *Matcher) PrefilterTier() string {
 }
 
 // NumPatterns returns the number of compiled patterns.
-func (m *Matcher) NumPatterns() int { return len(m.patterns) }
+func (m *Matcher) NumPatterns() int { return len(m.engines) }
 
 // Scan runs every pattern over input and returns all matches in stream
 // order (by end offset, then pattern index order within an offset is not
@@ -489,7 +355,3 @@ func (m *Matcher) scan(input []byte, emit func(pattern, end int)) {
 	s := m.NewSession()
 	s.feed(input, len(input)-1, emit)
 }
-
-// ErrNoPatterns is returned by MatchersFromMixed helpers when the pattern
-// list is empty.
-var ErrNoPatterns = errors.New("refmatch: no patterns")

@@ -8,6 +8,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/compile"
 )
 
 func TestEngineSelection(t *testing.T) {
@@ -85,20 +87,24 @@ func TestCompileError(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected parse error")
 	}
-	var pe *PatternError
+	var pe *compile.Error
 	if !errors.As(err, &pe) {
-		t.Fatalf("err = %T %v, want *PatternError", err, err)
+		t.Fatalf("err = %T %v, want *compile.Error", err, err)
 	}
-	if pe.Index != 1 || pe.Pattern != "(" || pe.Stage != StageParse {
-		t.Errorf("pattern error = %+v, want index 1 pattern ( stage parse", pe)
+	if pe.Index != 1 || pe.Pattern != "(" || pe.Code != compile.DiagParseError {
+		t.Errorf("pattern error = %+v, want index 1 pattern ( code parse_error", pe)
 	}
 	// The first failing pattern (by index) is reported even when the
 	// per-pattern builds fan out across workers.
-	_, err = Compile(context.Background(), []string{"ok", "(", ")"}, Options{Parallelism: 4})
+	_, err = Compile(context.Background(), []string{"ok", "(", ")"}, parallelism(4))
 	pe = nil
 	if !errors.As(err, &pe) || pe.Index != 1 {
-		t.Errorf("parallel compile error = %v, want *PatternError at index 1", err)
+		t.Errorf("parallel compile error = %v, want *compile.Error at index 1", err)
 	}
+}
+
+func parallelism(workers int) Options {
+	return Options{Options: compile.Options{Parallelism: workers}}
 }
 
 // TestCompileParallelismEquivalent: the worker count is a throughput
@@ -107,12 +113,12 @@ func TestCompileError(t *testing.T) {
 func TestCompileParallelismEquivalent(t *testing.T) {
 	pats := sessionTestPatterns
 	input := []byte("the cat abbbbbbbbbbbbc dddg axyb start end")
-	serial, err := Compile(context.Background(), pats, Options{Parallelism: 1})
+	serial, err := Compile(context.Background(), pats, parallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		par, err := Compile(context.Background(), pats, Options{Parallelism: workers})
+		par, err := Compile(context.Background(), pats, parallelism(workers))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/bitstream"
+	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/refmatch"
@@ -19,9 +20,8 @@ const (
 	// for the rest.
 	ModePolicyAll = "all"
 	// ModePolicyForceNFA compiles every pattern on the NFA route — the
-	// paper's NFA mode. It trades scan speed for the most uniform
-	// machine shape, and is the alternate variant built by speculative
-	// pre-compilation.
+	// paper's NFA mode (compile.ForceNFA). It trades scan speed for the
+	// most uniform machine shape.
 	ModePolicyForceNFA = "force_nfa"
 )
 
@@ -36,8 +36,7 @@ type CompileOptions struct {
 	SFAStateCap        int  `json:"sfa_state_cap,omitempty"`
 	// ModePolicy selects the open engine routes: "" or "all" (default,
 	// every route) or "force_nfa" (NFA mode only). Distinct policies
-	// compile to distinct cached programs, so a tenant can hold both
-	// variants of one ruleset — see qos.Limits.Precompile.
+	// compile to distinct cached programs.
 	ModePolicy string `json:"mode_policy,omitempty"`
 }
 
@@ -51,33 +50,45 @@ func (o CompileOptions) validate() error {
 		o.ModePolicy, ModePolicyAll, ModePolicyForceNFA)
 }
 
-// altVariant returns the same options under the other ModePolicy — the
-// ruleset version speculative pre-compilation builds in the background.
-func (o CompileOptions) altVariant() CompileOptions {
-	if o.ModePolicy == ModePolicyForceNFA {
-		o.ModePolicy = ModePolicyAll
-	} else {
-		o.ModePolicy = ModePolicyForceNFA
+// options is the one conversion from the wire form to the compiler's
+// option type; the front-end half is its embedded compile.Options.
+func (o CompileOptions) options() refmatch.Options {
+	ro := refmatch.Options{
+		Options: compile.Options{
+			UnfoldThreshold:    o.UnfoldThreshold,
+			LinearBudgetFactor: o.LinearBudgetFactor,
+			MaxNFAStates:       o.MaxNFAStates,
+		},
+		DFAStateCap:      o.DFAStateCap,
+		DisablePrefilter: o.DisablePrefilter,
+		SFAStateCap:      o.SFAStateCap,
 	}
-	return o
+	if o.ModePolicy == ModePolicyForceNFA {
+		ro.ModePolicy = compile.ForceNFA
+	}
+	return ro
 }
 
-func (o CompileOptions) refmatch() refmatch.Options {
-	return refmatch.Options{
-		LinearBudgetFactor: o.LinearBudgetFactor,
-		UnfoldThreshold:    o.UnfoldThreshold,
-		MaxNFAStates:       o.MaxNFAStates,
-		DFAStateCap:        o.DFAStateCap,
-		DisablePrefilter:   o.DisablePrefilter,
-		SFAStateCap:        o.SFAStateCap,
-		ForceNFA:           o.ModePolicy == ModePolicyForceNFA,
+// build runs the compiler front-end once over patterns and lowers its
+// Result onto the software matcher. The Result comes back too: it is
+// what the deployment image is mapped from (buildImage).
+func build(ctx context.Context, patterns []string, opts CompileOptions) (*refmatch.Matcher, *compile.Result, error) {
+	ro := opts.options()
+	res, err := compile.CompileContext(ctx, patterns, ro.FrontEnd())
+	if err != nil {
+		return nil, nil, err
 	}
+	m, err := refmatch.FromResult(res, ro)
+	if err != nil {
+		return nil, nil, err
+	}
+	return m, res, nil
 }
 
 // programKey is the content hash identifying a compiled program: same
 // patterns in the same order with equivalent options → same key.
 func programKey(patterns []string, opts CompileOptions) string {
-	return core.HashStrings(opts.refmatch().Canonical(), patterns...)
+	return core.HashStrings(opts.options().Canonical(), patterns...)
 }
 
 // ProgramKey returns the content-hash program ID that Compile would
@@ -108,10 +119,14 @@ type Program struct {
 	Owner    string
 	MemBytes int64
 
-	// hwImg is the deployment bitstream for Patterns/Opts, built on first
-	// use (Update diffs against it to produce the delta bitstream).
+	// hwImg is the deployment bitstream of the program (Update diffs
+	// against it to produce the delta bitstream). It is built on first
+	// use from hwRes, the compile the Matcher was lowered from, which is
+	// released once the image (or the reason there is none) is known.
 	hwMu  sync.Mutex
+	hwRes *compile.Result
 	hwImg *bitstream.Image
+	hwErr error
 
 	// sessPool recycles refmatch.Sessions across one-shot scans and
 	// closed streams: all per-flow scratch (Shift-And state words, NBVA
@@ -157,14 +172,11 @@ func (p *Program) putSession(s *refmatch.Session) { p.sessPool.Put(s) }
 func (p *Program) hwImage() (*bitstream.Image, error) {
 	p.hwMu.Lock()
 	defer p.hwMu.Unlock()
-	if p.hwImg == nil {
-		img, err := buildImage(context.Background(), p.Patterns, p.Opts)
-		if err != nil {
-			return nil, err
-		}
-		p.hwImg = img
+	if p.hwRes != nil {
+		p.hwImg, p.hwErr = buildImage(p.hwRes)
+		p.hwRes = nil
 	}
-	return p.hwImg, nil
+	return p.hwImg, p.hwErr
 }
 
 // ProgramStats is the JSON snapshot of one program's counters.

@@ -277,43 +277,6 @@ func TestStatsQoSBlockAndTenantMetrics(t *testing.T) {
 	}
 }
 
-// TestSpeculativePrecompile checks an opt-in tenant's fresh compile
-// spawns a background build of the alternate ModePolicy variant: both
-// variants end up cached (the policy switch is then a cache hit), the
-// precompile is accounted to the tenant, and both programs' memory is
-// charged to it.
-func TestSpeculativePrecompile(t *testing.T) {
-	svc := New(Config{QoS: qos.Config{Tenants: map[string]qos.Limits{
-		"gold": {Precompile: true},
-	}}})
-	defer svc.Close()
-	ctx := qos.WithTenant(context.Background(), "gold")
-	prog, hit, err := svc.Compile(ctx, []string{"ab{2,8}c", "needle"}, CompileOptions{})
-	if err != nil || hit {
-		t.Fatalf("compile: hit=%v err=%v", hit, err)
-	}
-	svc.specWG.Wait()
-
-	if n := svc.cache.len(); n != 2 {
-		t.Fatalf("cached programs = %d, want 2 (deployed + speculative variant)", n)
-	}
-	alt, altHit, err := svc.Compile(ctx, []string{"ab{2,8}c", "needle"},
-		CompileOptions{ModePolicy: ModePolicyForceNFA})
-	if err != nil || !altHit {
-		t.Fatalf("variant compile should be a cache hit: hit=%v err=%v", altHit, err)
-	}
-	if alt.ID == prog.ID {
-		t.Fatal("force_nfa variant hashed to the same program ID as the default policy")
-	}
-	snap := svc.qosReg.Tenant("gold").Snapshot()
-	if snap.Precompiles != 1 {
-		t.Fatalf("tenant precompiles = %d, want 1", snap.Precompiles)
-	}
-	if snap.CacheBytes != prog.MemBytes+alt.MemBytes {
-		t.Fatalf("tenant cache charge = %d, want %d (both variants)", snap.CacheBytes, prog.MemBytes+alt.MemBytes)
-	}
-}
-
 // TestCompileOptionsValidate checks unknown mode policies are rejected
 // before compiling.
 func TestCompileOptionsValidate(t *testing.T) {

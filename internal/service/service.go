@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/compile"
 	"repro/internal/metrics"
 	"repro/internal/prefilter"
 	"repro/internal/qos"
@@ -119,10 +120,6 @@ type Service struct {
 	sloCtl    *slo.Controller
 	health    *slo.Scorer
 
-	// specWG tracks in-flight speculative pre-compiles (qos Precompile
-	// tenants); Close waits for them before stopping the pools.
-	specWG sync.WaitGroup
-
 	mu       sync.Mutex
 	sessions map[string]*session
 
@@ -150,7 +147,6 @@ type Service struct {
 	scanMatches *metrics.Counter
 	opened      *metrics.Counter
 	closedCount *metrics.Counter
-	precompiles *metrics.Counter // speculative ModePolicy-variant compiles
 
 	// Prefilter fast-path counters, aggregated across all programs.
 	pfScanned *metrics.Counter
@@ -278,11 +274,9 @@ func (s *Service) reconfigHealthProbe() slo.Probe {
 	}
 }
 
-// Close stops the worker pools. Outstanding queued tasks are drained;
-// in-flight speculative pre-compiles are waited for first.
+// Close stops the worker pools. Outstanding queued tasks are drained.
 func (s *Service) Close() {
 	s.sloCtl.Stop()
-	s.specWG.Wait()
 	s.pool.close()
 	s.compilers.close()
 }
@@ -355,20 +349,11 @@ func (s *Service) Compile(ctx context.Context, patterns []string, opts CompileOp
 	}
 	tr := telemetry.TraceFromContext(ctx)
 	ten := s.tenant(ctx)
-	prog, hit, err := s.compileProgram(ctx, tr, ten, patterns, opts)
-	if err == nil && !hit {
-		s.maybePrecompile(ten, patterns, opts)
-	}
-	return prog, hit, err
-}
-
-// compileProgram is the cache-or-compile core shared by Compile and the
-// speculative pre-compile path. A fresh compile holds one of ten's
-// compile slots for its duration, and the resulting program is owned by
-// (and its modeled memory charged to) ten until eviction.
-func (s *Service) compileProgram(ctx context.Context, tr *telemetry.Trace, ten *qos.Tenant, patterns []string, opts CompileOptions) (*Program, bool, error) {
 	key := programKey(patterns, opts)
 	lookup := time.Now()
+	// A fresh compile holds one of the tenant's compile slots for its
+	// duration, and the resulting program is owned by (and its modeled
+	// memory charged to) the tenant until eviction.
 	prog, hit, err := s.cache.getOrCompile(key, func() (*Program, error) {
 		if err := ten.AcquireCompile(); err != nil {
 			return nil, err
@@ -376,11 +361,12 @@ func (s *Service) compileProgram(ctx context.Context, tr *telemetry.Trace, ten *
 		defer ten.ReleaseCompile()
 		var (
 			m    *refmatch.Matcher
+			res  *compile.Result
 			cerr error
 		)
 		if err := s.runCompile(tr, func() {
 			compileStart := time.Now()
-			m, cerr = refmatch.Compile(ctx, patterns, opts.refmatch())
+			m, res, cerr = build(ctx, patterns, opts)
 			if cerr == nil {
 				s.observeStage(s.stageCompile, tr, "compile", compileStart)
 			}
@@ -398,6 +384,7 @@ func (s *Service) compileProgram(ctx context.Context, tr *telemetry.Trace, ten *
 			Opts:      opts,
 			Owner:     ten.Name(),
 			MemBytes:  memEstimate(patterns),
+			hwRes:     res,
 		}
 		ten.ChargeCacheBytes(p.MemBytes)
 		return p, nil
@@ -406,29 +393,6 @@ func (s *Service) compileProgram(ctx context.Context, tr *telemetry.Trace, ten *
 		s.observeStage(s.stageCacheLookup, tr, "cache_lookup", lookup)
 	}
 	return prog, hit, err
-}
-
-// maybePrecompile kicks off a background compile of the alternate
-// ModePolicy variant for tenants that opted in (qos.Limits.Precompile):
-// after a fresh deploy, the other engine-route version of the same
-// ruleset is already warm in the cache when the tenant switches policy.
-// The build runs on the compile pool under the tenant's compile-slot
-// budget and cache accounting like any foreground compile; failures
-// (including slot exhaustion) are silent — it is purely an optimization.
-func (s *Service) maybePrecompile(ten *qos.Tenant, patterns []string, opts CompileOptions) {
-	if !ten.Limits().Precompile {
-		return
-	}
-	alt := opts.altVariant()
-	s.specWG.Add(1)
-	go func() {
-		defer s.specWG.Done()
-		ctx := context.Background()
-		if _, hit, err := s.compileProgram(ctx, telemetry.TraceFromContext(ctx), ten, patterns, alt); err == nil && !hit {
-			ten.AccountPrecompile()
-			s.precompiles.Inc()
-		}
-	}()
 }
 
 // Program returns a cached program by ID.
@@ -790,13 +754,11 @@ type SLOStats struct {
 	ShedLevel        float64               `json:"shed_level"`
 }
 
-// QoSStats is the /v1/stats qos block: the identity header in force,
-// the count of speculative pre-compiles, and one snapshot per tenant
-// the service has seen.
+// QoSStats is the /v1/stats qos block: the identity header in force
+// and one snapshot per tenant the service has seen.
 type QoSStats struct {
-	Header      string               `json:"header"`
-	Precompiles int64                `json:"precompiles"`
-	Tenants     []qos.TenantSnapshot `json:"tenants"`
+	Header  string               `json:"header"`
+	Tenants []qos.TenantSnapshot `json:"tenants"`
 }
 
 // SFAStats aggregates the data-parallel scan path: how many one-shot
@@ -883,9 +845,8 @@ func (s *Service) Stats() Stats {
 		},
 		SFA: s.sfaStats(),
 		QoS: QoSStats{
-			Header:      s.qosReg.Header(),
-			Precompiles: s.precompiles.Value(),
-			Tenants:     s.qosReg.Snapshot(),
+			Header:  s.qosReg.Header(),
+			Tenants: s.qosReg.Snapshot(),
 		},
 		SLO: SLOStats{
 			Objectives:       s.sloEng.Statuses(),

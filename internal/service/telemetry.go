@@ -114,8 +114,7 @@ func (s *Service) registerMetrics() {
 	})
 	telemetry.RegisterBuildInfo(r)
 
-	// Multi-tenant QoS: speculative pre-compiles plus per-tenant series.
-	s.precompiles = r.Counter("rap_precompiles_total", "Speculative ModePolicy-variant pre-compiles completed.")
+	// Multi-tenant QoS: per-tenant series.
 	r.Collect(func(c *telemetry.Collector) {
 		for _, ts := range s.qosReg.Snapshot() {
 			lbl := telemetry.L("tenant", ts.Name)
@@ -123,7 +122,6 @@ func (s *Service) registerMetrics() {
 			c.Counter("rap_tenant_scan_bytes_total", "Bytes scanned per tenant.", float64(ts.ScanBytes), lbl)
 			c.Counter("rap_tenant_scan_matches_total", "Matches reported per tenant.", float64(ts.ScanMatches), lbl)
 			c.Counter("rap_tenant_compiles_total", "Ruleset compiles run per tenant.", float64(ts.Compiles), lbl)
-			c.Counter("rap_tenant_precompiles_total", "Speculative variant pre-compiles per tenant.", float64(ts.Precompiles), lbl)
 			for res, n := range ts.Throttled {
 				c.Counter("rap_tenant_throttled_total", "Admissions rejected per tenant, by resource.",
 					float64(n), lbl, telemetry.L("resource", res))

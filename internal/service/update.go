@@ -35,27 +35,10 @@ type UpdateResult struct {
 	ModelLatencyUS   float64 `json:"model_latency_us"`
 }
 
-// buildImage runs the hardware half of the pipeline — compile, map,
-// bitstream — for a pattern set, producing the deployment image the
-// reconfiguration delta is computed over. Cancelling ctx abandons the
-// compile between patterns.
-func buildImage(ctx context.Context, patterns []string, opts CompileOptions) (*bitstream.Image, error) {
-	var policy compile.ModePolicy
-	if opts.ModePolicy == ModePolicyForceNFA {
-		policy = compile.ForceNFA
-	}
-	res, err := compile.CompileContext(ctx, patterns, compile.Options{
-		UnfoldThreshold:    opts.UnfoldThreshold,
-		LinearBudgetFactor: opts.LinearBudgetFactor,
-		MaxNFAStates:       opts.MaxNFAStates,
-		ModePolicy:         policy,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(res.Errors) != 0 {
-		return nil, res.Errors[0]
-	}
+// buildImage runs the hardware half of the pipeline — map, bitstream —
+// over a compiled ruleset, producing the deployment image the
+// reconfiguration delta is computed over.
+func buildImage(res *compile.Result) (*bitstream.Image, error) {
 	p, err := mapper.Map(res, mapper.Options{})
 	if err != nil {
 		return nil, err
@@ -72,11 +55,11 @@ func buildImage(ctx context.Context, patterns []string, opts CompileOptions) (*b
 // from the moment Update returns. This mirrors the hardware semantics of
 // SimulateRAPReconfig: no automaton state migrates across the swap.
 //
-// The expensive half — compiling the new ruleset and building its
-// deployment image — runs on the dedicated compile pool with no service
-// lock held, so concurrent scans and streams proceed untouched while the
-// replacement builds. Only the diff and the pointer swap are serialized
-// under the update lock.
+// The expensive half — compiling the new ruleset once, for both the
+// matcher and its deployment image — runs on the dedicated compile pool
+// with no service lock held, so concurrent scans and streams proceed
+// untouched while the replacement builds. Only the diff and the pointer
+// swap are serialized under the update lock.
 func (s *Service) Update(ctx context.Context, programID string, patterns []string, opts CompileOptions) (*UpdateResult, error) {
 	if len(patterns) == 0 {
 		return nil, fmt.Errorf("service: empty pattern list")
@@ -106,13 +89,14 @@ func (s *Service) Update(ctx context.Context, programID string, patterns []strin
 	)
 	if err := s.runCompile(tr, func() {
 		compileStart := time.Now()
-		m, cerr = refmatch.Compile(ctx, patterns, opts.refmatch())
+		var res *compile.Result
+		m, res, cerr = build(ctx, patterns, opts)
 		if cerr != nil {
 			return
 		}
 		s.observeStage(s.stageCompile, tr, "compile", compileStart)
 		imageEnd := tr.StartSpan("image_build")
-		newImg, cerr = buildImage(ctx, patterns, opts)
+		newImg, cerr = buildImage(res)
 		imageEnd()
 		if cerr != nil {
 			cerr = fmt.Errorf("service: new deployment image: %w", cerr)

@@ -10,6 +10,10 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+
+	"repro/internal/mapper"
+	"repro/internal/refmatch"
+	"repro/internal/workload"
 )
 
 func TestUpdateHotSwap(t *testing.T) {
@@ -293,5 +297,92 @@ func TestHTTPUpdate(t *testing.T) {
 	req, _ = http.NewRequest(http.MethodPut, srv.URL+"/programs/"+prog.ID, bytes.NewReader(bad))
 	if resp, err := http.DefaultClient.Do(req); err != nil || resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad pattern: %v %v", resp.StatusCode, err)
+	}
+}
+
+// TestOversizeNFAScansButDoesNotDeploy: the one compile behind a program
+// serves both the software matcher and the deployment image, and only
+// the image is bound by the fabric's per-array capacity. (a|bc){1500}x
+// is a 4501-state NFA: it compiles and scans, and Update refuses it —
+// as the new ruleset and as the ruleset to diff against — because the
+// mapper cannot place it.
+func TestOversizeNFAScansButDoesNotDeploy(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	ctx := context.Background()
+	big := []string{"(a|bc){1500}x"}
+	bigProg, _, err := s.Compile(ctx, big, CompileOptions{})
+	if err != nil {
+		t.Fatalf("oversize NFA must stay servable in software: %v", err)
+	}
+	body := append(bytes.Repeat([]byte("abc"), 1000), 'x')
+	if ms, err := s.Scan(ctx, bigProg.ID, body); err != nil || len(ms) != 1 || ms[0].End != len(body)-1 {
+		t.Fatalf("scan: ms=%v err=%v", ms, err)
+	}
+	small, _, err := s.Compile(ctx, []string{"cat"}, CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Update(ctx, small.ID, big, CompileOptions{}); !errors.Is(err, mapper.ErrUnmappable) {
+		t.Errorf("update to an oversize ruleset: err = %v, want mapper.ErrUnmappable", err)
+	}
+	if _, err := s.Update(ctx, bigProg.ID, []string{"cat"}, CompileOptions{}); !errors.Is(err, mapper.ErrUnmappable) {
+		t.Errorf("update from an oversize ruleset: err = %v, want mapper.ErrUnmappable", err)
+	}
+	if bigProg.hwRes != nil {
+		t.Error("compile result retained after the image build was attempted")
+	}
+	if st := s.Stats(); st.Reconfig.Updates != 0 {
+		t.Errorf("refused updates counted: %d", st.Reconfig.Updates)
+	}
+}
+
+// TestUpdateResultPinned pins the modeled cost of one Snort@0.2 swap
+// (every tenth pattern replaced, then restored) to the figures the
+// two-compiler pipeline produced: the image is built from the same
+// Result the matcher is lowered from, and it is the same image.
+func TestUpdateResultPinned(t *testing.T) {
+	d := workload.MustGenerate("Snort", 0.2, 1)
+	other := workload.MustGenerate("Snort", 0.2, 2)
+	swapped := append([]string(nil), d.Patterns...)
+	for i := 0; i < len(swapped); i += 10 {
+		swapped[i] = other.Patterns[i]
+	}
+	s := New(Config{})
+	defer s.Close()
+	ctx := context.Background()
+	prog, _, err := s.Compile(ctx, d.Patterns, CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []UpdateResult{
+		{ProgramID: prog.ID, Generation: 1, NumPatterns: 30, DeltaBytes: 8334, FullImageBytes: 153930,
+			DeltaRecords: 586, ArraysTouched: 3, ArraysUntouched: 0, ReloadCycles: 393, FullReloadCycles: 9376,
+			StallCycles: 406, EnergyPJ: 4499.78, ModelLatencyUS: 0.1951923076923077},
+		{ProgramID: prog.ID, Generation: 2, NumPatterns: 30, DeltaBytes: 8346, FullImageBytes: 153942,
+			DeltaRecords: 586, ArraysTouched: 3, ArraysUntouched: 0, ReloadCycles: 394, FullReloadCycles: 9377,
+			StallCycles: 407, EnergyPJ: 4499.808, ModelLatencyUS: 0.19567307692307692},
+	}
+	for i, patterns := range [][]string{swapped, d.Patterns} {
+		got, err := s.Update(ctx, prog.ID, patterns, CompileOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *got != want[i] {
+			t.Errorf("update %d:\n got %+v\nwant %+v", i+1, *got, want[i])
+		}
+	}
+	// force_nfa is a different program with every pattern on the NFA route.
+	forced, _, err := s.Compile(ctx, d.Patterns, CompileOptions{ModePolicy: ModePolicyForceNFA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if forced.ID == prog.ID {
+		t.Error("force_nfa hashed to the same program ID as the default policy")
+	}
+	for i, e := range forced.Matcher.Engines() {
+		if e != refmatch.EngineNFA && e != refmatch.EngineDFA {
+			t.Errorf("force_nfa: pattern %d runs on %v", i, e)
+		}
 	}
 }

@@ -13,8 +13,8 @@
 // replayed once the true entry state is known.
 //
 // The machine itself is a union streaming DFA built by the same capped
-// subset construction as automata.BuildDFA (DESIGN row 25), extended in
-// two ways: it runs the disjoint union of many pattern NFAs at once, and
+// subset construction as automata.BuildDFA (automata.Determinize, DESIGN
+// row 25), extended in two ways: it runs the disjoint union of many pattern NFAs at once, and
 // each DFA state carries a per-pattern report list (which patterns fire,
 // with what multiplicity) instead of a bare report count. Because the
 // component NFAs are disjoint, the union subset construction is exactly
@@ -121,66 +121,26 @@ func Build(nfas []*automata.NFA, patternIdx []int, cap int) (*Machine, error) {
 		base += len(n.States)
 	}
 
-	m := &Machine{}
-	reps := unionPartitions(classes)
-	m.numParts = len(reps)
-	for i, rep := range reps {
-		for b := 0; b < 256; b++ {
-			if sameUnionSignature(classes, byte(b), rep) {
-				m.partition[b] = uint16(i)
-			}
-		}
+	sub, err := automata.Determinize(classes, follow, initial, cap)
+	if err != nil {
+		return nil, fmt.Errorf("sfa: union DFA over %d patterns: %w", len(nfas), err)
 	}
-	labels := make([]bitvec.Vector, len(reps))
-	for i, rep := range reps {
-		v := bitvec.New(total)
-		for q, c := range classes {
-			if c.Contains(rep) {
-				v.Set(q)
-			}
-		}
-		labels[i] = v
+	m := &Machine{
+		partition: sub.Partition,
+		numParts:  sub.NumParts,
+		trans:     sub.Trans,
+		numStates: len(sub.Sets),
+		repOff:    []uint32{0},
 	}
-
-	index := map[string]int32{}
-	var subsets []bitvec.Vector
-	m.repOff = append(m.repOff, 0)
-	intern := func(v bitvec.Vector) (int32, bool) {
-		key := vecKey(v)
-		if id, ok := index[key]; ok {
-			return id, false
-		}
-		id := int32(len(subsets))
-		index[key] = id
-		subsets = append(subsets, v)
-		m.appendReports(v, final, finalPat)
-		return id, true
+	for _, set := range sub.Sets {
+		m.appendReports(set, final, finalPat)
 	}
-	intern(bitvec.New(total)) // streaming start state: nothing active yet
-	for head := 0; head < len(subsets); head++ {
-		cur := subsets[head]
-		for pi := range reps {
-			next := bitvec.New(total)
-			for q := cur.NextSet(0); q >= 0; q = cur.NextSet(q + 1) {
-				next.Or(follow[q])
-			}
-			next.Or(initial)
-			next.And(labels[pi])
-			id, fresh := intern(next)
-			if fresh && len(subsets) > cap {
-				return nil, fmt.Errorf("sfa: union DFA %w: >%d states over %d patterns",
-					automata.ErrStateCapExceeded, cap, len(nfas))
-			}
-			m.trans = append(m.trans, id)
-		}
-	}
-	m.numStates = len(subsets)
 	return m, nil
 }
 
-// appendReports records the per-pattern final-state counts of subset v.
-func (m *Machine) appendReports(v, final bitvec.Vector, finalPat []int32) {
-	firing := v.Clone()
+// appendReports records the per-pattern final-state counts of subset
+// firing, which it narrows to its final states in place.
+func (m *Machine) appendReports(firing, final bitvec.Vector, finalPat []int32) {
 	firing.And(final)
 	var rs []Report
 	for q := firing.NextSet(0); q >= 0; q = firing.NextSet(q + 1) {
@@ -224,49 +184,4 @@ func (m *Machine) emitState(s int32, end int, emit func(pattern int32, end int))
 			emit(r.Pattern, end)
 		}
 	}
-}
-
-// unionPartitions returns one representative byte per equivalence class
-// of the alphabet under the union automaton's character classes.
-func unionPartitions(classes []charclass.Class) []byte {
-	sigs := map[string]byte{}
-	var out []byte
-	for c := 0; c < charclass.AlphabetSize; c++ {
-		b := byte(c)
-		sig := make([]byte, (len(classes)+7)/8)
-		for q, cl := range classes {
-			if cl.Contains(b) {
-				sig[q/8] |= 1 << (q % 8)
-			}
-		}
-		k := string(sig)
-		if _, ok := sigs[k]; !ok {
-			sigs[k] = b
-			out = append(out, b)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// sameUnionSignature reports whether bytes a and b are indistinguishable
-// by every state class of the union.
-func sameUnionSignature(classes []charclass.Class, a, b byte) bool {
-	for _, c := range classes {
-		if c.Contains(a) != c.Contains(b) {
-			return false
-		}
-	}
-	return true
-}
-
-func vecKey(v bitvec.Vector) string {
-	words := v.Words()
-	b := make([]byte, len(words)*8)
-	for i, w := range words {
-		for j := 0; j < 8; j++ {
-			b[i*8+j] = byte(w >> (8 * j))
-		}
-	}
-	return string(b)
 }

@@ -25,9 +25,9 @@ var (
 	// backpressure rejection (HTTP 429). The wrapped *APIError carries
 	// the server's Retry-After.
 	ErrOverLimit = errors.New("rapclient: over limit")
-	// ErrCompile mirrors *compile.Error / refmatch.*PatternError: the
-	// ruleset (or its options) was rejected (HTTP 400). The *APIError
-	// message carries the server's diagnostic chain.
+	// ErrCompile mirrors *compile.Error: the ruleset (or its options) was
+	// rejected (HTTP 400). The *APIError message carries the server's
+	// diagnostic chain.
 	ErrCompile = errors.New("rapclient: ruleset rejected")
 	// ErrUnavailable reports a node that cannot take traffic: closed
 	// (HTTP 503) or failing its readiness probe.

@@ -13,10 +13,11 @@
 //	rapc -bitstream old.img 'cat' && rapc -bitstream new.img 'dog'
 //	rapc -diff old.img new.img
 //
-// With -explain it prints the software fast-path verdict per pattern:
-// whether the reference matcher runs it behind the mandatory-literal
-// prefilter (and with which literals) or on the always-on scan path, and
-// why.
+// With -explain it prints how the software reference matcher runs each
+// pattern: the engine, the kernel that scans it (with control-state and
+// bit-vector sizes for NBVA patterns), and whether it sits behind the
+// mandatory-literal prefilter (and with which literals) or on the
+// always-on scan path, and why.
 //
 //	rapc -explain 'ab.needle.*' '[a-z]+'
 package main
@@ -52,7 +53,7 @@ func main() {
 	floorplan := flag.Bool("floorplan", false, "print the ASCII tile floor plan of the placement")
 	bitstreamOut := flag.String("bitstream", "", "write the deployment configuration image to a file")
 	diff := flag.Bool("diff", false, "diff two image files (old.img new.img) into a reconfiguration delta")
-	explain := flag.Bool("explain", false, "print the per-pattern literal-prefilter verdict of the software fast path")
+	explain := flag.Bool("explain", false, "print the per-pattern engine, scan kernel and literal-prefilter verdict of the software matcher")
 	flag.Parse()
 
 	if *diff {
@@ -155,21 +156,22 @@ func main() {
 }
 
 // explainPrefilter compiles each pattern on its own through the software
-// reference matcher and prints its fast-path verdict: the mandatory
-// literal set gating it, or the reason it stays always-on. Per-pattern
-// compilation tolerates individual errors without losing the rest.
+// reference matcher and prints the engine and kernel it runs on and its
+// fast-path verdict: the mandatory literal set gating it, or the reason
+// it stays always-on. Per-pattern compilation tolerates individual errors
+// without losing the rest.
 func explainPrefilter(patterns []string) {
 	t := &metrics.Table{
 		Name:   "Fast-path verdicts (software reference matcher)",
-		Header: []string{"#", "Pattern", "Engine", "Fast path"},
+		Header: []string{"#", "Pattern", "Engine", "Kernel", "Fast path"},
 	}
 	for i, p := range patterns {
 		m, err := refmatch.Compile(context.Background(), []string{p}, refmatch.Options{})
 		if err != nil {
-			t.AddRow(i, truncate(p, 40), "ERROR", err.Error())
+			t.AddRow(i, truncate(p, 40), "ERROR", "", err.Error())
 			continue
 		}
-		t.AddRow(i, truncate(p, 40), m.Engines()[0].String(), m.PrefilterVerdicts()[0].String())
+		t.AddRow(i, truncate(p, 40), m.Engines()[0].String(), m.Kernels()[0], m.PrefilterVerdicts()[0].String())
 	}
 	fmt.Println(t.String())
 }

@@ -1,6 +1,9 @@
 package automata
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // DFA is a materialized deterministic automaton for streaming (unanchored)
 // matching, built by subset construction over an NFA. §2.1 explains why
@@ -11,7 +14,11 @@ import "fmt"
 type DFA struct {
 	// partition maps each input byte to its alphabet-equivalence class.
 	partition [256]uint16
-	// trans is the transition table: state*numParts + partition -> state.
+	// trans is the transition table in the form the scan loop wants it. A
+	// state is named by the offset of its row, state*numParts, so a step
+	// is one add and one load: trans[row+partition] is the next row. A
+	// transition into a reporting state stores the complement of the row,
+	// which tells the loop to look at reports without loading it per byte.
 	trans []int32
 	// reports[state] is the number of NFA final states inside the subset —
 	// the per-cycle report count, matching the hardware's counting.
@@ -35,11 +42,22 @@ func BuildDFA(n *NFA, cap int) (*DFA, error) {
 	if err != nil {
 		return nil, err
 	}
+	if len(sub.Trans) > math.MaxInt32 {
+		return nil, fmt.Errorf("%w: %d states of %d alphabet classes overflow the table's row offsets",
+			ErrStateCapExceeded, len(sub.Sets), sub.NumParts)
+	}
 	d := &DFA{partition: sub.Partition, numParts: sub.NumParts, trans: sub.Trans}
 	final := n.FinalSet()
 	for _, set := range sub.Sets {
 		set.And(final)
 		d.reports = append(d.reports, uint16(set.Count()))
+	}
+	for i, next := range d.trans {
+		row := next * int32(d.numParts)
+		if d.reports[next] > 0 {
+			row = ^row
+		}
+		d.trans[i] = row
 	}
 	return d, nil
 }
@@ -47,37 +65,59 @@ func BuildDFA(n *NFA, cap int) (*DFA, error) {
 // NumStates returns the DFA state count.
 func (d *DFA) NumStates() int { return len(d.reports) }
 
-// Runner state for the DFA is just an int; provide streaming helpers.
-
 // DFARunner streams bytes through the DFA.
 type DFARunner struct {
-	d     *DFA
-	state int32
+	d   *DFA
+	row int32 // the current state's row offset in d.trans
 }
 
 // NewDFARunner returns a runner at the start state.
 func NewDFARunner(d *DFA) *DFARunner { return &DFARunner{d: d} }
 
 // Reset returns to the start state.
-func (r *DFARunner) Reset() { r.state = 0 }
+func (r *DFARunner) Reset() { r.row = 0 }
 
 // Step consumes one byte and returns the number of reports fired.
 func (r *DFARunner) Step(b byte) int {
 	d := r.d
-	r.state = d.trans[int(r.state)*d.numParts+int(d.partition[b])]
-	return int(d.reports[r.state])
+	r.row = d.trans[int(r.row)+int(d.partition[b])]
+	if r.row >= 0 {
+		return 0
+	}
+	r.row = ^r.row
+	return int(d.reports[int(r.row)/d.numParts])
+}
+
+// ScanChunk is Step over a whole chunk with the state in a register: it
+// calls emit(base+i) once per report fired at data[i].
+func (r *DFARunner) ScanChunk(data []byte, base int, emit func(end int)) {
+	d := r.d
+	trans := d.trans
+	row := int(r.row)
+	for i := 0; i < len(data); i++ {
+		// The hot loop makes no call, so its operands stay in registers.
+		for ; i < len(data); i++ {
+			row = int(trans[row+int(d.partition[data[i]])])
+			if row < 0 {
+				break
+			}
+		}
+		if i == len(data) {
+			break
+		}
+		row = ^row
+		for k := d.reports[row/d.numParts]; k > 0; k-- {
+			emit(base + i)
+		}
+	}
+	r.row = int32(row)
 }
 
 // MatchEnds returns every offset where at least one report fires, with
 // multiplicity (one entry per reporting state), matching NFA-side
 // semantics used by the reference matcher.
 func (d *DFA) MatchEnds(input []byte) []int {
-	r := NewDFARunner(d)
 	var out []int
-	for i, b := range input {
-		for k := r.Step(b); k > 0; k-- {
-			out = append(out, i)
-		}
-	}
+	NewDFARunner(d).ScanChunk(input, 0, func(end int) { out = append(out, end) })
 	return out
 }

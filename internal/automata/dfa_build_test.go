@@ -3,6 +3,7 @@ package automata
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/regexast"
@@ -94,6 +95,39 @@ func TestPropDFAEqualsNFAOnRandomPatterns(t *testing.T) {
 				if nr.FinalsActive() != dr.Step(b) {
 					t.Fatalf("pattern %q input %q: divergence", pattern, input)
 				}
+			}
+		}
+	}
+}
+
+// TestDFAScanChunkEqualsStep cuts random inputs at every offset: the
+// chunk loop must fire what Step fires and carry its state across the cut.
+func TestDFAScanChunkEqualsStep(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for _, p := range []string{"ab", "a(b|c)*d", "a.*z|az", "[ab][ab]|b"} {
+		dfa, err := BuildDFA(mustNFA(t, p), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		input := make([]byte, 40)
+		for i := range input {
+			input[i] = "abcdz"[r.Intn(5)]
+		}
+		var want []int
+		sr := NewDFARunner(dfa)
+		for i, b := range input {
+			for k := sr.Step(b); k > 0; k-- {
+				want = append(want, i)
+			}
+		}
+		for cut := 0; cut <= len(input); cut++ {
+			var got []int
+			emit := func(end int) { got = append(got, end) }
+			cr := NewDFARunner(dfa)
+			cr.ScanChunk(input[:cut], 0, emit)
+			cr.ScanChunk(input[cut:], cut, emit)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%q cut %d: ScanChunk %v, Step %v", p, cut, got, want)
 			}
 		}
 	}

@@ -15,6 +15,12 @@
 //
 // together with the overflow check that deactivates a BV-STE whose vector
 // became all-zero.
+//
+// Three executors run a Machine. Runner steps one byte at a time and
+// keeps the hardware's per-cycle statistics; the cycle simulator reads
+// them. CounterRunner is an independent implementation over counter sets.
+// Kernel scans whole chunks and computes matches only; the software
+// matcher uses it, and the tests hold it to the other two.
 package nbva
 
 import (
@@ -210,6 +216,8 @@ func (r *Runner) Reset() {
 	r.pos = 0
 	r.lastMatched.Reset()
 	r.lastBVActive, r.lastBVOverflow, r.lastEntrySignal = 0, 0, 0
+	r.lastBVUpdated = r.lastBVUpdated[:0]
+	r.lastFinalsFired = 0
 }
 
 // Step consumes one input byte and reports whether a match ends at it.

@@ -12,7 +12,7 @@ import (
 
 // compile rewrites the pattern through the §4.1 pipeline with the given
 // unfolding threshold and constructs the machine.
-func compile(t *testing.T, pattern string, threshold int) *Machine {
+func compile(t testing.TB, pattern string, threshold int) *Machine {
 	t.Helper()
 	re := regexast.MustParse(pattern)
 	root := regexast.UnfoldThreshold(re.Root, threshold)

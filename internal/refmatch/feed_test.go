@@ -1,0 +1,234 @@
+package refmatch
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/automata"
+	"repro/internal/compile"
+	"repro/internal/nbva"
+	"repro/internal/regexast"
+	"repro/internal/workload"
+)
+
+// TestFeedEqualEndOrder pins the order contract of one feed: ascending
+// End, and for equal End the prefiltered Shift-And machine, the always-on
+// one, then the NBVA, NFA and DFA patterns, each group in pattern order.
+func TestFeedEqualEndOrder(t *testing.T) {
+	patterns := []string{
+		"a(x|b)*c",     // dfa
+		"q(a|b)*c$",    // nfa: end-anchored
+		"b{20}c",       // nbva
+		"[a-f].[a-f]",  // shift-and, always-on
+		"a(y|b)*c",     // dfa
+		"[ab]{0,30}bc", // nbva
+		"bbbc",         // shift-and, prefiltered
+		"^qa(x|b)*c",   // nfa: start-anchored
+	}
+	m := compilePar(t, patterns, Options{})
+	wantEngines := []Engine{EngineDFA, EngineNFA, EngineNBVA, EngineShiftAnd, EngineDFA, EngineNBVA, EngineShiftAnd, EngineNFA}
+	if !reflect.DeepEqual(m.Engines(), wantEngines) {
+		t.Fatalf("engines = %v, want %v", m.Engines(), wantEngines)
+	}
+	if v := m.PrefilterVerdicts(); v[3].Prefilterable || !v[6].Prefilterable {
+		t.Fatalf("prefilter verdicts: pattern 3 %v, pattern 6 %v", v[3], v[6])
+	}
+	input := []byte("qa" + strings.Repeat("b", 24) + "c")
+	last := len(input) - 1
+	// atLast drops pattern 3's matches before the final byte; they come
+	// first, End ascending.
+	atLast := func(ms []Match) []Match {
+		for i, mt := range ms {
+			if mt.End == last {
+				return ms[i:]
+			}
+			if mt.Pattern != 3 || (i > 0 && ms[i-1].End >= mt.End) {
+				t.Fatalf("match %d of %v: want pattern 3, End ascending", i, ms)
+			}
+		}
+		return nil
+	}
+	want := []Match{{6, last}, {3, last}, {2, last}, {5, last}, {1, last}, {7, last}, {0, last}, {4, last}}
+	if got := atLast(m.Scan(input)); !reflect.DeepEqual(got, want) {
+		t.Errorf("Scan = %v, want %v", got, want)
+	}
+	// Streamed, the end-anchored pattern waits for Finish; the rest keep
+	// their places.
+	s := m.NewSession()
+	s.Feed(input[:10])
+	streamWant := append(append([]Match(nil), want[:4]...), want[5:]...)
+	if got := atLast(s.Feed(input[10:])); !reflect.DeepEqual(got, streamWant) {
+		t.Errorf("Feed = %v, want %v", got, streamWant)
+	}
+	if got := s.Finish(); !reflect.DeepEqual(got, want[4:5]) {
+		t.Errorf("Finish = %v, want %v", got, want[4:5])
+	}
+}
+
+// TestMergeRuns checks the typed merge against the order it stands for:
+// a stable sort by End of a concatenation of ascending runs.
+func TestMergeRuns(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 200; trial++ {
+		var ms []Match
+		for run := r.Intn(9); run > 0; run-- {
+			end := r.Intn(5)
+			for n := r.Intn(6); n > 0; n-- {
+				ms = append(ms, Match{Pattern: len(ms), End: end})
+				end += r.Intn(3)
+			}
+		}
+		// Pattern numbers the input position, so a stable sort by End is
+		// the plain sort by (End, Pattern).
+		want := append([]Match(nil), ms...)
+		sortMatches(want)
+		got, _ := mergeRuns(ms, nil)
+		if !matchesEqual(got, want) {
+			t.Fatalf("trial %d: merged %v, want %v", trial, got, want)
+		}
+	}
+}
+
+// TestNBVAFeedEverySplit streams start-anchored, end-anchored and
+// unanchored NBVA patterns through Feed+Finish with the input cut at
+// every offset: vectors, pending entries and end-anchored fires must all
+// survive the boundary and agree with the whole-buffer ScanInto.
+func TestNBVAFeedEverySplit(t *testing.T) {
+	patterns := []string{
+		"ab{20}c",        // unanchored
+		"^xab{20}c",      // start-anchored
+		"ab{0,25}c$",     // end-anchored
+		"^xab{18,30}bc$", // both
+		"b{17}",          // BV-STE initial and final
+		"[bc]{19}$",      // end-anchored, fires on many bytes
+	}
+	m := compilePar(t, patterns, Options{})
+	for i, e := range m.Engines() {
+		if e != EngineNBVA {
+			t.Fatalf("pattern %d (%s) runs on %v, want nbva", i, patterns[i], e)
+		}
+	}
+	for _, input := range []string{
+		"xa" + strings.Repeat("b", 20) + "c",
+		"xa" + strings.Repeat("b", 20) + "cab" + strings.Repeat("b", 22) + "c",
+		"yyab" + strings.Repeat("b", 19) + "c" + strings.Repeat("b", 17) + strings.Repeat("c", 4),
+		"b",
+	} {
+		data := []byte(input)
+		ref := m.NewSession()
+		want := ref.ScanInto(data, nil)
+		if len(input) > 1 && len(want) == 0 {
+			t.Fatalf("%q: no match, the input exercises nothing", input)
+		}
+		sortMatches(want)
+		for cut := 0; cut <= len(data); cut++ {
+			got := streamAll(m.NewSession(), data, []int{cut})
+			sortMatches(got)
+			if !matchesEqual(got, want) {
+				t.Fatalf("%q cut at %d: streamed %v, whole buffer %v", input, cut, got, want)
+			}
+		}
+	}
+}
+
+// TestNBVAStepFallback: a machine with more control states than the word
+// kernel takes is stepped with nbva.Runner, beside kernel-scanned machines
+// and in pattern order with them, and reports what the reference NFA does.
+func TestNBVAStepFallback(t *testing.T) {
+	prefix := strings.Repeat("abcdefgh", 9) // 72 standard STEs
+	patterns := []string{"hab{20}c", prefix + "x{20}y", prefix + "x{0,30}y$", "hax{17}"}
+	m := compilePar(t, patterns, Options{})
+	wantKernels := []string{"word64", "step", "step", "word64"}
+	for i, k := range m.Kernels() {
+		if m.Engines()[i] != EngineNBVA || !strings.HasPrefix(k, wantKernels[i]+" ") {
+			t.Fatalf("pattern %d: engine %v kernel %q, want nbva on %s", i, m.Engines()[i], k, wantKernels[i])
+		}
+	}
+	if n := m.nbvas[1].NumStates(); n <= nbva.MaxKernelStates {
+		t.Fatalf("synthetic machine has %d control states, want > %d", n, nbva.MaxKernelStates)
+	}
+	input := []byte("zz" + prefix + strings.Repeat("x", 20) + "yhab" + strings.Repeat("b", 19) + "cha" +
+		strings.Repeat("x", 18) + prefix + strings.Repeat("x", 17) + "y")
+	var want []Match
+	for p, pat := range patterns {
+		nfa, err := automata.Glushkov(regexast.MustParse(pat), automata.DefaultMaxStates)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, end := range nfa.MatchEnds(input) {
+			want = append(want, Match{Pattern: p, End: end})
+		}
+	}
+	sortMatches(want)
+	if len(want) < 4 {
+		t.Fatalf("reference matches %v: the input exercises too little", want)
+	}
+	if got := m.Scan(input); !matchesEqual(got, want) {
+		t.Errorf("Scan = %v, reference NFA %v", got, want)
+	}
+	for cut := 0; cut <= len(input); cut += 7 {
+		got := streamAll(m.NewSession(), input, []int{cut})
+		sortMatches(got)
+		if !matchesEqual(got, want) {
+			t.Errorf("cut at %d: streamed %v, reference NFA %v", cut, got, want)
+		}
+	}
+}
+
+// TestScanAllocations pins the two allocation properties of the scan
+// path: a reused session scans a mixed NBVA+DFA+Shift-And ruleset without
+// allocating once dst has capacity, and opening a session costs a few
+// allocations per machine because the tables live on the Matcher.
+func TestScanAllocations(t *testing.T) {
+	d := workload.MustGenerate("Snort", 1.0, 1)
+	// Both Shift-And machines must report, so the merge has runs to merge.
+	patterns := append(d.Patterns, "needle", "[a-f].[0-9]")
+	m := compilePar(t, patterns, Options{})
+	count := map[Engine]int{}
+	for _, e := range m.Engines() {
+		count[e]++
+	}
+	if count[EngineNBVA] == 0 || count[EngineDFA] == 0 || m.sa == nil || m.saFast == nil {
+		t.Fatalf("engine mix %v: want NBVA, DFA and both Shift-And machines", count)
+	}
+	input := d.Input(16<<10, 1)
+	copy(input[1000:], "needle")
+	s := m.NewSession()
+	dst := s.ScanInto(input, nil)
+	seen := map[Engine]bool{}
+	for _, mt := range dst {
+		seen[m.Engines()[mt.Pattern]] = true
+	}
+	if !seen[EngineNBVA] || !seen[EngineDFA] || !seen[EngineShiftAnd] {
+		t.Fatalf("engines that matched: %v, want NBVA, DFA and Shift-And", seen)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { dst = s.ScanInto(input, dst[:0]) }); allocs != 0 {
+		t.Errorf("ScanInto on a reused session: %v allocs per scan, want 0", allocs)
+	}
+	limit := float64(3 * m.NumPatterns())
+	if allocs := testing.AllocsPerRun(5, func() { m.NewSession() }); allocs > limit {
+		t.Errorf("NewSession: %v allocs for %d patterns (%d NBVA), want <= %v",
+			allocs, m.NumPatterns(), count[EngineNBVA], limit)
+	}
+}
+
+// TestKernelsNamesEveryEngine: Kernels says which loop scans each pattern.
+func TestKernelsNamesEveryEngine(t *testing.T) {
+	patterns := []string{"cat", "ab{20}c", "a(x|y)*b", "^a(x|y)*b", strings.Repeat("[ab]", 70)}
+	m := compilePar(t, patterns, Options{DisablePrefilter: true})
+	want := []string{"shiftand128", "word64 (3 states, 20 BV bits)", "dfa-table", "nfa-step", "shiftand128"}
+	if got := m.Kernels(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Kernels = %q, want %q", got, want)
+	}
+	m = compilePar(t, patterns[:1], Options{})
+	if got := m.Kernels(); !reflect.DeepEqual(got, []string{"shiftand64"}) {
+		t.Errorf("Kernels = %q, want [shiftand64]", got)
+	}
+	forced := compilePar(t, patterns[1:2], Options{Options: compile.Options{ModePolicy: compile.ForceNFA}})
+	if got := fmt.Sprint(forced.Kernels()); got != "[dfa-table]" && got != "[nfa-step]" {
+		t.Errorf("ForceNFA Kernels = %s", got)
+	}
+}

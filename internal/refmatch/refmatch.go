@@ -15,6 +15,24 @@
 // Fig 9 decision graph, and FromResult lowers each compiled mode onto its
 // software engine.
 //
+// # Scanning
+//
+// A Session scans engine-major: every engine runs its own loop over the
+// whole chunk — the Shift-And word kernels (the prefiltered machine only
+// inside candidate windows), the nbva chunk kernel per NBVA pattern, a
+// register table loop per DFA pattern, and the per-byte runners for NFA
+// patterns and for NBVA machines too wide for the kernel — and one
+// stable merge of their matches by End restores stream order. The tables
+// an engine scans with belong to the Matcher and are shared by all its
+// sessions; a session holds only the state a stream changes.
+//
+// The order of the matches of one Feed or Scan is part of the contract:
+// ascending End, and for equal End the prefiltered Shift-And patterns,
+// the always-on Shift-And patterns, then the NBVA, NFA and DFA patterns,
+// each group in pattern order. A match of an end-anchored pattern is
+// reported by Finish when the input is streamed, since only then is the
+// last byte known, and in place by the whole-buffer scans.
+//
 // # Typed errors
 //
 // Every failure the package returns is inspectable with errors.Is /
@@ -160,6 +178,10 @@ type Matcher struct {
 
 	nbvas   []*nbva.Machine
 	nbvaIdx []int
+	// nbvaKernels[j] is the word-at-a-time scan program of nbvas[j], shared
+	// by every session; nil when the machine has more control states than
+	// the kernel takes and sessions step an nbva.Runner instead.
+	nbvaKernels []*nbva.Kernel
 
 	nfas   []*automata.NFA
 	nfaIdx []int
@@ -251,6 +273,7 @@ func FromResult(res *compile.Result, opts Options) (*Matcher, error) {
 			m.engines[i] = EngineNBVA
 			m.nbvas = append(m.nbvas, c.NBVA)
 			m.nbvaIdx = append(m.nbvaIdx, i)
+			m.nbvaKernels = append(m.nbvaKernels, nbva.NewKernel(c.NBVA))
 		case compile.ModeNFA:
 			nfa := c.NFA
 			// Fast path: a small streaming DFA, when constructible and the
@@ -324,34 +347,64 @@ func (m *Matcher) PrefilterTier() string {
 	return m.pf.Tier().String()
 }
 
+// Kernels names, per pattern, the software loop that scans it: the
+// Shift-And kernel its sequences are packed into ("shiftand64",
+// "shiftand128", "shiftand-multi"), "word64" or — for a machine with more
+// than nbva.MaxKernelStates control states — "step" for an NBVA pattern,
+// followed by its control-state and bit-vector sizes, "dfa-table" or
+// "nfa-step".
+func (m *Matcher) Kernels() []string {
+	out := make([]string, len(m.engines))
+	for _, p := range m.saPattern {
+		out[p] = shiftAndKernel(m.sa)
+	}
+	for _, p := range m.saFastPattern {
+		out[p] = shiftAndKernel(m.saFast)
+	}
+	for j, p := range m.nbvaIdx {
+		name := "word64"
+		if m.nbvaKernels[j] == nil {
+			name = "step"
+		}
+		out[p] = fmt.Sprintf("%s (%d states, %d BV bits)", name, m.nbvas[j].NumStates(), m.nbvas[j].TotalBVBits())
+	}
+	for _, p := range m.nfaIdx {
+		out[p] = "nfa-step"
+	}
+	for _, p := range m.dfaIdx {
+		out[p] = "dfa-table"
+	}
+	return out
+}
+
+func shiftAndKernel(sa *shiftand.Machine) string {
+	switch {
+	case sa.HasKernel64():
+		return "shiftand64"
+	case sa.HasKernel128():
+		return "shiftand128"
+	default:
+		return "shiftand-multi"
+	}
+}
+
 // NumPatterns returns the number of compiled patterns.
 func (m *Matcher) NumPatterns() int { return len(m.engines) }
 
 // Scan runs every pattern over input and returns all matches in stream
-// order (by end offset, then pattern index order within an offset is not
-// guaranteed). Nullable patterns report only at offsets where their
+// order: ascending end offset, and within one offset grouped by engine
+// (see Session). Nullable patterns report only at offsets where their
 // automaton fires, matching the AP streaming semantics.
 //
 // Scan keeps all per-scan state in a private Session, so a compiled
 // Matcher may be shared by any number of concurrent Scan/Count calls and
 // open Sessions.
 func (m *Matcher) Scan(input []byte) []Match {
-	var out []Match
-	m.scan(input, func(pattern, end int) {
-		out = append(out, Match{Pattern: pattern, End: end})
-	})
-	return out
+	return m.NewSession().feed(input, true)
 }
 
-// Count returns the total number of matches without materializing them,
-// used for throughput measurement.
+// Count returns the total number of matches, used for throughput
+// measurement.
 func (m *Matcher) Count(input []byte) int {
-	n := 0
-	m.scan(input, func(int, int) { n++ })
-	return n
-}
-
-func (m *Matcher) scan(input []byte, emit func(pattern, end int)) {
-	s := m.NewSession()
-	s.feed(input, len(input)-1, emit)
+	return len(m.NewSession().feed(input, true))
 }

@@ -1,8 +1,6 @@
 package refmatch
 
 import (
-	"sort"
-
 	"repro/internal/automata"
 	"repro/internal/nbva"
 	"repro/internal/prefilter"
@@ -23,24 +21,28 @@ import (
 // time. Many sessions may share one Matcher concurrently, since the
 // Matcher is immutable after compilation.
 type Session struct {
-	m           *Matcher
-	sa          *shiftand.Runner // always-on Shift-And state
-	saFast      *shiftand.Runner // prefiltered Shift-And state
-	pf          *prefilter.Stream
-	nbvaRunners []*nbva.Runner
-	nfaRunners  []*automata.Runner
-	dfaRunners  []*automata.DFARunner
-	pos         int // global offset of the next byte to consume
+	m      *Matcher
+	sa     *shiftand.Runner // always-on Shift-And state
+	saFast *shiftand.Runner // prefiltered Shift-And state
+	pf     *prefilter.Stream
+	// Per NBVA machine, exactly one of the two is set: the state of its
+	// word kernel, or a per-byte runner when it has too many control
+	// states for one.
+	nbvaStates []*nbva.KernelState
+	nbvaSteps  []*nbva.Runner
+	nfaRunners []*automata.Runner
+	dfaRunners []*automata.DFARunner
+	pos        int // global offset of the next byte to consume
 
-	// buf collects the chunk-kernel matches (prefiltered + always-on
-	// Shift-And) per Feed, ordered by End, for merging with the per-byte
-	// engines. Reused across calls.
-	buf []Match
+	// buf collects every engine's matches of one feed, one ascending run
+	// per engine scan, and tmp is the merge's other half. Both are reused
+	// across calls.
+	buf, tmp []Match
 
 	// endPending holds end-anchored matches that fired at the most recent
 	// byte. They become real matches only if that byte turns out to be the
-	// last of the stream, so Feed clears the slice at every byte and
-	// Finish reports the survivors.
+	// last of the stream, so every non-empty feed replaces them and Finish
+	// reports the survivors.
 	endPending []Match
 	finished   bool
 
@@ -58,9 +60,14 @@ func (m *Matcher) NewSession() *Session {
 		s.saFast = shiftand.NewRunner(m.saFast)
 		s.pf = m.pf.NewStream()
 	}
-	s.nbvaRunners = make([]*nbva.Runner, len(m.nbvas))
-	for i, mach := range m.nbvas {
-		s.nbvaRunners[i] = nbva.NewRunner(mach)
+	s.nbvaStates = make([]*nbva.KernelState, len(m.nbvas))
+	s.nbvaSteps = make([]*nbva.Runner, len(m.nbvas))
+	for i, k := range m.nbvaKernels {
+		if k != nil {
+			s.nbvaStates[i] = k.NewState()
+		} else {
+			s.nbvaSteps[i] = nbva.NewRunner(m.nbvas[i])
+		}
 	}
 	s.nfaRunners = make([]*automata.Runner, len(m.nfas))
 	for i, nfa := range m.nfas {
@@ -91,11 +98,7 @@ func (s *Session) PrefilterStats() prefilter.Stats {
 // patterns are withheld until Finish, since only then is the last byte
 // known.
 func (s *Session) Feed(chunk []byte) []Match {
-	var out []Match
-	s.feed(chunk, -1, func(pattern, end int) {
-		out = append(out, Match{Pattern: pattern, End: end})
-	})
-	return out
+	return append([]Match(nil), s.feed(chunk, false)...)
 }
 
 // Finish ends the stream and returns the end-anchored matches that fired
@@ -117,8 +120,12 @@ func (s *Session) Reset() {
 		s.saFast.Reset()
 		s.pf.Reset()
 	}
-	for _, r := range s.nbvaRunners {
-		r.Reset()
+	for i, st := range s.nbvaStates {
+		if st != nil {
+			st.Reset()
+		} else {
+			s.nbvaSteps[i].Reset()
+		}
 	}
 	for _, r := range s.nfaRunners {
 		r.Reset()
@@ -136,30 +143,44 @@ func (s *Session) Reset() {
 // caller-managed (poolable) session: no per-scan runner allocations.
 func (s *Session) ScanInto(input []byte, dst []Match) []Match {
 	s.Reset()
-	s.feed(input, len(input)-1, func(pattern, end int) {
-		dst = append(dst, Match{Pattern: pattern, End: end})
-	})
-	return dst
+	return append(dst, s.feed(input, true)...)
 }
 
-// feed is the engine-stepping core shared by Feed and Matcher.scan.
-// knownLast is the global offset of the stream's final byte when the
-// caller already knows it (whole-buffer scans), or -1 for streaming; with
-// it, end-anchored matches are emitted inline in the legacy byte order
-// instead of being deferred to Finish.
+// feed is the scan core shared by Feed and the whole-buffer scans, which
+// pass last: the chunk is known to end the stream, so end-anchored
+// matches at its final byte are returned in place instead of waiting for
+// Finish. The result is valid until the next feed.
 //
-// The two Shift-And machines run on their chunk kernels first — the
-// prefiltered one only over candidate windows — collecting into buf;
-// the per-byte engines (NBVA, NFA, DFA) then step the chunk with buf
-// merged in by end offset, preserving the stream-order contract.
-func (s *Session) feed(chunk []byte, knownLast int, emit func(pattern, end int)) {
+// feed is engine-major. Every engine scans the whole chunk in its own
+// loop and appends its matches to buf as one ascending run: the
+// prefiltered Shift-And machine (over candidate windows only), the
+// always-on one, then each NBVA, NFA and DFA pattern in pattern order. A
+// stable merge of the runs by End is then the stream order, and for equal
+// End the order the runs were appended in.
+func (s *Session) feed(chunk []byte, last bool) []Match {
 	if s.finished {
 		s.Reset()
 	}
 	m := s.m
 	base := s.pos
-
+	s.pos += len(chunk)
+	lastByte := s.pos - 1
 	s.buf = s.buf[:0]
+	if len(chunk) > 0 {
+		s.endPending = s.endPending[:0]
+	}
+	// fire records one match of an NBVA or NFA pattern. An end-anchored
+	// one counts only at the final byte of the stream, which the final
+	// byte of this chunk may still turn out to be.
+	fire := func(pattern, end int, endAnchored bool) {
+		switch {
+		case !endAnchored || (last && end == lastByte):
+			s.buf = append(s.buf, Match{Pattern: pattern, End: end})
+		case end == lastByte:
+			s.endPending = append(s.endPending, Match{Pattern: pattern, End: end})
+		}
+	}
+
 	if s.saFast != nil {
 		s.pf.Scan(chunk, func(at int, data []byte) {
 			s.saFast.ScanChunk(data, at, func(p, end int) {
@@ -168,74 +189,79 @@ func (s *Session) feed(chunk []byte, knownLast int, emit func(pattern, end int))
 		}, s.saFast.Reset)
 	}
 	if s.sa != nil {
-		split := len(s.buf)
 		s.sa.ScanChunk(chunk, base, func(p, end int) {
 			s.buf = append(s.buf, Match{Pattern: m.saPattern[p], End: end})
 		})
-		if split > 0 && split < len(s.buf) {
-			// Two sorted runs; restore global end order.
-			sort.SliceStable(s.buf, func(i, j int) bool { return s.buf[i].End < s.buf[j].End })
-		}
 	}
-
-	if len(s.nbvaRunners)+len(s.nfaRunners)+len(s.dfaRunners) == 0 {
-		// Pure Shift-And program: no per-byte stepping at all. No engine
-		// here is end-anchored, so endPending stays empty.
-		for _, mt := range s.buf {
-			emit(mt.Pattern, mt.End)
+	for j, mach := range m.nbvas {
+		p, anchored := m.nbvaIdx[j], mach.EndAnchored
+		if st := s.nbvaStates[j]; st != nil {
+			st.ScanChunk(chunk, base, func(end int) { fire(p, end, anchored) })
+			continue
 		}
-		s.pos += len(chunk)
-		return
-	}
-
-	bi := 0
-	for i, b := range chunk {
-		gi := base + i
-		for bi < len(s.buf) && s.buf[bi].End <= gi {
-			emit(s.buf[bi].Pattern, s.buf[bi].End)
-			bi++
-		}
-		s.endPending = s.endPending[:0]
-		for j, r := range s.nbvaRunners {
+		r := s.nbvaSteps[j]
+		for i, b := range chunk {
 			if r.Step(b) {
-				mach := m.nbvas[j]
-				for k := 0; k < r.FinalsFired(); k++ {
-					s.emitOrDefer(mach.EndAnchored, m.nbvaIdx[j], gi, knownLast, emit)
+				for k := r.FinalsFired(); k > 0; k-- {
+					fire(p, base+i, anchored)
 				}
 			}
 		}
-		for j, r := range s.nfaRunners {
+	}
+	for j, r := range s.nfaRunners {
+		p, anchored := m.nfaIdx[j], m.nfas[j].EndAnchored
+		for i, b := range chunk {
 			if r.Step(b) {
-				nfa := m.nfas[j]
-				for k := 0; k < r.FinalsActive(); k++ {
-					s.emitOrDefer(nfa.EndAnchored, m.nfaIdx[j], gi, knownLast, emit)
+				for k := r.FinalsActive(); k > 0; k-- {
+					fire(p, base+i, anchored)
 				}
 			}
 		}
-		for j, r := range s.dfaRunners {
-			for k := r.Step(b); k > 0; k-- {
-				emit(m.dfaIdx[j], gi)
-			}
-		}
 	}
-	for ; bi < len(s.buf); bi++ {
-		emit(s.buf[bi].Pattern, s.buf[bi].End)
+	for j, r := range s.dfaRunners {
+		p := m.dfaIdx[j]
+		r.ScanChunk(chunk, base, func(end int) {
+			s.buf = append(s.buf, Match{Pattern: p, End: end})
+		})
 	}
-	s.pos += len(chunk)
+	s.buf, s.tmp = mergeRuns(s.buf, s.tmp)
+	return s.buf
 }
 
-// emitOrDefer routes one engine fire: non-anchored matches are reported
-// immediately; end-anchored ones are reported only at the known last byte,
-// or parked in endPending for Finish when the stream end is unknown.
-func (s *Session) emitOrDefer(endAnchored bool, pattern, gi, knownLast int, emit func(pattern, end int)) {
-	switch {
-	case !endAnchored:
-		emit(pattern, gi)
-	case knownLast >= 0:
-		if gi == knownLast {
-			emit(pattern, gi)
+// mergeRuns stably sorts ms by End and returns it with the spare buffer
+// for the next call. ms is a concatenation of ascending runs, so this is
+// a natural merge sort: each pass merges neighbouring runs pairwise from
+// one buffer into the other, and a single run costs one read.
+func mergeRuns(ms, tmp []Match) (sorted, spare []Match) {
+	for runEnd(ms, 0) < len(ms) {
+		tmp = tmp[:0]
+		for lo := 0; lo < len(ms); {
+			mid := runEnd(ms, lo)
+			hi := runEnd(ms, mid)
+			a, b := ms[lo:mid], ms[mid:hi]
+			for len(a) > 0 && len(b) > 0 {
+				if b[0].End < a[0].End {
+					tmp, b = append(tmp, b[0]), b[1:]
+				} else {
+					tmp, a = append(tmp, a[0]), a[1:]
+				}
+			}
+			tmp = append(append(tmp, a...), b...)
+			lo = hi
 		}
-	default:
-		s.endPending = append(s.endPending, Match{Pattern: pattern, End: gi})
+		ms, tmp = tmp, ms
 	}
+	return ms, tmp
+}
+
+// runEnd returns the end of the ascending run of ms starting at lo.
+func runEnd(ms []Match, lo int) int {
+	if lo >= len(ms) {
+		return len(ms)
+	}
+	hi := lo + 1
+	for hi < len(ms) && ms[hi-1].End <= ms[hi].End {
+		hi++
+	}
+	return hi
 }

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/input"
 	"repro/internal/service"
 	"repro/internal/slo"
 	"repro/pkg/rapclient"
@@ -51,7 +52,7 @@ type RolloutResult struct {
 // client request makes this node the rollout coordinator.
 func (n *Node) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	body, ok := readBody(w, r)
+	body, ok := input.ReadBody(w, r)
 	if !ok {
 		return
 	}

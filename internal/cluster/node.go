@@ -120,7 +120,8 @@ type Node struct {
 	members *Membership
 	catalog *Catalog
 	handler http.Handler
-	hc      *http.Client
+	local   http.Handler // the embedded service's handler, built once
+	hc      *http.Client // forwards and gossip, on the node's own transport
 	log     *slog.Logger
 
 	addr atomic.Value // string; advertised base URL, set by Start
@@ -141,6 +142,7 @@ type Node struct {
 	applied   map[string]int64
 
 	forwards  *metrics.Counter
+	fwdTime   map[int]*metrics.Histogram // by outcome: 200 ok, 404 not_found, 502 bad_gateway
 	repairs   *metrics.Counter
 	gossips   *metrics.Counter
 	canaryOut map[string]*metrics.Counter // by RolloutResult outcome
@@ -163,7 +165,6 @@ func NewNode(cfg Config) (*Node, error) {
 		ring:        NewRing(cfg.VNodes),
 		members:     NewMembership(cfg.ID, cfg.SuspectAfter, cfg.DeadAfter),
 		catalog:     NewCatalog(),
-		hc:          &http.Client{Timeout: 30 * time.Second},
 		log:         cfg.Logger,
 		routedScans: map[string]int64{},
 		applied:     map[string]int64{},
@@ -175,10 +176,22 @@ func NewNode(cfg Config) (*Node, error) {
 	n.addr.Store("")
 	n.lastRate.Store(float64(0))
 	n.ring.Add(cfg.ID)
+	n.local = n.svc.Handler()
 	n.handler = n.buildMux()
+	// An idle connection is kept for every request a peer can hold, running
+	// or queued (it refuses the rest), so no burst of forwards dials twice.
+	pool := n.svc.Stats().Pool
+	n.hc = &http.Client{Timeout: 30 * time.Second, Transport: &http.Transport{
+		MaxIdleConnsPerHost: pool.Workers * (1 + pool.QueueCapacity),
+		IdleConnTimeout:     90 * time.Second,
+	}}
 
 	tel := n.svc.Telemetry()
 	n.forwards = tel.Counter("rap_node_forwards_total", "Requests forwarded to a peer node.")
+	fwd := func(outcome string) *metrics.Histogram {
+		return tel.Histogram("rap_node_forward_duration_us", "Forward to a peer, request sent to last response byte, in microseconds: not_found is the peer's 404, bad_gateway an unreachable peer, ok the rest.", telemetry.L("outcome", outcome))
+	}
+	n.fwdTime = map[int]*metrics.Histogram{http.StatusOK: fwd("ok"), http.StatusNotFound: fwd("not_found"), http.StatusBadGateway: fwd("bad_gateway")}
 	n.repairs = tel.Counter("rap_node_repairs_total", "Programs lazily compiled from catalog meta after a routed scan missed the local cache.")
 	n.gossips = tel.Counter("rap_node_gossip_total", "Gossip exchanges initiated.")
 	n.canaryOut = map[string]*metrics.Counter{}
@@ -243,6 +256,7 @@ func (n *Node) Close() {
 		close(n.stop)
 	})
 	n.wg.Wait()
+	n.hc.CloseIdleConnections()
 	n.svc.Close()
 }
 

@@ -4,18 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
+	"time"
 
+	"repro/internal/input"
+	"repro/internal/metrics"
 	"repro/internal/service"
 )
-
-// maxProxyBody bounds what the proxy buffers for routed requests.
-// The embedded service reads request bodies fully anyway, so buffering
-// here changes where the copy lives, not whether it happens.
-const maxProxyBody = 256 << 20
 
 // buildMux assembles the node's HTTP surface: explicit handlers for the
 // routed /v1 endpoints and the /cluster control plane, with everything
@@ -32,11 +32,12 @@ func (n *Node) buildMux() http.Handler {
 	mux.HandleFunc("POST /cluster/gossip", n.handleGossip)
 	mux.HandleFunc("GET /cluster/programs/{id}", n.handleProgramMeta)
 	mux.HandleFunc("GET /cluster/members", n.handleMembers)
-	mux.HandleFunc("/", n.serveLocal)
+	mux.Handle("/", n.local)
 	return mux
 }
 
-// proxyResp is a buffered upstream (or local) response.
+// proxyResp is a buffered upstream (or local) response, on the control
+// plane only: scan and feed bodies go through send and relay.
 type proxyResp struct {
 	status int
 	header http.Header
@@ -84,12 +85,6 @@ func (c *capture) resp() *proxyResp {
 // forwarded reports whether a peer already routed this request.
 func forwarded(r *http.Request) bool { return r.Header.Get(ForwardedHeader) != "" }
 
-// serveLocal hands a request to the embedded service unmodified. It is
-// the mux fallback and the terminal hop for forwarded requests.
-func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request) {
-	n.svc.Handler().ServeHTTP(w, r)
-}
-
 // localRoundTrip serves a synthesized request against the local service
 // and captures the response.
 func (n *Node) localRoundTrip(ctx context.Context, method, path string, hdr http.Header, body []byte) *proxyResp {
@@ -102,88 +97,114 @@ func (n *Node) localRoundTrip(ctx context.Context, method, path string, hdr http
 	}
 	req.Header.Set(ForwardedHeader, n.cfg.ID)
 	cw := newCapture()
-	n.svc.Handler().ServeHTTP(cw, req)
+	n.local.ServeHTTP(cw, req)
 	return cw.resp()
 }
 
-// roundTrip routes one buffered request to target: served locally when
-// target is this node, otherwise forwarded one hop (the ForwardedHeader
-// makes the peer serve it locally, so routing disagreement can never
-// loop). Scan paths get the repair-aware local path.
+// roundTrip routes one buffered control-plane request to target: served
+// locally when target is this node, otherwise forwarded one hop.
 func (n *Node) roundTrip(ctx context.Context, targetID, method, path string, hdr http.Header, body []byte) *proxyResp {
 	if targetID == n.cfg.ID {
-		if id, ok := scanPathID(path); ok {
-			return n.scanLocal(ctx, hdr, id, body)
-		}
 		return n.localRoundTrip(ctx, method, path, hdr, body)
 	}
-	m, ok := n.members.Get(targetID)
-	if !ok || m.Addr == "" {
-		return proxyError(http.StatusBadGateway, "cluster: no address for node %s", targetID)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, m.Addr+path, bytes.NewReader(body))
-	if err != nil {
-		return proxyError(http.StatusInternalServerError, "cluster: build forward request: %v", err)
-	}
-	req.Header = hdr.Clone()
-	req.Header.Set(ForwardedHeader, n.cfg.ID)
-	n.forwards.Inc()
-	resp, err := n.hc.Do(req)
-	if err != nil {
-		return proxyError(http.StatusBadGateway, "cluster: forward to %s: %v", targetID, err)
+	resp, perr := n.send(ctx, targetID, method, path, hdr, bytes.NewReader(body), int64(len(body)))
+	if perr != nil {
+		return perr
 	}
 	defer resp.Body.Close()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyBody))
+	respBody, err := io.ReadAll(io.LimitReader(resp.Body, input.MaxBody))
 	if err != nil {
 		return proxyError(http.StatusBadGateway, "cluster: read from %s: %v", targetID, err)
 	}
 	return &proxyResp{status: resp.StatusCode, header: resp.Header, body: respBody}
 }
 
-// scanPathID extracts the program ID from a /v1 scan path.
-func scanPathID(path string) (string, bool) {
-	rest, ok := strings.CutPrefix(path, "/v1/programs/")
-	if !ok {
-		return "", false
-	}
-	id, ok := strings.CutSuffix(rest, "/scan")
-	if !ok || id == "" || strings.Contains(id, "/") {
-		return "", false
-	}
-	return id, true
+// timedBody closes a forward's rap_node_forward_duration_us observation
+// where the forward ends: at the Close after the last response byte.
+type timedBody struct {
+	io.ReadCloser
+	hist  *metrics.Histogram
+	start time.Time
 }
 
-// scanLocal serves a scan against the local service, lazily repairing a
-// missing program from gossiped catalog meta: compile the ID-defining
-// original, hot-swap to the live ruleset, then replay the scan. This is
-// what makes short-lived placement skew harmless — a scan routed to a
-// replica that has not warmed yet costs one compile, not an error.
-func (n *Node) scanLocal(ctx context.Context, hdr http.Header, id string, body []byte) *proxyResp {
-	path := "/v1/programs/" + id + "/scan"
-	resp := n.localRoundTrip(ctx, http.MethodPost, path, hdr, body)
-	if resp.status != http.StatusNotFound {
-		return resp
+func (b *timedBody) Close() error {
+	b.hist.Observe(time.Since(b.start))
+	return b.ReadCloser.Close()
+}
+
+// send forwards one request to a peer (the ForwardedHeader makes the peer
+// serve it locally, so routing disagreement can never loop). It returns the
+// response, body unread, or the error to answer with when the peer could
+// not be reached. size is the body's length, -1 when unknown.
+func (n *Node) send(ctx context.Context, targetID, method, path string, hdr http.Header, body io.Reader, size int64) (*http.Response, *proxyResp) {
+	m, ok := n.members.Get(targetID)
+	if !ok || m.Addr == "" {
+		return nil, proxyError(http.StatusBadGateway, "cluster: no address for node %s", targetID)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, m.Addr+path, body)
+	if err != nil {
+		return nil, proxyError(http.StatusInternalServerError, "cluster: build forward request: %v", err)
+	}
+	req.Header = hdr.Clone()
+	req.Header.Set(ForwardedHeader, n.cfg.ID)
+	req.ContentLength = size
+	if b, ok := body.(*input.SharedReader); ok {
+		req.GetBody = func() (io.ReadCloser, error) { return b.Again(), nil }
+	}
+	n.forwards.Inc()
+	start := time.Now()
+	resp, err := n.hc.Do(req)
+	if err != nil {
+		n.fwdTime[http.StatusBadGateway].Observe(time.Since(start))
+		status := http.StatusBadGateway
+		if errors.As(err, new(*http.MaxBytesError)) { // a streamed body ran over input.LimitBody
+			status = http.StatusRequestEntityTooLarge
+		}
+		return nil, proxyError(status, "cluster: forward to %s: %v", targetID, err)
+	}
+	hist := n.fwdTime[resp.StatusCode]
+	if hist == nil {
+		hist = n.fwdTime[http.StatusOK]
+	}
+	resp.Body = &timedBody{resp.Body, hist, start}
+	return resp, nil
+}
+
+// relay streams a peer's response to the client as it stands (its
+// Content-Length too: the body is not rewritten) and closes it.
+func relay(w http.ResponseWriter, resp *http.Response) {
+	defer resp.Body.Close()
+	for k, vs := range resp.Header {
+		w.Header()[k] = vs
+	}
+	w.WriteHeader(resp.StatusCode)
+	buf := input.Bodies.Get()
+	// The status is out, so a failed copy can only cut the response short.
+	// The bare io.Writer hides http's ReaderFrom, which flushes the headers
+	// in a packet of their own and copies through a fresh 32 KiB.
+	_, _ = io.CopyBuffer(struct{ io.Writer }{w}, resp.Body, buf[:cap(buf)])
+	input.Bodies.Put(buf)
+}
+
+// resident reports whether this node can serve program id, first repairing
+// a missing one from gossiped catalog meta: compile the ID-defining
+// original, hot-swap to the live ruleset. Repairing before serving, not
+// after a 404, lets the terminal hop stream the body it is given; a scan
+// routed to a replica that has not warmed yet costs one compile, no error.
+func (n *Node) resident(ctx context.Context, id string) bool {
+	if _, ok := n.svc.Program(id); ok {
+		return true
 	}
 	meta, ok := n.catalog.Get(id)
 	if !ok {
-		return resp
+		return false
 	}
 	if err := n.ensureLocal(ctx, meta); err != nil {
 		n.log.Warn("scan repair failed", "program", id, "err", err)
-		return resp
+		return false
 	}
 	n.repairs.Inc()
-	return n.localRoundTrip(ctx, http.MethodPost, path, hdr, body)
-}
-
-// readBody buffers a routed request's body.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxProxyBody))
-	if err != nil {
-		writeProxyResp(w, proxyError(http.StatusBadRequest, "cluster: read request body: %v", err))
-		return nil, false
-	}
-	return body, true
+	return true
 }
 
 // handleCompile routes POST /v1/programs to the program's ring owner.
@@ -191,7 +212,7 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 // (service.ProgramKey), so placement needs no directory lookup and
 // every node routes identically.
 func (n *Node) handleCompile(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
+	body, ok := input.ReadBody(w, r)
 	if !ok {
 		return
 	}
@@ -223,34 +244,55 @@ func (n *Node) handleCompile(w http.ResponseWriter, r *http.Request) {
 
 // handleScan fans POST /v1/programs/{id}/scan out over the program's
 // live replicas round-robin, falling through 404/unreachable replicas
-// and finally repairing locally from catalog meta.
+// and finally repairing locally from catalog meta. The terminal hop (a
+// forwarded scan, or one whose first replica is this node) hands the
+// untouched request and the client's own ResponseWriter to the embedded
+// service; a gateway reads the body once and relays the answer.
 func (n *Node) handleScan(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	body, ok := readBody(w, r)
+	id, ctx := r.PathValue("id"), r.Context()
+	targets := []string{n.cfg.ID} // a forwarded scan is served here, whatever the ring says
+	if !forwarded(r) {
+		n.noteRoutedScan(id)
+		targets = n.scanTargets(id)
+	}
+	if targets[0] == n.cfg.ID && n.resident(ctx, id) {
+		n.local.ServeHTTP(w, r)
+		return
+	}
+	buf, ok := input.ReadBody(w, r)
 	if !ok {
 		return
 	}
-	if forwarded(r) {
-		writeProxyResp(w, n.scanLocal(r.Context(), r.Header, id, body))
-		return
-	}
-	n.noteRoutedScan(id)
-	var resp *proxyResp
-	for _, target := range n.scanTargets(id) {
-		resp = n.roundTrip(r.Context(), target, http.MethodPost, "/v1/programs/"+id+"/scan", r.Header, body)
-		if resp.status != http.StatusNotFound && resp.status != http.StatusBadGateway {
-			writeProxyResp(w, resp)
+	body := input.Bodies.Share(buf)
+	defer body.Release()
+	// unreachable is the last peer tried, if it could not be reached; the
+	// loop's last turn is the local repair.
+	var unreachable *proxyResp
+	for _, target := range append(targets, n.cfg.ID) {
+		if target == n.cfg.ID {
+			if n.resident(ctx, id) {
+				break
+			}
+			continue
+		}
+		resp, perr := n.send(ctx, target, http.MethodPost, "/v1/programs/"+id+"/scan", r.Header, body.Reader(), int64(len(buf)))
+		if unreachable = perr; perr != nil {
+			continue
+		}
+		if resp.StatusCode != http.StatusNotFound {
+			relay(w, resp)
 			return
 		}
+		resp.Body.Close()
 	}
-	// Every replica missed or was unreachable: last resort is the
-	// repair-aware local path.
-	local := n.scanLocal(r.Context(), r.Header, id, body)
-	if local.status == http.StatusNotFound && resp != nil && resp.status != http.StatusNotFound {
-		// Keep the more informative upstream error over a local 404.
-		local = resp
+	if _, ok := n.svc.Program(id); !ok && unreachable != nil {
+		writeProxyResp(w, unreachable) // more informative than the local 404
+		return
 	}
-	writeProxyResp(w, local)
+	// After a fall-through the service copies the body a second time.
+	r2 := *r
+	r2.Body, r2.ContentLength = io.NopCloser(bytes.NewReader(buf)), int64(len(buf))
+	n.local.ServeHTTP(w, &r2)
 }
 
 // scanTargets returns the live replica set for id, rotated round-robin
@@ -307,7 +349,7 @@ func splitSessionID(sid string) (node, local string, ok bool) {
 // handleOpenSession places a new stream on the least-loaded live
 // replica of its program and returns a cluster-qualified session ID.
 func (n *Node) handleOpenSession(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
+	body, ok := input.ReadBody(w, r)
 	if !ok {
 		return
 	}
@@ -324,16 +366,11 @@ func (n *Node) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 	}
 	target := n.sessionTarget(req.ProgramID)
 	resp := n.roundTrip(r.Context(), target, http.MethodPost, "/v1/sessions", r.Header, body)
-	if resp.status == http.StatusNotFound && target != n.cfg.ID {
-		// The chosen replica has not warmed yet; open locally instead
-		// (the repair path materializes the program here).
-		if meta, ok := n.catalog.Get(req.ProgramID); ok {
-			if err := n.ensureLocal(r.Context(), meta); err == nil {
-				n.repairs.Inc()
-				target = n.cfg.ID
-				resp = n.roundTrip(r.Context(), target, http.MethodPost, "/v1/sessions", r.Header, body)
-			}
-		}
+	if resp.status == http.StatusNotFound && n.resident(r.Context(), req.ProgramID) {
+		// The chosen replica (this node included) does not hold the
+		// program; open here, where the repair has just materialized it.
+		target = n.cfg.ID
+		resp = n.roundTrip(r.Context(), target, http.MethodPost, "/v1/sessions", r.Header, body)
 	}
 	if resp.status < 300 {
 		var open struct {
@@ -375,23 +412,34 @@ func (n *Node) sessionTarget(programID string) string {
 	return best
 }
 
-// handleFeed routes a chunk to the node encoded in the session ID.
+// handleFeed routes a chunk to the node encoded in the session ID: one
+// target, no retry, so the body streams through and is never buffered here.
 func (n *Node) handleFeed(w http.ResponseWriter, r *http.Request) {
 	sid := r.PathValue("id")
 	node, local, ok := splitSessionID(sid)
 	if forwarded(r) || !ok {
-		n.serveLocal(w, r)
+		n.local.ServeHTTP(w, r)
 		return
 	}
-	body, okBody := readBody(w, r)
-	if !okBody {
+	path := "/v1/sessions/" + local + "/data"
+	if node == n.cfg.ID {
+		r2 := *r
+		r2.URL = &url.URL{Path: path}
+		n.local.ServeHTTP(w, &r2)
 		return
 	}
-	resp := n.roundTrip(r.Context(), node, http.MethodPost, "/v1/sessions/"+local+"/data", r.Header, body)
-	if resp.status == http.StatusBadGateway && !n.members.Alive(node) {
-		resp = proxyError(http.StatusNotFound, "session %s: node %s has left the cluster", sid, node)
+	if !input.LimitBody(w, r) {
+		return
 	}
-	writeProxyResp(w, resp)
+	resp, perr := n.send(r.Context(), node, http.MethodPost, path, r.Header, r.Body, r.ContentLength)
+	if perr != nil {
+		if perr.status == http.StatusBadGateway && !n.members.Alive(node) {
+			perr = proxyError(http.StatusNotFound, "session %s: node %s has left the cluster", sid, node)
+		}
+		writeProxyResp(w, perr)
+		return
+	}
+	relay(w, resp)
 }
 
 // handleCloseSession routes DELETE to the session's node and rewrites
@@ -400,7 +448,7 @@ func (n *Node) handleCloseSession(w http.ResponseWriter, r *http.Request) {
 	sid := r.PathValue("id")
 	node, local, ok := splitSessionID(sid)
 	if forwarded(r) || !ok {
-		n.serveLocal(w, r)
+		n.local.ServeHTTP(w, r)
 		return
 	}
 	resp := n.roundTrip(r.Context(), node, http.MethodDelete, "/v1/sessions/"+local, r.Header, nil)

@@ -1,0 +1,539 @@
+package cluster_test
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
+	"net/http/httptest"
+	"regexp"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/input"
+	"repro/internal/service"
+	"repro/pkg/rapclient"
+)
+
+// reply is what the differential compares of one response.
+type reply struct {
+	status int
+	ctype  string
+	traced bool // X-Trace-Id present
+	body   string
+}
+
+// sessionIDs matches a session ID as a bare service ("sess-3") or a
+// cluster ("n1~sess-3") issues it; replies carry "SID" in its place.
+var sessionIDs = regexp.MustCompile(`([a-z0-9]+~)?sess-[0-9]+`)
+
+// do sends one request, its body under a Content-Length or chunked.
+func do(t *testing.T, method, url string, body []byte, chunked bool) (reply, []byte) {
+	t.Helper()
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+		if chunked {
+			rd = struct{ io.Reader }{rd} // a length http cannot see
+		}
+	}
+	req, err := http.NewRequest(method, url, rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, url, err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("%s %s: read: %v", method, url, err)
+	}
+	// The JSON value, not its spelling: the control plane re-encodes what
+	// it rewrites (key order, no trailing newline).
+	var v any
+	if err := json.Unmarshal(raw, &v); err != nil {
+		t.Fatalf("%s %s: body %q: %v", method, url, raw, err)
+	}
+	canon, _ := json.Marshal(v)
+	return reply{
+		status: resp.StatusCode,
+		ctype:  resp.Header.Get("Content-Type"),
+		traced: resp.Header.Get("X-Trace-Id") != "",
+		body:   sessionIDs.ReplaceAllString(string(canon), "SID"),
+	}, raw
+}
+
+// placed compiles patterns through node 0 of tc, waits until every replica
+// holds the program, and returns its ID, the replicas' node indexes in
+// placement order and the index of a node outside the placement.
+func placed(t *testing.T, tc *testCluster, replicas int, patterns []string) (id string, repl []int, gateway int) {
+	t.Helper()
+	prog, err := rapclient.New(tc.servers[0].URL).Compile(context.Background(), patterns, nil)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	index := map[string]int{}
+	for i, n := range tc.nodes {
+		index[n.ID()] = i
+	}
+	for _, p := range tc.nodes[0].Ring().Placement(prog.ID, replicas) {
+		repl = append(repl, index[p])
+		delete(index, p)
+	}
+	for _, i := range index {
+		gateway = i
+	}
+	waitFor(t, 5*time.Second, "replica warm-up", func() bool {
+		for _, i := range repl {
+			if _, ok := tc.nodes[i].Service().Program(prog.ID); !ok {
+				return false
+			}
+		}
+		return true
+	})
+	return prog.ID, repl, gateway
+}
+
+// metric reads one sample of a node's /metrics (0 when absent).
+func metric(t *testing.T, base, series string) float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if rest, ok := strings.CutPrefix(sc.Text(), series+" "); ok {
+			var v float64
+			fmt.Sscan(rest, &v)
+			return v
+		}
+	}
+	return 0
+}
+
+// TestProxyDifferential: the same request answered through a gateway
+// outside the placement, by the program's owner, and by a bare
+// service.Service must be the same response — status, JSON body (session
+// IDs aside), Content-Type, X-Trace-Id — with the body sent both ways, on
+// every data-plane path: resident, repaired, unknown, a dead first replica;
+// local and remote feeds; a departed session node.
+func TestProxyDifferential(t *testing.T) {
+	tc := startCluster(t, 3, func(i int, cfg *cluster.Config) {
+		cfg.HotScanRate = 1e9
+		cfg.Service.ProgramCacheSize = 2
+		// Long enough that a killed replica is still routed to for the
+		// "first replica down" scans, short enough to wait out after.
+		cfg.SuspectAfter, cfg.DeadAfter = time.Second, 1500*time.Millisecond
+	})
+	waitConverged(t, tc, 3)
+	ctx := context.Background()
+	patterns := []string{"alpha", "beta", "end$"}
+	id, repl, gw := placed(t, tc, 2, patterns)
+	owner, second := repl[0], repl[1]
+
+	bareSvc := service.New(service.Config{Workers: 1})
+	defer bareSvc.Close()
+	bare := httptest.NewServer(bareSvc.Handler())
+	defer bare.Close()
+	if _, _, err := bareSvc.Compile(ctx, patterns, service.CompileOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	// The three ways in, in the order every row reports them.
+	names := []string{"gateway", "owner", "bare"}
+	bases := []string{tc.servers[gw].URL, tc.servers[owner].URL, bare.URL}
+
+	// same sends one request per way in (path may differ by session ID)
+	// and fails unless the three replies agree; loose compares status and
+	// Content-Type only. It returns the raw bodies.
+	same := func(t *testing.T, chunked, loose bool, method string, paths [3]string, body []byte) [3][]byte {
+		t.Helper()
+		var replies [3]reply
+		var raws [3][]byte
+		for i := range bases {
+			replies[i], raws[i] = do(t, method, bases[i]+paths[i], body, chunked)
+			if loose {
+				replies[i].body, replies[i].traced = "", false
+			}
+		}
+		for i := range names[:2] {
+			if replies[i] != replies[2] {
+				t.Errorf("%s %s via %s = %+v\n  bare service = %+v", method, paths[i], names[i], replies[i], replies[2])
+			}
+		}
+		return raws
+	}
+	all := func(path string) [3]string { return [3]string{path, path, path} }
+	evict := func() {
+		for _, i := range repl {
+			for j := 0; j < 2; j++ {
+				filler := []string{fmt.Sprintf("filler%d%d", i, j)}
+				if _, _, err := tc.nodes[i].Service().Compile(ctx, filler, service.CompileOptions{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	input := []byte("alpha then beta, then the end")
+
+	for _, chunked := range []bool{false, true} {
+		t.Run(fmt.Sprintf("chunked=%v", chunked), func(t *testing.T) {
+			scan := all("/v1/programs/" + id + "/scan")
+			raws := same(t, chunked, false, "POST", scan, input)
+			var res struct{ Count int }
+			if json.Unmarshal(raws[0], &res); res.Count != 3 {
+				t.Fatalf("resident scan = %s, want 3 matches", raws[0])
+			}
+			// Evicted on both replicas: the terminal hop repairs from the
+			// catalog before it serves (or the reconciler beat it to it).
+			evict()
+			same(t, chunked, false, "POST", scan, input)
+			evict()
+			raws = same(t, chunked, false, "POST", scan, input)
+			if json.Unmarshal(raws[1], &res); res.Count != 3 {
+				t.Fatalf("repaired scan = %s, want 3 matches", raws[1])
+			}
+			raws = same(t, chunked, false, "POST", all("/v1/programs/feedface/scan"), input)
+			if !strings.Contains(string(raws[0]), "not found") {
+				t.Fatalf("unknown program = %s", raws[0])
+			}
+
+			// A session opened while no replica holds the program is repaired
+			// where it lands (the parent answered the owner's own with 404).
+			open, _ := json.Marshal(map[string]string{"program_id": id})
+			evict()
+			same(t, chunked, false, "POST", all("/v1/sessions"), open)
+
+			// One session per way in. With the program back on both replicas
+			// the gateway's lands on one of them, so its feeds are remote,
+			// and the owner's own are local.
+			for _, i := range repl {
+				if _, _, err := tc.nodes[i].Service().Compile(ctx, patterns, service.CompileOptions{}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			raws = same(t, chunked, false, "POST", all("/v1/sessions"), open)
+			var sess [3]string
+			for i, raw := range raws {
+				var o struct {
+					SessionID string `json:"session_id"`
+				}
+				if json.Unmarshal(raw, &o); o.SessionID == "" {
+					t.Fatalf("open via %s = %s", names[i], raw)
+				}
+				sess[i] = "/v1/sessions/" + o.SessionID
+			}
+			if strings.Contains(sess[0], tc.nodes[gw].ID()+"~") || !strings.Contains(sess[1], tc.nodes[owner].ID()+"~") {
+				t.Fatalf("sessions %v: want the gateway's remote and the owner's local", sess)
+			}
+			data := [3]string{sess[0] + "/data", sess[1] + "/data", sess[2] + "/data"}
+			same(t, chunked, false, "POST", data, input[:3])
+			raws = same(t, chunked, false, "POST", data, input[3:])
+			if json.Unmarshal(raws[0], &res); res.Count != 2 {
+				t.Fatalf("second feed = %s, want the split alpha and beta", raws[0])
+			}
+			raws = same(t, chunked, false, "DELETE", sess, nil)
+			if json.Unmarshal(raws[0], &res); res.Count != 1 {
+				t.Fatalf("close = %s, want the end-anchored match", raws[0])
+			}
+			same(t, chunked, false, "POST", data, input) // closed: 404 from the session's node
+		})
+	}
+
+	// A session on the second replica, which then dies. While the survivors
+	// still route to it, scans whose first replica it is fall through.
+	var doomed struct {
+		SessionID string `json:"session_id"`
+	}
+	open, _ := json.Marshal(map[string]string{"program_id": id})
+	_, raw := do(t, "POST", tc.servers[second].URL+"/v1/sessions", open, false)
+	if json.Unmarshal(raw, &doomed); !strings.HasPrefix(doomed.SessionID, tc.nodes[second].ID()+"~") {
+		t.Fatalf("session opened at %s = %s", tc.nodes[second].ID(), raw)
+	}
+	dead := tc.nodes[second].ID()
+	tc.kill(second)
+	refused := `rap_node_forward_duration_us_count{outcome="bad_gateway"}`
+	before := metric(t, bases[0], refused)
+	for i := 0; i < 4; i++ {
+		same(t, i%2 == 1, false, "POST", all("/v1/programs/"+id+"/scan"), input)
+	}
+	if metric(t, bases[0], refused) == before {
+		t.Errorf("no forward to the dead first replica was recorded")
+	}
+	waitFor(t, 5*time.Second, "departure", func() bool {
+		return !tc.nodes[gw].Members().Alive(dead) && !tc.nodes[owner].Members().Alive(dead)
+	})
+	for _, chunked := range []bool{false, true} {
+		gone := "/v1/sessions/" + doomed.SessionID + "/data"
+		raws := same(t, chunked, true, "POST", [3]string{gone, gone, "/v1/sessions/sess-999/data"}, input)
+		if !strings.Contains(string(raws[0]), "has left the cluster") {
+			t.Errorf("feed to a departed node = %s", raws[0])
+		}
+	}
+}
+
+// rawRequest writes head (request line and headers) and body to a new
+// connection to base, half-closes it, and returns the response status (0
+// when the server sent none).
+func rawRequest(t *testing.T, base, head string, body []byte) int {
+	t.Helper()
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := conn.Write(append([]byte(head+"\r\n"), body...)); err != nil {
+		t.Fatal(err)
+	}
+	conn.(*net.TCPConn).CloseWrite()
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		return 0
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestProxyBodyLimits: a gateway enforces the serving node's body limit on
+// every routed path — from Content-Length before it reads a byte, from the
+// byte count on a chunked body — and answers a body that ends early with
+// 400 where it buffers.
+func TestProxyBodyLimits(t *testing.T) {
+	tc := startCluster(t, 3, nil)
+	waitConverged(t, tc, 3)
+	id, repl, gw := placed(t, tc, 2, []string{"needle"})
+	base := tc.servers[gw].URL
+	sess, err := rapclient.New(base).OpenSession(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(sess.ID, tc.nodes[repl[0]].ID()+"~") {
+		t.Fatalf("session %s is not remote from the gateway", sess.ID)
+	}
+	routes := []struct {
+		name, line          string
+		tooLarge, truncated int
+	}{
+		{"compile", "POST /v1/programs", 413, 400},
+		{"update", "PUT /v1/programs/" + id, 413, 400},
+		{"scan", "POST /v1/programs/" + id + "/scan", 413, 400},
+		{"open", "POST /v1/sessions", 413, 400},
+		// Streamed, not buffered: the broken body surfaces as a failed forward.
+		{"feed", "POST /v1/sessions/" + sess.ID + "/data", 413, 502},
+		// No body is read on a close: its length is nobody's business.
+		{"close", "DELETE /v1/sessions/" + tc.nodes[repl[0]].ID() + "~sess-999", 404, 404},
+	}
+	for _, rt := range routes {
+		// Only the headers are sent: a gateway that waited for the body
+		// before refusing would sit out the deadline.
+		head := fmt.Sprintf("%s HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n", rt.line, input.MaxBody+1)
+		if got := rawRequest(t, base, head, nil); got != rt.tooLarge {
+			t.Errorf("%s with Content-Length over the limit = %d, want %d", rt.name, got, rt.tooLarge)
+		}
+		head = fmt.Sprintf("%s HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n", rt.line)
+		if got := rawRequest(t, base, head, []byte("needle")); got != rt.truncated {
+			t.Errorf("%s with 6 bytes under Content-Length 100 = %d, want %d", rt.name, got, rt.truncated)
+		}
+	}
+	if testing.Short() {
+		return
+	}
+	big := make([]byte, input.MaxBody+1)
+	for _, path := range []string{"/v1/programs/" + id + "/scan", "/v1/sessions/" + sess.ID + "/data"} {
+		if got, raw := do(t, "POST", base+path, big, true); got.status != 413 {
+			t.Errorf("%s with a chunked body over the limit = %d %s, want 413", path, got.status, raw)
+		}
+	}
+	// The session survived the refused and the broken feeds.
+	if fed, err := sess.Feed(context.Background(), []byte("a needle")); err != nil || fed.Count != 1 {
+		t.Errorf("feed after the refused ones = %+v, %v", fed, err)
+	}
+}
+
+// TestRepairFirstCountsOnce: on one node whose cache holds two of three
+// programs, round-robin scans miss every time, and each costs exactly one
+// repair — the count `rapbench -exp cluster` pins on its 1-node row.
+func TestRepairFirstCountsOnce(t *testing.T) {
+	tc := startCluster(t, 1, func(i int, cfg *cluster.Config) {
+		cfg.GossipInterval = time.Hour // no reconciler warming behind the scans
+		cfg.Service.ProgramCacheSize = 2
+	})
+	ctx := context.Background()
+	cl := rapclient.New(tc.servers[0].URL)
+	var ids []string
+	for i := 0; i < 3; i++ {
+		prog, err := cl.Compile(ctx, []string{fmt.Sprintf("word%d", i)}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, prog.ID)
+	}
+	const scans = 9
+	for i := 0; i < scans; i++ {
+		res, err := cl.Scan(ctx, ids[i%3], []byte(fmt.Sprintf("a word%d here", i%3)))
+		if err != nil || res.Count != 1 {
+			t.Fatalf("scan %d = %+v, %v", i, res, err)
+		}
+	}
+	if got := metric(t, tc.servers[0].URL, "rap_node_repairs_total"); got != scans {
+		t.Errorf("rap_node_repairs_total = %v after %d scans that each missed, want %d", got, scans, scans)
+	}
+}
+
+// TestGatewayScanAllocBytes: a 256 KiB scan through a gateway and its owner
+// allocates a small fraction of its body — the buffers are pooled and the
+// response streams. (The parent commit allocated 2.8 MB an op.)
+func TestGatewayScanAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	tc := startCluster(t, 3, func(i int, cfg *cluster.Config) {
+		cfg.Replicas, cfg.HotScanRate = 1, -1
+		cfg.GossipInterval = 100 * time.Millisecond // what a tick allocates is not the scans'
+	})
+	waitConverged(t, tc, 3)
+	id, _, gw := placed(t, tc, 1, []string{"needle", "hay+stack"})
+	body := bytes.Repeat([]byte("no match in sight, nothing here "), 8<<10)
+	copy(body[len(body)/2:], "a needle")
+	hc := &http.Client{Transport: &http.Transport{}}
+	defer hc.CloseIdleConnections()
+	cl := rapclient.New(tc.servers[gw].URL, rapclient.WithHTTPClient(hc))
+	scan := func(n int) {
+		for i := 0; i < n; i++ {
+			res, err := cl.Scan(context.Background(), id, body)
+			if err != nil || res.Count != 1 {
+				t.Fatalf("scan = %+v, %v", res, err)
+			}
+		}
+	}
+	scan(20)
+	// The best of three windows: a collection that empties the pools in
+	// mid-window is the runtime's doing, not the data plane's.
+	const ops = 200
+	best := uint64(1 << 62)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		scan(ops)
+		runtime.ReadMemStats(&after)
+		best = min(best, (after.TotalAlloc-before.TotalAlloc)/ops)
+	}
+	t.Logf("%d B allocated per %d B scan through gateway and owner", best, len(body))
+	if best > 96<<10 {
+		t.Errorf("%d B allocated per scan, want under %d", best, 96<<10)
+	}
+}
+
+// TestForwardConnectionReuse: the node's transport keeps a burst's worth of
+// connections to a peer, so a second wave of 16 concurrent forwards dials
+// nothing (http.DefaultTransport kept 2 and redialled the other 14).
+func TestForwardConnectionReuse(t *testing.T) {
+	const wave = 16
+	var dials atomic.Int32
+	// arrived holds every forwarded scan at the owner until the whole wave
+	// is there, so that the wave needs that many connections at once.
+	var arrived atomic.Pointer[sync.WaitGroup]
+	tc := startCluster(t, 2, func(i int, cfg *cluster.Config) { cfg.Replicas, cfg.HotScanRate = 1, -1 })
+	waitConverged(t, tc, 2)
+	id, repl, _ := placed(t, tc, 1, []string{"needle"})
+	owner, gw := repl[0], 1-repl[0]
+	front := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get(cluster.ForwardedHeader) != "" && strings.HasSuffix(r.URL.Path, "/scan") {
+			wg := arrived.Load()
+			wg.Done()
+			wg.Wait()
+		}
+		tc.nodes[owner].Handler().ServeHTTP(w, r)
+	}))
+	front.Config.ConnState = func(c net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	front.Start()
+	defer front.Close()
+	// Re-advertise the owner behind the counting front.
+	tc.nodes[owner].Start(front.URL)
+	waitFor(t, 5*time.Second, "the gateway to learn the owner's new address", func() bool {
+		m, ok := tc.nodes[gw].Members().Get(tc.nodes[owner].ID())
+		return ok && m.Addr == front.URL
+	})
+	run := func(wave int) {
+		held := new(sync.WaitGroup)
+		held.Add(wave)
+		arrived.Store(held)
+		var wg sync.WaitGroup
+		for i := 0; i < wave; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				cl := rapclient.New(tc.servers[gw].URL, rapclient.WithRetries(0))
+				if res, err := cl.Scan(context.Background(), id, []byte("a needle")); err != nil || res.Count != 1 {
+					t.Errorf("scan = %+v, %v", res, err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	// Gossip shares the transport and runs one exchange at a time: the
+	// first wave is one wider, for the connection gossip may be holding
+	// while the second is in flight.
+	run(wave + 1)
+	first := dials.Load()
+	if first < wave+1 {
+		t.Fatalf("first wave opened %d connections, want at least %d", first, wave+1)
+	}
+	run(wave)
+	if again := dials.Load() - first; again != 0 {
+		t.Errorf("second wave of %d forwards opened %d new connections, want 0", wave, again)
+	}
+}
+
+// TestForwardClientDisconnect: a client that goes away mid-body, on the
+// streamed path and on the buffered one, leaves no handler and no goroutine
+// behind on either node.
+func TestForwardClientDisconnect(t *testing.T) {
+	tc := startCluster(t, 3, nil)
+	waitConverged(t, tc, 3)
+	id, _, gw := placed(t, tc, 2, []string{"needle"})
+	base := tc.servers[gw].URL
+	sess, err := rapclient.New(base).OpenSession(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	settled := runtime.NumGoroutine()
+	for _, line := range []string{
+		"POST /v1/sessions/" + sess.ID + "/data",
+		"POST /v1/programs/" + id + "/scan",
+	} {
+		conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(conn, "%s HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n", line, 1<<20)
+		conn.Write(make([]byte, 64<<10))
+		conn.Close()
+	}
+	handlers := regexp.MustCompile(`\(\*Node\)\.handle(Feed|Scan)|\(\*Service\)\.handle(Feed|Scan)`)
+	waitFor(t, 10*time.Second, "handlers and goroutines to drain", func() bool {
+		stacks := make([]byte, 1<<20)
+		stacks = stacks[:runtime.Stack(stacks, true)]
+		return !handlers.Match(stacks) && runtime.NumGoroutine() <= settled
+	})
+	if fed, err := sess.Feed(context.Background(), []byte("a needle")); err != nil || fed.Count != 1 {
+		t.Errorf("feed after the abandoned one = %+v, %v", fed, err)
+	}
+}

@@ -1,0 +1,73 @@
+package input
+
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+)
+
+// MaxBody bounds every request body (32 MiB), on a serving node and on a
+// cluster gateway alike: a gateway refuses what the serving node would.
+const MaxBody = 32 << 20
+
+// Bodies recycles the buffers ReadBody hands out. It retains buffers up to
+// 1 MiB: the occasional huge scan body is freed instead of pinning its
+// capacity for the life of the process.
+var Bodies = NewPool(64<<10, 1<<20)
+
+// LimitBody caps the request body at MaxBody as it is read. A body whose
+// Content-Length is already over is refused before a byte of it is read:
+// LimitBody answers 413 and reports false.
+func LimitBody(w http.ResponseWriter, r *http.Request) bool {
+	if r.ContentLength > MaxBody {
+		refuse(w, http.StatusRequestEntityTooLarge, &http.MaxBytesError{Limit: MaxBody})
+		return false
+	}
+	r.Body = http.MaxBytesReader(w, r.Body, MaxBody)
+	return true
+}
+
+// ReadBody reads the whole request body into a pooled buffer under
+// LimitBody, sized once from Content-Length when the client sent one and
+// grown by doubling otherwise. On failure it answers 413 (over the limit)
+// or 400 (ended early, or unreadable) and reports false. The caller must
+// Bodies.Put the buffer once the bytes are no longer referenced.
+func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	if !LimitBody(w, r) {
+		return nil, false
+	}
+	buf := Bodies.GetCap(int(r.ContentLength))
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		// A body of known length is complete at its last byte: the read
+		// that reports io.EOF must not first grow an exactly sized buffer.
+		if err == io.EOF || (err == nil && int64(len(buf)) == r.ContentLength) {
+			if int64(len(buf)) >= r.ContentLength {
+				return buf, true
+			}
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			Bodies.Put(buf)
+			status := http.StatusBadRequest
+			if errors.As(err, new(*http.MaxBytesError)) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			refuse(w, status, fmt.Errorf("read request body: %w", err))
+			return nil, false
+		}
+	}
+}
+
+// refuse answers with the {"error": ...} body every /v1 error carries.
+func refuse(w http.ResponseWriter, status int, err error) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()}) // the status is out; nothing to add to it
+}

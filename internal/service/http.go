@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -15,47 +14,6 @@ import (
 	"repro/internal/slo"
 	"repro/internal/telemetry"
 )
-
-// maxBodyBytes bounds scan/compile request bodies (32 MiB).
-const maxBodyBytes = 32 << 20
-
-// maxPooledBody caps how large a body buffer the pool retains (1 MiB):
-// the occasional huge scan body is freed instead of pinning its capacity
-// for the life of the process.
-const maxPooledBody = 1 << 20
-
-var bodyPool = input.NewPool(64<<10, maxPooledBody)
-
-// readBody reads the whole request body into a pooled buffer, capped at
-// maxBodyBytes (the data-plane handlers previously io.ReadAll'd a fresh
-// allocation per request). The caller must putBody the buffer once the
-// bytes are no longer referenced — safe after Scan/Feed return, since
-// matches carry offsets only and the streaming engines copy what little
-// history they keep.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	buf := bodyPool.Get()
-	if n := r.ContentLength; n > 0 && n <= maxBodyBytes && int(n) > cap(buf) {
-		buf = make([]byte, 0, n)
-	}
-	rd := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := rd.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			putBody(buf)
-			return nil, err
-		}
-	}
-}
-
-// putBody returns a readBody buffer to the pool.
-func putBody(buf []byte) { bodyPool.Put(buf) }
 
 // Handler returns the HTTP surface of the service. The API is versioned
 // under /v1/:
@@ -201,7 +159,7 @@ type errorResponse struct {
 
 func (s *Service) handleCompile(w http.ResponseWriter, r *http.Request) {
 	var req compileRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, input.MaxBody)).Decode(&req); err != nil {
 		writeError(w, fmt.Errorf("decode request: %w", err), http.StatusBadRequest)
 		return
 	}
@@ -224,7 +182,7 @@ func (s *Service) handleCompile(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	var req compileRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, input.MaxBody)).Decode(&req); err != nil {
 		writeError(w, fmt.Errorf("decode request: %w", err), http.StatusBadRequest)
 		return
 	}
@@ -242,13 +200,12 @@ func (s *Service) handleUpdate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleScan(w http.ResponseWriter, r *http.Request) {
-	data, err := readBody(w, r)
-	if err != nil {
-		writeError(w, err, http.StatusBadRequest)
+	data, ok := input.ReadBody(w, r)
+	if !ok {
 		return
 	}
 	matches, err := s.Scan(r.Context(), r.PathValue("id"), data)
-	putBody(data) // Scan has returned; matches hold offsets, not bytes
+	input.Bodies.Put(data) // Scan has returned; matches hold offsets, not bytes
 	if err != nil {
 		writeServiceError(w, err)
 		return
@@ -258,7 +215,7 @@ func (s *Service) handleScan(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 	var req openSessionRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, input.MaxBody)).Decode(&req); err != nil {
 		writeError(w, fmt.Errorf("decode request: %w", err), http.StatusBadRequest)
 		return
 	}
@@ -271,16 +228,15 @@ func (s *Service) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleFeed(w http.ResponseWriter, r *http.Request) {
-	chunk, err := readBody(w, r)
-	if err != nil {
-		writeError(w, err, http.StatusBadRequest)
+	chunk, ok := input.ReadBody(w, r)
+	if !ok {
 		return
 	}
 	id := r.PathValue("id")
 	matches, err := s.Feed(r.Context(), id, chunk)
 	// Safe to recycle: the streaming engines copy the history they keep
 	// across chunks (prefilter.Stream), so no engine retains the body.
-	putBody(chunk)
+	input.Bodies.Put(chunk)
 	if err != nil {
 		writeServiceError(w, err)
 		return

@@ -77,10 +77,14 @@ type Image struct {
 	Arrays []ArrayConfig
 }
 
-// SizeBytes returns the serialized size.
+// SizeBytes returns the serialized size, from the layout MarshalBinary
+// writes: nothing is marshalled.
 func (img *Image) SizeBytes() int {
-	data, _ := img.MarshalBinary()
-	return len(data)
+	n := imageHeaderBytes + crcBytes
+	for i := range img.Arrays {
+		n += img.Arrays[i].SizeBytes()
+	}
+	return n
 }
 
 // setBit sets crossbar bit (row, col).
@@ -353,47 +357,73 @@ const (
 	version = 1
 )
 
+// Sizes of the fixed parts of the wire layout.
+const (
+	imageHeaderBytes = 4 + 2 + 2 // magic, version, array count
+	arrayHeaderBytes = 1 + 1 + 2 // mode, depth, tile count
+	tileFixedBytes   = 1 + 1 + arch.TileSTEs + 4*arch.TileSTEs + 2 + arch.TileSTEs*arch.TileSTEs/8
+	// BVBytes is the wire size of one BVConfig.
+	BVBytes  = 1 + 1 + 1 + 1 + 2
+	crcBytes = 4
+)
+
+// SizeBytes returns the length of the array's wire form.
+func (a *ArrayConfig) SizeBytes() int {
+	n := arrayHeaderBytes + len(a.GlobalSwitch)
+	for i := range a.Tiles {
+		n += tileFixedBytes + BVBytes*len(a.Tiles[i].BVs)
+	}
+	return n
+}
+
 // MarshalBinary serializes the image with a trailing CRC-32.
 func (img *Image) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	w := func(v interface{}) {
-		_ = binary.Write(&buf, binary.LittleEndian, v)
+	le := binary.LittleEndian
+	b := make([]byte, 0, img.SizeBytes())
+	b = le.AppendUint32(b, magic)
+	b = le.AppendUint16(b, version)
+	b = le.AppendUint16(b, uint16(len(img.Arrays)))
+	for i := range img.Arrays {
+		b = img.Arrays[i].AppendBinary(b)
 	}
-	w(uint32(magic))
-	w(uint16(version))
-	w(uint16(len(img.Arrays)))
-	for _, a := range img.Arrays {
-		w(uint8(a.Mode))
-		w(a.Depth)
-		w(uint16(len(a.Tiles)))
-		for _, t := range a.Tiles {
-			w(uint8(t.Mode))
-			flags := uint8(0)
-			if t.HasInitial {
-				flags |= 1
-			}
-			w(flags)
-			w(t.ColRole[:])
-			w(t.CAMCodes[:])
-			w(uint16(len(t.BVs)))
-			for _, bv := range t.BVs {
-				w(bv.FirstColumn)
-				w(bv.Width)
-				w(bv.Depth)
-				b := uint8(0)
-				if bv.ReadAll {
-					b = 1
-				}
-				w(b)
-				w(bv.Size)
-			}
-			w(t.LocalSwitch[:])
+	return le.AppendUint32(b, crc32.ChecksumIEEE(b)), nil
+}
+
+// AppendBinary appends the array's wire form — header, tiles, global
+// switch — to b. The image format and the delta format's ArrayReplace
+// records (internal/reconfig) both carry arrays in it.
+func (a *ArrayConfig) AppendBinary(b []byte) []byte {
+	le := binary.LittleEndian
+	b = append(b, uint8(a.Mode), a.Depth)
+	b = le.AppendUint16(b, uint16(len(a.Tiles)))
+	for i := range a.Tiles {
+		t := &a.Tiles[i]
+		flags := uint8(0)
+		if t.HasInitial {
+			flags |= 1
 		}
-		w(a.GlobalSwitch[:])
+		b = append(b, uint8(t.Mode), flags)
+		b = append(b, t.ColRole[:]...)
+		for _, code := range &t.CAMCodes {
+			b = le.AppendUint32(b, code)
+		}
+		b = le.AppendUint16(b, uint16(len(t.BVs)))
+		for _, bv := range t.BVs {
+			b = bv.AppendBinary(b)
+		}
+		b = append(b, t.LocalSwitch[:]...)
 	}
-	sum := crc32.ChecksumIEEE(buf.Bytes())
-	w(sum)
-	return buf.Bytes(), nil
+	return append(b, a.GlobalSwitch[:]...)
+}
+
+// AppendBinary appends the bit vector's wire form to b.
+func (bv BVConfig) AppendBinary(b []byte) []byte {
+	readAll := uint8(0)
+	if bv.ReadAll {
+		readAll = 1
+	}
+	b = append(b, bv.FirstColumn, bv.Width, bv.Depth, readAll)
+	return binary.LittleEndian.AppendUint16(b, bv.Size)
 }
 
 // Parse deserializes and verifies an image.

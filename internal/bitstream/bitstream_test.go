@@ -179,6 +179,22 @@ func TestImageSizeScales(t *testing.T) {
 	}
 }
 
+// TestSizeBytesFromLayout: the size is computed, not marshalled — equal to
+// the marshalled length on every mode's image and free of allocations.
+func TestSizeBytesFromLayout(t *testing.T) {
+	_, _, img := buildFor(t, []string{"cat", "a(b|c)*d", "ab{20,48}c", "x.{100}y"}, mapper.Options{})
+	data, err := img.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := img.SizeBytes(); got != len(data) || cap(data) != len(data) {
+		t.Errorf("SizeBytes = %d, marshalled %d bytes in a buffer of %d", got, len(data), cap(data))
+	}
+	if n := testing.AllocsPerRun(10, func() { _ = img.SizeBytes() }); n != 0 {
+		t.Errorf("SizeBytes allocates %v times", n)
+	}
+}
+
 func TestValidate(t *testing.T) {
 	for _, name := range []string{"Snort", "Prosite"} {
 		d := workload.MustGenerate(name, 0.15, 5)

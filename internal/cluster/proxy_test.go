@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"runtime"
 	"strings"
@@ -390,6 +391,65 @@ func TestRepairFirstCountsOnce(t *testing.T) {
 	}
 	if got := metric(t, tc.servers[0].URL, "rap_node_repairs_total"); got != scans {
 		t.Errorf("rap_node_repairs_total = %v after %d scans that each missed, want %d", got, scans, scans)
+	}
+}
+
+// TestRepairReusesOriginalRuleset: a replica that lost an updated program
+// repairs it by compiling the ID-defining ruleset and hot-swapping to the
+// live one (Node.ensureLocal). That swap is an incremental update like any
+// other — it takes from the original every pattern the two rulesets share —
+// and the repaired replica answers what the owner answers.
+func TestRepairReusesOriginalRuleset(t *testing.T) {
+	tc := startCluster(t, 3, func(i int, cfg *cluster.Config) {
+		cfg.Service.ProgramCacheSize = 2
+	})
+	waitConverged(t, tc, 3)
+	ctx := context.Background()
+	original := []string{"alpha", "be+ta", "ga{20,40}mma", "(x|yz)*w", "delta$"}
+	live := []string{"alpha", "be+ta", "ga{20,40}mma", "(x|yz)*w", "epsilon"}
+	id, repl, _ := placed(t, tc, 2, original)
+	owner, second := tc.nodes[repl[0]], tc.nodes[repl[1]]
+	var rollout cluster.RolloutResult
+	if err := putUpdate(tc.servers[repl[0]].URL, id, live, &rollout); err != nil || rollout.Outcome != cluster.OutcomePromoted {
+		t.Fatalf("rollout = %+v, %v", rollout, err)
+	}
+	waitFor(t, 5*time.Second, "the promoted ruleset to reach the replica's catalog", func() bool {
+		meta, ok := second.Catalog().Get(id)
+		return ok && meta.Generation == rollout.ClusterGeneration
+	})
+
+	before := second.Service().Stats().Reconfig.PatternsReused
+	for j := 0; j < 2; j++ { // push the program out of the replica's two-slot cache
+		if _, _, err := second.Service().Compile(ctx, []string{fmt.Sprintf("filler%d", j)}, service.CompileOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	body := []byte("alpha beeeta g" + strings.Repeat("a", 30) + "mma yzxw epsilon delta")
+	req, err := http.NewRequest(http.MethodPost, tc.servers[repl[1]].URL+"/v1/programs/"+id+"/scan", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(cluster.ForwardedHeader, "test") // served where it lands: by the replica, repaired
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("scan on the repaired replica: HTTP %d", resp.StatusCode)
+	}
+	// The scan's repair, or the reconciler's if that came first: either is
+	// ensureLocal, and its update finds four of five patterns compiled.
+	if reused := second.Service().Stats().Reconfig.PatternsReused - before; reused < 4 {
+		t.Errorf("repair's update reused %d patterns, want the 4 the live ruleset shares with the original", reused)
+	}
+	want, err := owner.Service().Scan(ctx, id, body)
+	if err != nil || len(want) != 5 {
+		t.Fatalf("owner scan = %v, %v; want 5 matches", want, err)
+	}
+	if got, err := second.Service().Scan(ctx, id, body); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("repaired replica matches %v (err %v), owner %v", got, err, want)
 	}
 }
 

@@ -237,6 +237,13 @@ type Result struct {
 	// Errors lists the per-pattern compile failures (indexes preserved);
 	// every entry is a *compile.Error. Derived from Diags.
 	Errors []error
+	// Reused counts the slots Recompile took from the previous generation
+	// instead of compiling; the other len(Regexes)-Reused were compiled.
+	Reused int
+
+	// opts are the defaulted options the Result was compiled under (zero
+	// for FromNFAs); Recompile reuses entries only under equal options.
+	opts Options
 }
 
 // ByMode returns the compiled regexes of one mode.

@@ -28,10 +28,35 @@ func Compile(patterns []string, opts Options) *Result {
 // The output is deterministic: pattern i always lands in slot i, and the
 // Result is byte-identical whatever the worker count or scheduling.
 func CompileContext(ctx context.Context, patterns []string, opts Options) (*Result, error) {
+	return Recompile(ctx, nil, patterns, opts)
+}
+
+// Recompile is CompileContext with prev, the Result of an earlier
+// generation of the ruleset, as its cache. The Fig 9 decision is made per
+// regex with no cross-pattern state, so a pattern whose text compiled in
+// prev under the same options takes prev's Compiled entry — its AST and
+// machine shared by pointer, nothing in them is written after
+// construction — and only new texts are parsed, rewritten and routed. The
+// Result equals a cold compile of patterns (Regexes, Diags, Errors,
+// Fingerprint); Reused says how many slots were taken from prev. A nil
+// prev, or one compiled under other options, reuses nothing: that is
+// CompileContext.
+func Recompile(ctx context.Context, prev *Result, patterns []string, opts Options) (*Result, error) {
 	opts.setDefaults()
 	res := &Result{
 		Regexes: make([]Compiled, len(patterns)),
 		Diags:   make([]Diag, len(patterns)),
+		opts:    opts,
+	}
+	res.opts.Parallelism = 0 // never changes the output, so never refuses reuse
+	var cached map[string]*Compiled
+	if prev != nil && prev.opts == res.opts {
+		cached = make(map[string]*Compiled, len(prev.Regexes))
+		for i := range prev.Regexes {
+			if prev.Diags[i].OK() {
+				cached[prev.Regexes[i].Source] = &prev.Regexes[i]
+			}
+		}
 	}
 	workers := opts.Parallelism
 	if workers <= 0 {
@@ -46,7 +71,7 @@ func CompileContext(ctx context.Context, patterns []string, opts Options) (*Resu
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			compileSlot(res, i, p, opts)
+			compileSlot(res, i, p, opts, cached)
 		}
 	} else {
 		var next atomic.Int64
@@ -60,7 +85,7 @@ func CompileContext(ctx context.Context, patterns []string, opts Options) (*Resu
 					if i >= len(patterns) {
 						return
 					}
-					compileSlot(res, i, patterns[i], opts)
+					compileSlot(res, i, patterns[i], opts, cached)
 				}
 			}()
 		}
@@ -77,22 +102,29 @@ func CompileContext(ctx context.Context, patterns []string, opts Options) (*Resu
 			res.Errors = append(res.Errors, &Error{
 				Index: d.Index, Pattern: patterns[d.Index], Code: d.Code, Err: d.Err,
 			})
+		} else if cached[patterns[i]] != nil {
+			res.Reused++
 		}
 	}
 	return res, nil
 }
 
-// compileSlot compiles pattern i into its Result slot. Each slot is
-// written by exactly one worker (the one that claimed index i), so no
+// compileSlot fills Result slot i with pattern's entry of cached when it
+// has one and with a fresh compile otherwise. Each slot is written by
+// exactly one worker (the one that claimed index i), so no
 // synchronization is needed beyond the pool's WaitGroup.
-func compileSlot(res *Result, i int, pattern string, opts Options) {
-	c, code, err := compilePattern(pattern, opts)
-	if err != nil {
-		res.Diags[i] = Diag{Index: i, Code: code, Err: err}
-		return
+func compileSlot(res *Result, i int, pattern string, opts Options, cached map[string]*Compiled) {
+	c := cached[pattern]
+	if c == nil {
+		var code DiagCode
+		var err error
+		if c, code, err = compilePattern(pattern, opts); err != nil {
+			res.Diags[i] = Diag{Index: i, Code: code, Err: err}
+			return
+		}
 	}
-	c.Index = i
 	res.Regexes[i] = *c
+	res.Regexes[i].Index = i
 	res.Diags[i] = Diag{Index: i, Code: DiagOK, Mode: c.Mode, ModeReason: c.DecisionTrail}
 }
 

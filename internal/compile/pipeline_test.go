@@ -169,3 +169,60 @@ func TestDatasetFingerprintsPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestRecompileEqualsCompile: compiling against an earlier generation gives
+// the Result a cold compile gives — entries land in their new slots under
+// their new indexes, a text that failed before is compiled (and fails)
+// again — while the machines of shared texts are the earlier generation's
+// own, and other options share nothing.
+func TestRecompileEqualsCompile(t *testing.T) {
+	ctx := context.Background()
+	pats := pipelinePatterns(t)
+	prev := Compile(pats, Options{})
+	// Reversed, with every third text new to prev.
+	next := make([]string, len(pats))
+	fresh := workload.MustGenerate("Snort", 1, 8).Patterns
+	held := make(map[string]bool, len(pats))
+	for _, p := range pats[:len(pats)-2] { // the last two do not compile
+		held[p] = true
+	}
+	wantReused := 0
+	for i := range next {
+		if next[i] = pats[len(pats)-1-i]; i%3 == 0 {
+			next[i] = fresh[i%len(fresh)]
+		}
+		if held[next[i]] {
+			wantReused++
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		got, err := Recompile(ctx, prev, next, Options{Parallelism: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold := Compile(next, Options{})
+		if got.Fingerprint() != cold.Fingerprint() || !reflect.DeepEqual(got.Diags, cold.Diags) || len(got.Errors) != len(cold.Errors) {
+			t.Fatalf("parallelism %d: Recompile differs from a cold compile of the same list", workers)
+		}
+		if got.Reused != wantReused || cold.Reused != 0 {
+			t.Errorf("parallelism %d: %d slots reused (cold: %d), want %d (0)", workers, got.Reused, cold.Reused, wantReused)
+		}
+		byText := make(map[string]*Compiled, len(prev.Regexes))
+		for i := range prev.Regexes {
+			byText[prev.Regexes[i].Source] = &prev.Regexes[i]
+		}
+		for i := range got.Regexes {
+			c, old := &got.Regexes[i], byText[next[i]]
+			if held[next[i]] && (c.AST != old.AST || c.NFA != old.NFA || c.NBVA != old.NBVA) {
+				t.Fatalf("parallelism %d: slot %d (%q) does not share the earlier generation's machine", workers, i, next[i])
+			}
+		}
+	}
+	other, err := Recompile(ctx, prev, next, Options{UnfoldThreshold: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold := Compile(next, Options{UnfoldThreshold: 12}); other.Reused != 0 || other.Fingerprint() != cold.Fingerprint() {
+		t.Errorf("under another unfold threshold %d slots were reused; fingerprints equal: %v", other.Reused, other.Fingerprint() == cold.Fingerprint())
+	}
+}

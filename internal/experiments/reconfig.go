@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
+	"runtime"
+	"time"
 
 	"repro/internal/arch"
 	"repro/internal/bitstream"
@@ -9,6 +12,8 @@ import (
 	"repro/internal/mapper"
 	"repro/internal/metrics"
 	"repro/internal/reconfig"
+	"repro/internal/refmatch"
+	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -23,12 +28,18 @@ import (
 //
 // The acceptance shape: for small churn the incremental path is orders
 // of magnitude below a redeploy, converging toward it as churn grows.
+//
+// The last two columns price the software half of the same swap:
+// service.Update, which compiles and lowers only the patterns the served
+// generation does not hold, against the steps of a cold compile of the
+// same list (front-end, lowering, map, bitstream, diff).
 func Reconfig(cfg Config) (*metrics.Table, error) {
 	cfg.setDefaults()
 	t := &metrics.Table{
 		Name: "Live reconfiguration: incremental delta vs full redeploy",
 		Header: []string{"Dataset", "Churn", "Delta B", "Full B", "Full/Delta",
-			"Reload cyc", "Full cyc", "Stall µs", "Idle arrays", "Swap Gch/s", "Redeploy Gch/s"},
+			"Reload cyc", "Full cyc", "Stall µs", "Idle arrays", "Swap Gch/s", "Redeploy Gch/s",
+			"Update ms", "Cold ms"},
 	}
 	for _, name := range []string{"Snort", "ClamAV"} {
 		d, input, err := cfg.dataset(name)
@@ -50,9 +61,14 @@ func Reconfig(cfg Config) (*metrics.Table, error) {
 			for i := 0; i < ch.rules && i < len(alt.Patterns); i++ {
 				newPats[i] = alt.Patterns[i]
 			}
+			runtime.GC() // both timings are one sample: start each from a collected heap
+			coldStart := time.Now()
 			resNew, pNew, imgNew, err := deployImage(newPats)
 			if err != nil {
 				return nil, fmt.Errorf("%s churn %s: %w", name, ch.label, err)
+			}
+			if _, err := refmatch.FromResult(resNew, refmatch.Options{}); err != nil {
+				return nil, err
 			}
 			delta := reconfig.Diff(imgOld, imgNew)
 			data, err := delta.MarshalBinary()
@@ -64,6 +80,11 @@ func Reconfig(cfg Config) (*metrics.Table, error) {
 			plan, err := reconfig.Schedule(delta, imgNew)
 			if err != nil {
 				return nil, err
+			}
+			cold := time.Since(coldStart)
+			update, err := updateLatency(d.Patterns, newPats)
+			if err != nil {
+				return nil, fmt.Errorf("%s churn %s: %w", name, ch.label, err)
 			}
 			// Hot-swap mid-stream: incremental stalls for the scheduler's
 			// window, a redeploy stalls for the full-image reload.
@@ -81,13 +102,36 @@ func Reconfig(cfg Config) (*metrics.Table, error) {
 				metrics.Ratio(float64(imgNew.SizeBytes()), float64(len(data))),
 				inc.ReloadCycles, full.ReloadCycles, plan.LatencyUS(),
 				fmt.Sprintf("%d/%d", plan.UntouchedArrays, len(imgNew.Arrays)),
-				swap.ThroughputGchS(), redeploy.ThroughputGchS())
+				swap.ThroughputGchS(), redeploy.ThroughputGchS(),
+				float64(update.Microseconds())/1e3, float64(cold.Microseconds())/1e3)
 		}
 	}
 	if err := cfg.saveTable(t, "reconfig.csv"); err != nil {
 		return nil, err
 	}
 	return t, nil
+}
+
+// updateLatency times service.Update from the served ruleset old to next.
+// One round trip comes first, so that the timed swap finds — like every
+// swap of a program after its first — the displaced image already built.
+func updateLatency(old, next []string) (time.Duration, error) {
+	svc := service.New(service.Config{})
+	defer svc.Close()
+	ctx := context.Background()
+	prog, _, err := svc.Compile(ctx, old, service.CompileOptions{})
+	if err != nil {
+		return 0, err
+	}
+	for _, warm := range [][]string{next, old} {
+		if _, err := svc.Update(ctx, prog.ID, warm, service.CompileOptions{}); err != nil {
+			return 0, err
+		}
+	}
+	runtime.GC()
+	start := time.Now()
+	_, err = svc.Update(ctx, prog.ID, next, service.CompileOptions{})
+	return time.Since(start), err
 }
 
 // deployImage runs the deployment pipeline for one pattern set.
@@ -113,10 +157,10 @@ type churnLevel struct {
 }
 
 // churnLevels returns the churn ladder for an n-rule set: a single rule,
-// then 5%, 20% and 50%, deduplicated for small sets.
+// then 5%, 10%, 20% and 50%, deduplicated for small sets.
 func churnLevels(n int) []churnLevel {
 	levels := []churnLevel{{"1 rule", 1}}
-	for _, pct := range []int{5, 20, 50} {
+	for _, pct := range []int{5, 10, 20, 50} {
 		rules := n * pct / 100
 		if rules <= levels[len(levels)-1].rules {
 			continue

@@ -21,101 +21,76 @@ const (
 
 // MarshalBinary serializes the delta.
 func (d *Delta) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	w := func(v interface{}) {
-		_ = binary.Write(&buf, binary.LittleEndian, v)
-	}
-	w(uint32(deltaMagic))
-	w(uint16(deltaVersion))
-	w(d.BaseCRC)
-	w(d.TargetCRC)
-	w(uint16(d.NumArrays))
+	le := binary.LittleEndian
+	b := le.AppendUint32(make([]byte, 0, d.sizeBytes()), deltaMagic)
+	b = le.AppendUint16(b, deltaVersion)
+	b = le.AppendUint32(b, d.BaseCRC)
+	b = le.AppendUint32(b, d.TargetCRC)
+	b = le.AppendUint16(b, uint16(d.NumArrays))
 
-	w(uint32(len(d.Replaces)))
-	for _, r := range d.Replaces {
-		w(uint16(r.Array))
-		writeArray(w, &r.Config)
+	b = le.AppendUint32(b, uint32(len(d.Replaces)))
+	for i := range d.Replaces {
+		b = le.AppendUint16(b, uint16(d.Replaces[i].Array))
+		b = d.Replaces[i].Config.AppendBinary(b)
 	}
-	w(uint32(len(d.Headers)))
+	b = le.AppendUint32(b, uint32(len(d.Headers)))
 	for _, h := range d.Headers {
-		w(uint16(h.Array))
-		w(uint8(h.Mode))
-		w(h.Depth)
+		b = le.AppendUint16(b, uint16(h.Array))
+		b = append(b, uint8(h.Mode), h.Depth)
 	}
-	w(uint32(len(d.TileMetas)))
+	b = le.AppendUint32(b, uint32(len(d.TileMetas)))
 	for _, m := range d.TileMetas {
-		w(uint16(m.Array))
-		w(uint16(m.Tile))
-		w(uint8(m.Mode))
+		b = le.AppendUint16(b, uint16(m.Array))
+		b = le.AppendUint16(b, uint16(m.Tile))
 		flags := uint8(0)
 		if m.HasInitial {
 			flags |= 1
 		}
-		w(flags)
-		w(uint16(len(m.BVs)))
+		b = append(b, uint8(m.Mode), flags)
+		b = le.AppendUint16(b, uint16(len(m.BVs)))
 		for _, bv := range m.BVs {
-			writeBV(w, bv)
+			b = bv.AppendBinary(b)
 		}
 	}
-	w(uint32(len(d.Codes)))
+	b = le.AppendUint32(b, uint32(len(d.Codes)))
 	for _, c := range d.Codes {
-		w(uint16(c.Array))
-		w(uint16(c.Tile))
-		w(c.Col)
-		w(c.Role)
-		w(c.Code)
+		b = le.AppendUint16(b, uint16(c.Array))
+		b = le.AppendUint16(b, uint16(c.Tile))
+		b = append(b, c.Col, c.Role)
+		b = le.AppendUint32(b, c.Code)
 	}
-	w(uint32(len(d.LocalRows)))
-	for _, r := range d.LocalRows {
-		w(uint16(r.Array))
-		w(uint16(r.Tile))
-		w(r.Row)
-		w(r.Bits[:])
+	b = le.AppendUint32(b, uint32(len(d.LocalRows)))
+	for i := range d.LocalRows {
+		r := &d.LocalRows[i]
+		b = le.AppendUint16(b, uint16(r.Array))
+		b = le.AppendUint16(b, uint16(r.Tile))
+		b = append(b, r.Row)
+		b = append(b, r.Bits[:]...)
 	}
-	w(uint32(len(d.GlobalRows)))
-	for _, r := range d.GlobalRows {
-		w(uint16(r.Array))
-		w(r.Row)
-		w(r.Bits[:])
+	b = le.AppendUint32(b, uint32(len(d.GlobalRows)))
+	for i := range d.GlobalRows {
+		r := &d.GlobalRows[i]
+		b = le.AppendUint16(b, uint16(r.Array))
+		b = append(b, r.Row)
+		b = append(b, r.Bits[:]...)
 	}
-	w(crc32.ChecksumIEEE(buf.Bytes()))
-	return buf.Bytes(), nil
+	return le.AppendUint32(b, crc32.ChecksumIEEE(b)), nil
 }
 
-func writeBV(w func(interface{}), bv bitstream.BVConfig) {
-	w(bv.FirstColumn)
-	w(bv.Width)
-	w(bv.Depth)
-	b := uint8(0)
-	if bv.ReadAll {
-		b = 1
+// sizeBytes is the length of the delta's wire form.
+func (d *Delta) sizeBytes() int {
+	n := 4 + 2 + 4 + 4 + 2 + 6*4 + 4 // header, six section counts, CRC
+	for i := range d.Replaces {
+		n += 2 + d.Replaces[i].Config.SizeBytes()
 	}
-	w(b)
-	w(bv.Size)
-}
-
-// writeArray serializes one ArrayConfig payload (ArrayReplace records).
-func writeArray(w func(interface{}), a *bitstream.ArrayConfig) {
-	w(uint8(a.Mode))
-	w(a.Depth)
-	w(uint16(len(a.Tiles)))
-	for i := range a.Tiles {
-		t := &a.Tiles[i]
-		w(uint8(t.Mode))
-		flags := uint8(0)
-		if t.HasInitial {
-			flags |= 1
-		}
-		w(flags)
-		w(t.ColRole[:])
-		w(t.CAMCodes[:])
-		w(uint16(len(t.BVs)))
-		for _, bv := range t.BVs {
-			writeBV(w, bv)
-		}
-		w(t.LocalSwitch[:])
+	n += 4 * len(d.Headers)
+	for i := range d.TileMetas {
+		n += 8 + bitstream.BVBytes*len(d.TileMetas[i].BVs)
 	}
-	w(a.GlobalSwitch[:])
+	n += 10 * len(d.Codes)
+	n += (5 + localRowBytes) * len(d.LocalRows)
+	n += (3 + globalRowBytes) * len(d.GlobalRows)
+	return n
 }
 
 // ParseDelta deserializes and verifies a delta. Like bitstream.Parse it

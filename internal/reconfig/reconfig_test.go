@@ -13,7 +13,7 @@ import (
 )
 
 // imageFor compiles+maps+builds a deployment image for a pattern set.
-func imageFor(t *testing.T, patterns []string) *bitstream.Image {
+func imageFor(t testing.TB, patterns []string) *bitstream.Image {
 	t.Helper()
 	res := compile.Compile(patterns, compile.Options{})
 	if len(res.Errors) != 0 {

@@ -3,10 +3,12 @@ package refmatch
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/automata"
 	"repro/internal/compile"
+	"repro/internal/nbva"
 	"repro/internal/regexast"
 	"repro/internal/workload"
 )
@@ -179,5 +181,76 @@ func TestCanonicalDistinguishesMachineOptions(t *testing.T) {
 			t.Errorf("%+v: canonical %q collides with another option set", o, key)
 		}
 		seen[key] = true
+	}
+}
+
+// TestRelowerSharesTables: lowering against the matcher of an earlier
+// generation gives the matcher FromResult gives, with the DFA table and NBVA
+// kernel of every machine the two Results share taken from the earlier
+// matcher by pointer; under another DFA cap no DFA verdict is carried over.
+func TestRelowerSharesTables(t *testing.T) {
+	ctx := context.Background()
+	opts := Options{}
+	d := workload.MustGenerate("Snort", 1, 1)
+	prevRes, err := compile.CompileContext(ctx, d.Patterns, opts.FrontEnd())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev, err := FromResult(prevRes, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := append([]string(nil), d.Patterns...)
+	for i, p := range workload.MustGenerate("Snort", 1, 2).Patterns {
+		if i%10 == 0 {
+			next[i] = p
+		}
+	}
+	res, err := compile.Recompile(ctx, prevRes, next, opts.FrontEnd())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := func(m *Matcher) (map[*automata.DFA]bool, map[*nbva.Kernel]bool) {
+		dfas, kernels := map[*automata.DFA]bool{}, map[*nbva.Kernel]bool{}
+		for _, dfa := range m.dfas {
+			dfas[dfa] = true
+		}
+		for _, k := range m.nbvaKernels {
+			kernels[k] = true
+		}
+		return dfas, kernels
+	}
+	prevDFAs, prevKernels := tables(prev)
+	for _, tc := range []struct {
+		opts       Options
+		sharesDFAs bool
+	}{{opts, true}, {Options{DFAStateCap: 8}, false}} {
+		got, err := Relower(prev, res, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := Compile(ctx, next, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Engines(), cold.Engines()) || !reflect.DeepEqual(got.Kernels(), cold.Kernels()) ||
+			!reflect.DeepEqual(got.PrefilterVerdicts(), cold.PrefilterVerdicts()) {
+			t.Errorf("DFA cap %d: Relower differs from a cold compile", tc.opts.DFAStateCap)
+		}
+		sharedDFAs, sharedKernels := 0, 0
+		for _, dfa := range got.dfas {
+			if prevDFAs[dfa] {
+				sharedDFAs++
+			}
+		}
+		for _, k := range got.nbvaKernels {
+			if prevKernels[k] {
+				sharedKernels++
+			}
+		}
+		if (sharedDFAs > 0) != tc.sharesDFAs || sharedKernels == 0 {
+			t.Errorf("DFA cap %d: %d of %d DFA tables and %d of %d kernels shared with the earlier matcher",
+				tc.opts.DFAStateCap, sharedDFAs, len(got.dfas), sharedKernels, len(got.nbvaKernels))
+		}
 	}
 }

@@ -219,6 +219,64 @@ func Compile(ctx context.Context, patterns []string, opts Options) (*Matcher, er
 	return FromResult(res, opts)
 }
 
+// lowered holds what FromResult derives from one pattern's machine and
+// nothing else: the DFA table of an NFA (nil: it steps as an NFA, because
+// the streaming DFA does not apply or outgrew DFAStateCap) and the scan
+// kernel of an NBVA machine (nil: too wide, sessions step a Runner). A
+// Matcher's own tables, keyed by the machine they were built from, are the
+// cache its successor lowers against. The zero value caches nothing.
+type lowered struct {
+	dfas    map[*automata.NFA]*automata.DFA
+	kernels map[*nbva.Machine]*nbva.Kernel
+}
+
+// lowered indexes the per-pattern tables of m for a successor lowered
+// under opts (defaulted). A DFA verdict stands only under the same cap.
+func (m *Matcher) lowered(opts Options) lowered {
+	var l lowered
+	if m == nil {
+		return l
+	}
+	if m.opts.DFAStateCap == opts.DFAStateCap {
+		l.dfas = make(map[*automata.NFA]*automata.DFA, len(m.dfas)+len(m.nfas))
+		for j, nfa := range m.dfaNFAs {
+			l.dfas[nfa] = m.dfas[j]
+		}
+		for _, nfa := range m.nfas {
+			l.dfas[nfa] = nil
+		}
+	}
+	l.kernels = make(map[*nbva.Machine]*nbva.Kernel, len(m.nbvas))
+	for j, machine := range m.nbvas {
+		l.kernels[machine] = m.nbvaKernels[j]
+	}
+	return l
+}
+
+// dfa returns the streaming DFA nfa scans with, nil when it steps as an
+// NFA: a small table, when constructible and the pattern has no anchoring
+// or empty-match subtleties.
+func (l lowered) dfa(nfa *automata.NFA, cap int) *automata.DFA {
+	if dfa, ok := l.dfas[nfa]; ok {
+		return dfa
+	}
+	if cap <= 0 || nfa.StartAnchored || nfa.EndAnchored || nfa.MatchesEmpty {
+		return nil
+	}
+	dfa, err := automata.BuildDFA(nfa, cap)
+	if err != nil {
+		return nil
+	}
+	return dfa
+}
+
+func (l lowered) kernel(machine *nbva.Machine) *nbva.Kernel {
+	if k, ok := l.kernels[machine]; ok {
+		return k
+	}
+	return nbva.NewKernel(machine)
+}
+
 // FromResult lowers a compile.Result onto the software engines: LNFA
 // sequences pack into the Shift-And machines (behind the literal
 // prefilter when the pattern's AST has a mandatory literal set), NBVA
@@ -227,10 +285,22 @@ func Compile(ctx context.Context, patterns []string, opts Options) (*Matcher, er
 // all-or-nothing: the first per-pattern failure of res, in pattern
 // order, is returned as is.
 func FromResult(res *compile.Result, opts Options) (*Matcher, error) {
+	return Relower(nil, res, opts)
+}
+
+// Relower is FromResult with prev, the Matcher of an earlier generation of
+// the ruleset, as its cache: a machine res shares with the Result prev was
+// lowered from (compile.Recompile shares them by pointer) keeps prev's DFA
+// table or NBVA kernel, also by pointer, since no scan writes to either.
+// What depends on the whole set — the Shift-And packing, the prefilter
+// literal union — is rebuilt, so the Matcher equals FromResult(res, opts)
+// in engines, kernels, verdicts and match order. A nil prev is FromResult.
+func Relower(prev *Matcher, res *compile.Result, opts Options) (*Matcher, error) {
 	if len(res.Errors) > 0 {
 		return nil, res.Errors[0]
 	}
 	opts.setDefaults()
+	cache := prev.lowered(opts)
 	m := &Matcher{
 		engines:  make([]Engine, len(res.Regexes)),
 		verdicts: make([]prefilter.Verdict, len(res.Regexes)),
@@ -273,19 +343,15 @@ func FromResult(res *compile.Result, opts Options) (*Matcher, error) {
 			m.engines[i] = EngineNBVA
 			m.nbvas = append(m.nbvas, c.NBVA)
 			m.nbvaIdx = append(m.nbvaIdx, i)
-			m.nbvaKernels = append(m.nbvaKernels, nbva.NewKernel(c.NBVA))
+			m.nbvaKernels = append(m.nbvaKernels, cache.kernel(c.NBVA))
 		case compile.ModeNFA:
 			nfa := c.NFA
-			// Fast path: a small streaming DFA, when constructible and the
-			// pattern has no anchoring or empty-match subtleties.
-			if opts.DFAStateCap > 0 && !nfa.StartAnchored && !nfa.EndAnchored && !nfa.MatchesEmpty {
-				if dfa, err := automata.BuildDFA(nfa, opts.DFAStateCap); err == nil {
-					m.engines[i] = EngineDFA
-					m.dfas = append(m.dfas, dfa)
-					m.dfaIdx = append(m.dfaIdx, i)
-					m.dfaNFAs = append(m.dfaNFAs, nfa)
-					break
-				}
+			if dfa := cache.dfa(nfa, opts.DFAStateCap); dfa != nil {
+				m.engines[i] = EngineDFA
+				m.dfas = append(m.dfas, dfa)
+				m.dfaIdx = append(m.dfaIdx, i)
+				m.dfaNFAs = append(m.dfaNFAs, nfa)
+				break
 			}
 			m.engines[i] = EngineNFA
 			m.nfas = append(m.nfas, nfa)

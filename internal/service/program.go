@@ -71,14 +71,23 @@ func (o CompileOptions) options() refmatch.Options {
 
 // build runs the compiler front-end once over patterns and lowers its
 // Result onto the software matcher. The Result comes back too: it is
-// what the deployment image is mapped from (buildImage).
-func build(ctx context.Context, patterns []string, opts CompileOptions) (*refmatch.Matcher, *compile.Result, error) {
+// what the deployment image is mapped from (buildImage). prev, when not
+// nil, is the program being replaced: patterns it already holds keep their
+// compiled entry and lowered tables (compile.Recompile, refmatch.Relower,
+// which also decide when its options rule that out). A nil prev is a cold
+// compile — the same path with nothing to reuse.
+func build(ctx context.Context, prev *Program, patterns []string, opts CompileOptions) (*refmatch.Matcher, *compile.Result, error) {
+	var prevRes *compile.Result
+	var prevMatcher *refmatch.Matcher
+	if prev != nil {
+		prevRes, prevMatcher = prev.res, prev.Matcher
+	}
 	ro := opts.options()
-	res, err := compile.CompileContext(ctx, patterns, ro.FrontEnd())
+	res, err := compile.Recompile(ctx, prevRes, patterns, ro.FrontEnd())
 	if err != nil {
 		return nil, nil, err
 	}
-	m, err := refmatch.FromResult(res, ro)
+	m, err := refmatch.Relower(prevMatcher, res, ro)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -104,7 +113,9 @@ func ProgramKey(patterns []string, opts CompileOptions) string {
 // Program needs no lock beyond the lazily-built deployment image; its
 // counters are atomic. Update never mutates a Program — it builds a new
 // one and swaps it behind the same ID, so sessions holding the old
-// pointer keep matching the ruleset they opened against.
+// pointer keep matching the ruleset they opened against. Successive
+// generations share the compiled entries and scan tables of the patterns
+// they have in common; nothing shared is written after construction.
 type Program struct {
 	ID        string
 	Patterns  []string
@@ -119,14 +130,16 @@ type Program struct {
 	Owner    string
 	MemBytes int64
 
+	// res is the compile the Matcher was lowered from. It stays with the
+	// program: the update that replaces it takes from res and Matcher
+	// every pattern the two rulesets share, and that is the whole cache.
+	res *compile.Result
 	// hwImg is the deployment bitstream of the program (Update diffs
-	// against it to produce the delta bitstream). It is built on first
-	// use from hwRes, the compile the Matcher was lowered from, which is
-	// released once the image (or the reason there is none) is known.
-	hwMu  sync.Mutex
-	hwRes *compile.Result
-	hwImg *bitstream.Image
-	hwErr error
+	// against it to produce the delta bitstream): set at construction by
+	// the update that built it, else built from res on first use.
+	hwOnce sync.Once
+	hwImg  *bitstream.Image
+	hwErr  error
 
 	// sessPool recycles refmatch.Sessions across one-shot scans and
 	// closed streams: all per-flow scratch (Shift-And state words, NBVA
@@ -170,12 +183,11 @@ func (p *Program) putSession(s *refmatch.Session) { p.sessPool.Put(s) }
 
 // hwImage returns the program's deployment image, building it on demand.
 func (p *Program) hwImage() (*bitstream.Image, error) {
-	p.hwMu.Lock()
-	defer p.hwMu.Unlock()
-	if p.hwRes != nil {
-		p.hwImg, p.hwErr = buildImage(p.hwRes)
-		p.hwRes = nil
-	}
+	p.hwOnce.Do(func() {
+		if p.hwImg == nil {
+			p.hwImg, p.hwErr = buildImage(p.res)
+		}
+	})
 	return p.hwImg, p.hwErr
 }
 

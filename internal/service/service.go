@@ -169,6 +169,8 @@ type Service struct {
 	// Live-reconfiguration counters (Service.Update).
 	updateMu           sync.Mutex // serializes hot-swaps
 	updates            *metrics.Counter
+	updateReused       *metrics.Counter // patterns taken from the replaced generation
+	updateCompiled     *metrics.Counter // patterns compiled because their text was new
 	updateDeltaBytes   *metrics.Counter
 	updateFullBytes    *metrics.Counter
 	updateReloadCycles *metrics.Counter
@@ -304,11 +306,11 @@ func (s *Service) tenant(ctx context.Context) *qos.Tenant {
 // observeStage folds one completed request stage into its latency
 // histogram (with the trace ID as exemplar), into the request's span
 // list, and into the matching "stage:<name>" SLO objective when one is
-// configured.
-func (s *Service) observeStage(h *metrics.Histogram, tr *telemetry.Trace, name string, start time.Time) {
+// configured. attrs annotate the span.
+func (s *Service) observeStage(h *metrics.Histogram, tr *telemetry.Trace, name string, start time.Time, attrs ...telemetry.Label) {
 	d := time.Since(start)
 	h.ObserveExemplar(d, tr.ID())
-	tr.AddSpan(name, start, d)
+	tr.AddSpan(name, start, d, attrs...)
 	s.sloEng.ObserveLatency("stage:"+name, d)
 }
 
@@ -366,7 +368,7 @@ func (s *Service) Compile(ctx context.Context, patterns []string, opts CompileOp
 		)
 		if err := s.runCompile(tr, func() {
 			compileStart := time.Now()
-			m, res, cerr = build(ctx, patterns, opts)
+			m, res, cerr = build(ctx, nil, patterns, opts)
 			if cerr == nil {
 				s.observeStage(s.stageCompile, tr, "compile", compileStart)
 			}
@@ -384,7 +386,7 @@ func (s *Service) Compile(ctx context.Context, patterns []string, opts CompileOp
 			Opts:      opts,
 			Owner:     ten.Name(),
 			MemBytes:  memEstimate(patterns),
-			hwRes:     res,
+			res:       res,
 		}
 		ten.ChargeCacheBytes(p.MemBytes)
 		return p, nil
@@ -792,14 +794,19 @@ type PrefilterStats struct {
 // hot-swaps ran, the delta bitstream bytes shipped versus the full
 // images they replaced, and the modeled fabric reload/stall cycles.
 type ReconfigStats struct {
-	Updates        int64                     `json:"updates"`
-	DeltaBytes     int64                     `json:"delta_bytes"`
-	FullImageBytes int64                     `json:"full_image_bytes"`
-	ReloadCycles   int64                     `json:"reload_cycles"`
-	StallCycles    int64                     `json:"stall_cycles"`
-	UpdateLatency  metrics.HistogramSnapshot `json:"update_latency"`
-	StallWindow    metrics.HistogramSnapshot `json:"stall_window_cycles"`
-	DeltaSize      metrics.HistogramSnapshot `json:"delta_size_bytes"`
+	Updates int64 `json:"updates"`
+	// PatternsReused and PatternsCompiled split the patterns of every
+	// applied update into those taken from the replaced generation and
+	// those compiled because their text was new to it.
+	PatternsReused   int64                     `json:"patterns_reused"`
+	PatternsCompiled int64                     `json:"patterns_compiled"`
+	DeltaBytes       int64                     `json:"delta_bytes"`
+	FullImageBytes   int64                     `json:"full_image_bytes"`
+	ReloadCycles     int64                     `json:"reload_cycles"`
+	StallCycles      int64                     `json:"stall_cycles"`
+	UpdateLatency    metrics.HistogramSnapshot `json:"update_latency"`
+	StallWindow      metrics.HistogramSnapshot `json:"stall_window_cycles"`
+	DeltaSize        metrics.HistogramSnapshot `json:"delta_size_bytes"`
 }
 
 // Stats snapshots every counter in the service.
@@ -834,14 +841,16 @@ func (s *Service) Stats() Stats {
 		},
 		Prefilter: s.prefilterStats(),
 		Reconfig: ReconfigStats{
-			Updates:        s.updates.Value(),
-			DeltaBytes:     s.updateDeltaBytes.Value(),
-			FullImageBytes: s.updateFullBytes.Value(),
-			ReloadCycles:   s.updateReloadCycles.Value(),
-			StallCycles:    s.updateStallCycles.Value(),
-			UpdateLatency:  s.stageApply.Snapshot(),
-			StallWindow:    s.updateStallHist.Snapshot(),
-			DeltaSize:      s.updateDeltaHist.Snapshot(),
+			Updates:          s.updates.Value(),
+			PatternsReused:   s.updateReused.Value(),
+			PatternsCompiled: s.updateCompiled.Value(),
+			DeltaBytes:       s.updateDeltaBytes.Value(),
+			FullImageBytes:   s.updateFullBytes.Value(),
+			ReloadCycles:     s.updateReloadCycles.Value(),
+			StallCycles:      s.updateStallCycles.Value(),
+			UpdateLatency:    s.stageApply.Snapshot(),
+			StallWindow:      s.updateStallHist.Snapshot(),
+			DeltaSize:        s.updateDeltaHist.Snapshot(),
 		},
 		SFA: s.sfaStats(),
 		QoS: QoSStats{

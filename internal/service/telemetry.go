@@ -89,6 +89,9 @@ func (s *Service) registerMetrics() {
 	r.RegisterCounter("rap_compile_tasks_submitted_total", "Compiles accepted by the compile pool.", &s.compilers.submitted)
 	r.RegisterCounter("rap_compile_tasks_rejected_total", "Compiles rejected with queue-full backpressure.", &s.compilers.rejected)
 	r.GaugeFunc("rap_compile_workers", "Compile pool worker count.", func() float64 { return float64(len(s.compilers.shards)) })
+	const updatePatternsHelp = "Patterns of applied hot-swaps, by whether the replaced generation already held them compiled."
+	s.updateReused = r.Counter("rap_update_patterns_total", updatePatternsHelp, telemetry.L("outcome", "reused"))
+	s.updateCompiled = r.Counter("rap_update_patterns_total", updatePatternsHelp, telemetry.L("outcome", "compiled"))
 
 	// Program cache.
 	r.RegisterCounter("rap_cache_hits_total", "Program cache hits.", &s.cache.hits)

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/bitstream"
@@ -55,11 +56,20 @@ func buildImage(res *compile.Result) (*bitstream.Image, error) {
 // from the moment Update returns. This mirrors the hardware semantics of
 // SimulateRAPReconfig: no automaton state migrates across the swap.
 //
+// The served generation is the cache for the next one: a pattern whose
+// text it already holds, compiled under the same options, keeps its
+// compiled entry and its DFA table or NBVA kernel, and only new texts are
+// parsed, routed and determinised. What depends on the whole set — the
+// Shift-And packing, the prefilter literal union, the placement, the
+// image, the delta — is rebuilt whole, so the outcome is that of a cold
+// compile of the same list.
+//
 // The expensive half — compiling the new ruleset once, for both the
-// matcher and its deployment image — runs on the dedicated compile pool
-// with no service lock held, so concurrent scans and streams proceed
-// untouched while the replacement builds. Only the diff and the pointer
-// swap are serialized under the update lock.
+// matcher and its deployment image, and building the displaced program's
+// image if it never had one — runs on the dedicated compile pool with no
+// service lock held, so concurrent scans and streams proceed untouched
+// while the replacement builds. Only the diff and the pointer swap are
+// serialized under the update lock.
 func (s *Service) Update(ctx context.Context, programID string, patterns []string, opts CompileOptions) (*UpdateResult, error) {
 	if len(patterns) == 0 {
 		return nil, fmt.Errorf("service: empty pattern list")
@@ -69,7 +79,8 @@ func (s *Service) Update(ctx context.Context, programID string, patterns []strin
 	}
 	tr := telemetry.TraceFromContext(ctx)
 	// Fail fast on unknown IDs before paying for a compile.
-	if _, ok := s.lookup(tr, programID); !ok {
+	old, ok := s.lookup(tr, programID)
+	if !ok {
 		return nil, fmt.Errorf("%w: program %s", ErrNotFound, programID)
 	}
 	t0 := time.Now()
@@ -84,22 +95,30 @@ func (s *Service) Update(ctx context.Context, programID string, patterns []strin
 	defer ten.ReleaseCompile()
 	var (
 		m      *refmatch.Matcher
+		res    *compile.Result
 		newImg *bitstream.Image
 		cerr   error
 	)
 	if err := s.runCompile(tr, func() {
 		compileStart := time.Now()
-		var res *compile.Result
-		m, res, cerr = build(ctx, patterns, opts)
+		m, res, cerr = build(ctx, old, patterns, opts)
 		if cerr != nil {
 			return
 		}
-		s.observeStage(s.stageCompile, tr, "compile", compileStart)
+		s.observeStage(s.stageCompile, tr, "compile", compileStart,
+			telemetry.L("reused", strconv.Itoa(res.Reused)),
+			telemetry.L("compiled", strconv.Itoa(len(patterns)-res.Reused)))
 		imageEnd := tr.StartSpan("image_build")
-		newImg, cerr = buildImage(res)
-		imageEnd()
-		if cerr != nil {
+		defer imageEnd()
+		if newImg, cerr = buildImage(res); cerr != nil {
 			cerr = fmt.Errorf("service: new deployment image: %w", cerr)
+			return
+		}
+		// The image the delta is taken against: a program that has not
+		// been through an update has none yet, and it is built here so
+		// that no other update waits behind a map-and-build.
+		if _, cerr = old.hwImage(); cerr != nil {
+			cerr = fmt.Errorf("service: current deployment image: %w", cerr)
 		}
 	}); err != nil {
 		return nil, err
@@ -111,11 +130,11 @@ func (s *Service) Update(ctx context.Context, programID string, patterns []strin
 	// Phase 2 — serialize the read-diff-swap so concurrent updates of one
 	// ID cannot interleave and lose a generation. Re-resolve the program
 	// under the lock: if another update won the race, the diff must be
-	// against the image actually being served now.
+	// against the image actually being served now — the one that update
+	// installed its program with, so nothing is built here.
 	s.updateMu.Lock()
 	defer s.updateMu.Unlock()
-	old, ok := s.lookup(tr, programID)
-	if !ok {
+	if old, ok = s.lookup(tr, programID); !ok {
 		return nil, fmt.Errorf("%w: program %s", ErrNotFound, programID)
 	}
 	oldImg, err := old.hwImage()
@@ -145,6 +164,7 @@ func (s *Service) Update(ctx context.Context, programID string, patterns []strin
 		Generation: old.Generation + 1,
 		Owner:      ten.Name(),
 		MemBytes:   memEstimate(patterns),
+		res:        res,
 		hwImg:      newImg,
 	}
 	// The cache slot changes hands: charge the updating tenant for the
@@ -156,6 +176,8 @@ func (s *Service) Update(ctx context.Context, programID string, patterns []strin
 	}
 
 	s.updates.Inc()
+	s.updateReused.Add(int64(res.Reused))
+	s.updateCompiled.Add(int64(len(patterns) - res.Reused))
 	s.updateDeltaBytes.Add(int64(len(deltaData)))
 	s.updateFullBytes.Add(int64(newImg.SizeBytes()))
 	s.updateReloadCycles.Add(cost.ReloadCycles)

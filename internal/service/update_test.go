@@ -329,9 +329,6 @@ func TestOversizeNFAScansButDoesNotDeploy(t *testing.T) {
 	if _, err := s.Update(ctx, bigProg.ID, []string{"cat"}, CompileOptions{}); !errors.Is(err, mapper.ErrUnmappable) {
 		t.Errorf("update from an oversize ruleset: err = %v, want mapper.ErrUnmappable", err)
 	}
-	if bigProg.hwRes != nil {
-		t.Error("compile result retained after the image build was attempted")
-	}
 	if st := s.Stats(); st.Reconfig.Updates != 0 {
 		t.Errorf("refused updates counted: %d", st.Reconfig.Updates)
 	}

@@ -22,6 +22,9 @@ type Span struct {
 	Name       string `json:"name"`
 	StartUS    int64  `json:"start_us"`
 	DurationUS int64  `json:"duration_us"`
+	// Attrs says what the stage did (an update's compile: how many
+	// patterns it reused and how many it compiled).
+	Attrs map[string]string `json:"attrs,omitempty"`
 }
 
 // Trace is one request's trace: an ID (propagated from the caller's
@@ -68,17 +71,25 @@ func (t *Trace) TraceParent() string {
 	return fmt.Sprintf("00-%s-%s-01", t.id, t.spanID)
 }
 
-// AddSpan records one completed stage with an explicit start time.
-func (t *Trace) AddSpan(name string, start time.Time, d time.Duration) {
+// AddSpan records one completed stage with an explicit start time and,
+// optionally, attributes of the stage.
+func (t *Trace) AddSpan(name string, start time.Time, d time.Duration, attrs ...Label) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	t.spans = append(t.spans, Span{
+	sp := Span{
 		Name:       name,
 		StartUS:    start.Sub(t.start).Microseconds(),
 		DurationUS: d.Microseconds(),
-	})
+	}
+	if len(attrs) > 0 {
+		sp.Attrs = make(map[string]string, len(attrs))
+		for _, a := range attrs {
+			sp.Attrs[a.Key] = a.Value
+		}
+	}
+	t.mu.Lock()
+	t.spans = append(t.spans, sp)
 	t.mu.Unlock()
 }
 

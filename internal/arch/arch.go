@@ -169,16 +169,49 @@ type ArrayPlan struct {
 	// LNFA mode: the bins in this array.
 	Bins []BinPlan
 
-	// StateTile maps, for the simulator, every (regex, state) to its
-	// tile index; filled by the mapper. Key packs regex index and state:
-	// regex*1e6 + state is avoided in favor of a struct key.
-	StateTile map[StateRef]int
+	// Tile of every (regex, state) placed in this array, for the simulator
+	// and the image builder: spans is indexed by compiled regex index and
+	// locates that regex's states in stateTile. Written through PlaceStates,
+	// read through TileOf.
+	spans     []stateSpan
+	stateTile []int16
 }
+
+// stateSpan is one regex's run of ArrayPlan.stateTile; n is 0 for a regex
+// with no states in the array.
+type stateSpan struct{ off, n int32 }
 
 // StateRef identifies one automaton state of one compiled regex.
 type StateRef struct {
 	Regex int // compiled regex index
 	State int // state index within that regex's automaton / sequence pack
+}
+
+// PlaceStates records that regex's n states live in this array and returns
+// their tile slots, indexed by state, for the mapper to fill in. A regex
+// is placed once.
+func (a *ArrayPlan) PlaceStates(regex, n int) []int16 {
+	for len(a.spans) <= regex {
+		a.spans = append(a.spans, stateSpan{})
+	}
+	off := len(a.stateTile)
+	a.spans[regex] = stateSpan{off: int32(off), n: int32(n)}
+	a.stateTile = append(a.stateTile, make([]int16, n)...)
+	return a.stateTile[off:]
+}
+
+// TileOf returns the tile holding the state's character-class column (the
+// first one, for a bit vector split across tiles), or false when the state
+// is not placed in this array.
+func (a *ArrayPlan) TileOf(ref StateRef) (int, bool) {
+	if ref.Regex < 0 || ref.Regex >= len(a.spans) {
+		return 0, false
+	}
+	sp := a.spans[ref.Regex]
+	if ref.State < 0 || ref.State >= int(sp.n) {
+		return 0, false
+	}
+	return int(a.stateTile[int(sp.off)+ref.State]), true
 }
 
 // TilesUsed returns the number of tiles with any occupancy.

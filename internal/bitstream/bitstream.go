@@ -23,6 +23,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
+	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/charclass"
@@ -104,19 +106,17 @@ func getBit(m []byte, row, col, width int) bool {
 // partitions would occupy additional physical columns in a full layout —
 // a documented simplification matching the one-column-per-STE area model.
 func codeOf(c charclass.Class) uint32 {
-	codes := charclass.Encode(c)
-	if len(codes) == 0 {
-		return 0
-	}
-	return uint32(codes[0].Hi)<<16 | uint32(codes[0].Lo)
+	k := charclass.FirstCode(c)
+	return uint32(k.Hi)<<16 | uint32(k.Lo)
 }
 
 // Build materializes the deployment image for a placement.
 func Build(res *compile.Result, p *arch.Placement) (*Image, error) {
-	img := &Image{}
+	img := &Image{Arrays: make([]ArrayConfig, len(p.Arrays))}
 	for ai := range p.Arrays {
 		plan := &p.Arrays[ai]
-		ac := ArrayConfig{Mode: plan.Mode, Depth: uint8(plan.Depth)}
+		ac := &img.Arrays[ai]
+		ac.Mode, ac.Depth = plan.Mode, uint8(plan.Depth)
 		ac.Tiles = make([]TileConfig, len(plan.Tiles))
 		for ti := range plan.Tiles {
 			ac.Tiles[ti].Mode = plan.Mode
@@ -125,18 +125,17 @@ func Build(res *compile.Result, p *arch.Placement) (*Image, error) {
 		var err error
 		switch plan.Mode {
 		case arch.ModeNFA:
-			err = buildNFAArray(res, plan, &ac)
+			err = buildNFAArray(res, plan, ac)
 		case arch.ModeNBVA:
-			err = buildNBVAArray(res, plan, &ac)
+			err = buildNBVAArray(res, plan, ac)
 		case arch.ModeLNFA:
-			err = buildLNFAArray(res, plan, &ac)
+			err = buildLNFAArray(res, plan, ac)
 		default:
 			err = fmt.Errorf("bitstream: unknown mode %v", plan.Mode)
 		}
 		if err != nil {
 			return nil, err
 		}
-		img.Arrays = append(img.Arrays, ac)
 	}
 	return img, nil
 }
@@ -145,47 +144,33 @@ func Build(res *compile.Result, p *arch.Placement) (*Image, error) {
 // and programs the transfer function: in-tile edges in the local switch,
 // cross-tile edges through the global switch ports.
 func buildNFAArray(res *compile.Result, plan *arch.ArrayPlan, ac *ArrayConfig) error {
-	slot := 0
-	// Global state index per (regex, state) in mapping order.
-	colOf := map[arch.StateRef]int{}
+	base := 0 // slot of the regex's state 0: states take consecutive slots
 	for _, ri := range plan.Regexes {
 		c := &res.Regexes[ri]
 		if c.NFA == nil {
 			return fmt.Errorf("bitstream: regex %d lacks NFA payload", ri)
 		}
-		for q := 0; q < c.NFA.NumStates(); q++ {
-			ref := arch.StateRef{Regex: ri, State: q}
-			colOf[ref] = slot
-			tile := slot / arch.TileSTEs
-			col := slot % arch.TileSTEs
-			if tile >= len(ac.Tiles) {
-				return fmt.Errorf("bitstream: state overflow in array")
-			}
-			tc := &ac.Tiles[tile]
-			tc.ColRole[col] = ColCC
-			tc.CAMCodes[col] = codeOf(c.NFA.States[q].Class)
-			slot++
+		if base+c.NFA.NumStates() > len(ac.Tiles)*arch.TileSTEs {
+			return fmt.Errorf("bitstream: state overflow in array")
 		}
-	}
-	for _, ri := range plan.Regexes {
-		c := &res.Regexes[ri]
 		for q, s := range c.NFA.States {
-			src := colOf[arch.StateRef{Regex: ri, State: q}]
+			src := base + q
+			tc := &ac.Tiles[src/arch.TileSTEs]
+			tc.ColRole[src%arch.TileSTEs] = ColCC
+			tc.CAMCodes[src%arch.TileSTEs] = codeOf(s.Class)
 			for _, succ := range s.Follow {
-				dst := colOf[arch.StateRef{Regex: ri, State: succ}]
+				dst := base + succ
 				if src/arch.TileSTEs == dst/arch.TileSTEs {
-					tc := &ac.Tiles[src/arch.TileSTEs]
 					setBit(tc.LocalSwitch[:], src%arch.TileSTEs, dst%arch.TileSTEs, arch.TileSTEs)
 				} else {
 					// Cross-tile edge: through global ports. Each tile has
 					// GlobalPortsPerTile ports; the port is the state's
 					// column modulo the port count.
-					sp := globalPort(src)
-					dp := globalPort(dst)
-					setBit(ac.GlobalSwitch[:], sp, dp, 256)
+					setBit(ac.GlobalSwitch[:], globalPort(src), globalPort(dst), 256)
 				}
 			}
 		}
+		base += c.NFA.NumStates()
 	}
 	return nil
 }
@@ -200,35 +185,6 @@ func globalPort(slot int) int {
 // local switch's BV region (§3.1's shift/copy/set1 schemes are
 // represented by programming the diagonal of the BV cross-point region).
 func buildNBVAArray(res *compile.Result, plan *arch.ArrayPlan, ac *ArrayConfig) error {
-	// Recover the character classes stored per tile: standard STEs sit in
-	// their StateTile; every chunk of a (possibly split) BV-STE carries a
-	// CC column in its own tile.
-	ccClasses := make([][]charclass.Class, len(plan.Tiles))
-	bvChunkTiles := map[arch.StateRef][]int{}
-	for ti := range plan.Tiles {
-		for _, bv := range plan.Tiles[ti].BVs {
-			ref := arch.StateRef{Regex: bv.Regex, State: bv.STE}
-			bvChunkTiles[ref] = append(bvChunkTiles[ref], ti)
-		}
-	}
-	for _, ri := range plan.Regexes {
-		c := &res.Regexes[ri]
-		if c.NBVA == nil {
-			return fmt.Errorf("bitstream: regex %d lacks NBVA payload", ri)
-		}
-		for q, s := range c.NBVA.States {
-			ref := arch.StateRef{Regex: ri, State: q}
-			if s.BV != nil {
-				for _, ti := range bvChunkTiles[ref] {
-					ccClasses[ti] = append(ccClasses[ti], s.Class)
-				}
-				continue
-			}
-			if ti, ok := plan.StateTile[ref]; ok {
-				ccClasses[ti] = append(ccClasses[ti], s.Class)
-			}
-		}
-	}
 	for ti := range plan.Tiles {
 		tp := &plan.Tiles[ti]
 		tc := &ac.Tiles[ti]
@@ -244,16 +200,11 @@ func buildNBVAArray(res *compile.Result, plan *arch.ArrayPlan, ac *ArrayConfig) 
 			}
 			return start
 		}
-		ccStart := place(ColCC, tp.CCColumns)
-		if ccStart < 0 || place(ColInit, tp.InitColumns) < 0 {
+		if place(ColCC, tp.CCColumns) < 0 || place(ColInit, tp.InitColumns) < 0 {
 			return fmt.Errorf("bitstream: tile %d column overflow", ti)
 		}
-		for k, cls := range ccClasses[ti] {
-			if k >= tp.CCColumns {
-				return fmt.Errorf("bitstream: tile %d has %d classes for %d CC columns",
-					ti, len(ccClasses[ti]), tp.CCColumns)
-			}
-			tc.CAMCodes[ccStart+k] = codeOf(cls)
+		if len(tp.BVs) > 0 {
+			tc.BVs = make([]BVConfig, 0, len(tp.BVs))
 		}
 		for _, bv := range tp.BVs {
 			start := place(ColBV, bv.Width)
@@ -275,6 +226,52 @@ func buildNBVAArray(res *compile.Result, plan *arch.ArrayPlan, ac *ArrayConfig) 
 				dst := start + (k+1)%bv.Width
 				setBit(tc.LocalSwitch[:], start+k, dst, arch.TileSTEs)
 			}
+		}
+	}
+
+	// The character classes fill each tile's CC columns (which start at
+	// column 0) in placement order, regex by regex and state by state: a
+	// standard STE sits in its TileOf tile, and every chunk of a (possibly
+	// split) BV-STE carries a CC column in the chunk's own tile. The mapper
+	// appends a tile's BVs in that same order, so a cursor per tile finds
+	// the chunks of the BV-STE at hand without an index.
+	ccNext := make([]int, len(plan.Tiles)) // next free CC column
+	bvNext := make([]int, len(plan.Tiles)) // next entry of the tile's BVs
+	put := func(ti int, code uint32) error {
+		if ccNext[ti] >= plan.Tiles[ti].CCColumns {
+			return fmt.Errorf("bitstream: tile %d has more classes than its %d CC columns", ti, plan.Tiles[ti].CCColumns)
+		}
+		ac.Tiles[ti].CAMCodes[ccNext[ti]] = code
+		ccNext[ti]++
+		return nil
+	}
+	for _, ri := range plan.Regexes {
+		c := &res.Regexes[ri]
+		if c.NBVA == nil {
+			return fmt.Errorf("bitstream: regex %d lacks NBVA payload", ri)
+		}
+		for q, s := range c.NBVA.States {
+			code := codeOf(s.Class)
+			if s.BV == nil {
+				if ti, ok := plan.TileOf(arch.StateRef{Regex: ri, State: q}); ok {
+					if err := put(ti, code); err != nil {
+						return err
+					}
+				}
+				continue
+			}
+			for ti := range plan.Tiles {
+				for bvs := plan.Tiles[ti].BVs; bvNext[ti] < len(bvs) && bvs[bvNext[ti]].Regex == ri && bvs[bvNext[ti]].STE == q; bvNext[ti]++ {
+					if err := put(ti, code); err != nil {
+						return err
+					}
+				}
+			}
+		}
+	}
+	for ti := range plan.Tiles {
+		if bvNext[ti] != len(plan.Tiles[ti].BVs) {
+			return fmt.Errorf("bitstream: tile %d lists its bit vectors out of placement order", ti)
 		}
 	}
 	return nil
@@ -317,11 +314,12 @@ func buildLNFAArray(res *compile.Result, plan *arch.ArrayPlan, ac *ArrayConfig) 
 					}
 					// One-hot code: 256 bits over two 128-bit switch
 					// columns (2*slot, 2*slot+1). Row r bit set iff byte
-					// value (half*128 + r) is in the class.
-					for b := 0; b < 256; b++ {
-						if cls.Contains(byte(b)) {
-							colPair := 2*slotIdx + b/128
-							setBit(tc.LocalSwitch[:], b%128, colPair, arch.TileSTEs)
+					// value (half*128 + r) is in the class — read off the
+					// class's words a set bit at a time.
+					for w, word := range cls {
+						for ; word != 0; word &= word - 1 {
+							b := w*64 + bits.TrailingZeros64(word)
+							setBit(tc.LocalSwitch[:], b%128, 2*slotIdx+b/128, arch.TileSTEs)
 						}
 					}
 					switchCursor[tile]++
@@ -378,15 +376,42 @@ func (a *ArrayConfig) SizeBytes() int {
 
 // MarshalBinary serializes the image with a trailing CRC-32.
 func (img *Image) MarshalBinary() ([]byte, error) {
-	le := binary.LittleEndian
-	b := make([]byte, 0, img.SizeBytes())
-	b = le.AppendUint32(b, magic)
-	b = le.AppendUint16(b, version)
-	b = le.AppendUint16(b, uint16(len(img.Arrays)))
+	b := img.appendHeader(make([]byte, 0, img.SizeBytes()))
 	for i := range img.Arrays {
 		b = img.Arrays[i].AppendBinary(b)
 	}
-	return le.AppendUint32(b, crc32.ChecksumIEEE(b)), nil
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b)), nil
+}
+
+func (img *Image) appendHeader(b []byte) []byte {
+	le := binary.LittleEndian
+	b = le.AppendUint32(b, magic)
+	b = le.AppendUint16(b, version)
+	return le.AppendUint16(b, uint16(len(img.Arrays)))
+}
+
+// crcScratch holds the buffer CRC serializes one array at a time into.
+var crcScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// CRC returns the CRC-32 MarshalBinary puts in the image's trailer — the
+// image's identity in a reconfiguration delta — without building the
+// serialized form: the header and then each array are written to a pooled
+// buffer and folded into the running checksum.
+func (img *Image) CRC() uint32 {
+	bp := crcScratch.Get().(*[]byte)
+	b := img.appendHeader((*bp)[:0])
+	crc := crc32.Update(0, crc32.IEEETable, b)
+	for i := range img.Arrays {
+		a := &img.Arrays[i]
+		if n := a.SizeBytes(); cap(b) < n {
+			b = make([]byte, 0, n)
+		}
+		b = a.AppendBinary(b[:0])
+		crc = crc32.Update(crc, crc32.IEEETable, b)
+	}
+	*bp = b
+	crcScratch.Put(bp)
+	return crc
 }
 
 // AppendBinary appends the array's wire form — header, tiles, global

@@ -1,6 +1,8 @@
 package bitstream
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 
 	"repro/internal/arch"
@@ -216,5 +218,28 @@ func TestValidate(t *testing.T) {
 	img.Arrays[0].Tiles[0].BVs[0].Width = 200
 	if err := img.Validate(); err == nil {
 		t.Error("oversized BV accepted")
+	}
+}
+
+// CRC is the trailer MarshalBinary writes, computed without building the
+// blob: once its pooled buffer has grown to the largest array it allocates
+// nothing.
+func TestCRCMatchesTrailerWithoutAllocating(t *testing.T) {
+	for _, name := range []string{"Snort", "ClamAV", "Prosite"} {
+		_, _, img := buildFor(t, workload.MustGenerate(name, 1, 1).Patterns, mapper.Options{})
+		data, err := img.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := img.CRC(), binary.LittleEndian.Uint32(data[len(data)-4:]); got != want {
+			t.Errorf("%s: CRC() = %08x, trailer %08x", name, got, want)
+		}
+		// (sync.Pool drops a quarter of its Puts under the race detector.)
+		if allocs := testing.AllocsPerRun(20, func() { img.CRC() }); allocs != 0 && !raceEnabled {
+			t.Errorf("%s: CRC allocates %.0f times per call", name, allocs)
+		}
+	}
+	if got, want := (&Image{}).CRC(), crc32.ChecksumIEEE((&Image{}).appendHeader(nil)); got != want {
+		t.Errorf("empty image: CRC() = %08x, want %08x", got, want)
 	}
 }

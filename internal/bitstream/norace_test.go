@@ -1,0 +1,5 @@
+//go:build !race
+
+package bitstream
+
+const raceEnabled = false

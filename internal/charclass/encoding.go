@@ -50,47 +50,68 @@ func (k Code) Class() Class {
 // String renders the code as hi-mask/lo-mask hex.
 func (k Code) String() string { return fmt.Sprintf("%04x/%04x", k.Hi, k.Lo) }
 
-// Encode decomposes the class into the canonical minimal set of product
-// codes: high nibbles that share an identical low-nibble set are merged
-// into a single code. The result is deterministic (ordered by the smallest
-// high nibble of each group). An empty class encodes to nil.
-func Encode(c Class) []Code {
-	var loSets [16]uint16
-	for hi := 0; hi < 16; hi++ {
-		var lo uint16
-		for l := 0; l < 16; l++ {
-			if c.Contains(byte(hi<<4 | l)) {
-				lo |= 1 << l
-			}
+// loSet returns the low nibbles the class allows under high nibble hi:
+// bytes hi<<4 .. hi<<4|15 are one 16-bit field of the class's words.
+func loSet(c *Class, hi int) uint16 { return uint16(c[hi>>2] >> (16 * (hi & 3))) }
+
+// codeLedBy returns the product code of high nibble hi, whose low-nibble
+// set is lo: that set, under every high nibble from hi up that shares it.
+func codeLedBy(c *Class, hi int, lo uint16) Code {
+	code := Code{Lo: lo}
+	for h2 := hi; h2 < 16; h2++ {
+		if loSet(c, h2) == lo {
+			code.Hi |= 1 << h2
 		}
-		loSets[hi] = lo
 	}
-	var codes []Code
-	var used uint16
+	return code
+}
+
+// codesOf decomposes the class into the canonical minimal set of product
+// codes — high nibbles that share an identical low-nibble set are merged
+// into a single code, ordered by the smallest high nibble of each group —
+// and returns them with their number. Nothing is allocated and no byte
+// value is probed: the sixteen low-nibble sets are read off the words.
+func codesOf(c Class) (codes [16]Code, n int) {
+	var done uint16
 	for hi := 0; hi < 16; hi++ {
-		if used&(1<<hi) != 0 || loSets[hi] == 0 {
+		lo := loSet(&c, hi)
+		if lo == 0 || done&(1<<hi) != 0 {
 			continue
 		}
-		code := Code{Lo: loSets[hi]}
-		for h2 := hi; h2 < 16; h2++ {
-			if loSets[h2] == loSets[hi] {
-				code.Hi |= 1 << h2
-				used |= 1 << h2
-			}
-		}
-		codes = append(codes, code)
+		codes[n] = codeLedBy(&c, hi, lo)
+		done |= codes[n].Hi
+		n++
 	}
-	return codes
+	return codes, n
+}
+
+// Encode returns the class's product codes (see codesOf). The result is
+// deterministic; an empty class encodes to nil.
+func Encode(c Class) []Code {
+	codes, n := codesOf(c)
+	if n == 0 {
+		return nil
+	}
+	return append([]Code(nil), codes[:n]...)
+}
+
+// FirstCode returns Encode(c)[0] without building the list, or the zero
+// Code for an empty class.
+func FirstCode(c Class) Code {
+	for hi := 0; hi < 16; hi++ {
+		if lo := loSet(&c, hi); lo != 0 {
+			return codeLedBy(&c, hi, lo)
+		}
+	}
+	return Code{}
 }
 
 // NumCodes returns the number of 32-bit CAM codes the class requires.
-func NumCodes(c Class) int { return len(Encode(c)) }
+func NumCodes(c Class) int {
+	_, n := codesOf(c)
+	return n
+}
 
 // SingleCode reports whether the class fits a single 32-bit CAM code,
 // the §3.2 requirement for CAM-mapped LNFAs.
-func SingleCode(c Class) bool {
-	if c.IsEmpty() {
-		return false
-	}
-	return NumCodes(c) == 1
-}
+func SingleCode(c Class) bool { return NumCodes(c) == 1 }

@@ -75,12 +75,12 @@ func Reconfig(cfg Config) (*metrics.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			inc := reconfig.CostOf(delta)
 			full := reconfig.FullCost(imgNew)
 			plan, err := reconfig.Schedule(delta, imgNew)
 			if err != nil {
 				return nil, err
 			}
+			inc := plan.Cost
 			cold := time.Since(coldStart)
 			update, err := updateLatency(d.Patterns, newPats)
 			if err != nil {
@@ -89,7 +89,7 @@ func Reconfig(cfg Config) (*metrics.Table, error) {
 			// Hot-swap mid-stream: incremental stalls for the scheduler's
 			// window, a redeploy stalls for the full-image reload.
 			swap, err := sim.SimulateRAPReconfig(resOld, pOld, resNew, pNew, input,
-				sim.ReconfigEvent{At: len(input) / 2, StallCycles: plan.StallCycles, EnergyPJ: plan.EnergyPJ})
+				sim.ReconfigEvent{At: len(input) / 2, StallCycles: plan.StallCycles, EnergyPJ: inc.EnergyPJ})
 			if err != nil {
 				return nil, err
 			}

@@ -17,7 +17,7 @@ import (
 //  1. capacity: no tile exceeds its column budget (NFA/NBVA) or LNFA slot
 //     budgets;
 //  2. coverage: every compiled state of every regex is placed (has a tile
-//     via StateTile or BV allocations, or is covered by a bin);
+//     via TileOf or BV allocations, or is covered by a bin);
 //  3. exclusivity: r and rAll bit vectors never share a tile (§4.1);
 //  4. split integrity: the chunks of a split BV sum to the machine's BV
 //     size;
@@ -88,7 +88,7 @@ func checkInvariants(t *testing.T, res *compile.Result, p *arch.Placement, opts 
 	}
 	stateCovered := func(regex, state int) bool {
 		for ai := range p.Arrays {
-			if _, ok := p.Arrays[ai].StateTile[arch.StateRef{Regex: regex, State: state}]; ok {
+			if _, ok := p.Arrays[ai].TileOf(arch.StateRef{Regex: regex, State: state}); ok {
 				return true
 			}
 		}

@@ -98,9 +98,8 @@ func mapNFA(p *arch.Placement, regexes []*compile.Compiled) error {
 	used := 0 // STEs used in current array
 	openArray := func() {
 		p.Arrays = append(p.Arrays, arch.ArrayPlan{
-			Mode:      arch.ModeNFA,
-			Tiles:     make([]arch.TilePlan, arch.TilesPerArray),
-			StateTile: map[arch.StateRef]int{},
+			Mode:  arch.ModeNFA,
+			Tiles: make([]arch.TilePlan, arch.TilesPerArray),
 		})
 		cur = &p.Arrays[len(p.Arrays)-1]
 		used = 0
@@ -114,17 +113,17 @@ func mapNFA(p *arch.Placement, regexes []*compile.Compiled) error {
 			openArray()
 		}
 		// States fill tiles sequentially from the current offset.
-		for q := 0; q < n; q++ {
+		tiles := cur.PlaceStates(c.Index, n)
+		for q := range tiles {
 			tile := (used + q) / arch.TileSTEs
 			cur.Tiles[tile].CCColumns++
-			cur.StateTile[arch.StateRef{Regex: c.Index, State: q}] = tile
+			tiles[q] = int16(tile)
 			addRegex(&cur.Tiles[tile], c.Index)
 		}
 		// Cross-tile follow edges use the global switch.
 		for q, s := range c.NFA.States {
-			tq := cur.StateTile[arch.StateRef{Regex: c.Index, State: q}]
 			for _, succ := range s.Follow {
-				if cur.StateTile[arch.StateRef{Regex: c.Index, State: succ}] != tq {
+				if (used+succ)/arch.TileSTEs != (used+q)/arch.TileSTEs {
 					cur.CrossTileEdges++
 				}
 			}
@@ -147,60 +146,54 @@ func addRegex(t *arch.TilePlan, idx int) {
 // piece of a BV-STE with its character class, set1 initial-vector column
 // and bit-vector columns.
 type nbvaUnit struct {
-	regex   int
 	state   int
 	columns int
 	bv      bool
 	bvSize  int
 	read    nbva.ReadAction
+	tile    int // where tryPlace's fit pass put the unit
 }
 
 func mapNBVA(p *arch.Placement, regexes []*compile.Compiled, depth int) error {
 	var cur *arch.ArrayPlan
-	var tileIdx int
 	openArray := func() {
 		p.Arrays = append(p.Arrays, arch.ArrayPlan{
-			Mode:      arch.ModeNBVA,
-			Tiles:     make([]arch.TilePlan, arch.TilesPerArray),
-			Depth:     depth,
-			StateTile: map[arch.StateRef]int{},
+			Mode:  arch.ModeNBVA,
+			Tiles: make([]arch.TilePlan, arch.TilesPerArray),
+			Depth: depth,
 		})
 		cur = &p.Arrays[len(p.Arrays)-1]
-		tileIdx = 0
 	}
 
+	var units []nbvaUnit // one regex's units, reused from regex to regex
 	for _, c := range regexes {
-		units, err := unitsFor(c, depth)
-		if err != nil {
+		var err error
+		if units, err = unitsFor(units[:0], c, depth); err != nil {
 			return err
 		}
 		if cur == nil {
 			openArray()
 		}
-		placed, endTile := tryPlace(cur, units, tileIdx, c.Index)
-		if !placed {
+		if !tryPlace(cur, units, c) {
 			// Retry on a fresh array.
 			openArray()
-			placed, endTile = tryPlace(cur, units, 0, c.Index)
-			if !placed {
+			if !tryPlace(cur, units, c) {
 				return fmt.Errorf("%w: %q does not fit one NBVA array (depth %d)", ErrUnmappable, c.Source, depth)
 			}
 		}
-		tileIdx = endTile
 		cur.Regexes = append(cur.Regexes, c.Index)
 	}
 	return nil
 }
 
-// unitsFor expands a compiled NBVA regex into allocation units, splitting
-// bit vectors wider than a tile (Example 4.3's dichotomic split reduces to
-// fixed-size chunks of (TileSTEs-2)×depth bits).
-func unitsFor(c *compile.Compiled, depth int) ([]nbvaUnit, error) {
-	var units []nbvaUnit
+// unitsFor appends a compiled NBVA regex's allocation units to units,
+// splitting bit vectors wider than a tile (Example 4.3's dichotomic split
+// reduces to fixed-size chunks of (TileSTEs-2)×depth bits).
+func unitsFor(units []nbvaUnit, c *compile.Compiled, depth int) ([]nbvaUnit, error) {
 	maxChunkBits := (arch.TileSTEs - 2) * depth
 	for q, s := range c.NBVA.States {
 		if s.BV == nil {
-			units = append(units, nbvaUnit{regex: c.Index, state: q, columns: 1})
+			units = append(units, nbvaUnit{state: q, columns: 1})
 			continue
 		}
 		size := s.BV.Size
@@ -217,7 +210,6 @@ func unitsFor(c *compile.Compiled, depth int) ([]nbvaUnit, error) {
 				chunk = maxChunkBits
 			}
 			units = append(units, nbvaUnit{
-				regex:   c.Index,
 				state:   q,
 				columns: 2 + arch.BVWidth(chunk, depth), // CC + set1 + BV
 				bv:      true,
@@ -230,63 +222,67 @@ func unitsFor(c *compile.Compiled, depth int) ([]nbvaUnit, error) {
 	return units, nil
 }
 
-// tryPlace first-fit packs units into the array's tiles starting at tile
-// `from`, honoring the 128-column capacity and the r/rAll exclusivity per
-// tile. It returns success and the next free tile index.
-func tryPlace(a *arch.ArrayPlan, units []nbvaUnit, from int, regexIdx int) (bool, int) {
-	// Work on a copy so a failed attempt does not corrupt the array.
-	tiles := make([]arch.TilePlan, len(a.Tiles))
-	copy(tiles, a.Tiles)
-	for i := range a.Tiles {
-		tiles[i].BVs = append([]arch.BVAlloc(nil), a.Tiles[i].BVs...)
-		tiles[i].Regexes = append([]int(nil), a.Tiles[i].Regexes...)
+// tryPlace first-fit packs one regex's units into the array's tiles — every
+// unit takes the lowest tile with room — honoring the 128-column capacity
+// and the r/rAll exclusivity per tile. The fit is decided on a copy of the
+// tiles' occupancy counts alone, so a regex that does not fit leaves the
+// array as it was; one that fits is then written into the tiles in place.
+func tryPlace(a *arch.ArrayPlan, units []nbvaUnit, c *compile.Compiled) bool {
+	var fit [arch.TilesPerArray]struct {
+		columns int
+		hasBV   bool
+		read    nbva.ReadAction
 	}
-	stateTile := map[arch.StateRef]int{}
-	maxTile := from
-	for _, u := range units {
-		placedAt := -1
-		for t := 0; t < arch.TilesPerArray; t++ {
-			tp := &tiles[t]
-			if tp.Columns()+u.columns > arch.TileSTEs {
+	for t := range fit {
+		tp := &a.Tiles[t]
+		fit[t].columns, fit[t].hasBV, fit[t].read = tp.Columns(), tp.HasBV, tp.ReadKind
+	}
+	for i := range units {
+		u := &units[i]
+		u.tile = -1
+		for t := range fit {
+			f := &fit[t]
+			if f.columns+u.columns > arch.TileSTEs {
 				continue
 			}
-			if u.bv && tp.HasBV && tp.ReadKind != u.read {
+			if u.bv && f.hasBV && f.read != u.read {
 				continue // §4.1: no r and rAll in the same tile
 			}
-			placedAt = t
+			f.columns += u.columns
 			if u.bv {
-				tp.CCColumns++
-				tp.InitColumns++
-				tp.BVColumns += u.columns - 2
-				tp.BVs = append(tp.BVs, arch.BVAlloc{
-					Regex: u.regex, STE: u.state, Size: u.bvSize,
-					Width: u.columns - 2, Depth: a.Depth, Read: u.read,
-				})
-				tp.HasBV = true
-				tp.ReadKind = u.read
-			} else {
-				tp.CCColumns++
+				f.hasBV, f.read = true, u.read
 			}
-			addRegex(tp, regexIdx)
+			u.tile = t
 			break
 		}
-		if placedAt < 0 {
-			return false, from
-		}
-		// Record the (first) tile of each machine state.
-		ref := arch.StateRef{Regex: u.regex, State: u.state}
-		if _, ok := stateTile[ref]; !ok {
-			stateTile[ref] = placedAt
-		}
-		if placedAt > maxTile {
-			maxTile = placedAt
+		if u.tile < 0 {
+			return false
 		}
 	}
-	copy(a.Tiles, tiles)
-	for k, v := range stateTile {
-		a.StateTile[k] = v
+	stateTile := a.PlaceStates(c.Index, c.NBVA.NumStates())
+	prev := -1
+	for _, u := range units {
+		tp := &a.Tiles[u.tile]
+		tp.CCColumns++
+		if u.bv {
+			tp.InitColumns++
+			tp.BVColumns += u.columns - 2
+			tp.BVs = append(tp.BVs, arch.BVAlloc{
+				Regex: c.Index, STE: u.state, Size: u.bvSize,
+				Width: u.columns - 2, Depth: a.Depth, Read: u.read,
+			})
+			tp.HasBV = true
+			tp.ReadKind = u.read
+		}
+		addRegex(tp, c.Index)
+		// A state's tile is that of its first unit (units come in state
+		// order).
+		if u.state != prev {
+			stateTile[u.state] = int16(u.tile)
+			prev = u.state
+		}
 	}
-	return true, maxTile
+	return true
 }
 
 // --- LNFA mapping ---
@@ -365,9 +361,8 @@ func mapLNFA(p *arch.Placement, regexes []*compile.Compiled, binSize int) error 
 	switchGroups := map[int]*groupState{}
 	openArray := func() {
 		p.Arrays = append(p.Arrays, arch.ArrayPlan{
-			Mode:      arch.ModeLNFA,
-			Tiles:     make([]arch.TilePlan, arch.TilesPerArray),
-			StateTile: map[arch.StateRef]int{},
+			Mode:  arch.ModeLNFA,
+			Tiles: make([]arch.TilePlan, arch.TilesPerArray),
 		})
 		cur = &p.Arrays[len(p.Arrays)-1]
 		camTile, switchTile = 0, 0

@@ -1,6 +1,9 @@
 package reconfig
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/arch"
 	"repro/internal/bitstream"
 	"repro/internal/hwmodel"
@@ -50,67 +53,113 @@ func tileMetaBits(nBVs int) int64 { return 8 * int64(2+6*nBVs) }
 // the CAM, switch row writes to the 128×128 / 256×256 SRAM FCBs, plus
 // controller activations per touched tile/array and wire energy per word.
 func CostOf(d *Delta) Cost {
+	c, _ := d.account()
+	return c
+}
+
+// arrayLoad is one touched array's share of a delta's payload.
+type arrayLoad struct {
+	array int
+	bits  int64
+}
+
+// addLoad charges bits to array ai: to the last entry when that is ai's,
+// else to a new one.
+func addLoad(loads []arrayLoad, ai int, bits int64) []arrayLoad {
+	if n := len(loads); n > 0 && loads[n-1].array == ai {
+		loads[n-1].bits += bits
+		return loads
+	}
+	return append(loads, arrayLoad{array: ai, bits: bits})
+}
+
+// account is the one walk over a delta's records behind CostOf,
+// TouchedArrays and Schedule: it prices the delta and attributes the
+// payload to the arrays it writes, returned in ascending order.
+//
+// Records of one array, and of one tile, come in runs — Diff emits every
+// list in array-then-tile order — so the walk folds a run into one entry
+// and sorts the handful of entries left; no order is assumed of a delta
+// that was parsed or built by hand.
+func (d *Delta) account() (Cost, []arrayLoad) {
 	var c Cost
-	tiles := map[[2]int]bool{}
-	arrays := map[int]bool{}
+	var loads []arrayLoad
+	var tiles []uint64 // array<<32 | tile
+	charge := func(ai int, bits int64) {
+		c.ConfigBits += bits
+		loads = addLoad(loads, ai, bits)
+	}
 	touchTile := func(ai, ti int) {
-		arrays[ai] = true
-		tiles[[2]int{ai, ti}] = true
+		key := uint64(uint32(ai))<<32 | uint64(uint32(ti))
+		if n := len(tiles); n == 0 || tiles[n-1] != key {
+			tiles = append(tiles, key)
+		}
 	}
 
-	for _, r := range d.Replaces {
-		arrays[r.Array] = true
+	for i := range d.Replaces {
+		r := &d.Replaces[i]
+		bits := int64(256 * 256)
 		for ti := range r.Config.Tiles {
-			t := &r.Config.Tiles[ti]
 			touchTile(r.Array, ti)
 			c.CodeWrites += arch.TileSTEs
 			c.LocalRowWrites += arch.TileSTEs
 			c.TileMetaWrites++
-			c.ConfigBits += int64(arch.TileSTEs)*arch.CAMRows +
-				int64(arch.TileSTEs)*arch.TileSTEs + tileMetaBits(len(t.BVs))
+			bits += int64(arch.TileSTEs)*arch.CAMRows +
+				int64(arch.TileSTEs)*arch.TileSTEs + tileMetaBits(len(r.Config.Tiles[ti].BVs))
 		}
 		c.GlobalRowWrites += 256
-		c.ConfigBits += 256 * 256
+		charge(r.Array, bits)
 	}
 	for _, h := range d.Headers {
-		arrays[h.Array] = true
-		c.ConfigBits += 16
+		charge(h.Array, 16)
 	}
-	for _, m := range d.TileMetas {
+	for i := range d.TileMetas {
+		m := &d.TileMetas[i]
 		touchTile(m.Array, m.Tile)
 		c.TileMetaWrites++
-		c.ConfigBits += tileMetaBits(len(m.BVs))
+		charge(m.Array, tileMetaBits(len(m.BVs)))
 	}
-	for _, code := range d.Codes {
-		touchTile(code.Array, code.Tile)
-		c.CodeWrites++
-		c.ConfigBits += arch.CAMRows + 16 // 32-bit code + column address/role
+	for i := range d.Codes {
+		touchTile(d.Codes[i].Array, d.Codes[i].Tile)
+		charge(d.Codes[i].Array, arch.CAMRows+16) // 32-bit code + column address/role
 	}
-	for _, r := range d.LocalRows {
-		touchTile(r.Array, r.Tile)
-		c.LocalRowWrites++
-		c.ConfigBits += arch.TileSTEs + 16
+	c.CodeWrites += len(d.Codes)
+	for i := range d.LocalRows {
+		touchTile(d.LocalRows[i].Array, d.LocalRows[i].Tile)
+		charge(d.LocalRows[i].Array, arch.TileSTEs+16)
 	}
-	for _, r := range d.GlobalRows {
-		arrays[r.Array] = true
-		c.GlobalRowWrites++
-		c.ConfigBits += 256 + 16
+	c.LocalRowWrites += len(d.LocalRows)
+	for i := range d.GlobalRows {
+		charge(d.GlobalRows[i].Array, 256+16)
 	}
-	c.ArraysTouched = len(arrays)
-	c.TilesTouched = len(tiles)
+	c.GlobalRowWrites += len(d.GlobalRows)
+
+	slices.Sort(tiles)
+	c.TilesTouched = len(slices.Compact(tiles))
+	slices.SortFunc(loads, func(a, b arrayLoad) int { return cmp.Compare(a.array, b.array) })
+	merged := loads[:0]
+	for _, l := range loads {
+		merged = addLoad(merged, l.array, l.bits)
+	}
+	c.ArraysTouched = len(merged)
 	c.finish()
-	return c
+	return c, merged
 }
 
-// finish derives streaming cycles and energy from the write counts: the
-// payload streams through the 128-bit bank bus into the ping-pong Bank
-// Input Buffer (flip penalty every BankInputBufferEntries words), and
-// every write charges the circuit it programs plus controller and wire
-// activity.
-func (c *Cost) finish() {
-	words := (c.ConfigBits + ConfigBusBits - 1) / ConfigBusBits
+// streamCycles is the time a payload takes through the 128-bit bank bus
+// into the ping-pong Bank Input Buffer, which pays a flip penalty every
+// BankInputBufferEntries words.
+func streamCycles(bits int64) (words, cycles int64) {
+	words = (bits + ConfigBusBits - 1) / ConfigBusBits
 	flips := (words + arch.BankInputBufferEntries - 1) / arch.BankInputBufferEntries
-	c.ReloadCycles = words + flips*pingPongFlipCycles
+	return words, words + flips*pingPongFlipCycles
+}
+
+// finish derives streaming cycles and energy from the write counts: every
+// write charges the circuit it programs plus controller and wire activity.
+func (c *Cost) finish() {
+	var words int64
+	words, c.ReloadCycles = streamCycles(c.ConfigBits)
 	c.EnergyPJ = float64(c.CodeWrites)*hwmodel.CAM.AccessEnergyPJ(1) +
 		float64(c.LocalRowWrites)*hwmodel.SRAM128.AccessEnergyPJ(1) +
 		float64(c.GlobalRowWrites)*hwmodel.SRAM256.AccessEnergyPJ(1) +

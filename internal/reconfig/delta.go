@@ -15,7 +15,6 @@ package reconfig
 import (
 	"bytes"
 	"fmt"
-	"hash/crc32"
 
 	"repro/internal/arch"
 	"repro/internal/bitstream"
@@ -93,32 +92,39 @@ type Delta struct {
 	GlobalRows []GlobalRowUpdate
 }
 
-// imageCRC is the delta's notion of image identity: the CRC-32 the
-// serialized form carries in its trailer. (Checksumming the whole
-// marshalled blob would be useless — CRC-32 of a message with its own
-// CRC appended is the constant residue 0x2144DF1C for every image.)
-func imageCRC(img *bitstream.Image) uint32 {
-	data, _ := img.MarshalBinary()
-	if len(data) < 4 {
-		return 0
-	}
-	return crc32.ChecksumIEEE(data[:len(data)-4])
-}
-
 // Diff computes the update records turning old into new. Arrays present
 // in both images with identical tile counts diff at record granularity;
 // structurally changed or added arrays become full ArrayReplace records;
 // arrays dropped from the target are expressed by NumArrays alone (the
-// freed arrays are simply unprogrammed).
+// freed arrays are simply unprogrammed). BaseCRC/TargetCRC are the CRC-32
+// each image's serialized form carries in its trailer.
 func Diff(old, new *bitstream.Image) *Delta {
 	d := &Delta{
-		BaseCRC:   imageCRC(old),
-		TargetCRC: imageCRC(new),
+		BaseCRC:   old.CRC(),
+		TargetCRC: new.CRC(),
 		NumArrays: len(new.Arrays),
+	}
+	// CAM columns and local-switch rows are nearly all of a delta's
+	// records: count them first, so each list is allocated once.
+	var codes, rows int
+	for ai := range new.Arrays {
+		if !sameShape(old, new, ai) {
+			continue
+		}
+		for ti := range new.Arrays[ai].Tiles {
+			c, r := diffTile(nil, ai, ti, &old.Arrays[ai].Tiles[ti], &new.Arrays[ai].Tiles[ti])
+			codes, rows = codes+c, rows+r
+		}
+	}
+	if codes > 0 {
+		d.Codes = make([]CodeUpdate, 0, codes)
+	}
+	if rows > 0 {
+		d.LocalRows = make([]LocalRowUpdate, 0, rows)
 	}
 	for ai := range new.Arrays {
 		na := &new.Arrays[ai]
-		if ai >= len(old.Arrays) || len(old.Arrays[ai].Tiles) != len(na.Tiles) {
+		if !sameShape(old, new, ai) {
 			d.Replaces = append(d.Replaces, ArrayReplace{Array: ai, Config: cloneArray(na)})
 			continue
 		}
@@ -128,6 +134,9 @@ func Diff(old, new *bitstream.Image) *Delta {
 		}
 		for ti := range na.Tiles {
 			diffTile(d, ai, ti, &oa.Tiles[ti], &na.Tiles[ti])
+		}
+		if oa.GlobalSwitch == na.GlobalSwitch {
+			continue
 		}
 		for row := 0; row < 256; row++ {
 			o := oa.GlobalSwitch[row*globalRowBytes : (row+1)*globalRowBytes]
@@ -142,8 +151,18 @@ func Diff(old, new *bitstream.Image) *Delta {
 	return d
 }
 
-func diffTile(d *Delta, ai, ti int, ot, nt *bitstream.TileConfig) {
-	if ot.Mode != nt.Mode || ot.HasInitial != nt.HasInitial || !bvsEqual(ot.BVs, nt.BVs) {
+// sameShape reports whether array ai exists in both images with one tile
+// count, so that it diffs record by record instead of being replaced.
+func sameShape(old, new *bitstream.Image, ai int) bool {
+	return ai < len(old.Arrays) && len(old.Arrays[ai].Tiles) == len(new.Arrays[ai].Tiles)
+}
+
+// diffTile counts the CAM columns and local-switch rows in which two tiles
+// differ and, when d is not nil, appends their update records — and the
+// tile's metadata update — to it. An unchanged tile, which most are on an
+// incremental update, costs one comparison of each fixed-size table.
+func diffTile(d *Delta, ai, ti int, ot, nt *bitstream.TileConfig) (codes, rows int) {
+	if d != nil && (ot.Mode != nt.Mode || ot.HasInitial != nt.HasInitial || !bvsEqual(ot.BVs, nt.BVs)) {
 		d.TileMetas = append(d.TileMetas, TileMetaUpdate{
 			Array: ai, Tile: ti,
 			Mode:       nt.Mode,
@@ -151,23 +170,36 @@ func diffTile(d *Delta, ai, ti int, ot, nt *bitstream.TileConfig) {
 			BVs:        append([]bitstream.BVConfig(nil), nt.BVs...),
 		})
 	}
-	for col := 0; col < arch.TileSTEs; col++ {
-		if ot.ColRole[col] != nt.ColRole[col] || ot.CAMCodes[col] != nt.CAMCodes[col] {
-			d.Codes = append(d.Codes, CodeUpdate{
-				Array: ai, Tile: ti, Col: uint8(col),
-				Role: nt.ColRole[col], Code: nt.CAMCodes[col],
-			})
+	if ot.ColRole != nt.ColRole || ot.CAMCodes != nt.CAMCodes {
+		for col := 0; col < arch.TileSTEs; col++ {
+			if ot.ColRole[col] == nt.ColRole[col] && ot.CAMCodes[col] == nt.CAMCodes[col] {
+				continue
+			}
+			codes++
+			if d != nil {
+				d.Codes = append(d.Codes, CodeUpdate{
+					Array: ai, Tile: ti, Col: uint8(col),
+					Role: nt.ColRole[col], Code: nt.CAMCodes[col],
+				})
+			}
 		}
 	}
-	for row := 0; row < arch.TileSTEs; row++ {
-		o := ot.LocalSwitch[row*localRowBytes : (row+1)*localRowBytes]
-		n := nt.LocalSwitch[row*localRowBytes : (row+1)*localRowBytes]
-		if !bytes.Equal(o, n) {
-			u := LocalRowUpdate{Array: ai, Tile: ti, Row: uint8(row)}
-			copy(u.Bits[:], n)
-			d.LocalRows = append(d.LocalRows, u)
+	if ot.LocalSwitch != nt.LocalSwitch {
+		for row := 0; row < arch.TileSTEs; row++ {
+			o := ot.LocalSwitch[row*localRowBytes : (row+1)*localRowBytes]
+			n := nt.LocalSwitch[row*localRowBytes : (row+1)*localRowBytes]
+			if bytes.Equal(o, n) {
+				continue
+			}
+			rows++
+			if d != nil {
+				u := LocalRowUpdate{Array: ai, Tile: ti, Row: uint8(row)}
+				copy(u.Bits[:], n)
+				d.LocalRows = append(d.LocalRows, u)
+			}
 		}
 	}
+	return codes, rows
 }
 
 func bvsEqual(a, b []bitstream.BVConfig) bool {
@@ -197,7 +229,7 @@ func cloneArray(a *bitstream.ArrayConfig) bitstream.ArrayConfig {
 // verifies the result against TargetCRC, so a successful Apply guarantees
 // bit-exact reconstruction.
 func Apply(old *bitstream.Image, d *Delta) (*bitstream.Image, error) {
-	if got := imageCRC(old); got != d.BaseCRC {
+	if got := old.CRC(); got != d.BaseCRC {
 		return nil, fmt.Errorf("reconfig: base image CRC %08x does not match delta base %08x", got, d.BaseCRC)
 	}
 	img := &bitstream.Image{Arrays: make([]bitstream.ArrayConfig, d.NumArrays)}
@@ -254,7 +286,7 @@ func Apply(old *bitstream.Image, d *Delta) (*bitstream.Image, error) {
 		}
 		copy(a.GlobalSwitch[int(r.Row)*globalRowBytes:], r.Bits[:])
 	}
-	if got := imageCRC(img); got != d.TargetCRC {
+	if got := img.CRC(); got != d.TargetCRC {
 		return nil, fmt.Errorf("reconfig: applied image CRC %08x does not match delta target %08x", got, d.TargetCRC)
 	}
 	return img, nil
@@ -288,30 +320,10 @@ func (d *Delta) Records() int {
 // ascending order. Arrays outside this set keep matching during the
 // reconfiguration (the scheduler's no-stall set).
 func (d *Delta) TouchedArrays() []int {
-	seen := map[int]bool{}
-	for _, r := range d.Replaces {
-		seen[r.Array] = true
-	}
-	for _, h := range d.Headers {
-		seen[h.Array] = true
-	}
-	for _, m := range d.TileMetas {
-		seen[m.Array] = true
-	}
-	for _, c := range d.Codes {
-		seen[c.Array] = true
-	}
-	for _, r := range d.LocalRows {
-		seen[r.Array] = true
-	}
-	for _, r := range d.GlobalRows {
-		seen[r.Array] = true
-	}
-	out := make([]int, 0, len(seen))
-	for i := 0; i < d.NumArrays; i++ {
-		if seen[i] {
-			out = append(out, i)
-		}
+	_, loads := d.account()
+	out := make([]int, len(loads))
+	for i, l := range loads {
+		out[i] = l.array
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package reconfig
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/arch"
@@ -297,5 +298,64 @@ func TestScheduleNBVAQuiesceIncludesDepth(t *testing.T) {
 	}
 	if !found {
 		t.Skip("no NBVA array in placement")
+	}
+}
+
+// tenthSwappedImages builds the two Snort@1.0 images the ledger's hot_swap
+// workload alternates between.
+func tenthSwappedImages(t testing.TB) (base, next *bitstream.Image) {
+	d := workload.MustGenerate("Snort", 1, 1)
+	other := workload.MustGenerate("Snort", 1, 2)
+	swapped := append([]string(nil), d.Patterns...)
+	for i := 0; i < len(swapped) && i < len(other.Patterns); i += 10 {
+		swapped[i] = other.Patterns[i]
+	}
+	return imageFor(t, d.Patterns), imageFor(t, swapped)
+}
+
+// Diffing an image against an equal one (a distinct copy, so nothing is
+// decided by pointer) emits nothing and allocates only the Delta: every
+// tile is dismissed by comparing its fixed-size tables, and the checksums
+// are streamed.
+func TestDiffSkipsEqualTiles(t *testing.T) {
+	img, _ := tenthSwappedImages(t)
+	twin, err := bitstream.Parse(marshalled(t, img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := Diff(img, twin)
+	if d.Records() != 0 || d.BaseCRC != d.TargetCRC {
+		t.Fatalf("diff of equal images: %d records, CRCs %08x/%08x", d.Records(), d.BaseCRC, d.TargetCRC)
+	}
+	// (sync.Pool drops a quarter of its Puts under the race detector.)
+	if allocs := testing.AllocsPerRun(20, func() { Diff(img, twin) }); allocs > 1 && !raceEnabled {
+		t.Errorf("diff of equal images allocates %.0f times, want the Delta alone", allocs)
+	}
+	if c := CostOf(d); c != (Cost{}) {
+		t.Errorf("empty delta priced at %+v", c)
+	}
+}
+
+// Apply builds the target image — one copy of the base's arrays — and
+// nothing of that size besides: verifying the base and the result against
+// the delta's CRCs once marshalled both images.
+func TestApplyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	base, next := tenthSwappedImages(t)
+	d := Diff(base, next)
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := Apply(base, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perRun := int((after.TotalAlloc - before.TotalAlloc) / runs)
+	if limit := next.SizeBytes() * 3 / 2; perRun > limit {
+		t.Errorf("Apply allocates %d bytes for a %d-byte image, limit %d", perRun, next.SizeBytes(), limit)
 	}
 }

@@ -2,7 +2,6 @@ package reconfig
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/arch"
 	"repro/internal/bitstream"
@@ -41,8 +40,9 @@ type Plan struct {
 	StallCycles int64
 	// UntouchedArrays keep matching during the swap.
 	UntouchedArrays int
-	// EnergyPJ is the configuration-write energy (CostOf's model).
-	EnergyPJ float64
+	// Cost is CostOf the scheduled delta: write counts, payload, total
+	// reload cycles and configuration-write energy.
+	Cost Cost
 }
 
 // Schedule plans the quiesce-drain-reload of d against the target image
@@ -50,102 +50,49 @@ type Plan struct {
 // decide quiesce costs). Per array, reload cycles are that array's share
 // of the delta payload; arrays in the same bank serialize their reloads
 // on the bank's config bus while arrays in different banks reload in
-// parallel.
+// parallel. Steps holds one entry per touched array, in ascending order.
 func Schedule(d *Delta, target *bitstream.Image) (*Plan, error) {
-	touched := d.TouchedArrays()
-	for _, ai := range touched {
-		if ai >= len(target.Arrays) {
-			return nil, fmt.Errorf("reconfig: delta touches array %d but target has %d", ai, len(target.Arrays))
-		}
+	cost, loads := d.account()
+	if n := len(loads); n > 0 && (loads[0].array < 0 || loads[n-1].array >= len(target.Arrays)) {
+		return nil, fmt.Errorf("reconfig: delta touches arrays %d..%d but target has %d", loads[0].array, loads[n-1].array, len(target.Arrays))
 	}
-	perArray := arrayBits(d)
-	plan := &Plan{EnergyPJ: CostOf(d).EnergyPJ}
-	plan.UntouchedArrays = len(target.Arrays) - len(touched)
-
-	// Build steps bank by bank: quiesce in parallel at window start, then
-	// serialize reloads on the bank bus.
-	byBank := map[int][]int{}
-	for _, ai := range touched {
-		bank := ai / arch.ArraysPerBank
-		byBank[bank] = append(byBank[bank], ai)
+	plan := &Plan{
+		Steps:           make([]ArrayStep, 0, len(loads)),
+		UntouchedArrays: len(target.Arrays) - len(loads),
+		Cost:            cost,
 	}
-	banks := make([]int, 0, len(byBank))
-	for b := range byBank {
-		banks = append(banks, b)
-	}
-	sort.Ints(banks)
-	for _, bank := range banks {
-		var cursor int64
+	// Bank by bank: the bank's arrays quiesce in parallel at window start,
+	// then reload back to back on the bank bus once the slowest has drained.
+	for i := 0; i < len(loads); {
+		bank := loads[i].array / arch.ArraysPerBank
+		first := len(plan.Steps)
 		var maxQuiesce int64
-		for _, ai := range byBank[bank] {
+		for ; i < len(loads) && loads[i].array/arch.ArraysPerBank == bank; i++ {
 			q := int64(quiesceFlushCycles)
-			a := &target.Arrays[ai]
+			a := &target.Arrays[loads[i].array]
 			if a.Mode == arch.ModeNBVA {
 				// An in-flight bit-vector-processing phase must complete
 				// before the CAM contents can be rewritten.
 				q += int64(a.Depth)
 			}
-			if q > maxQuiesce {
-				maxQuiesce = q
-			}
-			bits := perArray[ai]
-			words := (bits + ConfigBusBits - 1) / ConfigBusBits
-			flips := (words + arch.BankInputBufferEntries - 1) / arch.BankInputBufferEntries
-			reload := words + flips*pingPongFlipCycles
+			maxQuiesce = max(maxQuiesce, q)
+			_, reload := streamCycles(loads[i].bits)
 			plan.Steps = append(plan.Steps, ArrayStep{
-				Array: ai, Bank: bank,
+				Array: loads[i].array, Bank: bank,
 				QuiesceCycles: q,
 				ReloadCycles:  reload,
 			})
-			cursor += reload
 		}
-		// Place the bank's steps: reloads start after the slowest quiesce
-		// of the bank and run back to back.
 		start := maxQuiesce
-		for i := range plan.Steps {
-			st := &plan.Steps[i]
-			if st.Bank != bank || st.EndCycle != 0 {
-				continue
-			}
+		for s := first; s < len(plan.Steps); s++ {
+			st := &plan.Steps[s]
 			st.StartCycle = start
 			st.EndCycle = start + st.ReloadCycles
 			start = st.EndCycle
 		}
-		if start > plan.StallCycles {
-			plan.StallCycles = start
-		}
+		plan.StallCycles = max(plan.StallCycles, start)
 	}
 	return plan, nil
-}
-
-// arrayBits attributes the delta payload to arrays (same per-record bit
-// accounting as CostOf).
-func arrayBits(d *Delta) map[int]int64 {
-	bits := map[int]int64{}
-	for _, r := range d.Replaces {
-		var b int64
-		for ti := range r.Config.Tiles {
-			b += int64(arch.TileSTEs)*arch.CAMRows +
-				int64(arch.TileSTEs)*arch.TileSTEs + tileMetaBits(len(r.Config.Tiles[ti].BVs))
-		}
-		bits[r.Array] += b + 256*256
-	}
-	for _, h := range d.Headers {
-		bits[h.Array] += 16
-	}
-	for _, m := range d.TileMetas {
-		bits[m.Array] += tileMetaBits(len(m.BVs))
-	}
-	for _, c := range d.Codes {
-		bits[c.Array] += arch.CAMRows + 16
-	}
-	for _, r := range d.LocalRows {
-		bits[r.Array] += arch.TileSTEs + 16
-	}
-	for _, r := range d.GlobalRows {
-		bits[r.Array] += 256 + 16
-	}
-	return bits
 }
 
 // LatencyUS returns the stall window in microseconds at the RAP clock.

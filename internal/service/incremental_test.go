@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -36,10 +37,15 @@ func tenthSwapped(name string, scale float64) (base, swapped []string) {
 	return d.Patterns, swapped
 }
 
-// updateAllocCeiling bounds what one Update of Snort@1.0 with a tenth of
-// its patterns changed may allocate (49 531 allocs/op before updates reused
-// the served generation).
-const updateAllocCeiling = 30000
+// updateAllocCeiling and updateBytesCeiling bound what one Update of
+// Snort@1.0 with a tenth of its patterns changed may allocate (49 531
+// allocs/op before updates reused the served generation; 7 795 and 1.93 MB
+// while the placement was cloned per regex and the images were marshalled
+// to be checksummed).
+const (
+	updateAllocCeiling = 5000
+	updateBytesCeiling = 1200 << 10
+)
 
 // BenchmarkUpdate is the ledger's hot_swap update in isolation: Snort@1.0,
 // every tenth pattern alternating between two generations.
@@ -70,8 +76,31 @@ func BenchmarkUpdate(b *testing.B) {
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
 	// The framework's one-iteration probe is too short to average over.
-	if perOp := (after.Mallocs - before.Mallocs) / uint64(b.N); b.N >= 10 && perOp > updateAllocCeiling {
+	if b.N < 10 {
+		return
+	}
+	if perOp := (after.Mallocs - before.Mallocs) / uint64(b.N); perOp > updateAllocCeiling {
 		b.Errorf("%d allocs per update, ceiling %d", perOp, updateAllocCeiling)
+	}
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / uint64(b.N); perOp > updateBytesCeiling {
+		b.Errorf("%d bytes allocated per update, ceiling %d", perOp, updateBytesCeiling)
+	}
+}
+
+// BenchmarkBuildImage is the hardware half of an update on its own: a cold
+// mapper.Map + bitstream.Build of Snort@1.0's compiled ruleset.
+func BenchmarkBuildImage(b *testing.B) {
+	d := workload.MustGenerate("Snort", 1, 1)
+	res, err := compile.CompileContext(context.Background(), d.Patterns, CompileOptions{}.options().FrontEnd())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := buildImage(res); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -89,7 +118,7 @@ func coldBuild(t *testing.T, patterns []string, opts CompileOptions) (*compile.R
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, err := buildImage(res)
+	img, _, err := buildImage(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +465,8 @@ func TestUpdateReuseIsObservable(t *testing.T) {
 	body, _ := json.Marshal(compileRequest{Patterns: []string{"alpha", "be+ta", "ga{20,40}mma"}})
 	doJSON(t, client, "POST", srv.URL+"/v1/programs", body, &comp)
 	body, _ = json.Marshal(compileRequest{Patterns: []string{"alpha", "delta", "ga{20,40}mma"}})
-	if resp := doJSON(t, client, "PUT", srv.URL+"/v1/programs/"+comp.ProgramID, body, nil); resp.StatusCode != http.StatusOK {
+	var upd UpdateResult
+	if resp := doJSON(t, client, "PUT", srv.URL+"/v1/programs/"+comp.ProgramID, body, &upd); resp.StatusCode != http.StatusOK {
 		t.Fatalf("update: HTTP %d", resp.StatusCode)
 	}
 
@@ -444,16 +474,26 @@ func TestUpdateReuseIsObservable(t *testing.T) {
 		Traces []telemetry.TraceRecord `json:"traces"`
 	}
 	doJSON(t, client, "GET", srv.URL+"/debug/traces", nil, &ring)
-	var attrs map[string]string
+	attrs := map[string]map[string]string{}
 	for _, tr := range ring.Traces {
 		for _, sp := range tr.Spans {
-			if sp.Name == "compile" && sp.Attrs != nil {
-				attrs = sp.Attrs
+			if sp.Attrs != nil {
+				attrs[sp.Name] = sp.Attrs
 			}
 		}
 	}
-	if attrs["reused"] != "2" || attrs["compiled"] != "1" {
-		t.Errorf("compile span of the update carries %v, want reused=2 compiled=1", attrs)
+	if got := attrs["compile"]; got["reused"] != "2" || got["compiled"] != "1" {
+		t.Errorf("compile span of the update carries %v, want reused=2 compiled=1", got)
+	}
+	// The hardware half says what it produced, in the terms the response
+	// reports it.
+	if got := attrs["image_build"]; got["image_bytes"] != strconv.Itoa(upd.FullImageBytes) ||
+		got["arrays"] != strconv.Itoa(upd.ArraysTouched+upd.ArraysUntouched) || got["tiles_used"] == "" || got["tiles_used"] == "0" {
+		t.Errorf("image_build span carries %v for update %+v", got, upd)
+	}
+	if got := attrs["diff"]; got["records"] != strconv.Itoa(upd.DeltaRecords) ||
+		got["delta_bytes"] != strconv.Itoa(upd.DeltaBytes) || got["arrays_touched"] != strconv.Itoa(upd.ArraysTouched) {
+		t.Errorf("diff span carries %v for update %+v", got, upd)
 	}
 
 	resp, err := client.Get(srv.URL + "/metrics")

@@ -185,7 +185,7 @@ func (p *Program) putSession(s *refmatch.Session) { p.sessPool.Put(s) }
 func (p *Program) hwImage() (*bitstream.Image, error) {
 	p.hwOnce.Do(func() {
 		if p.hwImg == nil {
-			p.hwImg, p.hwErr = buildImage(p.res)
+			p.hwImg, _, p.hwErr = buildImage(p.res)
 		}
 	})
 	return p.hwImg, p.hwErr

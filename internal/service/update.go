@@ -38,13 +38,15 @@ type UpdateResult struct {
 
 // buildImage runs the hardware half of the pipeline — map, bitstream —
 // over a compiled ruleset, producing the deployment image the
-// reconfiguration delta is computed over.
-func buildImage(res *compile.Result) (*bitstream.Image, error) {
+// reconfiguration delta is computed over and the number of tiles its
+// placement occupies.
+func buildImage(res *compile.Result) (img *bitstream.Image, tilesUsed int, err error) {
 	p, err := mapper.Map(res, mapper.Options{})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return bitstream.Build(res, p)
+	img, err = bitstream.Build(res, p)
+	return img, p.TilesUsed(), err
 }
 
 // Update hot-swaps the ruleset behind a program ID with zero downtime:
@@ -109,10 +111,17 @@ func (s *Service) Update(ctx context.Context, programID string, patterns []strin
 			telemetry.L("reused", strconv.Itoa(res.Reused)),
 			telemetry.L("compiled", strconv.Itoa(len(patterns)-res.Reused)))
 		imageEnd := tr.StartSpan("image_build")
-		defer imageEnd()
-		if newImg, cerr = buildImage(res); cerr != nil {
+		var built []telemetry.Label // what the span says of the new image
+		defer func() { imageEnd(built...) }()
+		var tilesUsed int
+		if newImg, tilesUsed, cerr = buildImage(res); cerr != nil {
 			cerr = fmt.Errorf("service: new deployment image: %w", cerr)
 			return
+		}
+		built = []telemetry.Label{
+			telemetry.L("arrays", strconv.Itoa(len(newImg.Arrays))),
+			telemetry.L("tiles_used", strconv.Itoa(tilesUsed)),
+			telemetry.L("image_bytes", strconv.Itoa(newImg.SizeBytes())),
 		}
 		// The image the delta is taken against: a program that has not
 		// been through an update has none yet, and it is built here so
@@ -151,9 +160,10 @@ func (s *Service) Update(ctx context.Context, programID string, patterns []strin
 	if err != nil {
 		return nil, err
 	}
-	cost := reconfig.CostOf(delta)
-	full := reconfig.FullCost(newImg)
-	diffEnd()
+	cost, full := plan.Cost, reconfig.FullCost(newImg)
+	diffEnd(telemetry.L("records", strconv.Itoa(delta.Records())),
+		telemetry.L("delta_bytes", strconv.Itoa(len(deltaData))),
+		telemetry.L("arrays_touched", strconv.Itoa(len(plan.Steps))))
 
 	next := &Program{
 		ID:         programID,
@@ -193,7 +203,7 @@ func (s *Service) Update(ctx context.Context, programID string, patterns []strin
 		DeltaBytes:       len(deltaData),
 		FullImageBytes:   newImg.SizeBytes(),
 		DeltaRecords:     delta.Records(),
-		ArraysTouched:    len(delta.TouchedArrays()),
+		ArraysTouched:    len(plan.Steps),
 		ArraysUntouched:  plan.UntouchedArrays,
 		ReloadCycles:     cost.ReloadCycles,
 		FullReloadCycles: full.ReloadCycles,

@@ -92,10 +92,9 @@ func MapBVAP(res *compile.Result) (*arch.Placement, error) {
 	var cur *arch.ArrayPlan
 	openArray := func() {
 		p.Arrays = append(p.Arrays, arch.ArrayPlan{
-			Mode:      arch.ModeNBVA,
-			Tiles:     make([]arch.TilePlan, arch.TilesPerArray),
-			Depth:     bvapStallCycles, // BVM pipeline depth
-			StateTile: map[arch.StateRef]int{},
+			Mode:  arch.ModeNBVA,
+			Tiles: make([]arch.TilePlan, arch.TilesPerArray),
+			Depth: bvapStallCycles, // BVM pipeline depth
 		})
 		cur = &p.Arrays[len(p.Arrays)-1]
 	}
@@ -119,64 +118,61 @@ func MapBVAP(res *compile.Result) (*arch.Placement, error) {
 	return p, nil
 }
 
-// bvapTryPlace first-fit packs one NBVA regex's STEs into the array.
+// bvapTryPlace first-fit packs one NBVA regex's STEs into the array. Like
+// the mapper's tryPlace, it decides the fit on the tiles' occupancy counts
+// and writes the tiles only once the whole regex fits.
 func bvapTryPlace(a *arch.ArrayPlan, c *compile.Compiled, maxBVBitsPerTile int) bool {
-	tiles := make([]arch.TilePlan, len(a.Tiles))
-	copy(tiles, a.Tiles)
-	for i := range a.Tiles {
-		tiles[i].BVs = append([]arch.BVAlloc(nil), a.Tiles[i].BVs...)
-		tiles[i].Regexes = append([]int(nil), a.Tiles[i].Regexes...)
-	}
-	stateTile := map[arch.StateRef]int{}
-	slotsUsed := func(tp *arch.TilePlan) int {
-		s := 0
-		for _, bv := range tp.BVs {
-			s += bv.Width // Width stores BVM slots for BVAP
+	var ccUsed, slotsUsed [arch.TilesPerArray]int
+	for t := range ccUsed {
+		ccUsed[t] = a.Tiles[t].CCColumns
+		for _, bv := range a.Tiles[t].BVs {
+			slotsUsed[t] += bv.Width // Width stores BVM slots for BVAP
 		}
-		return s
 	}
+	at := make([]int16, len(c.NBVA.States))
 	for q, s := range c.NBVA.States {
-		placed := false
 		needSlots := 0
 		if s.BV != nil {
 			if s.BV.Size > maxBVBitsPerTile {
 				return false // BVAP cannot split across its BVM boundary
 			}
-			needSlots = (s.BV.Size + bvapBVBits - 1) / bvapBVBits
+			needSlots = bvapSlots(s.BV.Size)
 		}
-		for t := range tiles {
-			tp := &tiles[t]
-			if tp.CCColumns+1 > arch.TileSTEs {
+		tile := -1
+		for t := range ccUsed {
+			if ccUsed[t]+1 > arch.TileSTEs || slotsUsed[t]+needSlots > bvapBVsPerTile {
 				continue
 			}
-			if needSlots > 0 && slotsUsed(tp)+needSlots > bvapBVsPerTile {
-				continue
-			}
-			tp.CCColumns++
-			if needSlots > 0 {
-				tp.BVs = append(tp.BVs, arch.BVAlloc{
-					Regex: c.Index, STE: q, Size: s.BV.Size,
-					Width: needSlots, Depth: bvapStallCycles, Read: s.BV.Read,
-				})
-				tp.HasBV = true
-			}
-			stateTile[arch.StateRef{Regex: c.Index, State: q}] = t
-			if len(tp.Regexes) == 0 || tp.Regexes[len(tp.Regexes)-1] != c.Index {
-				tp.Regexes = append(tp.Regexes, c.Index)
-			}
-			placed = true
+			ccUsed[t]++
+			slotsUsed[t] += needSlots
+			tile = t
 			break
 		}
-		if !placed {
+		if tile < 0 {
 			return false
 		}
+		at[q] = int16(tile)
 	}
-	copy(a.Tiles, tiles)
-	for k, v := range stateTile {
-		a.StateTile[k] = v
+	copy(a.PlaceStates(c.Index, len(at)), at)
+	for q, s := range c.NBVA.States {
+		tp := &a.Tiles[at[q]]
+		tp.CCColumns++
+		if s.BV != nil {
+			tp.BVs = append(tp.BVs, arch.BVAlloc{
+				Regex: c.Index, STE: q, Size: s.BV.Size,
+				Width: bvapSlots(s.BV.Size), Depth: bvapStallCycles, Read: s.BV.Read,
+			})
+			tp.HasBV = true
+		}
+		if len(tp.Regexes) == 0 || tp.Regexes[len(tp.Regexes)-1] != c.Index {
+			tp.Regexes = append(tp.Regexes, c.Index)
+		}
 	}
 	return true
 }
+
+// bvapSlots is the number of fixed-size BVM slots a bit vector occupies.
+func bvapSlots(size int) int { return (size + bvapBVBits - 1) / bvapBVBits }
 
 // SimulateBVAP runs the BVAP baseline: CAMA-style state matching plus the
 // event-driven BVM pipeline (read, route, act) that stalls the array for

@@ -93,7 +93,7 @@ func newNFAArrayEngine(res *compile.Result, plan *arch.ArrayPlan) (*nfaArrayEngi
 				}
 				e.follow[g] = f
 			}
-			tile, ok := plan.StateTile[arch.StateRef{Regex: p.regex, State: q}]
+			tile, ok := plan.TileOf(arch.StateRef{Regex: p.regex, State: q})
 			if !ok {
 				return nil, fmt.Errorf("sim: no tile for regex %d state %d", p.regex, q)
 			}
@@ -240,7 +240,7 @@ func newNBVAArrayEngine(res *compile.Result, plan *arch.ArrayPlan) (*nbvaArrayEn
 				for _, bl := range bls {
 					tiles[q] = append(tiles[q], bl.tile)
 				}
-			} else if t, ok := plan.StateTile[ref]; ok {
+			} else if t, ok := plan.TileOf(ref); ok {
 				tiles[q] = []int{t}
 			} else {
 				return nil, fmt.Errorf("sim: no tile for NBVA regex %d state %d", ri, q)

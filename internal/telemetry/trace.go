@@ -23,7 +23,8 @@ type Span struct {
 	StartUS    int64  `json:"start_us"`
 	DurationUS int64  `json:"duration_us"`
 	// Attrs says what the stage did (an update's compile: how many
-	// patterns it reused and how many it compiled).
+	// patterns it reused and how many it compiled; its image_build and
+	// diff: how large the image and the delta came out).
 	Attrs map[string]string `json:"attrs,omitempty"`
 }
 
@@ -93,13 +94,14 @@ func (t *Trace) AddSpan(name string, start time.Time, d time.Duration, attrs ...
 	t.mu.Unlock()
 }
 
-// StartSpan starts a stage and returns the function that ends it.
-func (t *Trace) StartSpan(name string) func() {
+// StartSpan starts a stage and returns the function that ends it, which
+// takes the attributes the stage turned out to have.
+func (t *Trace) StartSpan(name string) func(attrs ...Label) {
 	if t == nil {
-		return func() {}
+		return func(...Label) {}
 	}
 	start := time.Now()
-	return func() { t.AddSpan(name, start, time.Since(start)) }
+	return func(attrs ...Label) { t.AddSpan(name, start, time.Since(start), attrs...) }
 }
 
 // SetAttr attaches a string attribute (method, path, status, ...).

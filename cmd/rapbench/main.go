@@ -75,7 +75,7 @@ func main() {
 	out := flag.String("out", "", "directory for CSV outputs (optional)")
 	jsonDir := flag.String("json", "", "directory for machine-readable BENCH_<exp>.json records (optional)")
 	parallel := flag.Bool("parallel", true, "run per-dataset work concurrently")
-	guard := flag.String("guard", "", "baseline BENCH_scan.json: exit non-zero if the scan headline (best Teddy MB/s) drops more than 20% below it")
+	guard := flag.String("guard", "", "baseline BENCH_scan.json: exit non-zero if the scan headline (median Teddy/AC ratio) drops below half of it")
 	flag.Parse()
 
 	cfg := experiments.Config{Scale: *scale, Seed: *seed, InputLen: *inputLen, OutDir: *out, Parallel: *parallel}
@@ -128,14 +128,14 @@ func main() {
 }
 
 // guardTolerance is how far the scan headline may fall below the
-// committed baseline before the guard fails the run. Benchmarks on shared
-// CI runners are noisy; 20% catches real kernel regressions (which cost
-// 2x+) without tripping on scheduler jitter.
-const guardTolerance = 0.80
+// committed baseline before the guard fails the run. A healthy run on a
+// busy shared runner read 0.74 of it and a kernel back to one load per
+// byte reads 0.27, so half the baseline separates the two.
+const guardTolerance = 0.50
 
-// guardScan compares the fresh scan table's headline (best Teddy MB/s
-// cell) against the committed baseline record and fails on a regression
-// beyond the tolerance.
+// guardScan compares the fresh scan table's headline (the median
+// Teddy/AC ratio) against the committed baseline record and fails on a
+// regression beyond the tolerance.
 func guardScan(t *metrics.Table, baselinePath string) error {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -145,7 +145,7 @@ func guardScan(t *metrics.Table, baselinePath string) error {
 	if err := json.Unmarshal(data, &base); err != nil {
 		return fmt.Errorf("guard: %s: %w", baselinePath, err)
 	}
-	const column = "Teddy MB/s"
+	const column = "Teddy/AC"
 	want, err := experiments.ScanHeadline(base.Table, column)
 	if err != nil {
 		return fmt.Errorf("guard: baseline: %w", err)
@@ -155,9 +155,9 @@ func guardScan(t *metrics.Table, baselinePath string) error {
 		return fmt.Errorf("guard: current: %w", err)
 	}
 	if got < want*guardTolerance {
-		return fmt.Errorf("guard: scan headline %.1f MB/s is %.0f%% below the committed baseline %.1f MB/s (tolerance %.0f%%)",
+		return fmt.Errorf("guard: scan headline %.2fx teddy/AC is %.0f%% below the committed baseline %.2fx (tolerance %.0f%%)",
 			got, 100*(1-got/want), want, 100*(1-guardTolerance))
 	}
-	fmt.Printf("guard: scan headline %.1f MB/s vs baseline %.1f MB/s — ok\n\n", got, want)
+	fmt.Printf("guard: scan headline %.2fx teddy/AC vs baseline %.2fx — ok\n\n", got, want)
 	return nil
 }

@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 // small returns a config fast enough for unit tests.
@@ -329,5 +331,21 @@ func TestFlows(t *testing.T) {
 			}
 		}
 		prev, prevDataset = tput, r[0]
+	}
+}
+
+// TestScanHeadline: the guard's figure is the median of a ratio column,
+// so one cell a noisy neighbour lands on does not move it.
+func TestScanHeadline(t *testing.T) {
+	tab := &metrics.Table{Header: []string{"Literals", "Teddy/AC"}}
+	for _, cell := range []string{"16.2x", "4.5x", "17.0x", "16.8x", "n/a"} {
+		tab.AddRow(2, cell)
+	}
+	got, err := ScanHeadline(tab, "Teddy/AC")
+	if err != nil || got != 16.5 {
+		t.Fatalf("headline = %v, %v; want the median 16.5", got, err)
+	}
+	if _, err := ScanHeadline(tab, "Teddy MB/s"); err == nil {
+		t.Fatal("a missing column gave no error")
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/metrics"
@@ -40,7 +42,7 @@ var (
 // (literal scan + window delivery) with the end-to-end match set verified
 // identical across all three paths first. `rapbench -exp scan -json DIR`
 // archives the matrix as BENCH_scan.json; CI's bench-smoke job guards the
-// teddy column against regressions (rapbench -guard).
+// Teddy/AC column against regressions (rapbench -guard).
 func ScanBench(cfg Config) (*metrics.Table, error) {
 	cfg.setDefaults()
 
@@ -172,8 +174,10 @@ func sweepMatcher(m *refmatch.Matcher, input []byte) (time.Duration, float64) {
 	return wall, skip
 }
 
-// ScanHeadline extracts the named MB/s column's maximum from a scan-bench
-// table — the figure the regression guard compares run over run.
+// ScanHeadline is the figure the regression guard compares run over run:
+// the median of the named ratio column ("4.70x" cells) over the matrix —
+// two loops timed in the same row, so it carries across machines where an
+// absolute MB/s does not.
 func ScanHeadline(t *metrics.Table, column string) (float64, error) {
 	col := -1
 	for i, h := range t.Header {
@@ -184,17 +188,18 @@ func ScanHeadline(t *metrics.Table, column string) (float64, error) {
 	if col < 0 {
 		return 0, fmt.Errorf("scan: no column %q in table %q", column, t.Name)
 	}
-	best := 0.0
+	var vals []float64
 	for _, row := range t.Rows {
 		if col >= len(row) {
 			continue
 		}
-		if v, err := strconv.ParseFloat(row[col], 64); err == nil && v > best {
-			best = v
+		if v, err := strconv.ParseFloat(strings.TrimSuffix(row[col], "x"), 64); err == nil {
+			vals = append(vals, v)
 		}
 	}
-	if best == 0 {
+	if len(vals) == 0 {
 		return 0, fmt.Errorf("scan: column %q has no numeric values", column)
 	}
-	return best, nil
+	sort.Float64s(vals)
+	return (vals[(len(vals)-1)/2] + vals[len(vals)/2]) / 2, nil
 }

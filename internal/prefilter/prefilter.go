@@ -72,6 +72,9 @@ type Stats struct {
 	LiteralHits  int64 `json:"literal_hits"`
 	Windows      int64 `json:"windows"`   // merged candidate windows delivered
 	WindowNS     int64 `json:"window_ns"` // time locating candidate windows
+	// DirtyBlocks is simdscan.TeddyState.DirtyBlocks: 16-byte blocks the
+	// pair filter could not clear. Zero off the fingerprint tier.
+	DirtyBlocks int64 `json:"dirty_blocks"`
 }
 
 // Add accumulates o into s.
@@ -81,6 +84,7 @@ func (s *Stats) Add(o Stats) {
 	s.LiteralHits += o.LiteralHits
 	s.Windows += o.Windows
 	s.WindowNS += o.WindowNS
+	s.DirtyBlocks += o.DirtyBlocks
 }
 
 // Sub returns s - o (for delta accounting against a prior snapshot).
@@ -91,5 +95,6 @@ func (s Stats) Sub(o Stats) Stats {
 		LiteralHits:  s.LiteralHits - o.LiteralHits,
 		Windows:      s.Windows - o.Windows,
 		WindowNS:     s.WindowNS - o.WindowNS,
+		DirtyBlocks:  s.DirtyBlocks - o.DirtyBlocks,
 	}
 }

@@ -145,6 +145,19 @@ func (s *Set) Window() int { return s.window }
 // Tier returns the candidate-scanner representation the set compiled to.
 func (s *Set) Tier() Tier { return s.tier }
 
+// Kernel names the candidate scan loop the set runs: the tier and, on the
+// fingerprint tier, its fingerprint length and pair-filter stride, e.g.
+// "teddy fp3 stride4" ("teddy fp2" when a 2-byte literal leaves no stride).
+func (s *Set) Kernel() string {
+	switch {
+	case s.teddy == nil:
+		return s.tier.String()
+	case s.teddy.Stride() == 0:
+		return fmt.Sprintf("teddy fp%d", s.teddy.Fingerprint())
+	}
+	return fmt.Sprintf("teddy fp%d stride%d", s.teddy.Fingerprint(), s.teddy.Stride())
+}
+
 // buildAC constructs the goto trie, resolves fail links breadth-first and
 // flattens everything into a dense DFA (next fully resolved, out folded
 // along fail chains).

@@ -99,6 +99,7 @@ func (st *Stream) Scan(chunk []byte, scan func(base int, data []byte), reset fun
 		st.tstate = st.set.teddy.Scan(chunk, st.hist, st.tstate, func(end int) {
 			st.addHit(base+end, w)
 		})
+		st.stats.DirtyBlocks = st.tstate.DirtyBlocks() // both count from the last Reset
 	default:
 		s, next, out := st.state, st.set.next, st.set.out
 		for i := 0; i < len(chunk); i++ {

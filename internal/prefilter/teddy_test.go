@@ -1,6 +1,7 @@
 package prefilter
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 )
@@ -9,24 +10,27 @@ import (
 // compiles to.
 func TestTierSelection(t *testing.T) {
 	cases := []struct {
-		lits []string
-		want Tier
+		lits   []string
+		want   Tier
+		kernel string
 	}{
-		{[]string{"a"}, TierMemchr},
-		{[]string{"a", "a"}, TierMemchr},
-		{[]string{"a", "b"}, TierByteTable},
-		{[]string{"ab"}, TierTeddy},
-		{[]string{"needle", "pin", "tack"}, TierTeddy},
-		{[]string{"ab", "c"}, TierAC}, // single-byte literal blocks fingerprints
+		{[]string{"a"}, TierMemchr, "memchr"},
+		{[]string{"a", "a"}, TierMemchr, "memchr"},
+		{[]string{"a", "b"}, TierByteTable, "bytetable"},
+		{[]string{"ab"}, TierTeddy, "teddy fp2"},
+		{[]string{"needle", "pin", "tack"}, TierTeddy, "teddy fp3 stride2"},
+		{[]string{"key07", "key19"}, TierTeddy, "teddy fp3 stride4"},
+		{[]string{"ab", "c"}, TierAC, "ac"}, // single-byte literal blocks fingerprints
 	}
 	var many []string
 	for i := 0; i < 33; i++ {
 		many = append(many, fmt.Sprintf("lit%02d", i))
 	}
 	cases = append(cases, struct {
-		lits []string
-		want Tier
-	}{many, TierAC}) // over the teddy cap
+		lits   []string
+		want   Tier
+		kernel string
+	}{many, TierAC, "ac"}) // over the teddy cap
 
 	for _, tc := range cases {
 		lits := make([][]byte, len(tc.lits))
@@ -43,6 +47,9 @@ func TestTierSelection(t *testing.T) {
 		}
 		if s.Tier() != tc.want {
 			t.Errorf("%q: tier %v, want %v", tc.lits, s.Tier(), tc.want)
+		}
+		if s.Kernel() != tc.kernel {
+			t.Errorf("%q: kernel %q, want %q", tc.lits, s.Kernel(), tc.kernel)
 		}
 	}
 }
@@ -82,6 +89,10 @@ func FuzzFingerprintDifferential(f *testing.F) {
 	f.Add([]byte("ab,cd"), []byte("xxabyycdxx"), uint8(3))
 	f.Add([]byte("needle"), []byte("say needle twice: needleneedle"), uint8(1))
 	f.Add([]byte("aa,aaa,aaaa"), []byte("aaaaaaaaaa"), uint8(4))
+	// Literals of >= 5 and >= 9 bytes in chunks longer than a block: the
+	// pair filter's stride-4 skip loop, clean and dirty.
+	f.Add([]byte("key07,key19"), bytes.Repeat([]byte("noise without a literal key0 ey19 then key19 and key07key07 "), 4), uint8(63))
+	f.Add([]byte("needlework,haystacks"), bytes.Repeat([]byte("................needlewor haystacks....................needlework"), 4), uint8(40))
 	f.Fuzz(func(t *testing.T, litSpec, data []byte, chunk uint8) {
 		// litSpec: comma-separated literals, invalid shapes skipped.
 		var lits [][]byte
@@ -144,5 +155,40 @@ func TestFingerprintDifferentialSeeds(t *testing.T) {
 		if got != want {
 			t.Fatalf("chunks %v:\nteddy %s\nac    %s", sizes, got, want)
 		}
+	}
+}
+
+// TestDirtyBlocksStat: the stream reports how many blocks went through
+// the exact loop because the pair filter could not clear them — none on
+// traffic that carries no literal fragment, the dirty block and the
+// unprobed one behind it per planted literal — and Reset clears it.
+func TestDirtyBlocksStat(t *testing.T) {
+	set, err := NewSet([][]byte{[]byte("key07"), []byte("key19")}, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := set.NewStream()
+	scan := func(data []byte) Stats {
+		st.Scan(data, func(int, []byte) {}, func() {})
+		return st.Stats()
+	}
+	clean := bytes.Repeat([]byte("zzzzzzzzyk"), 100)
+	if got := scan(clean); got.DirtyBlocks != 0 || got.LiteralHits != 0 {
+		t.Fatalf("clean traffic: %+v, want no dirty block and no hit", got)
+	}
+	planted := append([]byte(nil), clean...)
+	for p := 100; p < len(planted); p += 200 {
+		copy(planted[p:], "key19")
+	}
+	got := scan(planted)
+	if got.LiteralHits != 5 || got.DirtyBlocks != 10 {
+		t.Fatalf("5 planted literals: %+v, want 5 hits and 10 dirty blocks", got)
+	}
+	if again := scan(clean); again.DirtyBlocks != got.DirtyBlocks {
+		t.Fatalf("a clean chunk moved DirtyBlocks %d -> %d", got.DirtyBlocks, again.DirtyBlocks)
+	}
+	st.Reset()
+	if got := scan(clean); got.DirtyBlocks != 0 {
+		t.Fatalf("after Reset: %d dirty blocks, want 0", got.DirtyBlocks)
 	}
 }

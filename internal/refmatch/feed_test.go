@@ -224,8 +224,11 @@ func TestKernelsNamesEveryEngine(t *testing.T) {
 		t.Errorf("Kernels = %q, want %q", got, want)
 	}
 	m = compilePar(t, patterns[:1], Options{})
-	if got := m.Kernels(); !reflect.DeepEqual(got, []string{"shiftand64"}) {
-		t.Errorf("Kernels = %q, want [shiftand64]", got)
+	if got := m.Kernels(); !reflect.DeepEqual(got, []string{"shiftand64 behind teddy fp3 stride2"}) {
+		t.Errorf("Kernels = %q, want [shiftand64 behind teddy fp3 stride2]", got)
+	}
+	if got := m.PrefilterKernel(); got != "teddy fp3 stride2" {
+		t.Errorf("PrefilterKernel = %q, want teddy fp3 stride2", got)
 	}
 	forced := compilePar(t, patterns[1:2], Options{Options: compile.Options{ModePolicy: compile.ForceNFA}})
 	if got := fmt.Sprint(forced.Kernels()); got != "[dfa-table]" && got != "[nfa-step]" {

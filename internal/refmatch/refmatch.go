@@ -413,10 +413,21 @@ func (m *Matcher) PrefilterTier() string {
 	return m.pf.Tier().String()
 }
 
+// PrefilterKernel names the candidate scan loop of the literal union
+// (prefilter.Set.Kernel), empty when no pattern is prefiltered.
+func (m *Matcher) PrefilterKernel() string {
+	if m.pf == nil {
+		return ""
+	}
+	return m.pf.Kernel()
+}
+
 // Kernels names, per pattern, the software loop that scans it: the
 // Shift-And kernel its sequences are packed into ("shiftand64",
-// "shiftand128", "shiftand-multi"), "word64" or — for a machine with more
-// than nbva.MaxKernelStates control states — "step" for an NBVA pattern,
+// "shiftand128", "shiftand-multi", and for a prefiltered pattern the
+// candidate scanner it waits behind: "shiftand64 behind teddy fp3
+// stride4"), "word64" or — for a machine with more than
+// nbva.MaxKernelStates control states — "step" for an NBVA pattern,
 // followed by its control-state and bit-vector sizes, "dfa-table" or
 // "nfa-step".
 func (m *Matcher) Kernels() []string {
@@ -425,7 +436,7 @@ func (m *Matcher) Kernels() []string {
 		out[p] = shiftAndKernel(m.sa)
 	}
 	for _, p := range m.saFastPattern {
-		out[p] = shiftAndKernel(m.saFast)
+		out[p] = shiftAndKernel(m.saFast) + " behind " + m.pf.Kernel()
 	}
 	for j, p := range m.nbvaIdx {
 		name := "word64"

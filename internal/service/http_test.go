@@ -311,6 +311,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		`rap_stage_duration_us_count{stage="queue_wait"} 1`,
 		"rap_scans_total 1",
 		"rap_scan_matches_total 2",
+		"rap_prefilter_dirty_blocks_total 0",
 		`# TYPE rap_reconfig_updates_total counter`,
 		"rap_reconfig_updates_total 0",
 		"rap_cache_misses_total 1",

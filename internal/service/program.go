@@ -199,29 +199,32 @@ type ProgramStats struct {
 	Prefiltered int            `json:"prefiltered"` // patterns on the literal-prefilter fast path
 	// PrefilterTier is the candidate-scanner tier of the compiled literal
 	// union (memchr, bytetable, teddy, ac), empty when nothing prefilters.
-	PrefilterTier string    `json:"prefilter_tier,omitempty"`
-	CreatedAt     time.Time `json:"created_at"`
-	Generation    int64     `json:"generation"`
-	Scans         int64     `json:"scans"`
-	Bytes         int64     `json:"bytes"`
-	Matches       int64     `json:"matches"`
-	Sessions      int64     `json:"sessions"`
+	PrefilterTier string `json:"prefilter_tier,omitempty"`
+	// PrefilterKernel is the scan loop behind that tier ("teddy fp3 stride4").
+	PrefilterKernel string    `json:"prefilter_kernel,omitempty"`
+	CreatedAt       time.Time `json:"created_at"`
+	Generation      int64     `json:"generation"`
+	Scans           int64     `json:"scans"`
+	Bytes           int64     `json:"bytes"`
+	Matches         int64     `json:"matches"`
+	Sessions        int64     `json:"sessions"`
 }
 
 // Stats snapshots the program counters.
 func (p *Program) Stats() ProgramStats {
 	return ProgramStats{
-		ID:            p.ID,
-		NumPatterns:   p.Matcher.NumPatterns(),
-		Engines:       p.engineCounts(),
-		Prefiltered:   p.prefilteredCount(),
-		PrefilterTier: p.Matcher.PrefilterTier(),
-		CreatedAt:     p.CreatedAt,
-		Generation:    p.Generation,
-		Scans:         p.scans.Value(),
-		Bytes:         p.bytes.Value(),
-		Matches:       p.matches.Value(),
-		Sessions:      p.sessions.Value(),
+		ID:              p.ID,
+		NumPatterns:     p.Matcher.NumPatterns(),
+		Engines:         p.engineCounts(),
+		Prefiltered:     p.prefilteredCount(),
+		PrefilterTier:   p.Matcher.PrefilterTier(),
+		PrefilterKernel: p.Matcher.PrefilterKernel(),
+		CreatedAt:       p.CreatedAt,
+		Generation:      p.Generation,
+		Scans:           p.scans.Value(),
+		Bytes:           p.bytes.Value(),
+		Matches:         p.matches.Value(),
+		Sessions:        p.sessions.Value(),
 	}
 }
 

@@ -153,6 +153,7 @@ type Service struct {
 	pfSkipped *metrics.Counter
 	pfHits    *metrics.Counter
 	pfWindows *metrics.Counter
+	pfDirty   *metrics.Counter
 	// pfTier counts scans/chunks by the candidate-scanner tier of the
 	// program's compiled literal union (pre-registered per tier).
 	pfTier map[string]*metrics.Counter
@@ -710,6 +711,7 @@ func (s *Service) account(prog *Program, sess *session, ten *qos.Tenant, nbytes,
 	s.pfSkipped.Add(pf.SkippedBytes)
 	s.pfHits.Add(pf.LiteralHits)
 	s.pfWindows.Add(pf.Windows)
+	s.pfDirty.Add(pf.DirtyBlocks)
 	if tier := prog.Matcher.PrefilterTier(); tier != "" {
 		if c := s.pfTier[tier]; c != nil {
 			c.Inc()
@@ -787,6 +789,7 @@ type PrefilterStats struct {
 	SkippedBytes int64   `json:"skipped_bytes"`
 	LiteralHits  int64   `json:"literal_hits"`
 	Windows      int64   `json:"windows"`
+	DirtyBlocks  int64   `json:"dirty_blocks"` // 16-byte blocks teddy scanned exactly behind a failed pair-filter probe
 	SkipRatio    float64 `json:"skip_ratio"`
 }
 
@@ -892,6 +895,7 @@ func (s *Service) prefilterStats() PrefilterStats {
 		SkippedBytes: s.pfSkipped.Value(),
 		LiteralHits:  s.pfHits.Value(),
 		Windows:      s.pfWindows.Value(),
+		DirtyBlocks:  s.pfDirty.Value(),
 	}
 	if total := ps.ScannedBytes + ps.SkippedBytes; total > 0 {
 		ps.SkipRatio = float64(ps.SkippedBytes) / float64(total)

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -424,5 +425,37 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 	}
 	if open := s.Stats().Sessions.Open; open != 0 {
 		t.Errorf("%d sessions leaked", open)
+	}
+}
+
+// TestPrefilterKernelAndDirtyBlocks: the program names the candidate scan
+// loop it runs, and the service counts the blocks the pair filter could
+// not clear — none on traffic without a literal fragment, some once
+// literals are planted.
+func TestPrefilterKernelAndDirtyBlocks(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	ctx := context.Background()
+	prog, _, err := s.Compile(ctx, []string{".key07.", ".key19."}, CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ps := prog.Stats(); ps.PrefilterTier != "teddy" || ps.PrefilterKernel != "teddy fp3 stride4" {
+		t.Fatalf("tier %q kernel %q, want teddy and teddy fp3 stride4", ps.PrefilterTier, ps.PrefilterKernel)
+	}
+	body := bytes.Repeat([]byte("zzzzzzzzyk"), 200)
+	if _, err := s.Scan(ctx, prog.ID, body); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Stats().Prefilter.DirtyBlocks; got != 0 {
+		t.Fatalf("clean traffic: %d dirty blocks, want 0", got)
+	}
+	copy(body[1000:], " key19 ")
+	ms, err := s.Scan(ctx, prog.ID, body)
+	if err != nil || len(ms) != 1 {
+		t.Fatalf("planted scan: %v, %v; want one match", ms, err)
+	}
+	if got := s.Stats().Prefilter.DirtyBlocks; got != 2 {
+		t.Fatalf("one planted literal: %d dirty blocks, want 2 (the block and the unprobed one behind it)", got)
 	}
 }

@@ -1,6 +1,7 @@
 package simdscan
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -19,6 +20,10 @@ const (
 
 	teddyBuckets   = 8
 	teddyMaxFinger = 3
+	// teddyBlock is how many bytes one probe of the pair filter clears,
+	// teddyMaxBackoff the longest unprobed run after a dirty block.
+	teddyBlock      = 16
+	teddyMaxBackoff = 1024
 )
 
 // Teddy is a compiled multi-literal fingerprint prefilter. It reports the
@@ -62,6 +67,12 @@ type Teddy struct {
 	// suffix and split into contiguous runs, so literals sharing fingerprint
 	// bytes tend to share a bucket (fewer buckets fire per candidate).
 	buckets [teddyBuckets][][]byte
+
+	// Pair filter (doc.go): pairA[c[p]]&pairB[c[p+1]] == 0 proves that no
+	// literal ends in [p+1, p+stride]. stride is 4 or 2, or 0 with a
+	// 2-byte literal: the filter is off.
+	stride       int
+	pairA, pairB [256]uint8
 }
 
 // TeddyState is the cross-chunk scanner state: the partial fingerprint
@@ -72,7 +83,15 @@ type TeddyState struct {
 	// r1 is f0&..&f_{fp-2} of the last fp-1 bytes (the product missing
 	// only the final position); r2 is f0 of the last byte (fp=3 only).
 	r1, r2 uint8
+	// dirty is DirtyBlocks: a diagnostic, never read by the scan.
+	dirty int64
 }
+
+// DirtyBlocks returns how many 16-byte blocks a failed pair-filter probe
+// sent through the exact loop since the stream started (the dirty block
+// and the back-off run behind it). Near streamBytes/16, the traffic
+// defeats the filter.
+func (s TeddyState) DirtyBlocks() int64 { return s.dirty }
 
 // NewTeddy compiles a Teddy scanner for the literal set, or returns an
 // error when the set is outside the fingerprint tier (too many literals
@@ -99,14 +118,19 @@ func NewTeddy(lits [][]byte) (*Teddy, error) {
 	}
 	sort.Slice(uniq, func(i, j int) bool { return lessReversed(uniq[i], uniq[j]) })
 
-	t := &Teddy{fp: teddyMaxFinger}
+	t := &Teddy{}
+	shortest := len(uniq[0])
 	for _, l := range uniq {
-		if len(l) < t.fp {
-			t.fp = len(l)
-		}
-		if len(l) > t.maxLen {
-			t.maxLen = len(l)
-		}
+		shortest = min(shortest, len(l))
+		t.maxLen = max(t.maxLen, len(l))
+	}
+	t.fp = min(teddyMaxFinger, shortest)
+	// stride <= shortest-1, so that offset len-2-j exists in every literal.
+	switch {
+	case shortest > 4:
+		t.stride = 4
+	case shortest > 2:
+		t.stride = 2
 	}
 	for i, l := range uniq {
 		bkt := i * teddyBuckets / len(uniq)
@@ -116,6 +140,10 @@ func NewTeddy(lits [][]byte) (*Teddy, error) {
 		for j, b := range suffix {
 			t.loNib[j][b&0x0f] |= bit
 			t.hiNib[j][b>>4] |= bit
+		}
+		for j := 0; j < t.stride; j++ {
+			t.pairA[l[len(l)-2-j]] |= 1 << j
+			t.pairB[l[len(l)-1-j]] |= 1 << j
 		}
 	}
 	for j := 0; j < t.fp; j++ {
@@ -139,6 +167,10 @@ func lessReversed(a, b []byte) bool {
 
 // Fingerprint returns the fingerprint length in bytes (2 or 3).
 func (t *Teddy) Fingerprint() int { return t.fp }
+
+// Stride returns the pair filter's stride in bytes — 4 or 2 — or 0 when
+// the set holds a 2-byte literal and the filter is off.
+func (t *Teddy) Stride() int { return t.stride }
 
 // MaxLen returns the longest literal length; streams must retain at least
 // MaxLen-1 trailing bytes of history for cross-chunk verification.
@@ -166,15 +198,15 @@ func (t *Teddy) Scan(chunk, hist []byte, st TeddyState, hit func(end int)) Teddy
 		st.r1 = t.scan2(chunk, hist, st.r1, hit)
 		return st
 	}
-	st.r1, st.r2 = t.scan3(chunk, hist, st.r1, st.r2, hit)
-	return st
+	return t.scan3(chunk, hist, st, hit)
 }
 
 // scan2 is the fingerprint-length-2 kernel. r1 enters as f0 of the byte
 // before the chunk. Per 8-byte lane load it first ORs the final-position
 // masks of all eight bytes — input bytes that can end no literal (the
 // overwhelming majority on selective sets) cost one load and one OR each
-// — and only on a possible ending computes the full rolling AND.
+// — and only on a possible ending computes the full rolling AND. The
+// 2-byte literal that sends a set here leaves the pair filter no stride.
 func (t *Teddy) scan2(chunk, hist []byte, r1 uint8, hit func(end int)) uint8 {
 	f0, f1 := &t.fused[0], &t.fused[1]
 	i, n := 0, len(chunk)
@@ -204,10 +236,9 @@ func (t *Teddy) scan2(chunk, hist []byte, r1 uint8, hit func(end int)) uint8 {
 		v6 := f0[b6]
 		c7 := v6 & e7
 		r1 = f0[b7]
-		if c0|c1|c2|c3|c4|c5|c6|c7 == 0 {
-			continue
+		if c0|c1|c2|c3|c4|c5|c6|c7 != 0 {
+			t.drain(chunk, hist, i, pack8(c0, c1, c2, c3, c4, c5, c6, c7), hit)
 		}
-		t.drain(chunk, hist, i, [8]uint8{c0, c1, c2, c3, c4, c5, c6, c7}, hit)
 	}
 	for ; i < n; i++ {
 		b := chunk[i]
@@ -220,43 +251,67 @@ func (t *Teddy) scan2(chunk, hist []byte, r1 uint8, hit func(end int)) uint8 {
 	return r1
 }
 
-// scan3 is the fingerprint-length-3 kernel. Entering any position, r1 is
-// f0&f1 of the previous two bytes and r2 is f0 of the previous byte.
-func (t *Teddy) scan3(chunk, hist []byte, r1, r2 uint8, hit func(end int)) (uint8, uint8) {
+// scan3 is the fingerprint-length-3 kernel: the pair filter's skip loop,
+// and behind it the exact 8-byte fingerprint loop, the only source of
+// hits. Entering an exact position, r1 is f0&f1 of the previous two bytes
+// and r2 is f0 of the previous byte; skip does not maintain them, so they
+// are recomputed wherever it stops. The first 8 bytes of a chunk and a
+// tail shorter than a block always take the exact loop.
+func (t *Teddy) scan3(chunk, hist []byte, st TeddyState, hit func(end int)) TeddyState {
 	f0, f1, f2 := &t.fused[0], &t.fused[1], &t.fused[2]
+	r1, r2 := st.r1, st.r2
 	i, n := 0, len(chunk)
-	for ; i+8 <= n; i += 8 {
-		w := binary.LittleEndian.Uint64(chunk[i:])
-		b0, b1, b2, b3 := byte(w), byte(w>>8), byte(w>>16), byte(w>>24)
-		b4, b5, b6, b7 := byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56)
-		e0, e1, e2, e3 := f2[b0], f2[b1], f2[b2], f2[b3]
-		e4, e5, e6, e7 := f2[b4], f2[b5], f2[b6], f2[b7]
-		if e0|e1|e2|e3|e4|e5|e6|e7 == 0 {
+	probe := 8            // no probe below this offset
+	backoff := teddyBlock // bytes past a dirty block that go unprobed too
+	for i+8 <= n {
+		if i >= probe {
+			if j := t.skip(chunk, i); j != i {
+				i, backoff = j, teddyBlock
+				r1, r2 = f0[chunk[i-2]]&f1[chunk[i-1]], f0[chunk[i-1]]
+			}
+			probe = n // what is left is shorter than a block
+			if i+teddyBlock <= n {
+				// Stopped on a dirty block: back off (doc.go), one block's
+				// worth, doubling with every probe in a row that clears nothing.
+				probe = i + teddyBlock + backoff
+				backoff = min(2*backoff, teddyMaxBackoff)
+				st.dirty += int64(min(probe, n)-i) / teddyBlock
+			}
+		}
+		// The exact loop, as far as the next probe; its own loop so that the
+		// probe's variables are not live across the 24 byte-wide ones here.
+		for stop := min(probe, n-7); i < stop; i += 8 {
+			w := binary.LittleEndian.Uint64(chunk[i:])
+			b0, b1, b2, b3 := byte(w), byte(w>>8), byte(w>>16), byte(w>>24)
+			b4, b5, b6, b7 := byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56)
+			e0, e1, e2, e3 := f2[b0], f2[b1], f2[b2], f2[b3]
+			e4, e5, e6, e7 := f2[b4], f2[b5], f2[b6], f2[b7]
+			if e0|e1|e2|e3|e4|e5|e6|e7 == 0 {
+				r1 = f0[b6] & f1[b7]
+				r2 = f0[b7]
+				continue
+			}
+			c0 := r1 & e0
+			p0 := r2 & f1[b0]
+			c1 := p0 & e1
+			p1 := f0[b0] & f1[b1]
+			c2 := p1 & e2
+			p2 := f0[b1] & f1[b2]
+			c3 := p2 & e3
+			p3 := f0[b2] & f1[b3]
+			c4 := p3 & e4
+			p4 := f0[b3] & f1[b4]
+			c5 := p4 & e5
+			p5 := f0[b4] & f1[b5]
+			c6 := p5 & e6
+			p6 := f0[b5] & f1[b6]
+			c7 := p6 & e7
 			r1 = f0[b6] & f1[b7]
 			r2 = f0[b7]
-			continue
+			if c0|c1|c2|c3|c4|c5|c6|c7 != 0 {
+				t.drain(chunk, hist, i, pack8(c0, c1, c2, c3, c4, c5, c6, c7), hit)
+			}
 		}
-		c0 := r1 & e0
-		p0 := r2 & f1[b0]
-		c1 := p0 & e1
-		p1 := f0[b0] & f1[b1]
-		c2 := p1 & e2
-		p2 := f0[b1] & f1[b2]
-		c3 := p2 & e3
-		p3 := f0[b2] & f1[b3]
-		c4 := p3 & e4
-		p4 := f0[b3] & f1[b4]
-		c5 := p4 & e5
-		p5 := f0[b4] & f1[b5]
-		c6 := p5 & e6
-		p6 := f0[b5] & f1[b6]
-		c7 := p6 & e7
-		r1 = f0[b6] & f1[b7]
-		r2 = f0[b7]
-		if c0|c1|c2|c3|c4|c5|c6|c7 == 0 {
-			continue
-		}
-		t.drain(chunk, hist, i, [8]uint8{c0, c1, c2, c3, c4, c5, c6, c7}, hit)
 	}
 	for ; i < n; i++ {
 		b := chunk[i]
@@ -267,15 +322,48 @@ func (t *Teddy) scan3(chunk, hist []byte, r1, r2 uint8, hit func(end int)) (uint
 			t.verify(chunk, hist, i, c, hit)
 		}
 	}
-	return r1, r2
+	st.r1, st.r2 = r1, r2
+	return st
+}
+
+// skip steps from chunk offset i >= 1 over 16-byte blocks [i, i+16) while
+// the pairs sampled at i-1, i-1+stride, … clear them, and returns the
+// start of the first block that is dirty or no longer fits the chunk.
+func (t *Teddy) skip(chunk []byte, i int) int {
+	a, b := &t.pairA, &t.pairB
+	n := len(chunk)
+	if t.stride == 4 {
+		for ; i+teddyBlock <= n; i += teddyBlock {
+			c := (*[teddyBlock]byte)(chunk[i-1:])
+			if a[c[0]]&b[c[1]]|a[c[4]]&b[c[5]]|a[c[8]]&b[c[9]]|a[c[12]]&b[c[13]] != 0 {
+				break
+			}
+		}
+		return i
+	}
+	for ; i+teddyBlock <= n; i += teddyBlock {
+		c := (*[teddyBlock]byte)(chunk[i-1:])
+		if a[c[0]]&b[c[1]]|a[c[2]]&b[c[3]]|a[c[4]]&b[c[5]]|a[c[6]]&b[c[7]]|
+			a[c[8]]&b[c[9]]|a[c[10]]&b[c[11]]|a[c[12]]&b[c[13]]|a[c[14]]&b[c[15]] != 0 {
+			break
+		}
+	}
+	return i
+}
+
+// pack8 lays the candidate masks of one 8-byte block into a word, byte k
+// for offset k, so the block is tested and drained in a register.
+func pack8(c0, c1, c2, c3, c4, c5, c6, c7 uint8) uint64 {
+	return uint64(c0) | uint64(c1)<<8 | uint64(c2)<<16 | uint64(c3)<<24 |
+		uint64(c4)<<32 | uint64(c5)<<40 | uint64(c6)<<48 | uint64(c7)<<56
 }
 
 // drain verifies the candidates of one 8-byte block in offset order.
-func (t *Teddy) drain(chunk, hist []byte, base int, cand [8]uint8, hit func(end int)) {
-	for k, c := range cand {
-		if c != 0 {
-			t.verify(chunk, hist, base+k, c, hit)
-		}
+func (t *Teddy) drain(chunk, hist []byte, base int, cand uint64, hit func(end int)) {
+	for cand != 0 {
+		sh := bits.TrailingZeros64(cand) &^ 7
+		t.verify(chunk, hist, base+sh>>3, uint8(cand>>sh), hit)
+		cand &^= 0xff << sh
 	}
 }
 
@@ -299,21 +387,17 @@ func (t *Teddy) verify(chunk, hist []byte, end int, cand uint8, hit func(end int
 // offset end, with hist supplying bytes before the chunk (newest last).
 func matchesAt(chunk, hist []byte, end int, lit []byte) bool {
 	start := end - len(lit) + 1
-	if start < -len(hist) {
-		return false // reaches past the retained history: cannot match
+	if start < 0 {
+		// Head in hist — unless it reaches past what was retained.
+		return -start <= len(hist) &&
+			bytes.Equal(hist[len(hist)+start:], lit[:-start]) && bytes.Equal(chunk[:end+1], lit[-start:])
 	}
-	j := 0
-	for p := start; p <= end; p++ {
-		var b byte
-		if p < 0 {
-			b = hist[len(hist)+p]
-		} else {
-			b = chunk[p]
-		}
+	// Wholly inside the chunk, the common case: candidates mostly fail
+	// within a byte or two, cheaper here than a call to bytes.Equal.
+	for j, b := range chunk[start : end+1] {
 		if b != lit[j] {
 			return false
 		}
-		j++
 	}
 	return true
 }

@@ -5,38 +5,25 @@
 //	rapbench -exp table2                 # one experiment
 //	rapbench -exp all -out ./result      # everything, with CSV outputs
 //	rapbench -exp fig12 -scale 0.5 -input 50000
-//	rapbench -exp service -json ./bench  # machine-readable BENCH_service.json
+//	rapbench -exp scan -guard bench/BENCH_scan.json  # fast-path matrix, ratio-guarded
 //	rapbench -exp sfa                    # data-parallel scan vs serial speedup
-//	rapbench -exp qos                    # noisy-neighbor isolation (per-tenant QoS)
-//	rapbench -exp slo                    # SLO burn-rate control loop (shed vs baseline)
-//	rapbench -exp cluster                # 3-node vs 1-node aggregate scan throughput
 //
 // Experiments: fig1, fig10a, fig10b, table2, table3, fig11, fig12, fig13,
-// table4, ablation, characterize, flows, reconfig, service, scan, compile,
-// sfa, qos, slo, cluster, all. The reconfig experiment is beyond-paper: it prices live ruleset
-// updates (delta bitstream + tile quiesce/reload) against full
-// redeployment; the service experiment benchmarks the serving stack
-// (cache + worker pool) against direct matcher calls; the scan experiment
-// measures the fast-path scan engine (mandatory-literal prefilter +
-// zero-alloc kernels) against the always-on scan path on a literal-bearing
-// workload; the compile experiment measures the staged compile pipeline's
-// parallel per-pattern fan-out against the serial baseline on the merged
-// §5.1 ruleset, with a byte-identical-output determinism check; the qos
-// experiment measures multi-tenant isolation — a within-limits victim
-// tenant's p99 with and without a rate-limited noisy tenant flooding the
-// same workers, asserting the victim takes zero 429s either way; the slo
-// experiment closes the observability loop — a two-tenant load at ~2x
-// capacity runs with and without SLO-driven admission, showing the
-// burn-rate controller shedding the heavy tenant until the latency
-// objective's fast burn drops back under its limit while the unshed
-// baseline stays breached; the cluster experiment measures capacity
-// scaling — 12 rulesets scanned round-robin against nodes whose
-// program cache holds 4, where one node recompiles on every scan and a
-// 3-node sharded cluster keeps the whole working set compiled.
+// table4, ablation, characterize, flows, reconfig, scan, sfa, all. The
+// reconfig experiment is beyond-paper: it prices live ruleset updates
+// (delta bitstream + tile quiesce/reload) against full redeployment; the
+// scan experiment measures the fast-path scan engine (mandatory-literal
+// prefilter + zero-alloc kernels) against the always-on scan path on a
+// literal-bearing workload; the sfa experiment measures
+// refmatch.Session.ScanParallel against the serial scan on an
+// SFA-eligible ruleset. The serving stack (service, QoS, SLO admission,
+// cluster, compile pipeline) is measured by the oracle-checked ledger
+// under bench/ledger, not here.
 //
 // -json DIR additionally writes one BENCH_<exp>.json per experiment —
-// result table plus config, wall time and build identity — so CI can
-// archive the perf trajectory run over run.
+// result table plus config, wall time and build identity. -guard FILE
+// compares the scan experiment's headline against a committed
+// BENCH_scan.json; it is a usage error unless scan is in the run list.
 package main
 
 import (
@@ -80,9 +67,10 @@ func main() {
 
 	cfg := experiments.Config{Scale: *scale, Seed: *seed, InputLen: *inputLen, OutDir: *out, Parallel: *parallel}
 
-	names := []string{*exp}
-	if *exp == "all" {
-		names = experiments.Names
+	names, err := experiments.Select(*exp, *guard != "")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rapbench: %v\n", err)
+		os.Exit(2)
 	}
 	for _, name := range names {
 		start := time.Now()

@@ -75,8 +75,6 @@ func main() {
 	slowTrace := flag.Duration("slow-trace", 0, "retain only traces at least this slow in /debug/traces (0 = all)")
 	traceRing := flag.Int("trace-ring", 128, "finished traces retained for /debug/traces")
 	pprofOn := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
-	parMin := flag.Int("parallel-scan-min-bytes", 0, "one-shot scan bodies at least this large use the data-parallel SFA path (0 = off)")
-	parWorkers := flag.Int("parallel-scan-workers", 0, "worker fan-out per parallel scan (0 = GOMAXPROCS)")
 	tenantHeader := flag.String("tenant-header", "", "tenant identity header (default "+qos.DefaultHeader+")")
 	qosConfig := flag.String("qos-config", "", "JSON per-tenant limits file (SIGHUP reloads it in place)")
 	sloConfig := flag.String("slo-config", "", "JSON SLO objectives file (SIGHUP reloads it in place)")
@@ -123,11 +121,8 @@ func main() {
 		Logger:           logger,
 		TraceRing:        *traceRing,
 		SlowTrace:        *slowTrace,
-
-		ParallelScanMinBytes: *parMin,
-		ParallelScanWorkers:  *parWorkers,
-		QoS:                  qosCfg,
-		SLO:                  sloCfg,
+		QoS:              qosCfg,
+		SLO:              sloCfg,
 	})
 	defer svc.Close()
 

@@ -213,13 +213,6 @@ func (r *Runner) FinalsActive() int {
 // Active returns a copy of the active state vector.
 func (r *Runner) Active() bitvec.Vector { return r.active.Clone() }
 
-// ActiveRef returns the live active state vector without copying. The
-// caller must not modify it; it is overwritten by the next Step.
-func (r *Runner) ActiveRef() bitvec.Vector { return r.active }
-
-// FinalRef returns the final-state mask without copying.
-func (r *Runner) FinalRef() bitvec.Vector { return r.final }
-
 // MatchEnds runs the automaton over input and returns every offset i such
 // that a match ends at input[i] (0-based, inclusive). A nullable pattern
 // additionally matches before any input; by convention that is reported as

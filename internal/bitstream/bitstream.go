@@ -95,12 +95,6 @@ func setBit(m []byte, row, col, width int) {
 	m[idx/8] |= 1 << (idx % 8)
 }
 
-// getBit reads crossbar bit (row, col).
-func getBit(m []byte, row, col, width int) bool {
-	idx := row*width + col
-	return m[idx/8]&(1<<(idx%8)) != 0
-}
-
 // codeOf packs a class's first 32-bit CAM code (hi mask << 16 | lo mask).
 // Multi-code classes store their first partition; the remaining
 // partitions would occupy additional physical columns in a full layout —

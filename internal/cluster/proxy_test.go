@@ -366,7 +366,8 @@ func TestProxyBodyLimits(t *testing.T) {
 
 // TestRepairFirstCountsOnce: on one node whose cache holds two of three
 // programs, round-robin scans miss every time, and each costs exactly one
-// repair — the count `rapbench -exp cluster` pins on its 1-node row.
+// repair — the count TestShardedWorkingSetStaysResident reads on its 1-node
+// side.
 func TestRepairFirstCountsOnce(t *testing.T) {
 	tc := startCluster(t, 1, func(i int, cfg *cluster.Config) {
 		cfg.GossipInterval = time.Hour // no reconciler warming behind the scans
@@ -391,6 +392,100 @@ func TestRepairFirstCountsOnce(t *testing.T) {
 	}
 	if got := metric(t, tc.servers[0].URL, "rap_node_repairs_total"); got != scans {
 		t.Errorf("rap_node_repairs_total = %v after %d scans that each missed, want %d", got, scans, scans)
+	}
+}
+
+// TestShardedWorkingSetStaysResident is the cluster's capacity claim as a
+// counter: 12 programs do not fit one node's program cache, so a node on
+// its own recompiles on every sweep, while three nodes with the same cache
+// each hold their ring share and a warm sweep repairs nothing anywhere.
+func TestShardedWorkingSetStaysResident(t *testing.T) {
+	const programs, nodes = 12, 3
+	// Program IDs are content hashes, so the placement — and the cache
+	// that exactly fits the fullest node — is known before anything runs.
+	ring := cluster.NewRing(0)
+	for i := 0; i < nodes; i++ {
+		ring.Add(fmt.Sprintf("n%d", i))
+	}
+	rulesets, share, cache := make([][]string, programs), map[string]int{}, 0
+	for i := range rulesets {
+		rulesets[i] = []string{fmt.Sprintf("resident%02d", i)}
+		owner := ring.Owner(service.ProgramKey(rulesets[i], service.CompileOptions{}))
+		if share[owner]++; share[owner] > cache {
+			cache = share[owner]
+		}
+	}
+	if cache >= programs {
+		t.Fatalf("ring put all %d programs on one node: %v", programs, share)
+	}
+
+	// swept brings up a cluster of the given size, compiles the working
+	// set, sweeps it once to warm and once more through every gateway in
+	// turn, and returns what the second sweep added to each node's
+	// rap_node_repairs_total.
+	swept := func(size int) []float64 {
+		tc := startCluster(t, size, func(i int, cfg *cluster.Config) {
+			cfg.Replicas = 1
+			cfg.HotScanRate = -1 // fixed placement: no fan-out onto a second cache
+			cfg.Service.ProgramCacheSize = cache
+			if size == 1 {
+				cfg.GossipInterval = time.Hour // no reconciler warming behind the scans
+			}
+		})
+		waitConverged(t, tc, size)
+		ctx := context.Background()
+		gateways := make([]*rapclient.Client, size)
+		for i, s := range tc.servers {
+			gateways[i] = rapclient.New(s.URL)
+		}
+		var ids []string
+		for _, rs := range rulesets {
+			prog, err := gateways[0].Compile(ctx, rs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, prog.ID)
+		}
+		waitFor(t, 5*time.Second, "catalog convergence", func() bool {
+			for _, n := range tc.nodes {
+				if n.Catalog().Len() != programs {
+					return false
+				}
+			}
+			return true
+		})
+		sweep := func() {
+			for i, id := range ids {
+				res, err := gateways[i%size].Scan(ctx, id, []byte("a "+rulesets[i][0]+" here"))
+				if err != nil || res.Count != 1 {
+					t.Fatalf("%d-node scan of program %d = %+v, %v", size, i, res, err)
+				}
+			}
+		}
+		repairs := func() []float64 {
+			out := make([]float64, size)
+			for i, s := range tc.servers {
+				out[i] = metric(t, s.URL, "rap_node_repairs_total")
+			}
+			return out
+		}
+		sweep()
+		before := repairs()
+		sweep()
+		added := repairs()
+		for i := range added {
+			added[i] -= before[i]
+		}
+		return added
+	}
+
+	for i, got := range swept(nodes) {
+		if got != 0 {
+			t.Errorf("node n%d of %d repaired %v programs on a warm sweep with a %d-slot cache, want 0 (shares %v)", i, nodes, got, cache, share)
+		}
+	}
+	if got := swept(1)[0]; got < float64(programs-cache) {
+		t.Errorf("one node with a %d-slot cache repaired %v of %d programs on a warm sweep, want at least the %d it had to evict", cache, got, programs, programs-cache)
 	}
 }
 

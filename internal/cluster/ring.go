@@ -103,14 +103,6 @@ func (r *Ring) Size() int {
 	return len(r.member)
 }
 
-// Has reports membership.
-func (r *Ring) Has(node string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, ok := r.member[node]
-	return ok
-}
-
 // Owner returns the member owning key ("" on an empty ring).
 func (r *Ring) Owner(key string) string {
 	p := r.Placement(key, 1)

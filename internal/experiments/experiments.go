@@ -11,7 +11,6 @@
 package experiments
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/arch"
@@ -132,21 +131,6 @@ func (c *Config) saveTable(t *metrics.Table, file string) error {
 		return nil
 	}
 	return t.SaveCSV(c.OutDir + "/" + file)
-}
-
-// chosenParams runs the §5.3 DSE for one dataset and returns (depth,
-// binSize) plus the sweep points for Fig 10.
-func chosenParams(patterns []string, input []byte) (int, []core.DSEPoint, int, []core.DSEPoint, error) {
-	eng := core.NewDefault()
-	depth, dPoints, err := eng.ChooseDepth(patterns, input)
-	if err != nil {
-		return 0, nil, 0, nil, fmt.Errorf("depth DSE: %w", err)
-	}
-	bin, bPoints, err := eng.ChooseBinSize(patterns, input)
-	if err != nil {
-		return 0, nil, 0, nil, fmt.Errorf("bin DSE: %w", err)
-	}
-	return depth, dPoints, bin, bPoints, nil
 }
 
 // nbvaModeAreaMM2 returns the area of the NBVA-mode arrays of a placement

@@ -349,3 +349,30 @@ func TestScanHeadline(t *testing.T) {
 		t.Fatal("a missing column gave no error")
 	}
 }
+
+// TestSelectGuardNeedsScan: -guard compares the scan headline, so every
+// flag combination that would run without scan is refused before anything
+// runs — not exited 0 with nothing compared.
+func TestSelectGuardNeedsScan(t *testing.T) {
+	for _, tc := range []struct {
+		exp     string
+		guarded bool
+		want    int // experiments selected; 0 = usage error
+	}{
+		{"scan", true, 1},
+		{"all", true, len(Names)},
+		{"sfa", true, 0},
+		{"table2", true, 0},
+		{"scna", true, 0},
+		{"", true, 0},
+		{"scna", false, 1}, // unguarded, Run reports the unknown name
+		{"sfa", false, 1},
+		{"scan", false, 1},
+		{"all", false, len(Names)},
+	} {
+		names, err := Select(tc.exp, tc.guarded)
+		if (err != nil) != (tc.want == 0) || len(names) != tc.want {
+			t.Errorf("Select(%q, guarded=%v) = %v, %v; want %d experiments", tc.exp, tc.guarded, names, err, tc.want)
+		}
+	}
+}

@@ -2,12 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/metrics"
 )
 
 // Experiment names accepted by Run.
-var Names = []string{"fig1", "fig10a", "fig10b", "table2", "table3", "fig11", "fig12", "fig13", "table4", "ablation", "characterize", "flows", "reconfig", "service", "scan", "compile", "sfa", "qos", "slo", "cluster"}
+var Names = []string{"fig1", "fig10a", "fig10b", "table2", "table3", "fig11", "fig12", "fig13", "table4", "ablation", "characterize", "flows", "reconfig", "scan", "sfa"}
 
 // Run dispatches one experiment by name.
 func Run(name string, cfg Config) (*metrics.Table, error) {
@@ -38,34 +39,27 @@ func Run(name string, cfg Config) (*metrics.Table, error) {
 		return Flows(cfg)
 	case "reconfig":
 		return Reconfig(cfg)
-	case "service":
-		return ServiceBench(cfg)
 	case "scan":
 		return ScanBench(cfg)
-	case "compile":
-		return CompileBench(cfg)
 	case "sfa":
 		return SFABench(cfg)
-	case "qos":
-		return QoSBench(cfg)
-	case "slo":
-		return SLOBench(cfg)
-	case "cluster":
-		return ClusterBench(cfg)
 	default:
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names)
 	}
 }
 
-// RunAll runs every experiment in order.
-func RunAll(cfg Config) ([]*metrics.Table, error) {
-	var out []*metrics.Table
-	for _, name := range Names {
-		t, err := Run(name, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
-		}
-		out = append(out, t)
+// Select resolves rapbench's -exp value to the experiments it runs, in
+// order ("all" is every name; Run reports an unknown one). guarded says
+// -guard was given: the guard compares the scan experiment's headline, so
+// a run list without scan would exit 0 having compared nothing and is an
+// error.
+func Select(exp string, guarded bool) ([]string, error) {
+	names := []string{exp}
+	if exp == "all" {
+		names = Names
 	}
-	return out, nil
+	if guarded && !slices.Contains(names, "scan") {
+		return nil, fmt.Errorf("-guard compares the scan headline: -exp must be scan or all, not %q", exp)
+	}
+	return names, nil
 }

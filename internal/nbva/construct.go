@@ -13,23 +13,13 @@ import (
 // composite sub-expression that the compiler should have unfolded first).
 var ErrNotCompilable = errors.New("nbva: repetition shape not compilable to BV actions")
 
-// Construct builds an NBVA Machine from a regex whose AST has already been
-// through the §4.1 pipeline (UnfoldThreshold then SplitMinMax): every
+// ConstructFromNode builds an NBVA Machine from an AST node that has already
+// been through the §4.1 pipeline (UnfoldThreshold then SplitMinMax): every
 // remaining finite bounded repetition must be over a single character
 // class and have the form σ{m} (compiled to a BV-STE with r(m)) or σ{0,k}
 // (compiled to a BV-STE with rAll). Unbounded repetitions (*, +) become
-// ordinary Glushkov loops.
-func Construct(re *regexast.Regex) (*Machine, error) {
-	m, err := ConstructFromNode(re.Root)
-	if err != nil {
-		return nil, err
-	}
-	m.StartAnchored = re.StartAnchored
-	m.EndAnchored = re.EndAnchored
-	return m, nil
-}
-
-// ConstructFromNode is Construct for a bare AST node.
+// ordinary Glushkov loops. Anchors live on the regex, not the node: the
+// caller sets the machine's StartAnchored / EndAnchored.
 func ConstructFromNode(root regexast.Node) (*Machine, error) {
 	b := &builder{m: &Machine{}, follow: map[int]map[int]bool{}}
 	rootInfo, err := b.build(root)

@@ -139,9 +139,6 @@ func NewSetAC(lits [][]byte, window int) (*Set, error) {
 	return s, nil
 }
 
-// Window returns the window radius the set was compiled for.
-func (s *Set) Window() int { return s.window }
-
 // Tier returns the candidate-scanner representation the set compiled to.
 func (s *Set) Tier() Tier { return s.tier }
 

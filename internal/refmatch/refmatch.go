@@ -48,8 +48,7 @@
 //     ReasonMatchesEmpty or ReasonStateCap — so callers can branch with
 //     errors.Is(err, ErrNotParallelizable) and count fallbacks by reason
 //     (FallbackReason extracts the token). The tokens are part of the
-//     API: they appear verbatim as the reason label of the service's
-//     rap_sfa_fallback_total metric.
+//     API: rapbench -exp sfa prints them verbatim.
 //   - A ReasonStateCap failure additionally wraps
 //     automata.ErrStateCapExceeded, the typed subset-construction
 //     overflow also returned by automata.BuildDFA when a machine

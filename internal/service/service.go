@@ -54,14 +54,6 @@ type Config struct {
 	// SlowTrace retains only traces at least this slow in the ring;
 	// 0 (the default) retains every finished trace.
 	SlowTrace time.Duration
-	// ParallelScanMinBytes turns on the data-parallel (Simultaneous-FA)
-	// scan path for one-shot bodies of at least this many bytes. 0 (the
-	// default) keeps every scan serial. Streaming sessions always stay
-	// serial: a stream's chunks share engine state and flow affinity.
-	ParallelScanMinBytes int
-	// ParallelScanWorkers bounds the per-scan worker fan-out of the
-	// parallel path; default runtime.GOMAXPROCS(0).
-	ParallelScanWorkers int
 	// QoS is the multi-tenant configuration: the identity header, the
 	// default per-tenant limits and per-tenant overrides. The zero value
 	// means one implicit unlimited tenant class (weight 1) — accounting
@@ -96,9 +88,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.TraceRing <= 0 {
 		c.TraceRing = 128
-	}
-	if c.ParallelScanWorkers <= 0 {
-		c.ParallelScanWorkers = runtime.GOMAXPROCS(0)
 	}
 }
 
@@ -140,7 +129,6 @@ type Service struct {
 	stageScan        *metrics.Histogram
 	stagePrefilter   *metrics.Histogram
 	stageApply       *metrics.Histogram
-	stageParallel    *metrics.Histogram
 
 	scans       *metrics.Counter
 	scanBytes   *metrics.Counter
@@ -157,15 +145,6 @@ type Service struct {
 	// pfTier counts scans/chunks by the candidate-scanner tier of the
 	// program's compiled literal union (pre-registered per tier).
 	pfTier map[string]*metrics.Counter
-
-	// Data-parallel (SFA) scan path counters.
-	sfaScans       *metrics.Counter
-	sfaChunks      *metrics.Counter
-	sfaReplayBytes *metrics.Counter
-	sfaJoin        *metrics.Histogram
-	// sfaFallbacks counts serial fallbacks by typed reason; the keys are
-	// the refmatch.Reason* tokens (pre-registered, so series exist at 0).
-	sfaFallbacks map[string]*metrics.Counter
 
 	// Live-reconfiguration counters (Service.Update).
 	updateMu           sync.Mutex // serializes hot-swaps
@@ -439,11 +418,6 @@ func (s *Service) runOn(tr *telemetry.Trace, ten *qos.Tenant, flow uint64, cost 
 // backpressure and accounting with streaming traffic). The scan runs on
 // a pooled session, so steady-state traffic reuses engine scratch
 // instead of allocating per request.
-//
-// Bodies of at least Config.ParallelScanMinBytes (when set) first try
-// the data-parallel Simultaneous-FA path; pattern sets it cannot cover
-// fall back to the serial scan below, with the typed reason counted in
-// Stats.SFA and on /metrics.
 func (s *Service) Scan(ctx context.Context, programID string, data []byte) ([]refmatch.Match, error) {
 	tr := telemetry.TraceFromContext(ctx)
 	prog, ok := s.lookup(tr, programID)
@@ -453,16 +427,6 @@ func (s *Service) Scan(ctx context.Context, programID string, data []byte) ([]re
 	ten := s.tenant(ctx)
 	if err := ten.AdmitScan(len(data)); err != nil {
 		return nil, err
-	}
-	if s.cfg.ParallelScanMinBytes > 0 && len(data) >= s.cfg.ParallelScanMinBytes {
-		matches, ran, err := s.scanParallel(ctx, tr, ten, prog, data)
-		if err != nil {
-			return nil, err
-		}
-		if ran {
-			s.account(prog, nil, ten, len(data), len(matches), prefilter.Stats{})
-			return matches, nil
-		}
 	}
 	var matches []refmatch.Match
 	var pf prefilter.Stats
@@ -480,49 +444,6 @@ func (s *Service) Scan(ctx context.Context, programID string, data []byte) ([]re
 	}
 	s.account(prog, nil, ten, len(data), len(matches), pf)
 	return matches, nil
-}
-
-// scanParallel runs one body through Session.ScanParallel on a pool
-// worker (the fan-out happens inside the call; the shard slot keeps the
-// request under the same queueing and backpressure as serial traffic).
-// ran=false with a nil error means the pattern set is not parallelizable
-// and the caller should take the serial path — the fallback is counted
-// here by its typed reason.
-func (s *Service) scanParallel(ctx context.Context, tr *telemetry.Trace, ten *qos.Tenant, prog *Program, data []byte) (matches []refmatch.Match, ran bool, err error) {
-	var perr error
-	err = s.runOn(tr, ten, s.nextFlow.Add(1), len(data), func() {
-		st := prog.getSession()
-		start := time.Now()
-		matches, perr = st.ScanParallel(ctx, data, s.cfg.ParallelScanWorkers)
-		if perr == nil {
-			s.observeStage(s.stageParallel, tr, "parallel_scan", start)
-			ps := st.ParallelStats()
-			s.sfaScans.Inc()
-			s.sfaChunks.Add(int64(ps.Chunks))
-			s.sfaReplayBytes.Add(int64(ps.ReplayBytes))
-			s.sfaJoin.Observe(time.Duration(ps.JoinNS))
-		}
-		prog.putSession(st)
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	if perr != nil {
-		if reason := refmatch.FallbackReason(perr); reason != "" {
-			s.countSFAFallback(reason)
-			return nil, false, nil
-		}
-		return nil, false, perr // e.g. context cancellation
-	}
-	return matches, true, nil
-}
-
-func (s *Service) countSFAFallback(reason string) {
-	if c, ok := s.sfaFallbacks[reason]; ok {
-		c.Inc()
-		return
-	}
-	s.sfaFallbacks["other"].Inc()
 }
 
 // observePrefilter folds one request's prefilter time into the stage
@@ -741,7 +662,6 @@ type Stats struct {
 	Sessions      SessionStats                         `json:"sessions"`
 	Prefilter     PrefilterStats                       `json:"prefilter"`
 	Reconfig      ReconfigStats                        `json:"reconfig"`
-	SFA           SFAStats                             `json:"sfa"`
 	QoS           QoSStats                             `json:"qos"`
 	SLO           SLOStats                             `json:"slo"`
 	Health        slo.HealthSnapshot                   `json:"health"`
@@ -763,20 +683,6 @@ type SLOStats struct {
 type QoSStats struct {
 	Header  string               `json:"header"`
 	Tenants []qos.TenantSnapshot `json:"tenants"`
-}
-
-// SFAStats aggregates the data-parallel scan path: how many one-shot
-// scans ran parallel, the chunk and replay volume, the join cost, and —
-// per typed reason — how often a body over the threshold had to fall
-// back to the serial scan.
-type SFAStats struct {
-	ParallelScans   int64                     `json:"parallel_scans"`
-	Chunks          int64                     `json:"chunks"`
-	ReplayBytes     int64                     `json:"replay_bytes"`
-	Fallbacks       int64                     `json:"fallbacks"`
-	FallbackReasons map[string]int64          `json:"fallback_reasons"`
-	JoinLatency     metrics.HistogramSnapshot `json:"join_latency"`
-	ScanLatency     metrics.HistogramSnapshot `json:"parallel_scan_latency"`
 }
 
 // PrefilterStats aggregates the literal-prefilter fast path across all
@@ -832,7 +738,6 @@ func (s *Service) Stats() Stats {
 			"scan":               s.stageScan.Snapshot(),
 			"prefilter":          s.stagePrefilter.Snapshot(),
 			"reconfig_apply":     s.stageApply.Snapshot(),
-			"parallel_scan":      s.stageParallel.Snapshot(),
 		},
 		Cache:       s.cache.stats(),
 		Pool:        s.pool.stats(),
@@ -855,7 +760,6 @@ func (s *Service) Stats() Stats {
 			StallWindow:      s.updateStallHist.Snapshot(),
 			DeltaSize:        s.updateDeltaHist.Snapshot(),
 		},
-		SFA: s.sfaStats(),
 		QoS: QoSStats{
 			Header:  s.qosReg.Header(),
 			Tenants: s.qosReg.Snapshot(),
@@ -869,24 +773,6 @@ func (s *Service) Stats() Stats {
 		Health:   s.health.Snapshot(),
 		Programs: s.cache.snapshot(),
 	}
-}
-
-func (s *Service) sfaStats() SFAStats {
-	st := SFAStats{
-		ParallelScans:   s.sfaScans.Value(),
-		Chunks:          s.sfaChunks.Value(),
-		ReplayBytes:     s.sfaReplayBytes.Value(),
-		FallbackReasons: map[string]int64{},
-		JoinLatency:     s.sfaJoin.Snapshot(),
-		ScanLatency:     s.stageParallel.Snapshot(),
-	}
-	for reason, c := range s.sfaFallbacks {
-		if v := c.Value(); v > 0 {
-			st.FallbackReasons[reason] = v
-			st.Fallbacks += v
-		}
-	}
-	return st
 }
 
 func (s *Service) prefilterStats() PrefilterStats {

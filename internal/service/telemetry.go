@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/refmatch"
 	"repro/internal/slo"
 	"repro/internal/telemetry"
 )
@@ -28,7 +27,6 @@ func (s *Service) registerMetrics() {
 	s.stageScan = r.Histogram("rap_stage_duration_us", stageHelp, telemetry.L("stage", "scan"))
 	s.stagePrefilter = r.Histogram("rap_stage_duration_us", stageHelp, telemetry.L("stage", "prefilter"))
 	s.stageApply = r.Histogram("rap_stage_duration_us", stageHelp, telemetry.L("stage", "reconfig_apply"))
-	s.stageParallel = r.Histogram("rap_stage_duration_us", stageHelp, telemetry.L("stage", "parallel_scan"))
 
 	// Traffic totals.
 	s.scans = r.Counter("rap_scans_total", "One-shot scans plus streamed chunks processed.")
@@ -46,22 +44,6 @@ func (s *Service) registerMetrics() {
 	const tierHelp = "Scans and chunks served, by the candidate-scanner tier of the program's literal union."
 	for _, tier := range []string{"memchr", "bytetable", "teddy", "ac"} {
 		s.pfTier[tier] = r.Counter("rap_prefilter_tier", tierHelp, telemetry.L("tier", tier))
-	}
-
-	// Data-parallel (Simultaneous-FA) scan path: volume, join cost, and
-	// serial fallbacks by typed reason. The reason series are registered
-	// up front so dashboards see explicit zeros.
-	s.sfaScans = r.Counter("rap_sfa_parallel_scans_total", "One-shot scans executed on the data-parallel SFA path.")
-	s.sfaChunks = r.Counter("rap_sfa_chunks_total", "Chunks scanned by parallel-scan workers.")
-	s.sfaReplayBytes = r.Counter("rap_sfa_replay_bytes_total", "Pre-convergence prefix bytes replayed after the join.")
-	s.sfaJoin = r.Histogram("rap_sfa_join_duration_us", "Serial left-to-right state-map join per parallel scan, in microseconds.")
-	s.sfaFallbacks = map[string]*metrics.Counter{}
-	const fallbackHelp = "Parallel-eligible scans that fell back to the serial path, by reason."
-	for _, reason := range []string{
-		refmatch.ReasonDisabled, refmatch.ReasonNBVAEngine, refmatch.ReasonAnchored,
-		refmatch.ReasonMatchesEmpty, refmatch.ReasonStateCap, "other",
-	} {
-		s.sfaFallbacks[reason] = r.Counter("rap_sfa_fallback_total", fallbackHelp, telemetry.L("reason", reason))
 	}
 
 	// Session table.

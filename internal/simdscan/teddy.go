@@ -176,17 +176,6 @@ func (t *Teddy) Stride() int { return t.stride }
 // MaxLen-1 trailing bytes of history for cross-chunk verification.
 func (t *Teddy) MaxLen() int { return t.maxLen }
 
-// Buckets returns the number of non-empty verify buckets.
-func (t *Teddy) Buckets() int {
-	n := 0
-	for _, b := range t.buckets {
-		if len(b) > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // Scan advances the scanner over one chunk, calling hit(i) for every
 // chunk-relative offset i at which at least one literal ends (at most
 // once per offset, in increasing order — the Aho-Corasick contract).

@@ -14,10 +14,11 @@
 //	rapc -diff old.img new.img
 //
 // With -explain it prints how the software reference matcher runs each
-// pattern: the engine, the kernel that scans it (with control-state and
-// bit-vector sizes for NBVA patterns), and whether it sits behind the
-// mandatory-literal prefilter (and with which literals) or on the
-// always-on scan path, and why.
+// pattern of the ruleset, compiled as one set the way a served program is:
+// the engine, the kernel that scans it (with control-state and bit-vector
+// sizes for NBVA patterns, "x4" for a DFA that is one lane of a block),
+// and whether it sits behind the mandatory-literal prefilter (and with
+// which literals) or on the always-on scan path, and why.
 //
 //	rapc -explain 'ab.needle.*' '[a-z]+'
 package main
@@ -26,6 +27,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/automata"
@@ -81,7 +83,9 @@ func main() {
 	}
 
 	if *explain {
-		explainPrefilter(patterns)
+		if err := explainPrefilter(os.Stdout, patterns); err != nil {
+			fatal(err)
+		}
 		return
 	}
 
@@ -155,25 +159,45 @@ func main() {
 		100*shares[compile.ModeNFA], 100*shares[compile.ModeNBVA], 100*shares[compile.ModeLNFA])
 }
 
-// explainPrefilter compiles each pattern on its own through the software
-// reference matcher and prints the engine and kernel it runs on and its
-// fast-path verdict: the mandatory literal set gating it, or the reason
-// it stays always-on. Per-pattern compilation tolerates individual errors
-// without losing the rest.
-func explainPrefilter(patterns []string) {
+// explainPrefilter compiles the patterns as one ruleset through the
+// software reference matcher and prints per pattern the engine and kernel
+// that scan it there and its fast-path verdict: the mandatory literal set
+// gating it, or the reason it stays always-on. Kernels and tiers belong to
+// the set (the literal union's scanner, the Shift-And packing, DFA blocks),
+// so a pattern compiled alone would describe a matcher nobody serves. A
+// pattern that does not compile keeps its row, with the error, and the
+// rest are explained as the set without it.
+func explainPrefilter(w io.Writer, patterns []string) error {
+	ctx := context.Background()
+	rowErr := make([]error, len(patterns))
+	m, err := refmatch.Compile(ctx, patterns, refmatch.Options{})
+	if err != nil {
+		var served []string
+		for i, p := range patterns {
+			if _, rowErr[i] = refmatch.Compile(ctx, []string{p}, refmatch.Options{}); rowErr[i] == nil {
+				served = append(served, p)
+			}
+		}
+		if m, err = refmatch.Compile(ctx, served, refmatch.Options{}); err != nil {
+			return err
+		}
+	}
 	t := &metrics.Table{
 		Name:   "Fast-path verdicts (software reference matcher)",
 		Header: []string{"#", "Pattern", "Engine", "Kernel", "Fast path"},
 	}
+	engines, kernels, verdicts := m.Engines(), m.Kernels(), m.PrefilterVerdicts()
+	j := 0 // index among the patterns that compiled
 	for i, p := range patterns {
-		m, err := refmatch.Compile(context.Background(), []string{p}, refmatch.Options{})
-		if err != nil {
-			t.AddRow(i, truncate(p, 40), "ERROR", "", err.Error())
+		if rowErr[i] != nil {
+			t.AddRow(i, truncate(p, 40), "ERROR", "", rowErr[i].Error())
 			continue
 		}
-		t.AddRow(i, truncate(p, 40), m.Engines()[0].String(), m.Kernels()[0], m.PrefilterVerdicts()[0].String())
+		t.AddRow(i, truncate(p, 40), engines[j].String(), kernels[j], verdicts[j].String())
+		j++
 	}
-	fmt.Println(t.String())
+	_, err = fmt.Fprintln(w, t.String())
+	return err
 }
 
 // diffImages loads two deployment images, computes the reconfiguration

@@ -28,11 +28,11 @@ func TestBuildDFAEquivalence(t *testing.T) {
 			}
 			// Compare report multiplicity per offset with the NFA runner.
 			nr := NewRunner(nfa)
-			dr := NewDFARunner(dfa)
+			row, nGot := int32(0), 0
 			for _, b := range input {
 				nr.Step(b)
 				nWant := nr.FinalsActive()
-				nGot := dr.Step(b)
+				row, nGot = dfa.Step(row, b)
 				if nWant != nGot {
 					t.Fatalf("%q input %q: DFA %d reports, NFA %d", p, input, nGot, nWant)
 				}
@@ -89,10 +89,10 @@ func TestPropDFAEqualsNFAOnRandomPatterns(t *testing.T) {
 				input[i] = byte('a' + r.Intn(4))
 			}
 			nr := NewRunner(nfa)
-			dr := NewDFARunner(dfa)
+			row, fired := int32(0), 0
 			for _, b := range input {
 				nr.Step(b)
-				if nr.FinalsActive() != dr.Step(b) {
+				if row, fired = dfa.Step(row, b); nr.FinalsActive() != fired {
 					t.Fatalf("pattern %q input %q: divergence", pattern, input)
 				}
 			}
@@ -114,18 +114,16 @@ func TestDFAScanChunkEqualsStep(t *testing.T) {
 			input[i] = "abcdz"[r.Intn(5)]
 		}
 		var want []int
-		sr := NewDFARunner(dfa)
+		row, fired := int32(0), 0
 		for i, b := range input {
-			for k := sr.Step(b); k > 0; k-- {
+			for row, fired = dfa.Step(row, b); fired > 0; fired-- {
 				want = append(want, i)
 			}
 		}
 		for cut := 0; cut <= len(input); cut++ {
 			var got []int
 			emit := func(end int) { got = append(got, end) }
-			cr := NewDFARunner(dfa)
-			cr.ScanChunk(input[:cut], 0, emit)
-			cr.ScanChunk(input[cut:], cut, emit)
+			dfa.ScanChunk(dfa.ScanChunk(0, input[:cut], 0, emit), input[cut:], cut, emit)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%q cut %d: ScanChunk %v, Step %v", p, cut, got, want)
 			}
@@ -147,9 +145,9 @@ func BenchmarkDFAStep(b *testing.B) {
 	b.SetBytes(int64(len(input)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dr := NewDFARunner(dfa)
+		row := int32(0)
 		for _, c := range input {
-			dr.Step(c)
+			row, _ = dfa.Step(row, c)
 		}
 	}
 }

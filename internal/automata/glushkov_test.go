@@ -9,7 +9,7 @@ import (
 	"repro/internal/regexast"
 )
 
-func mustNFA(t *testing.T, pattern string) *NFA {
+func mustNFA(t testing.TB, pattern string) *NFA {
 	t.Helper()
 	nfa, err := Glushkov(regexast.MustParse(pattern), 0)
 	if err != nil {

@@ -30,6 +30,16 @@ func New(n int) Vector {
 	return Vector{n: n, words: make([]uint64, (n+wordBits-1)/wordBits)}
 }
 
+// NewSlab sets every element of dst to a zero vector with n bits, all cut
+// from one allocation. n must be non-negative.
+func NewSlab(dst []Vector, n int) {
+	per := (n + wordBits - 1) / wordBits
+	slab := make([]uint64, per*len(dst))
+	for i := range dst {
+		dst[i] = Vector{n: n, words: slab[i*per : (i+1)*per : (i+1)*per]}
+	}
+}
+
 // FromBits builds a vector whose i-th bit is set iff bits[i] is true.
 func FromBits(bits []bool) Vector {
 	v := New(len(bits))

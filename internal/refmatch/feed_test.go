@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -17,6 +18,9 @@ import (
 // TestFeedEqualEndOrder pins the order contract of one feed: ascending
 // End, and for equal End the prefiltered Shift-And machine, the always-on
 // one, then the NBVA, NFA and DFA patterns, each group in pattern order.
+// The ten DFA patterns all fire on the last byte: two blocks of four, whose
+// lanes interleave with the other engines' patterns, and a tail of two, so
+// the tie runs across the lane-3/lane-0 and the block/tail boundaries.
 func TestFeedEqualEndOrder(t *testing.T) {
 	patterns := []string{
 		"a(x|b)*c",     // dfa
@@ -28,16 +32,25 @@ func TestFeedEqualEndOrder(t *testing.T) {
 		"bbbc",         // shift-and, prefiltered
 		"^qa(x|b)*c",   // nfa: start-anchored
 	}
-	m := compilePar(t, patterns, Options{})
 	wantEngines := []Engine{EngineDFA, EngineNFA, EngineNBVA, EngineShiftAnd, EngineDFA, EngineNBVA, EngineShiftAnd, EngineNFA}
+	input := []byte("qa" + strings.Repeat("b", 24) + "c")
+	last := len(input) - 1
+	want := []Match{{6, last}, {3, last}, {2, last}, {5, last}, {1, last}, {7, last}, {0, last}, {4, last}}
+	for _, c := range "zwvutsrp" {
+		want = append(want, Match{len(patterns), last})
+		patterns = append(patterns, fmt.Sprintf("a(%c|b)*c", c))
+		wantEngines = append(wantEngines, EngineDFA)
+	}
+	m := compilePar(t, patterns, Options{})
 	if !reflect.DeepEqual(m.Engines(), wantEngines) {
 		t.Fatalf("engines = %v, want %v", m.Engines(), wantEngines)
+	}
+	if n := len(m.dfas); m.dfaBlocked() != 8 || n != 10 {
+		t.Fatalf("%d DFA patterns, %d in blocks: want 10 and 8", n, m.dfaBlocked())
 	}
 	if v := m.PrefilterVerdicts(); v[3].Prefilterable || !v[6].Prefilterable {
 		t.Fatalf("prefilter verdicts: pattern 3 %v, pattern 6 %v", v[3], v[6])
 	}
-	input := []byte("qa" + strings.Repeat("b", 24) + "c")
-	last := len(input) - 1
 	// atLast drops pattern 3's matches before the final byte; they come
 	// first, End ascending.
 	atLast := func(ms []Match) []Match {
@@ -51,20 +64,62 @@ func TestFeedEqualEndOrder(t *testing.T) {
 		}
 		return nil
 	}
-	want := []Match{{6, last}, {3, last}, {2, last}, {5, last}, {1, last}, {7, last}, {0, last}, {4, last}}
 	if got := atLast(m.Scan(input)); !reflect.DeepEqual(got, want) {
 		t.Errorf("Scan = %v, want %v", got, want)
 	}
 	// Streamed, the end-anchored pattern waits for Finish; the rest keep
-	// their places.
-	s := m.NewSession()
-	s.Feed(input[:10])
+	// their places, wherever the stream is cut.
 	streamWant := append(append([]Match(nil), want[:4]...), want[5:]...)
-	if got := atLast(s.Feed(input[10:])); !reflect.DeepEqual(got, streamWant) {
-		t.Errorf("Feed = %v, want %v", got, streamWant)
+	for cut := 0; cut <= len(input); cut++ {
+		s := m.NewSession()
+		got := append(s.Feed(input[:cut]), s.Feed(input[cut:])...)
+		if got := atLast(got); !reflect.DeepEqual(got, streamWant) {
+			t.Errorf("cut at %d: Feed = %v, want %v", cut, got, streamWant)
+		}
+		if got := s.Finish(); !reflect.DeepEqual(got, want[4:5]) {
+			t.Errorf("cut at %d: Finish = %v, want %v", cut, got, want[4:5])
+		}
 	}
-	if got := s.Finish(); !reflect.DeepEqual(got, want[4:5]) {
-		t.Errorf("Finish = %v, want %v", got, want[4:5])
+}
+
+// TestDFABlockSequence holds the DFA matches of a Snort@1.0 Scan to the
+// sequence, not just the set, that one single-lane runner per pattern
+// gives: each pattern's ends in order, patterns merged stably by End. The
+// rest of the Scan must stay ascending in End with the DFA group last.
+func TestDFABlockSequence(t *testing.T) {
+	d := workload.MustGenerate("Snort", 1.0, 1)
+	m := compilePar(t, d.Patterns, Options{})
+	if m.dfaBlocked() < 2*automata.BlockLanes || m.dfaBlocked() == len(m.dfas) {
+		t.Fatalf("%d DFA patterns, %d in blocks: want two blocks and a tail", len(m.dfas), m.dfaBlocked())
+	}
+	total := 0
+	for seed := int64(1); seed <= 4; seed++ {
+		input := d.Input(16<<10, seed)
+		var want []Match
+		for j, dfa := range m.dfas {
+			dfa.ScanChunk(0, input, 0, func(end int) {
+				want = append(want, Match{Pattern: m.dfaIdx[j], End: end})
+			})
+		}
+		sort.SliceStable(want, func(i, k int) bool { return want[i].End < want[k].End })
+		var got []Match
+		all := m.Scan(input)
+		for i, mt := range all {
+			isDFA := m.engines[mt.Pattern] == EngineDFA
+			if isDFA {
+				got = append(got, mt)
+			}
+			if i > 0 && (all[i-1].End > mt.End || (all[i-1].End == mt.End && !isDFA && m.engines[all[i-1].Pattern] == EngineDFA)) {
+				t.Fatalf("seed %d: match %d %v follows %v", seed, i, mt, all[i-1])
+			}
+		}
+		if !matchesEqual(got, want) {
+			t.Errorf("seed %d: DFA matches of Scan %v, single-lane runners %v", seed, got, want)
+		}
+		total += len(want)
+	}
+	if total < 8 {
+		t.Fatalf("%d DFA matches over four bodies: the inputs exercise too little", total)
 	}
 }
 
@@ -181,7 +236,8 @@ func TestNBVAStepFallback(t *testing.T) {
 // TestScanAllocations pins the two allocation properties of the scan
 // path: a reused session scans a mixed NBVA+DFA+Shift-And ruleset without
 // allocating once dst has capacity, and opening a session costs a few
-// allocations per machine because the tables live on the Matcher.
+// allocations per NBVA machine and one for all the DFAs together, because
+// the tables live on the Matcher and a DFA's state is one row offset.
 func TestScanAllocations(t *testing.T) {
 	d := workload.MustGenerate("Snort", 1.0, 1)
 	// Both Shift-And machines must report, so the merge has runs to merge.
@@ -208,10 +264,11 @@ func TestScanAllocations(t *testing.T) {
 	if allocs := testing.AllocsPerRun(5, func() { dst = s.ScanInto(input, dst[:0]) }); allocs != 0 {
 		t.Errorf("ScanInto on a reused session: %v allocs per scan, want 0", allocs)
 	}
-	limit := float64(3 * m.NumPatterns())
-	if allocs := testing.AllocsPerRun(5, func() { m.NewSession() }); allocs > limit {
-		t.Errorf("NewSession: %v allocs for %d patterns (%d NBVA), want <= %v",
-			allocs, m.NumPatterns(), count[EngineNBVA], limit)
+	// Snort@1.0 as generated: 207 with one heap runner per DFA pattern (57
+	// of them), 150 with the rows of all the DFAs in one slice.
+	m = compilePar(t, d.Patterns, Options{})
+	if allocs := testing.AllocsPerRun(5, func() { m.NewSession() }); allocs > 152 {
+		t.Errorf("NewSession: %v allocs for %d patterns (%d DFA), want <= 152", allocs, m.NumPatterns(), len(m.dfas))
 	}
 }
 
@@ -221,6 +278,13 @@ func TestKernelsNamesEveryEngine(t *testing.T) {
 	m := compilePar(t, patterns, Options{DisablePrefilter: true})
 	want := []string{"shiftand128", "word64 (3 states, 20 BV bits)", "dfa-table", "nfa-step", "shiftand128"}
 	if got := m.Kernels(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Kernels = %q, want %q", got, want)
+	}
+	// Five DFA patterns: the first four are the lanes of a block, wherever
+	// they sit in the list, and the fifth is the single-lane tail.
+	blocked := []string{"a(x|y)*b", "cat", "b(x|y)*c", "c(x|y)*d", "d(x|y)*e", "e(x|y)*f"}
+	want = []string{"dfa-table x4", "shiftand64", "dfa-table x4", "dfa-table x4", "dfa-table x4", "dfa-table"}
+	if got := compilePar(t, blocked, Options{DisablePrefilter: true}).Kernels(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Kernels = %q, want %q", got, want)
 	}
 	m = compilePar(t, patterns[:1], Options{})

@@ -19,19 +19,33 @@
 //
 // A Session scans engine-major: every engine runs its own loop over the
 // whole chunk — the Shift-And word kernels (the prefiltered machine only
-// inside candidate windows), the nbva chunk kernel per NBVA pattern, a
-// register table loop per DFA pattern, and the per-byte runners for NFA
-// patterns and for NBVA machines too wide for the kernel — and one
-// stable merge of their matches by End restores stream order. The tables
-// an engine scans with belong to the Matcher and are shared by all its
-// sessions; a session holds only the state a stream changes.
+// inside candidate windows), the nbva chunk kernel per NBVA pattern, the
+// per-byte runners for NFA patterns and for NBVA machines too wide for
+// the kernel, and the DFA table loops — and one stable merge of their
+// matches by End restores stream order. The tables an engine scans with
+// belong to the Matcher and are shared by all its sessions; a session
+// holds only the state a stream changes.
+//
+// DFA patterns are scanned pattern-parallel, as the fabric runs them (§3:
+// every STE sees the input symbol in the same cycle). One DFA's table
+// walk is a chain of dependent loads that leaves the core waiting, so
+// automata.ScanBlock steps four DFAs per input byte in one loop, four
+// independent chains, and the DFA-routed patterns go through it in
+// blocks of four consecutive patterns in pattern order; the last one to
+// three run the single-lane loop. A block is only a range of the
+// Matcher's per-pattern tables, and a stream carries one row offset per
+// DFA across chunks.
 //
 // The order of the matches of one Feed or Scan is part of the contract:
 // ascending End, and for equal End the prefiltered Shift-And patterns,
 // the always-on Shift-And patterns, then the NBVA, NFA and DFA patterns,
-// each group in pattern order. A match of an end-anchored pattern is
-// reported by Finish when the input is streamed, since only then is the
-// last byte known, and in place by the whole-buffer scans.
+// each group in pattern order. Blocks keep it: a block reports a byte's
+// matches lane by lane before the next byte's, which is an ascending run
+// whose ties are already in pattern order, blocks and the tail follow
+// each other in pattern order, and the merge is stable. A match of an
+// end-anchored pattern is reported by Finish when the input is streamed,
+// since only then is the last byte known, and in place by the
+// whole-buffer scans.
 //
 // # Typed errors
 //
@@ -185,6 +199,9 @@ type Matcher struct {
 	nfas   []*automata.NFA
 	nfaIdx []int
 
+	// The DFA-routed patterns, in pattern order. Sessions scan the first
+	// dfaBlocked of them automata.BlockLanes to a loop; a block is an index
+	// range, so each table stays its pattern's own, shared by Relower.
 	dfas    []*automata.DFA
 	dfaIdx  []int
 	dfaNFAs []*automata.NFA // Glushkov NFA behind each DFA, for the SFA union
@@ -267,6 +284,12 @@ func (l lowered) dfa(nfa *automata.NFA, cap int) *automata.DFA {
 		return nil
 	}
 	return dfa
+}
+
+// dfaBlocked is the number of leading m.dfas scanned in whole blocks; the
+// tail is scanned single-lane, since a padding lane would cost a real one.
+func (m *Matcher) dfaBlocked() int {
+	return len(m.dfas) &^ (automata.BlockLanes - 1)
 }
 
 func (l lowered) kernel(machine *nbva.Machine) *nbva.Kernel {
@@ -427,8 +450,9 @@ func (m *Matcher) PrefilterKernel() string {
 // candidate scanner it waits behind: "shiftand64 behind teddy fp3
 // stride4"), "word64" or — for a machine with more than
 // nbva.MaxKernelStates control states — "step" for an NBVA pattern,
-// followed by its control-state and bit-vector sizes, "dfa-table" or
-// "nfa-step".
+// followed by its control-state and bit-vector sizes, "nfa-step", and
+// for a DFA pattern "dfa-table x4" when it is one lane of a four-DFA
+// block loop or "dfa-table" when it is in the single-lane tail.
 func (m *Matcher) Kernels() []string {
 	out := make([]string, len(m.engines))
 	for _, p := range m.saPattern {
@@ -447,8 +471,12 @@ func (m *Matcher) Kernels() []string {
 	for _, p := range m.nfaIdx {
 		out[p] = "nfa-step"
 	}
-	for _, p := range m.dfaIdx {
+	blockLane := fmt.Sprintf("dfa-table x%d", automata.BlockLanes)
+	for j, p := range m.dfaIdx {
 		out[p] = "dfa-table"
+		if j < m.dfaBlocked() {
+			out[p] = blockLane
+		}
 	}
 	return out
 }

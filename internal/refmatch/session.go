@@ -9,13 +9,19 @@ import (
 
 // Session is a resumable scan over one stream of input: the active state
 // of every engine (Shift-And bits, prefilter scanner state and window
-// history, NBVA vectors, NFA active sets, DFA state) survives between
-// Feed calls, so a stream may arrive in arbitrary chunks and still
+// history, NBVA vectors, NFA active sets, one row offset per DFA) survives
+// between Feed calls, so a stream may arrive in arbitrary chunks and still
 // produce exactly the matches a whole-buffer Scan would — including
 // matches whose mandatory literal straddles a chunk boundary. This
 // mirrors the paper's multi-flow operation (§3.3): the compiled pattern
 // set — the CAM contents — is shared read-only, and each flow
 // context-switches only its active vectors.
+//
+// A feed is engine-major: each engine scans the whole chunk in its own
+// loop, the DFA patterns four to a loop in blocks of consecutive patterns,
+// and a stable merge by End restores the order the package comment
+// promises. Equal-End ties do not depend on the blocking, because a block
+// reports in lane order and lanes are in pattern order.
 //
 // A Session is not safe for concurrent use; callers feed one chunk at a
 // time. Many sessions may share one Matcher concurrently, since the
@@ -31,8 +37,10 @@ type Session struct {
 	nbvaStates []*nbva.KernelState
 	nbvaSteps  []*nbva.Runner
 	nfaRunners []*automata.Runner
-	dfaRunners []*automata.DFARunner
-	pos        int // global offset of the next byte to consume
+	// dfaRows[j] is the row offset m.dfas[j] stopped in, all a DFA carries
+	// between chunks.
+	dfaRows []int32
+	pos     int // global offset of the next byte to consume
 
 	// buf collects every engine's matches of one feed, one ascending run
 	// per engine scan, and tmp is the merge's other half. Both are reused
@@ -73,10 +81,7 @@ func (m *Matcher) NewSession() *Session {
 	for i, nfa := range m.nfas {
 		s.nfaRunners[i] = automata.NewRunner(nfa)
 	}
-	s.dfaRunners = make([]*automata.DFARunner, len(m.dfas))
-	for i, dfa := range m.dfas {
-		s.dfaRunners[i] = automata.NewDFARunner(dfa)
-	}
+	s.dfaRows = make([]int32, len(m.dfas))
 	return s
 }
 
@@ -130,9 +135,7 @@ func (s *Session) Reset() {
 	for _, r := range s.nfaRunners {
 		r.Reset()
 	}
-	for _, r := range s.dfaRunners {
-		r.Reset()
-	}
+	clear(s.dfaRows)
 	s.pos = 0
 	s.endPending = nil
 	s.finished = false
@@ -154,9 +157,9 @@ func (s *Session) ScanInto(input []byte, dst []Match) []Match {
 // feed is engine-major. Every engine scans the whole chunk in its own
 // loop and appends its matches to buf as one ascending run: the
 // prefiltered Shift-And machine (over candidate windows only), the
-// always-on one, then each NBVA, NFA and DFA pattern in pattern order. A
-// stable merge of the runs by End is then the stream order, and for equal
-// End the order the runs were appended in.
+// always-on one, then each NBVA and NFA pattern and each DFA block or tail
+// pattern in pattern order. A stable merge of the runs by End is then the
+// stream order, and for equal End the order the runs were appended in.
 func (s *Session) feed(chunk []byte, last bool) []Match {
 	if s.finished {
 		s.Reset()
@@ -218,9 +221,17 @@ func (s *Session) feed(chunk []byte, last bool) []Match {
 			}
 		}
 	}
-	for j, r := range s.dfaRunners {
+	blocked := m.dfaBlocked()
+	for j := 0; j < blocked; j += automata.BlockLanes {
+		idx := m.dfaIdx[j:]
+		automata.ScanBlock((*[automata.BlockLanes]*automata.DFA)(m.dfas[j:]),
+			(*[automata.BlockLanes]int32)(s.dfaRows[j:]), chunk, base, func(lane, end int) {
+				s.buf = append(s.buf, Match{Pattern: idx[lane], End: end})
+			})
+	}
+	for j := blocked; j < len(m.dfas); j++ {
 		p := m.dfaIdx[j]
-		r.ScanChunk(chunk, base, func(end int) {
+		s.dfaRows[j] = m.dfas[j].ScanChunk(s.dfaRows[j], chunk, base, func(end int) {
 			s.buf = append(s.buf, Match{Pattern: p, End: end})
 		})
 	}

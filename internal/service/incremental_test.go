@@ -41,9 +41,10 @@ func tenthSwapped(name string, scale float64) (base, swapped []string) {
 // Snort@1.0 with a tenth of its patterns changed may allocate (49 531
 // allocs/op before updates reused the served generation; 7 795 and 1.93 MB
 // while the placement was cloned per regex and the images were marshalled
-// to be checksummed).
+// to be checksummed; 4 306 while shiftand.New allocated a label vector per
+// byte value, 4 051 with the 256 cut from one slab).
 const (
-	updateAllocCeiling = 5000
+	updateAllocCeiling = 4500
 	updateBytesCeiling = 1200 << 10
 )
 

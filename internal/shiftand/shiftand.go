@@ -17,6 +17,7 @@ package shiftand
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bitvec"
 	"repro/internal/charclass"
@@ -69,15 +70,16 @@ func New(patterns []Pattern) (*Machine, error) {
 		}
 		m.maskFinal.Set(len(m.classes) - 1)
 	}
-	// Preprocessing step (1) of §2.1: character masks labels[c].
-	for c := 0; c < 256; c++ {
-		v := bitvec.New(total)
-		for i, cls := range m.classes {
-			if cls.Contains(byte(c)) {
-				v.Set(i)
+	// Preprocessing step (1) of §2.1: character masks labels[c], filled
+	// class-major: each state sets its bit for the bytes its class holds,
+	// read off the class's four words.
+	bitvec.NewSlab(m.labels[:], total)
+	for i, cls := range m.classes {
+		for w, word := range cls {
+			for ; word != 0; word &= word - 1 {
+				m.labels[w<<6|bits.TrailingZeros64(word)].Set(i)
 			}
 		}
-		m.labels[c] = v
 	}
 	switch {
 	case total > 0 && total <= 64:

@@ -5,8 +5,11 @@ import (
 	"testing"
 
 	"repro/internal/automata"
+	"repro/internal/bitvec"
 	"repro/internal/charclass"
+	"repro/internal/compile"
 	"repro/internal/regexast"
+	"repro/internal/workload"
 )
 
 func seqOf(pattern string) Pattern {
@@ -225,6 +228,46 @@ func BenchmarkShiftAnd64Patterns(b *testing.B) {
 		m.Reset()
 		for _, c := range input {
 			m.StepBool(c)
+		}
+	}
+}
+
+// TestLabelsEqualContainsReference: the class-major fill of New gives, bit
+// for bit, the labels the definition gives — labels[c] has bit i iff state
+// i's class contains c — on every linear pattern of Snort@1.0 packed into
+// one machine and on the classes a word walk could get wrong.
+func TestLabelsEqualContainsReference(t *testing.T) {
+	var snort []Pattern
+	res := compile.Compile(workload.MustGenerate("Snort", 1.0, 1).Patterns, compile.Options{})
+	for _, c := range res.Regexes {
+		for _, seq := range c.Seqs {
+			snort = append(snort, Pattern(seq.Classes))
+		}
+	}
+	if len(snort) < 10 {
+		t.Fatalf("%d linear sequences in Snort@1.0, want at least 10", len(snort))
+	}
+	var hi charclass.Class
+	hi.AddRange(63, 64) // straddles the first word boundary
+	hi.Add(255)
+	for name, patterns := range map[string][]Pattern{
+		"Snort@1.0": snort,
+		"edge":      {{charclass.Class{}, charclass.Any()}, {charclass.Of(0)}, {charclass.Of('a'), hi}},
+	} {
+		m, err := New(patterns)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for c := 0; c < 256; c++ {
+			want := bitvec.New(m.NumStates())
+			for i, cls := range m.classes {
+				if cls.Contains(byte(c)) {
+					want.Set(i)
+				}
+			}
+			if !m.labels[c].Equal(want) {
+				t.Fatalf("%s: labels[%d] = %s, Contains reference %s", name, c, m.labels[c], want)
+			}
 		}
 	}
 }

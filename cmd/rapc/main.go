@@ -33,7 +33,6 @@ import (
 	"repro/internal/automata"
 	"repro/internal/bitstream"
 	"repro/internal/compile"
-	"repro/internal/input"
 	"repro/internal/mapper"
 	"repro/internal/metrics"
 	"repro/internal/mnrl"
@@ -249,14 +248,11 @@ func diffImages(oldPath, newPath string) error {
 }
 
 func loadImage(path string) (*bitstream.Image, error) {
-	// Zero-copy ingest: the image is parsed straight off the mapped pages
-	// (Parse copies every field, so unmapping afterwards is safe).
-	buf, err := input.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer buf.Close()
-	img, err := bitstream.Parse(buf.Data)
+	img, err := bitstream.Parse(data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

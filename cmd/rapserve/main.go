@@ -43,20 +43,47 @@
 // level, and the breach log with linked trace IDs. -health-addr starts a
 // second listener carrying only /healthz, /readyz, /v1/health and
 // /metrics, so monitoring can live off the request port.
+//
+// Cluster mode: -id names this process as one node of a sharded,
+// replicated cluster (see internal/cluster) and serves the node's
+// handler instead of the bare service's. Every node serves the full /v1
+// API; clients may point at any of them. Programs are placed on a
+// consistent-hash ring over their content-hash IDs, scans fan out over
+// each program's replica set, streaming sessions stay sticky to the node
+// that opened them, and ruleset updates roll out as canaries watched by
+// the burn-rate SLO engine. Everything above — SIGHUP reload, -pprof,
+// -health-addr, the trace flags — works the same on a node; only -f is
+// refused, because a preloaded program would bypass the gossiped catalog.
+//
+//	rapserve -id n1 -addr :8851 -seeds http://localhost:8852,http://localhost:8853
+//	rapserve -id n2 -addr :8852 -seeds http://localhost:8851,http://localhost:8853
+//	rapserve -id n3 -addr :8853 -seeds http://localhost:8851,http://localhost:8852
+//	# talk to any node; the cluster routes
+//	curl -s localhost:8852/v1/programs -d '{"patterns":["cat","dog"]}'
+//	curl -s localhost:8851/v1/programs/$ID/scan --data-binary @input.bin
+//	# canary rollout: staged on a replica fraction, then promoted or
+//	# rolled back on burn-rate/health breach
+//	curl -s -X PUT localhost:8853/v1/programs/$ID -d '{"patterns":["bird"]}'
+//	# cluster view: membership states, ring, catalog digests
+//	curl -s localhost:8851/cluster/members
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/patfile"
 	"repro/internal/qos"
 	"repro/internal/service"
@@ -65,21 +92,54 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", ":8844", "listen address")
-	workers := flag.Int("workers", 0, "worker count (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 64, "bounded queue depth per worker (full queue -> 429)")
-	cacheSize := flag.Int("cache", 128, "compiled-program LRU capacity")
-	maxSessions := flag.Int("max-sessions", 4096, "open streaming session cap")
-	preload := flag.String("f", "", "preload a pattern file (one pattern per line) into the cache")
-	logFormat := flag.String("log", "text", "access/runtime log format: text or json")
-	slowTrace := flag.Duration("slow-trace", 0, "retain only traces at least this slow in /debug/traces (0 = all)")
-	traceRing := flag.Int("trace-ring", 128, "finished traces retained for /debug/traces")
-	pprofOn := flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
-	tenantHeader := flag.String("tenant-header", "", "tenant identity header (default "+qos.DefaultHeader+")")
-	qosConfig := flag.String("qos-config", "", "JSON per-tenant limits file (SIGHUP reloads it in place)")
-	sloConfig := flag.String("slo-config", "", "JSON SLO objectives file (SIGHUP reloads it in place)")
-	healthAddr := flag.String("health-addr", "", "optional second listener serving only /healthz, /readyz, /v1/health and /metrics")
-	flag.Parse()
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGHUP)
+	if err := run(os.Args[1:], nil, sig); err != nil {
+		fmt.Fprintln(os.Stderr, "rapserve:", err)
+		os.Exit(1)
+	}
+}
+
+// run is main with the process edges as parameters, so a test can start
+// the binary in-process: args are the command line, ready (when non-nil)
+// receives the request listener's bound address once it accepts, and
+// stop delivers signals — SIGHUP reloads the config files, anything else
+// drains and returns.
+func run(args []string, ready chan<- string, stop <-chan os.Signal) error {
+	fs := flag.NewFlagSet("rapserve", flag.ContinueOnError)
+	addr := fs.String("addr", ":8844", "listen address")
+	workers := fs.Int("workers", 0, "worker count (0 = GOMAXPROCS)")
+	queue := fs.Int("queue", 64, "bounded queue depth per worker (full queue -> 429)")
+	cacheSize := fs.Int("cache", 128, "compiled-program LRU capacity")
+	maxSessions := fs.Int("max-sessions", 4096, "open streaming session cap")
+	preload := fs.String("f", "", "preload a pattern file (one pattern per line) into the cache (not with -id)")
+	logFormat := fs.String("log", "text", "access/runtime log format: text or json")
+	slowTrace := fs.Duration("slow-trace", 0, "retain only traces at least this slow in /debug/traces (0 = all)")
+	traceRing := fs.Int("trace-ring", 128, "finished traces retained for /debug/traces")
+	pprofOn := fs.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
+	tenantHeader := fs.String("tenant-header", "", "tenant identity header (default "+qos.DefaultHeader+")")
+	qosConfig := fs.String("qos-config", "", "JSON per-tenant limits file (SIGHUP reloads it in place)")
+	sloConfig := fs.String("slo-config", "", "JSON SLO objectives file (SIGHUP reloads it in place)")
+	healthAddr := fs.String("health-addr", "", "optional second listener serving only /healthz, /readyz, /v1/health and /metrics")
+	id := fs.String("id", "", "cluster-unique node name; set, this process serves as a cluster node")
+	advertise := fs.String("advertise", "", "cluster: base URL peers reach this node at (default http://<host>:<port> of the listener)")
+	seeds := fs.String("seeds", "", "cluster: comma-separated peer base URLs to bootstrap gossip")
+	replicas := fs.Int("replicas", 2, "cluster: placement width per program (owner + replicas)")
+	maxReplicas := fs.Int("max-replicas", 0, "cluster: hot-program fan-out cap (0 = replicas+1)")
+	hotRate := fs.Float64("hot-scan-rate", 200, "cluster: routed scans/sec beyond which a program's replica set widens (<0 disables)")
+	gossipEvery := fs.Duration("gossip-interval", time.Second, "cluster: gossip/reconcile tick")
+	canaryFraction := fs.Float64("canary-fraction", 0.34, "cluster: replica fraction staged first on ruleset updates (<=0 applies directly)")
+	canaryObserve := fs.Duration("canary-observe", 15*time.Second, "cluster: how long canaries are watched before promote/rollback")
+	canaryMinHealth := fs.Float64("canary-min-health", 0.35, "cluster: health score below which a canary rolls back")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
+	if *id != "" && *preload != "" {
+		return errors.New("-f cannot be combined with -id: a preloaded program would bypass the gossiped catalog (compile it through any node)")
+	}
 
 	var handler slog.Handler
 	switch *logFormat {
@@ -88,32 +148,32 @@ func main() {
 	case "text":
 		handler = slog.NewTextHandler(os.Stdout, nil)
 	default:
-		fatal(fmt.Errorf("unknown -log format %q (want text or json)", *logFormat))
+		return fmt.Errorf("unknown -log format %q (want text or json)", *logFormat)
 	}
 	logger := slog.New(handler)
 
-	qosCfg := qos.Config{Header: *tenantHeader}
-	if *qosConfig != "" {
-		loaded, err := qos.LoadFile(*qosConfig)
-		if err != nil {
-			fatal(err)
+	loadQoS := func() (qos.Config, error) {
+		if *qosConfig == "" {
+			return qos.Config{Header: *tenantHeader}, nil
 		}
+		loaded, err := qos.LoadFile(*qosConfig)
 		if *tenantHeader != "" {
 			loaded.Header = *tenantHeader // flag wins over file
 		}
-		qosCfg = loaded
+		return loaded, err
 	}
-
+	qosCfg, err := loadQoS()
+	if err != nil {
+		return err
+	}
 	sloCfg := slo.Config{}
 	if *sloConfig != "" {
-		loaded, err := slo.LoadFile(*sloConfig)
-		if err != nil {
-			fatal(err)
+		if sloCfg, err = slo.LoadFile(*sloConfig); err != nil {
+			return err
 		}
-		sloCfg = loaded
 	}
 
-	svc := service.New(service.Config{
+	svcCfg := service.Config{
 		Workers:          *workers,
 		QueueDepth:       *queue,
 		ProgramCacheSize: *cacheSize,
@@ -123,44 +183,69 @@ func main() {
 		SlowTrace:        *slowTrace,
 		QoS:              qosCfg,
 		SLO:              sloCfg,
-	})
-	defer svc.Close()
+	}
+	var (
+		svc      *service.Service
+		node     *cluster.Node
+		seedList []string
+		root     http.Handler
+	)
+	if *id == "" {
+		svc = service.New(svcCfg)
+		defer svc.Close()
+		root = svc.Handler()
+	} else {
+		for _, s := range strings.Split(*seeds, ",") {
+			if s = strings.TrimSpace(s); s != "" {
+				seedList = append(seedList, strings.TrimRight(s, "/"))
+			}
+		}
+		node, err = cluster.NewNode(cluster.Config{
+			ID:             *id,
+			Seeds:          seedList,
+			Replicas:       *replicas,
+			MaxReplicas:    *maxReplicas,
+			HotScanRate:    *hotRate,
+			GossipInterval: *gossipEvery,
+			Canary: cluster.CanaryConfig{
+				Fraction:  *canaryFraction,
+				Observe:   *canaryObserve,
+				MinHealth: *canaryMinHealth,
+			},
+			Service: svcCfg,
+			Logger:  logger,
+		})
+		if err != nil {
+			return err
+		}
+		defer node.Close()
+		svc, root = node.Service(), node.Handler()
+	}
 
 	// SIGHUP re-reads the tenant-limits and SLO-objectives files and
 	// applies both in place (no restart, accounting and burn-rate state
 	// survive). Each applied file gets a one-line change summary.
-	if *qosConfig != "" || *sloConfig != "" {
-		hup := make(chan os.Signal, 1)
-		signal.Notify(hup, syscall.SIGHUP)
-		go func() {
-			for range hup {
-				if *qosConfig != "" {
-					loaded, err := qos.LoadFile(*qosConfig)
-					if err != nil {
-						logger.Error("qos reload failed", "file", *qosConfig, "err", err)
-					} else {
-						if *tenantHeader != "" {
-							loaded.Header = *tenantHeader
-						}
-						svc.QoS().SetConfig(loaded)
-						logger.Info("qos reloaded", "file", *qosConfig, "tenants", len(loaded.Tenants))
-					}
-				}
-				if *sloConfig != "" {
-					loaded, err := slo.LoadFile(*sloConfig)
-					if err != nil {
-						logger.Error("slo reload failed", "file", *sloConfig, "err", err)
-					} else {
-						svc.SLO().SetConfig(loaded)
-						applied := svc.SLO().Config()
-						logger.Info("slo reloaded", "file", *sloConfig,
-							"objectives", len(applied.Objectives),
-							"admission", applied.Admission.Enabled,
-							"admission_objective", applied.Admission.Objective)
-					}
-				}
+	reload := func() {
+		if *qosConfig != "" {
+			if loaded, err := loadQoS(); err != nil {
+				logger.Error("qos reload failed", "file", *qosConfig, "err", err)
+			} else {
+				svc.QoS().SetConfig(loaded)
+				logger.Info("qos reloaded", "file", *qosConfig, "tenants", len(loaded.Tenants))
 			}
-		}()
+		}
+		if *sloConfig != "" {
+			if loaded, err := slo.LoadFile(*sloConfig); err != nil {
+				logger.Error("slo reload failed", "file", *sloConfig, "err", err)
+			} else {
+				svc.SLO().SetConfig(loaded)
+				applied := svc.SLO().Config()
+				logger.Info("slo reloaded", "file", *sloConfig,
+					"objectives", len(applied.Objectives),
+					"admission", applied.Admission.Enabled,
+					"admission_objective", applied.Admission.Objective)
+			}
+		}
 	}
 
 	// Goroutine/heap/GC gauges land on the same /metrics endpoint as the
@@ -170,17 +255,17 @@ func main() {
 	if *preload != "" {
 		patterns, err := patfile.Read(*preload)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		prog, _, err := svc.Compile(context.Background(), patterns, service.CompileOptions{})
 		if err != nil {
-			fatal(fmt.Errorf("preload %s: %w", *preload, err))
+			return fmt.Errorf("preload %s: %w", *preload, err)
 		}
 		logger.Info("preloaded ruleset", "patterns", len(patterns), "program", prog.ID)
 	}
 
 	mux := http.NewServeMux()
-	mux.Handle("/", svc.Handler())
+	mux.Handle("/", root)
 	if *pprofOn {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -189,12 +274,13 @@ func main() {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           mux,
-		ReadHeaderTimeout: 10 * time.Second,
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
 	}
-	errCh := make(chan error, 1)
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
+	defer srv.Close()
+	errCh := make(chan error, 2) // one slot per listener: neither Serve goroutine blocks after run returns
 
 	// Optional monitoring listener: health probes and the metrics scrape
 	// on a port that can stay off the request path (and off its ACLs).
@@ -208,42 +294,63 @@ func main() {
 		hm.Handle("GET /v1/health", slo.HealthHandler(svc.Health()))
 		hm.Handle("GET /metrics", svc.Telemetry().Handler())
 		hsrv := &http.Server{Addr: *healthAddr, Handler: hm, ReadHeaderTimeout: 10 * time.Second}
+		defer hsrv.Close()
 		go func() { errCh <- hsrv.ListenAndServe() }()
 		logger.Info("health listener", "addr", *healthAddr)
 	}
 
-	go func() { errCh <- srv.ListenAndServe() }()
-	logger.Info("listening", "addr", *addr, "pprof", *pprofOn,
+	go func() { errCh <- srv.Serve(ln) }()
+	bound := ln.Addr().String()
+	logger.Info("listening", "addr", bound, "pprof", *pprofOn,
 		"go_version", telemetry.Build().GoVersion, "revision", telemetry.Build().Revision)
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errCh:
-		fatal(err)
-	case s := <-sig:
-		logger.Info("draining", "signal", s.String())
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			fatal(err)
+	if node != nil {
+		adv := *advertise
+		if adv == "" {
+			// Peers reach the node at the listener's port; an unspecified
+			// host means every interface, of which localhost is one.
+			host, port, _ := net.SplitHostPort(bound)
+			if net.ParseIP(host).IsUnspecified() {
+				host = "localhost"
+			}
+			adv = "http://" + net.JoinHostPort(host, port)
 		}
-		// The listener is stopped; flush every open streaming session so
-		// end-anchored matches are emitted rather than silently dropped.
-		drained := svc.DrainSessions()
-		finals := 0
-		for _, d := range drained {
-			finals += len(d.FinalMatches)
-			logger.Info("drained session",
-				"session", d.Summary.SessionID, "program", d.Summary.ProgramID,
-				"bytes", d.Summary.Bytes, "matches", d.Summary.Matches,
-				"end_anchored", len(d.FinalMatches))
-		}
-		logger.Info("drained", "sessions", len(drained), "end_anchored_matches", finals)
+		node.Start(adv)
+		logger.Info("cluster node", "id", *id, "advertise", adv, "seeds", len(seedList), "replicas", *replicas)
 	}
-}
+	if ready != nil {
+		ready <- bound
+	}
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "rapserve:", err)
-	os.Exit(1)
+	for {
+		select {
+		case err := <-errCh:
+			return err
+		case s := <-stop:
+			if s == syscall.SIGHUP {
+				reload()
+				continue
+			}
+			logger.Info("draining", "signal", s.String())
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if err := srv.Shutdown(ctx); err != nil {
+				return err
+			}
+			// The listener is stopped (in a cluster, peers notice the
+			// silence and age this node out suspect->dead); flush every
+			// open streaming session so end-anchored matches are emitted
+			// rather than silently dropped.
+			drained := svc.DrainSessions()
+			finals := 0
+			for _, d := range drained {
+				finals += len(d.FinalMatches)
+				logger.Info("drained session",
+					"session", d.Summary.SessionID, "program", d.Summary.ProgramID,
+					"bytes", d.Summary.Bytes, "matches", d.Summary.Matches,
+					"end_anchored", len(d.FinalMatches))
+			}
+			logger.Info("drained", "sessions", len(drained), "end_anchored_matches", finals)
+			return nil
+		}
+	}
 }

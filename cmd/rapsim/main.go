@@ -18,7 +18,6 @@ import (
 	"repro/internal/automata"
 	"repro/internal/compile"
 	"repro/internal/core"
-	ingest "repro/internal/input"
 	"repro/internal/mapper"
 	"repro/internal/mnrl"
 	"repro/internal/patfile"
@@ -56,14 +55,10 @@ func main() {
 	var input []byte
 	switch {
 	case *inFile != "":
-		// Zero-copy ingest: the scan engines read straight from the mapped
-		// pages; the mapping stays live for the whole run.
-		buf, err := ingest.Open(*inFile)
-		if err != nil {
+		var err error
+		if input, err = os.ReadFile(*inFile); err != nil {
 			fatal(err)
 		}
-		defer buf.Close()
-		input = buf.Data
 	case *gen != "":
 		d, err := workload.Generate(*gen, 1, *seed)
 		if err != nil {

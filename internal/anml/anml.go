@@ -1,9 +1,9 @@
-// Package anml reads and writes ANML, the Automata Network Markup
-// Language of the Micron Automata Processor SDK (the format ANMLZoo [46]
-// distributes its benchmarks in, and the lingua franca of AP-ecosystem
-// tools like VASim). Like internal/mnrl, it covers the homogeneous
-// state-transition-element subset that AP-style hardware executes, and
-// converts losslessly to and from internal/automata's NFAs.
+// Package anml writes ANML, the Automata Network Markup Language of the
+// Micron Automata Processor SDK (the format ANMLZoo [46] distributes its
+// benchmarks in, and the lingua franca of AP-ecosystem tools like VASim).
+// It covers the homogeneous state-transition-element subset that
+// AP-style hardware executes, and is export only: nothing here parses
+// external ANML.
 //
 //	<anml version="1.0">
 //	  <automata-network id="net0">
@@ -21,15 +21,12 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/automata"
-	"repro/internal/charclass"
 )
 
-// Start modes of an STE.
+// Start modes of an STE; a non-initial STE omits the attribute.
 const (
-	StartNone     = ""
 	StartAllInput = "all-input"
 	StartOfData   = "start-of-data"
 )
@@ -100,80 +97,6 @@ func FromNFA(id string, nfa *automata.NFA) Network {
 	return net
 }
 
-// ToNFA converts an ANML network back into a homogeneous NFA.
-func (net *Network) ToNFA() (*automata.NFA, error) {
-	index := map[string]int{}
-	for i, s := range net.STEs {
-		if _, dup := index[s.ID]; dup {
-			return nil, fmt.Errorf("anml: duplicate STE id %q", s.ID)
-		}
-		index[s.ID] = i
-	}
-	nfa := &automata.NFA{States: make([]automata.State, len(net.STEs))}
-	for i, s := range net.STEs {
-		cls, err := parseSymbolSet(s.SymbolSet)
-		if err != nil {
-			return nil, fmt.Errorf("anml: STE %s: %w", s.ID, err)
-		}
-		var follow []int
-		for _, a := range s.Activate {
-			q, ok := index[a.Element]
-			if !ok {
-				return nil, fmt.Errorf("anml: STE %s activates unknown %q", s.ID, a.Element)
-			}
-			follow = append(follow, q)
-		}
-		sort.Ints(follow)
-		nfa.States[i] = automata.State{Class: cls, Follow: follow}
-		switch s.Start {
-		case StartAllInput:
-			nfa.Initial = append(nfa.Initial, i)
-		case StartOfData:
-			nfa.Initial = append(nfa.Initial, i)
-			nfa.StartAnchored = true
-		case StartNone:
-		default:
-			return nil, fmt.Errorf("anml: STE %s: unsupported start mode %q", s.ID, s.Start)
-		}
-		if s.Report != nil {
-			nfa.Final = append(nfa.Final, i)
-		}
-	}
-	if len(nfa.Final) == 0 {
-		return nil, fmt.Errorf("anml: network %s has no reporting STE", net.ID)
-	}
-	return nfa, nil
-}
-
-// parseSymbolSet accepts the forms FromNFA emits: '.', a bracket
-// expression, or a (possibly escaped) single literal.
-func parseSymbolSet(s string) (charclass.Class, error) {
-	if s == "" {
-		return charclass.Class{}, fmt.Errorf("empty symbol-set")
-	}
-	if s == "." {
-		return charclass.Any(), nil
-	}
-	if s[0] == '[' && s[len(s)-1] == ']' {
-		c, n, err := charclass.ParseClassBody(s[1:])
-		if err != nil {
-			return charclass.Class{}, err
-		}
-		if n != len(s)-2 {
-			return charclass.Class{}, fmt.Errorf("trailing junk in symbol-set %q", s)
-		}
-		return c, nil
-	}
-	c, n, err := charclass.ParseClassBody(s + "]")
-	if err != nil || n != len(s) {
-		return charclass.Class{}, fmt.Errorf("bad symbol-set %q", s)
-	}
-	if c.Count() != 1 && s[0] != '\\' {
-		return charclass.Class{}, fmt.Errorf("unsupported symbol-set %q", s)
-	}
-	return c, nil
-}
-
 // Write serializes a document as indented XML with a header.
 func Write(w io.Writer, doc *Document) error {
 	if doc.Version == "" {
@@ -189,14 +112,4 @@ func Write(w io.Writer, doc *Document) error {
 	}
 	_, err := io.WriteString(w, "\n")
 	return err
-}
-
-// Read parses a document.
-func Read(r io.Reader) (*Document, error) {
-	var doc Document
-	dec := xml.NewDecoder(r)
-	if err := dec.Decode(&doc); err != nil {
-		return nil, fmt.Errorf("anml: %w", err)
-	}
-	return &doc, nil
 }

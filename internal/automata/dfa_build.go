@@ -62,9 +62,6 @@ func BuildDFA(n *NFA, cap int) (*DFA, error) {
 	return d, nil
 }
 
-// NumStates returns the DFA state count.
-func (d *DFA) NumStates() int { return len(d.reports) }
-
 // A stream's state in a DFA is the row offset of its current state in
 // d.trans, 0 at the start of a stream; the scan functions take it and
 // return it, so a caller keeps one int32 per DFA and stream.
@@ -156,13 +153,4 @@ func (d *DFA) report(row, lane, end int, emit func(lane, end int)) int {
 		emit(lane, end)
 	}
 	return row
-}
-
-// MatchEnds returns every offset where at least one report fires, with
-// multiplicity (one entry per reporting state), matching NFA-side
-// semantics used by the reference matcher.
-func (d *DFA) MatchEnds(input []byte) []int {
-	var out []int
-	d.ScanChunk(0, input, 0, func(end int) { out = append(out, end) })
-	return out
 }

@@ -58,12 +58,13 @@ func TestDFAMatchEnds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ends := dfa.MatchEnds([]byte("abxab"))
+	var ends []int
+	dfa.ScanChunk(0, []byte("abxab"), 0, func(end int) { ends = append(ends, end) })
 	if len(ends) != 2 || ends[0] != 1 || ends[1] != 4 {
 		t.Errorf("MatchEnds = %v", ends)
 	}
-	if dfa.NumStates() < 2 {
-		t.Errorf("NumStates = %d", dfa.NumStates())
+	if len(dfa.reports) < 2 {
+		t.Errorf("states = %d", len(dfa.reports))
 	}
 }
 

@@ -55,30 +55,29 @@ func TestGlushkovLNFAExample23(t *testing.T) {
 	if nfa.NumStates() != 4 {
 		t.Fatalf("states = %d", nfa.NumStates())
 	}
-	if !nfa.IsLinear(false) {
-		t.Errorf("not linear:\n%s", nfa)
-	}
-	if nfa.IsLinear(true) {
-		t.Error("strict linearity should fail (two final states)")
-	}
-	// q2 and q3 are both final.
+	// q2 and q3 are both final, so the line is not strictly linear.
 	if len(nfa.Final) != 2 || nfa.Final[0] != 2 || nfa.Final[1] != 3 {
 		t.Errorf("Final = %v", nfa.Final)
 	}
 }
 
 func TestGlushkovStrictLinear(t *testing.T) {
+	// abc is a line q0 -> q1 -> q2 with q0 initial and q2 the one final
+	// state: the strict LNFA form the RAP hardware executes (§3.2).
 	nfa := mustNFA(t, "abc")
-	if !nfa.IsLinear(true) {
-		t.Error("abc should be strictly linear")
+	for i, s := range nfa.States {
+		if i < 2 && (len(s.Follow) != 1 || s.Follow[0] != i+1) || i == 2 && len(s.Follow) != 0 {
+			t.Errorf("abc: q%d follow = %v", i, s.Follow)
+		}
 	}
-	nfa = mustNFA(t, "a|b")
-	if nfa.IsLinear(false) {
-		t.Error("a|b is not linear (two initial states)")
+	if len(nfa.Initial) != 1 || nfa.Initial[0] != 0 || len(nfa.Final) != 1 || nfa.Final[0] != 2 {
+		t.Errorf("abc: I=%v F=%v", nfa.Initial, nfa.Final)
 	}
-	nfa = mustNFA(t, "ab*c")
-	if nfa.IsLinear(false) {
-		t.Error("ab*c has a self-loop, not linear")
+	if nfa = mustNFA(t, "a|b"); len(nfa.Initial) != 2 {
+		t.Errorf("a|b is not linear (two initial states), I=%v", nfa.Initial)
+	}
+	if nfa = mustNFA(t, "ab*c"); len(nfa.States[1].Follow) != 2 || nfa.States[1].Follow[0] != 1 {
+		t.Errorf("ab*c has a self-loop on q1, follow = %v", nfa.States[1].Follow)
 	}
 }
 
@@ -88,8 +87,10 @@ func TestGlushkovUnfoldsBoundedRepetition(t *testing.T) {
 	if nfa.NumStates() != 8 {
 		t.Fatalf("states = %d, want 8", nfa.NumStates())
 	}
-	if !nfa.IsLinear(true) {
-		t.Errorf("unfolded a(.a){3}b should be linear:\n%s", nfa)
+	for i, s := range nfa.States[:7] {
+		if len(s.Follow) != 1 || s.Follow[0] != i+1 {
+			t.Errorf("unfolded a(.a){3}b should be a line, q%d follow = %v", i, s.Follow)
+		}
 	}
 }
 
@@ -122,7 +123,7 @@ func TestMatchSemantics(t *testing.T) {
 	}
 	for _, tc := range cases {
 		nfa := mustNFA(t, tc.pattern)
-		if got := nfa.Matches([]byte(tc.input)); got != tc.want {
+		if got := (len(nfa.MatchEnds([]byte(tc.input))) > 0); got != tc.want {
 			t.Errorf("Matches(%q, %q) = %v, want %v", tc.pattern, tc.input, got, tc.want)
 		}
 	}
@@ -150,13 +151,6 @@ func TestNullableMatchesEmpty(t *testing.T) {
 	ends := nfa.MatchEnds([]byte("b"))
 	if len(ends) != 1 || ends[0] != -1 {
 		t.Errorf("MatchEnds = %v", ends)
-	}
-}
-
-func TestTransitionDensity(t *testing.T) {
-	lin := mustNFA(t, "abcd")
-	if d := lin.TransitionDensity(); d != 3.0/16.0 {
-		t.Errorf("density = %v", d)
 	}
 }
 
@@ -234,7 +228,7 @@ func TestPropOracleAgainstStdlibRegexp(t *testing.T) {
 				sb.WriteByte(byte('a' + r.Intn(4)))
 			}
 			input := sb.String()
-			got := nfa.Matches([]byte(input))
+			got := (len(nfa.MatchEnds([]byte(input))) > 0)
 			want := oracle.MatchString(input)
 			if got != want {
 				t.Fatalf("pattern %q input %q: ours=%v stdlib=%v\n%s",
@@ -248,11 +242,11 @@ func TestRunnerResetAndActiveCount(t *testing.T) {
 	nfa := mustNFA(t, "ab")
 	r := NewRunner(nfa)
 	r.Step('a')
-	if r.ActiveCount() != 1 {
-		t.Errorf("ActiveCount = %d", r.ActiveCount())
+	if r.active.Count() != 1 {
+		t.Errorf("ActiveCount = %d", r.active.Count())
 	}
 	r.Reset()
-	if r.ActiveCount() != 0 {
+	if r.active.Count() != 0 {
 		t.Error("Reset did not clear active states")
 	}
 	// After reset, anchored behaviour restarts.
@@ -260,12 +254,12 @@ func TestRunnerResetAndActiveCount(t *testing.T) {
 	ra := NewRunner(anch)
 	ra.Step('x')
 	ra.Step('a')
-	if ra.ActiveCount() != 0 {
+	if ra.active.Count() != 0 {
 		t.Error("anchored initial state activated mid-stream")
 	}
 	ra.Reset()
 	ra.Step('a')
-	if ra.ActiveCount() != 1 {
+	if ra.active.Count() != 1 {
 		t.Error("anchored initial state not active at offset 0 after Reset")
 	}
 }
@@ -285,8 +279,8 @@ func TestCaseInsensitiveAgainstStdlib(t *testing.T) {
 			for i := range input {
 				input[i] = byte("abcdABCDx"[r.Intn(9)])
 			}
-			if nfa.Matches(input) != oracle.Match(input) {
-				t.Fatalf("%q input %q: ours=%v stdlib=%v", p, input, nfa.Matches(input), oracle.Match(input))
+			if got := len(nfa.MatchEnds(input)) > 0; got != oracle.Match(input) {
+				t.Fatalf("%q input %q: ours=%v stdlib=%v", p, input, got, oracle.Match(input))
 			}
 		}
 	}

@@ -73,47 +73,6 @@ func (n *NFA) FollowMasks() []bitvec.Vector {
 	return masks
 }
 
-// IsLinear reports whether the automaton is an LNFA (§2.1): its states
-// form a line q_0 ... q_{n-1} with every transition from q_i to q_{i+1},
-// a single initial state q_0. Strict additionally requires the single
-// final state q_{n-1}, the form the RAP hardware executes (§3.2).
-func (n *NFA) IsLinear(strict bool) bool {
-	if len(n.States) == 0 {
-		return false
-	}
-	if len(n.Initial) != 1 || n.Initial[0] != 0 {
-		return false
-	}
-	for i, s := range n.States {
-		switch len(s.Follow) {
-		case 0:
-		case 1:
-			if s.Follow[0] != i+1 {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	if strict {
-		return len(n.Final) == 1 && n.Final[0] == len(n.States)-1
-	}
-	return len(n.Final) > 0
-}
-
-// TransitionDensity returns the fraction of the |Q|×|Q| crossbar that is
-// populated — the switch sparsity statistic motivating LNFA mode.
-func (n *NFA) TransitionDensity() float64 {
-	if len(n.States) == 0 {
-		return 0
-	}
-	edges := 0
-	for _, s := range n.States {
-		edges += len(s.Follow)
-	}
-	return float64(edges) / float64(len(n.States)*len(n.States))
-}
-
 // String renders the automaton in a compact diagnostic form.
 func (n *NFA) String() string {
 	var b strings.Builder
@@ -197,10 +156,6 @@ func (r *Runner) Step(b byte) bool {
 	return r.scratch.Any()
 }
 
-// ActiveCount returns the number of currently active states, used by the
-// cycle simulators for activity-dependent energy.
-func (r *Runner) ActiveCount() int { return r.active.Count() }
-
 // FinalsActive returns the number of final states active after the last
 // Step — the number of reporting STEs firing this cycle, which is how
 // AP-style hardware counts match reports.
@@ -209,9 +164,6 @@ func (r *Runner) FinalsActive() int {
 	r.scratch.And(r.final)
 	return r.scratch.Count()
 }
-
-// Active returns a copy of the active state vector.
-func (r *Runner) Active() bitvec.Vector { return r.active.Clone() }
 
 // MatchEnds runs the automaton over input and returns every offset i such
 // that a match ends at input[i] (0-based, inclusive). A nullable pattern
@@ -231,18 +183,4 @@ func (n *NFA) MatchEnds(input []byte) []int {
 		}
 	}
 	return ends
-}
-
-// Matches reports whether any match ends anywhere in the input.
-func (n *NFA) Matches(input []byte) bool {
-	if n.MatchesEmpty {
-		return true
-	}
-	r := NewRunner(n)
-	for i, b := range input {
-		if r.Step(b) && (!n.EndAnchored || i == len(input)-1) {
-			return true
-		}
-	}
-	return false
 }

@@ -40,17 +40,6 @@ func NewSlab(dst []Vector, n int) {
 	}
 }
 
-// FromBits builds a vector whose i-th bit is set iff bits[i] is true.
-func FromBits(bits []bool) Vector {
-	v := New(len(bits))
-	for i, b := range bits {
-		if b {
-			v.Set(i)
-		}
-	}
-	return v
-}
-
 // Len returns the number of bits in the vector.
 func (v Vector) Len() int { return v.n }
 
@@ -69,12 +58,6 @@ func (v Vector) Clone() Vector {
 func (v Vector) Set(i int) {
 	v.check(i)
 	v.words[i/wordBits] |= 1 << (uint(i) % wordBits)
-}
-
-// Clear sets bit i to 0.
-func (v Vector) Clear(i int) {
-	v.check(i)
-	v.words[i/wordBits] &^= 1 << (uint(i) % wordBits)
 }
 
 // Get reports whether bit i is set.
@@ -118,19 +101,6 @@ func (v Vector) Count() int {
 	return c
 }
 
-// Equal reports whether v and o have identical length and contents.
-func (v Vector) Equal(o Vector) bool {
-	if v.n != o.n {
-		return false
-	}
-	for i, w := range v.words {
-		if w != o.words[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // CopyFrom copies o into v. Both vectors must have the same length.
 func (v Vector) CopyFrom(o Vector) {
 	if v.n != o.n {
@@ -147,27 +117,11 @@ func (v Vector) And(o Vector) {
 	}
 }
 
-// AndNot stores v AND NOT o into v. Lengths must match.
-func (v Vector) AndNot(o Vector) {
-	v.matchLen(o)
-	for i := range v.words {
-		v.words[i] &^= o.words[i]
-	}
-}
-
 // Or stores v OR o into v. Lengths must match.
 func (v Vector) Or(o Vector) {
 	v.matchLen(o)
 	for i := range v.words {
 		v.words[i] |= o.words[i]
-	}
-}
-
-// Xor stores v XOR o into v. Lengths must match.
-func (v Vector) Xor(o Vector) {
-	v.matchLen(o)
-	for i := range v.words {
-		v.words[i] ^= o.words[i]
 	}
 }
 
@@ -190,35 +144,11 @@ func (v Vector) ShiftLeft() {
 	v.trim()
 }
 
-// ShiftRight shifts every bit one position toward lower indices in place.
-// Bit 0 is discarded; the top bit becomes zero.
-func (v Vector) ShiftRight() {
-	for i := 0; i < len(v.words); i++ {
-		v.words[i] >>= 1
-		if i+1 < len(v.words) {
-			v.words[i] |= v.words[i+1] << (wordBits - 1)
-		}
-	}
-}
-
 // trim clears bits beyond Len in the last word.
 func (v Vector) trim() {
 	if v.n%wordBits != 0 && len(v.words) > 0 {
 		v.words[len(v.words)-1] &= (1 << (uint(v.n) % wordBits)) - 1
 	}
-}
-
-// AnyInRange reports whether any bit in [lo, hi) is set.
-func (v Vector) AnyInRange(lo, hi int) bool {
-	if lo < 0 || hi > v.n || lo > hi {
-		panic(fmt.Sprintf("bitvec: bad range [%d,%d) of %d", lo, hi, v.n))
-	}
-	for i := lo; i < hi; i++ {
-		if v.Get(i) {
-			return true
-		}
-	}
-	return false
 }
 
 // NextSet returns the index of the first set bit at or after i, or -1 if
@@ -257,20 +187,4 @@ func (v Vector) String() string {
 		}
 	}
 	return b.String()
-}
-
-// Parse builds a vector from a most-significant-bit-first string of '0' and
-// '1' characters, the inverse of String.
-func Parse(s string) (Vector, error) {
-	v := New(len(s))
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '1':
-			v.Set(len(s) - 1 - i)
-		case '0':
-		default:
-			return Vector{}, fmt.Errorf("bitvec: invalid character %q in %q", s[i], s)
-		}
-	}
-	return v, nil
 }

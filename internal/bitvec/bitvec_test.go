@@ -32,11 +32,9 @@ func TestSetGetClear(t *testing.T) {
 	if v.Count() != len(idx) {
 		t.Errorf("Count = %d, want %d", v.Count(), len(idx))
 	}
-	for _, i := range idx {
-		v.Clear(i)
-	}
+	v.Reset()
 	if v.Any() {
-		t.Error("vector not empty after clearing")
+		t.Error("vector not empty after Reset")
 	}
 }
 
@@ -79,25 +77,12 @@ func TestShiftLeftAcrossWords(t *testing.T) {
 	}
 }
 
-func TestShiftRight(t *testing.T) {
-	v := New(130)
-	v.Set(64)
-	v.Set(0)
-	v.ShiftRight()
-	if !v.Get(63) {
-		t.Error("bit 64 did not move to 63")
-	}
-	if v.Get(0) && v.Count() != 1 {
-		t.Error("bit 0 should be discarded")
-	}
-	if v.Count() != 1 {
-		t.Errorf("Count = %d, want 1", v.Count())
-	}
-}
-
 func TestLogicOps(t *testing.T) {
-	a, _ := Parse("1100")
-	b, _ := Parse("1010")
+	a, b := New(4), New(4) // 1100 and 1010
+	a.Set(3)
+	a.Set(2)
+	b.Set(3)
+	b.Set(1)
 	and := a.Clone()
 	and.And(b)
 	if and.String() != "1000" {
@@ -107,31 +92,6 @@ func TestLogicOps(t *testing.T) {
 	or.Or(b)
 	if or.String() != "1110" {
 		t.Errorf("Or = %s", or)
-	}
-	xor := a.Clone()
-	xor.Xor(b)
-	if xor.String() != "0110" {
-		t.Errorf("Xor = %s", xor)
-	}
-	andnot := a.Clone()
-	andnot.AndNot(b)
-	if andnot.String() != "0100" {
-		t.Errorf("AndNot = %s", andnot)
-	}
-}
-
-func TestParseRoundTrip(t *testing.T) {
-	for _, s := range []string{"", "0", "1", "0011", "10000000000000000000000000000000000000000000000000000000000000001"} {
-		v, err := Parse(s)
-		if err != nil {
-			t.Fatalf("Parse(%q): %v", s, err)
-		}
-		if v.String() != s {
-			t.Errorf("round trip %q -> %q", s, v.String())
-		}
-	}
-	if _, err := Parse("01x"); err == nil {
-		t.Error("expected error for invalid character")
 	}
 }
 
@@ -158,24 +118,6 @@ func TestNextSet(t *testing.T) {
 	}
 }
 
-func TestAnyInRange(t *testing.T) {
-	v := New(100)
-	v.Set(50)
-	if !v.AnyInRange(50, 51) || !v.AnyInRange(0, 100) {
-		t.Error("AnyInRange missed set bit")
-	}
-	if v.AnyInRange(0, 50) || v.AnyInRange(51, 100) {
-		t.Error("AnyInRange false positive")
-	}
-}
-
-func TestFromBits(t *testing.T) {
-	v := FromBits([]bool{true, false, true})
-	if v.String() != "101" {
-		t.Errorf("FromBits = %s", v)
-	}
-}
-
 func TestCopyFrom(t *testing.T) {
 	a := New(70)
 	a.Set(69)
@@ -184,7 +126,7 @@ func TestCopyFrom(t *testing.T) {
 	if !b.Get(69) {
 		t.Error("CopyFrom did not copy")
 	}
-	a.Clear(69)
+	a.Reset()
 	if !b.Get(69) {
 		t.Error("CopyFrom aliases source")
 	}
@@ -200,28 +142,6 @@ func randomVector(r *rand.Rand, n int) Vector {
 		}
 	}
 	return v
-}
-
-func TestPropShiftLeftThenRight(t *testing.T) {
-	// Shifting left then right clears the top bit and bit 0 but preserves
-	// everything in between.
-	f := func(seed int64, nRaw uint8) bool {
-		n := int(nRaw)%200 + 2
-		r := rand.New(rand.NewSource(seed))
-		v := randomVector(r, n)
-		orig := v.Clone()
-		v.ShiftLeft()
-		v.ShiftRight()
-		for i := 0; i < n-1; i++ {
-			if v.Get(i) != orig.Get(i) {
-				return false
-			}
-		}
-		return !v.Get(n - 1)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestPropCountMatchesNextSetWalk(t *testing.T) {
@@ -252,19 +172,6 @@ func TestPropDeMorgan(t *testing.T) {
 		or := a.Clone()
 		or.Or(b)
 		return and.Count()+or.Count() == a.Count()+b.Count()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropStringParseRoundTrip(t *testing.T) {
-	f := func(seed int64, nRaw uint8) bool {
-		n := int(nRaw) % 150
-		r := rand.New(rand.NewSource(seed))
-		v := randomVector(r, n)
-		back, err := Parse(v.String())
-		return err == nil && back.Equal(v)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -18,9 +18,6 @@ const AlphabetSize = 256
 // is the empty class.
 type Class [4]uint64
 
-// Empty returns the class matching nothing.
-func Empty() Class { return Class{} }
-
 // Any returns the class Σ matching every byte (PCRE "." without the
 // newline exclusion; the paper treats '.' as Σ).
 func Any() Class {
@@ -53,9 +50,6 @@ func Of(bs ...byte) Class {
 // Add inserts b into the class.
 func (c *Class) Add(b byte) { c[b>>6] |= 1 << (b & 63) }
 
-// Remove deletes b from the class.
-func (c *Class) Remove(b byte) { c[b>>6] &^= 1 << (b & 63) }
-
 // AddRange inserts every byte in [lo, hi].
 func (c *Class) AddRange(lo, hi byte) {
 	for b := int(lo); b <= int(hi); b++ {
@@ -83,18 +77,10 @@ func (c Class) Union(o Class) Class {
 	return Class{c[0] | o[0], c[1] | o[1], c[2] | o[2], c[3] | o[3]}
 }
 
-// Intersect returns c ∩ o.
-func (c Class) Intersect(o Class) Class {
-	return Class{c[0] & o[0], c[1] & o[1], c[2] & o[2], c[3] & o[3]}
-}
-
 // Negate returns Σ \ c.
 func (c Class) Negate() Class {
 	return Class{^c[0], ^c[1], ^c[2], ^c[3]}
 }
-
-// Equal reports whether two classes match the same bytes.
-func (c Class) Equal(o Class) bool { return c == o }
 
 // Bytes returns the members of the class in increasing order.
 func (c Class) Bytes() []byte {

@@ -223,9 +223,6 @@ func (n *Node) Ring() *Ring { return n.ring }
 // Catalog exposes the gossiped program directory.
 func (n *Node) Catalog() *Catalog { return n.catalog }
 
-// Members exposes the membership table.
-func (n *Node) Members() *Membership { return n.members }
-
 // Handler returns the node's full HTTP surface: the partition-aware
 // /v1 proxy, the /cluster control endpoints, and everything the
 // embedded service serves (/metrics, /healthz, /debug/...).

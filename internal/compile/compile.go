@@ -303,7 +303,10 @@ func FromNFAs(nfas []*automata.NFA, sources []string) *Result {
 	return res
 }
 
-// CompileOne compiles a single pattern through the decision graph.
+// compilePattern runs the policy-gated decision graph for one pattern.
+// opts must already be defaulted. It is pure — no shared state — which is
+// what lets CompileContext fan patterns out across workers while keeping
+// the output byte-identical to a serial compile.
 //
 // Fig 9 decision process (routes gated by Options.ModePolicy):
 //
@@ -315,16 +318,6 @@ func FromNFAs(nfas []*automata.NFA, sources []string) *Result {
 //     it compiles to LNFA.
 //  3. Everything else compiles to NFA (classical Glushkov), subject to
 //     the per-array state capacity.
-func CompileOne(pattern string, opts Options) (*Compiled, error) {
-	opts.setDefaults()
-	c, _, err := compilePattern(pattern, opts)
-	return c, err
-}
-
-// compilePattern runs the policy-gated decision graph for one pattern.
-// opts must already be defaulted. It is pure — no shared state — which is
-// what lets CompileContext fan patterns out across workers while keeping
-// the output byte-identical to a serial compile.
 func compilePattern(pattern string, opts Options) (*Compiled, DiagCode, error) {
 	re, err := regexast.Parse(pattern)
 	if err != nil {

@@ -9,11 +9,11 @@ import (
 
 func compileOne(t *testing.T, pattern string) *Compiled {
 	t.Helper()
-	c, err := CompileOne(pattern, Options{})
-	if err != nil {
-		t.Fatalf("CompileOne(%q): %v", pattern, err)
+	res := Compile([]string{pattern}, Options{})
+	if len(res.Errors) > 0 {
+		t.Fatalf("Compile(%q): %v", pattern, res.Errors[0])
 	}
-	return c
+	return &res.Regexes[0]
 }
 
 func TestDecisionGraphRoutes(t *testing.T) {
@@ -113,12 +113,12 @@ func TestCompileBatchAndShares(t *testing.T) {
 func TestHugeNFARejected(t *testing.T) {
 	// Composite repetition forces NFA mode, but 5000 states exceed the
 	// 2048-state array capacity.
-	_, err := CompileOne("(ab){2500}", Options{})
-	if err == nil {
+	errs := Compile([]string{"(ab){2500}"}, Options{}).Errors
+	if len(errs) == 0 {
 		t.Fatal("expected capacity error")
 	}
-	if !strings.Contains(err.Error(), "budget") {
-		t.Errorf("err = %v", err)
+	if !strings.Contains(errs[0].Error(), "budget") {
+		t.Errorf("err = %v", errs[0])
 	}
 }
 
@@ -128,8 +128,7 @@ func TestNBVAHugeBoundWithinLimit(t *testing.T) {
 	if c.Mode != ModeNBVA {
 		t.Errorf("mode = %v", c.Mode)
 	}
-	_, err := CompileOne("a{65000}", Options{})
-	if err == nil {
+	if len(Compile([]string{"a{65000}"}, Options{}).Errors) == 0 {
 		t.Error("a{65000} should exceed NBVA capacity")
 	}
 }
@@ -158,11 +157,11 @@ func TestSpamAssassinStyleSmallBounds(t *testing.T) {
 		}
 	}
 	// With a lower threshold the bounds become bit vectors.
-	c2, err := CompileOne("Jeste.{1,8}firm.{1,8}", Options{UnfoldThreshold: 4})
-	if err != nil {
-		t.Fatal(err)
+	res := Compile([]string{"Jeste.{1,8}firm.{1,8}"}, Options{UnfoldThreshold: 4})
+	if len(res.Errors) > 0 {
+		t.Fatal(res.Errors[0])
 	}
-	if c2.Mode != ModeNBVA {
+	if c2 := res.Regexes[0]; c2.Mode != ModeNBVA {
 		t.Errorf("threshold 4: mode = %v", c2.Mode)
 	}
 }

@@ -19,9 +19,7 @@ func countReports(nfa *automata.NFA, input []byte) int {
 	total := 0
 	for _, b := range input {
 		r.Step(b)
-		act := r.Active()
-		act.And(nfa.FinalSet())
-		total += act.Count()
+		total += r.FinalsActive()
 	}
 	return total
 }

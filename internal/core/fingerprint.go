@@ -4,41 +4,14 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"strings"
 )
 
-// This file gives a compiled configuration a stable identity. A serving
-// layer that caches compiled programs (internal/service) needs a key with
-// the property that two requests producing the same compiled form hash
-// identically, and any semantic difference — a pattern edited, a knob
-// changed — produces a different key.
-
-// CanonicalString returns a stable, unambiguous serialization of the
-// engine configuration plus pattern list. Every Config field participates;
-// patterns are length-prefixed so no concatenation of distinct lists
-// collides.
-func (c Config) CanonicalString(patterns []string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "core/v1|ut=%d|lbf=%d|mns=%d|mnu=%d|depth=%d|bin=%d|share=%t|n=%d",
-		c.Compile.UnfoldThreshold, c.Compile.LinearBudgetFactor,
-		c.Compile.MaxNFAStates, c.Compile.MaxNBVAUnfolded,
-		c.Depth, c.BinSize, c.SharePrefixes, len(patterns))
-	for _, p := range patterns {
-		fmt.Fprintf(&b, "|%d:%s", len(p), p)
-	}
-	return b.String()
-}
-
-// Fingerprint returns the hex SHA-256 of CanonicalString — the content
-// hash a program cache keys on.
-func (c Config) Fingerprint(patterns []string) string {
-	sum := sha256.Sum256([]byte(c.CanonicalString(patterns)))
-	return hex.EncodeToString(sum[:])
-}
-
-// HashStrings is the generic building block used by other configuration
-// types (e.g. refmatch options in the serving layer): it hashes a format
-// tag plus length-prefixed parts.
+// HashStrings gives a configuration a stable identity: it hashes a format
+// tag plus length-prefixed parts, so two requests producing the same
+// compiled form hash identically, no concatenation of distinct lists
+// collides, and any semantic difference — a pattern edited, a knob
+// changed — produces a different key. The serving layer's program cache
+// keys on it (refmatch options as the tag, the patterns as the parts).
 func HashStrings(tag string, parts ...string) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s|n=%d", tag, len(parts))

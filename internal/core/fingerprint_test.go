@@ -1,41 +1,6 @@
 package core
 
-import (
-	"strings"
-	"testing"
-)
-
-func TestFingerprintStableAndDiscriminating(t *testing.T) {
-	cfg := Config{}
-	pats := []string{"abc", "a{3,9}b"}
-	f1 := cfg.Fingerprint(pats)
-	f2 := cfg.Fingerprint([]string{"abc", "a{3,9}b"})
-	if f1 != f2 {
-		t.Error("identical inputs fingerprint differently")
-	}
-	if len(f1) != 64 || strings.ToLower(f1) != f1 {
-		t.Errorf("fingerprint %q is not lowercase hex sha256", f1)
-	}
-	if cfg.Fingerprint([]string{"abc"}) == f1 {
-		t.Error("dropping a pattern kept the fingerprint")
-	}
-	if cfg.Fingerprint([]string{"a{3,9}b", "abc"}) == f1 {
-		t.Error("pattern order must matter (indices are part of the API)")
-	}
-	other := Config{Depth: 16}
-	if other.Fingerprint(pats) == f1 {
-		t.Error("config change kept the fingerprint")
-	}
-}
-
-func TestCanonicalStringNoConcatCollision(t *testing.T) {
-	cfg := Config{}
-	a := cfg.CanonicalString([]string{"ab", "c"})
-	b := cfg.CanonicalString([]string{"a", "bc"})
-	if a == b {
-		t.Errorf("collision: %q vs %q", a, b)
-	}
-}
+import "testing"
 
 func TestHashStrings(t *testing.T) {
 	a := HashStrings("t", "x", "y")

@@ -1,12 +1,16 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
+	"sort"
+	"strings"
 
 	"repro/internal/automata"
 	"repro/internal/compile"
 	"repro/internal/mapper"
 	"repro/internal/metrics"
+	"repro/internal/refmatch"
 	"repro/internal/regexast"
 	"repro/internal/workload"
 )
@@ -15,14 +19,18 @@ import (
 // ANMLZoo-style companion to Fig 1): per benchmark, structural statistics
 // of the pattern population — average states, bounded-repetition counts
 // and bounds, class sizes, and the capped DFA-size estimate that
-// motivates NFA-based execution (§2.1).
+// motivates NFA-based execution (§2.1). The last three columns are the
+// dataset's kernel reach: which forks of the software scan path a served
+// program of these patterns runs on (see kernelReach), the evidence the
+// scan-path fork audit in EXPERIMENTS.md keeps or deletes a fork on.
 func Characterize(cfg Config) (*metrics.Table, error) {
 	cfg.setDefaults()
 	t := &metrics.Table{
 		Name: "Workload characterization",
 		Header: []string{"Dataset", "Patterns", "Avg states", "Avg unfolded",
 			"BoundedReps/regex", "Max bound", "Avg class size", "Avg DFA (capped)",
-			"Mode NFA/NBVA/LNFA %", "Utilization %"},
+			"Mode NFA/NBVA/LNFA %", "Utilization %",
+			"Shift-And kernel", "Prefilter tier", "word64/step/nfa-step/dfa-table"},
 	}
 	const dfaCap = 4096
 	for _, name := range workload.Names {
@@ -69,10 +77,14 @@ func Characterize(cfg Config) (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		shiftAnd, tier, engines, err := kernelReach(d.Patterns)
+		if err != nil {
+			return nil, err
+		}
 		t.AddRow(name, len(d.Patterns),
 			float64(states)/n, float64(unfolded)/n,
 			float64(bounded)/n, maxBound, classSize/n, avgDFA,
-			sharesCell(shares), 100*p.Utilization())
+			sharesCell(shares), 100*p.Utilization(), shiftAnd, tier, engines)
 	}
 	if err := cfg.saveTable(t, "characterize.csv"); err != nil {
 		return nil, err
@@ -83,4 +95,41 @@ func Characterize(cfg Config) (*metrics.Table, error) {
 func sharesCell(s map[compile.Mode]float64) string {
 	return fmt.Sprintf("%.0f/%.0f/%.0f",
 		100*s[compile.ModeNFA], 100*s[compile.ModeNBVA], 100*s[compile.ModeLNFA])
+}
+
+// kernelReach lowers patterns the way a served program is (refmatch
+// defaults) and reads off Matcher.Kernels which scan loops they land on:
+// the Shift-And kernel(s) of the packed linear patterns, "(always-on)"
+// marking a machine that runs outside the prefilter; the prefilter tier;
+// and the pattern counts on the NBVA word kernel, the NBVA per-byte
+// fallback, the NFA per-byte fallback and the DFA tables.
+func kernelReach(patterns []string) (shiftAnd, tier, engines string, err error) {
+	m, err := refmatch.Compile(context.Background(), patterns, refmatch.Options{})
+	if err != nil {
+		return "", "", "", err
+	}
+	count := map[string]int{}
+	sa := map[string]bool{}
+	for _, k := range m.Kernels() {
+		name, _, _ := strings.Cut(k, " ")
+		count[name]++
+		if strings.HasPrefix(name, "shiftand") {
+			if !strings.Contains(k, " behind ") {
+				name += " (always-on)"
+			}
+			sa[name] = true
+		}
+	}
+	names := make([]string, 0, len(sa))
+	for name := range sa {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	if shiftAnd = strings.Join(names, " + "); shiftAnd == "" {
+		shiftAnd = "-"
+	}
+	if tier = m.PrefilterTier(); tier == "" {
+		tier = "-"
+	}
+	return shiftAnd, tier, fmt.Sprintf("%d/%d/%d/%d", count["word64"], count["step"], count["nfa-step"], count["dfa-table"]), nil
 }

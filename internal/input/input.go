@@ -1,73 +1,16 @@
-// Package input provides zero-copy file ingest and pooled chunk buffers
-// for the scan paths. Open memory-maps regular files on Unix platforms so
-// the scan kernels read pages straight from the page cache — no read(2)
-// copy, no heap allocation proportional to file size — and transparently
-// falls back to a heap read where mapping is unavailable or pointless
-// (empty files, non-regular files, other platforms). Pool recycles
-// variable-size chunk buffers for request bodies with a retention cap so
-// one oversized request cannot pin its capacity for the process lifetime;
-// ReadBody is the one reader of HTTP request bodies over it, for a serving
-// node and a cluster gateway alike, and Shared lends one such buffer to
-// several outgoing requests.
+// Package input provides pooled chunk buffers for the scan paths. Pool
+// recycles variable-size chunk buffers for request bodies with a
+// retention cap so one oversized request cannot pin its capacity for the
+// process lifetime; ReadBody is the one reader of HTTP request bodies
+// over it, for a serving node and a cluster gateway alike, and Shared
+// lends one such buffer to several outgoing requests.
 package input
 
 import (
 	"bytes"
-	"os"
 	"sync"
 	"sync/atomic"
 )
-
-// Buffer holds the bytes of an ingested file. Data stays valid until
-// Close; for mapped buffers Close unmaps the pages, so callers must not
-// retain slices of Data past it.
-type Buffer struct {
-	// Data is the full file contents.
-	Data []byte
-	// Mapped reports whether Data is a memory mapping (true) or a heap
-	// copy (false).
-	Mapped bool
-}
-
-// Open ingests the file at path. Regular non-empty files are
-// memory-mapped read-only where the platform supports it; anything else
-// is read into the heap. The returned Buffer must be Closed.
-func Open(path string) (*Buffer, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	if st.Mode().IsRegular() && st.Size() > 0 {
-		if data, err := mmapFile(f, st.Size()); err == nil {
-			return &Buffer{Data: data, Mapped: true}, nil
-		}
-		// Mapping can fail on exotic filesystems; fall through to a copy.
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return &Buffer{Data: data}, nil
-}
-
-// Close releases the buffer. It is safe to call on a nil Buffer and
-// idempotent.
-func (b *Buffer) Close() error {
-	if b == nil || b.Data == nil {
-		return nil
-	}
-	data := b.Data
-	b.Data = nil
-	if b.Mapped {
-		return munmap(data)
-	}
-	return nil
-}
 
 // Pool recycles chunk buffers. Buffers are handed out with length zero
 // and grown by the caller; Put drops buffers whose capacity exceeds the

@@ -3,69 +3,8 @@ package input
 import (
 	"bytes"
 	"io"
-	"os"
-	"path/filepath"
 	"testing"
 )
-
-func TestOpenRegularFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "data.bin")
-	content := bytes.Repeat([]byte("zero-copy ingest "), 1000)
-	if err := os.WriteFile(path, content, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	b, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b.Data, content) {
-		t.Fatalf("Data mismatch: %d bytes, want %d", len(b.Data), len(content))
-	}
-	if !b.Mapped {
-		t.Log("note: fell back to heap read on this platform")
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if b.Data != nil {
-		t.Error("Data not cleared by Close")
-	}
-	if err := b.Close(); err != nil {
-		t.Errorf("second Close: %v", err)
-	}
-}
-
-func TestOpenEmptyFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "empty")
-	if err := os.WriteFile(path, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	b, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if len(b.Data) != 0 {
-		t.Errorf("Data = %q, want empty", b.Data)
-	}
-	if b.Mapped {
-		t.Error("empty file should not be mapped")
-	}
-}
-
-func TestOpenMissingFile(t *testing.T) {
-	if _, err := Open(filepath.Join(t.TempDir(), "nope")); err == nil {
-		t.Fatal("missing file accepted")
-	}
-}
-
-func TestCloseNil(t *testing.T) {
-	var b *Buffer
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestPoolRetention(t *testing.T) {
 	p := NewPool(64, 1024)

@@ -30,9 +30,6 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set stores n.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
 // Add adds n (negative to decrease).
 func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
@@ -177,9 +174,6 @@ func BucketUpperBound(i int) int64 {
 		return int64(1)<<uint(i) - 1
 	}
 }
-
-// NumBuckets returns the fixed bucket count of every Histogram.
-func NumBuckets() int { return histBuckets }
 
 // HistogramSnapshot is the JSON-friendly view of a Histogram.
 type HistogramSnapshot struct {

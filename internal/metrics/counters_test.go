@@ -102,8 +102,8 @@ func TestHistogramBucketAccessors(t *testing.T) {
 		t.Fatalf("count=%d sum=%d", h.Count(), h.Sum())
 	}
 	counts := h.BucketCounts()
-	if len(counts) != NumBuckets() {
-		t.Fatalf("len(counts) = %d, want %d", len(counts), NumBuckets())
+	if len(counts) != histBuckets {
+		t.Fatalf("len(counts) = %d, want %d", len(counts), histBuckets)
 	}
 	if counts[0] != 1 || counts[1] != 1 || counts[bucketOf(100)] != 1 {
 		t.Errorf("bucket counts = %v", counts)

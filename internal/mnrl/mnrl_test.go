@@ -3,6 +3,7 @@ package mnrl
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -170,7 +171,7 @@ func TestWorkloadExportImport(t *testing.T) {
 			t.Fatalf("network %d: %v", i, err)
 		}
 		orig, _ := automata.Glushkov(regexast.MustParse(d.Patterns[i]), 0)
-		if nfa.Matches(input) != orig.Matches(input) {
+		if !reflect.DeepEqual(nfa.MatchEnds(input), orig.MatchEnds(input)) {
 			t.Errorf("pattern %q: behaviour changed through MNRL", d.Patterns[i])
 		}
 	}

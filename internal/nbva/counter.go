@@ -137,15 +137,6 @@ func (r *CounterRunner) Step(b byte) bool {
 	return match
 }
 
-// CounterSet returns the sorted counter values of a BV-STE (nil when
-// empty), for white-box tests.
-func (r *CounterRunner) CounterSet(state int) []int {
-	if len(r.counters[state]) == 0 {
-		return nil
-	}
-	return append([]int(nil), r.counters[state]...)
-}
-
 func isFinal(m *Machine, q int) bool {
 	for _, f := range m.Final {
 		if f == q {

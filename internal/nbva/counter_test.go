@@ -20,18 +20,18 @@ func TestCounterSemantics(t *testing.T) {
 			bvState = i
 		}
 	}
-	if got := r.CounterSet(bvState); len(got) != 1 || got[0] != 1 {
+	if got := r.counters[bvState]; len(got) != 1 || got[0] != 1 {
 		t.Errorf("counter set = %v", got)
 	}
 	for i := 0; i < 4; i++ {
 		r.Step('c')
 	}
-	if got := r.CounterSet(bvState); len(got) != 1 || got[0] != 5 {
+	if got := r.counters[bvState]; len(got) != 1 || got[0] != 5 {
 		t.Errorf("counter set after 5 c's = %v", got)
 	}
 	// 6th c overflows.
 	r.Step('c')
-	if got := r.CounterSet(bvState); len(got) != 0 {
+	if got := r.counters[bvState]; len(got) != 0 {
 		t.Errorf("counter set after overflow = %v", got)
 	}
 }
@@ -50,7 +50,7 @@ func TestCounterTracksMultipleRuns(t *testing.T) {
 	r.Step('a')
 	r.Step('a')
 	// Counters at 1 and 2 (runs starting after 'z' and after first 'a').
-	got := r.CounterSet(bvState)
+	got := r.counters[bvState]
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Errorf("counter set = %v", got)
 	}

@@ -20,12 +20,12 @@ func Example() {
 	}
 	fmt.Printf("control states: %d (unfolded NFA would need %d)\n",
 		m.NumStates(), m.UnfoldedStates())
-	fmt.Printf("bit-vector states: %d, total BV bits: %d\n", m.NumBVStates(), m.TotalBVBits())
-	fmt.Println("matches 7 c's:", m.Matches([]byte("a..b"+strings.Repeat("c", 7))))
-	fmt.Println("matches 6 c's:", m.Matches([]byte("a..b"+strings.Repeat("c", 6))))
+	fmt.Printf("total BV bits: %d\n", m.TotalBVBits())
+	fmt.Println("match ends, 7 c's:", m.MatchEnds([]byte("a..b"+strings.Repeat("c", 7))))
+	fmt.Println("match ends, 6 c's:", m.MatchEnds([]byte("a..b"+strings.Repeat("c", 6))))
 	// Output:
 	// control states: 4 (unfolded NFA would need 10)
-	// bit-vector states: 1, total BV bits: 7
-	// matches 7 c's: true
-	// matches 6 c's: false
+	// total BV bits: 7
+	// match ends, 7 c's: [10]
+	// match ends, 6 c's: []
 }

@@ -75,17 +75,6 @@ type Machine struct {
 // NumStates returns the number of STEs (control states).
 func (m *Machine) NumStates() int { return len(m.States) }
 
-// NumBVStates returns the number of BV-STEs.
-func (m *Machine) NumBVStates() int {
-	n := 0
-	for _, s := range m.States {
-		if s.BV != nil {
-			n++
-		}
-	}
-	return n
-}
-
 // TotalBVBits returns the sum of bit-vector sizes — the storage the CAM
 // must provide in NBVA mode.
 func (m *Machine) TotalBVBits() int {
@@ -144,9 +133,6 @@ type Runner struct {
 
 	// Stats for the cycle-level simulator.
 	lastMatched     bitvec.Vector // STEs that matched the last symbol
-	lastBVActive    int           // BV-STEs whose vector was updated last step
-	lastBVOverflow  int           // BV-STEs that overflowed to zero last step
-	lastEntrySignal int           // entry activations delivered last step
 	lastBVUpdated   []int         // machine state indices of BVs updated last step
 	lastFinalsFired int           // reporting STEs that fired last step
 
@@ -215,7 +201,6 @@ func (r *Runner) Reset() {
 	}
 	r.pos = 0
 	r.lastMatched.Reset()
-	r.lastBVActive, r.lastBVOverflow, r.lastEntrySignal = 0, 0, 0
 	r.lastBVUpdated = r.lastBVUpdated[:0]
 	r.lastFinalsFired = 0
 }
@@ -223,7 +208,6 @@ func (r *Runner) Reset() {
 // Step consumes one input byte and reports whether a match ends at it.
 func (r *Runner) Step(b byte) bool {
 	m := r.m
-	r.lastBVActive, r.lastBVOverflow, r.lastEntrySignal = 0, 0, 0
 	r.lastBVUpdated = r.lastBVUpdated[:0]
 
 	// Phase 1 (state matching), standard STEs: enabled AND labels[b].
@@ -251,18 +235,15 @@ func (r *Runner) Step(b byte) bool {
 			r.readOK[i] = false
 			continue
 		}
-		r.lastBVActive++
 		r.lastBVUpdated = append(r.lastBVUpdated, i)
 		if selfLive {
 			v.ShiftLeft() // shift action
 		}
 		if entry {
 			v.Set(0) // set1 action
-			r.lastEntrySignal++
 		}
 		if v.None() {
 			// Overflow check (§3.1): all counts shifted out; deactivate.
-			r.lastBVOverflow++
 			r.readOK[i] = false
 			continue
 		}
@@ -300,10 +281,6 @@ func (r *Runner) Step(b byte) bool {
 	return matchFound
 }
 
-// MatchedCount returns the number of STEs activated by the last Step —
-// the popcount of the hardware active vector.
-func (r *Runner) MatchedCount() int { return r.lastMatched.Count() }
-
 // MatchedRef returns the active vector of the last Step. The caller must
 // not modify it; it is overwritten by the next Step.
 func (r *Runner) MatchedRef() bitvec.Vector { return r.lastMatched }
@@ -315,15 +292,6 @@ func (r *Runner) BVUpdated() []int { return r.lastBVUpdated }
 // FinalsFired returns the number of reporting STEs that fired in the last
 // Step — the hardware's per-report count (a step can fire several finals).
 func (r *Runner) FinalsFired() int { return r.lastFinalsFired }
-
-// BVActiveCount returns the number of BV-STEs whose vector was updated in
-// the last Step; the cycle simulator uses it to decide whether the
-// bit-vector-processing phase fires.
-func (r *Runner) BVActiveCount() int { return r.lastBVActive }
-
-// BVOverflowCount returns the number of BV-STEs that overflowed to zero in
-// the last Step.
-func (r *Runner) BVOverflowCount() int { return r.lastBVOverflow }
 
 // MatchEnds runs the machine over input from a fresh configuration and
 // returns every match end offset (with -1 for the empty match).
@@ -341,18 +309,4 @@ func (m *Machine) MatchEnds(input []byte) []int {
 		}
 	}
 	return ends
-}
-
-// Matches reports whether any match ends anywhere in input.
-func (m *Machine) Matches(input []byte) bool {
-	if m.MatchesEmpty {
-		return true
-	}
-	r := NewRunner(m)
-	for i, b := range input {
-		if r.Step(b) && (!m.EndAnchored || i == len(input)-1) {
-			return true
-		}
-	}
-	return false
 }

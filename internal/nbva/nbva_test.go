@@ -26,14 +26,28 @@ func compile(t testing.TB, pattern string, threshold int) *Machine {
 	return m
 }
 
+// numBV counts the machine's BV-STEs.
+func numBV(m *Machine) int {
+	n := 0
+	for _, s := range m.States {
+		if s.BV != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// matches reports whether any match ends anywhere in input.
+func matches(m *Machine, input []byte) bool { return len(m.MatchEnds(input)) > 0 }
+
 func TestExample22Structure(t *testing.T) {
 	// Example 2.2: a.*bc{n}. With threshold 1 the c{7} stays a BV.
 	m := compile(t, "a.*bc{7}", 1)
 	if m.NumStates() != 4 {
 		t.Fatalf("states = %d, want 4\n%s", m.NumStates(), m)
 	}
-	if m.NumBVStates() != 1 {
-		t.Fatalf("BV states = %d", m.NumBVStates())
+	if numBV(m) != 1 {
+		t.Fatalf("BV states = %d", numBV(m))
 	}
 	last := m.States[3]
 	if last.BV == nil || last.BV.Size != 7 || last.BV.Read != ReadExact {
@@ -46,10 +60,10 @@ func TestExample22Structure(t *testing.T) {
 
 func TestExample22Matching(t *testing.T) {
 	m := compile(t, "a.*bc{7}", 1)
-	if !m.Matches([]byte("a xx b" + strings.Repeat("c", 7))) {
+	if !matches(m, []byte("a xx b"+strings.Repeat("c", 7))) {
 		t.Error("should match exactly 7 c's")
 	}
-	if m.Matches([]byte("a xx b" + strings.Repeat("c", 6))) {
+	if matches(m, []byte("a xx b"+strings.Repeat("c", 6))) {
 		t.Error("should not match 6 c's")
 	}
 	// 8 c's: run of 8 has no suffix==7 starting at entry... but the b
@@ -64,20 +78,20 @@ func TestExample22Matching(t *testing.T) {
 func TestFig5Example(t *testing.T) {
 	// Fig 5: b(a{7}|c{5})b with BV depth 4 — functional behaviour.
 	m := compile(t, "b(a{7}|c{5})b", 1)
-	if m.NumBVStates() != 2 {
-		t.Fatalf("BV states = %d\n%s", m.NumBVStates(), m)
+	if numBV(m) != 2 {
+		t.Fatalf("BV states = %d\n%s", numBV(m), m)
 	}
-	if !m.Matches([]byte("xbaaaaaaab")) {
+	if !matches(m, []byte("xbaaaaaaab")) {
 		t.Error("7 a's should match")
 	}
-	if !m.Matches([]byte("xbcccccb")) {
+	if !matches(m, []byte("xbcccccb")) {
 		t.Error("5 c's should match")
 	}
 	// 6 c's: the overflow check (§3.1 example) kills STE3; no match.
-	if m.Matches([]byte("xbccccccb")) {
+	if matches(m, []byte("xbccccccb")) {
 		t.Error("6 c's should not match")
 	}
-	if m.Matches([]byte("xbaaaaaab")) {
+	if matches(m, []byte("xbaaaaaab")) {
 		t.Error("6 a's should not match")
 	}
 }
@@ -85,16 +99,16 @@ func TestFig5Example(t *testing.T) {
 func TestRAllRange(t *testing.T) {
 	// ab{10,48}c -> a b{10} b{0,38} c.
 	m := compile(t, "ab{10,48}c", 4)
-	if m.NumBVStates() != 2 {
-		t.Fatalf("BV states = %d\n%s", m.NumBVStates(), m)
+	if numBV(m) != 2 {
+		t.Fatalf("BV states = %d\n%s", numBV(m), m)
 	}
 	for _, n := range []int{10, 11, 30, 48} {
-		if !m.Matches([]byte("a" + strings.Repeat("b", n) + "c")) {
+		if !matches(m, []byte("a"+strings.Repeat("b", n)+"c")) {
 			t.Errorf("%d b's should match", n)
 		}
 	}
 	for _, n := range []int{9, 49, 0} {
-		if m.Matches([]byte("a" + strings.Repeat("b", n) + "c")) {
+		if matches(m, []byte("a"+strings.Repeat("b", n)+"c")) {
 			t.Errorf("%d b's should not match", n)
 		}
 	}
@@ -104,11 +118,11 @@ func TestZeroMinRange(t *testing.T) {
 	// c{0,16} is nullable: bypass edge must exist.
 	m := compile(t, "ac{0,3}d", 1)
 	for _, s := range []string{"ad", "acd", "accd", "acccd"} {
-		if !m.Matches([]byte(s)) {
+		if !matches(m, []byte(s)) {
 			t.Errorf("%q should match", s)
 		}
 	}
-	if m.Matches([]byte("accccd")) {
+	if matches(m, []byte("accccd")) {
 		t.Error("4 c's should not match")
 	}
 }
@@ -118,13 +132,13 @@ func TestReentryTracksMultipleRuns(t *testing.T) {
 	// pattern .a{2}b — entries at every position; bit vector tracks
 	// overlapping runs.
 	m := compile(t, ".a{2}b", 1)
-	if !m.Matches([]byte("xaab")) {
+	if !matches(m, []byte("xaab")) {
 		t.Error("xaab should match")
 	}
-	if !m.Matches([]byte("aaab")) {
+	if !matches(m, []byte("aaab")) {
 		t.Error("aaab should match (run starting at offset 1)")
 	}
-	if m.Matches([]byte("xab")) {
+	if matches(m, []byte("xab")) {
 		t.Error("xab should not match")
 	}
 }
@@ -132,8 +146,8 @@ func TestReentryTracksMultipleRuns(t *testing.T) {
 func TestUnfoldedThresholdEquivalence(t *testing.T) {
 	// With a huge threshold everything unfolds: no BV states.
 	m := compile(t, "ab{3,5}c", 100)
-	if m.NumBVStates() != 0 {
-		t.Errorf("expected full unfold, got %d BV states", m.NumBVStates())
+	if numBV(m) != 0 {
+		t.Errorf("expected full unfold, got %d BV states", numBV(m))
 	}
 }
 
@@ -160,10 +174,10 @@ func TestConstructErrors(t *testing.T) {
 
 func TestAnchoredNBVA(t *testing.T) {
 	m := compile(t, "^a{3}b", 1)
-	if !m.Matches([]byte("aaab")) {
+	if !matches(m, []byte("aaab")) {
 		t.Error("anchored match at start failed")
 	}
-	if m.Matches([]byte("xaaab")) {
+	if matches(m, []byte("xaaab")) {
 		t.Error("anchored pattern matched mid-stream")
 	}
 }
@@ -256,23 +270,24 @@ func TestRunnerStats(t *testing.T) {
 	m := compile(t, "bc{5}d", 1)
 	r := NewRunner(m)
 	r.Step('b')
-	if r.BVActiveCount() != 0 {
+	if len(r.BVUpdated()) != 0 {
 		t.Error("BV active before any c")
 	}
 	r.Step('c')
-	if r.BVActiveCount() != 1 {
+	if len(r.BVUpdated()) != 1 {
 		t.Error("BV not active on first c")
 	}
-	if r.MatchedCount() != 1 {
-		t.Errorf("MatchedCount = %d", r.MatchedCount())
+	if got := r.MatchedRef().Count(); got != 1 {
+		t.Errorf("matched STEs = %d", got)
 	}
 	// Overflow after 6 c's.
 	for i := 0; i < 4; i++ {
 		r.Step('c')
 	}
 	r.Step('c') // 6th c: single bit shifts out
-	if r.BVOverflowCount() != 1 {
-		t.Errorf("overflow count = %d", r.BVOverflowCount())
+	// The vector was updated but overflowed to zero, so its STE did not match.
+	if len(r.BVUpdated()) != 1 || r.MatchedRef().Any() {
+		t.Errorf("after overflow: updated %v, matched %s", r.BVUpdated(), r.MatchedRef())
 	}
 }
 
@@ -286,8 +301,8 @@ func TestSplitChainEquivalence(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		n := r.Intn(140)
 		input := []byte("x" + strings.Repeat("a", n) + "y")
-		a := whole.Matches(input)
-		b := split.Matches(input)
+		a := matches(whole, input)
+		b := matches(split, input)
 		if a != b {
 			t.Fatalf("n=%d: whole=%v split=%v", n, a, b)
 		}
@@ -301,7 +316,7 @@ func TestSplitChainEquivalence(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		n := r.Intn(70)
 		input := []byte("x" + strings.Repeat("a", n) + "y")
-		if wholeAll.Matches(input) != splitAll.Matches(input) {
+		if matches(wholeAll, input) != matches(splitAll, input) {
 			t.Fatalf("rAll split differs at n=%d", n)
 		}
 	}

@@ -77,16 +77,6 @@ type Stats struct {
 	DirtyBlocks int64 `json:"dirty_blocks"`
 }
 
-// Add accumulates o into s.
-func (s *Stats) Add(o Stats) {
-	s.ScannedBytes += o.ScannedBytes
-	s.SkippedBytes += o.SkippedBytes
-	s.LiteralHits += o.LiteralHits
-	s.Windows += o.Windows
-	s.WindowNS += o.WindowNS
-	s.DirtyBlocks += o.DirtyBlocks
-}
-
 // Sub returns s - o (for delta accounting against a prior snapshot).
 func (s Stats) Sub(o Stats) Stats {
 	return Stats{

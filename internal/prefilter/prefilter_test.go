@@ -278,3 +278,42 @@ func BenchmarkStreamScan(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkTierOneByte is the evidence row for the memchr and byte-table
+// tiers, which no internal/workload dataset reaches (every dataset
+// literal is longer than a byte): one and four 1-byte literals over a
+// 1 MiB body with a hit every 64 and every 4 096 bytes, tier selection
+// (NewSet) against the Aho-Corasick DFA forced onto the same set
+// (NewSetAC). The hit count is a reported metric and must equal the
+// planted count, so a scanner that skips work cannot look fast.
+func BenchmarkTierOneByte(b *testing.B) {
+	for _, nlits := range []int{1, 4} {
+		set := lits("\x01", "\x02", "\x03", "\x04")[:nlits]
+		for _, every := range []int{64, 4096} {
+			body := bytes.Repeat([]byte{'.'}, 1<<20)
+			for i, k := every-1, 0; i < len(body); i, k = i+every, k+1 {
+				body[i] = set[k%nlits][0]
+			}
+			for _, build := range []func([][]byte, int) (*Set, error){NewSet, NewSetAC} {
+				s, err := build(set, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.Run(fmt.Sprintf("lits=%d/every=%d/%s", nlits, every, s.Tier()), func(b *testing.B) {
+					st := s.NewStream()
+					b.SetBytes(int64(len(body)))
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						st.Reset()
+						st.Scan(body, func(int, []byte) {}, func() {})
+					}
+					hits := st.Stats().LiteralHits
+					if want := int64(len(body) / every); hits != want {
+						b.Fatalf("%d hits, planted %d", hits, want)
+					}
+					b.ReportMetric(float64(hits), "hits/op")
+				})
+			}
+		}
+	}
+}

@@ -54,9 +54,9 @@ type Set struct {
 	oneByte  bool // all literals are single bytes: table loop
 	byteMask [256]bool
 
-	// Teddy fingerprint scanner (TierTeddy). Its history requirement,
-	// MaxLen-1 bytes, is always met by the stream's window-sized history
-	// because every literal fits the window.
+	// Teddy fingerprint scanner (TierTeddy). Its history requirement, one
+	// byte less than the longest literal, is always met by the stream's
+	// window-sized history because every literal fits the window.
 	teddy *simdscan.Teddy
 
 	// Aho-Corasick DFA: next[s][b] is the successor state, out[s] reports
@@ -224,7 +224,3 @@ func (s *Set) buildAC(lits [][]byte) {
 		}
 	}
 }
-
-// States returns the number of DFA states (0 for the byte-table paths),
-// for tests and capacity reporting.
-func (s *Set) States() int { return len(s.next) }

@@ -50,9 +50,6 @@ func (st *Stream) Reset() {
 // Stats returns the cumulative counters since the last Reset.
 func (st *Stream) Stats() Stats { return st.stats }
 
-// Pos returns the number of stream bytes consumed.
-func (st *Stream) Pos() int { return st.pos }
-
 // Scan advances the stream by one chunk. It locates literal hits, merges
 // them into candidate windows of radius window-1, and calls scan(base,
 // data) for each maximal byte range the match automaton must consume —
@@ -178,18 +175,4 @@ func (st *Stream) addHit(t, w int) {
 	}
 	st.windows = append(st.windows, span{a, b})
 	st.stats.Windows++
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -118,13 +118,6 @@ func (t *Tenant) setLimits(l Limits) {
 // Name returns the tenant identity.
 func (t *Tenant) Name() string { return t.name }
 
-// Limits returns the tenant's current (defaulted) limits.
-func (t *Tenant) Limits() Limits {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.limits
-}
-
 // Weight returns the tenant's live fair-queueing weight (>= 1). The
 // worker pool reads it on every scheduling decision, so a SetConfig
 // reload changes queueing immediately.
@@ -213,16 +206,6 @@ func (t *Tenant) SetShed(scale float64) {
 		t.bucket.level = burst
 	}
 }
-
-// ShedScale returns the tenant's current shed scale (1 = not shed).
-func (t *Tenant) ShedScale() float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.shedScale
-}
-
-// ShedRejects exposes the shed-rejection counter.
-func (t *Tenant) ShedRejects() *metrics.Counter { return &t.shedRejects }
 
 // AdmitScan runs admission control for n bytes of scan/feed input: it
 // debits the tenant's byte bucket, or rejects with a *LimitError whose
@@ -367,11 +350,10 @@ func (t *Tenant) Snapshot() TenantSnapshot {
 // Registry materializes tenants on first sight and carries the live
 // configuration. All methods are safe for concurrent use.
 type Registry struct {
-	mu        sync.Mutex
-	cfg       Config
-	tenants   map[string]*Tenant
-	now       func() time.Time
-	shedLevel float64
+	mu      sync.Mutex
+	cfg     Config
+	tenants map[string]*Tenant
+	now     func() time.Time
 }
 
 // NewRegistry creates a registry from cfg (zero Config = anonymous-only,
@@ -440,7 +422,6 @@ const shedScaleFloor = 0.05
 // every tenant to full rate. Implements slo.Shedder.
 func (r *Registry) ApplyShed(level float64) {
 	r.mu.Lock()
-	r.shedLevel = level
 	tenants := make([]*Tenant, 0, len(r.tenants))
 	for _, t := range r.tenants {
 		tenants = append(tenants, t)
@@ -475,13 +456,6 @@ func (r *Registry) ApplyShed(level float64) {
 		}
 		t.SetShed(scale)
 	}
-}
-
-// ShedLevel returns the last level handed to ApplyShed.
-func (r *Registry) ShedLevel() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.shedLevel
 }
 
 // Tenants returns every live tenant, sorted by name.

@@ -286,7 +286,7 @@ func TestShedLimitedTenant(t *testing.T) {
 	// Halve the effective rate: after draining, a full second refills
 	// only 500 tokens.
 	ten.SetShed(0.5)
-	if got := ten.ShedScale(); got != 0.5 {
+	if got := ten.Snapshot().ShedScale; got != 0.5 {
 		t.Fatalf("shed scale: %g", got)
 	}
 	if err := ten.AdmitScan(500); err != nil { // effBurst = 500
@@ -295,7 +295,7 @@ func TestShedLimitedTenant(t *testing.T) {
 	if err := ten.AdmitScan(1); !errors.Is(err, ErrOverLimit) {
 		t.Fatalf("over shed burst: %v", err)
 	}
-	if got := ten.ShedRejects().Value(); got != 1 {
+	if got := ten.Snapshot().ShedRejects; got != 1 {
 		t.Fatalf("shed rejects: %d", got)
 	}
 	clk.Advance(time.Second)
@@ -376,10 +376,7 @@ func TestApplyShedWeighsHeaviestFirst(t *testing.T) {
 	_ = light.AdmitScan(0)
 
 	r.ApplyShed(0.8)
-	if got := r.ShedLevel(); got != 0.8 {
-		t.Fatalf("shed level: %g", got)
-	}
-	hs, ls := heavy.ShedScale(), light.ShedScale()
+	hs, ls := heavy.Snapshot().ShedScale, light.Snapshot().ShedScale
 	if hs >= ls {
 		t.Fatalf("heavy not shed harder: heavy=%g light=%g", hs, ls)
 	}
@@ -391,8 +388,8 @@ func TestApplyShedWeighsHeaviestFirst(t *testing.T) {
 	}
 
 	r.ApplyShed(0)
-	if heavy.ShedScale() != 1 || light.ShedScale() != 1 {
-		t.Fatalf("shed not cleared: heavy=%g light=%g", heavy.ShedScale(), light.ShedScale())
+	if heavy.Snapshot().ShedScale != 1 || light.Snapshot().ShedScale != 1 {
+		t.Fatalf("shed not cleared: heavy=%g light=%g", heavy.Snapshot().ShedScale, light.Snapshot().ShedScale)
 	}
 }
 
@@ -406,7 +403,7 @@ func TestApplyShedFloor(t *testing.T) {
 	_ = ten.AdmitScan(0)
 
 	r.ApplyShed(5) // absurd level clamps to scale floor, not zero
-	if got := ten.ShedScale(); got != 0.05 {
+	if got := ten.Snapshot().ShedScale; got != 0.05 {
 		t.Fatalf("floored scale: %g, want 0.05", got)
 	}
 }

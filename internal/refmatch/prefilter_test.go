@@ -80,14 +80,14 @@ func TestPrefilterPartition(t *testing.T) {
 	if !v[0].Prefilterable || v[1].Prefilterable || !v[2].Prefilterable {
 		t.Errorf("verdicts = %v", v)
 	}
-	if !m.HasPrefilter() {
-		t.Error("HasPrefilter = false")
+	if m.PrefilterTier() == "" {
+		t.Error("no prefilter tier")
 	}
 	plain, err := Compile(context.Background(), []string{"needle"}, Options{DisablePrefilter: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.HasPrefilter() {
+	if plain.PrefilterTier() != "" {
 		t.Error("DisablePrefilter still built a prefilter")
 	}
 	if v := plain.PrefilterVerdicts()[0]; v.Prefilterable || v.Reason == "" {

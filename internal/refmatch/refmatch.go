@@ -422,9 +422,6 @@ func (m *Matcher) Engines() []Engine { return m.engines }
 // the fallback reason.
 func (m *Matcher) PrefilterVerdicts() []prefilter.Verdict { return m.verdicts }
 
-// HasPrefilter reports whether any pattern runs on the prefiltered path.
-func (m *Matcher) HasPrefilter() bool { return m.pf != nil }
-
 // PrefilterTier returns the candidate-scanner tier the literal union
 // compiled to ("memchr", "bytetable", "teddy" or "ac"), or the empty
 // string when no pattern is prefiltered.

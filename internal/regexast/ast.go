@@ -169,20 +169,6 @@ func Nullable(n Node) bool {
 	}
 }
 
-// HasBoundedRepetition reports whether any Repeat with a finite Max > 1 or
-// Min > 1 occurs — the construct NBVA mode exists for.
-func HasBoundedRepetition(n Node) bool {
-	found := false
-	Walk(n, func(m Node) {
-		if r, ok := m.(*Repeat); ok {
-			if (r.Max != Unbounded && r.Max > 1) || r.Min > 1 {
-				found = true
-			}
-		}
-	})
-	return found
-}
-
 // MaxRepeatBound returns the largest finite repetition bound in the
 // expression (0 when there is none).
 func MaxRepeatBound(n Node) int {
@@ -198,17 +184,6 @@ func MaxRepeatBound(n Node) int {
 		}
 	})
 	return maxB
-}
-
-// HasUnboundedRepetition reports whether the node contains r* / r+ / r{m,}.
-func HasUnboundedRepetition(n Node) bool {
-	found := false
-	Walk(n, func(m Node) {
-		if r, ok := m.(*Repeat); ok && r.Max == Unbounded {
-			found = true
-		}
-	})
-	return found
 }
 
 // Walk visits every node in the tree in preorder.

@@ -145,9 +145,6 @@ func splitMinMax(n Node) Node {
 // with Shift-And (single initial state, single final state).
 type Sequence []charclass.Class
 
-// States returns the LNFA state count of the sequence.
-func (s Sequence) States() int { return len(s) }
-
 // Linearize attempts the §4.2 rewriting: unfold bounded repetitions and
 // distribute union over concatenation until the regex is a union of plain
 // class sequences, each executable in LNFA mode. It fails with

@@ -36,7 +36,7 @@ func TestUnfoldThresholdStates(t *testing.T) {
 			t.Errorf("%q: unfolded states changed %d -> %d",
 				p, UnfoldedStates(re.Root), UnfoldedStates(unf))
 		}
-		if HasBoundedRepetition(unf) {
+		if MaxRepeatBound(unf) > 1 {
 			t.Errorf("%q: bounded repetition survived full-threshold unfold: %s", p, String(unf))
 		}
 	}
@@ -90,7 +90,7 @@ func TestLinearizePlainString(t *testing.T) {
 	if len(seqs) != 1 || len(seqs[0]) != 4 {
 		t.Fatalf("got %d sequences, first len %d", len(seqs), len(seqs[0]))
 	}
-	if !seqs[0][0].Equal(charclass.Single('a')) || !seqs[0][2].IsAny() {
+	if seqs[0][0] != charclass.Single('a') || !seqs[0][2].IsAny() {
 		t.Error("sequence classes wrong")
 	}
 }

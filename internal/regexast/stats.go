@@ -1,7 +1,5 @@
 package regexast
 
-import "repro/internal/charclass"
-
 // Stats summarizes the structural features of a pattern — the
 // workload-characterization view (ANMLZoo-style) that explains why the
 // Fig 9 decision graph routes a regex where it does.
@@ -108,16 +106,4 @@ func AverageClassSize(n Node) float64 {
 		return 0
 	}
 	return float64(total) / float64(count)
-}
-
-// ClassPopulation returns every character class in the pattern, in
-// left-to-right leaf order.
-func ClassPopulation(n Node) []charclass.Class {
-	var out []charclass.Class
-	Walk(n, func(m Node) {
-		if l, ok := m.(*Lit); ok {
-			out = append(out, l.Class)
-		}
-	})
-	return out
 }

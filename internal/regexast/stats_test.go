@@ -50,16 +50,6 @@ func TestAverageClassSize(t *testing.T) {
 	}
 }
 
-func TestClassPopulationOrder(t *testing.T) {
-	classes := ClassPopulation(MustParse("ab[cd]").Root)
-	if len(classes) != 3 {
-		t.Fatalf("population = %d", len(classes))
-	}
-	if !classes[0].Contains('a') || !classes[2].Contains('d') {
-		t.Error("population order wrong")
-	}
-}
-
 func TestAnalyzeStatesMatch(t *testing.T) {
 	re := MustParse("ab{10,48}c")
 	s := Analyze(re.Root)

@@ -244,3 +244,30 @@ func TestStatsCompilePool(t *testing.T) {
 		t.Error("stats missing compile_queue_wait stage")
 	}
 }
+
+// TestProgramKeyPinned holds program IDs where PR 22's parent commit left them:
+// removing the dead sfa_state_cap wire option must not move the ID of a
+// ruleset compiled under default or other options, and a client that
+// still sends the field is served the default program, not a fork of it.
+func TestProgramKeyPinned(t *testing.T) {
+	patterns := []string{"cat", "ab{10,48}c", "end$"}
+	const defaults = "e59c573295442740b5085afffe53d1ca869468472b87676d82f56b5477012790"
+	if got := ProgramKey(patterns, CompileOptions{}); got != defaults {
+		t.Errorf("default options: %s, want %s", got, defaults)
+	}
+	const tuned = "878eed992b7736c1eafc3867a4ae7b231dc7b143317e4db4e3ff447c13cca927"
+	if got := ProgramKey(patterns, CompileOptions{UnfoldThreshold: 12, DFAStateCap: 512}); got != tuned {
+		t.Errorf("unfold 12, DFA cap 512: %s, want %s", got, tuned)
+	}
+
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	var cr compileResponse
+	resp := doJSON(t, ts.Client(), "POST", ts.URL+"/v1/programs",
+		[]byte(`{"patterns":["cat","ab{10,48}c","end$"],"options":{"sfa_state_cap":77}}`), &cr)
+	if resp.StatusCode != http.StatusOK || cr.ProgramID != defaults {
+		t.Errorf("a request still carrying sfa_state_cap: %d, program %s, want %s", resp.StatusCode, cr.ProgramID, defaults)
+	}
+}

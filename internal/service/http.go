@@ -51,7 +51,7 @@ func (s *Service) Handler() http.Handler {
 	api.HandleFunc("POST /sessions/{id}/data", s.handleFeed)
 	api.HandleFunc("DELETE /sessions/{id}", s.handleCloseSession)
 	api.HandleFunc("GET /stats", s.handleStats)
-	apiH := s.tenantMiddleware(telemetry.MiddlewareObserved(s.tracer, s.cfg.Logger, s.observeRequest, api))
+	apiH := s.tenantMiddleware(telemetry.Middleware(s.tracer, s.cfg.Logger, s.observeRequest, api))
 
 	root := http.NewServeMux()
 	root.Handle("/v1/", http.StripPrefix("/v1", apiH))

@@ -33,7 +33,6 @@ type CompileOptions struct {
 	MaxNFAStates       int  `json:"max_nfa_states,omitempty"`
 	DFAStateCap        int  `json:"dfa_state_cap,omitempty"`
 	DisablePrefilter   bool `json:"disable_prefilter,omitempty"`
-	SFAStateCap        int  `json:"sfa_state_cap,omitempty"`
 	// ModePolicy selects the open engine routes: "" or "all" (default,
 	// every route) or "force_nfa" (NFA mode only). Distinct policies
 	// compile to distinct cached programs.
@@ -61,7 +60,6 @@ func (o CompileOptions) options() refmatch.Options {
 		},
 		DFAStateCap:      o.DFAStateCap,
 		DisablePrefilter: o.DisablePrefilter,
-		SFAStateCap:      o.SFAStateCap,
 	}
 	if o.ModePolicy == ModePolicyForceNFA {
 		ro.ModePolicy = compile.ForceNFA

@@ -271,9 +271,6 @@ func (s *Service) QoS() *qos.Registry { return s.qosReg }
 // wires SIGHUP to SetConfig) and direct inspection.
 func (s *Service) SLO() *slo.Engine { return s.sloEng }
 
-// SLOController returns the SLO-driven admission controller.
-func (s *Service) SLOController() *slo.Controller { return s.sloCtl }
-
 // Health returns the health scorer behind /v1/health and /readyz.
 func (s *Service) Health() *slo.Scorer { return s.health }
 

@@ -161,7 +161,7 @@ func TestSLOShedLoopEndToEnd(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		eng.ObserveTenantLatency(slo.ObjectiveTenantQueueWait, "heavy", 50*time.Millisecond)
 	}
-	ctl := svc.SLOController()
+	ctl := svc.sloCtl
 	ctl.Tick()
 	if lvl := ctl.Level(); lvl <= 0 {
 		t.Fatalf("shed level = %v after breach tick, want > 0", lvl)

@@ -175,6 +175,3 @@ func sloStateNum(state string) int {
 // register additional collectors (e.g. Go runtime metrics) on the same
 // /metrics endpoint.
 func (s *Service) Telemetry() *telemetry.Registry { return s.tel }
-
-// Tracer returns the service's request tracer.
-func (s *Service) Tracer() *telemetry.Tracer { return s.tracer }

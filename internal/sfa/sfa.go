@@ -59,9 +59,6 @@ type Machine struct {
 // NumStates returns the DFA state count.
 func (m *Machine) NumStates() int { return m.numStates }
 
-// NumParts returns the number of alphabet-equivalence classes.
-func (m *Machine) NumParts() int { return m.numParts }
-
 // Build runs the capped union subset construction over the given NFAs.
 // patternIdx[i] is the pattern index reported for matches of nfas[i]
 // (typically the pattern's position in the compiled ruleset). Every NFA

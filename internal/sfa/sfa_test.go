@@ -102,10 +102,9 @@ func TestMapChunkComposition(t *testing.T) {
 		left, _ := m.MapChunk(input[:cut], 0, discard)
 		right, _ := m.MapChunk(input[cut:], cut, discard)
 		whole, _ := m.MapChunk(input, 0, discard)
-		joined := Compose(left, right)
 		for s := 0; s < m.NumStates(); s++ {
-			if joined.At(int32(s)) != whole.At(int32(s)) {
-				t.Fatalf("cut %d: compose(%d)=%d, whole=%d", cut, s, joined.At(int32(s)), whole.At(int32(s)))
+			if joined := right.At(left.At(int32(s))); joined != whole.At(int32(s)) {
+				t.Fatalf("cut %d: right(left(%d))=%d, whole=%d", cut, s, joined, whole.At(int32(s)))
 			}
 		}
 	}
@@ -113,9 +112,11 @@ func TestMapChunkComposition(t *testing.T) {
 	if exit := m.ScanFrom(0, input, 0, discard); exit != whole.At(0) {
 		t.Fatalf("map disagrees with serial exit state: %d vs %d", whole.At(0), exit)
 	}
-	id := Identity(m.NumStates())
-	if got := Compose(id, whole); !reflect.DeepEqual(got, whole) {
-		t.Fatal("identity is not a left unit of Compose")
+	empty, _ := m.MapChunk(nil, 0, discard)
+	for s := 0; s < m.NumStates(); s++ {
+		if empty.At(int32(s)) != int32(s) {
+			t.Fatalf("the empty chunk maps state %d to %d", s, empty.At(int32(s)))
+		}
 	}
 }
 

@@ -19,23 +19,6 @@ func newStateMap(n int) *StateMap {
 	return &StateMap{u32: make([]uint32, n)}
 }
 
-// Identity returns the state map of the empty chunk.
-func Identity(n int) *StateMap {
-	f := newStateMap(n)
-	for i := 0; i < n; i++ {
-		f.set(i, int32(i))
-	}
-	return f
-}
-
-// Len returns the number of states the map is defined over.
-func (f *StateMap) Len() int {
-	if f.u16 != nil {
-		return len(f.u16)
-	}
-	return len(f.u32)
-}
-
 // At returns the exit state for entry state s.
 func (f *StateMap) At(s int32) int32 {
 	if f.u16 != nil {
@@ -50,17 +33,6 @@ func (f *StateMap) set(i int, v int32) {
 	} else {
 		f.u32[i] = uint32(v)
 	}
-}
-
-// Compose joins the functions of two adjacent chunks: if f maps entry
-// states across the left chunk and g across the right one, Compose(f, g)
-// maps them across the concatenation — (g ∘ f)(s) = g(f(s)).
-func Compose(f, g *StateMap) *StateMap {
-	out := newStateMap(f.Len())
-	for i := 0; i < f.Len(); i++ {
-		out.set(i, g.At(f.At(int32(i))))
-	}
-	return out
 }
 
 // MapChunk scans chunk from every DFA state simultaneously and returns

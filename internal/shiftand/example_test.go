@@ -19,9 +19,10 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
+	r := shiftand.NewRunner(m)
 	for i, b := range []byte("abc") {
-		fired := m.Step(b)
-		fmt.Printf("after %q: %d active states, %d matches\n", b, m.ActiveCount(), len(fired))
+		fired := r.Step(b)
+		fmt.Printf("after %q: %d active states, %d matches\n", b, r.StatesRef().Count(), len(fired))
 		_ = i
 	}
 	// Output:

@@ -127,13 +127,6 @@ func (m *Machine) scanChunk(states bitvec.Vector, data []byte, base int, emit fu
 	}
 }
 
-// ScanChunk steps the machine's own state over data, reporting matches
-// with end offsets base+i. It is the zero-allocation equivalent of
-// calling Step per byte and is what MatchEnds runs on.
-func (m *Machine) ScanChunk(data []byte, base int, emit func(pattern, end int)) {
-	m.scanChunk(m.states, data, base, emit)
-}
-
 // ScanChunk steps the runner's private state over data, reporting matches
 // with end offsets base+i, without allocating. Sessions use it to scan
 // candidate windows delivered by the prefilter.

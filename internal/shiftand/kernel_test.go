@@ -9,10 +9,10 @@ import (
 // stepOracle runs the machine with the per-byte Step API and returns the
 // match pairs — the reference the chunk kernels are checked against.
 func stepOracle(m *Machine, input []byte) []MatchEnd {
-	m.Reset()
+	r := NewRunner(m)
 	var out []MatchEnd
 	for i, b := range input {
-		for _, p := range m.Step(b) {
+		for _, p := range r.Step(b) {
 			out = append(out, MatchEnd{Pattern: p, End: i})
 		}
 	}
@@ -103,13 +103,14 @@ func TestScanChunkResumesAcrossChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := NewRunner(m)
 	input := []byte("xxabcdefyy")
 	for cut := 1; cut < len(input); cut++ {
-		m.Reset()
+		r.Reset()
 		var got []MatchEnd
 		emit := func(p, end int) { got = append(got, MatchEnd{p, end}) }
-		m.ScanChunk(input[:cut], 0, emit)
-		m.ScanChunk(input[cut:], cut, emit)
+		r.ScanChunk(input[:cut], 0, emit)
+		r.ScanChunk(input[cut:], cut, emit)
 		if len(got) != 1 || got[0] != (MatchEnd{0, 7}) {
 			t.Errorf("cut %d: got %v, want [{0 7}]", cut, got)
 		}
@@ -123,11 +124,12 @@ func TestKernel64ZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := NewRunner(m)
 	input := bytes.Repeat([]byte("zabcdz"), 100)
 	sink := 0
 	allocs := testing.AllocsPerRun(100, func() {
-		m.Reset()
-		m.ScanChunk(input, 0, func(p, end int) { sink += end })
+		r.Reset()
+		r.ScanChunk(input, 0, func(p, end int) { sink += end })
 	})
 	if allocs != 0 {
 		t.Errorf("kernel64 ScanChunk allocs/op = %v, want 0", allocs)
@@ -140,14 +142,15 @@ func TestMultiWordZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := NewRunner(m)
 	if m.HasKernel64() {
 		t.Fatal("want multi-word machine")
 	}
 	input := bytes.Repeat([]byte("abcdefghijklmnopqrstuvwxyz"), 20)
 	sink := 0
 	allocs := testing.AllocsPerRun(100, func() {
-		m.Reset()
-		m.ScanChunk(input, 0, func(p, end int) { sink += end })
+		r.Reset()
+		r.ScanChunk(input, 0, func(p, end int) { sink += end })
 	})
 	if allocs != 0 {
 		t.Errorf("multi-word ScanChunk allocs/op = %v, want 0", allocs)
@@ -162,6 +165,7 @@ func BenchmarkKernel64(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	r := NewRunner(m)
 	input := bytes.Repeat([]byte("the quick brown fox jumps over the lazy dog "), 1489) // ~64 KiB
 	copy(input[len(input)/2:], "needle")
 	sink := 0
@@ -169,8 +173,8 @@ func BenchmarkKernel64(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Reset()
-		m.ScanChunk(input, 0, func(p, end int) { sink += end })
+		r.Reset()
+		r.ScanChunk(input, 0, func(p, end int) { sink += end })
 	}
 	_ = sink
 }
@@ -181,6 +185,7 @@ func BenchmarkStepLoop(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	r := NewRunner(m)
 	input := bytes.Repeat([]byte("the quick brown fox jumps over the lazy dog "), 1489)
 	copy(input[len(input)/2:], "needle")
 	sink := 0
@@ -188,9 +193,9 @@ func BenchmarkStepLoop(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Reset()
+		r.Reset()
 		for j := range input {
-			for _, p := range m.Step(input[j]) {
+			for _, p := range r.Step(input[j]) {
 				sink += p
 			}
 		}
@@ -208,14 +213,15 @@ func BenchmarkKernelMulti(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	r := NewRunner(m)
 	input := bytes.Repeat([]byte("the quick brown fox jumps over the lazy dog "), 1489)
 	sink := 0
 	b.SetBytes(int64(len(input)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Reset()
-		m.ScanChunk(input, 0, func(p, end int) { sink += end })
+		r.Reset()
+		r.ScanChunk(input, 0, func(p, end int) { sink += end })
 	}
 	_ = sink
 }

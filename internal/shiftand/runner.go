@@ -46,5 +46,7 @@ func (r *Runner) Step(b byte) []int {
 	return out
 }
 
-// ActiveCount returns the number of active states.
-func (r *Runner) ActiveCount() int { return r.states.Count() }
+// StatesRef returns the live state vector without copying — the cycle
+// simulator reads per-tile activity off it. The caller must not modify
+// it; it is overwritten by the next Step.
+func (r *Runner) StatesRef() bitvec.Vector { return r.states }

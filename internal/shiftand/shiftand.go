@@ -28,7 +28,9 @@ import (
 // form executed by RAP hardware).
 type Pattern []charclass.Class
 
-// Machine executes one or more packed linear patterns simultaneously.
+// Machine is one or more linear patterns packed and preprocessed for
+// simultaneous execution. It is immutable once built: the active states
+// of a scan live in a Runner, so one Machine backs any number of them.
 type Machine struct {
 	classes     []charclass.Class
 	patternOf   []int // state index -> pattern index
@@ -36,8 +38,6 @@ type Machine struct {
 	labels      [256]bitvec.Vector
 	maskInitial bitvec.Vector
 	maskFinal   bitvec.Vector
-	states      bitvec.Vector
-	scratch     bitvec.Vector
 	k64         *kernel64  // single-word fast path when NumStates <= 64
 	k128        *kernel128 // two-word fast path when 64 < NumStates <= 128
 }
@@ -58,8 +58,6 @@ func New(patterns []Pattern) (*Machine, error) {
 		starts:      make([]int, len(patterns)),
 		maskInitial: bitvec.New(total),
 		maskFinal:   bitvec.New(total),
-		states:      bitvec.New(total),
-		scratch:     bitvec.New(total),
 	}
 	for pi, p := range patterns {
 		m.starts[pi] = len(m.classes)
@@ -96,50 +94,6 @@ func (m *Machine) NumStates() int { return len(m.classes) }
 // NumPatterns returns the number of packed patterns.
 func (m *Machine) NumPatterns() int { return len(m.starts) }
 
-// Reset clears all active states.
-func (m *Machine) Reset() { m.states.Reset() }
-
-// Step consumes one input byte and returns the indices of the patterns
-// whose final state is active afterwards (matches ending at this symbol).
-// The returned slice is valid until the next call.
-func (m *Machine) Step(b byte) []int {
-	m.states.ShiftLeft()
-	m.states.Or(m.maskInitial)
-	m.states.And(m.labels[b])
-	m.scratch.CopyFrom(m.states)
-	m.scratch.And(m.maskFinal)
-	if m.scratch.None() {
-		return nil
-	}
-	var out []int
-	for i := m.scratch.NextSet(0); i >= 0; i = m.scratch.NextSet(i + 1) {
-		out = append(out, m.patternOf[i])
-	}
-	return out
-}
-
-// StepBool is Step for single-pattern machines: it reports only whether a
-// match ends at this symbol, without allocating.
-func (m *Machine) StepBool(b byte) bool {
-	m.states.ShiftLeft()
-	m.states.Or(m.maskInitial)
-	m.states.And(m.labels[b])
-	m.scratch.CopyFrom(m.states)
-	m.scratch.And(m.maskFinal)
-	return m.scratch.Any()
-}
-
-// ActiveCount returns the number of active states, used for
-// activity-dependent energy accounting.
-func (m *Machine) ActiveCount() int { return m.states.Count() }
-
-// States returns a copy of the current state vector.
-func (m *Machine) States() bitvec.Vector { return m.states.Clone() }
-
-// StatesRef returns the live state vector without copying. The caller
-// must not modify it; it is overwritten by the next Step.
-func (m *Machine) StatesRef() bitvec.Vector { return m.states }
-
 // PatternStart returns the packed state index of pattern p's first state.
 func (m *Machine) PatternStart(p int) int { return m.starts[p] }
 
@@ -149,25 +103,13 @@ type MatchEnd struct {
 	End     int
 }
 
-// MatchEnds runs the machine over the whole input from the reset state and
-// returns every (pattern, end offset) match pair in stream order. It runs
-// on the specialized chunk kernel, allocating only for the result.
+// MatchEnds runs a fresh Runner over the whole input and returns every
+// (pattern, end offset) match pair in stream order — the one-shot form
+// the tests compare the chunked kernels against.
 func (m *Machine) MatchEnds(input []byte) []MatchEnd {
-	m.Reset()
 	var out []MatchEnd
-	m.ScanChunk(input, 0, func(p, end int) {
+	NewRunner(m).ScanChunk(input, 0, func(p, end int) {
 		out = append(out, MatchEnd{Pattern: p, End: end})
 	})
 	return out
-}
-
-// Matches reports whether any packed pattern matches anywhere in input.
-func (m *Machine) Matches(input []byte) bool {
-	m.Reset()
-	for _, b := range input {
-		if m.StepBool(b) {
-			return true
-		}
-	}
-	return false
 }

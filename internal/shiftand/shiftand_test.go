@@ -50,10 +50,10 @@ func TestSection32Example(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.Matches([]byte("abc")) {
+	if len(m.MatchEnds([]byte("abc"))) == 0 {
 		t.Error("a.[bc] should match abc")
 	}
-	if m.Matches([]byte("ab")) {
+	if len(m.MatchEnds([]byte("ab"))) != 0 {
 		t.Error("a.[bc] should not match ab")
 	}
 }
@@ -171,12 +171,13 @@ func TestPropEquivalenceWithGlushkovNFA(t *testing.T) {
 
 func TestResetClearsState(t *testing.T) {
 	m, _ := New([]Pattern{seqOf("ab")})
-	m.Step('a')
-	if m.ActiveCount() != 1 {
-		t.Errorf("ActiveCount = %d", m.ActiveCount())
+	r := NewRunner(m)
+	r.Step('a')
+	if r.StatesRef().Count() != 1 {
+		t.Errorf("ActiveCount = %d", r.StatesRef().Count())
 	}
-	m.Reset()
-	if m.ActiveCount() != 0 {
+	r.Reset()
+	if r.StatesRef().Count() != 0 {
 		t.Error("Reset did not clear")
 	}
 }
@@ -204,13 +205,13 @@ func TestLongPatternAcrossWords(t *testing.T) {
 }
 
 func BenchmarkShiftAnd64Patterns(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
+	rng := rand.New(rand.NewSource(1))
 	pats := make([]Pattern, 64)
 	for i := range pats {
-		n := r.Intn(12) + 4
+		n := rng.Intn(12) + 4
 		p := make(Pattern, n)
 		for j := range p {
-			p[j] = charclass.Single(byte('a' + r.Intn(26)))
+			p[j] = charclass.Single(byte('a' + rng.Intn(26)))
 		}
 		pats[i] = p
 	}
@@ -218,16 +219,17 @@ func BenchmarkShiftAnd64Patterns(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	r := NewRunner(m)
 	input := make([]byte, 4096)
 	for i := range input {
-		input[i] = byte('a' + r.Intn(26))
+		input[i] = byte('a' + rng.Intn(26))
 	}
 	b.SetBytes(int64(len(input)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Reset()
+		r.Reset()
 		for _, c := range input {
-			m.StepBool(c)
+			r.Step(c)
 		}
 	}
 }
@@ -265,7 +267,7 @@ func TestLabelsEqualContainsReference(t *testing.T) {
 					want.Set(i)
 				}
 			}
-			if !m.labels[c].Equal(want) {
+			if m.labels[c].String() != want.String() {
 				t.Fatalf("%s: labels[%d] = %s, Contains reference %s", name, c, m.labels[c], want)
 			}
 		}

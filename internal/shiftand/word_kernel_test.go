@@ -48,10 +48,11 @@ func randMachineWidth(t testing.TB, rng *rand.Rand, total int) *Machine {
 // stepEnds runs the per-byte Step path from reset and collects every
 // (pattern, end) pair — the golden reference for all chunk kernels.
 func stepEnds(m *Machine, input []byte) []MatchEnd {
-	m.Reset()
+	r := NewRunner(m)
+	r.Reset()
 	var out []MatchEnd
 	for i, b := range input {
-		for _, p := range m.Step(b) {
+		for _, p := range r.Step(b) {
 			out = append(out, MatchEnd{Pattern: p, End: i})
 		}
 	}
@@ -100,19 +101,19 @@ func TestWordKernelGoldenEquivalence(t *testing.T) {
 func TestWordKernelUnalignedChunks(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, total := range []int{40, 100, 160} {
-		m := randMachineWidth(t, rng, total)
+		r := NewRunner(randMachineWidth(t, rng, total))
 		input := make([]byte, 61) // prime-ish: blocks straddle every split
 		for i := range input {
 			input[i] = byte('a' + rng.Intn(6))
 		}
-		m.Reset()
+		r.Reset()
 		var whole []MatchEnd
-		m.ScanChunk(input, 0, func(p, e int) { whole = append(whole, MatchEnd{p, e}) })
+		r.ScanChunk(input, 0, func(p, e int) { whole = append(whole, MatchEnd{p, e}) })
 		for split := 0; split <= len(input); split++ {
-			m.Reset()
+			r.Reset()
 			var got []MatchEnd
-			m.ScanChunk(input[:split], 0, func(p, e int) { got = append(got, MatchEnd{p, e}) })
-			m.ScanChunk(input[split:], split, func(p, e int) { got = append(got, MatchEnd{p, e}) })
+			r.ScanChunk(input[:split], 0, func(p, e int) { got = append(got, MatchEnd{p, e}) })
+			r.ScanChunk(input[split:], split, func(p, e int) { got = append(got, MatchEnd{p, e}) })
 			if fmt.Sprint(got) != fmt.Sprint(whole) {
 				t.Fatalf("width %d split %d: %v, want %v", total, split, got, whole)
 			}
@@ -126,6 +127,7 @@ func TestKernel128ZeroAlloc(t *testing.T) {
 	if !m.HasKernel128() {
 		t.Fatal("kernel128 not selected")
 	}
+	r := NewRunner(m)
 	input := make([]byte, 4096)
 	for i := range input {
 		input[i] = byte('a' + rng.Intn(6))
@@ -133,8 +135,8 @@ func TestKernel128ZeroAlloc(t *testing.T) {
 	sink := 0
 	emit := func(p, e int) { sink += p + e }
 	allocs := testing.AllocsPerRun(10, func() {
-		m.Reset()
-		m.ScanChunk(input, 0, emit)
+		r.Reset()
+		r.ScanChunk(input, 0, emit)
 	})
 	if allocs != 0 {
 		t.Errorf("kernel128 ScanChunk allocates %v per run, want 0", allocs)

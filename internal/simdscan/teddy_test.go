@@ -55,7 +55,7 @@ func teddyCutEnds(t *Teddy, data []byte, cuts []int) []int {
 			out = append(out, base+end)
 		})
 		// Maintain maxLen-1 bytes of history like a streaming caller.
-		keep := t.MaxLen() - 1
+		keep := t.maxLen - 1
 		if keep > cut {
 			keep = cut
 		}
@@ -164,8 +164,8 @@ func TestTeddyRandomSets(t *testing.T) {
 
 func TestTeddyHistoryBound(t *testing.T) {
 	td, _ := NewTeddy([][]byte{[]byte("abcde")})
-	if td.MaxLen() != 5 {
-		t.Fatalf("MaxLen = %d, want 5", td.MaxLen())
+	if td.maxLen != 5 {
+		t.Fatalf("maxLen = %d, want 5", td.maxLen)
 	}
 	// Occurrence split 4+1 across a boundary with exactly MaxLen-1 history.
 	var ends []int
@@ -267,7 +267,7 @@ func TestTeddyBackoff(t *testing.T) {
 	clean := bytes.Repeat([]byte{'.'}, 4096)
 	copy(clean[3000:], lits[0])
 	hits := 0
-	st = td.Scan(clean, dirty[len(dirty)-td.MaxLen()+1:], st, func(int) { hits++ })
+	st = td.Scan(clean, dirty[len(dirty)-td.maxLen+1:], st, func(int) { hits++ })
 	if d := st.DirtyBlocks() - before; hits != 1 || d != 2 {
 		t.Errorf("clean chunk with one literal: %d hits, %d dirty blocks; want 1 and 2", hits, d)
 	}

@@ -1,12 +1,11 @@
-// Package stream implements the bank I/O subsystem of §3.3: the 128-entry
-// ping-pong Bank Input Buffer fed by DMA, the 8-entry per-array input
-// FIFOs behind a polling arbiter, and the Bank/Array Output Buffers that
-// collect match reports and interrupt the host when full.
-//
-// The components are generic and individually tested; internal/sim uses
-// them to model how much of the NBVA bit-vector-processing stall latency
-// the two buffering levels hide when arrays stall at different times
-// (the "hide the latency across arrays partially" claim).
+// Package stream holds what the repository keeps of the §3.3 bank I/O
+// subsystem: a bounded FIFO (the shape of the 8-entry per-array input
+// FIFOs; internal/service's worker shards queue tenant tasks on it) and,
+// in bank.go, the analytic models of how much NBVA bit-vector-processing
+// stall latency the two buffering levels hide when arrays stall at
+// different times ("hide the latency across arrays partially").
+// internal/sim computes bank cycles from those models; the ping-pong
+// buffer, arbiter and output buffers themselves are not instantiated.
 package stream
 
 import "fmt"
@@ -24,12 +23,6 @@ func NewFIFO[T any](capacity int) *FIFO[T] {
 	}
 	return &FIFO[T]{buf: make([]T, capacity)}
 }
-
-// Cap returns the capacity.
-func (f *FIFO[T]) Cap() int { return len(f.buf) }
-
-// Len returns the number of queued items.
-func (f *FIFO[T]) Len() int { return f.size }
 
 // Full reports whether no more items fit.
 func (f *FIFO[T]) Full() bool { return f.size == len(f.buf) }
@@ -68,130 +61,3 @@ func (f *FIFO[T]) Pop() (T, bool) {
 	f.size--
 	return v, true
 }
-
-// Reset empties the FIFO.
-func (f *FIFO[T]) Reset() {
-	var zero T
-	for i := range f.buf {
-		f.buf[i] = zero
-	}
-	f.head, f.size = 0, 0
-}
-
-// PingPong is a double buffer: one half fills (from DMA) while the other
-// drains (to the arrays). Swap exchanges the roles when the draining half
-// is empty and the filling half has data.
-type PingPong[T any] struct {
-	halves [2]*FIFO[T]
-	fill   int // index of the filling half
-}
-
-// NewPingPong creates a ping-pong buffer with the given per-half capacity
-// (the paper's Bank Input Buffer is 128 entries total: 64 per half).
-func NewPingPong[T any](perHalf int) *PingPong[T] {
-	return &PingPong[T]{halves: [2]*FIFO[T]{NewFIFO[T](perHalf), NewFIFO[T](perHalf)}}
-}
-
-// Fill pushes into the filling half; false when that half is full.
-func (p *PingPong[T]) Fill(v T) bool { return p.halves[p.fill].Push(v) }
-
-// Drain pops from the draining half, swapping halves first if the
-// draining half is empty and the filling half has data.
-func (p *PingPong[T]) Drain() (T, bool) {
-	drain := 1 - p.fill
-	if p.halves[drain].Empty() && !p.halves[p.fill].Empty() {
-		p.fill = drain
-		drain = 1 - p.fill
-	}
-	return p.halves[drain].Pop()
-}
-
-// Len returns the total buffered items.
-func (p *PingPong[T]) Len() int { return p.halves[0].Len() + p.halves[1].Len() }
-
-// FillableNow returns how many items Fill can currently accept.
-func (p *PingPong[T]) FillableNow() int { return p.halves[p.fill].Cap() - p.halves[p.fill].Len() }
-
-// Arbiter is a round-robin polling arbiter over n requesters (§3.3: "the
-// Bank Input Buffer employs a polling arbiter to process the data
-// requests issued by each array").
-type Arbiter struct {
-	n    int
-	next int
-}
-
-// NewArbiter creates an arbiter over n requesters.
-func NewArbiter(n int) *Arbiter {
-	if n <= 0 {
-		panic("stream: arbiter needs requesters")
-	}
-	return &Arbiter{n: n}
-}
-
-// Grant returns the first requesting index at or after the round-robin
-// pointer, advancing the pointer past it; -1 when nobody requests.
-func (a *Arbiter) Grant(requesting func(i int) bool) int {
-	for k := 0; k < a.n; k++ {
-		i := (a.next + k) % a.n
-		if requesting(i) {
-			a.next = (i + 1) % a.n
-			return i
-		}
-	}
-	return -1
-}
-
-// Report is one match report traveling through the output path.
-type Report struct {
-	Array   int
-	Offset  int64
-	Pattern int
-}
-
-// OutputBuffer is the Bank Output Buffer: a bounded collector that raises
-// an interrupt (invokes onFull) when it fills, after which the host is
-// assumed to drain it (§3.3: "an interruption is sent to the CPU,
-// prompting it to retrieve reports and clear all entries").
-type OutputBuffer struct {
-	entries    []Report
-	capacity   int
-	onFull     func([]Report)
-	Interrupts int
-	Total      int64
-}
-
-// NewOutputBuffer creates a collector with the given capacity (the paper
-// uses 64 entries per bank). onFull may be nil.
-func NewOutputBuffer(capacity int, onFull func([]Report)) *OutputBuffer {
-	if capacity <= 0 {
-		panic("stream: output buffer capacity")
-	}
-	return &OutputBuffer{capacity: capacity, onFull: onFull}
-}
-
-// Push adds a report, draining via the interrupt path when full.
-func (o *OutputBuffer) Push(r Report) {
-	o.entries = append(o.entries, r)
-	o.Total++
-	if len(o.entries) >= o.capacity {
-		o.flush()
-	}
-}
-
-// Flush drains any remaining entries (end of stream).
-func (o *OutputBuffer) Flush() {
-	if len(o.entries) > 0 {
-		o.flush()
-	}
-}
-
-func (o *OutputBuffer) flush() {
-	o.Interrupts++
-	if o.onFull != nil {
-		o.onFull(o.entries)
-	}
-	o.entries = o.entries[:0]
-}
-
-// Pending returns the undrained report count.
-func (o *OutputBuffer) Pending() int { return len(o.entries) }

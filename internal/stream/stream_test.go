@@ -8,7 +8,7 @@ import (
 
 func TestFIFOBasics(t *testing.T) {
 	f := NewFIFO[int](3)
-	if !f.Empty() || f.Full() || f.Cap() != 3 {
+	if !f.Empty() || f.Full() || len(f.buf) != 3 {
 		t.Fatal("fresh FIFO state wrong")
 	}
 	for i := 1; i <= 3; i++ {
@@ -41,11 +41,6 @@ func TestFIFOWrapAround(t *testing.T) {
 			t.Fatalf("round %d: %d %d", round, a, b)
 		}
 	}
-	f.Push(7)
-	f.Reset()
-	if !f.Empty() {
-		t.Error("Reset did not empty")
-	}
 }
 
 func TestPropFIFOOrder(t *testing.T) {
@@ -72,7 +67,7 @@ func TestPropFIFOOrder(t *testing.T) {
 					return false
 				}
 			}
-			if q.Len() != len(model) {
+			if q.size != len(model) {
 				return false
 			}
 		}
@@ -80,79 +75,6 @@ func TestPropFIFOOrder(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestPingPong(t *testing.T) {
-	p := NewPingPong[int](2)
-	if !p.Fill(1) || !p.Fill(2) {
-		t.Fatal("fill failed")
-	}
-	if p.Fill(3) {
-		t.Error("fill past half capacity succeeded")
-	}
-	// Drain swaps to the filled half.
-	v, ok := p.Drain()
-	if !ok || v != 1 {
-		t.Fatalf("drain = %d,%v", v, ok)
-	}
-	// After the swap the other half accepts fills.
-	if !p.Fill(3) {
-		t.Error("fill after swap failed")
-	}
-	v, _ = p.Drain()
-	if v != 2 {
-		t.Errorf("drain = %d, want 2", v)
-	}
-	v, _ = p.Drain()
-	if v != 3 {
-		t.Errorf("drain = %d, want 3", v)
-	}
-	if _, ok := p.Drain(); ok {
-		t.Error("drain from empty ping-pong succeeded")
-	}
-}
-
-func TestArbiterRoundRobin(t *testing.T) {
-	a := NewArbiter(3)
-	all := func(int) bool { return true }
-	got := []int{a.Grant(all), a.Grant(all), a.Grant(all), a.Grant(all)}
-	want := []int{0, 1, 2, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("grants = %v", got)
-		}
-	}
-	only2 := func(i int) bool { return i == 2 }
-	if a.Grant(only2) != 2 {
-		t.Error("arbiter missed requester 2")
-	}
-	if a.Grant(func(int) bool { return false }) != -1 {
-		t.Error("grant with no requesters should be -1")
-	}
-}
-
-func TestOutputBufferInterrupts(t *testing.T) {
-	var drained [][]Report
-	o := NewOutputBuffer(2, func(rs []Report) {
-		cp := append([]Report(nil), rs...)
-		drained = append(drained, cp)
-	})
-	o.Push(Report{Array: 0, Offset: 1})
-	if o.Pending() != 1 || o.Interrupts != 0 {
-		t.Fatal("premature interrupt")
-	}
-	o.Push(Report{Array: 1, Offset: 2})
-	if o.Interrupts != 1 || o.Pending() != 0 {
-		t.Fatal("interrupt not raised at capacity")
-	}
-	o.Push(Report{Array: 0, Offset: 3})
-	o.Flush()
-	if o.Interrupts != 2 || o.Total != 3 {
-		t.Fatalf("interrupts=%d total=%d", o.Interrupts, o.Total)
-	}
-	if len(drained) != 2 || len(drained[0]) != 2 || len(drained[1]) != 1 {
-		t.Fatalf("drained = %v", drained)
 	}
 }
 

@@ -28,27 +28,22 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 // Unwrap supports http.ResponseController passthrough (flush, deadlines).
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
-// Middleware wraps next with request tracing and structured access
-// logging: each request gets a Trace (continuing the caller's
-// traceparent header when present) injected into the request context,
-// the trace ID is echoed in the X-Trace-Id response header, the finished
-// trace lands in the tracer's ring buffer, and — when logger is non-nil —
-// one slog access-log line records method, path, status, bytes, duration
-// and trace ID. Handlers and the service layer attach per-stage spans to
-// the ambient trace via TraceFromContext.
-func Middleware(tracer *Tracer, logger *slog.Logger, next http.Handler) http.Handler {
-	return MiddlewareObserved(tracer, logger, nil, next)
-}
-
 // RequestObserver receives every finished request's status, total
 // duration and trace — the hook the SLO engine uses to count request
 // latency and error-rate events without the middleware knowing about
 // objectives.
 type RequestObserver func(status int, d time.Duration, tr *Trace)
 
-// MiddlewareObserved is Middleware plus a per-request observer callback
-// (nil obs behaves exactly like Middleware).
-func MiddlewareObserved(tracer *Tracer, logger *slog.Logger, obs RequestObserver, next http.Handler) http.Handler {
+// Middleware wraps next with request tracing and structured access
+// logging: each request gets a Trace (continuing the caller's
+// traceparent header when present) injected into the request context,
+// the trace ID is echoed in the X-Trace-Id response header, the finished
+// trace lands in the tracer's ring buffer, obs (when non-nil) sees the
+// finished request, and — when logger is non-nil — one slog access-log
+// line records method, path, status, bytes, duration and trace ID.
+// Handlers and the service layer attach per-stage spans to the ambient
+// trace via TraceFromContext.
+func Middleware(tracer *Tracer, logger *slog.Logger, obs RequestObserver, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		tr := tracer.Start(r.Method+" "+r.URL.Path, r.Header.Get(TraceParentHeader))
 		if id := tr.ID(); id != "" {

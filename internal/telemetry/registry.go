@@ -75,13 +75,6 @@ func (r *Registry) RegisterCounter(name, help string, c *metrics.Counter, labels
 	})
 }
 
-// Gauge allocates a new gauge and registers it under name/labels.
-func (r *Registry) Gauge(name, help string, labels ...Label) *metrics.Gauge {
-	g := &metrics.Gauge{}
-	r.RegisterGauge(name, help, g, labels...)
-	return g
-}
-
 // RegisterGauge exposes an existing gauge under name/labels.
 func (r *Registry) RegisterGauge(name, help string, g *metrics.Gauge, labels ...Label) {
 	r.mu.Lock()

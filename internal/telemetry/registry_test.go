@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // TestWritePrometheusGolden locks the exposition format: a counter, a
@@ -15,8 +17,9 @@ func TestWritePrometheusGolden(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("rap_scans_total", "Total scans.")
 	c.Add(42)
-	g := r.Gauge("rap_queue_depth", "Queued tasks.", L("pool", "main"))
-	g.Set(7)
+	var g metrics.Gauge
+	r.RegisterGauge("rap_queue_depth", "Queued tasks.", &g, L("pool", "main"))
+	g.Add(7)
 	r.GaugeFunc("rap_uptime_seconds", "Process uptime.", func() float64 { return 1.5 })
 	h := r.Histogram("rap_stage_duration_us", "Stage latency.", L("stage", "scan"))
 	h.ObserveValue(0)   // sub-µs bucket, le="0"
@@ -88,7 +91,7 @@ func TestRegistryTypeConflictPanics(t *testing.T) {
 	}()
 	r := NewRegistry()
 	r.Counter("rap_x", "x")
-	r.Gauge("rap_x", "x")
+	r.RegisterGauge("rap_x", "x", &metrics.Gauge{})
 }
 
 // TestRegistryConcurrent scrapes while instruments are updated and

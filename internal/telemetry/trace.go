@@ -34,7 +34,6 @@ type Span struct {
 // instrumentation points never need to check whether tracing is on.
 type Trace struct {
 	id     string
-	spanID string // this trace's own span ID, minted once at Start
 	parent string // caller's span ID when propagated
 	name   string
 	start  time.Time
@@ -50,26 +49,6 @@ func (t *Trace) ID() string {
 		return ""
 	}
 	return t.id
-}
-
-// SpanID returns the trace's own 16-hex-digit span ID ("" on nil). It is
-// minted once when the trace starts, so every render of the traceparent
-// header — and every child request carrying it — sees the same parent.
-func (t *Trace) SpanID() string {
-	if t == nil {
-		return ""
-	}
-	return t.spanID
-}
-
-// TraceParent renders the trace as an outgoing traceparent header value.
-// Repeated calls return the same value: the span ID is per-trace state,
-// not minted per render.
-func (t *Trace) TraceParent() string {
-	if t == nil {
-		return ""
-	}
-	return fmt.Sprintf("00-%s-%s-01", t.id, t.spanID)
 }
 
 // AddSpan records one completed stage with an explicit start time and,
@@ -160,7 +139,6 @@ func (t *Tracer) Start(name, traceparent string) *Trace {
 		return nil
 	}
 	tr := &Trace{name: name, start: time.Now()}
-	tr.spanID = fmt.Sprintf("%016x", rand.Uint64()|1)
 	if id, parent, ok := ParseTraceParent(traceparent); ok {
 		tr.id, tr.parent = id, parent
 	} else {

@@ -357,7 +357,7 @@ func Exemplar(pattern string, r *rand.Rand) []byte {
 			if t.Max == regexast.Unbounded {
 				reps += r.Intn(3)
 			} else if t.Max > t.Min {
-				reps += r.Intn(minInt(t.Max-t.Min, 3) + 1)
+				reps += r.Intn(min(t.Max-t.Min, 3) + 1)
 			}
 			for i := 0; i < reps; i++ {
 				walk(t.Sub)
@@ -366,13 +366,6 @@ func Exemplar(pattern string, r *rand.Rand) []byte {
 	}
 	walk(re.Root)
 	return out
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // --- ANMLZoo-like datasets for Table 4 --------------------------------

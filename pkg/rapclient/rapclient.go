@@ -34,10 +34,11 @@ import (
 // (see internal/qos); WithTenant attaches its value to every request.
 const DefaultTenantHeader = "X-RAP-Tenant"
 
-// Client talks to one rapserve (or rapcluster) base URL. Clients are
-// immutable after New; the With* methods return shallow copies, so one
-// Client per backend can be shared across goroutines and re-scoped per
-// request (e.g. the cluster proxy stamping the caller's tenant).
+// Client talks to one rapserve base URL (a bare service or a cluster
+// node). Clients are immutable after New; the With* methods return
+// shallow copies, so one Client per backend can be shared across
+// goroutines and re-scoped per request (e.g. the cluster proxy stamping
+// the caller's tenant).
 type Client struct {
 	base    string
 	hc      *http.Client

@@ -14,7 +14,6 @@ type CompileOptions struct {
 	MaxNFAStates       int  `json:"max_nfa_states,omitempty"`
 	DFAStateCap        int  `json:"dfa_state_cap,omitempty"`
 	DisablePrefilter   bool `json:"disable_prefilter,omitempty"`
-	SFAStateCap        int  `json:"sfa_state_cap,omitempty"`
 	// ModePolicy selects the open engine routes: "" or "all" (default)
 	// or "force_nfa" (the paper's NFA mode).
 	ModePolicy string `json:"mode_policy,omitempty"`

@@ -40,8 +40,9 @@
 // Every request is traced and metered through internal/telemetry: the
 // API handlers run inside a tracing middleware (traceparent in,
 // X-Trace-Id out, one slog access-log line), the request path is broken
-// into per-stage histograms (cache_lookup, compile, queue_wait, scan,
-// reconfig_apply) exposed in Prometheus text format at /metrics, and
+// into per-stage histograms (body_read, cache_lookup, compile,
+// queue_wait, scan, encode, reconfig_apply) exposed in Prometheus text
+// format at /metrics, and
 // finished traces land in a ring served at /debug/traces.
 //
 // The HTTP surface (see Handler) is exercised by cmd/rapserve.

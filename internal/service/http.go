@@ -128,23 +128,12 @@ type matchJSON struct {
 	End     int `json:"end"`
 }
 
-type scanResponse struct {
-	Count   int         `json:"count"`
-	Matches []matchJSON `json:"matches"`
-}
-
 type openSessionRequest struct {
 	ProgramID string `json:"program_id"`
 }
 
 type openSessionResponse struct {
 	SessionID string `json:"session_id"`
-}
-
-type feedResponse struct {
-	Count   int         `json:"count"`
-	Offset  int         `json:"offset"` // stream bytes consumed so far
-	Matches []matchJSON `json:"matches"`
 }
 
 type closeSessionResponse struct {
@@ -199,8 +188,26 @@ func (s *Service) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
-func (s *Service) handleScan(w http.ResponseWriter, r *http.Request) {
+// readBody is input.ReadBody timed as the body_read stage.
+func (s *Service) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	start := time.Now()
 	data, ok := input.ReadBody(w, r)
+	s.observeStage(s.stageBodyRead, telemetry.TraceFromContext(r.Context()), "body_read", start)
+	return data, ok
+}
+
+// writeMatches answers a scan (offset < 0) or a feed with
+// appendMatchBody's bytes; building them is the encode stage.
+func (s *Service) writeMatches(w http.ResponseWriter, r *http.Request, offset int, matches []refmatch.Match) {
+	start := time.Now()
+	body := appendMatchBody(wireBufs.Get(), offset, matches)
+	s.observeStage(s.stageEncode, telemetry.TraceFromContext(r.Context()), "encode", start)
+	writeBody(w, http.StatusOK, body)
+	wireBufs.Put(body)
+}
+
+func (s *Service) handleScan(w http.ResponseWriter, r *http.Request) {
+	data, ok := s.readBody(w, r)
 	if !ok {
 		return
 	}
@@ -210,7 +217,7 @@ func (s *Service) handleScan(w http.ResponseWriter, r *http.Request) {
 		writeServiceError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, scanResponse{Count: len(matches), Matches: toJSON(matches)})
+	s.writeMatches(w, r, -1, matches)
 }
 
 func (s *Service) handleOpenSession(w http.ResponseWriter, r *http.Request) {
@@ -228,12 +235,11 @@ func (s *Service) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleFeed(w http.ResponseWriter, r *http.Request) {
-	chunk, ok := input.ReadBody(w, r)
+	chunk, ok := s.readBody(w, r)
 	if !ok {
 		return
 	}
-	id := r.PathValue("id")
-	matches, err := s.Feed(r.Context(), id, chunk)
+	matches, offset, err := s.feed(r.Context(), r.PathValue("id"), chunk)
 	// Safe to recycle: the streaming engines copy the history they keep
 	// across chunks (prefilter.Stream), so no engine retains the body.
 	input.Bodies.Put(chunk)
@@ -241,15 +247,7 @@ func (s *Service) handleFeed(w http.ResponseWriter, r *http.Request) {
 		writeServiceError(w, err)
 		return
 	}
-	offset := 0
-	if sess, serr := s.session(id); serr == nil {
-		offset = sess.stream.Pos()
-	}
-	writeJSON(w, http.StatusOK, feedResponse{
-		Count:   len(matches),
-		Offset:  offset,
-		Matches: toJSON(matches),
-	})
+	s.writeMatches(w, r, offset, matches)
 }
 
 func (s *Service) handleCloseSession(w http.ResponseWriter, r *http.Request) {
@@ -272,6 +270,8 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Stats())
 }
 
+// toJSON is the close response's match list, encoded once per session by
+// encoding/json; scan and feed go through appendMatchBody.
 func toJSON(ms []refmatch.Match) []matchJSON {
 	out := make([]matchJSON, len(ms))
 	for i, m := range ms {
@@ -315,10 +315,4 @@ func retryAfterSeconds(d time.Duration) string {
 
 func writeError(w http.ResponseWriter, err error, status int) {
 	writeJSON(w, status, errorResponse{Error: err.Error()})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
 }

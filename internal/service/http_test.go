@@ -274,20 +274,19 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if err := json.Unmarshal(traceDump, &dump); err != nil {
 		t.Fatalf("/debug/traces: %v (%s)", err, traceDump)
 	}
-	foundTrace, foundScanSpan := false, false
+	foundTrace := false
+	spans := map[string]bool{}
 	for _, tr := range dump.Traces {
 		if tr.TraceID != wantTrace {
 			continue
 		}
 		foundTrace = true
 		for _, sp := range tr.Spans {
-			if sp.Name == "scan" {
-				foundScanSpan = true
-			}
+			spans[sp.Name] = true
 		}
 	}
-	if !foundTrace || !foundScanSpan {
-		t.Errorf("/debug/traces: trace found=%v scan span=%v (%s)", foundTrace, foundScanSpan, traceDump)
+	if !foundTrace || !spans["scan"] || !spans["body_read"] || !spans["encode"] {
+		t.Errorf("/debug/traces: trace found=%v, want scan, body_read and encode among spans %v (%s)", foundTrace, spans, traceDump)
 	}
 
 	// 3/3 is the X-Trace-Id check above. Now the exposition surface.
@@ -309,6 +308,8 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		`rap_stage_duration_us_bucket{stage="scan",le="+Inf"} 1`,
 		`rap_stage_duration_us_count{stage="cache_lookup"}`,
 		`rap_stage_duration_us_count{stage="queue_wait"} 1`,
+		`rap_stage_duration_us_count{stage="body_read"} 1`,
+		`rap_stage_duration_us_count{stage="encode"} 1`,
 		"rap_scans_total 1",
 		"rap_scan_matches_total 2",
 		"rap_prefilter_dirty_blocks_total 0",
@@ -385,6 +386,19 @@ func (l *lockedWriter) Write(p []byte) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.w.Write(p)
+}
+
+// scanResponse and feedResponse are the scan and feed bodies as a generic
+// JSON client reads them; the server writes them with appendMatchBody.
+type scanResponse struct {
+	Count   int         `json:"count"`
+	Matches []matchJSON `json:"matches"`
+}
+
+type feedResponse struct {
+	Count   int         `json:"count"`
+	Offset  int         `json:"offset"`
+	Matches []matchJSON `json:"matches"`
 }
 
 func fromJSON(ms []matchJSON) []refmatch.Match {

@@ -129,6 +129,8 @@ type Service struct {
 	stageScan        *metrics.Histogram
 	stagePrefilter   *metrics.Histogram
 	stageApply       *metrics.Histogram
+	stageBodyRead    *metrics.Histogram // scan/feed request body off the wire
+	stageEncode      *metrics.Histogram // scan/feed response body built
 
 	scans       *metrics.Counter
 	scanBytes   *metrics.Counter
@@ -503,15 +505,25 @@ func (s *Service) session(id string) (*session, error) {
 // ending inside it (global stream offsets). Matches of end-anchored
 // patterns arrive from CloseSession, when the stream end is known.
 func (s *Service) Feed(ctx context.Context, sessionID string, chunk []byte) ([]refmatch.Match, error) {
+	matches, _, err := s.feed(ctx, sessionID, chunk)
+	return matches, err
+}
+
+// feed is Feed plus the stream offset once this chunk is consumed. The
+// offset is read inside the pool task, where the stream belongs to this
+// feed alone: with two feeds of one session in flight, a read after the
+// task would report whichever ran last.
+func (s *Service) feed(ctx context.Context, sessionID string, chunk []byte) ([]refmatch.Match, int, error) {
 	sess, err := s.session(sessionID)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if err := sess.owner.AdmitScan(len(chunk)); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	tr := telemetry.TraceFromContext(ctx)
 	var matches []refmatch.Match
+	var offset int
 	var pf prefilter.Stats
 	closed := false
 	err = s.runOn(tr, sess.owner, sess.flow, len(chunk), func() {
@@ -521,6 +533,7 @@ func (s *Service) Feed(ctx context.Context, sessionID string, chunk []byte) ([]r
 		}
 		scanStart := time.Now()
 		matches = sess.stream.Feed(chunk)
+		offset = sess.stream.Pos()
 		s.observeStage(s.stageScan, tr, "scan", scanStart)
 		total := sess.stream.PrefilterStats()
 		pf = total.Sub(sess.pfSnap)
@@ -528,14 +541,14 @@ func (s *Service) Feed(ctx context.Context, sessionID string, chunk []byte) ([]r
 		s.observePrefilter(tr, scanStart, pf)
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if closed {
-		return nil, fmt.Errorf("%w: session %s", ErrNotFound, sessionID)
+		return nil, 0, fmt.Errorf("%w: session %s", ErrNotFound, sessionID)
 	}
 	sess.chunks.Inc()
 	s.account(sess.prog, sess, sess.owner, len(chunk), len(matches), pf)
-	return matches, nil
+	return matches, offset, nil
 }
 
 // CloseSession ends the stream: it returns the end-anchored matches that

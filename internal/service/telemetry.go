@@ -27,6 +27,8 @@ func (s *Service) registerMetrics() {
 	s.stageScan = r.Histogram("rap_stage_duration_us", stageHelp, telemetry.L("stage", "scan"))
 	s.stagePrefilter = r.Histogram("rap_stage_duration_us", stageHelp, telemetry.L("stage", "prefilter"))
 	s.stageApply = r.Histogram("rap_stage_duration_us", stageHelp, telemetry.L("stage", "reconfig_apply"))
+	s.stageBodyRead = r.Histogram("rap_stage_duration_us", stageHelp, telemetry.L("stage", "body_read"))
+	s.stageEncode = r.Histogram("rap_stage_duration_us", stageHelp, telemetry.L("stage", "encode"))
 
 	// Traffic totals.
 	s.scans = r.Counter("rap_scans_total", "One-shot scans plus streamed chunks processed.")

@@ -16,6 +16,14 @@
 // are retried only for requests that are safe to repeat (GETs, content-
 // hash-keyed compiles, one-shot scans — not session feeds, which advance
 // stream state).
+//
+// Decoding: ScanResult and FeedResult, the per-request responses, are
+// parsed in one pass (decode.go) when the body is byte for byte the
+// canonical form rapserve writes — {"count":N,"matches":[{"pattern":P,
+// "end":E},...]}, "offset" after "count" for a feed, no whitespace but a
+// final newline, integers of at most 18 digits. Any other body (other
+// key order, whitespace, unknown fields, a proxy's re-serialisation) and
+// every other result type is encoding/json's; only the bytes choose.
 package rapclient
 
 import (
@@ -303,7 +311,7 @@ func (c *Client) consume(resp *http.Response, out any) (*APIError, bool) {
 	}()
 	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
 		if out != nil {
-			if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			if err := decodeBody(resp.Body, out); err != nil {
 				return &APIError{Status: resp.StatusCode, Message: fmt.Sprintf("decode response: %v", err)}, false
 			}
 		}

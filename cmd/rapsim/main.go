@@ -44,6 +44,10 @@ func main() {
 	bin := flag.Int("bin", 8, "LNFA bin size")
 	traceFile := flag.String("trace", "", "write JSONL cycle trace (matches, BV phases) to a file")
 	flag.Parse()
+	if *traceFile != "" && *archName != string(core.RAP) {
+		fmt.Fprintf(os.Stderr, "rapsim: -trace records RAP's cycle trace; it needs -arch RAP, not %q\n", *archName)
+		os.Exit(2)
+	}
 
 	if *file != "" {
 		pats, err := patfile.Read(*file)
@@ -82,34 +86,30 @@ func main() {
 	}
 
 	eng := core.New(core.Config{Depth: *depth, BinSize: *bin})
-	var rep *sim.Report
-	var err error
-	if *archName == "RAP" {
-		var prog *core.Program
-		prog, err = eng.Compile(patterns)
+	if *archName == string(core.RAP) {
+		prog, err := eng.Compile(patterns)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("Compiled %d patterns: %d STEs, %.4f mm², %d arrays\n",
 			len(patterns), prog.STEs(), prog.AreaMM2(), len(prog.Placement.Arrays))
 		if *traceFile != "" {
-			tf, terr := os.Create(*traceFile)
-			if terr != nil {
-				fatal(terr)
+			tf, err := os.Create(*traceFile)
+			if err != nil {
+				fatal(err)
 			}
-			if terr := sim.Trace(prog.Result, prog.Placement, input, tf); terr != nil {
-				fatal(terr)
+			if err := sim.Trace(prog.Result, prog.Placement, input, tf); err != nil {
+				fatal(err)
 			}
 			tf.Close()
 			fmt.Printf("Trace written to %s\n", *traceFile)
 		}
-		rep, err = eng.Run(prog, input)
-	} else {
-		rep, err = eng.RunBaseline(core.Baseline(*archName), patterns, input)
 	}
+	reps, err := eng.Compare(patterns, input, core.Arch(*archName))
 	if err != nil {
 		fatal(err)
 	}
+	rep := reps[0]
 	fmt.Println(rep.String())
 	fmt.Printf("  cycles: %d (stalls %d, IO interrupts %d), energy breakdown (pJ): CAM %.0f, switch %.0f, global %.0f, ctrl %.0f, BVM %.0f, wire %.0f, leak %.0f\n",
 		rep.Cycles, rep.StallCycles, rep.IOInterrupts,
@@ -124,7 +124,9 @@ func main() {
 		for ri, n := range rep.PerRegex {
 			hits = append(hits, hit{ri, n})
 		}
-		sort.Slice(hits, func(i, j int) bool { return hits[i].n > hits[j].n })
+		sort.Slice(hits, func(i, j int) bool {
+			return hits[i].n > hits[j].n || hits[i].n == hits[j].n && hits[i].ri < hits[j].ri
+		})
 		fmt.Println("  top matching patterns:")
 		for i, h := range hits {
 			if i >= 5 {

@@ -11,7 +11,6 @@ import (
 	"log"
 
 	"repro/internal/core"
-	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -31,18 +30,11 @@ func main() {
 	fmt.Printf("Compiler decision shares: %.0f%% NFA, %.0f%% NBVA, %.0f%% LNFA\n\n",
 		100*shares[0], 100*shares[1], 100*shares[2])
 
-	rap, err := eng.Run(prog, traffic)
+	reports, err := eng.Compare(ds.Patterns, traffic, core.RAP, core.CAMA, core.CA)
 	if err != nil {
 		log.Fatal(err)
 	}
-	reports := []*sim.Report{rap}
-	for _, b := range []core.Baseline{core.BaselineCAMA, core.BaselineCA} {
-		rep, err := eng.RunBaseline(b, ds.Patterns, traffic)
-		if err != nil {
-			log.Fatal(err)
-		}
-		reports = append(reports, rep)
-	}
+	rap := reports[0]
 	fmt.Println("Architecture comparison on this rule set:")
 	for _, r := range reports {
 		fmt.Printf("  %s\n", r)

@@ -257,6 +257,16 @@ func (r *Result) ByMode(m Mode) []*Compiled {
 	return out
 }
 
+// Sources returns the pattern text of the regexes compiled to one mode,
+// in input order: the per-mode subset §5's tables and sweeps run on.
+func (r *Result) Sources(m Mode) []string {
+	var out []string
+	for _, c := range r.ByMode(m) {
+		out = append(out, c.Source)
+	}
+	return out
+}
+
 // ModeShares returns the fraction of successfully compiled regexes per
 // mode — the Fig 1 statistic.
 func (r *Result) ModeShares() map[Mode]float64 {

@@ -10,6 +10,7 @@
 //	prog, err := eng.Compile(patterns)
 //	rep, err := eng.Run(prog, input)
 //	fmt.Println(rep)                       // energy, area, throughput, ...
+//	reps, err := eng.Compare(patterns, input, core.Archs...) // RAP vs the §5 baselines
 //
 // For pure software matching (no hardware model) use Match, which runs
 // the Hyperscan-substitute reference matcher.
@@ -57,44 +58,17 @@ type Program struct {
 	Patterns  []string
 	Result    *compile.Result
 	Placement *arch.Placement
-	Depth     int
-	BinSize   int
 }
 
 // Compile runs the decision graph and the mapper. Patterns that fail to
 // compile are reported as an error (the engine is strict; use
 // compile.Compile directly for partial tolerance).
 func (e *Engine) Compile(patterns []string) (*Program, error) {
-	res := compile.Compile(patterns, e.cfg.Compile)
-	if len(res.Errors) != 0 {
-		return nil, fmt.Errorf("core: %d patterns failed, first: %w", len(res.Errors), res.Errors[0])
-	}
-	if e.cfg.SharePrefixes {
-		shared, err := compile.ShareNFAPrefixes(res, e.cfg.Compile)
-		if err != nil {
-			return nil, err
-		}
-		res = shared
-	}
-	mopts := mapper.Options{Depth: e.cfg.Depth, BinSize: e.cfg.BinSize}
-	placement, err := mapper.Map(res, mopts)
+	res, p, err := e.load(fabric{}, patterns)
 	if err != nil {
 		return nil, err
 	}
-	prog := &Program{
-		Patterns:  patterns,
-		Result:    res,
-		Placement: placement,
-		Depth:     mopts.Depth,
-		BinSize:   mopts.BinSize,
-	}
-	if prog.Depth == 0 {
-		prog.Depth = 8
-	}
-	if prog.BinSize == 0 {
-		prog.BinSize = 8
-	}
-	return prog, nil
+	return &Program{Patterns: patterns, Result: res, Placement: p}, nil
 }
 
 // Run simulates the program over the input and returns the full report.
@@ -120,65 +94,121 @@ func (p *Program) STEs() int {
 	return n
 }
 
-// Baseline identifies a comparison architecture for RunBaseline.
-type Baseline string
+// Arch names one of the §5 architectures Compare models.
+type Arch string
 
-// Supported baselines.
+// The architectures of Tables 2/3 and Fig 12.
 const (
-	BaselineRAPNFA Baseline = "RAP-NFA" // RAP hardware, everything unfolded to NFA
-	BaselineCAMA   Baseline = "CAMA"
-	BaselineCA     Baseline = "CA"
-	BaselineBVAP   Baseline = "BVAP"
+	RAP    Arch = "RAP"     // all three modes under the engine's options
+	RAPNFA Arch = "RAP-NFA" // RAP hardware, everything unfolded to NFA
+	CAMA   Arch = "CAMA"
+	CA     Arch = "CA"
+	BVAP   Arch = "BVAP"
 )
 
-// RunBaseline compiles and simulates the pattern set on a baseline
-// architecture (§5.2: same circuit models, same greedy mapping).
-func (e *Engine) RunBaseline(b Baseline, patterns []string, input []byte) (*sim.Report, error) {
-	// Baselines pin the compile mode via ModePolicy on the configured
-	// options: NFA-only fabrics force Glushkov, BVAP forbids LNFA.
-	nfaOpts := e.cfg.Compile
-	nfaOpts.ModePolicy = compile.ForceNFA
-	bvapOpts := e.cfg.Compile
-	bvapOpts.ModePolicy = compile.AllowNBVA
-	switch b {
-	case BaselineRAPNFA:
-		res := compile.Compile(patterns, nfaOpts)
-		if len(res.Errors) != 0 {
-			return nil, fmt.Errorf("core: %w", res.Errors[0])
-		}
-		p, err := mapper.Map(res, mapper.Options{})
-		if err != nil {
-			return nil, err
-		}
-		rep, err := sim.SimulateRAP(res, p, input)
-		if err != nil {
-			return nil, err
-		}
-		rep.Arch = string(BaselineRAPNFA)
-		return rep, nil
-	case BaselineCAMA, BaselineCA:
-		res := compile.Compile(patterns, nfaOpts)
-		if len(res.Errors) != 0 {
-			return nil, fmt.Errorf("core: %w", res.Errors[0])
-		}
-		p, err := mapper.Map(res, mapper.Options{})
-		if err != nil {
-			return nil, err
-		}
-		return sim.SimulateBaseline(string(b), res, p, input)
-	case BaselineBVAP:
-		res := compile.Compile(patterns, bvapOpts)
-		if len(res.Errors) != 0 {
-			return nil, fmt.Errorf("core: %w", res.Errors[0])
-		}
-		p, err := sim.MapBVAP(res)
-		if err != nil {
-			return nil, err
-		}
-		return sim.SimulateBVAP(res, p, input)
-	default:
-		return nil, fmt.Errorf("core: unknown baseline %q", b)
+// Archs lists every architecture in Table 2/3 column order.
+var Archs = []Arch{RAP, RAPNFA, CAMA, BVAP, CA}
+
+// fabric is how an architecture is loaded: the Fig 9 routes its compiler
+// may take and the placer that packs the result. Architectures with equal
+// fabrics run one compiled and placed program.
+type fabric struct {
+	policy compile.ModePolicy // PolicyDefault keeps the engine's own options
+	bvap   bool               // BVAP's placer (sim.MapBVAP), not mapper.Map
+}
+
+// archs is the one place that knows the §5 architectures (§5.2: same
+// circuit models, same greedy mapping): each one's fabric and simulator.
+var archs = map[Arch]struct {
+	fabric
+	simulate func(a Arch, res *compile.Result, p *arch.Placement, input []byte) (*sim.Report, error)
+}{
+	RAP:    {fabric{}, simulateRAP},
+	RAPNFA: {fabric{policy: compile.ForceNFA}, simulateRAP},
+	CAMA:   {fabric{policy: compile.ForceNFA}, simulateBaseline},
+	CA:     {fabric{policy: compile.ForceNFA}, simulateBaseline},
+	BVAP:   {fabric{policy: compile.AllowNBVA, bvap: true}, simulateBVAP},
+}
+
+func simulateRAP(_ Arch, res *compile.Result, p *arch.Placement, input []byte) (*sim.Report, error) {
+	return sim.SimulateRAP(res, p, input)
+}
+
+func simulateBaseline(a Arch, res *compile.Result, p *arch.Placement, input []byte) (*sim.Report, error) {
+	return sim.SimulateBaseline(string(a), res, p, input)
+}
+
+func simulateBVAP(_ Arch, res *compile.Result, p *arch.Placement, input []byte) (*sim.Report, error) {
+	return sim.SimulateBVAP(res, p, input)
+}
+
+// Compare compiles, places and simulates the patterns on each
+// architecture and returns the reports in argument order, each stamped
+// with its Arch. Architectures that share a fabric (RAP-NFA, CAMA, CA)
+// share one compile and placement.
+func (e *Engine) Compare(patterns []string, input []byte, as ...Arch) ([]*sim.Report, error) {
+	type loaded struct {
+		res *compile.Result
+		p   *arch.Placement
 	}
+	programs := map[fabric]loaded{}
+	reps := make([]*sim.Report, len(as))
+	for i, a := range as {
+		row, ok := archs[a]
+		if !ok {
+			return nil, fmt.Errorf("core: unknown architecture %q", a)
+		}
+		prog, ok := programs[row.fabric]
+		if !ok {
+			res, p, err := e.load(row.fabric, patterns)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", a, err)
+			}
+			prog = loaded{res, p}
+			programs[row.fabric] = prog
+		}
+		rep, err := row.simulate(a, prog.res, prog.p, input)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", a, err)
+		}
+		rep.Arch = string(a)
+		reps[i] = rep
+	}
+	return reps, nil
+}
+
+// load compiles the patterns for a fabric and places them; SharePrefixes
+// applies to the engine's own fabric only.
+func (e *Engine) load(f fabric, patterns []string) (*compile.Result, *arch.Placement, error) {
+	opts := e.cfg.Compile
+	if f.policy != compile.PolicyDefault {
+		opts.ModePolicy = f.policy
+	}
+	res, err := compileStrict(patterns, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	if f.bvap {
+		p, err := sim.MapBVAP(res)
+		return res, p, err
+	}
+	if f == (fabric{}) && e.cfg.SharePrefixes {
+		if res, err = compile.ShareNFAPrefixes(res, opts); err != nil {
+			return nil, nil, err
+		}
+	}
+	p, err := mapper.Map(res, mapper.Options{Depth: e.cfg.Depth, BinSize: e.cfg.BinSize})
+	return res, p, err
+}
+
+// compileStrict compiles the patterns and fails on the first that does
+// not compile.
+func compileStrict(patterns []string, opts compile.Options) (*compile.Result, error) {
+	res := compile.Compile(patterns, opts)
+	if len(res.Errors) != 0 {
+		return nil, fmt.Errorf("core: %d patterns failed, first: %w", len(res.Errors), res.Errors[0])
+	}
+	return res, nil
 }
 
 // Match runs the software reference matcher (no hardware model).
@@ -205,50 +235,16 @@ type DSEPoint struct {
 // follows §5.3: among depths whose throughput stays within 45% of the
 // best observed (the paper accepts ClamAV at 1.0 of 2.08 Gch/s), pick the one minimizing energy × area.
 func (e *Engine) ChooseDepth(patterns []string, input []byte) (int, []DSEPoint, error) {
-	points, err := e.sweepDepth(patterns, input)
+	points, err := e.sweep(patterns, input, compile.ModeNBVA, arch.BVDepths, func(d int) mapper.Options {
+		return mapper.Options{Depth: d, BinSize: e.cfg.BinSize}
+	})
 	if err != nil {
 		return 0, nil, err
 	}
 	if len(points) == 0 {
 		return 8, nil, nil
 	}
-	best := chooseByPolicy(points, 0.45)
-	return best, points, nil
-}
-
-func (e *Engine) sweepDepth(patterns []string, input []byte) ([]DSEPoint, error) {
-	res := compile.Compile(patterns, e.cfg.Compile)
-	if len(res.Errors) != 0 {
-		return nil, res.Errors[0]
-	}
-	nbva := res.ByMode(compile.ModeNBVA)
-	if len(nbva) == 0 {
-		return nil, nil
-	}
-	var subset []string
-	for _, c := range nbva {
-		subset = append(subset, c.Source)
-	}
-	var points []DSEPoint
-	for _, d := range arch.BVDepths {
-		sub := compile.Compile(subset, e.cfg.Compile)
-		if len(sub.Errors) != 0 {
-			return nil, sub.Errors[0]
-		}
-		p, err := mapper.Map(sub, mapper.Options{Depth: d, BinSize: e.cfg.BinSize})
-		if err != nil {
-			return nil, err
-		}
-		rep, err := sim.SimulateRAP(sub, p, input)
-		if err != nil {
-			return nil, err
-		}
-		points = append(points, DSEPoint{
-			Param: d, EnergyUJ: rep.EnergyUJ(), AreaMM2: rep.Area.TotalMM2(),
-			ThroughputGchS: rep.ThroughputGchS(),
-		})
-	}
-	return points, nil
+	return chooseByPolicy(points, 0.45), points, nil
 }
 
 // ChooseBinSize sweeps arch.BinSizes over the LNFA-compiled subset and
@@ -256,39 +252,18 @@ func (e *Engine) sweepDepth(patterns []string, input []byte) ([]DSEPoint, error)
 // highest energy efficiency without a significant (>40%) area increase
 // over the smallest area observed.
 func (e *Engine) ChooseBinSize(patterns []string, input []byte) (int, []DSEPoint, error) {
-	res := compile.Compile(patterns, e.cfg.Compile)
-	if len(res.Errors) != 0 {
-		return 0, nil, res.Errors[0]
+	points, err := e.sweep(patterns, input, compile.ModeLNFA, arch.BinSizes, func(bs int) mapper.Options {
+		return mapper.Options{Depth: e.cfg.Depth, BinSize: bs}
+	})
+	if err != nil {
+		return 0, nil, err
 	}
-	lnfa := res.ByMode(compile.ModeLNFA)
-	if len(lnfa) == 0 {
+	if len(points) == 0 {
 		return 8, nil, nil
 	}
-	var subset []string
-	for _, c := range lnfa {
-		subset = append(subset, c.Source)
-	}
-	var points []DSEPoint
-	minArea := 0.0
-	for _, bs := range arch.BinSizes {
-		sub := compile.Compile(subset, e.cfg.Compile)
-		if len(sub.Errors) != 0 {
-			return 0, nil, sub.Errors[0]
-		}
-		p, err := mapper.Map(sub, mapper.Options{Depth: e.cfg.Depth, BinSize: bs})
-		if err != nil {
-			return 0, nil, err
-		}
-		rep, err := sim.SimulateRAP(sub, p, input)
-		if err != nil {
-			return 0, nil, err
-		}
-		pt := DSEPoint{Param: bs, EnergyUJ: rep.EnergyUJ(), AreaMM2: rep.Area.TotalMM2(),
-			ThroughputGchS: rep.ThroughputGchS()}
-		points = append(points, pt)
-		if minArea == 0 || pt.AreaMM2 < minArea {
-			minArea = pt.AreaMM2
-		}
+	minArea := points[0].AreaMM2
+	for _, pt := range points[1:] {
+		minArea = min(minArea, pt.AreaMM2)
 	}
 	best := points[0]
 	for _, pt := range points[1:] {
@@ -299,6 +274,40 @@ func (e *Engine) ChooseBinSize(patterns []string, input []byte) (int, []DSEPoint
 		}
 	}
 	return best.Param, points, nil
+}
+
+// sweep is the walk both choosers share: it compiles the patterns the
+// decision graph routes to mode once, then maps and simulates that subset
+// at each parameter value. No pattern in mode means no points.
+func (e *Engine) sweep(patterns []string, input []byte, mode compile.Mode, params []int, opts func(int) mapper.Options) ([]DSEPoint, error) {
+	res, err := compileStrict(patterns, e.cfg.Compile)
+	if err != nil {
+		return nil, err
+	}
+	subset := res.Sources(mode)
+	if len(subset) == 0 {
+		return nil, nil
+	}
+	sub, err := compileStrict(subset, e.cfg.Compile)
+	if err != nil {
+		return nil, err
+	}
+	points := make([]DSEPoint, 0, len(params))
+	for _, v := range params {
+		p, err := mapper.Map(sub, opts(v))
+		if err != nil {
+			return nil, err
+		}
+		rep, err := sim.SimulateRAP(sub, p, input)
+		if err != nil {
+			return nil, err
+		}
+		points = append(points, DSEPoint{
+			Param: v, EnergyUJ: rep.EnergyUJ(), AreaMM2: rep.Area.TotalMM2(),
+			ThroughputGchS: rep.ThroughputGchS(),
+		})
+	}
+	return points, nil
 }
 
 // chooseByPolicy picks the param minimizing energy×area among points with

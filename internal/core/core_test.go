@@ -48,29 +48,37 @@ func TestEngineCompileError(t *testing.T) {
 	}
 }
 
-func TestRunBaselines(t *testing.T) {
+// TestCompareEveryArch holds the five §5 architectures to §5.2's
+// consistency check on a dataset that exercises all three modes: every
+// simulator reports the software matcher's match count.
+func TestCompareEveryArch(t *testing.T) {
 	eng := NewDefault()
-	patterns := []string{"cat", "b{40}e"}
-	input := []byte("a cat and " + string(make([]byte, 10)) + "bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbe")
-	prog, err := eng.Compile(patterns)
+	d := workload.MustGenerate("Snort", 0.1, 3)
+	input := d.Input(4000, 1)
+	ref, err := eng.Match(d.Patterns, input)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rapRep, err := eng.Run(prog, input)
+	if len(ref) == 0 {
+		t.Fatal("input matches nothing")
+	}
+	reps, err := eng.Compare(d.Patterns, input, Archs...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range []Baseline{BaselineRAPNFA, BaselineCAMA, BaselineCA, BaselineBVAP} {
-		rep, err := eng.RunBaseline(b, patterns, input)
-		if err != nil {
-			t.Fatalf("%s: %v", b, err)
+	if len(reps) != len(Archs) {
+		t.Fatalf("%d reports for %d archs", len(reps), len(Archs))
+	}
+	for i, rep := range reps {
+		if rep.Arch != string(Archs[i]) {
+			t.Errorf("report %d: Arch = %q, want %q", i, rep.Arch, Archs[i])
 		}
-		if rep.Matches != rapRep.Matches {
-			t.Errorf("%s matches = %d, RAP = %d", b, rep.Matches, rapRep.Matches)
+		if rep.Matches != int64(len(ref)) {
+			t.Errorf("%s matches = %d, refmatch = %d", Archs[i], rep.Matches, len(ref))
 		}
 	}
-	if _, err := eng.RunBaseline("XYZ", patterns, input); err == nil {
-		t.Error("unknown baseline accepted")
+	if _, err := eng.Compare(d.Patterns, input, RAP, "XYZ"); err == nil {
+		t.Error("unknown arch accepted")
 	}
 }
 

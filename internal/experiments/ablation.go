@@ -82,15 +82,11 @@ func ablateBuffering(cfg *Config, t *metrics.Table) error {
 		if err != nil {
 			return err
 		}
-		res := compile.Compile(subset, compile.Options{})
-		if len(res.Errors) != 0 {
-			return res.Errors[0]
-		}
-		p, err := mapper.Map(res, mapper.Options{Depth: depth})
+		prog, err := core.New(core.Config{Depth: depth}).Compile(subset)
 		if err != nil {
 			return err
 		}
-		traces, err := sim.NBVAStallTraces(res, p, input)
+		traces, err := sim.NBVAStallTraces(prog.Result, prog.Placement, input)
 		if err != nil {
 			return err
 		}
@@ -113,22 +109,20 @@ func ablateModes(cfg *Config, t *metrics.Table) error {
 			return err
 		}
 		variants := []struct {
-			label string
-			res   *compile.Result
+			label  string
+			policy compile.ModePolicy
 		}{
-			{"full RAP (3 modes)", compile.Compile(d.Patterns, compile.Options{})},
-			{"no LNFA mode", compile.Compile(d.Patterns, compile.Options{ModePolicy: compile.AllowNBVA})},
-			{"NFA only", compile.Compile(d.Patterns, compile.Options{ModePolicy: compile.ForceNFA})},
+			{"full RAP (3 modes)", compile.PolicyDefault},
+			{"no LNFA mode", compile.AllowNBVA},
+			{"NFA only", compile.ForceNFA},
 		}
 		for _, v := range variants {
-			if len(v.res.Errors) != 0 {
-				return fmt.Errorf("%s %s: %w", name, v.label, v.res.Errors[0])
-			}
-			p, err := mapper.Map(v.res, mapper.Options{})
+			eng := core.New(core.Config{Compile: compile.Options{ModePolicy: v.policy}})
+			prog, err := eng.Compile(d.Patterns)
 			if err != nil {
-				return err
+				return fmt.Errorf("%s %s: %w", name, v.label, err)
 			}
-			rep, err := sim.SimulateRAP(v.res, p, input)
+			rep, err := eng.Run(prog, input)
 			if err != nil {
 				return err
 			}
@@ -206,20 +200,16 @@ func ablateThreshold(cfg *Config, t *metrics.Table) error {
 	}
 	input := d.Input(cfg.InputLen, cfg.Seed+300)
 	for _, th := range []int{4, 8, 16, 32, 64} {
-		opts := compile.Options{UnfoldThreshold: th}
-		res := compile.Compile(d.Patterns, opts)
-		if len(res.Errors) != 0 {
-			return res.Errors[0]
-		}
-		p, err := mapper.Map(res, mapper.Options{})
+		eng := core.New(core.Config{Compile: compile.Options{UnfoldThreshold: th}})
+		prog, err := eng.Compile(d.Patterns)
 		if err != nil {
 			return err
 		}
-		rep, err := sim.SimulateRAP(res, p, input)
+		rep, err := eng.Run(prog, input)
 		if err != nil {
 			return err
 		}
-		share := res.ModeShares()[compile.ModeNBVA]
+		share := prog.ModeShares()[compile.ModeNBVA]
 		t.AddRow("unfold-threshold", "Yara", fmt.Sprintf("threshold %d NBVA share", th), 100*share, "%")
 		t.AddRow("unfold-threshold", "Yara", fmt.Sprintf("threshold %d energy", th), rep.EnergyUJ(), "µJ")
 	}

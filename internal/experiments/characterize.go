@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/automata"
 	"repro/internal/compile"
-	"repro/internal/mapper"
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/refmatch"
 	"repro/internal/regexast"
@@ -38,9 +38,9 @@ func Characterize(cfg Config) (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res := compile.Compile(d.Patterns, compile.Options{})
-		if len(res.Errors) != 0 {
-			return nil, res.Errors[0]
+		prog, err := core.NewDefault().Compile(d.Patterns)
+		if err != nil {
+			return nil, err
 		}
 		var states, unfolded, bounded, maxBound int
 		var classSize float64
@@ -68,14 +68,10 @@ func Characterize(cfg Config) (*metrics.Table, error) {
 			}
 		}
 		n := float64(len(d.Patterns))
-		shares := res.ModeShares()
+		shares := prog.ModeShares()
 		avgDFA := 0.0
 		if dfaCount > 0 {
 			avgDFA = float64(dfaSum) / float64(dfaCount)
-		}
-		p, err := mapper.Map(res, mapper.Options{})
-		if err != nil {
-			return nil, err
 		}
 		shiftAnd, tier, engines, err := kernelReach(d.Patterns)
 		if err != nil {
@@ -84,7 +80,7 @@ func Characterize(cfg Config) (*metrics.Table, error) {
 		t.AddRow(name, len(d.Patterns),
 			float64(states)/n, float64(unfolded)/n,
 			float64(bounded)/n, maxBound, classSize/n, avgDFA,
-			sharesCell(shares), 100*p.Utilization(), shiftAnd, tier, engines)
+			sharesCell(shares), 100*prog.Placement.Utilization(), shiftAnd, tier, engines)
 	}
 	if err := cfg.saveTable(t, "characterize.csv"); err != nil {
 		return nil, err

@@ -16,7 +16,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/compile"
 	"repro/internal/core"
-	"repro/internal/mapper"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -92,37 +91,13 @@ func (c *Config) dataset(name string) (*workload.Dataset, []byte, error) {
 	return d, d.Input(c.InputLen, c.Seed+100), nil
 }
 
-// subsetByMode compiles the dataset and returns the source patterns of
-// one mode.
+// subsetByMode returns the patterns the decision graph routes to mode m.
 func subsetByMode(patterns []string, m compile.Mode) ([]string, error) {
-	res := compile.Compile(patterns, compile.Options{})
-	if len(res.Errors) != 0 {
-		return nil, res.Errors[0]
-	}
-	var out []string
-	for _, cc := range res.ByMode(m) {
-		out = append(out, cc.Source)
-	}
-	return out, nil
-}
-
-// runRAPOn compiles+maps+simulates a pattern subset on RAP with explicit
-// parameters.
-func runRAPOn(patterns []string, input []byte, depth, binSize int) (*sim.Report, error) {
-	res := compile.Compile(patterns, compile.Options{})
-	if len(res.Errors) != 0 {
-		return nil, res.Errors[0]
-	}
-	p, err := mapper.Map(res, mapper.Options{Depth: depth, BinSize: binSize})
+	prog, err := core.NewDefault().Compile(patterns)
 	if err != nil {
 		return nil, err
 	}
-	return sim.SimulateRAP(res, p, input)
-}
-
-// runBaselineOn runs one of the §5 baselines on a pattern subset.
-func runBaselineOn(b core.Baseline, patterns []string, input []byte) (*sim.Report, error) {
-	return core.NewDefault().RunBaseline(b, patterns, input)
+	return prog.Result.Sources(m), nil
 }
 
 // saveTable writes the table to OutDir when configured.

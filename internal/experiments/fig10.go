@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/workload"
@@ -24,14 +23,7 @@ func Fig10a(cfg Config) (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		subset, err := subsetByMode(d.Patterns, compile.ModeNBVA)
-		if err != nil {
-			return nil, err
-		}
-		if len(subset) == 0 {
-			continue
-		}
-		depth, points, err := eng.ChooseDepth(subset, input)
+		depth, points, err := eng.ChooseDepth(d.Patterns, input)
 		if err != nil {
 			return nil, err
 		}
@@ -72,14 +64,7 @@ func Fig10b(cfg Config) (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		subset, err := subsetByMode(d.Patterns, compile.ModeLNFA)
-		if err != nil {
-			return nil, err
-		}
-		if len(subset) == 0 {
-			continue
-		}
-		bin, points, err := eng.ChooseBinSize(subset, input)
+		bin, points, err := eng.ChooseBinSize(d.Patterns, input)
 		if err != nil {
 			return nil, err
 		}

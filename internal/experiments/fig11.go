@@ -34,31 +34,31 @@ func Fig11(cfg Config) (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res := compile.Compile(d.Patterns, compile.Options{})
-		if len(res.Errors) != 0 {
-			return nil, res.Errors[0]
+		prog, err := eng.Compile(d.Patterns)
+		if err != nil {
+			return nil, err
 		}
 		for _, mode := range []compile.Mode{compile.ModeNFA, compile.ModeNBVA, compile.ModeLNFA} {
-			var subset []string
-			ste := 0
-			for _, c := range res.ByMode(mode) {
-				subset = append(subset, c.Source)
-				ste += c.STEs
-			}
+			subset := prog.Result.Sources(mode)
 			if len(subset) == 0 {
 				continue
 			}
 			depth := 8
 			if mode == compile.ModeNBVA {
-				if ch, _, err := eng.ChooseDepth(subset, input); err == nil && ch != 0 {
-					depth = ch
+				if depth, _, err = eng.ChooseDepth(subset, input); err != nil {
+					return nil, err
 				}
 			}
-			rep, err := runRAPOn(subset, input, depth, 8)
+			sub := core.New(core.Config{Depth: depth})
+			subProg, err := sub.Compile(subset)
 			if err != nil {
 				return nil, err
 			}
-			totals[mode].ste += ste
+			rep, err := sub.Run(subProg, input)
+			if err != nil {
+				return nil, err
+			}
+			totals[mode].ste += subProg.STEs()
 			totals[mode].energy += rep.EnergyUJ()
 			totals[mode].area += rep.Area.TotalMM2()
 		}

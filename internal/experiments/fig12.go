@@ -3,9 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/compile"
 	"repro/internal/core"
-	"repro/internal/mapper"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -27,15 +25,12 @@ func rapSystemReport(patterns []string, input []byte) (*sim.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := compile.Compile(patterns, compile.Options{})
-	if len(res.Errors) != 0 {
-		return nil, res.Errors[0]
-	}
-	p, err := mapper.Map(res, mapper.Options{Depth: depth, BinSize: bin})
+	eng = core.New(core.Config{Depth: depth, BinSize: bin})
+	prog, err := eng.Compile(patterns)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := sim.SimulateRAP(res, p, input)
+	rep, err := eng.Run(prog, input)
 	if err != nil {
 		return nil, err
 	}
@@ -44,7 +39,7 @@ func rapSystemReport(patterns []string, input []byte) (*sim.Report, error) {
 		// reports <3% area overhead for this; only the slowest arrays
 		// are duplicated, so the overhead is bounded rather than the
 		// whole NBVA-mode area.
-		extra := nbvaModeAreaMM2(p)
+		extra := nbvaModeAreaMM2(prog.Placement)
 		if cap := 0.03 * rep.Area.TotalMM2(); extra > cap {
 			extra = cap
 		}
@@ -74,15 +69,11 @@ func Fig12(cfg Config) (*metrics.Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s RAP: %w", name, err)
 		}
-		reps := []*sim.Report{rap}
-		for _, b := range []core.Baseline{core.BaselineBVAP, core.BaselineCAMA, core.BaselineCA} {
-			r, err := runBaselineOn(b, d.Patterns, input)
-			if err != nil {
-				return nil, fmt.Errorf("%s %s: %w", name, b, err)
-			}
-			reps = append(reps, r)
+		baselines, err := core.NewDefault().Compare(d.Patterns, input, core.BVAP, core.CAMA, core.CA)
+		if err != nil {
+			return nil, fmt.Errorf("%s %w", name, err)
 		}
-		return reps, nil
+		return append([]*sim.Report{rap}, baselines...), nil
 	})
 	if err != nil {
 		return nil, err

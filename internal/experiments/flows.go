@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"repro/internal/arch"
-	"repro/internal/compile"
+	"repro/internal/core"
 	"repro/internal/hwmodel"
-	"repro/internal/mapper"
 	"repro/internal/metrics"
-	"repro/internal/sim"
 )
 
 // Flows quantifies the cost of the paper's "single flow" assumption (§1
@@ -37,15 +35,12 @@ func Flows(cfg Config) (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res := compile.Compile(d.Patterns, compile.Options{})
-		if len(res.Errors) != 0 {
-			return nil, res.Errors[0]
-		}
-		p, err := mapper.Map(res, mapper.Options{})
+		eng := core.NewDefault()
+		prog, err := eng.Compile(d.Patterns)
 		if err != nil {
 			return nil, err
 		}
-		swCycles, swEnergyPJ := contextSwitchCost(p)
+		swCycles, swEnergyPJ := contextSwitchCost(prog.Placement)
 		var base float64
 		for _, flows := range []int{1, 2, 4, 8} {
 			perFlow := cfg.InputLen / flows
@@ -56,7 +51,7 @@ func Flows(cfg Config) (*metrics.Table, error) {
 			var totalEnergy float64
 			for f := 0; f < flows; f++ {
 				input := d.Input(perFlow, cfg.Seed+int64(400+f))
-				rep, err := sim.SimulateRAP(res, p, input)
+				rep, err := eng.Run(prog, input)
 				if err != nil {
 					return nil, err
 				}

@@ -6,10 +6,8 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/arch"
 	"repro/internal/bitstream"
-	"repro/internal/compile"
-	"repro/internal/mapper"
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/reconfig"
 	"repro/internal/refmatch"
@@ -52,7 +50,7 @@ func Reconfig(cfg Config) (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		resOld, pOld, imgOld, err := deployImage(d.Patterns)
+		old, imgOld, err := deployImage(d.Patterns)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
@@ -63,11 +61,11 @@ func Reconfig(cfg Config) (*metrics.Table, error) {
 			}
 			runtime.GC() // both timings are one sample: start each from a collected heap
 			coldStart := time.Now()
-			resNew, pNew, imgNew, err := deployImage(newPats)
+			next, imgNew, err := deployImage(newPats)
 			if err != nil {
 				return nil, fmt.Errorf("%s churn %s: %w", name, ch.label, err)
 			}
-			if _, err := refmatch.FromResult(resNew, refmatch.Options{}); err != nil {
+			if _, err := refmatch.FromResult(next.Result, refmatch.Options{}); err != nil {
 				return nil, err
 			}
 			delta := reconfig.Diff(imgOld, imgNew)
@@ -88,12 +86,12 @@ func Reconfig(cfg Config) (*metrics.Table, error) {
 			}
 			// Hot-swap mid-stream: incremental stalls for the scheduler's
 			// window, a redeploy stalls for the full-image reload.
-			swap, err := sim.SimulateRAPReconfig(resOld, pOld, resNew, pNew, input,
+			swap, err := sim.SimulateRAPReconfig(old.Result, old.Placement, next.Result, next.Placement, input,
 				sim.ReconfigEvent{At: len(input) / 2, StallCycles: plan.StallCycles, EnergyPJ: inc.EnergyPJ})
 			if err != nil {
 				return nil, err
 			}
-			redeploy, err := sim.SimulateRAPReconfig(resOld, pOld, resNew, pNew, input,
+			redeploy, err := sim.SimulateRAPReconfig(old.Result, old.Placement, next.Result, next.Placement, input,
 				sim.ReconfigEvent{At: len(input) / 2, StallCycles: full.ReloadCycles, EnergyPJ: full.EnergyPJ})
 			if err != nil {
 				return nil, err
@@ -135,20 +133,13 @@ func updateLatency(old, next []string) (time.Duration, error) {
 }
 
 // deployImage runs the deployment pipeline for one pattern set.
-func deployImage(patterns []string) (*compile.Result, *arch.Placement, *bitstream.Image, error) {
-	res := compile.Compile(patterns, compile.Options{})
-	if len(res.Errors) != 0 {
-		return nil, nil, nil, res.Errors[0]
-	}
-	p, err := mapper.Map(res, mapper.Options{})
+func deployImage(patterns []string) (*core.Program, *bitstream.Image, error) {
+	prog, err := core.NewDefault().Compile(patterns)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	img, err := bitstream.Build(res, p)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return res, p, img, nil
+	img, err := bitstream.Build(prog.Result, prog.Placement)
+	return prog, img, err
 }
 
 type churnLevel struct {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/compile"
 	"repro/internal/core"
-	"repro/internal/mapper"
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -32,17 +31,14 @@ func Table2(cfg Config) (*metrics.Table, error) {
 			return nil, err
 		}
 		subset, err := subsetByMode(d.Patterns, compile.ModeNBVA)
-		if err != nil {
+		if err != nil || len(subset) == 0 {
 			return nil, err
-		}
-		if len(subset) == 0 {
-			return nil, nil
 		}
 		depth, _, err := eng.ChooseDepth(subset, input)
 		if err != nil {
 			return nil, err
 		}
-		reps, err := compareArchs(subset, input, depth, 8)
+		reps, err := compareArchs(subset, input, core.Config{Depth: depth})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
@@ -84,17 +80,14 @@ func Table3(cfg Config) (*metrics.Table, error) {
 			return nil, err
 		}
 		subset, err := subsetByMode(d.Patterns, compile.ModeLNFA)
-		if err != nil {
+		if err != nil || len(subset) == 0 {
 			return nil, err
-		}
-		if len(subset) == 0 {
-			return nil, nil
 		}
 		bin, _, err := eng.ChooseBinSize(subset, input)
 		if err != nil {
 			return nil, err
 		}
-		reps, err := compareArchs(subset, input, 8, bin)
+		reps, err := compareArchs(subset, input, core.Config{BinSize: bin})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
@@ -117,54 +110,17 @@ func Table3(cfg Config) (*metrics.Table, error) {
 	return t, nil
 }
 
-// compareArchs runs one pattern subset on RAP (native modes), RAP in NFA
-// mode, CAMA, BVAP and CA, returning the five reports in column order.
-// The all-NFA compilation and placement are shared across the three
-// NFA-style architectures, which dominates the cost on large subsets.
-func compareArchs(patterns []string, input []byte, depth, bin int) ([]*sim.Report, error) {
-	rap, err := runRAPOn(patterns, input, depth, bin)
-	if err != nil {
-		return nil, fmt.Errorf("RAP: %w", err)
-	}
-	resNFA := compile.Compile(patterns, compile.Options{ModePolicy: compile.ForceNFA})
-	if len(resNFA.Errors) != 0 {
-		return nil, fmt.Errorf("all-NFA compile: %w", resNFA.Errors[0])
-	}
-	pNFA, err := mapper.Map(resNFA, mapper.Options{})
+// compareArchs runs one pattern subset on the five §5 architectures in
+// Table 2/3 column order and holds them to the §5.2 consistency check:
+// every simulator must report the same match count.
+func compareArchs(patterns []string, input []byte, cfg core.Config) ([]*sim.Report, error) {
+	reps, err := core.New(cfg).Compare(patterns, input, core.Archs...)
 	if err != nil {
 		return nil, err
 	}
-	rapNFA, err := sim.SimulateRAP(resNFA, pNFA, input)
-	if err != nil {
-		return nil, fmt.Errorf("RAP-NFA: %w", err)
-	}
-	rapNFA.Arch = string(core.BaselineRAPNFA)
-	cama, err := sim.SimulateBaseline("CAMA", resNFA, pNFA, input)
-	if err != nil {
-		return nil, err
-	}
-	resBV := compile.Compile(patterns, compile.Options{ModePolicy: compile.AllowNBVA})
-	if len(resBV.Errors) != 0 {
-		return nil, fmt.Errorf("no-LNFA compile: %w", resBV.Errors[0])
-	}
-	pBV, err := sim.MapBVAP(resBV)
-	if err != nil {
-		return nil, err
-	}
-	bvap, err := sim.SimulateBVAP(resBV, pBV, input)
-	if err != nil {
-		return nil, err
-	}
-	ca, err := sim.SimulateBaseline("CA", resNFA, pNFA, input)
-	if err != nil {
-		return nil, err
-	}
-	reps := []*sim.Report{rap, rapNFA, cama, bvap, ca}
-	// Cross-check (§5.2 consistency): every simulator must report
-	// identical match counts.
 	for _, r := range reps[1:] {
-		if r.Matches != rap.Matches {
-			return nil, fmt.Errorf("match disagreement: RAP=%d %s=%d", rap.Matches, r.Arch, r.Matches)
+		if r.Matches != reps[0].Matches {
+			return nil, fmt.Errorf("match disagreement: RAP=%d %s=%d", reps[0].Matches, r.Arch, r.Matches)
 		}
 	}
 	return reps, nil

@@ -245,6 +245,17 @@ func TestStatsCompilePool(t *testing.T) {
 	}
 }
 
+func TestHashStrings(t *testing.T) {
+	a := hashStrings("t", "x", "y")
+	b := hashStrings("t", "xy")
+	if a == b {
+		t.Error("hashStrings collides across splits")
+	}
+	if a != hashStrings("t", "x", "y") {
+		t.Error("hashStrings unstable")
+	}
+}
+
 // TestProgramKeyPinned holds program IDs where PR 22's parent commit left them:
 // removing the dead sfa_state_cap wire option must not move the ID of a
 // ruleset compiled under default or other options, and a client that

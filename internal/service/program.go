@@ -2,13 +2,14 @@ package service
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"sync"
 	"time"
 
 	"repro/internal/bitstream"
 	"repro/internal/compile"
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/refmatch"
 )
@@ -95,7 +96,19 @@ func build(ctx context.Context, prev *Program, patterns []string, opts CompileOp
 // programKey is the content hash identifying a compiled program: same
 // patterns in the same order with equivalent options → same key.
 func programKey(patterns []string, opts CompileOptions) string {
-	return core.HashStrings(opts.options().Canonical(), patterns...)
+	return hashStrings(opts.options().Canonical(), patterns...)
+}
+
+// hashStrings hashes a format tag plus length-prefixed parts, so no
+// concatenation of distinct lists collides and any semantic difference —
+// a pattern edited, a knob changed — produces a different key.
+func hashStrings(tag string, parts ...string) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%s|n=%d", tag, len(parts))
+	for _, p := range parts {
+		fmt.Fprintf(h, "|%d:%s", len(p), p)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // ProgramKey returns the content-hash program ID that Compile would

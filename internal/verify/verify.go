@@ -8,16 +8,13 @@
 package verify
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"regexp"
 	"strings"
 
-	"repro/internal/compile"
-	"repro/internal/mapper"
+	"repro/internal/core"
 	"repro/internal/refmatch"
-	"repro/internal/sim"
 )
 
 // Options configure a verification run.
@@ -83,10 +80,11 @@ func Run(opts Options) (*Result, error) {
 	for trial := 0; trial < opts.Trials; trial++ {
 		patterns := genPatterns(r, opts.PatternsPerTrial)
 		input := genInput(r, patterns, opts.InputLen)
-		want, counts, err := runEngines(patterns, input)
+		hits, counts, err := runEngines(patterns, input)
 		if err != nil {
 			return nil, fmt.Errorf("trial %d: %w", trial, err)
 		}
+		want := int64(len(hits))
 		res.Matches += want
 		for engine, got := range counts {
 			if got != want {
@@ -97,97 +95,43 @@ func Run(opts Options) (*Result, error) {
 			}
 		}
 		if opts.CheckStdlib {
-			res.Mismatches = append(res.Mismatches, checkStdlib(trial, patterns, input)...)
+			res.Mismatches = append(res.Mismatches, checkStdlib(trial, patterns, input, hits)...)
 		}
 	}
 	return res, nil
 }
 
-// runEngines returns the reference match count and every engine's count.
-func runEngines(patterns []string, input []byte) (int64, map[string]int64, error) {
-	ref, err := refmatch.Compile(context.Background(), patterns, refmatch.Options{})
+// runEngines returns the reference matcher's matches and every engine's
+// match count: the five §5 architectures under the default engine, and RAP
+// again with the prefix-sharing trie merge, whose semantics must be
+// untouched by it.
+func runEngines(patterns []string, input []byte) ([]refmatch.Match, map[string]int64, error) {
+	eng := core.NewDefault()
+	ref, err := eng.Match(patterns, input)
 	if err != nil {
-		return 0, nil, err
+		return nil, nil, err
 	}
-	want := int64(ref.Count(input))
-	counts := map[string]int64{"refmatch": want}
-
-	res := compile.Compile(patterns, compile.Options{})
-	if len(res.Errors) != 0 {
-		return 0, nil, res.Errors[0]
-	}
-	p, err := mapper.Map(res, mapper.Options{})
+	reps, err := eng.Compare(patterns, input, core.Archs...)
 	if err != nil {
-		return 0, nil, err
+		return nil, nil, err
 	}
-	rap, err := sim.SimulateRAP(res, p, input)
+	shared, err := core.New(core.Config{SharePrefixes: true}).Compare(patterns, input, core.RAP)
 	if err != nil {
-		return 0, nil, err
+		return nil, nil, err
 	}
-	counts["RAP"] = rap.Matches
-
-	// RAP with the prefix-sharing optimization: semantics must be
-	// untouched by the trie merge.
-	shared, err := compile.ShareNFAPrefixes(res, compile.Options{})
-	if err != nil {
-		return 0, nil, err
+	counts := map[string]int64{"refmatch": int64(len(ref)), "RAP-shared": shared[0].Matches}
+	for _, r := range reps {
+		counts[r.Arch] = r.Matches
 	}
-	pShared, err := mapper.Map(shared, mapper.Options{})
-	if err != nil {
-		return 0, nil, err
-	}
-	rapShared, err := sim.SimulateRAP(shared, pShared, input)
-	if err != nil {
-		return 0, nil, err
-	}
-	counts["RAP-shared"] = rapShared.Matches
-
-	resNFA := compile.Compile(patterns, compile.Options{ModePolicy: compile.ForceNFA})
-	if len(resNFA.Errors) != 0 {
-		return 0, nil, resNFA.Errors[0]
-	}
-	pNFA, err := mapper.Map(resNFA, mapper.Options{})
-	if err != nil {
-		return 0, nil, err
-	}
-	rapNFA, err := sim.SimulateRAP(resNFA, pNFA, input)
-	if err != nil {
-		return 0, nil, err
-	}
-	counts["RAP-NFA"] = rapNFA.Matches
-	for _, archName := range []string{"CAMA", "CA"} {
-		rep, err := sim.SimulateBaseline(archName, resNFA, pNFA, input)
-		if err != nil {
-			return 0, nil, err
-		}
-		counts[archName] = rep.Matches
-	}
-
-	resBV := compile.Compile(patterns, compile.Options{ModePolicy: compile.AllowNBVA})
-	if len(resBV.Errors) != 0 {
-		return 0, nil, resBV.Errors[0]
-	}
-	pBV, err := sim.MapBVAP(resBV)
-	if err != nil {
-		return 0, nil, err
-	}
-	bvap, err := sim.SimulateBVAP(resBV, pBV, input)
-	if err != nil {
-		return 0, nil, err
-	}
-	counts["BVAP"] = bvap.Matches
-	return want, counts, nil
+	return ref, counts, nil
 }
 
-// checkStdlib compares boolean containment per pattern with Go's regexp.
-func checkStdlib(trial int, patterns []string, input []byte) []Mismatch {
+// checkStdlib compares boolean containment per pattern of the reference
+// matcher's hits with Go's regexp.
+func checkStdlib(trial int, patterns []string, input []byte, hits []refmatch.Match) []Mismatch {
 	var out []Mismatch
-	m, err := refmatch.Compile(context.Background(), patterns, refmatch.Options{})
-	if err != nil {
-		return nil
-	}
 	matched := map[int]bool{}
-	for _, hit := range m.Scan(input) {
+	for _, hit := range hits {
 		matched[hit.Pattern] = true
 	}
 	for i, p := range patterns {

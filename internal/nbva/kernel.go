@@ -101,9 +101,14 @@ type KernelState struct {
 	vec     []uint64
 }
 
-// NewState returns a state in the initial configuration.
-func (k *Kernel) NewState() *KernelState {
-	return &KernelState{k: k, enabled: k.initial, vec: make([]uint64, k.words)}
+// Words returns how many vector words a state of k keeps.
+func (k *Kernel) Words() int { return k.words }
+
+// NewState returns a state in the initial configuration that keeps its
+// vectors in vec: k.Words() zero words, which the caller may cut from one
+// slab shared by the states of many machines.
+func (k *Kernel) NewState(vec []uint64) KernelState {
+	return KernelState{k: k, enabled: k.initial, vec: vec}
 }
 
 // Reset restores the initial configuration.

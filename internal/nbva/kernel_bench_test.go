@@ -48,15 +48,17 @@ func BenchmarkNBVAKernel(b *testing.B) {
 		}
 	})
 	b.Run("Kernel", func(b *testing.B) {
-		states := make([]*nbva.KernelState, len(machines))
+		states := make([]nbva.KernelState, len(machines))
 		for i, m := range machines {
-			states[i] = nbva.NewKernel(m).NewState()
+			k := nbva.NewKernel(m)
+			states[i] = k.NewState(make([]uint64, k.Words()))
 		}
 		emit := func(int) { fires++ }
 		b.SetBytes(int64(len(input)))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for _, s := range states {
+			for j := range states {
+				s := &states[j]
 				s.Reset()
 				s.ScanChunk(input, 0, emit)
 			}

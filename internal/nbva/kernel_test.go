@@ -126,7 +126,7 @@ func kernelFires(t *testing.T, m *Machine, input []byte, cuts []int) []int {
 	if k == nil {
 		t.Fatalf("no kernel for a %d-state machine", m.NumStates())
 	}
-	s := k.NewState()
+	s := k.NewState(make([]uint64, k.Words()))
 	fires := make([]int, len(input))
 	prev := 0
 	for _, cut := range append(cuts, len(input)) {
@@ -206,7 +206,8 @@ func TestKernelEverySplit(t *testing.T) {
 
 func TestKernelReset(t *testing.T) {
 	m := compile(t, "ab{5}c", 1)
-	s := NewKernel(m).NewState()
+	k := NewKernel(m)
+	s := k.NewState(make([]uint64, k.Words()))
 	n := 0
 	count := func(int) { n++ }
 	s.ScanChunk([]byte("abbbb"), 0, count)
@@ -237,7 +238,8 @@ func TestKernelStateLimit(t *testing.T) {
 
 func TestKernelZeroAlloc(t *testing.T) {
 	m := compile(t, "ab{100}c{0,30}d", 1)
-	s := NewKernel(m).NewState()
+	k := NewKernel(m)
+	s := k.NewState(make([]uint64, k.Words()))
 	input := []byte(strings.Repeat("xa"+strings.Repeat("b", 100)+"ccd", 20))
 	n := 0
 	emit := func(int) { n++ }

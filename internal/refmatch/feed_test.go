@@ -2,7 +2,6 @@ package refmatch
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
 	"sort"
 	"strings"
@@ -45,8 +44,8 @@ func TestFeedEqualEndOrder(t *testing.T) {
 	if !reflect.DeepEqual(m.Engines(), wantEngines) {
 		t.Fatalf("engines = %v, want %v", m.Engines(), wantEngines)
 	}
-	if n := len(m.dfas); m.dfaBlocked() != 8 || n != 10 {
-		t.Fatalf("%d DFA patterns, %d in blocks: want 10 and 8", n, m.dfaBlocked())
+	if dfas, _, blocked := dfaTables(m); blocked != 8 || len(dfas) != 10 {
+		t.Fatalf("%d DFA patterns, %d in blocks: want 10 and 8", len(dfas), blocked)
 	}
 	if v := m.PrefilterVerdicts(); v[3].Prefilterable || !v[6].Prefilterable {
 		t.Fatalf("prefilter verdicts: pattern 3 %v, pattern 6 %v", v[3], v[6])
@@ -89,16 +88,17 @@ func TestFeedEqualEndOrder(t *testing.T) {
 func TestDFABlockSequence(t *testing.T) {
 	d := workload.MustGenerate("Snort", 1.0, 1)
 	m := compilePar(t, d.Patterns, Options{})
-	if m.dfaBlocked() < 2*automata.BlockLanes || m.dfaBlocked() == len(m.dfas) {
-		t.Fatalf("%d DFA patterns, %d in blocks: want two blocks and a tail", len(m.dfas), m.dfaBlocked())
+	dfas, dfaIdx, blocked := dfaTables(m)
+	if blocked < 2*automata.BlockLanes || blocked == len(dfas) {
+		t.Fatalf("%d DFA patterns, %d in blocks: want two blocks and a tail", len(dfas), blocked)
 	}
 	total := 0
 	for seed := int64(1); seed <= 4; seed++ {
 		input := d.Input(16<<10, seed)
 		var want []Match
-		for j, dfa := range m.dfas {
+		for j, dfa := range dfas {
 			dfa.ScanChunk(0, input, 0, func(end int) {
-				want = append(want, Match{Pattern: m.dfaIdx[j], End: end})
+				want = append(want, Match{Pattern: dfaIdx[j], End: end})
 			})
 		}
 		sort.SliceStable(want, func(i, k int) bool { return want[i].End < want[k].End })
@@ -120,30 +120,6 @@ func TestDFABlockSequence(t *testing.T) {
 	}
 	if total < 8 {
 		t.Fatalf("%d DFA matches over four bodies: the inputs exercise too little", total)
-	}
-}
-
-// TestMergeRuns checks the typed merge against the order it stands for:
-// a stable sort by End of a concatenation of ascending runs.
-func TestMergeRuns(t *testing.T) {
-	r := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 200; trial++ {
-		var ms []Match
-		for run := r.Intn(9); run > 0; run-- {
-			end := r.Intn(5)
-			for n := r.Intn(6); n > 0; n-- {
-				ms = append(ms, Match{Pattern: len(ms), End: end})
-				end += r.Intn(3)
-			}
-		}
-		// Pattern numbers the input position, so a stable sort by End is
-		// the plain sort by (End, Pattern).
-		want := append([]Match(nil), ms...)
-		sortMatches(want)
-		got, _ := mergeRuns(ms, nil)
-		if !matchesEqual(got, want) {
-			t.Fatalf("trial %d: merged %v, want %v", trial, got, want)
-		}
 	}
 }
 
@@ -202,7 +178,7 @@ func TestNBVAStepFallback(t *testing.T) {
 			t.Fatalf("pattern %d: engine %v kernel %q, want nbva on %s", i, m.Engines()[i], k, wantKernels[i])
 		}
 	}
-	if n := m.nbvas[1].NumStates(); n <= nbva.MaxKernelStates {
+	if n := nbvaTables(m).machines[1].NumStates(); n <= nbva.MaxKernelStates {
 		t.Fatalf("synthetic machine has %d control states, want > %d", n, nbva.MaxKernelStates)
 	}
 	input := []byte("zz" + prefix + strings.Repeat("x", 20) + "yhab" + strings.Repeat("b", 19) + "cha" +
@@ -236,8 +212,8 @@ func TestNBVAStepFallback(t *testing.T) {
 // TestScanAllocations pins the two allocation properties of the scan
 // path: a reused session scans a mixed NBVA+DFA+Shift-And ruleset without
 // allocating once dst has capacity, and opening a session costs a few
-// allocations per NBVA machine and one for all the DFAs together, because
-// the tables live on the Matcher and a DFA's state is one row offset.
+// allocations per lane, because the tables live on the Matcher and a
+// lane keeps the state of all its patterns in one or two slices.
 func TestScanAllocations(t *testing.T) {
 	d := workload.MustGenerate("Snort", 1.0, 1)
 	// Both Shift-And machines must report, so the merge has runs to merge.
@@ -247,7 +223,7 @@ func TestScanAllocations(t *testing.T) {
 	for _, e := range m.Engines() {
 		count[e]++
 	}
-	if count[EngineNBVA] == 0 || count[EngineDFA] == 0 || m.sa == nil || m.saFast == nil {
+	if sa, _ := m.lanes[1].(*shiftAndLane); count[EngineNBVA] == 0 || count[EngineDFA] == 0 || m.PrefilterTier() == "" || sa == nil {
 		t.Fatalf("engine mix %v: want NBVA, DFA and both Shift-And machines", count)
 	}
 	input := d.Input(16<<10, 1)
@@ -265,10 +241,11 @@ func TestScanAllocations(t *testing.T) {
 		t.Errorf("ScanInto on a reused session: %v allocs per scan, want 0", allocs)
 	}
 	// Snort@1.0 as generated: 207 with one heap runner per DFA pattern (57
-	// of them), 150 with the rows of all the DFAs in one slice.
+	// of them), 150 with the rows of all the DFAs in one slice, 14 with the
+	// vectors of all 71 NBVA machines in one slab too.
 	m = compilePar(t, d.Patterns, Options{})
-	if allocs := testing.AllocsPerRun(5, func() { m.NewSession() }); allocs > 152 {
-		t.Errorf("NewSession: %v allocs for %d patterns (%d DFA), want <= 152", allocs, m.NumPatterns(), len(m.dfas))
+	if allocs := testing.AllocsPerRun(5, func() { m.NewSession() }); allocs > 14 {
+		t.Errorf("NewSession: %v allocs for %d patterns (%d DFA), want <= 14", allocs, m.NumPatterns(), count[EngineDFA])
 	}
 }
 

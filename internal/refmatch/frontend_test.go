@@ -212,10 +212,11 @@ func TestRelowerSharesTables(t *testing.T) {
 	}
 	tables := func(m *Matcher) (map[*automata.DFA]bool, map[*nbva.Kernel]bool) {
 		dfas, kernels := map[*automata.DFA]bool{}, map[*nbva.Kernel]bool{}
-		for _, dfa := range m.dfas {
+		tables, _, _ := dfaTables(m)
+		for _, dfa := range tables {
 			dfas[dfa] = true
 		}
-		for _, k := range m.nbvaKernels {
+		for _, k := range nbvaTables(m).kernels {
 			kernels[k] = true
 		}
 		return dfas, kernels
@@ -238,19 +239,21 @@ func TestRelowerSharesTables(t *testing.T) {
 			t.Errorf("DFA cap %d: Relower differs from a cold compile", tc.opts.DFAStateCap)
 		}
 		sharedDFAs, sharedKernels := 0, 0
-		for _, dfa := range got.dfas {
+		gotDFAs, _, _ := dfaTables(got)
+		gotKernels := nbvaTables(got).kernels
+		for _, dfa := range gotDFAs {
 			if prevDFAs[dfa] {
 				sharedDFAs++
 			}
 		}
-		for _, k := range got.nbvaKernels {
+		for _, k := range gotKernels {
 			if prevKernels[k] {
 				sharedKernels++
 			}
 		}
 		if (sharedDFAs > 0) != tc.sharesDFAs || sharedKernels == 0 {
 			t.Errorf("DFA cap %d: %d of %d DFA tables and %d of %d kernels shared with the earlier matcher",
-				tc.opts.DFAStateCap, sharedDFAs, len(got.dfas), sharedKernels, len(got.nbvaKernels))
+				tc.opts.DFAStateCap, sharedDFAs, len(gotDFAs), sharedKernels, len(gotKernels))
 		}
 	}
 }

@@ -1,0 +1,244 @@
+package refmatch
+
+import (
+	"fmt"
+
+	"repro/internal/automata"
+	"repro/internal/nbva"
+	"repro/internal/prefilter"
+	"repro/internal/shiftand"
+)
+
+// A lane scans the patterns of one engine. The lowering builds a
+// Matcher's lanes with the read-only tables they read; a Session opens its
+// own copy of each, which shares the tables and adds the state its stream
+// changes.
+type lane interface {
+	open() lane
+	// scan consumes chunk, the stream bytes from global offset base on,
+	// and reports through s in runs ascending in End: the ties of a run
+	// and the runs themselves follow pattern order.
+	scan(s *Session, chunk []byte, base int)
+	reset()
+	// pats lists the lane's patterns in the order it scans them, and
+	// kernel names the loop that scans the j-th of them.
+	pats() []int
+	kernel(j int) string
+}
+
+// shiftAndLane is a packed Shift-And machine; pf, when set, gates it to
+// the candidate windows of its patterns' mandatory-literal union.
+type shiftAndLane struct {
+	sa       *shiftand.Machine
+	patterns []int // per packed sequence
+	pf       *prefilter.Set
+	r        *shiftand.Runner
+	stream   *prefilter.Stream // nil without pf
+}
+
+func (l *shiftAndLane) open() lane {
+	c := *l
+	c.r = shiftand.NewRunner(l.sa)
+	if l.pf != nil {
+		c.stream = l.pf.NewStream()
+	}
+	return &c
+}
+
+func (l *shiftAndLane) scan(s *Session, chunk []byte, base int) {
+	emit := func(seq, end int) { s.report(l.patterns[seq], end, false) }
+	if l.stream == nil {
+		l.r.ScanChunk(chunk, base, emit)
+		return
+	}
+	l.stream.Scan(chunk, func(at int, data []byte) { l.r.ScanChunk(data, at, emit) }, l.r.Reset)
+}
+
+func (l *shiftAndLane) reset() {
+	l.r.Reset()
+	if l.stream != nil {
+		l.stream.Reset()
+	}
+}
+
+// prefiltered returns the Shift-And lane of lanes that runs behind the
+// prefilter, nil when no pattern is prefiltered.
+func prefiltered(lanes []lane) *shiftAndLane {
+	for _, l := range lanes {
+		if l, ok := l.(*shiftAndLane); ok && l.pf != nil {
+			return l
+		}
+	}
+	return nil
+}
+
+func (l *shiftAndLane) pats() []int { return l.patterns }
+
+func (l *shiftAndLane) kernel(int) string {
+	name := "shiftand-multi"
+	switch {
+	case l.sa.HasKernel64():
+		name = "shiftand64"
+	case l.sa.HasKernel128():
+		name = "shiftand128"
+	}
+	if l.pf != nil {
+		name += " behind " + l.pf.Kernel()
+	}
+	return name
+}
+
+// nbvaLane holds the NBVA machines in pattern order, each with its word
+// kernel, or a nil kernel when it has more than nbva.MaxKernelStates
+// control states and is stepped with an nbva.Runner.
+type nbvaLane struct {
+	machines []*nbva.Machine
+	kernels  []*nbva.Kernel
+	patterns []int
+	words    int // vector words of all the kernels' states together
+	runs     []nbvaRun
+}
+
+// nbvaRun is one machine's stream state: its kernel's, or its runner.
+type nbvaRun struct {
+	kernel nbva.KernelState
+	step   *nbva.Runner
+}
+
+// open keeps the vectors of all the machines in one slab.
+func (l *nbvaLane) open() lane {
+	c := *l
+	c.runs = make([]nbvaRun, len(l.machines))
+	vec := make([]uint64, l.words)
+	for j, k := range l.kernels {
+		if k == nil {
+			c.runs[j].step = nbva.NewRunner(l.machines[j])
+			continue
+		}
+		c.runs[j].kernel = k.NewState(vec[:k.Words():k.Words()])
+		vec = vec[k.Words():]
+	}
+	return &c
+}
+
+func (l *nbvaLane) scan(s *Session, chunk []byte, base int) {
+	for j := range l.runs {
+		p, anchored, run := l.patterns[j], l.machines[j].EndAnchored, &l.runs[j]
+		if run.step == nil {
+			run.kernel.ScanChunk(chunk, base, func(end int) { s.report(p, end, anchored) })
+			continue
+		}
+		for i, b := range chunk {
+			if run.step.Step(b) {
+				for k := run.step.FinalsFired(); k > 0; k-- {
+					s.report(p, base+i, anchored)
+				}
+			}
+		}
+	}
+}
+
+func (l *nbvaLane) reset() {
+	for j := range l.runs {
+		if run := &l.runs[j]; run.step == nil {
+			run.kernel.Reset()
+		} else {
+			run.step.Reset()
+		}
+	}
+}
+
+func (l *nbvaLane) pats() []int { return l.patterns }
+
+func (l *nbvaLane) kernel(j int) string {
+	name := "word64"
+	if l.kernels[j] == nil {
+		name = "step"
+	}
+	return fmt.Sprintf("%s (%d states, %d BV bits)", name, l.machines[j].NumStates(), l.machines[j].TotalBVBits())
+}
+
+// nfaLane holds the patterns stepped as bitset NFAs, in pattern order.
+type nfaLane struct {
+	nfas     []*automata.NFA
+	patterns []int
+	runners  []*automata.Runner
+}
+
+func (l *nfaLane) open() lane {
+	c := *l
+	c.runners = make([]*automata.Runner, len(l.nfas))
+	for j, nfa := range l.nfas {
+		c.runners[j] = automata.NewRunner(nfa)
+	}
+	return &c
+}
+
+func (l *nfaLane) scan(s *Session, chunk []byte, base int) {
+	for j, r := range l.runners {
+		p, anchored := l.patterns[j], l.nfas[j].EndAnchored
+		for i, b := range chunk {
+			if r.Step(b) {
+				for k := r.FinalsActive(); k > 0; k-- {
+					s.report(p, base+i, anchored)
+				}
+			}
+		}
+	}
+}
+
+func (l *nfaLane) reset() {
+	for _, r := range l.runners {
+		r.Reset()
+	}
+}
+
+func (l *nfaLane) pats() []int { return l.patterns }
+
+func (l *nfaLane) kernel(int) string { return "nfa-step" }
+
+// dfaLane holds the DFA-routed patterns in pattern order, scanned in
+// blocks of automata.BlockLanes consecutive patterns; the tail of fewer
+// runs one at a time, since a padding lane would cost a real one. A block
+// is only a range of the per-pattern tables.
+type dfaLane struct {
+	dfas     []*automata.DFA
+	nfas     []*automata.NFA // Glushkov NFA behind each DFA, for the SFA union
+	patterns []int
+	rows     []int32 // the row offset each DFA stopped in
+}
+
+// blocked is how many DFAs, from the first, are scanned in blocks.
+func (l *dfaLane) blocked() int { return len(l.dfas) &^ (automata.BlockLanes - 1) }
+
+func (l *dfaLane) open() lane {
+	c := *l
+	c.rows = make([]int32, len(l.dfas))
+	return &c
+}
+
+func (l *dfaLane) scan(s *Session, chunk []byte, base int) {
+	blocked := l.blocked()
+	for j := 0; j < blocked; j += automata.BlockLanes {
+		idx := l.patterns[j:]
+		automata.ScanBlock((*[automata.BlockLanes]*automata.DFA)(l.dfas[j:]),
+			(*[automata.BlockLanes]int32)(l.rows[j:]), chunk, base, func(lane, end int) {
+				s.report(idx[lane], end, false)
+			})
+	}
+	for j := blocked; j < len(l.dfas); j++ {
+		p := l.patterns[j]
+		l.rows[j] = l.dfas[j].ScanChunk(l.rows[j], chunk, base, func(end int) { s.report(p, end, false) })
+	}
+}
+
+func (l *dfaLane) reset() { clear(l.rows) }
+
+func (l *dfaLane) pats() []int { return l.patterns }
+
+func (l *dfaLane) kernel(j int) string {
+	if j < l.blocked() {
+		return fmt.Sprintf("dfa-table x%d", automata.BlockLanes)
+	}
+	return "dfa-table"
+}

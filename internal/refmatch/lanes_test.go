@@ -1,0 +1,142 @@
+package refmatch
+
+import (
+	"context"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"repro/internal/automata"
+	"repro/internal/regexast"
+)
+
+// dfaTables returns the DFA tables of m in pattern order, the pattern of
+// each, and how many of them, from the first, are scanned in blocks.
+func dfaTables(m *Matcher) (dfas []*automata.DFA, patterns []int, blocked int) {
+	for _, l := range m.lanes {
+		if l, ok := l.(*dfaLane); ok {
+			return l.dfas, l.patterns, l.blocked()
+		}
+	}
+	return nil, nil, 0
+}
+
+// nbvaTables returns the NBVA lane of m, empty when it has none.
+func nbvaTables(m *Matcher) *nbvaLane {
+	for _, l := range m.lanes {
+		if l, ok := l.(*nbvaLane); ok {
+			return l
+		}
+	}
+	return &nbvaLane{}
+}
+
+// laneOf returns the rank of the scan lane that reports pattern p, read
+// from the public verdicts alone: prefiltered Shift-And, always-on
+// Shift-And, NBVA, NFA, DFA. The DFA lane's blocks and tail are ranked
+// apart, which is pattern order within it.
+func laneOf(m *Matcher, p int) int {
+	switch m.Engines()[p] {
+	case EngineShiftAnd:
+		if m.PrefilterVerdicts()[p].Prefilterable {
+			return 0
+		}
+		return 1
+	case EngineNBVA:
+		return 2
+	case EngineNFA:
+		return 3
+	}
+	if strings.HasSuffix(m.Kernels()[p], " x4") {
+		return 4
+	}
+	return 5
+}
+
+// FuzzSessionDifferential streams a set of up to six patterns, mixing
+// every scan lane, through Feed at random cuts and Finish, and holds the
+// union of what it reports to each pattern's reference NFA. Every Feed
+// and the Finish must keep the order contract on their own: End
+// ascending, equal-End ties in lane order and then pattern order.
+func FuzzSessionDifferential(f *testing.F) {
+	wide := strings.Repeat("[ab]", 70)
+	for _, seed := range []struct{ patterns, input string }{
+		{"cat\n[a-f].[a-f]\nab{20}c\n^a(x|y)*b\na(x|b)*c\nq(a|b)*c$",
+			"axyb cat a" + strings.Repeat("b", 20) + "c qabc"},
+		{"a(x|y)*b\nb(x|y)*c\nc(x|y)*d\nd(x|y)*e\ne(x|y)*f\nneedle",
+			"axxb byyc cxd dye exyf needle axbyc"},
+		{wide + "c{20}d\nhab{20}c\n^xab{18,30}bc$\nb{17}\n[bc]{19}$",
+			"xa" + strings.Repeat("b", 20) + "c " + strings.Repeat("ab", 35) + strings.Repeat("c", 20) + "d hab" +
+				strings.Repeat("b", 19) + "c" + strings.Repeat("b", 19)},
+		{"bbbc\n^qa(x|b)*c\nb{20}c\n[ab]{0,30}bc\na(y|b)*c\nend$",
+			"qa" + strings.Repeat("b", 24) + "c end"},
+	} {
+		f.Add(seed.patterns, []byte(seed.input), int64(len(seed.input)))
+	}
+	f.Fuzz(func(t *testing.T, patternList string, input []byte, seed int64) {
+		patterns := strings.Split(patternList, "\n")
+		if len(patterns) > 6 || len(patternList) > 1<<10 || len(input) > 2<<10 {
+			return
+		}
+		want := map[Match]bool{}
+		for p, pat := range patterns {
+			re, err := regexast.Parse(pat)
+			if err != nil {
+				return
+			}
+			nfa, err := automata.Glushkov(re, automata.DefaultMaxStates)
+			if err != nil {
+				return
+			}
+			for _, end := range nfa.MatchEnds(input) {
+				if end >= 0 { // -1 is "matches before any input", never reported
+					want[Match{Pattern: p, End: end}] = true
+				}
+			}
+		}
+		m, err := Compile(context.Background(), patterns, Options{})
+		if err != nil {
+			return
+		}
+		lane := make([]int, len(patterns))
+		for p := range lane {
+			lane[p] = laneOf(m, p)
+		}
+		ordered := func(what string, ms []Match) {
+			for i := 1; i < len(ms); i++ {
+				a, b := ms[i-1], ms[i]
+				if a.End > b.End || a.End == b.End &&
+					(lane[a.Pattern] > lane[b.Pattern] || lane[a.Pattern] == lane[b.Pattern] && a.Pattern > b.Pattern) {
+					t.Fatalf("%q on %q: %s reports %v before %v (lanes %v)", patterns, input, what, a, b, lane)
+				}
+			}
+		}
+		r := rand.New(rand.NewSource(seed))
+		s := m.NewSession()
+		got := map[Match]bool{}
+		for rest := input; ; {
+			n := r.Intn(len(rest) + 1)
+			ms := s.Feed(rest[:n])
+			ordered("Feed", ms)
+			for _, mt := range ms {
+				got[mt] = true
+			}
+			if rest = rest[n:]; len(rest) == 0 {
+				break
+			}
+		}
+		ms := s.Finish()
+		ordered("Finish", ms)
+		for _, mt := range ms {
+			got[mt] = true
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%q on %q: streamed %v, reference NFAs %v", patterns, input, got, want)
+		}
+		for mt := range want {
+			if !got[mt] {
+				t.Fatalf("%q on %q: streamed %v, reference NFAs %v", patterns, input, got, want)
+			}
+		}
+	})
+}

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/automata"
 	"repro/internal/sfa"
 	"repro/internal/shiftand"
 )
@@ -22,8 +23,9 @@ type parallelPlan struct {
 	sfa *sfa.Machine
 	// overlap is how many bytes before its chunk each worker rescans for
 	// the Shift-And machines: a packed sequence of length L only looks at
-	// the last L bytes, so saMaxLen-1 bytes of context reproduce every
-	// serial match ending inside the chunk from a fresh runner.
+	// the last L bytes, and no sequence is longer than its machine, so
+	// NumStates-1 bytes of context reproduce every serial match ending
+	// inside the chunk from a fresh runner.
 	overlap int
 }
 
@@ -47,29 +49,33 @@ func (m *Matcher) buildPlan() (*parallelPlan, error) {
 	if m.opts.SFAStateCap < 0 {
 		return nil, &ParallelizeError{Pattern: -1, Reason: ReasonDisabled}
 	}
-	// NBVA counter state has no composable chunk function here; one such
-	// pattern makes the whole set serial (the matcher is all-or-nothing,
-	// like compilation).
-	if len(m.nbvaIdx) > 0 {
-		return nil, &ParallelizeError{Pattern: m.nbvaIdx[0], Reason: ReasonNBVAEngine}
-	}
-	nfas := m.dfaNFAs
-	pidx := m.dfaIdx
-	for j, nfa := range m.nfas {
-		// DFA-engine patterns passed these guards at compile time; the
-		// NFA-engine ones (DFA cap overflow or anchored/nullable) have not.
-		if nfa.StartAnchored || nfa.EndAnchored {
-			return nil, &ParallelizeError{Pattern: m.nfaIdx[j], Reason: ReasonAnchored}
-		}
-		if nfa.MatchesEmpty {
-			return nil, &ParallelizeError{Pattern: m.nfaIdx[j], Reason: ReasonMatchesEmpty}
-		}
-		nfas = append(nfas[:len(nfas):len(nfas)], nfa)
-		pidx = append(pidx[:len(pidx):len(pidx)], m.nfaIdx[j])
-	}
 	plan := &parallelPlan{}
-	if m.saMaxLen > 0 {
-		plan.overlap = m.saMaxLen - 1
+	var nfas []*automata.NFA
+	var pidx []int
+	for _, l := range m.lanes {
+		switch l := l.(type) {
+		case *shiftAndLane:
+			plan.overlap = max(plan.overlap, l.sa.NumStates()-1)
+		case *nbvaLane:
+			// NBVA counter state has no composable chunk function here; one
+			// such pattern makes the whole set serial (the matcher is
+			// all-or-nothing, like compilation).
+			return nil, &ParallelizeError{Pattern: l.patterns[0], Reason: ReasonNBVAEngine}
+		case *nfaLane:
+			// DFA-engine patterns passed these guards at lowering; the
+			// NFA-engine ones (DFA cap overflow or anchored/nullable) have not.
+			for j, nfa := range l.nfas {
+				if nfa.StartAnchored || nfa.EndAnchored {
+					return nil, &ParallelizeError{Pattern: l.patterns[j], Reason: ReasonAnchored}
+				}
+				if nfa.MatchesEmpty {
+					return nil, &ParallelizeError{Pattern: l.patterns[j], Reason: ReasonMatchesEmpty}
+				}
+			}
+			nfas, pidx = append(nfas, l.nfas...), append(pidx, l.patterns...)
+		case *dfaLane:
+			nfas, pidx = append(nfas, l.nfas...), append(pidx, l.patterns...)
+		}
 	}
 	if len(nfas) > 0 {
 		mach, err := sfa.Build(nfas, pidx, m.opts.SFAStateCap)
@@ -223,27 +229,17 @@ func (s *Session) scanParallel(ctx context.Context, buf []byte, workers, minChun
 				})
 			}
 		}
-		if m.sa != nil || m.saFast != nil {
-			lo := c.start - plan.overlap
-			if lo < 0 {
-				lo = 0
-			}
-			scan := func(mach *shiftand.Machine, pidx []int) {
-				r := shiftand.NewRunner(mach)
-				r.ScanChunk(buf[lo:c.end], lo, func(p, end int) {
+		lo := max(c.start-plan.overlap, 0)
+		for _, l := range m.lanes {
+			// Both Shift-And machines run always-on here; the literal
+			// prefilter is a pure optimization of the serial streaming path
+			// and gating it per chunk would cost more than it saves.
+			if l, ok := l.(*shiftAndLane); ok {
+				shiftand.NewRunner(l.sa).ScanChunk(buf[lo:c.end], lo, func(p, end int) {
 					if end >= c.start {
-						c.matches = append(c.matches, Match{Pattern: pidx[p], End: end})
+						c.matches = append(c.matches, Match{Pattern: l.patterns[p], End: end})
 					}
 				})
-			}
-			// Both machines run always-on here; the literal prefilter is a
-			// pure optimization of the serial streaming path and gating it
-			// per chunk would cost more than it saves.
-			if m.sa != nil {
-				scan(m.sa, m.saPattern)
-			}
-			if m.saFast != nil {
-				scan(m.saFast, m.saFastPattern)
 			}
 		}
 		c.phase1NS = time.Since(t0).Nanoseconds()

@@ -17,35 +17,28 @@
 //
 // # Scanning
 //
-// A Session scans engine-major: every engine runs its own loop over the
-// whole chunk — the Shift-And word kernels (the prefiltered machine only
-// inside candidate windows), the nbva chunk kernel per NBVA pattern, the
-// per-byte runners for NFA patterns and for NBVA machines too wide for
-// the kernel, and the DFA table loops — and one stable merge of their
-// matches by End restores stream order. The tables an engine scans with
-// belong to the Matcher and are shared by all its sessions; a session
-// holds only the state a stream changes.
+// FromResult lowers the compiled patterns into lanes, one per engine: a
+// scan loop with the tables it reads. In order, they are the prefiltered
+// Shift-And machine, whose word kernel runs only inside the candidate
+// windows of a prefilter.Stream; the always-on Shift-And machine; the
+// NBVA machines, each on the nbva chunk kernel or, when too wide for it,
+// on a per-byte runner; the NFAs, stepped per byte; and the DFAs. The
+// tables belong to the Matcher and are shared by all its sessions; a
+// Session holds one state per lane, only what a stream changes. A feed
+// runs the lanes one after the other over the whole chunk, and one stable
+// sort of their matches by End restores stream order.
 //
 // DFA patterns are scanned pattern-parallel, as the fabric runs them (§3:
 // every STE sees the input symbol in the same cycle). One DFA's table
-// walk is a chain of dependent loads that leaves the core waiting, so
-// automata.ScanBlock steps four DFAs per input byte in one loop, four
-// independent chains, and the DFA-routed patterns go through it in
-// blocks of four consecutive patterns in pattern order; the last one to
-// three run the single-lane loop. A block is only a range of the
-// Matcher's per-pattern tables, and a stream carries one row offset per
-// DFA across chunks.
+// walk is a chain of dependent loads, so automata.ScanBlock steps four
+// DFAs of consecutive patterns per input byte; the last one to three run
+// one at a time, since a padding lane would cost a real one.
 //
 // The order of the matches of one Feed or Scan is part of the contract:
-// ascending End, and for equal End the prefiltered Shift-And patterns,
-// the always-on Shift-And patterns, then the NBVA, NFA and DFA patterns,
-// each group in pattern order. Blocks keep it: a block reports a byte's
-// matches lane by lane before the next byte's, which is an ascending run
-// whose ties are already in pattern order, blocks and the tail follow
-// each other in pattern order, and the merge is stable. A match of an
-// end-anchored pattern is reported by Finish when the input is streamed,
-// since only then is the last byte known, and in place by the
-// whole-buffer scans.
+// ascending End, and for equal End lane order, then pattern order. A
+// match of an end-anchored pattern is reported by Finish when the input
+// is streamed, since only then is the last byte known, and in place by
+// the whole-buffer scans.
 //
 // # Typed errors
 //
@@ -174,42 +167,12 @@ type Match struct {
 
 // Matcher scans inputs against a compiled set of patterns.
 type Matcher struct {
-	engines []Engine
-
-	// Always-on Shift-And machine: linear patterns without a usable
-	// mandatory-literal set step every input byte.
-	sa        *shiftand.Machine // packed linear patterns, nil if none
-	saPattern []int             // shift-and pattern index -> global index
-
-	// Prefiltered Shift-And machine: linear patterns whose mandatory
-	// literals gate the automaton to candidate windows around hits.
-	saFast        *shiftand.Machine
-	saFastPattern []int
-	pf            *prefilter.Set
-
+	engines  []Engine
 	verdicts []prefilter.Verdict // per global pattern
 
-	nbvas   []*nbva.Machine
-	nbvaIdx []int
-	// nbvaKernels[j] is the word-at-a-time scan program of nbvas[j], shared
-	// by every session; nil when the machine has more control states than
-	// the kernel takes and sessions step an nbva.Runner instead.
-	nbvaKernels []*nbva.Kernel
-
-	nfas   []*automata.NFA
-	nfaIdx []int
-
-	// The DFA-routed patterns, in pattern order. Sessions scan the first
-	// dfaBlocked of them automata.BlockLanes to a loop; a block is an index
-	// range, so each table stays its pattern's own, shared by Relower.
-	dfas    []*automata.DFA
-	dfaIdx  []int
-	dfaNFAs []*automata.NFA // Glushkov NFA behind each DFA, for the SFA union
-
-	// saMaxLen is the longest packed Shift-And sequence, which bounds how
-	// far back a Shift-And match can reach — the per-chunk overlap of the
-	// parallel scan path.
-	saMaxLen int
+	// lanes are the scan loops in the order of the package comment; a lane
+	// with no pattern is left out.
+	lanes []lane
 
 	// opts are the (defaulted) compile options; ScanParallel reads the
 	// SFA cap from them when building the parallel plan.
@@ -235,47 +198,43 @@ func Compile(ctx context.Context, patterns []string, opts Options) (*Matcher, er
 	return FromResult(res, opts)
 }
 
-// lowered holds what FromResult derives from one pattern's machine and
-// nothing else: the DFA table of an NFA (nil: it steps as an NFA, because
-// the streaming DFA does not apply or outgrew DFAStateCap) and the scan
-// kernel of an NBVA machine (nil: too wide, sessions step a Runner). A
-// Matcher's own tables, keyed by the machine they were built from, are the
-// cache its successor lowers against. The zero value caches nothing.
-type lowered struct {
-	dfas    map[*automata.NFA]*automata.DFA
-	kernels map[*nbva.Machine]*nbva.Kernel
-}
-
-// lowered indexes the per-pattern tables of m for a successor lowered
-// under opts (defaulted). A DFA verdict stands only under the same cap.
-func (m *Matcher) lowered(opts Options) lowered {
-	var l lowered
+// lowered indexes what m lowered each machine to, for a successor lowered
+// under opts (defaulted) to reuse: the DFA table of an NFA (nil: it steps
+// as an NFA, because the streaming DFA does not apply or outgrew
+// DFAStateCap), kept only under the same cap, and the scan kernel of an
+// NBVA machine (nil: too wide, sessions step a Runner).
+func (m *Matcher) lowered(opts Options) (map[*automata.NFA]*automata.DFA, map[*nbva.Machine]*nbva.Kernel) {
 	if m == nil {
-		return l
+		return nil, nil
 	}
-	if m.opts.DFAStateCap == opts.DFAStateCap {
-		l.dfas = make(map[*automata.NFA]*automata.DFA, len(m.dfas)+len(m.nfas))
-		for j, nfa := range m.dfaNFAs {
-			l.dfas[nfa] = m.dfas[j]
+	n := len(m.engines)
+	dfas, kernels := make(map[*automata.NFA]*automata.DFA, n), make(map[*nbva.Machine]*nbva.Kernel, n)
+	for _, l := range m.lanes {
+		switch l := l.(type) {
+		case *nbvaLane:
+			for j, machine := range l.machines {
+				kernels[machine] = l.kernels[j]
+			}
+		case *nfaLane:
+			for _, nfa := range l.nfas {
+				dfas[nfa] = nil
+			}
+		case *dfaLane:
+			for j, nfa := range l.nfas {
+				dfas[nfa] = l.dfas[j]
+			}
 		}
-		for _, nfa := range m.nfas {
-			l.dfas[nfa] = nil
-		}
 	}
-	l.kernels = make(map[*nbva.Machine]*nbva.Kernel, len(m.nbvas))
-	for j, machine := range m.nbvas {
-		l.kernels[machine] = m.nbvaKernels[j]
+	if m.opts.DFAStateCap != opts.DFAStateCap {
+		dfas = nil
 	}
-	return l
+	return dfas, kernels
 }
 
-// dfa returns the streaming DFA nfa scans with, nil when it steps as an
-// NFA: a small table, when constructible and the pattern has no anchoring
-// or empty-match subtleties.
-func (l lowered) dfa(nfa *automata.NFA, cap int) *automata.DFA {
-	if dfa, ok := l.dfas[nfa]; ok {
-		return dfa
-	}
+// buildDFA returns the streaming DFA nfa scans with, nil when it steps as
+// an NFA: a small table, when constructible and the pattern has no
+// anchoring or empty-match subtleties.
+func buildDFA(nfa *automata.NFA, cap int) *automata.DFA {
 	if cap <= 0 || nfa.StartAnchored || nfa.EndAnchored || nfa.MatchesEmpty {
 		return nil
 	}
@@ -284,19 +243,6 @@ func (l lowered) dfa(nfa *automata.NFA, cap int) *automata.DFA {
 		return nil
 	}
 	return dfa
-}
-
-// dfaBlocked is the number of leading m.dfas scanned in whole blocks; the
-// tail is scanned single-lane, since a padding lane would cost a real one.
-func (m *Matcher) dfaBlocked() int {
-	return len(m.dfas) &^ (automata.BlockLanes - 1)
-}
-
-func (l lowered) kernel(machine *nbva.Machine) *nbva.Kernel {
-	if k, ok := l.kernels[machine]; ok {
-		return k
-	}
-	return nbva.NewKernel(machine)
 }
 
 // FromResult lowers a compile.Result onto the software engines: LNFA
@@ -322,15 +268,17 @@ func Relower(prev *Matcher, res *compile.Result, opts Options) (*Matcher, error)
 		return nil, res.Errors[0]
 	}
 	opts.setDefaults()
-	cache := prev.lowered(opts)
+	dfas, kernels := prev.lowered(opts)
 	m := &Matcher{
 		engines:  make([]Engine, len(res.Regexes)),
 		verdicts: make([]prefilter.Verdict, len(res.Regexes)),
 		opts:     opts,
 	}
-	var saPats, saFastPats []shiftand.Pattern
+	sas := [2]*shiftAndLane{{}, {}} // prefiltered, always-on
+	var seqs [2][]shiftand.Pattern
 	var pfLits [][]byte
 	pfWindow := 0
+	nb, nf, dl := &nbvaLane{}, &nfaLane{}, &dfaLane{}
 	for i := range res.Regexes {
 		c := &res.Regexes[i]
 		switch c.Mode {
@@ -345,63 +293,53 @@ func Relower(prev *Matcher, res *compile.Result, opts Options) (*Matcher, error)
 				lits, m.verdicts[i] = prefilter.Analyze(c.AST.Root)
 			}
 			for _, seq := range c.Seqs {
-				s := shiftand.Pattern(seq.Classes)
-				if len(s) > m.saMaxLen {
-					m.saMaxLen = len(s)
-				}
+				s, k := shiftand.Pattern(seq.Classes), 1
 				if lits != nil {
-					saFastPats = append(saFastPats, s)
-					m.saFastPattern = append(m.saFastPattern, i)
-					if len(s) > pfWindow {
-						pfWindow = len(s)
-					}
-				} else {
-					saPats = append(saPats, s)
-					m.saPattern = append(m.saPattern, i)
+					k, pfWindow = 0, max(pfWindow, len(s))
 				}
+				seqs[k] = append(seqs[k], s)
+				sas[k].patterns = append(sas[k].patterns, i)
 			}
 			pfLits = append(pfLits, lits...)
 		case compile.ModeNBVA:
 			m.engines[i] = EngineNBVA
-			m.nbvas = append(m.nbvas, c.NBVA)
-			m.nbvaIdx = append(m.nbvaIdx, i)
-			m.nbvaKernels = append(m.nbvaKernels, cache.kernel(c.NBVA))
+			k, ok := kernels[c.NBVA]
+			if !ok {
+				k = nbva.NewKernel(c.NBVA)
+			}
+			nb.machines = append(nb.machines, c.NBVA)
+			nb.kernels = append(nb.kernels, k)
+			nb.patterns = append(nb.patterns, i)
+			if k != nil {
+				nb.words += k.Words()
+			}
 		case compile.ModeNFA:
-			nfa := c.NFA
-			if dfa := cache.dfa(nfa, opts.DFAStateCap); dfa != nil {
+			dfa, ok := dfas[c.NFA]
+			if !ok {
+				dfa = buildDFA(c.NFA, opts.DFAStateCap)
+			}
+			if dfa != nil {
 				m.engines[i] = EngineDFA
-				m.dfas = append(m.dfas, dfa)
-				m.dfaIdx = append(m.dfaIdx, i)
-				m.dfaNFAs = append(m.dfaNFAs, nfa)
+				dl.dfas = append(dl.dfas, dfa)
+				dl.nfas = append(dl.nfas, c.NFA)
+				dl.patterns = append(dl.patterns, i)
 				break
 			}
 			m.engines[i] = EngineNFA
-			m.nfas = append(m.nfas, nfa)
-			m.nfaIdx = append(m.nfaIdx, i)
+			nf.nfas = append(nf.nfas, c.NFA)
+			nf.patterns = append(nf.patterns, i)
 		}
 		// Non-Shift-And engines step every byte.
 		if e := m.engines[i]; e != EngineShiftAnd {
 			m.verdicts[i] = prefilter.Verdict{Reason: "engine " + e.String() + " is always-on"}
 		}
 	}
-	if len(saPats) > 0 {
-		sa, err := shiftand.New(saPats)
-		if err != nil {
-			return nil, err
-		}
-		m.sa = sa
-	}
-	if len(saFastPats) > 0 {
-		sa, err := shiftand.New(saFastPats)
-		if err != nil {
-			return nil, err
-		}
+	if len(seqs[0]) > 0 {
 		pf, err := prefilter.NewSet(pfLits, pfWindow)
 		if err != nil {
 			return nil, fmt.Errorf("refmatch: prefilter: %w", err)
 		}
-		m.saFast = sa
-		m.pf = pf
+		sas[0].pf = pf
 		// The tier is a property of the compiled literal union, so it is
 		// only known now — backfill it onto the prefiltered verdicts.
 		tier := pf.Tier().String()
@@ -409,6 +347,19 @@ func Relower(prev *Matcher, res *compile.Result, opts Options) (*Matcher, error)
 			if m.verdicts[i].Prefilterable {
 				m.verdicts[i].Tier = tier
 			}
+		}
+	}
+	for k, l := range sas {
+		if len(seqs[k]) > 0 {
+			var err error
+			if l.sa, err = shiftand.New(seqs[k]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for _, l := range []lane{sas[0], sas[1], nb, nf, dl} {
+		if len(l.pats()) > 0 {
+			m.lanes = append(m.lanes, l)
 		}
 	}
 	return m, nil
@@ -426,19 +377,19 @@ func (m *Matcher) PrefilterVerdicts() []prefilter.Verdict { return m.verdicts }
 // compiled to ("memchr", "bytetable", "teddy" or "ac"), or the empty
 // string when no pattern is prefiltered.
 func (m *Matcher) PrefilterTier() string {
-	if m.pf == nil {
-		return ""
+	if l := prefiltered(m.lanes); l != nil {
+		return l.pf.Tier().String()
 	}
-	return m.pf.Tier().String()
+	return ""
 }
 
 // PrefilterKernel names the candidate scan loop of the literal union
 // (prefilter.Set.Kernel), empty when no pattern is prefiltered.
 func (m *Matcher) PrefilterKernel() string {
-	if m.pf == nil {
-		return ""
+	if l := prefiltered(m.lanes); l != nil {
+		return l.pf.Kernel()
 	}
-	return m.pf.Kernel()
+	return ""
 }
 
 // Kernels names, per pattern, the software loop that scans it: the
@@ -452,49 +403,19 @@ func (m *Matcher) PrefilterKernel() string {
 // block loop or "dfa-table" when it is in the single-lane tail.
 func (m *Matcher) Kernels() []string {
 	out := make([]string, len(m.engines))
-	for _, p := range m.saPattern {
-		out[p] = shiftAndKernel(m.sa)
-	}
-	for _, p := range m.saFastPattern {
-		out[p] = shiftAndKernel(m.saFast) + " behind " + m.pf.Kernel()
-	}
-	for j, p := range m.nbvaIdx {
-		name := "word64"
-		if m.nbvaKernels[j] == nil {
-			name = "step"
-		}
-		out[p] = fmt.Sprintf("%s (%d states, %d BV bits)", name, m.nbvas[j].NumStates(), m.nbvas[j].TotalBVBits())
-	}
-	for _, p := range m.nfaIdx {
-		out[p] = "nfa-step"
-	}
-	blockLane := fmt.Sprintf("dfa-table x%d", automata.BlockLanes)
-	for j, p := range m.dfaIdx {
-		out[p] = "dfa-table"
-		if j < m.dfaBlocked() {
-			out[p] = blockLane
+	for _, l := range m.lanes {
+		for j, p := range l.pats() {
+			out[p] = l.kernel(j)
 		}
 	}
 	return out
-}
-
-func shiftAndKernel(sa *shiftand.Machine) string {
-	switch {
-	case sa.HasKernel64():
-		return "shiftand64"
-	case sa.HasKernel128():
-		return "shiftand128"
-	default:
-		return "shiftand-multi"
-	}
 }
 
 // NumPatterns returns the number of compiled patterns.
 func (m *Matcher) NumPatterns() int { return len(m.engines) }
 
 // Scan runs every pattern over input and returns all matches in stream
-// order: ascending end offset, and within one offset grouped by engine
-// (see Session). Nullable patterns report only at offsets where their
+// order (see the package comment). Nullable patterns report only at offsets where their
 // automaton fires, matching the AP streaming semantics.
 //
 // Scan keeps all per-scan state in a private Session, so a compiled

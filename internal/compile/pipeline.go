@@ -38,7 +38,8 @@ func CompileContext(ctx context.Context, patterns []string, opts Options) (*Resu
 // machine shared by pointer, nothing in them is written after
 // construction — and only new texts are parsed, rewritten and routed. The
 // Result equals a cold compile of patterns (Regexes, Diags, Errors,
-// Fingerprint); Reused says how many slots were taken from prev. A nil
+// Fingerprint); Reused says how many slots were taken from prev, and From
+// which. A nil
 // prev, or one compiled under other options, reuses nothing: that is
 // CompileContext.
 func Recompile(ctx context.Context, prev *Result, patterns []string, opts Options) (*Result, error) {
@@ -49,14 +50,16 @@ func Recompile(ctx context.Context, prev *Result, patterns []string, opts Option
 		opts:    opts,
 	}
 	res.opts.Parallelism = 0 // never changes the output, so never refuses reuse
-	var cached map[string]*Compiled
+	// cached maps each pattern prev compiled to its slot there.
+	var cached map[string]int
 	if prev != nil && prev.opts == res.opts {
-		cached = make(map[string]*Compiled, len(prev.Regexes))
+		cached = make(map[string]int, len(prev.Regexes))
 		for i := range prev.Regexes {
 			if prev.Diags[i].OK() {
-				cached[prev.Regexes[i].Source] = &prev.Regexes[i]
+				cached[prev.Regexes[i].Source] = i
 			}
 		}
+		res.From = make([]int, len(patterns))
 	}
 	workers := opts.Parallelism
 	if workers <= 0 {
@@ -71,7 +74,7 @@ func Recompile(ctx context.Context, prev *Result, patterns []string, opts Option
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			compileSlot(res, i, p, opts, cached)
+			compileSlot(res, prev, i, p, opts, cached)
 		}
 	} else {
 		var next atomic.Int64
@@ -85,7 +88,7 @@ func Recompile(ctx context.Context, prev *Result, patterns []string, opts Option
 					if i >= len(patterns) {
 						return
 					}
-					compileSlot(res, i, patterns[i], opts, cached)
+					compileSlot(res, prev, i, patterns[i], opts, cached)
 				}
 			}()
 		}
@@ -102,19 +105,24 @@ func Recompile(ctx context.Context, prev *Result, patterns []string, opts Option
 			res.Errors = append(res.Errors, &Error{
 				Index: d.Index, Pattern: patterns[d.Index], Code: d.Code, Err: d.Err,
 			})
-		} else if cached[patterns[i]] != nil {
+		} else if res.From != nil && res.From[i] >= 0 {
 			res.Reused++
 		}
 	}
 	return res, nil
 }
 
-// compileSlot fills Result slot i with pattern's entry of cached when it
-// has one and with a fresh compile otherwise. Each slot is written by
+// compileSlot fills Result slot i with pattern's entry of prev when cached
+// holds one and with a fresh compile otherwise. Each slot is written by
 // exactly one worker (the one that claimed index i), so no
 // synchronization is needed beyond the pool's WaitGroup.
-func compileSlot(res *Result, i int, pattern string, opts Options, cached map[string]*Compiled) {
-	c := cached[pattern]
+func compileSlot(res, prev *Result, i int, pattern string, opts Options, cached map[string]int) {
+	var c *Compiled
+	if j, ok := cached[pattern]; ok {
+		c, res.From[i] = &prev.Regexes[j], j
+	} else if res.From != nil {
+		res.From[i] = -1
+	}
 	if c == nil {
 		var code DiagCode
 		var err error

@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"repro/internal/bitstream"
+	"repro/internal/compile"
 	"repro/internal/core"
+	"repro/internal/mapper"
 	"repro/internal/metrics"
 	"repro/internal/reconfig"
 	"repro/internal/refmatch"
@@ -50,7 +52,7 @@ func Reconfig(cfg Config) (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		old, imgOld, err := deployImage(d.Patterns)
+		old, imgOld, err := deployImage(&core.Program{}, nil, d.Patterns)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
@@ -61,25 +63,30 @@ func Reconfig(cfg Config) (*metrics.Table, error) {
 			}
 			runtime.GC() // both timings are one sample: start each from a collected heap
 			coldStart := time.Now()
-			next, imgNew, err := deployImage(newPats)
+			coldProg, coldImg, err := deployImage(&core.Program{}, nil, newPats)
 			if err != nil {
 				return nil, fmt.Errorf("%s churn %s: %w", name, ch.label, err)
 			}
-			if _, err := refmatch.FromResult(next.Result, refmatch.Options{}); err != nil {
+			if _, err := refmatch.FromResult(coldProg.Result, refmatch.Options{}); err != nil {
 				return nil, err
+			}
+			if _, err := reconfig.Schedule(reconfig.Diff(imgOld, coldImg), coldImg); err != nil {
+				return nil, err
+			}
+			cold := time.Since(coldStart)
+			// The swap the fabric loads is Service.Update's: placed from the
+			// deployed placement and built on the deployed image.
+			next, imgNew, err := deployImage(old, imgOld, newPats)
+			if err != nil {
+				return nil, fmt.Errorf("%s churn %s: %w", name, ch.label, err)
 			}
 			delta := reconfig.Diff(imgOld, imgNew)
-			data, err := delta.MarshalBinary()
-			if err != nil {
-				return nil, err
-			}
 			full := reconfig.FullCost(imgNew)
 			plan, err := reconfig.Schedule(delta, imgNew)
 			if err != nil {
 				return nil, err
 			}
 			inc := plan.Cost
-			cold := time.Since(coldStart)
 			update, err := updateLatency(d.Patterns, newPats)
 			if err != nil {
 				return nil, fmt.Errorf("%s churn %s: %w", name, ch.label, err)
@@ -96,8 +103,8 @@ func Reconfig(cfg Config) (*metrics.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			t.AddRow(name, ch.label, len(data), imgNew.SizeBytes(),
-				metrics.Ratio(float64(imgNew.SizeBytes()), float64(len(data))),
+			t.AddRow(name, ch.label, delta.SizeBytes(), imgNew.SizeBytes(),
+				metrics.Ratio(float64(imgNew.SizeBytes()), float64(delta.SizeBytes())),
 				inc.ReloadCycles, full.ReloadCycles, plan.LatencyUS(),
 				fmt.Sprintf("%d/%d", plan.UntouchedArrays, len(imgNew.Arrays)),
 				swap.ThroughputGchS(), redeploy.ThroughputGchS(),
@@ -132,14 +139,24 @@ func updateLatency(old, next []string) (time.Duration, error) {
 	return time.Since(start), err
 }
 
-// deployImage runs the deployment pipeline for one pattern set.
-func deployImage(patterns []string) (*core.Program, *bitstream.Image, error) {
-	prog, err := core.NewDefault().Compile(patterns)
+// deployImage compiles, places and builds patterns in place of prev, whose
+// image is base, as Service.Update does: the compile takes what prev holds,
+// the placement keeps prev's and the image is built on base. An empty prev
+// and a nil base deploy cold.
+func deployImage(prev *core.Program, base *bitstream.Image, patterns []string) (*core.Program, *bitstream.Image, error) {
+	res, err := compile.Recompile(context.Background(), prev.Result, patterns, compile.Options{})
+	if err == nil && len(res.Errors) > 0 {
+		err = res.Errors[0]
+	}
 	if err != nil {
 		return nil, nil, err
 	}
-	img, err := bitstream.Build(prog.Result, prog.Placement)
-	return prog, img, err
+	p, _, err := mapper.Remap(prev.Placement, prev.Result, res, mapper.Options{})
+	if err != nil {
+		return nil, nil, err
+	}
+	img, err := bitstream.Rebuild(base, res, p)
+	return &core.Program{Patterns: patterns, Result: res, Placement: p}, img, err
 }
 
 type churnLevel struct {

@@ -33,8 +33,8 @@ func FuzzParseDelta(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-marshal of a parsed delta: %v", err)
 		}
-		if len(out) != d.sizeBytes() {
-			t.Fatalf("marshalled %d bytes, sized %d", len(out), d.sizeBytes())
+		if len(out) != d.SizeBytes() {
+			t.Fatalf("marshalled %d bytes, sized %d", len(out), d.SizeBytes())
 		}
 		back, err := ParseDelta(out)
 		if err != nil || !reflect.DeepEqual(back, d) {

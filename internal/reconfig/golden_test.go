@@ -49,7 +49,7 @@ func TestWireFormatGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := diff.sizeBytes(); got != len(delta) {
+		if got := diff.SizeBytes(); got != len(delta) {
 			t.Errorf("%s: delta buffer sized %d for %d bytes", name, got, len(delta))
 		}
 		want, ok := goldenWire[name]

@@ -359,3 +359,33 @@ func TestApplyAllocs(t *testing.T) {
 		t.Errorf("Apply allocates %d bytes for a %d-byte image, limit %d", perRun, next.SizeBytes(), limit)
 	}
 }
+
+// TestDeltaSizeBytes: SizeBytes is the length MarshalBinary writes, on
+// deltas with a random number of records in every section.
+func TestDeltaSizeBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		d := &Delta{NumArrays: rng.Intn(4)}
+		for i := rng.Intn(3); i > 0; i-- {
+			a := bitstream.ArrayConfig{Tiles: make([]bitstream.TileConfig, rng.Intn(3))}
+			for ti := range a.Tiles {
+				a.Tiles[ti].BVs = make([]bitstream.BVConfig, rng.Intn(4))
+			}
+			d.Replaces = append(d.Replaces, ArrayReplace{Config: a})
+		}
+		for i := rng.Intn(5); i > 0; i-- {
+			d.TileMetas = append(d.TileMetas, TileMetaUpdate{BVs: make([]bitstream.BVConfig, rng.Intn(5))})
+		}
+		d.Headers = make([]HeaderUpdate, rng.Intn(5))
+		d.Codes = make([]CodeUpdate, rng.Intn(50))
+		d.LocalRows = make([]LocalRowUpdate, rng.Intn(50))
+		d.GlobalRows = make([]GlobalRowUpdate, rng.Intn(50))
+		data, err := d.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.SizeBytes() != len(data) {
+			t.Fatalf("trial %d: SizeBytes %d, marshalled %d bytes", trial, d.SizeBytes(), len(data))
+		}
+	}
+}

@@ -71,6 +71,7 @@ import (
 	"repro/internal/compile"
 	"repro/internal/nbva"
 	"repro/internal/prefilter"
+	"repro/internal/regexast"
 	"repro/internal/shiftand"
 )
 
@@ -169,6 +170,9 @@ type Match struct {
 type Matcher struct {
 	engines  []Engine
 	verdicts []prefilter.Verdict // per global pattern
+	// analyses holds prefilter.Analyze's answer for each Shift-And
+	// pattern's AST, for a successor to take instead of asking again.
+	analyses map[*regexast.Regex]analysis
 
 	// lanes are the scan loops in the order of the package comment; a lane
 	// with no pattern is left out.
@@ -198,14 +202,22 @@ func Compile(ctx context.Context, patterns []string, opts Options) (*Matcher, er
 	return FromResult(res, opts)
 }
 
+// analysis is the prefilter analysis of one pattern: its mandatory
+// literals and the verdict before the tier is known.
+type analysis struct {
+	lits    [][]byte
+	verdict prefilter.Verdict
+}
+
 // lowered indexes what m lowered each machine to, for a successor lowered
 // under opts (defaulted) to reuse: the DFA table of an NFA (nil: it steps
 // as an NFA, because the streaming DFA does not apply or outgrew
-// DFAStateCap), kept only under the same cap, and the scan kernel of an
-// NBVA machine (nil: too wide, sessions step a Runner).
-func (m *Matcher) lowered(opts Options) (map[*automata.NFA]*automata.DFA, map[*nbva.Machine]*nbva.Kernel) {
+// DFAStateCap), kept only under the same cap, the scan kernel of an NBVA
+// machine (nil: too wide, sessions step a Runner), and the prefilter
+// analysis of a Shift-And pattern.
+func (m *Matcher) lowered(opts Options) (map[*automata.NFA]*automata.DFA, map[*nbva.Machine]*nbva.Kernel, map[*regexast.Regex]analysis) {
 	if m == nil {
-		return nil, nil
+		return nil, nil, nil
 	}
 	n := len(m.engines)
 	dfas, kernels := make(map[*automata.NFA]*automata.DFA, n), make(map[*nbva.Machine]*nbva.Kernel, n)
@@ -228,7 +240,7 @@ func (m *Matcher) lowered(opts Options) (map[*automata.NFA]*automata.DFA, map[*n
 	if m.opts.DFAStateCap != opts.DFAStateCap {
 		dfas = nil
 	}
-	return dfas, kernels
+	return dfas, kernels, m.analyses
 }
 
 // buildDFA returns the streaming DFA nfa scans with, nil when it steps as
@@ -259,7 +271,8 @@ func FromResult(res *compile.Result, opts Options) (*Matcher, error) {
 // Relower is FromResult with prev, the Matcher of an earlier generation of
 // the ruleset, as its cache: a machine res shares with the Result prev was
 // lowered from (compile.Recompile shares them by pointer) keeps prev's DFA
-// table or NBVA kernel, also by pointer, since no scan writes to either.
+// table or NBVA kernel, also by pointer, since no scan writes to either, and
+// a shared AST keeps its prefilter literals and verdict.
 // What depends on the whole set — the Shift-And packing, the prefilter
 // literal union — is rebuilt, so the Matcher equals FromResult(res, opts)
 // in engines, kernels, verdicts and match order. A nil prev is FromResult.
@@ -268,10 +281,11 @@ func Relower(prev *Matcher, res *compile.Result, opts Options) (*Matcher, error)
 		return nil, res.Errors[0]
 	}
 	opts.setDefaults()
-	dfas, kernels := prev.lowered(opts)
+	dfas, kernels, analyses := prev.lowered(opts)
 	m := &Matcher{
 		engines:  make([]Engine, len(res.Regexes)),
 		verdicts: make([]prefilter.Verdict, len(res.Regexes)),
+		analyses: make(map[*regexast.Regex]analysis),
 		opts:     opts,
 	}
 	sas := [2]*shiftAndLane{{}, {}} // prefiltered, always-on
@@ -290,7 +304,12 @@ func Relower(prev *Matcher, res *compile.Result, opts Options) (*Matcher, error)
 			if opts.DisablePrefilter {
 				m.verdicts[i] = prefilter.Verdict{Reason: "prefilter disabled by options"}
 			} else {
-				lits, m.verdicts[i] = prefilter.Analyze(c.AST.Root)
+				a, ok := analyses[c.AST]
+				if !ok {
+					a.lits, a.verdict = prefilter.Analyze(c.AST.Root)
+				}
+				m.analyses[c.AST] = a
+				lits, m.verdicts[i] = a.lits, a.verdict
 			}
 			for _, seq := range c.Seqs {
 				s, k := shiftand.Pattern(seq.Classes), 1

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/arch"
 	"repro/internal/bitstream"
 	"repro/internal/compile"
 	"repro/internal/metrics"
@@ -70,8 +71,8 @@ func (o CompileOptions) options() refmatch.Options {
 
 // build runs the compiler front-end once over patterns and lowers its
 // Result onto the software matcher. The Result comes back too: it is
-// what the deployment image is mapped from (buildImage). prev, when not
-// nil, is the program being replaced: patterns it already holds keep their
+// what the deployment image is mapped from (deploy). prev, when not nil,
+// is the program being replaced: patterns it already holds keep their
 // compiled entry and lowered tables (compile.Recompile, refmatch.Relower,
 // which also decide when its options rule that out). A nil prev is a cold
 // compile — the same path with nothing to reuse.
@@ -145,12 +146,14 @@ type Program struct {
 	// program: the update that replaces it takes from res and Matcher
 	// every pattern the two rulesets share, and that is the whole cache.
 	res *compile.Result
-	// hwImg is the deployment bitstream of the program (Update diffs
-	// against it to produce the delta bitstream): set at construction by
-	// the update that built it, else built from res on first use.
-	hwOnce sync.Once
-	hwImg  *bitstream.Image
-	hwErr  error
+	// hwPlace and hwImg are the program's placement and deployment
+	// bitstream: the update that replaces the program remaps from the one
+	// and rebuilds on — and diffs against — the other. Set at construction
+	// by the update that built them, else built cold from res on first use.
+	hwOnce  sync.Once
+	hwPlace *arch.Placement
+	hwImg   *bitstream.Image
+	hwErr   error
 
 	// sessPool recycles refmatch.Sessions across one-shot scans and
 	// closed streams: all per-flow scratch (Shift-And state words, NBVA
@@ -192,14 +195,15 @@ func (p *Program) getSession() *refmatch.Session {
 // putSession returns a Session to the pool once no caller references it.
 func (p *Program) putSession(s *refmatch.Session) { p.sessPool.Put(s) }
 
-// hwImage returns the program's deployment image, building it on demand.
-func (p *Program) hwImage() (*bitstream.Image, error) {
+// hwImage returns the program's deployment image and its placement,
+// building both on demand.
+func (p *Program) hwImage() (*bitstream.Image, *arch.Placement, error) {
 	p.hwOnce.Do(func() {
 		if p.hwImg == nil {
-			p.hwImg, _, p.hwErr = buildImage(p.res)
+			p.hwImg, p.hwPlace, _, p.hwErr = deploy(nil, nil, nil, p.res)
 		}
 	})
-	return p.hwImg, p.hwErr
+	return p.hwImg, p.hwPlace, p.hwErr
 }
 
 // ProgramStats is the JSON snapshot of one program's counters.

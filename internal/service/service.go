@@ -153,6 +153,7 @@ type Service struct {
 	updates            *metrics.Counter
 	updateReused       *metrics.Counter // patterns taken from the replaced generation
 	updateCompiled     *metrics.Counter // patterns compiled because their text was new
+	updateRepacks      *metrics.Counter // updates whose placement fell back to a cold pack
 	updateDeltaBytes   *metrics.Counter
 	updateFullBytes    *metrics.Counter
 	updateReloadCycles *metrics.Counter

@@ -77,6 +77,7 @@ func (s *Service) registerMetrics() {
 	const updatePatternsHelp = "Patterns of applied hot-swaps, by whether the replaced generation already held them compiled."
 	s.updateReused = r.Counter("rap_update_patterns_total", updatePatternsHelp, telemetry.L("outcome", "reused"))
 	s.updateCompiled = r.Counter("rap_update_patterns_total", updatePatternsHelp, telemetry.L("outcome", "compiled"))
+	s.updateRepacks = r.Counter("rap_update_repack_total", "Hot-swaps whose placement fell back to a cold pack instead of keeping the served one's.")
 
 	// Program cache.
 	r.RegisterCounter("rap_cache_hits_total", "Program cache hits.", &s.cache.hits)

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/arch"
 	"repro/internal/bitstream"
 	"repro/internal/compile"
 	"repro/internal/mapper"
@@ -36,17 +37,19 @@ type UpdateResult struct {
 	ModelLatencyUS   float64 `json:"model_latency_us"`
 }
 
-// buildImage runs the hardware half of the pipeline — map, bitstream —
-// over a compiled ruleset, producing the deployment image the
-// reconfiguration delta is computed over and the number of tiles its
-// placement occupies.
-func buildImage(res *compile.Result) (img *bitstream.Image, tilesUsed int, err error) {
-	p, err := mapper.Map(res, mapper.Options{})
-	if err != nil {
-		return nil, 0, err
+// deploy runs the hardware half of the pipeline — map, bitstream — over a
+// compiled ruleset, producing the placement and the deployment image the
+// reconfiguration delta is taken over. Given the image, placement and
+// Result of the program being replaced, it remaps from that placement and
+// rebuilds on that image (mapper.Remap, bitstream.Rebuild), so both cost
+// what the update changed; repacked reports a remap that fell back to a
+// cold pack. With none it maps and builds cold.
+func deploy(base *bitstream.Image, prev *arch.Placement, prevRes, res *compile.Result) (img *bitstream.Image, p *arch.Placement, repacked bool, err error) {
+	if p, repacked, err = mapper.Remap(prev, prevRes, res, mapper.Options{}); err != nil {
+		return nil, nil, repacked, err
 	}
-	img, err = bitstream.Build(res, p)
-	return img, p.TilesUsed(), err
+	img, err = bitstream.Rebuild(base, res, p)
+	return img, p, repacked, err
 }
 
 // Update hot-swaps the ruleset behind a program ID with zero downtime:
@@ -61,10 +64,13 @@ func buildImage(res *compile.Result) (img *bitstream.Image, tilesUsed int, err e
 // The served generation is the cache for the next one: a pattern whose
 // text it already holds, compiled under the same options, keeps its
 // compiled entry and its DFA table or NBVA kernel, and only new texts are
-// parsed, routed and determinised. What depends on the whole set — the
-// Shift-And packing, the prefilter literal union, the placement, the
-// image, the delta — is rebuilt whole, so the outcome is that of a cold
-// compile of the same list.
+// parsed, routed and determinised. The Shift-And packing and the prefilter
+// literal union depend on the whole set and are rebuilt, so the matcher is
+// that of a cold compile of the same list. The hardware half is not: each
+// kept pattern keeps its place on the fabric and each tile nothing moved in
+// keeps its configuration (deploy), so the image depends on the history of
+// generations and the delta is as small as the edit. Result.Fingerprint
+// does not: the compile is a cold one's.
 //
 // The expensive half — compiling the new ruleset once, for both the
 // matcher and its deployment image, and building the displaced program's
@@ -96,10 +102,12 @@ func (s *Service) Update(ctx context.Context, programID string, patterns []strin
 	}
 	defer ten.ReleaseCompile()
 	var (
-		m      *refmatch.Matcher
-		res    *compile.Result
-		newImg *bitstream.Image
-		cerr   error
+		m        *refmatch.Matcher
+		res      *compile.Result
+		newImg   *bitstream.Image
+		place    *arch.Placement
+		repacked bool
+		cerr     error
 	)
 	if err := s.runCompile(tr, func() {
 		compileStart := time.Now()
@@ -110,24 +118,27 @@ func (s *Service) Update(ctx context.Context, programID string, patterns []strin
 		s.observeStage(s.stageCompile, tr, "compile", compileStart,
 			telemetry.L("reused", strconv.Itoa(res.Reused)),
 			telemetry.L("compiled", strconv.Itoa(len(patterns)-res.Reused)))
+		// The image the new one is built on and the delta taken against: a
+		// program that has not been through an update has none yet, and it
+		// is built here so that no other update waits behind a map-and-build.
+		oldImg, oldPlace, err := old.hwImage()
+		if err != nil {
+			cerr = fmt.Errorf("service: current deployment image: %w", err)
+			return
+		}
 		imageEnd := tr.StartSpan("image_build")
 		var built []telemetry.Label // what the span says of the new image
 		defer func() { imageEnd(built...) }()
-		var tilesUsed int
-		if newImg, tilesUsed, cerr = buildImage(res); cerr != nil {
+		if newImg, place, repacked, cerr = deploy(oldImg, oldPlace, old.res, res); cerr != nil {
 			cerr = fmt.Errorf("service: new deployment image: %w", cerr)
 			return
 		}
 		built = []telemetry.Label{
 			telemetry.L("arrays", strconv.Itoa(len(newImg.Arrays))),
-			telemetry.L("tiles_used", strconv.Itoa(tilesUsed)),
+			telemetry.L("tiles_used", strconv.Itoa(place.TilesUsed())),
+			telemetry.L("tiles_reused", strconv.Itoa(place.TilesReused())),
+			telemetry.L("repacked", strconv.FormatBool(repacked)),
 			telemetry.L("image_bytes", strconv.Itoa(newImg.SizeBytes())),
-		}
-		// The image the delta is taken against: a program that has not
-		// been through an update has none yet, and it is built here so
-		// that no other update waits behind a map-and-build.
-		if _, cerr = old.hwImage(); cerr != nil {
-			cerr = fmt.Errorf("service: current deployment image: %w", cerr)
 		}
 	}); err != nil {
 		return nil, err
@@ -146,23 +157,19 @@ func (s *Service) Update(ctx context.Context, programID string, patterns []strin
 	if old, ok = s.lookup(tr, programID); !ok {
 		return nil, fmt.Errorf("%w: program %s", ErrNotFound, programID)
 	}
-	oldImg, err := old.hwImage()
+	oldImg, _, err := old.hwImage()
 	if err != nil {
 		return nil, fmt.Errorf("service: current deployment image: %w", err)
 	}
 	diffEnd := tr.StartSpan("diff")
 	delta := reconfig.Diff(oldImg, newImg)
-	deltaData, err := delta.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
 	plan, err := reconfig.Schedule(delta, newImg)
 	if err != nil {
 		return nil, err
 	}
-	cost, full := plan.Cost, reconfig.FullCost(newImg)
+	cost, full, deltaBytes := plan.Cost, reconfig.FullCost(newImg), delta.SizeBytes()
 	diffEnd(telemetry.L("records", strconv.Itoa(delta.Records())),
-		telemetry.L("delta_bytes", strconv.Itoa(len(deltaData))),
+		telemetry.L("delta_bytes", strconv.Itoa(deltaBytes)),
 		telemetry.L("arrays_touched", strconv.Itoa(len(plan.Steps))))
 
 	next := &Program{
@@ -175,6 +182,7 @@ func (s *Service) Update(ctx context.Context, programID string, patterns []strin
 		Owner:      ten.Name(),
 		MemBytes:   memEstimate(patterns),
 		res:        res,
+		hwPlace:    place,
 		hwImg:      newImg,
 	}
 	// The cache slot changes hands: charge the updating tenant for the
@@ -188,19 +196,22 @@ func (s *Service) Update(ctx context.Context, programID string, patterns []strin
 	s.updates.Inc()
 	s.updateReused.Add(int64(res.Reused))
 	s.updateCompiled.Add(int64(len(patterns) - res.Reused))
-	s.updateDeltaBytes.Add(int64(len(deltaData)))
+	if repacked {
+		s.updateRepacks.Inc()
+	}
+	s.updateDeltaBytes.Add(int64(deltaBytes))
 	s.updateFullBytes.Add(int64(newImg.SizeBytes()))
 	s.updateReloadCycles.Add(cost.ReloadCycles)
 	s.updateStallCycles.Add(plan.StallCycles)
 	s.updateStallHist.ObserveValue(plan.StallCycles)
-	s.updateDeltaHist.ObserveValue(int64(len(deltaData)))
+	s.updateDeltaHist.ObserveValue(int64(deltaBytes))
 	s.observeStage(s.stageApply, tr, "reconfig_apply", t0)
 
 	return &UpdateResult{
 		ProgramID:        programID,
 		Generation:       next.Generation,
 		NumPatterns:      m.NumPatterns(),
-		DeltaBytes:       len(deltaData),
+		DeltaBytes:       deltaBytes,
 		FullImageBytes:   newImg.SizeBytes(),
 		DeltaRecords:     delta.Records(),
 		ArraysTouched:    len(plan.Steps),

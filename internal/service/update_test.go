@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/bitstream"
 	"repro/internal/mapper"
 	"repro/internal/refmatch"
 	"repro/internal/workload"
@@ -335,9 +336,11 @@ func TestOversizeNFAScansButDoesNotDeploy(t *testing.T) {
 }
 
 // TestUpdateResultPinned pins the modeled cost of one Snort@0.2 swap
-// (every tenth pattern replaced, then restored) to the figures the
-// two-compiler pipeline produced: the image is built from the same
-// Result the matcher is lowered from, and it is the same image.
+// (every tenth pattern replaced, then restored). Recorded once the
+// placement became stable across updates: each kept pattern keeps its
+// place and the delta rewrites only the tiles the edit touched: a half and
+// a quarter of what re-placing the whole ruleset shipped (8 334 and 8 346
+// bytes).
 func TestUpdateResultPinned(t *testing.T) {
 	d := workload.MustGenerate("Snort", 0.2, 1)
 	other := workload.MustGenerate("Snort", 0.2, 2)
@@ -353,12 +356,12 @@ func TestUpdateResultPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []UpdateResult{
-		{ProgramID: prog.ID, Generation: 1, NumPatterns: 30, DeltaBytes: 8334, FullImageBytes: 153930,
-			DeltaRecords: 586, ArraysTouched: 3, ArraysUntouched: 0, ReloadCycles: 393, FullReloadCycles: 9376,
-			StallCycles: 406, EnergyPJ: 4499.78, ModelLatencyUS: 0.1951923076923077},
-		{ProgramID: prog.ID, Generation: 2, NumPatterns: 30, DeltaBytes: 8346, FullImageBytes: 153942,
-			DeltaRecords: 586, ArraysTouched: 3, ArraysUntouched: 0, ReloadCycles: 394, FullReloadCycles: 9377,
-			StallCycles: 407, EnergyPJ: 4499.808, ModelLatencyUS: 0.19567307692307692},
+		{ProgramID: prog.ID, Generation: 1, NumPatterns: 30, DeltaBytes: 4207, FullImageBytes: 153930,
+			DeltaRecords: 299, ArraysTouched: 3, ArraysUntouched: 0, ReloadCycles: 195, FullReloadCycles: 9376,
+			StallCycles: 210, EnergyPJ: 2173.348, ModelLatencyUS: 0.10096153846153846},
+		{ProgramID: prog.ID, Generation: 2, NumPatterns: 30, DeltaBytes: 2104, FullImageBytes: 153942,
+			DeltaRecords: 145, ArraysTouched: 3, ArraysUntouched: 0, ReloadCycles: 97, FullReloadCycles: 9377,
+			StallCycles: 112, EnergyPJ: 1064.66, ModelLatencyUS: 0.05384615384615385},
 	}
 	for i, patterns := range [][]string{swapped, d.Patterns} {
 		got, err := s.Update(ctx, prog.ID, patterns, CompileOptions{})
@@ -381,5 +384,51 @@ func TestUpdateResultPinned(t *testing.T) {
 		if e != refmatch.EngineNFA && e != refmatch.EngineDFA {
 			t.Errorf("force_nfa: pattern %d runs on %v", i, e)
 		}
+	}
+}
+
+// TestConcurrentUpdatesShareServedPlacement: updates of one program racing
+// each other all remap from, and rebuild on, whichever generation they
+// found served; the placement and image they read are shared and never
+// written. Under -race any write to them is a failure, and the generation
+// that ends up served must still be its own placement built whole.
+func TestConcurrentUpdatesShareServedPlacement(t *testing.T) {
+	rules := [2][]string{}
+	rules[0], rules[1] = tenthSwapped("Snort", 0.5)
+	s := New(Config{CompileWorkers: 4})
+	defer s.Close()
+	ctx := context.Background()
+	prog, _, err := s.Compile(ctx, rules[0], CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const updaters, each = 4, 10
+	var wg sync.WaitGroup
+	for u := 0; u < updaters; u++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if _, err := s.Update(ctx, prog.ID, rules[(u+i)%2], CompileOptions{}); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	served, _ := s.Program(prog.ID)
+	if served.Generation != updaters*each {
+		t.Errorf("generation %d after %d updates", served.Generation, updaters*each)
+	}
+	img, place, err := served.hwImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := bitstream.Build(served.res, place)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := marshalImage(t, img), marshalImage(t, whole); !bytes.Equal(a, b) {
+		t.Error("the served image is not its placement built whole")
 	}
 }

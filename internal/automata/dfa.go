@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bitvec"
 	"repro/internal/charclass"
@@ -89,25 +90,57 @@ func Determinize(classes []charclass.Class, follow []bitvec.Vector, initial bitv
 // classes: the byte -> class map, and per class the label vector of the
 // states whose character class contains its bytes. Classes are numbered
 // by their smallest byte.
+//
+// The alphabet starts as one 256-bit block, and each state class splits
+// every block it cuts into the bytes it holds and the bytes it does not.
+// Only the blocks the class's bytes fall in are visited, and a class and
+// its complement cut alike, so a class is walked from its smaller side; a
+// class equal to the previous state's cuts nothing new and is skipped.
 func alphabetPartitions(classes []charclass.Class) (partition [256]uint16, labels []bitvec.Vector) {
-	ids := map[string]uint16{}
-	var key []byte
-	sig := bitvec.New(len(classes))
-	for c := 0; c < charclass.AlphabetSize; c++ {
-		sig.Reset()
-		for q, cl := range classes {
-			if cl.Contains(byte(c)) {
-				sig.Set(q)
+	blocks := []charclass.Class{charclass.Any()}
+	var blockOf [256]uint16
+	for q, cl := range classes {
+		if q > 0 && cl == classes[q-1] {
+			continue
+		}
+		if cl.Count() > charclass.AlphabetSize/2 {
+			cl = cl.Negate()
+		}
+		for rest := cl; !rest.IsEmpty(); {
+			k := blockOf[rest.Sample()]
+			in := blocks[k].Intersect(cl)
+			if rest = rest.Minus(in); in == blocks[k] {
+				continue
+			}
+			blocks[k] = blocks[k].Minus(in)
+			for w, word := range in {
+				for ; word != 0; word &= word - 1 {
+					blockOf[w*64+bits.TrailingZeros64(word)] = uint16(len(blocks))
+				}
+			}
+			blocks = append(blocks, in)
+		}
+	}
+	// Number the blocks by their smallest byte, and label each with the
+	// states whose class holds that byte.
+	var number [256]uint16 // per block, its number + 1
+	var reps []byte
+	for c := range partition {
+		k := blockOf[c]
+		if number[k] == 0 {
+			reps = append(reps, byte(c))
+			number[k] = uint16(len(reps))
+		}
+		partition[c] = number[k] - 1
+	}
+	labels = make([]bitvec.Vector, len(reps))
+	bitvec.NewSlab(labels, len(classes))
+	for q, cl := range classes {
+		for k, c := range reps {
+			if cl.Contains(c) {
+				labels[k].Set(q)
 			}
 		}
-		key = appendKey(key[:0], sig)
-		id, ok := ids[string(key)]
-		if !ok {
-			id = uint16(len(labels))
-			ids[string(key)] = id
-			labels = append(labels, sig.Clone())
-		}
-		partition[c] = id
 	}
 	return partition, labels
 }

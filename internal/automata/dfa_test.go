@@ -2,7 +2,12 @@ package automata
 
 import (
 	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
+
+	"repro/internal/bitvec"
+	"repro/internal/charclass"
 )
 
 func TestDFASizeSimpleString(t *testing.T) {
@@ -68,5 +73,88 @@ func TestAlphabetPartitions(t *testing.T) {
 	anyNFA := mustNFA(t, "...")
 	if _, got := alphabetPartitions(anyNFA.classes()); len(got) != 1 {
 		t.Errorf("'.' partitions = %d", len(got))
+	}
+}
+
+// referencePartitions is the probe alphabetPartitions refines blocks
+// instead of running: every state's class asked about each of the 256
+// bytes, and the byte's label vector looked up by its words.
+func referencePartitions(classes []charclass.Class) (partition [256]uint16, labels []bitvec.Vector) {
+	ids := map[string]uint16{}
+	var key []byte
+	sig := bitvec.New(len(classes))
+	for c := 0; c < charclass.AlphabetSize; c++ {
+		sig.Reset()
+		for q, cl := range classes {
+			if cl.Contains(byte(c)) {
+				sig.Set(q)
+			}
+		}
+		key = appendKey(key[:0], sig)
+		id, ok := ids[string(key)]
+		if !ok {
+			id = uint16(len(labels))
+			ids[string(key)] = id
+			labels = append(labels, sig.Clone())
+		}
+		partition[c] = id
+	}
+	return partition, labels
+}
+
+// TestAlphabetPartitionsEqualReference: block refinement gives the
+// reference probe's partition and labels, class numbers included, over
+// random class sets: ranges, scattered bytes, repeats and the extremes.
+func TestAlphabetPartitionsEqualReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	randomClass := func() charclass.Class {
+		switch rng.Intn(5) {
+		case 0:
+			lo := byte(rng.Intn(256))
+			return charclass.Range(lo, lo+byte(rng.Intn(256-int(lo))))
+		case 1:
+			return charclass.Class{rng.Uint64(), rng.Uint64(), rng.Uint64(), rng.Uint64()}
+		case 2:
+			return charclass.Single(byte(rng.Intn(256)))
+		case 3:
+			return charclass.Any()
+		}
+		return charclass.Class{}
+	}
+	for trial := 0; trial < 500; trial++ {
+		classes := make([]charclass.Class, rng.Intn(40))
+		for q := range classes {
+			if classes[q] = randomClass(); q > 0 && rng.Intn(4) == 0 {
+				classes[q] = classes[rng.Intn(q)]
+			}
+		}
+		wantPart, wantLabels := referencePartitions(classes)
+		gotPart, gotLabels := alphabetPartitions(classes)
+		if gotPart != wantPart || len(gotLabels) != len(wantLabels) {
+			t.Fatalf("trial %d: %d classes over %d states, want %d", trial, len(gotLabels), len(classes), len(wantLabels))
+		}
+		for k := range wantLabels {
+			if gotLabels[k].String() != wantLabels[k].String() {
+				t.Fatalf("trial %d: class %d labels %v, want %v", trial, k, gotLabels[k], wantLabels[k])
+			}
+		}
+	}
+}
+
+// BenchmarkAlphabetPartitions partitions the alphabet of a 42-state NFA of
+// literal bytes, ranges, negations and dots: the refinement, then the
+// probe it replaced.
+func BenchmarkAlphabetPartitions(b *testing.B) {
+	classes := mustNFA(b, strings.Repeat(`ab[c-f]x.\d[^y]`, 6)).classes()
+	for _, bm := range []struct {
+		name string
+		fn   func([]charclass.Class) ([256]uint16, []bitvec.Vector)
+	}{{"refine", alphabetPartitions}, {"probe", referencePartitions}} {
+		b.Run(bm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				bm.fn(classes)
+			}
+		})
 	}
 }

@@ -77,6 +77,16 @@ func (c Class) Union(o Class) Class {
 	return Class{c[0] | o[0], c[1] | o[1], c[2] | o[2], c[3] | o[3]}
 }
 
+// Intersect returns c ∩ o.
+func (c Class) Intersect(o Class) Class {
+	return Class{c[0] & o[0], c[1] & o[1], c[2] & o[2], c[3] & o[3]}
+}
+
+// Minus returns c \ o.
+func (c Class) Minus(o Class) Class {
+	return Class{c[0] &^ o[0], c[1] &^ o[1], c[2] &^ o[2], c[3] &^ o[3]}
+}
+
 // Negate returns Σ \ c.
 func (c Class) Negate() Class {
 	return Class{^c[0], ^c[1], ^c[2], ^c[3]}

@@ -65,6 +65,9 @@ func TestUnionIntersect(t *testing.T) {
 	if i.Count() != 6 { // h..m
 		t.Errorf("intersect count = %d", i.Count())
 	}
+	if a.Intersect(b) != i || a.Minus(b) != Range('a', 'g') {
+		t.Errorf("Intersect = %v, Minus = %v", a.Intersect(b), a.Minus(b))
+	}
 }
 
 func TestBytesSorted(t *testing.T) {

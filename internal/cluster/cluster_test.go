@@ -281,6 +281,11 @@ func TestClusterEndToEnd(t *testing.T) {
 	// --- Canary rollout, rollback path: the injected fault trips the
 	// watch and every replica returns to the promoted ruleset.
 	failCanary.Store(true)
+	counts := map[string][2]int64{} // per node: patterns restored, compiled
+	for _, n := range tc.nodes {
+		st := n.Service().Stats().Reconfig
+		counts[n.ID()] = [2]int64{st.PatternsRestored, st.PatternsCompiled}
+	}
 	var rolledBack cluster.RolloutResult
 	if err := putUpdate(tc.servers[0].URL, prog.ID, []string{"delta"}, &rolledBack); err != nil {
 		t.Fatalf("rollback rollout: %v", err)
@@ -291,6 +296,18 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(rolledBack.Reason, "injected canary fault") {
 		t.Fatalf("rollback reason = %q, want the injected fault", rolledBack.Reason)
+	}
+	// The canary compiled the staged "delta"; the rollback's re-PUT of the
+	// promoted ruleset restored both its patterns from the generation
+	// "delta" displaced and compiled nothing.
+	if len(rolledBack.Canaries) != 1 {
+		t.Fatalf("rollout staged %v, want one canary", rolledBack.Canaries)
+	}
+	for _, id := range rolledBack.Canaries {
+		st := tc.node(id).Service().Stats().Reconfig
+		if restored, compiled := st.PatternsRestored-counts[id][0], st.PatternsCompiled-counts[id][1]; restored != 2 || compiled != 1 {
+			t.Errorf("canary %s: stage and rollback restored %d and compiled %d patterns, want 2 and the staged 1", id, restored, compiled)
+		}
 	}
 	res, err := gw.Scan(ctx, prog.ID, []byte("delta gamma"))
 	if err != nil {

@@ -238,12 +238,14 @@ type Result struct {
 	// every entry is a *compile.Error. Derived from Diags.
 	Errors []error
 	// Reused counts the slots Recompile took from the previous generation
-	// instead of compiling; the other len(Regexes)-Reused were compiled.
-	Reused int
+	// and Restored those it took from the one before that, instead of
+	// compiling; the other len(Regexes)-Reused-Restored were compiled.
+	Reused, Restored int
 	// From holds, for each slot Recompile took from the previous
-	// generation, that generation's slot, and -1 for a slot compiled anew;
-	// nil when nothing could be reused. mapper.Remap keeps such a regex
-	// where the previous generation placed it.
+	// generation, that generation's slot, and -1 for a slot compiled anew
+	// or restored; nil when the previous generation could not be reused.
+	// mapper.Remap keeps such a regex where the previous generation placed
+	// it, and places a restored one as new.
 	From []int
 
 	// opts are the defaulted options the Result was compiled under (zero

@@ -28,21 +28,22 @@ func Compile(patterns []string, opts Options) *Result {
 // The output is deterministic: pattern i always lands in slot i, and the
 // Result is byte-identical whatever the worker count or scheduling.
 func CompileContext(ctx context.Context, patterns []string, opts Options) (*Result, error) {
-	return Recompile(ctx, nil, patterns, opts)
+	return Recompile(ctx, nil, nil, patterns, opts)
 }
 
 // Recompile is CompileContext with prev, the Result of an earlier
-// generation of the ruleset, as its cache. The Fig 9 decision is made per
-// regex with no cross-pattern state, so a pattern whose text compiled in
-// prev under the same options takes prev's Compiled entry — its AST and
-// machine shared by pointer, nothing in them is written after
-// construction — and only new texts are parsed, rewritten and routed. The
-// Result equals a cold compile of patterns (Regexes, Diags, Errors,
-// Fingerprint); Reused says how many slots were taken from prev, and From
-// which. A nil
-// prev, or one compiled under other options, reuses nothing: that is
-// CompileContext.
-func Recompile(ctx context.Context, prev *Result, patterns []string, opts Options) (*Result, error) {
+// generation of the ruleset, as its cache, and older, the generation prev
+// replaced, behind it. The Fig 9 decision is made per regex with no
+// cross-pattern state, so a pattern whose text compiled in prev under the
+// same options takes prev's Compiled entry — its AST and machine shared by
+// pointer, nothing in them is written after construction — one only older
+// holds under the same options takes older's, and only texts neither holds
+// are parsed, rewritten and routed. The Result equals a cold compile of
+// patterns (Regexes, Diags, Errors, Fingerprint); Reused says how many
+// slots were taken from prev, and From which, Restored how many from
+// older. A nil prev and older, or ones compiled under other options, reuse
+// nothing: that is CompileContext.
+func Recompile(ctx context.Context, prev, older *Result, patterns []string, opts Options) (*Result, error) {
 	opts.setDefaults()
 	res := &Result{
 		Regexes: make([]Compiled, len(patterns)),
@@ -50,15 +51,28 @@ func Recompile(ctx context.Context, prev *Result, patterns []string, opts Option
 		opts:    opts,
 	}
 	res.opts.Parallelism = 0 // never changes the output, so never refuses reuse
-	// cached maps each pattern prev compiled to its slot there.
-	var cached map[string]int
-	if prev != nil && prev.opts == res.opts {
-		cached = make(map[string]int, len(prev.Regexes))
-		for i := range prev.Regexes {
-			if prev.Diags[i].OK() {
-				cached[prev.Regexes[i].Source] = i
-			}
+	// cached maps each pattern prev compiled to its entry and slot there,
+	// and each one only older compiled to its entry there, with From -1.
+	var cached map[string]source
+	for _, gen := range []*Result{older, prev} { // prev last: its entries win
+		if gen == nil || gen.opts != res.opts {
+			continue
 		}
+		if cached == nil {
+			cached = make(map[string]source, len(gen.Regexes))
+		}
+		for i := range gen.Regexes {
+			if !gen.Diags[i].OK() {
+				continue
+			}
+			from := -1
+			if gen == prev {
+				from = i
+			}
+			cached[gen.Regexes[i].Source] = source{&gen.Regexes[i], from}
+		}
+	}
+	if prev != nil && prev.opts == res.opts {
 		res.From = make([]int, len(patterns))
 	}
 	workers := opts.Parallelism
@@ -69,12 +83,15 @@ func Recompile(ctx context.Context, prev *Result, patterns []string, opts Option
 		workers = len(patterns)
 	}
 
+	var restored atomic.Int64
 	if workers <= 1 {
 		for i, p := range patterns {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			compileSlot(res, prev, i, p, opts, cached)
+			if compileSlot(res, i, p, opts, cached) {
+				restored.Add(1)
+			}
 		}
 	} else {
 		var next atomic.Int64
@@ -88,7 +105,9 @@ func Recompile(ctx context.Context, prev *Result, patterns []string, opts Option
 					if i >= len(patterns) {
 						return
 					}
-					compileSlot(res, prev, i, patterns[i], opts, cached)
+					if compileSlot(res, i, patterns[i], opts, cached) {
+						restored.Add(1)
+					}
 				}
 			}()
 		}
@@ -109,31 +128,41 @@ func Recompile(ctx context.Context, prev *Result, patterns []string, opts Option
 			res.Reused++
 		}
 	}
+	res.Restored = int(restored.Load())
 	return res, nil
 }
 
-// compileSlot fills Result slot i with pattern's entry of prev when cached
-// holds one and with a fresh compile otherwise. Each slot is written by
-// exactly one worker (the one that claimed index i), so no
-// synchronization is needed beyond the pool's WaitGroup.
-func compileSlot(res, prev *Result, i int, pattern string, opts Options, cached map[string]int) {
-	var c *Compiled
-	if j, ok := cached[pattern]; ok {
-		c, res.From[i] = &prev.Regexes[j], j
-	} else if res.From != nil {
-		res.From[i] = -1
-	}
-	if c == nil {
+// source is a cached entry of an earlier generation and its slot in prev,
+// -1 for one of older.
+type source struct {
+	c    *Compiled
+	from int
+}
+
+// compileSlot fills Result slot i with pattern's cached entry when there is
+// one and with a fresh compile otherwise, and reports whether the entry was
+// older's. Each slot is written by exactly one worker (the one that claimed
+// index i), so no synchronization is needed beyond the pool's WaitGroup.
+func compileSlot(res *Result, i int, pattern string, opts Options, cached map[string]source) (restored bool) {
+	s, ok := cached[pattern]
+	if !ok {
+		s.from = -1
 		var code DiagCode
 		var err error
-		if c, code, err = compilePattern(pattern, opts); err != nil {
+		if s.c, code, err = compilePattern(pattern, opts); err != nil {
 			res.Diags[i] = Diag{Index: i, Code: code, Err: err}
-			return
 		}
 	}
-	res.Regexes[i] = *c
+	if res.From != nil {
+		res.From[i] = s.from
+	}
+	if res.Diags[i].Err != nil {
+		return false
+	}
+	res.Regexes[i] = *s.c
 	res.Regexes[i].Index = i
-	res.Diags[i] = Diag{Index: i, Code: DiagOK, Mode: c.Mode, ModeReason: c.DecisionTrail}
+	res.Diags[i] = Diag{Index: i, Code: DiagOK, Mode: s.c.Mode, ModeReason: s.c.DecisionTrail}
+	return ok && s.from < 0
 }
 
 // Fingerprint returns a content hash over everything mapping and

@@ -196,7 +196,7 @@ func TestRecompileEqualsCompile(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 4} {
-		got, err := Recompile(ctx, prev, next, Options{Parallelism: workers})
+		got, err := Recompile(ctx, prev, nil, next, Options{Parallelism: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,11 +218,71 @@ func TestRecompileEqualsCompile(t *testing.T) {
 			}
 		}
 	}
-	other, err := Recompile(ctx, prev, next, Options{UnfoldThreshold: 12})
+	other, err := Recompile(ctx, prev, nil, next, Options{UnfoldThreshold: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cold := Compile(next, Options{UnfoldThreshold: 12}); other.Reused != 0 || other.Fingerprint() != cold.Fingerprint() {
 		t.Errorf("under another unfold threshold %d slots were reused; fingerprints equal: %v", other.Reused, other.Fingerprint() == cold.Fingerprint())
+	}
+}
+
+// TestRecompileRestoresFromOlder: a text prev lacks but older, the
+// generation prev replaced, compiled under the same options takes older's
+// entry with From -1, so the mapper places it as new; a text both hold is
+// prev's. The Result is still a cold compile's, and an older generation
+// under other options restores nothing.
+func TestRecompileRestoresFromOlder(t *testing.T) {
+	ctx := context.Background()
+	pats := pipelinePatterns(t)
+	a := Compile(pats, Options{})
+	next := append([]string(nil), pats...)
+	fresh := workload.MustGenerate("Snort", 1, 8).Patterns
+	for i := 0; i < len(next); i += 10 {
+		next[i] = fresh[i%len(fresh)]
+	}
+	b, err := Recompile(ctx, a, nil, next, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := make(map[string]bool, len(next))
+	for i, p := range next {
+		held[p] = b.Diags[i].OK()
+	}
+	wantReused, wantRestored := 0, 0
+	for i, p := range pats {
+		if held[p] {
+			wantReused++
+		} else if a.Diags[i].OK() {
+			wantRestored++
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		got, err := Recompile(ctx, b, a, pats, Options{Parallelism: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Fingerprint() != a.Fingerprint() || !reflect.DeepEqual(got.Diags, a.Diags) {
+			t.Fatalf("parallelism %d: the revert differs from a cold compile", workers)
+		}
+		if got.Reused != wantReused || got.Restored != wantRestored || wantRestored == 0 {
+			t.Errorf("parallelism %d: %d reused, %d restored, want %d and %d", workers, got.Reused, got.Restored, wantReused, wantRestored)
+		}
+		for i := range got.Regexes {
+			if held[pats[i]] || !a.Diags[i].OK() {
+				continue
+			}
+			if c, old := &got.Regexes[i], &a.Regexes[i]; got.From[i] != -1 || c.AST != old.AST || c.NFA != old.NFA || c.NBVA != old.NBVA {
+				t.Fatalf("parallelism %d: restored slot %d (%q) has From %d or does not share the older generation's machine", workers, i, pats[i], got.From[i])
+			}
+		}
+	}
+	other := Compile(pats, Options{UnfoldThreshold: 12})
+	got, err := Recompile(ctx, b, other, pats, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Restored != 0 || got.Reused != wantReused {
+		t.Errorf("an older generation under other options: %d restored, %d reused, want 0 and %d", got.Restored, got.Reused, wantReused)
 	}
 }

@@ -144,7 +144,7 @@ func updateLatency(old, next []string) (time.Duration, error) {
 // the placement keeps prev's and the image is built on base. An empty prev
 // and a nil base deploy cold.
 func deployImage(prev *core.Program, base *bitstream.Image, patterns []string) (*core.Program, *bitstream.Image, error) {
-	res, err := compile.Recompile(context.Background(), prev.Result, patterns, compile.Options{})
+	res, err := compile.Recompile(context.Background(), prev.Result, nil, patterns, compile.Options{})
 	if err == nil && len(res.Errors) > 0 {
 		err = res.Errors[0]
 	}

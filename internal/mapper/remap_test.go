@@ -93,7 +93,7 @@ func FuzzRemap(f *testing.F) {
 			}
 			history = append(history, next)
 
-			nres, err := compile.Recompile(context.Background(), res, next, compile.Options{})
+			nres, err := compile.Recompile(context.Background(), res, nil, next, compile.Options{})
 			if err != nil || len(nres.Errors) > 0 {
 				t.Fatalf("step %d: compile: %v %v", step, err, nres.Errors)
 			}
@@ -141,7 +141,7 @@ func TestRemapKeepsPlaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _ := compile.Recompile(ctx, prev, []string{"q(r|s)*t", "m(n|o)*p", "a(b|c)*d"}, compile.Options{})
+	res, _ := compile.Recompile(ctx, prev, nil, []string{"q(r|s)*t", "m(n|o)*p", "a(b|c)*d"}, compile.Options{})
 	np, repacked, err := Remap(p, prev, res, Options{})
 	if err != nil || repacked {
 		t.Fatalf("remap: repacked %v, err %v", repacked, err)
@@ -152,7 +152,7 @@ func TestRemapKeepsPlaces(t *testing.T) {
 	}
 	checkInvariants(t, res, np, Options{})
 
-	next, _ := compile.Recompile(ctx, res, []string{"q(r|s)*t", "hello"}, compile.Options{})
+	next, _ := compile.Recompile(ctx, res, nil, []string{"q(r|s)*t", "hello"}, compile.Options{})
 	cp, repacked, err := Remap(np, res, next, Options{})
 	cold, _ := Map(next, Options{})
 	if err != nil || !repacked || dumpPlacement(next, cp) != dumpPlacement(next, cold) {

@@ -206,7 +206,7 @@ func TestRelowerSharesTables(t *testing.T) {
 			next[i] = p
 		}
 	}
-	res, err := compile.Recompile(ctx, prevRes, next, opts.FrontEnd())
+	res, err := compile.Recompile(ctx, prevRes, nil, next, opts.FrontEnd())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestRelowerSharesTables(t *testing.T) {
 		opts       Options
 		sharesDFAs bool
 	}{{opts, true}, {Options{DFAStateCap: 8}, false}} {
-		got, err := Relower(prev, res, tc.opts)
+		got, err := Relower(prev, nil, res, tc.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,6 +254,70 @@ func TestRelowerSharesTables(t *testing.T) {
 		if (sharedDFAs > 0) != tc.sharesDFAs || sharedKernels == 0 {
 			t.Errorf("DFA cap %d: %d of %d DFA tables and %d of %d kernels shared with the earlier matcher",
 				tc.opts.DFAStateCap, sharedDFAs, len(gotDFAs), sharedKernels, len(gotKernels))
+		}
+	}
+}
+
+// TestRelowerRestoresFromOlder: a revert lowered against the matcher it
+// replaces and the one that matcher displaced takes every DFA table and
+// NBVA kernel by pointer — those of the reverted tenth from the older
+// matcher — and gives the matcher a cold compile gives.
+func TestRelowerRestoresFromOlder(t *testing.T) {
+	ctx := context.Background()
+	opts := Options{}
+	a := workload.MustGenerate("Snort", 1, 1).Patterns
+	b := append([]string(nil), a...)
+	for i, p := range workload.MustGenerate("Snort", 1, 2).Patterns {
+		if i%10 == 0 && i < len(b) {
+			b[i] = p
+		}
+	}
+	aRes, err := compile.CompileContext(ctx, a, opts.FrontEnd())
+	if err != nil {
+		t.Fatal(err)
+	}
+	aM, err := FromResult(aRes, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bRes, err := compile.Recompile(ctx, aRes, nil, b, opts.FrontEnd())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bM, err := Relower(aM, nil, bRes, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	revRes, err := compile.Recompile(ctx, bRes, aRes, a, opts.FrontEnd())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Relower(bM, aM, revRes, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := Compile(ctx, a, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if revRes.Restored == 0 || !reflect.DeepEqual(got.Engines(), cold.Engines()) || !reflect.DeepEqual(got.Kernels(), cold.Kernels()) ||
+		!reflect.DeepEqual(got.PrefilterVerdicts(), cold.PrefilterVerdicts()) {
+		t.Fatalf("the revert (%d restored) differs from a cold compile", revRes.Restored)
+	}
+	aDFAs, _, _ := dfaTables(aM)
+	gotDFAs, _, _ := dfaTables(got)
+	aKernels, gotKernels := nbvaTables(aM).kernels, nbvaTables(got).kernels
+	if len(gotDFAs) == 0 || len(gotDFAs) != len(aDFAs) || len(gotKernels) == 0 || len(gotKernels) != len(aKernels) {
+		t.Fatalf("%d DFA tables and %d NBVA kernels, the restored matcher has %d and %d", len(gotDFAs), len(gotKernels), len(aDFAs), len(aKernels))
+	}
+	for i := range gotDFAs {
+		if gotDFAs[i] != aDFAs[i] {
+			t.Errorf("DFA table %d is not the restored matcher's own", i)
+		}
+	}
+	for i := range gotKernels {
+		if gotKernels[i] != aKernels[i] {
+			t.Errorf("NBVA kernel %d is not the restored matcher's own", i)
 		}
 	}
 }

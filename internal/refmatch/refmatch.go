@@ -209,18 +209,17 @@ type analysis struct {
 	verdict prefilter.Verdict
 }
 
-// lowered indexes what m lowered each machine to, for a successor lowered
-// under opts (defaulted) to reuse: the DFA table of an NFA (nil: it steps
-// as an NFA, because the streaming DFA does not apply or outgrew
-// DFAStateCap), kept only under the same cap, the scan kernel of an NBVA
-// machine (nil: too wide, sessions step a Runner), and the prefilter
-// analysis of a Shift-And pattern.
-func (m *Matcher) lowered(opts Options) (map[*automata.NFA]*automata.DFA, map[*nbva.Machine]*nbva.Kernel, map[*regexast.Regex]analysis) {
+// lowered adds to dfas and kernels what m lowered each machine to, for a
+// successor lowered under opts (defaulted) to reuse: the DFA table of an
+// NFA (nil: it steps as an NFA, because the streaming DFA does not apply or
+// outgrew DFAStateCap), kept only under the same cap, and the scan kernel
+// of an NBVA machine (nil: too wide, sessions step a Runner). It returns
+// the prefilter analyses of m's Shift-And patterns.
+func (m *Matcher) lowered(opts Options, dfas map[*automata.NFA]*automata.DFA, kernels map[*nbva.Machine]*nbva.Kernel) map[*regexast.Regex]analysis {
 	if m == nil {
-		return nil, nil, nil
+		return nil
 	}
-	n := len(m.engines)
-	dfas, kernels := make(map[*automata.NFA]*automata.DFA, n), make(map[*nbva.Machine]*nbva.Kernel, n)
+	sameCap := m.opts.DFAStateCap == opts.DFAStateCap
 	for _, l := range m.lanes {
 		switch l := l.(type) {
 		case *nbvaLane:
@@ -229,18 +228,19 @@ func (m *Matcher) lowered(opts Options) (map[*automata.NFA]*automata.DFA, map[*n
 			}
 		case *nfaLane:
 			for _, nfa := range l.nfas {
-				dfas[nfa] = nil
+				if sameCap {
+					dfas[nfa] = nil
+				}
 			}
 		case *dfaLane:
 			for j, nfa := range l.nfas {
-				dfas[nfa] = l.dfas[j]
+				if sameCap {
+					dfas[nfa] = l.dfas[j]
+				}
 			}
 		}
 	}
-	if m.opts.DFAStateCap != opts.DFAStateCap {
-		dfas = nil
-	}
-	return dfas, kernels, m.analyses
+	return m.analyses
 }
 
 // buildDFA returns the streaming DFA nfa scans with, nil when it steps as
@@ -265,23 +265,27 @@ func buildDFA(nfa *automata.NFA, cap int) *automata.DFA {
 // all-or-nothing: the first per-pattern failure of res, in pattern
 // order, is returned as is.
 func FromResult(res *compile.Result, opts Options) (*Matcher, error) {
-	return Relower(nil, res, opts)
+	return Relower(nil, nil, res, opts)
 }
 
 // Relower is FromResult with prev, the Matcher of an earlier generation of
-// the ruleset, as its cache: a machine res shares with the Result prev was
-// lowered from (compile.Recompile shares them by pointer) keeps prev's DFA
-// table or NBVA kernel, also by pointer, since no scan writes to either, and
-// a shared AST keeps its prefilter literals and verdict.
-// What depends on the whole set — the Shift-And packing, the prefilter
-// literal union — is rebuilt, so the Matcher equals FromResult(res, opts)
-// in engines, kernels, verdicts and match order. A nil prev is FromResult.
-func Relower(prev *Matcher, res *compile.Result, opts Options) (*Matcher, error) {
+// the ruleset, as its cache, and older, the Matcher prev replaced, behind
+// it: a machine res shares with the Result either was lowered from
+// (compile.Recompile shares them by pointer) keeps that matcher's DFA table
+// or NBVA kernel, also by pointer, since no scan writes to either, and a
+// shared AST keeps its prefilter literals and verdict. What depends on the
+// whole set — the Shift-And packing, the prefilter literal union — is
+// rebuilt, so the Matcher equals FromResult(res, opts) in engines, kernels,
+// verdicts and match order. A nil prev and older is FromResult.
+func Relower(prev, older *Matcher, res *compile.Result, opts Options) (*Matcher, error) {
 	if len(res.Errors) > 0 {
 		return nil, res.Errors[0]
 	}
 	opts.setDefaults()
-	dfas, kernels, analyses := prev.lowered(opts)
+	n := len(res.Regexes)
+	dfas, kernels := make(map[*automata.NFA]*automata.DFA, n), make(map[*nbva.Machine]*nbva.Kernel, n)
+	olderAnalyses := older.lowered(opts, dfas, kernels)
+	analyses := prev.lowered(opts, dfas, kernels)
 	m := &Matcher{
 		engines:  make([]Engine, len(res.Regexes)),
 		verdicts: make([]prefilter.Verdict, len(res.Regexes)),
@@ -305,6 +309,9 @@ func Relower(prev *Matcher, res *compile.Result, opts Options) (*Matcher, error)
 				m.verdicts[i] = prefilter.Verdict{Reason: "prefilter disabled by options"}
 			} else {
 				a, ok := analyses[c.AST]
+				if !ok {
+					a, ok = olderAnalyses[c.AST]
+				}
 				if !ok {
 					a.lits, a.verdict = prefilter.Analyze(c.AST.Root)
 				}

@@ -15,86 +15,106 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/bitstream"
 	"repro/internal/compile"
 	"repro/internal/reconfig"
 	"repro/internal/refmatch"
+	"repro/internal/regexast"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
+
+// tenthFrom returns the dataset's patterns with every tenth one taken from
+// the same dataset under seed; seed 1 gives the dataset itself.
+func tenthFrom(name string, scale float64, seed int64) []string {
+	out := append([]string(nil), workload.MustGenerate(name, scale, 1).Patterns...)
+	other := workload.MustGenerate(name, scale, seed)
+	for i := 0; i < len(out) && i < len(other.Patterns); i += 10 {
+		out[i] = other.Patterns[i]
+	}
+	return out
+}
 
 // tenthSwapped returns the dataset's patterns and a copy with every tenth
 // one taken from the same dataset under another seed: the two generations
 // the ledger's hot_swap workload alternates.
 func tenthSwapped(name string, scale float64) (base, swapped []string) {
-	d := workload.MustGenerate(name, scale, 1)
-	other := workload.MustGenerate(name, scale, 2)
-	swapped = append([]string(nil), d.Patterns...)
-	for i := 0; i < len(swapped) && i < len(other.Patterns); i += 10 {
-		swapped[i] = other.Patterns[i]
-	}
-	return d.Patterns, swapped
+	return tenthFrom(name, scale, 1), tenthFrom(name, scale, 2)
 }
 
-// updateAllocCeiling and updateBytesCeiling bound what one Update of
-// Snort@1.0 with a tenth of its patterns changed may allocate (49 531
-// allocs/op before updates reused the served generation; 7 795 and 1.93 MB
-// while the placement was cloned per regex and the images were marshalled
-// to be checksummed; 4 306 while shiftand.New allocated a label vector per
-// byte value, 4 051 and 0.74 MB with the 256 cut from one slab, while every
-// update re-placed the whole ruleset; 3 359 and 0.59 MB since it keeps the
-// served placement and prefilter analysis).
-const (
-	updateAllocCeiling = 3600
-	updateBytesCeiling = 640 << 10
-)
-
-// BenchmarkUpdate is the ledger's hot_swap update in isolation: Snort@1.0,
-// every tenth pattern alternating between two generations.
+// BenchmarkUpdate is the ledger's hot_swap update in isolation: Snort@1.0
+// with every tenth pattern changed. In revert, the ledger's alternation of
+// two generations, every swapped-in text is one the displaced generation
+// holds; in novel the tenth cycles through seeds 1, 2 and 3, so every
+// swapped-in text is new to both kept generations and is compiled.
+//
+// The ceilings bound what one update may allocate. Before reverts were
+// restored every update paid novel's (49 531 allocs/op before updates
+// reused the served generation; 7 795 and 1.93 MB while the placement was
+// cloned per regex and the images were marshalled to be checksummed; 4 306
+// while shiftand.New allocated a label vector per byte value, 4 051 and
+// 0.74 MB with the 256 cut from one slab, while every update re-placed the
+// whole ruleset; 3 359 and 0.59 MB once it kept the served placement and
+// prefilter analysis); a revert now allocates 463 and 0.38 MB.
 func BenchmarkUpdate(b *testing.B) {
-	rules := [2][]string{}
-	rules[0], rules[1] = tenthSwapped("Snort", 1)
-	s := New(Config{})
-	defer s.Close()
-	ctx := context.Background()
-	prog, _, err := s.Compile(ctx, rules[0], CompileOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	deltaBytes := 0
-	update := func(i int) {
-		res, err := s.Update(ctx, prog.ID, rules[(i+1)%2], CompileOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		deltaBytes = res.DeltaBytes
-	}
-	update(0) // the first swap also builds the displaced program's image
-	update(1)
-	repacks := s.updateRepacks.Value()
-	b.ReportAllocs()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		update(i)
-	}
-	b.StopTimer()
-	runtime.ReadMemStats(&after)
-	b.ReportMetric(float64(deltaBytes), "delta_B")
-	if n := s.updateRepacks.Value() - repacks; n != 0 {
-		b.Errorf("%d of %d updates repacked the placement", n, b.N)
-	}
-	// The framework's one-iteration probe is too short to average over.
-	if b.N < 10 {
-		return
-	}
-	if perOp := (after.Mallocs - before.Mallocs) / uint64(b.N); perOp > updateAllocCeiling {
-		b.Errorf("%d allocs per update, ceiling %d", perOp, updateAllocCeiling)
-	}
-	if perOp := (after.TotalAlloc - before.TotalAlloc) / uint64(b.N); perOp > updateBytesCeiling {
-		b.Errorf("%d bytes allocated per update, ceiling %d", perOp, updateBytesCeiling)
+	for _, bm := range []struct {
+		name          string
+		seeds         []int64
+		allocs, bytes uint64
+	}{
+		{"revert", []int64{1, 2}, 600, 420 << 10},
+		{"novel", []int64{1, 2, 3}, 3600, 640 << 10},
+	} {
+		b.Run(bm.name, func(b *testing.B) {
+			var rules [][]string
+			for _, seed := range bm.seeds {
+				rules = append(rules, tenthFrom("Snort", 1, seed))
+			}
+			s := New(Config{})
+			defer s.Close()
+			ctx := context.Background()
+			prog, _, err := s.Compile(ctx, rules[0], CompileOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			next, deltaBytes := 0, 0
+			update := func() {
+				next = (next + 1) % len(rules)
+				res, err := s.Update(ctx, prog.ID, rules[next], CompileOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				deltaBytes = res.DeltaBytes
+			}
+			update() // the first swap also builds the displaced program's image
+			update()
+			repacks := s.updateRepacks.Value()
+			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				update()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(deltaBytes), "delta_B")
+			if n := s.updateRepacks.Value() - repacks; n != 0 {
+				b.Errorf("%d of %d updates repacked the placement", n, b.N)
+			}
+			// The framework's one-iteration probe is too short to average over.
+			if b.N < 10 {
+				return
+			}
+			if perOp := (after.Mallocs - before.Mallocs) / uint64(b.N); perOp > bm.allocs {
+				b.Errorf("%d allocs per update, ceiling %d", perOp, bm.allocs)
+			}
+			if perOp := (after.TotalAlloc - before.TotalAlloc) / uint64(b.N); perOp > bm.bytes {
+				b.Errorf("%d bytes allocated per update, ceiling %d", perOp, bm.bytes)
+			}
+		})
 	}
 }
 
@@ -181,20 +201,28 @@ func feedChunked(m *refmatch.Matcher, input []byte, sizes []int) []refmatch.Matc
 	return append(out, sess.Finish()...)
 }
 
-// textsHeld counts the patterns of next whose text prev holds: what an
-// update from prev to next under the same options must reuse.
-func textsHeld(prev, next []string) int {
-	held := make(map[string]bool, len(prev))
-	for _, p := range prev {
-		held[p] = true
+// reuseSplit counts the patterns of next an update takes from the served
+// generation (reused: its list holds the text) and, of the rest, from the
+// generation the served one displaced (restored); the others are compiled.
+// A nil list stands for a generation compiled under other front-end
+// options, which gives nothing.
+func reuseSplit(served, displaced, next []string) (reused, restored int) {
+	held := func(list []string) map[string]bool {
+		out := make(map[string]bool, len(list))
+		for _, p := range list {
+			out[p] = true
+		}
+		return out
 	}
-	n := 0
+	s, d := held(served), held(displaced)
 	for _, p := range next {
-		if held[p] {
-			n++
+		if s[p] {
+			reused++
+		} else if d[p] {
+			restored++
 		}
 	}
-	return n
+	return reused, restored
 }
 
 // The edits of TestIncrementalEqualsCold's scripts.
@@ -210,17 +238,21 @@ const (
 )
 
 // TestIncrementalEqualsCold: a chain of updates that each reuse what the
-// generation they replace already compiled serves, step for step, what a
-// cold compile of the same list serves. Seeded random edit scripts over
-// three datasets; after every update the served program and the cold one
-// must agree on the compile Result, the engine and kernel of every pattern,
-// the prefilter verdicts and the matches of an input with the list's own
-// exemplars planted, scanned whole and in random chunks. The image is built
-// on the served one's placement, so it is not a cold image: it must be the
-// image of its own placement built whole, the delta must take the image it
-// replaced to it, and the UpdateResult must be that delta's. The reuse
-// count is checked too: every text the replaced generation held, or none
-// when a front-end option changed.
+// generation they replace, or the one it displaced, already compiled serves,
+// step for step, what a cold compile of the same list serves. Seeded random
+// edit scripts over three datasets, then scripted reverts: A→B→A,
+// A→B→C→B, and A@o1→B@o2→A@o1, where a front-end option flip leaves only
+// the displaced generation to restore from. After every update the served
+// program and the cold one must agree on the compile Result, the engine and
+// kernel of every pattern, the prefilter verdicts and the matches of an
+// input with the list's own exemplars planted, scanned whole and in random
+// chunks. The image is built on the served one's placement, so it is not a
+// cold image: it must be the image of its own placement built whole, the
+// delta must take the image it replaced to it, and the UpdateResult must be
+// that delta's. The reuse counts are checked too: every text the replaced
+// generation held is reused, every other one the generation before it held
+// is restored — its AST and machine the displaced generation's own — and
+// none of either comes from a generation under other front-end options.
 func TestIncrementalEqualsCold(t *testing.T) {
 	for _, name := range []string{"Snort", "ClamAV", "RegexLib"} {
 		t.Run(name, func(t *testing.T) {
@@ -238,13 +270,121 @@ func TestIncrementalEqualsCold(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, _, prevImg := coldBuild(t, cur, opts)
+			// The lists and options of the served generation and the one it
+			// displaced; the initial deploy displaced nothing.
+			type gen struct {
+				patterns []string
+				opts     CompileOptions
+			}
+			served, displaced := gen{cur, opts}, gen{}
+			step := 0
+			update := func(what string, next []string, nextOpts CompileOptions) {
+				t.Helper()
+				step++
+				frontEnd := nextOpts.options().FrontEnd()
+				heldBy := func(g gen) []string {
+					if g.patterns == nil || g.opts.options().FrontEnd() != frontEnd {
+						return nil
+					}
+					return g.patterns
+				}
+				wantReused, wantRestored := reuseSplit(heldBy(served), heldBy(displaced), next)
+				before, _ := s.Program(prog.ID)
+				counts := s.Stats().Reconfig
+				got, err := s.Update(ctx, prog.ID, next, nextOpts)
+				if err != nil {
+					t.Fatalf("step %d (%s): %v", step, what, err)
+				}
+				coldRes, coldM, _ := coldBuild(t, next, nextOpts)
+				displaced, served = served, gen{next, nextOpts}
+
+				after := s.Stats().Reconfig
+				reused, restored := int(after.PatternsReused-counts.PatternsReused), int(after.PatternsRestored-counts.PatternsRestored)
+				compiled := int(after.PatternsCompiled - counts.PatternsCompiled)
+				if reused != wantReused || restored != wantRestored || compiled != len(next)-wantReused-wantRestored {
+					t.Errorf("step %d (%s): %d reused, %d restored, %d compiled; want %d, %d, %d of %d",
+						step, what, reused, restored, compiled, wantReused, wantRestored, len(next)-wantReused-wantRestored, len(next))
+				}
+
+				now, _ := s.Program(prog.ID)
+				if now.displaced.res != before.res || now.displaced.m != before.Matcher {
+					t.Errorf("step %d (%s): the new generation does not keep the one it displaced", step, what)
+				}
+				if now.res.Fingerprint() != coldRes.Fingerprint() {
+					t.Fatalf("step %d (%s): compile fingerprint differs from a cold compile", step, what)
+				}
+				// A restored pattern shares the displaced generation's entry.
+				byAST := make(map[*regexast.Regex]*compile.Compiled)
+				if before.displaced.res != nil {
+					for i := range before.displaced.res.Regexes {
+						byAST[before.displaced.res.Regexes[i].AST] = &before.displaced.res.Regexes[i]
+					}
+				}
+				shared := 0
+				for i := range now.res.Regexes {
+					c, old := &now.res.Regexes[i], byAST[now.res.Regexes[i].AST]
+					if old == nil || now.res.From != nil && now.res.From[i] >= 0 {
+						continue
+					}
+					if c.Source != old.Source || c.NFA != old.NFA || c.NBVA != old.NBVA {
+						t.Fatalf("step %d (%s): restored slot %d (%q) does not share the displaced generation's machine", step, what, i, next[i])
+					}
+					shared++
+				}
+				if shared != wantRestored {
+					t.Errorf("step %d (%s): %d slots share the displaced generation's machine, want %d", step, what, shared, wantRestored)
+				}
+				m := now.Matcher
+				if !reflect.DeepEqual(m.Engines(), coldM.Engines()) {
+					t.Errorf("step %d (%s): engines differ", step, what)
+				}
+				if !reflect.DeepEqual(m.Kernels(), coldM.Kernels()) {
+					t.Errorf("step %d (%s): kernels differ", step, what)
+				}
+				if !reflect.DeepEqual(m.PrefilterVerdicts(), coldM.PrefilterVerdicts()) {
+					t.Errorf("step %d (%s): prefilter verdicts differ", step, what)
+				}
+				img, place, err := now.hwImage()
+				if err != nil {
+					t.Fatal(err)
+				}
+				built, err := bitstream.Build(now.res, place)
+				if err != nil {
+					t.Fatal(err)
+				}
+				data := marshalImage(t, img)
+				if !bytes.Equal(data, marshalImage(t, built)) {
+					t.Errorf("step %d (%s): the image differs from its placement's built whole", step, what)
+				}
+				if applied, err := reconfig.Apply(prevImg, reconfig.Diff(prevImg, img)); err != nil || !bytes.Equal(marshalImage(t, applied), data) {
+					t.Errorf("step %d (%s): the delta does not take the replaced image to the new one (err %v)", step, what, err)
+				}
+				if want := wantUpdateResult(t, prog.ID, int64(step), len(next), prevImg, img); *got != want {
+					t.Errorf("step %d (%s): UpdateResult\n got %+v\nwant %+v", step, what, *got, want)
+				}
+				prevImg = img
+
+				planted := workload.Dataset{Name: name, Patterns: next, Alphabet: d.Alphabet, Seed: d.Seed}
+				input := planted.Input(8<<10, int64(step))
+				whole := coldM.Scan(input)
+				if len(whole) == 0 {
+					t.Errorf("step %d: the input matches nothing", step)
+				}
+				if !reflect.DeepEqual(m.Scan(input), whole) {
+					t.Errorf("step %d (%s): whole-buffer matches differ", step, what)
+				}
+				sizes := []int{1 + rng.Intn(64), 1 + rng.Intn(1024), 1 + rng.Intn(4096)}
+				if !reflect.DeepEqual(feedChunked(m, input, sizes), feedChunked(coldM, input, sizes)) {
+					t.Errorf("step %d (%s): matches differ when fed in chunks of %v", step, what, sizes)
+				}
+			}
+
 			history := [][]string{cur}
 			optionEdits := 0
-			for step := 1; step <= 20; step++ {
-				prev, prevOpts := cur, opts
+			for n := 1; n <= 20; n++ {
 				cur = append([]string(nil), cur...)
 				at := func() int { return rng.Intn(len(cur)) }
-				edit := (step - 1) % numEdits
+				edit := (n - 1) % numEdits
 				switch edit {
 				case editReplace:
 					for k := 1 + rng.Intn(len(cur)/5); k > 0; k-- {
@@ -273,73 +413,32 @@ func TestIncrementalEqualsCold(t *testing.T) {
 					}
 				}
 				history = append(history, cur)
+				update("edit "+strconv.Itoa(edit), cur, opts)
+			}
 
-				reusedBefore := s.Stats().Reconfig
-				got, err := s.Update(ctx, prog.ID, cur, opts)
-				if err != nil {
-					t.Fatalf("step %d (edit %d): %v", step, edit, err)
+			// Scripted reverts from the list the script ended on, A: every
+			// tenth pattern replaced by a fresh text gives B, by another C.
+			a, aOpts := cur, opts
+			tenth := func(off int) []string {
+				out := append([]string(nil), a...)
+				for i := 0; i < len(out); i += 10 {
+					out[i] = fresh[(i+off)%len(fresh)]
 				}
-				coldRes, coldM, _ := coldBuild(t, cur, opts)
-
-				wantReused := 0
-				if prevOpts.options().FrontEnd() == opts.options().FrontEnd() {
-					wantReused = textsHeld(prev, cur)
-				}
-				after := s.Stats().Reconfig
-				if reused := int(after.PatternsReused - reusedBefore.PatternsReused); reused != wantReused {
-					t.Errorf("step %d (edit %d): %d patterns reused, want %d of %d", step, edit, reused, wantReused, len(cur))
-				}
-				if compiled := int(after.PatternsCompiled - reusedBefore.PatternsCompiled); compiled != len(cur)-wantReused {
-					t.Errorf("step %d (edit %d): %d patterns compiled, want %d", step, edit, compiled, len(cur)-wantReused)
-				}
-
-				served, _ := s.Program(prog.ID)
-				if served.res.Fingerprint() != coldRes.Fingerprint() {
-					t.Fatalf("step %d (edit %d): compile fingerprint differs from a cold compile", step, edit)
-				}
-				m := served.Matcher
-				if !reflect.DeepEqual(m.Engines(), coldM.Engines()) {
-					t.Errorf("step %d (edit %d): engines differ", step, edit)
-				}
-				if !reflect.DeepEqual(m.Kernels(), coldM.Kernels()) {
-					t.Errorf("step %d (edit %d): kernels differ", step, edit)
-				}
-				if !reflect.DeepEqual(m.PrefilterVerdicts(), coldM.PrefilterVerdicts()) {
-					t.Errorf("step %d (edit %d): prefilter verdicts differ", step, edit)
-				}
-				img, place, err := served.hwImage()
-				if err != nil {
-					t.Fatal(err)
-				}
-				built, err := bitstream.Build(served.res, place)
-				if err != nil {
-					t.Fatal(err)
-				}
-				data := marshalImage(t, img)
-				if !bytes.Equal(data, marshalImage(t, built)) {
-					t.Errorf("step %d (edit %d): the image differs from its placement's built whole", step, edit)
-				}
-				if applied, err := reconfig.Apply(prevImg, reconfig.Diff(prevImg, img)); err != nil || !bytes.Equal(marshalImage(t, applied), data) {
-					t.Errorf("step %d (edit %d): the delta does not take the replaced image to the new one (err %v)", step, edit, err)
-				}
-				if want := wantUpdateResult(t, prog.ID, int64(step), len(cur), prevImg, img); *got != want {
-					t.Errorf("step %d (edit %d): UpdateResult\n got %+v\nwant %+v", step, edit, *got, want)
-				}
-				prevImg = img
-
-				planted := workload.Dataset{Name: name, Patterns: cur, Alphabet: d.Alphabet, Seed: d.Seed}
-				input := planted.Input(8<<10, int64(step))
-				whole := coldM.Scan(input)
-				if len(whole) == 0 {
-					t.Errorf("step %d: the input matches nothing", step)
-				}
-				if !reflect.DeepEqual(m.Scan(input), whole) {
-					t.Errorf("step %d (edit %d): whole-buffer matches differ", step, edit)
-				}
-				sizes := []int{1 + rng.Intn(64), 1 + rng.Intn(1024), 1 + rng.Intn(4096)}
-				if !reflect.DeepEqual(feedChunked(m, input, sizes), feedChunked(coldM, input, sizes)) {
-					t.Errorf("step %d (edit %d): matches differ when fed in chunks of %v", step, edit, sizes)
-				}
+				return out
+			}
+			b, c := tenth(0), tenth(len(fresh)/2)
+			other := aOpts
+			other.UnfoldThreshold = 12 - other.UnfoldThreshold
+			for _, u := range []struct {
+				what     string
+				patterns []string
+				opts     CompileOptions
+			}{
+				{"A->B", b, aOpts}, {"A->B->A", a, aOpts},
+				{"A->B", b, aOpts}, {"A->B->C", c, aOpts}, {"A->B->C->B", b, aOpts},
+				{"A@o1", a, aOpts}, {"A@o1->B@o2", b, other}, {"A@o1->B@o2->A@o1", a, aOpts},
+			} {
+				update(u.what, u.patterns, u.opts)
 			}
 		})
 	}
@@ -348,7 +447,8 @@ func TestIncrementalEqualsCold(t *testing.T) {
 // TestSessionsPinnedThroughSharedTables: sessions opened on generation g
 // keep scanning g's tables while 50 updates build and install g+1…g+50, every
 // one of which takes nine tenths of its patterns — compiled entries, DFA
-// tables, NBVA kernels — from its predecessor by pointer. Each streamer
+// tables, NBVA kernels — from its predecessor by pointer, and from the second
+// on the last tenth from the generation before that. Each streamer
 // feeds its session in lockstep with a session of a matcher compiled apart
 // from the service; under -race any write to a shared table is a failure.
 func TestSessionsPinnedThroughSharedTables(t *testing.T) {
@@ -415,14 +515,17 @@ func TestSessionsPinnedThroughSharedTables(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
-	if st := s.Stats().Reconfig; st.PatternsReused == 0 || st.PatternsReused+st.PatternsCompiled != int64(updates*len(rules[0])) {
-		t.Errorf("%d reused + %d compiled over %d updates of %d patterns", st.PatternsReused, st.PatternsCompiled, updates, len(rules[0]))
+	if st := s.Stats().Reconfig; st.PatternsReused == 0 || st.PatternsRestored == 0 ||
+		st.PatternsReused+st.PatternsRestored+st.PatternsCompiled != int64(updates*len(rules[0])) {
+		t.Errorf("%d reused + %d restored + %d compiled over %d updates of %d patterns",
+			st.PatternsReused, st.PatternsRestored, st.PatternsCompiled, updates, len(rules[0]))
 	}
 }
 
 // TestFailedUpdateLeavesGenerationReusable: an update whose list holds a
 // pattern that does not compile installs nothing — the served generation
-// keeps serving, and the next update still reuses it.
+// keeps serving, and the next update still reuses it and restores from the
+// generation it displaced.
 func TestFailedUpdateLeavesGenerationReusable(t *testing.T) {
 	base, swapped := tenthSwapped("Snort", 0.2)
 	s := New(Config{})
@@ -458,13 +561,18 @@ func TestFailedUpdateLeavesGenerationReusable(t *testing.T) {
 		t.Errorf("failed update counted: %+v, was %+v", st, before)
 	}
 
+	// Reverting to base takes what swapped shares with it from the served
+	// generation and the rest from the one it displaced: nothing compiles.
 	res, err := s.Update(ctx, prog.ID, base, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantReused := textsHeld(swapped, base)
-	if reused := int(s.Stats().Reconfig.PatternsReused - before.PatternsReused); res.Generation != 2 || reused != wantReused || reused == 0 {
-		t.Errorf("update after the failed one: generation %d reusing %d, want 2 reusing %d", res.Generation, reused, wantReused)
+	wantReused, wantRestored := reuseSplit(swapped, base, base)
+	after := s.Stats().Reconfig
+	reused, restored := int(after.PatternsReused-before.PatternsReused), int(after.PatternsRestored-before.PatternsRestored)
+	if res.Generation != 2 || reused != wantReused || restored != wantRestored || restored == 0 || after.PatternsCompiled != before.PatternsCompiled {
+		t.Errorf("update after the failed one: generation %d reusing %d, restoring %d, compiling %d; want 2 reusing %d, restoring %d, compiling 0",
+			res.Generation, reused, restored, after.PatternsCompiled-before.PatternsCompiled, wantReused, wantRestored)
 	}
 	_, coldM, _ := coldBuild(t, base, CompileOptions{})
 	served, _ = s.Program(prog.ID)
@@ -473,10 +581,56 @@ func TestFailedUpdateLeavesGenerationReusable(t *testing.T) {
 	}
 }
 
-// TestUpdateReuseIsObservable: how many patterns an update reused and how
-// many it compiled is on its trace's compile span, in /metrics and in the
-// reconfig block of /v1/stats; how many tiles it kept, and whether it
-// repacked, on its image_build span and in /metrics.
+// TestDisplacedGenerationIsNotAChain: a generation keeps the one it
+// displaced and nothing older, so once generation g serves, g-1's matcher
+// is alive behind it and g-2's is collected.
+func TestDisplacedGenerationIsNotAChain(t *testing.T) {
+	base, swapped := tenthSwapped("Snort", 0.1)
+	s := New(Config{})
+	defer s.Close()
+	ctx := context.Background()
+	id := func() string { // the test keeps no *Program
+		prog, _, err := s.Compile(ctx, base, CompileOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prog.ID
+	}()
+	collected := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	watch := func(g int) {
+		p, _ := s.Program(id)
+		runtime.SetFinalizer(p.Matcher, func(*refmatch.Matcher) { close(collected[g]) })
+	}
+	watch(0)
+	for g, rules := range [][]string{swapped, base} {
+		if _, err := s.Update(ctx, id, rules, CompileOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if g == 0 {
+			watch(1)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		runtime.GC()
+		select {
+		case <-collected[1]:
+			t.Fatal("generation 1's matcher was collected while generation 2 keeps it")
+		case <-collected[0]:
+			if served, _ := s.Program(id); served.displaced.m == nil {
+				t.Fatal("generation 2 keeps no displaced matcher")
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("generation 0's matcher is still reachable with generation 2 served")
+}
+
+// TestUpdateReuseIsObservable: how many patterns an update reused, how many
+// it restored from the generation the served one displaced and how many it
+// compiled is on its trace's compile span, in /metrics and in the reconfig
+// block of /v1/stats; how many tiles it kept, and whether it repacked, on
+// its image_build span and in /metrics.
 func TestUpdateReuseIsObservable(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
@@ -505,8 +659,8 @@ func TestUpdateReuseIsObservable(t *testing.T) {
 			}
 		}
 	}
-	if got := attrs["compile"]; got["reused"] != "2" || got["compiled"] != "1" {
-		t.Errorf("compile span of the update carries %v, want reused=2 compiled=1", got)
+	if got := attrs["compile"]; got["reused"] != "2" || got["restored"] != "0" || got["compiled"] != "1" {
+		t.Errorf("compile span of the update carries %v, want reused=2 restored=0 compiled=1", got)
 	}
 	// The hardware half says what it produced, in the terms the response
 	// reports it: the three tiles of alpha and ga{20,40}mma were kept, be+ta's
@@ -521,6 +675,24 @@ func TestUpdateReuseIsObservable(t *testing.T) {
 		t.Errorf("diff span carries %v for update %+v", got, upd)
 	}
 
+	// Reverting takes be+ta back from the generation the served one
+	// displaced: two reused, one restored, none compiled.
+	body, _ = json.Marshal(compileRequest{Patterns: []string{"alpha", "be+ta", "ga{20,40}mma"}})
+	if resp := doJSON(t, client, "PUT", srv.URL+"/v1/programs/"+comp.ProgramID, body, &upd); resp.StatusCode != http.StatusOK {
+		t.Fatalf("revert: HTTP %d", resp.StatusCode)
+	}
+	doJSON(t, client, "GET", srv.URL+"/debug/traces", nil, &ring)
+	reverted := false
+	for _, tr := range ring.Traces {
+		for _, sp := range tr.Spans {
+			a := sp.Attrs
+			reverted = reverted || sp.Name == "compile" && a["reused"] == "2" && a["restored"] == "1" && a["compiled"] == "0"
+		}
+	}
+	if !reverted {
+		t.Error("no compile span says the revert reused 2, restored 1 and compiled 0")
+	}
+
 	resp, err := client.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -528,7 +700,8 @@ func TestUpdateReuseIsObservable(t *testing.T) {
 	text, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	for _, want := range []string{
-		`rap_update_patterns_total{outcome="reused"} 2`,
+		`rap_update_patterns_total{outcome="reused"} 4`,
+		`rap_update_patterns_total{outcome="restored"} 1`,
 		`rap_update_patterns_total{outcome="compiled"} 1`,
 		`rap_update_repack_total 0`,
 	} {
@@ -540,7 +713,7 @@ func TestUpdateReuseIsObservable(t *testing.T) {
 		Reconfig ReconfigStats `json:"reconfig"`
 	}
 	doJSON(t, client, "GET", srv.URL+"/v1/stats", nil, &stats)
-	if stats.Reconfig.PatternsReused != 2 || stats.Reconfig.PatternsCompiled != 1 {
-		t.Errorf("/v1/stats reconfig: %d reused, %d compiled, want 2 and 1", stats.Reconfig.PatternsReused, stats.Reconfig.PatternsCompiled)
+	if st := stats.Reconfig; st.PatternsReused != 4 || st.PatternsRestored != 1 || st.PatternsCompiled != 1 {
+		t.Errorf("/v1/stats reconfig: %d reused, %d restored, %d compiled, want 4, 1 and 1", st.PatternsReused, st.PatternsRestored, st.PatternsCompiled)
 	}
 }

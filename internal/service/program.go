@@ -72,22 +72,22 @@ func (o CompileOptions) options() refmatch.Options {
 // build runs the compiler front-end once over patterns and lowers its
 // Result onto the software matcher. The Result comes back too: it is
 // what the deployment image is mapped from (deploy). prev, when not nil,
-// is the program being replaced: patterns it already holds keep their
-// compiled entry and lowered tables (compile.Recompile, refmatch.Relower,
-// which also decide when its options rule that out). A nil prev is a cold
-// compile — the same path with nothing to reuse.
+// is the program being replaced: patterns it or the generation it
+// displaced already hold keep their compiled entry and lowered tables
+// (compile.Recompile, refmatch.Relower, which also decide when options rule
+// that out). A nil prev is a cold compile — the same path with nothing to
+// reuse.
 func build(ctx context.Context, prev *Program, patterns []string, opts CompileOptions) (*refmatch.Matcher, *compile.Result, error) {
-	var prevRes *compile.Result
-	var prevMatcher *refmatch.Matcher
+	var cur, displaced generation
 	if prev != nil {
-		prevRes, prevMatcher = prev.res, prev.Matcher
+		cur, displaced = generation{prev.res, prev.Matcher}, prev.displaced
 	}
 	ro := opts.options()
-	res, err := compile.Recompile(ctx, prevRes, patterns, ro.FrontEnd())
+	res, err := compile.Recompile(ctx, cur.res, displaced.res, patterns, ro.FrontEnd())
 	if err != nil {
 		return nil, nil, err
 	}
-	m, err := refmatch.Relower(prevMatcher, res, ro)
+	m, err := refmatch.Relower(cur.m, displaced.m, res, ro)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -144,8 +144,13 @@ type Program struct {
 
 	// res is the compile the Matcher was lowered from. It stays with the
 	// program: the update that replaces it takes from res and Matcher
-	// every pattern the two rulesets share, and that is the whole cache.
+	// every pattern the two rulesets share, and from displaced every other
+	// one the generation before held, so a revert compiles nothing.
 	res *compile.Result
+	// displaced is the generation this one replaced, its compile and
+	// matcher but never its Program, so that a generation keeps one
+	// predecessor alive and never a chain; zero on the initial deploy.
+	displaced generation
 	// hwPlace and hwImg are the program's placement and deployment
 	// bitstream: the update that replaces the program remaps from the one
 	// and rebuilds on — and diffs against — the other. Set at construction
@@ -166,6 +171,12 @@ type Program struct {
 	bytes    metrics.Counter
 	matches  metrics.Counter
 	sessions metrics.Counter // sessions ever opened against this program
+}
+
+// generation is one compiled ruleset and the matcher lowered from it.
+type generation struct {
+	res *compile.Result
+	m   *refmatch.Matcher
 }
 
 // memEstimate models a compiled program's resident footprint for

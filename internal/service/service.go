@@ -152,7 +152,8 @@ type Service struct {
 	updateMu           sync.Mutex // serializes hot-swaps
 	updates            *metrics.Counter
 	updateReused       *metrics.Counter // patterns taken from the replaced generation
-	updateCompiled     *metrics.Counter // patterns compiled because their text was new
+	updateRestored     *metrics.Counter // patterns taken from the generation it displaced
+	updateCompiled     *metrics.Counter // patterns compiled because neither held their text
 	updateRepacks      *metrics.Counter // updates whose placement fell back to a cold pack
 	updateDeltaBytes   *metrics.Counter
 	updateFullBytes    *metrics.Counter
@@ -715,10 +716,12 @@ type PrefilterStats struct {
 // images they replaced, and the modeled fabric reload/stall cycles.
 type ReconfigStats struct {
 	Updates int64 `json:"updates"`
-	// PatternsReused and PatternsCompiled split the patterns of every
-	// applied update into those taken from the replaced generation and
-	// those compiled because their text was new to it.
+	// PatternsReused, PatternsRestored and PatternsCompiled split the
+	// patterns of every applied update into those taken from the replaced
+	// generation, those taken from the generation it had displaced, and
+	// those compiled because neither held their text.
 	PatternsReused   int64                     `json:"patterns_reused"`
+	PatternsRestored int64                     `json:"patterns_restored"`
 	PatternsCompiled int64                     `json:"patterns_compiled"`
 	DeltaBytes       int64                     `json:"delta_bytes"`
 	FullImageBytes   int64                     `json:"full_image_bytes"`
@@ -762,6 +765,7 @@ func (s *Service) Stats() Stats {
 		Reconfig: ReconfigStats{
 			Updates:          s.updates.Value(),
 			PatternsReused:   s.updateReused.Value(),
+			PatternsRestored: s.updateRestored.Value(),
 			PatternsCompiled: s.updateCompiled.Value(),
 			DeltaBytes:       s.updateDeltaBytes.Value(),
 			FullImageBytes:   s.updateFullBytes.Value(),

@@ -74,8 +74,9 @@ func (s *Service) registerMetrics() {
 	r.RegisterCounter("rap_compile_tasks_submitted_total", "Compiles accepted by the compile pool.", &s.compilers.submitted)
 	r.RegisterCounter("rap_compile_tasks_rejected_total", "Compiles rejected with queue-full backpressure.", &s.compilers.rejected)
 	r.GaugeFunc("rap_compile_workers", "Compile pool worker count.", func() float64 { return float64(len(s.compilers.shards)) })
-	const updatePatternsHelp = "Patterns of applied hot-swaps, by whether the replaced generation already held them compiled."
+	const updatePatternsHelp = "Patterns of applied hot-swaps, by whether the replaced generation (reused) or the one it displaced (restored) already held them compiled."
 	s.updateReused = r.Counter("rap_update_patterns_total", updatePatternsHelp, telemetry.L("outcome", "reused"))
+	s.updateRestored = r.Counter("rap_update_patterns_total", updatePatternsHelp, telemetry.L("outcome", "restored"))
 	s.updateCompiled = r.Counter("rap_update_patterns_total", updatePatternsHelp, telemetry.L("outcome", "compiled"))
 	s.updateRepacks = r.Counter("rap_update_repack_total", "Hot-swaps whose placement fell back to a cold pack instead of keeping the served one's.")
 

@@ -61,10 +61,12 @@ func deploy(base *bitstream.Image, prev *arch.Placement, prevRes, res *compile.R
 // from the moment Update returns. This mirrors the hardware semantics of
 // SimulateRAPReconfig: no automaton state migrates across the swap.
 //
-// The served generation is the cache for the next one: a pattern whose
-// text it already holds, compiled under the same options, keeps its
-// compiled entry and its DFA table or NBVA kernel, and only new texts are
-// parsed, routed and determinised. The Shift-And packing and the prefilter
+// The served generation is the cache for the next one, and the generation
+// it displaced is kept behind it: a pattern whose text either already
+// holds, compiled under the same options, keeps its compiled entry and its
+// DFA table or NBVA kernel, and only texts neither holds are parsed, routed
+// and determinised, so a revert compiles nothing. A restored pattern is
+// placed as a new one. The Shift-And packing and the prefilter
 // literal union depend on the whole set and are rebuilt, so the matcher is
 // that of a cold compile of the same list. The hardware half is not: each
 // kept pattern keeps its place on the fabric and each tile nothing moved in
@@ -117,7 +119,8 @@ func (s *Service) Update(ctx context.Context, programID string, patterns []strin
 		}
 		s.observeStage(s.stageCompile, tr, "compile", compileStart,
 			telemetry.L("reused", strconv.Itoa(res.Reused)),
-			telemetry.L("compiled", strconv.Itoa(len(patterns)-res.Reused)))
+			telemetry.L("restored", strconv.Itoa(res.Restored)),
+			telemetry.L("compiled", strconv.Itoa(len(patterns)-res.Reused-res.Restored)))
 		// The image the new one is built on and the delta taken against: a
 		// program that has not been through an update has none yet, and it
 		// is built here so that no other update waits behind a map-and-build.
@@ -182,8 +185,11 @@ func (s *Service) Update(ctx context.Context, programID string, patterns []strin
 		Owner:      ten.Name(),
 		MemBytes:   memEstimate(patterns),
 		res:        res,
-		hwPlace:    place,
-		hwImg:      newImg,
+		// The generation this one displaces is the one resolved under the
+		// lock, not necessarily the one phase 1 compiled from.
+		displaced: generation{old.res, old.Matcher},
+		hwPlace:   place,
+		hwImg:     newImg,
 	}
 	// The cache slot changes hands: charge the updating tenant for the
 	// replacement and release the displaced program's owner (skipped if
@@ -195,7 +201,8 @@ func (s *Service) Update(ctx context.Context, programID string, patterns []strin
 
 	s.updates.Inc()
 	s.updateReused.Add(int64(res.Reused))
-	s.updateCompiled.Add(int64(len(patterns) - res.Reused))
+	s.updateRestored.Add(int64(res.Restored))
+	s.updateCompiled.Add(int64(len(patterns) - res.Reused - res.Restored))
 	if repacked {
 		s.updateRepacks.Inc()
 	}

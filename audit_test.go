@@ -32,7 +32,7 @@ var auditAllow = []struct{ fn, reason string }{
 	{"internal/nbva.Machine.MatchEnds", "TestPropNBVAEquivalentToUnfoldedNFA, TestPropCounterEqualsBitVector: the one-shot Step reference"},
 	{"internal/nbva.Machine.MatchEndsCounter", "TestPropCounterEqualsBitVector: counter-set semantics (§2.2) the bit-vector machine must equal"},
 	{"internal/reconfig.Apply", "FuzzParseDelta, TestWireFormatGolden (checkApply): Apply(Diff(old, new), old) == new is the delta's contract"},
-	{"internal/reconfig.ParseDelta", "FuzzParseDelta: the decoder of the RAPD wire format the service emits"},
+	{"internal/reconfig.ParseDelta", "FuzzParseDelta: the round-trip reference of Delta.MarshalBinary (the service prices a delta by SizeBytes and emits no RAPD bytes)"},
 	{"internal/regexast.MustParse", "fixture of 13 test files (TestBuildDFAEquivalence, TestFeedEqualEndOrder, ...): a known-good pattern or a panic"},
 	{"internal/regexast.String", "FuzzParse (render), TestPropPrintParseStable: print then re-parse must give the identical AST"},
 	{"internal/shiftand.Machine.MatchEnds", "FuzzWordKernelEquivalence, TestKernelsAgreeWithStep: the one-shot scan the chunked kernels are cut against"},

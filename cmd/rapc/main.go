@@ -212,10 +212,6 @@ func diffImages(oldPath, newPath string) error {
 		return err
 	}
 	d := reconfig.Diff(oldImg, newImg)
-	data, err := d.MarshalBinary()
-	if err != nil {
-		return err
-	}
 
 	t := &metrics.Table{
 		Name:   "Delta records",
@@ -235,7 +231,7 @@ func diffImages(oldPath, newPath string) error {
 	touched := len(d.TouchedArrays())
 	fmt.Printf("Arrays: %d touched of %d in target\n", touched, len(newImg.Arrays))
 	fmt.Printf("Bitstream: delta %d bytes vs full image %d bytes (%s smaller)\n",
-		len(data), newImg.SizeBytes(), metrics.Ratio(float64(newImg.SizeBytes()), float64(len(data))))
+		d.SizeBytes(), newImg.SizeBytes(), metrics.Ratio(float64(newImg.SizeBytes()), float64(d.SizeBytes())))
 	fmt.Printf("Reload:    delta %d cycles, %.1f pJ, %.3f µs\n",
 		inc.ReloadCycles, inc.EnergyPJ, inc.LatencyUS())
 	fmt.Printf("Full:      %d cycles, %.1f pJ, %.3f µs\n",

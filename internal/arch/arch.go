@@ -159,6 +159,19 @@ type BinPlan struct {
 	PaddingWaste int
 }
 
+// RegionSize is the per-member state budget per tile: the tile's CAM
+// columns, or its one-hot switch slots, shared among the bin's members.
+func (b *BinPlan) RegionSize() int {
+	slots := TileSTEs
+	if !b.CAMMapped {
+		slots = SwitchLNFASlots
+	}
+	if len(b.Seqs) == 0 {
+		return slots
+	}
+	return max(1, slots/len(b.Seqs))
+}
+
 // Hole is the BinPlan.Seqs entry of a removed member.
 var Hole = [2]int{-1, -1}
 

@@ -19,7 +19,6 @@
 package bitstream
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -325,7 +324,7 @@ func buildLNFAArray(res *compile.Result, plan *arch.ArrayPlan, ac *ArrayConfig, 
 				return fmt.Errorf("bitstream: bad sequence ref %v", ref)
 			}
 			seq := c.Seqs[ref[1]]
-			region := regionSize(bin)
+			region := bin.RegionSize()
 			for j, cls := range seq.Classes {
 				tIdx := (bin.StartOffset + j) / region
 				if tIdx >= len(bin.Tiles) {
@@ -365,24 +364,6 @@ func buildLNFAArray(res *compile.Result, plan *arch.ArrayPlan, ac *ArrayConfig, 
 		}
 	}
 	return nil
-}
-
-// regionSize mirrors mapper.RegionSize without importing it (avoiding a
-// dependency cycle risk; the computation is fixed by the architecture).
-func regionSize(b *arch.BinPlan) int {
-	capSlots := arch.TileSTEs
-	if !b.CAMMapped {
-		capSlots = arch.SwitchLNFASlots
-	}
-	n := len(b.Seqs)
-	if n == 0 {
-		return capSlots
-	}
-	r := capSlots / n
-	if r == 0 {
-		r = 1
-	}
-	return r
 }
 
 // --- serialization ---
@@ -495,96 +476,16 @@ func (bv BVConfig) AppendBinary(b []byte) []byte {
 
 // Parse deserializes and verifies an image.
 func Parse(data []byte) (*Image, error) {
-	if len(data) < 12 {
-		return nil, fmt.Errorf("bitstream: truncated image")
-	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	want := binary.LittleEndian.Uint32(tail)
-	if crc32.ChecksumIEEE(body) != want {
-		return nil, fmt.Errorf("bitstream: CRC mismatch")
-	}
-	r := bytes.NewReader(body)
-	rd := func(v interface{}) error { return binary.Read(r, binary.LittleEndian, v) }
-	var m uint32
-	var ver, nArrays uint16
-	if err := rd(&m); err != nil || m != magic {
-		return nil, fmt.Errorf("bitstream: bad magic")
-	}
-	if err := rd(&ver); err != nil || ver != version {
-		return nil, fmt.Errorf("bitstream: unsupported version %d", ver)
-	}
-	if err := rd(&nArrays); err != nil {
+	d, err := Open(data, magic, version)
+	if err != nil {
 		return nil, err
 	}
-	img := &Image{}
-	for i := 0; i < int(nArrays); i++ {
-		var a ArrayConfig
-		var mode uint8
-		var nTiles uint16
-		if err := rd(&mode); err != nil {
-			return nil, err
-		}
-		if err := rd(&a.Depth); err != nil {
-			return nil, err
-		}
-		if err := rd(&nTiles); err != nil {
-			return nil, err
-		}
-		a.Mode = arch.Mode(mode)
-		for t := 0; t < int(nTiles); t++ {
-			var tc TileConfig
-			var tm, flags uint8
-			if err := rd(&tm); err != nil {
-				return nil, err
-			}
-			if err := rd(&flags); err != nil {
-				return nil, err
-			}
-			tc.Mode = arch.Mode(tm)
-			tc.HasInitial = flags&1 != 0
-			if err := rd(tc.ColRole[:]); err != nil {
-				return nil, err
-			}
-			if err := rd(tc.CAMCodes[:]); err != nil {
-				return nil, err
-			}
-			var nBVs uint16
-			if err := rd(&nBVs); err != nil {
-				return nil, err
-			}
-			for k := 0; k < int(nBVs); k++ {
-				var bv BVConfig
-				var readAll uint8
-				if err := rd(&bv.FirstColumn); err != nil {
-					return nil, err
-				}
-				if err := rd(&bv.Width); err != nil {
-					return nil, err
-				}
-				if err := rd(&bv.Depth); err != nil {
-					return nil, err
-				}
-				if err := rd(&readAll); err != nil {
-					return nil, err
-				}
-				if err := rd(&bv.Size); err != nil {
-					return nil, err
-				}
-				bv.ReadAll = readAll != 0
-				tc.BVs = append(tc.BVs, bv)
-			}
-			if err := rd(tc.LocalSwitch[:]); err != nil {
-				return nil, err
-			}
-			a.Tiles = append(a.Tiles, tc)
-		}
-		if err := rd(a.GlobalSwitch[:]); err != nil {
-			return nil, err
-		}
-		img.Arrays = append(img.Arrays, a)
+	img := &Image{Arrays: make([]ArrayConfig, d.bound(int64(d.U16()), arrayHeaderBytes+256*256/8))}
+	for i := range img.Arrays {
+		d.Array(&img.Arrays[i])
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("bitstream: %d trailing bytes", r.Len())
+	if err := d.End(); err != nil {
+		return nil, err
 	}
 	return img, nil
 }

@@ -2,6 +2,9 @@ package bitstream
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"reflect"
 	"testing"
 
 	"repro/internal/compile"
@@ -50,20 +53,41 @@ func FuzzParse(f *testing.F) {
 		flipped := append([]byte(nil), data...)
 		flipped[8] ^= 0x40
 		f.Add(flipped)
+		reserved := append([]byte(nil), data...)
+		reserved[imageHeaderBytes+arrayHeaderBytes+1] |= 0xfe // the first tile's flag byte
+		f.Add(reserved)
 	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		img, err := Parse(data)
-		if err != nil {
-			return
-		}
-		// A successfully parsed image must survive the round trip.
-		out, err := img.MarshalBinary()
-		if err != nil {
-			t.Fatalf("re-marshal of parsed image: %v", err)
-		}
-		if !bytes.Equal(out, data) {
-			t.Fatalf("round trip diverged: %d in, %d out", len(data), len(out))
+		// The input is parsed as it came and with its trailer made the CRC
+		// of the rest, so that mutated bodies reach the decoder. A flag byte
+		// reads only its low bit, so only the first must come back byte for
+		// byte; both must re-parse to the image they parsed to.
+		for i, in := range [][]byte{data, resealed(data)} {
+			img, err := Parse(in)
+			if err != nil {
+				continue
+			}
+			out, err := img.MarshalBinary()
+			if err != nil {
+				t.Fatalf("re-marshal of parsed image: %v", err)
+			}
+			if i == 0 && !bytes.Equal(out, in) {
+				t.Fatalf("round trip diverged: %d in, %d out", len(in), len(out))
+			}
+			if back, err := Parse(out); err != nil || !reflect.DeepEqual(back, img) {
+				t.Fatalf("re-parse of the re-marshalled image diverged (err %v)", err)
+			}
 		}
 	})
+}
+
+// resealed is data with its last four bytes replaced by the CRC-32 of the
+// bytes before them, in a new slice.
+func resealed(data []byte) []byte {
+	if len(data) < 4 {
+		return data
+	}
+	body := data[: len(data)-4 : len(data)-4]
+	return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
 }

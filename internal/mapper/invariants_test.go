@@ -88,7 +88,7 @@ func checkInvariants(t *testing.T, res *compile.Result, p *arch.Placement, opts 
 			if len(b.Seqs) == 0 || len(b.Seqs) > opts.BinSize {
 				t.Errorf("array %d bin %d: %d members (bin size %d)", ai, bi, len(b.Seqs), opts.BinSize)
 			}
-			region := RegionSize(b)
+			region := b.RegionSize()
 			if b.StartOffset < 0 || b.StartOffset >= region {
 				t.Errorf("array %d bin %d: start offset %d of region %d", ai, bi, b.StartOffset, region)
 			}

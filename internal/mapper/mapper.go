@@ -630,7 +630,7 @@ type groupState struct {
 // groupAfter is the open tile a bin leaves its group: its last tile and
 // the region depth it used there, or none when it ends on a tile boundary.
 func groupAfter(b *arch.BinPlan) groupState {
-	if rem := (b.StartOffset + b.PaddedLen) % regionSizeFor(b); rem != 0 {
+	if rem := (b.StartOffset + b.PaddedLen) % b.RegionSize(); rem != 0 {
 		return groupState{tile: b.Tiles[len(b.Tiles)-1], depth: rem}
 	}
 	return groupState{tile: -1}
@@ -661,7 +661,7 @@ func packBins(p *arch.Placement, ai int, bins []arch.BinPlan, grow bool) error {
 	}
 	for bi := range bins {
 		b := &bins[bi]
-		kind, members, region := binKind(b), len(b.Seqs), regionSizeFor(b)
+		kind, members, region := binKind(b), len(b.Seqs), b.RegionSize()
 		gs := groups[kind][members]
 		if gs == nil {
 			gs = &groupState{tile: -1}
@@ -784,26 +784,6 @@ func makeBins(seqs []lnfaSeq, binSize, tileCapacity int) []arch.BinPlan {
 	}
 	return bins
 }
-
-// regionSizeFor returns the per-member state budget per tile.
-func regionSizeFor(b *arch.BinPlan) int {
-	cap := arch.TileSTEs
-	if !b.CAMMapped {
-		cap = arch.SwitchLNFASlots
-	}
-	n := len(b.Seqs)
-	if n == 0 {
-		return cap
-	}
-	r := cap / n
-	if r == 0 {
-		r = 1
-	}
-	return r
-}
-
-// RegionSize exposes regionSizeFor for the simulator.
-func RegionSize(b *arch.BinPlan) int { return regionSizeFor(b) }
 
 func appendUnique(s *[]int, v int) {
 	for _, x := range *s {

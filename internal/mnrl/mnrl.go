@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/automata"
@@ -195,6 +196,11 @@ func Read(r io.Reader) (*File, error) {
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&f); err != nil {
 		return nil, fmt.Errorf("mnrl: %w", err)
+	}
+	for _, net := range f.Networks {
+		if net == nil || slices.Contains(net.Nodes, nil) {
+			return nil, fmt.Errorf("mnrl: null network or node")
+		}
 	}
 	return &f, nil
 }

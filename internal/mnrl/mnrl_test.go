@@ -12,7 +12,7 @@ import (
 	"repro/internal/workload"
 )
 
-func nfaOf(t *testing.T, pattern string) *automata.NFA {
+func nfaOf(t testing.TB, pattern string) *automata.NFA {
 	t.Helper()
 	nfa, err := automata.Glushkov(regexast.MustParse(pattern), 0)
 	if err != nil {

@@ -98,17 +98,10 @@ func (d *Delta) account() (Cost, []arrayLoad) {
 
 	for i := range d.Replaces {
 		r := &d.Replaces[i]
-		bits := int64(256 * 256)
 		for ti := range r.Config.Tiles {
 			touchTile(r.Array, ti)
-			c.CodeWrites += arch.TileSTEs
-			c.LocalRowWrites += arch.TileSTEs
-			c.TileMetaWrites++
-			bits += int64(arch.TileSTEs)*arch.CAMRows +
-				int64(arch.TileSTEs)*arch.TileSTEs + tileMetaBits(len(r.Config.Tiles[ti].BVs))
 		}
-		c.GlobalRowWrites += 256
-		charge(r.Array, bits)
+		charge(r.Array, c.writeArray(&r.Config))
 	}
 	for _, h := range d.Headers {
 		charge(h.Array, 16)
@@ -176,19 +169,25 @@ func FullCost(img *bitstream.Image) Cost {
 	var c Cost
 	c.ArraysTouched = len(img.Arrays)
 	for ai := range img.Arrays {
-		a := &img.Arrays[ai]
-		c.TilesTouched += len(a.Tiles)
-		for ti := range a.Tiles {
-			t := &a.Tiles[ti]
-			c.CodeWrites += arch.TileSTEs
-			c.LocalRowWrites += arch.TileSTEs
-			c.TileMetaWrites++
-			c.ConfigBits += int64(arch.TileSTEs)*arch.CAMRows +
-				int64(arch.TileSTEs)*arch.TileSTEs + tileMetaBits(len(t.BVs))
-		}
-		c.GlobalRowWrites += 256
-		c.ConfigBits += 256*256 + 16
+		c.TilesTouched += len(img.Arrays[ai].Tiles)
+		c.ConfigBits += c.writeArray(&img.Arrays[ai]) + 16 // and its header
 	}
 	c.finish()
 	return c
+}
+
+// writeArray counts the writes that program array a whole — every CAM
+// column, local-switch row and tile header, and the global switch — into c
+// and returns the bits they carry.
+func (c *Cost) writeArray(a *bitstream.ArrayConfig) int64 {
+	bits := int64(256 * 256)
+	for ti := range a.Tiles {
+		c.CodeWrites += arch.TileSTEs
+		c.LocalRowWrites += arch.TileSTEs
+		c.TileMetaWrites++
+		bits += int64(arch.TileSTEs)*arch.CAMRows +
+			int64(arch.TileSTEs)*arch.TileSTEs + tileMetaBits(len(a.Tiles[ti].BVs))
+	}
+	c.GlobalRowWrites += 256
+	return bits
 }

@@ -232,6 +232,11 @@ func Apply(old *bitstream.Image, d *Delta) (*bitstream.Image, error) {
 	if got := old.CRC(); got != d.BaseCRC {
 		return nil, fmt.Errorf("reconfig: base image CRC %08x does not match delta base %08x", got, d.BaseCRC)
 	}
+	// Every array past the base's needs a replacement record: refuse a
+	// count they cannot cover before allocating for it.
+	if d.NumArrays > len(old.Arrays)+len(d.Replaces) {
+		return nil, fmt.Errorf("reconfig: delta grows %d arrays to %d with %d replacements", len(old.Arrays), d.NumArrays, len(d.Replaces))
+	}
 	img := &bitstream.Image{Arrays: make([]bitstream.ArrayConfig, d.NumArrays)}
 	replaced := make([]bool, d.NumArrays)
 	for i := 0; i < d.NumArrays && i < len(old.Arrays); i++ {

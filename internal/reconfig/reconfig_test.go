@@ -3,7 +3,6 @@ package reconfig
 import (
 	"bytes"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/arch"
@@ -346,15 +345,15 @@ func TestApplyAllocs(t *testing.T) {
 	base, next := tenthSwappedImages(t)
 	d := Diff(base, next)
 	const runs = 20
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		if _, err := Apply(base, d); err != nil {
-			t.Fatal(err)
+	var err error
+	perRun := int(allocated(func() {
+		for i := 0; i < runs && err == nil; i++ {
+			_, err = Apply(base, d)
 		}
+	}) / runs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	runtime.ReadMemStats(&after)
-	perRun := int((after.TotalAlloc - before.TotalAlloc) / runs)
 	if limit := next.SizeBytes() * 3 / 2; perRun > limit {
 		t.Errorf("Apply allocates %d bytes for a %d-byte image, limit %d", perRun, next.SizeBytes(), limit)
 	}

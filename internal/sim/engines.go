@@ -7,7 +7,6 @@ import (
 	"repro/internal/automata"
 	"repro/internal/bitvec"
 	"repro/internal/compile"
-	"repro/internal/mapper"
 	"repro/internal/nbva"
 	"repro/internal/shiftand"
 )
@@ -327,7 +326,7 @@ func newLNFAArrayEngine(res *compile.Result, plan *arch.ArrayPlan) (*lnfaArrayEn
 		var pats []shiftand.Pattern
 		var tileOfBit []int
 		var regexOf []int
-		region := mapper.RegionSize(bin)
+		region := bin.RegionSize()
 		for _, ref := range bin.Seqs {
 			if ref == arch.Hole {
 				continue

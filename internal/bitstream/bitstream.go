@@ -16,6 +16,13 @@
 // CRC-32) and parses back; the round trip is property-tested. Image sizes
 // are an honest measure of configuration cost — a metric reported by
 // rapc -bitstream.
+//
+// An image holds its tiles and global switches by pointer, and successive
+// generations share them: Rebuild takes every tile and switch the
+// placement marks reused from the served image as the same pointer and
+// allocates only the ones it writes. A tile or switch is therefore never
+// written once the image that first holds it is built; code that edits
+// an image (reconfig.Apply) copies first.
 package bitstream
 
 import (
@@ -69,13 +76,15 @@ type TileConfig struct {
 type ArrayConfig struct {
 	Mode  arch.Mode
 	Depth uint8
-	Tiles []TileConfig
+	Tiles []*TileConfig
 	// GlobalSwitch is the 256×256 crossbar bitmap, row-major.
-	GlobalSwitch [256 * 256 / 8]byte
+	GlobalSwitch *[256 * 256 / 8]byte
 }
 
-// Image is a full deployment image. It is not changed once its CRC has
-// been taken.
+// Image is a full deployment image. It is not changed once built, and
+// neither is any tile or global switch it holds: those may be shared, by
+// pointer, with the image it was rebuilt from and with the images rebuilt
+// from it.
 type Image struct {
 	Arrays []ArrayConfig
 
@@ -115,30 +124,31 @@ func Build(res *compile.Result, p *arch.Placement) (*Image, error) {
 
 // Rebuild is Build on base, the served image of the placement p was
 // derived from by mapper.Remap: every tile and global switch p marks
-// Reused is copied from base, and only the rest is written. The image is
-// Build(res, p)'s, in the time it takes to write what the update changed.
-// A nil base is Build.
+// Reused is base's, shared by pointer, and only the rest is allocated and
+// written. The image is Build(res, p)'s, in the time and memory it takes to
+// write what the update changed. A nil base is Build.
 func Rebuild(base *Image, res *compile.Result, p *arch.Placement) (*Image, error) {
 	img := &Image{Arrays: make([]ArrayConfig, len(p.Arrays))}
 	for ai := range p.Arrays {
 		plan := &p.Arrays[ai]
 		ac := &img.Arrays[ai]
 		ac.Mode, ac.Depth = plan.Mode, uint8(plan.Depth)
-		ac.Tiles = make([]TileConfig, len(plan.Tiles))
+		ac.Tiles = make([]*TileConfig, len(plan.Tiles))
 		var reused uint32
 		if base != nil && ai < len(base.Arrays) && base.Arrays[ai].Mode == plan.Mode && len(base.Arrays[ai].Tiles) == len(plan.Tiles) {
 			reused = plan.Reused
 		}
 		if reused&arch.GlobalSwitchBit != 0 {
 			ac.GlobalSwitch = base.Arrays[ai].GlobalSwitch
+		} else {
+			ac.GlobalSwitch = new([256 * 256 / 8]byte)
 		}
 		for ti := range plan.Tiles {
 			if reused>>ti&1 != 0 {
 				ac.Tiles[ti] = base.Arrays[ai].Tiles[ti]
 				continue
 			}
-			ac.Tiles[ti].Mode = plan.Mode
-			ac.Tiles[ti].HasInitial = plan.Tiles[ti].HasInitial
+			ac.Tiles[ti] = &TileConfig{Mode: plan.Mode, HasInitial: plan.Tiles[ti].HasInitial}
 		}
 		var err error
 		switch plan.Mode {
@@ -174,7 +184,7 @@ func buildNFAArray(res *compile.Result, plan *arch.ArrayPlan, ac *ArrayConfig, r
 		}
 		for q, s := range c.NFA.States {
 			src := base + q
-			tc := &ac.Tiles[src/arch.TileSTEs]
+			tc := ac.Tiles[src/arch.TileSTEs]
 			local := reused>>(src/arch.TileSTEs)&1 == 0
 			if local {
 				tc.ColRole[src%arch.TileSTEs] = ColCC
@@ -190,7 +200,11 @@ func buildNFAArray(res *compile.Result, plan *arch.ArrayPlan, ac *ArrayConfig, r
 					// Cross-tile edge: through global ports. Each tile has
 					// GlobalPortsPerTile ports; the port is the state's
 					// column modulo the port count.
-					setBit(ac.GlobalSwitch[:], globalPort(src), globalPort(dst), 256)
+					from, to := globalPort(src), globalPort(dst)
+					if max(from, to) >= 256 {
+						return fmt.Errorf("bitstream: regex %d crosses tiles past the global switch's 256 ports", ri)
+					}
+					setBit(ac.GlobalSwitch[:], from, to, 256)
 				}
 			}
 		}
@@ -214,7 +228,7 @@ func buildNBVAArray(res *compile.Result, plan *arch.ArrayPlan, ac *ArrayConfig, 
 			continue
 		}
 		tp := &plan.Tiles[ti]
-		tc := &ac.Tiles[ti]
+		tc := ac.Tiles[ti]
 		col := 0
 		place := func(role byte, n int) int {
 			start := col
@@ -334,7 +348,7 @@ func buildLNFAArray(res *compile.Result, plan *arch.ArrayPlan, ac *ArrayConfig, 
 				if reused>>tile&1 != 0 {
 					continue
 				}
-				tc := &ac.Tiles[tile]
+				tc := ac.Tiles[tile]
 				if bin.CAMMapped {
 					col := camCursor[tile]
 					if col >= arch.TileSTEs {
@@ -445,7 +459,7 @@ func (a *ArrayConfig) AppendBinary(b []byte) []byte {
 	b = append(b, uint8(a.Mode), a.Depth)
 	b = le.AppendUint16(b, uint16(len(a.Tiles)))
 	for i := range a.Tiles {
-		t := &a.Tiles[i]
+		t := a.Tiles[i]
 		flags := uint8(0)
 		if t.HasInitial {
 			flags |= 1
@@ -500,7 +514,7 @@ func (img *Image) Validate() error {
 			return fmt.Errorf("bitstream: array %d depth %d > %d", ai, a.Depth, arch.CAMRows)
 		}
 		for ti := range a.Tiles {
-			t := &a.Tiles[ti]
+			t := a.Tiles[ti]
 			for col, role := range t.ColRole {
 				switch role {
 				case ColCC:
@@ -553,7 +567,7 @@ func (img *Image) Summarize() Stats {
 		a := &img.Arrays[ai]
 		s.Tiles += len(a.Tiles)
 		for ti := range a.Tiles {
-			t := &a.Tiles[ti]
+			t := a.Tiles[ti]
 			for _, role := range t.ColRole {
 				switch role {
 				case ColCC:

@@ -33,7 +33,7 @@ func TestBuildNFAImage(t *testing.T) {
 	if len(img.Arrays) != 1 {
 		t.Fatalf("arrays = %d", len(img.Arrays))
 	}
-	tile := &img.Arrays[0].Tiles[0]
+	tile := img.Arrays[0].Tiles[0]
 	// 4 CC columns with codes.
 	cc := 0
 	for col, role := range tile.ColRole {
@@ -73,7 +73,7 @@ func TestBuildCrossTileEdges(t *testing.T) {
 
 func TestBuildNBVAImage(t *testing.T) {
 	_, p, img := buildFor(t, []string{"ab{100}c"}, mapper.Options{Depth: 4})
-	tile := &img.Arrays[0].Tiles[0]
+	tile := img.Arrays[0].Tiles[0]
 	if len(tile.BVs) != 1 {
 		t.Fatalf("BVs = %d", len(tile.BVs))
 	}
@@ -139,7 +139,7 @@ func TestRoundTrip(t *testing.T) {
 		// Deep compare one tile.
 		for ai := range img.Arrays {
 			for ti := range img.Arrays[ai].Tiles {
-				x, y := &img.Arrays[ai].Tiles[ti], &back.Arrays[ai].Tiles[ti]
+				x, y := img.Arrays[ai].Tiles[ti], back.Arrays[ai].Tiles[ti]
 				if x.ColRole != y.ColRole || x.CAMCodes != y.CAMCodes || x.LocalSwitch != y.LocalSwitch {
 					t.Fatalf("%s: tile a%d t%d differs", name, ai, ti)
 				}

@@ -97,12 +97,14 @@ func (d *Decoder) bound(n int64, size int) int {
 	return int(n)
 }
 
-// Array reads one array, as ArrayConfig.AppendBinary writes it, into a.
+// Array reads one array, as ArrayConfig.AppendBinary writes it, into a,
+// each tile and the global switch into memory of its own.
 func (d *Decoder) Array(a *ArrayConfig) {
 	a.Mode, a.Depth = arch.Mode(d.U8()), d.U8()
-	a.Tiles = make([]TileConfig, d.bound(int64(d.U16()), tileFixedBytes))
+	a.Tiles = make([]*TileConfig, d.bound(int64(d.U16()), tileFixedBytes))
 	for i := range a.Tiles {
-		t := &a.Tiles[i]
+		t := new(TileConfig)
+		a.Tiles[i] = t
 		t.Mode, t.HasInitial = arch.Mode(d.U8()), d.U8()&1 != 0
 		d.Bytes(t.ColRole[:])
 		for c := range t.CAMCodes {
@@ -111,6 +113,7 @@ func (d *Decoder) Array(a *ArrayConfig) {
 		t.BVs = d.BVs()
 		d.Bytes(t.LocalSwitch[:])
 	}
+	a.GlobalSwitch = new([256 * 256 / 8]byte)
 	d.Bytes(a.GlobalSwitch[:])
 }
 

@@ -364,6 +364,27 @@ func TestProxyBodyLimits(t *testing.T) {
 	}
 }
 
+// TestGatewayRefusesTrailingBytes: a compile body with bytes after its
+// JSON value, sent through each node of a 3-node cluster with one replica,
+// is answered 400 and compiled nowhere. A gateway that cannot route a body
+// hands it to its own service, which must refuse it as the gateway did
+// rather than compile it where no other node looks for it.
+func TestGatewayRefusesTrailingBytes(t *testing.T) {
+	tc := startCluster(t, 3, func(i int, cfg *cluster.Config) { cfg.Replicas = 1 })
+	waitConverged(t, tc, 3)
+	for i, srv := range tc.servers {
+		if got, raw := do(t, "POST", srv.URL+"/v1/programs", []byte(`{"patterns":["abc"]} trailing`), false); got.status != http.StatusBadRequest {
+			t.Errorf("n%d: compile with trailing bytes = %d %s, want 400", i, got.status, raw)
+		}
+	}
+	id := service.ProgramKey([]string{"abc"}, service.CompileOptions{})
+	for _, n := range tc.nodes {
+		if _, ok := n.Service().Program(id); ok {
+			t.Errorf("%s holds the refused program", n.ID())
+		}
+	}
+}
+
 // TestRepairFirstCountsOnce: on one node whose cache holds two of three
 // programs, round-robin scans miss every time, and each costs exactly one
 // repair — the count TestShardedWorkingSetStaysResident reads on its 1-node

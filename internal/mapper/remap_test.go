@@ -35,7 +35,8 @@ func marshal(t *testing.T, img *bitstream.Image) []byte {
 // does. After every step: the placement keeps the mapper's invariants with
 // every regex placed once; the image built on the served one equals the
 // image built from nothing; the delta from the served image applies to it
-// to give the new one; and Remap uses at most maxTileGrowth tiles.
+// to give the new one; Rebuild leaves the served image, whose tiles the
+// new one shares, as it was; and Remap uses at most maxTileGrowth tiles.
 func FuzzRemap(f *testing.F) {
 	f.Add(int64(1), uint8(0), []byte{0, 1, 2, 3, 4, 0, 0})
 	f.Add(int64(2), uint8(3), []byte{4, 4, 0, 2, 2, 1})
@@ -102,9 +103,13 @@ func FuzzRemap(f *testing.F) {
 				t.Skip(err)
 			}
 			checkInvariants(t, nres, np, opts)
+			base := marshal(t, img)
 			built, err := bitstream.Rebuild(img, nres, np)
 			if err != nil {
 				t.Fatalf("step %d: rebuild: %v", step, err)
+			}
+			if !bytes.Equal(marshal(t, img), base) {
+				t.Fatalf("step %d (op %d): Rebuild wrote the image it built on", step, op%5)
 			}
 			whole, err := bitstream.Build(nres, np)
 			if err != nil {

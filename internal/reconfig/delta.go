@@ -97,7 +97,9 @@ type Delta struct {
 // structurally changed or added arrays become full ArrayReplace records;
 // arrays dropped from the target are expressed by NumArrays alone (the
 // freed arrays are simply unprogrammed). BaseCRC/TargetCRC are the CRC-32
-// each image's serialized form carries in its trailer.
+// each image's serialized form carries in its trailer. A tile or global
+// switch the two images share by pointer (bitstream.Rebuild's reuse) is
+// equal without being compared.
 func Diff(old, new *bitstream.Image) *Delta {
 	d := &Delta{
 		BaseCRC:   old.CRC(),
@@ -111,8 +113,8 @@ func Diff(old, new *bitstream.Image) *Delta {
 		if !sameShape(old, new, ai) {
 			continue
 		}
-		for ti := range new.Arrays[ai].Tiles {
-			c, r := diffTile(nil, ai, ti, &old.Arrays[ai].Tiles[ti], &new.Arrays[ai].Tiles[ti])
+		for ti, nt := range new.Arrays[ai].Tiles {
+			c, r := diffTile(nil, ai, ti, old.Arrays[ai].Tiles[ti], nt)
 			codes, rows = codes+c, rows+r
 		}
 	}
@@ -125,17 +127,18 @@ func Diff(old, new *bitstream.Image) *Delta {
 	for ai := range new.Arrays {
 		na := &new.Arrays[ai]
 		if !sameShape(old, new, ai) {
-			d.Replaces = append(d.Replaces, ArrayReplace{Array: ai, Config: cloneArray(na)})
+			// The image's tiles are never written, so the record shares them.
+			d.Replaces = append(d.Replaces, ArrayReplace{Array: ai, Config: *na})
 			continue
 		}
 		oa := &old.Arrays[ai]
 		if oa.Mode != na.Mode || oa.Depth != na.Depth {
 			d.Headers = append(d.Headers, HeaderUpdate{Array: ai, Mode: na.Mode, Depth: na.Depth})
 		}
-		for ti := range na.Tiles {
-			diffTile(d, ai, ti, &oa.Tiles[ti], &na.Tiles[ti])
+		for ti, nt := range na.Tiles {
+			diffTile(d, ai, ti, oa.Tiles[ti], nt)
 		}
-		if oa.GlobalSwitch == na.GlobalSwitch {
+		if oa.GlobalSwitch == na.GlobalSwitch || *oa.GlobalSwitch == *na.GlobalSwitch {
 			continue
 		}
 		for row := 0; row < 256; row++ {
@@ -159,9 +162,12 @@ func sameShape(old, new *bitstream.Image, ai int) bool {
 
 // diffTile counts the CAM columns and local-switch rows in which two tiles
 // differ and, when d is not nil, appends their update records — and the
-// tile's metadata update — to it. An unchanged tile, which most are on an
-// incremental update, costs one comparison of each fixed-size table.
+// tile's metadata update — to it. A tile the images share costs nothing,
+// and an unchanged copy one comparison of each fixed-size table.
 func diffTile(d *Delta, ai, ti int, ot, nt *bitstream.TileConfig) (codes, rows int) {
+	if ot == nt {
+		return 0, 0
+	}
 	if d != nil && (ot.Mode != nt.Mode || ot.HasInitial != nt.HasInitial || !bvsEqual(ot.BVs, nt.BVs)) {
 		d.TileMetas = append(d.TileMetas, TileMetaUpdate{
 			Array: ai, Tile: ti,
@@ -214,20 +220,26 @@ func bvsEqual(a, b []bitstream.BVConfig) bool {
 	return true
 }
 
+// cloneArray copies a's tiles and global switch for Apply to write. The
+// bit-vector tables are shared: Apply replaces a tile's table, never
+// writes into it.
 func cloneArray(a *bitstream.ArrayConfig) bitstream.ArrayConfig {
 	out := *a
-	out.Tiles = make([]bitstream.TileConfig, len(a.Tiles))
-	for i := range a.Tiles {
-		out.Tiles[i] = a.Tiles[i]
-		out.Tiles[i].BVs = append([]bitstream.BVConfig(nil), a.Tiles[i].BVs...)
+	out.Tiles = make([]*bitstream.TileConfig, len(a.Tiles))
+	for i, t := range a.Tiles {
+		c := *t
+		out.Tiles[i] = &c
 	}
+	gs := *a.GlobalSwitch
+	out.GlobalSwitch = &gs
 	return out
 }
 
 // Apply replays a delta onto a base image and returns the target image.
 // It refuses to run against the wrong base (BaseCRC mismatch) and
 // verifies the result against TargetCRC, so a successful Apply guarantees
-// bit-exact reconstruction.
+// bit-exact reconstruction. The target is a copy: old, whose tiles and
+// switches may be shared with other images, is never written.
 func Apply(old *bitstream.Image, d *Delta) (*bitstream.Image, error) {
 	if got := old.CRC(); got != d.BaseCRC {
 		return nil, fmt.Errorf("reconfig: base image CRC %08x does not match delta base %08x", got, d.BaseCRC)
@@ -312,7 +324,7 @@ func applyTile(img *bitstream.Image, ai, ti int) (*bitstream.TileConfig, error) 
 	if ti < 0 || ti >= len(a.Tiles) {
 		return nil, fmt.Errorf("reconfig: record targets tile %d of %d in array %d", ti, len(a.Tiles), ai)
 	}
-	return &a.Tiles[ti], nil
+	return a.Tiles[ti], nil
 }
 
 // Records returns the total number of update records in the delta.

@@ -366,9 +366,9 @@ func TestDeltaSizeBytes(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		d := &Delta{NumArrays: rng.Intn(4)}
 		for i := rng.Intn(3); i > 0; i-- {
-			a := bitstream.ArrayConfig{Tiles: make([]bitstream.TileConfig, rng.Intn(3))}
+			a := bitstream.ArrayConfig{Tiles: make([]*bitstream.TileConfig, rng.Intn(3)), GlobalSwitch: new([256 * 256 / 8]byte)}
 			for ti := range a.Tiles {
-				a.Tiles[ti].BVs = make([]bitstream.BVConfig, rng.Intn(4))
+				a.Tiles[ti] = &bitstream.TileConfig{BVs: make([]bitstream.BVConfig, rng.Intn(4))}
 			}
 			d.Replaces = append(d.Replaces, ArrayReplace{Config: a})
 		}

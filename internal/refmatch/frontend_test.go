@@ -2,6 +2,7 @@ package refmatch
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -9,7 +10,9 @@ import (
 	"repro/internal/automata"
 	"repro/internal/compile"
 	"repro/internal/nbva"
+	"repro/internal/prefilter"
 	"repro/internal/regexast"
+	"repro/internal/shiftand"
 	"repro/internal/workload"
 )
 
@@ -258,14 +261,36 @@ func TestRelowerSharesTables(t *testing.T) {
 	}
 }
 
+// shiftAndTables returns the tables of m's Shift-And lanes: the machines
+// of the prefiltered and the always-on lane and the prefilter, nil for a
+// lane m lacks.
+func shiftAndTables(m *Matcher) (prefiltered, alwaysOn *shiftand.Machine, pf *prefilter.Set) {
+	for _, l := range m.lanes {
+		if l, ok := l.(*shiftAndLane); ok && l.pf != nil {
+			prefiltered, pf = l.sa, l.pf
+		} else if ok {
+			alwaysOn = l.sa
+		}
+	}
+	return prefiltered, alwaysOn, pf
+}
+
+// alwaysOnLinear are linear patterns with no mandatory literal: they run on
+// the always-on Shift-And lane.
+var alwaysOnLinear = []string{"[a-f].[a-f]", "[0-9]x?[0-9][0-9]"}
+
 // TestRelowerRestoresFromOlder: a revert lowered against the matcher it
 // replaces and the one that matcher displaced takes every DFA table and
 // NBVA kernel by pointer — those of the reverted tenth from the older
-// matcher — and gives the matcher a cold compile gives.
+// matcher — and both Shift-And machines and the prefilter from the older
+// matcher, whose lanes had the same members, and gives the matcher a cold
+// compile gives.
 func TestRelowerRestoresFromOlder(t *testing.T) {
 	ctx := context.Background()
 	opts := Options{}
-	a := workload.MustGenerate("Snort", 1, 1).Patterns
+	// Snort's linear patterns all have a mandatory literal; two without one
+	// give the always-on Shift-And lane members too.
+	a := append(workload.MustGenerate("Snort", 1, 1).Patterns, alwaysOnLinear...)
 	b := append([]string(nil), a...)
 	for i, p := range workload.MustGenerate("Snort", 1, 2).Patterns {
 		if i%10 == 0 && i < len(b) {
@@ -319,5 +344,77 @@ func TestRelowerRestoresFromOlder(t *testing.T) {
 		if gotKernels[i] != aKernels[i] {
 			t.Errorf("NBVA kernel %d is not the restored matcher's own", i)
 		}
+	}
+	aPre, aOn, aPf := shiftAndTables(aM)
+	gotPre, gotOn, gotPf := shiftAndTables(got)
+	if aPre == nil || aOn == nil || aPf == nil {
+		t.Fatal("the list lowers to no prefiltered or no always-on Shift-And lane")
+	}
+	if gotPre != aPre || gotOn != aOn || gotPf != aPf || got.LanesReused() != 2 {
+		t.Errorf("the revert took %d lanes whole; machines shared %v and %v, prefilter %v", got.LanesReused(), gotPre == aPre, gotOn == aOn, gotPf == aPf)
+	}
+}
+
+// TestRelowerKeepsShiftAndLanes: a novel edit that touches only NBVA
+// patterns leaves both Shift-And lanes' members as they were, so the
+// served matcher's machines and prefilter are taken whole, and the matcher
+// is still the one a cold compile gives.
+func TestRelowerKeepsShiftAndLanes(t *testing.T) {
+	ctx := context.Background()
+	opts := Options{}
+	d := workload.MustGenerate("Snort", 1, 1)
+	a := append(d.Patterns, alwaysOnLinear...)
+	aRes, err := compile.CompileContext(ctx, a, opts.FrontEnd())
+	if err != nil {
+		t.Fatal(err)
+	}
+	aM, err := FromResult(aRes, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := append([]string(nil), a...)
+	var edited []int
+	for i := range b {
+		if aRes.Regexes[i].Mode == compile.ModeNBVA && len(edited) < 4 {
+			b[i] = fmt.Sprintf("nbva%dx{%d}y", i, 100+i)
+			edited = append(edited, i)
+		}
+	}
+	bRes, err := compile.Recompile(ctx, aRes, nil, b, opts.FrontEnd())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range edited {
+		if bRes.Regexes[i].Mode != compile.ModeNBVA {
+			t.Fatalf("the edit %q is not an NBVA pattern", b[i])
+		}
+	}
+	if len(edited) == 0 || bRes.Reused != len(b)-len(edited) {
+		t.Fatalf("%d edits, %d of %d patterns reused", len(edited), bRes.Reused, len(b))
+	}
+	got, err := Relower(aM, nil, bRes, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := Compile(ctx, b, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Engines(), cold.Engines()) || !reflect.DeepEqual(got.Kernels(), cold.Kernels()) ||
+		!reflect.DeepEqual(got.PrefilterVerdicts(), cold.PrefilterVerdicts()) {
+		t.Fatal("the edit lowered against the served matcher differs from a cold compile")
+	}
+	aPre, aOn, aPf := shiftAndTables(aM)
+	if aPre == nil || aOn == nil || aPf == nil {
+		t.Fatal("the list lowers to no prefiltered or no always-on Shift-And lane")
+	}
+	gotPre, gotOn, gotPf := shiftAndTables(got)
+	if gotPre != aPre || gotOn != aOn || gotPf != aPf || got.LanesReused() != 2 {
+		t.Errorf("the NBVA edit took %d lanes whole; machines shared %v and %v, prefilter %v", got.LanesReused(), gotPre == aPre, gotOn == aOn, gotPf == aPf)
+	}
+	planted := workload.Dataset{Name: "Snort", Patterns: b, Alphabet: d.Alphabet, Seed: d.Seed}
+	input := planted.Input(16<<10, 3)
+	if !reflect.DeepEqual(got.Scan(input), cold.Scan(input)) {
+		t.Error("the edit lowered against the served matcher matches otherwise than a cold compile")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/automata"
+	"repro/internal/compile"
 	"repro/internal/nbva"
 	"repro/internal/prefilter"
 	"repro/internal/shiftand"
@@ -30,7 +31,8 @@ type lane interface {
 // the candidate windows of its patterns' mandatory-literal union.
 type shiftAndLane struct {
 	sa       *shiftand.Machine
-	patterns []int // per packed sequence
+	members  []*compile.LinearSeq // the packed sequences, in order
+	patterns []int                // per packed sequence
 	pf       *prefilter.Set
 	r        *shiftand.Runner
 	stream   *prefilter.Stream // nil without pf

@@ -65,6 +65,7 @@ package refmatch
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/automata"
@@ -177,6 +178,9 @@ type Matcher struct {
 	// lanes are the scan loops in the order of the package comment; a lane
 	// with no pattern is left out.
 	lanes []lane
+	// lanesReused counts the lanes Relower took whole from an earlier
+	// generation.
+	lanesReused int
 
 	// opts are the (defaulted) compile options; ScanParallel reads the
 	// SFA cap from them when building the parallel plan.
@@ -243,6 +247,14 @@ func (m *Matcher) lowered(opts Options, dfas map[*automata.NFA]*automata.DFA, ke
 	return m.analyses
 }
 
+// alwaysOn is the prefilter verdict of a pattern whose engine steps every
+// byte.
+var alwaysOn = [...]prefilter.Verdict{
+	EngineNBVA: {Reason: "engine nbva is always-on"},
+	EngineNFA:  {Reason: "engine nfa is always-on"},
+	EngineDFA:  {Reason: "engine dfa is always-on"},
+}
+
 // buildDFA returns the streaming DFA nfa scans with, nil when it steps as
 // an NFA: a small table, when constructible and the pattern has no
 // anchoring or empty-match subtleties.
@@ -273,10 +285,13 @@ func FromResult(res *compile.Result, opts Options) (*Matcher, error) {
 // it: a machine res shares with the Result either was lowered from
 // (compile.Recompile shares them by pointer) keeps that matcher's DFA table
 // or NBVA kernel, also by pointer, since no scan writes to either, and a
-// shared AST keeps its prefilter literals and verdict. What depends on the
-// whole set — the Shift-And packing, the prefilter literal union — is
-// rebuilt, so the Matcher equals FromResult(res, opts) in engines, kernels,
-// verdicts and match order. A nil prev and older is FromResult.
+// shared AST keeps its prefilter literals and verdict. A Shift-And lane
+// whose members — sequences, by pointer, in order — are those of a lane of
+// prev or older takes that lane's machine and prefilter whole, since they
+// depend on nothing else; only a lane whose membership changed is packed
+// and its literal union built again. The Matcher equals FromResult(res,
+// opts) in engines, kernels, verdicts and match order. A nil prev and older
+// is FromResult.
 func Relower(prev, older *Matcher, res *compile.Result, opts Options) (*Matcher, error) {
 	if len(res.Errors) > 0 {
 		return nil, res.Errors[0]
@@ -293,7 +308,6 @@ func Relower(prev, older *Matcher, res *compile.Result, opts Options) (*Matcher,
 		opts:     opts,
 	}
 	sas := [2]*shiftAndLane{{}, {}} // prefiltered, always-on
-	var seqs [2][]shiftand.Pattern
 	var pfLits [][]byte
 	pfWindow := 0
 	nb, nf, dl := &nbvaLane{}, &nfaLane{}, &dfaLane{}
@@ -318,12 +332,12 @@ func Relower(prev, older *Matcher, res *compile.Result, opts Options) (*Matcher,
 				m.analyses[c.AST] = a
 				lits, m.verdicts[i] = a.lits, a.verdict
 			}
-			for _, seq := range c.Seqs {
-				s, k := shiftand.Pattern(seq.Classes), 1
+			for j := range c.Seqs {
+				k := 1
 				if lits != nil {
-					k, pfWindow = 0, max(pfWindow, len(s))
+					k, pfWindow = 0, max(pfWindow, len(c.Seqs[j].Classes))
 				}
-				seqs[k] = append(seqs[k], s)
+				sas[k].members = append(sas[k].members, &c.Seqs[j])
 				sas[k].patterns = append(sas[k].patterns, i)
 			}
 			pfLits = append(pfLits, lits...)
@@ -357,29 +371,21 @@ func Relower(prev, older *Matcher, res *compile.Result, opts Options) (*Matcher,
 		}
 		// Non-Shift-And engines step every byte.
 		if e := m.engines[i]; e != EngineShiftAnd {
-			m.verdicts[i] = prefilter.Verdict{Reason: "engine " + e.String() + " is always-on"}
+			m.verdicts[i] = alwaysOn[e]
 		}
 	}
-	if len(seqs[0]) > 0 {
-		pf, err := prefilter.NewSet(pfLits, pfWindow)
-		if err != nil {
-			return nil, fmt.Errorf("refmatch: prefilter: %w", err)
+	for k, l := range sas {
+		if err := m.buildShiftAnd(l, k == 0, pfLits, pfWindow, prev, older); err != nil {
+			return nil, err
 		}
-		sas[0].pf = pf
+	}
+	if pf := sas[0].pf; pf != nil {
 		// The tier is a property of the compiled literal union, so it is
 		// only known now — backfill it onto the prefiltered verdicts.
 		tier := pf.Tier().String()
 		for i := range m.verdicts {
 			if m.verdicts[i].Prefilterable {
 				m.verdicts[i].Tier = tier
-			}
-		}
-	}
-	for k, l := range sas {
-		if len(seqs[k]) > 0 {
-			var err error
-			if l.sa, err = shiftand.New(seqs[k]); err != nil {
-				return nil, err
 			}
 		}
 	}
@@ -390,6 +396,46 @@ func Relower(prev, older *Matcher, res *compile.Result, opts Options) (*Matcher,
 	}
 	return m, nil
 }
+
+// buildShiftAnd gives l, a Shift-And lane with its members, its machine
+// and, when prefiltered, the prefilter of the literal union lits and
+// window: those of the lane of prev or older with the same members, or
+// built anew.
+func (m *Matcher) buildShiftAnd(l *shiftAndLane, prefiltered bool, lits [][]byte, window int, prev, older *Matcher) error {
+	if len(l.members) == 0 {
+		return nil
+	}
+	for _, gen := range []*Matcher{prev, older} {
+		if gen == nil {
+			continue
+		}
+		for _, o := range gen.lanes {
+			if o, ok := o.(*shiftAndLane); ok && (o.pf != nil) == prefiltered && slices.Equal(o.members, l.members) {
+				l.sa, l.pf = o.sa, o.pf
+				m.lanesReused++
+				return nil
+			}
+		}
+	}
+	if prefiltered {
+		pf, err := prefilter.NewSet(lits, window)
+		if err != nil {
+			return fmt.Errorf("refmatch: prefilter: %w", err)
+		}
+		l.pf = pf
+	}
+	seqs := make([]shiftand.Pattern, len(l.members))
+	for j, s := range l.members {
+		seqs[j] = s.Classes
+	}
+	var err error
+	l.sa, err = shiftand.New(seqs)
+	return err
+}
+
+// LanesReused returns how many scan lanes Relower took whole from an
+// earlier generation instead of building them.
+func (m *Matcher) LanesReused() int { return m.lanesReused }
 
 // Engines returns the engine chosen for each pattern.
 func (m *Matcher) Engines() []Engine { return m.engines }

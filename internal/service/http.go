@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -146,10 +147,32 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
+// decodeRequest reads the request body as one JSON value into v. Like
+// json.Unmarshal, which a cluster gateway routes the same body with, it
+// refuses anything but white space after the value; a refusal is answered
+// with 400 and reported as false.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, input.MaxBody))
+	err := dec.Decode(v)
+	if err == nil {
+		switch _, after := dec.Token(); after {
+		case io.EOF:
+		case nil:
+			err = errors.New("data after the JSON value")
+		default:
+			err = after
+		}
+	}
+	if err != nil {
+		writeError(w, fmt.Errorf("decode request: %w", err), http.StatusBadRequest)
+		return false
+	}
+	return true
+}
+
 func (s *Service) handleCompile(w http.ResponseWriter, r *http.Request) {
 	var req compileRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, input.MaxBody)).Decode(&req); err != nil {
-		writeError(w, fmt.Errorf("decode request: %w", err), http.StatusBadRequest)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	prog, hit, err := s.Compile(r.Context(), req.Patterns, req.Options)
@@ -171,8 +194,7 @@ func (s *Service) handleCompile(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	var req compileRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, input.MaxBody)).Decode(&req); err != nil {
-		writeError(w, fmt.Errorf("decode request: %w", err), http.StatusBadRequest)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	res, err := s.Update(r.Context(), r.PathValue("id"), req.Patterns, req.Options)
@@ -222,8 +244,7 @@ func (s *Service) handleScan(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 	var req openSessionRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, input.MaxBody)).Decode(&req); err != nil {
-		writeError(w, fmt.Errorf("decode request: %w", err), http.StatusBadRequest)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	id, err := s.OpenSession(r.Context(), req.ProgramID)

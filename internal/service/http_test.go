@@ -439,3 +439,51 @@ func TestHTTPErrors(t *testing.T) {
 		t.Errorf("healthz: %d %v", resp.StatusCode, h)
 	}
 }
+
+// TestRequestBodyTrailingBytes: a JSON request body is one value, as
+// json.Unmarshal reads it. Compile, update and open-session each refuse a
+// body with anything but white space after the value with 400, and do
+// nothing; the same body ending in a newline is served.
+func TestRequestBodyTrailingBytes(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	defer svc.Close()
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	client := srv.Client()
+
+	compile := []byte(`{"patterns":["abc"]}`)
+	var e errorResponse
+	if resp := doJSON(t, client, "POST", srv.URL+"/v1/programs", append(compile, " trailing"...), &e); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("compile with trailing bytes: status %d", resp.StatusCode)
+	}
+	if _, ok := svc.Program(ProgramKey([]string{"abc"}, CompileOptions{})); ok {
+		t.Fatal("a refused compile request compiled its program")
+	}
+	var comp compileResponse
+	if resp := doJSON(t, client, "POST", srv.URL+"/v1/programs", append(compile, "\n"...), &comp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("compile ending in a newline: status %d", resp.StatusCode)
+	}
+
+	update := []byte(`{"patterns":["abd"]}`)
+	if resp := doJSON(t, client, "PUT", srv.URL+"/v1/programs/"+comp.ProgramID, append(update, `{"patterns":["x"]}`...), &e); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("update with a second value: status %d", resp.StatusCode)
+	}
+	if p, _ := svc.Program(comp.ProgramID); p.Generation != 0 {
+		t.Errorf("a refused update swapped the program to generation %d", p.Generation)
+	}
+	if resp := doJSON(t, client, "PUT", srv.URL+"/v1/programs/"+comp.ProgramID, append(update, " \n"...), nil); resp.StatusCode != http.StatusOK {
+		t.Errorf("update ending in white space: status %d", resp.StatusCode)
+	}
+
+	open := []byte(`{"program_id":"` + comp.ProgramID + `"}`)
+	if resp := doJSON(t, client, "POST", srv.URL+"/v1/sessions", append(open, "]"...), &e); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("open session with trailing bytes: status %d", resp.StatusCode)
+	}
+	if n := svc.Stats().Sessions.Opened; n != 0 {
+		t.Errorf("a refused open-session request opened %d sessions", n)
+	}
+	var sess openSessionResponse
+	if resp := doJSON(t, client, "POST", srv.URL+"/v1/sessions", append(open, "\n"...), &sess); resp.StatusCode != http.StatusOK || sess.SessionID == "" {
+		t.Errorf("open session ending in a newline: status %d, %+v", resp.StatusCode, sess)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"net/http"
@@ -57,15 +58,17 @@ func tenthSwapped(name string, scale float64) (base, swapped []string) {
 // while shiftand.New allocated a label vector per byte value, 4 051 and
 // 0.74 MB with the 256 cut from one slab, while every update re-placed the
 // whole ruleset; 3 359 and 0.59 MB once it kept the served placement and
-// prefilter analysis); a revert now allocates 463 and 0.38 MB.
+// prefilter analysis); a revert allocated 463 and 0.38 MB while every image
+// copied all its tiles and switches and every update packed its Shift-And
+// lanes anew, and now allocates 292 and 0.21 MB (novel 3 119 and 0.46 MB).
 func BenchmarkUpdate(b *testing.B) {
 	for _, bm := range []struct {
 		name          string
 		seeds         []int64
 		allocs, bytes uint64
 	}{
-		{"revert", []int64{1, 2}, 600, 420 << 10},
-		{"novel", []int64{1, 2, 3}, 3600, 640 << 10},
+		{"revert", []int64{1, 2}, 450, 260 << 10},
+		{"novel", []int64{1, 2, 3}, 3600, 520 << 10},
 	} {
 		b.Run(bm.name, func(b *testing.B) {
 			var rules [][]string
@@ -444,6 +447,106 @@ func TestIncrementalEqualsCold(t *testing.T) {
 	}
 }
 
+// TestServedImageNeverWritten: successive generations share, by pointer,
+// the tiles and global switches an update did not rewrite, so no update may
+// write one. Over A→B→A→C→B on Snort@1.0, where C is A without its NFA
+// patterns, so that A→C and C→B repack the placement, every image ever served still
+// marshals to bytes whose CRC-32 is the one cached when it was served, and
+// Apply(Diff(old, new), old) leaves old's bytes as they were.
+func TestServedImageNeverWritten(t *testing.T) {
+	a, b := tenthSwapped("Snort", 1)
+	aRes, _, _ := coldBuild(t, a, CompileOptions{})
+	var c []string // A without its NFA patterns: their array empties
+	for i, p := range a {
+		if aRes.Regexes[i].Mode != compile.ModeNFA {
+			c = append(c, p)
+		}
+	}
+	s := New(Config{})
+	defer s.Close()
+	ctx := context.Background()
+	prog, _, err := s.Compile(ctx, a, CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type servedImage struct {
+		img  *bitstream.Image
+		crc  uint32
+		data []byte
+	}
+	var images []servedImage
+	serve := func() *bitstream.Image {
+		p, _ := s.Program(prog.ID)
+		img, _, err := p.hwImage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		images = append(images, servedImage{img, img.CRC(), marshalImage(t, img)})
+		return img
+	}
+	oldImg := serve()
+	for step, next := range [][]string{b, a, c, b} {
+		repacks := s.updateRepacks.Value()
+		if _, err := s.Update(ctx, prog.ID, next, CompileOptions{}); err != nil {
+			t.Fatalf("step %d: %v", step+1, err)
+		}
+		// A→C empties an array and C→B needs it back: both pack cold.
+		repacked := s.updateRepacks.Value() > repacks
+		if repacked != (step >= 2) {
+			t.Fatalf("step %d repacked: %v; the script repacks on A→C and C→B alone", step+1, repacked)
+		}
+		newImg := serve()
+		shared := 0
+		for ai := range newImg.Arrays {
+			if ai >= len(oldImg.Arrays) {
+				break
+			}
+			for ti, tile := range newImg.Arrays[ai].Tiles {
+				if ti < len(oldImg.Arrays[ai].Tiles) && tile == oldImg.Arrays[ai].Tiles[ti] {
+					shared++
+				}
+			}
+		}
+		if shared == 0 && !repacked {
+			t.Errorf("step %d shares no tile with the image it replaced", step+1)
+		}
+		if _, err := reconfig.Apply(oldImg, reconfig.Diff(oldImg, newImg)); err != nil {
+			t.Fatalf("step %d: %v", step+1, err)
+		}
+		if !bytes.Equal(marshalImage(t, oldImg), images[len(images)-2].data) {
+			t.Errorf("step %d: Apply wrote the image it was applied to", step+1)
+		}
+		for i, im := range images {
+			if data := marshalImage(t, im.img); crc32.ChecksumIEEE(data[:len(data)-4]) != im.crc {
+				t.Errorf("after step %d: the image served after step %d was written", step+1, i)
+			}
+		}
+		oldImg = newImg
+	}
+}
+
+// TestUpdatePastGlobalSwitchFails: a ruleset whose NFA array routes an
+// edge between tiles the 256-port global switch does not reach — Snort@1.0
+// and as many patterns again — fails its update with an error, and the
+// served generation stays.
+func TestUpdatePastGlobalSwitchFails(t *testing.T) {
+	a, _ := tenthSwapped("Snort", 1)
+	s := New(Config{})
+	defer s.Close()
+	ctx := context.Background()
+	prog, _, err := s.Compile(ctx, a, CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doubled := append(append([]string(nil), a...), workload.MustGenerate("Snort", 1, 3).Patterns...)
+	if _, err := s.Update(ctx, prog.ID, doubled, CompileOptions{}); err == nil || !strings.Contains(err.Error(), "global switch") {
+		t.Fatalf("update past the global switch: %v", err)
+	}
+	if p, _ := s.Program(prog.ID); p.Generation != 0 {
+		t.Errorf("the failed update swapped the program to generation %d", p.Generation)
+	}
+}
+
 // TestSessionsPinnedThroughSharedTables: sessions opened on generation g
 // keep scanning g's tables while 50 updates build and install g+1…g+50, every
 // one of which takes nine tenths of its patterns — compiled entries, DFA
@@ -659,8 +762,9 @@ func TestUpdateReuseIsObservable(t *testing.T) {
 			}
 		}
 	}
-	if got := attrs["compile"]; got["reused"] != "2" || got["restored"] != "0" || got["compiled"] != "1" {
-		t.Errorf("compile span of the update carries %v, want reused=2 restored=0 compiled=1", got)
+	// alpha's prefiltered Shift-And lane is unchanged, so it is taken whole.
+	if got := attrs["compile"]; got["reused"] != "2" || got["restored"] != "0" || got["compiled"] != "1" || got["lanes_reused"] != "1" {
+		t.Errorf("compile span of the update carries %v, want reused=2 restored=0 compiled=1 lanes_reused=1", got)
 	}
 	// The hardware half says what it produced, in the terms the response
 	// reports it: the three tiles of alpha and ga{20,40}mma were kept, be+ta's

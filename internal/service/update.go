@@ -66,13 +66,21 @@ func deploy(base *bitstream.Image, prev *arch.Placement, prevRes, res *compile.R
 // holds, compiled under the same options, keeps its compiled entry and its
 // DFA table or NBVA kernel, and only texts neither holds are parsed, routed
 // and determinised, so a revert compiles nothing. A restored pattern is
-// placed as a new one. The Shift-And packing and the prefilter
-// literal union depend on the whole set and are rebuilt, so the matcher is
-// that of a cold compile of the same list. The hardware half is not: each
-// kept pattern keeps its place on the fabric and each tile nothing moved in
-// keeps its configuration (deploy), so the image depends on the history of
-// generations and the delta is as small as the edit. Result.Fingerprint
-// does not: the compile is a cold one's.
+// placed as a new one. A Shift-And lane whose members an update left as
+// they were keeps its packed machine and prefilter literal union, and the
+// others are rebuilt, so the matcher is that of a cold compile of the same
+// list. The hardware half is not: each kept pattern keeps its place on the
+// fabric and each tile nothing moved in keeps its configuration (deploy),
+// so the image depends on the history of generations and the delta is as
+// small as the edit. Result.Fingerprint does not: the compile is a cold
+// one's.
+//
+// What an update allocates is what it rewrites: the new image shares every
+// tile and global switch it keeps with the served one by pointer, Diff
+// skips those without comparing them, and the matcher shares its unchanged
+// lanes' tables. What still costs in proportion to the whole ruleset is
+// the new image's CRC, the walk over the placement that finds what to
+// write, and the request's decode.
 //
 // The expensive half — compiling the new ruleset once, for both the
 // matcher and its deployment image, and building the displaced program's
@@ -120,7 +128,8 @@ func (s *Service) Update(ctx context.Context, programID string, patterns []strin
 		s.observeStage(s.stageCompile, tr, "compile", compileStart,
 			telemetry.L("reused", strconv.Itoa(res.Reused)),
 			telemetry.L("restored", strconv.Itoa(res.Restored)),
-			telemetry.L("compiled", strconv.Itoa(len(patterns)-res.Reused-res.Restored)))
+			telemetry.L("compiled", strconv.Itoa(len(patterns)-res.Reused-res.Restored)),
+			telemetry.L("lanes_reused", strconv.Itoa(m.LanesReused())))
 		// The image the new one is built on and the delta taken against: a
 		// program that has not been through an update has none yet, and it
 		// is built here so that no other update waits behind a map-and-build.

@@ -16,9 +16,9 @@
 // With -explain it prints how the software reference matcher runs each
 // pattern of the ruleset, compiled as one set the way a served program is:
 // the engine, the kernel that scans it (with control-state and bit-vector
-// sizes for NBVA patterns, "x4" for a DFA that is one lane of a block),
-// and whether it sits behind the mandatory-literal prefilter (and with
-// which literals) or on the always-on scan path, and why.
+// sizes for NBVA patterns), and whether it sits behind the
+// mandatory-literal prefilter (and with which literals) or on the
+// always-on scan path, and why.
 //
 //	rapc -explain 'ab.needle.*' '[a-z]+'
 package main
@@ -162,10 +162,10 @@ func main() {
 // software reference matcher and prints per pattern the engine and kernel
 // that scan it there and its fast-path verdict: the mandatory literal set
 // gating it, or the reason it stays always-on. Kernels and tiers belong to
-// the set (the literal union's scanner, the Shift-And packing, DFA blocks),
-// so a pattern compiled alone would describe a matcher nobody serves. A
-// pattern that does not compile keeps its row, with the error, and the
-// rest are explained as the set without it.
+// the set (the literal union's scanner, the Shift-And packing), so a
+// pattern compiled alone would describe a matcher nobody serves. A pattern
+// that does not compile keeps its row, with the error, and the rest are
+// explained as the set without it.
 func explainPrefilter(w io.Writer, patterns []string) error {
 	ctx := context.Background()
 	rowErr := make([]error, len(patterns))

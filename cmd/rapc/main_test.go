@@ -7,9 +7,8 @@ import (
 
 // TestExplainGolden pins -explain on a ruleset whose rows only make sense
 // as a set: two literals share one teddy scanner (alone, each would sit
-// behind its own), five DFA patterns are a block of four lanes and a
-// single-lane tail, and the pattern that does not compile keeps its row
-// without costing the others theirs.
+// behind its own), five DFA patterns share one wake loop, and the pattern
+// that does not compile keeps its row without costing the others theirs.
 func TestExplainGolden(t *testing.T) {
 	patterns := []string{"ab{20,48}c", "cat", "a(b|c)*d", "a(", ".key07.", "b(x|y)*c", "c(x|y)*d", "d(x|y)*e", "e(x|y)*f"}
 	const want = `== Fast-path verdicts (software reference matcher) ==
@@ -17,12 +16,12 @@ func TestExplainGolden(t *testing.T) {
 -  ----------  ---------  -----------------------------------  ------------------------------------------------------
 0  ab{20,48}c  nbva       word64 (4 states, 48 BV bits)        always-on: engine nbva is always-on
 1  cat         shift-and  shiftand64 behind teddy fp3 stride2  prefilter ["cat"]
-2  a(b|c)*d    dfa        dfa-table x4                         always-on: engine dfa is always-on
+2  a(b|c)*d    dfa        dfa-table                            always-on: engine dfa is always-on
 3  a(          ERROR                                           pattern 0 "a(": regexast: parse "a(" at 2: missing ')'
 4  .key07.     shift-and  shiftand64 behind teddy fp3 stride2  prefilter ["key07"]
-5  b(x|y)*c    dfa        dfa-table x4                         always-on: engine dfa is always-on
-6  c(x|y)*d    dfa        dfa-table x4                         always-on: engine dfa is always-on
-7  d(x|y)*e    dfa        dfa-table x4                         always-on: engine dfa is always-on
+5  b(x|y)*c    dfa        dfa-table                            always-on: engine dfa is always-on
+6  c(x|y)*d    dfa        dfa-table                            always-on: engine dfa is always-on
+7  d(x|y)*e    dfa        dfa-table                            always-on: engine dfa is always-on
 8  e(x|y)*f    dfa        dfa-table                            always-on: engine dfa is always-on
 `
 	var out strings.Builder

@@ -3,6 +3,9 @@ package automata
 import (
 	"fmt"
 	"math"
+	"math/bits"
+
+	"repro/internal/charclass"
 )
 
 // DFA is a materialized deterministic automaton for streaming (unanchored)
@@ -24,6 +27,8 @@ type DFA struct {
 	// the per-cycle report count, matching the hardware's counting.
 	reports  []uint16
 	numParts int
+	// escape holds the bytes that move the DFA off row 0 or report there.
+	escape charclass.Class
 }
 
 // BuildDFA materializes the streaming DFA of the NFA, failing with an
@@ -59,12 +64,16 @@ func BuildDFA(n *NFA, cap int) (*DFA, error) {
 		}
 		d.trans[i] = row
 	}
+	for b, part := range d.partition {
+		if d.trans[part] != 0 {
+			d.escape[b>>6] |= 1 << (b & 63)
+		}
+	}
 	return d, nil
 }
 
 // A stream's state in a DFA is the row offset of its current state in
-// d.trans, 0 at the start of a stream; the scan functions take it and
-// return it, so a caller keeps one int32 per DFA and stream.
+// d.trans, 0 at the start of a stream: one int32 per DFA and stream.
 
 // Step consumes one byte from row and returns the next row and the number
 // of reports fired.
@@ -77,80 +86,90 @@ func (d *DFA) Step(row int32, b byte) (int32, int) {
 	return row, int(d.reports[int(row)/d.numParts])
 }
 
-// ScanChunk is Step over a whole chunk with the state in a register: it
-// calls emit(base+i) once per report fired at data[i] and returns the row
-// the chunk ends in.
-func (d *DFA) ScanChunk(row32 int32, data []byte, base int, emit func(end int)) int32 {
-	trans := d.trans
-	row := int(row32)
-	for i := 0; i < len(data); i++ {
-		// The hot loop makes no call, so its operands stay in registers.
-		for ; i < len(data); i++ {
-			row = int(trans[row+int(d.partition[data[i]])])
-			if row < 0 {
-				break
-			}
-		}
-		if i == len(data) {
-			break
-		}
-		row = ^row
-		for k := d.reports[row/d.numParts]; k > 0; k-- {
-			emit(base + i)
-		}
-	}
-	return int32(row)
+// WakeLoop scans a list of DFAs together, the software form of every
+// pattern seeing the input symbol in the same cycle while only the active
+// elements do work (§3.1). A DFA at rest in row 0 sleeps until a byte of
+// its escape set comes and sleeps again when its row returns to 0, so a
+// byte that wakes no DFA while none is awake costs one load. The DFAs are
+// taken 64 at a time. A WakeLoop is read-only; the rows are the caller's.
+type WakeLoop []wakeGroup
+
+// wakeGroup is 64 DFAs of a WakeLoop, nil past the last: bit j of wake[b]
+// is set when byte b wakes dfas[j].
+type wakeGroup struct {
+	wake [256]uint64
+	dfas [64]*DFA
 }
 
-// BlockLanes is the number of DFAs ScanBlock advances per input byte. Four
-// chains hide most of a walk's load latency (3.9x one lane; eight measured
-// 4.9x) and leave at most three patterns to a caller's single-lane tail,
-// which at ten DFAs already costs as much as the blocks (EXPERIMENTS.md
-// "pattern-parallel DFA blocks").
-const BlockLanes = 4
-
-// ScanBlock is ScanChunk for BlockLanes DFAs at once, the software form
-// of every pattern seeing the input symbol in the same cycle (§3). One
-// table walk is a chain of dependent loads that leaves the core waiting;
-// this loop steps every lane on each byte, and the chains overlap. rows[l]
-// is lane l's row before and after. It calls emit(l, base+i) once per
-// report lane l fires at data[i], all of one byte's reports before the
-// next byte's and within a byte in lane order, so the calls ascend in end.
-func ScanBlock(dfas *[BlockLanes]*DFA, rows *[BlockLanes]int32, data []byte, base int, emit func(lane, end int)) {
-	d0, d1, d2, d3 := dfas[0], dfas[1], dfas[2], dfas[3]
-	t0, t1, t2, t3 := d0.trans, d1.trans, d2.trans, d3.trans
-	r0, r1, r2, r3 := int(rows[0]), int(rows[1]), int(rows[2]), int(rows[3])
-	for i := 0; i < len(data); i++ {
-		for ; i < len(data); i++ {
-			b := data[i]
-			r0 = int(t0[r0+int(d0.partition[b])])
-			r1 = int(t1[r1+int(d1.partition[b])])
-			r2 = int(t2[r2+int(d2.partition[b])])
-			r3 = int(t3[r3+int(d3.partition[b])])
-			if r0|r1|r2|r3 < 0 {
-				break
+// NewWakeLoop ORs the escape sets BuildDFA recorded into the wake words of
+// dfas, at a cost that follows the escape bytes, not the alphabet.
+func NewWakeLoop(dfas []*DFA) WakeLoop {
+	w := make(WakeLoop, (len(dfas)+63)/64)
+	for j, d := range dfas {
+		w[j/64].dfas[j%64] = d
+		for k, word := range d.escape {
+			for ; word != 0; word &= word - 1 {
+				w[j/64].wake[k*64+bits.TrailingZeros64(word)] |= 1 << (j % 64)
 			}
 		}
-		if i == len(data) {
-			break
-		}
-		r0 = d0.report(r0, 0, base+i, emit)
-		r1 = d1.report(r1, 1, base+i, emit)
-		r2 = d2.report(r2, 2, base+i, emit)
-		r3 = d3.report(r3, 3, base+i, emit)
 	}
-	rows[0], rows[1], rows[2], rows[3] = int32(r0), int32(r1), int32(r2), int32(r3)
+	return w
 }
 
-// report is the cold half of a block step: it emits the reports of a
-// complemented row for the lane and returns the plain row.
-func (d *DFA) report(row, lane, end int, emit func(lane, end int)) int {
-	if row >= 0 {
-		return row
+// Scan consumes data, the stream bytes from global offset base on, with
+// rows[j] the row DFA j stopped in (0 at the start of a stream), and leaves
+// each DFA's new row there. It calls emit(j, base+i) once per report DFA j
+// fires at data[i]. Each 64 DFAs read the chunk once and report in one run,
+// ascending in end with ties in DFA order; the runs follow DFA order.
+func (w WakeLoop) Scan(rows []int32, data []byte, base int, emit func(j, end int)) {
+	for g := range w {
+		wake, dfas, first := &w[g].wake, &w[g].dfas, g*64
+		rows := rows[first:min(len(rows), first+64)]
+		// The rows live on the stack and the stepping loop makes no call, so
+		// its operands stay in registers; it stops after a byte that fired,
+		// leaving the DFAs that reported in fired for the emit loop.
+		var local [64]int32
+		var awake uint64
+		for j, row := range rows {
+			local[j] = row
+			if row != 0 {
+				awake |= 1 << j
+			}
+		}
+		for i := 0; i < len(data); i++ {
+			var fired uint64
+			for ; i < len(data); i++ {
+				b := data[i]
+				step := awake | wake[b]
+				if step == 0 {
+					continue
+				}
+				for ; step != 0; step &= step - 1 {
+					j := bits.TrailingZeros64(step) & 63 // & 63: no bounds checks
+					d, bit := dfas[j], uint64(1)<<j
+					row := d.trans[int(local[j])+int(d.partition[b])]
+					if row < 0 {
+						row = ^row
+						fired |= bit
+					}
+					// A branch, not arithmetic, so the next byte need not wait.
+					local[j] = row
+					awake &^= bit
+					if row != 0 {
+						awake |= bit
+					}
+				}
+				if fired != 0 {
+					break
+				}
+			}
+			for ; fired != 0; fired &= fired - 1 {
+				j := bits.TrailingZeros64(fired) & 63
+				for k := dfas[j].reports[int(local[j])/dfas[j].numParts]; k > 0; k-- {
+					emit(first+j, base+i)
+				}
+			}
+		}
+		copy(rows, local[:])
 	}
-	row = ^row
-	for k := d.reports[row/d.numParts]; k > 0; k-- {
-		emit(lane, end)
-	}
-	return row
 }

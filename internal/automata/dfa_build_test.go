@@ -3,7 +3,6 @@ package automata
 import (
 	"errors"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/regexast"
@@ -59,7 +58,7 @@ func TestDFAMatchEnds(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ends []int
-	dfa.ScanChunk(0, []byte("abxab"), 0, func(end int) { ends = append(ends, end) })
+	NewWakeLoop([]*DFA{dfa}).Scan(make([]int32, 1), []byte("abxab"), 0, func(_, end int) { ends = append(ends, end) })
 	if len(ends) != 2 || ends[0] != 1 || ends[1] != 4 {
 		t.Errorf("MatchEnds = %v", ends)
 	}
@@ -96,37 +95,6 @@ func TestPropDFAEqualsNFAOnRandomPatterns(t *testing.T) {
 				if row, fired = dfa.Step(row, b); nr.FinalsActive() != fired {
 					t.Fatalf("pattern %q input %q: divergence", pattern, input)
 				}
-			}
-		}
-	}
-}
-
-// TestDFAScanChunkEqualsStep cuts random inputs at every offset: the
-// chunk loop must fire what Step fires and carry its state across the cut.
-func TestDFAScanChunkEqualsStep(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	for _, p := range []string{"ab", "a(b|c)*d", "a.*z|az", "[ab][ab]|b"} {
-		dfa, err := BuildDFA(mustNFA(t, p), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		input := make([]byte, 40)
-		for i := range input {
-			input[i] = "abcdz"[r.Intn(5)]
-		}
-		var want []int
-		row, fired := int32(0), 0
-		for i, b := range input {
-			for row, fired = dfa.Step(row, b); fired > 0; fired-- {
-				want = append(want, i)
-			}
-		}
-		for cut := 0; cut <= len(input); cut++ {
-			var got []int
-			emit := func(end int) { got = append(got, end) }
-			dfa.ScanChunk(dfa.ScanChunk(0, input[:cut], 0, emit), input[cut:], cut, emit)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%q cut %d: ScanChunk %v, Step %v", p, cut, got, want)
 			}
 		}
 	}

@@ -10,6 +10,7 @@ package patfile
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 )
@@ -36,8 +37,8 @@ func Read(path string) ([]string, error) {
 }
 
 // parse is the io.Reader core of Read, split out for testing.
-func parse(f *os.File) ([]string, error) {
-	sc := bufio.NewScanner(f)
+func parse(r io.Reader) ([]string, error) {
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), maxLineBytes)
 	var patterns []string
 	for sc.Scan() {

@@ -2,9 +2,12 @@ package patfile
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -62,4 +65,57 @@ func TestReadMissingFile(t *testing.T) {
 	if _, err := Read(filepath.Join(t.TempDir(), "absent")); err == nil {
 		t.Fatal("expected error")
 	}
+}
+
+// FuzzPatfile parses arbitrary files: parse never panics, returns only
+// trimmed, non-empty, non-comment patterns — the lines of the file that
+// are such, in order — and, with a line over maxLineBytes spliced in at
+// the seed's offset, returns an error and no patterns, never the ruleset
+// read up to the long line.
+func FuzzPatfile(f *testing.F) {
+	f.Add([]byte("cat\n\n# comment\n  ab{3,9}c  \n#another\nxyz\n"), false, uint16(0))
+	f.Add([]byte("a\r\n \t# c\r\n\tb\t\nlast"), true, uint16(2))
+	f.Add([]byte{}, true, uint16(0))
+	f.Fuzz(func(t *testing.T, data []byte, long bool, at uint16) {
+		var r io.Reader = bytes.NewReader(data)
+		if long {
+			cut := int(at) % (len(data) + 1)
+			r = io.MultiReader(bytes.NewReader(data[:cut]),
+				io.LimitReader(repeatReader('x'), maxLineBytes+1), bytes.NewReader(data[cut:]))
+		}
+		got, err := parse(r)
+		if long {
+			if !errors.Is(err, bufio.ErrTooLong) || got != nil {
+				t.Fatalf("line over %d bytes at %d: %d patterns, err %v; want none and ErrTooLong", maxLineBytes, at, len(got), err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("parse(%q): %v", data, err)
+		}
+		var want []string
+		for _, line := range strings.Split(string(data), "\n") {
+			if line = strings.TrimSpace(line); line != "" && !strings.HasPrefix(line, "#") {
+				want = append(want, line)
+			}
+		}
+		for _, p := range got {
+			if p == "" || p != strings.TrimSpace(p) || strings.HasPrefix(p, "#") {
+				t.Fatalf("parse(%q) returned pattern %q", data, p)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("parse(%q) = %q, want the file's pattern lines %q", data, got, want)
+		}
+	})
+}
+
+// repeatReader reads as an endless run of one byte.
+type repeatReader byte
+
+func (b repeatReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
 }

@@ -17,9 +17,8 @@ import (
 // TestFeedEqualEndOrder pins the order contract of one feed: ascending
 // End, and for equal End the prefiltered Shift-And machine, the always-on
 // one, then the NBVA, NFA and DFA patterns, each group in pattern order.
-// The ten DFA patterns all fire on the last byte: two blocks of four, whose
-// lanes interleave with the other engines' patterns, and a tail of two, so
-// the tie runs across the lane-3/lane-0 and the block/tail boundaries.
+// The ten DFA patterns, one wake word whose patterns interleave with the
+// other engines', all fire on the last byte.
 func TestFeedEqualEndOrder(t *testing.T) {
 	patterns := []string{
 		"a(x|b)*c",     // dfa
@@ -44,8 +43,8 @@ func TestFeedEqualEndOrder(t *testing.T) {
 	if !reflect.DeepEqual(m.Engines(), wantEngines) {
 		t.Fatalf("engines = %v, want %v", m.Engines(), wantEngines)
 	}
-	if dfas, _, blocked := dfaTables(m); blocked != 8 || len(dfas) != 10 {
-		t.Fatalf("%d DFA patterns, %d in blocks: want 10 and 8", len(dfas), blocked)
+	if dfas, _, words := dfaTables(m); words != 1 || len(dfas) != 10 {
+		t.Fatalf("%d DFA patterns in %d wake words: want 10 in 1", len(dfas), words)
 	}
 	if v := m.PrefilterVerdicts(); v[3].Prefilterable || !v[6].Prefilterable {
 		t.Fatalf("prefilter verdicts: pattern 3 %v, pattern 6 %v", v[3], v[6])
@@ -82,24 +81,27 @@ func TestFeedEqualEndOrder(t *testing.T) {
 }
 
 // TestDFABlockSequence holds the DFA matches of a Snort@1.0 Scan to the
-// sequence, not just the set, that one single-lane runner per pattern
-// gives: each pattern's ends in order, patterns merged stably by End. The
-// rest of the Scan must stay ascending in End with the DFA group last.
+// sequence, not just the set, that one Step walk per pattern gives: each
+// pattern's ends in order, patterns merged stably by End. The rest of the
+// Scan must stay ascending in End with the DFA group last.
 func TestDFABlockSequence(t *testing.T) {
 	d := workload.MustGenerate("Snort", 1.0, 1)
 	m := compilePar(t, d.Patterns, Options{})
-	dfas, dfaIdx, blocked := dfaTables(m)
-	if blocked < 2*automata.BlockLanes || blocked == len(dfas) {
-		t.Fatalf("%d DFA patterns, %d in blocks: want two blocks and a tail", len(dfas), blocked)
+	dfas, dfaIdx, _ := dfaTables(m)
+	if len(dfas) < 16 {
+		t.Fatalf("%d DFA patterns, want at least 16", len(dfas))
 	}
 	total := 0
 	for seed := int64(1); seed <= 4; seed++ {
 		input := d.Input(16<<10, seed)
 		var want []Match
 		for j, dfa := range dfas {
-			dfa.ScanChunk(0, input, 0, func(end int) {
-				want = append(want, Match{Pattern: dfaIdx[j], End: end})
-			})
+			row, fired := int32(0), 0
+			for i, b := range input {
+				for row, fired = dfa.Step(row, b); fired > 0; fired-- {
+					want = append(want, Match{Pattern: dfaIdx[j], End: i})
+				}
+			}
 		}
 		sort.SliceStable(want, func(i, k int) bool { return want[i].End < want[k].End })
 		var got []Match
@@ -114,7 +116,7 @@ func TestDFABlockSequence(t *testing.T) {
 			}
 		}
 		if !matchesEqual(got, want) {
-			t.Errorf("seed %d: DFA matches of Scan %v, single-lane runners %v", seed, got, want)
+			t.Errorf("seed %d: DFA matches of Scan %v, Step walks %v", seed, got, want)
 		}
 		total += len(want)
 	}
@@ -257,11 +259,10 @@ func TestKernelsNamesEveryEngine(t *testing.T) {
 	if got := m.Kernels(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Kernels = %q, want %q", got, want)
 	}
-	// Five DFA patterns: the first four are the lanes of a block, wherever
-	// they sit in the list, and the fifth is the single-lane tail.
-	blocked := []string{"a(x|y)*b", "cat", "b(x|y)*c", "c(x|y)*d", "d(x|y)*e", "e(x|y)*f"}
-	want = []string{"dfa-table x4", "shiftand64", "dfa-table x4", "dfa-table x4", "dfa-table x4", "dfa-table"}
-	if got := compilePar(t, blocked, Options{DisablePrefilter: true}).Kernels(); !reflect.DeepEqual(got, want) {
+	// Five DFA patterns, wherever they sit in the list, share one wake loop.
+	dfas := []string{"a(x|y)*b", "cat", "b(x|y)*c", "c(x|y)*d", "d(x|y)*e", "e(x|y)*f"}
+	want = []string{"dfa-table", "shiftand64", "dfa-table", "dfa-table", "dfa-table", "dfa-table"}
+	if got := compilePar(t, dfas, Options{DisablePrefilter: true}).Kernels(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Kernels = %q, want %q", got, want)
 	}
 	m = compilePar(t, patterns[:1], Options{})

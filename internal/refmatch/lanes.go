@@ -199,19 +199,15 @@ func (l *nfaLane) pats() []int { return l.patterns }
 
 func (l *nfaLane) kernel(int) string { return "nfa-step" }
 
-// dfaLane holds the DFA-routed patterns in pattern order, scanned in
-// blocks of automata.BlockLanes consecutive patterns; the tail of fewer
-// runs one at a time, since a padding lane would cost a real one. A block
-// is only a range of the per-pattern tables.
+// dfaLane holds the DFA-routed patterns in pattern order, all scanned by
+// one automata.WakeLoop: a DFA at rest is stepped only on its wake bytes.
 type dfaLane struct {
 	dfas     []*automata.DFA
 	nfas     []*automata.NFA // Glushkov NFA behind each DFA, for the SFA union
 	patterns []int
+	loop     automata.WakeLoop
 	rows     []int32 // the row offset each DFA stopped in
 }
-
-// blocked is how many DFAs, from the first, are scanned in blocks.
-func (l *dfaLane) blocked() int { return len(l.dfas) &^ (automata.BlockLanes - 1) }
 
 func (l *dfaLane) open() lane {
 	c := *l
@@ -220,27 +216,11 @@ func (l *dfaLane) open() lane {
 }
 
 func (l *dfaLane) scan(s *Session, chunk []byte, base int) {
-	blocked := l.blocked()
-	for j := 0; j < blocked; j += automata.BlockLanes {
-		idx := l.patterns[j:]
-		automata.ScanBlock((*[automata.BlockLanes]*automata.DFA)(l.dfas[j:]),
-			(*[automata.BlockLanes]int32)(l.rows[j:]), chunk, base, func(lane, end int) {
-				s.report(idx[lane], end, false)
-			})
-	}
-	for j := blocked; j < len(l.dfas); j++ {
-		p := l.patterns[j]
-		l.rows[j] = l.dfas[j].ScanChunk(l.rows[j], chunk, base, func(end int) { s.report(p, end, false) })
-	}
+	l.loop.Scan(l.rows, chunk, base, func(j, end int) { s.report(l.patterns[j], end, false) })
 }
 
 func (l *dfaLane) reset() { clear(l.rows) }
 
 func (l *dfaLane) pats() []int { return l.patterns }
 
-func (l *dfaLane) kernel(j int) string {
-	if j < l.blocked() {
-		return fmt.Sprintf("dfa-table x%d", automata.BlockLanes)
-	}
-	return "dfa-table"
-}
+func (l *dfaLane) kernel(int) string { return "dfa-table" }

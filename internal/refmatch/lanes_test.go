@@ -11,11 +11,11 @@ import (
 )
 
 // dfaTables returns the DFA tables of m in pattern order, the pattern of
-// each, and how many of them, from the first, are scanned in blocks.
-func dfaTables(m *Matcher) (dfas []*automata.DFA, patterns []int, blocked int) {
+// each, and how many wake words of 64 DFAs the lane's loop reads.
+func dfaTables(m *Matcher) (dfas []*automata.DFA, patterns []int, words int) {
 	for _, l := range m.lanes {
 		if l, ok := l.(*dfaLane); ok {
-			return l.dfas, l.patterns, l.blocked()
+			return l.dfas, l.patterns, len(l.loop)
 		}
 	}
 	return nil, nil, 0
@@ -33,8 +33,7 @@ func nbvaTables(m *Matcher) *nbvaLane {
 
 // laneOf returns the rank of the scan lane that reports pattern p, read
 // from the public verdicts alone: prefiltered Shift-And, always-on
-// Shift-And, NBVA, NFA, DFA. The DFA lane's blocks and tail are ranked
-// apart, which is pattern order within it.
+// Shift-And, NBVA, NFA, DFA.
 func laneOf(m *Matcher, p int) int {
 	switch m.Engines()[p] {
 	case EngineShiftAnd:
@@ -47,10 +46,7 @@ func laneOf(m *Matcher, p int) int {
 	case EngineNFA:
 		return 3
 	}
-	if strings.HasSuffix(m.Kernels()[p], " x4") {
-		return 4
-	}
-	return 5
+	return 4
 }
 
 // FuzzSessionDifferential streams a set of up to six patterns, mixing

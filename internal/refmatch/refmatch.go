@@ -28,11 +28,11 @@
 // runs the lanes one after the other over the whole chunk, and one stable
 // sort of their matches by End restores stream order.
 //
-// DFA patterns are scanned pattern-parallel, as the fabric runs them (§3:
-// every STE sees the input symbol in the same cycle). One DFA's table
-// walk is a chain of dependent loads, so automata.ScanBlock steps four
-// DFAs of consecutive patterns per input byte; the last one to three run
-// one at a time, since a padding lane would cost a real one.
+// DFA patterns are scanned pattern-parallel, as the fabric runs them (§3.1:
+// every STE sees the input symbol in the same cycle, and only the active
+// ones do work). One automata.WakeLoop reads the chunk once per 64 DFAs
+// and steps only the DFAs that are awake or that the byte wakes; a DFA
+// back in its start row sleeps again.
 //
 // The order of the matches of one Feed or Scan is part of the contract:
 // ascending End, and for equal End lane order, then pattern order. A
@@ -389,6 +389,7 @@ func Relower(prev, older *Matcher, res *compile.Result, opts Options) (*Matcher,
 			}
 		}
 	}
+	dl.loop = automata.NewWakeLoop(dl.dfas)
 	for _, l := range []lane{sas[0], sas[1], nb, nf, dl} {
 		if len(l.pats()) > 0 {
 			m.lanes = append(m.lanes, l)
@@ -471,8 +472,7 @@ func (m *Matcher) PrefilterKernel() string {
 // stride4"), "word64" or — for a machine with more than
 // nbva.MaxKernelStates control states — "step" for an NBVA pattern,
 // followed by its control-state and bit-vector sizes, "nfa-step", and
-// for a DFA pattern "dfa-table x4" when it is one lane of a four-DFA
-// block loop or "dfa-table" when it is in the single-lane tail.
+// "dfa-table" for a DFA pattern.
 func (m *Matcher) Kernels() []string {
 	out := make([]string, len(m.engines))
 	for _, l := range m.lanes {

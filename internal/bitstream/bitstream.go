@@ -21,8 +21,9 @@
 // generations share them: Rebuild takes every tile and switch the
 // placement marks reused from the served image as the same pointer and
 // allocates only the ones it writes. A tile or switch is therefore never
-// written once the image that first holds it is built; code that edits
-// an image (reconfig.Apply) copies first.
+// written once the image that first holds it is built, and its CRC-32 is
+// taken then, once (crc.go); code that edits an image (reconfig.Apply)
+// clones first and seals what it wrote.
 package bitstream
 
 import (
@@ -30,7 +31,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/bits"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/arch"
@@ -70,6 +70,8 @@ type TileConfig struct {
 	LocalSwitch [arch.TileSTEs * arch.TileSTEs / 8]byte
 	// HasInitial marks LNFA bin-leading tiles (power-gating control).
 	HasInitial bool
+
+	crc uint64 // 1<<32 | the CRC-32 of the wire form, once sealed
 }
 
 // ArrayConfig is one array's configuration.
@@ -79,6 +81,8 @@ type ArrayConfig struct {
 	Tiles []*TileConfig
 	// GlobalSwitch is the 256×256 crossbar bitmap, row-major.
 	GlobalSwitch *[256 * 256 / 8]byte
+
+	switchCRC uint64 // 1<<32 | the CRC-32 of GlobalSwitch, once sealed
 }
 
 // Image is a full deployment image. It is not changed once built, and
@@ -126,20 +130,28 @@ func Build(res *compile.Result, p *arch.Placement) (*Image, error) {
 // derived from by mapper.Remap: every tile and global switch p marks
 // Reused is base's, shared by pointer, and only the rest is allocated and
 // written. The image is Build(res, p)'s, in the time and memory it takes to
-// write what the update changed. A nil base is Build.
+// write what the update changed: only the regexes and LNFA bins with a
+// state on a written tile are visited — every regex of an NFA array whose
+// global switch is written — and only the written tiles and switches are
+// checksummed (seal). A nil base is Build.
 func Rebuild(base *Image, res *compile.Result, p *arch.Placement) (*Image, error) {
 	img := &Image{Arrays: make([]ArrayConfig, len(p.Arrays))}
+	var seen []bool   // by regex: has a state on a written tile
+	var written []int // the regexes with one, in plan order
 	for ai := range p.Arrays {
 		plan := &p.Arrays[ai]
 		ac := &img.Arrays[ai]
 		ac.Mode, ac.Depth = plan.Mode, uint8(plan.Depth)
+		if len(plan.Tiles) > arch.TilesPerArray {
+			return nil, fmt.Errorf("bitstream: array %d has %d tiles, more than %d", ai, len(plan.Tiles), arch.TilesPerArray)
+		}
 		ac.Tiles = make([]*TileConfig, len(plan.Tiles))
 		var reused uint32
 		if base != nil && ai < len(base.Arrays) && base.Arrays[ai].Mode == plan.Mode && len(base.Arrays[ai].Tiles) == len(plan.Tiles) {
 			reused = plan.Reused
 		}
 		if reused&arch.GlobalSwitchBit != 0 {
-			ac.GlobalSwitch = base.Arrays[ai].GlobalSwitch
+			ac.GlobalSwitch, ac.switchCRC = base.Arrays[ai].GlobalSwitch, base.Arrays[ai].switchCRC
 		} else {
 			ac.GlobalSwitch = new([256 * 256 / 8]byte)
 		}
@@ -150,12 +162,20 @@ func Rebuild(base *Image, res *compile.Result, p *arch.Placement) (*Image, error
 			}
 			ac.Tiles[ti] = &TileConfig{Mode: plan.Mode, HasInitial: plan.Tiles[ti].HasInitial}
 		}
+		visit := plan.Regexes
+		if reused&arch.GlobalSwitchBit != 0 {
+			if seen == nil {
+				seen, written = make([]bool, len(res.Regexes)), make([]int, 0, len(res.Regexes))
+			}
+			written = touching(plan, reused, seen, written[:0])
+			visit = written
+		}
 		var err error
 		switch plan.Mode {
 		case arch.ModeNFA:
-			err = buildNFAArray(res, plan, ac, reused)
+			err = buildNFAArray(res, plan, visit, ac, reused)
 		case arch.ModeNBVA:
-			err = buildNBVAArray(res, plan, ac, reused)
+			err = buildNBVAArray(res, plan, visit, ac, reused)
 		case arch.ModeLNFA:
 			err = buildLNFAArray(res, plan, ac, reused)
 		default:
@@ -164,16 +184,44 @@ func Rebuild(base *Image, res *compile.Result, p *arch.Placement) (*Image, error
 		if err != nil {
 			return nil, err
 		}
+		for ti, t := range ac.Tiles {
+			if reused>>ti&1 == 0 {
+				t.seal()
+			}
+		}
+		if reused&arch.GlobalSwitchBit == 0 {
+			ac.sealSwitch()
+		}
 	}
 	return img, nil
 }
 
-// buildNFAArray lays each regex's states out on its slots (the mapper's)
-// and programs the transfer function: in-tile edges in the local switch,
-// cross-tile edges through the global switch ports. What reused marks is
-// already in place.
-func buildNFAArray(res *compile.Result, plan *arch.ArrayPlan, ac *ArrayConfig, reused uint32) error {
-	for _, ri := range plan.Regexes {
+// touching appends to out the regexes of plan with a state on a tile
+// reused does not mark, in plan order. seen, indexed by regex, is all
+// false on entry and on return.
+func touching(plan *arch.ArrayPlan, reused uint32, seen []bool, out []int) []int {
+	for ti := range plan.Tiles {
+		if reused>>ti&1 == 0 {
+			for _, r := range plan.Tiles[ti].Regexes {
+				seen[r] = true
+			}
+		}
+	}
+	for _, r := range plan.Regexes {
+		if seen[r] {
+			out = append(out, r)
+			seen[r] = false
+		}
+	}
+	return out
+}
+
+// buildNFAArray lays the states of regexes out on their slots (the
+// mapper's) and programs the transfer function: in-tile edges in the local
+// switch, cross-tile edges through the global switch ports. What reused
+// marks is already in place.
+func buildNFAArray(res *compile.Result, plan *arch.ArrayPlan, regexes []int, ac *ArrayConfig, reused uint32) error {
+	for _, ri := range regexes {
 		c := &res.Regexes[ri]
 		if c.NFA == nil {
 			return fmt.Errorf("bitstream: regex %d lacks NFA payload", ri)
@@ -221,8 +269,17 @@ func globalPort(slot int) int {
 // init-vector columns, then BV columns; BV actions are encoded in the
 // local switch's BV region (§3.1's shift/copy/set1 schemes are
 // represented by programming the diagonal of the BV cross-point region).
-// The tiles reused marks are already in place.
-func buildNBVAArray(res *compile.Result, plan *arch.ArrayPlan, ac *ArrayConfig, reused uint32) error {
+// The tiles reused marks are already in place; regexes are the ones with
+// a state on a tile it does not mark, in placement order.
+func buildNBVAArray(res *compile.Result, plan *arch.ArrayPlan, regexes []int, ac *ArrayConfig, reused uint32) error {
+	// The written tiles' bit-vector tables are cut from one slab.
+	n := 0
+	for ti := range plan.Tiles {
+		if reused>>ti&1 == 0 {
+			n += len(plan.Tiles[ti].BVs)
+		}
+	}
+	slab := make([]BVConfig, n)
 	for ti := range plan.Tiles {
 		if reused>>ti&1 != 0 {
 			continue
@@ -245,7 +302,7 @@ func buildNBVAArray(res *compile.Result, plan *arch.ArrayPlan, ac *ArrayConfig, 
 			return fmt.Errorf("bitstream: tile %d column overflow", ti)
 		}
 		if len(tp.BVs) > 0 {
-			tc.BVs = make([]BVConfig, 0, len(tp.BVs))
+			tc.BVs, slab = slab[:0:len(tp.BVs)], slab[len(tp.BVs):]
 		}
 		for _, bv := range tp.BVs {
 			start := place(ColBV, bv.Width)
@@ -276,8 +333,8 @@ func buildNBVAArray(res *compile.Result, plan *arch.ArrayPlan, ac *ArrayConfig, 
 	// split) BV-STE carries a CC column in the chunk's own tile. The mapper
 	// appends a tile's BVs in that same order, so a cursor per tile finds
 	// the chunks of the BV-STE at hand without an index.
-	ccNext := make([]int, len(plan.Tiles)) // next free CC column
-	bvNext := make([]int, len(plan.Tiles)) // next entry of the tile's BVs
+	var ccNext [arch.TilesPerArray]int // next free CC column
+	var bvNext [arch.TilesPerArray]int // next entry of the tile's BVs
 	put := func(ti int, code uint32) error {
 		if ccNext[ti] >= plan.Tiles[ti].CCColumns {
 			return fmt.Errorf("bitstream: tile %d has more classes than its %d CC columns", ti, plan.Tiles[ti].CCColumns)
@@ -286,7 +343,7 @@ func buildNBVAArray(res *compile.Result, plan *arch.ArrayPlan, ac *ArrayConfig, 
 		ccNext[ti]++
 		return nil
 	}
-	for _, ri := range plan.Regexes {
+	for _, ri := range regexes {
 		c := &res.Regexes[ri]
 		if c.NBVA == nil {
 			return fmt.Errorf("bitstream: regex %d lacks NBVA payload", ri)
@@ -325,10 +382,16 @@ func buildNBVAArray(res *compile.Result, plan *arch.ArrayPlan, ac *ArrayConfig, 
 // columns (§3.2). Bin holes hold nothing, and the tiles reused marks are
 // already in place.
 func buildLNFAArray(res *compile.Result, plan *arch.ArrayPlan, ac *ArrayConfig, reused uint32) error {
-	camCursor := make([]int, len(plan.Tiles))
-	switchCursor := make([]int, len(plan.Tiles))
+	var camCursor, switchCursor [arch.TilesPerArray]int
 	for bi := range plan.Bins {
 		bin := &plan.Bins[bi]
+		var tiles uint32
+		for _, t := range bin.Tiles {
+			tiles |= 1 << t
+		}
+		if tiles&^reused == 0 {
+			continue // every tile the bin holds is in place
+		}
 		for _, ref := range bin.Seqs {
 			if ref == arch.Hole {
 				continue
@@ -422,60 +485,39 @@ func (img *Image) appendHeader(b []byte) []byte {
 	return le.AppendUint16(b, uint16(len(img.Arrays)))
 }
 
-// crcScratch holds the buffer CRC serializes one array at a time into.
-var crcScratch = sync.Pool{New: func() any { return new([]byte) }}
-
-// CRC returns the CRC-32 MarshalBinary puts in the image's trailer — the
-// image's identity in a reconfiguration delta — without building the
-// serialized form: the header and then each array are written to a pooled
-// buffer and folded into the running checksum. It is taken once: a served
-// image is the target of one delta and the base of the next.
-func (img *Image) CRC() uint32 {
-	if v := img.crc.Load(); v != 0 {
-		return uint32(v)
-	}
-	bp := crcScratch.Get().(*[]byte)
-	b := img.appendHeader((*bp)[:0])
-	crc := crc32.Update(0, crc32.IEEETable, b)
-	for i := range img.Arrays {
-		a := &img.Arrays[i]
-		if n := a.SizeBytes(); cap(b) < n {
-			b = make([]byte, 0, n)
-		}
-		b = a.AppendBinary(b[:0])
-		crc = crc32.Update(crc, crc32.IEEETable, b)
-	}
-	*bp = b
-	crcScratch.Put(bp)
-	img.crc.Store(1<<32 | uint64(crc))
-	return crc
-}
-
 // AppendBinary appends the array's wire form — header, tiles, global
 // switch — to b. The image format and the delta format's ArrayReplace
 // records (internal/reconfig) both carry arrays in it.
 func (a *ArrayConfig) AppendBinary(b []byte) []byte {
-	le := binary.LittleEndian
-	b = append(b, uint8(a.Mode), a.Depth)
-	b = le.AppendUint16(b, uint16(len(a.Tiles)))
-	for i := range a.Tiles {
-		t := a.Tiles[i]
-		flags := uint8(0)
-		if t.HasInitial {
-			flags |= 1
-		}
-		b = append(b, uint8(t.Mode), flags)
-		b = append(b, t.ColRole[:]...)
-		for _, code := range &t.CAMCodes {
-			b = le.AppendUint32(b, code)
-		}
-		b = le.AppendUint16(b, uint16(len(t.BVs)))
-		for _, bv := range t.BVs {
-			b = bv.AppendBinary(b)
-		}
-		b = append(b, t.LocalSwitch[:]...)
+	b = a.appendHeader(b)
+	for _, t := range a.Tiles {
+		b = append(t.appendHead(b), t.LocalSwitch[:]...)
 	}
 	return append(b, a.GlobalSwitch[:]...)
+}
+
+func (a *ArrayConfig) appendHeader(b []byte) []byte {
+	b = append(b, uint8(a.Mode), a.Depth)
+	return binary.LittleEndian.AppendUint16(b, uint16(len(a.Tiles)))
+}
+
+// appendHead appends the tile's wire form up to its local switch.
+func (t *TileConfig) appendHead(b []byte) []byte {
+	le := binary.LittleEndian
+	flags := uint8(0)
+	if t.HasInitial {
+		flags |= 1
+	}
+	b = append(b, uint8(t.Mode), flags)
+	b = append(b, t.ColRole[:]...)
+	for _, code := range &t.CAMCodes {
+		b = le.AppendUint32(b, code)
+	}
+	b = le.AppendUint16(b, uint16(len(t.BVs)))
+	for _, bv := range t.BVs {
+		b = bv.AppendBinary(b)
+	}
+	return b
 }
 
 // AppendBinary appends the bit vector's wire form to b.

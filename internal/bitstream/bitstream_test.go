@@ -221,9 +221,9 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// CRC is the trailer MarshalBinary writes, computed without building the
-// blob: once its pooled buffer has grown to the largest array it allocates
-// nothing, on an image it has not seen, and it is taken once per image.
+// CRC is the trailer MarshalBinary writes, folded from the CRCs its tiles
+// and switches were sealed with: it allocates nothing, on an image it has
+// not seen, and it is taken once per image.
 func TestCRCMatchesTrailerWithoutAllocating(t *testing.T) {
 	for _, name := range []string{"Snort", "ClamAV", "Prosite"} {
 		_, _, img := buildFor(t, workload.MustGenerate(name, 1, 1).Patterns, mapper.Options{})
@@ -239,7 +239,6 @@ func TestCRCMatchesTrailerWithoutAllocating(t *testing.T) {
 		for i := range fresh {
 			fresh[i].Arrays = img.Arrays
 		}
-		// (sync.Pool drops a quarter of its Puts under the race detector.)
 		if allocs := testing.AllocsPerRun(20, func() { fresh[k].CRC(); k++ }); allocs != 0 && !raceEnabled {
 			t.Errorf("%s: CRC allocates %.0f times per call", name, allocs)
 		}
@@ -249,5 +248,55 @@ func TestCRCMatchesTrailerWithoutAllocating(t *testing.T) {
 	}
 	if got, want := (&Image{}).CRC(), crc32.ChecksumIEEE((&Image{}).appendHeader(nil)); got != want {
 		t.Errorf("empty image: CRC() = %08x, want %08x", got, want)
+	}
+}
+
+// TestTilesSealedWhenBuilt: Build, Parse and a writer's Seal take the CRC
+// of every tile and global switch they make, so CRC only folds; a Clone,
+// made to be written, is unsealed until sealed again, and its CRC is read
+// from its bytes meanwhile.
+func TestTilesSealedWhenBuilt(t *testing.T) {
+	_, _, built := buildFor(t, workload.MustGenerate("Snort", 0.3, 1).Patterns, mapper.Options{})
+	data, err := built.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trailer := binary.LittleEndian.Uint32(data[len(data)-4:])
+	for name, img := range map[string]*Image{"built": built, "parsed": parsed} {
+		for ai := range img.Arrays {
+			a := &img.Arrays[ai]
+			for ti, tile := range a.Tiles {
+				if tile.crc != 1<<32|uint64(tile.update(0)) {
+					t.Fatalf("%s: array %d tile %d is not sealed with its CRC", name, ai, ti)
+				}
+			}
+			if a.switchCRC == 0 {
+				t.Fatalf("%s: array %d switch is not sealed", name, ai)
+			}
+		}
+		if img.CRC() != trailer {
+			t.Errorf("%s: CRC() = %08x, trailer %08x", name, img.CRC(), trailer)
+		}
+	}
+	clone := &Image{Arrays: make([]ArrayConfig, len(built.Arrays))}
+	for i := range built.Arrays {
+		clone.Arrays[i] = built.Arrays[i].Clone()
+		if clone.Arrays[i].switchCRC != 0 || clone.Arrays[i].Tiles[0].crc != 0 {
+			t.Fatalf("array %d: a clone kept the seal of what it copied", i)
+		}
+	}
+	clone.Arrays[0].Tiles[0].CAMCodes[0]++
+	if clone.CRC() == trailer {
+		t.Error("the CRC of a written clone is the original's")
+	}
+	for i := range clone.Arrays {
+		clone.Arrays[i].Seal()
+	}
+	if fresh := (&Image{Arrays: clone.Arrays}); fresh.CRC() != clone.CRC() {
+		t.Errorf("sealed clone: CRC() = %08x, from its bytes %08x", fresh.CRC(), clone.CRC())
 	}
 }

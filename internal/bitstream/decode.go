@@ -98,7 +98,7 @@ func (d *Decoder) bound(n int64, size int) int {
 }
 
 // Array reads one array, as ArrayConfig.AppendBinary writes it, into a,
-// each tile and the global switch into memory of its own.
+// each tile and the global switch into memory of its own, and seals it.
 func (d *Decoder) Array(a *ArrayConfig) {
 	a.Mode, a.Depth = arch.Mode(d.U8()), d.U8()
 	a.Tiles = make([]*TileConfig, d.bound(int64(d.U16()), tileFixedBytes))
@@ -115,6 +115,9 @@ func (d *Decoder) Array(a *ArrayConfig) {
 	}
 	a.GlobalSwitch = new([256 * 256 / 8]byte)
 	d.Bytes(a.GlobalSwitch[:])
+	if d.err == nil {
+		a.Seal()
+	}
 }
 
 // BVs reads a u16 count and that many bit vectors; it returns nil for none.

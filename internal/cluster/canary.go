@@ -66,12 +66,9 @@ func (n *Node) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		writeProxyResp(w, resp)
 		return
 	}
-	var req struct {
-		Patterns []string               `json:"patterns"`
-		Options  service.CompileOptions `json:"options"`
-	}
 	meta, known := n.catalog.Get(id)
-	if err := json.Unmarshal(body, &req); err != nil || !known {
+	req, err := service.DecodeRuleset(body)
+	if err != nil || !known {
 		// Malformed body (let the service diagnose) or a program the
 		// cluster has never seen (single-node semantics apply).
 		writeProxyResp(w, n.localRoundTrip(r.Context(), http.MethodPut, "/v1/programs/"+id, r.Header, body))

@@ -360,10 +360,16 @@ func (n *Node) gossipOnce() {
 	}
 	defer resp.Body.Close()
 	var reply gossipResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(&reply); err != nil {
+	if decodePeer(resp.Body, &reply) != nil {
 		return
 	}
 	n.absorb(reply.View)
+}
+
+// decodePeer decodes a peer's JSON reply — a gossip view, or a program's
+// catalog meta — from its first 16 MiB.
+func decodePeer(body io.Reader, v any) error {
+	return json.NewDecoder(io.LimitReader(body, 16<<20)).Decode(v)
 }
 
 // absorb merges a remote view: membership first, then any program
@@ -399,7 +405,7 @@ func (n *Node) fetchProgram(addr, id string) {
 		return
 	}
 	var meta ProgramMeta
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(&meta); err != nil {
+	if decodePeer(resp.Body, &meta) != nil {
 		return
 	}
 	if meta.ID != id {

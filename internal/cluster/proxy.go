@@ -216,11 +216,8 @@ func (n *Node) handleCompile(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req struct {
-		Patterns []string               `json:"patterns"`
-		Options  service.CompileOptions `json:"options"`
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
+	req, err := service.DecodeRuleset(body)
+	if err != nil {
 		// Malformed JSON: let the service produce its own diagnostics.
 		writeProxyResp(w, n.localRoundTrip(r.Context(), http.MethodPost, "/v1/programs", r.Header, body))
 		return

@@ -385,6 +385,47 @@ func TestGatewayRefusesTrailingBytes(t *testing.T) {
 	}
 }
 
+// TestGatewayAndNodeDeriveOneKey: a compile body in any spelling — escapes,
+// key order, white space, unknown keys — is read by a gateway and by the
+// node it routes to as one ruleset. The node answers the program ID
+// ProgramKey gives encoding/json's reading of the body, the ring owner of
+// that ID holds the program, and the gateway catalogued it under the same
+// ID, from every node of a 3-node cluster with one replica.
+func TestGatewayAndNodeDeriveOneKey(t *testing.T) {
+	tc := startCluster(t, 3, func(i int, cfg *cluster.Config) { cfg.Replicas = 1 })
+	waitConverged(t, tc, 3)
+	for _, body := range []string{
+		`{"patterns":["cat","dog"],"options":{}}`,
+		`{"options":{"unfold_threshold":12},"patterns":["c\u0061t","d\/og"]}`,
+		"  {\"patterns\" : [ \"cat\" , \"ab{2,5}c\" ] ,\n \"options\" : { } }  \n",
+		`{"patterns":["cat"],"options":{"mode_policy":"force_nfa","unfold_threshold":3},"comment":"x"}`,
+		`{"patterns":["\u00e9t\u00e9","x\ty","\ud83d\ude00"],"extra":[1,2]}`,
+		`{"Patterns":["cat"],"OPTIONS":{"Unfold_Threshold":7}}`,
+	} {
+		var rs service.Ruleset
+		if err := json.Unmarshal([]byte(body), &rs); err != nil {
+			t.Fatal(err)
+		}
+		want := service.ProgramKey(rs.Patterns, rs.Options)
+		owner := tc.node(tc.nodes[0].Ring().Placement(want, 1)[0])
+		for i, srv := range tc.servers {
+			got, raw := do(t, "POST", srv.URL+"/v1/programs", []byte(body), false)
+			var resp struct {
+				ProgramID string `json:"program_id"`
+			}
+			if err := json.Unmarshal(raw, &resp); err != nil || got.status != http.StatusOK || resp.ProgramID != want {
+				t.Fatalf("n%d: %s: %d %s, want program %s", i, body, got.status, raw, want)
+			}
+			if _, ok := owner.Service().Program(want); !ok {
+				t.Errorf("n%d: %s: the ring owner %s does not hold %s", i, body, owner.ID(), want)
+			}
+			if meta, _ := do(t, "GET", srv.URL+"/cluster/programs/"+want, nil, false); meta.status != http.StatusOK {
+				t.Errorf("n%d: %s: the gateway has no catalog entry for %s (%d)", i, body, want, meta.status)
+			}
+		}
+	}
+}
+
 // TestRepairFirstCountsOnce: on one node whose cache holds two of three
 // programs, round-robin scans miss every time, and each costs exactly one
 // repair — the count TestShardedWorkingSetStaysResident reads on its 1-node

@@ -3,6 +3,7 @@ package mapper
 import (
 	"bytes"
 	"context"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 
@@ -28,6 +29,16 @@ func marshal(t *testing.T, img *bitstream.Image) []byte {
 	return data
 }
 
+// checkCRC fails t unless the CRC img folds from its tiles' and switches'
+// is the CRC-32 of its serialized form, trailer aside.
+func checkCRC(t *testing.T, what string, img *bitstream.Image) {
+	t.Helper()
+	data := marshal(t, img)
+	if got, want := img.CRC(), crc32.ChecksumIEEE(data[:len(data)-4]); got != want {
+		t.Fatalf("%s image: CRC() = %08x, its bytes %08x", what, got, want)
+	}
+}
+
 // FuzzRemap drives random edit scripts — replace, insert, delete, reorder,
 // revert — over a workload subset. Every generation is compiled by
 // compile.Recompile from the one before, placed by Remap from its
@@ -36,7 +47,9 @@ func marshal(t *testing.T, img *bitstream.Image) []byte {
 // every regex placed once; the image built on the served one equals the
 // image built from nothing; the delta from the served image applies to it
 // to give the new one; Rebuild leaves the served image, whose tiles the
-// new one shares, as it was; and Remap uses at most maxTileGrowth tiles.
+// new one shares, as it was; Remap uses at most maxTileGrowth tiles; and
+// the CRC the rebuilt image and a cold Map's image fold from their tiles
+// and switches is the CRC-32 of their bytes.
 func FuzzRemap(f *testing.F) {
 	f.Add(int64(1), uint8(0), []byte{0, 1, 2, 3, 4, 0, 0})
 	f.Add(int64(2), uint8(3), []byte{4, 4, 0, 2, 2, 1})
@@ -119,6 +132,7 @@ func FuzzRemap(f *testing.F) {
 			if !bytes.Equal(data, marshal(t, whole)) {
 				t.Fatalf("step %d (op %d): the image built on the served one differs from one built whole", step, op%5)
 			}
+			checkCRC(t, "rebuilt", built)
 			applied, err := reconfig.Apply(img, reconfig.Diff(img, built))
 			if err != nil || !bytes.Equal(marshal(t, applied), data) {
 				t.Fatalf("step %d: Apply(Diff(old, new), old) is not new (err %v)", step, err)
@@ -130,6 +144,11 @@ func FuzzRemap(f *testing.F) {
 			if got, bound := np.TilesUsed(), maxTileGrowth(cold, len(np.Arrays)); got > bound {
 				t.Fatalf("step %d: Remap uses %d tiles, a cold Map %d (bound %d)", step, got, cold.TilesUsed(), bound)
 			}
+			coldImg, err := bitstream.Build(nres, cold)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkCRC(t, "cold", coldImg)
 			cur, res, p, img = next, nres, np, built
 		}
 	})

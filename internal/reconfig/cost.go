@@ -84,7 +84,8 @@ func addLoad(loads []arrayLoad, ai int, bits int64) []arrayLoad {
 func (d *Delta) account() (Cost, []arrayLoad) {
 	var c Cost
 	var loads []arrayLoad
-	var tiles []uint64 // array<<32 | tile
+	var tileBuf [64]uint64
+	tiles := tileBuf[:0] // array<<32 | tile
 	charge := func(ai int, bits int64) {
 		c.ConfigBits += bits
 		loads = addLoad(loads, ai, bits)

@@ -14,7 +14,9 @@ package reconfig
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/arch"
 	"repro/internal/bitstream"
@@ -99,30 +101,45 @@ type Delta struct {
 // freed arrays are simply unprogrammed). BaseCRC/TargetCRC are the CRC-32
 // each image's serialized form carries in its trailer. A tile or global
 // switch the two images share by pointer (bitstream.Rebuild's reuse) is
-// equal without being compared.
+// equal without being compared, and every other tile is compared once.
 func Diff(old, new *bitstream.Image) *Delta {
 	d := &Delta{
 		BaseCRC:   old.CRC(),
 		TargetCRC: new.CRC(),
 		NumArrays: len(new.Arrays),
 	}
-	// CAM columns and local-switch rows are nearly all of a delta's
-	// records: count them first, so each list is allocated once.
-	var codes, rows int
+	// Tile records are nearly all of a delta's: the pass that compares the
+	// tiles keeps where they differ, so each list is allocated once, at its
+	// length, and written from that.
+	var buf [32]tileDiff
+	diffs := buf[:0]
+	var metas, codes, rows int
 	for ai := range new.Arrays {
 		if !sameShape(old, new, ai) {
 			continue
 		}
 		for ti, nt := range new.Arrays[ai].Tiles {
-			c, r := diffTile(nil, ai, ti, old.Arrays[ai].Tiles[ti], nt)
-			codes, rows = codes+c, rows+r
+			if td, ok := diffTile(ai, ti, old.Arrays[ai].Tiles[ti], nt); ok {
+				diffs = append(diffs, td)
+				if td.meta {
+					metas++
+				}
+				codes += bits.OnesCount64(td.cols[0]) + bits.OnesCount64(td.cols[1])
+				rows += bits.OnesCount64(td.rows[0]) + bits.OnesCount64(td.rows[1])
+			}
 		}
+	}
+	if metas > 0 {
+		d.TileMetas = make([]TileMetaUpdate, 0, metas)
 	}
 	if codes > 0 {
 		d.Codes = make([]CodeUpdate, 0, codes)
 	}
 	if rows > 0 {
 		d.LocalRows = make([]LocalRowUpdate, 0, rows)
+	}
+	for i := range diffs {
+		diffs[i].records(d)
 	}
 	for ai := range new.Arrays {
 		na := &new.Arrays[ai]
@@ -134,9 +151,6 @@ func Diff(old, new *bitstream.Image) *Delta {
 		oa := &old.Arrays[ai]
 		if oa.Mode != na.Mode || oa.Depth != na.Depth {
 			d.Headers = append(d.Headers, HeaderUpdate{Array: ai, Mode: na.Mode, Depth: na.Depth})
-		}
-		for ti, nt := range na.Tiles {
-			diffTile(d, ai, ti, oa.Tiles[ti], nt)
 		}
 		if oa.GlobalSwitch == na.GlobalSwitch || *oa.GlobalSwitch == *na.GlobalSwitch {
 			continue
@@ -160,52 +174,73 @@ func sameShape(old, new *bitstream.Image, ai int) bool {
 	return ai < len(old.Arrays) && len(old.Arrays[ai].Tiles) == len(new.Arrays[ai].Tiles)
 }
 
-// diffTile counts the CAM columns and local-switch rows in which two tiles
-// differ and, when d is not nil, appends their update records — and the
-// tile's metadata update — to it. A tile the images share costs nothing,
-// and an unchanged copy one comparison of each fixed-size table.
-func diffTile(d *Delta, ai, ti int, ot, nt *bitstream.TileConfig) (codes, rows int) {
+// tileDiff is where one tile of the target differs from the base: its
+// metadata, and a bit per CAM column and per local-switch row.
+type tileDiff struct {
+	array, tile int
+	nt          *bitstream.TileConfig
+	meta        bool
+	cols, rows  [arch.TileSTEs / 64]uint64
+}
+
+// diffTile compares two tiles once and reports where they differ, or
+// false when they do not. A tile the images share costs nothing, and an
+// unchanged copy one comparison of each fixed-size table.
+func diffTile(ai, ti int, ot, nt *bitstream.TileConfig) (tileDiff, bool) {
+	td := tileDiff{array: ai, tile: ti, nt: nt}
 	if ot == nt {
-		return 0, 0
+		return td, false
 	}
-	if d != nil && (ot.Mode != nt.Mode || ot.HasInitial != nt.HasInitial || !bvsEqual(ot.BVs, nt.BVs)) {
-		d.TileMetas = append(d.TileMetas, TileMetaUpdate{
-			Array: ai, Tile: ti,
-			Mode:       nt.Mode,
-			HasInitial: nt.HasInitial,
-			BVs:        append([]bitstream.BVConfig(nil), nt.BVs...),
-		})
-	}
+	td.meta = ot.Mode != nt.Mode || ot.HasInitial != nt.HasInitial || !bvsEqual(ot.BVs, nt.BVs)
 	if ot.ColRole != nt.ColRole || ot.CAMCodes != nt.CAMCodes {
 		for col := 0; col < arch.TileSTEs; col++ {
-			if ot.ColRole[col] == nt.ColRole[col] && ot.CAMCodes[col] == nt.CAMCodes[col] {
-				continue
-			}
-			codes++
-			if d != nil {
-				d.Codes = append(d.Codes, CodeUpdate{
-					Array: ai, Tile: ti, Col: uint8(col),
-					Role: nt.ColRole[col], Code: nt.CAMCodes[col],
-				})
+			if ot.ColRole[col] != nt.ColRole[col] || ot.CAMCodes[col] != nt.CAMCodes[col] {
+				td.cols[col/64] |= 1 << (col % 64)
 			}
 		}
 	}
 	if ot.LocalSwitch != nt.LocalSwitch {
-		for row := 0; row < arch.TileSTEs; row++ {
-			o := ot.LocalSwitch[row*localRowBytes : (row+1)*localRowBytes]
-			n := nt.LocalSwitch[row*localRowBytes : (row+1)*localRowBytes]
-			if bytes.Equal(o, n) {
-				continue
-			}
-			rows++
-			if d != nil {
-				u := LocalRowUpdate{Array: ai, Tile: ti, Row: uint8(row)}
-				copy(u.Bits[:], n)
-				d.LocalRows = append(d.LocalRows, u)
+		// Eight bytes at a time: a row is two words.
+		le := binary.LittleEndian
+		for w := 0; w < len(nt.LocalSwitch)/8; w++ {
+			if le.Uint64(ot.LocalSwitch[8*w:]) != le.Uint64(nt.LocalSwitch[8*w:]) {
+				row := w * 8 / localRowBytes
+				td.rows[row/64] |= 1 << (row % 64)
 			}
 		}
 	}
-	return codes, rows
+	var none [arch.TileSTEs / 64]uint64
+	return td, td.meta || td.cols != none || td.rows != none
+}
+
+// records appends the tile's update records to d.
+func (td *tileDiff) records(d *Delta) {
+	nt := td.nt
+	if td.meta {
+		d.TileMetas = append(d.TileMetas, TileMetaUpdate{
+			Array: td.array, Tile: td.tile,
+			Mode:       nt.Mode,
+			HasInitial: nt.HasInitial,
+			BVs:        nt.BVs, // never written, as the tile is not
+		})
+	}
+	for w, m := range td.cols {
+		for ; m != 0; m &= m - 1 {
+			col := w*64 + bits.TrailingZeros64(m)
+			d.Codes = append(d.Codes, CodeUpdate{
+				Array: td.array, Tile: td.tile, Col: uint8(col),
+				Role: nt.ColRole[col], Code: nt.CAMCodes[col],
+			})
+		}
+	}
+	for w, m := range td.rows {
+		for ; m != 0; m &= m - 1 {
+			row := w*64 + bits.TrailingZeros64(m)
+			u := LocalRowUpdate{Array: td.array, Tile: td.tile, Row: uint8(row)}
+			copy(u.Bits[:], nt.LocalSwitch[row*localRowBytes:])
+			d.LocalRows = append(d.LocalRows, u)
+		}
+	}
 }
 
 func bvsEqual(a, b []bitstream.BVConfig) bool {
@@ -218,21 +253,6 @@ func bvsEqual(a, b []bitstream.BVConfig) bool {
 		}
 	}
 	return true
-}
-
-// cloneArray copies a's tiles and global switch for Apply to write. The
-// bit-vector tables are shared: Apply replaces a tile's table, never
-// writes into it.
-func cloneArray(a *bitstream.ArrayConfig) bitstream.ArrayConfig {
-	out := *a
-	out.Tiles = make([]*bitstream.TileConfig, len(a.Tiles))
-	for i, t := range a.Tiles {
-		c := *t
-		out.Tiles[i] = &c
-	}
-	gs := *a.GlobalSwitch
-	out.GlobalSwitch = &gs
-	return out
 }
 
 // Apply replays a delta onto a base image and returns the target image.
@@ -252,13 +272,13 @@ func Apply(old *bitstream.Image, d *Delta) (*bitstream.Image, error) {
 	img := &bitstream.Image{Arrays: make([]bitstream.ArrayConfig, d.NumArrays)}
 	replaced := make([]bool, d.NumArrays)
 	for i := 0; i < d.NumArrays && i < len(old.Arrays); i++ {
-		img.Arrays[i] = cloneArray(&old.Arrays[i])
+		img.Arrays[i] = old.Arrays[i].Clone()
 	}
 	for _, r := range d.Replaces {
 		if r.Array < 0 || r.Array >= d.NumArrays {
 			return nil, fmt.Errorf("reconfig: replace targets array %d of %d", r.Array, d.NumArrays)
 		}
-		img.Arrays[r.Array] = cloneArray(&r.Config)
+		img.Arrays[r.Array] = r.Config.Clone()
 		replaced[r.Array] = true
 	}
 	for i := len(old.Arrays); i < d.NumArrays; i++ {
@@ -302,6 +322,9 @@ func Apply(old *bitstream.Image, d *Delta) (*bitstream.Image, error) {
 			return nil, err
 		}
 		copy(a.GlobalSwitch[int(r.Row)*globalRowBytes:], r.Bits[:])
+	}
+	for i := range img.Arrays {
+		img.Arrays[i].Seal()
 	}
 	if got := img.CRC(); got != d.TargetCRC {
 		return nil, fmt.Errorf("reconfig: applied image CRC %08x does not match delta target %08x", got, d.TargetCRC)

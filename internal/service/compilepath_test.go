@@ -113,7 +113,7 @@ func TestVersionedHTTPSurface(t *testing.T) {
 	}
 
 	// Compile and scan entirely through /v1.
-	body, _ := json.Marshal(compileRequest{Patterns: []string{"cat"}})
+	body, _ := json.Marshal(Ruleset{Patterns: []string{"cat"}})
 	resp := post("/v1/programs", "application/json", body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /v1/programs: %d", resp.StatusCode)

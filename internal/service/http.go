@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -112,11 +111,6 @@ func deprecatedAlias(next http.Handler) http.Handler {
 
 // Wire types.
 
-type compileRequest struct {
-	Patterns []string       `json:"patterns"`
-	Options  CompileOptions `json:"options"`
-}
-
 type compileResponse struct {
 	ProgramID   string         `json:"program_id"`
 	CacheHit    bool           `json:"cache_hit"`
@@ -147,22 +141,24 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// decodeRequest reads the request body as one JSON value into v. Like
-// json.Unmarshal, which a cluster gateway routes the same body with, it
-// refuses anything but white space after the value; a refusal is answered
-// with 400 and reported as false.
+// decodeRequest reads the request body through input.ReadBody, so a body
+// over the limit is refused with 413 as a scan's is, and decodes it as one
+// JSON value into v: a *Ruleset by DecodeRuleset, anything else by
+// json.Unmarshal, which a cluster gateway routes the same body with. Both
+// refuse anything but white space after the value; a refusal is answered
+// with 400, and either failure is reported as false.
 func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, input.MaxBody))
-	err := dec.Decode(v)
-	if err == nil {
-		switch _, after := dec.Token(); after {
-		case io.EOF:
-		case nil:
-			err = errors.New("data after the JSON value")
-		default:
-			err = after
-		}
+	data, ok := input.ReadBody(w, r)
+	if !ok {
+		return false
 	}
+	var err error
+	if rs, ok := v.(*Ruleset); ok {
+		*rs, err = DecodeRuleset(data)
+	} else {
+		err = json.Unmarshal(data, v)
+	}
+	input.Bodies.Put(data) // decoded strings are copies
 	if err != nil {
 		writeError(w, fmt.Errorf("decode request: %w", err), http.StatusBadRequest)
 		return false
@@ -171,7 +167,7 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 func (s *Service) handleCompile(w http.ResponseWriter, r *http.Request) {
-	var req compileRequest
+	var req Ruleset
 	if !decodeRequest(w, r, &req) {
 		return
 	}
@@ -193,7 +189,7 @@ func (s *Service) handleCompile(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	var req compileRequest
+	var req Ruleset
 	if !decodeRequest(w, r, &req) {
 		return
 	}

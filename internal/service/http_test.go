@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/input"
 	"repro/internal/refmatch"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -73,7 +74,7 @@ func TestRapserveEndToEnd(t *testing.T) {
 	client := srv.Client()
 
 	// Compile via HTTP.
-	body, _ := json.Marshal(compileRequest{Patterns: d.Patterns})
+	body, _ := json.Marshal(Ruleset{Patterns: d.Patterns})
 	var comp compileResponse
 	resp := doJSON(t, client, "POST", srv.URL+"/programs", body, &comp)
 	if resp.StatusCode != http.StatusOK {
@@ -223,7 +224,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	defer srv.Close()
 	client := srv.Client()
 
-	body, _ := json.Marshal(compileRequest{Patterns: []string{"needle", "ab{2,5}c"}})
+	body, _ := json.Marshal(Ruleset{Patterns: []string{"needle", "ab{2,5}c"}})
 	var comp compileResponse
 	doJSON(t, client, "POST", srv.URL+"/programs", body, &comp)
 
@@ -326,7 +327,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 
 	// A hot-swap moves the reconfig counters and the apply-stage histogram.
-	body, _ = json.Marshal(compileRequest{Patterns: []string{"dog"}})
+	body, _ = json.Marshal(Ruleset{Patterns: []string{"dog"}})
 	var upd UpdateResult
 	if resp := doJSON(t, client, "PUT", srv.URL+"/programs/"+comp.ProgramID, body, &upd); resp.StatusCode != http.StatusOK {
 		t.Fatalf("update status %d", resp.StatusCode)
@@ -426,11 +427,11 @@ func TestHTTPErrors(t *testing.T) {
 	if resp := doJSON(t, client, "DELETE", srv.URL+"/sessions/none", nil, &e); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("close unknown session: status %d", resp.StatusCode)
 	}
-	body, _ := json.Marshal(compileRequest{Patterns: []string{"("}})
+	body, _ := json.Marshal(Ruleset{Patterns: []string{"("}})
 	if resp := doJSON(t, client, "POST", srv.URL+"/programs", body, &e); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad pattern: status %d", resp.StatusCode)
 	}
-	body, _ = json.Marshal(compileRequest{})
+	body, _ = json.Marshal(Ruleset{})
 	if resp := doJSON(t, client, "POST", srv.URL+"/programs", body, &e); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty patterns: status %d", resp.StatusCode)
 	}
@@ -486,4 +487,64 @@ func TestRequestBodyTrailingBytes(t *testing.T) {
 	if resp := doJSON(t, client, "POST", srv.URL+"/v1/sessions", append(open, "\n"...), &sess); resp.StatusCode != http.StatusOK || sess.SessionID == "" {
 		t.Errorf("open session ending in a newline: status %d, %+v", resp.StatusCode, sess)
 	}
+}
+
+// TestNodeBodyLimits holds a bare node to the statuses a cluster gateway
+// answers (TestProxyBodyLimits): a body whose Content-Length is over the
+// limit is 413 on every route that reads one, refused before a byte is
+// read; a body shorter than its Content-Length is 400; and a chunked JSON
+// body over the limit is 413 as a chunked scan body is.
+func TestNodeBodyLimits(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	defer svc.Close()
+	h := svc.Handler()
+	prog, _, err := svc.Compile(context.Background(), []string{"needle"}, CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sid, err := svc.OpenSession(context.Background(), prog.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func(method, path string, body io.Reader, length int64) int {
+		req := httptest.NewRequest(method, path, body)
+		req.ContentLength = length
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec.Code
+	}
+	for _, rt := range []struct {
+		method, path        string
+		tooLarge, truncated int
+	}{
+		{"POST", "/v1/programs", 413, 400},
+		{"PUT", "/v1/programs/" + prog.ID, 413, 400},
+		{"POST", "/v1/programs/" + prog.ID + "/scan", 413, 400},
+		{"POST", "/v1/sessions", 413, 400},
+		{"POST", "/v1/sessions/" + sid + "/data", 413, 400},
+		{"DELETE", "/v1/sessions/sess-999", 404, 404},
+	} {
+		if got := serve(rt.method, rt.path, strings.NewReader("needle"), input.MaxBody+1); got != rt.tooLarge {
+			t.Errorf("%s %s with Content-Length over the limit = %d, want %d", rt.method, rt.path, got, rt.tooLarge)
+		}
+		if got := serve(rt.method, rt.path, strings.NewReader("needle"), 100); got != rt.truncated {
+			t.Errorf("%s %s with 6 bytes under Content-Length 100 = %d, want %d", rt.method, rt.path, got, rt.truncated)
+		}
+	}
+	if testing.Short() {
+		return
+	}
+	if got := serve("POST", "/v1/programs", io.MultiReader(strings.NewReader(`{"patterns":["`), zeros{}), -1); got != 413 {
+		t.Errorf("compile with a chunked body over the limit = %d, want 413", got)
+	}
+}
+
+// zeros reads as an endless run of '0' bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = '0'
+	}
+	return len(p), nil
 }

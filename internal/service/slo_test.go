@@ -136,7 +136,7 @@ func TestSLOShedLoopEndToEnd(t *testing.T) {
 
 	// Put a trace in the ring and offered bytes on the tenant's meter so
 	// the shed weighting has a rate to key on.
-	body, _ := json.Marshal(compileRequest{Patterns: []string{"needle"}})
+	body, _ := json.Marshal(Ruleset{Patterns: []string{"needle"}})
 	var comp compileResponse
 	req, _ := http.NewRequest("POST", srv.URL+"/v1/programs", strings.NewReader(string(body)))
 	req.Header.Set(qos.DefaultHeader, "heavy")

@@ -78,9 +78,12 @@ func deploy(base *bitstream.Image, prev *arch.Placement, prevRes, res *compile.R
 // What an update allocates is what it rewrites: the new image shares every
 // tile and global switch it keeps with the served one by pointer, Diff
 // skips those without comparing them, and the matcher shares its unchanged
-// lanes' tables. What still costs in proportion to the whole ruleset is
-// the new image's CRC, the walk over the placement that finds what to
-// write, and the request's decode.
+// lanes' tables. What it computes is what it rewrites too: Rebuild visits
+// only the patterns on the tiles it writes and checksums only those tiles,
+// the image's CRC is folded from the per-tile ones, and Diff compares each
+// written tile once. What still costs in proportion to the whole ruleset
+// is the front half — compile.Recompile, refmatch.Relower and mapper.Remap
+// each walk every pattern.
 //
 // The expensive half — compiling the new ruleset once, for both the
 // matcher and its deployment image, and building the displaced program's

@@ -271,7 +271,7 @@ func TestHTTPUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ := json.Marshal(compileRequest{Patterns: []string{"dog"}})
+	body, _ := json.Marshal(Ruleset{Patterns: []string{"dog"}})
 	req, _ := http.NewRequest(http.MethodPut, srv.URL+"/programs/"+prog.ID, bytes.NewReader(body))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -294,7 +294,7 @@ func TestHTTPUpdate(t *testing.T) {
 	if resp, err := http.DefaultClient.Do(req); err != nil || resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown ID: %v %v", resp.StatusCode, err)
 	}
-	bad, _ := json.Marshal(compileRequest{Patterns: []string{"("}})
+	bad, _ := json.Marshal(Ruleset{Patterns: []string{"("}})
 	req, _ = http.NewRequest(http.MethodPut, srv.URL+"/programs/"+prog.ID, bytes.NewReader(bad))
 	if resp, err := http.DefaultClient.Do(req); err != nil || resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad pattern: %v %v", resp.StatusCode, err)

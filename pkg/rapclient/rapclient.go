@@ -131,16 +131,8 @@ func (c *Client) WithTenant(name string) *Client {
 // Safe to retry: program IDs are content hashes, so repeating the
 // request converges on the same program.
 func (c *Client) Compile(ctx context.Context, patterns []string, opts *CompileOptions) (*Program, error) {
-	req := compileRequest{Patterns: patterns}
-	if opts != nil {
-		req.Options = *opts
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
 	var out Program
-	if err := c.do(ctx, http.MethodPost, "/v1/programs", body, jsonContent, true, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/programs", rulesetBody(patterns, opts), jsonContent, true, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -150,16 +142,8 @@ func (c *Client) Compile(ctx context.Context, patterns []string, opts *CompileOp
 // {id}) and returns the reconfiguration delta report. Not retried on
 // transport errors: each apply bumps the program generation.
 func (c *Client) Update(ctx context.Context, programID string, patterns []string, opts *CompileOptions) (*UpdateResult, error) {
-	req := compileRequest{Patterns: patterns}
-	if opts != nil {
-		req.Options = *opts
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
 	var out UpdateResult
-	if err := c.do(ctx, http.MethodPut, "/v1/programs/"+programID, body, jsonContent, false, &out); err != nil {
+	if err := c.do(ctx, http.MethodPut, "/v1/programs/"+programID, rulesetBody(patterns, opts), jsonContent, false, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

@@ -19,11 +19,6 @@ type CompileOptions struct {
 	ModePolicy string `json:"mode_policy,omitempty"`
 }
 
-type compileRequest struct {
-	Patterns []string       `json:"patterns"`
-	Options  CompileOptions `json:"options"`
-}
-
 // Program is the compile response: the content-hash program ID plus the
 // engine breakdown of the compiled ruleset.
 type Program struct {

@@ -6,6 +6,7 @@ package arch
 
 import (
 	"math/bits"
+	"slices"
 
 	"repro/internal/nbva"
 )
@@ -199,8 +200,9 @@ type ArrayPlan struct {
 
 	// Tile of every (regex, state) placed in this array, for the simulator
 	// and the image builder: spans is indexed by compiled regex index and
-	// locates that regex's states in stateTile. Written through PlaceStates,
-	// PlaceSlots and CopyStates, read through TileOf and SlotOf.
+	// locates that regex's states in stateTile, or an NFA regex's slots.
+	// Written through PlaceStates, PlaceSlots and Fork, read through TileOf
+	// and SlotOf.
 	spans     []stateSpan
 	stateTile []int16
 }
@@ -209,7 +211,8 @@ type ArrayPlan struct {
 const GlobalSwitchBit = 1 << TilesPerArray
 
 // stateSpan is one regex's run of ArrayPlan.stateTile; n is 0 for a regex
-// with no states in the array. slot is an NFA regex's first slot.
+// with no states in the array. An NFA regex's states take the consecutive
+// slots from slot on and have no run: off is -1.
 type stateSpan struct{ off, n, slot int32 }
 
 // StateRef identifies one automaton state of one compiled regex.
@@ -222,41 +225,59 @@ type StateRef struct {
 // their tile slots, indexed by state, for the mapper to fill in. A regex
 // is placed once.
 func (a *ArrayPlan) PlaceStates(regex, n int) []int16 {
-	if len(a.spans) <= regex {
-		a.spans = append(a.spans, make([]stateSpan, regex+1-len(a.spans))...)
-	}
 	off := len(a.stateTile)
-	a.spans[regex] = stateSpan{off: int32(off), n: int32(n)}
+	a.place(regex, stateSpan{off: int32(off), n: int32(n)})
 	a.stateTile = append(a.stateTile, make([]int16, n)...)
 	return a.stateTile[off:]
 }
 
 // PlaceSlots records that an NFA regex's n states take the consecutive
-// slots from slot on, slot/TileSTEs being a slot's tile, and returns their
-// tiles.
-func (a *ArrayPlan) PlaceSlots(regex, slot, n int) []int16 {
-	tiles := a.PlaceStates(regex, n)
-	for q := range tiles {
-		tiles[q] = int16((slot + q) / TileSTEs)
+// slots from slot on, slot/TileSTEs being a slot's tile.
+func (a *ArrayPlan) PlaceSlots(regex, slot, n int) {
+	a.place(regex, stateSpan{off: -1, n: int32(n), slot: int32(slot)})
+}
+
+func (a *ArrayPlan) place(regex int, sp stateSpan) {
+	if len(a.spans) <= regex {
+		a.spans = append(a.spans, make([]stateSpan, regex+1-len(a.spans))...)
 	}
-	a.spans[regex].slot = int32(slot)
-	return tiles
+	a.spans[regex] = sp
 }
 
 // SlotOf returns the slot of an NFA regex's first state.
 func (a *ArrayPlan) SlotOf(regex int) int { return int(a.spans[regex].slot) }
 
-// CopyStates places regex where from places fromRegex — its states' tiles
-// and, in NFA mode, its slots — and returns their tiles.
-func (a *ArrayPlan) CopyStates(regex int, from *ArrayPlan, fromRegex int) []int16 {
-	if a.spans == nil { // the first of many: size for all of them
-		a.spans, a.stateTile = make([]stateSpan, 0, len(from.spans)), make([]int16, 0, len(from.stateTile))
+// Fork returns a copy of a that a mapper may change without writing a, its
+// regexes renumbered: regex r becomes newOf[r], and one newOf maps below 0
+// is dropped. The tiles and bins are copied; the slices a tile shares with
+// a, the array's regexes and the state tiles are clipped, so appending to
+// one copies it, and a bin's members are shared, so a writer copies them
+// first. The state tiles are compacted once the dropped outnumber the rest.
+func (a *ArrayPlan) Fork(newOf []int) ArrayPlan {
+	f := *a
+	f.Tiles = slices.Clone(a.Tiles)
+	for t := range f.Tiles {
+		f.Tiles[t].Regexes, f.Tiles[t].BVs = slices.Clip(f.Tiles[t].Regexes), slices.Clip(f.Tiles[t].BVs)
 	}
-	sp := from.spans[fromRegex]
-	tiles := a.PlaceStates(regex, int(sp.n))
-	copy(tiles, from.stateTile[sp.off:sp.off+sp.n])
-	a.spans[regex].slot = sp.slot
-	return tiles
+	f.Regexes, f.Bins = slices.Clip(a.Regexes), slices.Clone(a.Bins)
+	f.spans, f.stateTile = make([]stateSpan, 0, len(a.spans)), slices.Clip(a.stateTile)
+	live := 0
+	for r, sp := range a.spans {
+		if sp.n > 0 && r < len(newOf) && newOf[r] >= 0 {
+			f.place(newOf[r], sp)
+			live += int(sp.n)
+		}
+	}
+	if len(f.stateTile) > 2*live {
+		tiles := make([]int16, 0, live)
+		for r := range f.spans {
+			if sp := &f.spans[r]; sp.off >= 0 {
+				sp.off, tiles = int32(len(tiles)), append(tiles, a.stateTile[sp.off:sp.off+sp.n]...)
+			}
+		}
+		f.stateTile = tiles
+	}
+	return f
 }
 
 // TileOf returns the tile holding the state's character-class column (the
@@ -269,6 +290,9 @@ func (a *ArrayPlan) TileOf(ref StateRef) (int, bool) {
 	sp := a.spans[ref.Regex]
 	if ref.State < 0 || ref.State >= int(sp.n) {
 		return 0, false
+	}
+	if sp.off < 0 {
+		return (int(sp.slot) + ref.State) / TileSTEs, true
 	}
 	return int(a.stateTile[int(sp.off)+ref.State]), true
 }

@@ -34,7 +34,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/arch"
-	"repro/internal/charclass"
 	"repro/internal/compile"
 )
 
@@ -111,15 +110,6 @@ func setBit(m []byte, row, col, width int) {
 	m[idx/8] |= 1 << (idx % 8)
 }
 
-// codeOf packs a class's first 32-bit CAM code (hi mask << 16 | lo mask).
-// Multi-code classes store their first partition; the remaining
-// partitions would occupy additional physical columns in a full layout —
-// a documented simplification matching the one-column-per-STE area model.
-func codeOf(c charclass.Class) uint32 {
-	k := charclass.FirstCode(c)
-	return uint32(k.Hi)<<16 | uint32(k.Lo)
-}
-
 // Build materializes the deployment image for a placement. It is Rebuild
 // with no served image.
 func Build(res *compile.Result, p *arch.Placement) (*Image, error) {
@@ -136,7 +126,7 @@ func Build(res *compile.Result, p *arch.Placement) (*Image, error) {
 // checksummed (seal). A nil base is Build.
 func Rebuild(base *Image, res *compile.Result, p *arch.Placement) (*Image, error) {
 	img := &Image{Arrays: make([]ArrayConfig, len(p.Arrays))}
-	var seen []bool   // by regex: has a state on a written tile
+	var seen []uint64 // bit r: regex r has a state on a written tile
 	var written []int // the regexes with one, in plan order
 	for ai := range p.Arrays {
 		plan := &p.Arrays[ai]
@@ -165,7 +155,7 @@ func Rebuild(base *Image, res *compile.Result, p *arch.Placement) (*Image, error
 		visit := plan.Regexes
 		if reused&arch.GlobalSwitchBit != 0 {
 			if seen == nil {
-				seen, written = make([]bool, len(res.Regexes)), make([]int, 0, len(res.Regexes))
+				seen, written = make([]uint64, (len(res.Regexes)+63)/64), make([]int, 0, len(plan.Regexes))
 			}
 			written = touching(plan, reused, seen, written[:0])
 			visit = written
@@ -197,20 +187,20 @@ func Rebuild(base *Image, res *compile.Result, p *arch.Placement) (*Image, error
 }
 
 // touching appends to out the regexes of plan with a state on a tile
-// reused does not mark, in plan order. seen, indexed by regex, is all
-// false on entry and on return.
-func touching(plan *arch.ArrayPlan, reused uint32, seen []bool, out []int) []int {
+// reused does not mark, in plan order. seen, bit r for regex r, is all
+// zero on entry and on return.
+func touching(plan *arch.ArrayPlan, reused uint32, seen []uint64, out []int) []int {
 	for ti := range plan.Tiles {
 		if reused>>ti&1 == 0 {
 			for _, r := range plan.Tiles[ti].Regexes {
-				seen[r] = true
+				seen[r/64] |= 1 << (r % 64)
 			}
 		}
 	}
 	for _, r := range plan.Regexes {
-		if seen[r] {
+		if seen[r/64]>>(r%64)&1 != 0 {
 			out = append(out, r)
-			seen[r] = false
+			seen[r/64] &^= 1 << (r % 64)
 		}
 	}
 	return out
@@ -230,13 +220,14 @@ func buildNFAArray(res *compile.Result, plan *arch.ArrayPlan, regexes []int, ac 
 		if base+c.NFA.NumStates() > len(ac.Tiles)*arch.TileSTEs {
 			return fmt.Errorf("bitstream: state overflow in array")
 		}
+		codes := c.CAMCodes()
 		for q, s := range c.NFA.States {
 			src := base + q
 			tc := ac.Tiles[src/arch.TileSTEs]
 			local := reused>>(src/arch.TileSTEs)&1 == 0
 			if local {
 				tc.ColRole[src%arch.TileSTEs] = ColCC
-				tc.CAMCodes[src%arch.TileSTEs] = codeOf(s.Class)
+				tc.CAMCodes[src%arch.TileSTEs] = codes[q]
 			}
 			for _, succ := range s.Follow {
 				dst := base + succ
@@ -348,10 +339,11 @@ func buildNBVAArray(res *compile.Result, plan *arch.ArrayPlan, regexes []int, ac
 		if c.NBVA == nil {
 			return fmt.Errorf("bitstream: regex %d lacks NBVA payload", ri)
 		}
+		codes := c.CAMCodes()
 		for q, s := range c.NBVA.States {
 			if s.BV == nil {
 				if ti, ok := plan.TileOf(arch.StateRef{Regex: ri, State: q}); ok && reused>>ti&1 == 0 {
-					if err := put(ti, codeOf(s.Class)); err != nil {
+					if err := put(ti, codes[q]); err != nil {
 						return err
 					}
 				}
@@ -362,7 +354,7 @@ func buildNBVAArray(res *compile.Result, plan *arch.ArrayPlan, regexes []int, ac
 					continue
 				}
 				for bvs := plan.Tiles[ti].BVs; bvNext[ti] < len(bvs) && bvs[bvNext[ti]].Regex == ri && bvs[bvNext[ti]].STE == q; bvNext[ti]++ {
-					if err := put(ti, codeOf(s.Class)); err != nil {
+					if err := put(ti, codes[q]); err != nil {
 						return err
 					}
 				}
@@ -400,7 +392,10 @@ func buildLNFAArray(res *compile.Result, plan *arch.ArrayPlan, ac *ArrayConfig, 
 			if ref[1] >= len(c.Seqs) {
 				return fmt.Errorf("bitstream: bad sequence ref %v", ref)
 			}
-			seq := c.Seqs[ref[1]]
+			seq, codes := c.Seqs[ref[1]], c.CAMCodes()
+			for _, s := range c.Seqs[:ref[1]] {
+				codes = codes[len(s.Classes):]
+			}
 			region := bin.RegionSize()
 			for j, cls := range seq.Classes {
 				tIdx := (bin.StartOffset + j) / region
@@ -418,7 +413,7 @@ func buildLNFAArray(res *compile.Result, plan *arch.ArrayPlan, ac *ArrayConfig, 
 						return fmt.Errorf("bitstream: LNFA CAM overflow in tile %d", tile)
 					}
 					tc.ColRole[col] = ColCC
-					tc.CAMCodes[col] = codeOf(cls)
+					tc.CAMCodes[col] = codes[j]
 					camCursor[tile]++
 				} else {
 					slotIdx := switchCursor[tile]

@@ -227,6 +227,42 @@ type Compiled struct {
 	UnfoldedSTEs  int // size of the equivalent basic NFA
 	LinearGrowth  float64
 	DecisionTrail string // human-readable route through Fig 9
+
+	cam *[]uint32 // CAMCodes', behind a pointer: each generation copies the entry
+}
+
+// CAMCodes returns the 32-bit CAM code the image builder writes for each
+// of the regex's states, in state order (an LNFA regex's sequence by
+// sequence): its class's first, hi mask << 16 | lo mask. A compiled regex
+// carries them, shared like its machine by the generations that keep it;
+// one built by hand computes them on each call. A multi-code class's other
+// codes would take more columns in a full layout, a simplification that
+// matches the one-column-per-STE area model.
+func (c *Compiled) CAMCodes() []uint32 {
+	if c.cam != nil {
+		return *c.cam
+	}
+	return *camCodes(c)
+}
+
+func camCodes(c *Compiled) *[]uint32 {
+	codes := make([]uint32, 0, c.STEs)
+	add := func(cls charclass.Class) {
+		k := charclass.FirstCode(cls)
+		codes = append(codes, uint32(k.Hi)<<16|uint32(k.Lo))
+	}
+	for q := 0; c.NFA != nil && q < len(c.NFA.States); q++ {
+		add(c.NFA.States[q].Class)
+	}
+	for q := 0; c.NBVA != nil && q < len(c.NBVA.States); q++ {
+		add(c.NBVA.States[q].Class)
+	}
+	for _, s := range c.Seqs { // LNFA
+		for _, cls := range s.Classes {
+			add(cls)
+		}
+	}
+	return &codes
 }
 
 // Result is the output of compiling a pattern set.
@@ -247,6 +283,10 @@ type Result struct {
 	// mapper.Remap keeps such a regex where the previous generation placed
 	// it, and places a restored one as new.
 	From []int
+	// FromOlder holds, for each slot Recompile restored from the
+	// generation before the previous one, that generation's slot, and -1
+	// for the others; nil when that generation could not be reused.
+	FromOlder []int
 
 	// opts are the defaulted options the Result was compiled under (zero
 	// for FromNFAs); Recompile reuses entries only under equal options.

@@ -35,86 +35,92 @@ func CompileContext(ctx context.Context, patterns []string, opts Options) (*Resu
 // generation of the ruleset, as its cache, and older, the generation prev
 // replaced, behind it. The Fig 9 decision is made per regex with no
 // cross-pattern state, so a pattern whose text compiled in prev under the
-// same options takes prev's Compiled entry — its AST and machine shared by
-// pointer, nothing in them is written after construction — one only older
-// holds under the same options takes older's, and only texts neither holds
-// are parsed, rewritten and routed. The Result equals a cold compile of
-// patterns (Regexes, Diags, Errors, Fingerprint); Reused says how many
-// slots were taken from prev, and From which, Restored how many from
-// older. A nil prev and older, or ones compiled under other options, reuse
-// nothing: that is CompileContext.
+// same options takes prev's Compiled entry — its AST, machine and CAM codes
+// shared by pointer, nothing in them is written after construction — one
+// only older holds under the same options takes older's, and only texts
+// neither holds are parsed, rewritten and routed. The Result equals a cold
+// compile of patterns (Regexes, Diags, Errors, Fingerprint); Reused says how
+// many slots were taken from prev, and From which, Restored how many from
+// older, and FromOlder which. A nil prev and older, or ones compiled under
+// other options, reuse nothing: that is CompileContext.
+//
+// What it costs follows the edit: a slot whose text is the one at the
+// same slot of prev takes that entry, and only the texts that moved or are
+// new are indexed and looked up.
 func Recompile(ctx context.Context, prev, older *Result, patterns []string, opts Options) (*Result, error) {
 	opts.setDefaults()
-	res := &Result{
-		Regexes: make([]Compiled, len(patterns)),
-		Diags:   make([]Diag, len(patterns)),
-		opts:    opts,
-	}
+	n := len(patterns)
+	res := &Result{Regexes: make([]Compiled, n), Diags: make([]Diag, n), opts: opts}
 	res.opts.Parallelism = 0 // never changes the output, so never refuses reuse
-	// cached maps each pattern prev compiled to its entry and slot there,
-	// and each one only older compiled to its entry there, with From -1.
-	var cached map[string]source
-	for _, gen := range []*Result{older, prev} { // prev last: its entries win
+	gens, from := [2]*Result{prev, older}, [2]*[]int{&res.From, &res.FromOlder}
+	for k, gen := range gens {
 		if gen == nil || gen.opts != res.opts {
+			gens[k] = nil
 			continue
 		}
-		if cached == nil {
-			cached = make(map[string]source, len(gen.Regexes))
-		}
-		for i := range gen.Regexes {
-			if !gen.Diags[i].OK() {
-				continue
-			}
-			from := -1
-			if gen == prev {
-				from = i
-			}
-			cached[gen.Regexes[i].Source] = source{&gen.Regexes[i], from}
+		*from[k] = make([]int, n)
+		for i := range *from[k] {
+			(*from[k])[i] = -1
 		}
 	}
-	if prev != nil && prev.opts == res.opts {
-		res.From = make([]int, len(patterns))
+	// A text not at its slot of prev is looked up in one pass over both
+	// generations, through an index of those texts alone: prev's entries
+	// win, and a generation's last slot holding the text.
+	var misses, todo []int
+	for i, p := range patterns {
+		if gens[0].holds(i, p) {
+			res.take(i, gens, 0, i)
+		} else {
+			misses = append(misses, i)
+		}
 	}
+	at := make(map[string][2]int, len(misses))
+	for _, i := range misses {
+		at[patterns[i]] = [2]int{-1, -1}
+	}
+	for k := len(gens) - 1; k >= 0 && len(misses) > 0; k-- {
+		for j := range gens[k].regexes() {
+			if _, ok := at[gens[k].Regexes[j].Source]; ok && gens[k].Diags[j].OK() {
+				at[gens[k].Regexes[j].Source] = [2]int{k, j}
+			}
+		}
+	}
+	for _, i := range misses {
+		if kj := at[patterns[i]]; kj[0] >= 0 {
+			res.take(i, gens, kj[0], kj[1])
+		} else {
+			todo = append(todo, i)
+		}
+	}
+
+	// Only texts neither generation holds are compiled, on the pool.
 	workers := opts.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(patterns) {
-		workers = len(patterns)
+	workers = min(workers, len(todo))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	work := func() {
+		defer wg.Done()
+		for t := int(next.Add(1)) - 1; t < len(todo) && ctx.Err() == nil; t = int(next.Add(1)) - 1 {
+			i := todo[t]
+			c, code, err := compilePattern(patterns[i], opts)
+			if err != nil {
+				res.Diags[i] = Diag{Index: i, Code: code, Err: err}
+				continue
+			}
+			c.cam = camCodes(c)
+			res.set(i, c)
+		}
 	}
-
-	var restored atomic.Int64
-	if workers <= 1 {
-		for i, p := range patterns {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if compileSlot(res, i, p, opts, cached) {
-				restored.Add(1)
-			}
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for ctx.Err() == nil {
-					i := int(next.Add(1)) - 1
-					if i >= len(patterns) {
-						return
-					}
-					if compileSlot(res, i, patterns[i], opts, cached) {
-						restored.Add(1)
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go work()
+	}
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 
 	// Fold the diagnostics into the legacy Errors list serially, in input
@@ -124,45 +130,41 @@ func Recompile(ctx context.Context, prev, older *Result, patterns []string, opts
 			res.Errors = append(res.Errors, &Error{
 				Index: d.Index, Pattern: patterns[d.Index], Code: d.Code, Err: d.Err,
 			})
-		} else if res.From != nil && res.From[i] >= 0 {
-			res.Reused++
 		}
 	}
-	res.Restored = int(restored.Load())
 	return res, nil
 }
 
-// source is a cached entry of an earlier generation and its slot in prev,
-// -1 for one of older.
-type source struct {
-	c    *Compiled
-	from int
+// holds reports whether slot i of gen compiled the text p; a nil gen holds
+// nothing.
+func (gen *Result) holds(i int, p string) bool {
+	return gen != nil && i < len(gen.Regexes) && gen.Regexes[i].Source == p && gen.Diags[i].OK()
 }
 
-// compileSlot fills Result slot i with pattern's cached entry when there is
-// one and with a fresh compile otherwise, and reports whether the entry was
-// older's. Each slot is written by exactly one worker (the one that claimed
-// index i), so no synchronization is needed beyond the pool's WaitGroup.
-func compileSlot(res *Result, i int, pattern string, opts Options, cached map[string]source) (restored bool) {
-	s, ok := cached[pattern]
-	if !ok {
-		s.from = -1
-		var code DiagCode
-		var err error
-		if s.c, code, err = compilePattern(pattern, opts); err != nil {
-			res.Diags[i] = Diag{Index: i, Code: code, Err: err}
-		}
+// take fills slot i with slot j of gens[k]: prev's (k 0) or older's.
+func (r *Result) take(i int, gens [2]*Result, k, j int) {
+	r.set(i, &gens[k].Regexes[j])
+	if k == 0 {
+		r.From[i], r.Reused = j, r.Reused+1
+	} else {
+		r.FromOlder[i], r.Restored = j, r.Restored+1
 	}
-	if res.From != nil {
-		res.From[i] = s.from
+}
+
+// set fills slot i with c. Each slot is written by exactly one worker, so
+// no synchronization is needed beyond the pool's WaitGroup.
+func (r *Result) set(i int, c *Compiled) {
+	r.Regexes[i] = *c
+	r.Regexes[i].Index = i
+	r.Diags[i] = Diag{Index: i, Code: DiagOK, Mode: c.Mode, ModeReason: c.DecisionTrail}
+}
+
+// regexes returns gen's Regexes, none for a nil gen.
+func (gen *Result) regexes() []Compiled {
+	if gen == nil {
+		return nil
 	}
-	if res.Diags[i].Err != nil {
-		return false
-	}
-	res.Regexes[i] = *s.c
-	res.Regexes[i].Index = i
-	res.Diags[i] = Diag{Index: i, Code: DiagOK, Mode: s.c.Mode, ModeReason: s.c.DecisionTrail}
-	return ok && s.from < 0
+	return gen.Regexes
 }
 
 // Fingerprint returns a content hash over everything mapping and

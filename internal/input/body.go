@@ -1,6 +1,7 @@
 package input
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,6 +12,31 @@ import (
 // MaxBody bounds every request body (32 MiB), on a serving node and on a
 // cluster gateway alike: a gateway refuses what the serving node would.
 const MaxBody = 32 << 20
+
+// MaxConfig bounds a JSON config file (1 MiB), read whole before it is
+// parsed.
+const MaxConfig = 1 << 20
+
+// DecodeConfig decodes the JSON config r holds into v: one value of at most
+// MaxConfig bytes, with no field v lacks and nothing after it.
+func DecodeConfig(r io.Reader, v any) error {
+	data, err := io.ReadAll(io.LimitReader(r, MaxConfig+1))
+	if err == nil && len(data) > MaxConfig {
+		err = fmt.Errorf("config larger than %d bytes", MaxConfig)
+	}
+	if err != nil {
+		return err
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("bytes after the config")
+	}
+	return nil
+}
 
 // Bodies recycles the buffers ReadBody hands out. It retains buffers up to
 // 1 MiB: the occasional huge scan body is freed instead of pinning its

@@ -158,55 +158,80 @@ func remap(prev *arch.Placement, prevRes, res *compile.Result, opts Options) *ar
 	}
 	// The served arrays, renumbered, with what prevRes alone held taken
 	// out. dirty marks, per array, the tiles whose occupants change and the
-	// global switch when a regex routed through it comes or goes.
+	// global switch when a regex routed through it comes or goes. An array
+	// or tile whose every regex keeps its index is prev's, an array until a
+	// new regex is placed in it (write forks it).
 	p := &arch.Placement{Arrays: make([]arch.ArrayPlan, len(prev.Arrays))}
 	dirty := make([]uint32, len(p.Arrays))
+	forked := make([]bool, len(p.Arrays))
+	write := func(ai int) *arch.ArrayPlan {
+		if !forked[ai] {
+			p.Arrays[ai], forked[ai] = p.Arrays[ai].Fork(newOf), true
+		}
+		return &p.Arrays[ai]
+	}
+	moved := func(r int) bool { return newOf[r] != r }
 	for ai := range prev.Arrays {
 		oa, na := &prev.Arrays[ai], &p.Arrays[ai]
-		if oa.Mode == arch.ModeNBVA && oa.Depth != opts.Depth {
+		if oa.Mode == arch.ModeNBVA && oa.Depth != opts.Depth ||
+			slices.ContainsFunc(oa.Bins, func(b arch.BinPlan) bool { return len(b.Seqs) > opts.BinSize }) {
 			return nil
 		}
-		*na = arch.ArrayPlan{Mode: oa.Mode, Depth: oa.Depth, CrossTileEdges: oa.CrossTileEdges, Tiles: make([]arch.TilePlan, len(oa.Tiles))}
-		for ti := range oa.Tiles {
-			ot, nt := &oa.Tiles[ti], &na.Tiles[ti]
-			nt.CAMSlots, nt.SwitchSlots, nt.HasInitial = ot.CAMSlots, ot.SwitchSlots, ot.HasInitial
-			nt.Regexes, nt.BVs = make([]int, 0, len(ot.Regexes)), make([]arch.BVAlloc, 0, len(ot.BVs))
-			for _, r := range ot.Regexes {
-				if newOf[r] < 0 {
-					dirty[ai] |= 1 << ti
-				} else {
-					nt.Regexes = append(nt.Regexes, newOf[r])
-				}
-			}
-			for _, bv := range ot.BVs {
-				if bv.Regex = newOf[bv.Regex]; bv.Regex >= 0 {
-					nt.BVs = append(nt.BVs, bv)
-					nt.CCColumns, nt.InitColumns, nt.BVColumns = nt.CCColumns+1, nt.InitColumns+1, nt.BVColumns+bv.Width
-					nt.HasBV, nt.ReadKind = true, bv.Read
-				}
-			}
+		if *na = *oa; !slices.ContainsFunc(oa.Regexes, moved) {
+			continue
 		}
+		na = write(ai)
+		na.Regexes = make([]int, 0, len(oa.Regexes))
 		for _, r := range oa.Regexes {
-			if n := newOf[r]; n < 0 && oa.Mode == arch.ModeNFA {
-				if x := crossEdges(&prevRes.Regexes[r], oa.SlotOf(r)); x > 0 {
+			if n := newOf[r]; n >= 0 {
+				na.Regexes = append(na.Regexes, n)
+				continue
+			}
+			c := &prevRes.Regexes[r]
+			if oa.Mode == arch.ModeNFA {
+				if x := crossEdges(c, oa.SlotOf(r)); x > 0 {
 					na.CrossTileEdges -= x
 					dirty[ai] |= arch.GlobalSwitchBit
 				}
-			} else if n >= 0 {
-				na.Regexes = append(na.Regexes, n)
-				if oa.Mode != arch.ModeLNFA {
-					c := &res.Regexes[n]
-					for q, t := range na.CopyStates(n, oa, r) {
-						if c.NBVA == nil || c.NBVA.States[q].BV == nil { // a BV-STE's columns come with its BVs
-							na.Tiles[t].CCColumns++
-						}
-					}
+			}
+			for q := 0; ; q++ {
+				t, ok := oa.TileOf(arch.StateRef{Regex: r, State: q})
+				if !ok {
+					break
+				}
+				if c.NBVA == nil || c.NBVA.States[q].BV == nil { // a BV-STE's columns go with its BVs
+					na.Tiles[t].CCColumns--
 				}
 			}
 		}
-		for _, b := range oa.Bins {
-			if len(b.Seqs) > opts.BinSize {
-				return nil
+		for ti := range na.Tiles {
+			nt := &na.Tiles[ti]
+			if !slices.ContainsFunc(nt.Regexes, moved) {
+				continue
+			}
+			regexes, bvs := make([]int, 0, len(nt.Regexes)), make([]arch.BVAlloc, 0, len(nt.BVs))
+			for _, r := range nt.Regexes {
+				if newOf[r] < 0 {
+					dirty[ai] |= 1 << ti
+				} else {
+					regexes = append(regexes, newOf[r])
+				}
+			}
+			nt.HasBV, nt.ReadKind = false, 0
+			for _, bv := range nt.BVs {
+				if bv.Regex = newOf[bv.Regex]; bv.Regex >= 0 {
+					bvs = append(bvs, bv)
+					nt.HasBV, nt.ReadKind = true, bv.Read
+				} else {
+					nt.CCColumns, nt.InitColumns, nt.BVColumns = nt.CCColumns-1, nt.InitColumns-1, nt.BVColumns-bv.Width
+				}
+			}
+			nt.Regexes, nt.BVs = regexes, bvs
+		}
+		for bi := range na.Bins {
+			b := &na.Bins[bi]
+			if !slices.ContainsFunc(b.Seqs, func(ref [2]int) bool { return ref != arch.Hole && moved(ref[0]) }) {
+				continue
 			}
 			b.Seqs = slices.Clone(b.Seqs)
 			for k, ref := range b.Seqs {
@@ -217,7 +242,6 @@ func remap(prev *arch.Placement, prevRes, res *compile.Result, opts Options) *ar
 					b.Seqs[k][0] = newOf[ref[0]]
 				}
 			}
-			na.Bins = append(na.Bins, b)
 		}
 	}
 
@@ -231,7 +255,7 @@ func remap(prev *arch.Placement, prevRes, res *compile.Result, opts Options) *ar
 					allowed &^= a.UsedTiles() &^ dirty[ai]
 				}
 				if a.Mode == mode {
-					if touched := place(a, allowed); touched != 0 {
+					if touched := place(write(ai), allowed); touched != 0 {
 						dirty[ai] |= touched
 						return true
 					}
@@ -240,7 +264,8 @@ func remap(prev *arch.Placement, prevRes, res *compile.Result, opts Options) *ar
 		}
 		return false
 	}
-	var units []nbvaUnit
+	spans := make([][2]int, 0, 64)   // freeSlot's
+	units := make([]nbvaUnit, 0, 16) // unitsFor's
 	var rest []lnfaSeq
 	for i := range res.Regexes {
 		c, ok := &res.Regexes[i], true
@@ -248,7 +273,8 @@ func remap(prev *arch.Placement, prevRes, res *compile.Result, opts Options) *ar
 		case kept[i] || c.Source == "":
 		case c.Mode == compile.ModeNFA:
 			ok = fit(arch.ModeNFA, func(a *arch.ArrayPlan, allowed uint32) uint32 {
-				if slot := freeSlot(a, res, c.NFA.NumStates(), allowed); slot >= 0 {
+				var slot int
+				if slot, spans = freeSlot(spans[:0], a, res, c.NFA.NumStates(), allowed); slot >= 0 {
 					return placeNFA(a, c, slot)
 				}
 				return 0
@@ -276,7 +302,7 @@ func remap(prev *arch.Placement, prevRes, res *compile.Result, opts Options) *ar
 		if last < 0 {
 			return nil
 		}
-		before := len(p.Arrays[last].Bins)
+		before := len(write(last).Bins)
 		if packBins(p, last, binsFor(rest, opts.BinSize), false) != nil {
 			return nil
 		}
@@ -317,9 +343,9 @@ func tilesOf(tiles []int) uint32 {
 }
 
 // freeSlot returns the first slot of the NFA array from which n slots are
-// free and on allowed tiles, or -1.
-func freeSlot(a *arch.ArrayPlan, res *compile.Result, n int, allowed uint32) int {
-	spans := make([][2]int, 0, len(a.Regexes)+1)
+// free and on allowed tiles, or -1, and spans, which it appends the
+// array's regexes' slot spans to.
+func freeSlot(spans [][2]int, a *arch.ArrayPlan, res *compile.Result, n int, allowed uint32) (int, [][2]int) {
 	for _, r := range a.Regexes {
 		spans = append(spans, [2]int{a.SlotOf(r), res.Regexes[r].NFA.NumStates()})
 	}
@@ -334,11 +360,11 @@ func freeSlot(a *arch.ArrayPlan, res *compile.Result, n int, allowed uint32) int
 					continue gap
 				}
 			}
-			return at
+			return at, spans
 		}
 		at = max(at, s[0]+s[1])
 	}
-	return -1
+	return -1, spans
 }
 
 // fillHole puts a new sequence in the array's first bin hole that fits it
@@ -350,6 +376,7 @@ func fillHole(a *arch.ArrayPlan, s lnfaSeq) uint32 {
 		if k < 0 || s.size > b.PaddedLen || b.CAMMapped && !s.cam {
 			continue
 		}
+		b.Seqs = slices.Clone(b.Seqs) // may be shared with the served placement
 		b.Seqs[k] = [2]int{s.regex, s.seq}
 		b.PaddingWaste -= s.size
 		for _, t := range b.Tiles {
@@ -385,7 +412,10 @@ func mapNFA(p *arch.Placement, regexes []*compile.Compiled) error {
 // arch.GlobalSwitchBit when an edge crosses tiles.
 func placeNFA(a *arch.ArrayPlan, c *compile.Compiled, slot int) uint32 {
 	touched := uint32(1) << (slot / arch.TileSTEs)
-	for _, tile := range a.PlaceSlots(c.Index, slot, c.NFA.NumStates()) {
+	n := c.NFA.NumStates()
+	a.PlaceSlots(c.Index, slot, n)
+	for q := range n {
+		tile := (slot + q) / arch.TileSTEs
 		a.Tiles[tile].CCColumns++
 		addRegex(&a.Tiles[tile], c.Index)
 		touched |= 1 << tile

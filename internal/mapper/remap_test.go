@@ -43,8 +43,9 @@ func checkCRC(t *testing.T, what string, img *bitstream.Image) {
 // revert — over a workload subset. Every generation is compiled by
 // compile.Recompile from the one before, placed by Remap from its
 // placement and built by bitstream.Rebuild on its image, as Service.Update
-// does. After every step: the placement keeps the mapper's invariants with
-// every regex placed once; the image built on the served one equals the
+// does. After every step: Remap leaves the served placement, whose arrays
+// and tiles the new one shares, as it was; the placement keeps the
+// mapper's invariants with every regex placed once; the image built on the served one equals the
 // image built from nothing; the delta from the served image applies to it
 // to give the new one; Rebuild leaves the served image, whose tiles the
 // new one shares, as it was; Remap uses at most maxTileGrowth tiles; and
@@ -111,9 +112,13 @@ func FuzzRemap(f *testing.F) {
 			if err != nil || len(nres.Errors) > 0 {
 				t.Fatalf("step %d: compile: %v %v", step, err, nres.Errors)
 			}
+			served := dumpPlacement(res, p)
 			np, _, err := Remap(p, res, nres, opts)
 			if err != nil {
 				t.Skip(err)
+			}
+			if dumpPlacement(res, p) != served {
+				t.Fatalf("step %d (op %d): Remap wrote the placement it remapped", step, op%5)
 			}
 			checkInvariants(t, nres, np, opts)
 			base := marshal(t, img)

@@ -1,11 +1,12 @@
 package qos
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
+	"io"
 	"os"
+
+	"repro/internal/input"
 )
 
 const (
@@ -110,20 +111,25 @@ func (c Config) Validate() error {
 // LoadFile reads and validates a tenant-config JSON file. Unknown fields
 // are errors, so a typo in a limit name cannot silently mean "unlimited".
 func LoadFile(path string) (Config, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return Config{}, fmt.Errorf("qos: %w", err)
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var cfg Config
-	if err := dec.Decode(&cfg); err != nil {
-		return Config{}, fmt.Errorf("qos: %s: %w", path, err)
-	}
-	if err := cfg.Validate(); err != nil {
+	defer f.Close()
+	cfg, err := parse(f)
+	if err != nil {
 		return Config{}, fmt.Errorf("%s: %w", path, err)
 	}
 	return cfg, nil
+}
+
+// parse reads one config (input.DecodeConfig) that Validate accepts.
+func parse(r io.Reader) (Config, error) {
+	var c Config
+	if err := input.DecodeConfig(r, &c); err != nil {
+		return Config{}, fmt.Errorf("qos: %w", err)
+	}
+	return c, c.Validate()
 }
 
 // tenantKey is the context key carrying the tenant identity.

@@ -107,11 +107,11 @@ func TestDFABlockSequence(t *testing.T) {
 		var got []Match
 		all := m.Scan(input)
 		for i, mt := range all {
-			isDFA := m.engines[mt.Pattern] == EngineDFA
+			isDFA := m.Engines()[mt.Pattern] == EngineDFA
 			if isDFA {
 				got = append(got, mt)
 			}
-			if i > 0 && (all[i-1].End > mt.End || (all[i-1].End == mt.End && !isDFA && m.engines[all[i-1].Pattern] == EngineDFA)) {
+			if i > 0 && (all[i-1].End > mt.End || (all[i-1].End == mt.End && !isDFA && m.Engines()[all[i-1].Pattern] == EngineDFA)) {
 				t.Fatalf("seed %d: match %d %v follows %v", seed, i, mt, all[i-1])
 			}
 		}

@@ -21,10 +21,11 @@ type lane interface {
 	// and the runs themselves follow pattern order.
 	scan(s *Session, chunk []byte, base int)
 	reset()
-	// pats lists the lane's patterns in the order it scans them, and
-	// kernel names the loop that scans the j-th of them.
+	// pats lists the lane's patterns in the order it scans them, kernel
+	// names the loop that scans the j-th of them, and engine is theirs.
 	pats() []int
 	kernel(j int) string
+	engine() Engine
 }
 
 // shiftAndLane is a packed Shift-And machine; pf, when set, gates it to
@@ -33,6 +34,7 @@ type shiftAndLane struct {
 	sa       *shiftand.Machine
 	members  []*compile.LinearSeq // the packed sequences, in order
 	patterns []int                // per packed sequence
+	analyses []*analysis          // per packed sequence, its pattern's
 	pf       *prefilter.Set
 	r        *shiftand.Runner
 	stream   *prefilter.Stream // nil without pf
@@ -74,7 +76,8 @@ func prefiltered(lanes []lane) *shiftAndLane {
 	return nil
 }
 
-func (l *shiftAndLane) pats() []int { return l.patterns }
+func (l *shiftAndLane) pats() []int    { return l.patterns }
+func (l *shiftAndLane) engine() Engine { return EngineShiftAnd }
 
 func (l *shiftAndLane) kernel(int) string {
 	name := "shiftand-multi"
@@ -150,7 +153,8 @@ func (l *nbvaLane) reset() {
 	}
 }
 
-func (l *nbvaLane) pats() []int { return l.patterns }
+func (l *nbvaLane) pats() []int    { return l.patterns }
+func (l *nbvaLane) engine() Engine { return EngineNBVA }
 
 func (l *nbvaLane) kernel(j int) string {
 	name := "word64"
@@ -195,7 +199,8 @@ func (l *nfaLane) reset() {
 	}
 }
 
-func (l *nfaLane) pats() []int { return l.patterns }
+func (l *nfaLane) pats() []int    { return l.patterns }
+func (l *nfaLane) engine() Engine { return EngineNFA }
 
 func (l *nfaLane) kernel(int) string { return "nfa-step" }
 
@@ -221,6 +226,7 @@ func (l *dfaLane) scan(s *Session, chunk []byte, base int) {
 
 func (l *dfaLane) reset() { clear(l.rows) }
 
-func (l *dfaLane) pats() []int { return l.patterns }
+func (l *dfaLane) pats() []int    { return l.patterns }
+func (l *dfaLane) engine() Engine { return EngineDFA }
 
 func (l *dfaLane) kernel(int) string { return "dfa-table" }

@@ -169,15 +169,12 @@ type Match struct {
 
 // Matcher scans inputs against a compiled set of patterns.
 type Matcher struct {
-	engines  []Engine
-	verdicts []prefilter.Verdict // per global pattern
-	// analyses holds prefilter.Analyze's answer for each Shift-And
-	// pattern's AST, for a successor to take instead of asking again.
-	analyses map[*regexast.Regex]analysis
-
-	// lanes are the scan loops in the order of the package comment; a lane
-	// with no pattern is left out.
+	n int // patterns
+	// lanes are the scan loops in the order of the package comment, in
+	// kinds (apart, so that no Matcher points into itself); a lane with no
+	// pattern is left out.
 	lanes []lane
+	kinds *laneSet
 	// lanesReused counts the lanes Relower took whole from an earlier
 	// generation.
 	lanesReused int
@@ -191,6 +188,12 @@ type Matcher struct {
 	parOnce sync.Once
 	par     *parallelPlan
 	parErr  error
+
+	// The per-pattern report — each pattern's engine and prefilter
+	// verdict — is built on first use from the lanes.
+	reportOnce sync.Once
+	engines    []Engine
+	verdicts   []prefilter.Verdict
 }
 
 // Compile builds a matcher for the given patterns: the internal/compile
@@ -206,46 +209,62 @@ func Compile(ctx context.Context, patterns []string, opts Options) (*Matcher, er
 	return FromResult(res, opts)
 }
 
-// analysis is the prefilter analysis of one pattern: its mandatory
-// literals and the verdict before the tier is known.
+// analysis is the prefilter analysis of one pattern's AST: its mandatory
+// literals and the verdict before the tier is known. disabled is every
+// Shift-And pattern's under DisablePrefilter.
 type analysis struct {
+	ast     *regexast.Regex
 	lits    [][]byte
 	verdict prefilter.Verdict
 }
 
-// lowered adds to dfas and kernels what m lowered each machine to, for a
-// successor lowered under opts (defaulted) to reuse: the DFA table of an
-// NFA (nil: it steps as an NFA, because the streaming DFA does not apply or
-// outgrew DFAStateCap), kept only under the same cap, and the scan kernel
-// of an NBVA machine (nil: too wide, sessions step a Runner). It returns
-// the prefilter analyses of m's Shift-And patterns.
-func (m *Matcher) lowered(opts Options, dfas map[*automata.NFA]*automata.DFA, kernels map[*nbva.Machine]*nbva.Kernel) map[*regexast.Regex]analysis {
-	if m == nil {
-		return nil
-	}
-	sameCap := m.opts.DFAStateCap == opts.DFAStateCap
-	for _, l := range m.lanes {
-		switch l := l.(type) {
-		case *nbvaLane:
-			for j, machine := range l.machines {
-				kernels[machine] = l.kernels[j]
-			}
-		case *nfaLane:
-			for _, nfa := range l.nfas {
-				if sameCap {
-					dfas[nfa] = nil
-				}
-			}
-		case *dfaLane:
-			for j, nfa := range l.nfas {
-				if sameCap {
-					dfas[nfa] = l.dfas[j]
-				}
-			}
+var disabled = &analysis{verdict: prefilter.Verdict{Reason: "prefilter disabled by options"}}
+
+// at returns the lane of m that scans pattern j and j's index in it.
+func (m *Matcher) at(j int) (lane, int) {
+	for k := 0; m != nil && k < len(m.lanes); k++ {
+		if at, ok := slices.BinarySearch(m.lanes[k].pats(), j); ok {
+			return m.lanes[k], at
 		}
 	}
-	return m.analyses
+	return nil, -1
 }
+
+// laneSet is a matcher's lanes by kind, each empty when it has none.
+type laneSet struct {
+	sa [2]shiftAndLane // prefiltered, always-on
+	nb nbvaLane
+	nf nfaLane
+	dl dfaLane
+}
+
+// prefix builds one of a lane's slices as a view of the same slice of an
+// earlier generation's lane, old, for as long as every value added is the
+// one old holds there, and copies only once one is not.
+type prefix[T comparable] struct {
+	old, s []T // s: the values, once copied
+	n      int
+}
+
+func (p *prefix[T]) add(v T) {
+	if p.s == nil && (p.n >= len(p.old) || p.old[p.n] != v) {
+		p.s = append(make([]T, 0, p.n+1), p.old[:p.n]...)
+	}
+	if p.s != nil {
+		p.s = append(p.s, v)
+	}
+	p.n++
+}
+
+func (p *prefix[T]) slice() []T {
+	if p.s != nil || p.old == nil {
+		return p.s
+	}
+	return p.old[:p.n:p.n]
+}
+
+// same reports whether a and b are one slice.
+func same[T any](a, b []T) bool { return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0]) }
 
 // alwaysOn is the prefilter verdict of a pattern whose engine steps every
 // byte.
@@ -282,115 +301,126 @@ func FromResult(res *compile.Result, opts Options) (*Matcher, error) {
 
 // Relower is FromResult with prev, the Matcher of an earlier generation of
 // the ruleset, as its cache, and older, the Matcher prev replaced, behind
-// it: a machine res shares with the Result either was lowered from
-// (compile.Recompile shares them by pointer) keeps that matcher's DFA table
-// or NBVA kernel, also by pointer, since no scan writes to either, and a
-// shared AST keeps its prefilter literals and verdict. A Shift-And lane
-// whose members — sequences, by pointer, in order — are those of a lane of
-// prev or older takes that lane's machine and prefilter whole, since they
-// depend on nothing else; only a lane whose membership changed is packed
-// and its literal union built again. The Matcher equals FromResult(res,
-// opts) in engines, kernels, verdicts and match order. A nil prev and older
-// is FromResult.
+// it. A pattern res took from the Result either was lowered from
+// (compile.Recompile shares its machine and records its slot in From or
+// FromOlder) takes that matcher's DFA table or NBVA kernel, by pointer,
+// since no scan writes to either, and its prefilter analysis, looked up by
+// that slot. Each lane's slices stay views of the same lane of an earlier
+// generation while they hold the same members, so a lane the edit left as
+// it was allocates nothing, and a Shift-And lane whose members — sequences,
+// by pointer, in order — are those of a lane of prev or older takes that
+// lane's machine and prefilter whole; only a lane whose membership changed
+// is packed and its literal union built again. The Matcher equals
+// FromResult(res, opts) in engines, kernels, verdicts and match order. A
+// nil prev and older is FromResult.
 func Relower(prev, older *Matcher, res *compile.Result, opts Options) (*Matcher, error) {
 	if len(res.Errors) > 0 {
 		return nil, res.Errors[0]
 	}
 	opts.setDefaults()
-	n := len(res.Regexes)
-	dfas, kernels := make(map[*automata.NFA]*automata.DFA, n), make(map[*nbva.Machine]*nbva.Kernel, n)
-	olderAnalyses := older.lowered(opts, dfas, kernels)
-	analyses := prev.lowered(opts, dfas, kernels)
-	m := &Matcher{
-		engines:  make([]Engine, len(res.Regexes)),
-		verdicts: make([]prefilter.Verdict, len(res.Regexes)),
-		analyses: make(map[*regexast.Regex]analysis),
-		opts:     opts,
+	m := &Matcher{n: len(res.Regexes), opts: opts, kinds: &laneSet{}}
+	// The lanes are built as views of those of older when the edit
+	// restored patterns from it, else of prev's.
+	old, base := &laneSet{}, prev
+	if res.Restored > 0 {
+		base = older
 	}
-	sas := [2]*shiftAndLane{{}, {}} // prefiltered, always-on
-	var pfLits [][]byte
-	pfWindow := 0
-	nb, nf, dl := &nbvaLane{}, &nfaLane{}, &dfaLane{}
+	if base != nil {
+		old = base.kinds
+	}
+	var saMembers [2]prefix[*compile.LinearSeq]
+	var saPatterns [2]prefix[int]
+	var saAnalyses [2]prefix[*analysis]
+	for k, o := range old.sa {
+		saMembers[k].old, saPatterns[k].old, saAnalyses[k].old = o.members, o.patterns, o.analyses
+	}
+	nbMachines, nbKernels, nbPatterns := prefix[*nbva.Machine]{old: old.nb.machines}, prefix[*nbva.Kernel]{old: old.nb.kernels}, prefix[int]{old: old.nb.patterns}
+	nfNFAs, nfPatterns := prefix[*automata.NFA]{old: old.nf.nfas}, prefix[int]{old: old.nf.patterns}
+	dlDFAs, dlNFAs, dlPatterns := prefix[*automata.DFA]{old: old.dl.dfas}, prefix[*automata.NFA]{old: old.dl.nfas}, prefix[int]{old: old.dl.patterns}
 	for i := range res.Regexes {
 		c := &res.Regexes[i]
+		// The lane entry of the slot i was taken from, kept if it is this
+		// machine's.
+		gen, j := prev, -1
+		if res.From != nil && res.From[i] >= 0 {
+			j = res.From[i]
+		} else if res.FromOlder != nil && res.FromOlder[i] >= 0 {
+			gen, j = older, res.FromOlder[i]
+		}
+		l, at := gen.at(j)
 		switch c.Mode {
 		case compile.ModeLNFA:
-			m.engines[i] = EngineShiftAnd
 			// Fast-path decision: a pattern with a mandatory literal set
 			// joins the prefiltered machine; the rest stay always-on.
-			var lits [][]byte
-			if opts.DisablePrefilter {
-				m.verdicts[i] = prefilter.Verdict{Reason: "prefilter disabled by options"}
-			} else {
-				a, ok := analyses[c.AST]
-				if !ok {
-					a, ok = olderAnalyses[c.AST]
-				}
-				if !ok {
-					a.lits, a.verdict = prefilter.Analyze(c.AST.Root)
-				}
-				m.analyses[c.AST] = a
-				lits, m.verdicts[i] = a.lits, a.verdict
+			a := disabled
+			if o, ok := l.(*shiftAndLane); ok && !opts.DisablePrefilter && o.analyses[at].ast == c.AST {
+				a = o.analyses[at]
+			} else if !opts.DisablePrefilter {
+				a = &analysis{ast: c.AST}
+				a.lits, a.verdict = prefilter.Analyze(c.AST.Root)
 			}
-			for j := range c.Seqs {
-				k := 1
-				if lits != nil {
-					k, pfWindow = 0, max(pfWindow, len(c.Seqs[j].Classes))
-				}
-				sas[k].members = append(sas[k].members, &c.Seqs[j])
-				sas[k].patterns = append(sas[k].patterns, i)
+			k := 1
+			if a.lits != nil {
+				k = 0
 			}
-			pfLits = append(pfLits, lits...)
+			for s := range c.Seqs {
+				saMembers[k].add(&c.Seqs[s])
+				saPatterns[k].add(i)
+				saAnalyses[k].add(a)
+			}
 		case compile.ModeNBVA:
-			m.engines[i] = EngineNBVA
-			k, ok := kernels[c.NBVA]
-			if !ok {
+			var k *nbva.Kernel
+			if o, ok := l.(*nbvaLane); ok && o.machines[at] == c.NBVA {
+				k = o.kernels[at]
+			} else {
 				k = nbva.NewKernel(c.NBVA)
 			}
-			nb.machines = append(nb.machines, c.NBVA)
-			nb.kernels = append(nb.kernels, k)
-			nb.patterns = append(nb.patterns, i)
-			if k != nil {
-				nb.words += k.Words()
-			}
+			nbMachines.add(c.NBVA)
+			nbKernels.add(k)
+			nbPatterns.add(i)
 		case compile.ModeNFA:
-			dfa, ok := dfas[c.NFA]
-			if !ok {
+			// A table is kept only under the same cap; a pattern stepped as
+			// an NFA keeps the nil table.
+			var dfa *automata.DFA
+			ok := false
+			switch o := l.(type) {
+			case *dfaLane:
+				dfa, ok = o.dfas[at], o.nfas[at] == c.NFA
+			case *nfaLane:
+				ok = o.nfas[at] == c.NFA
+			}
+			if !ok || gen.opts.DFAStateCap != opts.DFAStateCap {
 				dfa = buildDFA(c.NFA, opts.DFAStateCap)
 			}
 			if dfa != nil {
-				m.engines[i] = EngineDFA
-				dl.dfas = append(dl.dfas, dfa)
-				dl.nfas = append(dl.nfas, c.NFA)
-				dl.patterns = append(dl.patterns, i)
+				dlDFAs.add(dfa)
+				dlNFAs.add(c.NFA)
+				dlPatterns.add(i)
 				break
 			}
-			m.engines[i] = EngineNFA
-			nf.nfas = append(nf.nfas, c.NFA)
-			nf.patterns = append(nf.patterns, i)
-		}
-		// Non-Shift-And engines step every byte.
-		if e := m.engines[i]; e != EngineShiftAnd {
-			m.verdicts[i] = alwaysOn[e]
+			nfNFAs.add(c.NFA)
+			nfPatterns.add(i)
 		}
 	}
-	for k, l := range sas {
-		if err := m.buildShiftAnd(l, k == 0, pfLits, pfWindow, prev, older); err != nil {
+	k := m.kinds
+	for j := range k.sa {
+		k.sa[j] = shiftAndLane{members: saMembers[j].slice(), patterns: saPatterns[j].slice(), analyses: saAnalyses[j].slice()}
+		if err := m.buildShiftAnd(&k.sa[j], &old.sa[j], j == 0); err != nil {
 			return nil, err
 		}
 	}
-	if pf := sas[0].pf; pf != nil {
-		// The tier is a property of the compiled literal union, so it is
-		// only known now — backfill it onto the prefiltered verdicts.
-		tier := pf.Tier().String()
-		for i := range m.verdicts {
-			if m.verdicts[i].Prefilterable {
-				m.verdicts[i].Tier = tier
-			}
+	k.nb = nbvaLane{machines: nbMachines.slice(), kernels: nbKernels.slice(), patterns: nbPatterns.slice()}
+	for _, kernel := range k.nb.kernels {
+		if kernel != nil {
+			k.nb.words += kernel.Words()
 		}
 	}
-	dl.loop = automata.NewWakeLoop(dl.dfas)
-	for _, l := range []lane{sas[0], sas[1], nb, nf, dl} {
+	k.nf = nfaLane{nfas: nfNFAs.slice(), patterns: nfPatterns.slice()}
+	k.dl = dfaLane{dfas: dlDFAs.slice(), nfas: dlNFAs.slice(), patterns: dlPatterns.slice()}
+	if k.dl.loop = old.dl.loop; !same(old.dl.dfas, k.dl.dfas) {
+		k.dl.loop = automata.NewWakeLoop(k.dl.dfas)
+	}
+	for _, l := range []lane{&k.sa[0], &k.sa[1], &k.nb, &k.nf, &k.dl} {
 		if len(l.pats()) > 0 {
 			m.lanes = append(m.lanes, l)
 		}
@@ -399,26 +429,27 @@ func Relower(prev, older *Matcher, res *compile.Result, opts Options) (*Matcher,
 }
 
 // buildShiftAnd gives l, a Shift-And lane with its members, its machine
-// and, when prefiltered, the prefilter of the literal union lits and
-// window: those of the lane of prev or older with the same members, or
-// built anew.
-func (m *Matcher) buildShiftAnd(l *shiftAndLane, prefiltered bool, lits [][]byte, window int, prev, older *Matcher) error {
+// and, when prefiltered, the prefilter of its patterns' literal union:
+// those of old, the same lane of an earlier generation, when it has the
+// same members, or built anew.
+func (m *Matcher) buildShiftAnd(l, old *shiftAndLane, prefiltered bool) error {
 	if len(l.members) == 0 {
 		return nil
 	}
-	for _, gen := range []*Matcher{prev, older} {
-		if gen == nil {
-			continue
-		}
-		for _, o := range gen.lanes {
-			if o, ok := o.(*shiftAndLane); ok && (o.pf != nil) == prefiltered && slices.Equal(o.members, l.members) {
-				l.sa, l.pf = o.sa, o.pf
-				m.lanesReused++
-				return nil
-			}
-		}
+	if old.sa != nil && same(old.members, l.members) {
+		l.sa, l.pf = old.sa, old.pf
+		m.lanesReused++
+		return nil
 	}
 	if prefiltered {
+		var lits [][]byte
+		window := 0
+		for j, p := range l.patterns {
+			if j == 0 || l.patterns[j-1] != p {
+				lits = append(lits, l.analyses[j].lits...)
+			}
+			window = max(window, len(l.members[j].Classes))
+		}
 		pf, err := prefilter.NewSet(lits, window)
 		if err != nil {
 			return fmt.Errorf("refmatch: prefilter: %w", err)
@@ -439,12 +470,38 @@ func (m *Matcher) buildShiftAnd(l *shiftAndLane, prefiltered bool, lits [][]byte
 func (m *Matcher) LanesReused() int { return m.lanesReused }
 
 // Engines returns the engine chosen for each pattern.
-func (m *Matcher) Engines() []Engine { return m.engines }
+func (m *Matcher) Engines() []Engine {
+	m.report()
+	return m.engines
+}
 
 // PrefilterVerdicts returns the per-pattern prefilter decision: whether
 // the pattern runs behind the literal prefilter, with its literal set or
 // the fallback reason.
-func (m *Matcher) PrefilterVerdicts() []prefilter.Verdict { return m.verdicts }
+func (m *Matcher) PrefilterVerdicts() []prefilter.Verdict {
+	m.report()
+	return m.verdicts
+}
+
+// report builds the engines and verdicts once: a pattern's engine is its
+// lane's, and the tier, a property of the compiled literal union rather
+// than of one pattern, is added to the prefiltered verdicts.
+func (m *Matcher) report() {
+	m.reportOnce.Do(func() {
+		m.engines, m.verdicts = make([]Engine, m.n), make([]prefilter.Verdict, m.n)
+		tier := m.PrefilterTier()
+		for _, l := range m.lanes {
+			for j, p := range l.pats() {
+				m.engines[p], m.verdicts[p] = l.engine(), alwaysOn[l.engine()] // they step every byte
+				if sa, ok := l.(*shiftAndLane); ok {
+					if m.verdicts[p] = sa.analyses[j].verdict; m.verdicts[p].Prefilterable {
+						m.verdicts[p].Tier = tier
+					}
+				}
+			}
+		}
+	})
+}
 
 // PrefilterTier returns the candidate-scanner tier the literal union
 // compiled to ("memchr", "bytetable", "teddy" or "ac"), or the empty
@@ -474,7 +531,7 @@ func (m *Matcher) PrefilterKernel() string {
 // followed by its control-state and bit-vector sizes, "nfa-step", and
 // "dfa-table" for a DFA pattern.
 func (m *Matcher) Kernels() []string {
-	out := make([]string, len(m.engines))
+	out := make([]string, m.n)
 	for _, l := range m.lanes {
 		for j, p := range l.pats() {
 			out[p] = l.kernel(j)
@@ -484,7 +541,7 @@ func (m *Matcher) Kernels() []string {
 }
 
 // NumPatterns returns the number of compiled patterns.
-func (m *Matcher) NumPatterns() int { return len(m.engines) }
+func (m *Matcher) NumPatterns() int { return m.n }
 
 // Scan runs every pattern over input and returns all matches in stream
 // order (see the package comment). Nullable patterns report only at offsets where their

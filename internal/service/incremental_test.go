@@ -45,6 +45,15 @@ func tenthSwapped(name string, scale float64) (base, swapped []string) {
 	return tenthFrom(name, scale, 1), tenthFrom(name, scale, 2)
 }
 
+// oneSwapped returns the dataset's patterns and a copy with one pattern,
+// the tenth, taken from the same dataset under another seed.
+func oneSwapped(name string, scale float64) [][]string {
+	base := workload.MustGenerate(name, scale, 1).Patterns
+	edited := append([]string(nil), base...)
+	edited[10] = workload.MustGenerate(name, scale, 2).Patterns[10]
+	return [][]string{base, edited}
+}
+
 // BenchmarkUpdate is the ledger's hot_swap update in isolation: Snort@1.0
 // with every tenth pattern changed. In revert, the ledger's alternation of
 // two generations, every swapped-in text is one the displaced generation
@@ -60,22 +69,29 @@ func tenthSwapped(name string, scale float64) (base, swapped []string) {
 // whole ruleset; 3 359 and 0.59 MB once it kept the served placement and
 // prefilter analysis); a revert allocated 463 and 0.38 MB while every image
 // copied all its tiles and switches and every update packed its Shift-And
-// lanes anew, and 292 and 0.21 MB while Rebuild walked every placed state
-// and Diff compared each written tile twice; it now allocates 262 and
-// 0.21 MB (novel 3 088 and 0.44 MB), and each ceiling is about 10 % above.
+// lanes anew, 292 and 0.21 MB while Rebuild walked every placed state and
+// Diff compared each written tile twice, and 262 and 0.21 MB while
+// Recompile, Relower and Remap rebuilt tables over the whole ruleset (novel
+// 3 088 and 0.44 MB). It now allocates 133 and 142 KB, novel 3 060 and
+// 390 KB, and one, a single pattern reverted, 64 and 54 KB (221 and
+// 126 KB before); each ceiling is about 10 % above.
 func BenchmarkUpdate(b *testing.B) {
 	for _, bm := range []struct {
 		name          string
 		seeds         []int64
 		allocs, bytes uint64
 	}{
-		{"revert", []int64{1, 2}, 290, 230 << 10},
-		{"novel", []int64{1, 2, 3}, 3400, 480 << 10},
+		{"one", nil, 75, 60 << 10},
+		{"revert", []int64{1, 2}, 145, 155 << 10},
+		{"novel", []int64{1, 2, 3}, 3350, 430 << 10},
 	} {
 		b.Run(bm.name, func(b *testing.B) {
 			var rules [][]string
 			for _, seed := range bm.seeds {
 				rules = append(rules, tenthFrom("Snort", 1, seed))
+			}
+			if bm.seeds == nil {
+				rules = oneSwapped("Snort", 1)
 			}
 			s := New(Config{})
 			defer s.Close()
@@ -103,10 +119,10 @@ func BenchmarkUpdate(b *testing.B) {
 // Service.Handler — read, decoded, compiled, built, diffed and answered —
 // and the first of these benchmarks that covers the request's decode. The
 // ceiling bounds what one request allocates, the recorder's included: it
-// measured 332 allocs and 0.23 MB, the revert's 262 and 0.21 MB plus 70
-// and 20 KB for the request, its trace and its decode (630 allocs with
-// encoding/json's decode). The ceiling leaves 20 % for net/http's own
-// allocations, which move between Go releases.
+// measured 201 allocs and 161 KB, the revert's 133 and 142 KB plus 68 and
+// 19 KB for the request, its trace and its decode (332 and 0.23 MB while
+// the front half rebuilt whole-ruleset tables; 630 allocs with
+// encoding/json's decode). The ceiling is about 10 % above.
 func BenchmarkUpdateHTTP(b *testing.B) {
 	var bodies [][]byte
 	for _, seed := range []int64{1, 2} {
@@ -127,7 +143,7 @@ func BenchmarkUpdateHTTP(b *testing.B) {
 		b.Fatal(err)
 	}
 	h, next := s.Handler(), 0
-	benchUpdates(b, s, 400, 280<<10, func() {
+	benchUpdates(b, s, 220, 176<<10, func() {
 		next = (next + 1) % len(bodies)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/v1/programs/"+prog.ID, bytes.NewReader(bodies[next])))
@@ -166,6 +182,42 @@ func benchUpdates(b *testing.B, s *Service, allocs, bytes uint64, update func())
 	}
 	if perOp := (after.TotalAlloc - before.TotalAlloc) / uint64(b.N); perOp > bytes {
 		b.Errorf("%d bytes allocated per update, ceiling %d", perOp, bytes)
+	}
+}
+
+// TestUpdateCostFollowsEdit: what an update allocates follows its edit,
+// not the ruleset. A one-pattern revert of Snort@1.0 allocates at most half
+// of what the revert of a tenth of it does; the ratio was 0.65 while
+// compile.Recompile, refmatch.Relower and mapper.Remap rebuilt tables over
+// the whole ruleset on every update. Measured as TotalAlloc per update over
+// a run of reverts, the test not parallel so that nothing else allocates.
+func TestUpdateCostFollowsEdit(t *testing.T) {
+	perUpdate := func(rules [][]string) uint64 {
+		s := New(Config{})
+		defer s.Close()
+		ctx := context.Background()
+		prog, _, err := s.Compile(ctx, rules[0], CompileOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n = 20
+		var before, after runtime.MemStats
+		for i := -2; i < n; i++ { // two to warm up: the first builds the served image
+			if i == 0 {
+				runtime.ReadMemStats(&before)
+			}
+			if _, err := s.Update(ctx, prog.ID, rules[(i+3)%2], CompileOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / n
+	}
+	base, tenth := tenthSwapped("Snort", 1)
+	one, all := perUpdate(oneSwapped("Snort", 1)), perUpdate([][]string{base, tenth})
+	t.Logf("one-pattern revert %d B, tenth %d B per update", one, all)
+	if 2*one > all {
+		t.Errorf("a one-pattern revert allocates %d B per update, more than half of a tenth's %d B", one, all)
 	}
 }
 
@@ -595,6 +647,38 @@ func TestUpdatePastGlobalSwitchFails(t *testing.T) {
 	}
 }
 
+// TestUpdateFromUnbuildableImage: a program whose image cannot be built
+// (TestUpdatePastGlobalSwitchFails's doubled Snort@1.0, which compiles and
+// scans) still updates. The new image is mapped and built cold and priced
+// as a full load: the delta replaces every array of it. The next update
+// builds on that image as usual.
+func TestUpdateFromUnbuildableImage(t *testing.T) {
+	a, b := tenthSwapped("Snort", 1)
+	s := New(Config{})
+	defer s.Close()
+	ctx := context.Background()
+	doubled := append(append([]string(nil), a...), workload.MustGenerate("Snort", 1, 3).Patterns...)
+	prog, _, err := s.Compile(ctx, doubled, CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := prog.hwImage(); err == nil {
+		t.Fatal("the doubled ruleset's image builds")
+	}
+	got, err := s.Update(ctx, prog.ID, a, CompileOptions{})
+	if err != nil {
+		t.Fatalf("update from an unbuildable image: %v", err)
+	}
+	if got.Generation != 1 || got.ArraysUntouched != 0 || got.DeltaRecords != got.ArraysTouched ||
+		got.ReloadCycles != got.FullReloadCycles || got.DeltaBytes < got.FullImageBytes {
+		t.Errorf("the delta does not load the whole image: %+v", got)
+	}
+	next, err := s.Update(ctx, prog.ID, b, CompileOptions{})
+	if err != nil || next.Generation != 2 || next.DeltaBytes >= next.FullImageBytes {
+		t.Errorf("the update after it: %+v, %v", next, err)
+	}
+}
+
 // TestSessionsPinnedThroughSharedTables: sessions opened on generation g
 // keep scanning g's tables while 50 updates build and install g+1…g+50, every
 // one of which takes nine tenths of its patterns — compiled entries, DFA
@@ -702,8 +786,12 @@ func TestFailedUpdateLeavesGenerationReusable(t *testing.T) {
 		t.Fatalf("update with an unparsable pattern: err = %v, want a compile.Error at %d", err, len(swapped))
 	}
 	served, _ := s.Program(prog.ID)
-	if served.Generation != 1 || !reflect.DeepEqual(served.Patterns, swapped) {
-		t.Fatalf("failed update disturbed the served program: generation %d, %d patterns", served.Generation, len(served.Patterns))
+	var servedPatterns []string
+	for i := range served.res.Regexes {
+		servedPatterns = append(servedPatterns, served.res.Regexes[i].Source)
+	}
+	if served.Generation != 1 || !reflect.DeepEqual(servedPatterns, swapped) {
+		t.Fatalf("failed update disturbed the served program: generation %d, %d patterns", served.Generation, len(servedPatterns))
 	}
 	if got, err := s.Scan(ctx, prog.ID, input); err != nil || !reflect.DeepEqual(got, want) {
 		t.Errorf("scan after the failed update: %d matches (err %v), want %d", len(got), err, len(want))

@@ -130,7 +130,6 @@ func ProgramKey(patterns []string, opts CompileOptions) string {
 // they have in common; nothing shared is written after construction.
 type Program struct {
 	ID        string
-	Patterns  []string
 	Matcher   *refmatch.Matcher
 	CreatedAt time.Time
 	Opts      CompileOptions

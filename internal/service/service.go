@@ -361,7 +361,6 @@ func (s *Service) Compile(ctx context.Context, patterns []string, opts CompileOp
 		}
 		p := &Program{
 			ID:        key,
-			Patterns:  append([]string(nil), patterns...),
 			Matcher:   m,
 			CreatedAt: time.Now(),
 			Opts:      opts,

@@ -75,22 +75,22 @@ func deploy(base *bitstream.Image, prev *arch.Placement, prevRes, res *compile.R
 // small as the edit. Result.Fingerprint does not: the compile is a cold
 // one's.
 //
-// What an update allocates is what it rewrites: the new image shares every
-// tile and global switch it keeps with the served one by pointer, Diff
-// skips those without comparing them, and the matcher shares its unchanged
-// lanes' tables. What it computes is what it rewrites too: Rebuild visits
-// only the patterns on the tiles it writes and checksums only those tiles,
-// the image's CRC is folded from the per-tile ones, and Diff compares each
-// written tile once. What still costs in proportion to the whole ruleset
-// is the front half — compile.Recompile, refmatch.Relower and mapper.Remap
-// each walk every pattern.
+// What an update allocates and computes is what it rewrites. Recompile
+// takes a text still at its slot without a lookup; Relower takes a kept
+// pattern's table by its slot and keeps each lane the edit left alone;
+// Remap forks only the arrays and rewrites only the tiles the edit touched;
+// Rebuild writes only those tiles, with the CAM codes each compiled state
+// carries, and folds the image CRC from per-tile ones; Diff compares each
+// written tile once. What is left in proportion to the ruleset is a result
+// slot per pattern and a few passes over integers.
 //
 // The expensive half — compiling the new ruleset once, for both the
 // matcher and its deployment image, and building the displaced program's
 // image if it never had one — runs on the dedicated compile pool with no
 // service lock held, so concurrent scans and streams proceed untouched
 // while the replacement builds. Only the diff and the pointer swap are
-// serialized under the update lock.
+// serialized under the update lock. A displaced program whose image cannot
+// be built was never loaded: the new image is built cold and loaded whole.
 func (s *Service) Update(ctx context.Context, programID string, patterns []string, opts CompileOptions) (*UpdateResult, error) {
 	if len(patterns) == 0 {
 		return nil, fmt.Errorf("service: empty pattern list")
@@ -136,11 +136,7 @@ func (s *Service) Update(ctx context.Context, programID string, patterns []strin
 		// The image the new one is built on and the delta taken against: a
 		// program that has not been through an update has none yet, and it
 		// is built here so that no other update waits behind a map-and-build.
-		oldImg, oldPlace, err := old.hwImage()
-		if err != nil {
-			cerr = fmt.Errorf("service: current deployment image: %w", err)
-			return
-		}
+		oldImg, oldPlace, _ := old.hwImage()
 		imageEnd := tr.StartSpan("image_build")
 		var built []telemetry.Label // what the span says of the new image
 		defer func() { imageEnd(built...) }()
@@ -172,9 +168,9 @@ func (s *Service) Update(ctx context.Context, programID string, patterns []strin
 	if old, ok = s.lookup(tr, programID); !ok {
 		return nil, fmt.Errorf("%w: program %s", ErrNotFound, programID)
 	}
-	oldImg, _, err := old.hwImage()
-	if err != nil {
-		return nil, fmt.Errorf("service: current deployment image: %w", err)
+	oldImg, _, unbuilt := old.hwImage()
+	if unbuilt != nil {
+		oldImg = &bitstream.Image{} // the delta replaces every array
 	}
 	diffEnd := tr.StartSpan("diff")
 	delta := reconfig.Diff(oldImg, newImg)
@@ -183,13 +179,15 @@ func (s *Service) Update(ctx context.Context, programID string, patterns []strin
 		return nil, err
 	}
 	cost, full, deltaBytes := plan.Cost, reconfig.FullCost(newImg), delta.SizeBytes()
+	if unbuilt != nil {
+		cost = full // a full load of the new image
+	}
 	diffEnd(telemetry.L("records", strconv.Itoa(delta.Records())),
 		telemetry.L("delta_bytes", strconv.Itoa(deltaBytes)),
 		telemetry.L("arrays_touched", strconv.Itoa(len(plan.Steps))))
 
 	next := &Program{
 		ID:         programID,
-		Patterns:   append([]string(nil), patterns...),
 		Matcher:    m,
 		CreatedAt:  time.Now(),
 		Opts:       opts,

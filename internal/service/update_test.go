@@ -304,9 +304,9 @@ func TestHTTPUpdate(t *testing.T) {
 // TestOversizeNFAScansButDoesNotDeploy: the one compile behind a program
 // serves both the software matcher and the deployment image, and only
 // the image is bound by the fabric's per-array capacity. (a|bc){1500}x
-// is a 4501-state NFA: it compiles and scans, and Update refuses it —
-// as the new ruleset and as the ruleset to diff against — because the
-// mapper cannot place it.
+// is a 4501-state NFA: it compiles and scans, and Update refuses it as the
+// new ruleset because the mapper cannot place it. An update from it, whose
+// image was never built, loads the new image whole.
 func TestOversizeNFAScansButDoesNotDeploy(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
@@ -327,11 +327,11 @@ func TestOversizeNFAScansButDoesNotDeploy(t *testing.T) {
 	if _, err := s.Update(ctx, small.ID, big, CompileOptions{}); !errors.Is(err, mapper.ErrUnmappable) {
 		t.Errorf("update to an oversize ruleset: err = %v, want mapper.ErrUnmappable", err)
 	}
-	if _, err := s.Update(ctx, bigProg.ID, []string{"cat"}, CompileOptions{}); !errors.Is(err, mapper.ErrUnmappable) {
-		t.Errorf("update from an oversize ruleset: err = %v, want mapper.ErrUnmappable", err)
+	if got, err := s.Update(ctx, bigProg.ID, []string{"cat"}, CompileOptions{}); err != nil || got.ReloadCycles != got.FullReloadCycles {
+		t.Errorf("update from an oversize ruleset: %+v, err = %v, want a full load", got, err)
 	}
-	if st := s.Stats(); st.Reconfig.Updates != 0 {
-		t.Errorf("refused updates counted: %d", st.Reconfig.Updates)
+	if st := s.Stats(); st.Reconfig.Updates != 1 {
+		t.Errorf("%d updates counted, want only the one from the oversize ruleset", st.Reconfig.Updates)
 	}
 }
 

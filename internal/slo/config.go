@@ -3,9 +3,12 @@ package slo
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
+
+	"repro/internal/input"
 )
 
 // Objective kinds. A latency objective classifies each observation by a
@@ -226,14 +229,18 @@ func LoadFile(path string) (Config, error) {
 		return Config{}, err
 	}
 	defer f.Close()
-	dec := json.NewDecoder(f)
-	dec.DisallowUnknownFields()
-	var c Config
-	if err := dec.Decode(&c); err != nil {
-		return Config{}, fmt.Errorf("slo: parse %s: %w", path, err)
-	}
-	if err := c.Validate(); err != nil {
-		return Config{}, fmt.Errorf("slo: %s: %w", path, err)
+	c, err := parse(f)
+	if err != nil {
+		return Config{}, fmt.Errorf("%s: %w", path, err)
 	}
 	return c, nil
+}
+
+// parse reads one config (input.DecodeConfig) that Validate accepts.
+func parse(r io.Reader) (Config, error) {
+	var c Config
+	if err := input.DecodeConfig(r, &c); err != nil {
+		return Config{}, fmt.Errorf("slo: %w", err)
+	}
+	return c, c.Validate()
 }

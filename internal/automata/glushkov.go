@@ -2,6 +2,7 @@ package automata
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/regexast"
 )
@@ -24,165 +25,144 @@ func Glushkov(re *regexast.Regex, maxStates int) (*NFA, error) {
 	if err != nil {
 		return nil, err
 	}
-	return glushkovCore(root, re)
-}
-
-// GlushkovFromNode builds the NFA for a bare AST with no anchoring,
-// unfolding as needed. Used for sub-expressions during NBVA compilation.
-func GlushkovFromNode(n regexast.Node, maxStates int) (*NFA, error) {
-	if maxStates <= 0 {
-		maxStates = DefaultMaxStates
-	}
-	root, err := regexast.UnfoldAll(n, maxStates)
+	g, err := Construct(root, nil)
 	if err != nil {
 		return nil, err
 	}
-	return glushkovCore(root, nil)
-}
-
-// info carries the Glushkov sets for a subexpression: positions are global
-// state indices assigned in left-to-right leaf order.
-type info struct {
-	nullable bool
-	first    []int
-	last     []int
-}
-
-func glushkovCore(root regexast.Node, re *regexast.Regex) (*NFA, error) {
-	nfa := &NFA{}
-	if re != nil {
-		nfa.StartAnchored = re.StartAnchored
-		nfa.EndAnchored = re.EndAnchored
+	nfa := &NFA{
+		States:        make([]State, len(g.Leaves)),
+		Initial:       g.First,
+		Final:         g.Last,
+		MatchesEmpty:  g.Nullable,
+		StartAnchored: re.StartAnchored,
+		EndAnchored:   re.EndAnchored,
 	}
-	// Assign positions and collect classes.
-	var assign func(n regexast.Node) (*info, error)
-	follow := map[int]map[int]bool{}
-	addFollow := func(p, q int) {
-		m := follow[p]
-		if m == nil {
-			m = map[int]bool{}
-			follow[p] = m
-		}
-		m[q] = true
-	}
-	assign = func(n regexast.Node) (*info, error) {
-		switch t := n.(type) {
-		case regexast.Empty:
-			return &info{nullable: true}, nil
-		case *regexast.Lit:
-			pos := len(nfa.States)
-			nfa.States = append(nfa.States, State{Class: t.Class})
-			return &info{first: []int{pos}, last: []int{pos}}, nil
-		case *regexast.Concat:
-			cur := &info{nullable: true}
-			for _, s := range t.Subs {
-				si, err := assign(s)
-				if err != nil {
-					return nil, err
-				}
-				// follow: last(cur) × first(si)
-				for _, p := range cur.last {
-					for _, q := range si.first {
-						addFollow(p, q)
-					}
-				}
-				var first []int
-				if cur.nullable {
-					first = unionSorted(cur.first, si.first)
-				} else {
-					first = cur.first
-				}
-				var last []int
-				if si.nullable {
-					last = unionSorted(cur.last, si.last)
-				} else {
-					last = si.last
-				}
-				cur = &info{nullable: cur.nullable && si.nullable, first: first, last: last}
-			}
-			return cur, nil
-		case *regexast.Alt:
-			out := &info{}
-			for _, s := range t.Subs {
-				si, err := assign(s)
-				if err != nil {
-					return nil, err
-				}
-				out.nullable = out.nullable || si.nullable
-				out.first = unionSorted(out.first, si.first)
-				out.last = unionSorted(out.last, si.last)
-			}
-			return out, nil
-		case *regexast.Repeat:
-			// After UnfoldAll only *, +, ? remain.
-			si, err := assign(t.Sub)
-			if err != nil {
-				return nil, err
-			}
-			switch {
-			case t.Min == 0 && t.Max == regexast.Unbounded, t.Min == 1 && t.Max == regexast.Unbounded:
-				// Loop: last × first.
-				for _, p := range si.last {
-					for _, q := range si.first {
-						addFollow(p, q)
-					}
-				}
-				return &info{nullable: si.nullable || t.Min == 0, first: si.first, last: si.last}, nil
-			case t.Min == 0 && t.Max == 1:
-				return &info{nullable: true, first: si.first, last: si.last}, nil
-			default:
-				return nil, fmt.Errorf("automata: bounded repetition {%d,%d} survived unfolding", t.Min, t.Max)
-			}
-		default:
-			return nil, fmt.Errorf("automata: unknown node %T", n)
-		}
-	}
-	rootInfo, err := assign(root)
-	if err != nil {
-		return nil, err
-	}
-	nfa.Initial = rootInfo.first
-	nfa.Final = rootInfo.last
-	nfa.MatchesEmpty = rootInfo.nullable
-	for p, m := range follow {
-		succ := make([]int, 0, len(m))
-		for q := range m {
-			succ = append(succ, q)
-		}
-		sortInts(succ)
-		nfa.States[p].Follow = succ
+	for i, leaf := range g.Leaves {
+		nfa.States[i] = State{Class: leaf.(*regexast.Lit).Class, Follow: g.Follow[i]}
 	}
 	return nfa, nil
 }
 
-// unionSorted merges two strictly increasing int slices.
-func unionSorted(a, b []int) []int {
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+// Positions is the Glushkov (position) construction of an expression
+// (§2.1). Position i is Leaves[i]: a *regexast.Lit, or a *regexast.Repeat
+// the bounded hook kept whole. Positions are numbered in left-to-right leaf
+// order, and every list is strictly increasing.
+type Positions struct {
+	Leaves   []regexast.Node
+	Follow   [][]int // Follow[i] is nil when position i has no successor
+	First    []int
+	Last     []int
+	Nullable bool
 }
 
-func sortInts(s []int) {
-	// insertion sort; follow sets are small
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
+// Construct computes the positions of root and their first, last, follow
+// and nullable sets. It handles *, + and ? itself and hands every other
+// repetition to bounded, which either keeps it as one position (reporting
+// whether that position matches ε) or refuses it with an error. A nil
+// bounded refuses every one: the NFA route unfolds them all beforehand.
+func Construct(root regexast.Node, bounded func(*regexast.Repeat) (nullable bool, err error)) (Positions, error) {
+	c := construction{bounded: bounded}
+	top, err := c.visit(root)
+	if err != nil {
+		return Positions{}, err
 	}
+	return Positions{Leaves: c.leaves, Follow: c.follow, First: top.first, Last: top.last, Nullable: top.nullable}, nil
+}
+
+// sets are the Glushkov sets of one subexpression.
+type sets struct {
+	nullable    bool
+	first, last []int
+}
+
+type construction struct {
+	bounded func(*regexast.Repeat) (bool, error)
+	leaves  []regexast.Node
+	follow  [][]int
+}
+
+// position numbers leaf as the next position.
+func (c *construction) position(leaf regexast.Node, nullable bool) sets {
+	p := len(c.leaves)
+	c.leaves = append(c.leaves, leaf)
+	c.follow = append(c.follow, nil)
+	one := []int{p} // nothing writes a set in place
+	return sets{nullable: nullable, first: one, last: one}
+}
+
+func (c *construction) visit(n regexast.Node) (sets, error) {
+	switch t := n.(type) {
+	case regexast.Empty:
+		return sets{nullable: true}, nil
+	case *regexast.Lit:
+		return c.position(t, false), nil
+	case *regexast.Concat:
+		cur := sets{nullable: true}
+		for _, s := range t.Subs {
+			si, err := c.visit(s)
+			if err != nil {
+				return sets{}, err
+			}
+			// Every position of si is numbered after every existing
+			// edge's target, so appending keeps each follow list sorted.
+			for _, p := range cur.last {
+				c.follow[p] = append(c.follow[p], si.first...)
+			}
+			if cur.nullable {
+				cur.first = union(cur.first, si.first)
+			}
+			if si.nullable {
+				cur.last = union(cur.last, si.last)
+			} else {
+				cur.last = si.last
+			}
+			cur.nullable = cur.nullable && si.nullable
+		}
+		return cur, nil
+	case *regexast.Alt:
+		var out sets
+		for _, s := range t.Subs {
+			si, err := c.visit(s)
+			if err != nil {
+				return sets{}, err
+			}
+			out.nullable = out.nullable || si.nullable
+			out.first = union(out.first, si.first)
+			out.last = union(out.last, si.last)
+		}
+		return out, nil
+	case *regexast.Repeat:
+		loop := t.Max == regexast.Unbounded && t.Min <= 1
+		if !loop && (t.Min != 0 || t.Max != 1) {
+			if c.bounded == nil {
+				return sets{}, fmt.Errorf("automata: bounded repetition {%d,%d} survived unfolding", t.Min, t.Max)
+			}
+			nullable, err := c.bounded(t)
+			if err != nil {
+				return sets{}, err
+			}
+			return c.position(t, nullable), nil
+		}
+		si, err := c.visit(t.Sub)
+		if err != nil {
+			return sets{}, err
+		}
+		if loop { // back edges may precede or repeat existing ones: merge
+			for _, p := range si.last {
+				f := append(c.follow[p], si.first...)
+				slices.Sort(f)
+				c.follow[p] = slices.Compact(f)
+			}
+		}
+		return sets{nullable: si.nullable || t.Min == 0, first: si.first, last: si.last}, nil
+	default:
+		return sets{}, fmt.Errorf("automata: unknown node %T", n)
+	}
+}
+
+// union merges the sets of two subexpressions, a's left of b's. Every
+// position of b is numbered after every position of a, so appending keeps
+// the result strictly increasing.
+func union(a, b []int) []int {
+	return append(append(make([]int, 0, len(a)+len(b)), a...), b...)
 }

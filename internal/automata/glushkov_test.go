@@ -1,6 +1,7 @@
 package automata
 
 import (
+	"errors"
 	"math/rand"
 	"regexp"
 	"strings"
@@ -283,5 +284,66 @@ func TestCaseInsensitiveAgainstStdlib(t *testing.T) {
 				t.Fatalf("%q input %q: ours=%v stdlib=%v", p, input, got, oracle.Match(input))
 			}
 		}
+	}
+}
+
+// TestConstructListsStrictlyIncreasing: every follow, first and last list
+// Construct returns is strictly increasing, also where nested loops add
+// the same back edge twice.
+func TestConstructListsStrictlyIncreasing(t *testing.T) {
+	increasing := func(s []int) bool {
+		for i := 1; i < len(s); i++ {
+			if s[i] <= s[i-1] {
+				return false
+			}
+		}
+		return true
+	}
+	patterns := []string{"((a|b)*c?)*d", "(a*)*", "(a?b?)+c", "((ab)*|(ba)+)*"}
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 300; i++ {
+		patterns = append(patterns, genPattern(r, 4))
+	}
+	for _, p := range patterns {
+		root, err := regexast.UnfoldAll(regexast.MustParse(p).Root, DefaultMaxStates)
+		if err != nil {
+			continue
+		}
+		g, err := Construct(root, nil)
+		if err != nil {
+			t.Fatalf("%q: %v", p, err)
+		}
+		if !increasing(g.First) || !increasing(g.Last) {
+			t.Fatalf("%q: first %v, last %v", p, g.First, g.Last)
+		}
+		for q, f := range g.Follow {
+			if !increasing(f) {
+				t.Fatalf("%q: follow(%d) = %v", p, q, f)
+			}
+		}
+	}
+}
+
+// TestConstructBoundedHook: a nil hook refuses a bounded repetition; a hook
+// that keeps it makes it one position of the nullability it reports.
+func TestConstructBoundedHook(t *testing.T) {
+	root := regexast.MustParse("a(bc){2,3}d").Root
+	if _, err := Construct(root, nil); err == nil || !strings.Contains(err.Error(), "survived unfolding") {
+		t.Fatalf("nil hook: err = %v, want survived unfolding", err)
+	}
+	g, err := Construct(root, func(*regexast.Repeat) (bool, error) { return true, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := g.Leaves[1].(*regexast.Repeat); len(g.Leaves) != 3 || !ok {
+		t.Fatalf("leaves = %v, want a, the kept repetition, d", g.Leaves)
+	}
+	// The kept position is nullable, so a is followed by it and by d.
+	if len(g.Follow[0]) != 2 || g.Follow[0][0] != 1 || g.Follow[0][1] != 2 || len(g.Follow[1]) != 1 || g.Follow[2] != nil {
+		t.Errorf("follow = %v", g.Follow)
+	}
+	refused := errors.New("refused")
+	if _, err := Construct(root, func(*regexast.Repeat) (bool, error) { return false, refused }); !errors.Is(err, refused) {
+		t.Errorf("refusing hook: err = %v", err)
 	}
 }

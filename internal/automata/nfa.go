@@ -1,7 +1,8 @@
 // Package automata implements homogeneous nondeterministic finite automata
-// (§2.1): the Glushkov construction from regex ASTs, a bitset-based
-// software simulator used as the functional reference for all hardware
-// modes, and structural queries (linearity) used by the RAP compiler.
+// (§2.1): the Glushkov construction from regex ASTs (Construct, which the
+// NBVA builder shares), a bitset-based software simulator used as the
+// functional reference for all hardware modes, and the DFAs the software
+// matcher scans with.
 package automata
 
 import (

@@ -385,6 +385,36 @@ func TestGatewayRefusesTrailingBytes(t *testing.T) {
 	}
 }
 
+// TestNegativeOptionsRefused: a compile whose linear_budget_factor,
+// unfold_threshold or max_nfa_states is negative is answered 400 by a bare
+// node and through every gateway of a 3-node cluster. A negative
+// dfa_state_cap keeps its meaning (no DFA path) and compiles.
+func TestNegativeOptionsRefused(t *testing.T) {
+	tc := startCluster(t, 3, func(i int, cfg *cluster.Config) { cfg.Replicas = 1 })
+	waitConverged(t, tc, 3)
+	bareSvc := service.New(service.Config{Workers: 1})
+	defer bareSvc.Close()
+	bare := httptest.NewServer(bareSvc.Handler())
+	defer bare.Close()
+	bases := []string{bare.URL}
+	for _, srv := range tc.servers {
+		bases = append(bases, srv.URL)
+	}
+	for opt, want := range map[string]int{
+		"linear_budget_factor": http.StatusBadRequest,
+		"unfold_threshold":     http.StatusBadRequest,
+		"max_nfa_states":       http.StatusBadRequest,
+		"dfa_state_cap":        http.StatusOK,
+	} {
+		body := []byte(`{"patterns":["abc"],"options":{"` + opt + `":-1}}`)
+		for _, base := range bases {
+			if got, raw := do(t, "POST", base+"/v1/programs", body, false); got.status != want {
+				t.Errorf("%s: compile with %s -1 = %d %s, want %d", base, opt, got.status, raw, want)
+			}
+		}
+	}
+}
+
 // TestGatewayAndNodeDeriveOneKey: a compile body in any spelling — escapes,
 // key order, white space, unknown keys — is read by a gateway and by the
 // node it routes to as one ruleset. The node answers the program ID

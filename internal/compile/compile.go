@@ -410,11 +410,11 @@ func compilePattern(pattern string, opts Options) (*Compiled, DiagCode, error) {
 		if !re.StartAnchored && !re.EndAnchored && !regexast.Nullable(re.Root) {
 			unfolded := regexast.UnfoldThreshold(re.Root, opts.UnfoldThreshold)
 			baseStates := regexast.UnfoldedStates(re.Root)
-			budget := opts.LinearBudgetFactor * baseStates
 			// LNFA regexes live in one array like NFA ones (§3.3), so the
-			// budget is also capped by the array's state capacity.
-			if budget > opts.MaxNFAStates {
-				budget = opts.MaxNFAStates
+			// budget saturates at the array's state capacity.
+			budget := opts.MaxNFAStates
+			if opts.LinearBudgetFactor <= budget/baseStates {
+				budget = opts.LinearBudgetFactor * baseStates
 			}
 			if seqs, err := regexast.Linearize(unfolded, budget); err == nil {
 				total := 0

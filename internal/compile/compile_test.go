@@ -80,6 +80,17 @@ func TestLNFAGrowthBudgetFallsBack(t *testing.T) {
 	}
 }
 
+// TestLNFABudgetSaturates: a huge LinearBudgetFactor caps the LNFA budget
+// at MaxNFAStates instead of wrapping it negative, so abc stays LNFA.
+func TestLNFABudgetSaturates(t *testing.T) {
+	for _, factor := range []int{2, 1 << 20, 1 << 62, 1<<63 - 1} {
+		res := Compile([]string{"abc"}, Options{LinearBudgetFactor: factor})
+		if c := res.Regexes[0]; c.Mode != ModeLNFA {
+			t.Errorf("factor %d: abc -> %v (trail %q), want LNFA", factor, c.Mode, c.DecisionTrail)
+		}
+	}
+}
+
 func TestCAMMappability(t *testing.T) {
 	// Digits fit one CAM code; [a-z] needs two -> switch-mapped.
 	c := compileOne(t, "\\d\\d\\d")

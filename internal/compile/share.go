@@ -207,7 +207,7 @@ func buildSharedNFA(group []*Compiled) (*automata.NFA, error) {
 			continue
 		}
 		// Build the remainder automaton and graft it on.
-		restNFA, err := automata.GlushkovFromNode(e.rest, automata.DefaultMaxStates)
+		restNFA, err := automata.Glushkov(&regexast.Regex{Root: e.rest}, automata.DefaultMaxStates)
 		if err != nil {
 			return nil, err
 		}

@@ -41,8 +41,12 @@ type CompileOptions struct {
 	ModePolicy string `json:"mode_policy,omitempty"`
 }
 
-// validate rejects unknown ModePolicy values before they reach a compile.
+// validate rejects an unknown ModePolicy and a negative front-end bound
+// before they reach a compile. A negative DFAStateCap disables the DFA path.
 func (o CompileOptions) validate() error {
+	if o.LinearBudgetFactor < 0 || o.UnfoldThreshold < 0 || o.MaxNFAStates < 0 {
+		return fmt.Errorf("service: linear_budget_factor, unfold_threshold and max_nfa_states must not be negative")
+	}
 	switch o.ModePolicy {
 	case "", ModePolicyAll, ModePolicyForceNFA:
 		return nil

@@ -18,8 +18,9 @@ import (
 
 // auditAllow is the whole list of functions under internal/ and cmd/
 // that may live without a non-test caller: reference implementations a
-// differential test compares the served code against, and the two test
-// seams (a fixture, an injected timestamp) a golden needs. A row whose
+// differential test compares the served code against, and the test seams:
+// a fixture, an injected timestamp a golden needs, and the manual clock
+// (service.Config.Clock) tests step the control loops on. A row whose
 // function is gone, or has gained a caller, fails the test, so the list
 // can only shrink. ISSUE 22 caps it at 25 rows.
 var auditAllow = []struct{ fn, reason string }{
@@ -27,6 +28,9 @@ var auditAllow = []struct{ fn, reason string }{
 	{"internal/charclass.Code.Class", "TestPropEncodeCoversExactly: the bytes a CAM code stands for, which the emitted codes must tile the class with"},
 	{"internal/charclass.Code.Matches", "TestPropCodeMatchAgreesWithClass: the CAM's two-nibble match rule the encoding is checked against"},
 	{"internal/charclass.Encode", "FuzzEncodeEquivalence (checkEncode): the code list FirstCode/NumCodes derive from, against the 256-probe reference"},
+	{"internal/clock.Manual.Advance", "TestManualRunsLoopsInTimeOrder, TestAdmissionTickReload, TestClusterMemberAging, TestCanaryWindow and every cluster test (testCluster.rounds): the only way a manual clock moves"},
+	{"internal/clock.Manual.BlockUntil", "TestManualBlockUntil, TestCanaryWindow, TestClusterEndToEnd, TestRepairReusesOriginalRuleset (testCluster.rollout): knowing the canary watch waits on the clock"},
+	{"internal/clock.NewManual", "TestAdmissionTickReload, TestSLOShedLoopEndToEnd, the qos bucket tests (testRegistry) and every cluster test (startCluster): a clock that moves only when the test moves it"},
 	{"internal/compile.Result.Fingerprint", "TestIncrementalEqualsCold, TestRecompileEqualsCompile, TestDatasetFingerprintsPinned: identity of a compile"},
 	{"internal/metrics.Histogram.ObserveValueExemplarAt", "TestWriteOpenMetricsGolden: the injected exemplar timestamp the golden exposition needs"},
 	{"internal/nbva.Machine.MatchEnds", "TestPropNBVAEquivalentToUnfoldedNFA, TestPropCounterEqualsBitVector: the one-shot Step reference"},

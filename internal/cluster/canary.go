@@ -202,20 +202,20 @@ func (n *Node) livePlacement(id string, replicas int) []string {
 // watchCanaries samples each staged node's /v1/stats through the
 // observation window. A non-empty return is the rollback reason.
 func (n *Node) watchCanaries(ctx context.Context, nodes []string) string {
-	deadline := time.Now().Add(n.cfg.Canary.Observe)
+	deadline := n.cfg.Service.Clock.Now().Add(n.cfg.Canary.Observe)
 	for {
 		for _, id := range nodes {
 			if reason := n.checkCanary(ctx, id); reason != "" {
 				return reason
 			}
 		}
-		if !time.Now().Before(deadline) {
+		if !n.cfg.Service.Clock.Now().Before(deadline) {
 			return ""
 		}
 		select {
 		case <-ctx.Done():
 			return "rollout canceled: " + ctx.Err().Error()
-		case <-time.After(n.cfg.Canary.Poll):
+		case <-n.cfg.Service.Clock.After(n.cfg.Canary.Observe / 4):
 		}
 	}
 }

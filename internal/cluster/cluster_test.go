@@ -7,21 +7,116 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/cluster"
 	"repro/pkg/rapclient"
 )
 
 // testCluster is an in-process cluster: each node behind a real HTTP
 // server, so forwarding, gossip and canary stats fetches all cross a
-// genuine network boundary.
+// genuine network boundary. Every node runs on one manual clock: gossip,
+// member aging, replica warm-up and the canary watch move only when the
+// test advances it.
 type testCluster struct {
 	nodes   []*cluster.Node
 	servers []*httptest.Server
+	clock   *clock.Manual
+}
+
+// The nodes' GossipInterval, and the canary window (Observe, sampled
+// every Observe/4), both at their defaults.
+const (
+	gossipInterval = time.Second
+	canaryObserve  = 2 * time.Second
+)
+
+// Gossip rounds a 3-node cluster needs. converge: for the rings to agree
+// from a cold start. spread: for what one node knows (a program digest, a
+// new address) to reach every node, and for a placement replica's own
+// round to warm the program. depart: to drop a node that died; a survivor
+// hears its last announcement at most two rounds after it died (relayed
+// by the other survivor) and prunes it in the first of its rounds more
+// than 10 intervals after that.
+const converge, spread, depart = 2, 2, 13
+
+// rounds advances the clock by k gossip intervals: each node runs k
+// gossip/reconcile rounds, and they have finished when it returns.
+func (tc *testCluster) rounds(k int) {
+	tc.clock.Advance(time.Duration(k) * gossipInterval)
+}
+
+// after runs k gossip rounds and fails the test unless cond then holds.
+func (tc *testCluster) after(t *testing.T, k int, what string, cond func() bool) {
+	t.Helper()
+	tc.rounds(k)
+	if !cond() {
+		t.Fatalf("no %s after %d gossip rounds", what, k)
+	}
+}
+
+// ringsAre runs k gossip rounds and fails unless every live node's ring
+// then holds size members.
+func (tc *testCluster) ringsAre(t *testing.T, k, size int) {
+	t.Helper()
+	tc.after(t, k, fmt.Sprintf("ring of %d nodes", size), func() bool {
+		for _, n := range tc.nodes {
+			if n != nil && n.Ring().Size() != size {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// rollout PUTs an update through base and steps the clock through the
+// canary window, which samples the canaries at its start and after each
+// Observe/4; samples is how many times it is to sample them before the
+// rollout answers, 5 for the whole window. Each step stops a millisecond
+// short of the next sample, where the watch must still be waiting. A
+// failed test cancels the request, which ends a watch left waiting.
+func (tc *testCluster) rollout(t *testing.T, base, id string, patterns []string, samples int) (cluster.RolloutResult, error) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	var out cluster.RolloutResult
+	done := make(chan error, 1)
+	go func() { done <- putUpdate(ctx, base, id, patterns, &out) }()
+	for i := 1; i < samples; i++ {
+		for _, step := range []time.Duration{canaryObserve/4 - time.Millisecond, time.Millisecond} {
+			if answered, err := tc.next(done); answered {
+				t.Fatalf("rollout answered (%v) after %d of %d canary samples", err, i, samples)
+			}
+			tc.clock.Advance(step)
+		}
+	}
+	answered, err := tc.next(done)
+	if !answered {
+		t.Fatalf("canary watch still waiting after %d samples", samples)
+	}
+	return out, err
+}
+
+// next waits until the rollout answers on done, or its canary watch waits
+// on the clock for the next sample, and reports which.
+func (tc *testCluster) next(done <-chan error) (answered bool, err error) {
+	armed := make(chan struct{})
+	go func() {
+		tc.clock.BlockUntil(1)
+		close(armed)
+	}()
+	select {
+	case err := <-done:
+		return true, err
+	case <-armed:
+		return false, nil
+	}
 }
 
 func (tc *testCluster) close() {
@@ -50,13 +145,14 @@ func (tc *testCluster) node(id string) *cluster.Node {
 	return nil
 }
 
-// startCluster brings up size nodes with fast gossip/canary timing.
-// mutate (optional) adjusts each node's config before construction.
+// startCluster brings up size nodes on one manual clock. mutate
+// (optional) adjusts each node's config before construction.
 func startCluster(t *testing.T, size int, mutate func(i int, cfg *cluster.Config)) *testCluster {
 	t.Helper()
 	tc := &testCluster{
 		nodes:   make([]*cluster.Node, size),
 		servers: make([]*httptest.Server, size),
+		clock:   clock.NewManual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)),
 	}
 	// Servers come up first so every node can know every address; the
 	// closure guards the window before its node exists.
@@ -80,13 +176,11 @@ func startCluster(t *testing.T, size int, mutate func(i int, cfg *cluster.Config
 			ID:             fmt.Sprintf("n%d", i),
 			Seeds:          seeds,
 			Replicas:       2,
-			GossipInterval: 20 * time.Millisecond,
-			SuspectAfter:   200 * time.Millisecond,
-			DeadAfter:      500 * time.Millisecond,
+			GossipInterval: gossipInterval,
 		}
 		cfg.Service.Workers = 1
-		cfg.Canary.Observe = 150 * time.Millisecond
-		cfg.Canary.Poll = 40 * time.Millisecond
+		cfg.Service.Clock = tc.clock
+		cfg.Canary.Observe = canaryObserve
 		if mutate != nil {
 			mutate(i, &cfg)
 		}
@@ -102,36 +196,6 @@ func startCluster(t *testing.T, size int, mutate func(i int, cfg *cluster.Config
 	}
 	t.Cleanup(tc.close)
 	return tc
-}
-
-// waitFor polls cond until it holds or the deadline passes.
-func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	for {
-		if cond() {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-func waitConverged(t *testing.T, tc *testCluster, size int) {
-	t.Helper()
-	waitFor(t, 5*time.Second, fmt.Sprintf("ring convergence to %d nodes", size), func() bool {
-		for _, n := range tc.nodes {
-			if n == nil {
-				continue
-			}
-			if n.Ring().Size() != size {
-				return false
-			}
-		}
-		return true
-	})
 }
 
 // TestClusterEndToEnd is the 3-node smoke the ISSUE requires: gossip
@@ -153,7 +217,7 @@ func TestClusterEndToEnd(t *testing.T) {
 			return nil
 		}
 	})
-	waitConverged(t, tc, 3)
+	tc.ringsAre(t, converge, 3)
 
 	ctx := context.Background()
 	gw := rapclient.New(tc.servers[0].URL)
@@ -187,7 +251,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 	// Once digest gossip has warmed the replicas, scans spread over the
 	// whole replica set round-robin.
-	waitFor(t, 5*time.Second, "replica warm-up", func() bool {
+	tc.after(t, spread, "replica warm-up", func() bool {
 		for _, id := range placement {
 			if _, ok := tc.node(id).Service().Program(prog.ID); !ok {
 				return false
@@ -244,8 +308,8 @@ func TestClusterEndToEnd(t *testing.T) {
 	if _, err := inflight.Feed(ctx, []byte("be")); err != nil {
 		t.Fatalf("feed before rollout: %v", err)
 	}
-	var rollout cluster.RolloutResult
-	if err := putUpdate(tc.servers[0].URL, prog.ID, []string{"alpha", "gamma"}, &rollout); err != nil {
+	rollout, err := tc.rollout(t, tc.servers[0].URL, prog.ID, []string{"alpha", "gamma"}, 5)
+	if err != nil {
 		t.Fatalf("rollout: %v", err)
 	}
 	if rollout.Outcome != cluster.OutcomePromoted {
@@ -286,8 +350,8 @@ func TestClusterEndToEnd(t *testing.T) {
 		st := n.Service().Stats().Reconfig
 		counts[n.ID()] = [2]int64{st.PatternsRestored, st.PatternsCompiled}
 	}
-	var rolledBack cluster.RolloutResult
-	if err := putUpdate(tc.servers[0].URL, prog.ID, []string{"delta"}, &rolledBack); err != nil {
+	rolledBack, err := tc.rollout(t, tc.servers[0].URL, prog.ID, []string{"delta"}, 1)
+	if err != nil {
 		t.Fatalf("rollback rollout: %v", err)
 	}
 	failCanary.Store(false)
@@ -332,7 +396,7 @@ func TestClusterEndToEnd(t *testing.T) {
 		}
 	}
 	tc.kill(victim)
-	waitConverged(t, tc, 2)
+	tc.ringsAre(t, depart, 2)
 	if _, err := sess2.Feed(ctx, []byte("gam")); err != nil {
 		t.Fatalf("feed after departure: %v", err)
 	}
@@ -353,9 +417,9 @@ func TestClusterEndToEnd(t *testing.T) {
 }
 
 // putUpdate PUTs a ruleset update and decodes the rollout response.
-func putUpdate(base, programID string, patterns []string, out *cluster.RolloutResult) error {
+func putUpdate(ctx context.Context, base, programID string, patterns []string, out *cluster.RolloutResult) error {
 	body, _ := json.Marshal(map[string]any{"patterns": patterns})
-	req, err := http.NewRequest(http.MethodPut, base+"/v1/programs/"+programID, strings.NewReader(string(body)))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPut, base+"/v1/programs/"+programID, strings.NewReader(string(body)))
 	if err != nil {
 		return err
 	}
@@ -376,36 +440,31 @@ func putUpdate(base, programID string, patterns []string, out *cluster.RolloutRe
 }
 
 // TestClusterHotFanOut: sustained scan pressure on one program widens
-// its replica set up to MaxReplicas, and the new replica warms.
+// its replica set up to MaxReplicas, and the new replica warms. 20 scans
+// through the gateway in one gossip interval are a rate of 20/s, over
+// HotScanRate 5, so the gateway's next round widens the set by one.
 func TestClusterHotFanOut(t *testing.T) {
 	tc := startCluster(t, 3, func(i int, cfg *cluster.Config) {
 		cfg.HotScanRate = 5
 		cfg.MaxReplicas = 3
 	})
-	waitConverged(t, tc, 3)
+	tc.ringsAre(t, converge, 3)
 	ctx := context.Background()
 	gw := rapclient.New(tc.servers[0].URL)
 	prog, err := gw.Compile(ctx, []string{"hot"}, nil)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		for j := 0; j < 20; j++ {
-			if _, err := gw.Scan(ctx, prog.ID, []byte("hot stuff")); err != nil {
-				t.Fatalf("scan: %v", err)
-			}
+	for j := 0; j < 20; j++ {
+		if _, err := gw.Scan(ctx, prog.ID, []byte("hot stuff")); err != nil {
+			t.Fatalf("scan: %v", err)
 		}
-		meta, _ := tc.nodes[0].Catalog().Get(prog.ID)
-		if meta.Replicas == 3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("replicas = %d after sustained load, want fan-out to 3", meta.Replicas)
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
-	waitFor(t, 5*time.Second, "fan-out replica warm-up", func() bool {
+	tc.after(t, 1, "fan-out to 3 replicas", func() bool {
+		meta, _ := tc.nodes[0].Catalog().Get(prog.ID)
+		return meta.Replicas == 3
+	})
+	tc.after(t, spread, "fan-out replica warm-up", func() bool {
 		for _, n := range tc.nodes {
 			if _, ok := n.Service().Program(prog.ID); !ok {
 				return false
@@ -419,23 +478,20 @@ func TestClusterHotFanOut(t *testing.T) {
 // known (and scannable) cluster-wide through digest gossip alone.
 func TestClusterGossipCatalog(t *testing.T) {
 	tc := startCluster(t, 3, nil)
-	waitConverged(t, tc, 3)
+	tc.ringsAre(t, converge, 3)
 	ctx := context.Background()
 
 	prog, err := rapclient.New(tc.servers[2].URL).Compile(ctx, []string{"needle"}, nil)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	waitFor(t, 5*time.Second, "catalog convergence", func() bool {
+	// Placement replicas warm the program without ever seeing a scan.
+	tc.after(t, spread, "catalog convergence and replica warm-up", func() bool {
 		for _, n := range tc.nodes {
 			if _, ok := n.Catalog().Get(prog.ID); !ok {
 				return false
 			}
 		}
-		return true
-	})
-	// Placement replicas warm the program without ever seeing a scan.
-	waitFor(t, 5*time.Second, "replica warm-up", func() bool {
 		for _, id := range tc.nodes[0].Ring().Placement(prog.ID, 2) {
 			if _, ok := tc.node(id).Service().Program(prog.ID); !ok {
 				return false
@@ -448,5 +504,126 @@ func TestClusterGossipCatalog(t *testing.T) {
 		if err != nil || res.Count != 1 {
 			t.Fatalf("scan via n%d = %v, %v", i, res, err)
 		}
+	}
+}
+
+// membersOf reads node i's /cluster/members view of member id: its state
+// and when node i last heard it announce, and whether it is on node i's
+// ring. known is false once the node has pruned it.
+func membersOf(t *testing.T, tc *testCluster, i int, id string) (state string, lastSeen time.Time, known, onRing bool) {
+	t.Helper()
+	var view struct {
+		Members []cluster.Member `json:"members"`
+		Ring    []string         `json:"ring"`
+	}
+	if _, raw := do(t, "GET", tc.servers[i].URL+"/cluster/members", nil, false); json.Unmarshal(raw, &view) != nil {
+		t.Fatalf("n%d members view %s", i, raw)
+	}
+	for _, m := range view.Members {
+		if m.ID == id {
+			state, lastSeen, known = m.State, m.LastSeen, true
+		}
+	}
+	return state, lastSeen, known, slices.Contains(view.Ring, id)
+}
+
+// TestClusterMemberAging: a killed node ages out of each survivor's
+// routing and then off its ring at exact rounds. Membership marks a member
+// suspect when more than 3 gossip intervals have passed since this node
+// last heard it announce (age > 3×GossipInterval), dead when more than 10
+// have (age > 10×GossipInterval), and each survivor prunes once a round.
+// So a survivor that last heard the node at round T still routes to it in
+// its round T+3, not in T+4; keeps it on the ring through T+10 and drops
+// it in T+11. n2 died after round 2, whose announcement it gossiped to n1;
+// n0 heard that announcement relayed by n1 in round 3.
+func TestClusterMemberAging(t *testing.T) {
+	tc := startCluster(t, 3, nil)
+	tc.ringsAre(t, converge, 3)
+	victim := tc.nodes[2].ID()
+	tc.kill(2)
+	start := tc.clock.Now()
+	// Rounds after the kill at which each survivor last heard the victim,
+	// found it suspect, and no longer knew it.
+	var heard, suspect, dead [2]int
+	for round := 1; round <= depart; round++ {
+		tc.rounds(1)
+		for i := range heard {
+			state, lastSeen, known, onRing := membersOf(t, tc, i, victim)
+			switch {
+			case known && state == cluster.StateAlive:
+				heard[i] = int(lastSeen.Sub(start) / gossipInterval)
+			case known && state == cluster.StateSuspect && suspect[i] == 0:
+				suspect[i] = round
+			case !known && dead[i] == 0:
+				dead[i] = round
+			}
+			if alive := known && state == cluster.StateAlive; alive == (suspect[i] > 0) || onRing != known {
+				t.Fatalf("round %d: n%d sees %s %q (known %v, on ring %v), suspect since round %d", round, i, victim, state, known, onRing, suspect[i])
+			}
+		}
+	}
+	if want := [2]int{1, 0}; heard != want {
+		t.Errorf("survivors last heard %s at rounds %v after its death, want %v", victim, heard, want)
+	}
+	if want := [2]int{heard[0] + 4, heard[1] + 4}; suspect != want {
+		t.Errorf("survivors stopped routing to %s at rounds %v, want %v", victim, suspect, want)
+	}
+	if want := [2]int{heard[0] + 11, heard[1] + 11}; dead != want {
+		t.Errorf("survivors dropped %s from their rings at rounds %v, want %v", victim, dead, want)
+	}
+}
+
+// TestCanaryWindow: with Observe 2 s, and so a sample every 0.5 s, a
+// promoted rollout samples its canary exactly 5 times, at 0, 0.5, 1, 1.5
+// and 2 s of clock time, and does not answer before the 2 s have passed.
+// A canary whose first sample fails rolls back after that one sample,
+// with the clock standing still.
+func TestCanaryWindow(t *testing.T) {
+	var mu sync.Mutex
+	var sampled []time.Time
+	var fail atomic.Bool
+	tc := startCluster(t, 3, func(i int, cfg *cluster.Config) {
+		clk := cfg.Service.Clock
+		cfg.Canary.Check = func(string, *rapclient.Stats) error {
+			mu.Lock()
+			sampled = append(sampled, clk.Now())
+			mu.Unlock()
+			if fail.Load() {
+				return errors.New("injected canary fault")
+			}
+			return nil
+		}
+	})
+	tc.ringsAre(t, converge, 3)
+	id, _, _ := placed(t, tc, 2, []string{"alpha"})
+	samples := func() (out []time.Duration) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, at := range sampled {
+			out = append(out, at.Sub(sampled[0]))
+		}
+		sampled = nil
+		return out
+	}
+
+	start := tc.clock.Now()
+	promoted, err := tc.rollout(t, tc.servers[0].URL, id, []string{"beta"}, 5)
+	if err != nil || promoted.Outcome != cluster.OutcomePromoted {
+		t.Fatalf("rollout = %+v, %v; want promoted", promoted, err)
+	}
+	if got := tc.clock.Now().Sub(start); got != canaryObserve {
+		t.Errorf("rollout answered after %v of clock time, want %v", got, canaryObserve)
+	}
+	if got, want := fmt.Sprint(samples()), "[0s 500ms 1s 1.5s 2s]"; got != want {
+		t.Errorf("canary sampled at %s, want %s", got, want)
+	}
+
+	fail.Store(true)
+	rolledBack, err := tc.rollout(t, tc.servers[0].URL, id, []string{"gamma"}, 1)
+	if err != nil || rolledBack.Outcome != cluster.OutcomeRolledBack {
+		t.Fatalf("rollout = %+v, %v; want rolled back", rolledBack, err)
+	}
+	if got := samples(); len(got) != 1 {
+		t.Errorf("failing canary sampled %d times, want 1", len(got))
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/metrics"
 	"repro/internal/service"
 	"repro/internal/telemetry"
@@ -29,12 +30,9 @@ type CanaryConfig struct {
 	// (one canary at the default 3-replica fan-out). <= 0 disables
 	// canarying: updates apply to all replicas directly.
 	Fraction float64
-	// Observe is how long staged canaries are watched before the
-	// promote/rollback decision; default 2s.
+	// Observe is how long staged canaries are watched, sampled every
+	// Observe/4, before the promote/rollback decision; default 2s.
 	Observe time.Duration
-	// Poll is the stats-sampling interval inside the window; default
-	// Observe/4.
-	Poll time.Duration
 	// MinHealth fails the canary when a staged node's health score
 	// drops below it; default 0.35 (the slo critical threshold).
 	MinHealth float64
@@ -63,12 +61,9 @@ type Config struct {
 	// VNodes is the consistent-hash virtual-node count per member;
 	// default DefaultVNodes.
 	VNodes int
-	// GossipInterval is the announce/reconcile tick; default 1s.
+	// GossipInterval is the announce/reconcile tick; default 1s. Members
+	// silent over 3 intervals leave routing, over 10 the ring.
 	GossipInterval time.Duration
-	// SuspectAfter/DeadAfter age members out of routing and then out
-	// of the ring; defaults 3× and 10× GossipInterval.
-	SuspectAfter time.Duration
-	DeadAfter    time.Duration
 	// Canary tunes staged rollouts.
 	Canary CanaryConfig
 	// Service is the embedded single-node service configuration.
@@ -91,23 +86,17 @@ func (c *Config) fill() {
 	if c.GossipInterval <= 0 {
 		c.GossipInterval = time.Second
 	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 3 * c.GossipInterval
-	}
-	if c.DeadAfter <= 0 {
-		c.DeadAfter = 10 * c.GossipInterval
-	}
 	if c.Canary.Fraction == 0 {
 		c.Canary.Fraction = 0.34
 	}
 	if c.Canary.Observe <= 0 {
 		c.Canary.Observe = 2 * time.Second
 	}
-	if c.Canary.Poll <= 0 {
-		c.Canary.Poll = c.Canary.Observe / 4
-	}
 	if c.Canary.MinHealth == 0 {
 		c.Canary.MinHealth = 0.35
+	}
+	if c.Service.Clock == nil {
+		c.Service.Clock = clock.Real{}
 	}
 }
 
@@ -146,14 +135,11 @@ type Node struct {
 	repairs   *metrics.Counter
 	gossips   *metrics.Counter
 	canaryOut map[string]*metrics.Counter // by RolloutResult outcome
-	stop      chan struct{}
-	wg        sync.WaitGroup
-	started   atomic.Bool
-	closeOnce sync.Once
+	stopLoop  func()                      // the gossip rounds'
 }
 
-// NewNode builds a node (service included) but does not start gossip;
-// call Start once the advertised address is known.
+// NewNode builds a node (service included). Its gossip rounds wait for
+// an address: call Start once the advertised address is known.
 func NewNode(cfg Config) (*Node, error) {
 	if cfg.ID == "" {
 		return nil, fmt.Errorf("cluster: Config.ID is required")
@@ -163,12 +149,12 @@ func NewNode(cfg Config) (*Node, error) {
 		cfg:         cfg,
 		svc:         service.New(cfg.Service),
 		ring:        NewRing(cfg.VNodes),
-		members:     NewMembership(cfg.ID, cfg.SuspectAfter, cfg.DeadAfter),
+		members:     NewMembership(cfg.ID, 3*cfg.GossipInterval, 10*cfg.GossipInterval),
 		catalog:     NewCatalog(),
 		log:         cfg.Logger,
 		routedScans: map[string]int64{},
 		applied:     map[string]int64{},
-		stop:        make(chan struct{}),
+		lastTick:    cfg.Service.Clock.Now(),
 	}
 	if n.log == nil {
 		n.log = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError + 4}))
@@ -211,6 +197,7 @@ func NewNode(cfg Config) (*Node, error) {
 	tel.GaugeFunc("rap_node_routed_scan_rate", "Proxy-level routed scans/sec through this node.", func() float64 {
 		return n.lastRate.Load().(float64)
 	})
+	n.stopLoop = n.cfg.Service.Clock.Every(func() time.Duration { return cfg.GossipInterval }, n.tick)
 	return n, nil
 }
 
@@ -234,25 +221,16 @@ func (n *Node) Addr() string { return n.addr.Load().(string) }
 // ID returns the node's cluster name.
 func (n *Node) ID() string { return n.cfg.ID }
 
-// Start records the advertised base URL and launches the gossip and
-// reconcile loop. It is idempotent.
+// Start records the advertised base URL, which starts the gossip and
+// reconcile rounds. A second call re-advertises.
 func (n *Node) Start(addr string) {
 	n.addr.Store(addr)
-	n.members.Merge([]MemberInfo{n.localInfo()}, time.Now())
-	if !n.started.CompareAndSwap(false, true) {
-		return
-	}
-	n.lastTick = time.Now()
-	n.wg.Add(1)
-	go n.run()
+	n.members.Merge([]MemberInfo{n.localInfo()}, n.cfg.Service.Clock.Now())
 }
 
 // Close stops the loops and shuts the embedded service down.
 func (n *Node) Close() {
-	n.closeOnce.Do(func() {
-		close(n.stop)
-	})
-	n.wg.Wait()
+	n.stopLoop()
 	n.hc.CloseIdleConnections()
 	n.svc.Close()
 }
@@ -271,28 +249,17 @@ func (n *Node) localInfo() MemberInfo {
 	}
 }
 
-func (n *Node) run() {
-	defer n.wg.Done()
-	t := time.NewTicker(n.cfg.GossipInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-n.stop:
-			return
-		case <-t.C:
-			n.tick()
-		}
-	}
-}
-
 // tick is one gossip/reconcile round: re-announce, exchange views with
 // one peer, age members, sync the ring, widen hot programs, and warm
 // any program this node is now a placement target for.
 func (n *Node) tick() {
-	now := time.Now()
+	if n.Addr() == "" {
+		return // not started
+	}
+	now := n.cfg.Service.Clock.Now()
 	n.members.Merge([]MemberInfo{n.localInfo()}, now)
 	n.gossipOnce()
-	for _, id := range n.members.Prune(time.Now()) {
+	for _, id := range n.members.Prune(now) {
 		n.ring.Remove(id)
 		n.log.Info("cluster member dead", "node", id)
 	}
@@ -375,7 +342,7 @@ func decodePeer(body io.Reader, v any) error {
 // absorb merges a remote view: membership first, then any program
 // digests the local catalog is stale on (fetched from the announcer).
 func (n *Node) absorb(view []MemberInfo) {
-	n.members.Merge(view, time.Now())
+	n.members.Merge(view, n.cfg.Service.Clock.Now())
 	for _, m := range view {
 		if m.ID == n.cfg.ID || m.Addr == "" {
 			continue

@@ -75,9 +75,9 @@ func do(t *testing.T, method, url string, body []byte, chunked bool) (reply, []b
 	}, raw
 }
 
-// placed compiles patterns through node 0 of tc, waits until every replica
-// holds the program, and returns its ID, the replicas' node indexes in
-// placement order and the index of a node outside the placement.
+// placed compiles patterns through node 0 of tc, runs the gossip rounds
+// that warm every replica, and returns its ID, the replicas' node indexes
+// in placement order and the index of a node outside the placement.
 func placed(t *testing.T, tc *testCluster, replicas int, patterns []string) (id string, repl []int, gateway int) {
 	t.Helper()
 	prog, err := rapclient.New(tc.servers[0].URL).Compile(context.Background(), patterns, nil)
@@ -95,7 +95,7 @@ func placed(t *testing.T, tc *testCluster, replicas int, patterns []string) (id 
 	for _, i := range index {
 		gateway = i
 	}
-	waitFor(t, 5*time.Second, "replica warm-up", func() bool {
+	tc.after(t, spread, "replica warm-up", func() bool {
 		for _, i := range repl {
 			if _, ok := tc.nodes[i].Service().Program(prog.ID); !ok {
 				return false
@@ -135,11 +135,8 @@ func TestProxyDifferential(t *testing.T) {
 	tc := startCluster(t, 3, func(i int, cfg *cluster.Config) {
 		cfg.HotScanRate = 1e9
 		cfg.Service.ProgramCacheSize = 2
-		// Long enough that a killed replica is still routed to for the
-		// "first replica down" scans, short enough to wait out after.
-		cfg.SuspectAfter, cfg.DeadAfter = time.Second, 1500*time.Millisecond
 	})
-	waitConverged(t, tc, 3)
+	tc.ringsAre(t, converge, 3)
 	ctx := context.Background()
 	patterns := []string{"alpha", "beta", "end$"}
 	id, repl, gw := placed(t, tc, 2, patterns)
@@ -253,8 +250,9 @@ func TestProxyDifferential(t *testing.T) {
 		})
 	}
 
-	// A session on the second replica, which then dies. While the survivors
-	// still route to it, scans whose first replica it is fall through.
+	// A session on the second replica, which then dies. The clock stands
+	// still, so the survivors still route to it: scans whose first replica
+	// it is fall through.
 	var doomed struct {
 		SessionID string `json:"session_id"`
 	}
@@ -272,10 +270,7 @@ func TestProxyDifferential(t *testing.T) {
 	if metric(t, bases[0], refused) == before {
 		t.Errorf("no forward to the dead first replica was recorded")
 	}
-	waitFor(t, 5*time.Second, "departure", func() bool {
-		// A member leaves the ring in the tick that prunes it.
-		return tc.nodes[gw].Ring().Size() < len(tc.nodes) && tc.nodes[owner].Ring().Size() < len(tc.nodes)
-	})
+	tc.ringsAre(t, depart, 2)
 	for _, chunked := range []bool{false, true} {
 		gone := "/v1/sessions/" + doomed.SessionID + "/data"
 		raws := same(t, chunked, true, "POST", [3]string{gone, gone, "/v1/sessions/sess-999/data"}, input)
@@ -314,7 +309,7 @@ func rawRequest(t *testing.T, base, head string, body []byte) int {
 // 400 where it buffers.
 func TestProxyBodyLimits(t *testing.T) {
 	tc := startCluster(t, 3, nil)
-	waitConverged(t, tc, 3)
+	tc.ringsAre(t, converge, 3)
 	id, repl, gw := placed(t, tc, 2, []string{"needle"})
 	base := tc.servers[gw].URL
 	sess, err := rapclient.New(base).OpenSession(context.Background(), id)
@@ -371,7 +366,7 @@ func TestProxyBodyLimits(t *testing.T) {
 // rather than compile it where no other node looks for it.
 func TestGatewayRefusesTrailingBytes(t *testing.T) {
 	tc := startCluster(t, 3, func(i int, cfg *cluster.Config) { cfg.Replicas = 1 })
-	waitConverged(t, tc, 3)
+	tc.ringsAre(t, converge, 3)
 	for i, srv := range tc.servers {
 		if got, raw := do(t, "POST", srv.URL+"/v1/programs", []byte(`{"patterns":["abc"]} trailing`), false); got.status != http.StatusBadRequest {
 			t.Errorf("n%d: compile with trailing bytes = %d %s, want 400", i, got.status, raw)
@@ -391,7 +386,7 @@ func TestGatewayRefusesTrailingBytes(t *testing.T) {
 // dfa_state_cap keeps its meaning (no DFA path) and compiles.
 func TestNegativeOptionsRefused(t *testing.T) {
 	tc := startCluster(t, 3, func(i int, cfg *cluster.Config) { cfg.Replicas = 1 })
-	waitConverged(t, tc, 3)
+	tc.ringsAre(t, converge, 3)
 	bareSvc := service.New(service.Config{Workers: 1})
 	defer bareSvc.Close()
 	bare := httptest.NewServer(bareSvc.Handler())
@@ -423,7 +418,7 @@ func TestNegativeOptionsRefused(t *testing.T) {
 // ID, from every node of a 3-node cluster with one replica.
 func TestGatewayAndNodeDeriveOneKey(t *testing.T) {
 	tc := startCluster(t, 3, func(i int, cfg *cluster.Config) { cfg.Replicas = 1 })
-	waitConverged(t, tc, 3)
+	tc.ringsAre(t, converge, 3)
 	for _, body := range []string{
 		`{"patterns":["cat","dog"],"options":{}}`,
 		`{"options":{"unfold_threshold":12},"patterns":["c\u0061t","d\/og"]}`,
@@ -461,8 +456,8 @@ func TestGatewayAndNodeDeriveOneKey(t *testing.T) {
 // repair — the count TestShardedWorkingSetStaysResident reads on its 1-node
 // side.
 func TestRepairFirstCountsOnce(t *testing.T) {
+	// The clock stands still: no reconciler round warms behind the scans.
 	tc := startCluster(t, 1, func(i int, cfg *cluster.Config) {
-		cfg.GossipInterval = time.Hour // no reconciler warming behind the scans
 		cfg.Service.ProgramCacheSize = 2
 	})
 	ctx := context.Background()
@@ -520,11 +515,8 @@ func TestShardedWorkingSetStaysResident(t *testing.T) {
 			cfg.Replicas = 1
 			cfg.HotScanRate = -1 // fixed placement: no fan-out onto a second cache
 			cfg.Service.ProgramCacheSize = cache
-			if size == 1 {
-				cfg.GossipInterval = time.Hour // no reconciler warming behind the scans
-			}
 		})
-		waitConverged(t, tc, size)
+		tc.ringsAre(t, converge, size)
 		ctx := context.Background()
 		gateways := make([]*rapclient.Client, size)
 		for i, s := range tc.servers {
@@ -538,7 +530,7 @@ func TestShardedWorkingSetStaysResident(t *testing.T) {
 			}
 			ids = append(ids, prog.ID)
 		}
-		waitFor(t, 5*time.Second, "catalog convergence", func() bool {
+		tc.after(t, spread, "catalog convergence", func() bool {
 			for _, n := range tc.nodes {
 				if n.Catalog().Len() != programs {
 					return false
@@ -561,6 +553,7 @@ func TestShardedWorkingSetStaysResident(t *testing.T) {
 			}
 			return out
 		}
+		// The clock stands still: no reconciler round warms behind the sweeps.
 		sweep()
 		before := repairs()
 		sweep()
@@ -590,17 +583,17 @@ func TestRepairReusesOriginalRuleset(t *testing.T) {
 	tc := startCluster(t, 3, func(i int, cfg *cluster.Config) {
 		cfg.Service.ProgramCacheSize = 2
 	})
-	waitConverged(t, tc, 3)
+	tc.ringsAre(t, converge, 3)
 	ctx := context.Background()
 	original := []string{"alpha", "be+ta", "ga{20,40}mma", "(x|yz)*w", "delta$"}
 	live := []string{"alpha", "be+ta", "ga{20,40}mma", "(x|yz)*w", "epsilon"}
 	id, repl, _ := placed(t, tc, 2, original)
 	owner, second := tc.nodes[repl[0]], tc.nodes[repl[1]]
-	var rollout cluster.RolloutResult
-	if err := putUpdate(tc.servers[repl[0]].URL, id, live, &rollout); err != nil || rollout.Outcome != cluster.OutcomePromoted {
+	rollout, err := tc.rollout(t, tc.servers[repl[0]].URL, id, live, 5)
+	if err != nil || rollout.Outcome != cluster.OutcomePromoted {
 		t.Fatalf("rollout = %+v, %v", rollout, err)
 	}
-	waitFor(t, 5*time.Second, "the promoted ruleset to reach the replica's catalog", func() bool {
+	tc.after(t, spread, "the promoted ruleset in the replica's catalog", func() bool {
 		meta, ok := second.Catalog().Get(id)
 		return ok && meta.Generation == rollout.ClusterGeneration
 	})
@@ -649,9 +642,8 @@ func TestGatewayScanAllocBytes(t *testing.T) {
 	}
 	tc := startCluster(t, 3, func(i int, cfg *cluster.Config) {
 		cfg.Replicas, cfg.HotScanRate = 1, -1
-		cfg.GossipInterval = 100 * time.Millisecond // what a tick allocates is not the scans'
 	})
-	waitConverged(t, tc, 3)
+	tc.ringsAre(t, converge, 3)
 	id, _, gw := placed(t, tc, 1, []string{"needle", "hay+stack"})
 	body := bytes.Repeat([]byte("no match in sight, nothing here "), 8<<10)
 	copy(body[len(body)/2:], "a needle")
@@ -694,7 +686,7 @@ func TestForwardConnectionReuse(t *testing.T) {
 	// is there, so that the wave needs that many connections at once.
 	var arrived atomic.Pointer[sync.WaitGroup]
 	tc := startCluster(t, 2, func(i int, cfg *cluster.Config) { cfg.Replicas, cfg.HotScanRate = 1, -1 })
-	waitConverged(t, tc, 2)
+	tc.ringsAre(t, converge, 2)
 	id, repl, _ := placed(t, tc, 1, []string{"needle"})
 	owner, gw := repl[0], 1-repl[0]
 	front := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -714,7 +706,7 @@ func TestForwardConnectionReuse(t *testing.T) {
 	defer front.Close()
 	// Re-advertise the owner behind the counting front.
 	tc.nodes[owner].Start(front.URL)
-	waitFor(t, 5*time.Second, "the gateway to learn the owner's new address", func() bool {
+	tc.after(t, spread, "the owner's new address at the gateway", func() bool {
 		var view struct {
 			Members []cluster.MemberInfo `json:"members"`
 		}
@@ -746,13 +738,12 @@ func TestForwardConnectionReuse(t *testing.T) {
 		}
 		wg.Wait()
 	}
-	// Gossip shares the transport and runs one exchange at a time: the
-	// first wave is one wider, for the connection gossip may be holding
-	// while the second is in flight.
-	run(wave + 1)
+	// The clock stands still through both waves, so no gossip exchange
+	// holds a connection of the gateway's transport.
+	run(wave)
 	first := dials.Load()
-	if first < wave+1 {
-		t.Fatalf("first wave opened %d connections, want at least %d", first, wave+1)
+	if first < wave {
+		t.Fatalf("first wave opened %d connections, want at least %d", first, wave)
 	}
 	run(wave)
 	if again := dials.Load() - first; again != 0 {
@@ -765,7 +756,7 @@ func TestForwardConnectionReuse(t *testing.T) {
 // behind on either node.
 func TestForwardClientDisconnect(t *testing.T) {
 	tc := startCluster(t, 3, nil)
-	waitConverged(t, tc, 3)
+	tc.ringsAre(t, converge, 3)
 	id, _, gw := placed(t, tc, 2, []string{"needle"})
 	base := tc.servers[gw].URL
 	sess, err := rapclient.New(base).OpenSession(context.Background(), id)
@@ -786,11 +777,17 @@ func TestForwardClientDisconnect(t *testing.T) {
 		conn.Close()
 	}
 	handlers := regexp.MustCompile(`\(\*Node\)\.handle(Feed|Scan)|\(\*Service\)\.handle(Feed|Scan)`)
-	waitFor(t, 10*time.Second, "handlers and goroutines to drain", func() bool {
+	// The handlers exit on the runtime's schedule, not the clock's.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
 		stacks := make([]byte, 1<<20)
 		stacks = stacks[:runtime.Stack(stacks, true)]
-		return !handlers.Match(stacks) && runtime.NumGoroutine() <= settled
-	})
+		if !handlers.Match(stacks) && runtime.NumGoroutine() <= settled {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("handlers and goroutines did not drain")
+		}
+	}
 	if fed, err := sess.Feed(context.Background(), []byte("a needle")); err != nil || fed.Count != 1 {
 		t.Errorf("feed after the abandoned one = %+v, %v", fed, err)
 	}

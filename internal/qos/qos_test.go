@@ -8,32 +8,12 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/clock"
 )
 
-// fakeClock is a manually advanced clock for deterministic bucket tests.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newFakeClock() *fakeClock {
-	return &fakeClock{t: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)}
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
-func testRegistry(cfg Config) (*Registry, *fakeClock) {
-	clk := newFakeClock()
+func testRegistry(cfg Config) (*Registry, *clock.Manual) {
+	clk := clock.NewManual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
 	r := NewRegistry(cfg)
 	r.now = clk.Now
 	return r, clk

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/compile"
 	"repro/internal/metrics"
 	"repro/internal/prefilter"
@@ -65,6 +66,8 @@ type Config struct {
 	// The zero value runs the default objectives with admission disabled.
 	// Live reconfiguration goes through Service.SLO().SetConfig.
 	SLO slo.Config
+	// Clock runs the SLO and cluster control loops; nil means clock.Real.
+	Clock clock.Clock
 }
 
 func (c *Config) setDefaults() {
@@ -89,6 +92,9 @@ func (c *Config) setDefaults() {
 	if c.TraceRing <= 0 {
 		c.TraceRing = 128
 	}
+	if c.Clock == nil {
+		c.Clock = clock.Real{}
+	}
 }
 
 // Service is the multi-tenant match service: program cache + session
@@ -107,6 +113,7 @@ type Service struct {
 	tracer    *telemetry.Tracer
 	sloEng    *slo.Engine
 	sloCtl    *slo.Controller
+	stopSLO   func() // the admission loop's
 	health    *slo.Scorer
 
 	mu       sync.Mutex
@@ -184,16 +191,16 @@ func New(cfg Config) *Service {
 	// SLO loop: burn-rate engine fed by the middleware and stage
 	// observations, a controller driving shed levels into the QoS
 	// registry, and a health scorer over every subsystem probe.
-	s.sloEng = slo.NewEngine(cfg.SLO)
+	s.sloEng = slo.NewEngine(cfg.SLO, cfg.Clock)
 	s.sloEng.SetTraceSource(s.tracer.Traces)
 	s.sloCtl = slo.NewController(s.sloEng, s.qosReg)
-	s.health = slo.NewScorer()
+	s.health = slo.NewScorer(cfg.Clock)
 	s.health.Add(s.sloEng.HealthProbe())
 	s.health.Add(s.poolHealthProbe())
 	s.health.Add(s.cacheHealthProbe())
 	s.health.Add(s.reconfigHealthProbe())
 	s.registerMetrics()
-	s.sloCtl.Start()
+	s.stopSLO = s.sloCtl.Start()
 	return s
 }
 
@@ -262,7 +269,7 @@ func (s *Service) reconfigHealthProbe() slo.Probe {
 
 // Close stops the worker pools. Outstanding queued tasks are drained.
 func (s *Service) Close() {
-	s.sloCtl.Stop()
+	s.stopSLO()
 	s.pool.close()
 	s.compilers.close()
 }

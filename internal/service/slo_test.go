@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/qos"
 	"repro/internal/slo"
 )
@@ -121,10 +122,13 @@ func TestStatsSLOBlockAndDebugEndpoint(t *testing.T) {
 // TestSLOShedLoopEndToEnd drives the full control loop: a breaching
 // tenant queue-wait objective tightens QoS admission (heaviest tenant
 // first), the breach lands in /debug/slo with linked traces, and once
-// the burn subsides the controller relaxes back to no shedding.
+// the burn subsides the controller relaxes back to no shedding. The
+// service runs on a manual clock that never advances, so its background
+// admission loop cannot tick between the test's Tick and its assertions.
 func TestSLOShedLoopEndToEnd(t *testing.T) {
 	svc := New(Config{
 		Workers: 2,
+		Clock:   clock.NewManual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)),
 		SLO:     tightSLO(),
 		QoS: qos.Config{Tenants: map[string]qos.Limits{
 			"heavy": {ScanBytesPerSec: 1 << 20, BurstBytes: 1 << 20},

@@ -24,13 +24,8 @@ type Controller struct {
 	engine  *Engine
 	shedder Shedder
 
-	mu      sync.Mutex
-	level   float64
-	started bool
-
-	stop chan struct{}
-	done chan struct{}
-	once sync.Once
+	mu    sync.Mutex
+	level float64
 
 	tightened metrics.Counter
 	relaxed   metrics.Counter
@@ -39,7 +34,7 @@ type Controller struct {
 // NewController wires engine to shedder. shedder may be nil (the
 // controller still evaluates and logs breaches, useful for dry runs).
 func NewController(e *Engine, sh Shedder) *Controller {
-	return &Controller{engine: e, shedder: sh, stop: make(chan struct{}), done: make(chan struct{})}
+	return &Controller{engine: e, shedder: sh}
 }
 
 // Tick runs one evaluation + admission step and returns the breach
@@ -86,50 +81,10 @@ func (c *Controller) Tick() []BreachEvent {
 	return events
 }
 
-// Start launches the tick loop at the engine's configured cadence.
-func (c *Controller) Start() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	if c.started {
-		c.mu.Unlock()
-		return
-	}
-	c.started = true
-	c.mu.Unlock()
-	go func() {
-		defer close(c.done)
-		tick := c.engine.Config().Admission.Tick.Std()
-		if tick <= 0 {
-			tick = time.Second
-		}
-		t := time.NewTicker(tick)
-		defer t.Stop()
-		for {
-			select {
-			case <-c.stop:
-				return
-			case <-t.C:
-				c.Tick()
-			}
-		}
-	}()
-}
-
-// Stop halts the tick loop and waits for it to exit. Safe to call more
-// than once, and safe if Start was never called.
-func (c *Controller) Stop() {
-	if c == nil {
-		return
-	}
-	c.once.Do(func() { close(c.stop) })
-	c.mu.Lock()
-	started := c.started
-	c.mu.Unlock()
-	if started {
-		<-c.done
-	}
+// Start runs Tick on the engine's clock every Admission.Tick until stop;
+// a reloaded Tick applies without a restart.
+func (c *Controller) Start() (stop func()) {
+	return c.engine.clock.Every(func() time.Duration { return c.engine.Config().Admission.Tick.Std() }, func() { c.Tick() })
 }
 
 // Level returns the current shed level in [0,1].

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/metrics"
 	"repro/internal/telemetry"
 )
@@ -207,7 +208,7 @@ const breachTraceCap = 8
 // the per-request path; Evaluate is called by the admission controller
 // tick (and by handlers on demand).
 type Engine struct {
-	now func() time.Time
+	clock clock.Clock
 
 	mu        sync.Mutex
 	cfg       Config // resolved
@@ -218,10 +219,10 @@ type Engine struct {
 	breachTot metrics.Counter
 }
 
-// NewEngine builds an engine from cfg (merged over DefaultConfig).
-func NewEngine(cfg Config) *Engine {
+// NewEngine builds an engine from cfg (merged over DefaultConfig) on clk.
+func NewEngine(cfg Config, clk clock.Clock) *Engine {
 	e := &Engine{
-		now:      time.Now,
+		clock:    clk,
 		trackers: map[string]*tracker{},
 		tenants:  map[string]map[string]*tracker{},
 	}
@@ -321,7 +322,7 @@ func (e *Engine) Observe(name string, good bool) {
 		return
 	}
 	if t := e.lookup(name); t != nil {
-		t.observe(e.now(), good)
+		t.observe(e.clock.Now(), good)
 	}
 }
 
@@ -335,7 +336,7 @@ func (e *Engine) ObserveLatency(name string, d time.Duration) {
 	if t == nil {
 		return
 	}
-	t.observe(e.now(), d.Microseconds() <= t.obj.ThresholdUS)
+	t.observe(e.clock.Now(), d.Microseconds() <= t.obj.ThresholdUS)
 }
 
 // ObserveTenantLatency records d against both the aggregate tracker and
@@ -348,7 +349,7 @@ func (e *Engine) ObserveTenantLatency(name, tenant string, d time.Duration) {
 	if t == nil {
 		return
 	}
-	now := e.now()
+	now := e.clock.Now()
 	good := d.Microseconds() <= t.obj.ThresholdUS
 	t.observe(now, good)
 	if tenant != "" {
@@ -383,7 +384,7 @@ func (e *Engine) Status(name string) (ObjectiveStatus, bool) {
 	if t == nil {
 		return ObjectiveStatus{}, false
 	}
-	st, _ := statusOf(name, "", t, e.now(), false)
+	st, _ := statusOf(name, "", t, e.clock.Now(), false)
 	return st, true
 }
 
@@ -393,7 +394,7 @@ func (e *Engine) Statuses() []ObjectiveStatus {
 	if e == nil {
 		return nil
 	}
-	now := e.now()
+	now := e.clock.Now()
 	type entry struct {
 		name, tenant string
 		t            *tracker
@@ -440,7 +441,7 @@ func (e *Engine) Evaluate() []BreachEvent {
 	if e == nil {
 		return nil
 	}
-	now := e.now()
+	now := e.clock.Now()
 	type entry struct {
 		name, tenant string
 		t            *tracker
@@ -520,7 +521,7 @@ func (e *Engine) HealthProbe() Probe {
 		if e == nil {
 			return ScoreComponent("slo", 1, nil)
 		}
-		now := e.now()
+		now := e.clock.Now()
 		e.mu.Lock()
 		entries := make(map[string]*tracker, len(e.trackers))
 		for name, t := range e.trackers {

@@ -3,6 +3,8 @@ package slo
 import (
 	"sync"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // Health states, derived from a component's score.
@@ -63,12 +65,13 @@ type HealthSnapshot struct {
 // subsystem makes the node critical, matching how load balancers should
 // treat it.
 type Scorer struct {
+	clock  clock.Clock
 	mu     sync.Mutex
 	probes []Probe
 }
 
 // NewScorer returns an empty scorer (healthy until probes say otherwise).
-func NewScorer() *Scorer { return &Scorer{} }
+func NewScorer(clk clock.Clock) *Scorer { return &Scorer{clock: clk} }
 
 // Add registers a probe.
 func (s *Scorer) Add(p Probe) {
@@ -82,10 +85,10 @@ func (s *Scorer) Add(p Probe) {
 
 // Snapshot runs every probe and folds the results.
 func (s *Scorer) Snapshot() HealthSnapshot {
-	snap := HealthSnapshot{Status: HealthOK, Score: 1, Time: time.Now()}
 	if s == nil {
-		return snap
+		return HealthSnapshot{Status: HealthOK, Score: 1}
 	}
+	snap := HealthSnapshot{Status: HealthOK, Score: 1, Time: s.clock.Now()}
 	s.mu.Lock()
 	probes := append([]Probe(nil), s.probes...)
 	s.mu.Unlock()

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/telemetry"
 )
 
@@ -116,23 +117,21 @@ func TestLoadFile(t *testing.T) {
 	}
 }
 
-// testEngine builds an engine with a controllable clock and a single
-// simple latency objective for burn-math tests.
-func testEngine(t *testing.T) (*Engine, *time.Time) {
+// testEngine builds an engine on a manual clock with a single simple
+// latency objective for burn-math tests.
+func testEngine(t *testing.T) (*Engine, *clock.Manual) {
 	t.Helper()
-	now := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	clk := clock.NewManual(time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC))
 	cfg := Config{Objectives: map[string]Objective{
 		"lat": {Kind: KindLatency, Target: 0.9, ThresholdUS: 1000, PerTenant: true,
 			Fast: WindowSpec{Duration: Duration(6 * time.Second), Burn: 2},
 			Slow: WindowSpec{Duration: Duration(60 * time.Second), Burn: 1}},
 	}}
-	e := NewEngine(cfg)
-	e.now = func() time.Time { return now }
-	return e, &now
+	return NewEngine(cfg, clk), clk
 }
 
 func TestBurnMath(t *testing.T) {
-	e, now := testEngine(t)
+	e, clk := testEngine(t)
 	// 50% bad over a 10% budget → burn 5 in both windows.
 	for i := 0; i < 10; i++ {
 		e.ObserveLatency("lat", 500*time.Microsecond) // good
@@ -149,7 +148,7 @@ func TestBurnMath(t *testing.T) {
 		t.Fatalf("state: got %s, want breach", st.State)
 	}
 	// Advance past the fast window: fast burn decays to 0, slow persists.
-	*now = now.Add(10 * time.Second)
+	clk.Advance(10 * time.Second)
 	st, _ = e.Status("lat")
 	if st.FastBurn != 0 {
 		t.Fatalf("fast burn after window: got %g, want 0", st.FastBurn)
@@ -161,7 +160,7 @@ func TestBurnMath(t *testing.T) {
 		t.Fatalf("state after fast decay: got %s (breach needs both windows)", st.State)
 	}
 	// Advance past the slow window too: everything clears.
-	*now = now.Add(2 * time.Minute)
+	clk.Advance(2 * time.Minute)
 	st, _ = e.Status("lat")
 	if st.FastBurn != 0 || st.SlowBurn != 0 {
 		t.Fatalf("burns after full decay: fast=%g slow=%g", st.FastBurn, st.SlowBurn)
@@ -192,7 +191,7 @@ func TestPerTenantTracking(t *testing.T) {
 }
 
 func TestEvaluateRecordsEscalations(t *testing.T) {
-	e, now := testEngine(t)
+	e, clk := testEngine(t)
 	e.SetTraceSource(func() []telemetry.TraceRecord {
 		return []telemetry.TraceRecord{{TraceID: "deadbeef", Name: "GET /v1/scan"}}
 	})
@@ -215,7 +214,7 @@ func TestEvaluateRecordsEscalations(t *testing.T) {
 		t.Fatalf("re-evaluate produced %d events, want 0", len(events))
 	}
 	// Decay to ok, then breach again: a second event.
-	*now = now.Add(5 * time.Minute)
+	clk.Advance(5 * time.Minute)
 	e.Evaluate()
 	for i := 0; i < 10; i++ {
 		e.ObserveLatency("lat", 5*time.Millisecond)
@@ -262,7 +261,7 @@ type fakeShedder struct{ levels []float64 }
 func (f *fakeShedder) ApplyShed(level float64) { f.levels = append(f.levels, level) }
 
 func TestControllerTightensAndRelaxes(t *testing.T) {
-	e, now := testEngine(t)
+	e, clk := testEngine(t)
 	cfg := e.Config()
 	cfg.Admission = AdmissionConfig{Enabled: true, Objective: "lat", Tick: Duration(time.Second), MaxLevel: 0.95, RelaxBelow: 0.5}
 	e.SetConfig(cfg)
@@ -287,7 +286,7 @@ func TestControllerTightensAndRelaxes(t *testing.T) {
 		t.Fatalf("tightened counter: %d", tight.Value())
 	}
 	// Burn subsides: level decays to zero.
-	*now = now.Add(5 * time.Minute)
+	clk.Advance(5 * time.Minute)
 	for i := 0; i < 20 && c.Level() > 0; i++ {
 		c.Tick()
 	}
@@ -316,19 +315,46 @@ func TestControllerTightensAndRelaxes(t *testing.T) {
 	}
 }
 
+// TestAdmissionTickReload: the admission loop reads Admission.Tick again
+// when a wait ends, so a SIGHUP reload of the cadence takes effect
+// without a restart. Rounds are counted through the shedder, which the
+// controller calls every round while the objective burns.
+func TestAdmissionTickReload(t *testing.T) {
+	e, clk := testEngine(t)
+	cfg := e.Config()
+	cfg.Admission = AdmissionConfig{Enabled: true, Objective: "lat", Tick: Duration(time.Second), MaxLevel: 0.95, RelaxBelow: 0.5}
+	e.SetConfig(cfg)
+	for i := 0; i < 10; i++ {
+		e.ObserveLatency("lat", 5*time.Millisecond) // burns through the 6 s fast window
+	}
+	sh := &fakeShedder{}
+	c := NewController(e, sh)
+	stop := c.Start()
+	defer stop()
+	rounds := func(d time.Duration, want int) {
+		t.Helper()
+		before := len(sh.levels)
+		clk.Advance(d)
+		if got := len(sh.levels) - before; got != want {
+			t.Fatalf("Advance(%v) with tick %v ran %d rounds, want %d", d, e.Config().Admission.Tick.Std(), got, want)
+		}
+	}
+	rounds(time.Second, 1)
+	cfg.Admission.Tick = Duration(3 * time.Second)
+	e.SetConfig(cfg)
+	rounds(2*time.Second, 0)
+	rounds(time.Second, 1)
+}
+
 func TestControllerStartStop(t *testing.T) {
 	e, _ := testEngine(t)
-	c := NewController(e, nil)
-	c.Start()
-	c.Stop()
-	c.Stop() // idempotent
-	// Stop without Start must not hang.
-	c2 := NewController(e, nil)
-	c2.Stop()
+	stop := NewController(e, nil).Start()
+	stop()
+	stop() // idempotent
 }
 
 func TestScorerMinComponent(t *testing.T) {
-	s := NewScorer()
+	s := NewScorer(clock.Real{})
 	if snap := s.Snapshot(); snap.Score != 1 || snap.Status != HealthOK {
 		t.Fatalf("empty scorer: %+v", snap)
 	}
@@ -366,7 +392,7 @@ func TestEngineHealthProbe(t *testing.T) {
 func TestHTTPHandlers(t *testing.T) {
 	e, _ := testEngine(t)
 	c := NewController(e, nil)
-	s := NewScorer()
+	s := NewScorer(clock.Real{})
 	s.Add(e.HealthProbe())
 
 	rec := httptest.NewRecorder()

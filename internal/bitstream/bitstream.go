@@ -163,7 +163,7 @@ func Rebuild(base *Image, res *compile.Result, p *arch.Placement) (*Image, error
 		var err error
 		switch plan.Mode {
 		case arch.ModeNFA:
-			err = buildNFAArray(res, plan, visit, ac, reused)
+			err = buildNFAArray(res, plan, ai, visit, ac, reused)
 		case arch.ModeNBVA:
 			err = buildNBVAArray(res, plan, visit, ac, reused)
 		case arch.ModeLNFA:
@@ -209,8 +209,18 @@ func touching(plan *arch.ArrayPlan, reused uint32, seen []uint64, out []int) []i
 // buildNFAArray lays the states of regexes out on their slots (the
 // mapper's) and programs the transfer function: in-tile edges in the local
 // switch, cross-tile edges through the global switch ports. What reused
-// marks is already in place.
-func buildNFAArray(res *compile.Result, plan *arch.ArrayPlan, regexes []int, ac *ArrayConfig, reused uint32) error {
+// marks is already in place. A global port is one state's line into the
+// switch: two slots of array ai that would share one are an error, where
+// the switch would merge their edges.
+func buildNFAArray(res *compile.Result, plan *arch.ArrayPlan, ai int, regexes []int, ac *ArrayConfig, reused uint32) error {
+	var owner [256]int // slot+1 of the state on each global port
+	claim := func(port, slot int) error {
+		if o := owner[port]; o != 0 && o != slot+1 {
+			return fmt.Errorf("bitstream: array %d global port %d is shared by slots %d and %d", ai, port, o-1, slot)
+		}
+		owner[port] = slot + 1
+		return nil
+	}
 	for _, ri := range regexes {
 		c := &res.Regexes[ri]
 		if c.NFA == nil {
@@ -242,6 +252,12 @@ func buildNFAArray(res *compile.Result, plan *arch.ArrayPlan, regexes []int, ac 
 					from, to := globalPort(src), globalPort(dst)
 					if max(from, to) >= 256 {
 						return fmt.Errorf("bitstream: regex %d crosses tiles past the global switch's 256 ports", ri)
+					}
+					if err := claim(from, src); err != nil {
+						return err
+					}
+					if err := claim(to, dst); err != nil {
+						return err
 					}
 					setBit(ac.GlobalSwitch[:], from, to, 256)
 				}

@@ -3,6 +3,7 @@ package bitstream
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -68,6 +69,54 @@ func TestBuildCrossTileEdges(t *testing.T) {
 	s := img.Summarize()
 	if s.GlobalDots != 1 {
 		t.Errorf("global dots = %d, want 1", s.GlobalDots)
+	}
+}
+
+// TestBuildGlobalPortCollision: a global port is one state's line into
+// the switch, and the port is the state's column modulo 32. Under
+// ForceNFA, (a{32}|b{32}|c{32}|d{32})e puts the last a, b, c and d (slots
+// 31, 63, 95, 127) on port 31, and x(a{32}|b{32}|c{32}|d{32})e puts slots
+// 32, 64 and 96 on port 0. Build refuses both, naming array and port, as
+// the switch would merge their edges into one dot; so does Rebuild when
+// it writes the switch.
+func TestBuildGlobalPortCollision(t *testing.T) {
+	for _, tc := range []struct{ pattern, port string }{
+		{"(a{32}|b{32}|c{32}|d{32})e", "global port 31 "},
+		{"x(a{32}|b{32}|c{32}|d{32})e", "global port 0 "},
+	} {
+		res := compile.Compile([]string{tc.pattern}, compile.Options{ModePolicy: compile.ForceNFA})
+		if len(res.Errors) != 0 {
+			t.Fatal(res.Errors[0])
+		}
+		p, err := mapper.Map(res, mapper.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, err := Build(res, p)
+		if err == nil || img != nil || !strings.Contains(err.Error(), "array 0 "+tc.port) {
+			t.Errorf("Build(%s) = %v, %v; want an error naming array 0 and %s", tc.pattern, img, err, tc.port)
+		}
+		// The same ruleset as an update of one that builds: the remap
+		// keeps nothing of the served switch, so Rebuild writes it.
+		baseRes := compile.Compile([]string{"x(ab|cd)*e"}, compile.Options{ModePolicy: compile.ForceNFA})
+		baseP, err := mapper.Map(baseRes, mapper.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := Build(baseRes, baseP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, _, err = mapper.Remap(baseP, baseRes, res, mapper.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Arrays[0].Reused&arch.GlobalSwitchBit != 0 {
+			t.Fatalf("%s: the remap reuses the served global switch", tc.pattern)
+		}
+		if _, err := Rebuild(base, res, p); err == nil || !strings.Contains(err.Error(), tc.port) {
+			t.Errorf("Rebuild(%s) = %v, want an error naming %s", tc.pattern, err, tc.port)
+		}
 	}
 }
 

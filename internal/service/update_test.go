@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -332,6 +333,40 @@ func TestOversizeNFAScansButDoesNotDeploy(t *testing.T) {
 	}
 	if st := s.Stats(); st.Reconfig.Updates != 1 {
 		t.Errorf("%d updates counted, want only the one from the oversize ruleset", st.Reconfig.Updates)
+	}
+}
+
+// TestPortCollisionScansButDoesNotDeploy: under force_nfa,
+// (a{32}|b{32}|c{32}|d{32})e needs four states on one global port of the
+// fabric (bitstream.Build refuses it). Like an oversize NFA, it compiles
+// and scans, Update refuses it as the new ruleset, and an update from it
+// loads the new image whole.
+func TestPortCollisionScansButDoesNotDeploy(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	ctx := context.Background()
+	forced := CompileOptions{ModePolicy: ModePolicyForceNFA}
+	colliding := []string{"(a{32}|b{32}|c{32}|d{32})e"}
+	prog, _, err := s.Compile(ctx, colliding, forced)
+	if err != nil {
+		t.Fatalf("a ruleset the fabric cannot route must stay servable in software: %v", err)
+	}
+	body := append(bytes.Repeat([]byte("c"), 40), 'e')
+	if ms, err := s.Scan(ctx, prog.ID, body); err != nil || len(ms) != 1 || ms[0].End != len(body)-1 {
+		t.Fatalf("scan: ms=%v err=%v", ms, err)
+	}
+	if _, _, err := prog.hwImage(); err == nil || !strings.Contains(err.Error(), "global port 31 ") {
+		t.Errorf("hwImage: %v, want the port collision", err)
+	}
+	small, _, err := s.Compile(ctx, []string{"cat"}, forced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Update(ctx, small.ID, colliding, forced); err == nil || !strings.Contains(err.Error(), "global port 31 ") {
+		t.Errorf("update to a colliding ruleset: err = %v, want the port collision", err)
+	}
+	if got, err := s.Update(ctx, prog.ID, []string{"cat"}, forced); err != nil || got.ReloadCycles != got.FullReloadCycles {
+		t.Errorf("update from a colliding ruleset: %+v, err = %v, want a full load", got, err)
 	}
 }
 

@@ -20,54 +20,25 @@ func SimulateBaseline(archName string, res *compile.Result, p *arch.Placement, i
 	if archName != "CAMA" && archName != "CA" {
 		return nil, fmt.Errorf("sim: unknown baseline %q", archName)
 	}
+	camPJ := hwmodel.CAM.AccessEnergyPJ(1)
+	if archName == "CA" {
+		// One driven row per match-array macro.
+		camPJ = float64(caMatchMacros) * hwmodel.SRAM128.AccessEnergyPJ(caMatchRowActivity)
+	}
 	rep := &Report{Arch: archName, Chars: int64(len(input)), ClockGHz: clockFor(archName)}
-	for ai := range p.Arrays {
-		plan := &p.Arrays[ai]
+	err := chargeArrays(rep, res, p, input, func(plan *arch.ArrayPlan, en *EnergyBreakdown) (func(int, *activity), error) {
 		if plan.Mode != arch.ModeNFA {
 			return nil, fmt.Errorf("sim: %s expects all-NFA placement, got %v array", archName, plan.Mode)
 		}
-		if err := runBaselineNFAArray(rep, archName, res, plan, input); err != nil {
-			return nil, err
-		}
+		return nfaCharge(plan, en, camPJ, 0), nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	rep.Cycles = int64(len(input))
 	rep.Area = nfaStyleArea(archName, p)
 	finishReport(rep, archName, p)
 	return rep, nil
-}
-
-func runBaselineNFAArray(rep *Report, archName string, res *compile.Result, plan *arch.ArrayPlan, input []byte) error {
-	e, err := newNFAArrayEngine(res, plan)
-	if err != nil {
-		return err
-	}
-	usedTiles := usedTileIndices(plan)
-	colsFrac := make([]float64, len(plan.Tiles))
-	for _, t := range usedTiles {
-		colsFrac[t] = float64(plan.Tiles[t].Columns()) / float64(arch.TileSTEs)
-	}
-	crossEdges := plan.CrossTileEdges > 0
-	var en EnergyBreakdown
-	for i, b := range input {
-		matches, _, crossActive := e.step(b, i == len(input)-1)
-		rep.Matches += int64(matches)
-		for _, t := range usedTiles {
-			if archName == "CA" {
-				// One driven row per match-array macro.
-				en.CAM += float64(caMatchMacros) * hwmodel.SRAM128.AccessEnergyPJ(caMatchRowActivity) * colsFrac[t]
-			} else {
-				en.CAM += hwmodel.CAM.AccessEnergyPJ(1) * colsFrac[t]
-			}
-			en.LocalSwitch += hwmodel.SRAM128.AccessEnergyPJ(float64(e.tileMatched[t]) / float64(arch.TileSTEs))
-		}
-		en.Controller += hwmodel.GlobalController.AccessEnergyPJ(1)
-		if crossEdges {
-			en.GlobalSwitch += hwmodel.SRAM256.AccessEnergyPJ(float64(crossActive) / 256)
-			en.Wire += float64(crossActive) * hwmodel.GlobalWireMMPerHop * hwmodel.GlobalWire.AccessEnergyPJ(1)
-		}
-	}
-	rep.Energy.Add(en)
-	return nil
 }
 
 // --- BVAP -------------------------------------------------------------
@@ -179,70 +150,56 @@ func bvapSlots(size int) int { return (size + bvapBVBits - 1) / bvapBVBits }
 // bvapStallCycles per triggered symbol (§2.2).
 func SimulateBVAP(res *compile.Result, p *arch.Placement, input []byte) (*Report, error) {
 	rep := &Report{Arch: "BVAP", Chars: int64(len(input)), ClockGHz: clockFor("BVAP")}
-	var maxCycles int64
-	for ai := range p.Arrays {
-		plan := &p.Arrays[ai]
-		var cycles int64
-		var err error
+	// The slowest array bounds throughput: the input length plus the
+	// most stall cycles any one NBVA array took.
+	var maxStalls int64
+	err := chargeArrays(rep, res, p, input, func(plan *arch.ArrayPlan, en *EnergyBreakdown) (func(int, *activity), error) {
 		switch plan.Mode {
 		case arch.ModeNFA:
-			err = runBaselineNFAArray(rep, "CAMA", res, plan, input)
-			cycles = int64(len(input))
+			return nfaCharge(plan, en, hwmodel.CAM.AccessEnergyPJ(1), 0), nil
 		case arch.ModeNBVA:
-			cycles, err = runBVAPNBVAArray(rep, res, plan, input)
-		default:
-			err = fmt.Errorf("sim: BVAP cannot run %v arrays", plan.Mode)
+			return bvapNBVACharge(rep, plan, en, &maxStalls), nil
 		}
-		if err != nil {
-			return nil, err
-		}
-		if cycles > maxCycles {
-			maxCycles = cycles
-		}
+		return nil, fmt.Errorf("sim: BVAP cannot run %v arrays", plan.Mode)
+	})
+	if err != nil {
+		return nil, err
 	}
-	if maxCycles == 0 {
-		maxCycles = int64(len(input))
-	}
-	rep.Cycles = maxCycles
+	rep.Cycles = int64(len(input)) + maxStalls
 	rep.Area = bvapArea(p)
 	finishReport(rep, "BVAP", p)
 	return rep, nil
 }
 
-func runBVAPNBVAArray(rep *Report, res *compile.Result, plan *arch.ArrayPlan, input []byte) (int64, error) {
-	e, err := newNBVAArrayEngine(res, plan)
-	if err != nil {
-		return 0, err
-	}
+// bvapNBVACharge charges one BVAP NBVA array cycle: CAMA-style state
+// matching on the CC columns, the BVM's idle event detection on every
+// used tile and, when a bit vector fires, bvapStallCycles of BVM pipeline
+// on each tile with an updated one. It raises *maxStalls to the array's
+// stall cycles so far.
+func bvapNBVACharge(rep *Report, plan *arch.ArrayPlan, en *EnergyBreakdown, maxStalls *int64) func(int, *activity) {
 	usedTiles := usedTileIndices(plan)
 	ccFrac := make([]float64, len(plan.Tiles))
 	for _, t := range usedTiles {
 		ccFrac[t] = float64(plan.Tiles[t].CCColumns) / float64(arch.TileSTEs)
 	}
-	var en EnergyBreakdown
-	var st nbvaStep
-	cycles := int64(0)
-	for _, b := range input {
-		e.step(b, &st)
-		rep.Matches += int64(st.matches)
-		cycles++
+	var stalls int64
+	return func(_ int, a *activity) {
 		for _, t := range usedTiles {
 			en.CAM += hwmodel.CAM.AccessEnergyPJ(1) * ccFrac[t]
-			en.LocalSwitch += hwmodel.SRAM128.AccessEnergyPJ(float64(st.tileMatched[t]) / float64(arch.TileSTEs))
+			en.LocalSwitch += hwmodel.SRAM128.AccessEnergyPJ(float64(a.tileActive[t]) / float64(arch.TileSTEs))
 			en.BVM += bvapBVMIdlePJ
 		}
 		en.Controller += hwmodel.GlobalController.AccessEnergyPJ(1)
-		if st.anyBV {
-			cycles += int64(bvapStallCycles)
-			rep.StallCycles += int64(bvapStallCycles)
-			for _, t := range usedTiles {
-				if st.bvTileCols[t] == 0 {
-					continue
-				}
+		if !a.bvPhase {
+			return
+		}
+		stalls += bvapStallCycles
+		*maxStalls = max(*maxStalls, stalls)
+		rep.StallCycles += bvapStallCycles
+		for _, t := range usedTiles {
+			if a.bvCols[t] != 0 {
 				en.BVM += float64(bvapStallCycles) * bvapBVMEnergyPJ
 			}
 		}
 	}
-	rep.Energy.Add(en)
-	return cycles, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -333,5 +334,54 @@ func TestE2EAnchoredPatterns(t *testing.T) {
 		if rep.Matches != want {
 			t.Errorf("input %q: sim %d, reference %d", input, rep.Matches, want)
 		}
+	}
+}
+
+// TestSimEndAnchoredNBVA: a $-anchored NBVA regex reports only at the end
+// of the input, on RAP and on BVAP, as refmatch does, though the input
+// holds three occurrences of ab{20}c; ^ holds too.
+func TestSimEndAnchoredNBVA(t *testing.T) {
+	patterns := []string{"ab{20}c$", "^xb{20}c"}
+	run := strings.Repeat("b", 20) + "c"
+	input := []byte("x" + run + " a" + run + " x" + run + " a" + run + " a" + run)
+	ref, err := refmatch.Compile(context.Background(), patterns, refmatch.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int]int64{}
+	for _, m := range ref.Scan(input) {
+		want[m.Pattern]++
+	}
+	if want[0] != 1 || want[1] != 1 {
+		t.Fatalf("reference per-regex counts %v, want one match each", want)
+	}
+	res := compile.Compile(patterns, compile.Options{})
+	for i := range res.Regexes {
+		if res.Regexes[i].Mode != compile.ModeNBVA {
+			t.Fatalf("%s compiles to %v, want NBVA", patterns[i], res.Regexes[i].Mode)
+		}
+	}
+	p, err := mapper.Map(res, mapper.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := SimulateRAP(res, p, input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Matches != 2 || !reflect.DeepEqual(rep.PerRegex, want) {
+		t.Errorf("RAP: %d matches, per regex %v; reference %v", rep.Matches, rep.PerRegex, want)
+	}
+	resBV := compile.Compile(patterns, compile.Options{ModePolicy: compile.AllowNBVA})
+	pBV, err := MapBVAP(resBV)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bvap, err := SimulateBVAP(resBV, pBV, input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bvap.Matches != 2 {
+		t.Errorf("BVAP: %d matches, reference 2", bvap.Matches)
 	}
 }

@@ -11,6 +11,75 @@ import (
 	"repro/internal/shiftand"
 )
 
+// An arrayEngine steps the functional dataflow of one placed array, one
+// input symbol per call, and fills the cycle's activity record; the
+// energy models, the trace and the stall model read only that record.
+type arrayEngine interface {
+	step(b byte, atEnd bool, a *activity)
+}
+
+// activity is what one array did in one cycle. Per-tile slices are
+// indexed by tile within the array; a field a mode does not produce
+// stays zero.
+type activity struct {
+	fired       []int // compiled regex index of every match report
+	tileActive  []int // active STEs per tile
+	crossActive int   // active NFA states with a cross-tile successor
+	// bvCols counts, per tile, the columns of the bit vectors updated
+	// this cycle — the bit-vector-processing phase reads, routes and
+	// writes only those columns; bvPhase says whether any updated.
+	bvCols  []int
+	bvPhase bool
+	// LNFA: states at a region boundary (they hop the ring next cycle),
+	// initial-state columns per tile (the first state of every bin
+	// member, searched every cycle) and the active tiles by matching
+	// structure.
+	ringHops    int
+	initCols    []int
+	camTiles    []bool
+	switchTiles []bool
+}
+
+func newArrayEngine(res *compile.Result, plan *arch.ArrayPlan) (arrayEngine, error) {
+	switch plan.Mode {
+	case arch.ModeNFA:
+		return newNFAArrayEngine(res, plan)
+	case arch.ModeNBVA:
+		return newNBVAArrayEngine(res, plan)
+	case arch.ModeLNFA:
+		return newLNFAArrayEngine(res, plan)
+	}
+	return nil, fmt.Errorf("sim: unknown mode %v", plan.Mode)
+}
+
+// runArray steps one array's engine over the input and hands every
+// cycle's activity to visit, with the offset of the symbol consumed.
+func runArray(res *compile.Result, plan *arch.ArrayPlan, input []byte, visit func(k int, a *activity)) error {
+	e, err := newArrayEngine(res, plan)
+	if err != nil {
+		return err
+	}
+	n := len(plan.Tiles)
+	a := &activity{
+		tileActive: make([]int, n), bvCols: make([]int, n), initCols: make([]int, n),
+		camTiles: make([]bool, n), switchTiles: make([]bool, n),
+	}
+	for k, b := range input {
+		a.fired = a.fired[:0]
+		clear(a.tileActive)
+		a.crossActive = 0
+		clear(a.bvCols)
+		a.bvPhase = false
+		a.ringHops = 0
+		clear(a.initCols)
+		clear(a.camTiles)
+		clear(a.switchTiles)
+		e.step(b, k == len(input)-1, a)
+		visit(k, a)
+	}
+	return nil
+}
+
 // --- Union NFA engine -------------------------------------------------
 //
 // All NFA regexes of an array are merged into one automaton so a cycle
@@ -18,33 +87,25 @@ import (
 // anchoring is preserved with two initial masks.
 
 type nfaArrayEngine struct {
-	states []automata.State
 	// Successor representation is hybrid: short lists set bits directly;
 	// dense states (e.g. the quadratic unfolds of σ{0,n}) OR a mask.
-	follow       [][]int32
-	followMask   []bitvec.Vector // non-nil for dense states
-	labels       [256]bitvec.Vector
-	initAlways   bitvec.Vector // unanchored initial states, enabled every cycle
-	initStart    bitvec.Vector // ^-anchored initial states, offset 0 only
-	finals       bitvec.Vector
-	endAnchored  bitvec.Vector // finals that only report at end of input
-	active       bitvec.Vector
-	next         bitvec.Vector
-	scratch      bitvec.Vector
-	tileOf       []int // state -> tile
-	regexOf      []int // state -> compiled regex index
-	crossSucc    []bool
-	pos          int
-	tiles        int
-	tileMatched  []int // per-cycle scratch
-	totalColumns int
-	// onReport, when set, receives the compiled regex index of every
-	// match report (per reporting STE per cycle).
-	onReport func(regex int)
+	follow      [][]int32
+	followMask  []bitvec.Vector // non-nil for dense states
+	labels      [256]bitvec.Vector
+	initAlways  bitvec.Vector // unanchored initial states, enabled every cycle
+	initStart   bitvec.Vector // ^-anchored initial states, offset 0 only
+	finals      bitvec.Vector
+	endAnchored bitvec.Vector // finals that only report at end of input
+	active      bitvec.Vector
+	next        bitvec.Vector
+	tileOf      []int // state -> tile
+	regexOf     []int // state -> compiled regex index
+	crossSucc   []bool
+	pos         int
 }
 
 func newNFAArrayEngine(res *compile.Result, plan *arch.ArrayPlan) (*nfaArrayEngine, error) {
-	e := &nfaArrayEngine{tiles: len(plan.Tiles)}
+	e := &nfaArrayEngine{}
 	offset := 0
 	type pending struct {
 		nfa    *automata.NFA
@@ -63,7 +124,6 @@ func newNFAArrayEngine(res *compile.Result, plan *arch.ArrayPlan) (*nfaArrayEngi
 	n := offset
 	e.active = bitvec.New(n)
 	e.next = bitvec.New(n)
-	e.scratch = bitvec.New(n)
 	e.initAlways = bitvec.New(n)
 	e.initStart = bitvec.New(n)
 	e.finals = bitvec.New(n)
@@ -73,12 +133,12 @@ func newNFAArrayEngine(res *compile.Result, plan *arch.ArrayPlan) (*nfaArrayEngi
 	e.tileOf = make([]int, n)
 	e.regexOf = make([]int, n)
 	e.crossSucc = make([]bool, n)
-	e.states = make([]automata.State, n)
+	states := make([]automata.State, n)
 	const denseThreshold = 16
 	for _, p := range parts {
 		for q, s := range p.nfa.States {
 			g := p.offset + q
-			e.states[g] = s
+			states[g] = s
 			if len(s.Follow) > denseThreshold {
 				m := bitvec.New(n)
 				for _, succ := range s.Follow {
@@ -114,7 +174,7 @@ func newNFAArrayEngine(res *compile.Result, plan *arch.ArrayPlan) (*nfaArrayEngi
 		}
 	}
 	// Cross-tile successor flags (global switch traffic).
-	for g := range e.states {
+	for g := range states {
 		if m := e.followMask[g]; m.Len() > 0 {
 			for q := m.NextSet(0); q >= 0; q = m.NextSet(q + 1) {
 				if e.tileOf[q] != e.tileOf[g] {
@@ -133,25 +193,17 @@ func newNFAArrayEngine(res *compile.Result, plan *arch.ArrayPlan) (*nfaArrayEngi
 	}
 	for c := 0; c < 256; c++ {
 		v := bitvec.New(n)
-		for g, s := range e.states {
+		for g, s := range states {
 			if s.Class.Contains(byte(c)) {
 				v.Set(g)
 			}
 		}
 		e.labels[c] = v
 	}
-	e.tileMatched = make([]int, e.tiles)
-	for i := range plan.Tiles {
-		e.totalColumns += plan.Tiles[i].Columns()
-	}
 	return e, nil
 }
 
-// step consumes one symbol. It returns the number of match reports, the
-// number of matched (active) states, and the number of matched states
-// with cross-tile successors. tileMatched is refreshed as a side effect;
-// when onReport is set it receives the regex index of every report.
-func (e *nfaArrayEngine) step(b byte, atEnd bool) (matches, matchedStates, crossActive int) {
+func (e *nfaArrayEngine) step(b byte, atEnd bool, a *activity) {
 	e.next.Reset()
 	for q := e.active.NextSet(0); q >= 0; q = e.active.NextSet(q + 1) {
 		if m := e.followMask[q]; m.Len() > 0 {
@@ -169,23 +221,15 @@ func (e *nfaArrayEngine) step(b byte, atEnd bool) (matches, matchedStates, cross
 	e.next.And(e.labels[b])
 	e.active, e.next = e.next, e.active
 	e.pos++
-	for i := range e.tileMatched {
-		e.tileMatched[i] = 0
-	}
 	for q := e.active.NextSet(0); q >= 0; q = e.active.NextSet(q + 1) {
-		e.tileMatched[e.tileOf[q]]++
-		matchedStates++
+		a.tileActive[e.tileOf[q]]++
 		if e.crossSucc[q] {
-			crossActive++
+			a.crossActive++
 		}
 		if e.finals.Get(q) && (!e.endAnchored.Get(q) || atEnd) {
-			matches++
-			if e.onReport != nil {
-				e.onReport(e.regexOf[q])
-			}
+			a.fired = append(a.fired, e.regexOf[q])
 		}
 	}
-	return matches, matchedStates, crossActive
 }
 
 // --- NBVA array engine ------------------------------------------------
@@ -206,14 +250,13 @@ type nbvaArrayEngine struct {
 	// bvLocs maps (runner index, machine state) to the placed BV chunks,
 	// for charging only the triggered bit vector's columns during the
 	// bit-vector-processing phase.
-	bvLocs     [][][]bvLoc
-	finalMasks []bitvec.Vector
-	tiles      int
-	onReport   func(regex int)
+	bvLocs [][][]bvLoc
+	// endAnchored marks runners whose reports count only at end of input.
+	endAnchored []bool
 }
 
 func newNBVAArrayEngine(res *compile.Result, plan *arch.ArrayPlan) (*nbvaArrayEngine, error) {
-	e := &nbvaArrayEngine{tiles: len(plan.Tiles)}
+	e := &nbvaArrayEngine{}
 	// Pre-index BV allocations per (regex, state).
 	bvTiles := map[arch.StateRef][]bvLoc{}
 	for ti := range plan.Tiles {
@@ -247,55 +290,29 @@ func newNBVAArrayEngine(res *compile.Result, plan *arch.ArrayPlan) (*nbvaArrayEn
 		}
 		e.stateTiles = append(e.stateTiles, tiles)
 		e.bvLocs = append(e.bvLocs, locs)
-		fm := bitvec.New(c.NBVA.NumStates())
-		for _, q := range c.NBVA.Final {
-			fm.Set(q)
-		}
-		e.finalMasks = append(e.finalMasks, fm)
+		e.endAnchored = append(e.endAnchored, c.NBVA.EndAnchored)
 	}
 	return e, nil
 }
 
-// stepResult captures one NBVA array cycle.
-type nbvaStep struct {
-	matches     int
-	tileMatched []int // active STEs per tile (state-matching activity)
-	// bvTileCols counts, per tile, the columns of the bit vectors that
-	// were actually updated this cycle — the bit-vector-processing phase
-	// reads, routes and writes only those columns.
-	bvTileCols []int
-	anyBV      bool
-}
-
-func (e *nbvaArrayEngine) step(b byte, out *nbvaStep) {
-	if out.tileMatched == nil {
-		out.tileMatched = make([]int, e.tiles)
-		out.bvTileCols = make([]int, e.tiles)
-	}
-	for i := range out.tileMatched {
-		out.tileMatched[i] = 0
-		out.bvTileCols[i] = 0
-	}
-	out.matches = 0
-	out.anyBV = false
+func (e *nbvaArrayEngine) step(b byte, atEnd bool, a *activity) {
 	for i, r := range e.runners {
 		r.Step(b)
-		out.matches += r.FinalsFired()
-		if e.onReport != nil {
+		if !e.endAnchored[i] || atEnd {
 			for k := 0; k < r.FinalsFired(); k++ {
-				e.onReport(e.regexes[i])
+				a.fired = append(a.fired, e.regexes[i])
 			}
 		}
 		m := r.MatchedRef()
 		for q := m.NextSet(0); q >= 0; q = m.NextSet(q + 1) {
 			for _, t := range e.stateTiles[i][q] {
-				out.tileMatched[t]++
+				a.tileActive[t]++
 			}
 		}
 		for _, q := range r.BVUpdated() {
-			out.anyBV = true
+			a.bvPhase = true
 			for _, bl := range e.bvLocs[i][q] {
-				out.bvTileCols[bl.tile] += bl.cols
+				a.bvCols[bl.tile] += bl.cols
 			}
 		}
 	}
@@ -314,13 +331,11 @@ type lnfaBinEngine struct {
 }
 
 type lnfaArrayEngine struct {
-	bins     []*lnfaBinEngine
-	tiles    int
-	onReport func(regex int)
+	bins []*lnfaBinEngine
 }
 
 func newLNFAArrayEngine(res *compile.Result, plan *arch.ArrayPlan) (*lnfaArrayEngine, error) {
-	e := &lnfaArrayEngine{tiles: len(plan.Tiles)}
+	e := &lnfaArrayEngine{}
 	for bi := range plan.Bins {
 		bin := &plan.Bins[bi]
 		var pats []shiftand.Pattern
@@ -366,72 +381,30 @@ func newLNFAArrayEngine(res *compile.Result, plan *arch.ArrayPlan) (*lnfaArrayEn
 	return e, nil
 }
 
-type lnfaStep struct {
-	matches    int
-	tileActive []int // active states per tile
-	ringHops   int   // active states sitting at a region boundary
-	// initTiles maps tile -> number of initial-state columns there (the
-	// first state of every bin member leads in the bin's first tile and
-	// is searched every cycle).
-	initTiles   map[int]int
-	camTiles    map[int]bool // active tiles that are CAM-mapped
-	switchTiles map[int]bool
-}
-
-func (e *lnfaArrayEngine) step(b byte, out *lnfaStep) {
-	if out.tileActive == nil {
-		out.tileActive = make([]int, e.tiles)
-		out.initTiles = map[int]int{}
-		out.camTiles = map[int]bool{}
-		out.switchTiles = map[int]bool{}
-	}
-	for i := range out.tileActive {
-		out.tileActive[i] = 0
-	}
-	for k := range out.initTiles {
-		delete(out.initTiles, k)
-	}
-
-	for k := range out.camTiles {
-		delete(out.camTiles, k)
-	}
-	for k := range out.switchTiles {
-		delete(out.switchTiles, k)
-	}
-	out.matches = 0
-	out.ringHops = 0
+// step runs every bin one symbol. LNFA patterns carry no anchors, so
+// atEnd changes nothing.
+func (e *lnfaArrayEngine) step(b byte, _ bool, a *activity) {
 	for _, be := range e.bins {
-		fired := be.runner.Step(b)
-		out.matches += len(fired)
-		if e.onReport != nil {
-			for _, pi := range fired {
-				e.onReport(be.regexOf[pi])
-			}
+		for _, pi := range be.runner.Step(b) {
+			a.fired = append(a.fired, be.regexOf[pi])
 		}
-		out.initTiles[be.initTile] += be.machine.NumPatterns()
-		markActive := func(t int) {
-			out.tileActive[t]++
-			if be.bin.CAMMapped {
-				out.camTiles[t] = true
-			} else {
-				out.switchTiles[t] = true
-			}
-		}
+		a.initCols[be.initTile] += be.machine.NumPatterns()
 		// The bin-leading tile performs state matching every cycle.
+		tiles := a.switchTiles
 		if be.bin.CAMMapped {
-			out.camTiles[be.initTile] = true
-		} else {
-			out.switchTiles[be.initTile] = true
+			tiles = a.camTiles
 		}
+		tiles[be.initTile] = true
 		states := be.runner.StatesRef()
 		for q := states.NextSet(0); q >= 0; q = states.NextSet(q + 1) {
 			t := be.tileOfBit[q]
-			markActive(t)
+			a.tileActive[t]++
+			tiles[t] = true
 			// Local index within the member determines region position;
 			// states at a region boundary hop the ring next cycle.
 			local := q - patternStartFor(be.machine, q)
 			if (be.bin.StartOffset+local+1)%be.regionSize == 0 {
-				out.ringHops++
+				a.ringHops++
 			}
 		}
 	}

@@ -19,17 +19,14 @@ func NBVAStallTraces(res *compile.Result, p *arch.Placement, input []byte) ([]st
 		if plan.Mode != arch.ModeNBVA {
 			continue
 		}
-		e, err := newNBVAArrayEngine(res, plan)
-		if err != nil {
-			return nil, err
-		}
 		tr := make(stream.StallTrace, len(input))
-		var st nbvaStep
-		for k, b := range input {
-			e.step(b, &st)
-			if st.anyBV {
+		err := runArray(res, plan, input, func(k int, a *activity) {
+			if a.bvPhase {
 				tr[k] = uint16(plan.Depth)
 			}
+		})
+		if err != nil {
+			return nil, err
 		}
 		traces = append(traces, tr)
 	}

@@ -3,7 +3,6 @@ package sim
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 
 	"repro/internal/arch"
@@ -32,94 +31,31 @@ type TraceEvent struct {
 func Trace(res *compile.Result, p *arch.Placement, input []byte, w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	emit := func(ev TraceEvent) error { return enc.Encode(ev) }
 	for ai := range p.Arrays {
 		plan := &p.Arrays[ai]
-		var err error
-		switch plan.Mode {
-		case arch.ModeNFA:
-			err = traceNFA(res, plan, ai, input, emit)
-		case arch.ModeNBVA:
-			err = traceNBVA(res, plan, ai, input, emit)
-		case arch.ModeLNFA:
-			err = traceLNFA(res, plan, ai, input, emit)
-		default:
-			err = fmt.Errorf("sim: unknown mode %v", plan.Mode)
-		}
+		var encErr error
+		err := runArray(res, plan, input, func(k int, a *activity) {
+			if encErr != nil || (len(a.fired) == 0 && !a.bvPhase) {
+				return
+			}
+			ev := TraceEvent{
+				Offset: int64(k), Array: ai, Mode: plan.Mode.String(), Symbol: input[k],
+				Matches: len(a.fired), BVPhase: a.bvPhase,
+			}
+			for _, n := range a.tileActive {
+				ev.Active += n
+			}
+			if a.bvPhase {
+				ev.Stall = plan.Depth
+			}
+			encErr = enc.Encode(ev)
+		})
 		if err != nil {
 			return err
 		}
+		if encErr != nil {
+			return encErr
+		}
 	}
 	return bw.Flush()
-}
-
-func traceNFA(res *compile.Result, plan *arch.ArrayPlan, ai int, input []byte, emit func(TraceEvent) error) error {
-	e, err := newNFAArrayEngine(res, plan)
-	if err != nil {
-		return err
-	}
-	for i, b := range input {
-		matches, active, _ := e.step(b, i == len(input)-1)
-		if matches > 0 {
-			if err := emit(TraceEvent{
-				Offset: int64(i), Array: ai, Mode: "NFA", Symbol: b,
-				Active: active, Matches: matches,
-			}); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func traceNBVA(res *compile.Result, plan *arch.ArrayPlan, ai int, input []byte, emit func(TraceEvent) error) error {
-	e, err := newNBVAArrayEngine(res, plan)
-	if err != nil {
-		return err
-	}
-	var st nbvaStep
-	for i, b := range input {
-		e.step(b, &st)
-		active := 0
-		for _, n := range st.tileMatched {
-			active += n
-		}
-		if st.matches > 0 || st.anyBV {
-			stall := 0
-			if st.anyBV {
-				stall = plan.Depth
-			}
-			if err := emit(TraceEvent{
-				Offset: int64(i), Array: ai, Mode: "NBVA", Symbol: b,
-				Active: active, Matches: st.matches, BVPhase: st.anyBV, Stall: stall,
-			}); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func traceLNFA(res *compile.Result, plan *arch.ArrayPlan, ai int, input []byte, emit func(TraceEvent) error) error {
-	e, err := newLNFAArrayEngine(res, plan)
-	if err != nil {
-		return err
-	}
-	var st lnfaStep
-	for i, b := range input {
-		e.step(b, &st)
-		if st.matches > 0 {
-			active := 0
-			for _, n := range st.tileActive {
-				active += n
-			}
-			if err := emit(TraceEvent{
-				Offset: int64(i), Array: ai, Mode: "LNFA", Symbol: b,
-				Active: active, Matches: st.matches,
-			}); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

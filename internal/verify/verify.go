@@ -156,7 +156,8 @@ func checkStdlib(trial int, patterns []string, input []byte, hits []refmatch.Mat
 }
 
 // genPatterns emits a random mixed-mode pattern set: linear strings,
-// bounded repetitions, and Kleene structures.
+// bounded repetitions, and Kleene structures, the last two a third of the
+// time anchored at the start (^) or the end ($) of the input.
 func genPatterns(r *rand.Rand, n int) []string {
 	out := make([]string, n)
 	for i := range out {
@@ -174,15 +175,26 @@ func genPatterns(r *rand.Rand, n int) []string {
 			}
 			out[i] = b.String()
 		case 2: // exact bounded repetition
-			out[i] = fmt.Sprintf("%s%c{%d}%s", randWord(r, 2), 'a'+rune(r.Intn(4)), 17+r.Intn(120), randWord(r, 2))
+			out[i] = anchor(r, fmt.Sprintf("%s%c{%d}%s", randWord(r, 2), 'a'+rune(r.Intn(4)), 17+r.Intn(120), randWord(r, 2)))
 		case 3: // range / up-to repetition
 			lo := 17 + r.Intn(40)
-			out[i] = fmt.Sprintf("%s%c{%d,%d}%s", randWord(r, 2), 'a'+rune(r.Intn(4)), lo, lo+r.Intn(40)+1, randWord(r, 1))
+			out[i] = anchor(r, fmt.Sprintf("%s%c{%d,%d}%s", randWord(r, 2), 'a'+rune(r.Intn(4)), lo, lo+r.Intn(40)+1, randWord(r, 1)))
 		default: // Kleene structure
-			out[i] = fmt.Sprintf("%s(%s|%s)*%s", randWord(r, 2), randWord(r, 2), randWord(r, 2), randWord(r, 2))
+			out[i] = anchor(r, fmt.Sprintf("%s(%s|%s)*%s", randWord(r, 2), randWord(r, 2), randWord(r, 2), randWord(r, 2)))
 		}
 	}
 	return out
+}
+
+// anchor prefixes p with ^ or suffixes it with $, each one time in six.
+func anchor(r *rand.Rand, p string) string {
+	switch r.Intn(6) {
+	case 0:
+		return "^" + p
+	case 1:
+		return p + "$"
+	}
+	return p
 }
 
 func randWord(r *rand.Rand, n int) string {
@@ -194,7 +206,9 @@ func randWord(r *rand.Rand, n int) string {
 }
 
 // genInput builds a background stream and plants fragments of the
-// patterns' literal parts to provoke matches and near-matches.
+// patterns' literal parts to provoke matches and near-matches. An
+// anchored pattern's fragment goes at its anchor half of the time and
+// anywhere else otherwise.
 func genInput(r *rand.Rand, patterns []string, n int) []byte {
 	out := make([]byte, n)
 	for i := range out {
@@ -206,14 +220,22 @@ func genInput(r *rand.Rand, patterns []string, n int) []byte {
 		if len(frag) == 0 || len(frag) >= n {
 			continue
 		}
-		copy(out[r.Intn(n-len(frag)):], frag)
+		at := r.Intn(n - len(frag))
+		if r.Intn(2) == 0 {
+			if p[0] == '^' {
+				at = 0
+			} else if p[len(p)-1] == '$' {
+				at = n - len(frag)
+			}
+		}
+		copy(out[at:], frag)
 	}
 	return out
 }
 
 // literalFragment extracts a plantable byte string: literals pass
-// through, bounded repetitions expand to their minimum, metacharacters
-// collapse.
+// through, bounded repetitions expand to their minimum, anchors drop,
+// metacharacters collapse.
 func literalFragment(pattern string, r *rand.Rand) []byte {
 	var out []byte
 	i := 0
@@ -234,6 +256,8 @@ func literalFragment(pattern string, r *rand.Rand) []byte {
 				}
 			}
 			i += j + 1
+		case '^', '$':
+			i++
 		case '(', ')', '|', '*', '+', '?', '[', ']', '.':
 			// Stop at structural metacharacters: the fragment up to here
 			// is still a useful prefix to plant.

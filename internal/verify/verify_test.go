@@ -48,6 +48,9 @@ func TestLiteralFragment(t *testing.T) {
 	if string(frag) != "ab" {
 		t.Errorf("fragment = %q", frag)
 	}
+	if frag = literalFragment("^ab{3}c$", r); string(frag) != "abbbc" {
+		t.Errorf("fragment = %q", frag)
+	}
 	if got := literalFragment("{bad", r); len(got) != 0 {
 		t.Errorf("fragment = %q", got)
 	}

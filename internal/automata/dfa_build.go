@@ -27,8 +27,13 @@ type DFA struct {
 	// the per-cycle report count, matching the hardware's counting.
 	reports  []uint16
 	numParts int
-	// escape holds the bytes that move the DFA off row 0 or report there.
-	escape charclass.Class
+	// rest holds the rows the DFA sleeps in, row 0 and its busiest
+	// self-loop (row 0 again if none). escape[k] holds the bytes that leave
+	// rest[k] or report there, pair[k] the bytes that, right after one of
+	// them, reach another row than they do from rest[k] (all, if one reports).
+	rest   [2]int32
+	escape [2]charclass.Class
+	pair   [2]charclass.Class
 }
 
 // BuildDFA materializes the streaming DFA of the NFA, failing with an
@@ -64,12 +69,52 @@ func BuildDFA(n *NFA, cap int) (*DFA, error) {
 		}
 		d.trans[i] = row
 	}
-	for b, part := range d.partition {
-		if d.trans[part] != 0 {
-			d.escape[b>>6] |= 1 << (b & 63)
+	d.rest[1] = d.busiestLoop()
+	for k, rest := range d.rest {
+		var escape, pair charclass.Class // over alphabet classes, then bytes
+		for c, next := range d.trans[rest : int(rest)+d.numParts] {
+			if next == rest {
+				continue
+			}
+			escape.Add(byte(c))
+			if next < 0 {
+				pair = charclass.Any()
+				continue
+			}
+			for x, to := range d.trans[next : int(next)+d.numParts] {
+				if to != d.trans[int(rest)+x] {
+					pair.Add(byte(x))
+				}
+			}
+		}
+		for b, part := range d.partition {
+			d.escape[k][b>>6] |= escape[part>>6] >> (part & 63) & 1 << (b & 63)
+			d.pair[k][b>>6] |= pair[part>>6] >> (part & 63) & 1 << (b & 63)
 		}
 	}
 	return d, nil
+}
+
+// busiestLoop returns the non-zero row with the most bytes that loop to
+// it without reporting, or 0 when no row has one.
+func (d *DFA) busiestLoop() int32 {
+	var size [256]int
+	for _, part := range d.partition {
+		size[part]++
+	}
+	best, most := int32(0), 0
+	for row := d.numParts; row < len(d.trans); row += d.numParts {
+		loops := 0
+		for c, next := range d.trans[row : row+d.numParts] {
+			if next == int32(row) {
+				loops += size[c]
+			}
+		}
+		if loops > most {
+			best, most = int32(row), loops
+		}
+	}
+	return best
 }
 
 // A stream's state in a DFA is the row offset of its current state in
@@ -88,32 +133,42 @@ func (d *DFA) Step(row int32, b byte) (int32, int) {
 
 // WakeLoop scans a list of DFAs together, the software form of every
 // pattern seeing the input symbol in the same cycle while only the active
-// elements do work (§3.1). A DFA at rest in row 0 sleeps until a byte of
-// its escape set comes and sleeps again when its row returns to 0, so a
-// byte that wakes no DFA while none is awake costs one load. The DFAs are
-// taken 64 at a time. A WakeLoop is read-only; the rows are the caller's.
+// elements do work (§3.1). A DFA in a rest row sleeps until a byte of the
+// row's escape set comes before a byte of its pair set, and sleeps again
+// in either rest row. The DFAs are taken 64 at a time. A WakeLoop is
+// read-only; the rows are the caller's.
 type WakeLoop []wakeGroup
 
-// wakeGroup is 64 DFAs of a WakeLoop, nil past the last: bit j of wake[b]
-// is set when byte b wakes dfas[j].
+// wakeGroup is 64 DFAs of a WakeLoop, nil past the last: bit j of
+// wake[k][b] is set when byte b escapes rest row k of dfas[j], and of
+// pair[k][b] when b is in that row's pair set.
 type wakeGroup struct {
-	wake [256]uint64
-	dfas [64]*DFA
+	wake, pair [2][256]uint64
+	dfas       [64]*DFA
 }
 
-// NewWakeLoop ORs the escape sets BuildDFA recorded into the wake words of
-// dfas, at a cost that follows the escape bytes, not the alphabet.
+// NewWakeLoop ORs the escape and pair sets of dfas into wake and pair
+// words, at a cost that follows the bytes in the sets, not the alphabet.
 func NewWakeLoop(dfas []*DFA) WakeLoop {
 	w := make(WakeLoop, (len(dfas)+63)/64)
 	for j, d := range dfas {
-		w[j/64].dfas[j%64] = d
-		for k, word := range d.escape {
-			for ; word != 0; word &= word - 1 {
-				w[j/64].wake[k*64+bits.TrailingZeros64(word)] |= 1 << (j % 64)
-			}
+		g, bit := &w[j/64], uint64(1)<<(j%64)
+		g.dfas[j%64] = d
+		for k := range d.rest {
+			orBytes(&g.wake[k], d.escape[k], bit)
+			orBytes(&g.pair[k], d.pair[k], bit)
 		}
 	}
 	return w
+}
+
+// orBytes sets bit in the word of every byte of set.
+func orBytes(words *[256]uint64, set charclass.Class, bit uint64) {
+	for k, word := range set {
+		for ; word != 0; word &= word - 1 {
+			words[k*64+bits.TrailingZeros64(word)] |= bit
+		}
+	}
 }
 
 // Scan consumes data, the stream bytes from global offset base on, with
@@ -121,15 +176,18 @@ func NewWakeLoop(dfas []*DFA) WakeLoop {
 // each DFA's new row there. It calls emit(j, base+i) once per report DFA j
 // fires at data[i]. Each 64 DFAs read the chunk once and report in one run,
 // ascending in end with ties in DFA order; the runs follow DFA order.
+// A sleeping DFA skips an escape byte before a byte outside the pair set
+// (both steps end where one from the rest row does) but not a chunk's last.
 func (w WakeLoop) Scan(rows []int32, data []byte, base int, emit func(j, end int)) {
 	for g := range w {
-		wake, dfas, first := &w[g].wake, &w[g].dfas, g*64
+		wake, pair, dfas, first := &w[g].wake, &w[g].pair, &w[g].dfas, g*64
 		rows := rows[first:min(len(rows), first+64)]
 		// The rows live on the stack and the stepping loop makes no call, so
 		// its operands stay in registers; it stops after a byte that fired,
-		// leaving the DFAs that reported in fired for the emit loop.
+		// leaving the DFAs that reported in fired for the emit loop. A DFA
+		// joins rest1 once stepped into rest[1]; one asleep outside is in row 0.
 		var local [64]int32
-		var awake uint64
+		var awake, rest1 uint64
 		for j, row := range rows {
 			local[j] = row
 			if row != 0 {
@@ -140,7 +198,12 @@ func (w WakeLoop) Scan(rows []int32, data []byte, base int, emit func(j, end int
 			var fired uint64
 			for ; i < len(data); i++ {
 				b := data[i]
-				step := awake | wake[b]
+				pair0, pair1 := ^uint64(0), ^uint64(0)
+				if i+1 < len(data) {
+					next := data[i+1]
+					pair0, pair1 = pair[0][next], pair[1][next]
+				}
+				step := awake | wake[0][b]&pair0&^rest1 | wake[1][b]&pair1&rest1
 				if step == 0 {
 					continue
 				}
@@ -152,10 +215,12 @@ func (w WakeLoop) Scan(rows []int32, data []byte, base int, emit func(j, end int
 						row = ^row
 						fired |= bit
 					}
-					// A branch, not arithmetic, so the next byte need not wait.
+					// Branches, not arithmetic, so the next byte need not wait.
 					local[j] = row
-					awake &^= bit
-					if row != 0 {
+					awake, rest1 = awake&^bit, rest1&^bit
+					if row == d.rest[1] {
+						rest1 |= bit
+					} else if row != 0 {
 						awake |= bit
 					}
 				}

@@ -4,17 +4,19 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/regexast"
 	"repro/internal/workload"
 )
 
-// snortDFAs builds the streaming DFA of every Snort@1.0 pattern that has
-// one under refmatch's default cap.
-func snortDFAs(tb testing.TB) (*workload.Dataset, []*DFA) {
-	d := workload.MustGenerate("Snort", 1.0, 1)
+// snortDFAs builds the streaming DFA of every Snort pattern at scale that
+// has one under refmatch's default cap, and returns each DFA's pattern.
+func snortDFAs(tb testing.TB, scale float64) (*workload.Dataset, []*DFA, []string) {
+	d := workload.MustGenerate("Snort", scale, 1)
 	var dfas []*DFA
+	var patterns []string
 	for _, p := range d.Patterns {
 		re, err := regexast.Parse(p)
 		if err != nil {
@@ -26,12 +28,13 @@ func snortDFAs(tb testing.TB) (*workload.Dataset, []*DFA) {
 		}
 		if dfa, err := BuildDFA(nfa, 2048); err == nil {
 			dfas = append(dfas, dfa)
+			patterns = append(patterns, p)
 		}
 	}
 	if len(dfas) < 16 {
 		tb.Fatalf("%d Snort patterns have a DFA, want at least 16", len(dfas))
 	}
-	return d, dfas
+	return d, dfas, patterns
 }
 
 // stepWalk is the reference scan of one DFA: a Step per byte from row,
@@ -49,13 +52,20 @@ func stepWalk(d *DFA, row int32, data []byte, base int, emit func(end int)) int3
 
 // BenchmarkDFAWake scans one 16 KiB body with the same DFAs one Step walk
 // at a time and all in one wake loop: the Snort@1.0 DFAs, which rest on
-// most bytes, and 56 DFAs that never rest (a leading '.' wakes each on
-// every byte), the wake loop's worst case. Bytes are input bytes x DFAs,
-// and each reports the matches it counted, so a loop that skips work
-// cannot look fast.
+// most bytes; those of them whose pattern has a '.*', which rest in their
+// '.*' row once its left side has passed; and 56 DFAs that never return
+// to row 0 (a leading '.' moves each off it on every byte) but rest in the
+// row after it, which one byte in 26 of the noise leaves. Bytes are input
+// bytes x DFAs, and each reports the matches it counted, so a loop that
+// skips work cannot look fast.
 func BenchmarkDFAWake(b *testing.B) {
-	d, snort := snortDFAs(b)
-	var restless []*DFA
+	d, snort, patterns := snortDFAs(b, 1.0)
+	var dotstar, restless []*DFA
+	for j, p := range patterns {
+		if strings.Contains(p, ".*") {
+			dotstar = append(dotstar, snort[j])
+		}
+	}
 	noise := make([]byte, 16<<10)
 	r := rand.New(rand.NewSource(1))
 	for i := range noise {
@@ -72,7 +82,7 @@ func BenchmarkDFAWake(b *testing.B) {
 		name  string
 		dfas  []*DFA
 		input []byte
-	}{{"snort", snort, d.Input(16<<10, 1)}, {"restless", restless, noise}} {
+	}{{"snort", snort, d.Input(16<<10, 1)}, {"dotstar", dotstar, d.Input(16<<10, 1)}, {"restless", restless, noise}} {
 		matches := 0
 		run := func(name string, scan func()) {
 			b.Run(set.name+"/"+name, func(b *testing.B) {
@@ -99,15 +109,21 @@ func BenchmarkDFAWake(b *testing.B) {
 
 // wakeFixed are the patterns FuzzDFAWakeEquivalence mixes with random
 // ones. The first reports twice on one byte (two final positions active
-// together), which the loop must emit with multiplicity; "b.*a" never
-// sleeps again once woken, and the rest fall back to row 0.
-var wakeFixed = []string{"(a|[ab])c?", "ab", "a(b|c)*d", "[a-c]d|d", "b.*a", "dd", "ca"}
+// together), which the loop must emit with multiplicity. "b.*a" and
+// "ab.*cd" rest in their '.*' row once woken, ".a[a-c]b" in the row after
+// its leading '.', never row 0 again, and "a[^b]*b" in a row that is not
+// a '.*'; "ab.*" loops to a reporting row, which is never a rest row. The
+// rest fall back to row 0.
+var wakeFixed = []string{"(a|[ab])c?", "ab", "a(b|c)*d", "[a-c]d|d", "b.*a", "dd", "ca",
+	"ab.*cd", ".a[a-c]b", "a[^b]*b", "ab.*"}
 
 // FuzzDFAWakeEquivalence holds the wake loop to one Step walk per DFA,
 // report for report, and those walks to NFA.MatchEnds, over 1-130 DFAs
 // (so one wake word, two, and a partial third) and chunk cuts drawn from
 // the seed: empty chunks, and a cut on each side of a byte that wakes a
-// DFA at rest and of a reporting byte. Only the rows cross a cut.
+// DFA at rest in either rest row (so the byte ends a chunk, where the loop
+// has no next byte to test) and of a reporting byte. Only the rows cross
+// a cut.
 func FuzzDFAWakeEquivalence(f *testing.F) {
 	if dfa, err := BuildDFA(mustNFA(f, wakeFixed[0]), 0); err != nil || slices.Max(dfa.reports) < 2 {
 		f.Fatalf("%q: err %v, want a state with two reports", wakeFixed[0], err)
@@ -142,8 +158,8 @@ func FuzzDFAWakeEquivalence(f *testing.F) {
 			dfas[l] = dfa
 			row, fired := int32(0), 0
 			for i, b := range data {
-				rest := row == 0
-				if row, fired = dfa.Step(row, b); rest && (row != 0 || fired > 0) {
+				rest := row
+				if row, fired = dfa.Step(row, b); (rest == 0 || rest == dfa.rest[1]) && (row != rest || fired > 0) {
 					wakes = append(wakes, i)
 				}
 				for ; fired > 0; fired-- {
@@ -202,7 +218,7 @@ func FuzzDFAWakeEquivalence(f *testing.F) {
 // its DFA is awake or asleep there.
 func TestWakeLoopEqualsStep(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
-	patterns := []string{"ab", "a(b|c)*d", "a.*z|az", "[ab][ab]|b", "zz"}
+	patterns := []string{"ab", "a(b|c)*d", "a.*z|az", "[ab][ab]|b", "zz", "ab.*cd"}
 	dfas := make([]*DFA, len(patterns))
 	for j, p := range patterns {
 		dfa, err := BuildDFA(mustNFA(t, p), 0)
@@ -230,6 +246,81 @@ func TestWakeLoopEqualsStep(t *testing.T) {
 			if !slices.Equal(got[j], want[j]) {
 				t.Fatalf("%q cut %d: wake loop %v, Step %v", patterns[j], cut, got[j], want[j])
 			}
+		}
+	}
+}
+
+// TestRestRowsExact holds every Snort@0.2 and Snort@1.0 DFA's rest rows to
+// their definition with Step: each escape set is exactly the bytes that
+// leave its row or report there, a byte outside the pair set after an
+// escape byte ends where one step from the rest row does, no rest row
+// loops by reporting, and every "lit.*lit" DFA rests in its '.*' row. It
+// pins the share of (DFA, byte) a Step walk of Snort@1.0's bodies spends
+// in a rest row, 0.9935 over four 16 KiB bodies (row 0 alone: 0.933).
+func TestRestRowsExact(t *testing.T) {
+	for _, scale := range []float64{0.2, 1.0} {
+		d, dfas, patterns := snortDFAs(t, scale)
+		dotstars := 0
+		for j, dfa := range dfas {
+			for k, rest := range dfa.rest {
+				for c := 0; c < 256; c++ {
+					next, fired := dfa.Step(rest, byte(c))
+					if leaves := next != rest || fired > 0; dfa.escape[k].Contains(byte(c)) != leaves {
+						t.Fatalf("%q rest row %d: byte %#x escapes %v, leaves %v", patterns[j], rest, c, !leaves, leaves)
+					} else if !leaves {
+						continue
+					}
+					for x := 0; x < 256; x++ {
+						if dfa.pair[k].Contains(byte(x)) {
+							continue
+						}
+						two, n2 := dfa.Step(next, byte(x))
+						one, n1 := dfa.Step(rest, byte(x))
+						if fired > 0 || two != one || n2 != n1 {
+							t.Fatalf("%q rest row %d: %#x %#x outside the pair set moves the DFA", patterns[j], rest, c, x)
+						}
+					}
+				}
+			}
+			if rest := dfa.rest[1]; rest != 0 && dfa.reports[int(rest)/dfa.numParts] > 0 {
+				t.Fatalf("%q rests in reporting row %d", patterns[j], rest)
+			}
+			left, right, ok := strings.Cut(patterns[j], ".*")
+			if !ok || strings.HasSuffix(left, `\`) {
+				continue // no '.*', or a '\.' repeated
+			}
+			left, right = strings.ReplaceAll(left, `\`, ""), strings.ReplaceAll(right, `\`, "")
+			if strings.ContainsAny(left+right, ".*+?()[]{}|") {
+				continue
+			}
+			// Past the left literal and one byte in neither, only '.*' is live.
+			row := stepWalk(dfa, 0, []byte(left+"\x00"), 0, func(int) {})
+			if row != dfa.rest[1] {
+				t.Errorf("%q: rests in row %d, its '.*' row is %d", patterns[j], dfa.rest[1], row)
+			}
+			dotstars++
+		}
+		if dotstars == 0 {
+			t.Fatalf("Snort@%v: no lit.*lit DFA", scale)
+		}
+		if scale != 1.0 {
+			continue
+		}
+		resting, steps := 0, 0
+		for seed := int64(1); seed <= 4; seed++ {
+			input := d.Input(16<<10, seed)
+			for _, dfa := range dfas {
+				row := int32(0)
+				for _, b := range input {
+					if row, _ = dfa.Step(row, b); row == 0 || row == dfa.rest[1] {
+						resting++
+					}
+				}
+				steps += len(input)
+			}
+		}
+		if share := float64(resting) / float64(steps); share < 0.99 {
+			t.Errorf("Snort@1.0: a Step walk rests on %.4f of (DFA, byte), want 0.9935", share)
 		}
 	}
 }

@@ -205,7 +205,7 @@ func (l *nfaLane) engine() Engine { return EngineNFA }
 func (l *nfaLane) kernel(int) string { return "nfa-step" }
 
 // dfaLane holds the DFA-routed patterns in pattern order, all scanned by
-// one automata.WakeLoop: a DFA at rest is stepped only on its wake bytes.
+// one automata.WakeLoop: a DFA at rest is stepped only on its wake pairs.
 type dfaLane struct {
 	dfas     []*automata.DFA
 	nfas     []*automata.NFA // Glushkov NFA behind each DFA, for the SFA union

@@ -31,8 +31,8 @@
 // DFA patterns are scanned pattern-parallel, as the fabric runs them (§3.1:
 // every STE sees the input symbol in the same cycle, and only the active
 // ones do work). One automata.WakeLoop reads the chunk once per 64 DFAs
-// and steps only the DFAs that are awake or that the byte wakes; a DFA
-// back in its start row sleeps again.
+// and steps only the DFAs that are awake or that a byte pair wakes; a DFA
+// back in row 0 or in its rest row, such as a '.*' row, sleeps again.
 //
 // The order of the matches of one Feed or Scan is part of the contract:
 // ascending End, and for equal End lane order, then pattern order. A

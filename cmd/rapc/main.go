@@ -88,6 +88,9 @@ func main() {
 		return
 	}
 
+	if *threshold < 0 {
+		fatal(fmt.Errorf("-threshold %d must not be negative", *threshold))
+	}
 	res := compile.Compile(patterns, compile.Options{UnfoldThreshold: *threshold})
 	t := &metrics.Table{
 		Name:   "Compilation",

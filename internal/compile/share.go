@@ -14,6 +14,10 @@ import (
 // of rules starting with the same tokens share STEs. RAP inherits the
 // optimization in NFA mode; ShareNFAPrefixes applies it to a compile
 // result and the ablation experiment quantifies the STE savings.
+//
+// The trie is a rewrite of the regex tree: a group's patterns are
+// left-factored into one alternation (abc, abd and ax* become
+// a(b(c|d)|x*)), and the one Glushkov construction builds its automaton.
 
 // ShareNFAPrefixes returns a new Result where the NFA-mode regexes are
 // regrouped into shared-prefix union automata, each within the per-array
@@ -29,12 +33,13 @@ func ShareNFAPrefixes(res *Result, opts Options) (*Result, error) {
 		if c.Source == "" {
 			continue
 		}
-		if c.Mode == ModeNFA && c.NFA != nil && !c.NFA.StartAnchored && !c.NFA.EndAnchored {
+		if c.Mode == ModeNFA && c.AST != nil && !c.AST.StartAnchored && !c.AST.EndAnchored {
 			nfaRegexes = append(nfaRegexes, c)
 			continue
 		}
 		// Anchored NFAs keep their own automaton (their initial states
-		// have a different enable mode); other modes pass through.
+		// have a different enable mode), so do imported ones (they have
+		// no regex to factor); other modes pass through.
 		cc := *c
 		cc.Index = len(out.Regexes)
 		out.Regexes = append(out.Regexes, cc)
@@ -44,7 +49,16 @@ func ShareNFAPrefixes(res *Result, opts Options) (*Result, error) {
 		return nil, err
 	}
 	for gi, g := range groups {
-		union, err := buildSharedNFA(g)
+		root := newTrie()
+		for _, c := range g {
+			prefix, tail := splitPrefix(c.AST.Root)
+			n := root
+			for _, cls := range prefix {
+				n = n.child(cls)
+			}
+			n.alt.Subs = append(n.alt.Subs, tail)
+		}
+		union, err := automata.Glushkov(&regexast.Regex{Root: root.alt}, opts.MaxNFAStates)
 		if err != nil {
 			return nil, err
 		}
@@ -61,53 +75,55 @@ func ShareNFAPrefixes(res *Result, opts Options) (*Result, error) {
 	return out, nil
 }
 
-// sharedEntry is one regex split into its shareable literal prefix and
-// the remainder automaton.
-type sharedEntry struct {
-	prefix []charclass.Class
-	rest   regexast.Node // nil when the whole regex is the prefix
-	c      *Compiled
+// splitPrefix splits a parsed regex tree into the leading literal classes
+// it may share with its group and its tail. A class after which the regex
+// can match stays in the tail: a final state belongs to one regex alone,
+// so duplicates, or ab? beside ac*, still report once each.
+func splitPrefix(root regexast.Node) ([]charclass.Class, regexast.Node) {
+	subs := []regexast.Node{root}
+	if c, ok := root.(*regexast.Concat); ok {
+		subs = c.Subs
+	}
+	i := 0
+	for i < len(subs) {
+		if _, ok := subs[i].(*regexast.Lit); !ok {
+			break
+		}
+		i++
+	}
+	if i > 0 && regexast.Nullable(&regexast.Concat{Subs: subs[i:]}) {
+		i--
+	}
+	prefix := make([]charclass.Class, i)
+	for j := range prefix {
+		prefix[j] = subs[j].(*regexast.Lit).Class
+	}
+	if i == len(subs)-1 {
+		return prefix, subs[i]
+	}
+	return prefix, &regexast.Concat{Subs: subs[i:]}
 }
 
-// splitPrefix extracts the maximal leading chain of literal classes from
-// an unanchored regex.
-func splitPrefix(c *Compiled) (sharedEntry, error) {
-	re, err := regexast.Parse(c.Source)
-	if err != nil {
-		return sharedEntry{}, err
+// trie is one node of a group's left-factored regex tree. alt holds what
+// follows the node's class, in insertion order: a child's
+// Concat{Lit, child.alt} or a member's tail.
+type trie struct {
+	alt  *regexast.Alt
+	kids map[charclass.Class]*trie
+}
+
+func newTrie() *trie { return &trie{alt: &regexast.Alt{}, kids: map[charclass.Class]*trie{}} }
+
+// child returns the node below n for cls, adding it as n's next
+// alternative when n has none.
+func (n *trie) child(cls charclass.Class) *trie {
+	k := n.kids[cls]
+	if k == nil {
+		k = newTrie()
+		n.kids[cls] = k
+		n.alt.Subs = append(n.alt.Subs, &regexast.Concat{Subs: []regexast.Node{&regexast.Lit{Class: cls}, k.alt}})
 	}
-	e := sharedEntry{c: c}
-	if re.StartAnchored || re.EndAnchored {
-		// Anchored regexes keep their own automaton (enable-mode differs).
-		e.rest = re.Root
-		return e, nil
-	}
-	root := regexast.Simplify(re.Root)
-	switch t := root.(type) {
-	case *regexast.Lit:
-		e.prefix = []charclass.Class{t.Class}
-	case *regexast.Concat:
-		i := 0
-		for i < len(t.Subs) {
-			lit, ok := t.Subs[i].(*regexast.Lit)
-			if !ok {
-				break
-			}
-			e.prefix = append(e.prefix, lit.Class)
-			i++
-		}
-		if i < len(t.Subs) {
-			rest := t.Subs[i:]
-			if len(rest) == 1 {
-				e.rest = rest[0]
-			} else {
-				e.rest = &regexast.Concat{Subs: rest}
-			}
-		}
-	default:
-		e.rest = root
-	}
-	return e, nil
+	return k
 }
 
 // groupForSharing sorts regexes by source (clustering shared prefixes)
@@ -134,123 +150,4 @@ func groupForSharing(regexes []*Compiled, maxStates int) ([][]*Compiled, error) 
 		groups = append(groups, cur)
 	}
 	return groups, nil
-}
-
-// buildSharedNFA merges a group into one homogeneous NFA with a shared
-// prefix trie.
-func buildSharedNFA(group []*Compiled) (*automata.NFA, error) {
-	union := &automata.NFA{}
-	type trieNode struct {
-		class    charclass.Class
-		state    int
-		children map[charclass.Class]*trieNode
-	}
-	root := &trieNode{children: map[charclass.Class]*trieNode{}}
-	newState := func(cls charclass.Class) int {
-		union.States = append(union.States, automata.State{Class: cls})
-		return len(union.States) - 1
-	}
-	addFollow := func(p, q int) {
-		for _, f := range union.States[p].Follow {
-			if f == q {
-				return
-			}
-		}
-		union.States[p].Follow = append(union.States[p].Follow, q)
-	}
-	initialSet := map[int]bool{}
-	finalSet := map[int]bool{}
-
-	for _, c := range group {
-		e, err := splitPrefix(c)
-		if err != nil {
-			return nil, err
-		}
-		// Walk/extend the trie along the prefix. For literal-only regexes
-		// the final element gets a private (unshared) state so that
-		// duplicate patterns still produce one report each.
-		shared := e.prefix
-		if e.rest == nil && len(shared) > 0 {
-			shared = shared[:len(shared)-1]
-		}
-		node := root
-		for _, cls := range shared {
-			child := node.children[cls]
-			if child == nil {
-				child = &trieNode{
-					class:    cls,
-					state:    newState(cls),
-					children: map[charclass.Class]*trieNode{},
-				}
-				node.children[cls] = child
-				if node != root {
-					addFollow(node.state, child.state)
-				} else {
-					initialSet[child.state] = true
-				}
-			}
-			node = child
-		}
-		if e.rest == nil {
-			// Whole regex is the literal chain; the last state is private.
-			if len(e.prefix) == 0 {
-				union.MatchesEmpty = true
-				continue
-			}
-			last := newState(e.prefix[len(e.prefix)-1])
-			if node == root {
-				initialSet[last] = true
-			} else {
-				addFollow(node.state, last)
-			}
-			finalSet[last] = true
-			continue
-		}
-		// Build the remainder automaton and graft it on.
-		restNFA, err := automata.Glushkov(&regexast.Regex{Root: e.rest}, automata.DefaultMaxStates)
-		if err != nil {
-			return nil, err
-		}
-		offset := len(union.States)
-		for _, s := range restNFA.States {
-			newState(s.Class)
-		}
-		for q, s := range restNFA.States {
-			for _, succ := range s.Follow {
-				addFollow(offset+q, offset+succ)
-			}
-		}
-		for _, q := range restNFA.Initial {
-			if node == root {
-				initialSet[offset+q] = true
-			} else {
-				addFollow(node.state, offset+q)
-			}
-		}
-		for _, q := range restNFA.Final {
-			finalSet[offset+q] = true
-		}
-		if restNFA.MatchesEmpty {
-			if node == root {
-				union.MatchesEmpty = true
-			} else {
-				finalSet[node.state] = true
-			}
-		}
-	}
-	union.Initial = sortedKeys(initialSet)
-	union.Final = sortedKeys(finalSet)
-	for i := range union.States {
-		sort.Ints(union.States[i].Follow)
-	}
-	return union, nil
-}
-
-func sortedKeys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -3,12 +3,15 @@ package compile_test
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/automata"
 	"repro/internal/compile"
 	"repro/internal/refmatch"
+	"repro/internal/regexast"
+	"repro/internal/workload"
 )
 
 // countReports counts match reports the way the hardware does: one per
@@ -91,15 +94,26 @@ func TestShareBehaviourPreserved(t *testing.T) {
 	}
 }
 
+// TestShareDuplicatePatternsReportTwice: every regex reports on its own,
+// a duplicate too. xab? and xac* both match at the xa they share: a
+// class after which a regex can match is never shared.
 func TestShareDuplicatePatternsReportTwice(t *testing.T) {
-	_, shared := shareAllNFA(t, []string{"abc", "abc"})
-	input := []byte("xxabcxx")
-	got := 0
-	for i := range shared.Regexes {
-		got += countReports(shared.Regexes[i].NFA, input)
-	}
-	if got != 2 {
-		t.Errorf("duplicate patterns reported %d matches, want 2", got)
+	for _, tc := range []struct {
+		patterns []string
+		input    string
+		want     int
+	}{
+		{[]string{"abc", "abc"}, "xxabcxx", 2},
+		{[]string{"xab?", "xac*", "xab?"}, "xa", 3},
+	} {
+		_, shared := shareAllNFA(t, tc.patterns)
+		got := 0
+		for i := range shared.Regexes {
+			got += countReports(shared.Regexes[i].NFA, []byte(tc.input))
+		}
+		if got != tc.want {
+			t.Errorf("%q on %q reported %d matches, want %d", tc.patterns, tc.input, got, tc.want)
+		}
 	}
 }
 
@@ -151,5 +165,89 @@ func TestShareMixedModesPassThrough(t *testing.T) {
 	}
 	if modes[compile.ModeNBVA] != 1 || modes[compile.ModeLNFA] != 1 || modes[compile.ModeNFA] != 1 {
 		t.Errorf("modes = %v", modes)
+	}
+}
+
+// TestShareKeepsImportedNFAs: an imported automaton has no regex to
+// factor, so sharing keeps it as it is instead of reparsing its label.
+func TestShareKeepsImportedNFAs(t *testing.T) {
+	re, err := regexast.Parse("ab")
+	if err != nil {
+		t.Fatal(err)
+	}
+	nfa, err := automata.Glushkov(re, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, labels := range [][]string{{"x"}, nil} {
+		shared, err := compile.ShareNFAPrefixes(compile.FromNFAs([]*automata.NFA{nfa}, labels), compile.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(shared.Regexes) != 1 || shared.Regexes[0].NFA != nfa {
+			t.Fatalf("labels %q: shared result %+v, want the imported NFA alone", labels, shared.Regexes)
+		}
+		if got := countReports(nfa, []byte("ab")) + countReports(shared.Regexes[0].NFA, []byte("x")); got != 1 {
+			t.Errorf("labels %q: %d reports on ab and x, want 1", labels, got)
+		}
+	}
+}
+
+// TestShareEqualsMembersOnDatasets holds the shared unions to the NFAs
+// they replace on every seeded dataset, under the full decision graph
+// and ForceNFA: at each position of the dataset's input, followed by an
+// exemplar of every member so that each one reports, their reports sum
+// to the same count. Each pattern is listed twice, so every text has a
+// duplicate that must report on its own; Prosite spells one class two
+// ways ([PT] and [TP]), which the trie must share.
+func TestShareEqualsMembersOnDatasets(t *testing.T) {
+	type set struct {
+		name  string
+		scale float64
+	}
+	sets := []set{{"Prosite", 1}}
+	for _, name := range workload.Names {
+		sets = append(sets, set{name, 0.2})
+	}
+	for _, s := range sets {
+		d := workload.MustGenerate(s.name, s.scale, 1)
+		for _, pol := range []compile.ModePolicy{compile.PolicyDefault, compile.ForceNFA} {
+			res := compile.Compile(append(slices.Clip(d.Patterns), d.Patterns...), compile.Options{ModePolicy: pol})
+			shared, err := compile.ShareNFAPrefixes(res, compile.Options{ModePolicy: pol})
+			if err != nil {
+				t.Fatal(err)
+			}
+			input := d.Input(4096, 1)
+			r := rand.New(rand.NewSource(1))
+			var members, unions []*automata.Runner
+			for i := range res.Regexes {
+				c := &res.Regexes[i]
+				if c.Mode == compile.ModeNFA && c.AST != nil && !c.AST.StartAnchored && !c.AST.EndAnchored {
+					members = append(members, automata.NewRunner(c.NFA))
+					input = append(append(input, workload.Exemplar(c.Source, r)...), '\n')
+				}
+			}
+			for i := range shared.Regexes {
+				if strings.HasPrefix(shared.Regexes[i].Source, "shared-nfa-group-") {
+					unions = append(unions, automata.NewRunner(shared.Regexes[i].NFA))
+				}
+			}
+			if len(members) > 0 && len(unions) == 0 {
+				t.Fatalf("%s@%v %s: %d NFAs and no shared union", s.name, s.scale, pol, len(members))
+			}
+			step := func(rs []*automata.Runner, b byte) int {
+				n := 0
+				for _, r := range rs {
+					r.Step(b)
+					n += r.FinalsActive()
+				}
+				return n
+			}
+			for i, b := range input {
+				if got, want := step(unions, b), step(members, b); got != want {
+					t.Fatalf("%s@%v %s: offset %d: unions report %d, members %d", s.name, s.scale, pol, i, got, want)
+				}
+			}
+		}
 	}
 }

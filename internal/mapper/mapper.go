@@ -88,11 +88,13 @@ func Map(res *compile.Result, opts Options) (*arch.Placement, error) {
 // maxHoleShare. A nil prev or prevRes is the cold pack, not a repack.
 func Remap(prev *arch.Placement, prevRes, res *compile.Result, opts Options) (p *arch.Placement, repacked bool, err error) {
 	opts.setDefaults()
-	if opts.Depth > arch.CAMRows {
-		return nil, false, fmt.Errorf("mapper: depth %d exceeds CAM rows %d", opts.Depth, arch.CAMRows)
+	switch opts.Depth {
+	case 4, 8, 16, 32: // arch.BVDepths
+	default:
+		return nil, false, fmt.Errorf("mapper: depth %d is not one of 4, 8, 16, 32", opts.Depth)
 	}
-	if opts.BinSize > arch.MaxBinSize {
-		return nil, false, fmt.Errorf("mapper: bin size %d exceeds %d", opts.BinSize, arch.MaxBinSize)
+	if opts.BinSize < 1 || opts.BinSize > arch.MaxBinSize {
+		return nil, false, fmt.Errorf("mapper: bin size %d is outside 1..32", opts.BinSize)
 	}
 	if prev != nil && prevRes != nil {
 		if p = remap(prev, prevRes, res, opts); p != nil {

@@ -1,8 +1,10 @@
 package mapper
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/arch"
 	"repro/internal/compile"
@@ -231,13 +233,31 @@ func TestMapPaddingWaste(t *testing.T) {
 	}
 }
 
-func TestMapBadOptions(t *testing.T) {
-	res := compile.Compile([]string{"abc"}, compile.Options{})
-	if _, err := Map(res, Options{Depth: 64}); err == nil {
-		t.Error("depth 64 should fail")
+// TestMapRejectsOutOfRangeOptions: a depth outside arch.BVDepths or a
+// bin size outside 1..arch.MaxBinSize is refused before anything is
+// placed. A negative one never finished placing (a negative chunk grows
+// the bit vector it splits), so each call gets a deadline.
+func TestMapRejectsOutOfRangeOptions(t *testing.T) {
+	res := compile.Compile([]string{"xa[bc]{100}d", "abc"}, compile.Options{})
+	for _, d := range arch.BVDepths {
+		if _, err := Map(res, Options{Depth: d, BinSize: arch.MaxBinSize}); err != nil {
+			t.Errorf("depth %d: %v", d, err)
+		}
 	}
-	if _, err := Map(res, Options{BinSize: 33}); err == nil {
-		t.Error("bin size 33 should fail")
+	for _, opts := range []Options{{Depth: -4}, {Depth: 3}, {Depth: 64}, {BinSize: -1}, {BinSize: 33}} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := Map(res, opts)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("%+v placed, want an error", opts)
+			}
+		case <-time.After(2 * time.Second):
+			panic(fmt.Sprintf("Map with %+v did not return in 2s", opts))
+		}
 	}
 }
 

@@ -64,6 +64,10 @@ func main() {
 	parallel := flag.Bool("parallel", true, "run per-dataset work concurrently")
 	guard := flag.String("guard", "", "baseline BENCH_scan.json: exit non-zero if the scan headline (median Teddy/AC ratio) drops below half of it")
 	flag.Parse()
+	if *inputLen < 0 {
+		fmt.Fprintf(os.Stderr, "rapbench: -input %d must not be negative\n", *inputLen)
+		os.Exit(2)
+	}
 
 	cfg := experiments.Config{Scale: *scale, Seed: *seed, InputLen: *inputLen, OutDir: *out, Parallel: *parallel}
 

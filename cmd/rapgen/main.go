@@ -31,6 +31,9 @@ func main() {
 	doANML := flag.Bool("anml", false, "also export compiled basic NFAs as ANML XML")
 	anml := flag.Bool("anmlzoo", false, "generate the ANMLZoo-like set instead")
 	flag.Parse()
+	if *inputLen < 0 {
+		fatal(fmt.Errorf("-len %d must not be negative", *inputLen))
+	}
 
 	names := []string{*data}
 	if *data == "All" {

@@ -48,6 +48,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rapsim: -trace records RAP's cycle trace; it needs -arch RAP, not %q\n", *archName)
 		os.Exit(2)
 	}
+	if *genLen < 0 {
+		fmt.Fprintf(os.Stderr, "rapsim: -len %d must not be negative\n", *genLen)
+		os.Exit(2)
+	}
 
 	if *file != "" {
 		pats, err := patfile.Read(*file)

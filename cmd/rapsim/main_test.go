@@ -34,3 +34,22 @@ func TestTraceNeedsRAP(t *testing.T) {
 		t.Errorf("trace file: %v, want none", err)
 	}
 }
+
+// TestNegativeCountsRefused: a negative length or count is refused with one
+// line and a non-zero exit before any work, not a makeslice panic from the input generator.
+func TestNegativeCountsRefused(t *testing.T) {
+	if os.Getenv("RAPSIM_RUN_MAIN") == "1" {
+		os.Args = strings.Fields(os.Getenv("RAPSIM_ARGS"))
+		main()
+		return
+	}
+	for _, args := range []string{"rapsim -p abc -gen Snort -len -1"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestNegativeCountsRefused$")
+		cmd.Env = append(os.Environ(), "RAPSIM_RUN_MAIN=1", "RAPSIM_ARGS="+args)
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || strings.Contains(string(out), "panic") || strings.Count(string(out), "\n") != 1 {
+			t.Errorf("%s: %v, want a one-line refusal and a non-zero exit\n%s", args, err, out)
+		}
+	}
+}

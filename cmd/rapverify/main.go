@@ -22,6 +22,10 @@ func main() {
 	seed := flag.Int64("seed", 1, "PRNG seed")
 	stdlib := flag.Bool("stdlib", true, "also cross-check against Go's regexp")
 	flag.Parse()
+	if *patterns < 0 || *inputLen < 0 {
+		fmt.Fprintf(os.Stderr, "rapverify: -patterns and -len must not be negative (got %d and %d)\n", *patterns, *inputLen)
+		os.Exit(2)
+	}
 
 	res, err := verify.Run(verify.Options{
 		Trials:           *trials,

@@ -14,6 +14,11 @@ const (
 	DefaultHeader = "X-RAP-Tenant"
 	// Anonymous is the tenant requests without an identity header land on.
 	Anonymous = "anonymous"
+	// MaxUnlistedTenants bounds the tenants a Registry makes for names
+	// its configuration does not list. Any client can send a new
+	// identity, and each tenant holds accounting, queues and metric
+	// series, so later unlisted names are served as Anonymous.
+	MaxUnlistedTenants = 64
 
 	// defaultBurstBytes is the bucket capacity when a rate is configured
 	// without an explicit burst: one second of tokens, floored at 64 KiB

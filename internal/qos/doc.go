@@ -20,9 +20,10 @@
 // Tenants are identified by a configurable HTTP header (DefaultHeader);
 // requests without one fall back to the Anonymous tenant. A Registry
 // materializes tenants on first sight with the configured default
-// limits, applies per-tenant overrides, and supports live reconfiguration
-// (SetConfig — rapserve wires it to SIGHUP), which re-limits existing
-// tenants in place.
+// limits (at most MaxUnlistedTenants for names the configuration does
+// not list; later ones share Anonymous), applies per-tenant overrides,
+// and supports live reconfiguration (SetConfig — rapserve wires it to
+// SIGHUP), which re-limits existing tenants in place.
 //
 // The Weight limit feeds the service worker pool's deficit-round-robin
 // queues: under contention, scan bandwidth divides between backlogged

@@ -350,10 +350,11 @@ func (t *Tenant) Snapshot() TenantSnapshot {
 // Registry materializes tenants on first sight and carries the live
 // configuration. All methods are safe for concurrent use.
 type Registry struct {
-	mu      sync.Mutex
-	cfg     Config
-	tenants map[string]*Tenant
-	now     func() time.Time
+	mu       sync.Mutex
+	cfg      Config
+	tenants  map[string]*Tenant
+	unlisted int // tenants made for names cfg did not list
+	now      func() time.Time
 }
 
 // NewRegistry creates a registry from cfg (zero Config = anonymous-only,
@@ -383,13 +384,24 @@ func (r *Registry) limitsFor(name string) Limits {
 }
 
 // Tenant returns the live tenant for name, creating it with the
-// configured limits on first sight. An empty name maps to Anonymous.
+// configured limits on first sight. An empty name maps to Anonymous, and
+// so does an unlisted name once MaxUnlistedTenants of them have tenants.
 func (r *Registry) Tenant(name string) *Tenant {
 	if name == "" {
 		name = Anonymous
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if t, ok := r.tenants[name]; ok {
+		return t
+	}
+	if _, listed := r.cfg.Tenants[name]; !listed && name != Anonymous {
+		if r.unlisted == MaxUnlistedTenants {
+			name = Anonymous
+		} else {
+			r.unlisted++
+		}
+	}
 	t, ok := r.tenants[name]
 	if !ok {
 		t = newTenant(name, r.limitsFor(name), r.now)

@@ -255,19 +255,19 @@ func TestScanAllocations(t *testing.T) {
 func TestKernelsNamesEveryEngine(t *testing.T) {
 	patterns := []string{"cat", "ab{20}c", "a(x|y)*b", "^a(x|y)*b", strings.Repeat("[ab]", 70)}
 	m := compilePar(t, patterns, Options{DisablePrefilter: true})
-	want := []string{"shiftand128", "word64 (3 states, 20 BV bits)", "dfa-table", "nfa-step", "shiftand128"}
+	want := []string{"shiftand-multi", "word64 (3 states, 20 BV bits)", "dfa-table", "nfa-step", "shiftand-multi"}
 	if got := m.Kernels(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Kernels = %q, want %q", got, want)
 	}
 	// Five DFA patterns, wherever they sit in the list, share one wake loop.
 	dfas := []string{"a(x|y)*b", "cat", "b(x|y)*c", "c(x|y)*d", "d(x|y)*e", "e(x|y)*f"}
-	want = []string{"dfa-table", "shiftand64", "dfa-table", "dfa-table", "dfa-table", "dfa-table"}
+	want = []string{"dfa-table", "shiftand-multi", "dfa-table", "dfa-table", "dfa-table", "dfa-table"}
 	if got := compilePar(t, dfas, Options{DisablePrefilter: true}).Kernels(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Kernels = %q, want %q", got, want)
 	}
 	m = compilePar(t, patterns[:1], Options{})
-	if got := m.Kernels(); !reflect.DeepEqual(got, []string{"shiftand64 behind teddy fp3 stride2"}) {
-		t.Errorf("Kernels = %q, want [shiftand64 behind teddy fp3 stride2]", got)
+	if got := m.Kernels(); !reflect.DeepEqual(got, []string{"shiftand-multi behind teddy fp3 stride2"}) {
+		t.Errorf("Kernels = %q, want [shiftand-multi behind teddy fp3 stride2]", got)
 	}
 	if got := m.PrefilterKernel(); got != "teddy fp3 stride2" {
 		t.Errorf("PrefilterKernel = %q, want teddy fp3 stride2", got)

@@ -80,17 +80,10 @@ func (l *shiftAndLane) pats() []int    { return l.patterns }
 func (l *shiftAndLane) engine() Engine { return EngineShiftAnd }
 
 func (l *shiftAndLane) kernel(int) string {
-	name := "shiftand-multi"
-	switch {
-	case l.sa.HasKernel64():
-		name = "shiftand64"
-	case l.sa.HasKernel128():
-		name = "shiftand128"
-	}
 	if l.pf != nil {
-		name += " behind " + l.pf.Kernel()
+		return "shiftand-multi behind " + l.pf.Kernel()
 	}
-	return name
+	return "shiftand-multi"
 }
 
 // nbvaLane holds the NBVA machines in pattern order, each with its word

@@ -97,7 +97,7 @@ func TestPrefilterPartition(t *testing.T) {
 
 func TestPrefilterDifferentialScan(t *testing.T) {
 	patterns := []string{
-		"needle",        // prefiltered, kernel64
+		"needle",        // prefiltered
 		"x[ab]y",        // prefiltered via class expansion
 		"[a-z]+needle",  // prefiltered (literal factor)
 		"[a-n]{3}",      // always-on shift-and (no literal)

@@ -522,11 +522,11 @@ func (m *Matcher) PrefilterKernel() string {
 	return ""
 }
 
-// Kernels names, per pattern, the software loop that scans it: the
-// Shift-And kernel its sequences are packed into ("shiftand64",
-// "shiftand128", "shiftand-multi", and for a prefiltered pattern the
-// candidate scanner it waits behind: "shiftand64 behind teddy fp3
-// stride4"), "word64" or — for a machine with more than
+// Kernels names, per pattern, the software loop that scans it:
+// "shiftand-multi" for a linear pattern, the one Shift-And chunk loop of
+// every machine width, and for a prefiltered pattern the candidate
+// scanner it waits behind ("shiftand-multi behind teddy fp3 stride4"),
+// "word64" or — for a machine with more than
 // nbva.MaxKernelStates control states — "step" for an NBVA pattern,
 // followed by its control-state and bit-vector sizes, "nfa-step", and
 // "dfa-table" for a DFA pattern.

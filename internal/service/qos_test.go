@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -285,5 +286,64 @@ func TestCompileOptionsValidate(t *testing.T) {
 	_, _, err := svc.Compile(context.Background(), []string{"x"}, CompileOptions{ModePolicy: "warp"})
 	if err == nil || !strings.Contains(err.Error(), "mode_policy") {
 		t.Fatalf("err = %v, want unknown mode_policy rejection", err)
+	}
+}
+
+// TestUnlistedTenantsBounded: the tenant name is a request header, so a
+// client sending a new one per request must not grow the tenant table,
+// the tenant series on /metrics or the per-tenant SLO trackers without
+// bound. Past qos.MaxUnlistedTenants unlisted names are served as
+// anonymous; a name the configuration lists keeps its own tenant.
+func TestUnlistedTenantsBounded(t *testing.T) {
+	svc := New(Config{Workers: 1, QoS: qos.Config{Tenants: map[string]qos.Limits{"gold": {Weight: 4}}}})
+	defer svc.Close()
+	h := svc.Handler()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/programs", strings.NewReader(`{"patterns":["needle"]}`)))
+	var resp struct {
+		ProgramID string `json:"program_id"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); rec.Code != 200 || err != nil {
+		t.Fatalf("compile: %d %s", rec.Code, rec.Body)
+	}
+	scan := func(tenant string) {
+		req := httptest.NewRequest("POST", "/v1/programs/"+resp.ProgramID+"/scan", strings.NewReader("hay needle hay"))
+		req.Header.Set(qos.DefaultHeader, tenant)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != 200 {
+			t.Fatalf("scan as %q: %d %s", tenant, rec.Code, rec.Body)
+		}
+	}
+	for i := 0; i < 4*qos.MaxUnlistedTenants; i++ {
+		scan(fmt.Sprintf("t%d", i))
+	}
+	scan("gold")
+
+	const want = qos.MaxUnlistedTenants + 2 // the first unlisted names, anonymous, gold
+	tenants := map[string]bool{}
+	for _, ten := range svc.QoS().Tenants() {
+		tenants[ten.Name()] = true
+	}
+	if len(tenants) != want || !tenants["gold"] || !tenants[qos.Anonymous] || tenants[fmt.Sprintf("t%d", qos.MaxUnlistedTenants)] {
+		t.Errorf("%d tenants (gold %v, anonymous %v), want %d", len(tenants), tenants["gold"], tenants[qos.Anonymous], want)
+	}
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	labels := map[string]bool{}
+	for _, m := range regexp.MustCompile(`tenant="([^"]*)"`).FindAllStringSubmatch(rec.Body.String(), -1) {
+		labels[m[1]] = true
+	}
+	if len(labels) != want {
+		t.Errorf("/metrics has %d distinct tenant labels, want %d", len(labels), want)
+	}
+	trackers := map[string]bool{}
+	for _, st := range svc.SLO().Statuses() {
+		if st.Tenant != "" {
+			trackers[st.Tenant] = true
+		}
+	}
+	if len(trackers) > want {
+		t.Errorf("%d per-tenant SLO trackers, want at most %d", len(trackers), want)
 	}
 }

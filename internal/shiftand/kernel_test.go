@@ -7,7 +7,7 @@ import (
 )
 
 // stepOracle runs the machine with the per-byte Step API and returns the
-// match pairs — the reference the chunk kernels are checked against.
+// match pairs — the reference the chunk loop is checked against.
 func stepOracle(m *Machine, input []byte) []MatchEnd {
 	r := NewRunner(m)
 	var out []MatchEnd
@@ -79,23 +79,6 @@ func TestKernelsAgreeWithStep(t *testing.T) {
 	}
 }
 
-func TestKernelSelection(t *testing.T) {
-	small, err := New([]Pattern{seqOf("abc")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !small.HasKernel64() {
-		t.Error("3-state machine should compile to the single-word kernel")
-	}
-	big, err := New([]Pattern{seqOf("[a-z]{40}"), seqOf("[a-z]{40}")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if big.HasKernel64() {
-		t.Error("80-state machine must not claim the single-word kernel")
-	}
-}
-
 func TestScanChunkResumesAcrossChunks(t *testing.T) {
 	// A match split across ScanChunk calls must still be found: the state
 	// word carries over.
@@ -117,69 +100,43 @@ func TestScanChunkResumesAcrossChunks(t *testing.T) {
 	}
 }
 
-// TestKernel64ZeroAlloc is the fast-path contract: scanning a chunk on the
-// single-word kernel performs no allocations at all.
-func TestKernel64ZeroAlloc(t *testing.T) {
-	m, err := New([]Pattern{seqOf("abc"), seqOf("[ab]cd")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewRunner(m)
-	input := bytes.Repeat([]byte("zabcdz"), 100)
-	sink := 0
-	allocs := testing.AllocsPerRun(100, func() {
-		r.Reset()
-		r.ScanChunk(input, 0, func(p, end int) { sink += end })
-	})
-	if allocs != 0 {
-		t.Errorf("kernel64 ScanChunk allocs/op = %v, want 0", allocs)
-	}
-	_ = sink
-}
-
+// TestMultiWordZeroAlloc is the fast-path contract: scanning a chunk
+// performs no allocations at all, whether the state is one word, two or
+// more.
 func TestMultiWordZeroAlloc(t *testing.T) {
-	m, err := New([]Pattern{seqOf("[a-z]{40}"), seqOf("abcdefghijklmnopqrstuvwxyzabcdefghijklmn")})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name     string
+		patterns []string
+	}{
+		{"1word", []string{"abc", "[ab]cd"}},
+		{"2words", []string{"[a-z]{40}", "abcdefghijklmnopqrstuvwxyzabcdefghijklmn"}},
+		{"3words", []string{"[a-z]{70}", "abcdefghijklmnopqrstuvwxyz", "[a-z]{40}abcdefghijklmn"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pats := make([]Pattern, len(tc.patterns))
+			for i, p := range tc.patterns {
+				pats[i] = seqOf(p)
+			}
+			m, err := New(pats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := NewRunner(m)
+			input := bytes.Repeat([]byte("zabcdefghijklmnopqrstuvwxyz"), 20)
+			sink := 0
+			allocs := testing.AllocsPerRun(100, func() {
+				r.Reset()
+				r.ScanChunk(input, 0, func(p, end int) { sink += end })
+			})
+			if allocs != 0 {
+				t.Errorf("%d states: ScanChunk allocs/op = %v, want 0", m.NumStates(), allocs)
+			}
+			_ = sink
+		})
 	}
-	r := NewRunner(m)
-	if m.HasKernel64() {
-		t.Fatal("want multi-word machine")
-	}
-	input := bytes.Repeat([]byte("abcdefghijklmnopqrstuvwxyz"), 20)
-	sink := 0
-	allocs := testing.AllocsPerRun(100, func() {
-		r.Reset()
-		r.ScanChunk(input, 0, func(p, end int) { sink += end })
-	})
-	if allocs != 0 {
-		t.Errorf("multi-word ScanChunk allocs/op = %v, want 0", allocs)
-	}
-	_ = sink
 }
 
-// BenchmarkKernel64 measures the single-word fast path; run with -benchmem
-// to confirm 0 allocs/op.
-func BenchmarkKernel64(b *testing.B) {
-	m, err := New([]Pattern{seqOf("needle"), seqOf("ha[yz]stack")})
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := NewRunner(m)
-	input := bytes.Repeat([]byte("the quick brown fox jumps over the lazy dog "), 1489) // ~64 KiB
-	copy(input[len(input)/2:], "needle")
-	sink := 0
-	b.SetBytes(int64(len(input)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Reset()
-		r.ScanChunk(input, 0, func(p, end int) { sink += end })
-	}
-	_ = sink
-}
-
-// BenchmarkStepLoop is the per-byte baseline the chunk kernel replaces.
+// BenchmarkStepLoop is the per-byte baseline the chunk loop replaces.
 func BenchmarkStepLoop(b *testing.B) {
 	m, err := New([]Pattern{seqOf("needle"), seqOf("ha[yz]stack")})
 	if err != nil {
@@ -203,25 +160,39 @@ func BenchmarkStepLoop(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkKernelMulti measures the batched multi-word kernel.
+// BenchmarkKernelMulti measures the chunk loop at one, two and three
+// state words; run with -benchmem to confirm 0 allocs/op. The one-word
+// case runs the machine BenchmarkStepLoop steps a byte at a time.
 func BenchmarkKernelMulti(b *testing.B) {
-	pats := []Pattern{
-		seqOf("abcdefghijklmnopqrstuvwxyz"), seqOf("[a-z]{30}"),
-		seqOf("0123456789012345678901234567890123456789"),
+	for _, bc := range []struct {
+		name     string
+		patterns []string
+	}{
+		{"1word", []string{"needle", "ha[yz]stack"}},
+		{"2words", []string{"abcdefghijklmnopqrstuvwxyz", "[a-z]{30}", "needle", "ha[yz]stack"}},
+		{"3words", []string{"abcdefghijklmnopqrstuvwxyz", "[a-z]{30}", "0123456789012345678901234567890123456789", "[a-z]{40}"}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			pats := make([]Pattern, len(bc.patterns))
+			for i, p := range bc.patterns {
+				pats[i] = seqOf(p)
+			}
+			m, err := New(pats)
+			if err != nil {
+				b.Fatal(err)
+			}
+			r := NewRunner(m)
+			input := bytes.Repeat([]byte("the quick brown fox jumps over the lazy dog "), 1489) // ~64 KiB
+			copy(input[len(input)/2:], "needle")
+			sink := 0
+			b.SetBytes(int64(len(input)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.Reset()
+				r.ScanChunk(input, 0, func(p, end int) { sink += end })
+			}
+			_ = sink
+		})
 	}
-	m, err := New(pats)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := NewRunner(m)
-	input := bytes.Repeat([]byte("the quick brown fox jumps over the lazy dog "), 1489)
-	sink := 0
-	b.SetBytes(int64(len(input)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Reset()
-		r.ScanChunk(input, 0, func(p, end int) { sink += end })
-	}
-	_ = sink
 }

@@ -38,8 +38,6 @@ type Machine struct {
 	labels      [256]bitvec.Vector
 	maskInitial bitvec.Vector
 	maskFinal   bitvec.Vector
-	k64         *kernel64  // single-word fast path when NumStates <= 64
-	k128        *kernel128 // two-word fast path when 64 < NumStates <= 128
 }
 
 // New builds a machine for the given patterns packed in order. Patterns
@@ -79,12 +77,6 @@ func New(patterns []Pattern) (*Machine, error) {
 			}
 		}
 	}
-	switch {
-	case total > 0 && total <= 64:
-		m.k64 = newKernel64(m)
-	case total > 64 && total <= 128:
-		m.k128 = newKernel128(m)
-	}
 	return m, nil
 }
 
@@ -105,7 +97,7 @@ type MatchEnd struct {
 
 // MatchEnds runs a fresh Runner over the whole input and returns every
 // (pattern, end offset) match pair in stream order — the one-shot form
-// the tests compare the chunked kernels against.
+// of ScanChunk the tests hold to Step.
 func (m *Machine) MatchEnds(input []byte) []MatchEnd {
 	var out []MatchEnd
 	NewRunner(m).ScanChunk(input, 0, func(p, end int) {

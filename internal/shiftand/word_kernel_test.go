@@ -46,7 +46,7 @@ func randMachineWidth(t testing.TB, rng *rand.Rand, total int) *Machine {
 }
 
 // stepEnds runs the per-byte Step path from reset and collects every
-// (pattern, end) pair — the golden reference for all chunk kernels.
+// (pattern, end) pair — the golden reference for the chunk loop.
 func stepEnds(m *Machine, input []byte) []MatchEnd {
 	r := NewRunner(m)
 	r.Reset()
@@ -59,29 +59,13 @@ func stepEnds(m *Machine, input []byte) []MatchEnd {
 	return out
 }
 
-// TestWordKernelGoldenEquivalence holds every kernel tier — single-word,
-// two-word, and batched multi-word — to the per-byte Step loop across
-// state widths and random inputs.
+// TestWordKernelGoldenEquivalence holds the chunk loop to the per-byte
+// Step loop across state widths of one to four words and random inputs.
 func TestWordKernelGoldenEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, total := range []int{1, 3, 63, 64, 65, 96, 127, 128, 129, 200} {
 		for trial := 0; trial < 10; trial++ {
 			m := randMachineWidth(t, rng, total)
-			switch {
-			case total <= 64:
-				if !m.HasKernel64() {
-					t.Fatalf("width %d: kernel64 not selected", total)
-				}
-			case total <= 128:
-				if m.HasKernel64() || !m.HasKernel128() {
-					t.Fatalf("width %d: want kernel128 only (k64=%v k128=%v)",
-						total, m.HasKernel64(), m.HasKernel128())
-				}
-			default:
-				if m.HasKernel64() || m.HasKernel128() {
-					t.Fatalf("width %d: register kernel selected for multi-word machine", total)
-				}
-			}
 			input := make([]byte, rng.Intn(300))
 			for i := range input {
 				input[i] = byte('a' + rng.Intn(6))
@@ -96,13 +80,13 @@ func TestWordKernelGoldenEquivalence(t *testing.T) {
 }
 
 // TestWordKernelUnalignedChunks feeds the same input in every split
-// position, so the 8-byte blocks land on all head/tail alignments, and
-// checks hits and carried state against the whole-buffer scan.
+// position and checks hits and carried state against the whole-buffer
+// scan.
 func TestWordKernelUnalignedChunks(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, total := range []int{40, 100, 160} {
 		r := NewRunner(randMachineWidth(t, rng, total))
-		input := make([]byte, 61) // prime-ish: blocks straddle every split
+		input := make([]byte, 61)
 		for i := range input {
 			input[i] = byte('a' + rng.Intn(6))
 		}
@@ -121,32 +105,9 @@ func TestWordKernelUnalignedChunks(t *testing.T) {
 	}
 }
 
-func TestKernel128ZeroAlloc(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	m := randMachineWidth(t, rng, 100)
-	if !m.HasKernel128() {
-		t.Fatal("kernel128 not selected")
-	}
-	r := NewRunner(m)
-	input := make([]byte, 4096)
-	for i := range input {
-		input[i] = byte('a' + rng.Intn(6))
-	}
-	sink := 0
-	emit := func(p, e int) { sink += p + e }
-	allocs := testing.AllocsPerRun(10, func() {
-		r.Reset()
-		r.ScanChunk(input, 0, emit)
-	})
-	if allocs != 0 {
-		t.Errorf("kernel128 ScanChunk allocates %v per run, want 0", allocs)
-	}
-	_ = sink
-}
-
 // FuzzWordKernelEquivalence fuzzes machine shape and input together: the
-// seed bytes select the state width (spanning all three kernels) and the
-// input; the kernel output must equal the per-byte Step loop.
+// seed bytes select the state width (one to four words) and the input;
+// the chunk loop's output must equal the per-byte Step loop.
 func FuzzWordKernelEquivalence(f *testing.F) {
 	f.Add(uint8(64), []byte("abcabcddd"))
 	f.Add(uint8(100), []byte("aaaaaaaaaaaaaaaaa"))

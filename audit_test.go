@@ -28,9 +28,9 @@ var auditAllow = []struct{ fn, reason string }{
 	{"internal/charclass.Code.Class", "TestPropEncodeCoversExactly: the bytes a CAM code stands for, which the emitted codes must tile the class with"},
 	{"internal/charclass.Code.Matches", "TestPropCodeMatchAgreesWithClass: the CAM's two-nibble match rule the encoding is checked against"},
 	{"internal/charclass.Encode", "FuzzEncodeEquivalence (checkEncode): the code list FirstCode/NumCodes derive from, against the 256-probe reference"},
-	{"internal/clock.Manual.Advance", "TestManualRunsLoopsInTimeOrder, TestAdmissionTickReload, TestClusterMemberAging, TestCanaryWindow and every cluster test (testCluster.rounds): the only way a manual clock moves"},
+	{"internal/clock.Manual.Advance", "TestManualRunsLoopsInTimeOrder, TestControllerStartStop, TestAdmissionTickReload, TestSLOBreachLoopEndToEnd, TestOverloadExperiment, TestClusterMemberAging, TestCanaryWindow and every cluster test (testCluster.rounds): the only way a manual clock moves"},
 	{"internal/clock.Manual.BlockUntil", "TestManualBlockUntil, TestCanaryWindow, TestClusterEndToEnd, TestRepairReusesOriginalRuleset (testCluster.rollout): knowing the canary watch waits on the clock"},
-	{"internal/clock.NewManual", "TestAdmissionTickReload, TestSLOShedLoopEndToEnd, the qos bucket tests (testRegistry) and every cluster test (startCluster): a clock that moves only when the test moves it"},
+	{"internal/clock.NewManual", "TestSLOBreachLoopEndToEnd, TestOverloadExperiment, TestScanAdmissionRetryAfterHeader, the qos bucket tests (testRegistry) and every cluster test (startCluster): a clock that moves only when the test moves it"},
 	{"internal/compile.Result.Fingerprint", "TestIncrementalEqualsCold, TestRecompileEqualsCompile, TestDatasetFingerprintsPinned: identity of a compile"},
 	{"internal/metrics.Histogram.ObserveValueExemplarAt", "TestWriteOpenMetricsGolden: the injected exemplar timestamp the golden exposition needs"},
 	{"internal/nbva.Machine.MatchEnds", "TestPropNBVAEquivalentToUnfoldedNFA, TestPropCounterEqualsBitVector: the one-shot Step reference"},

@@ -39,10 +39,11 @@
 // (see internal/slo.Config); SIGHUP reloads it alongside the QoS file,
 // preserving the rolling good/bad counts of unchanged objectives. Health
 // scoring is served at /v1/health (component scores) and /readyz (503
-// when critical); /debug/slo exposes burn rates, the admission shed
-// level, and the breach log with linked trace IDs. -health-addr starts a
-// second listener carrying only /healthz, /readyz, /v1/health and
-// /metrics, so monitoring can live off the request port.
+// when critical); /debug/slo exposes burn rates and the breach log with
+// linked trace IDs. The engine observes and reports; overload is
+// answered by the QoS token buckets and per-tenant queues alone.
+// -health-addr starts a second listener carrying only /healthz, /readyz,
+// /v1/health and /metrics, so monitoring can live off the request port.
 //
 // Cluster mode: -id names this process as one node of a sharded,
 // replicated cluster (see internal/cluster) and serves the node's
@@ -241,9 +242,7 @@ func run(args []string, ready chan<- string, stop <-chan os.Signal) error {
 				svc.SLO().SetConfig(loaded)
 				applied := svc.SLO().Config()
 				logger.Info("slo reloaded", "file", *sloConfig,
-					"objectives", len(applied.Objectives),
-					"admission", applied.Admission.Enabled,
-					"admission_objective", applied.Admission.Objective)
+					"objectives", len(applied.Objectives))
 			}
 		}
 	}

@@ -1,5 +1,6 @@
 // Package clock is the time of the control loops (gossip, member aging,
-// canary watch, SLO windows, admission); request timings stay on the wall.
+// canary watch, SLO windows and their evaluation) and of the tenants'
+// token buckets; request timings stay on the wall.
 package clock
 
 import (
@@ -14,43 +15,32 @@ type Clock interface {
 	Now() time.Time
 	// After sends the time once d has passed, at once if d <= 0.
 	After(d time.Duration) <-chan time.Time
-	// Every runs f once period, which must be positive and is read again
-	// when a wait ends, has passed since the last round began (or since
-	// Every), until stop, which is idempotent.
-	Every(period func() time.Duration, f func()) (stop func())
+	// Every runs f once period, which must be positive, has passed since
+	// the last round began (or since Every), until stop, which is
+	// idempotent.
+	Every(period time.Duration, f func()) (stop func())
 }
 
-// Real is the wall clock. Its Every runs f on a goroutine off a ticker,
-// replaced when the period changes; its stop returns once a running f has.
+// Real is the wall clock. Its Every runs f on a goroutine off a ticker;
+// its stop returns once a running f has.
 type Real struct{}
 
 func (Real) Now() time.Time                         { return time.Now() }
 func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
-func (Real) Every(period func() time.Duration, f func()) (stop func()) {
+func (Real) Every(period time.Duration, f func()) (stop func()) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		d, last := period(), time.Now()
-		t := time.NewTicker(d)
-		defer func() { t.Stop() }()
+		t := time.NewTicker(period)
+		defer t.Stop()
 		for {
 			select {
 			case <-ctx.Done():
 				return
-			case now := <-t.C:
-				if p := period(); p > d && now.Before(last.Add(p)) {
-					t.Stop() // the period grew during the wait: wait out the rest
-					d, t = last.Add(p).Sub(now), time.NewTicker(last.Add(p).Sub(now))
-					continue
-				}
+			case <-t.C:
 				f()
-				last = now
-				if p := period(); p != d {
-					t.Stop()
-					d, t = p, time.NewTicker(p)
-				}
 			}
 		}
 	}()
@@ -67,9 +57,9 @@ type Manual struct {
 }
 
 type loop struct {
-	last, next time.Time // when the last round began, when to read period
-	period     func() time.Duration
-	f          func()
+	next   time.Time // when the next round is due
+	period time.Duration
+	f      func()
 }
 
 // NewManual returns a manual clock reading start.
@@ -98,10 +88,10 @@ func (m *Manual) After(d time.Duration) <-chan time.Time {
 	return c
 }
 
-func (m *Manual) Every(period func() time.Duration, f func()) (stop func()) {
+func (m *Manual) Every(period time.Duration, f func()) (stop func()) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	l := &loop{last: m.now, next: m.now, period: period, f: f}
+	l := &loop{next: m.now.Add(period), period: period, f: f}
 	m.loops = append(m.loops, l)
 	return func() {
 		m.mu.Lock()
@@ -137,13 +127,9 @@ func (m *Manual) Advance(d time.Duration) {
 			return
 		}
 		m.mu.Unlock()
-		if !l.last.Add(l.period()).After(l.next) {
-			l.f()
-			l.last = l.next
-		}
-		next := l.last.Add(l.period())
+		l.f()
 		m.mu.Lock()
-		l.next = next
+		l.next = l.next.Add(l.period)
 	}
 }
 

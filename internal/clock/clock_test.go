@@ -20,8 +20,6 @@ func goid() string {
 	return string(bytes.Fields(buf)[1])
 }
 
-func every(d time.Duration) func() time.Duration { return func() time.Duration { return d } }
-
 // TestManualRunsLoopsInTimeOrder: Advance runs each due round itself, on
 // its caller's goroutine, in time order with timers fired in between;
 // two loops due at one instant run in registration order, and Now reads
@@ -38,8 +36,8 @@ func TestManualRunsLoopsInTimeOrder(t *testing.T) {
 			got = append(got, fmt.Sprintf("%s@%v", name, clk.Now().Sub(t0)))
 		}
 	}
-	clk.Every(every(3*time.Second), loop("a"))
-	clk.Every(every(2*time.Second), loop("b"))
+	clk.Every(3*time.Second, loop("a"))
+	clk.Every(2*time.Second, loop("b"))
 	timer := clk.After(5 * time.Second)
 	clk.Advance(6 * time.Second)
 	want := "[b@2s a@3s b@4s a@6s b@6s]"
@@ -80,7 +78,7 @@ func TestManualAfterNonPositive(t *testing.T) {
 func TestManualStopIdempotent(t *testing.T) {
 	clk := clock.NewManual(t0)
 	runs := 0
-	stop := clk.Every(every(time.Second), func() { runs++ })
+	stop := clk.Every(time.Second, func() { runs++ })
 	clk.Advance(2 * time.Second)
 	stop()
 	stop()
@@ -113,7 +111,7 @@ func TestManualBlockUntil(t *testing.T) {
 func TestRealStopWaitsForRound(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
 	var rounds, finished atomic.Int32
-	stop := clock.Real{}.Every(every(time.Millisecond), func() {
+	stop := clock.Real{}.Every(time.Millisecond, func() {
 		if rounds.Add(1) == 1 {
 			close(entered)
 			<-release

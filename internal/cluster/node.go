@@ -197,7 +197,7 @@ func NewNode(cfg Config) (*Node, error) {
 	tel.GaugeFunc("rap_node_routed_scan_rate", "Proxy-level routed scans/sec through this node.", func() float64 {
 		return n.lastRate.Load().(float64)
 	})
-	n.stopLoop = n.cfg.Service.Clock.Every(func() time.Duration { return cfg.GossipInterval }, n.tick)
+	n.stopLoop = n.cfg.Service.Clock.Every(cfg.GossipInterval, n.tick)
 	return n, nil
 }
 

@@ -14,60 +14,24 @@ type bucket struct {
 	burst float64 // capacity; also the admission threshold cap
 	level float64
 	last  time.Time
-
-	// Shed overlay (SLO-driven admission). scale in (0,1) tightens a
-	// limited bucket's effective rate/burst multiplicatively; capRate /
-	// capBurst impose a temporary bucket on an otherwise-unlimited
-	// tenant. Zero values mean "no shedding".
-	scale    float64
-	capRate  float64
-	capBurst float64
-}
-
-// effRate is the admission rate after the shed overlay: scaled for
-// limited tenants, the imposed cap for unlimited ones (0 = unlimited).
-func (b *bucket) effRate() float64 {
-	if b.rate > 0 {
-		if b.scale > 0 && b.scale < 1 {
-			return b.rate * b.scale
-		}
-		return b.rate
-	}
-	return b.capRate
-}
-
-// effBurst is the burst capacity after the shed overlay.
-func (b *bucket) effBurst() float64 {
-	if b.rate > 0 {
-		if b.scale > 0 && b.scale < 1 {
-			return b.burst * b.scale
-		}
-		return b.burst
-	}
-	return b.capBurst
 }
 
 // take attempts to spend n tokens at time now. It returns ok=true and
 // debits the bucket, or ok=false with the duration until the bucket will
 // have refilled enough for the same request to pass.
 func (b *bucket) take(n int64, now time.Time) (ok bool, retryAfter time.Duration) {
-	rate := b.effRate()
-	if rate <= 0 {
+	if b.rate <= 0 {
 		return true, 0
 	}
 	b.refill(now)
 	// A request can never need more than one full burst of credit;
 	// anything larger is admitted at full bucket and paid off as debt.
-	need := float64(n)
-	burst := b.effBurst()
-	if need > burst {
-		need = burst
-	}
+	need := min(float64(n), b.burst)
 	if b.level >= need {
 		b.level -= float64(n)
 		return true, 0
 	}
-	wait := time.Duration((need - b.level) / rate * float64(time.Second))
+	wait := time.Duration((need - b.level) / b.rate * float64(time.Second))
 	if wait <= 0 {
 		wait = time.Nanosecond
 	}
@@ -78,14 +42,11 @@ func (b *bucket) take(n int64, now time.Time) (ok bool, retryAfter time.Duration
 func (b *bucket) refill(now time.Time) {
 	if b.last.IsZero() {
 		b.last = now
-		b.level = b.effBurst()
+		b.level = b.burst
 		return
 	}
 	if elapsed := now.Sub(b.last); elapsed > 0 {
-		b.level += elapsed.Seconds() * b.effRate()
-		if burst := b.effBurst(); b.level > burst {
-			b.level = burst
-		}
+		b.level = min(b.level+elapsed.Seconds()*b.rate, b.burst)
 	}
 	b.last = now
 }
@@ -93,7 +54,7 @@ func (b *bucket) refill(now time.Time) {
 // levelAt reports the current token level (possibly negative debt),
 // advancing the refill clock — the scheduler-visible bandwidth headroom.
 func (b *bucket) levelAt(now time.Time) float64 {
-	if b.effRate() <= 0 {
+	if b.rate <= 0 {
 		return 0
 	}
 	b.refill(now)

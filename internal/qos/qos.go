@@ -63,17 +63,7 @@ type Tenant struct {
 	bucket   bucket
 	sessions int
 	compiles int
-	now      func() time.Time // registry clock; injectable for tests
-
-	// Shed state (SLO-driven admission) and the offered-rate estimator
-	// it keys on: offered bytes (admitted or not) are folded into an
-	// EWMA every rateWindow, so ApplyShed can rank tenants by recent
-	// demand and cap unlimited tenants relative to what they actually
-	// send. All under mu.
-	shedScale    float64 // 1 = no shedding
-	offeredBytes int64
-	rateMark     time.Time
-	obsRate      float64 // EWMA of offered bytes/second
+	now      func() time.Time // the registry's clock
 
 	// Accounting, lock-free on the hot path.
 	scans       metrics.Counter
@@ -82,7 +72,6 @@ type Tenant struct {
 	compileRuns metrics.Counter
 	cacheBytes  metrics.Gauge
 	queueWait   metrics.Histogram
-	shedRejects metrics.Counter             // admissions rejected while shed active
 	throttled   map[string]*metrics.Counter // keyed by Resource* constant
 }
 
@@ -90,7 +79,6 @@ func newTenant(name string, limits Limits, now func() time.Time) *Tenant {
 	t := &Tenant{
 		name:      name,
 		now:       now,
-		shedScale: 1,
 		throttled: make(map[string]*metrics.Counter, len(resources)),
 	}
 	for _, res := range resources {
@@ -127,101 +115,15 @@ func (t *Tenant) Weight() int {
 	return t.limits.Weight
 }
 
-// rateWindow is the offered-rate estimator's folding interval; rateEWMA
-// is the weight of the newest window (0.5 = equal blend with history).
-const (
-	rateWindow = 250 * time.Millisecond
-	rateEWMA   = 0.5
-)
-
-// noteOfferedLocked folds n offered bytes into the rate EWMA (t.mu held).
-func (t *Tenant) noteOfferedLocked(n int64, now time.Time) {
-	if t.rateMark.IsZero() {
-		t.rateMark = now
-	}
-	t.offeredBytes += n
-	if elapsed := now.Sub(t.rateMark); elapsed >= rateWindow {
-		inst := float64(t.offeredBytes) / elapsed.Seconds()
-		if t.obsRate == 0 {
-			t.obsRate = inst
-		} else {
-			t.obsRate = (1-rateEWMA)*t.obsRate + rateEWMA*inst
-		}
-		t.offeredBytes = 0
-		t.rateMark = now
-	}
-}
-
-// RecentRate returns the EWMA of the tenant's offered scan bytes/second.
-// Offered, not admitted: a shed tenant's demand stays visible, so
-// relaxing the shed restores rates instead of ratcheting down.
-func (t *Tenant) RecentRate() float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.obsRate
-}
-
-// Imposed-cap floors for unlimited tenants under shed: never cap below
-// 32 KiB/s / 8 KiB burst, so a shed tenant always makes some progress.
-const (
-	shedMinCapRate  = 32 << 10
-	shedMinCapBurst = 8 << 10
-)
-
-// SetShed applies one shed decision. scale >= 1 clears shedding; scale
-// in (0,1) tightens a limited tenant's bucket multiplicatively, and
-// imposes a temporary bucket (scale × recent offered rate, floored) on
-// an unlimited tenant. The bucket level is clamped to the new effective
-// burst so tightening takes effect immediately.
-func (t *Tenant) SetShed(scale float64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if scale >= 1 {
-		t.shedScale = 1
-		t.bucket.scale = 0
-		t.bucket.capRate = 0
-		t.bucket.capBurst = 0
-		return
-	}
-	if scale < 0 {
-		scale = 0
-	}
-	t.shedScale = scale
-	if t.bucket.rate > 0 {
-		t.bucket.scale = scale
-		t.bucket.capRate, t.bucket.capBurst = 0, 0
-	} else {
-		capRate := t.obsRate * scale
-		if capRate < shedMinCapRate {
-			capRate = shedMinCapRate
-		}
-		capBurst := capRate / 4
-		if capBurst < shedMinCapBurst {
-			capBurst = shedMinCapBurst
-		}
-		t.bucket.scale = 0
-		t.bucket.capRate, t.bucket.capBurst = capRate, capBurst
-	}
-	if burst := t.bucket.effBurst(); t.bucket.level > burst {
-		t.bucket.level = burst
-	}
-}
-
 // AdmitScan runs admission control for n bytes of scan/feed input: it
 // debits the tenant's byte bucket, or rejects with a *LimitError whose
 // RetryAfter is the bucket refill time.
 func (t *Tenant) AdmitScan(n int) error {
 	t.mu.Lock()
-	now := t.now()
-	t.noteOfferedLocked(int64(n), now)
-	ok, retry := t.bucket.take(int64(n), now)
-	shed := t.shedScale < 1
+	ok, retry := t.bucket.take(int64(n), t.now())
 	t.mu.Unlock()
 	if ok {
 		return nil
-	}
-	if shed {
-		t.shedRejects.Inc()
 	}
 	t.throttled[ResourceScanBytes].Inc()
 	return &LimitError{Tenant: t.name, Resource: ResourceScanBytes, RetryAfter: retry}
@@ -297,21 +199,18 @@ func (t *Tenant) QueueWait() *metrics.Histogram { return &t.queueWait }
 // /v1/stats qos block. BucketLevelBytes is the scheduler-visible scan
 // bandwidth headroom (negative = debt from an oversized admitted body).
 type TenantSnapshot struct {
-	Name              string                    `json:"name"`
-	Limits            Limits                    `json:"limits"`
-	Scans             int64                     `json:"scans"`
-	ScanBytes         int64                     `json:"scan_bytes"`
-	ScanMatches       int64                     `json:"scan_matches"`
-	SessionsOpen      int                       `json:"sessions_open"`
-	CompilesInFlight  int                       `json:"compiles_in_flight"`
-	Compiles          int64                     `json:"compiles"`
-	CacheBytes        int64                     `json:"cache_bytes"`
-	BucketLevelBytes  int64                     `json:"bucket_level_bytes"`
-	ShedScale         float64                   `json:"shed_scale"`
-	RecentBytesPerSec float64                   `json:"recent_bytes_per_sec"`
-	ShedRejects       int64                     `json:"shed_rejects"`
-	Throttled         map[string]int64          `json:"throttled"`
-	QueueWait         metrics.HistogramSnapshot `json:"queue_wait"`
+	Name             string                    `json:"name"`
+	Limits           Limits                    `json:"limits"`
+	Scans            int64                     `json:"scans"`
+	ScanBytes        int64                     `json:"scan_bytes"`
+	ScanMatches      int64                     `json:"scan_matches"`
+	SessionsOpen     int                       `json:"sessions_open"`
+	CompilesInFlight int                       `json:"compiles_in_flight"`
+	Compiles         int64                     `json:"compiles"`
+	CacheBytes       int64                     `json:"cache_bytes"`
+	BucketLevelBytes int64                     `json:"bucket_level_bytes"`
+	Throttled        map[string]int64          `json:"throttled"`
+	QueueWait        metrics.HistogramSnapshot `json:"queue_wait"`
 }
 
 // Snapshot captures the tenant's live state.
@@ -321,29 +220,24 @@ func (t *Tenant) Snapshot() TenantSnapshot {
 	sessions := t.sessions
 	compiles := t.compiles
 	level := int64(t.bucket.levelAt(t.now()))
-	shedScale := t.shedScale
-	obsRate := t.obsRate
 	t.mu.Unlock()
 	throttled := make(map[string]int64, len(resources))
 	for res, c := range t.throttled {
 		throttled[res] = c.Value()
 	}
 	return TenantSnapshot{
-		Name:              t.name,
-		Limits:            limits,
-		Scans:             t.scans.Value(),
-		ScanBytes:         t.scanBytes.Value(),
-		ScanMatches:       t.scanMatches.Value(),
-		SessionsOpen:      sessions,
-		CompilesInFlight:  compiles,
-		Compiles:          t.compileRuns.Value(),
-		CacheBytes:        t.cacheBytes.Value(),
-		BucketLevelBytes:  level,
-		ShedScale:         shedScale,
-		RecentBytesPerSec: obsRate,
-		ShedRejects:       t.shedRejects.Value(),
-		Throttled:         throttled,
-		QueueWait:         t.queueWait.Snapshot(),
+		Name:             t.name,
+		Limits:           limits,
+		Scans:            t.scans.Value(),
+		ScanBytes:        t.scanBytes.Value(),
+		ScanMatches:      t.scanMatches.Value(),
+		SessionsOpen:     sessions,
+		CompilesInFlight: compiles,
+		Compiles:         t.compileRuns.Value(),
+		CacheBytes:       t.cacheBytes.Value(),
+		BucketLevelBytes: level,
+		Throttled:        throttled,
+		QueueWait:        t.queueWait.Snapshot(),
 	}
 }
 
@@ -358,9 +252,13 @@ type Registry struct {
 }
 
 // NewRegistry creates a registry from cfg (zero Config = anonymous-only,
-// unlimited, weight 1).
-func NewRegistry(cfg Config) *Registry {
-	r := &Registry{tenants: map[string]*Tenant{}, now: time.Now}
+// unlimited, weight 1) whose token buckets refill by the wall clock.
+func NewRegistry(cfg Config) *Registry { return NewRegistryOn(cfg, time.Now) }
+
+// NewRegistryOn is NewRegistry with the buckets refilling by now, so a
+// service's manual clock steps them too.
+func NewRegistryOn(cfg Config, now func() time.Time) *Registry {
+	r := &Registry{tenants: map[string]*Tenant{}, now: now}
 	r.SetConfig(cfg)
 	return r
 }
@@ -419,54 +317,6 @@ func (r *Registry) SetConfig(cfg Config) {
 	r.cfg = cfg
 	for name, t := range r.tenants {
 		t.setLimits(r.limitsFor(name))
-	}
-}
-
-// shedScaleFloor is the lowest scale ApplyShed ever imposes: even at
-// maximum shed the heaviest tenant keeps 5% of its rate, so shedding
-// degrades service rather than blackholing a tenant.
-const shedScaleFloor = 0.05
-
-// ApplyShed translates the SLO controller's shed level into per-tenant
-// bucket tightening, heaviest recent consumers first: each tenant's
-// scale is 1 − level·w where w is its offered rate relative to the
-// busiest tenant, clamped to [shedScaleFloor, 1]. Level ≤ 0 restores
-// every tenant to full rate. Implements slo.Shedder.
-func (r *Registry) ApplyShed(level float64) {
-	r.mu.Lock()
-	tenants := make([]*Tenant, 0, len(r.tenants))
-	for _, t := range r.tenants {
-		tenants = append(tenants, t)
-	}
-	r.mu.Unlock()
-	if level <= 0 {
-		for _, t := range tenants {
-			t.SetShed(1)
-		}
-		return
-	}
-	if level > 1 {
-		level = 1
-	}
-	maxRate := 0.0
-	for _, t := range tenants {
-		if rr := t.RecentRate(); rr > maxRate {
-			maxRate = rr
-		}
-	}
-	for _, t := range tenants {
-		w := 1.0
-		if maxRate > 0 {
-			w = t.RecentRate() / maxRate
-		}
-		scale := 1 - level*w
-		if scale < shedScaleFloor {
-			scale = shedScaleFloor
-		}
-		if scale >= 1 {
-			scale = 1
-		}
-		t.SetShed(scale)
 	}
 }
 

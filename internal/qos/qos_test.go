@@ -14,9 +14,7 @@ import (
 
 func testRegistry(cfg Config) (*Registry, *clock.Manual) {
 	clk := clock.NewManual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
-	r := NewRegistry(cfg)
-	r.now = clk.Now
-	return r, clk
+	return NewRegistryOn(cfg, clk.Now), clk
 }
 
 func TestBucketRefillBoundaries(t *testing.T) {
@@ -254,136 +252,5 @@ func TestConcurrentAdmission(t *testing.T) {
 	wg.Wait()
 	if got := ten.Snapshot().SessionsOpen; got != 0 {
 		t.Errorf("sessions open after churn = %d", got)
-	}
-}
-
-func TestShedLimitedTenant(t *testing.T) {
-	r, clk := testRegistry(Config{Tenants: map[string]Limits{
-		"t": {ScanBytesPerSec: 1000, BurstBytes: 1000},
-	}})
-	ten := r.Tenant("t")
-
-	// Halve the effective rate: after draining, a full second refills
-	// only 500 tokens.
-	ten.SetShed(0.5)
-	if got := ten.Snapshot().ShedScale; got != 0.5 {
-		t.Fatalf("shed scale: %g", got)
-	}
-	if err := ten.AdmitScan(500); err != nil { // effBurst = 500
-		t.Fatalf("shed-burst admit: %v", err)
-	}
-	if err := ten.AdmitScan(1); !errors.Is(err, ErrOverLimit) {
-		t.Fatalf("over shed burst: %v", err)
-	}
-	if got := ten.Snapshot().ShedRejects; got != 1 {
-		t.Fatalf("shed rejects: %d", got)
-	}
-	clk.Advance(time.Second)
-	if err := ten.AdmitScan(500); err != nil {
-		t.Fatalf("refill at half rate: %v", err)
-	}
-	if err := ten.AdmitScan(200); !errors.Is(err, ErrOverLimit) {
-		t.Fatalf("beyond half-rate refill: %v", err)
-	}
-
-	// Clearing the shed restores the full bucket shape.
-	ten.SetShed(1)
-	clk.Advance(2 * time.Second)
-	if err := ten.AdmitScan(1000); err != nil {
-		t.Fatalf("restored full burst: %v", err)
-	}
-	if got := ten.Snapshot().ShedScale; got != 1 {
-		t.Fatalf("snapshot shed scale after clear: %g", got)
-	}
-}
-
-func TestShedUnlimitedTenantGetsImposedCap(t *testing.T) {
-	r, clk := testRegistry(Config{}) // default: unlimited
-	ten := r.Tenant("big")
-
-	// Establish an offered rate of ~1 MiB/s.
-	for i := 0; i < 4; i++ {
-		if err := ten.AdmitScan(256 << 10); err != nil {
-			t.Fatalf("unlimited admit: %v", err)
-		}
-		clk.Advance(250 * time.Millisecond)
-	}
-	if err := ten.AdmitScan(0); err != nil { // fold the final window
-		t.Fatal(err)
-	}
-	rate := ten.RecentRate()
-	if rate < 512<<10 {
-		t.Fatalf("recent rate: %g, want ~1MiB/s", rate)
-	}
-
-	// A 0.5 shed caps the tenant near half its observed rate.
-	ten.SetShed(0.5)
-	big := int(rate) // one second of full-rate demand
-	admitted := 0
-	for i := 0; i < 64; i++ {
-		if ten.AdmitScan(big/8) == nil {
-			admitted += big / 8
-		}
-	}
-	if admitted >= big {
-		t.Fatalf("imposed cap admitted full demand: %d of %d", admitted, big)
-	}
-	if got := ten.Snapshot().ShedRejects; got == 0 {
-		t.Fatal("no shed rejects recorded under imposed cap")
-	}
-
-	// Clearing restores unlimited admission.
-	ten.SetShed(1)
-	if err := ten.AdmitScan(64 << 20); err != nil {
-		t.Fatalf("unlimited after clear: %v", err)
-	}
-}
-
-func TestApplyShedWeighsHeaviestFirst(t *testing.T) {
-	r, clk := testRegistry(Config{Tenants: map[string]Limits{
-		"heavy": {ScanBytesPerSec: 1 << 20, BurstBytes: 1 << 20},
-		"light": {ScanBytesPerSec: 1 << 20, BurstBytes: 1 << 20},
-	}})
-	heavy, light := r.Tenant("heavy"), r.Tenant("light")
-
-	// heavy offers 4× light's rate.
-	for i := 0; i < 4; i++ {
-		_ = heavy.AdmitScan(64 << 10)
-		_ = light.AdmitScan(16 << 10)
-		clk.Advance(300 * time.Millisecond)
-	}
-	_ = heavy.AdmitScan(0)
-	_ = light.AdmitScan(0)
-
-	r.ApplyShed(0.8)
-	hs, ls := heavy.Snapshot().ShedScale, light.Snapshot().ShedScale
-	if hs >= ls {
-		t.Fatalf("heavy not shed harder: heavy=%g light=%g", hs, ls)
-	}
-	if hs > 0.25 { // w=1 → scale = 1-0.8 = 0.2
-		t.Fatalf("heavy scale too lenient: %g", hs)
-	}
-	if ls < 0.7 { // w=0.25 → scale = 1-0.2 = 0.8
-		t.Fatalf("light scale too harsh: %g", ls)
-	}
-
-	r.ApplyShed(0)
-	if heavy.Snapshot().ShedScale != 1 || light.Snapshot().ShedScale != 1 {
-		t.Fatalf("shed not cleared: heavy=%g light=%g", heavy.Snapshot().ShedScale, light.Snapshot().ShedScale)
-	}
-}
-
-func TestApplyShedFloor(t *testing.T) {
-	r, clk := testRegistry(Config{Tenants: map[string]Limits{
-		"t": {ScanBytesPerSec: 1000, BurstBytes: 1000},
-	}})
-	ten := r.Tenant("t")
-	_ = ten.AdmitScan(500)
-	clk.Advance(time.Second)
-	_ = ten.AdmitScan(0)
-
-	r.ApplyShed(5) // absurd level clamps to scale floor, not zero
-	if got := ten.Snapshot().ShedScale; got != 0.05 {
-		t.Fatalf("floored scale: %g, want 0.05", got)
 	}
 }

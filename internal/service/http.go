@@ -28,7 +28,7 @@ import (
 //	GET    /v1/health              → scored component health (JSON)
 //	GET    /metrics                → Prometheus/OpenMetrics exposition (unversioned)
 //	GET    /debug/traces           → recent slow request traces (unversioned)
-//	GET    /debug/slo              → SLO burns, admission posture, breach log (unversioned)
+//	GET    /debug/slo              → SLO burns and breach log (unversioned)
 //	GET    /healthz                → ok (liveness, unversioned)
 //	GET    /readyz                 → 503 while any health component is critical
 //
@@ -62,7 +62,7 @@ func (s *Service) Handler() http.Handler {
 	root.Handle("GET /readyz", slo.ReadyHandler(s.health))
 	root.Handle("GET /metrics", s.tel.Handler())
 	root.Handle("GET /debug/traces", s.tracer.Handler())
-	root.Handle("GET /debug/slo", slo.DebugHandler(s.sloEng, s.sloCtl))
+	root.Handle("GET /debug/slo", slo.DebugHandler(s.sloEng))
 	root.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
@@ -71,7 +71,7 @@ func (s *Service) Handler() http.Handler {
 
 // observeRequest feeds every finished API request into the SLO engine:
 // total duration against the request-latency objective, and the status
-// class against the error-rate objective. Shed rejections (429) are not
+// class against the error-rate objective. Rejections (429) are not
 // SLO errors — only 5xx burns the error budget.
 func (s *Service) observeRequest(status int, d time.Duration, tr *telemetry.Trace) {
 	s.sloEng.ObserveLatency(slo.ObjectiveRequestLatency, d)

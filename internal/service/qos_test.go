@@ -11,7 +11,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/clock"
 	"repro/internal/qos"
 )
 
@@ -127,9 +129,10 @@ func TestNoisyTenantCannotStarveVictim(t *testing.T) {
 // TestScanAdmissionRetryAfterHeader drives a rate-limited tenant over
 // its byte bucket through the HTTP surface and checks the 429 carries a
 // Retry-After computed from the bucket refill time: a drained 16-byte
-// bucket at 10 B/s needs 1.6s, rounded up to 2.
+// bucket at 10 B/s needs 1.6s, rounded up to 2. The service's clock
+// stands still, so no refill lands between the two scans.
 func TestScanAdmissionRetryAfterHeader(t *testing.T) {
-	svc := New(Config{QoS: qos.Config{Tenants: map[string]qos.Limits{
+	svc := New(Config{Clock: clock.NewManual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)), QoS: qos.Config{Tenants: map[string]qos.Limits{
 		"small": {ScanBytesPerSec: 10, BurstBytes: 16},
 	}}})
 	defer svc.Close()

@@ -61,12 +61,12 @@ type Config struct {
 	// still runs, admission never rejects. Live reconfiguration goes
 	// through Service.QoS().SetConfig.
 	QoS qos.Config
-	// SLO configures the burn-rate engine and SLO-driven admission: the
-	// objectives (merged over slo.DefaultConfig) and the admission knobs.
-	// The zero value runs the default objectives with admission disabled.
+	// SLO configures the burn-rate engine: the objectives, merged over
+	// slo.DefaultConfig. The zero value runs the default objectives.
 	// Live reconfiguration goes through Service.SLO().SetConfig.
 	SLO slo.Config
-	// Clock runs the SLO and cluster control loops; nil means clock.Real.
+	// Clock runs the tenants' token buckets, the SLO windows and their
+	// evaluation loop, and the cluster control loops; nil means clock.Real.
 	Clock clock.Clock
 }
 
@@ -112,8 +112,7 @@ type Service struct {
 	tel       *telemetry.Registry
 	tracer    *telemetry.Tracer
 	sloEng    *slo.Engine
-	sloCtl    *slo.Controller
-	stopSLO   func() // the admission loop's
+	stopSLO   func() // the evaluation loop's
 	health    *slo.Scorer
 
 	mu       sync.Mutex
@@ -178,7 +177,7 @@ func New(cfg Config) *Service {
 		cache:     newProgramCache(cfg.ProgramCacheSize),
 		pool:      newPool(cfg.Workers, cfg.QueueDepth),
 		compilers: newPool(cfg.CompileWorkers, cfg.QueueDepth),
-		qosReg:    qos.NewRegistry(cfg.QoS),
+		qosReg:    qos.NewRegistryOn(cfg.QoS, cfg.Clock.Now),
 		start:     time.Now(),
 		tel:       telemetry.NewRegistry(),
 		tracer:    telemetry.NewTracer(cfg.TraceRing, cfg.SlowTrace),
@@ -189,27 +188,29 @@ func New(cfg Config) *Service {
 		s.qosReg.Tenant(p.Owner).ChargeCacheBytes(-p.MemBytes)
 	}
 	// SLO loop: burn-rate engine fed by the middleware and stage
-	// observations, a controller driving shed levels into the QoS
-	// registry, and a health scorer over every subsystem probe.
+	// observations, evaluated once a second into the breach log, and a
+	// health scorer over every subsystem probe.
 	s.sloEng = slo.NewEngine(cfg.SLO, cfg.Clock)
 	s.sloEng.SetTraceSource(s.tracer.Traces)
-	s.sloCtl = slo.NewController(s.sloEng, s.qosReg)
 	s.health = slo.NewScorer(cfg.Clock)
 	s.health.Add(s.sloEng.HealthProbe())
 	s.health.Add(s.poolHealthProbe())
 	s.health.Add(s.cacheHealthProbe())
 	s.health.Add(s.reconfigHealthProbe())
 	s.registerMetrics()
-	s.stopSLO = s.sloCtl.Start()
+	s.stopSLO = s.sloEng.Start()
 	return s
 }
 
 // poolHealthProbe scores worker-pool saturation: the live queue depth
-// against total queue capacity. An idle pool scores 1; a pool with
-// every queue slot full scores 0.
+// against the slots of every tenant queue that exists. An idle pool
+// scores 1; a pool with every queue slot full scores 0. One tenant
+// filling its own queues while another's stand empty is degraded, not
+// critical: the other tenant is still served.
 func (s *Service) poolHealthProbe() slo.Probe {
 	return func() slo.Component {
-		capacity := float64(len(s.pool.shards) * s.pool.queueDepth)
+		st := s.pool.stats()
+		capacity := float64(st.TenantQueues * st.QueueCapacity)
 		queued := float64(s.pool.queued.Value())
 		sat := 0.0
 		if capacity > 0 {
@@ -687,13 +688,11 @@ type Stats struct {
 }
 
 // SLOStats is the /v1/stats slo block: every objective's current burn
-// evaluation, the cumulative escalation count, and the admission
-// controller's posture. Breach trace snapshots stay on /debug/slo.
+// evaluation and the cumulative escalation count. Breach trace
+// snapshots stay on /debug/slo.
 type SLOStats struct {
-	Objectives       []slo.ObjectiveStatus `json:"objectives"`
-	BreachesTotal    int64                 `json:"breaches_total"`
-	AdmissionEnabled bool                  `json:"admission_enabled"`
-	ShedLevel        float64               `json:"shed_level"`
+	Objectives    []slo.ObjectiveStatus `json:"objectives"`
+	BreachesTotal int64                 `json:"breaches_total"`
 }
 
 // QoSStats is the /v1/stats qos block: the identity header in force
@@ -786,10 +785,8 @@ func (s *Service) Stats() Stats {
 			Tenants: s.qosReg.Snapshot(),
 		},
 		SLO: SLOStats{
-			Objectives:       s.sloEng.Statuses(),
-			BreachesTotal:    s.sloEng.BreachCounter().Value(),
-			AdmissionEnabled: s.sloEng.Config().Admission.Enabled,
-			ShedLevel:        s.sloCtl.Level(),
+			Objectives:    s.sloEng.Statuses(),
+			BreachesTotal: s.sloEng.BreachCounter().Value(),
 		},
 		Health:   s.health.Snapshot(),
 		Programs: s.cache.snapshot(),

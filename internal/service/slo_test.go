@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -29,7 +28,6 @@ func tightSLO() slo.Config {
 				Slow:        slo.WindowSpec{Duration: slo.Duration(20 * time.Second), Burn: 1},
 			},
 		},
-		Admission: slo.AdmissionConfig{Enabled: true},
 	}
 }
 
@@ -74,14 +72,59 @@ func TestHealthEndpoints(t *testing.T) {
 	}
 }
 
+// TestPoolHealthCountsEveryTenantQueue: worker-pool saturation is the
+// queued tasks over the slots of every tenant queue that exists. A noisy
+// tenant that fills its own queue beside an idle victim queue leaves the
+// node degraded and ready, since the victim is still served; every queue
+// full is critical and /readyz drains the node.
+func TestPoolHealthCountsEveryTenantQueue(t *testing.T) {
+	svc := New(Config{Workers: 1, QueueDepth: 4})
+	defer svc.Close()
+	h := svc.Handler()
+	noisy, victim := svc.QoS().Tenant("noisy"), svc.QoS().Tenant("victim")
+	submit := func(ten *qos.Tenant, run func()) {
+		t.Helper()
+		if err := svc.pool.submitTask(1, ten, 1, run); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan struct{})
+	submit(victim, func() { close(done) }) // the victim's queue exists, and empties
+	<-done
+	gate, running := make(chan struct{}), make(chan struct{})
+	defer close(gate)
+	submit(noisy, func() { close(running); <-gate })
+	<-running
+	check := func(wantState string, wantReady int) {
+		t.Helper()
+		var pool slo.Component
+		for _, c := range svc.Health().Snapshot().Components {
+			if c.Name == "worker_pool" {
+				pool = c
+			}
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/readyz", nil))
+		if pool.State != wantState || rec.Code != wantReady {
+			t.Errorf("worker_pool %s (score %.2f, %v), /readyz %d; want %s, %d",
+				pool.State, pool.Score, pool.Detail, rec.Code, wantState, wantReady)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		submit(noisy, func() { <-gate })
+	}
+	check(slo.HealthDegraded, http.StatusOK)
+	for i := 0; i < 4; i++ {
+		submit(victim, func() { <-gate })
+	}
+	check(slo.HealthCritical, http.StatusServiceUnavailable)
+}
+
 func TestStatsSLOBlockAndDebugEndpoint(t *testing.T) {
 	svc := New(Config{Workers: 1, SLO: tightSLO()})
 	defer svc.Close()
 
 	st := svc.Stats()
-	if !st.SLO.AdmissionEnabled {
-		t.Error("stats: admission not marked enabled")
-	}
 	names := map[string]bool{}
 	for _, o := range st.SLO.Objectives {
 		names[o.Name] = true
@@ -97,143 +140,70 @@ func TestStatsSLOBlockAndDebugEndpoint(t *testing.T) {
 
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
-	var dbg struct {
-		Objectives []slo.ObjectiveStatus `json:"objectives"`
-		Admission  struct {
-			Enabled   bool    `json:"enabled"`
-			Objective string  `json:"objective"`
-			Level     float64 `json:"level"`
-		} `json:"admission"`
-		BreachesTotal int64             `json:"breaches_total"`
-		Breaches      []slo.BreachEvent `json:"breaches"`
-	}
+	var dbg map[string]json.RawMessage
 	resp := doJSON(t, srv.Client(), "GET", srv.URL+"/debug/slo", nil, &dbg)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/debug/slo status %d", resp.StatusCode)
 	}
-	if !dbg.Admission.Enabled || dbg.Admission.Objective != slo.ObjectiveTenantQueueWait {
-		t.Errorf("debug admission block = %+v", dbg.Admission)
+	for _, key := range []string{"objectives", "breaches_total", "breaches"} {
+		if _, ok := dbg[key]; !ok {
+			t.Errorf("/debug/slo has no %q", key)
+		}
 	}
-	if dbg.Breaches == nil {
-		t.Error("debug breaches is null, want []")
+	if _, ok := dbg["admission"]; ok {
+		t.Error("/debug/slo still serves an admission block")
+	}
+	if string(dbg["breaches"]) != "[]" {
+		t.Errorf("debug breaches = %s, want []", dbg["breaches"])
 	}
 }
 
-// TestSLOShedLoopEndToEnd drives the full control loop: a breaching
-// tenant queue-wait objective tightens QoS admission (heaviest tenant
-// first), the breach lands in /debug/slo with linked traces, and once
-// the burn subsides the controller relaxes back to no shedding. The
-// service runs on a manual clock that never advances, so its background
-// admission loop cannot tick between the test's Tick and its assertions.
-func TestSLOShedLoopEndToEnd(t *testing.T) {
-	svc := New(Config{
-		Workers: 2,
-		Clock:   clock.NewManual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)),
-		SLO:     tightSLO(),
-		QoS: qos.Config{Tenants: map[string]qos.Limits{
-			"heavy": {ScanBytesPerSec: 1 << 20, BurstBytes: 1 << 20},
-		}},
-	})
+// TestSLOBreachLoopEndToEnd: the service's evaluation loop runs on its
+// clock, so a breaching tenant queue-wait objective reaches /debug/slo,
+// with the tenant and linked traces, after one one-second Advance of a
+// manual clock and no direct Evaluate call.
+func TestSLOBreachLoopEndToEnd(t *testing.T) {
+	clk := clock.NewManual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
+	svc := New(Config{Workers: 2, Clock: clk, SLO: tightSLO()})
 	defer svc.Close()
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 
-	// Put a trace in the ring and offered bytes on the tenant's meter so
-	// the shed weighting has a rate to key on.
+	// Put a trace in the ring for the breach to link.
 	body, _ := json.Marshal(Ruleset{Patterns: []string{"needle"}})
-	var comp compileResponse
 	req, _ := http.NewRequest("POST", srv.URL+"/v1/programs", strings.NewReader(string(body)))
 	req.Header.Set(qos.DefaultHeader, "heavy")
 	resp, err := srv.Client().Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&comp); err != nil {
-		t.Fatal(err)
-	}
 	resp.Body.Close()
-	ctx := qos.WithTenant(context.Background(), "heavy")
-	payload := make([]byte, 64<<10)
-	for i := 0; i < 4; i++ {
-		if _, err := svc.Scan(ctx, comp.ProgramID, payload); err != nil {
-			t.Fatal(err)
-		}
-	}
 
-	// Force the breach: 40 bad queue waits against a 90% / 1ms objective.
-	eng := svc.SLO()
+	// 40 bad queue waits against a 90% / 1ms objective.
 	for i := 0; i < 40; i++ {
-		eng.ObserveTenantLatency(slo.ObjectiveTenantQueueWait, "heavy", 50*time.Millisecond)
+		svc.SLO().ObserveTenantLatency(slo.ObjectiveTenantQueueWait, "heavy", 50*time.Millisecond)
 	}
-	ctl := svc.sloCtl
-	ctl.Tick()
-	if lvl := ctl.Level(); lvl <= 0 {
-		t.Fatalf("shed level = %v after breach tick, want > 0", lvl)
-	}
-	scale := tenantShedScale(t, svc, "heavy")
-	if scale >= 1 {
-		t.Fatalf("heavy tenant shed scale = %v after tighten, want < 1", scale)
-	}
-
 	var dbg struct {
 		Breaches []slo.BreachEvent `json:"breaches"`
 	}
-	doJSON(t, srv.Client(), "GET", srv.URL+"/debug/slo", nil, &dbg)
-	var breach *slo.BreachEvent
-	for i := range dbg.Breaches {
-		if dbg.Breaches[i].Objective == slo.ObjectiveTenantQueueWait {
-			breach = &dbg.Breaches[i]
+	breach := func() *slo.BreachEvent {
+		doJSON(t, srv.Client(), "GET", srv.URL+"/debug/slo", nil, &dbg)
+		for i := range dbg.Breaches {
+			if dbg.Breaches[i].Objective == slo.ObjectiveTenantQueueWait && dbg.Breaches[i].Tenant == "heavy" {
+				return &dbg.Breaches[i]
+			}
 		}
+		return nil
 	}
-	if breach == nil {
-		t.Fatalf("no tenant_queue_wait breach recorded: %+v", dbg.Breaches)
+	if b := breach(); b != nil {
+		t.Fatalf("breach logged before the loop ran: %+v", b)
 	}
-	if breach.Tenant != "heavy" {
-		t.Errorf("breach tenant = %q, want heavy", breach.Tenant)
+	clk.Advance(slo.EvaluateEvery)
+	b := breach()
+	if b == nil {
+		t.Fatalf("no tenant_queue_wait breach for heavy after one round: %+v", dbg.Breaches)
 	}
-	if len(breach.Traces) == 0 {
+	if len(b.Traces) == 0 {
 		t.Error("breach carries no linked trace IDs")
 	}
-
-	// Shed metrics surface on /metrics.
-	rec := httptest.NewRecorder()
-	svc.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	mb := rec.Body.String()
-	for _, want := range []string{
-		"rap_slo_shed_level ",
-		"rap_slo_admission_tightened_total ",
-		"rap_slo_breaches_total ",
-		`rap_tenant_shed_scale{tenant="heavy"} `,
-	} {
-		if !strings.Contains(mb, want) {
-			t.Errorf("/metrics missing %q", want)
-		}
-	}
-
-	// Recovery: flood the objective with good observations so the burn
-	// collapses, then tick until the controller fully relaxes.
-	for i := 0; i < 4000; i++ {
-		eng.ObserveTenantLatency(slo.ObjectiveTenantQueueWait, "heavy", 10*time.Microsecond)
-	}
-	for i := 0; i < 20 && ctl.Level() > 0; i++ {
-		ctl.Tick()
-	}
-	if lvl := ctl.Level(); lvl != 0 {
-		t.Fatalf("shed level = %v after recovery ticks, want 0", lvl)
-	}
-	if scale := tenantShedScale(t, svc, "heavy"); scale != 1 {
-		t.Fatalf("heavy tenant shed scale = %v after recovery, want 1", scale)
-	}
-}
-
-func tenantShedScale(t *testing.T, svc *Service, name string) float64 {
-	t.Helper()
-	st := svc.Stats()
-	for i := range st.QoS.Tenants {
-		if st.QoS.Tenants[i].Name == name {
-			return st.QoS.Tenants[i].ShedScale
-		}
-	}
-	t.Fatalf("tenant %q missing from stats", name)
-	return 0
 }

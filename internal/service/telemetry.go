@@ -121,8 +121,6 @@ func (s *Service) registerMetrics() {
 			c.Gauge("rap_tenant_compile_slots_in_use", "Compile slots currently held per tenant.", float64(ts.CompilesInFlight), lbl)
 			c.Gauge("rap_tenant_cache_bytes", "Modeled program-cache bytes charged per tenant.", float64(ts.CacheBytes), lbl)
 			c.Gauge("rap_tenant_bucket_level_bytes", "Scan-bandwidth token-bucket level per tenant (negative = debt).", float64(ts.BucketLevelBytes), lbl)
-			c.Gauge("rap_tenant_shed_scale", "SLO-driven admission scale per tenant (1 = full rate).", ts.ShedScale, lbl)
-			c.Counter("rap_tenant_shed_rejects_total", "Admissions rejected while SLO shedding was active, per tenant.", float64(ts.ShedRejects), lbl)
 		}
 		for _, t := range s.qosReg.Tenants() {
 			c.Histogram("rap_tenant_queue_wait_us", "Worker-queue wait per tenant, in microseconds.",
@@ -130,18 +128,14 @@ func (s *Service) registerMetrics() {
 		}
 	})
 
-	// SLO loop: breach/decision totals, live shed level, health score,
-	// and per-objective burn rates emitted at scrape time.
+	// SLO loop: breach totals, health score, and per-objective burn
+	// rates emitted at scrape time.
 	r.RegisterCounter("rap_slo_breaches_total", "SLO objective state escalations recorded.", s.sloEng.BreachCounter())
-	tightened, relaxed := s.sloCtl.Counters()
-	r.RegisterCounter("rap_slo_admission_tightened_total", "Shed-level increases driven by SLO fast burn.", tightened)
-	r.RegisterCounter("rap_slo_admission_relaxed_total", "Shed-level decays after SLO burn subsided.", relaxed)
-	r.GaugeFunc("rap_slo_shed_level", "Current SLO-driven shed level (0 = no shedding).", s.sloCtl.Level)
 	r.GaugeFunc("rap_health_score", "Overall node health score in [0,1] (minimum component score).", s.health.Score)
 	r.Collect(func(c *telemetry.Collector) {
 		for _, st := range s.sloEng.Statuses() {
 			if st.Tenant != "" {
-				continue // per-tenant burn shows up via shed scale and queue-wait series
+				continue // per-tenant burn shows up in the rap_tenant_queue_wait_us series
 			}
 			lbl := telemetry.L("objective", st.Name)
 			c.Gauge("rap_slo_burn_rate", "SLO burn rate per objective and window.", st.FastBurn, lbl, telemetry.L("window", "fast"))

@@ -88,33 +88,18 @@ type Objective struct {
 	Disabled    bool       `json:"disabled,omitempty"`
 }
 
-// AdmissionConfig controls SLO-driven admission: when the named
-// objective's fast window burns at or above its limit, the controller
-// raises the shed level (capped at MaxLevel) handed to the QoS layer;
-// when the burn ratio drops below RelaxBelow the level decays back
-// toward zero. Disabled by default — observing is free, shedding is a
-// policy decision.
-type AdmissionConfig struct {
-	Enabled    bool     `json:"enabled"`
-	Objective  string   `json:"objective,omitempty"`
-	Tick       Duration `json:"tick,omitempty"`
-	MaxLevel   float64  `json:"max_level,omitempty"`
-	RelaxBelow float64  `json:"relax_below,omitempty"`
-}
-
 // Config is the JSON schema of the -slo-config file (reloaded on SIGHUP).
 // Objectives merge over DefaultConfig: a named entry overrides the
 // default of the same name, Disabled removes it, and unknown names add
 // new objectives fed via Engine.Observe*.
 type Config struct {
 	Objectives map[string]Objective `json:"objectives,omitempty"`
-	Admission  AdmissionConfig      `json:"admission,omitempty"`
 }
 
 // DefaultConfig returns the built-in objectives: request latency and
 // error rate with the classic SRE 5m/1h multi-burn windows, p99-style
 // latency objectives per pipeline stage, and a tight per-tenant
-// queue-wait objective that doubles as the admission signal.
+// queue-wait objective.
 func DefaultConfig() Config {
 	fastSlow := func(fd time.Duration, fb float64, sd time.Duration, sb float64) (WindowSpec, WindowSpec) {
 		return WindowSpec{Duration: Duration(fd), Burn: fb}, WindowSpec{Duration: Duration(sd), Burn: sb}
@@ -138,18 +123,11 @@ func DefaultConfig() Config {
 			ObjectiveStageApply:      latency(50*time.Millisecond, 0.99),
 			ObjectiveTenantQueueWait: tenantQW,
 		},
-		Admission: AdmissionConfig{
-			Objective:  ObjectiveTenantQueueWait,
-			Tick:       Duration(time.Second),
-			MaxLevel:   0.95,
-			RelaxBelow: 0.5,
-		},
 	}
 }
 
 // resolved merges c over the defaults: named objectives replace the
-// default entry wholesale, Disabled entries are dropped, and admission
-// fields left zero inherit the default knobs.
+// default entry wholesale, and Disabled entries are dropped.
 func (c Config) resolved() Config {
 	out := DefaultConfig()
 	for name, o := range c.Objectives {
@@ -160,21 +138,6 @@ func (c Config) resolved() Config {
 			delete(out.Objectives, name)
 		}
 	}
-	adm := c.Admission
-	def := out.Admission
-	if adm.Objective == "" {
-		adm.Objective = def.Objective
-	}
-	if adm.Tick <= 0 {
-		adm.Tick = def.Tick
-	}
-	if adm.MaxLevel <= 0 || adm.MaxLevel > 1 {
-		adm.MaxLevel = def.MaxLevel
-	}
-	if adm.RelaxBelow <= 0 {
-		adm.RelaxBelow = def.RelaxBelow
-	}
-	out.Admission = adm
 	return out
 }
 
@@ -209,12 +172,6 @@ func (c Config) Validate() error {
 		}
 		if o.Fast.Burn <= 0 || o.Slow.Burn <= 0 {
 			return fmt.Errorf("slo: objective %q: burn limits must be > 0", name)
-		}
-	}
-	if obj := c.Admission.Objective; c.Admission.Enabled && obj != "" {
-		merged := c.resolved()
-		if _, ok := merged.Objectives[obj]; !ok {
-			return fmt.Errorf("slo: admission objective %q is not a configured objective", obj)
 		}
 	}
 	return nil

@@ -10,27 +10,28 @@
 // error budget (1 - target): burn 1.0 spends the budget exactly at the
 // target rate, burn N spends it N times too fast. An objective breaches
 // when both windows exceed their thresholds; the fast window alone is
-// the early-warning signal admission control keys on.
+// the early-warning signal.
 //
-// On top of the engine sit three consumers:
+// On top of the engine sit two consumers:
 //
 //   - A health Scorer folds burn rates and subsystem probes (worker-pool
 //     saturation, program-cache pressure, reconfig stalls) into per-
 //     component scores and one overall score — the per-node signal
 //     served at /v1/health (and gossiped by cluster mode).
-//   - An admission Controller ticks the engine and, when the configured
-//     queue-wait objective burns too fast, drives a shed level into the
-//     QoS layer (qos.Registry.ApplyShed), tightening effective token-
-//     bucket rates — heaviest burners first — and relaxing as the burn
-//     subsides.
 //   - A breach flight recorder: every objective state escalation is
 //     logged with a snapshot of the slow-trace ring, so each SLO
 //     violation on /debug/slo links directly to representative traces
 //     (whose IDs resolve on /debug/traces and, via exemplars, on
 //     /metrics).
 //
-// Objectives and admission behavior are configured by a JSON file
-// (rapserve -slo-config) reloaded on SIGHUP, mirroring the QoS limits
-// file. The zero Config means "defaults, admission off": the engine and
-// health endpoints always run; shedding is opt-in.
+// Engine.Start evaluates every objective once per EvaluateEvery on the
+// engine's clock, so an escalation is logged within a second. The
+// engine observes and reports; it admits nothing. Overload is answered
+// by the QoS layer alone: per-tenant token buckets and the worker pool's
+// bounded per-tenant deficit-round-robin queues (EXPERIMENTS.md,
+// "Overload: DRR queues, token buckets and the SLO shed").
+//
+// Objectives are configured by a JSON file (rapserve -slo-config)
+// reloaded on SIGHUP, mirroring the QoS limits file. The zero Config
+// means the default objectives.
 package slo

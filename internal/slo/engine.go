@@ -1,6 +1,8 @@
 package slo
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 
@@ -10,8 +12,8 @@ import (
 )
 
 // Objective states, ordered by severity. fast_burn means the short
-// window alone exceeds its burn limit (early warning, admission keys on
-// it); breach means both windows do (the page-worthy state).
+// window alone exceeds its burn limit (the early warning); breach means
+// both windows do (the page-worthy state).
 const (
 	StateOK       = "ok"
 	StateFastBurn = "fast_burn"
@@ -147,7 +149,7 @@ func (t *tracker) burnLocked(w time.Duration) float64 {
 
 // status evaluates both windows at now. When commit is true the new
 // state is written back (Evaluate detecting escalations); read paths
-// (Status, health probes) pass false so they never consume a pending
+// (Statuses, health probes) pass false so they never consume a pending
 // ok→breach transition before the evaluator sees it.
 func (t *tracker) status(now time.Time, commit bool) (fastBurn, slowBurn float64, state, prev string) {
 	t.mu.Lock()
@@ -205,8 +207,8 @@ const breachTraceCap = 8
 
 // Engine owns the trackers for every configured objective and the
 // breach log. All Observe* methods are nil-safe and cheap enough for
-// the per-request path; Evaluate is called by the admission controller
-// tick (and by handlers on demand).
+// the per-request path; Evaluate runs once per EvaluateEvery on the
+// loop Start begins.
 type Engine struct {
 	clock clock.Clock
 
@@ -375,17 +377,27 @@ func statusOf(name, tenant string, t *tracker, now time.Time, commit bool) (Obje
 	}, prev
 }
 
-// Status evaluates one objective's aggregate tracker now.
-func (e *Engine) Status(name string) (ObjectiveStatus, bool) {
-	if e == nil {
-		return ObjectiveStatus{}, false
+// entry is one tracker with the objective and tenant it counts for.
+type entry struct {
+	name, tenant string
+	t            *tracker
+}
+
+// entries copies every tracker, the aggregates and then the per-tenant
+// ones, out from under the lock.
+func (e *Engine) entries() []entry {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	out := make([]entry, 0, len(e.trackers))
+	for name, t := range e.trackers {
+		out = append(out, entry{name: name, t: t})
 	}
-	t := e.lookup(name)
-	if t == nil {
-		return ObjectiveStatus{}, false
+	for name, m := range e.tenants {
+		for tenant, t := range m {
+			out = append(out, entry{name: name, tenant: tenant, t: t})
+		}
 	}
-	st, _ := statusOf(name, "", t, e.clock.Now(), false)
-	return st, true
+	return out
 }
 
 // Statuses evaluates every tracker (aggregate first, then per-tenant
@@ -395,67 +407,39 @@ func (e *Engine) Statuses() []ObjectiveStatus {
 		return nil
 	}
 	now := e.clock.Now()
-	type entry struct {
-		name, tenant string
-		t            *tracker
-	}
-	e.mu.Lock()
-	entries := make([]entry, 0, len(e.trackers))
-	for name, t := range e.trackers {
-		entries = append(entries, entry{name: name, t: t})
-	}
-	for name, m := range e.tenants {
-		for tenant, t := range m {
-			entries = append(entries, entry{name: name, tenant: tenant, t: t})
-		}
-	}
-	e.mu.Unlock()
+	entries := e.entries()
 	out := make([]ObjectiveStatus, 0, len(entries))
 	for _, en := range entries {
 		st, _ := statusOf(en.name, en.tenant, en.t, now, false)
 		out = append(out, st)
 	}
-	sortStatuses(out)
+	slices.SortFunc(out, func(a, b ObjectiveStatus) int {
+		return cmp.Or(cmp.Compare(a.Name, b.Name), cmp.Compare(a.Tenant, b.Tenant))
+	})
 	return out
 }
 
-func sortStatuses(s []ObjectiveStatus) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && less(s[j], s[j-1]); j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
+// EvaluateEvery is the cadence of the loop Start runs: an escalation
+// reaches the breach log, /debug/slo and rap_slo_breaches_total within
+// one period.
+const EvaluateEvery = time.Second
 
-func less(a, b ObjectiveStatus) bool {
-	if a.Name != b.Name {
-		return a.Name < b.Name
-	}
-	return a.Tenant < b.Tenant
+// Start runs Evaluate on the engine's clock every EvaluateEvery until
+// stop, which is idempotent.
+func (e *Engine) Start() (stop func()) {
+	return e.clock.Every(EvaluateEvery, func() { e.Evaluate() })
 }
 
 // Evaluate walks every tracker, records state escalations into the
 // breach log (snapshotting the slow-trace ring) and returns the new
-// events. The admission controller calls it once per tick.
+// events.
 func (e *Engine) Evaluate() []BreachEvent {
 	if e == nil {
 		return nil
 	}
 	now := e.clock.Now()
-	type entry struct {
-		name, tenant string
-		t            *tracker
-	}
+	entries := e.entries()
 	e.mu.Lock()
-	entries := make([]entry, 0, len(e.trackers))
-	for name, t := range e.trackers {
-		entries = append(entries, entry{name: name, t: t})
-	}
-	for name, m := range e.tenants {
-		for tenant, t := range m {
-			entries = append(entries, entry{name: name, tenant: tenant, t: t})
-		}
-	}
 	traceSrc := e.traceSrc
 	e.mu.Unlock()
 
@@ -522,21 +506,18 @@ func (e *Engine) HealthProbe() Probe {
 			return ScoreComponent("slo", 1, nil)
 		}
 		now := e.clock.Now()
-		e.mu.Lock()
-		entries := make(map[string]*tracker, len(e.trackers))
-		for name, t := range e.trackers {
-			entries[name] = t
-		}
-		e.mu.Unlock()
 		worst := 0.0
-		detail := make(map[string]float64, len(entries))
-		for name, t := range entries {
-			st, _ := statusOf(name, "", t, now, false)
+		detail := map[string]float64{}
+		for _, en := range e.entries() {
+			if en.tenant != "" {
+				continue
+			}
+			st, _ := statusOf(en.name, "", en.t, now, false)
 			ratio := 0.0
 			if st.FastLimit > 0 {
 				ratio = st.FastBurn / st.FastLimit
 			}
-			detail[name] = ratio
+			detail[en.name] = ratio
 			if ratio > worst {
 				worst = ratio
 			}

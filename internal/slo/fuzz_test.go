@@ -14,7 +14,7 @@ import (
 // space.
 func TestParseOneBoundedValue(t *testing.T) {
 	for _, in := range []string{
-		`{"admission":{"enabled":false}} {"bogus":1}`,
+		`{"objectives":{}} {"bogus":1}`,
 		`{} x`,
 		`{}` + strings.Repeat(" ", input.MaxConfig),
 	} {
@@ -32,7 +32,7 @@ func TestParseOneBoundedValue(t *testing.T) {
 // back to a config that marshals to the same bytes.
 func FuzzSLOConfig(f *testing.F) {
 	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"objectives":{"request_latency":{"kind":"latency","target":0.99,"threshold_us":250000,"fast":{"duration":"5m","burn":14.4},"slow":{"duration":"1h","burn":6}},"error_rate":{"disabled":true}},"admission":{"enabled":true,"objective":"request_latency","tick":"1s","max_level":0.9,"relax_below":0.5}}`))
+	f.Add([]byte(`{"objectives":{"request_latency":{"kind":"latency","target":0.99,"threshold_us":250000,"fast":{"duration":"5m","burn":14.4},"slow":{"duration":"1h","burn":6}},"error_rate":{"disabled":true}}}`))
 	f.Add([]byte(`{"objectives":{"x":{"kind":"ratio","target":0.5,"fast":{"duration":60000000000,"burn":1},"slow":{"duration":"2m","burn":1}}}}`))
 	f.Add([]byte(`{"admission":{"enabled":true,"objective":"missing"}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {

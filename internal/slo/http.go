@@ -40,25 +40,14 @@ func ReadyHandler(s *Scorer) http.Handler {
 // debugSnapshot is the GET /debug/slo body.
 type debugSnapshot struct {
 	Objectives  []ObjectiveStatus `json:"objectives"`
-	Admission   admissionView     `json:"admission"`
 	BreachesTot int64             `json:"breaches_total"`
 	Breaches    []BreachEvent     `json:"breaches"`
 }
 
-type admissionView struct {
-	Enabled   bool    `json:"enabled"`
-	Objective string  `json:"objective"`
-	Level     float64 `json:"level"`
-	Tightened int64   `json:"tightened_total"`
-	Relaxed   int64   `json:"relaxed_total"`
-}
-
 // DebugHandler serves GET /debug/slo: every objective's current burns
-// and state, the admission controller's posture, and the breach log
-// with its trace snapshots.
-func DebugHandler(e *Engine, c *Controller) http.Handler {
+// and state, and the breach log with its trace snapshots.
+func DebugHandler(e *Engine) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		cfg := e.Config().Admission
 		snap := debugSnapshot{
 			Objectives: e.Statuses(),
 			Breaches:   e.Breaches(),
@@ -68,11 +57,6 @@ func DebugHandler(e *Engine, c *Controller) http.Handler {
 		}
 		if bc := e.BreachCounter(); bc != nil {
 			snap.BreachesTot = bc.Value()
-		}
-		snap.Admission = admissionView{Enabled: cfg.Enabled, Objective: cfg.Objective, Level: c.Level()}
-		if tight, relax := c.Counters(); tight != nil {
-			snap.Admission.Tightened = tight.Value()
-			snap.Admission.Relaxed = relax.Value()
 		}
 		writeJSON(w, http.StatusOK, snap)
 	})

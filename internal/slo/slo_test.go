@@ -61,7 +61,6 @@ func TestValidateRejects(t *testing.T) {
 		{"no threshold", mk(func(o *Objective) { o.ThresholdUS = 0 }), "threshold_us"},
 		{"fast > slow", mk(func(o *Objective) { o.Fast.Duration = o.Slow.Duration * 2 }), "fast window"},
 		{"zero burn", mk(func(o *Objective) { o.Fast.Burn = 0 }), "burn"},
-		{"unknown admission objective", Config{Admission: AdmissionConfig{Enabled: true, Objective: "nope"}}, "admission objective"},
 	}
 	for _, tc := range cases {
 		err := tc.cfg.Validate()
@@ -88,17 +87,13 @@ func TestResolvedMergesAndDisables(t *testing.T) {
 	if _, ok := r.Objectives[ObjectiveRequestLatency]; !ok {
 		t.Fatal("default objective missing after resolve")
 	}
-	if r.Admission.Tick.Std() != time.Second || r.Admission.Objective != ObjectiveTenantQueueWait {
-		t.Fatalf("admission defaults not inherited: %+v", r.Admission)
-	}
 }
 
 func TestLoadFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "slo.json")
 	good := `{"objectives":{"request_latency":{"kind":"latency","target":0.95,"threshold_us":100000,
-		"fast":{"duration":"1m","burn":4},"slow":{"duration":"10m","burn":2}}},
-		"admission":{"enabled":true,"objective":"tenant_queue_wait","tick":"500ms"}}`
+		"fast":{"duration":"1m","burn":4},"slow":{"duration":"10m","burn":2}}}}`
 	if err := os.WriteFile(path, []byte(good), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +104,19 @@ func TestLoadFile(t *testing.T) {
 	if got := cfg.Objectives[ObjectiveRequestLatency].ThresholdUS; got != 100000 {
 		t.Fatalf("threshold: got %d", got)
 	}
-	if err := os.WriteFile(path, []byte(`{"objctives":{}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadFile(path); err == nil {
-		t.Fatal("unknown field accepted")
+	// A typo and a retired block fail the load and name the key: the
+	// admission block went with the shed controller, so a config that
+	// still asks for shedding is refused, not quietly served without it.
+	for _, bad := range []struct{ body, key string }{
+		{`{"objctives":{}}`, "objctives"},
+		{`{"admission":{"enabled":true,"objective":"tenant_queue_wait"}}`, "admission"},
+	} {
+		if err := os.WriteFile(path, []byte(bad.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadFile(path); err == nil || !strings.Contains(err.Error(), `"`+bad.key+`"`) {
+			t.Errorf("LoadFile(%s) = %v, want an error naming %q", bad.body, err, bad.key)
+		}
 	}
 }
 
@@ -130,6 +133,17 @@ func testEngine(t *testing.T) (*Engine, *clock.Manual) {
 	return NewEngine(cfg, clk), clk
 }
 
+// status evaluates one aggregate objective the way /v1/stats shows it.
+func status(t *testing.T, e *Engine, name string) (ObjectiveStatus, bool) {
+	t.Helper()
+	for _, st := range e.Statuses() {
+		if st.Name == name && st.Tenant == "" {
+			return st, true
+		}
+	}
+	return ObjectiveStatus{}, false
+}
+
 func TestBurnMath(t *testing.T) {
 	e, clk := testEngine(t)
 	// 50% bad over a 10% budget → burn 5 in both windows.
@@ -137,7 +151,7 @@ func TestBurnMath(t *testing.T) {
 		e.ObserveLatency("lat", 500*time.Microsecond) // good
 		e.ObserveLatency("lat", 5*time.Millisecond)   // bad
 	}
-	st, ok := e.Status("lat")
+	st, ok := status(t, e, "lat")
 	if !ok {
 		t.Fatal("objective missing")
 	}
@@ -149,7 +163,7 @@ func TestBurnMath(t *testing.T) {
 	}
 	// Advance past the fast window: fast burn decays to 0, slow persists.
 	clk.Advance(10 * time.Second)
-	st, _ = e.Status("lat")
+	st, _ = status(t, e, "lat")
 	if st.FastBurn != 0 {
 		t.Fatalf("fast burn after window: got %g, want 0", st.FastBurn)
 	}
@@ -161,7 +175,7 @@ func TestBurnMath(t *testing.T) {
 	}
 	// Advance past the slow window too: everything clears.
 	clk.Advance(2 * time.Minute)
-	st, _ = e.Status("lat")
+	st, _ = status(t, e, "lat")
 	if st.FastBurn != 0 || st.SlowBurn != 0 {
 		t.Fatalf("burns after full decay: fast=%g slow=%g", st.FastBurn, st.SlowBurn)
 	}
@@ -238,11 +252,11 @@ func TestSetConfigKeepsUnchangedTrackers(t *testing.T) {
 		Fast: WindowSpec{Duration: Duration(time.Minute), Burn: 2},
 		Slow: WindowSpec{Duration: Duration(10 * time.Minute), Burn: 1}}
 	e.SetConfig(cfg)
-	st, ok := e.Status("lat")
+	st, ok := status(t, e, "lat")
 	if !ok || st.FastBurn == 0 {
 		t.Fatalf("reload zeroed unchanged tracker: ok=%v burn=%g", ok, st.FastBurn)
 	}
-	if _, ok := e.Status("extra"); !ok {
+	if _, ok := status(t, e, "extra"); !ok {
 		t.Fatal("new objective missing after reload")
 	}
 	// Changing the spec resets the tracker.
@@ -250,107 +264,64 @@ func TestSetConfigKeepsUnchangedTrackers(t *testing.T) {
 	obj.ThresholdUS = 2000
 	cfg.Objectives["lat"] = obj
 	e.SetConfig(cfg)
-	st, _ = e.Status("lat")
+	st, _ = status(t, e, "lat")
 	if st.FastBurn != 0 {
 		t.Fatalf("changed spec kept old window: burn=%g", st.FastBurn)
 	}
 }
 
-type fakeShedder struct{ levels []float64 }
-
-func (f *fakeShedder) ApplyShed(level float64) { f.levels = append(f.levels, level) }
-
-func TestControllerTightensAndRelaxes(t *testing.T) {
+// TestControllerStartStop: the engine's evaluation loop (Engine.Start)
+// evaluates on the engine's clock, so one EvaluateEvery of a manual clock
+// puts a burning objective's breach in the log with no Evaluate call;
+// after stop, which is idempotent, the clock moves without evaluating.
+func TestControllerStartStop(t *testing.T) {
 	e, clk := testEngine(t)
-	cfg := e.Config()
-	cfg.Admission = AdmissionConfig{Enabled: true, Objective: "lat", Tick: Duration(time.Second), MaxLevel: 0.95, RelaxBelow: 0.5}
-	e.SetConfig(cfg)
-	sh := &fakeShedder{}
-	c := NewController(e, sh)
-
-	for i := 0; i < 10; i++ {
-		e.ObserveLatency("lat", 5*time.Millisecond) // burn 10 ≥ limit 2
-	}
-	c.Tick()
-	if c.Level() < 0.09 {
-		t.Fatalf("level after first tighten: %g", c.Level())
-	}
-	c.Tick()
-	c.Tick()
-	lvl := c.Level()
-	if lvl <= 0.1 || lvl > 0.95 {
-		t.Fatalf("level after repeated tighten: %g", lvl)
-	}
-	tight, relax := c.Counters()
-	if tight.Value() < 3 {
-		t.Fatalf("tightened counter: %d", tight.Value())
-	}
-	// Burn subsides: level decays to zero.
-	clk.Advance(5 * time.Minute)
-	for i := 0; i < 20 && c.Level() > 0; i++ {
-		c.Tick()
-	}
-	if c.Level() != 0 {
-		t.Fatalf("level did not relax to 0: %g", c.Level())
-	}
-	if relax.Value() == 0 {
-		t.Fatal("relaxed counter never incremented")
-	}
-	if len(sh.levels) == 0 || sh.levels[len(sh.levels)-1] != 0 {
-		t.Fatalf("shedder not restored to 0: %v", sh.levels)
-	}
-	// Disabling admission drops the level immediately.
+	stop := e.Start()
 	for i := 0; i < 10; i++ {
 		e.ObserveLatency("lat", 5*time.Millisecond)
 	}
-	c.Tick()
-	if c.Level() == 0 {
-		t.Fatal("expected tighten before disable")
+	if n := len(e.Breaches()); n != 0 {
+		t.Fatalf("%d breaches before the loop ran", n)
 	}
-	cfg.Admission.Enabled = false
-	e.SetConfig(cfg)
-	c.Tick()
-	if c.Level() != 0 {
-		t.Fatalf("disable did not clear level: %g", c.Level())
+	clk.Advance(EvaluateEvery)
+	if b := e.Breaches(); len(b) != 1 || b[0].Objective != "lat" || b[0].State != StateBreach {
+		t.Fatalf("breaches after one round: %+v", b)
+	}
+	stop()
+	stop()
+	clk.Advance(5 * time.Minute)
+	e.Evaluate() // the burn has decayed: the state is ok again
+	for i := 0; i < 10; i++ {
+		e.ObserveLatency("lat", 5*time.Millisecond)
+	}
+	clk.Advance(EvaluateEvery) // it burns again, with nobody evaluating
+	if n := len(e.Breaches()); n != 1 {
+		t.Fatalf("%d breaches after stop, want 1", n)
 	}
 }
 
-// TestAdmissionTickReload: the admission loop reads Admission.Tick again
-// when a wait ends, so a SIGHUP reload of the cadence takes effect
-// without a restart. Rounds are counted through the shedder, which the
-// controller calls every round while the objective burns.
+// TestAdmissionTickReload: the running loop evaluates once per
+// EvaluateEvery, not before, and reads the configuration afresh on each
+// round, so an objective added by SetConfig while it runs is judged on
+// the next tick without a restart.
 func TestAdmissionTickReload(t *testing.T) {
 	e, clk := testEngine(t)
+	stop := e.Start()
+	defer stop()
 	cfg := e.Config()
-	cfg.Admission = AdmissionConfig{Enabled: true, Objective: "lat", Tick: Duration(time.Second), MaxLevel: 0.95, RelaxBelow: 0.5}
+	cfg.Objectives["lat2"] = cfg.Objectives["lat"]
 	e.SetConfig(cfg)
 	for i := 0; i < 10; i++ {
-		e.ObserveLatency("lat", 5*time.Millisecond) // burns through the 6 s fast window
+		e.ObserveLatency("lat2", 5*time.Millisecond)
 	}
-	sh := &fakeShedder{}
-	c := NewController(e, sh)
-	stop := c.Start()
-	defer stop()
-	rounds := func(d time.Duration, want int) {
-		t.Helper()
-		before := len(sh.levels)
-		clk.Advance(d)
-		if got := len(sh.levels) - before; got != want {
-			t.Fatalf("Advance(%v) with tick %v ran %d rounds, want %d", d, e.Config().Admission.Tick.Std(), got, want)
-		}
+	clk.Advance(EvaluateEvery - time.Millisecond)
+	if n := len(e.Breaches()); n != 0 {
+		t.Fatalf("%d breaches before the first tick", n)
 	}
-	rounds(time.Second, 1)
-	cfg.Admission.Tick = Duration(3 * time.Second)
-	e.SetConfig(cfg)
-	rounds(2*time.Second, 0)
-	rounds(time.Second, 1)
-}
-
-func TestControllerStartStop(t *testing.T) {
-	e, _ := testEngine(t)
-	stop := NewController(e, nil).Start()
-	stop()
-	stop() // idempotent
+	clk.Advance(time.Millisecond)
+	if b := e.Breaches(); len(b) != 1 || b[0].Objective != "lat2" || b[0].State != StateBreach {
+		t.Fatalf("breaches after the first tick: %+v", b)
+	}
 }
 
 func TestScorerMinComponent(t *testing.T) {
@@ -391,7 +362,6 @@ func TestEngineHealthProbe(t *testing.T) {
 
 func TestHTTPHandlers(t *testing.T) {
 	e, _ := testEngine(t)
-	c := NewController(e, nil)
 	s := NewScorer(clock.Real{})
 	s.Add(e.HealthProbe())
 
@@ -425,9 +395,9 @@ func TestHTTPHandlers(t *testing.T) {
 	e.SetTraceSource(func() []telemetry.TraceRecord {
 		return []telemetry.TraceRecord{{TraceID: "cafe", Name: "x"}}
 	})
-	c.Tick()
+	e.Evaluate()
 	rec = httptest.NewRecorder()
-	DebugHandler(e, c).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/slo", nil))
+	DebugHandler(e).ServeHTTP(rec, httptest.NewRequest("GET", "/debug/slo", nil))
 	if rec.Code != 200 {
 		t.Fatalf("debug status: %d", rec.Code)
 	}

@@ -113,10 +113,8 @@ type ObjectiveStatus struct {
 
 // SLOStats is the /v1/stats slo block.
 type SLOStats struct {
-	Objectives       []ObjectiveStatus `json:"objectives"`
-	BreachesTotal    int64             `json:"breaches_total"`
-	AdmissionEnabled bool              `json:"admission_enabled"`
-	ShedLevel        float64           `json:"shed_level"`
+	Objectives    []ObjectiveStatus `json:"objectives"`
+	BreachesTotal int64             `json:"breaches_total"`
 }
 
 // HealthComponent is one scored health dimension.

@@ -26,8 +26,8 @@ import (
 var ErrStateCapExceeded = errors.New("automata: subset construction exceeds state cap")
 
 // Subsets is the outcome of a subset construction: a streaming DFA
-// without report tables. State 0 is the empty subset (nothing active
-// before the first byte).
+// without report tables. State 0 is the start: nothing is active before
+// the first byte.
 type Subsets struct {
 	// Partition maps each input byte to its alphabet-equivalence class:
 	// bytes no state's character class distinguishes share one.
@@ -40,13 +40,15 @@ type Subsets struct {
 	Sets []bitvec.Vector
 }
 
-// Determinize runs subset construction over the unanchored-matching
-// configuration space of a homogeneous automaton given as per-state
-// classes, follow masks and the initial set: initial states are
-// re-injected on every step (streaming semantics), so construction
-// starts from the empty subset. It fails with an error wrapping
-// ErrStateCapExceeded once more than cap subsets are reachable.
-func Determinize(classes []charclass.Class, follow []bitvec.Vector, initial bitvec.Vector, cap int) (*Subsets, error) {
+// Determinize runs subset construction over the streaming configuration
+// space of a homogeneous automaton given as per-state classes, follow
+// masks and the initial set, from the empty subset. Unanchored, initial
+// states are re-injected on every step, so state 0 is the empty subset.
+// Start-anchored, state 0 is the only one that injects them, and the
+// empty subset reached later is a dead state of its own. It fails with
+// an error wrapping ErrStateCapExceeded once more than cap subsets are
+// reachable.
+func Determinize(classes []charclass.Class, follow []bitvec.Vector, initial bitvec.Vector, anchored bool, cap int) (*Subsets, error) {
 	d := &Subsets{}
 	var labels []bitvec.Vector
 	d.Partition, labels = alphabetPartitions(classes)
@@ -67,10 +69,15 @@ func Determinize(classes []charclass.Class, follow []bitvec.Vector, initial bitv
 		return id
 	}
 	succ, next := bitvec.New(len(classes)), bitvec.New(len(classes))
-	intern(next)
+	if intern(next); anchored {
+		clear(index) // no later subset is the start
+	}
 	for head := 0; head < len(d.Sets); head++ {
 		cur := d.Sets[head]
-		succ.CopyFrom(initial)
+		succ.Reset()
+		if !anchored || head == 0 {
+			succ.Or(initial)
+		}
 		for q := cur.NextSet(0); q >= 0; q = cur.NextSet(q + 1) {
 			succ.Or(follow[q])
 		}
@@ -181,7 +188,7 @@ func DFASize(n *NFA, cap int) DFAResult {
 		cap = 100000
 	}
 	// Reaching cap states counts as capped, so more than cap-1 is refused.
-	d, err := Determinize(n.classes(), n.FollowMasks(), n.InitialSet(), cap-1)
+	d, err := Determinize(n.classes(), n.FollowMasks(), n.InitialSet(), n.StartAnchored, cap-1)
 	if err != nil {
 		return DFAResult{States: cap, Capped: true}
 	}

@@ -8,8 +8,8 @@ import (
 	"repro/internal/charclass"
 )
 
-// DFA is a materialized deterministic automaton for streaming (unanchored)
-// matching, built by subset construction over an NFA. §2.1 explains why
+// DFA is a materialized deterministic automaton for streaming matching,
+// built by subset construction over an NFA. §2.1 explains why
 // hardware avoids DFAs — the state count can be exponential — but for
 // small automata a DFA is the fastest software matcher (one table lookup
 // per byte), which is how Hyperscan-class engines execute small patterns.
@@ -27,8 +27,13 @@ type DFA struct {
 	// the per-cycle report count, matching the hardware's counting.
 	reports  []uint16
 	numParts int
+	// EndAnchored is the NFA's: a report counts only at the stream's last
+	// byte, which the scanner knows and Step does not.
+	EndAnchored bool
 	// rest holds the rows the DFA sleeps in, row 0 and its busiest
-	// self-loop (row 0 again if none). escape[k] holds the bytes that leave
+	// self-loop (row 0 again if none); a start-anchored DFA's start row
+	// loops on no byte, and its busiest is the dead row, which loops on
+	// every byte and so never wakes. escape[k] holds the bytes that leave
 	// rest[k] or report there, pair[k] the bytes that, right after one of
 	// them, reach another row than they do from rest[k] (all, if one reports).
 	rest   [2]int32
@@ -38,17 +43,14 @@ type DFA struct {
 
 // BuildDFA materializes the streaming DFA of the NFA, failing with an
 // error wrapping ErrStateCapExceeded beyond cap subset states (cap <= 0
-// means 4096).
-// Start-anchored NFAs are not supported (the streaming construction
-// re-injects initial states every step).
+// means 4096). A start-anchored NFA injects its initial states from row
+// 0 only; an end-anchored one records EndAnchored. Like Runner.Step, the
+// DFA never reports the empty match of a nullable NFA.
 func BuildDFA(n *NFA, cap int) (*DFA, error) {
-	if n.StartAnchored {
-		return nil, fmt.Errorf("automata: BuildDFA does not support start-anchored NFAs")
-	}
 	if cap <= 0 {
 		cap = 4096
 	}
-	sub, err := Determinize(n.classes(), n.FollowMasks(), n.InitialSet(), cap)
+	sub, err := Determinize(n.classes(), n.FollowMasks(), n.InitialSet(), n.StartAnchored, cap)
 	if err != nil {
 		return nil, err
 	}
@@ -56,7 +58,7 @@ func BuildDFA(n *NFA, cap int) (*DFA, error) {
 		return nil, fmt.Errorf("%w: %d states of %d alphabet classes overflow the table's row offsets",
 			ErrStateCapExceeded, len(sub.Sets), sub.NumParts)
 	}
-	d := &DFA{partition: sub.Partition, numParts: sub.NumParts, trans: sub.Trans}
+	d := &DFA{partition: sub.Partition, numParts: sub.NumParts, trans: sub.Trans, EndAnchored: n.EndAnchored}
 	final := n.FinalSet()
 	for _, set := range sub.Sets {
 		set.And(final)

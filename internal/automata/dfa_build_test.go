@@ -40,14 +40,43 @@ func TestBuildDFAEquivalence(t *testing.T) {
 	}
 }
 
+// TestBuildDFACapAndAnchors: past its cap BuildDFA fails typed. Anchored
+// and nullable NFAs have DFAs that fire where the NFA does, report for
+// report. A start-anchored one injects its initial states from row 0
+// alone, so a byte that starts no match leaves it in its dead row, which is
+// its second rest row and wakes on no byte; an end-anchored one records
+// the anchor for the scanner.
 func TestBuildDFACapAndAnchors(t *testing.T) {
 	nfa := mustNFA(t, "a.{14}")
 	if _, err := BuildDFA(nfa, 64); !errors.Is(err, ErrStateCapExceeded) {
 		t.Errorf("expected ErrStateCapExceeded, got %v", err)
 	}
-	anchored := mustNFA(t, "^abc")
-	if _, err := BuildDFA(anchored, 0); err == nil {
-		t.Error("start-anchored NFA accepted")
+	inputs := []string{"abc", "xabc", "abcabc", "abd", "acbd", "ababab", "ab", "abx"}
+	for _, p := range []string{"^abc", "^a(b|c)*d", "^(ab)*", "a(b|c)*d$", "^ab$", "(ab)*x?"} {
+		nfa := mustNFA(t, p)
+		dfa, err := BuildDFA(nfa, 0)
+		if err != nil {
+			t.Fatalf("%q: %v", p, err)
+		}
+		if dfa.EndAnchored != nfa.EndAnchored {
+			t.Errorf("%q: EndAnchored %v, NFA's %v", p, dfa.EndAnchored, nfa.EndAnchored)
+		}
+		for _, input := range inputs {
+			nr := NewRunner(nfa)
+			row, fired := int32(0), 0
+			for i, b := range []byte(input) {
+				nr.Step(b)
+				if row, fired = dfa.Step(row, b); fired != nr.FinalsActive() {
+					t.Fatalf("%q on %q at %d: DFA %d reports, NFA %d", p, input, i, fired, nr.FinalsActive())
+				}
+			}
+		}
+		if !nfa.StartAnchored {
+			continue
+		}
+		if dead, _ := dfa.Step(0, 'x'); dead == 0 || dead != dfa.rest[1] || !dfa.escape[1].IsEmpty() {
+			t.Errorf("%q: 'x' leads to row %d, rest rows %v, the second escaped by %v", p, dead, dfa.rest, dfa.escape[1])
+		}
 	}
 }
 
@@ -70,7 +99,7 @@ func TestDFAMatchEnds(t *testing.T) {
 func TestPropDFAEqualsNFAOnRandomPatterns(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 150; trial++ {
-		pattern := genPattern(r, 3)
+		pattern := genAnchored(r, 3)
 		re, err := regexast.Parse(pattern)
 		if err != nil {
 			t.Fatal(err)
@@ -98,6 +127,21 @@ func TestPropDFAEqualsNFAOnRandomPatterns(t *testing.T) {
 			}
 		}
 	}
+}
+
+// genAnchored is genPattern with a start anchor, an end anchor, both or
+// neither, each a quarter of the time.
+func genAnchored(r *rand.Rand, depth int) string {
+	p := genPattern(r, depth)
+	switch r.Intn(4) {
+	case 0:
+		return "^" + p
+	case 1:
+		return p + "$"
+	case 2:
+		return "^" + p + "$"
+	}
+	return p
 }
 
 func BenchmarkDFAStep(b *testing.B) {

@@ -128,12 +128,6 @@ func NewRunner(n *NFA) *Runner {
 	return r
 }
 
-// Reset returns the runner to the initial configuration.
-func (r *Runner) Reset() {
-	r.active.Reset()
-	r.pos = 0
-}
-
 // Step consumes one input byte and reports whether a final state is active
 // afterwards (a match ending at this symbol). For EndAnchored automata the
 // caller must additionally check that the stream has ended.

@@ -30,7 +30,7 @@ func Characterize(cfg Config) (*metrics.Table, error) {
 		Header: []string{"Dataset", "Patterns", "Avg states", "Avg unfolded",
 			"BoundedReps/regex", "Max bound", "Avg class size", "Avg DFA (capped)",
 			"Mode NFA/NBVA/LNFA %", "Utilization %",
-			"Shift-And kernel", "Prefilter tier", "word64/step/nfa-step/dfa-table"},
+			"Shift-And kernel", "Prefilter tier", "word64/step/dfa-table"},
 	}
 	const dfaCap = 4096
 	for _, name := range workload.Names {
@@ -98,7 +98,7 @@ func sharesCell(s map[compile.Mode]float64) string {
 // the Shift-And kernel(s) of the packed linear patterns, "(always-on)"
 // marking a machine that runs outside the prefilter; the prefilter tier;
 // and the pattern counts on the NBVA word kernel, the NBVA per-byte
-// fallback, the NFA per-byte fallback and the DFA tables.
+// fallback and the DFA tables.
 func kernelReach(patterns []string) (shiftAnd, tier, engines string, err error) {
 	m, err := refmatch.Compile(context.Background(), patterns, refmatch.Options{})
 	if err != nil {
@@ -127,5 +127,5 @@ func kernelReach(patterns []string) (shiftAnd, tier, engines string, err error) 
 	if tier = m.PrefilterTier(); tier == "" {
 		tier = "-"
 	}
-	return shiftAnd, tier, fmt.Sprintf("%d/%d/%d/%d", count["word64"], count["step"], count["nfa-step"], count["dfa-table"]), nil
+	return shiftAnd, tier, fmt.Sprintf("%d/%d/%d", count["word64"], count["step"], count["dfa-table"]), nil
 }

@@ -287,18 +287,18 @@ func TestCharacterize(t *testing.T) {
 	// Kernel reach: a dataset's linear patterns, where it has any, sit
 	// behind a prefilter on a named Shift-And kernel, and none of its patterns
 	// falls to a per-byte fallback — the finding the scan-path fork audit
-	// (EXPERIMENTS.md) records. A dataset that starts reaching "step" or
-	// "nfa-step" is news for that audit, not a failure of the scan path.
+	// (EXPERIMENTS.md) records. A dataset that starts reaching "step" is
+	// news for that audit, not a failure of the scan path.
 	for _, r := range tb.Rows {
-		var word, step, nfaStep, dfa int
-		if _, err := fmt.Sscanf(r[12], "%d/%d/%d/%d", &word, &step, &nfaStep, &dfa); err != nil {
+		var word, step, dfa int
+		if _, err := fmt.Sscanf(r[12], "%d/%d/%d", &word, &step, &dfa); err != nil {
 			t.Fatalf("%s: engines cell %q: %v", r[0], r[12], err)
 		}
 		if strings.Contains(r[10], "always-on") || (r[10] == "-") != (r[11] == "-") {
 			t.Errorf("%s: Shift-And kernel %q behind prefilter tier %q", r[0], r[10], r[11])
 		}
-		if step != 0 || nfaStep != 0 || word+dfa == 0 {
-			t.Errorf("%s: word64/step/nfa-step/dfa-table = %s", r[0], r[12])
+		if step != 0 || word+dfa == 0 {
+			t.Errorf("%s: word64/step/dfa-table = %s", r[0], r[12])
 		}
 	}
 }

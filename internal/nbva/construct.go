@@ -46,6 +46,17 @@ func ConstructFromNode(root regexast.Node) (*Machine, error) {
 	return m, nil
 }
 
+// FromNFA is the machine of a homogeneous NFA, sharing its lists: one
+// standard STE per state, with the NFA's anchors and empty-match flag.
+func FromNFA(n *automata.NFA) *Machine {
+	m := &Machine{States: make([]STE, len(n.States)), Initial: n.Initial, Final: n.Final,
+		MatchesEmpty: n.MatchesEmpty, StartAnchored: n.StartAnchored, EndAnchored: n.EndAnchored}
+	for q, s := range n.States {
+		m.States[q] = STE{Class: s.Class, Follow: s.Follow}
+	}
+	return m
+}
+
 // bvPosition is Construct's bounded hook: σ{m} (m ≥ 2) becomes a BV-STE
 // with r(m), the nullable σ{0,k} one with rAll, and σ{1} a plain STE.
 func bvPosition(t *regexast.Repeat) (nullable bool, err error) {

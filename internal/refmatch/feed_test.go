@@ -16,24 +16,24 @@ import (
 
 // TestFeedEqualEndOrder pins the order contract of one feed: ascending
 // End, and for equal End the prefiltered Shift-And machine, the always-on
-// one, then the NBVA, NFA and DFA patterns, each group in pattern order.
-// The ten DFA patterns, one wake word whose patterns interleave with the
-// other engines', all fire on the last byte.
+// one, then the NBVA and DFA patterns, each group in pattern order. The
+// twelve DFA patterns, anchored ones among them, one wake word whose
+// patterns interleave with the other engines', all fire on the last byte.
 func TestFeedEqualEndOrder(t *testing.T) {
 	patterns := []string{
 		"a(x|b)*c",     // dfa
-		"q(a|b)*c$",    // nfa: end-anchored
+		"q(a|b)*c$",    // dfa: end-anchored
 		"b{20}c",       // nbva
 		"[a-f].[a-f]",  // shift-and, always-on
 		"a(y|b)*c",     // dfa
 		"[ab]{0,30}bc", // nbva
 		"bbbc",         // shift-and, prefiltered
-		"^qa(x|b)*c",   // nfa: start-anchored
+		"^qa(x|b)*c",   // dfa: start-anchored
 	}
-	wantEngines := []Engine{EngineDFA, EngineNFA, EngineNBVA, EngineShiftAnd, EngineDFA, EngineNBVA, EngineShiftAnd, EngineNFA}
+	wantEngines := []Engine{EngineDFA, EngineDFA, EngineNBVA, EngineShiftAnd, EngineDFA, EngineNBVA, EngineShiftAnd, EngineDFA}
 	input := []byte("qa" + strings.Repeat("b", 24) + "c")
 	last := len(input) - 1
-	want := []Match{{6, last}, {3, last}, {2, last}, {5, last}, {1, last}, {7, last}, {0, last}, {4, last}}
+	want := []Match{{6, last}, {3, last}, {2, last}, {5, last}, {0, last}, {1, last}, {4, last}, {7, last}}
 	for _, c := range "zwvutsrp" {
 		want = append(want, Match{len(patterns), last})
 		patterns = append(patterns, fmt.Sprintf("a(%c|b)*c", c))
@@ -43,8 +43,8 @@ func TestFeedEqualEndOrder(t *testing.T) {
 	if !reflect.DeepEqual(m.Engines(), wantEngines) {
 		t.Fatalf("engines = %v, want %v", m.Engines(), wantEngines)
 	}
-	if dfas, _, words := dfaTables(m); words != 1 || len(dfas) != 10 {
-		t.Fatalf("%d DFA patterns in %d wake words: want 10 in 1", len(dfas), words)
+	if dfas, _, words := dfaTables(m); words != 1 || len(dfas) != 12 {
+		t.Fatalf("%d DFA patterns in %d wake words: want 12 in 1", len(dfas), words)
 	}
 	if v := m.PrefilterVerdicts(); v[3].Prefilterable || !v[6].Prefilterable {
 		t.Fatalf("prefilter verdicts: pattern 3 %v, pattern 6 %v", v[3], v[6])
@@ -67,15 +67,15 @@ func TestFeedEqualEndOrder(t *testing.T) {
 	}
 	// Streamed, the end-anchored pattern waits for Finish; the rest keep
 	// their places, wherever the stream is cut.
-	streamWant := append(append([]Match(nil), want[:4]...), want[5:]...)
+	streamWant := append(append([]Match(nil), want[:5]...), want[6:]...)
 	for cut := 0; cut <= len(input); cut++ {
 		s := m.NewSession()
 		got := append(s.Feed(input[:cut]), s.Feed(input[cut:])...)
 		if got := atLast(got); !reflect.DeepEqual(got, streamWant) {
 			t.Errorf("cut at %d: Feed = %v, want %v", cut, got, streamWant)
 		}
-		if got := s.Finish(); !reflect.DeepEqual(got, want[4:5]) {
-			t.Errorf("cut at %d: Finish = %v, want %v", cut, got, want[4:5])
+		if got := s.Finish(); !reflect.DeepEqual(got, want[5:6]) {
+			t.Errorf("cut at %d: Finish = %v, want %v", cut, got, want[5:6])
 		}
 	}
 }
@@ -255,7 +255,7 @@ func TestScanAllocations(t *testing.T) {
 func TestKernelsNamesEveryEngine(t *testing.T) {
 	patterns := []string{"cat", "ab{20}c", "a(x|y)*b", "^a(x|y)*b", strings.Repeat("[ab]", 70)}
 	m := compilePar(t, patterns, Options{DisablePrefilter: true})
-	want := []string{"shiftand-multi", "word64 (3 states, 20 BV bits)", "dfa-table", "nfa-step", "shiftand-multi"}
+	want := []string{"shiftand-multi", "word64 (3 states, 20 BV bits)", "dfa-table", "dfa-table", "shiftand-multi"}
 	if got := m.Kernels(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Kernels = %q, want %q", got, want)
 	}
@@ -273,7 +273,7 @@ func TestKernelsNamesEveryEngine(t *testing.T) {
 		t.Errorf("PrefilterKernel = %q, want teddy fp3 stride2", got)
 	}
 	forced := compilePar(t, patterns[1:2], Options{Options: compile.Options{ModePolicy: compile.ForceNFA}})
-	if got := fmt.Sprint(forced.Kernels()); got != "[dfa-table]" && got != "[nfa-step]" {
+	if got := fmt.Sprint(forced.Kernels()); got != "[dfa-table]" {
 		t.Errorf("ForceNFA Kernels = %s", got)
 	}
 }

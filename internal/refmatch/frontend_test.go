@@ -17,8 +17,8 @@ import (
 )
 
 // lowers reports whether engine e is the software lowering of Fig 9
-// mode m: LNFA -> Shift-And, NBVA -> NBVA, NFA -> NFA or its small-DFA
-// upgrade.
+// mode m: LNFA -> Shift-And, NBVA -> NBVA, NFA -> its DFA or, past the DFA
+// state cap, an NBVA machine without bit vectors.
 func lowers(m compile.Mode, e Engine) bool {
 	switch m {
 	case compile.ModeLNFA:
@@ -26,7 +26,7 @@ func lowers(m compile.Mode, e Engine) bool {
 	case compile.ModeNBVA:
 		return e == EngineNBVA
 	default:
-		return e == EngineNFA || e == EngineDFA
+		return e == EngineDFA || e == EngineNBVA
 	}
 }
 
@@ -61,7 +61,7 @@ func TestEnginesLowerCompileModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Engine{EngineNFA, EngineNFA, EngineNFA, EngineShiftAnd, EngineNBVA, EngineDFA, EngineShiftAnd}
+	want := []Engine{EngineDFA, EngineDFA, EngineDFA, EngineShiftAnd, EngineNBVA, EngineDFA, EngineShiftAnd}
 	for i, e := range m.Engines() {
 		if e != want[i] {
 			t.Errorf("%q runs on %v, want %v", sets["edges"][i], e, want[i])
@@ -284,10 +284,18 @@ var alwaysOnLinear = []string{"[a-f].[a-f]", "[0-9]x?[0-9][0-9]"}
 // NBVA kernel by pointer — those of the reverted tenth from the older
 // matcher — and both Shift-And machines and the prefilter from the older
 // matcher, whose lanes had the same members, and gives the matcher a cold
-// compile gives.
+// compile gives. Under a DFA cap most NFAs miss, the machine and kernel
+// of each miss are shared the same way, so neither the edit nor the
+// revert runs a failed subset construction again, and the revert builds
+// no NBVA machine at all.
 func TestRelowerRestoresFromOlder(t *testing.T) {
+	for _, opts := range []Options{{}, {DFAStateCap: 8}} {
+		relowerRevert(t, opts)
+	}
+}
+
+func relowerRevert(t *testing.T, opts Options) {
 	ctx := context.Background()
-	opts := Options{}
 	// Snort's linear patterns all have a mandatory literal; two without one
 	// give the always-on Shift-And lane members too.
 	a := append(workload.MustGenerate("Snort", 1, 1).Patterns, alwaysOnLinear...)
@@ -312,6 +320,24 @@ func TestRelowerRestoresFromOlder(t *testing.T) {
 	bM, err := Relower(aM, nil, bRes, opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The cap misses of the edit that kept their slot keep their machine.
+	aNB, bNB := nbvaTables(aM), nbvaTables(bM)
+	misses := 0
+	for j, nfa := range bNB.nfas {
+		if nfa == nil {
+			continue
+		}
+		misses++
+		if i := bNB.patterns[j]; bRes.From[i] >= 0 {
+			l, at := aM.at(bRes.From[i])
+			if o := l.(*nbvaLane); o.machines[at] != bNB.machines[j] || o.kernels[at] != bNB.kernels[j] {
+				t.Errorf("DFA cap %d: the cap miss %q was built again", opts.DFAStateCap, b[i])
+			}
+		}
+	}
+	if (misses > 0) != (opts.DFAStateCap == 8) {
+		t.Fatalf("DFA cap %d: %d NFAs miss it", opts.DFAStateCap, misses)
 	}
 	revRes, err := compile.Recompile(ctx, bRes, aRes, a, opts.FrontEnd())
 	if err != nil {
@@ -344,6 +370,9 @@ func TestRelowerRestoresFromOlder(t *testing.T) {
 		if gotKernels[i] != aKernels[i] {
 			t.Errorf("NBVA kernel %d is not the restored matcher's own", i)
 		}
+	}
+	if gotNB := nbvaTables(got); !same(gotNB.machines, aNB.machines) || !same(gotNB.kernels, aNB.kernels) {
+		t.Errorf("DFA cap %d: the revert built NBVA machines", opts.DFAStateCap)
 	}
 	aPre, aOn, aPf := shiftAndTables(aM)
 	gotPre, gotOn, gotPf := shiftAndTables(got)

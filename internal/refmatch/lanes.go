@@ -88,10 +88,12 @@ func (l *shiftAndLane) kernel(int) string {
 
 // nbvaLane holds the NBVA machines in pattern order, each with its word
 // kernel, or a nil kernel when it has more than nbva.MaxKernelStates
-// control states and is stepped with an nbva.Runner.
+// control states and is stepped with an nbva.Runner. An NFA whose DFA
+// outgrows the cap is here too, as a machine without bit vectors.
 type nbvaLane struct {
 	machines []*nbva.Machine
 	kernels  []*nbva.Kernel
+	nfas     []*automata.NFA // the NFA a machine was built from, nil for a compiled NBVA
 	patterns []int
 	words    int // vector words of all the kernels' states together
 	runs     []nbvaRun
@@ -157,46 +159,6 @@ func (l *nbvaLane) kernel(j int) string {
 	return fmt.Sprintf("%s (%d states, %d BV bits)", name, l.machines[j].NumStates(), l.machines[j].TotalBVBits())
 }
 
-// nfaLane holds the patterns stepped as bitset NFAs, in pattern order.
-type nfaLane struct {
-	nfas     []*automata.NFA
-	patterns []int
-	runners  []*automata.Runner
-}
-
-func (l *nfaLane) open() lane {
-	c := *l
-	c.runners = make([]*automata.Runner, len(l.nfas))
-	for j, nfa := range l.nfas {
-		c.runners[j] = automata.NewRunner(nfa)
-	}
-	return &c
-}
-
-func (l *nfaLane) scan(s *Session, chunk []byte, base int) {
-	for j, r := range l.runners {
-		p, anchored := l.patterns[j], l.nfas[j].EndAnchored
-		for i, b := range chunk {
-			if r.Step(b) {
-				for k := r.FinalsActive(); k > 0; k-- {
-					s.report(p, base+i, anchored)
-				}
-			}
-		}
-	}
-}
-
-func (l *nfaLane) reset() {
-	for _, r := range l.runners {
-		r.Reset()
-	}
-}
-
-func (l *nfaLane) pats() []int    { return l.patterns }
-func (l *nfaLane) engine() Engine { return EngineNFA }
-
-func (l *nfaLane) kernel(int) string { return "nfa-step" }
-
 // dfaLane holds the DFA-routed patterns in pattern order, all scanned by
 // one automata.WakeLoop: a DFA at rest is stepped only on its wake pairs.
 type dfaLane struct {
@@ -214,7 +176,7 @@ func (l *dfaLane) open() lane {
 }
 
 func (l *dfaLane) scan(s *Session, chunk []byte, base int) {
-	l.loop.Scan(l.rows, chunk, base, func(j, end int) { s.report(l.patterns[j], end, false) })
+	l.loop.Scan(l.rows, chunk, base, func(j, end int) { s.report(l.patterns[j], end, l.dfas[j].EndAnchored) })
 }
 
 func (l *dfaLane) reset() { clear(l.rows) }

@@ -33,7 +33,7 @@ func nbvaTables(m *Matcher) *nbvaLane {
 
 // laneOf returns the rank of the scan lane that reports pattern p, read
 // from the public verdicts alone: prefiltered Shift-And, always-on
-// Shift-And, NBVA, NFA, DFA.
+// Shift-And, NBVA, DFA.
 func laneOf(m *Matcher, p int) int {
 	switch m.Engines()[p] {
 	case EngineShiftAnd:
@@ -43,10 +43,8 @@ func laneOf(m *Matcher, p int) int {
 		return 1
 	case EngineNBVA:
 		return 2
-	case EngineNFA:
-		return 3
 	}
-	return 4
+	return 3
 }
 
 // FuzzSessionDifferential streams a set of up to six patterns, mixing
@@ -66,6 +64,10 @@ func FuzzSessionDifferential(f *testing.F) {
 				strings.Repeat("b", 19) + "c" + strings.Repeat("b", 19)},
 		{"bbbc\n^qa(x|b)*c\nb{20}c\n[ab]{0,30}bc\na(y|b)*c\nend$",
 			"qa" + strings.Repeat("b", 24) + "c end"},
+		// Nullable patterns, and one of 71 states: past a small DFA cap it
+		// runs on the NBVA step runner, the others on word64.
+		{"(ab)*\nx(y|z)*q?\n(c[ab][ab])*$\n^(a|b)*\n(" + wide + ")*c",
+			"abab xyzq cabcba " + strings.Repeat("ab", 35) + "c"},
 	} {
 		f.Add(seed.patterns, []byte(seed.input), int64(len(seed.input)))
 	}
@@ -90,49 +92,61 @@ func FuzzSessionDifferential(f *testing.F) {
 				}
 			}
 		}
-		m, err := Compile(context.Background(), patterns, Options{})
-		if err != nil {
-			return
+		// Each set is scanned twice: with the default DFA cap, and with one
+		// most DFAs outgrow, so their NFAs run on the NBVA lane.
+		for _, opts := range []Options{{}, {DFAStateCap: 3}} {
+			m, err := Compile(context.Background(), patterns, opts)
+			if err != nil {
+				return
+			}
+			streamEquals(t, m, patterns, input, seed, want)
 		}
-		lane := make([]int, len(patterns))
-		for p := range lane {
-			lane[p] = laneOf(m, p)
-		}
-		ordered := func(what string, ms []Match) {
-			for i := 1; i < len(ms); i++ {
-				a, b := ms[i-1], ms[i]
-				if a.End > b.End || a.End == b.End &&
-					(lane[a.Pattern] > lane[b.Pattern] || lane[a.Pattern] == lane[b.Pattern] && a.Pattern > b.Pattern) {
-					t.Fatalf("%q on %q: %s reports %v before %v (lanes %v)", patterns, input, what, a, b, lane)
-				}
+	})
+}
+
+// streamEquals feeds input to a session of m at cuts drawn from seed and
+// holds what Feed and Finish report to want, each call in the order
+// contract.
+func streamEquals(t *testing.T, m *Matcher, patterns []string, input []byte, seed int64, want map[Match]bool) {
+	t.Helper()
+	lane := make([]int, len(patterns))
+	for p := range lane {
+		lane[p] = laneOf(m, p)
+	}
+	ordered := func(what string, ms []Match) {
+		for i := 1; i < len(ms); i++ {
+			a, b := ms[i-1], ms[i]
+			if a.End > b.End || a.End == b.End &&
+				(lane[a.Pattern] > lane[b.Pattern] || lane[a.Pattern] == lane[b.Pattern] && a.Pattern > b.Pattern) {
+				t.Fatalf("%q on %q: %s reports %v before %v (lanes %v)", patterns, input, what, a, b, lane)
 			}
 		}
-		r := rand.New(rand.NewSource(seed))
-		s := m.NewSession()
-		got := map[Match]bool{}
-		for rest := input; ; {
-			n := r.Intn(len(rest) + 1)
-			ms := s.Feed(rest[:n])
-			ordered("Feed", ms)
-			for _, mt := range ms {
-				got[mt] = true
-			}
-			if rest = rest[n:]; len(rest) == 0 {
-				break
-			}
-		}
-		ms := s.Finish()
-		ordered("Finish", ms)
+	}
+	r := rand.New(rand.NewSource(seed))
+	s := m.NewSession()
+	got := map[Match]bool{}
+	for rest := input; ; {
+		n := r.Intn(len(rest) + 1)
+		ms := s.Feed(rest[:n])
+		ordered("Feed", ms)
 		for _, mt := range ms {
 			got[mt] = true
 		}
-		if len(got) != len(want) {
+		if rest = rest[n:]; len(rest) == 0 {
+			break
+		}
+	}
+	ms := s.Finish()
+	ordered("Finish", ms)
+	for _, mt := range ms {
+		got[mt] = true
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%q on %q: streamed %v, reference NFAs %v", patterns, input, got, want)
+	}
+	for mt := range want {
+		if !got[mt] {
 			t.Fatalf("%q on %q: streamed %v, reference NFAs %v", patterns, input, got, want)
 		}
-		for mt := range want {
-			if !got[mt] {
-				t.Fatalf("%q on %q: streamed %v, reference NFAs %v", patterns, input, got, want)
-			}
-		}
-	})
+	}
 }

@@ -14,12 +14,12 @@ import (
 )
 
 // parallelPlan is everything ScanParallel needs that can be computed once
-// per Matcher: the Simultaneous-FA union machine covering the DFA/NFA
-// engine patterns, and the chunk overlap that makes per-chunk Shift-And
+// per Matcher: the Simultaneous-FA union machine covering the DFA-engine
+// patterns, and the chunk overlap that makes per-chunk Shift-And
 // rescans exact. It is immutable and shared by all sessions.
 type parallelPlan struct {
-	// sfa is the union streaming DFA over every DFA- and NFA-engine
-	// pattern, nil when the set is pure Shift-And.
+	// sfa is the union streaming DFA over every DFA-engine pattern, nil
+	// when the set is pure Shift-And.
 	sfa *sfa.Machine
 	// overlap is how many bytes before its chunk each worker rescans for
 	// the Shift-And machines: a packed sequence of length L only looks at
@@ -61,9 +61,7 @@ func (m *Matcher) buildPlan() (*parallelPlan, error) {
 			// such pattern makes the whole set serial (the matcher is
 			// all-or-nothing, like compilation).
 			return nil, &ParallelizeError{Pattern: l.patterns[0], Reason: ReasonNBVAEngine}
-		case *nfaLane:
-			// DFA-engine patterns passed these guards at lowering; the
-			// NFA-engine ones (DFA cap overflow or anchored/nullable) have not.
+		case *dfaLane:
 			for j, nfa := range l.nfas {
 				if nfa.StartAnchored || nfa.EndAnchored {
 					return nil, &ParallelizeError{Pattern: l.patterns[j], Reason: ReasonAnchored}
@@ -72,8 +70,6 @@ func (m *Matcher) buildPlan() (*parallelPlan, error) {
 					return nil, &ParallelizeError{Pattern: l.patterns[j], Reason: ReasonMatchesEmpty}
 				}
 			}
-			nfas, pidx = append(nfas, l.nfas...), append(pidx, l.patterns...)
-		case *dfaLane:
 			nfas, pidx = append(nfas, l.nfas...), append(pidx, l.patterns...)
 		}
 	}

@@ -99,17 +99,20 @@ func TestScanParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestScanParallelNFAEngine forces the general patterns onto the NFA
-// engine (DFA path disabled) so the union machine is built from
-// NFA-engine patterns, and checks equivalence there too.
+// TestScanParallelNFAEngine disables the DFA path: the general patterns
+// then run on the NBVA lane as machines without bit vectors, and the set
+// refuses ScanParallel as any set with an NBVA pattern does.
 func TestScanParallelNFAEngine(t *testing.T) {
 	m := compilePar(t, parTestPatterns, Options{DFAStateCap: -1})
-	for _, e := range m.Engines() {
-		if e == EngineDFA {
-			t.Fatal("DFA path not disabled")
+	for i, e := range m.Engines() {
+		if general := i == 0 || i == 1 || i == 4; general != (e == EngineNBVA) {
+			t.Errorf("pattern %q runs on %v", parTestPatterns[i], e)
 		}
 	}
-	checkParallel(t, m, parInput(1<<15, 5), 512, 1, 3, 8)
+	_, err := m.NewSession().ScanParallel(context.Background(), parInput(1<<15, 5), 3)
+	if !errors.Is(err, ErrNotParallelizable) || FallbackReason(err) != ReasonNBVAEngine {
+		t.Errorf("ScanParallel = %v, want %s", err, ReasonNBVAEngine)
+	}
 }
 
 // TestScanParallelBoundarySpanning plants a match squarely across every

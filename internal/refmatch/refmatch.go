@@ -9,8 +9,8 @@
 //     (documented substitution #3 in DESIGN.md).
 //
 // Like Hyperscan, it is built around bit-parallel Shift-And for the linear
-// patterns (the majority in several benchmarks) and falls back to NBVA /
-// NFA bitset simulation for the rest. It has no front-end of its own:
+// patterns (the majority in several benchmarks), and runs the rest as
+// DFAs or NBVA machines. It has no front-end of its own:
 // internal/compile parses, rewrites and routes every pattern through the
 // Fig 9 decision graph, and FromResult lowers each compiled mode onto its
 // software engine.
@@ -22,8 +22,8 @@
 // Shift-And machine, whose word kernel runs only inside the candidate
 // windows of a prefilter.Stream; the always-on Shift-And machine; the
 // NBVA machines, each on the nbva chunk kernel or, when too wide for it,
-// on a per-byte runner; the NFAs, stepped per byte; and the DFAs. The
-// tables belong to the Matcher and are shared by all its sessions; a
+// on a per-byte runner, NFAs past the DFA cap among them; and the DFAs.
+// The tables belong to the Matcher and are shared by all its sessions; a
 // Session holds one state per lane, only what a stream changes. A feed
 // runs the lanes one after the other over the whole chunk, and one stable
 // sort of their matches by End restores stream order.
@@ -84,7 +84,8 @@ const (
 	EngineShiftAnd Engine = iota
 	// EngineNBVA executes patterns with large bounded repetitions.
 	EngineNBVA
-	// EngineNFA executes general patterns by bitset NFA simulation.
+	// EngineNFA names bitset NFA simulation, which no lowering produces:
+	// an NFA runs as a DFA or, past the DFA state cap, on the NBVA engine.
 	EngineNFA
 	// EngineDFA executes small general patterns with a materialized DFA
 	// (one table lookup per byte), the Hyperscan-style fast path.
@@ -112,8 +113,9 @@ type Options struct {
 	// software NFA is not bound by the §3.3 per-array capacity.
 	compile.Options
 	// DFAStateCap bounds the materialized-DFA fast path for general
-	// patterns; patterns whose subset construction exceeds it run as
-	// NFAs. 0 means 2048; negative disables the DFA path.
+	// patterns; patterns whose subset construction exceeds it run on the
+	// NBVA engine as machines without bit vectors. 0 means 2048; negative
+	// disables the DFA path.
 	DFAStateCap int
 	// DisablePrefilter forces every Shift-And pattern onto the always-on
 	// scan path, bypassing the mandatory-literal prefilter. The
@@ -121,7 +123,7 @@ type Options struct {
 	DisablePrefilter bool
 	// SFAStateCap bounds the union subset construction backing
 	// Session.ScanParallel (the Simultaneous-FA data-parallel scan): the
-	// DFA/NFA-engine patterns of the set are merged into one streaming
+	// DFA-engine patterns of the set are merged into one streaming
 	// DFA whose state count must stay under the cap, or parallel scans
 	// fall back to the serial path with ErrNotParallelizable. 0 means
 	// 4096; negative disables parallel scanning for the matcher.
@@ -234,7 +236,6 @@ func (m *Matcher) at(j int) (lane, int) {
 type laneSet struct {
 	sa [2]shiftAndLane // prefiltered, always-on
 	nb nbvaLane
-	nf nfaLane
 	dl dfaLane
 }
 
@@ -266,19 +267,10 @@ func (p *prefix[T]) slice() []T {
 // same reports whether a and b are one slice.
 func same[T any](a, b []T) bool { return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0]) }
 
-// alwaysOn is the prefilter verdict of a pattern whose engine steps every
-// byte.
-var alwaysOn = [...]prefilter.Verdict{
-	EngineNBVA: {Reason: "engine nbva is always-on"},
-	EngineNFA:  {Reason: "engine nfa is always-on"},
-	EngineDFA:  {Reason: "engine dfa is always-on"},
-}
-
-// buildDFA returns the streaming DFA nfa scans with, nil when it steps as
-// an NFA: a small table, when constructible and the pattern has no
-// anchoring or empty-match subtleties.
+// buildDFA returns the streaming DFA nfa scans with, nil when its subset
+// construction outgrows cap or cap is negative.
 func buildDFA(nfa *automata.NFA, cap int) *automata.DFA {
-	if cap <= 0 || nfa.StartAnchored || nfa.EndAnchored || nfa.MatchesEmpty {
+	if cap <= 0 {
 		return nil
 	}
 	dfa, err := automata.BuildDFA(nfa, cap)
@@ -291,8 +283,8 @@ func buildDFA(nfa *automata.NFA, cap int) *automata.DFA {
 // FromResult lowers a compile.Result onto the software engines: LNFA
 // sequences pack into the Shift-And machines (behind the literal
 // prefilter when the pattern's AST has a mandatory literal set), NBVA
-// machines run as compiled, and NFAs run as bitset NFAs or — when small,
-// unanchored and ε-free — as a materialized DFA. The matcher is
+// machines run as compiled, and NFAs as a materialized DFA or, past its
+// cap, as NBVA machines without bit vectors. The matcher is
 // all-or-nothing: the first per-pattern failure of res, in pattern
 // order, is returned as is.
 func FromResult(res *compile.Result, opts Options) (*Matcher, error) {
@@ -304,15 +296,16 @@ func FromResult(res *compile.Result, opts Options) (*Matcher, error) {
 // it. A pattern res took from the Result either was lowered from
 // (compile.Recompile shares its machine and records its slot in From or
 // FromOlder) takes that matcher's DFA table or NBVA kernel, by pointer,
-// since no scan writes to either, and its prefilter analysis, looked up by
-// that slot. Each lane's slices stay views of the same lane of an earlier
-// generation while they hold the same members, so a lane the edit left as
-// it was allocates nothing, and a Shift-And lane whose members — sequences,
-// by pointer, in order — are those of a lane of prev or older takes that
-// lane's machine and prefilter whole; only a lane whose membership changed
-// is packed and its literal union built again. The Matcher equals
-// FromResult(res, opts) in engines, kernels, verdicts and match order. A
-// nil prev and older is FromResult.
+// since no scan writes to either (a DFA cap miss its NBVA machine, so no
+// failed subset construction runs again), and its prefilter analysis,
+// looked up by that slot. Each lane's slices stay views of the same lane
+// of an earlier generation while they hold the same members, so a lane the
+// edit left as it was allocates nothing, and a Shift-And lane whose
+// members — sequences, by pointer, in order — are those of a lane of prev
+// or older takes that lane's machine and prefilter whole; only a lane
+// whose membership changed is packed and its literal union built again.
+// The Matcher equals FromResult(res, opts) in engines, kernels, verdicts
+// and match order. A nil prev and older is FromResult.
 func Relower(prev, older *Matcher, res *compile.Result, opts Options) (*Matcher, error) {
 	if len(res.Errors) > 0 {
 		return nil, res.Errors[0]
@@ -335,7 +328,7 @@ func Relower(prev, older *Matcher, res *compile.Result, opts Options) (*Matcher,
 		saMembers[k].old, saPatterns[k].old, saAnalyses[k].old = o.members, o.patterns, o.analyses
 	}
 	nbMachines, nbKernels, nbPatterns := prefix[*nbva.Machine]{old: old.nb.machines}, prefix[*nbva.Kernel]{old: old.nb.kernels}, prefix[int]{old: old.nb.patterns}
-	nfNFAs, nfPatterns := prefix[*automata.NFA]{old: old.nf.nfas}, prefix[int]{old: old.nf.patterns}
+	nbNFAs := prefix[*automata.NFA]{old: old.nb.nfas}
 	dlDFAs, dlNFAs, dlPatterns := prefix[*automata.DFA]{old: old.dl.dfas}, prefix[*automata.NFA]{old: old.dl.nfas}, prefix[int]{old: old.dl.patterns}
 	for i := range res.Regexes {
 		c := &res.Regexes[i]
@@ -377,20 +370,21 @@ func Relower(prev, older *Matcher, res *compile.Result, opts Options) (*Matcher,
 			}
 			nbMachines.add(c.NBVA)
 			nbKernels.add(k)
+			nbNFAs.add(nil)
 			nbPatterns.add(i)
 		case compile.ModeNFA:
-			// A table is kept only under the same cap; a pattern stepped as
-			// an NFA keeps the nil table.
+			// A DFA table, or the machine of a cap miss, is kept only under
+			// the same cap.
 			var dfa *automata.DFA
-			ok := false
-			switch o := l.(type) {
-			case *dfaLane:
-				dfa, ok = o.dfas[at], o.nfas[at] == c.NFA
-			case *nfaLane:
-				ok = o.nfas[at] == c.NFA
-			}
-			if !ok || gen.opts.DFAStateCap != opts.DFAStateCap {
-				dfa = buildDFA(c.NFA, opts.DFAStateCap)
+			var mach *nbva.Machine
+			var k *nbva.Kernel
+			if o, ok := l.(*dfaLane); ok && o.nfas[at] == c.NFA && gen.opts.DFAStateCap == opts.DFAStateCap {
+				dfa = o.dfas[at]
+			} else if o, ok := l.(*nbvaLane); ok && o.nfas[at] == c.NFA && gen.opts.DFAStateCap == opts.DFAStateCap {
+				mach, k = o.machines[at], o.kernels[at]
+			} else if dfa = buildDFA(c.NFA, opts.DFAStateCap); dfa == nil {
+				mach = nbva.FromNFA(c.NFA)
+				k = nbva.NewKernel(mach)
 			}
 			if dfa != nil {
 				dlDFAs.add(dfa)
@@ -398,8 +392,10 @@ func Relower(prev, older *Matcher, res *compile.Result, opts Options) (*Matcher,
 				dlPatterns.add(i)
 				break
 			}
-			nfNFAs.add(c.NFA)
-			nfPatterns.add(i)
+			nbMachines.add(mach)
+			nbKernels.add(k)
+			nbNFAs.add(c.NFA)
+			nbPatterns.add(i)
 		}
 	}
 	k := m.kinds
@@ -409,18 +405,17 @@ func Relower(prev, older *Matcher, res *compile.Result, opts Options) (*Matcher,
 			return nil, err
 		}
 	}
-	k.nb = nbvaLane{machines: nbMachines.slice(), kernels: nbKernels.slice(), patterns: nbPatterns.slice()}
+	k.nb = nbvaLane{machines: nbMachines.slice(), kernels: nbKernels.slice(), nfas: nbNFAs.slice(), patterns: nbPatterns.slice()}
 	for _, kernel := range k.nb.kernels {
 		if kernel != nil {
 			k.nb.words += kernel.Words()
 		}
 	}
-	k.nf = nfaLane{nfas: nfNFAs.slice(), patterns: nfPatterns.slice()}
 	k.dl = dfaLane{dfas: dlDFAs.slice(), nfas: dlNFAs.slice(), patterns: dlPatterns.slice()}
 	if k.dl.loop = old.dl.loop; !same(old.dl.dfas, k.dl.dfas) {
 		k.dl.loop = automata.NewWakeLoop(k.dl.dfas)
 	}
-	for _, l := range []lane{&k.sa[0], &k.sa[1], &k.nb, &k.nf, &k.dl} {
+	for _, l := range []lane{&k.sa[0], &k.sa[1], &k.nb, &k.dl} {
 		if len(l.pats()) > 0 {
 			m.lanes = append(m.lanes, l)
 		}
@@ -492,7 +487,7 @@ func (m *Matcher) report() {
 		tier := m.PrefilterTier()
 		for _, l := range m.lanes {
 			for j, p := range l.pats() {
-				m.engines[p], m.verdicts[p] = l.engine(), alwaysOn[l.engine()] // they step every byte
+				m.engines[p], m.verdicts[p] = l.engine(), prefilter.Verdict{Reason: "engine " + l.engine().String() + " is always-on"}
 				if sa, ok := l.(*shiftAndLane); ok {
 					if m.verdicts[p] = sa.analyses[j].verdict; m.verdicts[p].Prefilterable {
 						m.verdicts[p].Tier = tier
@@ -528,8 +523,9 @@ func (m *Matcher) PrefilterKernel() string {
 // scanner it waits behind ("shiftand-multi behind teddy fp3 stride4"),
 // "word64" or — for a machine with more than
 // nbva.MaxKernelStates control states — "step" for an NBVA pattern,
-// followed by its control-state and bit-vector sizes, "nfa-step", and
-// "dfa-table" for a DFA pattern.
+// followed by its control-state and bit-vector sizes (an NFA past the DFA
+// cap is one with 0 BV bits), and "dfa-table" for a DFA pattern, anchored
+// and nullable ones included.
 func (m *Matcher) Kernels() []string {
 	out := make([]string, m.n)
 	for _, l := range m.lanes {

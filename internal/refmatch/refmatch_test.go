@@ -242,6 +242,37 @@ func BenchmarkScan100Patterns(b *testing.B) {
 	}
 }
 
+// BenchmarkAnchoredSets scans 1 MiB with three general patterns in four
+// forms: plain, start-anchored, end-anchored and starred (so nullable).
+// Every form runs on dfa-table, so the four should scan at about one
+// speed; ns/B is the scan time per input byte.
+func BenchmarkAnchoredSets(b *testing.B) {
+	base := []string{"abc[0-9]+def", "x(y|z)*q", "[a-f]+9z"}
+	r := rand.New(rand.NewSource(1))
+	input := make([]byte, 1<<20)
+	for i := range input {
+		input[i] = "abcdefxyzq0129 "[r.Intn(15)]
+	}
+	for _, form := range []struct{ name, pre, post string }{{"plain", "", ""}, {"start", "^", ""}, {"end", "", "$"}, {"star", "(", ")*"}} {
+		patterns := make([]string, len(base))
+		for i, p := range base {
+			patterns[i] = form.pre + p + form.post
+		}
+		m := compilePar(b, patterns, Options{})
+		if k := m.Kernels(); !reflect.DeepEqual(k, []string{"dfa-table", "dfa-table", "dfa-table"}) {
+			b.Fatalf("%q: kernels %q", patterns, k)
+		}
+		s, dst := m.NewSession(), []Match(nil)
+		b.Run(form.name, func(b *testing.B) {
+			b.SetBytes(int64(len(input)))
+			for i := 0; i < b.N; i++ {
+				dst = s.ScanInto(input, dst[:0])
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(input)), "ns/B")
+		})
+	}
+}
+
 func TestDFAFastPathAgreesWithNFA(t *testing.T) {
 	// The same pattern set with the DFA path disabled must produce
 	// identical matches.

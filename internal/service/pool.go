@@ -107,18 +107,16 @@ func newPool(workers, queueDepth int) *pool {
 // submit enqueues untenanted unit-cost work on flow's shard — the
 // compile pool and direct API paths without a tenant context use this.
 func (p *pool) submit(flow uint64, run func()) error {
-	return p.submitTask(flow, nil, 1, run)
+	return p.submitTask(flow, nil, 1, false, run)
 }
 
 // submitTask enqueues run on flow's shard under ten's queue with the
 // given DRR cost. It fails fast with ErrQueueFull when that tenant's
 // queue on the shard is at capacity — the caller turns this into
 // backpressure rather than blocking the accept path, and other tenants'
-// queues are unaffected.
-func (p *pool) submitTask(flow uint64, ten *qos.Tenant, cost int64, run func()) error {
-	if cost < 1 {
-		cost = 1
-	}
+// queues are unaffected. With admit, ten's bucket is charged cost bytes
+// (AdmitScan) once the queue has room: a queue-full refusal spends none.
+func (p *pool) submitTask(flow uint64, ten *qos.Tenant, cost int64, admit bool, run func()) error {
 	name := ""
 	if ten != nil {
 		name = ten.Name()
@@ -134,15 +132,21 @@ func (p *pool) submitTask(flow uint64, ten *qos.Tenant, cost int64, run func()) 
 		tq = &tenantQueue{ten: ten, q: stream.NewFIFO[task](p.queueDepth)}
 		sh.queues[name] = tq
 	}
-	wasEmpty := tq.q.Empty()
-	if !tq.q.Push(task{flow: flow, cost: cost, run: run}) {
+	if tq.q.Full() {
 		sh.mu.Unlock()
 		p.rejected.Inc()
 		return ErrQueueFull
 	}
-	if wasEmpty {
+	if admit {
+		if err := ten.AdmitScan(int(cost)); err != nil {
+			sh.mu.Unlock()
+			return err
+		}
+	}
+	if tq.q.Empty() {
 		sh.ring = append(sh.ring, tq)
 	}
+	tq.q.Push(task{flow: flow, cost: max(cost, 1), run: run})
 	p.submitted.Inc()
 	p.queued.Add(1)
 	sh.cond.Signal()

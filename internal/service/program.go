@@ -42,7 +42,8 @@ type CompileOptions struct {
 }
 
 // validate rejects an unknown ModePolicy and a negative front-end bound
-// before they reach a compile. A negative DFAStateCap disables the DFA path.
+// before they reach a compile. A negative DFAStateCap disables the DFA path:
+// every NFA then runs on the NBVA engine as a machine without bit vectors.
 func (o CompileOptions) validate() error {
 	if o.LinearBudgetFactor < 0 || o.UnfoldThreshold < 0 || o.MaxNFAStates < 0 {
 		return fmt.Errorf("service: linear_budget_factor, unfold_threshold and max_nfa_states must not be negative")

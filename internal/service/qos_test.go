@@ -51,10 +51,10 @@ func TestPoolWeightedFairness(t *testing.T) {
 	}
 	ta, tb := reg.Tenant("a"), reg.Tenant("b")
 	for i := 0; i < 100; i++ {
-		if err := p.submitTask(1, ta, drrQuantum, record("a")); err != nil {
+		if err := p.submitTask(1, ta, drrQuantum, false, record("a")); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.submitTask(2, tb, drrQuantum, record("b")); err != nil {
+		if err := p.submitTask(2, tb, drrQuantum, false, record("b")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -165,6 +165,50 @@ func TestScanAdmissionRetryAfterHeader(t *testing.T) {
 	}
 	if got := rec2.Header().Get("Retry-After"); got != "2" {
 		t.Fatalf("Retry-After = %q, want %q (16 bytes / 10 B/s rounded up)", got, "2")
+	}
+}
+
+// TestQueueFullSpendsNoTokens: a scan its tenant's full queue refuses is a
+// 429 that leaves the tenant's bucket where it was.
+func TestQueueFullSpendsNoTokens(t *testing.T) {
+	svc := New(Config{Workers: 1, QueueDepth: 2, Clock: clock.NewManual(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)),
+		QoS: qos.Config{Tenants: map[string]qos.Limits{"t": {ScanBytesPerSec: 10, BurstBytes: 1 << 10}}}})
+	defer svc.Close()
+	ctx := context.Background()
+	prog, _, err := svc.Compile(ctx, []string{"needle"}, CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One task holds the worker, and two scans of the tenant fill its queue.
+	gate, started := make(chan struct{}), make(chan struct{})
+	if err := svc.pool.submit(0, func() { close(started); <-gate }); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	tctx, data := qos.WithTenant(ctx, "t"), []byte("hay needle hay")
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := svc.Scan(tctx, prog.ID, data); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	for svc.pool.queued.Value() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	ten := svc.QoS().Tenant("t")
+	level := ten.Snapshot().BucketLevelBytes
+	_, err = svc.Scan(tctx, prog.ID, data)
+	close(gate)
+	wg.Wait()
+	if !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("scan past the full queue: %v, want %v", err, ErrQueueFull)
+	}
+	if got := ten.Snapshot().BucketLevelBytes; got != level {
+		t.Errorf("the refused scan moved the bucket from %d to %d bytes", level, got)
 	}
 }
 

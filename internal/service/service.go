@@ -397,13 +397,15 @@ func (s *Service) lookup(tr *telemetry.Trace, programID string) (*Program, bool)
 }
 
 // runOn executes fn on the pool shard of flow under ten's fair-share
-// queue with the given DRR cost (input bytes; min 1) and waits for it.
-// The gap between submission and execution is the queue-wait stage,
-// observed both service-wide and on the tenant's own histogram.
-func (s *Service) runOn(tr *telemetry.Trace, ten *qos.Tenant, flow uint64, cost int, fn func()) error {
+// queue with the given DRR cost (input bytes; min 1) and waits for it;
+// with admit, ten's byte bucket must admit cost once the queue has room
+// (pool.submitTask). The gap between submission and execution is the
+// queue-wait stage, observed both service-wide and on the tenant's own
+// histogram.
+func (s *Service) runOn(tr *telemetry.Trace, ten *qos.Tenant, flow uint64, cost int, admit bool, fn func()) error {
 	enqueued := time.Now()
 	done := make(chan struct{})
-	if err := s.pool.submitTask(flow, ten, int64(cost), func() {
+	if err := s.pool.submitTask(flow, ten, int64(cost), admit, func() {
 		defer close(done)
 		wait := time.Since(enqueued)
 		s.stageQueueWait.ObserveExemplar(wait, tr.ID())
@@ -433,12 +435,9 @@ func (s *Service) Scan(ctx context.Context, programID string, data []byte) ([]re
 		return nil, fmt.Errorf("%w: program %s", ErrNotFound, programID)
 	}
 	ten := s.tenant(ctx)
-	if err := ten.AdmitScan(len(data)); err != nil {
-		return nil, err
-	}
 	var matches []refmatch.Match
 	var pf prefilter.Stats
-	err := s.runOn(tr, ten, s.nextFlow.Add(1), len(data), func() {
+	err := s.runOn(tr, ten, s.nextFlow.Add(1), len(data), true, func() {
 		st := prog.getSession()
 		scanStart := time.Now()
 		matches = st.ScanInto(data, nil)
@@ -527,15 +526,12 @@ func (s *Service) feed(ctx context.Context, sessionID string, chunk []byte) ([]r
 	if err != nil {
 		return nil, 0, err
 	}
-	if err := sess.owner.AdmitScan(len(chunk)); err != nil {
-		return nil, 0, err
-	}
 	tr := telemetry.TraceFromContext(ctx)
 	var matches []refmatch.Match
 	var offset int
 	var pf prefilter.Stats
 	closed := false
-	err = s.runOn(tr, sess.owner, sess.flow, len(chunk), func() {
+	err = s.runOn(tr, sess.owner, sess.flow, len(chunk), true, func() {
 		if sess.closed {
 			closed = true
 			return
@@ -570,7 +566,7 @@ func (s *Service) CloseSession(ctx context.Context, sessionID string) ([]refmatc
 	tr := telemetry.TraceFromContext(ctx)
 	var final []refmatch.Match
 	closed := false
-	err = s.runOn(tr, sess.owner, sess.flow, 1, func() {
+	err = s.runOn(tr, sess.owner, sess.flow, 1, false, func() {
 		if sess.closed {
 			closed = true
 			return

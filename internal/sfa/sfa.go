@@ -118,7 +118,7 @@ func Build(nfas []*automata.NFA, patternIdx []int, cap int) (*Machine, error) {
 		base += len(n.States)
 	}
 
-	sub, err := automata.Determinize(classes, follow, initial, cap)
+	sub, err := automata.Determinize(classes, follow, initial, false, cap)
 	if err != nil {
 		return nil, fmt.Errorf("sfa: union DFA over %d patterns: %w", len(nfas), err)
 	}

@@ -73,7 +73,8 @@ type Stats struct {
 	Windows      int64 `json:"windows"`   // merged candidate windows delivered
 	WindowNS     int64 `json:"window_ns"` // time locating candidate windows
 	// DirtyBlocks is simdscan.TeddyState.DirtyBlocks: 16-byte blocks the
-	// pair filter could not clear. Zero off the fingerprint tier.
+	// Teddy kernel could not clear without an exact look (what that means
+	// depends on the kernel, Set.Kernel). Zero off the fingerprint tier.
 	DirtyBlocks int64 `json:"dirty_blocks"`
 }
 

@@ -142,17 +142,14 @@ func NewSetAC(lits [][]byte, window int) (*Set, error) {
 // Tier returns the candidate-scanner representation the set compiled to.
 func (s *Set) Tier() Tier { return s.tier }
 
-// Kernel names the candidate scan loop the set runs: the tier and, on the
-// fingerprint tier, its fingerprint length and pair-filter stride, e.g.
-// "teddy fp3 stride4" ("teddy fp2" when a 2-byte literal leaves no stride).
+// Kernel names the candidate scan loop the set runs: the tier, or on the
+// fingerprint tier the Teddy kernel the host runs (simdscan.Teddy.Kernel,
+// e.g. "teddy fp3 avx2").
 func (s *Set) Kernel() string {
-	switch {
-	case s.teddy == nil:
+	if s.teddy == nil {
 		return s.tier.String()
-	case s.teddy.Stride() == 0:
-		return fmt.Sprintf("teddy fp%d", s.teddy.Fingerprint())
 	}
-	return fmt.Sprintf("teddy fp%d stride%d", s.teddy.Fingerprint(), s.teddy.Stride())
+	return s.teddy.Kernel()
 }
 
 // buildAC constructs the goto trie, resolves fail links breadth-first and

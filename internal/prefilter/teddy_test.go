@@ -4,11 +4,38 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"repro/internal/simdscan"
 )
 
+// eachKernel runs f once per Teddy kernel this host has: the portable one,
+// and the AVX2 one where simdscan chose it at init.
+func eachKernel(t *testing.T, f func(t *testing.T)) {
+	defer func(host bool) { simdscan.UseAVX2 = host }(simdscan.UseAVX2)
+	for _, avx2 := range []bool{false, true} {
+		if avx2 && !simdscan.UseAVX2 {
+			continue
+		}
+		simdscan.UseAVX2 = avx2
+		t.Run(hostKernel("go", "avx2"), f)
+	}
+}
+
+// hostKernel returns portable, or avx2 while simdscan runs the AVX2 kernel.
+func hostKernel(portable, avx2 string) string {
+	if simdscan.UseAVX2 {
+		return avx2
+	}
+	return portable
+}
+
 // TestTierSelection pins the representation each literal-set shape
-// compiles to.
+// compiles to, and the name of the kernel it runs under each Teddy kernel.
 func TestTierSelection(t *testing.T) {
+	eachKernel(t, testTierSelection)
+}
+
+func testTierSelection(t *testing.T) {
 	cases := []struct {
 		lits   []string
 		want   Tier
@@ -17,9 +44,9 @@ func TestTierSelection(t *testing.T) {
 		{[]string{"a"}, TierMemchr, "memchr"},
 		{[]string{"a", "a"}, TierMemchr, "memchr"},
 		{[]string{"a", "b"}, TierByteTable, "bytetable"},
-		{[]string{"ab"}, TierTeddy, "teddy fp2"},
-		{[]string{"needle", "pin", "tack"}, TierTeddy, "teddy fp3 stride2"},
-		{[]string{"key07", "key19"}, TierTeddy, "teddy fp3 stride4"},
+		{[]string{"ab"}, TierTeddy, hostKernel("teddy fp2", "teddy fp2 avx2")},
+		{[]string{"needle", "pin", "tack"}, TierTeddy, hostKernel("teddy fp3 stride2", "teddy fp3 avx2")},
+		{[]string{"key07", "key19"}, TierTeddy, hostKernel("teddy fp3 stride4", "teddy fp3 avx2")},
 		{[]string{"ab", "c"}, TierAC, "ac"}, // single-byte literal blocks fingerprints
 	}
 	var many []string
@@ -84,7 +111,8 @@ func streamRanges(s *Set, data []byte, chunkSizes []int) string {
 // Teddy scanner must deliver byte-for-byte the same candidate ranges,
 // resets, and literal-hit count as the same literals compiled straight to
 // the Aho-Corasick DFA — including literal occurrences split across chunk
-// boundaries, which the fuzzer controls through the chunk size byte.
+// boundaries, which the fuzzer controls through the chunk size byte —
+// under each Teddy kernel the host has.
 func FuzzFingerprintDifferential(f *testing.F) {
 	f.Add([]byte("ab,cd"), []byte("xxabyycdxx"), uint8(3))
 	f.Add([]byte("needle"), []byte("say needle twice: needleneedle"), uint8(1))
@@ -124,11 +152,12 @@ func FuzzFingerprintDifferential(f *testing.F) {
 		}
 
 		sizes := []int{1 + int(chunk)%64}
-		got := streamRanges(teddySet, data, sizes)
 		want := streamRanges(acSet, data, sizes)
-		if got != want {
-			t.Fatalf("lits %q chunk %d:\nteddy %s\nac    %s", lits, sizes[0], got, want)
-		}
+		eachKernel(t, func(t *testing.T) {
+			if got := streamRanges(teddySet, data, sizes); got != want {
+				t.Fatalf("lits %q chunk %d:\nteddy %s\nac    %s", lits, sizes[0], got, want)
+			}
+		})
 	})
 }
 
@@ -149,20 +178,27 @@ func TestFingerprintDifferentialSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sizes := range [][]int{{1}, {2}, {5}, {len(data)}} {
-		got := streamRanges(teddySet, data, sizes)
-		want := streamRanges(acSet, data, sizes)
-		if got != want {
-			t.Fatalf("chunks %v:\nteddy %s\nac    %s", sizes, got, want)
+	eachKernel(t, func(t *testing.T) {
+		for _, sizes := range [][]int{{1}, {2}, {5}, {len(data)}} {
+			got := streamRanges(teddySet, data, sizes)
+			want := streamRanges(acSet, data, sizes)
+			if got != want {
+				t.Fatalf("chunks %v:\nteddy %s\nac    %s", sizes, got, want)
+			}
 		}
-	}
+	})
 }
 
-// TestDirtyBlocksStat: the stream reports how many blocks went through
-// the exact loop because the pair filter could not clear them — none on
-// traffic that carries no literal fragment, the dirty block and the
-// unprobed one behind it per planted literal — and Reset clears it.
+// TestDirtyBlocksStat: the stream reports how many blocks the kernel
+// could not clear — none on traffic that carries no literal fragment; per
+// planted literal, the dirty block and the unprobed one behind it on the
+// portable kernel, the block holding the candidate on AVX2 — and Reset
+// clears it.
 func TestDirtyBlocksStat(t *testing.T) {
+	eachKernel(t, testDirtyBlocksStat)
+}
+
+func testDirtyBlocksStat(t *testing.T) {
 	set, err := NewSet([][]byte{[]byte("key07"), []byte("key19")}, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -181,8 +217,12 @@ func TestDirtyBlocksStat(t *testing.T) {
 		copy(planted[p:], "key19")
 	}
 	got := scan(planted)
-	if got.LiteralHits != 5 || got.DirtyBlocks != 10 {
-		t.Fatalf("5 planted literals: %+v, want 5 hits and 10 dirty blocks", got)
+	perHit := int64(2) // the dirty block and the unprobed one behind it
+	if simdscan.UseAVX2 {
+		perHit = 1 // the block holding the candidate
+	}
+	if got.LiteralHits != 5 || got.DirtyBlocks != 5*perHit {
+		t.Fatalf("5 planted literals: %+v, want 5 hits and %d dirty blocks", got, 5*perHit)
 	}
 	if again := scan(clean); again.DirtyBlocks != got.DirtyBlocks {
 		t.Fatalf("a clean chunk moved DirtyBlocks %d -> %d", got.DirtyBlocks, again.DirtyBlocks)

@@ -11,6 +11,7 @@ import (
 	"repro/internal/compile"
 	"repro/internal/nbva"
 	"repro/internal/regexast"
+	"repro/internal/simdscan"
 	"repro/internal/workload"
 )
 
@@ -266,11 +267,19 @@ func TestKernelsNamesEveryEngine(t *testing.T) {
 		t.Errorf("Kernels = %q, want %q", got, want)
 	}
 	m = compilePar(t, patterns[:1], Options{})
-	if got := m.Kernels(); !reflect.DeepEqual(got, []string{"shiftand-multi behind teddy fp3 stride2"}) {
-		t.Errorf("Kernels = %q, want [shiftand-multi behind teddy fp3 stride2]", got)
+	defer func(host bool) { simdscan.UseAVX2 = host }(simdscan.UseAVX2)
+	teddies := map[bool]string{false: "teddy fp3 stride2"}
+	if simdscan.UseAVX2 {
+		teddies[true] = "teddy fp3 avx2"
 	}
-	if got := m.PrefilterKernel(); got != "teddy fp3 stride2" {
-		t.Errorf("PrefilterKernel = %q, want teddy fp3 stride2", got)
+	for avx2, teddy := range teddies {
+		simdscan.UseAVX2 = avx2
+		if got := m.Kernels(); !reflect.DeepEqual(got, []string{"shiftand-multi behind " + teddy}) {
+			t.Errorf("Kernels = %q, want [shiftand-multi behind %s]", got, teddy)
+		}
+		if got := m.PrefilterKernel(); got != teddy {
+			t.Errorf("PrefilterKernel = %q, want %s", got, teddy)
+		}
 	}
 	forced := compilePar(t, patterns[1:2], Options{Options: compile.Options{ModePolicy: compile.ForceNFA}})
 	if got := fmt.Sprint(forced.Kernels()); got != "[dfa-table]" {

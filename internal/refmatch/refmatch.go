@@ -520,7 +520,7 @@ func (m *Matcher) PrefilterKernel() string {
 // Kernels names, per pattern, the software loop that scans it:
 // "shiftand-multi" for a linear pattern, the one Shift-And chunk loop of
 // every machine width, and for a prefiltered pattern the candidate
-// scanner it waits behind ("shiftand-multi behind teddy fp3 stride4"),
+// scanner it waits behind ("shiftand-multi behind teddy fp3 avx2"),
 // "word64" or — for a machine with more than
 // nbva.MaxKernelStates control states — "step" for an NBVA pattern,
 // followed by its control-state and bit-vector sizes (an NFA past the DFA

@@ -230,7 +230,8 @@ type ProgramStats struct {
 	// PrefilterTier is the candidate-scanner tier of the compiled literal
 	// union (memchr, bytetable, teddy, ac), empty when nothing prefilters.
 	PrefilterTier string `json:"prefilter_tier,omitempty"`
-	// PrefilterKernel is the scan loop behind that tier ("teddy fp3 stride4").
+	// PrefilterKernel is the scan loop behind that tier, which the host's
+	// CPU chooses ("teddy fp3 avx2", or "teddy fp3 stride4" without AVX2).
 	PrefilterKernel string    `json:"prefilter_kernel,omitempty"`
 	CreatedAt       time.Time `json:"created_at"`
 	Generation      int64     `json:"generation"`

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -443,7 +444,7 @@ func (s *Service) Scan(ctx context.Context, programID string, data []byte) ([]re
 		matches = st.ScanInto(data, nil)
 		s.observeStage(s.stageScan, tr, "scan", scanStart)
 		pf = st.PrefilterStats()
-		s.observePrefilter(tr, scanStart, pf)
+		s.observePrefilter(tr, prog.Matcher, scanStart, pf)
 		prog.putSession(st)
 	})
 	if err != nil {
@@ -456,14 +457,23 @@ func (s *Service) Scan(ctx context.Context, programID string, data []byte) ([]re
 // observePrefilter folds one request's prefilter time into the stage
 // histogram and trace. The prefilter runs interleaved inside the scan
 // stage; its span starts at the scan start with the summed literal-scan
-// duration, making the hit/skip economics visible per request.
-func (s *Service) observePrefilter(tr *telemetry.Trace, scanStart time.Time, pf prefilter.Stats) {
+// duration, making the hit/skip economics visible per request. The span
+// names the tier and the kernel, which depends on the host's CPU, and
+// carries the request's skipped bytes and dirty blocks.
+func (s *Service) observePrefilter(tr *telemetry.Trace, m *refmatch.Matcher, scanStart time.Time, pf prefilter.Stats) {
 	if pf.ScannedBytes == 0 && pf.SkippedBytes == 0 && pf.WindowNS == 0 {
 		return
 	}
 	d := time.Duration(pf.WindowNS)
 	s.stagePrefilter.Observe(d)
-	tr.AddSpan("prefilter", scanStart, d)
+	if tr == nil {
+		return
+	}
+	tr.AddSpan("prefilter", scanStart, d,
+		telemetry.L("tier", m.PrefilterTier()),
+		telemetry.L("kernel", m.PrefilterKernel()),
+		telemetry.L("skipped_bytes", strconv.FormatInt(pf.SkippedBytes, 10)),
+		telemetry.L("dirty_blocks", strconv.FormatInt(pf.DirtyBlocks, 10)))
 }
 
 // OpenSession opens a streaming session against a cached program and
@@ -543,7 +553,7 @@ func (s *Service) feed(ctx context.Context, sessionID string, chunk []byte) ([]r
 		total := sess.stream.PrefilterStats()
 		pf = total.Sub(sess.pfSnap)
 		sess.pfSnap = total
-		s.observePrefilter(tr, scanStart, pf)
+		s.observePrefilter(tr, sess.prog.Matcher, scanStart, pf)
 	})
 	if err != nil {
 		return nil, 0, err
@@ -708,7 +718,7 @@ type PrefilterStats struct {
 	SkippedBytes int64   `json:"skipped_bytes"`
 	LiteralHits  int64   `json:"literal_hits"`
 	Windows      int64   `json:"windows"`
-	DirtyBlocks  int64   `json:"dirty_blocks"` // 16-byte blocks teddy scanned exactly behind a failed pair-filter probe
+	DirtyBlocks  int64   `json:"dirty_blocks"` // 16-byte blocks the teddy kernel could not clear (prefilter.Stats.DirtyBlocks)
 	SkipRatio    float64 `json:"skip_ratio"`
 }
 

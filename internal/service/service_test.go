@@ -3,15 +3,21 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/refmatch"
+	"repro/internal/simdscan"
+	"repro/internal/telemetry"
 )
 
 func sortMatches(ms []refmatch.Match) {
@@ -429,10 +435,22 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 }
 
 // TestPrefilterKernelAndDirtyBlocks: the program names the candidate scan
-// loop it runs, and the service counts the blocks the pair filter could
-// not clear — none on traffic without a literal fragment, some once
-// literals are planted.
+// loop it runs, which the host's CPU chooses, and the service counts the
+// blocks the kernel could not clear — none on traffic without a literal
+// fragment, some once literals are planted.
 func TestPrefilterKernelAndDirtyBlocks(t *testing.T) {
+	defer func(host bool) { simdscan.UseAVX2 = host }(simdscan.UseAVX2)
+	kernels := []bool{false}
+	if simdscan.UseAVX2 {
+		kernels = append(kernels, true)
+	}
+	for _, avx2 := range kernels {
+		simdscan.UseAVX2 = avx2
+		t.Run(fmt.Sprint("avx2=", avx2), testPrefilterKernelAndDirtyBlocks)
+	}
+}
+
+func testPrefilterKernelAndDirtyBlocks(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
 	ctx := context.Background()
@@ -440,8 +458,12 @@ func TestPrefilterKernelAndDirtyBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ps := prog.Stats(); ps.PrefilterTier != "teddy" || ps.PrefilterKernel != "teddy fp3 stride4" {
-		t.Fatalf("tier %q kernel %q, want teddy and teddy fp3 stride4", ps.PrefilterTier, ps.PrefilterKernel)
+	kernel, perHit := "teddy fp3 stride4", int64(2) // the dirty block and the unprobed one behind it
+	if simdscan.UseAVX2 {
+		kernel, perHit = "teddy fp3 avx2", 1 // the block holding the candidate
+	}
+	if ps := prog.Stats(); ps.PrefilterTier != "teddy" || ps.PrefilterKernel != kernel {
+		t.Fatalf("tier %q kernel %q, want teddy and %s", ps.PrefilterTier, ps.PrefilterKernel, kernel)
 	}
 	body := bytes.Repeat([]byte("zzzzzzzzyk"), 200)
 	if _, err := s.Scan(ctx, prog.ID, body); err != nil {
@@ -455,7 +477,53 @@ func TestPrefilterKernelAndDirtyBlocks(t *testing.T) {
 	if err != nil || len(ms) != 1 {
 		t.Fatalf("planted scan: %v, %v; want one match", ms, err)
 	}
-	if got := s.Stats().Prefilter.DirtyBlocks; got != 2 {
-		t.Fatalf("one planted literal: %d dirty blocks, want 2 (the block and the unprobed one behind it)", got)
+	if got := s.Stats().Prefilter.DirtyBlocks; got != perHit {
+		t.Fatalf("one planted literal: %d dirty blocks, want %d", got, perHit)
+	}
+}
+
+// TestPrefilterSpanAttrs: a traced scan's prefilter span in /debug/traces
+// names the tier and the kernel that ran, and carries the request's
+// skipped bytes and dirty blocks, which agree with the service counters.
+func TestPrefilterSpanAttrs(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	defer svc.Close()
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	client := srv.Client()
+
+	var comp compileResponse
+	body, _ := json.Marshal(Ruleset{Patterns: []string{".key07.", ".key19."}})
+	doJSON(t, client, "POST", srv.URL+"/v1/programs", body, &comp)
+	data := bytes.Repeat([]byte("zzzzzzzzyk"), 200)
+	copy(data[1000:], " key19 ")
+	var scan struct{ Count int }
+	doJSON(t, client, "POST", srv.URL+"/v1/programs/"+comp.ProgramID+"/scan", data, &scan)
+	if scan.Count != 1 {
+		t.Fatalf("scan found %d matches, want 1", scan.Count)
+	}
+
+	var ring struct {
+		Traces []telemetry.TraceRecord `json:"traces"`
+	}
+	doJSON(t, client, "GET", srv.URL+"/debug/traces", nil, &ring)
+	var got map[string]string
+	for _, tr := range ring.Traces {
+		for _, sp := range tr.Spans {
+			if sp.Name == "prefilter" {
+				got = sp.Attrs
+			}
+		}
+	}
+	pf := svc.Stats().Prefilter
+	prog, _ := svc.Program(comp.ProgramID)
+	want := map[string]string{
+		"tier":          "teddy",
+		"kernel":        prog.Stats().PrefilterKernel,
+		"skipped_bytes": strconv.FormatInt(pf.SkippedBytes, 10),
+		"dirty_blocks":  strconv.FormatInt(pf.DirtyBlocks, 10),
+	}
+	if !reflect.DeepEqual(got, want) || pf.SkippedBytes == 0 || pf.DirtyBlocks == 0 {
+		t.Errorf("prefilter span attrs %v, want %v with some bytes skipped and a dirty block", got, want)
 	}
 }

@@ -1,21 +1,35 @@
-// Package simdscan holds the Teddy multi-literal scan kernel of the
-// software fast path: a pure Go routine that processes 8 input bytes per
-// loop iteration with encoding/binary lane loads, standing in for the
-// SIMD kernel a Hyperscan-class engine would write in intrinsics.
+// Package simdscan holds the Teddy multi-literal scan kernels of the
+// software fast path, two of them behind one Teddy.Scan: on an amd64 CPU
+// with AVX2, an assembly loop that tests 32 input bytes per step with
+// VPSHUFB, the way a Hyperscan-class engine writes it; elsewhere, a pure
+// Go routine that reads 8 bytes per load behind a strided pair filter.
+// UseAVX2, set from CPUID at package init, chooses; the Go kernel is also
+// the reference the fuzzers hold the AVX2 one to.
 //
 // Teddy is a multi-literal fingerprint prefilter in the lineage of
 // Hyperscan's Teddy. Literals are grouped into at most 8 buckets;
 // per fingerprint position a low-nibble and a high-nibble mask table
-// map an input byte to the set of buckets it could continue. The
-// scanner walks the input 8 bytes per load, ANDing the per-position
-// masks through a rolling window; a nonzero result names the buckets
-// whose literals may end at that byte, and a verify step confirms
-// against the actual literal bytes. On real SIMD the nibble tables
-// are PSHUFB operands examining 16 bytes per instruction; scalar Go
-// gets the same table structure with the two nibble lookups fused
-// into one 256-entry table per position.
+// map an input byte to the set of buckets it could continue. ANDing the
+// masks of the fingerprint's positions names the buckets whose literals
+// may end at a byte, and a verify step confirms against the actual
+// literal bytes.
 //
-// In front of that loop sits a strided pair filter, Hyperscan's
+// The AVX2 kernel (teddy_amd64.s) holds the six nibble tables in YMM
+// registers, both 128-bit lanes alike, and per 32-byte block looks the
+// block up as the final fingerprint position first: a block in which no
+// byte can end a literal is cleared after one load, two VPSHUFBs and a
+// VPTEST. Otherwise it looks up the same block shifted back one and two
+// bytes for the earlier positions, and returns the block's candidate
+// mask, one bit per position, to its Go caller (scanAVX2), which verifies each. A
+// 2-byte fingerprint is the 3-byte one with an all-ones first table. The
+// first two bytes of a chunk, whose fingerprints reach into the previous
+// chunk through TeddyState, and a tail shorter than a block take the
+// scalar loop; there is no pair filter in front.
+//
+// The portable kernel gets the same table structure with the two nibble
+// lookups fused into one 256-entry table per position, and walks the
+// input 8 bytes per load, ANDing the per-position masks through a
+// rolling window. In front of that loop sits a strided pair filter, Hyperscan's
 // strided literal front-end in miniature. NewTeddy builds two
 // 256-entry masks: bit j of pairA[x] says some literal has x at offset
 // len-2-j, bit j of pairB[y] that some literal has y at offset

@@ -47,20 +47,23 @@ type Teddy struct {
 	fp     int // fingerprint length: min(3, shortest literal length)
 	maxLen int // longest literal, bounds the history verification needs
 
-	// Nibble mask tables, one pair per fingerprint position j (indexing
-	// the last fp bytes of each literal): bit k of loNib[j][b&15] and of
-	// hiNib[j][b>>4] is set when some literal of bucket k has a byte with
-	// that nibble at position j. A byte can occupy position j of bucket
-	// k's fingerprint only if both its nibble masks carry bit k — this
-	// decomposition is exactly what a 16-lane PSHUFB evaluates per
-	// instruction on real SIMD.
-	loNib, hiNib [teddyMaxFinger][16]uint8
+	// Nibble mask tables, a low- and a high-nibble one per fingerprint
+	// position, counted back from the literal's last byte at nib[2]: bit
+	// k of nib[j][0][b&15] and of nib[j][1][b>>4] is set when some literal
+	// of bucket k has a byte with that nibble there. A byte can occupy the
+	// position in bucket k's fingerprint only if both its nibble masks
+	// carry bit k. These are the AVX2 kernel's VPSHUFB operands, 32 lanes
+	// per instruction; with fingerprint 2, nib[0] is all ones, so one
+	// 3-position routine serves both lengths.
+	nib [teddyMaxFinger][2][16]uint8
 
-	// fused[j][b] = loNib[j][b&15] & hiNib[j][b>>4], precomputed at build
-	// time: the scalar loop spends one load per position instead of two.
-	// Nibble false positives (a byte borrowing its low nibble from one
-	// literal and its high nibble from another in the same bucket) are
-	// preserved — verification filters them, as on hardware.
+	// fused[j][b] is the AND of b's two nibble masks at fingerprint
+	// position j (counted from the fingerprint's first byte, so fused[0]
+	// is nib[1] with fingerprint 2), precomputed at build time: the scalar
+	// loops spend one load per position instead of two. Nibble false
+	// positives (a byte borrowing its low nibble from one literal and its
+	// high nibble from another in the same bucket) are preserved —
+	// verification filters them, as on hardware.
 	fused [teddyMaxFinger][256]uint8
 
 	// buckets holds the verify literals. Literals are sorted by reversed
@@ -73,6 +76,10 @@ type Teddy struct {
 	// 2-byte literal: the filter is off.
 	stride       int
 	pairA, pairB [256]uint8
+
+	// kernel and kernelAVX2 are Kernel's names for the portable and the
+	// AVX2 kernel.
+	kernel, kernelAVX2 string
 }
 
 // TeddyState is the cross-chunk scanner state: the partial fingerprint
@@ -87,10 +94,13 @@ type TeddyState struct {
 	dirty int64
 }
 
-// DirtyBlocks returns how many 16-byte blocks a failed pair-filter probe
-// sent through the exact loop since the stream started (the dirty block
-// and the back-off run behind it). Near streamBytes/16, the traffic
-// defeats the filter.
+// DirtyBlocks returns how many 16-byte blocks since the stream started
+// the kernel could not clear without an exact look. On the portable
+// kernel, those a failed pair-filter probe sent through the exact loop
+// (the dirty block and the back-off run behind it); on the AVX2 kernel,
+// the halves of its 32-byte steps that held a fingerprint candidate and
+// so went to verify (a chunk's scalar head and tail are not counted).
+// Near streamBytes/16, the traffic defeats the filter.
 func (s TeddyState) DirtyBlocks() int64 { return s.dirty }
 
 // NewTeddy compiles a Teddy scanner for the literal set, or returns an
@@ -132,14 +142,20 @@ func NewTeddy(lits [][]byte) (*Teddy, error) {
 	case shortest > 2:
 		t.stride = 2
 	}
+	skip := teddyMaxFinger - t.fp // leading positions a short fingerprint leaves all ones
+	for j := 0; j < skip; j++ {
+		for b := range t.nib[j][0] {
+			t.nib[j][0][b], t.nib[j][1][b] = 0xff, 0xff
+		}
+	}
 	for i, l := range uniq {
 		bkt := i * teddyBuckets / len(uniq)
 		t.buckets[bkt] = append(t.buckets[bkt], l)
 		bit := uint8(1) << bkt
 		suffix := l[len(l)-t.fp:]
 		for j, b := range suffix {
-			t.loNib[j][b&0x0f] |= bit
-			t.hiNib[j][b>>4] |= bit
+			t.nib[skip+j][0][b&0x0f] |= bit
+			t.nib[skip+j][1][b>>4] |= bit
 		}
 		for j := 0; j < t.stride; j++ {
 			t.pairA[l[len(l)-2-j]] |= 1 << j
@@ -147,10 +163,16 @@ func NewTeddy(lits [][]byte) (*Teddy, error) {
 		}
 	}
 	for j := 0; j < t.fp; j++ {
+		lo, hi := &t.nib[skip+j][0], &t.nib[skip+j][1]
 		for b := 0; b < 256; b++ {
-			t.fused[j][b] = t.loNib[j][b&0x0f] & t.hiNib[j][b>>4]
+			t.fused[j][b] = lo[b&0x0f] & hi[b>>4]
 		}
 	}
+	t.kernel = fmt.Sprintf("teddy fp%d stride%d", t.fp, t.stride)
+	if t.stride == 0 {
+		t.kernel = fmt.Sprintf("teddy fp%d", t.fp)
+	}
+	t.kernelAVX2 = fmt.Sprintf("teddy fp%d avx2", t.fp)
 	return t, nil
 }
 
@@ -165,12 +187,16 @@ func lessReversed(a, b []byte) bool {
 	return len(a) < len(b)
 }
 
-// Fingerprint returns the fingerprint length in bytes (2 or 3).
-func (t *Teddy) Fingerprint() int { return t.fp }
-
-// Stride returns the pair filter's stride in bytes — 4 or 2 — or 0 when
-// the set holds a 2-byte literal and the filter is off.
-func (t *Teddy) Stride() int { return t.stride }
+// Kernel names the loop Scan runs over this set, which the host's CPU
+// chooses: "teddy fp3 avx2" where UseAVX2 is set, else the portable kernel
+// and its pair-filter stride, "teddy fp3 stride4" (4 or 2; "teddy fp2"
+// when a 2-byte literal turns the filter off). It does not allocate.
+func (t *Teddy) Kernel() string {
+	if UseAVX2 {
+		return t.kernelAVX2
+	}
+	return t.kernel
+}
 
 // Scan advances the scanner over one chunk, calling hit(i) for every
 // chunk-relative offset i at which at least one literal ends (at most
@@ -179,11 +205,96 @@ func (t *Teddy) Stride() int { return t.stride }
 // occurrences reaching back across the boundary are verified against it.
 // The returned state carries the rolling fingerprint across the boundary.
 func (t *Teddy) Scan(chunk, hist []byte, st TeddyState, hit func(end int)) TeddyState {
-	if t.fp == 2 {
-		st.r1 = t.scan2(chunk, hist, st.r1, hit)
-		return st
+	switch {
+	case UseAVX2:
+		return t.scanAVX2(chunk, hist, st, hit)
+	case t.fp == 2:
+		return t.scan2(chunk, hist, st, hit)
 	}
 	return t.scan3(chunk, hist, st, hit)
+}
+
+// UseAVX2 chooses Scan's kernel: the AVX2 one when it is true, which it
+// is from package init on an amd64 host whose CPU has AVX2 and whose OS
+// saves the YMM registers, else the portable pure Go one. Only tests
+// change it, to run both kernels on a host that has both.
+var UseAVX2 = hasAVX2()
+
+// vecBlock is how many positions one step of the AVX2 kernel tests.
+const vecBlock = 32
+
+// scanAVX2 drives the AVX2 kernel: teddyAVX2 returns the next 32-byte
+// block of the chunk holding a fingerprint candidate, with one mask bit
+// per candidate position, and verify confirms each. Positions 0 and 1,
+// whose fingerprints reach back into the previous chunk through st, and a
+// tail shorter than a block take the scalar loop; there is no pair filter.
+func (t *Teddy) scanAVX2(chunk, hist []byte, st TeddyState, hit func(end int)) TeddyState {
+	n := len(chunk)
+	if n < 2+vecBlock {
+		return t.steps(chunk, hist, 0, st, hit)
+	}
+	st = t.steps(chunk[:2], hist, 0, st, hit)
+	f0, f1, f2 := &t.fused[0], &t.fused[1], &t.fused[2]
+	i := 2
+	for {
+		j, cand := teddyAVX2(&t.nib, chunk, i)
+		if cand == 0 {
+			i = j
+			break
+		}
+		if uint16(cand) != 0 {
+			st.dirty++
+		}
+		if cand>>16 != 0 {
+			st.dirty++
+		}
+		for ; cand != 0; cand &= cand - 1 {
+			p := j + bits.TrailingZeros32(cand)
+			c := f0[chunk[p-1]] & f1[chunk[p]] // fingerprint 2
+			if t.fp == 3 {
+				c = f0[chunk[p-2]] & f1[chunk[p-1]] & f2[chunk[p]]
+			}
+			t.verify(chunk, hist, p, c, hit)
+		}
+		i = j + vecBlock
+	}
+	// The state the scalar loop would carry into position i.
+	if t.fp == 2 {
+		st.r1 = f0[chunk[i-1]]
+	} else {
+		st.r1, st.r2 = f0[chunk[i-2]]&f1[chunk[i-1]], f0[chunk[i-1]]
+	}
+	return t.steps(chunk, hist, i, st, hit)
+}
+
+// steps is the scalar fingerprint loop over chunk[i:], one position per
+// iteration: the kernels run it where a chunk is too short for their
+// blocks, and it is the definition of TeddyState.
+func (t *Teddy) steps(chunk, hist []byte, i int, st TeddyState, hit func(end int)) TeddyState {
+	f0, f1, f2 := &t.fused[0], &t.fused[1], &t.fused[2]
+	r1, r2 := st.r1, st.r2
+	if t.fp == 2 {
+		for ; i < len(chunk); i++ {
+			b := chunk[i]
+			c := r1 & f1[b]
+			r1 = f0[b]
+			if c != 0 {
+				t.verify(chunk, hist, i, c, hit)
+			}
+		}
+	} else {
+		for ; i < len(chunk); i++ {
+			b := chunk[i]
+			c := r1 & f2[b]
+			r1 = r2 & f1[b]
+			r2 = f0[b]
+			if c != 0 {
+				t.verify(chunk, hist, i, c, hit)
+			}
+		}
+	}
+	st.r1, st.r2 = r1, r2
+	return st
 }
 
 // scan2 is the fingerprint-length-2 kernel. r1 enters as f0 of the byte
@@ -192,8 +303,9 @@ func (t *Teddy) Scan(chunk, hist []byte, st TeddyState, hit func(end int)) Teddy
 // overwhelming majority on selective sets) cost one load and one OR each
 // — and only on a possible ending computes the full rolling AND. The
 // 2-byte literal that sends a set here leaves the pair filter no stride.
-func (t *Teddy) scan2(chunk, hist []byte, r1 uint8, hit func(end int)) uint8 {
+func (t *Teddy) scan2(chunk, hist []byte, st TeddyState, hit func(end int)) TeddyState {
 	f0, f1 := &t.fused[0], &t.fused[1]
+	r1 := st.r1
 	i, n := 0, len(chunk)
 	for ; i+8 <= n; i += 8 {
 		w := binary.LittleEndian.Uint64(chunk[i:])
@@ -225,15 +337,8 @@ func (t *Teddy) scan2(chunk, hist []byte, r1 uint8, hit func(end int)) uint8 {
 			t.drain(chunk, hist, i, pack8(c0, c1, c2, c3, c4, c5, c6, c7), hit)
 		}
 	}
-	for ; i < n; i++ {
-		b := chunk[i]
-		c := r1 & f1[b]
-		r1 = f0[b]
-		if c != 0 {
-			t.verify(chunk, hist, i, c, hit)
-		}
-	}
-	return r1
+	st.r1 = r1
+	return t.steps(chunk, hist, i, st, hit)
 }
 
 // scan3 is the fingerprint-length-3 kernel: the pair filter's skip loop,
@@ -298,17 +403,8 @@ func (t *Teddy) scan3(chunk, hist []byte, st TeddyState, hit func(end int)) Tedd
 			}
 		}
 	}
-	for ; i < n; i++ {
-		b := chunk[i]
-		c := r1 & f2[b]
-		r1 = r2 & f1[b]
-		r2 = f0[b]
-		if c != 0 {
-			t.verify(chunk, hist, i, c, hit)
-		}
-	}
 	st.r1, st.r2 = r1, r2
-	return st
+	return t.steps(chunk, hist, i, st, hit)
 }
 
 // skip steps from chunk offset i >= 1 over 16-byte blocks [i, i+16) while

@@ -7,6 +7,31 @@ import (
 	"testing"
 )
 
+// eachKernel runs f once per scan kernel this host has — the portable one,
+// and the AVX2 one where the CPU has it — with UseAVX2 set to choose it.
+func eachKernel(t *testing.T, f func(t *testing.T)) {
+	defer func(host bool) { UseAVX2 = host }(UseAVX2)
+	for _, avx2 := range hostKernels() {
+		UseAVX2 = avx2
+		t.Run(kernelName(avx2), f)
+	}
+}
+
+// hostKernels lists the values of UseAVX2 this host can scan with.
+func hostKernels() []bool {
+	if hasAVX2() {
+		return []bool{false, true}
+	}
+	return []bool{false}
+}
+
+func kernelName(avx2 bool) string {
+	if avx2 {
+		return "avx2"
+	}
+	return "go"
+}
+
 // refEnds is the oracle: every offset in data at which some literal ends,
 // found by brute force, deduplicated and in increasing order.
 func refEnds(data []byte, lits [][]byte) []int {
@@ -42,7 +67,13 @@ func teddyEnds(t *Teddy, data []byte, chunkSizes []int) []int {
 // repeated offset feeds an empty chunk; the rest of data is the last
 // chunk), returning global end offsets.
 func teddyCutEnds(t *Teddy, data []byte, cuts []int) []int {
-	var out []int
+	out, _ := teddyCutScan(t, data, cuts)
+	return out
+}
+
+// teddyCutScan is teddyCutEnds that also returns the fingerprint state
+// after each chunk, the part of TeddyState both kernels define alike.
+func teddyCutScan(t *Teddy, data []byte, cuts []int) (out []int, states [][2]uint8) {
 	var st TeddyState
 	var hist []byte
 	pos := 0
@@ -61,22 +92,25 @@ func teddyCutEnds(t *Teddy, data []byte, cuts []int) []int {
 		}
 		hist = append([]byte{}, data[cut-keep:cut]...)
 		pos = cut
+		states = append(states, [2]uint8{st.r1, st.r2})
 	}
-	return out
+	return out, states
 }
 
 func TestTeddyWholeBuffer(t *testing.T) {
-	lits := [][]byte{[]byte("needle"), []byte("nd"), []byte("xyz"), []byte("eedl")}
-	td, err := NewTeddy(lits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := []byte("find the needle and the xyzzy needle end")
-	got := teddyEnds(td, data, []int{len(data)})
-	want := refEnds(data, lits)
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("ends: got %v want %v", got, want)
-	}
+	eachKernel(t, func(t *testing.T) {
+		lits := [][]byte{[]byte("needle"), []byte("nd"), []byte("xyz"), []byte("eedl")}
+		td, err := NewTeddy(lits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := []byte("find the needle and the xyzzy needle end")
+		got := teddyEnds(td, data, []int{len(data)})
+		want := refEnds(data, lits)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("ends: got %v want %v", got, want)
+		}
+	})
 }
 
 func TestTeddyEligibility(t *testing.T) {
@@ -101,79 +135,85 @@ func TestTeddyEligibility(t *testing.T) {
 
 func TestTeddyFingerprintLength(t *testing.T) {
 	td, _ := NewTeddy([][]byte{[]byte("ab"), []byte("longer")})
-	if td.Fingerprint() != 2 {
-		t.Errorf("fp = %d, want 2 (shortest literal has 2 bytes)", td.Fingerprint())
+	if td.fp != 2 {
+		t.Errorf("fp = %d, want 2 (shortest literal has 2 bytes)", td.fp)
 	}
 	td3, _ := NewTeddy([][]byte{[]byte("abc"), []byte("longer")})
-	if td3.Fingerprint() != 3 {
-		t.Errorf("fp = %d, want 3", td3.Fingerprint())
+	if td3.fp != 3 {
+		t.Errorf("fp = %d, want 3", td3.fp)
 	}
 }
 
 // TestTeddyChunked holds chunked scans — including 1-byte chunks, which
 // put every literal across a boundary — to the whole-buffer oracle.
 func TestTeddyChunked(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	lits := [][]byte{[]byte("ab"), []byte("abcd"), []byte("bcda"), []byte("ddd"), []byte("cab")}
-	td, err := NewTeddy(lits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := make([]byte, 4096)
-	for i := range data {
-		data[i] = byte('a' + rng.Intn(4))
-	}
-	want := refEnds(data, lits)
-	for _, sizes := range [][]int{{1}, {2}, {3, 7}, {64}, {1, 100}, {4096}} {
-		got := teddyEnds(td, data, sizes)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("chunks %v: got %d ends, want %d", sizes, len(got), len(want))
+	eachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(7))
+		lits := [][]byte{[]byte("ab"), []byte("abcd"), []byte("bcda"), []byte("ddd"), []byte("cab")}
+		td, err := NewTeddy(lits)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		data := make([]byte, 4096)
+		for i := range data {
+			data[i] = byte('a' + rng.Intn(4))
+		}
+		want := refEnds(data, lits)
+		for _, sizes := range [][]int{{1}, {2}, {3, 7}, {64}, {1, 100}, {4096}} {
+			got := teddyEnds(td, data, sizes)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("chunks %v: got %d ends, want %d", sizes, len(got), len(want))
+			}
+		}
+	})
 }
 
 // TestTeddyRandomSets cross-checks random literal sets over random inputs
 // against the brute-force oracle, whole-buffer and chunked.
 func TestTeddyRandomSets(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 200; trial++ {
-		nl := 1 + rng.Intn(TeddyMaxLiterals)
-		lits := make([][]byte, 0, nl)
-		for i := 0; i < nl; i++ {
-			l := make([]byte, 2+rng.Intn(6))
-			for j := range l {
-				l[j] = byte('a' + rng.Intn(3))
+	eachKernel(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(42))
+		for trial := 0; trial < 200; trial++ {
+			nl := 1 + rng.Intn(TeddyMaxLiterals)
+			lits := make([][]byte, 0, nl)
+			for i := 0; i < nl; i++ {
+				l := make([]byte, 2+rng.Intn(6))
+				for j := range l {
+					l[j] = byte('a' + rng.Intn(3))
+				}
+				lits = append(lits, l)
 			}
-			lits = append(lits, l)
+			td, err := NewTeddy(lits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := make([]byte, 100+rng.Intn(900))
+			for i := range data {
+				data[i] = byte('a' + rng.Intn(4))
+			}
+			want := refEnds(data, lits)
+			sizes := []int{1 + rng.Intn(50)}
+			if got := teddyEnds(td, data, sizes); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("trial %d (lits %q, chunk %v): got %v want %v", trial, lits, sizes, got, want)
+			}
 		}
-		td, err := NewTeddy(lits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data := make([]byte, 100+rng.Intn(900))
-		for i := range data {
-			data[i] = byte('a' + rng.Intn(4))
-		}
-		want := refEnds(data, lits)
-		sizes := []int{1 + rng.Intn(50)}
-		if got := teddyEnds(td, data, sizes); fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("trial %d (lits %q, chunk %v): got %v want %v", trial, lits, sizes, got, want)
-		}
-	}
+	})
 }
 
 func TestTeddyHistoryBound(t *testing.T) {
-	td, _ := NewTeddy([][]byte{[]byte("abcde")})
-	if td.maxLen != 5 {
-		t.Fatalf("maxLen = %d, want 5", td.maxLen)
-	}
-	// Occurrence split 4+1 across a boundary with exactly MaxLen-1 history.
-	var ends []int
-	st := td.Scan([]byte("abcd"), nil, TeddyState{}, func(int) { t.Fatal("early hit") })
-	td.Scan([]byte("e"), []byte("abcd"), st, func(end int) { ends = append(ends, end) })
-	if len(ends) != 1 || ends[0] != 0 {
-		t.Fatalf("cross-boundary ends = %v, want [0]", ends)
-	}
+	eachKernel(t, func(t *testing.T) {
+		td, _ := NewTeddy([][]byte{[]byte("abcde")})
+		if td.maxLen != 5 {
+			t.Fatalf("maxLen = %d, want 5", td.maxLen)
+		}
+		// Occurrence split 4+1 across a boundary with exactly MaxLen-1 history.
+		var ends []int
+		st := td.Scan([]byte("abcd"), nil, TeddyState{}, func(int) { t.Fatal("early hit") })
+		td.Scan([]byte("e"), []byte("abcd"), st, func(end int) { ends = append(ends, end) })
+		if len(ends) != 1 || ends[0] != 0 {
+			t.Fatalf("cross-boundary ends = %v, want [0]", ends)
+		}
+	})
 }
 
 // strideSets has one literal set per pair-filter stride: the shortest
@@ -195,8 +235,8 @@ func TestTeddyStride(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if td.Stride() != set.stride {
-			t.Errorf("%q: stride %d, want %d", set.lits, td.Stride(), set.stride)
+		if td.stride != set.stride {
+			t.Errorf("%q: stride %d, want %d", set.lits, td.stride, set.stride)
 		}
 	}
 }
@@ -216,65 +256,77 @@ func byteLits(lits []string) [][]byte {
 // one, sits in the block after a dirty one (not probed) and in the one
 // after that (probed again), and in chunks shorter than a block or empty.
 func TestTeddyStrideBoundaries(t *testing.T) {
-	cutSets := [][]int{
-		nil, {40}, {40, 40}, {33}, {40, 45}, {40, 47, 50}, {7}, {8}, {9}, {16}, {24}, {25}, {1, 2, 3},
-	}
-	for _, set := range strideSets {
-		lits := byteLits(set.lits)
-		td, err := NewTeddy(lits)
-		if err != nil {
-			t.Fatal(err)
+	eachKernel(t, func(t *testing.T) {
+		cutSets := [][]int{
+			nil, {40}, {40, 40}, {33}, {40, 45}, {40, 47, 50}, {7}, {8}, {9}, {16}, {24}, {25}, {1, 2, 3},
+			{34}, {35}, {1, 35}, {2, 36, 70}, // an AVX2 block: 2 scalar bytes, then 32
 		}
-		for _, lit := range lits {
-			for p := 0; p+len(lit) <= 120; p++ {
-				data := bytes.Repeat([]byte{'.'}, 120)
-				copy(data[p:], lit)
-				copy(data[(p+50)%100:], lit) // a second one, at a varying distance
-				want := refEnds(data, lits)
-				for _, cuts := range cutSets {
-					if got := teddyCutEnds(td, data, cuts); fmt.Sprint(got) != fmt.Sprint(want) {
-						t.Fatalf("stride %d, %q at %d, cuts %v: got %v want %v", set.stride, lit, p, cuts, got, want)
+		for _, set := range strideSets {
+			lits := byteLits(set.lits)
+			td, err := NewTeddy(lits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, lit := range lits {
+				for p := 0; p+len(lit) <= 120; p++ {
+					data := bytes.Repeat([]byte{'.'}, 120)
+					copy(data[p:], lit)
+					copy(data[(p+50)%100:], lit) // a second one, at a varying distance
+					want := refEnds(data, lits)
+					for _, cuts := range cutSets {
+						if got := teddyCutEnds(td, data, cuts); fmt.Sprint(got) != fmt.Sprint(want) {
+							t.Fatalf("stride %d, %q at %d, cuts %v: got %v want %v", set.stride, lit, p, cuts, got, want)
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestTeddyBackoff: traffic made of literal tails defeats the filter, so
 // the unprobed run behind a dirty block doubles until nearly every block
 // takes the exact loop — which still finds each literal planted in it —
-// and one clean stretch brings the probes back.
+// and one clean stretch brings the probes back. The AVX2 kernel has no
+// pair filter; its DirtyBlocks counts the blocks holding a candidate,
+// nearly all of them on the first input and one on the second.
 func TestTeddyBackoff(t *testing.T) {
-	lits := byteLits([]string{"abcab", "ccabcabcc"})
-	td, err := NewTeddy(lits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirty := bytes.Repeat([]byte("bcabab"), 700)
-	for p := 100; p < len(dirty); p += 333 {
-		copy(dirty[p:], lits[p%2])
-	}
-	var got []int
-	st := td.Scan(dirty, nil, TeddyState{}, func(end int) { got = append(got, end) })
-	if want := refEnds(dirty, lits); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("defeated filter: got %v want %v", got, want)
-	}
-	if blocks := int64(len(dirty) / teddyBlock); st.DirtyBlocks() < blocks*9/10 {
-		t.Errorf("%d dirty blocks of %d: the filter was not defeated", st.DirtyBlocks(), blocks)
-	}
-	before := st.DirtyBlocks()
-	clean := bytes.Repeat([]byte{'.'}, 4096)
-	copy(clean[3000:], lits[0])
-	hits := 0
-	st = td.Scan(clean, dirty[len(dirty)-td.maxLen+1:], st, func(int) { hits++ })
-	if d := st.DirtyBlocks() - before; hits != 1 || d != 2 {
-		t.Errorf("clean chunk with one literal: %d hits, %d dirty blocks; want 1 and 2", hits, d)
-	}
+	eachKernel(t, func(t *testing.T) {
+		lits := byteLits([]string{"abcab", "ccabcabcc"})
+		td, err := NewTeddy(lits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirty := bytes.Repeat([]byte("bcabab"), 700)
+		for p := 100; p < len(dirty); p += 333 {
+			copy(dirty[p:], lits[p%2])
+		}
+		var got []int
+		st := td.Scan(dirty, nil, TeddyState{}, func(end int) { got = append(got, end) })
+		if want := refEnds(dirty, lits); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("defeated filter: got %v want %v", got, want)
+		}
+		if blocks := int64(len(dirty) / teddyBlock); st.DirtyBlocks() < blocks*9/10 {
+			t.Errorf("%d dirty blocks of %d: the filter was not defeated", st.DirtyBlocks(), blocks)
+		}
+		before := st.DirtyBlocks()
+		clean := bytes.Repeat([]byte{'.'}, 4096)
+		copy(clean[3000:], lits[0])
+		hits := 0
+		st = td.Scan(clean, dirty[len(dirty)-td.maxLen+1:], st, func(int) { hits++ })
+		want := int64(2) // the dirty block and the unprobed one behind it
+		if UseAVX2 {
+			want = 1
+		}
+		if d := st.DirtyBlocks() - before; hits != 1 || d != want {
+			t.Errorf("clean chunk with one literal: %d hits, %d dirty blocks; want 1 and %d", hits, d, want)
+		}
+	})
 }
 
-// FuzzTeddyStrideEquivalence holds the strided kernel to a naive search
-// of the concatenated stream, hit for hit: random literal sets whose
+// FuzzTeddyStrideEquivalence holds each kernel the host has to a naive
+// search of the concatenated stream, hit for hit, and the kernels to each
+// other, state for state after every chunk: random literal sets whose
 // shortest member has 2…12 bytes (so the filter is off and at stride 2
 // and 4), input that is mostly fragments of those literals (so probes are
 // dirty, candidates fail late, and clean runs are short), random cuts.
@@ -329,9 +381,20 @@ func FuzzTeddyStrideEquivalence(f *testing.F) {
 			}
 			cuts = append(cuts, pos)
 		}
-		got, want := teddyCutEnds(td, data, cuts), refEnds(data, lits)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("stride %d, lits %q, cuts %v, data %q:\n got %v\nwant %v", td.Stride(), lits, cuts, data, got, want)
+		want := refEnds(data, lits)
+		defer func(host bool) { UseAVX2 = host }(UseAVX2)
+		var portable [][2]uint8
+		for _, avx2 := range hostKernels() {
+			UseAVX2 = avx2
+			got, states := teddyCutScan(td, data, cuts)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s kernel, stride %d, lits %q, cuts %v, data %q:\n got %v\nwant %v", kernelName(avx2), td.stride, lits, cuts, data, got, want)
+			}
+			if !avx2 {
+				portable = states
+			} else if fmt.Sprint(states) != fmt.Sprint(portable) {
+				t.Fatalf("lits %q, cuts %v, data %q: states after each chunk\navx2 %v\n  go %v", lits, cuts, data, states, portable)
+			}
 		}
 	})
 }
@@ -359,21 +422,30 @@ func benchNoise(rng *rand.Rand) []byte {
 	return data
 }
 
-func benchScan(b *testing.B, td *Teddy, data []byte) TeddyState {
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	var st TeddyState
-	for i := 0; i < b.N; i++ {
-		st = td.Scan(data, nil, TeddyState{}, func(int) {})
+// benchScan runs one sub-benchmark per kernel the host has, calling check
+// with each kernel's last state.
+func benchScan(b *testing.B, td *Teddy, data []byte, check func(b *testing.B, st TeddyState)) {
+	defer func(host bool) { UseAVX2 = host }(UseAVX2)
+	for _, avx2 := range hostKernels() {
+		UseAVX2 = avx2
+		b.Run(kernelName(avx2), func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			var st TeddyState
+			for i := 0; i < b.N; i++ {
+				st = td.Scan(data, nil, TeddyState{}, func(int) {})
+			}
+			if check != nil {
+				check(b, st)
+			}
+		})
 	}
-	return st
 }
 
 // BenchmarkTeddy24 is the sparse case the pair filter exists for: noise
 // with no literal in it (literal_bulk's shape between its plants).
 func BenchmarkTeddy24(b *testing.B) {
 	td, _ := benchKeySet(b)
-	benchScan(b, td, benchNoise(rand.New(rand.NewSource(1))))
+	benchScan(b, td, benchNoise(rand.New(rand.NewSource(1))), nil)
 }
 
 // BenchmarkTeddyDense is small_dense's shape: one literal per 64 bytes,
@@ -385,12 +457,13 @@ func BenchmarkTeddyDense(b *testing.B) {
 	for p := 32; p+8 < len(data); p += 64 {
 		copy(data[p:], lits[rng.Intn(len(lits))])
 	}
-	benchScan(b, td, data)
+	benchScan(b, td, data, nil)
 }
 
 // BenchmarkTeddyAllDirty is the adversarial case: input made only of
 // literal tails ("ey07", "y13", …), so no literal occurs, every probe is
-// dirty and every fingerprint candidate goes to verify and fails there.
+// dirty and every fingerprint candidate goes to verify and fails there:
+// under either kernel's DirtyBlocks, nearly every block is dirty.
 func BenchmarkTeddyAllDirty(b *testing.B) {
 	td, lits := benchKeySet(b)
 	rng := rand.New(rand.NewSource(1))
@@ -398,8 +471,9 @@ func BenchmarkTeddyAllDirty(b *testing.B) {
 	for len(data)+4 <= cap(data) {
 		data = append(data, lits[rng.Intn(len(lits))][1+rng.Intn(2):]...)
 	}
-	st := benchScan(b, td, data)
-	if blocks := int64(len(data) / teddyBlock); st.DirtyBlocks() < blocks*9/10 {
-		b.Fatalf("%d dirty blocks of %d: the input does not defeat the filter", st.DirtyBlocks(), blocks)
-	}
+	benchScan(b, td, data, func(b *testing.B, st TeddyState) {
+		if blocks := int64(len(data) / teddyBlock); st.DirtyBlocks() < blocks*9/10 {
+			b.Fatalf("%d dirty blocks of %d: the input does not defeat the filter", st.DirtyBlocks(), blocks)
+		}
+	})
 }

@@ -11,6 +11,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -29,9 +30,9 @@ var auditAllow = []struct{ fn, reason string }{
 	{"internal/charclass.Code.Class", "TestPropEncodeCoversExactly: the bytes a CAM code stands for, which the emitted codes must tile the class with"},
 	{"internal/charclass.Code.Matches", "TestPropCodeMatchAgreesWithClass: the CAM's two-nibble match rule the encoding is checked against"},
 	{"internal/charclass.Encode", "FuzzEncodeEquivalence (checkEncode): the code list FirstCode/NumCodes derive from, against the 256-probe reference"},
-	{"internal/clock.Manual.Advance", "TestManualRunsLoopsInTimeOrder, TestControllerStartStop, TestAdmissionTickReload, TestSLOBreachLoopEndToEnd, TestOverloadExperiment, TestClusterMemberAging, TestCanaryWindow and every cluster test (testCluster.rounds): the only way a manual clock moves"},
+	{"internal/clock.Manual.Advance", "TestManualRunsLoopsInTimeOrder, TestOverloadExperiment, TestScanAdmissionRetryAfterHeader, TestClusterMemberAging, TestCanaryWindow and every cluster test (testCluster.rounds): the only way a manual clock moves"},
 	{"internal/clock.Manual.BlockUntil", "TestManualBlockUntil, TestCanaryWindow, TestClusterEndToEnd, TestRepairReusesOriginalRuleset (testCluster.rollout): knowing the canary watch waits on the clock"},
-	{"internal/clock.NewManual", "TestSLOBreachLoopEndToEnd, TestOverloadExperiment, TestScanAdmissionRetryAfterHeader, the qos bucket tests (testRegistry) and every cluster test (startCluster): a clock that moves only when the test moves it"},
+	{"internal/clock.NewManual", "TestOverloadExperiment, TestScanAdmissionRetryAfterHeader, TestMonitorHandlerServesHandlersRoutes, the qos bucket tests (testRegistry) and every cluster test (startCluster): a clock that moves only when the test moves it"},
 	{"internal/compile.Result.Fingerprint", "TestIncrementalEqualsCold, TestRecompileEqualsCompile, TestDatasetFingerprintsPinned: identity of a compile"},
 	{"internal/metrics.Histogram.ObserveValueExemplarAt", "TestWriteOpenMetricsGolden: the injected exemplar timestamp the golden exposition needs"},
 	{"internal/nbva.Machine.MatchEnds", "TestPropNBVAEquivalentToUnfoldedNFA, TestPropCounterEqualsBitVector: the one-shot Step reference"},
@@ -83,6 +84,35 @@ func TestEveryFunctionHasACaller(t *testing.T) {
 	sort.Strings(names)
 	if len(names) > 0 {
 		t.Errorf("%d functions (%d lines) have no non-test caller:\n  %s", len(names), lines, strings.Join(names, "\n  "))
+	}
+}
+
+// TestAuditAllowNamesLiveTests: every test, fuzz target or benchmark an
+// auditAllow reason names is declared in a test file of the module, so
+// a row cannot keep citing a test that was deleted.
+func TestAuditAllowNamesLiveTests(t *testing.T) {
+	declared := map[string]bool{}
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w+)\(`)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range decl.FindAllSubmatch(src, -1) {
+			declared[string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cited := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z]\w*`)
+	for _, a := range auditAllow {
+		for _, name := range cited.FindAllString(a.reason, -1) {
+			if !declared[name] {
+				t.Errorf("auditAllow: %s cites %s, which no test file declares", a.fn, name)
+			}
+		}
 	}
 }
 

@@ -16,7 +16,7 @@
 // prefilter + zero-alloc kernels) against the always-on scan path on a
 // literal-bearing workload; the sfa experiment measures
 // refmatch.Session.ScanParallel against the serial scan on an
-// SFA-eligible ruleset. The serving stack (service, QoS, SLO engine,
+// SFA-eligible ruleset. The serving stack (service, QoS, health,
 // cluster, compile pipeline) is measured by the oracle-checked ledger
 // under bench/ledger, not here.
 //

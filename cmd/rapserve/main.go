@@ -35,15 +35,14 @@
 // reloads the file in place: live tenants are re-limited without a
 // restart, keeping their accounting state.
 //
-// SLO engine: -slo-config points at a JSON file of burn-rate objectives
-// (see internal/slo.Config); SIGHUP reloads it alongside the QoS file,
-// preserving the rolling good/bad counts of unchanged objectives. Health
-// scoring is served at /v1/health (component scores) and /readyz (503
-// when critical); /debug/slo exposes burn rates and the breach log with
-// linked trace IDs. The engine observes and reports; overload is
-// answered by the QoS token buckets and per-tenant queues alone.
-// -health-addr starts a second listener carrying only /healthz, /readyz,
-// /v1/health and /metrics, so monitoring can live off the request port.
+// Health scoring (worker pool, program cache, hot-swap stalls) is served
+// at /v1/health (component scores) and /readyz (503 when critical);
+// /v1/stats and /metrics count finished requests, 5xx answers and
+// answers slower than 250 ms. Overload is answered by the QoS token
+// buckets and per-tenant queues alone. -health-addr starts a second
+// listener carrying only /healthz, /readyz, /v1/health and /metrics
+// (Service.MonitorHandler, the same routes the request port serves), so
+// monitoring can live off the request port.
 //
 // Cluster mode: -id names this process as one node of a sharded,
 // replicated cluster (see internal/cluster) and serves the node's
@@ -51,10 +50,11 @@
 // API; clients may point at any of them. Programs are placed on a
 // consistent-hash ring over their content-hash IDs, scans fan out over
 // each program's replica set, streaming sessions stay sticky to the node
-// that opened them, and ruleset updates roll out as canaries watched by
-// the burn-rate SLO engine. Everything above — SIGHUP reload, -pprof,
-// -health-addr, the trace flags — works the same on a node; only -f is
-// refused, because a preloaded program would bypass the gossiped catalog.
+// that opened them, and ruleset updates roll out as canaries judged on
+// the requests they finish while watched. Everything above — SIGHUP
+// reload, -pprof, -health-addr, the trace flags — works the same on a
+// node; only -f is refused, because a preloaded program would bypass the
+// gossiped catalog.
 //
 //	rapserve -id n1 -addr :8851 -seeds http://localhost:8852,http://localhost:8853
 //	rapserve -id n2 -addr :8852 -seeds http://localhost:8851,http://localhost:8853
@@ -63,7 +63,7 @@
 //	curl -s localhost:8852/v1/programs -d '{"patterns":["cat","dog"]}'
 //	curl -s localhost:8851/v1/programs/$ID/scan --data-binary @input.bin
 //	# canary rollout: staged on a replica fraction, then promoted or
-//	# rolled back on burn-rate/health breach
+//	# rolled back on a 5xx or slow share, or a critical health score
 //	curl -s -X PUT localhost:8853/v1/programs/$ID -d '{"patterns":["bird"]}'
 //	# cluster view: membership states, ring, catalog digests
 //	curl -s localhost:8851/cluster/members
@@ -88,7 +88,6 @@ import (
 	"repro/internal/patfile"
 	"repro/internal/qos"
 	"repro/internal/service"
-	"repro/internal/slo"
 	"repro/internal/telemetry"
 )
 
@@ -104,7 +103,7 @@ func main() {
 // run is main with the process edges as parameters, so a test can start
 // the binary in-process: args are the command line, ready (when non-nil)
 // receives the request listener's bound address once it accepts, and
-// stop delivers signals — SIGHUP reloads the config files, anything else
+// stop delivers signals — SIGHUP reloads the -qos-config file, anything else
 // drains and returns.
 func run(args []string, ready chan<- string, stop <-chan os.Signal) error {
 	fs := flag.NewFlagSet("rapserve", flag.ContinueOnError)
@@ -120,7 +119,6 @@ func run(args []string, ready chan<- string, stop <-chan os.Signal) error {
 	pprofOn := fs.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/")
 	tenantHeader := fs.String("tenant-header", "", "tenant identity header (default "+qos.DefaultHeader+")")
 	qosConfig := fs.String("qos-config", "", "JSON per-tenant limits file (SIGHUP reloads it in place)")
-	sloConfig := fs.String("slo-config", "", "JSON SLO objectives file (SIGHUP reloads it in place)")
 	healthAddr := fs.String("health-addr", "", "optional second listener serving only /healthz, /readyz, /v1/health and /metrics")
 	id := fs.String("id", "", "cluster-unique node name; set, this process serves as a cluster node")
 	advertise := fs.String("advertise", "", "cluster: base URL peers reach this node at (default http://<host>:<port> of the listener)")
@@ -167,12 +165,6 @@ func run(args []string, ready chan<- string, stop <-chan os.Signal) error {
 	if err != nil {
 		return err
 	}
-	sloCfg := slo.Config{}
-	if *sloConfig != "" {
-		if sloCfg, err = slo.LoadFile(*sloConfig); err != nil {
-			return err
-		}
-	}
 
 	svcCfg := service.Config{
 		Workers:          *workers,
@@ -183,7 +175,6 @@ func run(args []string, ready chan<- string, stop <-chan os.Signal) error {
 		TraceRing:        *traceRing,
 		SlowTrace:        *slowTrace,
 		QoS:              qosCfg,
-		SLO:              sloCfg,
 	}
 	var (
 		svc      *service.Service
@@ -223,27 +214,17 @@ func run(args []string, ready chan<- string, stop <-chan os.Signal) error {
 		svc, root = node.Service(), node.Handler()
 	}
 
-	// SIGHUP re-reads the tenant-limits and SLO-objectives files and
-	// applies both in place (no restart, accounting and burn-rate state
-	// survive). Each applied file gets a one-line change summary.
+	// SIGHUP re-reads the tenant-limits file and applies it in place (no
+	// restart, accounting state survives), with a one-line summary.
 	reload := func() {
-		if *qosConfig != "" {
-			if loaded, err := loadQoS(); err != nil {
-				logger.Error("qos reload failed", "file", *qosConfig, "err", err)
-			} else {
-				svc.QoS().SetConfig(loaded)
-				logger.Info("qos reloaded", "file", *qosConfig, "tenants", len(loaded.Tenants))
-			}
+		if *qosConfig == "" {
+			return
 		}
-		if *sloConfig != "" {
-			if loaded, err := slo.LoadFile(*sloConfig); err != nil {
-				logger.Error("slo reload failed", "file", *sloConfig, "err", err)
-			} else {
-				svc.SLO().SetConfig(loaded)
-				applied := svc.SLO().Config()
-				logger.Info("slo reloaded", "file", *sloConfig,
-					"objectives", len(applied.Objectives))
-			}
+		if loaded, err := loadQoS(); err != nil {
+			logger.Error("qos reload failed", "file", *qosConfig, "err", err)
+		} else {
+			svc.QoS().SetConfig(loaded)
+			logger.Info("qos reloaded", "file", *qosConfig, "tenants", len(loaded.Tenants))
 		}
 	}
 
@@ -284,15 +265,7 @@ func run(args []string, ready chan<- string, stop <-chan os.Signal) error {
 	// Optional monitoring listener: health probes and the metrics scrape
 	// on a port that can stay off the request path (and off its ACLs).
 	if *healthAddr != "" {
-		hm := http.NewServeMux()
-		hm.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			fmt.Fprintln(w, `{"status":"ok"}`)
-		})
-		hm.Handle("GET /readyz", slo.ReadyHandler(svc.Health()))
-		hm.Handle("GET /v1/health", slo.HealthHandler(svc.Health()))
-		hm.Handle("GET /metrics", svc.Telemetry().Handler())
-		hsrv := &http.Server{Addr: *healthAddr, Handler: hm, ReadHeaderTimeout: 10 * time.Second}
+		hsrv := &http.Server{Addr: *healthAddr, Handler: svc.MonitorHandler(), ReadHeaderTimeout: 10 * time.Second}
 		defer hsrv.Close()
 		go func() { errCh <- hsrv.ListenAndServe() }()
 		logger.Info("health listener", "addr", *healthAddr)

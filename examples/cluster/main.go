@@ -120,8 +120,9 @@ func main() {
 	}
 
 	// Canary rollout: PUT stages the new ruleset on a fraction of the
-	// replica set first, watches burn-rate SLOs and health on the
-	// canaries, then promotes (or rolls back). The coordinator needs the
+	// replica set first, watches the canaries' health and the 5xx and
+	// slow shares of the requests they finish, then promotes (or rolls
+	// back). The coordinator needs the
 	// program in its gossiped catalog first — wait for the digest to
 	// reach every node instead of racing the first gossip tick.
 	waitFor(func() bool {

@@ -1,6 +1,6 @@
 // Package clock is the time of the control loops (gossip, member aging,
-// canary watch, SLO windows and their evaluation) and of the tenants'
-// token buckets; request timings stay on the wall.
+// canary watch) and of the tenants' token buckets; request timings stay
+// on the wall.
 package clock
 
 import (

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/input"
 	"repro/internal/service"
-	"repro/internal/slo"
 	"repro/pkg/rapclient"
 )
 
@@ -20,9 +19,9 @@ const (
 	// OutcomePromoted: canaries stayed healthy through the observation
 	// window and the update reached every replica.
 	OutcomePromoted = "promoted"
-	// OutcomeRolledBack: a canary breached its burn-rate or health
-	// checks (or a stage failed); every touched replica was restored to
-	// the previous live ruleset.
+	// OutcomeRolledBack: a canary failed its window or health checks
+	// (or a stage failed); every touched replica was restored to the
+	// previous live ruleset.
 	OutcomeRolledBack = "rolled_back"
 	// OutcomeApplied: no canary phase was possible or configured
 	// (single replica, Fraction <= 0); the update applied directly.
@@ -78,7 +77,7 @@ func (n *Node) handleUpdate(w http.ResponseWriter, r *http.Request) {
 }
 
 // rollout is the canary state machine: warm every replica, stage the
-// update on a fraction of them, watch burn-rate SLOs and health over
+// update on a fraction of them, watch their requests and health over
 // the observation window, then promote to the rest or roll back.
 func (n *Node) rollout(w http.ResponseWriter, r *http.Request, id string, meta ProgramMeta, patterns []string, opts service.CompileOptions, body []byte) {
 	ctx := r.Context()
@@ -199,13 +198,43 @@ func (n *Node) livePlacement(id string, replicas int) []string {
 	return live
 }
 
+// The canary window's limits, the fast-burn limit 14.4 over a 99.9 %
+// success objective and a 99 % latency one: a canary rolls back when
+// more than 1.44 % of the requests it finished since staging were
+// answered 5xx, or more than 14.4 % took longer than 250 ms.
+const (
+	canaryMax5xxShare  = 14.4 * 0.001
+	canaryMaxSlowShare = 14.4 * 0.01
+)
+
+// judgeWindow is the verdict on a canary's own window: the requests it
+// finished between the sample taken at staging (base) and a later one
+// (now). A non-empty return is the rollback reason. A window with no
+// requests passes.
+func judgeWindow(base, now rapclient.RequestCounts) string {
+	total := now.Total - base.Total
+	if total <= 0 {
+		return ""
+	}
+	if errs := now.Errors - base.Errors; float64(errs) > canaryMax5xxShare*float64(total) {
+		return fmt.Sprintf("answered %d of %d requests 5xx since staging, above %.2f%%", errs, total, 100*canaryMax5xxShare)
+	}
+	if slow := now.Slow - base.Slow; float64(slow) > canaryMaxSlowShare*float64(total) {
+		return fmt.Sprintf("answered %d of %d requests slowly since staging, above %.1f%%", slow, total, 100*canaryMaxSlowShare)
+	}
+	return ""
+}
+
 // watchCanaries samples each staged node's /v1/stats through the
-// observation window. A non-empty return is the rollback reason.
+// observation window. A node's first sample, taken once it is staged,
+// is the baseline each later one is judged against. A non-empty return
+// is the rollback reason.
 func (n *Node) watchCanaries(ctx context.Context, nodes []string) string {
 	deadline := n.cfg.Service.Clock.Now().Add(n.cfg.Canary.Observe)
+	base := make(map[string]rapclient.RequestCounts, len(nodes))
 	for {
 		for _, id := range nodes {
-			if reason := n.checkCanary(ctx, id); reason != "" {
+			if reason := n.checkCanary(ctx, id, base); reason != "" {
 				return reason
 			}
 		}
@@ -220,11 +249,10 @@ func (n *Node) watchCanaries(ctx context.Context, nodes []string) string {
 	}
 }
 
-// checkCanary evaluates one canary sample: the multi-window burn rate
-// of the error-rate and request-latency objectives (fast window only —
-// the slow window is too laggy for a rollout-sized decision), the
-// overall health score, then the configured Check seam.
-func (n *Node) checkCanary(ctx context.Context, nodeID string) string {
+// checkCanary takes one canary sample and judges it: the health score,
+// the window since staging against the baseline in base (recording the
+// baseline on the node's first sample), then the configured Check seam.
+func (n *Node) checkCanary(ctx context.Context, nodeID string, base map[string]rapclient.RequestCounts) string {
 	m, ok := n.members.Get(nodeID)
 	if !ok || m.Addr == "" {
 		return "canary " + nodeID + " has no reachable address"
@@ -238,10 +266,10 @@ func (n *Node) checkCanary(ctx context.Context, nodeID string) string {
 	if st.Health.Score < n.cfg.Canary.MinHealth {
 		return fmt.Sprintf("canary %s health %.2f below %.2f", nodeID, st.Health.Score, n.cfg.Canary.MinHealth)
 	}
-	for _, name := range []string{slo.ObjectiveErrorRate, slo.ObjectiveRequestLatency} {
-		if o, ok := st.Objective(name); ok && o.FastBurn > o.FastLimit {
-			return fmt.Sprintf("canary %s burning %s fast: %.2f > limit %.2f", nodeID, name, o.FastBurn, o.FastLimit)
-		}
+	if b, seen := base[nodeID]; !seen {
+		base[nodeID] = st.Requests
+	} else if reason := judgeWindow(b, st.Requests); reason != "" {
+		return "canary " + nodeID + " " + reason
 	}
 	if n.cfg.Canary.Check != nil {
 		if err := n.cfg.Canary.Check(nodeID, st); err != nil {

@@ -19,7 +19,8 @@ import (
 // family exposed is named in the README, and every family the README
 // names is exposed. A README name ending in "_" is a prefix (rap_tenant_*),
 // and one ending in a histogram's _bucket, _sum or _count names its
-// family.
+// family. One scrape must also declare each family once and each series
+// (name plus label set) once.
 func TestMetricCatalogue(t *testing.T) {
 	tc := startCluster(t, 1, nil)
 	svc := tc.nodes[0].Service()
@@ -48,11 +49,27 @@ func TestMetricCatalogue(t *testing.T) {
 	rec := httptest.NewRecorder()
 	tc.nodes[0].Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	exposed := map[string]bool{}
+	series := map[string]bool{}
 	sc := bufio.NewScanner(rec.Body)
 	for sc.Scan() {
-		if f := strings.Fields(sc.Text()); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" && strings.HasPrefix(f[2], "rap_") {
+		line := sc.Text()
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" && strings.HasPrefix(f[2], "rap_") {
+			if exposed[f[2]] {
+				t.Errorf("family %s has more than one # TYPE line", f[2])
+			}
 			exposed[f[2]] = true
 		}
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		key, _, _ := strings.Cut(line, " ")
+		if i := strings.LastIndexByte(line, '}'); i >= 0 {
+			key = line[:i+1]
+		}
+		if series[key] {
+			t.Errorf("series %s appears twice", key)
+		}
+		series[key] = true
 	}
 	readme, err := os.ReadFile("../../README.md")
 	if err != nil {

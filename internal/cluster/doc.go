@@ -5,8 +5,8 @@
 //
 //   - Membership: a static seed list bootstraps lightweight gossip.
 //     Every node re-announces itself each tick with a bumped sequence
-//     number plus a load snapshot (health score from internal/slo,
-//     queue depth, scan rate); peers merge by highest Seq and age
+//     number plus a load snapshot (health score from
+//     service.Health, queue depth, scan rate); peers merge by highest Seq and age
 //     entries through alive → suspect → dead on local timeouts. No
 //     coordinator, no quorum — the placement function tolerates
 //     short-lived view skew because misrouted scans self-repair.
@@ -30,8 +30,8 @@
 //
 //   - Canary rollout: a ruleset update (PUT /v1/programs/{id}) stages
 //     the RAPD reconfiguration delta on a fraction of the replicas,
-//     watches their burn-rate SLOs and health scores over an
-//     observation window, then promotes to the remaining replicas or
-//     rolls the canaries back — in-flight sessions ride through on the
+//     watches each canary's health score and the requests it finished
+//     since staging (5xx and slow shares) over an observation window,
+//     then promotes to the remaining replicas or rolls the canaries back — in-flight sessions ride through on the
 //     service layer's generation pinning.
 package cluster

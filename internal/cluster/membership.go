@@ -18,7 +18,7 @@ type MemberInfo struct {
 	// only replaces a known one when its Seq is higher, so stale views
 	// relayed by third parties cannot roll a member backwards.
 	Seq uint64 `json:"seq"`
-	// Health is the node's internal/slo health score in [0,1].
+	// Health is the node's service.Health score in [0,1].
 	Health float64 `json:"health"`
 	// QueueDepth is the scan pool's queued work at announcement time.
 	QueueDepth int64 `json:"queue_depth"`

@@ -34,11 +34,12 @@ type CanaryConfig struct {
 	// Observe/4, before the promote/rollback decision; default 2s.
 	Observe time.Duration
 	// MinHealth fails the canary when a staged node's health score
-	// drops below it; default 0.35 (the slo critical threshold).
+	// drops below it; default 0.35 (the critical threshold of
+	// service.Health).
 	MinHealth float64
 	// Check, when set, runs against every canary stats sample after
-	// the built-in burn-rate and health checks. Returning an error
-	// fails the canary. This is the seam fault-injection tests use.
+	// the built-in health and window checks. Returning an error fails
+	// the canary. This is the seam fault-injection tests use.
 	Check func(nodeID string, st *rapclient.Stats) error
 }
 

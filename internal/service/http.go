@@ -11,7 +11,6 @@ import (
 	"repro/internal/input"
 	"repro/internal/qos"
 	"repro/internal/refmatch"
-	"repro/internal/slo"
 	"repro/internal/telemetry"
 )
 
@@ -28,7 +27,6 @@ import (
 //	GET    /v1/health              → scored component health (JSON)
 //	GET    /metrics                → Prometheus/OpenMetrics exposition (unversioned)
 //	GET    /debug/traces           → recent slow request traces (unversioned)
-//	GET    /debug/slo              → SLO burns and breach log (unversioned)
 //	GET    /healthz                → ok (liveness, unversioned)
 //	GET    /readyz                 → 503 while any health component is critical
 //
@@ -58,24 +56,31 @@ func (s *Service) Handler() http.Handler {
 	root.Handle("/", deprecatedAlias(apiH))
 	// Health, scrape and debug endpoints stay outside the middleware;
 	// "GET /v1/health" is more specific than "/v1/", so it wins the route.
-	root.Handle("GET /v1/health", slo.HealthHandler(s.health))
-	root.Handle("GET /readyz", slo.ReadyHandler(s.health))
-	root.Handle("GET /metrics", s.tel.Handler())
+	s.monitorRoutes(root)
 	root.Handle("GET /debug/traces", s.tracer.Handler())
-	root.Handle("GET /debug/slo", slo.DebugHandler(s.sloEng))
-	root.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	})
 	return root
 }
 
-// observeRequest feeds every finished API request into the SLO engine:
-// total duration against the request-latency objective, and the status
-// class against the error-rate objective. Rejections (429) are not
-// SLO errors — only 5xx burns the error budget.
-func (s *Service) observeRequest(status int, d time.Duration, tr *telemetry.Trace) {
-	s.sloEng.ObserveLatency(slo.ObjectiveRequestLatency, d)
-	s.sloEng.Observe(slo.ObjectiveErrorRate, status < 500)
+// slowRequest is the duration past which a finished API request counts
+// as slow in rap_requests_slow_total and the stats requests block.
+const slowRequest = 250 * time.Millisecond
+
+// observeRequest counts every finished API request, its 5xx answers and
+// the answers slower than slowRequest: the counters a canary's window
+// is judged on. Rejections (429) are not errors; only 5xx is. A stats
+// read is not counted, so a canary watch's own samples do not dilute
+// the window they judge.
+func (s *Service) observeRequest(r *http.Request, status int, d time.Duration) {
+	if r.URL.Path == "/stats" {
+		return
+	}
+	s.requests.Inc()
+	if status >= 500 {
+		s.requests5xx.Inc()
+	}
+	if d > slowRequest {
+		s.requestsSlow.Inc()
+	}
 }
 
 // tenantMiddleware attaches the request's tenant identity — the value of

@@ -18,7 +18,6 @@ import (
 	"repro/internal/prefilter"
 	"repro/internal/qos"
 	"repro/internal/refmatch"
-	"repro/internal/slo"
 	"repro/internal/telemetry"
 )
 
@@ -62,12 +61,8 @@ type Config struct {
 	// still runs, admission never rejects. Live reconfiguration goes
 	// through Service.QoS().SetConfig.
 	QoS qos.Config
-	// SLO configures the burn-rate engine: the objectives, merged over
-	// slo.DefaultConfig. The zero value runs the default objectives.
-	// Live reconfiguration goes through Service.SLO().SetConfig.
-	SLO slo.Config
-	// Clock runs the tenants' token buckets, the SLO windows and their
-	// evaluation loop, and the cluster control loops; nil means clock.Real.
+	// Clock runs the tenants' token buckets, the health snapshot's
+	// timestamp and the cluster control loops; nil means clock.Real.
 	Clock clock.Clock
 }
 
@@ -112,9 +107,6 @@ type Service struct {
 	start     time.Time
 	tel       *telemetry.Registry
 	tracer    *telemetry.Tracer
-	sloEng    *slo.Engine
-	stopSLO   func() // the evaluation loop's
-	health    *slo.Scorer
 
 	mu       sync.Mutex
 	sessions map[string]*session
@@ -138,6 +130,12 @@ type Service struct {
 	stageApply       *metrics.Histogram
 	stageBodyRead    *metrics.Histogram // scan/feed request body off the wire
 	stageEncode      *metrics.Histogram // scan/feed response body built
+
+	// Finished API requests, their 5xx answers and the answers slower
+	// than slowRequest (observeRequest).
+	requests     *metrics.Counter
+	requests5xx  *metrics.Counter
+	requestsSlow *metrics.Counter
 
 	scans       *metrics.Counter
 	scanBytes   *metrics.Counter
@@ -188,90 +186,12 @@ func New(cfg Config) *Service {
 	s.cache.onEvict = func(p *Program) {
 		s.qosReg.Tenant(p.Owner).ChargeCacheBytes(-p.MemBytes)
 	}
-	// SLO loop: burn-rate engine fed by the middleware and stage
-	// observations, evaluated once a second into the breach log, and a
-	// health scorer over every subsystem probe.
-	s.sloEng = slo.NewEngine(cfg.SLO, cfg.Clock)
-	s.sloEng.SetTraceSource(s.tracer.Traces)
-	s.health = slo.NewScorer(cfg.Clock)
-	s.health.Add(s.sloEng.HealthProbe())
-	s.health.Add(s.poolHealthProbe())
-	s.health.Add(s.cacheHealthProbe())
-	s.health.Add(s.reconfigHealthProbe())
 	s.registerMetrics()
-	s.stopSLO = s.sloEng.Start()
 	return s
-}
-
-// poolHealthProbe scores worker-pool saturation: the live queue depth
-// against the slots of every tenant queue that exists. An idle pool
-// scores 1; a pool with every queue slot full scores 0. One tenant
-// filling its own queues while another's stand empty is degraded, not
-// critical: the other tenant is still served.
-func (s *Service) poolHealthProbe() slo.Probe {
-	return func() slo.Component {
-		st := s.pool.stats()
-		capacity := float64(st.TenantQueues * st.QueueCapacity)
-		queued := float64(s.pool.queued.Value())
-		sat := 0.0
-		if capacity > 0 {
-			sat = queued / capacity
-		}
-		return slo.ScoreComponent("worker_pool", 1-sat, map[string]float64{
-			"queued":   queued,
-			"capacity": capacity,
-			"rejected": float64(s.pool.rejected.Value()),
-		})
-	}
-}
-
-// cacheHealthProbe scores program-cache pressure. Occupancy alone is
-// healthy (a full LRU is the steady state), so only half the score
-// rides on it; eviction churn is reported as detail for dashboards.
-func (s *Service) cacheHealthProbe() slo.Probe {
-	return func() slo.Component {
-		st := s.cache.stats()
-		occ := 0.0
-		if st.Capacity > 0 {
-			occ = float64(st.Size) / float64(st.Capacity)
-		}
-		return slo.ScoreComponent("program_cache", 1-0.5*occ, map[string]float64{
-			"size":      float64(st.Size),
-			"capacity":  float64(st.Capacity),
-			"evictions": float64(st.Evictions),
-		})
-	}
-}
-
-// reconfigHealthProbe scores hot-swap stall pressure: the modeled
-// match-pipeline stall cycles against the reload cycles shipped. Tiny
-// deltas can legitimately stall for more cycles than they reload
-// (quiesce overhead dominates), so the ratio is clamped at 1 — stall
-// pressure alone bottoms out at "degraded" (0.5) and never marks a
-// node critical, which would wrongly fail /readyz (and cluster canary
-// health checks) after every small ruleset swap.
-func (s *Service) reconfigHealthProbe() slo.Probe {
-	return func() slo.Component {
-		reload := float64(s.updateReloadCycles.Value())
-		stall := float64(s.updateStallCycles.Value())
-		ratio := 0.0
-		if reload > 0 {
-			ratio = stall / reload
-			if ratio > 1 {
-				ratio = 1
-			}
-		}
-		return slo.ScoreComponent("reconfig", 1-0.5*ratio, map[string]float64{
-			"updates":       float64(s.updates.Value()),
-			"stall_cycles":  stall,
-			"reload_cycles": reload,
-		})
-	}
 }
 
 // Close stops the worker pools. Outstanding queued tasks are drained.
 func (s *Service) Close() {
-	s.stopSLO()
 	s.pool.close()
 	s.compilers.close()
 }
@@ -280,13 +200,6 @@ func (s *Service) Close() {
 // (rapserve wires SIGHUP to SetConfig) and direct inspection.
 func (s *Service) QoS() *qos.Registry { return s.qosReg }
 
-// SLO returns the burn-rate engine, for configuration reloads (rapserve
-// wires SIGHUP to SetConfig) and direct inspection.
-func (s *Service) SLO() *slo.Engine { return s.sloEng }
-
-// Health returns the health scorer behind /v1/health and /readyz.
-func (s *Service) Health() *slo.Scorer { return s.health }
-
 // tenant resolves the request's tenant from ctx (the HTTP layer attaches
 // the identity-header value; absent means the anonymous tenant).
 func (s *Service) tenant(ctx context.Context) *qos.Tenant {
@@ -294,14 +207,12 @@ func (s *Service) tenant(ctx context.Context) *qos.Tenant {
 }
 
 // observeStage folds one completed request stage into its latency
-// histogram (with the trace ID as exemplar), into the request's span
-// list, and into the matching "stage:<name>" SLO objective when one is
-// configured. attrs annotate the span.
+// histogram (with the trace ID as exemplar) and into the request's span
+// list. attrs annotate the span.
 func (s *Service) observeStage(h *metrics.Histogram, tr *telemetry.Trace, name string, start time.Time, attrs ...telemetry.Label) {
 	d := time.Since(start)
 	h.ObserveExemplar(d, tr.ID())
 	tr.AddSpan(name, start, d, attrs...)
-	s.sloEng.ObserveLatency("stage:"+name, d)
 }
 
 // runCompile executes fn on the dedicated compile pool and waits for it,
@@ -411,10 +322,8 @@ func (s *Service) runOn(tr *telemetry.Trace, ten *qos.Tenant, flow uint64, cost 
 		wait := time.Since(enqueued)
 		s.stageQueueWait.ObserveExemplar(wait, tr.ID())
 		tr.AddSpan("queue_wait", enqueued, wait)
-		s.sloEng.ObserveLatency(slo.ObjectiveStageQueueWait, wait)
 		if ten != nil {
 			ten.ObserveQueueWait(wait)
-			s.sloEng.ObserveTenantLatency(slo.ObjectiveTenantQueueWait, ten.Name(), wait)
 		}
 		fn()
 	}); err != nil {
@@ -688,17 +597,18 @@ type Stats struct {
 	Prefilter     PrefilterStats                       `json:"prefilter"`
 	Reconfig      ReconfigStats                        `json:"reconfig"`
 	QoS           QoSStats                             `json:"qos"`
-	SLO           SLOStats                             `json:"slo"`
-	Health        slo.HealthSnapshot                   `json:"health"`
+	Requests      RequestStats                         `json:"requests"`
+	Health        HealthSnapshot                       `json:"health"`
 	Programs      []ProgramStats                       `json:"programs"`
 }
 
-// SLOStats is the /v1/stats slo block: every objective's current burn
-// evaluation and the cumulative escalation count. Breach trace
-// snapshots stay on /debug/slo.
-type SLOStats struct {
-	Objectives    []slo.ObjectiveStatus `json:"objectives"`
-	BreachesTotal int64                 `json:"breaches_total"`
+// RequestStats is the /v1/stats requests block: finished API requests
+// since start, their 5xx answers, and the answers slower than 250 ms.
+// A cluster canary is judged on the change of these between two samples.
+type RequestStats struct {
+	Total  int64 `json:"total"`
+	Errors int64 `json:"5xx"`
+	Slow   int64 `json:"slow"`
 }
 
 // QoSStats is the /v1/stats qos block: the identity header in force
@@ -790,11 +700,12 @@ func (s *Service) Stats() Stats {
 			Header:  s.qosReg.Header(),
 			Tenants: s.qosReg.Snapshot(),
 		},
-		SLO: SLOStats{
-			Objectives:    s.sloEng.Statuses(),
-			BreachesTotal: s.sloEng.BreachCounter().Value(),
+		Requests: RequestStats{
+			Total:  s.requests.Value(),
+			Errors: s.requests5xx.Value(),
+			Slow:   s.requestsSlow.Value(),
 		},
-		Health:   s.health.Snapshot(),
+		Health:   s.Health(),
 		Programs: s.cache.snapshot(),
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/slo"
 	"repro/internal/telemetry"
 )
 
@@ -128,20 +127,12 @@ func (s *Service) registerMetrics() {
 		}
 	})
 
-	// SLO loop: breach totals, health score, and per-objective burn
-	// rates emitted at scrape time.
-	r.RegisterCounter("rap_slo_breaches_total", "SLO objective state escalations recorded.", s.sloEng.BreachCounter())
-	r.GaugeFunc("rap_health_score", "Overall node health score in [0,1] (minimum component score).", s.health.Score)
-	r.Collect(func(c *telemetry.Collector) {
-		for _, st := range s.sloEng.Statuses() {
-			if st.Tenant != "" {
-				continue // per-tenant burn shows up in the rap_tenant_queue_wait_us series
-			}
-			lbl := telemetry.L("objective", st.Name)
-			c.Gauge("rap_slo_burn_rate", "SLO burn rate per objective and window.", st.FastBurn, lbl, telemetry.L("window", "fast"))
-			c.Gauge("rap_slo_burn_rate", "SLO burn rate per objective and window.", st.SlowBurn, lbl, telemetry.L("window", "slow"))
-			c.Gauge("rap_slo_objective_state", "SLO objective state (0 = ok, 1 = fast_burn, 2 = breach).", float64(sloStateNum(st.State)), lbl)
-		}
+	// Request outcomes (observeRequest) and the health score.
+	s.requests = r.Counter("rap_requests_total", "API requests finished.")
+	s.requests5xx = r.Counter("rap_requests_5xx_total", "API requests answered with a 5xx status.")
+	s.requestsSlow = r.Counter("rap_requests_slow_total", "API requests that took longer than 250 ms.")
+	r.GaugeFunc("rap_health_score", "Overall node health score in [0,1] (minimum component score).", func() float64 {
+		return s.Health().Score
 	})
 
 	// Per-program series, one label dimension over the live cache.
@@ -155,18 +146,6 @@ func (s *Service) registerMetrics() {
 			c.Gauge("rap_program_generation", "Hot-swap generation per program (0 = initial deploy).", float64(ps.Generation), lbl)
 		}
 	})
-}
-
-// sloStateNum maps an objective state to its metric value.
-func sloStateNum(state string) int {
-	switch state {
-	case slo.StateBreach:
-		return 2
-	case slo.StateFastBurn:
-		return 1
-	default:
-		return 0
-	}
 }
 
 // Telemetry returns the service's metric registry, so binaries can

@@ -28,11 +28,10 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 // Unwrap supports http.ResponseController passthrough (flush, deadlines).
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
-// RequestObserver receives every finished request's status, total
-// duration and trace — the hook the SLO engine uses to count request
-// latency and error-rate events without the middleware knowing about
-// objectives.
-type RequestObserver func(status int, d time.Duration, tr *Trace)
+// RequestObserver receives every finished request with its status and
+// total duration — the hook the service counts requests, 5xx answers
+// and slow answers with, without the middleware knowing what it counts.
+type RequestObserver func(r *http.Request, status int, d time.Duration)
 
 // Middleware wraps next with request tracing and structured access
 // logging: each request gets a Trace (continuing the caller's
@@ -60,7 +59,7 @@ func Middleware(tracer *Tracer, logger *slog.Logger, obs RequestObserver, next h
 			d = time.Since(start)
 		}
 		if obs != nil {
-			obs(sw.status, d, tr)
+			obs(r, sw.status, d)
 		}
 		if logger != nil {
 			logger.LogAttrs(r.Context(), slog.LevelInfo, "request",

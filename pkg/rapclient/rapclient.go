@@ -208,8 +208,8 @@ func (s *Session) Close(ctx context.Context) (*CloseResult, error) {
 }
 
 // Stats fetches the /v1/stats counter snapshot. The mirrored struct
-// keeps the fields control loops route on (traffic totals, SLO burn
-// rates, health, per-program counters); unrecognized blocks are ignored.
+// keeps the fields control loops route on (traffic totals, request
+// outcomes, health, per-program counters); unrecognized blocks are ignored.
 func (c *Client) Stats(ctx context.Context) (*Stats, error) {
 	var out Stats
 	if err := c.do(ctx, http.MethodGet, "/v1/stats", nil, "", true, &out); err != nil {

@@ -87,11 +87,8 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Scans < 3 || len(st.Programs) == 0 || len(st.SLO.Objectives) == 0 {
+	if st.Scans < 3 || len(st.Programs) == 0 || st.Requests.Total < 6 || st.Requests.Errors != 0 {
 		t.Fatalf("stats = %+v", st)
-	}
-	if _, ok := st.Objective("request_latency"); !ok {
-		t.Error("stats missing request_latency objective")
 	}
 	h, err := cl.Health(ctx)
 	if err != nil {

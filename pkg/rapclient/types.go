@@ -97,24 +97,13 @@ type UpdateResult struct {
 	ModelLatencyUS   float64 `json:"model_latency_us"`
 }
 
-// ObjectiveStatus is one SLO objective's burn evaluation, as served in
-// the /v1/stats slo block.
-type ObjectiveStatus struct {
-	Name      string  `json:"name"`
-	Tenant    string  `json:"tenant,omitempty"`
-	Kind      string  `json:"kind"`
-	Target    float64 `json:"target"`
-	FastBurn  float64 `json:"fast_burn"`
-	FastLimit float64 `json:"fast_limit"`
-	SlowBurn  float64 `json:"slow_burn"`
-	SlowLimit float64 `json:"slow_limit"`
-	State     string  `json:"state"`
-}
-
-// SLOStats is the /v1/stats slo block.
-type SLOStats struct {
-	Objectives    []ObjectiveStatus `json:"objectives"`
-	BreachesTotal int64             `json:"breaches_total"`
+// RequestCounts is the /v1/stats requests block: API requests finished
+// since the server started, those answered 5xx, and those slower than
+// 250 ms.
+type RequestCounts struct {
+	Total  int64 `json:"total"`
+	Errors int64 `json:"5xx"`
+	Slow   int64 `json:"slow"`
 }
 
 // HealthComponent is one scored health dimension.
@@ -159,20 +148,9 @@ type Stats struct {
 	ScanBytes     int64          `json:"scan_bytes"`
 	ScanMatches   int64          `json:"scan_matches"`
 	Sessions      SessionCounts  `json:"sessions"`
-	SLO           SLOStats       `json:"slo"`
+	Requests      RequestCounts  `json:"requests"`
 	Health        Health         `json:"health"`
 	Programs      []ProgramStats `json:"programs"`
-}
-
-// Objective returns the named objective's status (tenant-less series)
-// from the slo block, or false when the server does not track it.
-func (s *Stats) Objective(name string) (ObjectiveStatus, bool) {
-	for _, o := range s.SLO.Objectives {
-		if o.Name == name && o.Tenant == "" {
-			return o, true
-		}
-	}
-	return ObjectiveStatus{}, false
 }
 
 type errorResponse struct {

@@ -72,9 +72,9 @@ type Stats struct {
 	LiteralHits  int64 `json:"literal_hits"`
 	Windows      int64 `json:"windows"`   // merged candidate windows delivered
 	WindowNS     int64 `json:"window_ns"` // time locating candidate windows
-	// DirtyBlocks is simdscan.TeddyState.DirtyBlocks: 16-byte blocks the
-	// Teddy kernel could not clear without an exact look (what that means
-	// depends on the kernel, Set.Kernel). Zero off the fingerprint tier.
+	// DirtyBlocks is simdscan.TeddyState.DirtyBlocks: 16-byte half-blocks
+	// the Teddy kernel could not clear without an exact look, the same
+	// under either block function. Zero off the fingerprint tier.
 	DirtyBlocks int64 `json:"dirty_blocks"`
 }
 

@@ -69,24 +69,13 @@ type Set struct {
 // prefiltered pattern length in bytes (>= 1); every literal must be
 // non-empty and no longer than window.
 func NewSet(lits [][]byte, window int) (*Set, error) {
-	if len(lits) == 0 {
-		return nil, fmt.Errorf("prefilter: empty literal set")
-	}
-	if window < 1 {
-		return nil, fmt.Errorf("prefilter: window %d < 1", window)
+	if err := checkSet(lits, window); err != nil {
+		return nil, err
 	}
 	s := &Set{window: window}
 	allOne := true
 	for _, l := range lits {
-		if len(l) == 0 {
-			return nil, fmt.Errorf("prefilter: empty literal")
-		}
-		if len(l) > window {
-			return nil, fmt.Errorf("prefilter: literal %q longer than window %d", l, window)
-		}
-		if len(l) != 1 {
-			allOne = false
-		}
+		allOne = allOne && len(l) == 1
 	}
 	if allOne {
 		s.oneByte = true
@@ -106,7 +95,7 @@ func NewSet(lits [][]byte, window int) (*Set, error) {
 		return s, nil
 	}
 	// Multi-byte sets small enough for the fingerprint tier scan on the
-	// word-at-a-time Teddy kernel; NewTeddy rejects sets with single-byte
+	// block-at-a-time Teddy kernel; NewTeddy rejects sets with single-byte
 	// literals or too many distinct literals, which fall through to AC.
 	if t, err := simdscan.NewTeddy(lits); err == nil {
 		s.teddy = t
@@ -123,20 +112,32 @@ func NewSet(lits [][]byte, window int) (*Set, error) {
 // benchmarked and differentially fuzzed against; production callers use
 // NewSet.
 func NewSetAC(lits [][]byte, window int) (*Set, error) {
-	if len(lits) == 0 {
-		return nil, fmt.Errorf("prefilter: empty literal set")
-	}
-	if window < 1 {
-		return nil, fmt.Errorf("prefilter: window %d < 1", window)
-	}
-	for _, l := range lits {
-		if len(l) == 0 || len(l) > window {
-			return nil, fmt.Errorf("prefilter: literal %q does not fit window %d", l, window)
-		}
+	if err := checkSet(lits, window); err != nil {
+		return nil, err
 	}
 	s := &Set{window: window, tier: TierAC}
 	s.buildAC(lits)
 	return s, nil
+}
+
+// checkSet is NewSet's and NewSetAC's check of a literal set: not empty,
+// a window of at least one byte, and every literal non-empty and within it.
+func checkSet(lits [][]byte, window int) error {
+	if len(lits) == 0 {
+		return fmt.Errorf("prefilter: empty literal set")
+	}
+	if window < 1 {
+		return fmt.Errorf("prefilter: window %d < 1", window)
+	}
+	for _, l := range lits {
+		if len(l) == 0 {
+			return fmt.Errorf("prefilter: empty literal")
+		}
+		if len(l) > window {
+			return fmt.Errorf("prefilter: literal %q longer than window %d", l, window)
+		}
+	}
+	return nil
 }
 
 // Tier returns the candidate-scanner representation the set compiled to.

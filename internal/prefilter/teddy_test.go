@@ -11,9 +11,10 @@ import (
 // eachKernel runs f once per Teddy kernel this host has: the portable one,
 // and the AVX2 one where simdscan chose it at init.
 func eachKernel(t *testing.T, f func(t *testing.T)) {
-	defer func(host bool) { simdscan.UseAVX2 = host }(simdscan.UseAVX2)
+	host := simdscan.UseAVX2
+	defer func() { simdscan.UseAVX2 = host }()
 	for _, avx2 := range []bool{false, true} {
-		if avx2 && !simdscan.UseAVX2 {
+		if avx2 && !host {
 			continue
 		}
 		simdscan.UseAVX2 = avx2
@@ -45,8 +46,8 @@ func testTierSelection(t *testing.T) {
 		{[]string{"a", "a"}, TierMemchr, "memchr"},
 		{[]string{"a", "b"}, TierByteTable, "bytetable"},
 		{[]string{"ab"}, TierTeddy, hostKernel("teddy fp2", "teddy fp2 avx2")},
-		{[]string{"needle", "pin", "tack"}, TierTeddy, hostKernel("teddy fp3 stride2", "teddy fp3 avx2")},
-		{[]string{"key07", "key19"}, TierTeddy, hostKernel("teddy fp3 stride4", "teddy fp3 avx2")},
+		{[]string{"needle", "pin", "tack"}, TierTeddy, hostKernel("teddy fp3", "teddy fp3 avx2")},
+		{[]string{"key07", "key19"}, TierTeddy, hostKernel("teddy fp3", "teddy fp3 avx2")},
 		{[]string{"ab", "c"}, TierAC, "ac"}, // single-byte literal blocks fingerprints
 	}
 	var many []string
@@ -118,7 +119,7 @@ func FuzzFingerprintDifferential(f *testing.F) {
 	f.Add([]byte("needle"), []byte("say needle twice: needleneedle"), uint8(1))
 	f.Add([]byte("aa,aaa,aaaa"), []byte("aaaaaaaaaa"), uint8(4))
 	// Literals of >= 5 and >= 9 bytes in chunks longer than a block: the
-	// pair filter's stride-4 skip loop, clean and dirty.
+	// 32-byte block loop, clean and dirty.
 	f.Add([]byte("key07,key19"), bytes.Repeat([]byte("noise without a literal key0 ey19 then key19 and key07key07 "), 4), uint8(63))
 	f.Add([]byte("needlework,haystacks"), bytes.Repeat([]byte("................needlewor haystacks....................needlework"), 4), uint8(40))
 	f.Fuzz(func(t *testing.T, litSpec, data []byte, chunk uint8) {
@@ -190,10 +191,9 @@ func TestFingerprintDifferentialSeeds(t *testing.T) {
 }
 
 // TestDirtyBlocksStat: the stream reports how many blocks the kernel
-// could not clear — none on traffic that carries no literal fragment; per
-// planted literal, the dirty block and the unprobed one behind it on the
-// portable kernel, the block holding the candidate on AVX2 — and Reset
-// clears it.
+// could not clear — none on traffic that carries no literal fragment, the
+// half-block holding the candidate per planted literal, under either
+// kernel — and Reset clears it.
 func TestDirtyBlocksStat(t *testing.T) {
 	eachKernel(t, testDirtyBlocksStat)
 }
@@ -217,12 +217,8 @@ func testDirtyBlocksStat(t *testing.T) {
 		copy(planted[p:], "key19")
 	}
 	got := scan(planted)
-	perHit := int64(2) // the dirty block and the unprobed one behind it
-	if simdscan.UseAVX2 {
-		perHit = 1 // the block holding the candidate
-	}
-	if got.LiteralHits != 5 || got.DirtyBlocks != 5*perHit {
-		t.Fatalf("5 planted literals: %+v, want 5 hits and %d dirty blocks", got, 5*perHit)
+	if got.LiteralHits != 5 || got.DirtyBlocks != 5 {
+		t.Fatalf("5 planted literals: %+v, want 5 hits and 5 dirty blocks", got)
 	}
 	if again := scan(clean); again.DirtyBlocks != got.DirtyBlocks {
 		t.Fatalf("a clean chunk moved DirtyBlocks %d -> %d", got.DirtyBlocks, again.DirtyBlocks)

@@ -268,7 +268,7 @@ func TestKernelsNamesEveryEngine(t *testing.T) {
 	}
 	m = compilePar(t, patterns[:1], Options{})
 	defer func(host bool) { simdscan.UseAVX2 = host }(simdscan.UseAVX2)
-	teddies := map[bool]string{false: "teddy fp3 stride2"}
+	teddies := map[bool]string{false: "teddy fp3"}
 	if simdscan.UseAVX2 {
 		teddies[true] = "teddy fp3 avx2"
 	}

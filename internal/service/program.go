@@ -231,7 +231,7 @@ type ProgramStats struct {
 	// union (memchr, bytetable, teddy, ac), empty when nothing prefilters.
 	PrefilterTier string `json:"prefilter_tier,omitempty"`
 	// PrefilterKernel is the scan loop behind that tier, which the host's
-	// CPU chooses ("teddy fp3 avx2", or "teddy fp3 stride4" without AVX2).
+	// CPU chooses ("teddy fp3 avx2", or "teddy fp3" without AVX2).
 	PrefilterKernel string    `json:"prefilter_kernel,omitempty"`
 	CreatedAt       time.Time `json:"created_at"`
 	Generation      int64     `json:"generation"`

@@ -40,7 +40,7 @@ func (s *Service) registerMetrics() {
 	s.pfSkipped = r.Counter("rap_prefilter_skipped_bytes_total", "Bytes the literal prefilter proved match-free and skipped.")
 	s.pfHits = r.Counter("rap_prefilter_literal_hits_total", "Mandatory-literal occurrences found by the prefilter.")
 	s.pfWindows = r.Counter("rap_prefilter_windows_total", "Candidate windows delivered to the match automata.")
-	s.pfDirty = r.Counter("rap_prefilter_dirty_blocks_total", "16-byte blocks the fingerprint tier could not clear without an exact look (portable kernel: behind a failed pair-filter probe; AVX2: holding a candidate for verify); near scanned bytes/16 means traffic defeats the filter.")
+	s.pfDirty = r.Counter("rap_prefilter_dirty_blocks_total", "16-byte half-blocks the fingerprint tier could not clear without an exact look (holding a candidate for verify); near scanned bytes/16 means traffic defeats the filter.")
 	s.pfTier = map[string]*metrics.Counter{}
 	const tierHelp = "Scans and chunks served, by the candidate-scanner tier of the program's literal union."
 	for _, tier := range []string{"memchr", "bytetable", "teddy", "ac"} {

@@ -2,7 +2,6 @@ package simdscan
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"sort"
@@ -20,10 +19,6 @@ const (
 
 	teddyBuckets   = 8
 	teddyMaxFinger = 3
-	// teddyBlock is how many bytes one probe of the pair filter clears,
-	// teddyMaxBackoff the longest unprobed run after a dirty block.
-	teddyBlock      = 16
-	teddyMaxBackoff = 1024
 )
 
 // Teddy is a compiled multi-literal fingerprint prefilter. It reports the
@@ -57,13 +52,11 @@ type Teddy struct {
 	// 3-position routine serves both lengths.
 	nib [teddyMaxFinger][2][16]uint8
 
-	// fused[j][b] is the AND of b's two nibble masks at fingerprint
-	// position j (counted from the fingerprint's first byte, so fused[0]
-	// is nib[1] with fingerprint 2), precomputed at build time: the scalar
-	// loops spend one load per position instead of two. Nibble false
-	// positives (a byte borrowing its low nibble from one literal and its
-	// high nibble from another in the same bucket) are preserved —
-	// verification filters them, as on hardware.
+	// fused is nib with each position's two lookups ANDed into one
+	// 256-entry table (fuse): the Go loops spend one load per position
+	// instead of two. Nibble false positives (a byte borrowing its low
+	// nibble from one literal and its high nibble from another in the same
+	// bucket) are preserved — verification filters them, as on hardware.
 	fused [teddyMaxFinger][256]uint8
 
 	// buckets holds the verify literals. Literals are sorted by reversed
@@ -71,14 +64,8 @@ type Teddy struct {
 	// bytes tend to share a bucket (fewer buckets fire per candidate).
 	buckets [teddyBuckets][][]byte
 
-	// Pair filter (doc.go): pairA[c[p]]&pairB[c[p+1]] == 0 proves that no
-	// literal ends in [p+1, p+stride]. stride is 4 or 2, or 0 with a
-	// 2-byte literal: the filter is off.
-	stride       int
-	pairA, pairB [256]uint8
-
-	// kernel and kernelAVX2 are Kernel's names for the portable and the
-	// AVX2 kernel.
+	// kernel and kernelAVX2 are Kernel's names for the Go and the AVX2
+	// block function.
 	kernel, kernelAVX2 string
 }
 
@@ -87,20 +74,20 @@ type Teddy struct {
 // a chunk boundary still completes on the first bytes of the next chunk.
 // The zero value is the stream-start state.
 type TeddyState struct {
-	// r1 is f0&..&f_{fp-2} of the last fp-1 bytes (the product missing
-	// only the final position); r2 is f0 of the last byte (fp=3 only).
+	// r1 is the product of the first two fingerprint positions over the
+	// last two bytes, the one missing only the final position; r2 is
+	// position 0 of the last byte. With fingerprint 2, position 0 is all
+	// ones.
 	r1, r2 uint8
 	// dirty is DirtyBlocks: a diagnostic, never read by the scan.
 	dirty int64
 }
 
 // DirtyBlocks returns how many 16-byte blocks since the stream started
-// the kernel could not clear without an exact look. On the portable
-// kernel, those a failed pair-filter probe sent through the exact loop
-// (the dirty block and the back-off run behind it); on the AVX2 kernel,
-// the halves of its 32-byte steps that held a fingerprint candidate and
-// so went to verify (a chunk's scalar head and tail are not counted).
-// Near streamBytes/16, the traffic defeats the filter.
+// the kernel could not clear without an exact look: the halves of its
+// 32-byte blocks that held a fingerprint candidate and so went to verify
+// (a chunk's scalar head and tail are not counted). Near streamBytes/16,
+// the traffic defeats the filter.
 func (s TeddyState) DirtyBlocks() int64 { return s.dirty }
 
 // NewTeddy compiles a Teddy scanner for the literal set, or returns an
@@ -135,13 +122,6 @@ func NewTeddy(lits [][]byte) (*Teddy, error) {
 		t.maxLen = max(t.maxLen, len(l))
 	}
 	t.fp = min(teddyMaxFinger, shortest)
-	// stride <= shortest-1, so that offset len-2-j exists in every literal.
-	switch {
-	case shortest > 4:
-		t.stride = 4
-	case shortest > 2:
-		t.stride = 2
-	}
 	skip := teddyMaxFinger - t.fp // leading positions a short fingerprint leaves all ones
 	for j := 0; j < skip; j++ {
 		for b := range t.nib[j][0] {
@@ -157,23 +137,23 @@ func NewTeddy(lits [][]byte) (*Teddy, error) {
 			t.nib[skip+j][0][b&0x0f] |= bit
 			t.nib[skip+j][1][b>>4] |= bit
 		}
-		for j := 0; j < t.stride; j++ {
-			t.pairA[l[len(l)-2-j]] |= 1 << j
-			t.pairB[l[len(l)-1-j]] |= 1 << j
-		}
 	}
-	for j := 0; j < t.fp; j++ {
-		lo, hi := &t.nib[skip+j][0], &t.nib[skip+j][1]
-		for b := 0; b < 256; b++ {
-			t.fused[j][b] = lo[b&0x0f] & hi[b>>4]
-		}
-	}
-	t.kernel = fmt.Sprintf("teddy fp%d stride%d", t.fp, t.stride)
-	if t.stride == 0 {
-		t.kernel = fmt.Sprintf("teddy fp%d", t.fp)
-	}
-	t.kernelAVX2 = fmt.Sprintf("teddy fp%d avx2", t.fp)
+	t.fused = fuse(&t.nib)
+	t.kernel = fmt.Sprintf("teddy fp%d", t.fp)
+	t.kernelAVX2 = t.kernel + " avx2"
 	return t, nil
+}
+
+// fuse ANDs each fingerprint position's low- and high-nibble tables into
+// one table indexed by the whole byte: fuse(nib)[j][b] is
+// nib[j][0][b&15] & nib[j][1][b>>4].
+func fuse(nib *[teddyMaxFinger][2][16]uint8) (f [teddyMaxFinger][256]uint8) {
+	for j := range f {
+		for b := range f[j] {
+			f[j][b] = nib[j][0][b&0x0f] & nib[j][1][b>>4]
+		}
+	}
+	return f
 }
 
 // lessReversed orders byte strings by their reversed content, so literals
@@ -187,10 +167,9 @@ func lessReversed(a, b []byte) bool {
 	return len(a) < len(b)
 }
 
-// Kernel names the loop Scan runs over this set, which the host's CPU
-// chooses: "teddy fp3 avx2" where UseAVX2 is set, else the portable kernel
-// and its pair-filter stride, "teddy fp3 stride4" (4 or 2; "teddy fp2"
-// when a 2-byte literal turns the filter off). It does not allocate.
+// Kernel names the loop Scan runs over this set: its fingerprint length,
+// "teddy fp3" or "teddy fp2" (a 2-byte literal), and " avx2" where
+// UseAVX2 has the assembly run the blocks. It does not allocate.
 func (t *Teddy) Kernel() string {
 	if UseAVX2 {
 		return t.kernelAVX2
@@ -198,37 +177,28 @@ func (t *Teddy) Kernel() string {
 	return t.kernel
 }
 
+// UseAVX2 chooses the block function Scan calls: teddyAVX2 when it is
+// true, which it is from package init on an amd64 host whose CPU has AVX2
+// and whose OS saves the YMM registers, else its Go twin teddyBlocks. Only
+// tests change it, to run both on a host that has both.
+var UseAVX2 = hasAVX2()
+
+// vecBlock is how many positions one block of the kernel tests.
+const vecBlock = 32
+
 // Scan advances the scanner over one chunk, calling hit(i) for every
 // chunk-relative offset i at which at least one literal ends (at most
 // once per offset, in increasing order — the Aho-Corasick contract).
 // hist holds the stream bytes immediately preceding chunk, newest last;
 // occurrences reaching back across the boundary are verified against it.
 // The returned state carries the rolling fingerprint across the boundary.
+//
+// The block function returns the next 32-byte block of the chunk holding
+// a fingerprint candidate, with one mask bit per candidate position, and
+// verify confirms each. Positions 0 and 1, whose fingerprints reach back
+// into the previous chunk through st, and a tail shorter than a block
+// take the scalar loop.
 func (t *Teddy) Scan(chunk, hist []byte, st TeddyState, hit func(end int)) TeddyState {
-	switch {
-	case UseAVX2:
-		return t.scanAVX2(chunk, hist, st, hit)
-	case t.fp == 2:
-		return t.scan2(chunk, hist, st, hit)
-	}
-	return t.scan3(chunk, hist, st, hit)
-}
-
-// UseAVX2 chooses Scan's kernel: the AVX2 one when it is true, which it
-// is from package init on an amd64 host whose CPU has AVX2 and whose OS
-// saves the YMM registers, else the portable pure Go one. Only tests
-// change it, to run both kernels on a host that has both.
-var UseAVX2 = hasAVX2()
-
-// vecBlock is how many positions one step of the AVX2 kernel tests.
-const vecBlock = 32
-
-// scanAVX2 drives the AVX2 kernel: teddyAVX2 returns the next 32-byte
-// block of the chunk holding a fingerprint candidate, with one mask bit
-// per candidate position, and verify confirms each. Positions 0 and 1,
-// whose fingerprints reach back into the previous chunk through st, and a
-// tail shorter than a block take the scalar loop; there is no pair filter.
-func (t *Teddy) scanAVX2(chunk, hist []byte, st TeddyState, hit func(end int)) TeddyState {
 	n := len(chunk)
 	if n < 2+vecBlock {
 		return t.steps(chunk, hist, 0, st, hit)
@@ -237,7 +207,13 @@ func (t *Teddy) scanAVX2(chunk, hist []byte, st TeddyState, hit func(end int)) T
 	f0, f1, f2 := &t.fused[0], &t.fused[1], &t.fused[2]
 	i := 2
 	for {
-		j, cand := teddyAVX2(&t.nib, chunk, i)
+		var j int
+		var cand uint32
+		if UseAVX2 {
+			j, cand = teddyAVX2(&t.nib, chunk, i)
+		} else {
+			j, cand = teddyBlocks(&t.fused, chunk, i)
+		}
 		if cand == 0 {
 			i = j
 			break
@@ -250,202 +226,66 @@ func (t *Teddy) scanAVX2(chunk, hist []byte, st TeddyState, hit func(end int)) T
 		}
 		for ; cand != 0; cand &= cand - 1 {
 			p := j + bits.TrailingZeros32(cand)
-			c := f0[chunk[p-1]] & f1[chunk[p]] // fingerprint 2
-			if t.fp == 3 {
-				c = f0[chunk[p-2]] & f1[chunk[p-1]] & f2[chunk[p]]
-			}
-			t.verify(chunk, hist, p, c, hit)
+			t.verify(chunk, hist, p, f0[chunk[p-2]]&f1[chunk[p-1]]&f2[chunk[p]], hit)
 		}
 		i = j + vecBlock
 	}
 	// The state the scalar loop would carry into position i.
-	if t.fp == 2 {
-		st.r1 = f0[chunk[i-1]]
-	} else {
-		st.r1, st.r2 = f0[chunk[i-2]]&f1[chunk[i-1]], f0[chunk[i-1]]
-	}
+	st.r1, st.r2 = f0[chunk[i-2]]&f1[chunk[i-1]], f0[chunk[i-1]]
 	return t.steps(chunk, hist, i, st, hit)
 }
 
+// teddyBlocks is teddyAVX2 in Go, its exact twin and the reference the
+// fuzzers hold it to: from offset i >= 2 on, as long as a whole block
+// fits, it returns the offset of the first 32-byte block holding a
+// fingerprint candidate, with bit k of cand set when position offset+k is
+// one, or the offset where it stopped with cand 0. f is fuse of the
+// nibble tables teddyAVX2 takes. Per block it ORs the final position's
+// masks first, so a block in which no byte can end a literal costs one
+// load per byte.
+func teddyBlocks(f *[teddyMaxFinger][256]uint8, chunk []byte, i int) (offset int, cand uint32) {
+	f0, f1, f2 := &f[0], &f[1], &f[2]
+	for ; i+vecBlock <= len(chunk); i += vecBlock {
+		c := (*[vecBlock]byte)(chunk[i:])
+		if f2[c[0]]|f2[c[1]]|f2[c[2]]|f2[c[3]]|f2[c[4]]|f2[c[5]]|f2[c[6]]|f2[c[7]]|
+			f2[c[8]]|f2[c[9]]|f2[c[10]]|f2[c[11]]|f2[c[12]]|f2[c[13]]|f2[c[14]]|f2[c[15]]|
+			f2[c[16]]|f2[c[17]]|f2[c[18]]|f2[c[19]]|f2[c[20]]|f2[c[21]]|f2[c[22]]|f2[c[23]]|
+			f2[c[24]]|f2[c[25]]|f2[c[26]]|f2[c[27]]|f2[c[28]]|f2[c[29]]|f2[c[30]]|f2[c[31]] == 0 {
+			continue
+		}
+		w := (*[vecBlock + 2]byte)(chunk[i-2:])
+		for k := 0; k < vecBlock; k++ {
+			if f0[w[k]]&f1[w[k+1]]&f2[w[k+2]] != 0 {
+				cand |= 1 << k
+			}
+		}
+		if cand != 0 {
+			return i, cand
+		}
+	}
+	return i, 0
+}
+
 // steps is the scalar fingerprint loop over chunk[i:], one position per
-// iteration: the kernels run it where a chunk is too short for their
-// blocks, and it is the definition of TeddyState.
+// iteration: Scan runs it where a chunk is too short for a block, and it
+// is the definition of TeddyState.
 func (t *Teddy) steps(chunk, hist []byte, i int, st TeddyState, hit func(end int)) TeddyState {
 	f0, f1, f2 := &t.fused[0], &t.fused[1], &t.fused[2]
 	r1, r2 := st.r1, st.r2
 	if t.fp == 2 {
-		for ; i < len(chunk); i++ {
-			b := chunk[i]
-			c := r1 & f1[b]
-			r1 = f0[b]
-			if c != 0 {
-				t.verify(chunk, hist, i, c, hit)
-			}
-		}
-	} else {
-		for ; i < len(chunk); i++ {
-			b := chunk[i]
-			c := r1 & f2[b]
-			r1 = r2 & f1[b]
-			r2 = f0[b]
-			if c != 0 {
-				t.verify(chunk, hist, i, c, hit)
-			}
+		r2 = 0xff // position 0 is all ones, before the stream's first byte too
+	}
+	for ; i < len(chunk); i++ {
+		b := chunk[i]
+		c := r1 & f2[b]
+		r1 = r2 & f1[b]
+		r2 = f0[b]
+		if c != 0 {
+			t.verify(chunk, hist, i, c, hit)
 		}
 	}
 	st.r1, st.r2 = r1, r2
 	return st
-}
-
-// scan2 is the fingerprint-length-2 kernel. r1 enters as f0 of the byte
-// before the chunk. Per 8-byte lane load it first ORs the final-position
-// masks of all eight bytes — input bytes that can end no literal (the
-// overwhelming majority on selective sets) cost one load and one OR each
-// — and only on a possible ending computes the full rolling AND. The
-// 2-byte literal that sends a set here leaves the pair filter no stride.
-func (t *Teddy) scan2(chunk, hist []byte, st TeddyState, hit func(end int)) TeddyState {
-	f0, f1 := &t.fused[0], &t.fused[1]
-	r1 := st.r1
-	i, n := 0, len(chunk)
-	for ; i+8 <= n; i += 8 {
-		w := binary.LittleEndian.Uint64(chunk[i:])
-		b0, b1, b2, b3 := byte(w), byte(w>>8), byte(w>>16), byte(w>>24)
-		b4, b5, b6, b7 := byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56)
-		e0, e1, e2, e3 := f1[b0], f1[b1], f1[b2], f1[b3]
-		e4, e5, e6, e7 := f1[b4], f1[b5], f1[b6], f1[b7]
-		if e0|e1|e2|e3|e4|e5|e6|e7 == 0 {
-			r1 = f0[b7]
-			continue
-		}
-		c0 := r1 & e0
-		v0 := f0[b0]
-		c1 := v0 & e1
-		v1 := f0[b1]
-		c2 := v1 & e2
-		v2 := f0[b2]
-		c3 := v2 & e3
-		v3 := f0[b3]
-		c4 := v3 & e4
-		v4 := f0[b4]
-		c5 := v4 & e5
-		v5 := f0[b5]
-		c6 := v5 & e6
-		v6 := f0[b6]
-		c7 := v6 & e7
-		r1 = f0[b7]
-		if c0|c1|c2|c3|c4|c5|c6|c7 != 0 {
-			t.drain(chunk, hist, i, pack8(c0, c1, c2, c3, c4, c5, c6, c7), hit)
-		}
-	}
-	st.r1 = r1
-	return t.steps(chunk, hist, i, st, hit)
-}
-
-// scan3 is the fingerprint-length-3 kernel: the pair filter's skip loop,
-// and behind it the exact 8-byte fingerprint loop, the only source of
-// hits. Entering an exact position, r1 is f0&f1 of the previous two bytes
-// and r2 is f0 of the previous byte; skip does not maintain them, so they
-// are recomputed wherever it stops. The first 8 bytes of a chunk and a
-// tail shorter than a block always take the exact loop.
-func (t *Teddy) scan3(chunk, hist []byte, st TeddyState, hit func(end int)) TeddyState {
-	f0, f1, f2 := &t.fused[0], &t.fused[1], &t.fused[2]
-	r1, r2 := st.r1, st.r2
-	i, n := 0, len(chunk)
-	probe := 8            // no probe below this offset
-	backoff := teddyBlock // bytes past a dirty block that go unprobed too
-	for i+8 <= n {
-		if i >= probe {
-			if j := t.skip(chunk, i); j != i {
-				i, backoff = j, teddyBlock
-				r1, r2 = f0[chunk[i-2]]&f1[chunk[i-1]], f0[chunk[i-1]]
-			}
-			probe = n // what is left is shorter than a block
-			if i+teddyBlock <= n {
-				// Stopped on a dirty block: back off (doc.go), one block's
-				// worth, doubling with every probe in a row that clears nothing.
-				probe = i + teddyBlock + backoff
-				backoff = min(2*backoff, teddyMaxBackoff)
-				st.dirty += int64(min(probe, n)-i) / teddyBlock
-			}
-		}
-		// The exact loop, as far as the next probe; its own loop so that the
-		// probe's variables are not live across the 24 byte-wide ones here.
-		for stop := min(probe, n-7); i < stop; i += 8 {
-			w := binary.LittleEndian.Uint64(chunk[i:])
-			b0, b1, b2, b3 := byte(w), byte(w>>8), byte(w>>16), byte(w>>24)
-			b4, b5, b6, b7 := byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56)
-			e0, e1, e2, e3 := f2[b0], f2[b1], f2[b2], f2[b3]
-			e4, e5, e6, e7 := f2[b4], f2[b5], f2[b6], f2[b7]
-			if e0|e1|e2|e3|e4|e5|e6|e7 == 0 {
-				r1 = f0[b6] & f1[b7]
-				r2 = f0[b7]
-				continue
-			}
-			c0 := r1 & e0
-			p0 := r2 & f1[b0]
-			c1 := p0 & e1
-			p1 := f0[b0] & f1[b1]
-			c2 := p1 & e2
-			p2 := f0[b1] & f1[b2]
-			c3 := p2 & e3
-			p3 := f0[b2] & f1[b3]
-			c4 := p3 & e4
-			p4 := f0[b3] & f1[b4]
-			c5 := p4 & e5
-			p5 := f0[b4] & f1[b5]
-			c6 := p5 & e6
-			p6 := f0[b5] & f1[b6]
-			c7 := p6 & e7
-			r1 = f0[b6] & f1[b7]
-			r2 = f0[b7]
-			if c0|c1|c2|c3|c4|c5|c6|c7 != 0 {
-				t.drain(chunk, hist, i, pack8(c0, c1, c2, c3, c4, c5, c6, c7), hit)
-			}
-		}
-	}
-	st.r1, st.r2 = r1, r2
-	return t.steps(chunk, hist, i, st, hit)
-}
-
-// skip steps from chunk offset i >= 1 over 16-byte blocks [i, i+16) while
-// the pairs sampled at i-1, i-1+stride, … clear them, and returns the
-// start of the first block that is dirty or no longer fits the chunk.
-func (t *Teddy) skip(chunk []byte, i int) int {
-	a, b := &t.pairA, &t.pairB
-	n := len(chunk)
-	if t.stride == 4 {
-		for ; i+teddyBlock <= n; i += teddyBlock {
-			c := (*[teddyBlock]byte)(chunk[i-1:])
-			if a[c[0]]&b[c[1]]|a[c[4]]&b[c[5]]|a[c[8]]&b[c[9]]|a[c[12]]&b[c[13]] != 0 {
-				break
-			}
-		}
-		return i
-	}
-	for ; i+teddyBlock <= n; i += teddyBlock {
-		c := (*[teddyBlock]byte)(chunk[i-1:])
-		if a[c[0]]&b[c[1]]|a[c[2]]&b[c[3]]|a[c[4]]&b[c[5]]|a[c[6]]&b[c[7]]|
-			a[c[8]]&b[c[9]]|a[c[10]]&b[c[11]]|a[c[12]]&b[c[13]]|a[c[14]]&b[c[15]] != 0 {
-			break
-		}
-	}
-	return i
-}
-
-// pack8 lays the candidate masks of one 8-byte block into a word, byte k
-// for offset k, so the block is tested and drained in a register.
-func pack8(c0, c1, c2, c3, c4, c5, c6, c7 uint8) uint64 {
-	return uint64(c0) | uint64(c1)<<8 | uint64(c2)<<16 | uint64(c3)<<24 |
-		uint64(c4)<<32 | uint64(c5)<<40 | uint64(c6)<<48 | uint64(c7)<<56
-}
-
-// drain verifies the candidates of one 8-byte block in offset order.
-func (t *Teddy) drain(chunk, hist []byte, base int, cand uint64, hit func(end int)) {
-	for cand != 0 {
-		sh := bits.TrailingZeros64(cand) &^ 7
-		t.verify(chunk, hist, base+sh>>3, uint8(cand>>sh), hit)
-		cand &^= 0xff << sh
-	}
 }
 
 // verify confirms a fingerprint candidate at chunk offset end: some

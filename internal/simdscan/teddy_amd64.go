@@ -27,7 +27,7 @@ func xgetbv() (eax, edx uint32)
 // holding a fingerprint candidate with bit k of cand set when position
 // offset+k is one, or the offset where it stopped with cand 0. Per block
 // it looks up the final fingerprint position first, so a block in which
-// no byte can end a literal costs one load.
+// no byte can end a literal costs one load. teddyBlocks is its Go twin.
 //
 //go:noescape
 func teddyAVX2(nib *[teddyMaxFinger][2][16]uint8, chunk []byte, i int) (offset int, cand uint32)

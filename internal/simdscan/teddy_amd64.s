@@ -58,6 +58,10 @@ TEXT ·teddyAVX2(SB), NOSPLIT, $0-52
 	VPXOR Y10, Y10, Y10
 	SUBQ $32, DX // the last offset a whole block starts at
 
+	// The loop head at 0 mod 64 (which aligns the function too), wherever
+	// the code linked before this package moves it.
+	PCALIGN $64
+
 loop:
 	CMPQ CX, DX
 	JGT  clean

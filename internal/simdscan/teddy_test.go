@@ -71,9 +71,9 @@ func teddyCutEnds(t *Teddy, data []byte, cuts []int) []int {
 	return out
 }
 
-// teddyCutScan is teddyCutEnds that also returns the fingerprint state
-// after each chunk, the part of TeddyState both kernels define alike.
-func teddyCutScan(t *Teddy, data []byte, cuts []int) (out []int, states [][2]uint8) {
+// teddyCutScan is teddyCutEnds that also returns the state after each
+// chunk.
+func teddyCutScan(t *Teddy, data []byte, cuts []int) (out []int, states []TeddyState) {
 	var st TeddyState
 	var hist []byte
 	pos := 0
@@ -92,23 +92,37 @@ func teddyCutScan(t *Teddy, data []byte, cuts []int) (out []int, states [][2]uin
 		}
 		hist = append([]byte{}, data[cut-keep:cut]...)
 		pos = cut
-		states = append(states, [2]uint8{st.r1, st.r2})
+		states = append(states, st)
 	}
 	return out, states
 }
 
+// TestTeddyWholeBuffer scans whole buffers: a short one, and traffic made
+// of literal tails, so nearly every block holds a candidate, with literals
+// planted in it.
 func TestTeddyWholeBuffer(t *testing.T) {
+	defeated := bytes.Repeat([]byte("bcabab"), 700)
+	for p := 100; p < len(defeated); p += 333 {
+		copy(defeated[p:], [][]byte{[]byte("abcab"), []byte("ccabcabcc")}[p%2])
+	}
+	cases := []struct {
+		lits []string
+		data []byte
+	}{
+		{[]string{"needle", "nd", "xyz", "eedl"}, []byte("find the needle and the xyzzy needle end")},
+		{[]string{"abcab", "ccabcabcc"}, defeated},
+	}
 	eachKernel(t, func(t *testing.T) {
-		lits := [][]byte{[]byte("needle"), []byte("nd"), []byte("xyz"), []byte("eedl")}
-		td, err := NewTeddy(lits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data := []byte("find the needle and the xyzzy needle end")
-		got := teddyEnds(td, data, []int{len(data)})
-		want := refEnds(data, lits)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("ends: got %v want %v", got, want)
+		for _, tc := range cases {
+			lits := byteLits(tc.lits)
+			td, err := NewTeddy(lits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := teddyEnds(td, tc.data, []int{len(tc.data)})
+			if want := refEnds(tc.data, lits); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%q: ends: got %v want %v", tc.lits, got, want)
+			}
 		}
 	})
 }
@@ -216,31 +230,6 @@ func TestTeddyHistoryBound(t *testing.T) {
 	})
 }
 
-// strideSets has one literal set per pair-filter stride: the shortest
-// literal decides it (2 bytes: off, 3–4: 2, 5 and up: 4).
-var strideSets = []struct {
-	stride int
-	lits   []string
-}{
-	{0, []string{"ab", "abcabc"}},
-	{2, []string{"abc", "cabcab"}},
-	{2, []string{"abca", "bbbbbb"}},
-	{4, []string{"abcab", "ccabcabcc"}},
-	{4, []string{"abcabcab"}},
-}
-
-func TestTeddyStride(t *testing.T) {
-	for _, set := range strideSets {
-		td, err := NewTeddy(byteLits(set.lits))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if td.stride != set.stride {
-			t.Errorf("%q: stride %d, want %d", set.lits, td.stride, set.stride)
-		}
-	}
-}
-
 func byteLits(lits []string) [][]byte {
 	out := make([][]byte, len(lits))
 	for i, l := range lits {
@@ -249,33 +238,44 @@ func byteLits(lits []string) [][]byte {
 	return out
 }
 
-// TestTeddyStrideBoundaries plants one literal at every offset of a short
-// stream and cuts the stream around it, for each stride: the occurrence
-// lands in the first (always exact) block of a chunk, straddles the cut,
-// straddles the edge between a block the skip loop cleared and the dirty
-// one, sits in the block after a dirty one (not probed) and in the one
-// after that (probed again), and in chunks shorter than a block or empty.
+// fpSets has literal sets of fingerprint 2 and 3, the shortest literal
+// deciding it.
+var fpSets = [][]string{
+	{"ab", "abcabc"},
+	{"abc", "cabcab"},
+	{"abcab", "ccabcabcc"},
+}
+
+// TestTeddyStrideBoundaries plants one literal at every offset of a stream
+// longer than two of the kernel's 32-byte strides, and a second one at a
+// varying distance, and cuts the stream around it, for fingerprint 2 and
+// 3: the occurrence lands in a chunk's 2-byte scalar head, straddles a
+// cut, straddles the edge between two blocks, sits in a tail shorter than
+// a block, and in chunks shorter than a block or empty.
 func TestTeddyStrideBoundaries(t *testing.T) {
 	eachKernel(t, func(t *testing.T) {
-		cutSets := [][]int{
-			nil, {40}, {40, 40}, {33}, {40, 45}, {40, 47, 50}, {7}, {8}, {9}, {16}, {24}, {25}, {1, 2, 3},
-			{34}, {35}, {1, 35}, {2, 36, 70}, // an AVX2 block: 2 scalar bytes, then 32
+		const n = 2*vecBlock + 40
+		fixed := [][]int{
+			nil, {40}, {40, 40}, {33}, {34}, {35}, {1, 35}, {2, 36, 70}, {1, 2, 3},
+			{7}, {16}, {31}, {32}, {66}, {67}, {68}, {34, 66}, {36, 68, 100},
 		}
-		for _, set := range strideSets {
-			lits := byteLits(set.lits)
+		for _, set := range fpSets {
+			lits := byteLits(set)
 			td, err := NewTeddy(lits)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, lit := range lits {
-				for p := 0; p+len(lit) <= 120; p++ {
-					data := bytes.Repeat([]byte{'.'}, 120)
+				for p := 0; p+len(lit) <= n; p++ {
+					data := bytes.Repeat([]byte{'.'}, n)
 					copy(data[p:], lit)
-					copy(data[(p+50)%100:], lit) // a second one, at a varying distance
+					copy(data[(p+50)%(n-10):], lit)
 					want := refEnds(data, lits)
-					for _, cuts := range cutSets {
+					// Cuts before, inside, at the end of and after the literal.
+					around := [][]int{{p}, {p + 1}, {p + len(lit)/2}, {p + len(lit) - 1}, {p + len(lit)}, {max(p-2, 0), p + len(lit) + 1}}
+					for _, cuts := range append(fixed, around...) {
 						if got := teddyCutEnds(td, data, cuts); fmt.Sprint(got) != fmt.Sprint(want) {
-							t.Fatalf("stride %d, %q at %d, cuts %v: got %v want %v", set.stride, lit, p, cuts, got, want)
+							t.Fatalf("fp %d, %q at %d, cuts %v: got %v want %v", td.fp, lit, p, cuts, got, want)
 						}
 					}
 				}
@@ -284,53 +284,55 @@ func TestTeddyStrideBoundaries(t *testing.T) {
 	})
 }
 
-// TestTeddyBackoff: traffic made of literal tails defeats the filter, so
-// the unprobed run behind a dirty block doubles until nearly every block
-// takes the exact loop — which still finds each literal planted in it —
-// and one clean stretch brings the probes back. The AVX2 kernel has no
-// pair filter; its DirtyBlocks counts the blocks holding a candidate,
-// nearly all of them on the first input and one on the second.
-func TestTeddyBackoff(t *testing.T) {
-	eachKernel(t, func(t *testing.T) {
-		lits := byteLits([]string{"abcab", "ccabcabcc"})
-		td, err := NewTeddy(lits)
-		if err != nil {
-			t.Fatal(err)
+// FuzzTeddyBlocks holds the AVX2 block function to its Go twin, call for
+// call to the end of the chunk: random nibble tables of the fingerprint 2
+// shape (position 0 all ones) and the 3 shape, each bit set with a
+// random density, over a random chunk from a start offset i >= 2.
+func FuzzTeddyBlocks(f *testing.F) {
+	f.Add(int64(1), false, uint8(40), uint8(2), bytes.Repeat([]byte("fuzz the kernel "), 12))
+	f.Add(int64(2), true, uint8(8), uint8(5), bytes.Repeat([]byte{0, 0xff, 0x0f, 0xf0, 'a'}, 60))
+	f.Add(int64(3), false, uint8(200), uint8(33), []byte("0123456789abcdef0123456789abcdef0123456789"))
+	f.Add(int64(4), true, uint8(1), uint8(0), make([]byte, 300))
+	f.Fuzz(func(t *testing.T, seed int64, fp2 bool, density, start uint8, chunk []byte) {
+		if !UseAVX2 {
+			t.Skip("no AVX2 on this host")
 		}
-		dirty := bytes.Repeat([]byte("bcabab"), 700)
-		for p := 100; p < len(dirty); p += 333 {
-			copy(dirty[p:], lits[p%2])
+		rng := rand.New(rand.NewSource(seed))
+		var nib [teddyMaxFinger][2][16]uint8
+		for j := range nib {
+			for h := range nib[j] {
+				for x := range nib[j][h] {
+					for k := 0; k < teddyBuckets; k++ {
+						if rng.Intn(256) < int(density) || fp2 && j == 0 {
+							nib[j][h][x] |= 1 << k
+						}
+					}
+				}
+			}
 		}
-		var got []int
-		st := td.Scan(dirty, nil, TeddyState{}, func(end int) { got = append(got, end) })
-		if want := refEnds(dirty, lits); fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("defeated filter: got %v want %v", got, want)
-		}
-		if blocks := int64(len(dirty) / teddyBlock); st.DirtyBlocks() < blocks*9/10 {
-			t.Errorf("%d dirty blocks of %d: the filter was not defeated", st.DirtyBlocks(), blocks)
-		}
-		before := st.DirtyBlocks()
-		clean := bytes.Repeat([]byte{'.'}, 4096)
-		copy(clean[3000:], lits[0])
-		hits := 0
-		st = td.Scan(clean, dirty[len(dirty)-td.maxLen+1:], st, func(int) { hits++ })
-		want := int64(2) // the dirty block and the unprobed one behind it
-		if UseAVX2 {
-			want = 1
-		}
-		if d := st.DirtyBlocks() - before; hits != 1 || d != want {
-			t.Errorf("clean chunk with one literal: %d hits, %d dirty blocks; want 1 and %d", hits, d, want)
+		fused := fuse(&nib)
+		for i := 2 + int(start)%vecBlock; ; {
+			j, cand := teddyAVX2(&nib, chunk, i)
+			gj, gcand := teddyBlocks(&fused, chunk, i)
+			if j != gj || cand != gcand {
+				t.Fatalf("from %d of %d bytes: avx2 (%d, %#x), go (%d, %#x)", i, len(chunk), j, cand, gj, gcand)
+			}
+			if cand == 0 {
+				break
+			}
+			i = j + vecBlock
 		}
 	})
 }
 
-// FuzzTeddyStrideEquivalence holds each kernel the host has to a naive
+// FuzzTeddyKernelEquivalence holds each kernel the host has to a naive
 // search of the concatenated stream, hit for hit, and the kernels to each
-// other, state for state after every chunk: random literal sets whose
-// shortest member has 2…12 bytes (so the filter is off and at stride 2
-// and 4), input that is mostly fragments of those literals (so probes are
-// dirty, candidates fail late, and clean runs are short), random cuts.
-func FuzzTeddyStrideEquivalence(f *testing.F) {
+// other, state for state after every chunk, DirtyBlocks included: random
+// literal sets whose shortest member has 2…12 bytes (fingerprint 2 and
+// 3), input that is mostly fragments of those literals (so blocks hold
+// candidates, candidates fail late, and clean runs are short), random
+// cuts.
+func FuzzTeddyKernelEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(3), []byte("hello, fragments \x80\x91\xa2 and noise"))
 	f.Add(int64(2), uint8(1), uint8(1), bytes.Repeat([]byte{0x80, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 40))
 	f.Add(int64(3), uint8(3), uint8(24), bytes.Repeat([]byte{0xff, 0xfe, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7}, 30))
@@ -375,7 +377,7 @@ func FuzzTeddyStrideEquivalence(f *testing.F) {
 			case 0:
 				pos += rng.Intn(4) // 0: an empty chunk
 			case 1:
-				pos += 1 + rng.Intn(2*teddyBlock)
+				pos += 1 + rng.Intn(2*vecBlock)
 			default:
 				pos += 1 + rng.Intn(200)
 			}
@@ -383,12 +385,12 @@ func FuzzTeddyStrideEquivalence(f *testing.F) {
 		}
 		want := refEnds(data, lits)
 		defer func(host bool) { UseAVX2 = host }(UseAVX2)
-		var portable [][2]uint8
+		var portable []TeddyState
 		for _, avx2 := range hostKernels() {
 			UseAVX2 = avx2
 			got, states := teddyCutScan(td, data, cuts)
 			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("%s kernel, stride %d, lits %q, cuts %v, data %q:\n got %v\nwant %v", kernelName(avx2), td.stride, lits, cuts, data, got, want)
+				t.Fatalf("%s kernel, fp %d, lits %q, cuts %v, data %q:\n got %v\nwant %v", kernelName(avx2), td.fp, lits, cuts, data, got, want)
 			}
 			if !avx2 {
 				portable = states
@@ -400,7 +402,7 @@ func FuzzTeddyStrideEquivalence(f *testing.F) {
 }
 
 // benchKeySet is the ledger's `.keyNN.` literal union: 24 five-byte
-// literals, so fingerprint 3 and stride 4.
+// literals, so fingerprint 3.
 func benchKeySet(b *testing.B) (*Teddy, [][]byte) {
 	var lits [][]byte
 	for i := 0; i < 24; i++ {
@@ -441,15 +443,15 @@ func benchScan(b *testing.B, td *Teddy, data []byte, check func(b *testing.B, st
 	}
 }
 
-// BenchmarkTeddy24 is the sparse case the pair filter exists for: noise
-// with no literal in it (literal_bulk's shape between its plants).
+// BenchmarkTeddy24 is the sparse case, the clean path of every block:
+// noise with no literal in it (literal_bulk's shape between its plants).
 func BenchmarkTeddy24(b *testing.B) {
 	td, _ := benchKeySet(b)
 	benchScan(b, td, benchNoise(rand.New(rand.NewSource(1))), nil)
 }
 
 // BenchmarkTeddyDense is small_dense's shape: one literal per 64 bytes,
-// so the filter is dirty on about a block in four and backs off.
+// so every 32-byte block is dirty about every other time.
 func BenchmarkTeddyDense(b *testing.B) {
 	td, lits := benchKeySet(b)
 	rng := rand.New(rand.NewSource(1))
@@ -461,9 +463,9 @@ func BenchmarkTeddyDense(b *testing.B) {
 }
 
 // BenchmarkTeddyAllDirty is the adversarial case: input made only of
-// literal tails ("ey07", "y13", …), so no literal occurs, every probe is
-// dirty and every fingerprint candidate goes to verify and fails there:
-// under either kernel's DirtyBlocks, nearly every block is dirty.
+// literal tails ("ey07", "y13", …), so no literal occurs and every
+// fingerprint candidate goes to verify and fails there: nearly every
+// 16-byte half-block is dirty.
 func BenchmarkTeddyAllDirty(b *testing.B) {
 	td, lits := benchKeySet(b)
 	rng := rand.New(rand.NewSource(1))
@@ -472,7 +474,7 @@ func BenchmarkTeddyAllDirty(b *testing.B) {
 		data = append(data, lits[rng.Intn(len(lits))][1+rng.Intn(2):]...)
 	}
 	benchScan(b, td, data, func(b *testing.B, st TeddyState) {
-		if blocks := int64(len(data) / teddyBlock); st.DirtyBlocks() < blocks*9/10 {
+		if blocks := int64(len(data) / (vecBlock / 2)); st.DirtyBlocks() < blocks*9/10 {
 			b.Fatalf("%d dirty blocks of %d: the input does not defeat the filter", st.DirtyBlocks(), blocks)
 		}
 	})

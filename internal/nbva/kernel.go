@@ -1,6 +1,9 @@
 package nbva
 
-import "math/bits"
+import (
+	"bytes"
+	"math/bits"
+)
 
 // This file holds the chunk kernel the software matcher scans NBVA
 // patterns with. Runner is the cycle simulator's model: it recomputes the
@@ -9,7 +12,9 @@ import "math/bits"
 // matching is one AND, the transition is one OR per matched state, and a
 // bit vector costs one shift and one OR per symbol — and only while it is
 // live or being entered, which is how the hardware gates its bit-vector
-// phase (§3.1).
+// phase (§3.1). An idle machine sleeps until a byte of its start class
+// arrives, as the hardware power-gates an idle tile: when that class is one
+// byte, bytes.IndexByte's vector loop finds it; otherwise a table loop does.
 
 // MaxKernelStates is the largest control-state count the kernel handles:
 // one bit of a machine word per STE.
@@ -23,7 +28,12 @@ type Kernel struct {
 	// of an STE that is enabled on every cycle. It repeats what labels and
 	// reinject say so that the skip loop reads a 256-byte table (8% faster
 	// on BenchmarkNBVAKernel than testing labels there).
-	start  [256]bool
+	start [256]bool
+	// lone is the one byte start marks, or -1 when it marks none (a
+	// start-anchored machine) or several. With one, the idle skip is
+	// bytes.IndexByte: 1.8-2.3x the table loop on BenchmarkNBVAKernel's
+	// Snort machines, 0.7x when the byte comes every second byte.
+	lone   int
 	follow []uint64 // per STE: successor mask
 
 	initial  uint64
@@ -50,7 +60,7 @@ func NewKernel(m *Machine) *Kernel {
 	if len(m.States) > MaxKernelStates {
 		return nil
 	}
-	k := &Kernel{follow: make([]uint64, len(m.States))}
+	k := &Kernel{follow: make([]uint64, len(m.States)), lone: -1}
 	for _, q := range m.Initial {
 		k.initial |= 1 << q
 	}
@@ -86,11 +96,22 @@ func NewKernel(m *Machine) *Kernel {
 		k.bvs = append(k.bvs, bv)
 		k.words += bv.words
 	}
+	n := 0
 	for c := range k.start {
 		k.start[c] = k.labels[c]&k.reinject != 0
+		if k.start[c] {
+			k.lone, n = c, n+1
+		}
+	}
+	if n != 1 {
+		k.lone = -1
 	}
 	return k
 }
+
+// Memchr reports whether an idle machine skips to its one start byte with
+// bytes.IndexByte rather than the table loop.
+func (k *Kernel) Memchr() bool { return k.lone >= 0 }
 
 // KernelState is the configuration of one stream on one Kernel: the
 // enabled STEs, which bit vectors are live (non-zero), and the vectors.
@@ -128,11 +149,19 @@ func (s *KernelState) ScanChunk(data []byte, base int, emit func(end int)) {
 		if live == 0 && enabled == k.reinject {
 			// Idle: no vector is live and only the every-cycle STEs are
 			// enabled, so a byte outside their classes changes nothing.
-			for i < len(data) && !k.start[data[i]] {
-				i++
-			}
-			if i == len(data) {
-				break
+			if k.lone >= 0 {
+				j := bytes.IndexByte(data[i:], byte(k.lone))
+				if j < 0 {
+					break
+				}
+				i += j
+			} else {
+				for i < len(data) && !k.start[data[i]] {
+					i++
+				}
+				if i == len(data) {
+					break
+				}
 			}
 		}
 		lab := k.labels[data[i]]

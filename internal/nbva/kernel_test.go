@@ -1,6 +1,7 @@
 package nbva
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -252,6 +253,65 @@ func TestKernelZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestKernelSkipChoice: an idle machine skips with bytes.IndexByte when its
+// start class is one byte, and with the table loop when it has several
+// bytes or, start-anchored, none.
+func TestKernelSkipChoice(t *testing.T) {
+	for _, c := range []struct {
+		pattern string
+		memchr  bool
+	}{
+		{"ab{5}c", true},
+		{"a{3}b", true},      // the start STE is a BV-STE
+		{"(a|ab{4})c", true}, // two start STEs, one byte
+		{"[ab]{70}c", false},
+		{".a{2}b", false},
+		{"^ab{3}c", false},
+	} {
+		if got := NewKernel(compile(t, c.pattern, 1)).Memchr(); got != c.memchr {
+			t.Errorf("%s: Memchr() = %v, want %v", c.pattern, got, c.memchr)
+		}
+	}
+}
+
+// TestKernelSkipEdges holds the memchr skip to Runner.Step where its
+// search ends: the start byte first or last in a chunk, a whole chunk
+// without it, and idle gaps either side of IndexByte's 16-, 32- and
+// 64-byte vector thresholds.
+func TestKernelSkipEdges(t *testing.T) {
+	r := rand.New(rand.NewSource(46))
+	for _, pattern := range []string{"ab{3}c", "ab{0,5}c", "a{3}b", "ab{20,48}c"} {
+		m := compile(t, pattern, 4)
+		if !NewKernel(m).Memchr() {
+			t.Fatalf("%s: no memchr skip", pattern)
+		}
+		for _, gap := range []int{0, 1, 15, 16, 31, 32, 63, 64, 65} {
+			var input []byte
+			var starts []int
+			for _, run := range []string{"abbbc", "aaab", "a" + strings.Repeat("b", 30) + "c", "a", "ab"} {
+				input = append(input, strings.Repeat("x", gap)...)
+				starts = append(starts, len(input))
+				input = append(input, run...)
+			}
+			input = append(input, strings.Repeat("x", gap)...)
+			// Cut before each start byte, after it, and around each gap, so
+			// the gap is a whole chunk without one.
+			var first, last, gaps []int
+			for _, at := range starts {
+				first = append(first, at)
+				last = append(last, at+1)
+				gaps = append(gaps, at-gap, at)
+			}
+			for _, cuts := range [][]int{nil, first, last, gaps} {
+				checkKernel(t, m, input, cuts)
+			}
+			for trial := 0; trial < 20; trial++ {
+				checkKernel(t, m, input, randomCuts(r, len(input)))
+			}
+		}
+	}
+}
+
 // TestRunnerResetClearsStepStats pins that the per-step statistics of one
 // stream do not leak into the next through Reset.
 func TestRunnerResetClearsStepStats(t *testing.T) {
@@ -272,7 +332,9 @@ func TestRunnerResetClearsStepStats(t *testing.T) {
 // FuzzNBVAKernelEquivalence holds the chunk kernel to Runner.Step and
 // CounterRunner fire for fire, with multiplicity, over chunk splits drawn
 // from the seed. shape picks a named machine, or past the table a random
-// one built from the seed.
+// one built from the seed. A seed that is 3 mod 4 inserts idle runs of
+// 32-300 bytes that no class holds, long enough for bytes.IndexByte's
+// vector loop; otherwise an idle gap is rarely more than a few bytes.
 func FuzzNBVAKernelEquivalence(f *testing.F) {
 	cases := kernelCases(f)
 	for shape := 0; shape <= len(cases); shape++ {
@@ -295,6 +357,13 @@ func FuzzNBVAKernelEquivalence(f *testing.F) {
 		norm := make([]byte, len(input))
 		for i, b := range input {
 			norm[i] = 'a' + b%kernelAlphabet
+		}
+		if seed&3 == 3 {
+			for n := 1 + r.Intn(4); n > 0; n-- {
+				at := r.Intn(len(norm) + 1)
+				idle := bytes.Repeat([]byte{'z'}, 32+r.Intn(269))
+				norm = append(norm[:at:at], append(idle, norm[at:]...)...)
+			}
 		}
 		checkKernel(t, m, norm, randomCuts(r, len(norm)))
 	})

@@ -175,7 +175,7 @@ func TestNBVAStepFallback(t *testing.T) {
 	prefix := strings.Repeat("abcdefgh", 9) // 72 standard STEs
 	patterns := []string{"hab{20}c", prefix + "x{20}y", prefix + "x{0,30}y$", "hax{17}"}
 	m := compilePar(t, patterns, Options{})
-	wantKernels := []string{"word64", "step", "step", "word64"}
+	wantKernels := []string{"word64 memchr", "step", "step", "word64 memchr"}
 	for i, k := range m.Kernels() {
 		if m.Engines()[i] != EngineNBVA || !strings.HasPrefix(k, wantKernels[i]+" ") {
 			t.Fatalf("pattern %d: engine %v kernel %q, want nbva on %s", i, m.Engines()[i], k, wantKernels[i])
@@ -254,9 +254,10 @@ func TestScanAllocations(t *testing.T) {
 
 // TestKernelsNamesEveryEngine: Kernels says which loop scans each pattern.
 func TestKernelsNamesEveryEngine(t *testing.T) {
-	patterns := []string{"cat", "ab{20}c", "a(x|y)*b", "^a(x|y)*b", strings.Repeat("[ab]", 70)}
+	patterns := []string{"cat", "ab{20}c", "a(x|y)*b", "^a(x|y)*b", strings.Repeat("[ab]", 70), "[ab]x{20}y"}
 	m := compilePar(t, patterns, Options{DisablePrefilter: true})
-	want := []string{"shiftand-multi", "word64 (3 states, 20 BV bits)", "dfa-table", "dfa-table", "shiftand-multi"}
+	want := []string{"shiftand-multi", "word64 memchr (3 states, 20 BV bits)", "dfa-table", "dfa-table", "shiftand-multi",
+		"word64 (3 states, 20 BV bits)"}
 	if got := m.Kernels(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Kernels = %q, want %q", got, want)
 	}

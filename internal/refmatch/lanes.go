@@ -155,6 +155,8 @@ func (l *nbvaLane) kernel(j int) string {
 	name := "word64"
 	if l.kernels[j] == nil {
 		name = "step"
+	} else if l.kernels[j].Memchr() {
+		name = "word64 memchr"
 	}
 	return fmt.Sprintf("%s (%d states, %d BV bits)", name, l.machines[j].NumStates(), l.machines[j].TotalBVBits())
 }

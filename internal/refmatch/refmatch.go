@@ -523,9 +523,10 @@ func (m *Matcher) PrefilterKernel() string {
 // scanner it waits behind ("shiftand-multi behind teddy fp3 avx2"),
 // "word64" or — for a machine with more than
 // nbva.MaxKernelStates control states — "step" for an NBVA pattern,
-// followed by its control-state and bit-vector sizes (an NFA past the DFA
-// cap is one with 0 BV bits), and "dfa-table" for a DFA pattern, anchored
-// and nullable ones included.
+// "word64 memchr" when an idle machine skips to its one start byte with
+// bytes.IndexByte, followed by its control-state and bit-vector sizes (an
+// NFA past the DFA cap is one with 0 BV bits), and "dfa-table" for a DFA
+// pattern, anchored and nullable ones included.
 func (m *Matcher) Kernels() []string {
 	out := make([]string, m.n)
 	for _, l := range m.lanes {

@@ -137,8 +137,10 @@ func (d *DFA) Step(row int32, b byte) (int32, int) {
 // pattern seeing the input symbol in the same cycle while only the active
 // elements do work (§3.1). A DFA in a rest row sleeps until a byte of the
 // row's escape set comes before a byte of its pair set, and sleeps again
-// in either rest row. The DFAs are taken 64 at a time. A WakeLoop is
-// read-only; the rows are the caller's.
+// in either rest row. The DFAs are taken 64 at a time; while all 64 sleep,
+// the loop reads only the data and the pair test's words, and steps no
+// DFA until a pair wakes one. A WakeLoop is read-only; the rows are the
+// caller's.
 type WakeLoop []wakeGroup
 
 // wakeGroup is 64 DFAs of a WakeLoop, nil past the last: bit j of
@@ -162,6 +164,29 @@ func NewWakeLoop(dfas []*DFA) WakeLoop {
 		}
 	}
 	return w
+}
+
+// asleep runs the pair test alone while every DFA of g sleeps, rest1
+// marking those in rest row 1: it returns how many bytes from data's first
+// on stay asleep, stopping at the first whose pair with the next wakes a
+// DFA or at the last, which has no successor to test. It stays out of
+// line so that the loop holds its few operands in registers: inlined into
+// Scan, it kept its index and rest1 on the stack.
+//
+//go:noinline
+func (g *wakeGroup) asleep(data []byte, rest1 uint64) int {
+	n := 0
+	if len(data) > 0 {
+		b := data[0]
+		for _, next := range data[1:] {
+			if g.wake[0][b]&g.pair[0][next]&^rest1|g.wake[1][b]&g.pair[1][next]&rest1 != 0 {
+				break
+			}
+			b = next
+			n++
+		}
+	}
+	return n
 }
 
 // orBytes sets bit in the word of every byte of set.
@@ -207,6 +232,9 @@ func (w WakeLoop) Scan(rows []int32, data []byte, base int, emit func(j, end int
 				}
 				step := awake | wake[0][b]&pair0&^rest1 | wake[1][b]&pair1&rest1
 				if step == 0 {
+					// All asleep (step holds awake): the pair test alone
+					// runs up to the next byte that can wake a DFA.
+					i += w[g].asleep(data[i+1:], rest1)
 					continue
 				}
 				for ; step != 0; step &= step - 1 {

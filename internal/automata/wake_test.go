@@ -53,11 +53,13 @@ func stepWalk(d *DFA, row int32, data []byte, base int, emit func(end int)) int3
 // BenchmarkDFAWake scans one 16 KiB body with the same DFAs one Step walk
 // at a time and all in one wake loop: the Snort@1.0 DFAs, which rest on
 // most bytes; those of them whose pattern has a '.*', which rest in their
-// '.*' row once its left side has passed; and 56 DFAs that never return
-// to row 0 (a leading '.' moves each off it on every byte) but rest in the
-// row after it, which one byte in 26 of the noise leaves. Bytes are input
-// bytes x DFAs, and each reports the matches it counted, so a loop that
-// skips work cannot look fast.
+// '.*' row once its left side has passed; the DFA lane of dataset_bulk,
+// the 10 Snort@0.2 patterns compile puts in NFA mode (those with a '*' or
+// '+' and no counter), asleep together on nearly every byte; and 56 DFAs
+// that never return to row 0 (a leading '.' moves each off it on every
+// byte) but rest in the row after it, which one byte in 26 of the noise
+// leaves. Bytes are input bytes x DFAs, and each reports the matches it
+// counted, so a loop that skips work cannot look fast.
 func BenchmarkDFAWake(b *testing.B) {
 	d, snort, patterns := snortDFAs(b, 1.0)
 	var dotstar, restless []*DFA
@@ -65,6 +67,16 @@ func BenchmarkDFAWake(b *testing.B) {
 		if strings.Contains(p, ".*") {
 			dotstar = append(dotstar, snort[j])
 		}
+	}
+	d02, all02, patterns02 := snortDFAs(b, 0.2)
+	var lane02 []*DFA
+	for j, p := range patterns02 {
+		if strings.ContainsAny(p, "*+") && !strings.Contains(p, "{") {
+			lane02 = append(lane02, all02[j])
+		}
+	}
+	if len(lane02) != 10 {
+		b.Fatalf("%d Snort@0.2 DFAs in NFA mode, want dataset_bulk's 10", len(lane02))
 	}
 	noise := make([]byte, 16<<10)
 	r := rand.New(rand.NewSource(1))
@@ -82,7 +94,8 @@ func BenchmarkDFAWake(b *testing.B) {
 		name  string
 		dfas  []*DFA
 		input []byte
-	}{{"snort", snort, d.Input(16<<10, 1)}, {"dotstar", dotstar, d.Input(16<<10, 1)}, {"restless", restless, noise}} {
+	}{{"snort", snort, d.Input(16<<10, 1)}, {"dotstar", dotstar, d.Input(16<<10, 1)},
+		{"snort0.2", lane02, d02.Input(16<<10, 1)}, {"restless", restless, noise}} {
 		matches := 0
 		run := func(name string, scan func()) {
 			b.Run(set.name+"/"+name, func(b *testing.B) {
@@ -252,6 +265,52 @@ func TestWakeLoopEqualsStep(t *testing.T) {
 		for j := range dfas {
 			if !slices.Equal(got[j], want[j]) {
 				t.Fatalf("%q cut %d: wake loop %v, Step %v", patterns[j], cut, got[j], want[j])
+			}
+		}
+	}
+}
+
+// TestWakeLoopAllAsleep holds the all-asleep pair-test loop to Step walks
+// at every cut: a wake pair that straddles a chunk end (its escape byte is
+// the chunk's last, which has no successor yet and must step), a wake at
+// byte 0, DFAs asleep in row 0 and in rest[1] side by side, and 69 DFAs
+// in two groups, 64 that no byte of the input wakes in one and five that
+// wake in the other, either way round. Mutants seen failing here: letting
+// a chunk's last byte skip without its wake test, and advancing two bytes
+// per dead pair.
+func TestWakeLoopAllAsleep(t *testing.T) {
+	waking := []string{"ab", "b.*a", "a[^b]*b", "ca", "bc.*d"}
+	var asleep []string
+	for i := 0; i < 64; i++ {
+		asleep = append(asleep, fmt.Sprintf("q%cz", 'e'+i%20))
+	}
+	for _, patterns := range [][]string{waking, append(slices.Clip(asleep), waking...), append(slices.Clip(waking), asleep...)} {
+		var dfas []*DFA
+		var names []string
+		for _, p := range patterns {
+			dfa, err := BuildDFA(mustNFA(t, p), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dfas, names = append(dfas, dfa), append(names, p)
+		}
+		loop := NewWakeLoop(dfas)
+		for _, input := range []string{"abxxxxxa", "xxab" + strings.Repeat("x", 40) + "bxxxxcab", "ca" + strings.Repeat("xy", 20) + "bcxxa" + strings.Repeat("x", 33) + "d"} {
+			want := make([][]int, len(dfas))
+			for j, dfa := range dfas {
+				stepWalk(dfa, 0, []byte(input), 0, func(end int) { want[j] = append(want[j], end) })
+			}
+			for cut := 0; cut <= len(input); cut++ {
+				got := make([][]int, len(dfas))
+				emit := func(j, end int) { got[j] = append(got[j], end) }
+				rows := make([]int32, len(dfas))
+				loop.Scan(rows, []byte(input[:cut]), 0, emit)
+				loop.Scan(rows, []byte(input[cut:]), cut, emit)
+				for j := range dfas {
+					if !slices.Equal(got[j], want[j]) {
+						t.Fatalf("%d DFAs, %q over %q cut %d: wake loop %v, Step %v", len(dfas), names[j], input, cut, got[j], want[j])
+					}
+				}
 			}
 		}
 	}

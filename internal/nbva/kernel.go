@@ -14,7 +14,9 @@ import (
 // live or being entered, which is how the hardware gates its bit-vector
 // phase (§3.1). An idle machine sleeps until a byte of its start class
 // arrives, as the hardware power-gates an idle tile: when that class is one
-// byte, bytes.IndexByte's vector loop finds it; otherwise a table loop does.
+// byte, bytes.IndexByte's vector loop finds it, and the machine sleeps on
+// past it when the byte after it enters none of the STEs it enabled;
+// otherwise a table loop finds it.
 
 // MaxKernelStates is the largest control-state count the kernel handles:
 // one bit of a machine word per STE.
@@ -32,8 +34,14 @@ type Kernel struct {
 	// lone is the one byte start marks, or -1 when it marks none (a
 	// start-anchored machine) or several. With one, the idle skip is
 	// bytes.IndexByte: 1.8-2.3x the table loop on BenchmarkNBVAKernel's
-	// Snort machines, 0.7x when the byte comes every second byte.
-	lone   int
+	// Snort machines.
+	lone int
+	// next is the pair gate: the STEs beyond reinject that lone enables.
+	// Lone followed by a byte outside their classes leaves the machine
+	// idle with nothing fired, so the skip goes on past both. 0 turns the
+	// gate off, as it is when a start STE lone enters is a BV-STE (lone
+	// sets its vector) or a final (lone fires).
+	next   uint64
 	follow []uint64 // per STE: successor mask
 
 	initial  uint64
@@ -105,6 +113,13 @@ func NewKernel(m *Machine) *Kernel {
 	}
 	if n != 1 {
 		k.lone = -1
+		return k
+	}
+	if entered := k.labels[k.lone] & k.reinject; entered&(k.bvMask|k.finals) == 0 {
+		for ; entered != 0; entered &= entered - 1 {
+			k.next |= k.follow[bits.TrailingZeros64(entered)]
+		}
+		k.next &^= k.reinject
 	}
 	return k
 }
@@ -155,6 +170,12 @@ func (s *KernelState) ScanChunk(data []byte, base int, emit func(end int)) {
 					break
 				}
 				i += j
+				// The two steps end where an idle step over data[i+1]
+				// does, so the search resumes there, idle. A chunk's
+				// last byte has no successor yet and wakes the machine.
+				if k.next != 0 && i+1 < len(data) && k.labels[data[i+1]]&k.next == 0 {
+					continue
+				}
 			} else {
 				for i < len(data) && !k.start[data[i]] {
 					i++

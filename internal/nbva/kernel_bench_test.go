@@ -15,8 +15,8 @@ import (
 // Runner.Step, the simulator's per-cycle model, and once through the
 // chunk kernel. Snort1.0 runs the kernel over the 71 machines of Snort @
 // scale 1, hot_swap's ruleset; DenseStart runs ab{20,48}c over "axax…",
-// where an idle machine meets its start byte every second byte, the worst
-// case for the memchr skip.
+// where an idle machine meets its start byte every second byte, each one
+// followed by a byte the pair gate rejects.
 func BenchmarkNBVAKernel(b *testing.B) {
 	machines, input := snortMachines(b, 0.2)
 	fires := 0

@@ -312,6 +312,59 @@ func TestKernelSkipEdges(t *testing.T) {
 	}
 }
 
+// TestKernelPairGate holds the pair gate to Runner.Step: an idle machine
+// skips its start byte when the byte after it enters none of the STEs the
+// start byte enabled. The gate is off when a start STE is a BV-STE or a
+// final, since the start byte alone then sets a vector or fires. The edges
+// are the start byte last in a chunk, with a live or a dead successor fed
+// next; a dead pair whose successor is the start byte itself, which must
+// wake; and dead pairs at bytes.IndexByte's 16-, 32- and 64-byte vector
+// thresholds. Mutants seen failing here: resuming the search at i+2 (the
+// second 'a' of "aabbbc" is lost) and letting a chunk's last byte skip
+// (a match cut after its start byte is lost).
+func TestKernelPairGate(t *testing.T) {
+	for _, c := range []struct {
+		pattern string
+		gate    bool
+	}{
+		{"ab{5}c", true},
+		{"(a|ab{4})c", true},
+		{"a{3}b", false},    // the start STE is a BV-STE
+		{"a|ab{3}c", false}, // a start STE is final
+	} {
+		if got := NewKernel(compile(t, c.pattern, 1)).next != 0; got != c.gate {
+			t.Errorf("%s: pair gate %v, want %v", c.pattern, got, c.gate)
+		}
+	}
+	m := compile(t, "ab{3}c", 1)
+	if fires := kernelFires(t, m, []byte("aabbbc"), nil); fmt.Sprint(fires) != "[0 0 0 0 0 1]" {
+		t.Errorf("ab{3}c over aabbbc fires %v, want one at 5", fires)
+	}
+	r := rand.New(rand.NewSource(47))
+	for _, pattern := range []string{"ab{3}c", "ab{0,5}c", "(a|ab{4})c", "ab{20,48}c", "a|ab{3}c"} {
+		m := compile(t, pattern, 4)
+		checkKernel(t, m, []byte("aabbbc"), nil)
+		// The start byte last in a chunk, a live or a dead successor next.
+		for _, input := range []string{"xxa" + "bbbc", "xxa" + "xabbbc", "xxa" + "abbbc"} {
+			for cut := 0; cut <= len(input); cut++ {
+				checkKernel(t, m, []byte(input), []int{cut})
+			}
+		}
+		for _, gap := range []int{0, 1, 15, 16, 17, 31, 32, 33, 63, 64, 65} {
+			var input []byte
+			for _, run := range []string{"ax", "aabbbc", "ax", "abbbbc", "aa", "ab"} {
+				input = append(input, strings.Repeat("x", gap)...)
+				input = append(input, run...)
+			}
+			input = append(input, strings.Repeat("ax", gap)...)
+			checkKernel(t, m, input, nil)
+			for trial := 0; trial < 20; trial++ {
+				checkKernel(t, m, input, randomCuts(r, len(input)))
+			}
+		}
+	}
+}
+
 // TestRunnerResetClearsStepStats pins that the per-step statistics of one
 // stream do not leak into the next through Reset.
 func TestRunnerResetClearsStepStats(t *testing.T) {

@@ -385,3 +385,44 @@ func TestUnlistedTenantsBounded(t *testing.T) {
 		t.Errorf("/metrics has %d distinct tenant labels, want %d", len(labels), want)
 	}
 }
+
+// TestProgramLabelsBounded is the program side of TestUnlistedTenantsBounded:
+// /metrics exports per-program series only for the live cache entries, so
+// compiling and scanning more programs than the cache holds leaves at most
+// ProgramCacheSize distinct program labels, each one a cached program.
+func TestProgramLabelsBounded(t *testing.T) {
+	svc := New(Config{Workers: 1, ProgramCacheSize: 2})
+	defer svc.Close()
+	h := svc.Handler()
+	for i := 0; i < 5; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/programs", strings.NewReader(fmt.Sprintf(`{"patterns":["needle%d"]}`, i))))
+		var resp struct {
+			ProgramID string `json:"program_id"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); rec.Code != 200 || err != nil {
+			t.Fatalf("compile %d: %d %s", i, rec.Code, rec.Body)
+		}
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/programs/"+resp.ProgramID+"/scan", strings.NewReader(fmt.Sprintf("hay needle%d hay", i))))
+		if rec.Code != 200 {
+			t.Fatalf("scan %d: %d %s", i, rec.Code, rec.Body)
+		}
+	}
+	live := map[string]bool{}
+	for _, ps := range svc.cache.snapshot() {
+		live[ps.ID] = true
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	labels := map[string]bool{}
+	for _, m := range regexp.MustCompile(`program="([^"]*)"`).FindAllStringSubmatch(rec.Body.String(), -1) {
+		labels[m[1]] = true
+		if !live[m[1]] {
+			t.Errorf("/metrics carries program=%q, which is not in the cache", m[1])
+		}
+	}
+	if len(labels) == 0 || len(labels) > 2 {
+		t.Errorf("/metrics has %d distinct program labels, want 1-2 with ProgramCacheSize 2", len(labels))
+	}
+}

@@ -126,7 +126,7 @@ func run(args []string, ready chan<- string, stop <-chan os.Signal) error {
 	replicas := fs.Int("replicas", 2, "cluster: placement width per program (owner + replicas)")
 	maxReplicas := fs.Int("max-replicas", 0, "cluster: hot-program fan-out cap (0 = replicas+1)")
 	hotRate := fs.Float64("hot-scan-rate", 200, "cluster: routed scans/sec beyond which a program's replica set widens (<0 disables)")
-	gossipEvery := fs.Duration("gossip-interval", time.Second, "cluster: gossip/reconcile tick")
+	gossipEvery := fs.Duration("gossip-interval", time.Second, "cluster: tick that re-announces to one peer, ages members, warms replicas and samples scan rates (joins, new programs and promotions spread at once)")
 	canaryFraction := fs.Float64("canary-fraction", 0.34, "cluster: replica fraction staged first on ruleset updates (<=0 applies directly)")
 	canaryObserve := fs.Duration("canary-observe", 15*time.Second, "cluster: how long canaries are watched before promote/rollback")
 	canaryMinHealth := fs.Float64("canary-min-health", 0.35, "cluster: health score below which a canary rolls back")

@@ -123,8 +123,8 @@ func main() {
 	// replica set first, watches the canaries' health and the 5xx and
 	// slow shares of the requests they finish, then promotes (or rolls
 	// back). The coordinator needs the
-	// program in its gossiped catalog first — wait for the digest to
-	// reach every node instead of racing the first gossip tick.
+	// program in its gossiped catalog first — wait for the gateway's
+	// announcement of it to reach every node.
 	waitFor(func() bool {
 		for _, n := range nodes {
 			if n.Catalog().Len() == 0 {

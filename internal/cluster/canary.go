@@ -305,10 +305,10 @@ func (n *Node) rollbackReplicas(id string, meta ProgramMeta, nodes []string) {
 	}
 }
 
-// promoteCatalog records the new live ruleset cluster-wide (gossip
-// spreads it; replicas that were down reconcile through ensureLocal).
+// promoteCatalog records the new live ruleset and announces it to every
+// peer at once (replicas that were down reconcile through ensureLocal).
 func (n *Node) promoteCatalog(id string, meta ProgramMeta, patterns []string, opts service.CompileOptions, gen int64) {
-	n.catalog.Put(ProgramMeta{
+	if n.catalog.Put(ProgramMeta{
 		ID:           id,
 		Patterns:     meta.Patterns,
 		Options:      meta.Options,
@@ -316,7 +316,9 @@ func (n *Node) promoteCatalog(id string, meta ProgramMeta, patterns []string, op
 		LiveOptions:  opts,
 		Generation:   gen,
 		Replicas:     meta.Replicas,
-	})
+	}) {
+		n.announce()
+	}
 }
 
 // writeRollout merges the staged node's UpdateResult body with the

@@ -67,10 +67,11 @@ func NewCatalog() *Catalog {
 // Put merges meta into the catalog. A higher Generation replaces the
 // live ruleset; the ID-defining original is immutable once known.
 // Replicas always merges by max so a fan-out decision anywhere in the
-// cluster is never undone by a stale peer.
-func (c *Catalog) Put(meta ProgramMeta) {
+// cluster is never undone by a stale peer. It reports news: a program
+// the catalog lacked, or a higher generation.
+func (c *Catalog) Put(meta ProgramMeta) bool {
 	if meta.ID == "" {
-		return
+		return false
 	}
 	if meta.Replicas < 1 {
 		meta.Replicas = 1
@@ -81,9 +82,10 @@ func (c *Catalog) Put(meta ProgramMeta) {
 	if !ok {
 		cp := meta
 		c.m[meta.ID] = &cp
-		return
+		return true
 	}
-	if meta.Generation > cur.Generation {
+	news := meta.Generation > cur.Generation
+	if news {
 		cur.LivePatterns = meta.LivePatterns
 		cur.LiveOptions = meta.LiveOptions
 		cur.Generation = meta.Generation
@@ -94,6 +96,7 @@ func (c *Catalog) Put(meta ProgramMeta) {
 	if meta.ScanRate > cur.ScanRate {
 		cur.ScanRate = meta.ScanRate
 	}
+	return news
 }
 
 // Get returns the meta for id.

@@ -37,14 +37,17 @@ const (
 	canaryObserve  = 2 * time.Second
 )
 
-// Gossip rounds a 3-node cluster needs. converge: for the rings to agree
-// from a cold start. spread: for what one node knows (a program digest, a
-// new address) to reach every node, and for a placement replica's own
-// round to warm the program. depart: to drop a node that died; a survivor
-// hears its last announcement at most two rounds after it died (relayed
-// by the other survivor) and prunes it in the first of its rounds more
-// than 10 intervals after that.
-const converge, spread, depart = 2, 2, 13
+// Gossip rounds a 3-node cluster needs. News spreads on the announcing
+// node's own exchanges, with no round: converge, for the rings to agree
+// from a cold start, and spread, for a new program, a promoted generation
+// or a new address to reach every node. warm: for a placement replica's
+// own round to warm a program its catalog holds. gossiped: for what is not
+// news, a wider replica set, to reach a new replica on the ticks and warm
+// it there. depart: to drop a node that died; a survivor hears its last
+// announcement at most two rounds after it died (relayed by the other
+// survivor) and prunes it in the first of its rounds more than 10
+// intervals after that.
+const converge, spread, warm, gossiped, depart = 0, 0, 1, 2, 13
 
 // rounds advances the clock by k gossip intervals: each node runs k
 // gossip/reconcile rounds, and they have finished when it returns.
@@ -52,13 +55,34 @@ func (tc *testCluster) rounds(k int) {
 	tc.clock.Advance(time.Duration(k) * gossipInterval)
 }
 
-// after runs k gossip rounds and fails the test unless cond then holds.
+// after runs k gossip rounds and fails the test unless cond then holds,
+// or comes to hold while the announcements the nodes run on goroutines of
+// their own finish, with no further round.
 func (tc *testCluster) after(t *testing.T, k int, what string, cond func() bool) {
 	t.Helper()
 	tc.rounds(k)
-	if !cond() {
-		t.Fatalf("no %s after %d gossip rounds", what, k)
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no %s after %d gossip rounds", what, k)
+		}
 	}
+}
+
+// catalogued waits, with no gossip round, until every live node's catalog
+// holds program id at generation gen or later.
+func (tc *testCluster) catalogued(t *testing.T, id string, gen int64) {
+	t.Helper()
+	tc.after(t, spread, fmt.Sprintf("program %.8s at generation %d in every catalog", id, gen), func() bool {
+		for _, n := range tc.nodes {
+			if n == nil {
+				continue
+			}
+			if meta, ok := n.Catalog().Get(id); !ok || meta.Generation < gen {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 // ringsAre runs k gossip rounds and fails unless every live node's ring
@@ -249,9 +273,10 @@ func TestClusterEndToEnd(t *testing.T) {
 			t.Fatalf("early scan via n%d count = %d, want 2", i, res.Count)
 		}
 	}
-	// Once digest gossip has warmed the replicas, scans spread over the
-	// whole replica set round-robin.
-	tc.after(t, spread, "replica warm-up", func() bool {
+	// Once the replicas' rounds have warmed the program the gateway
+	// announced, scans spread over the whole replica set round-robin.
+	tc.catalogued(t, prog.ID, 0)
+	tc.after(t, warm, "replica warm-up", func() bool {
 		for _, id := range placement {
 			if _, ok := tc.node(id).Service().Program(prog.ID); !ok {
 				return false
@@ -464,7 +489,7 @@ func TestClusterHotFanOut(t *testing.T) {
 		meta, _ := tc.nodes[0].Catalog().Get(prog.ID)
 		return meta.Replicas == 3
 	})
-	tc.after(t, spread, "fan-out replica warm-up", func() bool {
+	tc.after(t, gossiped, "fan-out replica warm-up", func() bool {
 		for _, n := range tc.nodes {
 			if _, ok := n.Service().Program(prog.ID); !ok {
 				return false
@@ -475,7 +500,7 @@ func TestClusterHotFanOut(t *testing.T) {
 }
 
 // TestClusterGossipCatalog: a program compiled through one node becomes
-// known (and scannable) cluster-wide through digest gossip alone.
+// known (and scannable) cluster-wide through the gateway's announcement.
 func TestClusterGossipCatalog(t *testing.T) {
 	tc := startCluster(t, 3, nil)
 	tc.ringsAre(t, converge, 3)
@@ -486,12 +511,8 @@ func TestClusterGossipCatalog(t *testing.T) {
 		t.Fatalf("compile: %v", err)
 	}
 	// Placement replicas warm the program without ever seeing a scan.
-	tc.after(t, spread, "catalog convergence and replica warm-up", func() bool {
-		for _, n := range tc.nodes {
-			if _, ok := n.Catalog().Get(prog.ID); !ok {
-				return false
-			}
-		}
+	tc.catalogued(t, prog.ID, 0)
+	tc.after(t, warm, "replica warm-up", func() bool {
 		for _, id := range tc.nodes[0].Ring().Placement(prog.ID, 2) {
 			if _, ok := tc.node(id).Service().Program(prog.ID); !ok {
 				return false
@@ -539,6 +560,7 @@ func membersOf(t *testing.T, tc *testCluster, i int, id string) (state string, l
 func TestClusterMemberAging(t *testing.T) {
 	tc := startCluster(t, 3, nil)
 	tc.ringsAre(t, converge, 3)
+	tc.rounds(2)
 	victim := tc.nodes[2].ID()
 	tc.kill(2)
 	start := tc.clock.Now()

@@ -4,10 +4,12 @@
 // Four mechanisms compose, each deliberately small:
 //
 //   - Membership: a static seed list bootstraps lightweight gossip.
-//     Every node re-announces itself each tick with a bumped sequence
-//     number plus a load snapshot (health score from
+//     Every node re-announces itself to one peer each tick with a bumped
+//     sequence number plus a load snapshot (health score from
 //     service.Health, queue depth, scan rate); peers merge by highest Seq and age
-//     entries through alive → suspect → dead on local timeouts. No
+//     entries through alive → suspect → dead on local timeouts. A start,
+//     a new program or a promoted ruleset is announced to every peer at
+//     once, and a merged view puts new members on the ring. No
 //     coordinator, no quorum — the placement function tolerates
 //     short-lived view skew because misrouted scans self-repair.
 //

@@ -13,6 +13,8 @@ import (
 // does, and puts the meta into a catalog, as fetchProgram does. Nothing
 // panics, and a member pruned as dead at Seq 5 stays out unless the view
 // announces it at a higher Seq, when it comes back at the highest one.
+// Merge reports as news each ID the table lacked, once, the dead member
+// only when its tombstone let it back in, and no Seq bump.
 func FuzzGossipView(f *testing.F) {
 	for _, v := range []gossipResponse{
 		{View: []MemberInfo{{ID: "n1", Addr: "http://n1", Seq: 3, Health: 1}}},
@@ -37,11 +39,25 @@ func FuzzGossipView(f *testing.F) {
 		}
 		var reply gossipResponse
 		if decodePeer(bytes.NewReader(data), &reply) == nil {
-			ms.Merge(reply.View, now)
+			joined := ms.Merge(reply.View, now)
 			var highest uint64
+			news := map[string]bool{}
 			for _, in := range reply.View {
 				if in.ID == "dead" {
 					highest = max(highest, in.Seq)
+				}
+				news[in.ID] = in.ID != "" && in.ID != "self" && in.ID != "dead"
+			}
+			news["dead"] = highest > 5
+			for _, id := range joined {
+				if !news[id] {
+					t.Fatalf("view %q: Merge reported %q as news (again, or not new)", data, id)
+				}
+				news[id] = false
+			}
+			for id, missed := range news {
+				if missed {
+					t.Fatalf("view %q: Merge did not report new member %q", data, id)
 				}
 			}
 			m, back := ms.Get("dead")

@@ -83,12 +83,12 @@ func NewMembership(self string, suspectAfter, deadAfter time.Duration) *Membersh
 
 // Merge folds a batch of announcements into the table, keeping each
 // member's highest-Seq entry and ignoring entries at or below the Seq a
-// member was pruned at. It returns the IDs whose Seq advanced
-// (i.e. fresh information worth re-gossiping).
+// member was pruned at. It returns the news, each ID once: the members
+// the table did not hold, new or re-admitted. A Seq bump is not news.
 func (ms *Membership) Merge(infos []MemberInfo, now time.Time) []string {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	var advanced []string
+	var joined []string
 	for _, in := range infos {
 		if in.ID == "" {
 			continue
@@ -100,17 +100,16 @@ func (ms *Membership) Merge(infos []MemberInfo, now time.Time) []string {
 			}
 			delete(ms.tombs, in.ID)
 			ms.m[in.ID] = &Member{MemberInfo: in, State: StateAlive, LastSeen: now}
-			advanced = append(advanced, in.ID)
+			joined = append(joined, in.ID)
 			continue
 		}
 		if in.Seq > cur.Seq {
 			cur.MemberInfo = in
 			cur.State = StateAlive
 			cur.LastSeen = now
-			advanced = append(advanced, in.ID)
 		}
 	}
-	return advanced
+	return joined
 }
 
 // Prune re-derives liveness states and drops dead members, returning

@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,7 +63,8 @@ type Config struct {
 	// VNodes is the consistent-hash virtual-node count per member;
 	// default DefaultVNodes.
 	VNodes int
-	// GossipInterval is the announce/reconcile tick; default 1s. Members
+	// GossipInterval paces re-announcement to one peer, aging, scan rates
+	// and replica warm-up; default 1s. News spreads at once. Members
 	// silent over 3 intervals leave routing, over 10 the ring.
 	GossipInterval time.Duration
 	// Canary tunes staged rollouts.
@@ -114,9 +116,16 @@ type Node struct {
 	hc      *http.Client // forwards and gossip, on the node's own transport
 	log     *slog.Logger
 
-	addr atomic.Value // string; advertised base URL, set by Start
-	seq  atomic.Uint64
-	rr   atomic.Uint64 // round-robin cursor for replica scan fan-out
+	addr   atomic.Value // string; advertised base URL, set by Start
+	seq    atomic.Uint64
+	rr     atomic.Uint64 // round-robin cursor for replica scan fan-out
+	cursor atomic.Uint64 // round-robin cursor for the tick's gossip peer
+
+	// news wakes the announcer; Close ends ctx, then waits for done.
+	news   chan struct{}
+	done   chan struct{}
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	// routedScans counts proxy-level scan routings per program; the
 	// reconciler turns deltas into rates for hot-program fan-out.
@@ -160,6 +169,9 @@ func NewNode(cfg Config) (*Node, error) {
 	if n.log == nil {
 		n.log = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError + 4}))
 	}
+	n.news, n.done = make(chan struct{}, 1), make(chan struct{})
+	n.ctx, n.cancel = context.WithCancel(context.Background())
+	go n.announcer()
 	n.addr.Store("")
 	n.lastRate.Store(float64(0))
 	n.ring.Add(cfg.ID)
@@ -222,15 +234,17 @@ func (n *Node) Addr() string { return n.addr.Load().(string) }
 // ID returns the node's cluster name.
 func (n *Node) ID() string { return n.cfg.ID }
 
-// Start records the advertised base URL, which starts the gossip and
-// reconcile rounds. A second call re-advertises.
+// Start records the advertised base URL, which starts the rounds, and
+// announces the node to every seed at once. A second call re-advertises.
 func (n *Node) Start(addr string) {
 	n.addr.Store(addr)
-	n.members.Merge([]MemberInfo{n.localInfo()}, n.cfg.Service.Clock.Now())
+	n.announce()
 }
 
-// Close stops the loops and shuts the embedded service down.
+// Close stops the loops, their exchanges included, and the service.
 func (n *Node) Close() {
+	n.cancel()
+	<-n.done
 	n.stopLoop()
 	n.hc.CloseIdleConnections()
 	n.svc.Close()
@@ -258,7 +272,7 @@ func (n *Node) tick() {
 		return // not started
 	}
 	now := n.cfg.Service.Clock.Now()
-	n.members.Merge([]MemberInfo{n.localInfo()}, now)
+	n.merge([]MemberInfo{n.localInfo()})
 	n.gossipOnce()
 	for _, id := range n.members.Prune(now) {
 		n.ring.Remove(id)
@@ -274,24 +288,17 @@ func (n *Node) tick() {
 // gossipTargets returns candidate peer addresses: seeds plus every
 // known member, minus self.
 func (n *Node) gossipTargets() []string {
-	self := n.Addr()
-	seen := map[string]struct{}{}
-	var out []string
-	add := func(addr string) {
-		if addr == "" || addr == self {
-			return
-		}
-		if _, dup := seen[addr]; dup {
-			return
-		}
-		seen[addr] = struct{}{}
-		out = append(out, addr)
-	}
-	for _, s := range n.cfg.Seeds {
-		add(s)
-	}
+	addrs := slices.Clone(n.cfg.Seeds)
 	for _, m := range n.members.View() {
-		add(m.Addr)
+		addrs = append(addrs, m.Addr)
+	}
+	seen := map[string]bool{"": true, n.Addr(): true}
+	var out []string
+	for _, addr := range addrs {
+		if !seen[addr] {
+			seen[addr] = true
+			out = append(out, addr)
+		}
 	}
 	return out
 }
@@ -305,17 +312,56 @@ type gossipResponse struct {
 	View []MemberInfo `json:"view"`
 }
 
-// gossipOnce pushes the local view to one peer (round-robin over the
-// candidate list) and merges whatever it knows back.
+// gossipOnce exchanges views with one peer, round-robin over the
+// candidate list.
 func (n *Node) gossipOnce() {
-	targets := n.gossipTargets()
-	if len(targets) == 0 {
-		return
+	if targets := n.gossipTargets(); len(targets) > 0 {
+		n.exchange(targets[(n.cursor.Add(1)-1)%uint64(len(targets))])
 	}
-	addr := targets[int(n.gossips.Value())%len(targets)]
+}
+
+// announce spreads news that starts at this node: its start, a program
+// it accepted, a promoted generation. A peer that learns the news from
+// the push does not pass it on.
+func (n *Node) announce() {
+	if n.Addr() != "" { // started
+		select {
+		case n.news <- struct{}{}:
+		default: // a round is due already: it carries this news too
+		}
+	}
+}
+
+// announcer runs a round per wake-up until Close: it re-announces a
+// fresh self-entry and exchanges views with every peer it knows at once.
+// News that comes while a round runs waits for the next.
+func (n *Node) announcer() {
+	defer close(n.done)
+	for {
+		select {
+		case <-n.ctx.Done():
+			return
+		case <-n.news:
+		}
+		n.merge([]MemberInfo{n.localInfo()})
+		var wg sync.WaitGroup
+		for _, addr := range n.gossipTargets() {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				n.exchange(addr)
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// exchange pushes the local view to the peer at addr and merges whatever
+// it knows back.
+func (n *Node) exchange(addr string) {
 	n.gossips.Inc()
 	body, _ := json.Marshal(gossipRequest{From: n.cfg.ID, View: n.members.Infos()})
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.GossipInterval)
+	ctx, cancel := context.WithTimeout(n.ctx, n.cfg.GossipInterval)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, addr+"/cluster/gossip", bytes.NewReader(body))
 	if err != nil {
@@ -340,10 +386,18 @@ func decodePeer(body io.Reader, v any) error {
 	return json.NewDecoder(io.LimitReader(body, 16<<20)).Decode(v)
 }
 
+// merge folds announcements into the member table and puts every member
+// it did not hold on the ring at once.
+func (n *Node) merge(infos []MemberInfo) {
+	for _, id := range n.members.Merge(infos, n.cfg.Service.Clock.Now()) {
+		n.ring.Add(id)
+	}
+}
+
 // absorb merges a remote view: membership first, then any program
 // digests the local catalog is stale on (fetched from the announcer).
 func (n *Node) absorb(view []MemberInfo) {
-	n.members.Merge(view, n.cfg.Service.Clock.Now())
+	n.merge(view)
 	for _, m := range view {
 		if m.ID == n.cfg.ID || m.Addr == "" {
 			continue
@@ -358,7 +412,7 @@ func (n *Node) absorb(view []MemberInfo) {
 
 // fetchProgram pulls full program meta from a peer (fetch-on-stale).
 func (n *Node) fetchProgram(addr, id string) {
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.GossipInterval)
+	ctx, cancel := context.WithTimeout(n.ctx, n.cfg.GossipInterval)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/cluster/programs/"+id, nil)
 	if err != nil {

@@ -228,13 +228,13 @@ func (n *Node) handleCompile(w http.ResponseWriter, r *http.Request) {
 		target = n.routeOwner(id)
 	}
 	resp := n.roundTrip(r.Context(), target, http.MethodPost, "/v1/programs", r.Header, body)
-	if resp.status < 300 {
-		n.catalog.Put(ProgramMeta{
-			ID:       id,
-			Patterns: req.Patterns,
-			Options:  req.Options,
-			Replicas: n.cfg.Replicas,
-		})
+	if resp.status < 300 && n.catalog.Put(ProgramMeta{
+		ID:       id,
+		Patterns: req.Patterns,
+		Options:  req.Options,
+		Replicas: n.cfg.Replicas,
+	}) && !forwarded(r) {
+		n.announce() // the gateway spreads a new program, not the owner it forwarded to
 	}
 	writeProxyResp(w, resp)
 }

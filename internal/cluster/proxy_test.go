@@ -95,7 +95,8 @@ func placed(t *testing.T, tc *testCluster, replicas int, patterns []string) (id 
 	for _, i := range index {
 		gateway = i
 	}
-	tc.after(t, spread, "replica warm-up", func() bool {
+	tc.catalogued(t, prog.ID, 0)
+	tc.after(t, warm, "replica warm-up", func() bool {
 		for _, i := range repl {
 			if _, ok := tc.nodes[i].Service().Program(prog.ID); !ok {
 				return false

@@ -41,7 +41,6 @@ var auditAllow = []struct{ fn, reason string }{
 	{"internal/reconfig.ParseDelta", "FuzzParseDelta: the round-trip reference of Delta.MarshalBinary (the service prices a delta by SizeBytes and emits no RAPD bytes)"},
 	{"internal/regexast.MustParse", "fixture of 13 test files (TestBuildDFAEquivalence, TestFeedEqualEndOrder, ...): a known-good pattern or a panic"},
 	{"internal/regexast.String", "FuzzParse (render), TestPropPrintParseStable: print then re-parse must give the identical AST"},
-	{"internal/shiftand.Machine.MatchEnds", "FuzzWordKernelEquivalence, TestKernelsAgreeWithStep: the one-shot scan the chunk loop is cut against"},
 }
 
 // TestEveryFunctionHasACaller type-checks every non-test file of the

@@ -165,7 +165,7 @@ func main() {
 // software reference matcher and prints per pattern the engine and kernel
 // that scan it there and its fast-path verdict: the mandatory literal set
 // gating it, or the reason it stays always-on. Kernels and tiers belong to
-// the set (the literal union's scanner, the Shift-And packing), so a
+// the set (the literal union's scanner, the windowed group's unions), so a
 // pattern compiled alone would describe a matcher nobody serves. A pattern
 // that does not compile keeps its row, with the error, and the rest are
 // explained as the set without it.

@@ -42,29 +42,29 @@ func testExplainGolden(t *testing.T, want string) {
 }
 
 const explainPortable = `== Fast-path verdicts (software reference matcher) ==
-#  Pattern     Engine     Kernel                                Fast path
--  ----------  ---------  ------------------------------------  ------------------------------------------------------
-0  ab{20,48}c  nbva       word64 memchr (4 states, 48 BV bits)  always-on: engine nbva is always-on
-1  cat         shift-and  shiftand-multi behind teddy fp3       prefilter ["cat"]
-2  a(b|c)*d    dfa        dfa-table                             always-on: engine dfa is always-on
-3  a(          ERROR                                            pattern 0 "a(": regexast: parse "a(" at 2: missing ')'
-4  .key07.     shift-and  shiftand-multi behind teddy fp3       prefilter ["key07"]
-5  b(x|y)*c    dfa        dfa-table                             always-on: engine dfa is always-on
-6  c(x|y)*d    dfa        dfa-table                             always-on: engine dfa is always-on
-7  d(x|y)*e    dfa        dfa-table                             always-on: engine dfa is always-on
-8  e(x|y)*f    dfa        dfa-table                             always-on: engine dfa is always-on
+#  Pattern     Engine  Kernel                                Fast path
+-  ----------  ------  ------------------------------------  ------------------------------------------------------
+0  ab{20,48}c  nbva    word64 memchr (4 states, 48 BV bits)  always-on: engine nbva is always-on
+1  cat         dfa     dfa-union behind teddy fp3            prefilter ["cat"]
+2  a(b|c)*d    dfa     dfa-table                             always-on: engine dfa is always-on
+3  a(          ERROR                                         pattern 0 "a(": regexast: parse "a(" at 2: missing ')'
+4  .key07.     dfa     dfa-union behind teddy fp3            prefilter ["key07"]
+5  b(x|y)*c    dfa     dfa-table                             always-on: engine dfa is always-on
+6  c(x|y)*d    dfa     dfa-table                             always-on: engine dfa is always-on
+7  d(x|y)*e    dfa     dfa-table                             always-on: engine dfa is always-on
+8  e(x|y)*f    dfa     dfa-table                             always-on: engine dfa is always-on
 `
 
 const explainAVX2 = `== Fast-path verdicts (software reference matcher) ==
-#  Pattern     Engine     Kernel                                Fast path
--  ----------  ---------  ------------------------------------  ------------------------------------------------------
-0  ab{20,48}c  nbva       word64 memchr (4 states, 48 BV bits)  always-on: engine nbva is always-on
-1  cat         shift-and  shiftand-multi behind teddy fp3 avx2  prefilter ["cat"]
-2  a(b|c)*d    dfa        dfa-table                             always-on: engine dfa is always-on
-3  a(          ERROR                                            pattern 0 "a(": regexast: parse "a(" at 2: missing ')'
-4  .key07.     shift-and  shiftand-multi behind teddy fp3 avx2  prefilter ["key07"]
-5  b(x|y)*c    dfa        dfa-table                             always-on: engine dfa is always-on
-6  c(x|y)*d    dfa        dfa-table                             always-on: engine dfa is always-on
-7  d(x|y)*e    dfa        dfa-table                             always-on: engine dfa is always-on
-8  e(x|y)*f    dfa        dfa-table                             always-on: engine dfa is always-on
+#  Pattern     Engine  Kernel                                Fast path
+-  ----------  ------  ------------------------------------  ------------------------------------------------------
+0  ab{20,48}c  nbva    word64 memchr (4 states, 48 BV bits)  always-on: engine nbva is always-on
+1  cat         dfa     dfa-union behind teddy fp3 avx2       prefilter ["cat"]
+2  a(b|c)*d    dfa     dfa-table                             always-on: engine dfa is always-on
+3  a(          ERROR                                         pattern 0 "a(": regexast: parse "a(" at 2: missing ')'
+4  .key07.     dfa     dfa-union behind teddy fp3 avx2       prefilter ["key07"]
+5  b(x|y)*c    dfa     dfa-table                             always-on: engine dfa is always-on
+6  c(x|y)*d    dfa     dfa-table                             always-on: engine dfa is always-on
+7  d(x|y)*e    dfa     dfa-table                             always-on: engine dfa is always-on
+8  e(x|y)*f    dfa     dfa-table                             always-on: engine dfa is always-on
 `

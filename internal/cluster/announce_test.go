@@ -115,6 +115,35 @@ func TestClusterQuietGossip(t *testing.T) {
 	tc.gossipsAre(t, want+3*rounds)
 }
 
+// TestClusterMutePeerDelaysNoNews: a seed that accepts connections and
+// never answers holds its own exchanges only, so a program compiled after
+// the start, while the start's exchange with the mute seed still waits,
+// reaches every catalog at once, not a GossipInterval later.
+func TestClusterMutePeerDelaysNoNews(t *testing.T) {
+	mute := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		<-r.Context().Done()
+	}))
+	defer mute.Close()
+	tc := startCluster(t, 3, func(i int, cfg *cluster.Config) {
+		cfg.GossipInterval = untilClosed
+		cfg.Seeds = append([]string{mute.URL}, cfg.Seeds...)
+	})
+	tc.ringsAre(t, converge, 3)
+	start := time.Now()
+	prog, err := rapclient.New(tc.servers[0].URL).Compile(context.Background(), []string{"mute"}, nil)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	tc.catalogued(t, prog.ID, 0)
+	if took := time.Since(start); took > 5*time.Second {
+		t.Errorf("the compile reached every catalog after %v", took)
+	}
+	for i := range tc.nodes {
+		tc.kill(i)
+	}
+}
+
 // nodeGoroutines returns the stacks of the goroutines running a Node
 // method.
 func nodeGoroutines() []string {

@@ -121,11 +121,13 @@ type Node struct {
 	rr     atomic.Uint64 // round-robin cursor for replica scan fan-out
 	cursor atomic.Uint64 // round-robin cursor for the tick's gossip peer
 
-	// news wakes the announcer; Close ends ctx, then waits for done.
-	news   chan struct{}
-	done   chan struct{}
-	ctx    context.Context
-	cancel context.CancelFunc
+	// news wakes the announcer; Close ends ctx, then waits for done and
+	// for the announcer's exchanges, which outlive their round.
+	news      chan struct{}
+	done      chan struct{}
+	exchanges sync.WaitGroup
+	ctx       context.Context
+	cancel    context.CancelFunc
 
 	// routedScans counts proxy-level scan routings per program; the
 	// reconciler turns deltas into rates for hot-program fan-out.
@@ -245,6 +247,7 @@ func (n *Node) Start(addr string) {
 func (n *Node) Close() {
 	n.cancel()
 	<-n.done
+	n.exchanges.Wait()
 	n.stopLoop()
 	n.hc.CloseIdleConnections()
 	n.svc.Close()
@@ -333,8 +336,9 @@ func (n *Node) announce() {
 }
 
 // announcer runs a round per wake-up until Close: it re-announces a
-// fresh self-entry and exchanges views with every peer it knows at once.
-// News that comes while a round runs waits for the next.
+// fresh self-entry and starts an exchange with every peer it knows at
+// once. It does not wait for them, so a peer that never answers delays no
+// later news.
 func (n *Node) announcer() {
 	defer close(n.done)
 	for {
@@ -344,15 +348,13 @@ func (n *Node) announcer() {
 		case <-n.news:
 		}
 		n.merge([]MemberInfo{n.localInfo()})
-		var wg sync.WaitGroup
 		for _, addr := range n.gossipTargets() {
-			wg.Add(1)
+			n.exchanges.Add(1)
 			go func() {
-				defer wg.Done()
+				defer n.exchanges.Done()
 				n.exchange(addr)
 			}()
 		}
-		wg.Wait()
 	}
 }
 

@@ -30,7 +30,7 @@ func Characterize(cfg Config) (*metrics.Table, error) {
 		Header: []string{"Dataset", "Patterns", "Avg states", "Avg unfolded",
 			"BoundedReps/regex", "Max bound", "Avg class size", "Avg DFA (capped)",
 			"Mode NFA/NBVA/LNFA %", "Utilization %",
-			"Shift-And kernel", "Prefilter tier", "word64/step/dfa-table"},
+			"Windowed kernel", "Prefilter tier", "word64/step/dfa-table"},
 	}
 	const dfaCap = 4096
 	for _, name := range workload.Names {
@@ -73,14 +73,14 @@ func Characterize(cfg Config) (*metrics.Table, error) {
 		if dfaCount > 0 {
 			avgDFA = float64(dfaSum) / float64(dfaCount)
 		}
-		shiftAnd, tier, engines, err := kernelReach(d.Patterns)
+		linear, tier, engines, err := kernelReach(d.Patterns)
 		if err != nil {
 			return nil, err
 		}
 		t.AddRow(name, len(d.Patterns),
 			float64(states)/n, float64(unfolded)/n,
 			float64(bounded)/n, maxBound, classSize/n, avgDFA,
-			sharesCell(shares), 100*prog.Placement.Utilization(), shiftAnd, tier, engines)
+			sharesCell(shares), 100*prog.Placement.Utilization(), linear, tier, engines)
 	}
 	if err := cfg.saveTable(t, "characterize.csv"); err != nil {
 		return nil, err
@@ -95,37 +95,42 @@ func sharesCell(s map[compile.Mode]float64) string {
 
 // kernelReach lowers patterns the way a served program is (refmatch
 // defaults) and reads off Matcher.Kernels which scan loops they land on:
-// the Shift-And kernel(s) of the packed linear patterns, "(always-on)"
-// marking a machine that runs outside the prefilter; the prefilter tier;
-// and the pattern counts on the NBVA word kernel, the NBVA per-byte
-// fallback and the DFA tables.
-func kernelReach(patterns []string) (shiftAnd, tier, engines string, err error) {
-	m, err := refmatch.Compile(context.Background(), patterns, refmatch.Options{})
+// the kernel(s) of the linear (LNFA-mode) patterns, "(always-on)" marking
+// one that runs outside the prefilter's windows; the prefilter tier; and
+// the pattern counts on the NBVA word kernel, the NBVA per-byte fallback
+// and the DFA tables.
+func kernelReach(patterns []string) (linear, tier, engines string, err error) {
+	opts := refmatch.Options{}
+	res, err := compile.CompileContext(context.Background(), patterns, opts.FrontEnd())
+	if err != nil {
+		return "", "", "", err
+	}
+	m, err := refmatch.FromResult(res, opts)
 	if err != nil {
 		return "", "", "", err
 	}
 	count := map[string]int{}
-	sa := map[string]bool{}
-	for _, k := range m.Kernels() {
+	lin := map[string]bool{}
+	for i, k := range m.Kernels() {
 		name, _, _ := strings.Cut(k, " ")
 		count[name]++
-		if strings.HasPrefix(name, "shiftand") {
+		if res.Regexes[i].Mode == compile.ModeLNFA {
 			if !strings.Contains(k, " behind ") {
 				name += " (always-on)"
 			}
-			sa[name] = true
+			lin[name] = true
 		}
 	}
-	names := make([]string, 0, len(sa))
-	for name := range sa {
+	names := make([]string, 0, len(lin))
+	for name := range lin {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	if shiftAnd = strings.Join(names, " + "); shiftAnd == "" {
-		shiftAnd = "-"
+	if linear = strings.Join(names, " + "); linear == "" {
+		linear = "-"
 	}
 	if tier = m.PrefilterTier(); tier == "" {
 		tier = "-"
 	}
-	return shiftAnd, tier, fmt.Sprintf("%d/%d/%d", count["word64"], count["step"], count["dfa-table"]), nil
+	return linear, tier, fmt.Sprintf("%d/%d/%d", count["word64"], count["step"], count["dfa-table"]), nil
 }

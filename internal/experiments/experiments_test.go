@@ -284,9 +284,9 @@ func TestCharacterize(t *testing.T) {
 			t.Errorf("ClamAV unfolded %v not >> written %v", unfolded, written)
 		}
 	}
-	// Kernel reach: a dataset's linear patterns, where it has any, sit
-	// behind a prefilter on a named Shift-And kernel, and none of its patterns
-	// falls to a per-byte fallback — the finding the scan-path fork audit
+	// Kernel reach: a dataset's linear patterns, where it has any, all sit
+	// behind a prefilter on a named windowed kernel, and none of its
+	// patterns falls to a per-byte fallback — the finding the scan-path fork audit
 	// (EXPERIMENTS.md) records. A dataset that starts reaching "step" is
 	// news for that audit, not a failure of the scan path.
 	for _, r := range tb.Rows {
@@ -295,7 +295,7 @@ func TestCharacterize(t *testing.T) {
 			t.Fatalf("%s: engines cell %q: %v", r[0], r[12], err)
 		}
 		if strings.Contains(r[10], "always-on") || (r[10] == "-") != (r[11] == "-") {
-			t.Errorf("%s: Shift-And kernel %q behind prefilter tier %q", r[0], r[10], r[11])
+			t.Errorf("%s: linear patterns on %q behind prefilter tier %q", r[0], r[10], r[11])
 		}
 		if step != 0 || word+dfa == 0 {
 			t.Errorf("%s: word64/step/dfa-table = %s", r[0], r[12])

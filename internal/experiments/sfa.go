@@ -40,7 +40,7 @@ func SFABench(cfg Config) (*metrics.Table, error) {
 		n = 4 << 20
 	}
 
-	// DFA-eligible ruleset (plus Shift-And riders): general patterns with
+	// DFA-eligible ruleset (plus windowed riders): general patterns with
 	// small subset constructions, the shape the SFA union is built for.
 	patterns := []string{
 		"abc[0-9]*xyz",

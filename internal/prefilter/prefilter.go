@@ -13,8 +13,8 @@
 // its literal occurrences ends inside that span. A literal hit ending at
 // stream offset t therefore covers every match containing it with the
 // single window [t-W+1, t+W-1], W being the longest pattern length — and
-// a Shift-And automaton reset at a window start loses only matches that
-// start earlier, which some other window necessarily covers.
+// any automaton of a linear pattern reset at a window start loses only
+// matches that start earlier, which some other window necessarily covers.
 package prefilter
 
 import (

@@ -3,6 +3,7 @@ package refmatch
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -16,25 +17,25 @@ import (
 )
 
 // TestFeedEqualEndOrder pins the order contract of one feed: ascending
-// End, and for equal End the prefiltered Shift-And machine, the always-on
-// one, then the NBVA and DFA patterns, each group in pattern order. The
-// twelve DFA patterns, anchored ones among them, one wake word whose
-// patterns interleave with the other engines', all fire on the last byte.
+// End, and for equal End the windowed group, then the NBVA and DFA
+// patterns, each group in pattern order. The thirteen DFA patterns,
+// anchored and linear ones among them, one wake word whose patterns
+// interleave with the other engines', all fire on the last byte.
 func TestFeedEqualEndOrder(t *testing.T) {
 	patterns := []string{
 		"a(x|b)*c",     // dfa
 		"q(a|b)*c$",    // dfa: end-anchored
 		"b{20}c",       // nbva
-		"[a-f].[a-f]",  // shift-and, always-on
+		"[a-f].[a-f]",  // dfa: linear, no literal
 		"a(y|b)*c",     // dfa
 		"[ab]{0,30}bc", // nbva
-		"bbbc",         // shift-and, prefiltered
+		"bbbc",         // windowed
 		"^qa(x|b)*c",   // dfa: start-anchored
 	}
-	wantEngines := []Engine{EngineDFA, EngineDFA, EngineNBVA, EngineShiftAnd, EngineDFA, EngineNBVA, EngineShiftAnd, EngineDFA}
+	wantEngines := []Engine{EngineDFA, EngineDFA, EngineNBVA, EngineDFA, EngineDFA, EngineNBVA, EngineDFA, EngineDFA}
 	input := []byte("qa" + strings.Repeat("b", 24) + "c")
 	last := len(input) - 1
-	want := []Match{{6, last}, {3, last}, {2, last}, {5, last}, {0, last}, {1, last}, {4, last}, {7, last}}
+	want := []Match{{6, last}, {2, last}, {5, last}, {0, last}, {1, last}, {3, last}, {4, last}, {7, last}}
 	for _, c := range "zwvutsrp" {
 		want = append(want, Match{len(patterns), last})
 		patterns = append(patterns, fmt.Sprintf("a(%c|b)*c", c))
@@ -44,8 +45,8 @@ func TestFeedEqualEndOrder(t *testing.T) {
 	if !reflect.DeepEqual(m.Engines(), wantEngines) {
 		t.Fatalf("engines = %v, want %v", m.Engines(), wantEngines)
 	}
-	if dfas, _, words := dfaTables(m); words != 1 || len(dfas) != 12 {
-		t.Fatalf("%d DFA patterns in %d wake words: want 12 in 1", len(dfas), words)
+	if dfas, _, words := dfaTables(m); words != 1 || len(dfas) != 13 {
+		t.Fatalf("%d DFA patterns in %d wake words: want 13 in 1", len(dfas), words)
 	}
 	if v := m.PrefilterVerdicts(); v[3].Prefilterable || !v[6].Prefilterable {
 		t.Fatalf("prefilter verdicts: pattern 3 %v, pattern 6 %v", v[3], v[6])
@@ -68,15 +69,15 @@ func TestFeedEqualEndOrder(t *testing.T) {
 	}
 	// Streamed, the end-anchored pattern waits for Finish; the rest keep
 	// their places, wherever the stream is cut.
-	streamWant := append(append([]Match(nil), want[:5]...), want[6:]...)
+	streamWant := append(append([]Match(nil), want[:4]...), want[5:]...)
 	for cut := 0; cut <= len(input); cut++ {
 		s := m.NewSession()
 		got := append(s.Feed(input[:cut]), s.Feed(input[cut:])...)
 		if got := atLast(got); !reflect.DeepEqual(got, streamWant) {
 			t.Errorf("cut at %d: Feed = %v, want %v", cut, got, streamWant)
 		}
-		if got := s.Finish(); !reflect.DeepEqual(got, want[5:6]) {
-			t.Errorf("cut at %d: Finish = %v, want %v", cut, got, want[5:6])
+		if got := s.Finish(); !reflect.DeepEqual(got, want[4:5]) {
+			t.Errorf("cut at %d: Finish = %v, want %v", cut, got, want[4:5])
 		}
 	}
 }
@@ -108,11 +109,14 @@ func TestDFABlockSequence(t *testing.T) {
 		var got []Match
 		all := m.Scan(input)
 		for i, mt := range all {
-			isDFA := m.Engines()[mt.Pattern] == EngineDFA
+			_, isDFA := slices.BinarySearch(dfaIdx, mt.Pattern)
 			if isDFA {
 				got = append(got, mt)
 			}
-			if i > 0 && (all[i-1].End > mt.End || (all[i-1].End == mt.End && !isDFA && m.Engines()[all[i-1].Pattern] == EngineDFA)) {
+			if i == 0 {
+				continue
+			}
+			if _, prevDFA := slices.BinarySearch(dfaIdx, all[i-1].Pattern); all[i-1].End > mt.End || (all[i-1].End == mt.End && !isDFA && prevDFA) {
 				t.Fatalf("seed %d: match %d %v follows %v", seed, i, mt, all[i-1])
 			}
 		}
@@ -213,32 +217,33 @@ func TestNBVAStepFallback(t *testing.T) {
 }
 
 // TestScanAllocations pins the two allocation properties of the scan
-// path: a reused session scans a mixed NBVA+DFA+Shift-And ruleset without
+// path: a reused session scans a mixed NBVA+DFA+windowed ruleset without
 // allocating once dst has capacity, and opening a session costs a few
 // allocations per lane, because the tables live on the Matcher and a
 // lane keeps the state of all its patterns in one or two slices.
 func TestScanAllocations(t *testing.T) {
 	d := workload.MustGenerate("Snort", 1.0, 1)
-	// Both Shift-And machines must report, so the merge has runs to merge.
+	// The windowed group and a linear DFA must report, so the merge has
+	// runs to merge.
 	patterns := append(d.Patterns, "needle", "[a-f].[0-9]")
 	m := compilePar(t, patterns, Options{})
 	count := map[Engine]int{}
 	for _, e := range m.Engines() {
 		count[e]++
 	}
-	if sa, _ := m.lanes[1].(*shiftAndLane); count[EngineNBVA] == 0 || count[EngineDFA] == 0 || m.PrefilterTier() == "" || sa == nil {
-		t.Fatalf("engine mix %v: want NBVA, DFA and both Shift-And machines", count)
+	if count[EngineNBVA] == 0 || count[EngineDFA] == 0 || m.PrefilterTier() == "" || m.Kernels()[len(d.Patterns)+1] != "dfa-table" {
+		t.Fatalf("engine mix %v, kernels %q: want NBVA, DFA and the windowed group", count, m.Kernels()[len(d.Patterns):])
 	}
 	input := d.Input(16<<10, 1)
 	copy(input[1000:], "needle")
 	s := m.NewSession()
 	dst := s.ScanInto(input, nil)
-	seen := map[Engine]bool{}
+	seen := map[string]bool{}
 	for _, mt := range dst {
-		seen[m.Engines()[mt.Pattern]] = true
+		seen[m.Kernels()[mt.Pattern]] = true
 	}
-	if !seen[EngineNBVA] || !seen[EngineDFA] || !seen[EngineShiftAnd] {
-		t.Fatalf("engines that matched: %v, want NBVA, DFA and Shift-And", seen)
+	if len(seen) < 3 || !seen["dfa-table"] || !seen["dfa-union behind "+m.PrefilterKernel()] {
+		t.Fatalf("kernels that matched: %v, want NBVA, DFA and the windowed group", seen)
 	}
 	if allocs := testing.AllocsPerRun(5, func() { dst = s.ScanInto(input, dst[:0]) }); allocs != 0 {
 		t.Errorf("ScanInto on a reused session: %v allocs per scan, want 0", allocs)
@@ -256,14 +261,14 @@ func TestScanAllocations(t *testing.T) {
 func TestKernelsNamesEveryEngine(t *testing.T) {
 	patterns := []string{"cat", "ab{20}c", "a(x|y)*b", "^a(x|y)*b", strings.Repeat("[ab]", 70), "[ab]x{20}y"}
 	m := compilePar(t, patterns, Options{DisablePrefilter: true})
-	want := []string{"shiftand-multi", "word64 memchr (3 states, 20 BV bits)", "dfa-table", "dfa-table", "shiftand-multi",
+	want := []string{"dfa-table", "word64 memchr (3 states, 20 BV bits)", "dfa-table", "dfa-table", "dfa-table",
 		"word64 (3 states, 20 BV bits)"}
 	if got := m.Kernels(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Kernels = %q, want %q", got, want)
 	}
-	// Five DFA patterns, wherever they sit in the list, share one wake loop.
+	// Six DFA patterns, a linear one among them, share one wake loop.
 	dfas := []string{"a(x|y)*b", "cat", "b(x|y)*c", "c(x|y)*d", "d(x|y)*e", "e(x|y)*f"}
-	want = []string{"dfa-table", "shiftand-multi", "dfa-table", "dfa-table", "dfa-table", "dfa-table"}
+	want = []string{"dfa-table", "dfa-table", "dfa-table", "dfa-table", "dfa-table", "dfa-table"}
 	if got := compilePar(t, dfas, Options{DisablePrefilter: true}).Kernels(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Kernels = %q, want %q", got, want)
 	}
@@ -275,8 +280,8 @@ func TestKernelsNamesEveryEngine(t *testing.T) {
 	}
 	for avx2, teddy := range teddies {
 		simdscan.UseAVX2 = avx2
-		if got := m.Kernels(); !reflect.DeepEqual(got, []string{"shiftand-multi behind " + teddy}) {
-			t.Errorf("Kernels = %q, want [shiftand-multi behind %s]", got, teddy)
+		if got := m.Kernels(); !reflect.DeepEqual(got, []string{"dfa-union behind " + teddy}) {
+			t.Errorf("Kernels = %q, want [dfa-union behind %s]", got, teddy)
 		}
 		if got := m.PrefilterKernel(); got != teddy {
 			t.Errorf("PrefilterKernel = %q, want %s", got, teddy)

@@ -10,19 +10,15 @@ import (
 	"repro/internal/automata"
 	"repro/internal/compile"
 	"repro/internal/nbva"
-	"repro/internal/prefilter"
 	"repro/internal/regexast"
-	"repro/internal/shiftand"
 	"repro/internal/workload"
 )
 
 // lowers reports whether engine e is the software lowering of Fig 9
-// mode m: LNFA -> Shift-And, NBVA -> NBVA, NFA -> its DFA or, past the DFA
-// state cap, an NBVA machine without bit vectors.
+// mode m: NBVA -> NBVA, LNFA and NFA -> a DFA, alone or in a windowed
+// union, or, past the DFA state cap, an NBVA machine without bit vectors.
 func lowers(m compile.Mode, e Engine) bool {
 	switch m {
-	case compile.ModeLNFA:
-		return e == EngineShiftAnd
 	case compile.ModeNBVA:
 		return e == EngineNBVA
 	default:
@@ -61,7 +57,7 @@ func TestEnginesLowerCompileModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Engine{EngineDFA, EngineDFA, EngineDFA, EngineShiftAnd, EngineNBVA, EngineDFA, EngineShiftAnd}
+	want := []Engine{EngineDFA, EngineDFA, EngineDFA, EngineDFA, EngineNBVA, EngineDFA, EngineDFA}
 	for i, e := range m.Engines() {
 		if e != want[i] {
 			t.Errorf("%q runs on %v, want %v", sets["edges"][i], e, want[i])
@@ -99,7 +95,10 @@ func matchSet(ms []Match) map[Match]bool {
 // FuzzModePolicyDifferential is the guard that a route choice can never
 // change the language: one pattern scanned by the all-routes matcher, by
 // the ForceNFA matcher and by the reference NFA simulator must yield the
-// same match set.
+// same match set, and, but for an NBVA-mode pattern, report each End as
+// many times as the reference has final states active there
+// (automata.Runner.FinalsActive). An NBVA machine counts its own reporting
+// states: σ{0,k} is one BV-STE where the unfolded reference has k finals.
 func FuzzModePolicyDifferential(f *testing.F) {
 	seeds := []string{
 		"abc", "a|b", "a(b|c)d", "(a+)?b", "x(a|)y", "^abc$", "(?i)Ab[C-f]", "[^a-z]x",
@@ -112,6 +111,11 @@ func FuzzModePolicyDifferential(f *testing.F) {
 	for _, p := range seeds {
 		f.Add(p, string(workload.Exemplar(p, r))+"ab"+string(workload.Exemplar(p, r)))
 	}
+	// Linearized, a(b|.)e is two sequences that both match abe; its NFA
+	// has one final state.
+	f.Add("a(b|.)e", "eabeabe")
+	// a(b|.) has two final states, both active after ab.
+	f.Add("a(b|.)", "xabab")
 	f.Fuzz(func(t *testing.T, pattern, input string) {
 		if len(pattern) > 64 || len(input) > 1<<10 {
 			return
@@ -125,27 +129,35 @@ func FuzzModePolicyDifferential(f *testing.F) {
 			return
 		}
 		data := []byte(input)
-		want := map[Match]bool{}
-		for _, end := range nfa.MatchEnds(data) {
-			if end >= 0 { // -1 is "matches before any input", never reported
-				want[Match{Pattern: 0, End: end}] = true
+		want := map[Match]int{}
+		ref := automata.NewRunner(nfa)
+		for i, b := range data {
+			if ref.Step(b) && (!nfa.EndAnchored || i == len(data)-1) {
+				want[Match{Pattern: 0, End: i}] = ref.FinalsActive()
 			}
 		}
 		for _, policy := range []compile.ModePolicy{compile.PolicyDefault, compile.ForceNFA} {
-			m, err := Compile(context.Background(), []string{pattern}, Options{Options: compile.Options{ModePolicy: policy}})
+			opts := Options{Options: compile.Options{ModePolicy: policy}}
+			res, err := compile.CompileContext(context.Background(), []string{pattern}, opts.FrontEnd())
 			if err != nil {
 				t.Fatalf("%q: reference NFA builds but policy %v does not compile: %v", pattern, policy, err)
 			}
-			got := matchSet(m.Scan(data))
-			if len(got) != len(want) {
+			m, err := FromResult(res, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := map[Match]int{}
+			for _, mt := range m.Scan(data) {
+				got[mt]++
+			}
+			if res.Regexes[0].Mode == compile.ModeNBVA {
+				for mt := range got {
+					got[mt] = want[mt]
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%q on %q: policy %v (engine %v) reports %v, reference NFA %v",
 					pattern, input, policy, m.Engines()[0], got, want)
-			}
-			for k := range want {
-				if !got[k] {
-					t.Fatalf("%q on %q: policy %v (engine %v) reports %v, reference NFA %v",
-						pattern, input, policy, m.Engines()[0], got, want)
-				}
 			}
 		}
 	})
@@ -261,30 +273,15 @@ func TestRelowerSharesTables(t *testing.T) {
 	}
 }
 
-// shiftAndTables returns the tables of m's Shift-And lanes: the machines
-// of the prefiltered and the always-on lane and the prefilter, nil for a
-// lane m lacks.
-func shiftAndTables(m *Matcher) (prefiltered, alwaysOn *shiftand.Machine, pf *prefilter.Set) {
-	for _, l := range m.lanes {
-		if l, ok := l.(*shiftAndLane); ok && l.pf != nil {
-			prefiltered, pf = l.sa, l.pf
-		} else if ok {
-			alwaysOn = l.sa
-		}
-	}
-	return prefiltered, alwaysOn, pf
-}
-
 // alwaysOnLinear are linear patterns with no mandatory literal: they run on
-// the always-on Shift-And lane.
+// the DFA lane.
 var alwaysOnLinear = []string{"[a-f].[a-f]", "[0-9]x?[0-9][0-9]"}
 
 // TestRelowerRestoresFromOlder: a revert lowered against the matcher it
 // replaces and the one that matcher displaced takes every DFA table and
 // NBVA kernel by pointer — those of the reverted tenth from the older
-// matcher — and both Shift-And machines and the prefilter from the older
-// matcher, whose lanes had the same members, and gives the matcher a cold
-// compile gives. Under a DFA cap most NFAs miss, the machine and kernel
+// matcher — and the windowed group whole from the older matcher, whose
+// group had the same members, and gives the matcher a cold compile gives. Under a DFA cap most NFAs miss, the machine and kernel
 // of each miss are shared the same way, so neither the edit nor the
 // revert runs a failed subset construction again, and the revert builds
 // no NBVA machine at all.
@@ -297,7 +294,7 @@ func TestRelowerRestoresFromOlder(t *testing.T) {
 func relowerRevert(t *testing.T, opts Options) {
 	ctx := context.Background()
 	// Snort's linear patterns all have a mandatory literal; two without one
-	// give the always-on Shift-And lane members too.
+	// give the DFA lane linear members too.
 	a := append(workload.MustGenerate("Snort", 1, 1).Patterns, alwaysOnLinear...)
 	b := append([]string(nil), a...)
 	for i, p := range workload.MustGenerate("Snort", 1, 2).Patterns {
@@ -374,21 +371,21 @@ func relowerRevert(t *testing.T, opts Options) {
 	if gotNB := nbvaTables(got); !same(gotNB.machines, aNB.machines) || !same(gotNB.kernels, aNB.kernels) {
 		t.Errorf("DFA cap %d: the revert built NBVA machines", opts.DFAStateCap)
 	}
-	aPre, aOn, aPf := shiftAndTables(aM)
-	gotPre, gotOn, gotPf := shiftAndTables(got)
-	if aPre == nil || aOn == nil || aPf == nil {
-		t.Fatal("the list lowers to no prefiltered or no always-on Shift-And lane")
+	aG := aM.kinds.win.g
+	if aG == nil {
+		t.Fatalf("DFA cap %d: the list lowers to no windowed group", opts.DFAStateCap)
 	}
-	if gotPre != aPre || gotOn != aOn || gotPf != aPf || got.LanesReused() != 2 {
-		t.Errorf("the revert took %d lanes whole; machines shared %v and %v, prefilter %v", got.LanesReused(), gotPre == aPre, gotOn == aOn, gotPf == aPf)
+	if reused := got.LanesReused(); got.kinds.win.g != aG || reused != 1 {
+		t.Errorf("DFA cap %d: the revert took %d lanes whole; the windowed group shared %v", opts.DFAStateCap, reused, got.kinds.win.g == aG)
 	}
 }
 
-// TestRelowerKeepsShiftAndLanes: a novel edit that touches only NBVA
-// patterns leaves both Shift-And lanes' members as they were, so the
-// served matcher's machines and prefilter are taken whole, and the matcher
-// is still the one a cold compile gives.
-func TestRelowerKeepsShiftAndLanes(t *testing.T) {
+// TestRelowerKeepsWindowedGroup: a novel edit that touches only NBVA
+// patterns leaves the windowed group's members as they were, so the
+// served matcher's group — its prefilter and its union DFAs, built once —
+// is taken whole, the linear DFAs are shared, and the matcher is still the
+// one a cold compile gives.
+func TestRelowerKeepsWindowedGroup(t *testing.T) {
 	ctx := context.Background()
 	opts := Options{}
 	d := workload.MustGenerate("Snort", 1, 1)
@@ -433,13 +430,18 @@ func TestRelowerKeepsShiftAndLanes(t *testing.T) {
 		!reflect.DeepEqual(got.PrefilterVerdicts(), cold.PrefilterVerdicts()) {
 		t.Fatal("the edit lowered against the served matcher differs from a cold compile")
 	}
-	aPre, aOn, aPf := shiftAndTables(aM)
-	if aPre == nil || aOn == nil || aPf == nil {
-		t.Fatal("the list lowers to no prefiltered or no always-on Shift-And lane")
+	aG := aM.kinds.win.g
+	if aG == nil {
+		t.Fatal("the list lowers to no windowed group")
 	}
-	gotPre, gotOn, gotPf := shiftAndTables(got)
-	if gotPre != aPre || gotOn != aOn || gotPf != aPf || got.LanesReused() != 2 {
-		t.Errorf("the NBVA edit took %d lanes whole; machines shared %v and %v, prefilter %v", got.LanesReused(), gotPre == aPre, gotOn == aOn, gotPf == aPf)
+	aM.Scan([]byte("builds the unions"))
+	if got.kinds.win.g != aG || got.LanesReused() != 1 || len(got.kinds.win.g.unions) == 0 {
+		t.Errorf("the NBVA edit took %d lanes whole; the windowed group shared %v", got.LanesReused(), got.kinds.win.g == aG)
+	}
+	aDFAs, _, _ := dfaTables(aM)
+	gotDFAs, _, _ := dfaTables(got)
+	if !same(aDFAs, gotDFAs) {
+		t.Error("the NBVA edit built the DFA lane's tables again")
 	}
 	planted := workload.Dataset{Name: "Snort", Patterns: b, Alphabet: d.Alphabet, Seed: d.Seed}
 	input := planted.Input(16<<10, 3)

@@ -2,12 +2,11 @@ package refmatch
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/automata"
-	"repro/internal/compile"
 	"repro/internal/nbva"
 	"repro/internal/prefilter"
-	"repro/internal/shiftand"
 )
 
 // A lane scans the patterns of one engine. The lowering builds a
@@ -28,68 +27,111 @@ type lane interface {
 	engine() Engine
 }
 
-// shiftAndLane is a packed Shift-And machine; pf, when set, gates it to
-// the candidate windows of its patterns' mandatory-literal union.
-type shiftAndLane struct {
-	sa       *shiftand.Machine
-	members  []*compile.LinearSeq // the packed sequences, in order
-	patterns []int                // per packed sequence
-	analyses []*analysis          // per packed sequence, its pattern's
-	pf       *prefilter.Set
-	r        *shiftand.Runner
-	stream   *prefilter.Stream // nil without pf
+// windowGroup is the windowed group's read-only half: its members, the
+// prefilter of their literal union and, built on first use, union DFAs of
+// their Glushkov NFAs, packed in member order and halved until each fits
+// the DFA state cap. A later generation with the same members takes it
+// whole.
+type windowGroup struct {
+	members []*linear
+	pf      *prefilter.Set
+	cap     int
+	once    sync.Once
+	unions  []*automata.Union
+	first   []int // per union, its first member
 }
 
-func (l *shiftAndLane) open() lane {
-	c := *l
-	c.r = shiftand.NewRunner(l.sa)
-	if l.pf != nil {
-		c.stream = l.pf.NewStream()
+// newWindowGroup builds the prefilter of members' literal union, with
+// windows as wide as their longest match, and defers the union DFAs.
+func newWindowGroup(members []*linear, cap int) (*windowGroup, error) {
+	var lits [][]byte
+	window := 0
+	for _, l := range members {
+		lits = append(lits, l.lits...)
+		window = max(window, l.window)
 	}
+	pf, err := prefilter.NewSet(lits, window)
+	if err != nil {
+		return nil, fmt.Errorf("refmatch: prefilter: %w", err)
+	}
+	return &windowGroup{members: members, pf: pf, cap: cap}, nil
+}
+
+// dfas returns the group's union DFAs, building them on first use.
+func (g *windowGroup) dfas() []*automata.Union {
+	g.once.Do(func() {
+		nfas := make([]*automata.NFA, len(g.members))
+		for j, l := range g.members {
+			nfas[j] = l.nfa
+		}
+		g.pack(nfas, 0)
+	})
+	return g.unions
+}
+
+// pack builds the union of nfas, members first on, or of each half when
+// it outgrows the cap. Lowering put no member whose own DFA outgrows the
+// cap in the group.
+func (g *windowGroup) pack(nfas []*automata.NFA, first int) {
+	u, err := automata.BuildUnion(nfas, g.cap)
+	if err == nil {
+		g.unions, g.first = append(g.unions, u), append(g.first, first)
+		return
+	}
+	if len(nfas) == 1 {
+		panic(fmt.Sprintf("refmatch: windowed member %d fits no union: %v", first, err))
+	}
+	h := len(nfas) / 2
+	g.pack(nfas[:h], first)
+	g.pack(nfas[h:], first+h)
+}
+
+// windowLane runs the windowed group: its union DFAs step only inside the
+// candidate windows of the group's prefilter.Stream, from state 0 after
+// each gap no match can span.
+type windowLane struct {
+	g        *windowGroup
+	patterns []int             // per member
+	stream   *prefilter.Stream // a session's
+	states   []int32           // per union, a session's once it scans
+}
+
+func (l *windowLane) open() lane {
+	c := *l
+	c.stream = l.g.pf.NewStream()
 	return &c
 }
 
-func (l *shiftAndLane) scan(s *Session, chunk []byte, base int) {
-	emit := func(seq, end int) { s.report(l.patterns[seq], end, false) }
-	if l.stream == nil {
-		l.r.ScanChunk(chunk, base, emit)
-		return
+func (l *windowLane) scan(s *Session, chunk []byte, base int) {
+	unions := l.g.dfas()
+	if l.states == nil {
+		l.states = make([]int32, len(unions))
 	}
-	l.stream.Scan(chunk, func(at int, data []byte) { l.r.ScanChunk(data, at, emit) }, l.r.Reset)
-}
-
-func (l *shiftAndLane) reset() {
-	l.r.Reset()
-	if l.stream != nil {
-		l.stream.Reset()
-	}
-}
-
-// prefiltered returns the Shift-And lane of lanes that runs behind the
-// prefilter, nil when no pattern is prefiltered.
-func prefiltered(lanes []lane) *shiftAndLane {
-	for _, l := range lanes {
-		if l, ok := l.(*shiftAndLane); ok && l.pf != nil {
-			return l
+	first := 0
+	emit := func(j, end int) { s.report(l.patterns[first+j], end, false) }
+	l.stream.Scan(chunk, func(at int, data []byte) {
+		for k, u := range unions {
+			first = l.g.first[k]
+			l.states[k] = u.ScanFrom(l.states[k], data, at, emit)
 		}
-	}
-	return nil
+	}, func() { clear(l.states) })
 }
 
-func (l *shiftAndLane) pats() []int    { return l.patterns }
-func (l *shiftAndLane) engine() Engine { return EngineShiftAnd }
-
-func (l *shiftAndLane) kernel(int) string {
-	if l.pf != nil {
-		return "shiftand-multi behind " + l.pf.Kernel()
-	}
-	return "shiftand-multi"
+func (l *windowLane) reset() {
+	clear(l.states)
+	l.stream.Reset()
 }
+
+func (l *windowLane) pats() []int    { return l.patterns }
+func (l *windowLane) engine() Engine { return EngineDFA }
+
+func (l *windowLane) kernel(int) string { return "dfa-union behind " + l.g.pf.Kernel() }
 
 // nbvaLane holds the NBVA machines in pattern order, each with its word
 // kernel, or a nil kernel when it has more than nbva.MaxKernelStates
-// control states and is stepped with an nbva.Runner. An NFA whose DFA
-// outgrows the cap is here too, as a machine without bit vectors.
+// control states and is stepped with an nbva.Runner. An NFA or a linear
+// pattern whose DFA outgrows the cap is here too, as a machine without
+// bit vectors.
 type nbvaLane struct {
 	machines []*nbva.Machine
 	kernels  []*nbva.Kernel
@@ -161,8 +203,9 @@ func (l *nbvaLane) kernel(j int) string {
 	return fmt.Sprintf("%s (%d states, %d BV bits)", name, l.machines[j].NumStates(), l.machines[j].TotalBVBits())
 }
 
-// dfaLane holds the DFA-routed patterns in pattern order, all scanned by
-// one automata.WakeLoop: a DFA at rest is stepped only on its wake pairs.
+// dfaLane holds the DFA patterns in pattern order, linear ones off the
+// prefilter among them, all scanned by one automata.WakeLoop: a DFA at
+// rest is stepped only on its wake pairs.
 type dfaLane struct {
 	dfas     []*automata.DFA
 	nfas     []*automata.NFA // Glushkov NFA behind each DFA, for the SFA union

@@ -2,12 +2,15 @@ package refmatch
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/automata"
 	"repro/internal/regexast"
+	"repro/internal/workload"
 )
 
 // dfaTables returns the DFA tables of m in pattern order, the pattern of
@@ -32,19 +35,15 @@ func nbvaTables(m *Matcher) *nbvaLane {
 }
 
 // laneOf returns the rank of the scan lane that reports pattern p, read
-// from the public verdicts alone: prefiltered Shift-And, always-on
-// Shift-And, NBVA, DFA.
+// from the public verdicts alone: windowed, NBVA, DFA.
 func laneOf(m *Matcher, p int) int {
-	switch m.Engines()[p] {
-	case EngineShiftAnd:
-		if m.PrefilterVerdicts()[p].Prefilterable {
-			return 0
-		}
+	switch {
+	case m.PrefilterVerdicts()[p].Prefilterable:
+		return 0
+	case m.Engines()[p] == EngineNBVA:
 		return 1
-	case EngineNBVA:
-		return 2
 	}
-	return 3
+	return 2
 }
 
 // FuzzSessionDifferential streams a set of up to six patterns, mixing
@@ -148,5 +147,82 @@ func streamEquals(t *testing.T, m *Matcher, patterns []string, input []byte, see
 		if !got[mt] {
 			t.Fatalf("%q on %q: streamed %v, reference NFAs %v", patterns, input, got, want)
 		}
+	}
+}
+
+// BenchmarkWindowedLane prices the windowed group's lane alone, its
+// prefilter stream included, on a reused session: the seven datasets at
+// scale 1 over 64 KiB of their own planted traffic, and the ledger's
+// `.keyNN.` ruleset over 256 KiB of noise no literal starts in, with one
+// literal planted per 4 KiB and per 64 B.
+func BenchmarkWindowedLane(b *testing.B) {
+	type input struct {
+		name     string
+		patterns []string
+		body     []byte
+	}
+	var ins []input
+	for _, name := range workload.Names {
+		d := workload.MustGenerate(name, 1, 1)
+		ins = append(ins, input{name, d.Patterns, d.Input(64<<10, 1)})
+	}
+	var keys []string
+	for i := 0; i < 24; i++ {
+		keys = append(keys, fmt.Sprintf(".key%02d.", i))
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, every := range []int{4096, 64} {
+		body := make([]byte, 256<<10)
+		for i := range body {
+			body[i] = byte('i' + rng.Intn(18))
+		}
+		for p := every / 2; p+8 < len(body); p += every {
+			copy(body[p:], fmt.Sprintf("key%02d", rng.Intn(len(keys))))
+		}
+		ins = append(ins, input{fmt.Sprintf("keyNN/every%d", every), keys, body})
+	}
+	for _, in := range ins {
+		b.Run(in.name, func(b *testing.B) {
+			m := compilePar(b, in.patterns, Options{})
+			s := m.NewSession()
+			l, ok := s.lanes[0].(*windowLane)
+			if !ok {
+				b.Fatal("the ruleset has no windowed group")
+			}
+			l.scan(s, in.body, 0) // builds the unions
+			b.SetBytes(int64(len(in.body)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				l.reset()
+				s.buf = s.buf[:0]
+				l.scan(s, in.body, 0)
+			}
+		})
+	}
+}
+
+// TestWindowedBuildCost bounds the build Relower defers: the union DFAs of
+// Snort@1.0's windowed group, 22 linear patterns in one union of 629
+// states, which a scan pays once per group membership. It allocates 1 343
+// times and 687 KB; the ceilings are about 10 % above.
+func TestWindowedBuildCost(t *testing.T) {
+	m := compilePar(t, workload.MustGenerate("Snort", 1, 1).Patterns, Options{})
+	g := m.kinds.win.g
+	if g == nil || len(g.members) != 22 {
+		t.Fatalf("Snort@1.0 lowers to a windowed group of %v", g)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const builds = 10
+	for i := 0; i < builds; i++ {
+		(&windowGroup{members: g.members, cap: g.cap}).dfas()
+	}
+	runtime.ReadMemStats(&after)
+	if perOp := (after.Mallocs - before.Mallocs) / builds; perOp > 1480 {
+		t.Errorf("%d allocs per build, ceiling 1480", perOp)
+	}
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / builds; perOp > 756<<10 {
+		t.Errorf("%d bytes allocated per build, ceiling %d", perOp, 756<<10)
 	}
 }

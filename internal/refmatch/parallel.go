@@ -10,22 +10,22 @@ import (
 
 	"repro/internal/automata"
 	"repro/internal/sfa"
-	"repro/internal/shiftand"
 )
 
 // parallelPlan is everything ScanParallel needs that can be computed once
-// per Matcher: the Simultaneous-FA union machine covering the DFA-engine
-// patterns, and the chunk overlap that makes per-chunk Shift-And
-// rescans exact. It is immutable and shared by all sessions.
+// per Matcher: the Simultaneous-FA union machine covering the DFA lane's
+// patterns, and the chunk overlap that makes per-chunk rescans of the
+// windowed group's unions exact. It is immutable and shared by all
+// sessions.
 type parallelPlan struct {
-	// sfa is the union streaming DFA over every DFA-engine pattern, nil
-	// when the set is pure Shift-And.
-	sfa *sfa.Machine
+	// sfa is the union streaming DFA over every pattern of the DFA lane,
+	// nil when it has none; pidx maps its members to patterns.
+	sfa  *automata.Union
+	pidx []int
 	// overlap is how many bytes before its chunk each worker rescans for
-	// the Shift-And machines: a packed sequence of length L only looks at
-	// the last L bytes, and no sequence is longer than its machine, so
-	// NumStates-1 bytes of context reproduce every serial match ending
-	// inside the chunk from a fresh runner.
+	// the windowed group: a linear pattern's match of length L looks only
+	// at the last L bytes, so its longest match less one byte of context
+	// reproduces every serial match ending inside the chunk from state 0.
 	overlap int
 }
 
@@ -51,11 +51,12 @@ func (m *Matcher) buildPlan() (*parallelPlan, error) {
 	}
 	plan := &parallelPlan{}
 	var nfas []*automata.NFA
-	var pidx []int
 	for _, l := range m.lanes {
 		switch l := l.(type) {
-		case *shiftAndLane:
-			plan.overlap = max(plan.overlap, l.sa.NumStates()-1)
+		case *windowLane:
+			for _, lin := range l.g.members {
+				plan.overlap = max(plan.overlap, lin.window-1)
+			}
 		case *nbvaLane:
 			// NBVA counter state has no composable chunk function here; one
 			// such pattern makes the whole set serial (the matcher is
@@ -70,11 +71,11 @@ func (m *Matcher) buildPlan() (*parallelPlan, error) {
 					return nil, &ParallelizeError{Pattern: l.patterns[j], Reason: ReasonMatchesEmpty}
 				}
 			}
-			nfas, pidx = append(nfas, l.nfas...), append(pidx, l.patterns...)
+			nfas, plan.pidx = append(nfas, l.nfas...), append(plan.pidx, l.patterns...)
 		}
 	}
 	if len(nfas) > 0 {
-		mach, err := sfa.Build(nfas, pidx, m.opts.SFAStateCap)
+		mach, err := automata.BuildUnion(nfas, m.opts.SFAStateCap)
 		if err != nil {
 			return nil, &ParallelizeError{Pattern: -1, Reason: ReasonStateCap, Err: err}
 		}
@@ -94,8 +95,8 @@ type ParallelStats struct {
 	Chunks  int // number of partitions scanned
 	Workers int // worker-pool bound actually used
 
-	// SFAStates is the union machine's state count (0 for a pure
-	// Shift-And set).
+	// SFAStates is the union machine's state count (0 for a set with no
+	// pattern on the DFA lane).
 	SFAStates int
 	// ReplayBytes is the total prefix length replayed in phase 2 — the
 	// bytes scanned twice because their chunk's trajectories had not yet
@@ -135,8 +136,8 @@ type parChunk struct {
 //
 // The buffer is partitioned once; each worker runs the Simultaneous-FA
 // machine over its chunk (chunk 0, whose entry state is known, runs the
-// plain serial scan) and rescans the Shift-And machines with a small
-// overlap. The per-chunk state-mapping functions are then joined left to
+// plain serial scan) and rescans the windowed group's union DFAs with a
+// small overlap. The per-chunk state-mapping functions are then joined left to
 // right — a few table lookups — and each chunk replays only the prefix
 // before its convergence offset to recover entry-dependent reports.
 //
@@ -211,29 +212,28 @@ func (s *Session) scanParallel(ctx context.Context, buf []byte, workers, minChun
 	}
 
 	// Phase 1: independent chunk scans.
+	win := &m.kinds.win
 	runPhase(func(c *parChunk, i int) {
 		t0 := time.Now()
 		data := buf[c.start:c.end]
+		emit := func(j, end int) { c.matches = append(c.matches, Match{Pattern: plan.pidx[j], End: end}) }
 		if plan.sfa != nil {
 			if i == 0 {
-				c.exit = plan.sfa.ScanFrom(0, data, c.start, func(p int32, end int) {
-					c.matches = append(c.matches, Match{Pattern: int(p), End: end})
-				})
+				c.exit = plan.sfa.ScanFrom(0, data, c.start, emit)
 			} else {
-				c.fmap, c.conv = plan.sfa.MapChunk(data, c.start, func(p int32, end int) {
-					c.matches = append(c.matches, Match{Pattern: int(p), End: end})
-				})
+				c.fmap, c.conv = sfa.MapChunk(plan.sfa, data, c.start, emit)
 			}
 		}
-		lo := max(c.start-plan.overlap, 0)
-		for _, l := range m.lanes {
-			// Both Shift-And machines run always-on here; the literal
-			// prefilter is a pure optimization of the serial streaming path
-			// and gating it per chunk would cost more than it saves.
-			if l, ok := l.(*shiftAndLane); ok {
-				shiftand.NewRunner(l.sa).ScanChunk(buf[lo:c.end], lo, func(p, end int) {
+		if win.g != nil {
+			// The windowed unions run always-on here; the literal prefilter
+			// is a pure optimization of the serial streaming path and
+			// gating it per chunk would cost more than it saves.
+			lo := max(c.start-plan.overlap, 0)
+			for k, u := range win.g.dfas() {
+				first := win.g.first[k]
+				u.ScanFrom(0, buf[lo:c.end], lo, func(j, end int) {
 					if end >= c.start {
-						c.matches = append(c.matches, Match{Pattern: l.patterns[p], End: end})
+						c.matches = append(c.matches, Match{Pattern: win.patterns[first+j], End: end})
 					}
 				})
 			}
@@ -263,8 +263,8 @@ func (s *Session) scanParallel(ctx context.Context, buf []byte, workers, minChun
 	runPhase(func(c *parChunk, i int) {
 		t0 := time.Now()
 		if plan.sfa != nil && i > 0 && c.conv > 0 {
-			plan.sfa.ScanFrom(entry[i], buf[c.start:c.start+c.conv], c.start, func(p int32, end int) {
-				c.matches = append(c.matches, Match{Pattern: int(p), End: end})
+			plan.sfa.ScanFrom(entry[i], buf[c.start:c.start+c.conv], c.start, func(j, end int) {
+				c.matches = append(c.matches, Match{Pattern: plan.pidx[j], End: end})
 			})
 		}
 		sort.Slice(c.matches, func(a, b int) bool {

@@ -12,13 +12,13 @@ import (
 	"repro/internal/automata"
 )
 
-// parTestPatterns mixes the parallel-eligible engines: DFA-engine general
-// patterns, always-on Shift-And and prefiltered Shift-And.
+// parTestPatterns mixes the parallel-eligible lanes: DFA patterns and
+// the windowed group.
 var parTestPatterns = []string{
 	"abc[0-9]*xyz",  // dfa
 	"a.*b",          // dfa
-	"[a-d]key[e-h]", // shift-and, prefiltered on "key"
-	"foo.?bar",      // shift-and
+	"[a-d]key[e-h]", // windowed on "key"
+	"foo.?bar",      // windowed
 	"ab+cd",         // dfa
 }
 
@@ -99,13 +99,14 @@ func TestScanParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestScanParallelNFAEngine disables the DFA path: the general patterns
-// then run on the NBVA lane as machines without bit vectors, and the set
-// refuses ScanParallel as any set with an NBVA pattern does.
+// TestScanParallelNFAEngine disables the DFA path: every pattern, the
+// linear ones too, then runs on the NBVA lane as a machine without bit
+// vectors, and the set refuses ScanParallel as any set with an NBVA
+// pattern does.
 func TestScanParallelNFAEngine(t *testing.T) {
 	m := compilePar(t, parTestPatterns, Options{DFAStateCap: -1})
 	for i, e := range m.Engines() {
-		if general := i == 0 || i == 1 || i == 4; general != (e == EngineNBVA) {
+		if e != EngineNBVA {
 			t.Errorf("pattern %q runs on %v", parTestPatterns[i], e)
 		}
 	}
@@ -120,9 +121,10 @@ func TestScanParallelNFAEngine(t *testing.T) {
 func TestScanParallelBoundarySpanning(t *testing.T) {
 	m := compilePar(t, parTestPatterns, Options{})
 	// 40 bytes, 4 chunks of 10: boundaries at 10, 20, 30. "abc00xyz" laid
-	// at 7..14 spans the first; "foobar" at 18..23 the second; "akeye" at
-	// 28..32 the third.
-	input := []byte("rrrrrrrabc00xyzrrrfoobarrrrrakeyerrrrrrr")
+	// at 5..12 spans the first; "fooxbar", the windowed group's longest
+	// match, at 14..20 ends on the second, so only the whole overlap
+	// finds it; "akeye" at 28..32 spans the third.
+	input := []byte("rrrrrabc00xyzrfooxbarrrrrrrrakeyerrrrrrr")
 	if len(input) != 40 {
 		t.Fatalf("bad fixture length %d", len(input))
 	}

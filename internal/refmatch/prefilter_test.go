@@ -4,11 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/automata"
 	"repro/internal/prefilter"
+	"repro/internal/regexast"
 )
 
 // compilePair compiles the same patterns with the prefilter on and off.
@@ -100,7 +103,7 @@ func TestPrefilterDifferentialScan(t *testing.T) {
 		"needle",        // prefiltered
 		"x[ab]y",        // prefiltered via class expansion
 		"[a-z]+needle",  // prefiltered (literal factor)
-		"[a-n]{3}",      // always-on shift-and (no literal)
+		"[a-n]{3}",      // always-on DFA (linear, no literal)
 		"a{20,30}",      // nbva
 		"(cat|dog)food", // dfa or nfa path
 	}
@@ -185,14 +188,19 @@ func TestScanIntoReuse(t *testing.T) {
 }
 
 // FuzzPrefilterDifferential derives a small pattern set and an input from
-// the fuzz payload, compiles it with the prefilter on and off, and
-// requires identical match sets from whole-buffer scans and from chunked
-// streaming with payload-chosen split points.
+// the fuzz payload, compiles it with the prefilter on and off — the
+// windowed group's union DFAs against every linear pattern's always-on
+// DFA — and requires identical match lists from whole-buffer scans and
+// from chunked streaming with payload-chosen split points.
 func FuzzPrefilterDifferential(f *testing.F) {
 	f.Add("abc\nx[yz]w", "xxabcxywxx", uint8(3))
 	f.Add("needle\n[a-c]{4}", "aaaneedlebbbb", uint8(5))
 	f.Add("(cat|dog)\nfish+", "catfishdogfishh", uint8(1))
 	f.Add("a{12,20}", strings.Repeat("a", 30), uint8(7))
+	// Windows around "bcd" at 6 and 16 leave byte 11 out: the first ends
+	// in "axbc", the second starts with "d", and only a reset at the gap
+	// keeps a.bcd from matching across it.
+	f.Add("a.bcd", "zzzzbcdaxbczdzbcdzzzz", uint8(0))
 	f.Fuzz(func(t *testing.T, patblob, input string, cut uint8) {
 		if len(input) > 1<<12 {
 			return
@@ -249,4 +257,65 @@ func FuzzPrefilterDifferential(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestWindowedCapMiss: a linear pattern the prefilter accepts (memchr on
+// "a") but whose own DFA outgrows the cap — a[ab]{12}c has 8 193 rows —
+// is a cap miss on the NBVA lane, as an NFA-mode one is: it matches what
+// its NFA does, report for report, and keeps the set off ScanParallel.
+// Members that fit alone but not together are packed in halves, and the
+// matches of one End still come in pattern order.
+func TestWindowedCapMiss(t *testing.T) {
+	m := compilePar(t, []string{"a[ab]{12}c"}, Options{})
+	if e, k := m.Engines()[0], m.Kernels()[0]; e != EngineNBVA || !strings.HasPrefix(k, "word64") || m.PrefilterTier() != "" {
+		t.Fatalf("a[ab]{12}c runs on %v %q behind %q, want the NBVA word kernel and no prefilter", e, k, m.PrefilterTier())
+	}
+	nfa, err := automata.Glushkov(regexast.MustParse("a[ab]{12}c"), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	input := make([]byte, 4096)
+	for i := range input {
+		input[i] = "aab"[rng.Intn(3)]
+		if i%97 == 96 {
+			input[i] = 'c'
+		}
+	}
+	var want []Match
+	ref := automata.NewRunner(nfa)
+	for i, b := range input {
+		if ref.Step(b) {
+			for k := ref.FinalsActive(); k > 0; k-- {
+				want = append(want, Match{End: i})
+			}
+		}
+	}
+	if got := m.Scan(input); len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("Scan: %d matches, reference NFA %d", len(got), len(want))
+	}
+	if err := m.Parallelizable(); FallbackReason(err) != ReasonNBVAEngine {
+		t.Errorf("Parallelizable = %v, want %s", err, ReasonNBVAEngine)
+	}
+
+	// Each of these has a 5-row DFA, each half a union of 9 or 10 rows,
+	// and all four one of 14.
+	halves := []string{"abcd", "[ab]bcd", "a[bc]cd", "ab[cd]d"}
+	m = compilePar(t, halves, Options{DFAStateCap: 10})
+	for i, k := range m.Kernels() {
+		if !strings.HasPrefix(k, "dfa-union behind ") {
+			t.Fatalf("%q runs on %q, want a windowed union", halves[i], k)
+		}
+	}
+	got := m.Scan([]byte("xxabcdxxbbcd"))
+	want = []Match{{0, 5}, {1, 5}, {2, 5}, {3, 5}, {1, 11}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Scan = %v, want %v", got, want)
+	}
+	if first := m.kinds.win.g.first; !reflect.DeepEqual(first, []int{0, 2}) {
+		t.Errorf("the group packed into unions from members %v, want halves from 0 and 2", first)
+	}
+	if got := feedChunked(m, []byte("xxabcdxxbbcd"), []int{3, 2, 4, 3}); !reflect.DeepEqual(got, want) {
+		t.Errorf("Feed = %v, want %v", got, want)
+	}
 }

@@ -8,25 +8,28 @@
 //     we measure this matcher's real throughput on the host instead
 //     (documented substitution #3 in DESIGN.md).
 //
-// Like Hyperscan, it is built around bit-parallel Shift-And for the linear
-// patterns (the majority in several benchmarks), and runs the rest as
-// DFAs or NBVA machines. It has no front-end of its own:
-// internal/compile parses, rewrites and routes every pattern through the
-// Fig 9 decision graph, and FromResult lowers each compiled mode onto its
-// software engine.
+// It runs every pattern as a DFA where the DFA fits a state cap, and the
+// rest as NBVA machines, the way Hyperscan-class engines run small
+// patterns. It has no front-end of its own: internal/compile parses,
+// rewrites and routes every pattern through the Fig 9 decision graph, and
+// FromResult lowers each compiled mode onto its software engine. §3.2's
+// LNFA mode, one STE per character for hardware without a crossbar, binds
+// no software engine: a linear pattern is lowered from its Glushkov NFA,
+// as an NFA-mode one is.
 //
 // # Scanning
 //
 // FromResult lowers the compiled patterns into lanes, one per engine: a
-// scan loop with the tables it reads. In order, they are the prefiltered
-// Shift-And machine, whose word kernel runs only inside the candidate
-// windows of a prefilter.Stream; the always-on Shift-And machine; the
+// scan loop with the tables it reads. In order, they are the windowed
+// group, the linear patterns with a mandatory literal set, whose union
+// DFAs run only inside the candidate windows of a prefilter.Stream; the
 // NBVA machines, each on the nbva chunk kernel or, when too wide for it,
-// on a per-byte runner, NFAs past the DFA cap among them; and the DFAs.
-// The tables belong to the Matcher and are shared by all its sessions; a
-// Session holds one state per lane, only what a stream changes. A feed
-// runs the lanes one after the other over the whole chunk, and one stable
-// sort of their matches by End restores stream order.
+// on a per-byte runner, the automata past the DFA cap among them; and the
+// DFAs. The tables belong to the Matcher and are shared by all its
+// sessions; a Session holds one state per lane, only what a stream
+// changes. A feed runs the lanes one after the other over the whole
+// chunk, and one stable sort of their matches by End restores stream
+// order.
 //
 // DFA patterns are scanned pattern-parallel, as the fabric runs them (§3.1:
 // every STE sees the input symbol in the same cycle, and only the active
@@ -73,14 +76,15 @@ import (
 	"repro/internal/nbva"
 	"repro/internal/prefilter"
 	"repro/internal/regexast"
-	"repro/internal/shiftand"
 )
 
 // Engine identifies which execution engine a pattern was compiled to.
 type Engine int
 
 const (
-	// EngineShiftAnd executes linear patterns bit-parallel.
+	// EngineShiftAnd names bit-parallel Shift-And execution, which no
+	// lowering produces: a linear pattern runs as a DFA or, past the DFA
+	// state cap, on the NBVA engine.
 	EngineShiftAnd Engine = iota
 	// EngineNBVA executes patterns with large bounded repetitions.
 	EngineNBVA
@@ -112,14 +116,15 @@ type Options struct {
 	// own: a zero MaxNFAStates means automata.DefaultMaxStates, because a
 	// software NFA is not bound by the §3.3 per-array capacity.
 	compile.Options
-	// DFAStateCap bounds the materialized-DFA fast path for general
-	// patterns; patterns whose subset construction exceeds it run on the
-	// NBVA engine as machines without bit vectors. 0 means 2048; negative
-	// disables the DFA path.
+	// DFAStateCap bounds the materialized DFAs: a pattern whose subset
+	// construction exceeds it runs on the NBVA engine as a machine without
+	// bit vectors, and the windowed group packs its union DFAs within it.
+	// 0 means 2048; negative disables the DFA path.
 	DFAStateCap int
-	// DisablePrefilter forces every Shift-And pattern onto the always-on
-	// scan path, bypassing the mandatory-literal prefilter. The
-	// differential tests compare the two paths for identical match sets.
+	// DisablePrefilter runs every linear pattern on its always-on DFA,
+	// bypassing the mandatory-literal prefilter and the windowed group.
+	// The differential tests compare the two paths for identical match
+	// sets.
 	DisablePrefilter bool
 	// SFAStateCap bounds the union subset construction backing
 	// Session.ScanParallel (the Simultaneous-FA data-parallel scan): the
@@ -177,6 +182,8 @@ type Matcher struct {
 	// pattern is left out.
 	lanes []lane
 	kinds *laneSet
+	// linears holds each LNFA pattern's lowering, nil for the others.
+	linears []*linear
 	// lanesReused counts the lanes Relower took whole from an earlier
 	// generation.
 	lanesReused int
@@ -211,16 +218,61 @@ func Compile(ctx context.Context, patterns []string, opts Options) (*Matcher, er
 	return FromResult(res, opts)
 }
 
-// analysis is the prefilter analysis of one pattern's AST: its mandatory
-// literals and the verdict before the tier is known. disabled is every
-// Shift-And pattern's under DisablePrefilter.
-type analysis struct {
-	ast     *regexast.Regex
-	lits    [][]byte
-	verdict prefilter.Verdict
+// linear is an LNFA pattern lowered under one DFA cap and prefilter
+// setting: the Glushkov NFA of its AST, its prefilter verdict and, unless
+// it joins the windowed group, its DFA or, past the cap, its NBVA machine.
+// It is read-only, and a later generation under the same options takes it
+// by slot.
+type linear struct {
+	ast      *regexast.Regex
+	nfa      *automata.NFA
+	lits     [][]byte // its mandatory literals, nil unless it is windowed
+	verdict  prefilter.Verdict
+	window   int // its longest match, the longest of its sequences
+	dfa      *automata.DFA
+	machine  *nbva.Machine
+	kernel   *nbva.Kernel
+	cap      int
+	disabled bool // Options.DisablePrefilter
 }
 
-var disabled = &analysis{verdict: prefilter.Verdict{Reason: "prefilter disabled by options"}}
+// lowerLinear lowers c, an LNFA pattern: one with a mandatory literal set
+// is windowed, one without, or under DisablePrefilter, runs on its DFA,
+// and either whose own DFA outgrows opts.DFAStateCap is a cap miss on the
+// NBVA engine, as an NFA-mode one is.
+func lowerLinear(c *compile.Compiled, opts Options) (*linear, error) {
+	nfa, err := automata.Glushkov(c.AST, opts.MaxNFAStates)
+	if err != nil {
+		return nil, fmt.Errorf("refmatch: pattern %d: %w", c.Index, err)
+	}
+	l := &linear{ast: c.AST, nfa: nfa, cap: opts.DFAStateCap, disabled: opts.DisablePrefilter,
+		verdict: prefilter.Verdict{Reason: "prefilter disabled by options"}}
+	for _, s := range c.Seqs {
+		l.window = max(l.window, len(s.Classes))
+	}
+	if !opts.DisablePrefilter {
+		l.lits, l.verdict = prefilter.Analyze(c.AST.Root)
+	}
+	if l.lits == nil {
+		l.dfa = buildDFA(nfa, opts.DFAStateCap)
+	}
+	// DFASize refuses cap states and more.
+	if l.dfa == nil && (l.lits == nil || opts.DFAStateCap <= 0 || automata.DFASize(nfa, opts.DFAStateCap+1).Capped) {
+		l.lits, l.verdict = nil, prefilter.Verdict{Reason: "engine nbva is always-on"}
+		l.machine = nbva.FromNFA(nfa)
+		l.kernel = nbva.NewKernel(l.machine)
+	}
+	return l, nil
+}
+
+// linearAt returns the lowering of pattern j of m, nil when it is not an
+// LNFA pattern or m is nil.
+func (m *Matcher) linearAt(j int) *linear {
+	if m == nil || j < 0 {
+		return nil
+	}
+	return m.linears[j]
+}
 
 // at returns the lane of m that scans pattern j and j's index in it.
 func (m *Matcher) at(j int) (lane, int) {
@@ -234,9 +286,9 @@ func (m *Matcher) at(j int) (lane, int) {
 
 // laneSet is a matcher's lanes by kind, each empty when it has none.
 type laneSet struct {
-	sa [2]shiftAndLane // prefiltered, always-on
-	nb nbvaLane
-	dl dfaLane
+	win windowLane
+	nb  nbvaLane
+	dl  dfaLane
 }
 
 // prefix builds one of a lane's slices as a view of the same slice of an
@@ -281,12 +333,11 @@ func buildDFA(nfa *automata.NFA, cap int) *automata.DFA {
 }
 
 // FromResult lowers a compile.Result onto the software engines: LNFA
-// sequences pack into the Shift-And machines (behind the literal
-// prefilter when the pattern's AST has a mandatory literal set), NBVA
-// machines run as compiled, and NFAs as a materialized DFA or, past its
-// cap, as NBVA machines without bit vectors. The matcher is
-// all-or-nothing: the first per-pattern failure of res, in pattern
-// order, is returned as is.
+// patterns from the Glushkov NFA of their AST (behind the literal
+// prefilter when the AST has a mandatory literal set), NBVA machines as
+// compiled, and NFAs as a materialized DFA or, past its cap, as NBVA
+// machines without bit vectors. The matcher is all-or-nothing: the first
+// per-pattern failure of res, in pattern order, is returned as is.
 func FromResult(res *compile.Result, opts Options) (*Matcher, error) {
 	return Relower(nil, nil, res, opts)
 }
@@ -295,17 +346,17 @@ func FromResult(res *compile.Result, opts Options) (*Matcher, error) {
 // the ruleset, as its cache, and older, the Matcher prev replaced, behind
 // it. A pattern res took from the Result either was lowered from
 // (compile.Recompile shares its machine and records its slot in From or
-// FromOlder) takes that matcher's DFA table or NBVA kernel, by pointer,
-// since no scan writes to either (a DFA cap miss its NBVA machine, so no
-// failed subset construction runs again), and its prefilter analysis,
-// looked up by that slot. Each lane's slices stay views of the same lane
-// of an earlier generation while they hold the same members, so a lane the
-// edit left as it was allocates nothing, and a Shift-And lane whose
-// members — sequences, by pointer, in order — are those of a lane of prev
-// or older takes that lane's machine and prefilter whole; only a lane
-// whose membership changed is packed and its literal union built again.
-// The Matcher equals FromResult(res, opts) in engines, kernels, verdicts
-// and match order. A nil prev and older is FromResult.
+// FromOlder) takes that matcher's DFA table, NBVA kernel or LNFA lowering,
+// by pointer, since no scan writes to any (a DFA cap miss its NBVA machine,
+// so no failed subset construction runs again), looked up by that slot.
+// Each lane's slices stay views of the same lane of an earlier generation
+// while they hold the same members, so a lane the edit left as it was
+// allocates nothing, and a windowed group whose members — LNFA lowerings,
+// by pointer, in order — are those of prev's or older's takes that group
+// whole: its prefilter and its union DFAs, built or not. Only a group
+// whose membership changed builds its literal union again, and its union
+// DFAs on first use. The Matcher equals FromResult(res, opts) in engines,
+// kernels, verdicts and match order. A nil prev and older is FromResult.
 func Relower(prev, older *Matcher, res *compile.Result, opts Options) (*Matcher, error) {
 	if len(res.Errors) > 0 {
 		return nil, res.Errors[0]
@@ -318,15 +369,15 @@ func Relower(prev, older *Matcher, res *compile.Result, opts Options) (*Matcher,
 	if res.Restored > 0 {
 		base = older
 	}
+	linears := prefix[*linear]{}
 	if base != nil {
-		old = base.kinds
+		old, linears.old = base.kinds, base.linears
 	}
-	var saMembers [2]prefix[*compile.LinearSeq]
-	var saPatterns [2]prefix[int]
-	var saAnalyses [2]prefix[*analysis]
-	for k, o := range old.sa {
-		saMembers[k].old, saPatterns[k].old, saAnalyses[k].old = o.members, o.patterns, o.analyses
+	var oldMembers []*linear
+	if old.win.g != nil {
+		oldMembers = old.win.g.members
 	}
+	winMembers, winPatterns := prefix[*linear]{old: oldMembers}, prefix[int]{old: old.win.patterns}
 	nbMachines, nbKernels, nbPatterns := prefix[*nbva.Machine]{old: old.nb.machines}, prefix[*nbva.Kernel]{old: old.nb.kernels}, prefix[int]{old: old.nb.patterns}
 	nbNFAs := prefix[*automata.NFA]{old: old.nb.nfas}
 	dlDFAs, dlNFAs, dlPatterns := prefix[*automata.DFA]{old: old.dl.dfas}, prefix[*automata.NFA]{old: old.dl.nfas}, prefix[int]{old: old.dl.patterns}
@@ -341,25 +392,29 @@ func Relower(prev, older *Matcher, res *compile.Result, opts Options) (*Matcher,
 			gen, j = older, res.FromOlder[i]
 		}
 		l, at := gen.at(j)
+		var lin *linear
 		switch c.Mode {
 		case compile.ModeLNFA:
-			// Fast-path decision: a pattern with a mandatory literal set
-			// joins the prefiltered machine; the rest stay always-on.
-			a := disabled
-			if o, ok := l.(*shiftAndLane); ok && !opts.DisablePrefilter && o.analyses[at].ast == c.AST {
-				a = o.analyses[at]
-			} else if !opts.DisablePrefilter {
-				a = &analysis{ast: c.AST}
-				a.lits, a.verdict = prefilter.Analyze(c.AST.Root)
+			lin = gen.linearAt(j)
+			if lin == nil || lin.ast != c.AST || lin.cap != opts.DFAStateCap || lin.disabled != opts.DisablePrefilter {
+				var err error
+				if lin, err = lowerLinear(c, opts); err != nil {
+					return nil, err
+				}
 			}
-			k := 1
-			if a.lits != nil {
-				k = 0
-			}
-			for s := range c.Seqs {
-				saMembers[k].add(&c.Seqs[s])
-				saPatterns[k].add(i)
-				saAnalyses[k].add(a)
+			switch {
+			case lin.machine != nil:
+				nbMachines.add(lin.machine)
+				nbKernels.add(lin.kernel)
+				nbNFAs.add(lin.nfa)
+				nbPatterns.add(i)
+			case lin.dfa != nil:
+				dlDFAs.add(lin.dfa)
+				dlNFAs.add(lin.nfa)
+				dlPatterns.add(i)
+			default:
+				winMembers.add(lin)
+				winPatterns.add(i)
 			}
 		case compile.ModeNBVA:
 			var k *nbva.Kernel
@@ -397,13 +452,20 @@ func Relower(prev, older *Matcher, res *compile.Result, opts Options) (*Matcher,
 			nbNFAs.add(c.NFA)
 			nbPatterns.add(i)
 		}
+		linears.add(lin)
 	}
+	m.linears = linears.slice()
 	k := m.kinds
-	for j := range k.sa {
-		k.sa[j] = shiftAndLane{members: saMembers[j].slice(), patterns: saPatterns[j].slice(), analyses: saAnalyses[j].slice()}
-		if err := m.buildShiftAnd(&k.sa[j], &old.sa[j], j == 0); err != nil {
+	k.win.patterns = winPatterns.slice()
+	if members := winMembers.slice(); len(members) > 0 && same(oldMembers, members) {
+		k.win.g = old.win.g
+		m.lanesReused++
+	} else if len(members) > 0 {
+		g, err := newWindowGroup(members, opts.DFAStateCap)
+		if err != nil {
 			return nil, err
 		}
+		k.win.g = g
 	}
 	k.nb = nbvaLane{machines: nbMachines.slice(), kernels: nbKernels.slice(), nfas: nbNFAs.slice(), patterns: nbPatterns.slice()}
 	for _, kernel := range k.nb.kernels {
@@ -415,49 +477,12 @@ func Relower(prev, older *Matcher, res *compile.Result, opts Options) (*Matcher,
 	if k.dl.loop = old.dl.loop; !same(old.dl.dfas, k.dl.dfas) {
 		k.dl.loop = automata.NewWakeLoop(k.dl.dfas)
 	}
-	for _, l := range []lane{&k.sa[0], &k.sa[1], &k.nb, &k.dl} {
+	for _, l := range []lane{&k.win, &k.nb, &k.dl} {
 		if len(l.pats()) > 0 {
 			m.lanes = append(m.lanes, l)
 		}
 	}
 	return m, nil
-}
-
-// buildShiftAnd gives l, a Shift-And lane with its members, its machine
-// and, when prefiltered, the prefilter of its patterns' literal union:
-// those of old, the same lane of an earlier generation, when it has the
-// same members, or built anew.
-func (m *Matcher) buildShiftAnd(l, old *shiftAndLane, prefiltered bool) error {
-	if len(l.members) == 0 {
-		return nil
-	}
-	if old.sa != nil && same(old.members, l.members) {
-		l.sa, l.pf = old.sa, old.pf
-		m.lanesReused++
-		return nil
-	}
-	if prefiltered {
-		var lits [][]byte
-		window := 0
-		for j, p := range l.patterns {
-			if j == 0 || l.patterns[j-1] != p {
-				lits = append(lits, l.analyses[j].lits...)
-			}
-			window = max(window, len(l.members[j].Classes))
-		}
-		pf, err := prefilter.NewSet(lits, window)
-		if err != nil {
-			return fmt.Errorf("refmatch: prefilter: %w", err)
-		}
-		l.pf = pf
-	}
-	seqs := make([]shiftand.Pattern, len(l.members))
-	for j, s := range l.members {
-		seqs[j] = s.Classes
-	}
-	var err error
-	l.sa, err = shiftand.New(seqs)
-	return err
 }
 
 // LanesReused returns how many scan lanes Relower took whole from an
@@ -479,17 +504,18 @@ func (m *Matcher) PrefilterVerdicts() []prefilter.Verdict {
 }
 
 // report builds the engines and verdicts once: a pattern's engine is its
-// lane's, and the tier, a property of the compiled literal union rather
-// than of one pattern, is added to the prefiltered verdicts.
+// lane's, an LNFA pattern's verdict its lowering's, and the tier, a
+// property of the compiled literal union rather than of one pattern, is
+// added to the prefiltered verdicts.
 func (m *Matcher) report() {
 	m.reportOnce.Do(func() {
 		m.engines, m.verdicts = make([]Engine, m.n), make([]prefilter.Verdict, m.n)
 		tier := m.PrefilterTier()
 		for _, l := range m.lanes {
-			for j, p := range l.pats() {
+			for _, p := range l.pats() {
 				m.engines[p], m.verdicts[p] = l.engine(), prefilter.Verdict{Reason: "engine " + l.engine().String() + " is always-on"}
-				if sa, ok := l.(*shiftAndLane); ok {
-					if m.verdicts[p] = sa.analyses[j].verdict; m.verdicts[p].Prefilterable {
+				if lin := m.linears[p]; lin != nil {
+					if m.verdicts[p] = lin.verdict; lin.verdict.Prefilterable {
 						m.verdicts[p].Tier = tier
 					}
 				}
@@ -502,8 +528,8 @@ func (m *Matcher) report() {
 // compiled to ("memchr", "bytetable", "teddy" or "ac"), or the empty
 // string when no pattern is prefiltered.
 func (m *Matcher) PrefilterTier() string {
-	if l := prefiltered(m.lanes); l != nil {
-		return l.pf.Tier().String()
+	if g := m.kinds.win.g; g != nil {
+		return g.pf.Tier().String()
 	}
 	return ""
 }
@@ -511,22 +537,20 @@ func (m *Matcher) PrefilterTier() string {
 // PrefilterKernel names the candidate scan loop of the literal union
 // (prefilter.Set.Kernel), empty when no pattern is prefiltered.
 func (m *Matcher) PrefilterKernel() string {
-	if l := prefiltered(m.lanes); l != nil {
-		return l.pf.Kernel()
+	if g := m.kinds.win.g; g != nil {
+		return g.pf.Kernel()
 	}
 	return ""
 }
 
 // Kernels names, per pattern, the software loop that scans it:
-// "shiftand-multi" for a linear pattern, the one Shift-And chunk loop of
-// every machine width, and for a prefiltered pattern the candidate
-// scanner it waits behind ("shiftand-multi behind teddy fp3 avx2"),
-// "word64" or — for a machine with more than
+// "dfa-union behind" the candidate scanner of the literal union for a
+// windowed pattern ("dfa-union behind teddy fp3 avx2"), "word64" or — for a machine with more than
 // nbva.MaxKernelStates control states — "step" for an NBVA pattern,
 // "word64 memchr" when an idle machine skips to its one start byte with
 // bytes.IndexByte, followed by its control-state and bit-vector sizes (an
-// NFA past the DFA cap is one with 0 BV bits), and "dfa-table" for a DFA
-// pattern, anchored and nullable ones included.
+// automaton past the DFA cap is one with 0 BV bits), and "dfa-table" for
+// any other DFA pattern, linear, anchored and nullable ones included.
 func (m *Matcher) Kernels() []string {
 	out := make([]string, m.n)
 	for _, l := range m.lanes {

@@ -14,8 +14,8 @@ import (
 
 func TestEngineSelection(t *testing.T) {
 	m, err := Compile(context.Background(), []string{
-		"abcdef",     // linear -> shift-and
-		"a[bc].d?",   // linear with optional tail -> shift-and
+		"abcdef",     // linear -> a union DFA behind the prefilter
+		"a[bc].d?",   // linear with optional tail -> a union DFA behind the prefilter
 		"ab{10,48}c", // large bounded repetition -> nbva
 		"a(b|c)*d",   // small general -> dfa fast path
 		"x{100}",     // large exact bound -> nbva
@@ -24,10 +24,15 @@ func TestEngineSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Engine{EngineShiftAnd, EngineShiftAnd, EngineNBVA, EngineDFA, EngineNBVA, EngineDFA}
+	want := []Engine{EngineDFA, EngineDFA, EngineNBVA, EngineDFA, EngineNBVA, EngineDFA}
 	for i, e := range m.Engines() {
 		if e != want[i] {
 			t.Errorf("pattern %d engine = %v, want %v", i, e, want[i])
+		}
+	}
+	for i, k := range m.Kernels()[:2] {
+		if !strings.HasPrefix(k, "dfa-union behind ") {
+			t.Errorf("pattern %d kernel = %q, want a windowed union", i, k)
 		}
 	}
 }
@@ -70,8 +75,8 @@ func TestAnchoredFallsBackToAutomata(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range m.Engines() {
-		if e == EngineShiftAnd {
-			t.Error("anchored pattern compiled to shift-and")
+		if e != EngineDFA {
+			t.Errorf("anchored pattern runs on %v, want its DFA", e)
 		}
 	}
 	if got := m.Count([]byte("abc")); got != 2 {

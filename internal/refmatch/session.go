@@ -53,8 +53,10 @@ func (s *Session) Pos() int { return s.pos }
 // PrefilterStats returns the cumulative prefilter counters of this stream
 // since the last Reset (zero when no pattern is prefiltered).
 func (s *Session) PrefilterStats() prefilter.Stats {
-	if l := prefiltered(s.lanes); l != nil {
-		return l.stream.Stats()
+	if len(s.lanes) > 0 { // the windowed group's lane comes first
+		if l, ok := s.lanes[0].(*windowLane); ok {
+			return l.stream.Stats()
+		}
 	}
 	return prefilter.Stats{}
 }

@@ -8,10 +8,10 @@ import (
 	"testing"
 )
 
-// sessionTestPatterns exercises every engine: shift-and, NBVA, DFA, NFA
-// (anchored patterns fall back to automata), including end-anchoring.
+// sessionTestPatterns exercises every lane: windowed, NBVA and DFA
+// (anchored patterns among them), including end-anchoring.
 var sessionTestPatterns = []string{
-	"cat",        // shift-and
+	"cat",        // windowed
 	"d{3}g",      // small bound, unfolds
 	"ab{10,48}c", // nbva
 	"a(x|y)*b",   // dfa fast path
@@ -137,7 +137,13 @@ func TestSessionIsolation(t *testing.T) {
 // TestMatcherConcurrentScan shares one compiled Matcher across many
 // goroutines (run with -race): Scan must be read-only on the Matcher.
 func TestMatcherConcurrentScan(t *testing.T) {
+	// The wants come from a matcher of their own, so the concurrent scans
+	// race to build m's windowed unions.
 	m, err := Compile(context.Background(), sessionTestPatterns, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Compile(context.Background(), sessionTestPatterns, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +152,7 @@ func TestMatcherConcurrentScan(t *testing.T) {
 	wants := make([][]Match, 8)
 	for i := range inputs {
 		inputs[i] = append(sessionTestInput(r, 300), []byte("cat end")...)
-		wants[i] = m.Scan(inputs[i])
+		wants[i] = ref.Scan(inputs[i])
 		sortMatches(wants[i])
 	}
 	var wg sync.WaitGroup

@@ -13,8 +13,8 @@
 //     requests for the same ruleset compile exactly once.
 //
 //   - Streaming sessions: a client opens a session against a cached
-//     program and feeds input in chunks; all engine state (Shift-And
-//     bits, NBVA vectors, NFA active sets, DFA state) persists between
+//     program and feeds input in chunks; all engine state (DFA rows,
+//     NBVA vectors, prefilter windows and history) persists between
 //     chunks via refmatch.Session — the software analogue of §3.3's
 //     per-flow context switch, where only active vectors are swapped and
 //     the CAM contents stay put.

@@ -72,9 +72,14 @@ func oneSwapped(name string, scale float64) [][]string {
 // lanes anew, 292 and 0.21 MB while Rebuild walked every placed state and
 // Diff compared each written tile twice, and 262 and 0.21 MB while
 // Recompile, Relower and Remap rebuilt tables over the whole ruleset (novel
-// 3 088 and 0.44 MB). It now allocates 133 and 142 KB, novel 3 060 and
-// 390 KB, and one, a single pattern reverted, 64 and 54 KB (221 and
-// 126 KB before); each ceiling is about 10 % above.
+// 3 088 and 0.44 MB). It now allocates 133 and 142 KB, novel 2 655 and
+// 343 KB (2 451 and 352 KB while linear patterns ran on the Shift-And
+// lane), and one, a single pattern reverted, 64 and 54 KB (221 and
+// 126 KB before); each ceiling was set about 10 % above its figure,
+// novel's above 3 060 and 390 KB, which it read then. The windowed group's
+// union DFAs are not built here but on the group's first scan, so novel,
+// which changes the group every time, pays only its literal union;
+// TestWindowedBuildCost (refmatch) bounds the deferred build.
 func BenchmarkUpdate(b *testing.B) {
 	for _, bm := range []struct {
 		name          string
@@ -898,7 +903,7 @@ func TestUpdateReuseIsObservable(t *testing.T) {
 			}
 		}
 	}
-	// alpha's prefiltered Shift-And lane is unchanged, so it is taken whole.
+	// alpha's windowed group is unchanged, so it is taken whole.
 	if got := attrs["compile"]; got["reused"] != "2" || got["restored"] != "0" || got["compiled"] != "1" || got["lanes_reused"] != "1" {
 		t.Errorf("compile span of the update carries %v, want reused=2 restored=0 compiled=1 lanes_reused=1", got)
 	}

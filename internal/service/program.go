@@ -17,9 +17,9 @@ import (
 
 // ModePolicy values accepted by CompileOptions.ModePolicy.
 const (
-	// ModePolicyAll (or "") opens every Fig 9 engine route: Shift-And
-	// for linear patterns, NBVA for large bounded repetitions, NFA/DFA
-	// for the rest.
+	// ModePolicyAll (or "") opens every Fig 9 engine route: LNFA for
+	// linear patterns, NBVA for large bounded repetitions, NFA for the
+	// rest.
 	ModePolicyAll = "all"
 	// ModePolicyForceNFA compiles every pattern on the NFA route — the
 	// paper's NFA mode (compile.ForceNFA). It trades scan speed for the
@@ -165,7 +165,7 @@ type Program struct {
 	hwErr   error
 
 	// sessPool recycles refmatch.Sessions across one-shot scans and
-	// closed streams: all per-flow scratch (Shift-And state words, NBVA
+	// closed streams: all per-flow scratch (DFA rows, NBVA
 	// vectors, prefilter history, match buffers) is reused instead of
 	// reallocated per request. Safe because a pooled Session is reset on
 	// checkout and the Matcher it wraps is immutable.

@@ -66,10 +66,10 @@ func deploy(base *bitstream.Image, prev *arch.Placement, prevRes, res *compile.R
 // holds, compiled under the same options, keeps its compiled entry and its
 // DFA table or NBVA kernel, and only texts neither holds are parsed, routed
 // and determinised, so a revert compiles nothing. A restored pattern is
-// placed as a new one. A Shift-And lane whose members an update left as
-// they were keeps its packed machine and prefilter literal union, and the
-// others are rebuilt, so the matcher is that of a cold compile of the same
-// list. The hardware half is not: each kept pattern keeps its place on the
+// placed as a new one. A windowed group whose members an update left as
+// they were keeps its prefilter literal union and its union DFAs, and a
+// changed one is rebuilt (its unions on its first scan), so the matcher is
+// that of a cold compile of the same list. The hardware half is not: each kept pattern keeps its place on the
 // fabric and each tile nothing moved in keeps its configuration (deploy),
 // so the image depends on the history of generations and the delta is as
 // small as the edit. Result.Fingerprint does not: the compile is a cold

@@ -11,10 +11,9 @@ import (
 )
 
 // buildNFAs parses and Glushkov-constructs one NFA per pattern.
-func buildNFAs(t *testing.T, patterns []string) ([]*automata.NFA, []int) {
+func buildNFAs(t *testing.T, patterns []string) []*automata.NFA {
 	t.Helper()
 	nfas := make([]*automata.NFA, len(patterns))
-	idx := make([]int, len(patterns))
 	for i, p := range patterns {
 		re, err := regexast.Parse(p)
 		if err != nil {
@@ -25,19 +24,18 @@ func buildNFAs(t *testing.T, patterns []string) ([]*automata.NFA, []int) {
 			t.Fatalf("glushkov %q: %v", p, err)
 		}
 		nfas[i] = nfa
-		idx[i] = i
 	}
-	return nfas, idx
+	return nfas
 }
 
 type report struct {
-	pattern int32
+	pattern int
 	end     int
 }
 
-func scanAll(m *Machine, input []byte) []report {
+func scanAll(m *automata.Union, input []byte) []report {
 	var out []report
-	m.ScanFrom(0, input, 0, func(p int32, end int) {
+	m.ScanFrom(0, input, 0, func(p int, end int) {
 		out = append(out, report{p, end})
 	})
 	return out
@@ -63,8 +61,8 @@ func testInput(n int, seed int64) []byte {
 // TestSerialEquivalence checks the union machine's reports against each
 // component NFA run on its own: same ends, same multiplicity.
 func TestSerialEquivalence(t *testing.T) {
-	nfas, idx := buildNFAs(t, testPatterns)
-	m, err := Build(nfas, idx, 0)
+	nfas := buildNFAs(t, testPatterns)
+	m, err := automata.BuildUnion(nfas, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +76,7 @@ func TestSerialEquivalence(t *testing.T) {
 		r := automata.NewRunner(nfa)
 		for i, b := range input {
 			if r.Step(b) {
-				want[report{int32(pi), i}] += r.FinalsActive()
+				want[report{pi, i}] += r.FinalsActive()
 			}
 		}
 	}
@@ -91,28 +89,27 @@ func TestSerialEquivalence(t *testing.T) {
 // a concatenation equals the composition of the parts' maps, and that
 // joining maps left to right tracks ScanFrom's exit state.
 func TestMapChunkComposition(t *testing.T) {
-	nfas, idx := buildNFAs(t, testPatterns)
-	m, err := Build(nfas, idx, 0)
+	m, err := automata.BuildUnion(buildNFAs(t, testPatterns), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	input := testInput(2000, 11)
-	discard := func(int32, int) {}
+	discard := func(int, int) {}
 	for _, cut := range []int{0, 1, 7, 500, 1999, 2000} {
-		left, _ := m.MapChunk(input[:cut], 0, discard)
-		right, _ := m.MapChunk(input[cut:], cut, discard)
-		whole, _ := m.MapChunk(input, 0, discard)
+		left, _ := MapChunk(m, input[:cut], 0, discard)
+		right, _ := MapChunk(m, input[cut:], cut, discard)
+		whole, _ := MapChunk(m, input, 0, discard)
 		for s := 0; s < m.NumStates(); s++ {
 			if joined := right.At(left.At(int32(s))); joined != whole.At(int32(s)) {
 				t.Fatalf("cut %d: right(left(%d))=%d, whole=%d", cut, s, joined, whole.At(int32(s)))
 			}
 		}
 	}
-	whole, _ := m.MapChunk(input, 0, discard)
+	whole, _ := MapChunk(m, input, 0, discard)
 	if exit := m.ScanFrom(0, input, 0, discard); exit != whole.At(0) {
 		t.Fatalf("map disagrees with serial exit state: %d vs %d", whole.At(0), exit)
 	}
-	empty, _ := m.MapChunk(nil, 0, discard)
+	empty, _ := MapChunk(m, nil, 0, discard)
 	for s := 0; s < m.NumStates(); s++ {
 		if empty.At(int32(s)) != int32(s) {
 			t.Fatalf("the empty chunk maps state %d to %d", s, empty.At(int32(s)))
@@ -124,23 +121,22 @@ func TestMapChunkComposition(t *testing.T) {
 // suffix reports emitted by MapChunk plus a ScanFrom replay of the
 // prefix chunk[:conv] reproduce a serial scan from any entry state.
 func TestMapChunkReplayExactness(t *testing.T) {
-	nfas, idx := buildNFAs(t, testPatterns)
-	m, err := Build(nfas, idx, 0)
+	m, err := automata.BuildUnion(buildNFAs(t, testPatterns), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	input := testInput(1500, 23)
 	var suffix []report
-	f, conv := m.MapChunk(input, 0, func(p int32, end int) {
+	f, conv := MapChunk(m, input, 0, func(p, end int) {
 		suffix = append(suffix, report{p, end})
 	})
 	for _, entry := range []int32{0, f.At(0), int32(m.NumStates() - 1)} {
 		var serial []report
-		m.ScanFrom(entry, input, 0, func(p int32, end int) {
+		m.ScanFrom(entry, input, 0, func(p, end int) {
 			serial = append(serial, report{p, end})
 		})
 		var replayed []report
-		m.ScanFrom(entry, input[:conv], 0, func(p int32, end int) {
+		m.ScanFrom(entry, input[:conv], 0, func(p, end int) {
 			replayed = append(replayed, report{p, end})
 		})
 		replayed = append(replayed, suffix...)
@@ -153,8 +149,7 @@ func TestMapChunkReplayExactness(t *testing.T) {
 
 // TestBuildCap checks the typed cap overflow.
 func TestBuildCap(t *testing.T) {
-	nfas, idx := buildNFAs(t, []string{"a.*b.*c.*d.*e"})
-	if _, err := Build(nfas, idx, 4); !errors.Is(err, automata.ErrStateCapExceeded) {
+	if _, err := automata.BuildUnion(buildNFAs(t, []string{"a.*b.*c.*d.*e"}), 4); !errors.Is(err, automata.ErrStateCapExceeded) {
 		t.Fatalf("want ErrStateCapExceeded, got %v", err)
 	}
 }
@@ -170,8 +165,8 @@ func TestBuildRejectsAnchors(t *testing.T) {
 		if err != nil {
 			t.Fatalf("glushkov %q: %v", p, err)
 		}
-		if _, err := Build([]*automata.NFA{nfa}, []int{0}, 0); err == nil {
-			t.Fatalf("Build accepted anchored pattern %q", p)
+		if _, err := automata.BuildUnion([]*automata.NFA{nfa}, 0); err == nil {
+			t.Fatalf("BuildUnion accepted anchored pattern %q", p)
 		}
 	}
 }

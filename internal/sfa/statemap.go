@@ -1,5 +1,7 @@
 package sfa
 
+import "repro/internal/automata"
+
 // StateMap is the state-mapping function of one input chunk: At(s) is the
 // DFA state reached from entry state s after consuming the chunk. It is
 // stored as a dense vector over the live states — uint16 entries for
@@ -35,13 +37,13 @@ func (f *StateMap) set(i int, v int32) {
 	}
 }
 
-// MapChunk scans chunk from every DFA state simultaneously and returns
+// MapChunk scans chunk with u from every state simultaneously and returns
 // the chunk's state-mapping function together with the convergence
 // offset k: the first chunk offset whose reports do not depend on the
 // entry state (len(chunk) when the trajectories never fully merge).
 // Reports at offsets >= k are emitted here, during the simultaneous
-// pass, as (pattern, base+i); the caller replays only chunk[:k] via
-// ScanFrom once the join has determined the true entry state. The
+// pass, as (member, base+i); the caller replays only chunk[:k] with
+// u.ScanFrom once the join has determined the true entry state. The
 // emitted suffix reports plus a ScanFrom replay of the prefix reproduce
 // a serial scan of the chunk from any entry state, report for report.
 //
@@ -50,8 +52,8 @@ func (f *StateMap) set(i int, v int32) {
 // merge; streaming DFAs re-inject their initial states every step, which
 // makes full convergence the common case within a few dozen bytes. Past
 // convergence the pass runs at serial-scan speed.
-func (m *Machine) MapChunk(chunk []byte, base int, emit func(pattern int32, end int)) (*StateMap, int) {
-	n := m.numStates
+func MapChunk(u *automata.Union, chunk []byte, base int, emit func(member, end int)) (*StateMap, int) {
+	n := u.NumStates()
 	// vals holds the distinct current states; slot[s] indexes entry state
 	// s's trajectory in vals. Trajectories only ever merge, so the O(n)
 	// slot rewrite below happens at most n-1 times per chunk.
@@ -68,12 +70,12 @@ func (m *Machine) MapChunk(chunk []byte, base int, emit func(pattern int32, end 
 
 	i := 0
 	for ; i < len(chunk) && len(vals) > 1; i++ {
-		row := int(m.partition[chunk[i]])
+		b := chunk[i]
 		gen++
 		merged := false
 		w := 0
 		for k := 0; k < len(vals); k++ {
-			v := m.trans[int(vals[k])*m.numParts+row]
+			v := u.Step(vals[k], b)
 			if mark[v] == gen {
 				remap[k] = markSlot[v]
 				merged = true
@@ -103,21 +105,13 @@ func (m *Machine) MapChunk(chunk []byte, base int, emit func(pattern int32, end 
 		s := vals[0]
 		if n > 1 {
 			conv = i - 1
-			m.emitState(s, base+conv, emit)
+			u.Emit(s, base+conv, emit)
 		} else {
 			conv = 0
-			s = m.trans[int(s)*m.numParts+int(m.partition[chunk[0]])]
-			if m.repOff[s] != m.repOff[s+1] {
-				m.emitState(s, base, emit)
-			}
+			s = u.Step(s, chunk[0])
+			u.Emit(s, base, emit)
 		}
-		for j := conv + 1; j < len(chunk); j++ {
-			s = m.trans[int(s)*m.numParts+int(m.partition[chunk[j]])]
-			if m.repOff[s] != m.repOff[s+1] {
-				m.emitState(s, base+j, emit)
-			}
-		}
-		vals[0] = s
+		vals[0] = u.ScanFrom(s, chunk[conv+1:], base+conv+1, emit)
 	}
 
 	f := newStateMap(n)

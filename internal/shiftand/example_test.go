@@ -42,8 +42,11 @@ func Example_multiPattern() {
 	if err != nil {
 		panic(err)
 	}
-	for _, e := range m.MatchEnds([]byte("hi, it is hot")) {
-		fmt.Printf("pattern %d ends at offset %d\n", e.Pattern, e.End)
+	r := shiftand.NewRunner(m)
+	for i, b := range []byte("hi, it is hot") {
+		for _, p := range r.Step(b) {
+			fmt.Printf("pattern %d ends at offset %d\n", p, i)
+		}
 	}
 	// Output:
 	// pattern 0 ends at offset 1

@@ -4,11 +4,19 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"repro/internal/automata"
 )
 
-// stepOracle runs the machine with the per-byte Step API and returns the
-// match pairs — the reference the chunk loop is checked against.
-func stepOracle(m *Machine, input []byte) []MatchEnd {
+// MatchEnd pairs a pattern index with the input offset its match ended at.
+type MatchEnd struct {
+	Pattern int
+	End     int
+}
+
+// stepEnds runs a fresh runner over input with the per-byte Step and
+// returns every (pattern, end) pair in stream order.
+func stepEnds(m *Machine, input []byte) []MatchEnd {
 	r := NewRunner(m)
 	var out []MatchEnd
 	for i, b := range input {
@@ -31,6 +39,22 @@ func sameMatches(a, b []MatchEnd) bool {
 	return true
 }
 
+// chainNFA is the linear NFA of p: state i reads p[i] and follows to i+1.
+func chainNFA(p Pattern) *automata.NFA {
+	n := &automata.NFA{States: make([]automata.State, len(p)), Initial: []int{0}, Final: []int{len(p) - 1}}
+	for i, c := range p {
+		n.States[i].Class = c
+		if i+1 < len(p) {
+			n.States[i].Follow = []int{i + 1}
+		}
+	}
+	return n
+}
+
+// TestKernelsAgreeWithStep: the software matcher scans a linear pattern
+// with a union DFA (automata.Union), not with this machine; the union of
+// the packed patterns reports what Step reports, pattern for pattern and
+// in the same order, whether the packed state is one word, two or more.
 func TestKernelsAgreeWithStep(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -47,10 +71,16 @@ func TestKernelsAgreeWithStep(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			pats := make([]Pattern, len(tc.patterns))
+			nfas := make([]*automata.NFA, len(tc.patterns))
 			for i, p := range tc.patterns {
 				pats[i] = seqOf(p)
+				nfas[i] = chainNFA(pats[i])
 			}
 			m, err := New(pats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			u, err := automata.BuildUnion(nfas, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,42 +97,20 @@ func TestKernelsAgreeWithStep(t *testing.T) {
 						}
 					}
 				}
-				want := stepOracle(m, input)
-				got := m.MatchEnds(input)
-				gotPairs := make([]MatchEnd, len(got))
-				copy(gotPairs, got)
-				if !sameMatches(gotPairs, want) {
-					t.Fatalf("trial %d: kernel %v, step oracle %v", trial, gotPairs, want)
+				want := stepEnds(m, input)
+				var got []MatchEnd
+				u.ScanFrom(0, input, 0, func(p, end int) { got = append(got, MatchEnd{p, end}) })
+				if !sameMatches(got, want) {
+					t.Fatalf("trial %d: union DFA %v, Step %v", trial, got, want)
 				}
 			}
 		})
 	}
 }
 
-func TestScanChunkResumesAcrossChunks(t *testing.T) {
-	// A match split across ScanChunk calls must still be found: the state
-	// word carries over.
-	m, err := New([]Pattern{seqOf("abcdef")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewRunner(m)
-	input := []byte("xxabcdefyy")
-	for cut := 1; cut < len(input); cut++ {
-		r.Reset()
-		var got []MatchEnd
-		emit := func(p, end int) { got = append(got, MatchEnd{p, end}) }
-		r.ScanChunk(input[:cut], 0, emit)
-		r.ScanChunk(input[cut:], cut, emit)
-		if len(got) != 1 || got[0] != (MatchEnd{0, 7}) {
-			t.Errorf("cut %d: got %v, want [{0 7}]", cut, got)
-		}
-	}
-}
-
-// TestMultiWordZeroAlloc is the fast-path contract: scanning a chunk
-// performs no allocations at all, whether the state is one word, two or
-// more.
+// TestMultiWordZeroAlloc: the simulator steps a machine once per cycle,
+// so a step that fires no final state allocates nothing, whether the
+// state is one word, two or more.
 func TestMultiWordZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -122,21 +130,22 @@ func TestMultiWordZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 			r := NewRunner(m)
-			input := bytes.Repeat([]byte("zabcdefghijklmnopqrstuvwxyz"), 20)
-			sink := 0
+			// Runs of 25 letters backwards: states light up, none is final.
+			input := bytes.Repeat([]byte("zyxwvutsrqponmlkjihgfedcb "), 20)
+			fired := 0
 			allocs := testing.AllocsPerRun(100, func() {
-				r.Reset()
-				r.ScanChunk(input, 0, func(p, end int) { sink += end })
+				for _, b := range input {
+					fired += len(r.Step(b))
+				}
 			})
-			if allocs != 0 {
-				t.Errorf("%d states: ScanChunk allocs/op = %v, want 0", m.NumStates(), allocs)
+			if allocs != 0 || fired != 0 {
+				t.Errorf("%d states: Step allocs/op = %v with %d matches, want 0 and 0", m.NumStates(), allocs, fired)
 			}
-			_ = sink
 		})
 	}
 }
 
-// BenchmarkStepLoop is the per-byte baseline the chunk loop replaces.
+// BenchmarkStepLoop measures Step, the per-byte loop the simulator runs.
 func BenchmarkStepLoop(b *testing.B) {
 	m, err := New([]Pattern{seqOf("needle"), seqOf("ha[yz]stack")})
 	if err != nil {
@@ -150,7 +159,6 @@ func BenchmarkStepLoop(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Reset()
 		for j := range input {
 			for _, p := range r.Step(input[j]) {
 				sink += p
@@ -158,41 +166,4 @@ func BenchmarkStepLoop(b *testing.B) {
 		}
 	}
 	_ = sink
-}
-
-// BenchmarkKernelMulti measures the chunk loop at one, two and three
-// state words; run with -benchmem to confirm 0 allocs/op. The one-word
-// case runs the machine BenchmarkStepLoop steps a byte at a time.
-func BenchmarkKernelMulti(b *testing.B) {
-	for _, bc := range []struct {
-		name     string
-		patterns []string
-	}{
-		{"1word", []string{"needle", "ha[yz]stack"}},
-		{"2words", []string{"abcdefghijklmnopqrstuvwxyz", "[a-z]{30}", "needle", "ha[yz]stack"}},
-		{"3words", []string{"abcdefghijklmnopqrstuvwxyz", "[a-z]{30}", "0123456789012345678901234567890123456789", "[a-z]{40}"}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			pats := make([]Pattern, len(bc.patterns))
-			for i, p := range bc.patterns {
-				pats[i] = seqOf(p)
-			}
-			m, err := New(pats)
-			if err != nil {
-				b.Fatal(err)
-			}
-			r := NewRunner(m)
-			input := bytes.Repeat([]byte("the quick brown fox jumps over the lazy dog "), 1489) // ~64 KiB
-			copy(input[len(input)/2:], "needle")
-			sink := 0
-			b.SetBytes(int64(len(input)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.Reset()
-				r.ScanChunk(input, 0, func(p, end int) { sink += end })
-			}
-			_ = sink
-		})
-	}
 }

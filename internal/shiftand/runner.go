@@ -23,9 +23,6 @@ func NewRunner(m *Machine) *Runner {
 	}
 }
 
-// Reset clears all active states.
-func (r *Runner) Reset() { r.states.Reset() }
-
 // Step consumes one input byte and returns the indices of the patterns
 // whose final state is active afterwards (matches ending at this symbol).
 // The returned slice is valid until the next call.

@@ -88,20 +88,3 @@ func (m *Machine) NumPatterns() int { return len(m.starts) }
 
 // PatternStart returns the packed state index of pattern p's first state.
 func (m *Machine) PatternStart(p int) int { return m.starts[p] }
-
-// MatchEnd pairs a pattern index with the input offset its match ended at.
-type MatchEnd struct {
-	Pattern int
-	End     int
-}
-
-// MatchEnds runs a fresh Runner over the whole input and returns every
-// (pattern, end offset) match pair in stream order — the one-shot form
-// of ScanChunk the tests hold to Step.
-func (m *Machine) MatchEnds(input []byte) []MatchEnd {
-	var out []MatchEnd
-	NewRunner(m).ScanChunk(input, 0, func(p, end int) {
-		out = append(out, MatchEnd{Pattern: p, End: end})
-	})
-	return out
-}

@@ -30,14 +30,14 @@ func TestFig2Execution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ends := m.MatchEnds([]byte("abc"))
+	ends := stepEnds(m, []byte("abc"))
 	if len(ends) != 1 || ends[0].Pattern != 0 || ends[0].End != 2 {
-		t.Errorf("MatchEnds = %v, want pattern 0 at 2", ends)
+		t.Errorf("matches = %v, want pattern 0 at 2", ends)
 	}
-	ends = m.MatchEnds([]byte("abcd"))
+	ends = stepEnds(m, []byte("abcd"))
 	// pattern 0 at 2, pattern 1 at 3
 	if len(ends) != 2 || ends[0] != (MatchEnd{0, 2}) || ends[1] != (MatchEnd{1, 3}) {
-		t.Errorf("MatchEnds = %v", ends)
+		t.Errorf("matches = %v", ends)
 	}
 }
 
@@ -50,10 +50,10 @@ func TestSection32Example(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.MatchEnds([]byte("abc"))) == 0 {
+	if len(stepEnds(m, []byte("abc"))) == 0 {
 		t.Error("a.[bc] should match abc")
 	}
-	if len(m.MatchEnds([]byte("ab"))) != 0 {
+	if len(stepEnds(m, []byte("ab"))) != 0 {
 		t.Error("a.[bc] should not match ab")
 	}
 }
@@ -69,7 +69,7 @@ func TestOverlappingMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ends := m.MatchEnds([]byte("aaaa"))
+	ends := stepEnds(m, []byte("aaaa"))
 	if len(ends) != 3 {
 		t.Errorf("overlapping matches = %v, want 3", ends)
 	}
@@ -82,7 +82,7 @@ func TestPackingNoLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ends := m.MatchEnds([]byte("abc"))
+	ends := stepEnds(m, []byte("abc"))
 	// "ab" ends at 1; "bc" ends at 2. Crucially, "ab"+leak must not make
 	// pattern 1 report at offset 2 via a fake path — it reports there
 	// legitimately. Check a case where only the leak could cause a match:
@@ -90,11 +90,11 @@ func TestPackingNoLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m2.MatchEnds([]byte("abc")); len(got) != 1 || got[0] != (MatchEnd{0, 1}) {
-		t.Errorf("leak check: MatchEnds = %v", got)
+	if got := stepEnds(m2, []byte("abc")); len(got) != 1 || got[0] != (MatchEnd{0, 1}) {
+		t.Errorf("leak check: matches = %v", got)
 	}
 	if len(ends) != 2 {
-		t.Errorf("MatchEnds = %v", ends)
+		t.Errorf("matches = %v", ends)
 	}
 }
 
@@ -104,10 +104,10 @@ func TestMultiPatternIdentification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ends := m.MatchEnds([]byte("the dog chased a bird and a cat"))
+	ends := stepEnds(m, []byte("the dog chased a bird and a cat"))
 	want := []MatchEnd{{1, 6}, {2, 20}, {0, 30}}
 	if len(ends) != len(want) {
-		t.Fatalf("MatchEnds = %v, want %v", ends, want)
+		t.Fatalf("matches = %v, want %v", ends, want)
 	}
 	for i := range want {
 		if ends[i] != want[i] {
@@ -153,7 +153,7 @@ func TestPropEquivalenceWithGlushkovNFA(t *testing.T) {
 				input[i] = alphabet[r.Intn(len(alphabet))]
 			}
 			var saEnds []int
-			for _, e := range m.MatchEnds(input) {
+			for _, e := range stepEnds(m, input) {
 				saEnds = append(saEnds, e.End)
 			}
 			nfaEnds := nfa.MatchEnds(input)
@@ -166,19 +166,6 @@ func TestPropEquivalenceWithGlushkovNFA(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestResetClearsState(t *testing.T) {
-	m, _ := New([]Pattern{seqOf("ab")})
-	r := NewRunner(m)
-	r.Step('a')
-	if r.StatesRef().Count() != 1 {
-		t.Errorf("ActiveCount = %d", r.StatesRef().Count())
-	}
-	r.Reset()
-	if r.StatesRef().Count() != 0 {
-		t.Error("Reset did not clear")
 	}
 }
 
@@ -195,9 +182,9 @@ func TestLongPatternAcrossWords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ends := m.MatchEnds(input)
+	ends := stepEnds(m, input)
 	if len(ends) != 1 || ends[0].End != n-1 {
-		t.Errorf("long pattern MatchEnds = %v", ends)
+		t.Errorf("long pattern matches = %v", ends)
 	}
 	if m.NumStates() != n || m.NumPatterns() != 1 {
 		t.Error("counts wrong")
@@ -227,7 +214,6 @@ func BenchmarkShiftAnd64Patterns(b *testing.B) {
 	b.SetBytes(int64(len(input)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Reset()
 		for _, c := range input {
 			r.Step(c)
 		}

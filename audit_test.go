@@ -26,7 +26,6 @@ import (
 // can only shrink. ISSUE 22 caps it at 25 rows.
 var auditAllow = []struct{ fn, reason string }{
 	{"internal/automata.Runner.FinalsActive", "TestBuildDFAEquivalence, TestPropDFAEqualsNFAOnRandomPatterns: the per-cycle report count of the NFA, which the DFA's must equal"},
-	{"internal/automata.DFA.Step", "FuzzDFAWakeEquivalence, TestWakeLoopEqualsStep: the per-DFA walk the wake loop must equal"},
 	{"internal/charclass.Code.Class", "TestPropEncodeCoversExactly: the bytes a CAM code stands for, which the emitted codes must tile the class with"},
 	{"internal/charclass.Code.Matches", "TestPropCodeMatchAgreesWithClass: the CAM's two-nibble match rule the encoding is checked against"},
 	{"internal/charclass.Encode", "FuzzEncodeEquivalence (checkEncode): the code list FirstCode/NumCodes derive from, against the 256-probe reference"},

@@ -269,11 +269,12 @@ func dfaCell(pattern string) string {
 	if err != nil {
 		return ">cap"
 	}
-	res := automata.DFASize(nfa, 50000)
-	if res.Capped {
-		return fmt.Sprintf(">%d", res.States)
+	const cap = 50000
+	dfa, err := automata.BuildDFA(cap, nfa)
+	if err != nil {
+		return fmt.Sprintf(">%d", cap)
 	}
-	return fmt.Sprintf("%d", res.States)
+	return fmt.Sprintf("%d", dfa.NumStates())
 }
 
 // exportMNRL writes the basic-NFA form of every pattern as MNRL.

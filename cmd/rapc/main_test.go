@@ -68,3 +68,22 @@ const explainAVX2 = `== Fast-path verdicts (software reference matcher) ==
 7  d(x|y)*e    dfa     dfa-table                             always-on: engine dfa is always-on
 8  e(x|y)*f    dfa     dfa-table                             always-on: engine dfa is always-on
 `
+
+// TestAnalyzeDFAColumn pins -analyze's DFA column: an exact count, a
+// start-anchored and an end-anchored pattern, one past the 50 000 cap,
+// and a pattern that does not parse.
+func TestAnalyzeDFAColumn(t *testing.T) {
+	for pattern, want := range map[string]string{
+		"abc":      "4",
+		"a(b|c)*d": "5",
+		"a.{14}":   "32768",
+		"a.{15}":   ">50000",
+		"^ab+c":    "5",
+		"x.*y$":    "5",
+		"a(":       "-",
+	} {
+		if got := dfaCell(pattern); got != want {
+			t.Errorf("dfaCell(%q) = %q, want %q", pattern, got, want)
+		}
+	}
+}

@@ -10,37 +10,38 @@ import (
 	"repro/internal/charclass"
 )
 
-// This file holds the repo's one capped subset construction. Its three
-// consumers only derive their own report tables from the subset list:
-// DFASize (analysis: §2.1 notes that unfolding bounded repetitions "can
-// produce a DFA of size exponential in n", and rapc -analyze makes that
-// blowup measurable per regex), BuildDFA (the small-pattern software
-// fast path) and sfa.Build (the union machine of the parallel scan).
+// This file holds the repo's one capped subset construction, behind the
+// one DFA type: BuildDFA determinizes the disjoint union of its members,
+// and one pattern is the union of one. §2.1 notes that unfolding bounded
+// repetitions "can produce a DFA of size exponential in n"; BuildDFA's
+// NumStates and its cap failure make that blowup measurable per regex
+// (rapc -analyze, -exp characterize), and the software matcher keeps a
+// DFA only where it fits a cap: the per-pattern tables of the wake loop,
+// the windowed group's unions and the union machine of the parallel scan.
 
 // ErrStateCapExceeded is the typed cap-overflow failure of subset
-// construction: Determinize (and BuildDFA and sfa.Build layered on it)
-// return an error wrapping it when the reachable subset-state count
-// exceeds the configured cap, so fallback logic (refmatch engine choice,
-// sfa parallel-scan eligibility) can branch on errors.Is instead of
-// matching message text.
+// construction: BuildDFA returns an error wrapping it when the reachable
+// subset-state count exceeds the cap, so fallback logic (refmatch engine
+// choice, the windowed group's packing, sfa parallel-scan eligibility)
+// can branch on errors.Is instead of matching message text.
 var ErrStateCapExceeded = errors.New("automata: subset construction exceeds state cap")
 
-// Subsets is the outcome of a subset construction: a streaming DFA
+// subsets is the outcome of a subset construction: a streaming DFA
 // without report tables. State 0 is the start: nothing is active before
 // the first byte.
-type Subsets struct {
-	// Partition maps each input byte to its alphabet-equivalence class:
+type subsets struct {
+	// partition maps each input byte to its alphabet-equivalence class:
 	// bytes no state's character class distinguishes share one.
-	Partition [256]uint16
-	// NumParts is the number of alphabet classes (the per-state fanout).
-	NumParts int
-	// Trans is the transition table: state*NumParts + class -> state.
-	Trans []int32
-	// Sets[s] is the set of NFA states active in DFA state s.
-	Sets []bitvec.Vector
+	partition [256]uint16
+	// numParts is the number of alphabet classes (the per-state fanout).
+	numParts int
+	// trans is the transition table: state*numParts + class -> state.
+	trans []int32
+	// sets[s] is the set of NFA states active in DFA state s.
+	sets []bitvec.Vector
 }
 
-// Determinize runs subset construction over the streaming configuration
+// determinize runs subset construction over the streaming configuration
 // space of a homogeneous automaton given as per-state classes, follow
 // masks and the initial set, from the empty subset. Unanchored, initial
 // states are re-injected on every step, so state 0 is the empty subset.
@@ -48,11 +49,11 @@ type Subsets struct {
 // empty subset reached later is a dead state of its own. It fails with
 // an error wrapping ErrStateCapExceeded once more than cap subsets are
 // reachable.
-func Determinize(classes []charclass.Class, follow []bitvec.Vector, initial bitvec.Vector, anchored bool, cap int) (*Subsets, error) {
-	d := &Subsets{}
+func determinize(classes []charclass.Class, follow []bitvec.Vector, initial bitvec.Vector, anchored bool, cap int) (*subsets, error) {
+	d := &subsets{}
 	var labels []bitvec.Vector
-	d.Partition, labels = alphabetPartitions(classes)
-	d.NumParts = len(labels)
+	d.partition, labels = alphabetPartitions(classes)
+	d.numParts = len(labels)
 
 	// Subsets are built in scratch and looked up by their words as a map
 	// key; only a subset not seen before is copied and kept.
@@ -62,9 +63,9 @@ func Determinize(classes []charclass.Class, follow []bitvec.Vector, initial bitv
 		key = appendKey(key[:0], v)
 		id, ok := index[string(key)]
 		if !ok {
-			id = int32(len(d.Sets))
+			id = int32(len(d.sets))
 			index[string(key)] = id
-			d.Sets = append(d.Sets, v.Clone())
+			d.sets = append(d.sets, v.Clone())
 		}
 		return id
 	}
@@ -72,8 +73,8 @@ func Determinize(classes []charclass.Class, follow []bitvec.Vector, initial bitv
 	if intern(next); anchored {
 		clear(index) // no later subset is the start
 	}
-	for head := 0; head < len(d.Sets); head++ {
-		cur := d.Sets[head]
+	for head := 0; head < len(d.sets); head++ {
+		cur := d.sets[head]
 		succ.Reset()
 		if !anchored || head == 0 {
 			succ.Or(initial)
@@ -84,8 +85,8 @@ func Determinize(classes []charclass.Class, follow []bitvec.Vector, initial bitv
 		for _, label := range labels {
 			next.CopyFrom(succ)
 			next.And(label)
-			d.Trans = append(d.Trans, intern(next))
-			if len(d.Sets) > cap {
+			d.trans = append(d.trans, intern(next))
+			if len(d.sets) > cap {
 				return nil, fmt.Errorf("%w: >%d states", ErrStateCapExceeded, cap)
 			}
 		}
@@ -158,39 +159,4 @@ func appendKey(buf []byte, v bitvec.Vector) []byte {
 		buf = binary.LittleEndian.AppendUint64(buf, w)
 	}
 	return buf
-}
-
-// classes returns the per-state character classes, the form Determinize
-// takes.
-func (n *NFA) classes() []charclass.Class {
-	out := make([]charclass.Class, len(n.States))
-	for q, s := range n.States {
-		out[q] = s.Class
-	}
-	return out
-}
-
-// DFAResult reports the outcome of a capped subset construction.
-type DFAResult struct {
-	// States is the number of distinct subset states reached (including
-	// the dead state if reachable).
-	States int
-	// Capped is true when construction stopped at the cap; States is then
-	// a lower bound.
-	Capped bool
-}
-
-// DFASize measures the streaming DFA of the NFA without keeping it,
-// stopping once cap subset states are reached. Use cap <= 0 for a
-// default of 100000.
-func DFASize(n *NFA, cap int) DFAResult {
-	if cap <= 0 {
-		cap = 100000
-	}
-	// Reaching cap states counts as capped, so more than cap-1 is refused.
-	d, err := Determinize(n.classes(), n.FollowMasks(), n.InitialSet(), n.StartAnchored, cap-1)
-	if err != nil {
-		return DFAResult{States: cap, Capped: true}
-	}
-	return DFAResult{States: len(d.Sets)}
 }

@@ -5,30 +5,38 @@ import (
 	"math"
 	"math/bits"
 
+	"repro/internal/bitvec"
 	"repro/internal/charclass"
 )
 
-// DFA is a materialized deterministic automaton for streaming matching,
-// built by subset construction over an NFA. §2.1 explains why
-// hardware avoids DFAs — the state count can be exponential — but for
-// small automata a DFA is the fastest software matcher (one table lookup
-// per byte), which is how Hyperscan-class engines execute small patterns.
-// The reference matcher uses it below a state-count threshold.
+// DFA is a materialized streaming DFA, built by the one capped subset
+// construction over the disjoint union of its members (BuildDFA). §2.1
+// explains why hardware avoids DFAs — the state count can be exponential
+// — but for small automata a DFA is the fastest software matcher (one
+// table lookup per byte), which is how Hyperscan-class engines execute
+// small patterns. Each state carries a report list — which members fire,
+// each with the number of its final states active, the per-cycle report
+// count of the hardware — so one DFA scans one pattern or many. Because
+// the members are disjoint, the union's subset construction is the
+// product of theirs, and its reports agree with theirs byte for byte. A
+// DFA is immutable and safe for any number of concurrent scans; a scan's
+// state is a state number, 0 at the start of a stream.
 type DFA struct {
 	// partition maps each input byte to its alphabet-equivalence class.
 	partition [256]uint16
-	// trans is the transition table in the form the scan loop wants it. A
+	// trans is the transition table in the form the scan loops want it. A
 	// state is named by the offset of its row, state*numParts, so a step
 	// is one add and one load: trans[row+partition] is the next row. A
 	// transition into a reporting state stores the complement of the row,
-	// which tells the loop to look at reports without loading it per byte.
-	trans []int32
-	// reports[state] is the number of NFA final states inside the subset —
-	// the per-cycle report count, matching the hardware's counting.
-	reports  []uint16
+	// which tells the loop to look at reports without loading them per byte.
+	trans    []int32
 	numParts int
-	// EndAnchored is the NFA's: a report counts only at the stream's last
-	// byte, which the scanner knows and Step does not.
+	// The reports of state s are reps[repOff[s]:repOff[s+1]], ascending in
+	// member.
+	repOff []uint32
+	reps   []report
+	// EndAnchored is the one member's: a report counts only at the
+	// stream's last byte, which the scanner knows and the DFA does not.
 	EndAnchored bool
 	// rest holds the rows the DFA sleeps in, row 0 and its busiest
 	// self-loop (row 0 again if none); a start-anchored DFA's start row
@@ -41,32 +49,80 @@ type DFA struct {
 	pair   [2]charclass.Class
 }
 
-// BuildDFA materializes the streaming DFA of the NFA, failing with an
-// error wrapping ErrStateCapExceeded beyond cap subset states (cap <= 0
-// means 4096). A start-anchored NFA injects its initial states from row
-// 0 only; an end-anchored one records EndAnchored. Like Runner.Step, the
-// DFA never reports the empty match of a nullable NFA.
-func BuildDFA(n *NFA, cap int) (*DFA, error) {
+// report says that count final states of member member are active.
+type report struct {
+	member, count int32
+}
+
+// BuildDFA materializes the streaming DFA of the disjoint union of nfas,
+// members 0 to len(nfas)-1, failing with an error wrapping
+// ErrStateCapExceeded beyond cap subset states (cap <= 0 means 4096). A
+// single member may be anchored: start-anchored, it injects its initial
+// states from state 0 only; end-anchored, the DFA records EndAnchored. A
+// union of two or more refuses anchored members. Like Runner.Step, the DFA
+// never reports the empty match of a nullable member.
+func BuildDFA(cap int, nfas ...*NFA) (*DFA, error) {
+	if len(nfas) == 0 {
+		return nil, fmt.Errorf("automata: DFA of no automata")
+	}
 	if cap <= 0 {
 		cap = 4096
 	}
-	sub, err := Determinize(n.classes(), n.FollowMasks(), n.InitialSet(), n.StartAnchored, cap)
+	total := 0
+	for k, n := range nfas {
+		if len(nfas) > 1 && (n.StartAnchored || n.EndAnchored) {
+			return nil, fmt.Errorf("automata: union member %d is anchored", k)
+		}
+		total += len(n.States)
+	}
+	classes := make([]charclass.Class, 0, total)
+	follow := make([]bitvec.Vector, total)
+	bitvec.NewSlab(follow, total)
+	initial, final := bitvec.New(total), bitvec.New(total)
+	memberOf := make([]int32, total) // per state, the member it is of
+	base := 0
+	for k, n := range nfas {
+		for q, s := range n.States {
+			classes = append(classes, s.Class)
+			for _, succ := range s.Follow {
+				follow[base+q].Set(base + succ)
+			}
+			memberOf[base+q] = int32(k)
+		}
+		for _, q := range n.Initial {
+			initial.Set(base + q)
+		}
+		for _, q := range n.Final {
+			final.Set(base + q)
+		}
+		base += len(n.States)
+	}
+	sub, err := determinize(classes, follow, initial, nfas[0].StartAnchored, cap)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("automata: DFA of %d automata: %w", len(nfas), err)
 	}
-	if len(sub.Trans) > math.MaxInt32 {
+	if len(sub.trans) > math.MaxInt32 {
 		return nil, fmt.Errorf("%w: %d states of %d alphabet classes overflow the table's row offsets",
-			ErrStateCapExceeded, len(sub.Sets), sub.NumParts)
+			ErrStateCapExceeded, len(sub.sets), sub.numParts)
 	}
-	d := &DFA{partition: sub.Partition, numParts: sub.NumParts, trans: sub.Trans, EndAnchored: n.EndAnchored}
-	final := n.FinalSet()
-	for _, set := range sub.Sets {
+	d := &DFA{partition: sub.partition, numParts: sub.numParts, trans: sub.trans, EndAnchored: nfas[0].EndAnchored,
+		repOff: make([]uint32, 1, len(sub.sets)+1)}
+	for _, set := range sub.sets {
+		// Final states are numbered member by member, so each member's
+		// run is contiguous and the list comes out ascending.
 		set.And(final)
-		d.reports = append(d.reports, uint16(set.Count()))
+		for q := set.NextSet(0); q >= 0; q = set.NextSet(q + 1) {
+			if n := len(d.reps); n > int(d.repOff[len(d.repOff)-1]) && d.reps[n-1].member == memberOf[q] {
+				d.reps[n-1].count++
+			} else {
+				d.reps = append(d.reps, report{member: memberOf[q], count: 1})
+			}
+		}
+		d.repOff = append(d.repOff, uint32(len(d.reps)))
 	}
 	for i, next := range d.trans {
 		row := next * int32(d.numParts)
-		if d.reports[next] > 0 {
+		if d.repOff[next] != d.repOff[next+1] {
 			row = ^row
 		}
 		d.trans[i] = row
@@ -119,18 +175,52 @@ func (d *DFA) busiestLoop() int32 {
 	return best
 }
 
-// A stream's state in a DFA is the row offset of its current state in
-// d.trans, 0 at the start of a stream: one int32 per DFA and stream.
+// NumStates returns the DFA state count.
+func (d *DFA) NumStates() int { return len(d.repOff) - 1 }
 
-// Step consumes one byte from row and returns the next row and the number
-// of reports fired.
-func (d *DFA) Step(row int32, b byte) (int32, int) {
-	row = d.trans[int(row)+int(d.partition[b])]
-	if row >= 0 {
-		return row, 0
+// ScanFrom steps the DFA over data from state, calls emit(member, base+i)
+// once per report at data[i], ascending in member, and returns the state
+// it stops in.
+func (d *DFA) ScanFrom(state int32, data []byte, base int, emit func(member, end int)) int32 {
+	row := state * int32(d.numParts)
+	for i, b := range data {
+		row = d.trans[int(row)+int(d.partition[b])]
+		if row < 0 {
+			row = ^row
+			d.Emit(row/int32(d.numParts), base+i, emit)
+		}
 	}
-	row = ^row
-	return row, int(d.reports[int(row)/d.numParts])
+	return row / int32(d.numParts)
+}
+
+// Step consumes one byte from state and returns the next state, leaving
+// its reports to Emit.
+func (d *DFA) Step(state int32, b byte) int32 {
+	row := d.trans[int(state)*d.numParts+int(d.partition[b])]
+	if row < 0 {
+		row = ^row
+	}
+	return row / int32(d.numParts)
+}
+
+// fires returns how many reports the state at row fires, of any member.
+func (d *DFA) fires(row int32) int {
+	s := int(row) / d.numParts
+	n := 0
+	for _, r := range d.reps[d.repOff[s]:d.repOff[s+1]] {
+		n += int(r.count)
+	}
+	return n
+}
+
+// Emit calls emit(member, end) once per report of state, ascending in
+// member.
+func (d *DFA) Emit(state int32, end int, emit func(member, end int)) {
+	for _, r := range d.reps[d.repOff[state]:d.repOff[state+1]] {
+		for c := r.count; c > 0; c-- {
+			emit(int(r.member), end)
+		}
+	}
 }
 
 // WakeLoop scans a list of DFAs together, the software form of every
@@ -199,9 +289,10 @@ func orBytes(words *[256]uint64, set charclass.Class, bit uint64) {
 }
 
 // Scan consumes data, the stream bytes from global offset base on, with
-// rows[j] the row DFA j stopped in (0 at the start of a stream), and leaves
-// each DFA's new row there. It calls emit(j, base+i) once per report DFA j
-// fires at data[i]. Each 64 DFAs read the chunk once and report in one run,
+// rows[j] the row DFA j stopped in — the offset of its state's row in the
+// table, 0 at the start of a stream — and leaves each DFA's new row there.
+// It calls emit(j, base+i) once per report DFA j fires at data[i], of any
+// member. Each 64 DFAs read the chunk once and report in one run,
 // ascending in end with ties in DFA order; the runs follow DFA order.
 // A sleeping DFA skips an escape byte before a byte outside the pair set
 // (both steps end where one from the rest row does) but not a chunk's last.
@@ -260,7 +351,7 @@ func (w WakeLoop) Scan(rows []int32, data []byte, base int, emit func(j, end int
 			}
 			for ; fired != 0; fired &= fired - 1 {
 				j := bits.TrailingZeros64(fired) & 63
-				for k := dfas[j].reports[int(local[j])/dfas[j].numParts]; k > 0; k-- {
+				for k := dfas[j].fires(local[j]); k > 0; k-- {
 					emit(first+j, base+i)
 				}
 			}

@@ -1,6 +1,7 @@
 package automata
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -10,68 +11,80 @@ import (
 	"repro/internal/charclass"
 )
 
-func TestDFASizeSimpleString(t *testing.T) {
+// numStates returns the state count of nfa's DFA under cap, or -1 when
+// the construction passes it.
+func numStates(t *testing.T, nfa *NFA, cap int) int {
+	t.Helper()
+	dfa, err := BuildDFA(cap, nfa)
+	if errors.Is(err, ErrStateCapExceeded) {
+		return -1
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	return dfa.NumStates()
+}
+
+func TestDFAStatesSimpleString(t *testing.T) {
 	// Unanchored "abc": subset states are prefixes of abc intersected
 	// with re-injected initials — a small constant.
-	nfa := mustNFA(t, "abc")
-	res := DFASize(nfa, 0)
-	if res.Capped {
-		t.Fatal("capped on tiny automaton")
-	}
-	if res.States < 2 || res.States > 8 {
-		t.Errorf("States = %d", res.States)
+	if n := numStates(t, mustNFA(t, "abc"), 0); n < 2 || n > 8 {
+		t.Errorf("States = %d", n)
 	}
 }
 
-func TestDFASizeClassicBlowup(t *testing.T) {
+func TestDFAStatesClassicBlowup(t *testing.T) {
 	// .*a.{n} has a DFA of size ~2^n: the automaton must remember which
 	// of the last n positions held an 'a'.
-	small := mustNFA(t, "a.{3}")
-	large := mustNFA(t, "a.{10}")
-	rs := DFASize(small, 0)
-	rl := DFASize(large, 1<<9)
-	if rs.States >= rl.States && !rl.Capped {
-		t.Errorf("no blowup: %d vs %d", rs.States, rl.States)
+	rs := numStates(t, mustNFA(t, "a.{3}"), 0)
+	if rs < 0 || rs >= 1<<9 {
+		t.Errorf("a.{3} DFA states = %d", rs)
 	}
-	if !rl.Capped && rl.States < 512 {
-		t.Errorf("a.{10} DFA states = %d, expected ≥ 2^9 or capped", rl.States)
+	if rl := numStates(t, mustNFA(t, "a.{10}"), 1<<9); rl >= 0 {
+		t.Errorf("a.{10} DFA states = %d, expected more than 2^9", rl)
 	}
 }
 
-func TestDFASizeCap(t *testing.T) {
-	nfa := mustNFA(t, "a.{16}")
-	res := DFASize(nfa, 100)
-	if !res.Capped || res.States != 100 {
-		t.Errorf("cap not honored: %+v", res)
+func TestDFAStatesCap(t *testing.T) {
+	if n := numStates(t, mustNFA(t, "a.{16}"), 100); n >= 0 {
+		t.Errorf("cap not honored: %d states", n)
 	}
 }
 
-func TestDFASizeBoundedRepetitionGrowsLinearly(t *testing.T) {
+func TestDFAStatesBoundedRepetitionGrowsLinearly(t *testing.T) {
 	// The §2.1 motivation in numbers: for c{n} (after a distinct prefix)
 	// the DFA grows with n while the NBVA uses O(1) control states.
 	var prev int
 	for _, n := range []int{8, 16, 32} {
-		nfa := mustNFA(t, fmt.Sprintf("xc{%d}y", n))
-		res := DFASize(nfa, 0)
-		if res.Capped {
+		states := numStates(t, mustNFA(t, fmt.Sprintf("xc{%d}y", n)), 100000)
+		if states < 0 {
 			t.Fatalf("capped at n=%d", n)
 		}
-		if res.States <= prev {
-			t.Errorf("DFA size not growing: n=%d states=%d prev=%d", n, res.States, prev)
+		if states <= prev {
+			t.Errorf("DFA size not growing: n=%d states=%d prev=%d", n, states, prev)
 		}
-		prev = res.States
+		prev = states
 	}
+}
+
+// classesOf returns the per-state character classes of n, the form
+// alphabetPartitions takes.
+func classesOf(n *NFA) []charclass.Class {
+	out := make([]charclass.Class, len(n.States))
+	for q, s := range n.States {
+		out[q] = s.Class
+	}
+	return out
 }
 
 func TestAlphabetPartitions(t *testing.T) {
 	nfa := mustNFA(t, "a[bc]")
-	partition, labels := alphabetPartitions(nfa.classes())
+	partition, labels := alphabetPartitions(classesOf(nfa))
 	// Partitions: {a}, {b,c}, everything else = 3.
 	if len(labels) != 3 || partition['b'] != partition['c'] || partition['a'] == partition['b'] {
 		t.Errorf("partitions = %d (a=%d b=%d c=%d)", len(labels), partition['a'], partition['b'], partition['c'])
 	}
 	anyNFA := mustNFA(t, "...")
-	if _, got := alphabetPartitions(anyNFA.classes()); len(got) != 1 {
+	if _, got := alphabetPartitions(classesOf(anyNFA)); len(got) != 1 {
 		t.Errorf("'.' partitions = %d", len(got))
 	}
 }
@@ -145,7 +158,7 @@ func TestAlphabetPartitionsEqualReference(t *testing.T) {
 // literal bytes, ranges, negations and dots: the refinement, then the
 // probe it replaced.
 func BenchmarkAlphabetPartitions(b *testing.B) {
-	classes := mustNFA(b, strings.Repeat(`ab[c-f]x.\d[^y]`, 6)).classes()
+	classes := classesOf(mustNFA(b, strings.Repeat(`ab[c-f]x.\d[^y]`, 6)))
 	for _, bm := range []struct {
 		name string
 		fn   func([]charclass.Class) ([256]uint16, []bitvec.Vector)

@@ -1,8 +1,10 @@
 // Package automata implements homogeneous nondeterministic finite automata
 // (§2.1): the Glushkov construction from regex ASTs (Construct, which the
 // NBVA builder shares), a bitset-based software simulator used as the
-// functional reference for all hardware modes, and the DFAs the software
-// matcher scans with.
+// functional reference for all hardware modes, and the one DFA type the
+// software matcher scans with: BuildDFA determinizes the disjoint union of
+// its members, one pattern for the wake loop, several for the windowed
+// group and the SFA.
 package automata
 
 import (

@@ -26,7 +26,7 @@ func snortDFAs(tb testing.TB, scale float64) (*workload.Dataset, []*DFA, []strin
 		if err != nil || nfa.StartAnchored || nfa.EndAnchored || nfa.MatchesEmpty {
 			continue
 		}
-		if dfa, err := BuildDFA(nfa, 2048); err == nil {
+		if dfa, err := BuildDFA(2048, nfa); err == nil {
 			dfas = append(dfas, dfa)
 			patterns = append(patterns, p)
 		}
@@ -37,21 +37,8 @@ func snortDFAs(tb testing.TB, scale float64) (*workload.Dataset, []*DFA, []strin
 	return d, dfas, patterns
 }
 
-// stepWalk is the reference scan of one DFA: a Step per byte from row,
-// calling emit(base+i) once per report fired at data[i]. It returns the
-// row the walk ends in.
-func stepWalk(d *DFA, row int32, data []byte, base int, emit func(end int)) int32 {
-	fired := 0
-	for i, b := range data {
-		for row, fired = d.Step(row, b); fired > 0; fired-- {
-			emit(base + i)
-		}
-	}
-	return row
-}
-
-// BenchmarkDFAWake scans one 16 KiB body with the same DFAs one Step walk
-// at a time and all in one wake loop: the Snort@1.0 DFAs, which rest on
+// BenchmarkDFAWake scans one 16 KiB body with the same DFAs one ScanFrom
+// walk at a time and all in one wake loop: the Snort@1.0 DFAs, which rest on
 // most bytes; those of them whose pattern has a '.*', which rest in their
 // '.*' row once its left side has passed; the DFA lane of dataset_bulk,
 // the 10 Snort@0.2 patterns compile puts in NFA mode (those with a '*' or
@@ -84,7 +71,7 @@ func BenchmarkDFAWake(b *testing.B) {
 		noise[i] = byte('a' + r.Intn(26))
 	}
 	for i := 0; i < 56; i++ {
-		dfa, err := BuildDFA(mustNFA(b, fmt.Sprintf(".%c[a-z]%c", 'a'+i%26, 'a'+(i/26+i)%26)), 0)
+		dfa, err := BuildDFA(0, mustNFA(b, fmt.Sprintf(".%c[a-z]%c", 'a'+i%26, 'a'+(i/26+i)%26)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -109,7 +96,7 @@ func BenchmarkDFAWake(b *testing.B) {
 		}
 		run("step", func() {
 			for _, dfa := range set.dfas {
-				stepWalk(dfa, 0, set.input, 0, func(int) { matches++ })
+				dfa.ScanFrom(0, set.input, 0, func(int, int) { matches++ })
 			}
 		})
 		loop, rows := NewWakeLoop(set.dfas), make([]int32, len(set.dfas))
@@ -140,7 +127,7 @@ var wakeFixed = []string{"(a|[ab])c?", "ab", "a(b|c)*d", "[a-c]d|d", "b.*a", "dd
 // has no next byte to test) and of a reporting byte. Only the rows cross
 // a cut.
 func FuzzDFAWakeEquivalence(f *testing.F) {
-	if dfa, err := BuildDFA(mustNFA(f, wakeFixed[0]), 0); err != nil || slices.Max(dfa.reports) < 2 {
+	if dfa, err := BuildDFA(0, mustNFA(f, wakeFixed[0])); err != nil || !slices.ContainsFunc(dfa.reps, func(r report) bool { return r.count > 1 }) {
 		f.Fatalf("%q: err %v, want a state with two reports", wakeFixed[0], err)
 	}
 	for _, n := range []uint8{0, 1, 2, 4, 6, 8, 63, 64, 65, 129} {
@@ -166,18 +153,20 @@ func FuzzDFAWakeEquivalence(f *testing.F) {
 				pattern = wakeFixed[r.Intn(len(wakeFixed))]
 			}
 			nfa := mustNFA(t, pattern)
-			dfa, err := BuildDFA(nfa, 0)
+			dfa, err := BuildDFA(0, nfa)
 			if err != nil {
 				t.Fatalf("BuildDFA(%q): %v", pattern, err)
 			}
 			dfas[l] = dfa
-			row, fired := int32(0), 0
+			state := int32(0)
 			for i, b := range data {
-				rest := row
-				if row, fired = dfa.Step(row, b); (rest == 0 || rest == dfa.rest[1]) && (row != rest || fired > 0) {
+				rest := state * int32(dfa.numParts)
+				state = dfa.Step(state, b)
+				n := fired(dfa, state)
+				if (rest == 0 || rest == dfa.rest[1]) && (state*int32(dfa.numParts) != rest || n > 0) {
 					wakes = append(wakes, i)
 				}
-				for ; fired > 0; fired-- {
+				for ; n > 0; n-- {
 					want[l] = append(want[l], i)
 				}
 			}
@@ -234,14 +223,14 @@ func FuzzDFAWakeEquivalence(f *testing.F) {
 }
 
 // TestWakeLoopEqualsStep cuts random inputs at every offset: the wake loop
-// must fire what Step fires and carry every row across the cut, whether
-// its DFA is awake or asleep there.
+// must fire what each DFA's own ScanFrom fires and carry every row across
+// the cut, whether its DFA is awake or asleep there.
 func TestWakeLoopEqualsStep(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	patterns := []string{"ab", "a(b|c)*d", "a.*z|az", "[ab][ab]|b", "zz", "ab.*cd", "^a(b|c)*d", "^(ab)*z?", "(ab)*", "b(a|c)*$"}
 	dfas := make([]*DFA, len(patterns))
 	for j, p := range patterns {
-		dfa, err := BuildDFA(mustNFA(t, p), 0)
+		dfa, err := BuildDFA(0, mustNFA(t, p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,7 +243,7 @@ func TestWakeLoopEqualsStep(t *testing.T) {
 	}
 	want := make([][]int, len(dfas))
 	for j, dfa := range dfas {
-		stepWalk(dfa, 0, input, 0, func(end int) { want[j] = append(want[j], end) })
+		dfa.ScanFrom(0, input, 0, func(_, end int) { want[j] = append(want[j], end) })
 	}
 	for cut := 0; cut <= len(input); cut++ {
 		got := make([][]int, len(dfas))
@@ -264,14 +253,14 @@ func TestWakeLoopEqualsStep(t *testing.T) {
 		loop.Scan(rows, input[cut:], cut, emit)
 		for j := range dfas {
 			if !slices.Equal(got[j], want[j]) {
-				t.Fatalf("%q cut %d: wake loop %v, Step %v", patterns[j], cut, got[j], want[j])
+				t.Fatalf("%q cut %d: wake loop %v, ScanFrom %v", patterns[j], cut, got[j], want[j])
 			}
 		}
 	}
 }
 
-// TestWakeLoopAllAsleep holds the all-asleep pair-test loop to Step walks
-// at every cut: a wake pair that straddles a chunk end (its escape byte is
+// TestWakeLoopAllAsleep holds the all-asleep pair-test loop to each DFA's
+// own ScanFrom at every cut: a wake pair that straddles a chunk end (its escape byte is
 // the chunk's last, which has no successor yet and must step), a wake at
 // byte 0, DFAs asleep in row 0 and in rest[1] side by side, and 69 DFAs
 // in two groups, 64 that no byte of the input wakes in one and five that
@@ -288,7 +277,7 @@ func TestWakeLoopAllAsleep(t *testing.T) {
 		var dfas []*DFA
 		var names []string
 		for _, p := range patterns {
-			dfa, err := BuildDFA(mustNFA(t, p), 0)
+			dfa, err := BuildDFA(0, mustNFA(t, p))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -298,7 +287,7 @@ func TestWakeLoopAllAsleep(t *testing.T) {
 		for _, input := range []string{"abxxxxxa", "xxab" + strings.Repeat("x", 40) + "bxxxxcab", "ca" + strings.Repeat("xy", 20) + "bcxxa" + strings.Repeat("x", 33) + "d"} {
 			want := make([][]int, len(dfas))
 			for j, dfa := range dfas {
-				stepWalk(dfa, 0, []byte(input), 0, func(end int) { want[j] = append(want[j], end) })
+				dfa.ScanFrom(0, []byte(input), 0, func(_, end int) { want[j] = append(want[j], end) })
 			}
 			for cut := 0; cut <= len(input); cut++ {
 				got := make([][]int, len(dfas))
@@ -308,7 +297,7 @@ func TestWakeLoopAllAsleep(t *testing.T) {
 				loop.Scan(rows, []byte(input[cut:]), cut, emit)
 				for j := range dfas {
 					if !slices.Equal(got[j], want[j]) {
-						t.Fatalf("%d DFAs, %q over %q cut %d: wake loop %v, Step %v", len(dfas), names[j], input, cut, got[j], want[j])
+						t.Fatalf("%d DFAs, %q over %q cut %d: wake loop %v, ScanFrom %v", len(dfas), names[j], input, cut, got[j], want[j])
 					}
 				}
 			}
@@ -328,11 +317,13 @@ func TestRestRowsExact(t *testing.T) {
 		d, dfas, patterns := snortDFAs(t, scale)
 		dotstars := 0
 		for j, dfa := range dfas {
-			for k, rest := range dfa.rest {
+			for k, row := range dfa.rest {
+				rest := row / int32(dfa.numParts)
 				for c := 0; c < 256; c++ {
-					next, fired := dfa.Step(rest, byte(c))
-					if leaves := next != rest || fired > 0; dfa.escape[k].Contains(byte(c)) != leaves {
-						t.Fatalf("%q rest row %d: byte %#x escapes %v, leaves %v", patterns[j], rest, c, !leaves, leaves)
+					next := dfa.Step(rest, byte(c))
+					n := fired(dfa, next)
+					if leaves := next != rest || n > 0; dfa.escape[k].Contains(byte(c)) != leaves {
+						t.Fatalf("%q rest row %d: byte %#x escapes %v, leaves %v", patterns[j], row, c, !leaves, leaves)
 					} else if !leaves {
 						continue
 					}
@@ -340,16 +331,15 @@ func TestRestRowsExact(t *testing.T) {
 						if dfa.pair[k].Contains(byte(x)) {
 							continue
 						}
-						two, n2 := dfa.Step(next, byte(x))
-						one, n1 := dfa.Step(rest, byte(x))
-						if fired > 0 || two != one || n2 != n1 {
-							t.Fatalf("%q rest row %d: %#x %#x outside the pair set moves the DFA", patterns[j], rest, c, x)
+						two, one := dfa.Step(next, byte(x)), dfa.Step(rest, byte(x))
+						if n > 0 || two != one {
+							t.Fatalf("%q rest row %d: %#x %#x outside the pair set moves the DFA", patterns[j], row, c, x)
 						}
 					}
 				}
 			}
-			if rest := dfa.rest[1]; rest != 0 && dfa.reports[int(rest)/dfa.numParts] > 0 {
-				t.Fatalf("%q rests in reporting row %d", patterns[j], rest)
+			if row := dfa.rest[1]; row != 0 && fired(dfa, row/int32(dfa.numParts)) > 0 {
+				t.Fatalf("%q rests in reporting row %d", patterns[j], row)
 			}
 			left, right, ok := strings.Cut(patterns[j], ".*")
 			if !ok || strings.HasSuffix(left, `\`) {
@@ -360,7 +350,7 @@ func TestRestRowsExact(t *testing.T) {
 				continue
 			}
 			// Past the left literal and one byte in neither, only '.*' is live.
-			row := stepWalk(dfa, 0, []byte(left+"\x00"), 0, func(int) {})
+			row := dfa.ScanFrom(0, []byte(left+"\x00"), 0, func(int, int) {}) * int32(dfa.numParts)
 			if row != dfa.rest[1] {
 				t.Errorf("%q: rests in row %d, its '.*' row is %d", patterns[j], dfa.rest[1], row)
 			}
@@ -376,9 +366,9 @@ func TestRestRowsExact(t *testing.T) {
 		for seed := int64(1); seed <= 4; seed++ {
 			input := d.Input(16<<10, seed)
 			for _, dfa := range dfas {
-				row := int32(0)
+				state := int32(0)
 				for _, b := range input {
-					if row, _ = dfa.Step(row, b); row == 0 || row == dfa.rest[1] {
+					if state = dfa.Step(state, b); state == 0 || state*int32(dfa.numParts) == dfa.rest[1] {
 						resting++
 					}
 				}

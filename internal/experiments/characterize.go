@@ -61,8 +61,11 @@ func Characterize(cfg Config) (*metrics.Table, error) {
 			// DFA estimate on a sample (cap keeps this cheap).
 			if dfaCount < 25 {
 				if nfa, err := automata.Glushkov(re, 8192); err == nil {
-					r := automata.DFASize(nfa, dfaCap)
-					dfaSum += r.States
+					states := dfaCap // a construction past the cap counts as the cap
+					if dfa, err := automata.BuildDFA(dfaCap, nfa); err == nil {
+						states = dfa.NumStates()
+					}
+					dfaSum += states
 					dfaCount++
 				}
 			}

@@ -83,7 +83,7 @@ func TestFeedEqualEndOrder(t *testing.T) {
 }
 
 // TestDFABlockSequence holds the DFA matches of a Snort@1.0 Scan to the
-// sequence, not just the set, that one Step walk per pattern gives: each
+// sequence, not just the set, that one ScanFrom walk per pattern gives: each
 // pattern's ends in order, patterns merged stably by End. The rest of the
 // Scan must stay ascending in End with the DFA group last.
 func TestDFABlockSequence(t *testing.T) {
@@ -98,12 +98,7 @@ func TestDFABlockSequence(t *testing.T) {
 		input := d.Input(16<<10, seed)
 		var want []Match
 		for j, dfa := range dfas {
-			row, fired := int32(0), 0
-			for i, b := range input {
-				for row, fired = dfa.Step(row, b); fired > 0; fired-- {
-					want = append(want, Match{Pattern: dfaIdx[j], End: i})
-				}
-			}
+			dfa.ScanFrom(0, input, 0, func(_, end int) { want = append(want, Match{Pattern: dfaIdx[j], End: end}) })
 		}
 		sort.SliceStable(want, func(i, k int) bool { return want[i].End < want[k].End })
 		var got []Match
@@ -121,7 +116,7 @@ func TestDFABlockSequence(t *testing.T) {
 			}
 		}
 		if !matchesEqual(got, want) {
-			t.Errorf("seed %d: DFA matches of Scan %v, Step walks %v", seed, got, want)
+			t.Errorf("seed %d: DFA matches of Scan %v, ScanFrom walks %v", seed, got, want)
 		}
 		total += len(want)
 	}

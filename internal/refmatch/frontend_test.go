@@ -3,8 +3,10 @@ package refmatch
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/automata"
@@ -95,10 +97,12 @@ func matchSet(ms []Match) map[Match]bool {
 // FuzzModePolicyDifferential is the guard that a route choice can never
 // change the language: one pattern scanned by the all-routes matcher, by
 // the ForceNFA matcher and by the reference NFA simulator must yield the
-// same match set, and, but for an NBVA-mode pattern, report each End as
-// many times as the reference has final states active there
-// (automata.Runner.FinalsActive). An NBVA machine counts its own reporting
-// states: σ{0,k} is one BV-STE where the unfolded reference has k finals.
+// same End set, and report each End as many times as its own compiled
+// automaton has reporting STEs firing there: the reference NFA's final
+// states active (automata.Runner.FinalsActive), or, for an NBVA-mode
+// pattern, its machine's reporting states (nbva.Runner.FinalsFired). The
+// two counts differ where σ{0,k} is one BV-STE and the unfolded reference
+// has k finals: 0{0,20} reports 0 once on NBVA and 20 times on ForceNFA.
 func FuzzModePolicyDifferential(f *testing.F) {
 	seeds := []string{
 		"abc", "a|b", "a(b|c)d", "(a+)?b", "x(a|)y", "^abc$", "(?i)Ab[C-f]", "[^a-z]x",
@@ -116,6 +120,8 @@ func FuzzModePolicyDifferential(f *testing.F) {
 	f.Add("a(b|.)e", "eabeabe")
 	// a(b|.) has two final states, both active after ab.
 	f.Add("a(b|.)", "xabab")
+	// One BV-STE on NBVA, twenty unfolded finals on ForceNFA.
+	f.Add("0{0,20}", "0")
 	f.Fuzz(func(t *testing.T, pattern, input string) {
 		if len(pattern) > 64 || len(input) > 1<<10 {
 			return
@@ -150,14 +156,20 @@ func FuzzModePolicyDifferential(f *testing.F) {
 			for _, mt := range m.Scan(data) {
 				got[mt]++
 			}
-			if res.Regexes[0].Mode == compile.ModeNBVA {
-				for mt := range got {
-					got[mt] = want[mt]
+			own := want
+			if c := &res.Regexes[0]; c.Mode == compile.ModeNBVA {
+				own = map[Match]int{}
+				run := nbva.NewRunner(c.NBVA)
+				for i, b := range data {
+					if run.Step(b) && (!c.NBVA.EndAnchored || i == len(data)-1) {
+						own[Match{Pattern: 0, End: i}] = run.FinalsFired()
+					}
 				}
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%q on %q: policy %v (engine %v) reports %v, reference NFA %v",
-					pattern, input, policy, m.Engines()[0], got, want)
+			sameEnds := maps.EqualFunc(own, want, func(int, int) bool { return true })
+			if !reflect.DeepEqual(got, own) || !sameEnds {
+				t.Fatalf("%q on %q: policy %v (engine %v) reports %v, its own automaton %v, reference NFA %v",
+					pattern, input, policy, m.Engines()[0], got, own, want)
 			}
 		}
 	})
@@ -321,14 +333,14 @@ func relowerRevert(t *testing.T, opts Options) {
 	// The cap misses of the edit that kept their slot keep their machine.
 	aNB, bNB := nbvaTables(aM), nbvaTables(bM)
 	misses := 0
-	for j, nfa := range bNB.nfas {
-		if nfa == nil {
-			continue
+	for j, i := range bNB.patterns {
+		if bM.lowered[i].nfa == nil {
+			continue // a compiled NBVA machine
 		}
 		misses++
-		if i := bNB.patterns[j]; bRes.From[i] >= 0 {
-			l, at := aM.at(bRes.From[i])
-			if o := l.(*nbvaLane); o.machines[at] != bNB.machines[j] || o.kernels[at] != bNB.kernels[j] {
+		if bRes.From[i] >= 0 {
+			at, ok := slices.BinarySearch(aNB.patterns, bRes.From[i])
+			if !ok || aNB.machines[at] != bNB.machines[j] || aNB.kernels[at] != bNB.kernels[j] {
 				t.Errorf("DFA cap %d: the cap miss %q was built again", opts.DFAStateCap, b[i])
 			}
 		}

@@ -33,17 +33,17 @@ type lane interface {
 // the DFA state cap. A later generation with the same members takes it
 // whole.
 type windowGroup struct {
-	members []*linear
+	members []*lowering
 	pf      *prefilter.Set
 	cap     int
 	once    sync.Once
-	unions  []*automata.Union
+	unions  []*automata.DFA
 	first   []int // per union, its first member
 }
 
 // newWindowGroup builds the prefilter of members' literal union, with
 // windows as wide as their longest match, and defers the union DFAs.
-func newWindowGroup(members []*linear, cap int) (*windowGroup, error) {
+func newWindowGroup(members []*lowering, cap int) (*windowGroup, error) {
 	var lits [][]byte
 	window := 0
 	for _, l := range members {
@@ -58,7 +58,7 @@ func newWindowGroup(members []*linear, cap int) (*windowGroup, error) {
 }
 
 // dfas returns the group's union DFAs, building them on first use.
-func (g *windowGroup) dfas() []*automata.Union {
+func (g *windowGroup) dfas() []*automata.DFA {
 	g.once.Do(func() {
 		nfas := make([]*automata.NFA, len(g.members))
 		for j, l := range g.members {
@@ -69,11 +69,11 @@ func (g *windowGroup) dfas() []*automata.Union {
 	return g.unions
 }
 
-// pack builds the union of nfas, members first on, or of each half when
-// it outgrows the cap. Lowering put no member whose own DFA outgrows the
-// cap in the group.
+// pack builds the union DFA of nfas, members first on, or of each half
+// when it outgrows the cap. Lowering put a member in the group only once
+// the same call built its own DFA under the same cap.
 func (g *windowGroup) pack(nfas []*automata.NFA, first int) {
-	u, err := automata.BuildUnion(nfas, g.cap)
+	u, err := automata.BuildDFA(g.cap, nfas...)
 	if err == nil {
 		g.unions, g.first = append(g.unions, u), append(g.first, first)
 		return
@@ -135,7 +135,6 @@ func (l *windowLane) kernel(int) string { return "dfa-union behind " + l.g.pf.Ke
 type nbvaLane struct {
 	machines []*nbva.Machine
 	kernels  []*nbva.Kernel
-	nfas     []*automata.NFA // the NFA a machine was built from, nil for a compiled NBVA
 	patterns []int
 	words    int // vector words of all the kernels' states together
 	runs     []nbvaRun
@@ -208,7 +207,6 @@ func (l *nbvaLane) kernel(j int) string {
 // rest is stepped only on its wake pairs.
 type dfaLane struct {
 	dfas     []*automata.DFA
-	nfas     []*automata.NFA // Glushkov NFA behind each DFA, for the SFA union
 	patterns []int
 	loop     automata.WakeLoop
 	rows     []int32 // the row offset each DFA stopped in

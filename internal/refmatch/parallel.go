@@ -20,7 +20,7 @@ import (
 type parallelPlan struct {
 	// sfa is the union streaming DFA over every pattern of the DFA lane,
 	// nil when it has none; pidx maps its members to patterns.
-	sfa  *automata.Union
+	sfa  *automata.DFA
 	pidx []int
 	// overlap is how many bytes before its chunk each worker rescans for
 	// the windowed group: a linear pattern's match of length L looks only
@@ -54,8 +54,8 @@ func (m *Matcher) buildPlan() (*parallelPlan, error) {
 	for _, l := range m.lanes {
 		switch l := l.(type) {
 		case *windowLane:
-			for _, lin := range l.g.members {
-				plan.overlap = max(plan.overlap, lin.window-1)
+			for _, lw := range l.g.members {
+				plan.overlap = max(plan.overlap, lw.window-1)
 			}
 		case *nbvaLane:
 			// NBVA counter state has no composable chunk function here; one
@@ -63,19 +63,21 @@ func (m *Matcher) buildPlan() (*parallelPlan, error) {
 			// all-or-nothing, like compilation).
 			return nil, &ParallelizeError{Pattern: l.patterns[0], Reason: ReasonNBVAEngine}
 		case *dfaLane:
-			for j, nfa := range l.nfas {
+			for _, p := range l.patterns {
+				nfa := m.lowered[p].nfa
 				if nfa.StartAnchored || nfa.EndAnchored {
-					return nil, &ParallelizeError{Pattern: l.patterns[j], Reason: ReasonAnchored}
+					return nil, &ParallelizeError{Pattern: p, Reason: ReasonAnchored}
 				}
 				if nfa.MatchesEmpty {
-					return nil, &ParallelizeError{Pattern: l.patterns[j], Reason: ReasonMatchesEmpty}
+					return nil, &ParallelizeError{Pattern: p, Reason: ReasonMatchesEmpty}
 				}
+				nfas = append(nfas, nfa)
 			}
-			nfas, plan.pidx = append(nfas, l.nfas...), append(plan.pidx, l.patterns...)
+			plan.pidx = append(plan.pidx, l.patterns...)
 		}
 	}
 	if len(nfas) > 0 {
-		mach, err := automata.BuildUnion(nfas, m.opts.SFAStateCap)
+		mach, err := automata.BuildDFA(m.opts.SFAStateCap, nfas...)
 		if err != nil {
 			return nil, &ParallelizeError{Pattern: -1, Reason: ReasonStateCap, Err: err}
 		}

@@ -12,15 +12,26 @@
 // rest as NBVA machines, the way Hyperscan-class engines run small
 // patterns. It has no front-end of its own: internal/compile parses,
 // rewrites and routes every pattern through the Fig 9 decision graph, and
-// FromResult lowers each compiled mode onto its software engine. §3.2's
-// LNFA mode, one STE per character for hardware without a crossbar, binds
-// no software engine: a linear pattern is lowered from its Glushkov NFA,
-// as an NFA-mode one is.
+// FromResult lowers each compiled pattern once, into a lowering kept by
+// slot: a compiled NBVA machine and its kernel, or an automaton lowered
+// as a DFA, as a member of the windowed group or, past the cap, as an
+// NBVA machine. §3.2's LNFA mode, one STE per character for hardware
+// without a crossbar, binds no software engine: a linear pattern is
+// lowered from its Glushkov NFA, as an NFA-mode one is from its NFA.
+//
+// # The match contract
+//
+// The served contract is the set of (pattern, End) pairs: it equals the
+// reference NFA's over the concatenated stream on every route. How many
+// times a pattern reports one End is the number of reporting STEs of its
+// compiled automaton active there, so it follows the route: σ{0,k} on the
+// NBVA engine is one BV-STE, and one report, where the unfolded NFA has k
+// finals and reports k times.
 //
 // # Scanning
 //
-// FromResult lowers the compiled patterns into lanes, one per engine: a
-// scan loop with the tables it reads. In order, they are the windowed
+// FromResult builds lanes from the lowerings, one per engine: a scan loop
+// with the tables it reads. In order, they are the windowed
 // group, the linear patterns with a mandatory literal set, whose union
 // DFAs run only inside the candidate windows of a prefilter.Stream; the
 // NBVA machines, each on the nbva chunk kernel or, when too wide for it,
@@ -68,7 +79,6 @@ package refmatch
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 
 	"repro/internal/automata"
@@ -116,9 +126,10 @@ type Options struct {
 	// own: a zero MaxNFAStates means automata.DefaultMaxStates, because a
 	// software NFA is not bound by the §3.3 per-array capacity.
 	compile.Options
-	// DFAStateCap bounds the materialized DFAs: a pattern whose subset
-	// construction exceeds it runs on the NBVA engine as a machine without
-	// bit vectors, and the windowed group packs its union DFAs within it.
+	// DFAStateCap bounds the materialized DFAs: a pattern whose DFA
+	// (automata.BuildDFA of its automaton alone) exceeds it runs on the
+	// NBVA engine as a machine without bit vectors, and the windowed group
+	// packs its union DFAs within it, so every member fits a union of one.
 	// 0 means 2048; negative disables the DFA path.
 	DFAStateCap int
 	// DisablePrefilter runs every linear pattern on its always-on DFA,
@@ -182,8 +193,8 @@ type Matcher struct {
 	// pattern is left out.
 	lanes []lane
 	kinds *laneSet
-	// linears holds each LNFA pattern's lowering, nil for the others.
-	linears []*linear
+	// lowered holds each pattern's lowering, by slot.
+	lowered []*lowering
 	// lanesReused counts the lanes Relower took whole from an earlier
 	// generation.
 	lanesReused int
@@ -218,70 +229,78 @@ func Compile(ctx context.Context, patterns []string, opts Options) (*Matcher, er
 	return FromResult(res, opts)
 }
 
-// linear is an LNFA pattern lowered under one DFA cap and prefilter
-// setting: the Glushkov NFA of its AST, its prefilter verdict and, unless
-// it joins the windowed group, its DFA or, past the cap, its NBVA machine.
-// It is read-only, and a later generation under the same options takes it
-// by slot.
-type linear struct {
-	ast      *regexast.Regex
-	nfa      *automata.NFA
-	lits     [][]byte // its mandatory literals, nil unless it is windowed
-	verdict  prefilter.Verdict
-	window   int // its longest match, the longest of its sequences
-	dfa      *automata.DFA
-	machine  *nbva.Machine
-	kernel   *nbva.Kernel
+// lowering is one pattern lowered onto its software engine: a compiled
+// NBVA machine and its kernel, or an automaton — c.NFA, or the Glushkov
+// NFA of a linear pattern's AST — lowered as a DFA, as a member of the
+// windowed group, or, past the DFA state cap, as an NBVA machine without
+// bit vectors (a cap miss). It is read-only, and a later generation takes
+// it by slot.
+type lowering struct {
+	ast     *regexast.Regex // a linear pattern's, nil for the others
+	nfa     *automata.NFA   // the automaton, nil for a compiled NBVA machine
+	dfa     *automata.DFA
+	machine *nbva.Machine
+	kernel  *nbva.Kernel
+	// A linear pattern's mandatory literals, nil unless it is windowed, its
+	// prefilter verdict and its longest match, the longest of its sequences.
+	lits    [][]byte
+	verdict prefilter.Verdict
+	window  int
+	// The options an automaton was lowered under.
 	cap      int
 	disabled bool // Options.DisablePrefilter
 }
 
-// lowerLinear lowers c, an LNFA pattern: one with a mandatory literal set
-// is windowed, one without, or under DisablePrefilter, runs on its DFA,
-// and either whose own DFA outgrows opts.DFAStateCap is a cap miss on the
-// NBVA engine, as an NFA-mode one is.
-func lowerLinear(c *compile.Compiled, opts Options) (*linear, error) {
-	nfa, err := automata.Glushkov(c.AST, opts.MaxNFAStates)
-	if err != nil {
-		return nil, fmt.Errorf("refmatch: pattern %d: %w", c.Index, err)
-	}
-	l := &linear{ast: c.AST, nfa: nfa, cap: opts.DFAStateCap, disabled: opts.DisablePrefilter,
-		verdict: prefilter.Verdict{Reason: "prefilter disabled by options"}}
-	for _, s := range c.Seqs {
-		l.window = max(l.window, len(s.Classes))
-	}
-	if !opts.DisablePrefilter {
-		l.lits, l.verdict = prefilter.Analyze(c.AST.Root)
-	}
-	if l.lits == nil {
-		l.dfa = buildDFA(nfa, opts.DFAStateCap)
-	}
-	// DFASize refuses cap states and more.
-	if l.dfa == nil && (l.lits == nil || opts.DFAStateCap <= 0 || automata.DFASize(nfa, opts.DFAStateCap+1).Capped) {
-		l.lits, l.verdict = nil, prefilter.Verdict{Reason: "engine nbva is always-on"}
-		l.machine = nbva.FromNFA(nfa)
-		l.kernel = nbva.NewKernel(l.machine)
-	}
-	return l, nil
-}
-
-// linearAt returns the lowering of pattern j of m, nil when it is not an
-// LNFA pattern or m is nil.
-func (m *Matcher) linearAt(j int) *linear {
-	if m == nil || j < 0 {
-		return nil
-	}
-	return m.linears[j]
-}
-
-// at returns the lane of m that scans pattern j and j's index in it.
-func (m *Matcher) at(j int) (lane, int) {
-	for k := 0; m != nil && k < len(m.lanes); k++ {
-		if at, ok := slices.BinarySearch(m.lanes[k].pats(), j); ok {
-			return m.lanes[k], at
+// lower lowers c. A linear pattern with a mandatory literal set is
+// windowed, one without, or under DisablePrefilter, runs on its DFA, as
+// an NFA does, and an automaton whose own DFA outgrows opts.DFAStateCap
+// is a cap miss.
+func lower(c *compile.Compiled, opts Options) (*lowering, error) {
+	lw := &lowering{cap: opts.DFAStateCap, disabled: opts.DisablePrefilter}
+	switch {
+	case c.NBVA != nil:
+		lw.machine, lw.kernel = c.NBVA, nbva.NewKernel(c.NBVA)
+		return lw, nil
+	case c.NFA != nil:
+		lw.nfa = c.NFA
+	default:
+		nfa, err := automata.Glushkov(c.AST, opts.MaxNFAStates)
+		if err != nil {
+			return nil, fmt.Errorf("refmatch: pattern %d: %w", c.Index, err)
+		}
+		lw.ast, lw.nfa, lw.verdict = c.AST, nfa, prefilter.Verdict{Reason: "prefilter disabled by options"}
+		for _, s := range c.Seqs {
+			lw.window = max(lw.window, len(s.Classes))
+		}
+		if !opts.DisablePrefilter {
+			lw.lits, lw.verdict = prefilter.Analyze(c.AST.Root)
 		}
 	}
-	return nil, -1
+	if opts.DFAStateCap > 0 {
+		// A windowed pattern's own DFA is dropped: it only shows that the
+		// pattern fits a union of the group.
+		if dfa, err := automata.BuildDFA(opts.DFAStateCap, lw.nfa); err == nil {
+			if lw.lits == nil {
+				lw.dfa = dfa
+			}
+			return lw, nil
+		}
+	}
+	lw.lits, lw.machine = nil, nbva.FromNFA(lw.nfa)
+	lw.kernel = nbva.NewKernel(lw.machine)
+	return lw, nil
+}
+
+// of reports whether lw was made from c's machine: c.NBVA, c.NFA or, for
+// a linear pattern, c.AST.
+func (lw *lowering) of(c *compile.Compiled) bool {
+	switch {
+	case c.NBVA != nil:
+		return lw.machine == c.NBVA
+	case c.NFA != nil:
+		return lw.nfa == c.NFA
+	}
+	return lw.ast == c.AST
 }
 
 // laneSet is a matcher's lanes by kind, each empty when it has none.
@@ -319,19 +338,6 @@ func (p *prefix[T]) slice() []T {
 // same reports whether a and b are one slice.
 func same[T any](a, b []T) bool { return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0]) }
 
-// buildDFA returns the streaming DFA nfa scans with, nil when its subset
-// construction outgrows cap or cap is negative.
-func buildDFA(nfa *automata.NFA, cap int) *automata.DFA {
-	if cap <= 0 {
-		return nil
-	}
-	dfa, err := automata.BuildDFA(nfa, cap)
-	if err != nil {
-		return nil
-	}
-	return dfa
-}
-
 // FromResult lowers a compile.Result onto the software engines: LNFA
 // patterns from the Glushkov NFA of their AST (behind the literal
 // prefilter when the AST has a mandatory literal set), NBVA machines as
@@ -346,13 +352,15 @@ func FromResult(res *compile.Result, opts Options) (*Matcher, error) {
 // the ruleset, as its cache, and older, the Matcher prev replaced, behind
 // it. A pattern res took from the Result either was lowered from
 // (compile.Recompile shares its machine and records its slot in From or
-// FromOlder) takes that matcher's DFA table, NBVA kernel or LNFA lowering,
-// by pointer, since no scan writes to any (a DFA cap miss its NBVA machine,
-// so no failed subset construction runs again), looked up by that slot.
-// Each lane's slices stay views of the same lane of an earlier generation
+// FromOlder) takes that matcher's lowering at that slot, by pointer, since
+// no scan writes to one, when it was made from the same c.NBVA, c.NFA or
+// c.AST: an NBVA kernel under any options, an automaton's DFA table,
+// windowed membership or cap-miss machine under the same DFAStateCap and
+// DisablePrefilter (so no failed subset construction runs again). Each
+// lane's slices stay views of the same lane of an earlier generation
 // while they hold the same members, so a lane the edit left as it was
-// allocates nothing, and a windowed group whose members — LNFA lowerings,
-// by pointer, in order — are those of prev's or older's takes that group
+// allocates nothing, and a windowed group whose members — lowerings, by
+// pointer, in order — are those of prev's or older's takes that group
 // whole: its prefilter and its union DFAs, built or not. Only a group
 // whose membership changed builds its literal union again, and its union
 // DFAs on first use. The Matcher equals FromResult(res, opts) in engines,
@@ -369,92 +377,48 @@ func Relower(prev, older *Matcher, res *compile.Result, opts Options) (*Matcher,
 	if res.Restored > 0 {
 		base = older
 	}
-	linears := prefix[*linear]{}
+	lowered := prefix[*lowering]{}
 	if base != nil {
-		old, linears.old = base.kinds, base.linears
+		old, lowered.old = base.kinds, base.lowered
 	}
-	var oldMembers []*linear
+	var oldMembers []*lowering
 	if old.win.g != nil {
 		oldMembers = old.win.g.members
 	}
-	winMembers, winPatterns := prefix[*linear]{old: oldMembers}, prefix[int]{old: old.win.patterns}
+	winMembers, winPatterns := prefix[*lowering]{old: oldMembers}, prefix[int]{old: old.win.patterns}
 	nbMachines, nbKernels, nbPatterns := prefix[*nbva.Machine]{old: old.nb.machines}, prefix[*nbva.Kernel]{old: old.nb.kernels}, prefix[int]{old: old.nb.patterns}
-	nbNFAs := prefix[*automata.NFA]{old: old.nb.nfas}
-	dlDFAs, dlNFAs, dlPatterns := prefix[*automata.DFA]{old: old.dl.dfas}, prefix[*automata.NFA]{old: old.dl.nfas}, prefix[int]{old: old.dl.patterns}
+	dlDFAs, dlPatterns := prefix[*automata.DFA]{old: old.dl.dfas}, prefix[int]{old: old.dl.patterns}
 	for i := range res.Regexes {
 		c := &res.Regexes[i]
-		// The lane entry of the slot i was taken from, kept if it is this
-		// machine's.
-		gen, j := prev, -1
-		if res.From != nil && res.From[i] >= 0 {
-			j = res.From[i]
-		} else if res.FromOlder != nil && res.FromOlder[i] >= 0 {
-			gen, j = older, res.FromOlder[i]
+		// The lowering of the slot i was taken from, kept if it is of this
+		// machine and, for an automaton, under these options.
+		var lw *lowering
+		if res.From != nil && res.From[i] >= 0 && prev != nil {
+			lw = prev.lowered[res.From[i]]
+		} else if res.FromOlder != nil && res.FromOlder[i] >= 0 && older != nil {
+			lw = older.lowered[res.FromOlder[i]]
 		}
-		l, at := gen.at(j)
-		var lin *linear
-		switch c.Mode {
-		case compile.ModeLNFA:
-			lin = gen.linearAt(j)
-			if lin == nil || lin.ast != c.AST || lin.cap != opts.DFAStateCap || lin.disabled != opts.DisablePrefilter {
-				var err error
-				if lin, err = lowerLinear(c, opts); err != nil {
-					return nil, err
-				}
+		if lw == nil || !lw.of(c) || c.NBVA == nil && (lw.cap != opts.DFAStateCap || lw.disabled != opts.DisablePrefilter) {
+			var err error
+			if lw, err = lower(c, opts); err != nil {
+				return nil, err
 			}
-			switch {
-			case lin.machine != nil:
-				nbMachines.add(lin.machine)
-				nbKernels.add(lin.kernel)
-				nbNFAs.add(lin.nfa)
-				nbPatterns.add(i)
-			case lin.dfa != nil:
-				dlDFAs.add(lin.dfa)
-				dlNFAs.add(lin.nfa)
-				dlPatterns.add(i)
-			default:
-				winMembers.add(lin)
-				winPatterns.add(i)
-			}
-		case compile.ModeNBVA:
-			var k *nbva.Kernel
-			if o, ok := l.(*nbvaLane); ok && o.machines[at] == c.NBVA {
-				k = o.kernels[at]
-			} else {
-				k = nbva.NewKernel(c.NBVA)
-			}
-			nbMachines.add(c.NBVA)
-			nbKernels.add(k)
-			nbNFAs.add(nil)
-			nbPatterns.add(i)
-		case compile.ModeNFA:
-			// A DFA table, or the machine of a cap miss, is kept only under
-			// the same cap.
-			var dfa *automata.DFA
-			var mach *nbva.Machine
-			var k *nbva.Kernel
-			if o, ok := l.(*dfaLane); ok && o.nfas[at] == c.NFA && gen.opts.DFAStateCap == opts.DFAStateCap {
-				dfa = o.dfas[at]
-			} else if o, ok := l.(*nbvaLane); ok && o.nfas[at] == c.NFA && gen.opts.DFAStateCap == opts.DFAStateCap {
-				mach, k = o.machines[at], o.kernels[at]
-			} else if dfa = buildDFA(c.NFA, opts.DFAStateCap); dfa == nil {
-				mach = nbva.FromNFA(c.NFA)
-				k = nbva.NewKernel(mach)
-			}
-			if dfa != nil {
-				dlDFAs.add(dfa)
-				dlNFAs.add(c.NFA)
-				dlPatterns.add(i)
-				break
-			}
-			nbMachines.add(mach)
-			nbKernels.add(k)
-			nbNFAs.add(c.NFA)
-			nbPatterns.add(i)
 		}
-		linears.add(lin)
+		switch {
+		case lw.machine != nil:
+			nbMachines.add(lw.machine)
+			nbKernels.add(lw.kernel)
+			nbPatterns.add(i)
+		case lw.dfa != nil:
+			dlDFAs.add(lw.dfa)
+			dlPatterns.add(i)
+		default:
+			winMembers.add(lw)
+			winPatterns.add(i)
+		}
+		lowered.add(lw)
 	}
-	m.linears = linears.slice()
+	m.lowered = lowered.slice()
 	k := m.kinds
 	k.win.patterns = winPatterns.slice()
 	if members := winMembers.slice(); len(members) > 0 && same(oldMembers, members) {
@@ -467,13 +431,13 @@ func Relower(prev, older *Matcher, res *compile.Result, opts Options) (*Matcher,
 		}
 		k.win.g = g
 	}
-	k.nb = nbvaLane{machines: nbMachines.slice(), kernels: nbKernels.slice(), nfas: nbNFAs.slice(), patterns: nbPatterns.slice()}
+	k.nb = nbvaLane{machines: nbMachines.slice(), kernels: nbKernels.slice(), patterns: nbPatterns.slice()}
 	for _, kernel := range k.nb.kernels {
 		if kernel != nil {
 			k.nb.words += kernel.Words()
 		}
 	}
-	k.dl = dfaLane{dfas: dlDFAs.slice(), nfas: dlNFAs.slice(), patterns: dlPatterns.slice()}
+	k.dl = dfaLane{dfas: dlDFAs.slice(), patterns: dlPatterns.slice()}
 	if k.dl.loop = old.dl.loop; !same(old.dl.dfas, k.dl.dfas) {
 		k.dl.loop = automata.NewWakeLoop(k.dl.dfas)
 	}
@@ -504,9 +468,9 @@ func (m *Matcher) PrefilterVerdicts() []prefilter.Verdict {
 }
 
 // report builds the engines and verdicts once: a pattern's engine is its
-// lane's, an LNFA pattern's verdict its lowering's, and the tier, a
-// property of the compiled literal union rather than of one pattern, is
-// added to the prefiltered verdicts.
+// lane's, the verdict of a linear pattern off the NBVA engine its
+// lowering's, and the tier, a property of the compiled literal union
+// rather than of one pattern, is added to the prefiltered verdicts.
 func (m *Matcher) report() {
 	m.reportOnce.Do(func() {
 		m.engines, m.verdicts = make([]Engine, m.n), make([]prefilter.Verdict, m.n)
@@ -514,8 +478,8 @@ func (m *Matcher) report() {
 		for _, l := range m.lanes {
 			for _, p := range l.pats() {
 				m.engines[p], m.verdicts[p] = l.engine(), prefilter.Verdict{Reason: "engine " + l.engine().String() + " is always-on"}
-				if lin := m.linears[p]; lin != nil {
-					if m.verdicts[p] = lin.verdict; lin.verdict.Prefilterable {
+				if lw := m.lowered[p]; lw.ast != nil && lw.machine == nil {
+					if m.verdicts[p] = lw.verdict; lw.verdict.Prefilterable {
 						m.verdicts[p].Tier = tier
 					}
 				}

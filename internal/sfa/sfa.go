@@ -12,8 +12,9 @@
 // during the simultaneous pass and only the (typically short) prefix is
 // replayed once the true entry state is known.
 //
-// The DFA is an automata.Union, the streaming DFA of many pattern NFAs at
-// once with a per-member report list in each state, built by the one
-// capped subset construction (DESIGN row 25); this package adds only the
-// simultaneous pass (MapChunk) and its state-mapping function.
+// The DFA is an automata.DFA, the streaming DFA of the disjoint union of
+// many pattern NFAs, with a per-member report list in each state, built
+// by the one capped subset construction (DESIGN row 25) that every DFA of
+// the repo comes from; this package adds only the simultaneous pass
+// (MapChunk) and its state-mapping function.
 package sfa

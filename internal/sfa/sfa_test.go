@@ -33,7 +33,7 @@ type report struct {
 	end     int
 }
 
-func scanAll(m *automata.Union, input []byte) []report {
+func scanAll(m *automata.DFA, input []byte) []report {
 	var out []report
 	m.ScanFrom(0, input, 0, func(p int, end int) {
 		out = append(out, report{p, end})
@@ -58,11 +58,11 @@ func testInput(n int, seed int64) []byte {
 	return in
 }
 
-// TestSerialEquivalence checks the union machine's reports against each
+// TestSerialEquivalence checks the union DFA's reports against each
 // component NFA run on its own: same ends, same multiplicity.
 func TestSerialEquivalence(t *testing.T) {
 	nfas := buildNFAs(t, testPatterns)
-	m, err := automata.BuildUnion(nfas, 0)
+	m, err := automata.BuildDFA(0, nfas...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestSerialEquivalence(t *testing.T) {
 // a concatenation equals the composition of the parts' maps, and that
 // joining maps left to right tracks ScanFrom's exit state.
 func TestMapChunkComposition(t *testing.T) {
-	m, err := automata.BuildUnion(buildNFAs(t, testPatterns), 0)
+	m, err := automata.BuildDFA(0, buildNFAs(t, testPatterns)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestMapChunkComposition(t *testing.T) {
 // suffix reports emitted by MapChunk plus a ScanFrom replay of the
 // prefix chunk[:conv] reproduce a serial scan from any entry state.
 func TestMapChunkReplayExactness(t *testing.T) {
-	m, err := automata.BuildUnion(buildNFAs(t, testPatterns), 0)
+	m, err := automata.BuildDFA(0, buildNFAs(t, testPatterns)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,24 +149,19 @@ func TestMapChunkReplayExactness(t *testing.T) {
 
 // TestBuildCap checks the typed cap overflow.
 func TestBuildCap(t *testing.T) {
-	if _, err := automata.BuildUnion(buildNFAs(t, []string{"a.*b.*c.*d.*e"}), 4); !errors.Is(err, automata.ErrStateCapExceeded) {
+	if _, err := automata.BuildDFA(4, buildNFAs(t, []string{"a.*b.*c.*d.*e"})...); !errors.Is(err, automata.ErrStateCapExceeded) {
 		t.Fatalf("want ErrStateCapExceeded, got %v", err)
 	}
 }
 
-// TestBuildRejectsAnchors checks the eligibility guards.
+// TestBuildRejectsAnchors checks the eligibility guard of the union: a
+// DFA of several patterns refuses an anchored member. (A single anchored
+// pattern has a DFA of its own.)
 func TestBuildRejectsAnchors(t *testing.T) {
 	for _, p := range []string{"^abc", "abc$"} {
-		re, err := regexast.Parse(p)
-		if err != nil {
-			t.Fatalf("parse %q: %v", p, err)
-		}
-		nfa, err := automata.Glushkov(re, 0)
-		if err != nil {
-			t.Fatalf("glushkov %q: %v", p, err)
-		}
-		if _, err := automata.BuildUnion([]*automata.NFA{nfa}, 0); err == nil {
-			t.Fatalf("BuildUnion accepted anchored pattern %q", p)
+		nfas := buildNFAs(t, append([]string{p}, testPatterns...))
+		if _, err := automata.BuildDFA(0, nfas...); err == nil {
+			t.Fatalf("BuildDFA accepted anchored pattern %q in a union", p)
 		}
 	}
 }

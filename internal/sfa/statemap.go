@@ -52,7 +52,7 @@ func (f *StateMap) set(i int, v int32) {
 // merge; streaming DFAs re-inject their initial states every step, which
 // makes full convergence the common case within a few dozen bytes. Past
 // convergence the pass runs at serial-scan speed.
-func MapChunk(u *automata.Union, chunk []byte, base int, emit func(member, end int)) (*StateMap, int) {
+func MapChunk(u *automata.DFA, chunk []byte, base int, emit func(member, end int)) (*StateMap, int) {
 	n := u.NumStates()
 	// vals holds the distinct current states; slot[s] indexes entry state
 	// s's trajectory in vals. Trajectories only ever merge, so the O(n)

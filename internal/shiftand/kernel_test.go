@@ -52,7 +52,7 @@ func chainNFA(p Pattern) *automata.NFA {
 }
 
 // TestKernelsAgreeWithStep: the software matcher scans a linear pattern
-// with a union DFA (automata.Union), not with this machine; the union of
+// with a DFA (automata.DFA), not with this machine; the union DFA of
 // the packed patterns reports what Step reports, pattern for pattern and
 // in the same order, whether the packed state is one word, two or more.
 func TestKernelsAgreeWithStep(t *testing.T) {
@@ -80,7 +80,7 @@ func TestKernelsAgreeWithStep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			u, err := automata.BuildUnion(nfas, 0)
+			u, err := automata.BuildDFA(0, nfas...)
 			if err != nil {
 				t.Fatal(err)
 			}

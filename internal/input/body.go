@@ -38,9 +38,9 @@ func DecodeConfig(r io.Reader, v any) error {
 	return nil
 }
 
-// Bodies recycles the buffers ReadBody hands out. It retains buffers up to
-// 1 MiB: the occasional huge scan body is freed instead of pinning its
-// capacity for the life of the process.
+// Bodies recycles the buffers ReadBody and ReadChunks hand out. It retains
+// buffers up to 1 MiB: the occasional huge body read whole is freed
+// instead of pinning its capacity for the life of the process.
 var Bodies = NewPool(64<<10, 1<<20)
 
 // LimitBody caps the request body at MaxBody as it is read. A body whose
@@ -81,14 +81,90 @@ func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 		}
 		if err != nil {
 			Bodies.Put(buf)
-			status := http.StatusBadRequest
-			if errors.As(err, new(*http.MaxBytesError)) {
-				status = http.StatusRequestEntityTooLarge
-			}
-			refuse(w, status, fmt.Errorf("read request body: %w", err))
+			refuseRead(w, err)
 			return nil, false
 		}
 	}
+}
+
+// Chunks reads a request body one chunk at a time, every chunk into the
+// same pooled buffer, so its reader holds one chunk, not the body. A
+// chunk is the last unless it fills the buffer and a byte follows it:
+// Next reads one byte ahead.
+type Chunks struct {
+	r      io.Reader
+	buf    []byte
+	length int64 // Content-Length, or -1
+	read   int64 // bytes handed out in chunks
+	peek   [1]byte
+	peeked bool // peek holds the first byte of the next chunk
+	err    error
+}
+
+// ReadChunks starts reading r's body under LimitBody in chunks of at most
+// size bytes, into a buffer no larger than the Content-Length. A body
+// LimitBody refuses is answered, and ReadChunks reports false. The caller
+// must Close the Chunks.
+func ReadChunks(w http.ResponseWriter, r *http.Request, size int) (*Chunks, bool) {
+	if !LimitBody(w, r) {
+		return nil, false
+	}
+	if r.ContentLength >= 0 {
+		size = int(min(r.ContentLength, int64(size)))
+	}
+	return &Chunks{r: r.Body, buf: Bodies.GetCap(size)[:size], length: r.ContentLength}, true
+}
+
+// Next reads the next chunk and reports whether it is the body's last.
+// The chunk is valid until the next call. On failure Refuse answers it.
+func (c *Chunks) Next() (chunk []byte, last bool, err error) {
+	n := 0
+	if c.peeked {
+		c.buf[0], n = c.peek[0], 1
+	}
+	m, err := io.ReadFull(c.r, c.buf[n:])
+	n += m
+	if err == nil {
+		_, err = io.ReadFull(c.r, c.peek[:])
+	}
+	c.peeked = err == nil
+	c.read += int64(n)
+	switch {
+	case c.peeked:
+		return c.buf[:n], false, nil
+	case err != io.EOF && err != io.ErrUnexpectedEOF:
+		return c.fail(err)
+	case c.length >= 0 && c.read != c.length:
+		return c.fail(io.ErrUnexpectedEOF) // shorter than its Content-Length
+	}
+	return c.buf[:n], true, nil
+}
+
+func (c *Chunks) fail(err error) ([]byte, bool, error) {
+	c.err = err
+	return nil, false, err
+}
+
+// Refuse answers the read that failed as ReadBody does, 413 over the limit
+// and 400 otherwise, and reports whether one had failed.
+func (c *Chunks) Refuse(w http.ResponseWriter) bool {
+	if c.err != nil {
+		refuseRead(w, c.err)
+	}
+	return c.err != nil
+}
+
+// Close returns the buffer to Bodies; no chunk may be used after it.
+func (c *Chunks) Close() { Bodies.Put(c.buf) }
+
+// refuseRead answers a body that could not be read whole: 413 over the
+// limit, 400 when it ended early or could not be read.
+func refuseRead(w http.ResponseWriter, err error) {
+	status := http.StatusBadRequest
+	if errors.As(err, new(*http.MaxBytesError)) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	refuse(w, status, fmt.Errorf("read request body: %w", err))
 }
 
 // refuse answers with the {"error": ...} body every /v1 error carries.

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // unread fails the test if the body is touched: a refusal from
@@ -53,6 +54,79 @@ func TestReadBody(t *testing.T) {
 	var e struct{ Error string }
 	if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || !strings.Contains(e.Error, "unexpected EOF") {
 		t.Errorf("short body error = %q, %v", w.Body, err)
+	}
+}
+
+// TestReadChunks: a body comes back whole in chunks of at most the size
+// asked for, every one but the last full and only the last flagged, with
+// a Content-Length and without one, however the reader splits its reads;
+// a failed read is answered as ReadBody answers it.
+func TestReadChunks(t *testing.T) {
+	const size = 16
+	payload := []byte("0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMN")
+	for _, n := range []int{0, 5, size, size + 1, 3 * size} {
+		for _, length := range []int64{int64(n), -1} {
+			r := httptest.NewRequest("POST", "/v1/programs/x/scan", nil)
+			r.Body, r.ContentLength = io.NopCloser(iotest.OneByteReader(bytes.NewReader(payload[:n]))), length
+			w := httptest.NewRecorder()
+			c, ok := ReadChunks(w, r, size)
+			if !ok {
+				t.Fatalf("%d bytes, Content-Length %d: refused with %d", n, length, w.Code)
+			}
+			var got []byte
+			for chunks := 1; ; chunks++ {
+				chunk, last, err := c.Next()
+				if err != nil {
+					t.Fatalf("%d bytes, Content-Length %d: %v", n, length, err)
+				}
+				got = append(got, chunk...)
+				if last {
+					if want := max(1, (n+size-1)/size); chunks != want {
+						t.Errorf("%d bytes, Content-Length %d: %d chunks, want %d", n, length, chunks, want)
+					}
+					break
+				}
+				if len(chunk) != size {
+					t.Fatalf("%d bytes, Content-Length %d: a chunk of %d before the last, want %d", n, length, len(chunk), size)
+				}
+			}
+			if !bytes.Equal(got, payload[:n]) || c.Refuse(w) {
+				t.Errorf("%d bytes, Content-Length %d: read %q, refused %v", n, length, got, w.Code != http.StatusOK)
+			}
+			c.Close()
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		body   io.Reader
+		length int64
+		status int
+	}{
+		{"chunked body over the limit", io.LimitReader(neverEnding('x'), MaxBody+1), -1, http.StatusRequestEntityTooLarge},
+		{"10 bytes under Content-Length 100", bytes.NewReader(payload[:10]), 100, http.StatusBadRequest},
+		{"a body cut short", io.MultiReader(bytes.NewReader(payload), iotest.ErrReader(io.ErrClosedPipe)), -1, http.StatusBadRequest},
+	} {
+		r := httptest.NewRequest("POST", "/v1/programs/x/scan", nil)
+		r.Body, r.ContentLength = io.NopCloser(tc.body), tc.length
+		w := httptest.NewRecorder()
+		c, ok := ReadChunks(w, r, 1<<20)
+		if !ok {
+			t.Fatalf("%s: refused before a read", tc.name)
+		}
+		var err error
+		for last := false; !last && err == nil; {
+			_, last, err = c.Next()
+		}
+		if err == nil || !c.Refuse(w) || w.Code != tc.status {
+			t.Errorf("%s: err %v, status %d, want %d", tc.name, err, w.Code, tc.status)
+		}
+		c.Close()
+	}
+	w := httptest.NewRecorder()
+	r := httptest.NewRequest("POST", "/v1/programs/x/scan", nil)
+	r.Body, r.ContentLength = unread{t}, MaxBody+1
+	if _, ok := ReadChunks(w, r, 1<<20); ok || w.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("Content-Length over the limit: ok=%v status %d, want 413", ok, w.Code)
 	}
 }
 

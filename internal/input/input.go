@@ -1,9 +1,12 @@
 // Package input provides pooled chunk buffers for the scan paths. Pool
 // recycles variable-size chunk buffers for request bodies with a
 // retention cap so one oversized request cannot pin its capacity for the
-// process lifetime; ReadBody is the one reader of HTTP request bodies
-// over it, for a serving node and a cluster gateway alike, and Shared
-// lends one such buffer to several outgoing requests.
+// process lifetime. HTTP request bodies are read over it under one limit
+// (LimitBody) in one of two ways: ReadBody reads a body whole, for a
+// feed, a JSON request and a cluster gateway; ReadChunks reads a one-shot
+// scan's body a chunk at a time into one buffer, so the scan holds a
+// chunk, not the body. Both refuse a body the same way. Shared lends one
+// buffer to several outgoing requests.
 package input
 
 import (

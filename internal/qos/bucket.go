@@ -38,6 +38,16 @@ func (b *bucket) take(n int64, now time.Time) (ok bool, retryAfter time.Duration
 	return false, wait
 }
 
+// debit spends n tokens at time now without a test, into debt if need be:
+// the rest of a body whose first part take admitted.
+func (b *bucket) debit(n int64, now time.Time) {
+	if b.rate <= 0 {
+		return
+	}
+	b.refill(now)
+	b.level -= float64(n)
+}
+
 // refill advances the bucket to now.
 func (b *bucket) refill(now time.Time) {
 	if b.last.IsZero() {

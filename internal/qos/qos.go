@@ -129,6 +129,15 @@ func (t *Tenant) AdmitScan(n int) error {
 	return &LimitError{Tenant: t.name, Resource: ResourceScanBytes, RetryAfter: retry}
 }
 
+// DebitScan charges n more bytes of a scan AdmitScan already admitted,
+// such as the later chunks of a body of unknown length, without a
+// refusal: like an oversized body, they are paid off as debt.
+func (t *Tenant) DebitScan(n int) {
+	t.mu.Lock()
+	t.bucket.debit(int64(n), t.now())
+	t.mu.Unlock()
+}
+
 // AcquireSession reserves one concurrent-session slot; ReleaseSession
 // returns it.
 func (t *Tenant) AcquireSession() error {

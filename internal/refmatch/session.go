@@ -94,7 +94,17 @@ func (s *Session) Reset() {
 // caller-managed (poolable) session: no per-scan runner allocations.
 func (s *Session) ScanInto(input []byte, dst []Match) []Match {
 	s.Reset()
-	return append(dst, s.feed(input, true)...)
+	return s.FeedInto(input, true, dst)
+}
+
+// FeedInto consumes the next chunk of the stream and appends the matches
+// ending inside it to dst, which it returns. With last the chunk ends the
+// stream, so end-anchored matches at its final byte are appended in place:
+// a stream fed chunk by chunk this way, the last one non-empty, appends
+// exactly what ScanInto appends for the whole buffer. The next feed after
+// a last one must follow a Reset.
+func (s *Session) FeedInto(chunk []byte, last bool, dst []Match) []Match {
+	return append(dst, s.feed(chunk, last)...)
 }
 
 // feed is the scan core shared by Feed and the whole-buffer scans, which

@@ -92,6 +92,32 @@ func TestSessionChunkedEqualsWholeBuffer(t *testing.T) {
 	}
 }
 
+// TestFeedIntoEqualsScanInto: a stream fed by FeedInto in any chunks,
+// the last one flagged, appends the very sequence ScanInto appends for
+// the whole buffer, end-anchored matches in their places included.
+func TestFeedIntoEqualsScanInto(t *testing.T) {
+	m, err := Compile(context.Background(), sessionTestPatterns, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(78))
+	s := m.NewSession()
+	for trial := 0; trial < 50; trial++ {
+		input := append(sessionTestInput(r, 40+r.Intn(200)), []byte("the cat sat at the end")...)
+		want := m.Scan(input)
+		s.Reset()
+		var got []Match
+		for rest := input; len(rest) > 0; {
+			n := 1 + r.Intn(len(rest))
+			got = s.FeedInto(rest[:n], n == len(rest), got)
+			rest = rest[n:]
+		}
+		if !matchesEqual(got, want) {
+			t.Fatalf("trial %d: FeedInto %v != Scan %v", trial, got, want)
+		}
+	}
+}
+
 // TestSessionIsolation interleaves two sessions on one shared program and
 // checks neither sees state or matches from the other.
 func TestSessionIsolation(t *testing.T) {

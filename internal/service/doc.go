@@ -5,12 +5,21 @@
 // paper's own bank I/O subsystem (§3.3), which multiplexes many
 // independent input flows over one set of compiled patterns.
 //
-// Three pieces compose it:
+// Five pieces compose it:
 //
 //   - A program cache: pattern sets compile once into an immutable
 //     refmatch.Matcher, keyed by a content hash of (patterns, options),
 //     with LRU eviction and single-flight deduplication so concurrent
 //     requests for the same ruleset compile exactly once.
+//
+//   - One-shot scans: POST /v1/programs/{id}/scan streams its body in
+//     chunks of at most 256 KiB through one pooled buffer and one pooled
+//     refmatch.Session, each chunk one pool task on the request's flow
+//     and the last fed as the end of the input, so a request holds one
+//     chunk, not its body, and answers what a whole-buffer scan does.
+//     The first chunk is admitted for the whole request and keeps one
+//     queue slot until the last, so an admitted scan is not refused
+//     midway.
 //
 //   - Streaming sessions: a client opens a session against a cached
 //     program and feeds input in chunks; all engine state (DFA rows,
@@ -42,8 +51,11 @@
 // X-Trace-Id out, one slog access-log line), the request path is broken
 // into per-stage histograms (body_read, cache_lookup, compile,
 // queue_wait, scan, encode, reconfig_apply) exposed in Prometheus text
-// format at /metrics, and
-// finished traces land in a ring served at /debug/traces.
+// format at /metrics, and finished traces land in a ring served at
+// /debug/traces. Each stage is observed once per request: a one-shot
+// scan sums body_read, queue_wait and scan over its chunks into one
+// histogram sample and one span, and its scan span carries the chunk
+// count (chunks).
 //
 // The HTTP surface (see Handler) is exercised by cmd/rapserve.
 package service

@@ -172,7 +172,7 @@ func TestPoolHealthCountsEveryTenantQueue(t *testing.T) {
 	noisy, victim := svc.QoS().Tenant("noisy"), svc.QoS().Tenant("victim")
 	submit := func(ten *qos.Tenant, run func()) {
 		t.Helper()
-		if err := svc.pool.submitTask(1, ten, 1, false, run); err != nil {
+		if err := svc.pool.submitTask(1, ten, 1, noCharge, whole, run); err != nil {
 			t.Fatal(err)
 		}
 	}

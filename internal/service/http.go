@@ -211,7 +211,7 @@ func (s *Service) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
-// readBody is input.ReadBody timed as the body_read stage.
+// readBody is input.ReadBody timed as the body_read stage of a feed.
 func (s *Service) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	start := time.Now()
 	data, ok := input.ReadBody(w, r)
@@ -229,15 +229,29 @@ func (s *Service) writeMatches(w http.ResponseWriter, r *http.Request, offset in
 	wireBufs.Put(body)
 }
 
+// handleScan reads the body a chunk at a time into one buffer and scans
+// each chunk before it reads the next (scanChunks), so the request holds
+// one chunk however long its body; body_read is their reads summed.
 func (s *Service) handleScan(w http.ResponseWriter, r *http.Request) {
-	data, ok := s.readBody(w, r)
+	body, ok := input.ReadChunks(w, r, scanChunk)
 	if !ok {
 		return
 	}
-	matches, err := s.Scan(r.Context(), r.PathValue("id"), data)
-	input.Bodies.Put(data) // Scan has returned; matches hold offsets, not bytes
+	defer body.Close() // after the last task: matches hold offsets, not bytes
+	var read stageSum
+	matches, err := s.scanChunks(r.Context(), r.PathValue("id"), int(r.ContentLength), func() ([]byte, bool, error) {
+		start := time.Now()
+		chunk, last, err := body.Next()
+		read.add(start, time.Since(start))
+		return chunk, last, err
+	})
+	if !read.start.IsZero() {
+		s.observeSum(s.stageBodyRead, telemetry.TraceFromContext(r.Context()), "body_read", read)
+	}
 	if err != nil {
-		writeServiceError(w, err)
+		if !body.Refuse(w) {
+			writeServiceError(w, err)
+		}
 		return
 	}
 	s.writeMatches(w, r, -1, matches)

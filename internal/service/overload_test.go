@@ -38,8 +38,8 @@ type overloadRow struct {
 // one-worker service with 4-slot tenant queues, with or without
 // per-tenant token buckets at the node's capacity (one task a slot,
 // four of burst). An offer takes Service.Scan's admission path
-// (pool.submitTask with admit): the tenant's queue, then its bucket; a
-// refusal by either is a 429.
+// (pool.submitTask charging its length): the tenant's queue, then its
+// bucket; a refusal by either is a 429.
 func runOverload(t *testing.T, buckets bool) overloadRow {
 	t.Helper()
 	var cfg qos.Config
@@ -60,7 +60,7 @@ func runOverload(t *testing.T, buckets bool) overloadRow {
 	var row overloadRow
 	pending := 0 // admitted tenant tasks the worker has not started
 	offer := func(tenant string, slot int) {
-		err := svc.pool.submitTask(uint64(slot), svc.QoS().Tenant(tenant), overloadBytes, true, task(tenant, slot))
+		err := svc.pool.submitTask(uint64(slot), svc.QoS().Tenant(tenant), overloadBytes, overloadBytes, whole, task(tenant, slot))
 		switch {
 		case err == nil:
 			pending++

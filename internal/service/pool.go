@@ -27,12 +27,29 @@ const drrQuantum = 32 << 10
 
 // task is one unit of work: a flow identity (session or one-shot scan),
 // its scheduling cost (input bytes; 1 for control work), and the closure
-// to run.
+// to run. keep marks a part of a request with more parts to come, whose
+// queue slot outlives it.
 type task struct {
 	flow uint64
 	cost int64
 	run  func()
+	keep bool
 }
+
+// part says where a task stands in a request the pool admits once and
+// runs as several tasks, one after another on one flow: a one-shot scan
+// in chunks. Such a request holds one slot of its tenant's queue from its
+// first part's admission until its final part runs, so a later part never
+// meets a full queue or a refusal, and a request the queue admitted
+// always finishes.
+type part uint8
+
+const (
+	whole  part = iota // the request's only task: admitted, frees its slot when it runs
+	first              // admitted, and keeps its slot when it runs
+	middle             // runs on the kept slot and keeps it
+	final              // runs on the kept slot and frees it
+)
 
 // tenantQueue is one tenant's bounded FIFO on one shard plus its DRR
 // state. The nil-tenant queue serves untenanted work (direct API calls
@@ -41,6 +58,9 @@ type tenantQueue struct {
 	ten     *qos.Tenant // nil for the untenanted default queue
 	q       *stream.FIFO[task]
 	deficit int64
+	// taken counts the slots in use: a queued task's, or a request's
+	// between its parts (part). It never passes the queue depth.
+	taken int
 	// topped marks that this queue already received its quantum for the
 	// current round-robin visit — DRR credits once per visit, not once
 	// per pop, or a lone backlogged queue would never yield the worker.
@@ -104,24 +124,28 @@ func newPool(workers, queueDepth int) *pool {
 	return p
 }
 
+// noCharge is submitTask's charge for work the tenant's bucket does not
+// meter: control tasks, and the later chunks of a scan whose whole length
+// its first chunk was charged.
+const noCharge = -1
+
 // submit enqueues untenanted unit-cost work on flow's shard — the
 // compile pool and direct API paths without a tenant context use this.
 func (p *pool) submit(flow uint64, run func()) error {
-	return p.submitTask(flow, nil, 1, false, run)
+	return p.submitTask(flow, nil, 1, noCharge, whole, run)
 }
 
 // submitTask enqueues run on flow's shard under ten's queue with the
-// given DRR cost. It fails fast with ErrQueueFull when that tenant's
-// queue on the shard is at capacity — the caller turns this into
-// backpressure rather than blocking the accept path, and other tenants'
-// queues are unaffected. With admit, ten's bucket is charged cost bytes
-// (AdmitScan) once the queue has room: a queue-full refusal spends none.
-func (p *pool) submitTask(flow uint64, ten *qos.Tenant, cost int64, admit bool, run func()) error {
-	name := ""
-	if ten != nil {
-		name = ten.Name()
-	}
-	sh := p.shards[flow%uint64(len(p.shards))]
+// given DRR cost. A whole or first part is admitted: it fails fast with
+// ErrQueueFull when that tenant's queue on the shard is at capacity — the
+// caller turns this into backpressure rather than blocking the accept
+// path, and other tenants' queues are unaffected — and, unless charge is
+// noCharge, ten's bucket must then admit charge bytes (AdmitScan): a
+// queue-full refusal spends none. A middle or final part runs on the slot
+// its first part kept, is refused only by a closed pool, and has its
+// charge debited without a test (DebitScan).
+func (p *pool) submitTask(flow uint64, ten *qos.Tenant, cost, charge int64, pt part, run func()) error {
+	sh, name := p.shardOf(flow), queueName(ten)
 	sh.mu.Lock()
 	if sh.closed {
 		sh.mu.Unlock()
@@ -132,21 +156,28 @@ func (p *pool) submitTask(flow uint64, ten *qos.Tenant, cost int64, admit bool, 
 		tq = &tenantQueue{ten: ten, q: stream.NewFIFO[task](p.queueDepth)}
 		sh.queues[name] = tq
 	}
-	if tq.q.Full() {
-		sh.mu.Unlock()
-		p.rejected.Inc()
-		return ErrQueueFull
-	}
-	if admit {
-		if err := ten.AdmitScan(int(cost)); err != nil {
-			sh.mu.Unlock()
-			return err
+	if pt == middle || pt == final {
+		if charge != noCharge {
+			ten.DebitScan(int(charge))
 		}
+	} else {
+		if tq.taken == p.queueDepth {
+			sh.mu.Unlock()
+			p.rejected.Inc()
+			return ErrQueueFull
+		}
+		if charge != noCharge {
+			if err := ten.AdmitScan(int(charge)); err != nil {
+				sh.mu.Unlock()
+				return err
+			}
+		}
+		tq.taken++
 	}
 	if tq.q.Empty() {
 		sh.ring = append(sh.ring, tq)
 	}
-	tq.q.Push(task{flow: flow, cost: max(cost, 1), run: run})
+	tq.q.Push(task{flow: flow, cost: max(cost, 1), run: run, keep: pt == first || pt == middle})
 	p.submitted.Inc()
 	p.queued.Add(1)
 	sh.cond.Signal()
@@ -180,6 +211,9 @@ func (sh *shard) popDRR() task {
 		}
 		t, _ := tq.q.Pop()
 		tq.deficit -= t.cost
+		if !t.keep {
+			tq.taken--
+		}
 		if tq.q.Empty() {
 			// An idling tenant keeps no credit (classic DRR), so a
 			// returning burst cannot claim bandwidth it did not use.
@@ -212,6 +246,26 @@ func (p *pool) worker(sh *shard) {
 		p.queued.Add(-1)
 		t.run()
 	}
+}
+
+// release frees the slot a request of several parts kept on flow's shard
+// under ten's queue when it ends before its final part.
+func (p *pool) release(flow uint64, ten *qos.Tenant) {
+	sh := p.shardOf(flow)
+	sh.mu.Lock()
+	sh.queues[queueName(ten)].taken--
+	sh.mu.Unlock()
+}
+
+// shardOf is the shard that runs flow's tasks.
+func (p *pool) shardOf(flow uint64) *shard { return p.shards[flow%uint64(len(p.shards))] }
+
+// queueName keys ten's queue in a shard's queues; "" is untenanted work.
+func queueName(ten *qos.Tenant) string {
+	if ten == nil {
+		return ""
+	}
+	return ten.Name()
 }
 
 // close stops accepting work, drains queued tasks, and waits for workers.

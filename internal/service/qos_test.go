@@ -51,10 +51,10 @@ func TestPoolWeightedFairness(t *testing.T) {
 	}
 	ta, tb := reg.Tenant("a"), reg.Tenant("b")
 	for i := 0; i < 100; i++ {
-		if err := p.submitTask(1, ta, drrQuantum, false, record("a")); err != nil {
+		if err := p.submitTask(1, ta, drrQuantum, noCharge, whole, record("a")); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.submitTask(2, tb, drrQuantum, false, record("b")); err != nil {
+		if err := p.submitTask(2, tb, drrQuantum, noCharge, whole, record("b")); err != nil {
 			t.Fatal(err)
 		}
 	}

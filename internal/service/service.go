@@ -210,9 +210,28 @@ func (s *Service) tenant(ctx context.Context) *qos.Tenant {
 // histogram (with the trace ID as exemplar) and into the request's span
 // list. attrs annotate the span.
 func (s *Service) observeStage(h *metrics.Histogram, tr *telemetry.Trace, name string, start time.Time, attrs ...telemetry.Label) {
-	d := time.Since(start)
-	h.ObserveExemplar(d, tr.ID())
-	tr.AddSpan(name, start, d, attrs...)
+	s.observeSum(h, tr, name, stageSum{start: start, d: time.Since(start)}, attrs...)
+}
+
+// stageSum is one request's time in one stage, summed over the chunks of
+// a one-shot scan; its span starts where the first chunk's did.
+type stageSum struct {
+	start time.Time
+	d     time.Duration
+}
+
+func (t *stageSum) add(start time.Time, d time.Duration) {
+	if t.start.IsZero() {
+		t.start = start
+	}
+	t.d += d
+}
+
+// observeSum is observeStage for a stage whose time is summed: one
+// histogram sample and one span however many chunks it took.
+func (s *Service) observeSum(h *metrics.Histogram, tr *telemetry.Trace, name string, t stageSum, attrs ...telemetry.Label) {
+	h.ObserveExemplar(t.d, tr.ID())
+	tr.AddSpan(name, t.start, t.d, attrs...)
 }
 
 // runCompile executes fn on the dedicated compile pool and waits for it,
@@ -309,57 +328,127 @@ func (s *Service) lookup(tr *telemetry.Trace, programID string) (*Program, bool)
 }
 
 // runOn executes fn on the pool shard of flow under ten's fair-share
-// queue with the given DRR cost (input bytes; min 1) and waits for it;
-// with admit, ten's byte bucket must admit cost once the queue has room
-// (pool.submitTask). The gap between submission and execution is the
-// queue-wait stage, observed both service-wide and on the tenant's own
-// histogram.
-func (s *Service) runOn(tr *telemetry.Trace, ten *qos.Tenant, flow uint64, cost int, admit bool, fn func()) error {
+// queue with the given DRR cost (input bytes; min 1) as the given part of
+// its request and waits for it; unless charge is noCharge, ten's byte
+// bucket is charged charge bytes (pool.submitTask). It returns the gap
+// between submission and execution, which the caller observes as the
+// queue_wait stage (observeQueueWait).
+func (s *Service) runOn(ten *qos.Tenant, flow uint64, cost, charge int, pt part, fn func()) (stageSum, error) {
 	enqueued := time.Now()
+	var wait time.Duration
 	done := make(chan struct{})
-	if err := s.pool.submitTask(flow, ten, int64(cost), admit, func() {
+	if err := s.pool.submitTask(flow, ten, int64(cost), int64(charge), pt, func() {
 		defer close(done)
-		wait := time.Since(enqueued)
-		s.stageQueueWait.ObserveExemplar(wait, tr.ID())
-		tr.AddSpan("queue_wait", enqueued, wait)
-		if ten != nil {
-			ten.ObserveQueueWait(wait)
-		}
+		wait = time.Since(enqueued)
 		fn()
 	}); err != nil {
-		return err
+		return stageSum{}, err
 	}
 	<-done
-	return nil
+	return stageSum{start: enqueued, d: wait}, nil
 }
+
+// observeQueueWait observes one request's queue wait service-wide and on
+// its tenant's own histogram.
+func (s *Service) observeQueueWait(tr *telemetry.Trace, ten *qos.Tenant, wait stageSum) {
+	s.observeSum(s.stageQueueWait, tr, "queue_wait", wait)
+	ten.ObserveQueueWait(wait.d)
+}
+
+// scanChunk is the most of a one-shot scan's input one pool task scans,
+// and the size of the one buffer an HTTP scan reads its body into: a scan
+// request holds one chunk of memory, not its body, and a long scan yields
+// its worker to other flows between chunks. A smaller chunk saves memory
+// and costs a hand-off to the worker per chunk; 256 KiB was chosen on the
+// 1 MiB bodies of the ledger's literal_bulk (EXPERIMENTS.md).
+const scanChunk = 256 << 10
 
 // Scan runs a one-shot whole-buffer scan of data against a cached
 // program, dispatched through the worker pool (so it shares queueing,
-// backpressure and accounting with streaming traffic). The scan runs on
-// a pooled session, so steady-state traffic reuses engine scratch
-// instead of allocating per request.
+// backpressure and accounting with streaming traffic), in chunks of at
+// most scanChunk bytes as an HTTP scan's body is (scanChunks). It reads
+// data in place.
 func (s *Service) Scan(ctx context.Context, programID string, data []byte) ([]refmatch.Match, error) {
+	rest := data
+	return s.scanChunks(ctx, programID, len(data), func() ([]byte, bool, error) {
+		chunk := rest[:min(len(rest), scanChunk)]
+		rest = rest[len(chunk):]
+		return chunk, len(rest) == 0, nil
+	})
+}
+
+// scanChunks runs a one-shot scan of the input next yields, chunk by
+// chunk with the last one flagged, against the program live at the
+// lookup. Each chunk is one pool task on the scan's flow feeding one
+// pooled session, so the answer is a whole-buffer scan's. The first chunk
+// is admitted as the request (a known length is charged whole with it,
+// with length -1 its own bytes) and keeps its queue slot for the later
+// chunks, which no full queue or empty bucket refuses: a body of unknown
+// length has their bytes debited as they come. A refusal, or an error
+// from next (returned as it is), ends the scan with no answer; queue_wait
+// and scan are observed once.
+func (s *Service) scanChunks(ctx context.Context, programID string, length int, next func() ([]byte, bool, error)) ([]refmatch.Match, error) {
 	tr := telemetry.TraceFromContext(ctx)
 	prog, ok := s.lookup(tr, programID)
 	if !ok {
 		return nil, fmt.Errorf("%w: program %s", ErrNotFound, programID)
 	}
 	ten := s.tenant(ctx)
-	var matches []refmatch.Match
+	flow := s.nextFlow.Add(1)
+	st := prog.getSession()
+	var (
+		matches     []refmatch.Match
+		wait, scan  stageSum
+		nbytes, nch int
+		err         error
+	)
+	for last := false; !last; {
+		var chunk []byte
+		if chunk, last, err = next(); err != nil {
+			break
+		}
+		pt, charge := middle, len(chunk)
+		switch {
+		case nch == 0 && last:
+			pt = whole
+		case nch == 0:
+			pt = first
+		case last:
+			pt = final
+		}
+		if length >= 0 {
+			charge = noCharge
+			if nch == 0 {
+				charge = length
+			}
+		}
+		var w stageSum
+		if w, err = s.runOn(ten, flow, len(chunk), charge, pt, func() {
+			start := time.Now()
+			matches = st.FeedInto(chunk, last, matches)
+			scan.add(start, time.Since(start))
+		}); err != nil {
+			break
+		}
+		wait.add(w.start, w.d)
+		nbytes += len(chunk)
+		nch++
+	}
+	if err != nil && nch > 0 {
+		s.pool.release(flow, ten) // the slot the first chunk kept
+	}
 	var pf prefilter.Stats
-	err := s.runOn(tr, ten, s.nextFlow.Add(1), len(data), true, func() {
-		st := prog.getSession()
-		scanStart := time.Now()
-		matches = st.ScanInto(data, nil)
-		s.observeStage(s.stageScan, tr, "scan", scanStart)
+	if nch > 0 {
+		s.observeQueueWait(tr, ten, wait)
+		s.observeSum(s.stageScan, tr, "scan", scan, telemetry.L("chunks", strconv.Itoa(nch)))
 		pf = st.PrefilterStats()
-		s.observePrefilter(tr, prog.Matcher, scanStart, pf)
-		prog.putSession(st)
-	})
+		s.observePrefilter(tr, prog.Matcher, scan.start, pf)
+	}
+	prog.putSession(st)
 	if err != nil {
 		return nil, err
 	}
-	s.account(prog, nil, ten, len(data), len(matches), pf)
+	s.account(prog, nil, ten, nbytes, len(matches), pf)
 	return matches, nil
 }
 
@@ -450,7 +539,7 @@ func (s *Service) feed(ctx context.Context, sessionID string, chunk []byte) ([]r
 	var offset int
 	var pf prefilter.Stats
 	closed := false
-	err = s.runOn(tr, sess.owner, sess.flow, len(chunk), true, func() {
+	wait, err := s.runOn(sess.owner, sess.flow, len(chunk), len(chunk), whole, func() {
 		if sess.closed {
 			closed = true
 			return
@@ -467,6 +556,7 @@ func (s *Service) feed(ctx context.Context, sessionID string, chunk []byte) ([]r
 	if err != nil {
 		return nil, 0, err
 	}
+	s.observeQueueWait(tr, sess.owner, wait)
 	if closed {
 		return nil, 0, fmt.Errorf("%w: session %s", ErrNotFound, sessionID)
 	}
@@ -485,7 +575,7 @@ func (s *Service) CloseSession(ctx context.Context, sessionID string) ([]refmatc
 	tr := telemetry.TraceFromContext(ctx)
 	var final []refmatch.Match
 	closed := false
-	err = s.runOn(tr, sess.owner, sess.flow, 1, false, func() {
+	wait, err := s.runOn(sess.owner, sess.flow, 1, noCharge, whole, func() {
 		if sess.closed {
 			closed = true
 			return
@@ -498,6 +588,7 @@ func (s *Service) CloseSession(ctx context.Context, sessionID string) ([]refmatc
 	if err != nil {
 		return nil, SessionSummary{}, err
 	}
+	s.observeQueueWait(tr, sess.owner, wait)
 	if closed {
 		return nil, SessionSummary{}, fmt.Errorf("%w: session %s", ErrNotFound, sessionID)
 	}

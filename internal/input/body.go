@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"time"
 )
 
 // MaxBody bounds every request body (32 MiB), on a serving node and on a
@@ -92,7 +93,7 @@ func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 // chunk is the last unless it fills the buffer and a byte follows it:
 // Next reads one byte ahead.
 type Chunks struct {
-	r      io.Reader
+	r      *idleReader
 	buf    []byte
 	length int64 // Content-Length, or -1
 	read   int64 // bytes handed out in chunks
@@ -101,23 +102,61 @@ type Chunks struct {
 	err    error
 }
 
+// IdleReadTimeout is the longest a body read with ReadChunks may send
+// nothing, as long as rapserve gives a request's headers: a client that
+// stops mid-body is answered 400 instead of holding what its earlier
+// chunks took, such as a queue slot. A client that sends slowly but keeps
+// sending is never refused.
+const IdleReadTimeout = 10 * time.Second
+
 // ReadChunks starts reading r's body under LimitBody in chunks of at most
-// size bytes, into a buffer no larger than the Content-Length. A body
-// LimitBody refuses is answered, and ReadChunks reports false. The caller
-// must Close the Chunks.
-func ReadChunks(w http.ResponseWriter, r *http.Request, size int) (*Chunks, bool) {
+// size bytes, into a buffer no larger than the Content-Length, failing a
+// read that waits idle longer than idle. A body LimitBody refuses is
+// answered, and ReadChunks reports false. The caller must Close the
+// Chunks.
+func ReadChunks(w http.ResponseWriter, r *http.Request, size int, idle time.Duration) (*Chunks, bool) {
 	if !LimitBody(w, r) {
 		return nil, false
 	}
 	if r.ContentLength >= 0 {
 		size = int(min(r.ContentLength, int64(size)))
 	}
-	return &Chunks{r: r.Body, buf: Bodies.GetCap(size)[:size], length: r.ContentLength}, true
+	return &Chunks{r: &idleReader{r: r.Body, rc: http.NewResponseController(w), idle: idle},
+		buf: Bodies.GetCap(size)[:size], length: r.ContentLength}, true
 }
 
 // Next reads the next chunk and reports whether it is the body's last.
 // The chunk is valid until the next call. On failure Refuse answers it.
 func (c *Chunks) Next() (chunk []byte, last bool, err error) {
+	chunk, last, err = c.next()
+	if last || err != nil {
+		// A deadline left armed would fail net/http's background read
+		// while the scan still runs, and so cancel the request's context.
+		c.r.deadline(time.Time{})
+	}
+	return chunk, last, err
+}
+
+// idleReader reads a request body under an idle limit: each read moves
+// the connection's read deadline to idle from its start, so a read fails
+// only when the client has sent nothing for that long.
+type idleReader struct {
+	r    io.Reader
+	rc   *http.ResponseController
+	idle time.Duration
+}
+
+func (r *idleReader) Read(p []byte) (int, error) {
+	r.deadline(time.Now().Add(r.idle))
+	return r.r.Read(p)
+}
+
+// deadline sets the connection's read deadline. A writer that has no
+// connection, such as a recorder, returns http.ErrNotSupported; its
+// reads cannot stall, so that is no failure.
+func (r *idleReader) deadline(t time.Time) { _ = r.rc.SetReadDeadline(t) }
+
+func (c *Chunks) next() (chunk []byte, last bool, err error) {
 	n := 0
 	if c.peeked {
 		c.buf[0], n = c.peek[0], 1

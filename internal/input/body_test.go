@@ -69,7 +69,7 @@ func TestReadChunks(t *testing.T) {
 			r := httptest.NewRequest("POST", "/v1/programs/x/scan", nil)
 			r.Body, r.ContentLength = io.NopCloser(iotest.OneByteReader(bytes.NewReader(payload[:n]))), length
 			w := httptest.NewRecorder()
-			c, ok := ReadChunks(w, r, size)
+			c, ok := ReadChunks(w, r, size, IdleReadTimeout)
 			if !ok {
 				t.Fatalf("%d bytes, Content-Length %d: refused with %d", n, length, w.Code)
 			}
@@ -109,7 +109,7 @@ func TestReadChunks(t *testing.T) {
 		r := httptest.NewRequest("POST", "/v1/programs/x/scan", nil)
 		r.Body, r.ContentLength = io.NopCloser(tc.body), tc.length
 		w := httptest.NewRecorder()
-		c, ok := ReadChunks(w, r, 1<<20)
+		c, ok := ReadChunks(w, r, 1<<20, IdleReadTimeout)
 		if !ok {
 			t.Fatalf("%s: refused before a read", tc.name)
 		}
@@ -125,7 +125,7 @@ func TestReadChunks(t *testing.T) {
 	w := httptest.NewRecorder()
 	r := httptest.NewRequest("POST", "/v1/programs/x/scan", nil)
 	r.Body, r.ContentLength = unread{t}, MaxBody+1
-	if _, ok := ReadChunks(w, r, 1<<20); ok || w.Code != http.StatusRequestEntityTooLarge {
+	if _, ok := ReadChunks(w, r, 1<<20, IdleReadTimeout); ok || w.Code != http.StatusRequestEntityTooLarge {
 		t.Errorf("Content-Length over the limit: ok=%v status %d, want 413", ok, w.Code)
 	}
 }

@@ -13,10 +13,13 @@ import (
 // bit vector costs one shift and one OR per symbol — and only while it is
 // live or being entered, which is how the hardware gates its bit-vector
 // phase (§3.1). An idle machine sleeps until a byte of its start class
-// arrives, as the hardware power-gates an idle tile: when that class is one
-// byte, bytes.IndexByte's vector loop finds it, and the machine sleeps on
-// past it when the byte after it enters none of the STEs it enabled;
-// otherwise a table loop finds it.
+// arrives, as the hardware power-gates an idle tile. When that class is
+// one byte, bytes.IndexByte's vector loop finds it: a StartHits searches
+// once per block for each byte that several kernels of a set start on,
+// as the fabric matches each symbol once against every STE's class, and
+// those kernels read the positions it found. The machine sleeps on past
+// a start byte when the byte after it enters none of the STEs it
+// enabled. Otherwise a table loop finds the start class.
 
 // MaxKernelStates is the largest control-state count the kernel handles:
 // one bit of a machine word per STE.
@@ -33,8 +36,9 @@ type Kernel struct {
 	start [256]bool
 	// lone is the one byte start marks, or -1 when it marks none (a
 	// start-anchored machine) or several. With one, the idle skip is
-	// bytes.IndexByte: 1.8-2.3x the table loop on BenchmarkNBVAKernel's
-	// Snort machines.
+	// bytes.IndexByte, searched once per block for every kernel that
+	// starts on the byte when several do (StartHits): 1.8-2.3x the table
+	// loop on BenchmarkNBVAKernel's Snort machines.
 	lone int
 	// next is the pair gate: the STEs beyond reinject that lone enables.
 	// Lone followed by a byte outside their classes leaves the machine
@@ -128,6 +132,95 @@ func NewKernel(m *Machine) *Kernel {
 // bytes.IndexByte rather than the table loop.
 func (k *Kernel) Memchr() bool { return k.lone >= 0 }
 
+// Starts is the start-byte search of a set of kernels, such as the
+// machines of one scan lane: the start bytes two or more of its memchr
+// kernels share, and each kernel's index into them. A byte only one
+// kernel starts on gains nothing from a shared search, so that kernel
+// searches for it itself. Starts is built once and shared by every
+// StartHits searching for its bytes.
+type Starts struct {
+	kernels []*Kernel
+	bytes   []byte // the shared start bytes, in order of first use
+	of      []int  // per kernel: index into bytes, or -1 when it searches alone
+}
+
+// NewStarts builds the start-byte search of kernels. A nil kernel, a
+// machine stepped with a Runner, has no start byte.
+func NewStarts(kernels []*Kernel) *Starts {
+	x := &Starts{kernels: kernels, of: make([]int, len(kernels))}
+	var users [256]int
+	for _, k := range kernels {
+		if k != nil && k.lone >= 0 {
+			users[k.lone]++
+		}
+	}
+	var index [256]int // a byte's index into x.bytes, plus one
+	for j, k := range kernels {
+		x.of[j] = -1
+		if k == nil || k.lone < 0 || users[k.lone] < 2 {
+			continue
+		}
+		if index[k.lone] == 0 {
+			x.bytes = append(x.bytes, byte(k.lone))
+			index[k.lone] = len(x.bytes)
+		}
+		x.of[j] = index[k.lone] - 1
+	}
+	return x
+}
+
+// NewHits returns an empty search of x's start bytes for one stream.
+func (x *Starts) NewHits() StartHits {
+	return StartHits{x: x, ends: make([]int32, len(x.bytes)+1)}
+}
+
+// StartHits is one stream's search of a Starts: the block it last
+// searched and the positions of every shared start byte in it, each
+// byte's ascending, all in one slab. The positions of different bytes
+// never coincide, so the slab holds at most one entry per byte of the
+// largest block searched.
+type StartHits struct {
+	x     *Starts
+	block []byte
+	at    []int32 // positions, grouped by start byte
+	ends  []int32 // byte b's group is at[ends[b]:ends[b+1]]
+}
+
+// Find searches block, which the kernels then scan: one bytes.IndexByte
+// walk per shared start byte, whatever the number of kernels that start
+// on it. The block must stay unchanged until the next Find.
+func (h *StartHits) Find(block []byte) {
+	h.block = block
+	at := h.at[:0]
+	for b, c := range h.x.bytes {
+		for i := 0; i < len(block); i++ {
+			j := bytes.IndexByte(block[i:], c)
+			if j < 0 {
+				break
+			}
+			i += j
+			if len(at) == cap(at) {
+				// Grown by hand so the slab never outgrows the block.
+				at = append(make([]int32, 0, min(2*cap(at)+64, len(block))), at...)
+			}
+			at = append(at, int32(i))
+		}
+		h.ends[b+1] = int32(len(at))
+	}
+	h.at = at
+}
+
+// of returns the ascending positions of kernel j's start byte in the
+// block last searched, and whether the byte is shared; a kernel that
+// searches alone or has no memchr skip has none.
+func (h *StartHits) of(j int) ([]int32, bool) {
+	b := h.x.of[j]
+	if b < 0 {
+		return nil, false
+	}
+	return h.at[h.ends[b]:h.ends[b+1]], true
+}
+
 // KernelState is the configuration of one stream on one Kernel: the
 // enabled STEs, which bit vectors are live (non-zero), and the vectors.
 type KernelState struct {
@@ -153,23 +246,40 @@ func (s *KernelState) Reset() {
 	clear(s.vec)
 }
 
-// ScanChunk consumes data and calls emit(base+i) once for every reporting
-// STE that fires at data[i] — the fires Runner.Step and FinalsFired
-// report, byte for byte. It does not allocate. End anchoring is the
-// caller's business, as it is with Step.
-func (s *KernelState) ScanChunk(data []byte, base int, emit func(end int)) {
-	k := s.k
+// ScanChunk consumes the block h last searched, kernel j of h's Starts
+// being s's, and calls emit(base+i) once for every reporting STE that
+// fires at block[i] — the fires Runner.Step and FinalsFired report, byte
+// for byte. It does not allocate. End anchoring is the caller's business,
+// as it is with Step.
+func (s *KernelState) ScanChunk(h *StartHits, j int, base int, emit func(end int)) {
+	k, data := s.k, h.block
+	if h.x.kernels[j] != k {
+		panic("nbva: ScanChunk with another kernel's start-byte search")
+	}
+	hits, shared := h.of(j)
 	enabled, live := s.enabled, s.live
+	next := 0 // the first hit not yet passed
 	for i := 0; i < len(data); i++ {
 		if live == 0 && enabled == k.reinject {
 			// Idle: no vector is live and only the every-cycle STEs are
 			// enabled, so a byte outside their classes changes nothing.
 			if k.lone >= 0 {
-				j := bytes.IndexByte(data[i:], byte(k.lone))
-				if j < 0 {
-					break
+				if shared {
+					for next < len(hits) && int(hits[next]) < i {
+						next++ // passed while the machine was awake
+					}
+					if next == len(hits) {
+						break
+					}
+					i = int(hits[next])
+					next++
+				} else {
+					n := bytes.IndexByte(data[i:], byte(k.lone))
+					if n < 0 {
+						break
+					}
+					i += n
 				}
-				i += j
 				// The two steps end where an idle step over data[i+1]
 				// does, so the search resumes there, idle. A chunk's
 				// last byte has no successor yet and wakes the machine.

@@ -119,24 +119,34 @@ func stepFires(t *testing.T, m *Machine, input []byte) []int {
 	return fires
 }
 
-// kernelFires feeds input to a fresh kernel state cut at the given
-// offsets and counts emits per byte.
-func kernelFires(t *testing.T, m *Machine, input []byte, cuts []int) []int {
+// kernelFires feeds input to fresh kernel states of ms cut at the given
+// offsets, each chunk searched once for all their start bytes, and counts
+// each machine's emits per byte.
+func kernelFires(t *testing.T, ms []*Machine, input []byte, cuts []int) [][]int {
 	t.Helper()
-	k := NewKernel(m)
-	if k == nil {
-		t.Fatalf("no kernel for a %d-state machine", m.NumStates())
+	kernels := make([]*Kernel, len(ms))
+	states := make([]KernelState, len(ms))
+	fires := make([][]int, len(ms))
+	for j, m := range ms {
+		k := NewKernel(m)
+		if k == nil {
+			t.Fatalf("no kernel for a %d-state machine", m.NumStates())
+		}
+		kernels[j], states[j], fires[j] = k, k.NewState(make([]uint64, k.Words())), make([]int, len(input))
 	}
-	s := k.NewState(make([]uint64, k.Words()))
-	fires := make([]int, len(input))
+	hits := NewStarts(kernels).NewHits()
 	prev := 0
 	for _, cut := range append(cuts, len(input)) {
-		s.ScanChunk(input[prev:cut], prev, func(end int) {
-			if end < prev || end >= cut {
-				t.Fatalf("emit(%d) outside chunk [%d,%d)", end, prev, cut)
-			}
-			fires[end]++
-		})
+		chunk := input[prev:cut]
+		hits.Find(chunk)
+		for j := range states {
+			states[j].ScanChunk(&hits, j, prev, func(end int) {
+				if end < prev || end >= cut {
+					t.Fatalf("emit(%d) outside chunk [%d,%d)", end, prev, cut)
+				}
+				fires[j][end]++
+			})
+		}
 		prev = cut
 	}
 	return fires
@@ -152,12 +162,23 @@ func randomCuts(r *rand.Rand, n int) []int {
 	return cuts
 }
 
+// checkKernel holds m's kernel to Runner.Step searching for its start
+// byte alone, and beside a copy of itself, reading a shared search.
 func checkKernel(t *testing.T, m *Machine, input []byte, cuts []int) {
 	t.Helper()
-	want := stepFires(t, m, input)
-	got := kernelFires(t, m, input, cuts)
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("input %q cuts %v:\n kernel %v\n step   %v\n%s", input, cuts, got, want, m)
+	checkKernels(t, []*Machine{m}, input, cuts)
+	checkKernels(t, []*Machine{m, m}, input, cuts)
+}
+
+// checkKernels holds the kernels of ms, scanned together through one
+// start-byte search, each to its own Runner.Step.
+func checkKernels(t *testing.T, ms []*Machine, input []byte, cuts []int) {
+	t.Helper()
+	got := kernelFires(t, ms, input, cuts)
+	for j, m := range ms {
+		if want := stepFires(t, m, input); fmt.Sprint(got[j]) != fmt.Sprint(want) {
+			t.Fatalf("input %q cuts %v, machine %d of %d:\n kernel %v\n step   %v\n%s", input, cuts, j, len(ms), got[j], want, m)
+		}
 	}
 }
 
@@ -209,16 +230,20 @@ func TestKernelReset(t *testing.T) {
 	m := compile(t, "ab{5}c", 1)
 	k := NewKernel(m)
 	s := k.NewState(make([]uint64, k.Words()))
+	hits := NewStarts([]*Kernel{k}).NewHits()
 	n := 0
-	count := func(int) { n++ }
-	s.ScanChunk([]byte("abbbb"), 0, count)
+	scan := func(data string) {
+		hits.Find([]byte(data))
+		s.ScanChunk(&hits, 0, 0, func(int) { n++ })
+	}
+	scan("abbbb")
 	s.Reset()
-	s.ScanChunk([]byte("bc"), 0, count)
+	scan("bc")
 	if n != 0 {
 		t.Errorf("a vector survived Reset: %d fires", n)
 	}
 	s.Reset()
-	s.ScanChunk([]byte("abbbbbc"), 0, count)
+	scan("abbbbbc")
 	if n != 1 {
 		t.Errorf("fires after Reset = %d, want 1", n)
 	}
@@ -240,17 +265,73 @@ func TestKernelStateLimit(t *testing.T) {
 func TestKernelZeroAlloc(t *testing.T) {
 	m := compile(t, "ab{100}c{0,30}d", 1)
 	k := NewKernel(m)
-	s := k.NewState(make([]uint64, k.Words()))
+	// Two states of one kernel share its start byte: one searches for
+	// it with the other through the slab, one alone.
+	states := []KernelState{k.NewState(make([]uint64, k.Words())), k.NewState(make([]uint64, k.Words()))}
+	hits, alone := NewStarts([]*Kernel{k, k}).NewHits(), NewStarts([]*Kernel{k}).NewHits()
 	input := []byte(strings.Repeat("xa"+strings.Repeat("b", 100)+"ccd", 20))
 	n := 0
 	emit := func(int) { n++ }
 	allocs := testing.AllocsPerRun(10, func() {
-		s.Reset()
-		s.ScanChunk(input, 0, emit)
+		hits.Find(input)
+		alone.Find(input)
+		for j := range states {
+			states[j].Reset()
+			states[j].ScanChunk(&hits, j, 0, emit)
+		}
+		states[0].Reset()
+		states[0].ScanChunk(&alone, 0, 0, emit)
 	})
 	if allocs != 0 || n == 0 {
-		t.Errorf("ScanChunk: %v allocs per run (want 0), %d fires (want >0)", allocs, n)
+		t.Errorf("Find and ScanChunk: %v allocs per run (want 0 once the slab has grown), %d fires (want >0)", allocs, n)
 	}
+}
+
+// TestStartsShareOneSearch: kernels on one start byte share its entry and
+// its positions, a byte only one kernel starts on is left to that kernel,
+// a kernel without the memchr skip and a Runner's nil kernel have none,
+// and a fresh slab never outgrows the block searched, even when every
+// byte of it is a start byte.
+func TestStartsShareOneSearch(t *testing.T) {
+	var kernels []*Kernel
+	for _, p := range []string{"ab{3}c", "a{3}b", "ba{2,5}c", "[ab]{70}c", "a|ab{3}c", "bc{2,9}d", "cb{2,9}d"} {
+		kernels = append(kernels, NewKernel(compile(t, p, 1)))
+	}
+	kernels = append(kernels, nil)
+	x := NewStarts(kernels)
+	if string(x.bytes) != "ab" || fmt.Sprint(x.of) != "[0 0 1 -1 0 1 -1 -1]" {
+		t.Fatalf("start bytes %q, kernel indices %v: want \"ab\" and [0 0 1 -1 0 1 -1 -1]", x.bytes, x.of)
+	}
+	hits := x.NewHits()
+	hits.Find([]byte("xabxxbaac"))
+	for j, want := range []string{"[1 6 7] true", "[1 6 7] true", "[2 5] true", "[] false", "[1 6 7] true", "[2 5] true", "[] false", "[] false"} {
+		if at, shared := hits.of(j); fmt.Sprint(at, shared) != want {
+			t.Errorf("kernel %d: hits %v shared %v, want %s", j, at, shared, want)
+		}
+	}
+	for _, n := range []int{1, 63, 64, 65, 1000, 4096} {
+		block := bytes.Repeat([]byte("ab"), n)[:n]
+		hits := x.NewHits()
+		hits.Find(block)
+		if len(hits.at) != n || cap(hits.at) > n {
+			t.Errorf("%d start bytes: %d hits in a slab of %d, want %d in at most %d", n, len(hits.at), cap(hits.at), n, n)
+		}
+	}
+}
+
+// TestScanChunkChecksItsSearch: a kernel scanning through a search built
+// for other kernels panics rather than read positions that are not its.
+func TestScanChunkChecksItsSearch(t *testing.T) {
+	k, other := NewKernel(compile(t, "ab{3}c", 1)), NewKernel(compile(t, "ab{3}c", 1))
+	hits := NewStarts([]*Kernel{other, other}).NewHits()
+	hits.Find([]byte("abbbc"))
+	defer func() {
+		if recover() == nil {
+			t.Error("ScanChunk read another kernel's search")
+		}
+	}()
+	s := k.NewState(make([]uint64, k.Words()))
+	s.ScanChunk(&hits, 0, 0, func(int) {})
 }
 
 // TestKernelSkipChoice: an idle machine skips with bytes.IndexByte when its
@@ -337,7 +418,7 @@ func TestKernelPairGate(t *testing.T) {
 		}
 	}
 	m := compile(t, "ab{3}c", 1)
-	if fires := kernelFires(t, m, []byte("aabbbc"), nil); fmt.Sprint(fires) != "[0 0 0 0 0 1]" {
+	if fires := kernelFires(t, []*Machine{m}, []byte("aabbbc"), nil)[0]; fmt.Sprint(fires) != "[0 0 0 0 0 1]" {
 		t.Errorf("ab{3}c over aabbbc fires %v, want one at 5", fires)
 	}
 	r := rand.New(rand.NewSource(47))
@@ -385,11 +466,16 @@ func TestRunnerResetClearsStepStats(t *testing.T) {
 // FuzzNBVAKernelEquivalence holds the chunk kernel to Runner.Step and
 // CounterRunner fire for fire, with multiplicity, over chunk splits drawn
 // from the seed. shape picks a named machine, or past the table a random
-// one built from the seed. A seed that is 3 mod 4 inserts idle runs of
-// 32-300 bytes that no class holds, long enough for bytes.IndexByte's
-// vector loop; otherwise an idle gap is rarely more than a few bytes.
+// one built from the seed. It scans beside four machines, three that
+// share one start-byte search on 'a' — the pair gate on, off for a BV-STE
+// start, off for a final start — and one on 'b', which searches alone
+// unless the drawn machine starts on 'b' too. A seed that is 3 mod 4
+// inserts idle runs of 32-300 bytes that no class holds, long enough for
+// bytes.IndexByte's vector loop; otherwise an idle gap is rarely more
+// than a few bytes.
 func FuzzNBVAKernelEquivalence(f *testing.F) {
 	cases := kernelCases(f)
+	shared := []*Machine{compile(f, "ab{3}c", 1), compile(f, "a{3}b", 1), compile(f, "a|ab{3}c", 1), compile(f, "ba{2,5}c", 1)}
 	for shape := 0; shape <= len(cases); shape++ {
 		f.Add(uint8(shape), int64(shape), []byte("abbbbbcabbbcdbaaaaaaabcccccb"))
 	}
@@ -418,6 +504,6 @@ func FuzzNBVAKernelEquivalence(f *testing.F) {
 				norm = append(norm[:at:at], append(idle, norm[at:]...)...)
 			}
 		}
-		checkKernel(t, m, norm, randomCuts(r, len(norm)))
+		checkKernels(t, append([]*Machine{m}, shared...), norm, randomCuts(r, len(norm)))
 	})
 }

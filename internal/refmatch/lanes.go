@@ -16,8 +16,10 @@ import (
 type lane interface {
 	open() lane
 	// scan consumes chunk, the stream bytes from global offset base on,
-	// and reports through s in runs ascending in End: the ties of a run
-	// and the runs themselves follow pattern order.
+	// and reports through s in runs ascending in End, each run covering
+	// a span of the chunk that no earlier run reaches past: the ties of
+	// a run and the runs themselves follow pattern order, so reports of
+	// one End keep pattern order under a stable sort by End.
 	scan(s *Session, chunk []byte, base int)
 	reset()
 	// pats lists the lane's patterns in the order it scans them, kernel
@@ -131,13 +133,17 @@ func (l *windowLane) kernel(int) string { return "dfa-union behind " + l.g.pf.Ke
 // kernel, or a nil kernel when it has more than nbva.MaxKernelStates
 // control states and is stepped with an nbva.Runner. An NFA or a linear
 // pattern whose DFA outgrows the cap is here too, as a machine without
-// bit vectors.
+// bit vectors. A start byte that several kernels share is searched once
+// per block, not once per machine: those kernels read its positions from
+// the lane's one nbva.StartHits.
 type nbvaLane struct {
 	machines []*nbva.Machine
 	kernels  []*nbva.Kernel
+	starts   *nbva.Starts // the start bytes the kernels share
 	patterns []int
 	words    int // vector words of all the kernels' states together
 	runs     []nbvaRun
+	hits     nbva.StartHits // a session's
 }
 
 // nbvaRun is one machine's stream state: its kernel's, or its runner.
@@ -146,9 +152,15 @@ type nbvaRun struct {
 	step   *nbva.Runner
 }
 
+// hitBlock is the most bytes one start-byte search covers. A chunk is
+// scanned a block at a time, so a session's slab of positions holds at
+// most hitBlock of them, 64 KiB of int32, whatever the chunk.
+const hitBlock = 16 << 10
+
 // open keeps the vectors of all the machines in one slab.
 func (l *nbvaLane) open() lane {
 	c := *l
+	c.hits = l.starts.NewHits()
 	c.runs = make([]nbvaRun, len(l.machines))
 	vec := make([]uint64, l.words)
 	for j, k := range l.kernels {
@@ -162,21 +174,28 @@ func (l *nbvaLane) open() lane {
 	return &c
 }
 
+// scan runs every machine over one block before the next, so the
+// machines report per block, in pattern order.
 func (l *nbvaLane) scan(s *Session, chunk []byte, base int) {
-	for j := range l.runs {
-		p, anchored, run := l.patterns[j], l.machines[j].EndAnchored, &l.runs[j]
-		if run.step == nil {
-			run.kernel.ScanChunk(chunk, base, func(end int) { s.report(p, end, anchored) })
-			continue
-		}
-		for i, b := range chunk {
-			if run.step.Step(b) {
-				for k := run.step.FinalsFired(); k > 0; k-- {
-					s.report(p, base+i, anchored)
+	for at := 0; at < len(chunk); at += hitBlock {
+		block := chunk[at:min(at+hitBlock, len(chunk))]
+		l.hits.Find(block)
+		for j := range l.runs {
+			p, anchored, run := l.patterns[j], l.machines[j].EndAnchored, &l.runs[j]
+			if run.step == nil {
+				run.kernel.ScanChunk(&l.hits, j, base+at, func(end int) { s.report(p, end, anchored) })
+				continue
+			}
+			for i, b := range block {
+				if run.step.Step(b) {
+					for k := run.step.FinalsFired(); k > 0; k-- {
+						s.report(p, base+at+i, anchored)
+					}
 				}
 			}
 		}
 	}
+	l.hits.Find(nil) // keeps no chunk past the scan
 }
 
 func (l *nbvaLane) reset() {

@@ -1,9 +1,11 @@
 package refmatch
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -67,6 +69,11 @@ func FuzzSessionDifferential(f *testing.F) {
 		// runs on the NBVA step runner, the others on word64.
 		{"(ab)*\nx(y|z)*q?\n(c[ab][ab])*$\n^(a|b)*\n(" + wide + ")*c",
 			"abab xyzq cabcba " + strings.Repeat("ab", 35) + "c"},
+		// Three NBVA machines on one start byte and one on another, all
+		// reading one start-byte search.
+		{"ab{12,40}c\na[0-9]{12,40}x\na.{12,40}z\nqb{12,40}c",
+			"aa" + strings.Repeat("b", 12) + "c a" + strings.Repeat("5", 20) + "x a" + strings.Repeat("b", 13) + "z q" +
+				strings.Repeat("b", 12) + "c aq" + strings.Repeat("b", 14) + "c a.a" + strings.Repeat(".", 12) + "z ab"},
 	} {
 		f.Add(seed.patterns, []byte(seed.input), int64(len(seed.input)))
 	}
@@ -146,6 +153,72 @@ func streamEquals(t *testing.T, m *Matcher, patterns []string, input []byte, see
 	for mt := range want {
 		if !got[mt] {
 			t.Fatalf("%q on %q: streamed %v, reference NFAs %v", patterns, input, got, want)
+		}
+	}
+}
+
+// TestNBVALaneBlocks scans chunks past hitBlock, where the NBVA lane
+// searches for its start bytes a block at a time: machines that share a
+// start byte tie on a block's last byte, a match straddles a block edge
+// and a start byte ends a block. A whole scan reports exactly, in order,
+// what a feed of chunks inside one block reports, and what the reference
+// NFAs find. A 256 KiB chunk in which every byte is a start byte leaves
+// the session's slab of positions at hitBlock, and no hold on the chunk.
+func TestNBVALaneBlocks(t *testing.T) {
+	patterns := []string{"ab{12,40}c", "a[0-9b]{12,40}c", "a.{12,40}c", "qb{12,40}c"}
+	m := compilePar(t, patterns, Options{})
+	nb := nbvaTables(m)
+	for j := range patterns {
+		if k := nb.kernel(j); !strings.HasPrefix(k, "word64 memchr") {
+			t.Fatalf("pattern %d on %q, want a memchr kernel", j, k)
+		}
+	}
+	run := func(start byte, n int) string { return string(start) + strings.Repeat("b", n) + "c" }
+	input := bytes.Repeat([]byte("x"), 4*hitBlock+100)
+	copy(input[hitBlock-14:], run('a', 12))  // three ties at the block's last byte
+	copy(input[2*hitBlock-5:], run('a', 16)) // straddles the edge
+	copy(input[2*hitBlock+40:], run('q', 13))
+	copy(input[3*hitBlock-1:], run('a', 14)) // the start byte ends a block
+	copy(input[4*hitBlock-8:], run('q', 20))
+	want := map[Match]bool{}
+	for p, pat := range patterns {
+		re, err := regexast.Parse(pat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nfa, err := automata.Glushkov(re, automata.DefaultMaxStates)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, end := range nfa.MatchEnds(input) {
+			want[Match{Pattern: p, End: end}] = true
+		}
+	}
+	whole := m.Scan(input)
+	s := m.NewSession()
+	var fed []Match
+	for at := 0; at < len(input); at += 1000 {
+		fed = append(fed, s.Feed(input[at:min(at+1000, len(input))])...)
+	}
+	if !reflect.DeepEqual(whole, fed) || len(whole) != len(want) || len(want) != 11 {
+		t.Fatalf("whole scan %v\nfed in 1000-byte chunks %v\nreference NFAs %v", whole, fed, want)
+	}
+	for _, mt := range whole {
+		if !want[mt] {
+			t.Fatalf("whole scan reports %v, which no reference NFA finds", mt)
+		}
+	}
+	s = m.NewSession()
+	s.ScanInto(bytes.Repeat([]byte("a"), 256<<10), nil)
+	for _, l := range s.lanes {
+		if l, ok := l.(*nbvaLane); ok {
+			hits := reflect.ValueOf(&l.hits).Elem()
+			if at := hits.FieldByName("at"); at.Cap() != hitBlock {
+				t.Errorf("a slab of %d start bytes after a block of them, want %d", at.Cap(), hitBlock)
+			}
+			if block := hits.FieldByName("block"); !block.IsNil() {
+				t.Errorf("the session keeps %d bytes of the chunk past the scan", block.Len())
+			}
 		}
 	}
 }

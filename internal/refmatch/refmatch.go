@@ -437,6 +437,9 @@ func Relower(prev, older *Matcher, res *compile.Result, opts Options) (*Matcher,
 			k.nb.words += kernel.Words()
 		}
 	}
+	if k.nb.starts = old.nb.starts; !same(old.nb.kernels, k.nb.kernels) {
+		k.nb.starts = nbva.NewStarts(k.nb.kernels)
+	}
 	k.dl = dfaLane{dfas: dlDFAs.slice(), patterns: dlPatterns.slice()}
 	if k.dl.loop = old.dl.loop; !same(old.dl.dfas, k.dl.dfas) {
 		k.dl.loop = automata.NewWakeLoop(k.dl.dfas)

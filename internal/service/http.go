@@ -229,11 +229,15 @@ func (s *Service) writeMatches(w http.ResponseWriter, r *http.Request, offset in
 	wireBufs.Put(body)
 }
 
+// scanIdleTimeout is the longest an HTTP scan body may send nothing; a
+// test shortens it.
+var scanIdleTimeout = input.IdleReadTimeout
+
 // handleScan reads the body a chunk at a time into one buffer and scans
 // each chunk before it reads the next (scanChunks), so the request holds
 // one chunk however long its body; body_read is their reads summed.
 func (s *Service) handleScan(w http.ResponseWriter, r *http.Request) {
-	body, ok := input.ReadChunks(w, r, scanChunk)
+	body, ok := input.ReadChunks(w, r, scanChunk, scanIdleTimeout)
 	if !ok {
 		return
 	}

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -378,6 +379,86 @@ func TestScanKeepsItsQueueSlot(t *testing.T) {
 	}
 }
 
+// TestStalledScanGivesBackItsSlot: a client that stops sending after its
+// first chunk is answered 400 once it has sent nothing for the idle limit,
+// its queue slot comes back, and the next scan on a one-slot queue is
+// served. A client that sends the same body slowly, taking longer than the
+// limit for its first chunk and longer again for the body, but never
+// pausing that long, is served.
+func TestStalledScanGivesBackItsSlot(t *testing.T) {
+	defer func(d time.Duration) { scanIdleTimeout = d }(scanIdleTimeout)
+	scanIdleTimeout = 200 * time.Millisecond
+	svc := New(Config{Workers: 1, QueueDepth: 1})
+	defer svc.Close()
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	prog, _, err := svc.Compile(context.Background(), keyRuleset(), CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := srv.URL + "/v1/programs/" + prog.ID + "/scan"
+	body := fillerBody(2*scanChunk, 5)
+	post := func(name string, send func(w *io.PipeWriter), want int) {
+		t.Helper()
+		pr, pw := io.Pipe()
+		defer pw.Close()
+		go send(pw)
+		resp, err := http.Post(url, "application/octet-stream", pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("%s scan answered %d, want %d", name, resp.StatusCode, want)
+		}
+		if n := slotsTaken(svc); n != 0 {
+			t.Errorf("%d queue slots taken after the %s scan, want 0", n, name)
+		}
+	}
+	post("stalled", func(w *io.PipeWriter) { _, _ = w.Write(body[:scanChunk+1]) }, http.StatusBadRequest) // the first chunk, then nothing
+	post("slow", func(w *io.PipeWriter) {
+		piece := len(body) / 10
+		for at := 0; at < len(body); at += piece {
+			time.Sleep(scanIdleTimeout / 4)
+			_, _ = w.Write(body[at:min(at+piece, len(body))])
+		}
+		w.Close()
+	}, http.StatusOK)
+	resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("the next scan answered %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestStatsListEveryStage: /v1/stats names every stage /metrics observes
+// under rap_stage_duration_us.
+func TestStatsListEveryStage(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	defer svc.Close()
+	rec := httptest.NewRecorder()
+	svc.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	stages := svc.Stats().Stages
+	n := 0
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		_, rest, ok := strings.Cut(line, `rap_stage_duration_us_count{stage="`)
+		if !ok {
+			continue
+		}
+		stage, _, _ := strings.Cut(rest, `"`)
+		if _, ok := stages[stage]; !ok {
+			t.Errorf("stage %q is in /metrics but not in Stats().Stages", stage)
+		}
+		n++
+	}
+	if n != len(stages) {
+		t.Errorf("/metrics has %d stages, Stats().Stages %d", n, len(stages))
+	}
+}
+
 // TestScanStagesOncePerRequest: a scan of four chunks observes body_read,
 // queue_wait and scan once each, and its scan span counts the chunks.
 func TestScanStagesOncePerRequest(t *testing.T) {
@@ -398,12 +479,9 @@ func TestScanStagesOncePerRequest(t *testing.T) {
 			t.Fatalf("Content-Length %d: %d %s", length, rec.Code, rec.Body)
 		}
 	}
-	for stage, n := range map[string]int64{
-		"body_read":  svc.stageBodyRead.Snapshot().Count,
-		"queue_wait": svc.stageQueueWait.Snapshot().Count,
-		"scan":       svc.stageScan.Snapshot().Count,
-	} {
-		if n != 2 {
+	stages := svc.Stats().Stages
+	for _, stage := range []string{"body_read", "queue_wait", "scan"} {
+		if n := stages[stage].Count; n != 2 {
 			t.Errorf("%s observed %d times over two requests, want 2", stage, n)
 		}
 	}

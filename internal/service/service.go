@@ -764,6 +764,8 @@ func (s *Service) Stats() Stats {
 			"scan":               s.stageScan.Snapshot(),
 			"prefilter":          s.stagePrefilter.Snapshot(),
 			"reconfig_apply":     s.stageApply.Snapshot(),
+			"body_read":          s.stageBodyRead.Snapshot(),
+			"encode":             s.stageEncode.Snapshot(),
 		},
 		Cache:       s.cache.stats(),
 		Pool:        s.pool.stats(),
